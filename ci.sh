@@ -16,6 +16,17 @@ run cargo clippy --all-targets -- -D warnings
 run cargo fmt --check
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 
+# The benchmark gate: `benchmark/` is a package of its own (own
+# workspace and lock file, path dependencies on crates/*), so nothing
+# above compiles it and an API change in a crate could break the
+# driver's command unnoticed. Build and unit-test it against this tree
+# (into the same target/ run.sh uses), then run every workload once at
+# 1/50 scale (< 20 s): the suite exits non-zero unless every workload's
+# oracles hold with nothing failed.
+run env CARGO_TARGET_DIR="$PWD/target" \
+  cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+run benchmark/run.sh --smoke
+
 # Smoke-check the observability pipeline: a handful of experiments end
 # to end — the worked example plus one per propagation strategy (partial
 # E16, gossip E17, composed gossip×partial E20) — then a pure-rust

@@ -113,15 +113,15 @@ fn chaos_rows() -> String {
     json_rows(&rows, baseline)
 }
 
-/// The §3 transitivity checker on an n = 10⁴ execution across the pool
-/// sizes (`SHARD_POOL_THREADS` steers the checker's internal pool).
+/// The §3 transitivity checker on an n = 10⁴ execution. It has been
+/// single-threaded since its column-bitset rewrite, so these rows are
+/// the control: the same work under every `SHARD_POOL_THREADS` must
+/// read the same, which bounds what the sampling scheme itself adds.
 fn checker_rows() -> String {
     let app = FlyByNight::new(40);
     let e = airline_execution_with_k(&app, 3, 10_000, 4, AirlineMix::default());
     let reference = conditions::is_transitive(&e);
     println!("\nparallel/is_transitive (n = 10000)");
-    // The checker reads its pool from the environment; each timing
-    // closure pins it for the duration of its own sample.
     for threads in THREADS {
         std::env::set_var("SHARD_POOL_THREADS", threads.to_string());
         assert_eq!(

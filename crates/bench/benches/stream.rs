@@ -1,8 +1,11 @@
 //! The streaming checkers, measured: raw [`StreamChecker`] throughput
 //! over 10⁶ synthetic rows at several window sizes, and the live
 //! monitor's overhead on a real kernel run (monitored vs. unmonitored
-//! wall time). Results land in `BENCH_stream.json` at the repository
-//! root.
+//! wall time), plus the two whole-execution shapes the repository
+//! benchmark does not carry (n = 2 048: block-shuffled rows missing ~16
+//! recent predecessors each, and two parities that never see each
+//! other) through `is_transitive` and `check_rows`. Results land in
+//! `BENCH_stream.json` at the repository root.
 //!
 //! Two pinned claims:
 //!
@@ -18,11 +21,26 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
+use shard_apps::banking::{Bank, BankTxn, BankUpdate};
 use shard_bench::workloads::{airline_invocations, Routing};
-use shard_core::stream::{StreamChecker, StreamRow};
+use shard_core::conditions::is_transitive;
+use shard_core::stream::{check_rows, rows_from_execution, StreamChecker, StreamRow};
+use shard_core::{Execution, TimedExecution, TxnRecord};
+use shard_pool::PoolConfig;
 use shard_sim::{ClusterConfig, DelayModel, EagerBroadcast, MonitorConfig, Runner};
 use std::hint::black_box;
 use std::time::Instant;
+
+/// The benches' fixed pseudo-random stream (a 64-bit LCG's high bits).
+fn lcg() -> impl FnMut() -> u32 {
+    let mut state = 0x5EED_u64 | 1;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    }
+}
 
 /// Synthetic rows: 10⁶ transactions where ~10% miss a short suffix of
 /// their predecessors (`missed = {i-d, …, i-1}`). Contiguous-suffix
@@ -31,13 +49,7 @@ use std::time::Instant;
 /// the transitivity scan runs at its honest full depth instead of
 /// short-circuiting on an early violation.
 fn synthetic_rows(n: usize) -> Vec<StreamRow> {
-    let mut state = 0x5EED_u64 | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as u32
-    };
+    let mut next = lcg();
     (0..n)
         .map(|i| {
             let d = if next() % 10 == 0 {
@@ -53,6 +65,55 @@ fn synthetic_rows(n: usize) -> Vec<StreamRow> {
             }
         })
         .collect()
+}
+
+/// An execution whose row `i` sees exactly the `j < i` with `sees(j, i)`.
+fn execution_where(n: usize, sees: impl Fn(usize, usize) -> bool) -> TimedExecution<Bank> {
+    let mut exec = Execution::new();
+    for i in 0..n {
+        exec.push_record(TxnRecord {
+            decision: BankTxn::Audit,
+            prefix: (0..i).filter(|&j| sees(j, i)).collect(),
+            update: BankUpdate::Noop,
+            external_actions: Vec::new(),
+        });
+    }
+    TimedExecution::new(exec, (0..n as u64).collect())
+}
+
+/// The repository benchmark's shape: delivery order is the serial order
+/// Fisher–Yates-shuffled inside blocks of 64, and a row misses the
+/// serially earlier rows delivered after it (~16 per row, all within
+/// 64 positions). Transitive: a seen row was delivered before every
+/// missed one.
+fn windowed_execution(n: usize) -> TimedExecution<Bank> {
+    let mut next = lcg();
+    let mut delivered_at: Vec<usize> = (0..n).collect();
+    for block in delivered_at.chunks_mut(64) {
+        for i in (1..block.len()).rev() {
+            block.swap(i, next() as usize % (i + 1));
+        }
+    }
+    execution_where(n, |j, i| delivered_at[j] < delivered_at[i])
+}
+
+/// The dense worst case for a miss-set checker: two parities that never
+/// see each other, so row `i` misses `i / 2` predecessors reaching all
+/// the way back. Transitive.
+fn parity_execution(n: usize) -> TimedExecution<Bank> {
+    execution_where(n, |j, i| j % 2 == i % 2)
+}
+
+/// Median wall time of 5 calls, after one warm-up.
+fn median5_ns(mut f: impl FnMut()) -> f64 {
+    f();
+    let mut samples = [0.0f64; 5];
+    for s in &mut samples {
+        let t0 = Instant::now();
+        f();
+        *s = t0.elapsed().as_nanos() as f64;
+    }
+    median(&mut samples)
 }
 
 fn check_once_ns(window: usize, rows: &[StreamRow]) -> (f64, bool) {
@@ -124,6 +185,36 @@ fn bench_stream(_c: &mut Criterion) {
         ));
     }
 
+    println!("\nstream/shapes (whole-execution checks, n = 2048, one thread)");
+    const SHAPE_ROWS: usize = 2_048;
+    let mut shape_json = Vec::new();
+    for (name, te) in [
+        ("windowed16", windowed_execution(SHAPE_ROWS)),
+        ("parity", parity_execution(SHAPE_ROWS)),
+    ] {
+        let rows = rows_from_execution(&PoolConfig::sequential(), &te);
+        let misses_per_row =
+            rows.iter().map(|r| r.missed.len()).sum::<usize>() as f64 / SHAPE_ROWS as f64;
+        assert!(is_transitive(&te.execution) && check_rows(64, &rows).transitive);
+        let offline_ns = median5_ns(|| {
+            black_box(is_transitive(black_box(&te.execution)));
+        });
+        let online_ns = median5_ns(|| {
+            black_box(check_rows(64, black_box(&rows)));
+        });
+        println!(
+            "  {name:<10}  {misses_per_row:>6.1} misses/row  is_transitive {:>9.3} ms  \
+             check_rows {:>9.3} ms",
+            offline_ns / 1e6,
+            online_ns / 1e6
+        );
+        shape_json.push(format!(
+            "    {{ \"shape\": \"{name}\", \"rows\": {SHAPE_ROWS}, \
+             \"misses_per_row\": {misses_per_row:.1}, \
+             \"is_transitive_ns\": {offline_ns:.0}, \"check_rows_ns\": {online_ns:.0} }}"
+        ));
+    }
+
     println!("\nstream/monitor (live monitor overhead on a kernel run)");
     const TXNS: usize = 3_000;
     let monitored_cfg = || {
@@ -158,6 +249,7 @@ fn bench_stream(_c: &mut Criterion) {
          \"rows\": {N},\n  \
          \"miss_entries\": {misses},\n  \
          \"windows\": [\n{}\n  ],\n  \
+         \"shapes\": [\n{}\n  ],\n  \
          \"monitor\": {{\n    \
          \"kernel_txns\": {TXNS},\n    \
          \"plain_ns\": {plain_ns:.0},\n    \
@@ -166,8 +258,11 @@ fn bench_stream(_c: &mut Criterion) {
          \"overhead_target_pct\": 10.0\n  }},\n  \
          \"note\": \"window timings are medians of 3 full 10^6-row checks; monitor overhead \
          compares medians of 5 interleaved eager-broadcast kernel runs (5 nodes, fixed delay) \
-         with and without the live monitor (window 64, no row emission)\"\n}}\n",
+         with and without the live monitor (window 64, no row emission); shape timings are \
+         medians of 5 calls on one thread: windowed16 = Fisher-Yates inside delivery blocks of 64, \
+         parity = two parities that never see each other (row i misses i/2 predecessors)\"\n}}\n",
         window_json.join(",\n"),
+        shape_json.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     match std::fs::write(path, json) {

@@ -454,15 +454,10 @@ fn push_row(path: &str, checker: &mut StreamChecker, line: &str) -> Result<bool,
         return Ok(false);
     }
     let row = StreamRow::from_json_line(line).map_err(|e| fail(format!("{path}: {e}")))?;
-    if row.index != checker.rows() {
-        return Err(fail(format!(
-            "{path}: row {} arrived when {} was expected — \
-             watch needs rows in serial order",
-            row.index,
-            checker.rows()
-        )));
-    }
-    if let Some(verdict) = checker.push(&row) {
+    let verdict = checker
+        .try_push(row.index, row.time, &row.missed)
+        .map_err(|e| fail(format!("{path}: {e}")))?;
+    if let Some(verdict) = verdict {
         println!("{}", verdict.to_json_line());
     }
     Ok(!checker.transitive_so_far())

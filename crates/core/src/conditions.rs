@@ -19,14 +19,14 @@
 
 use crate::app::Application;
 use crate::bitset::BitSet;
-use crate::execution::{Execution, TxnIndex};
+use crate::execution::{missed_indices, Execution, TxnIndex};
 use shard_pool::PoolConfig;
 use std::ops::Range;
 
-/// Executions below this length are checked sequentially: the O(n²/64)
-/// subset scans finish in microseconds and spawning threads would cost
-/// more than it saves. Above it, the quadratic checkers partition their
-/// index space across the pool (`SHARD_POOL_THREADS`).
+/// Executions below this length get their delay bound sequentially:
+/// the walk finishes in microseconds and spawning threads would cost
+/// more than it saves. From it on, [`TimedExecution::min_delay_bound`]
+/// partitions the rows across the pool (`SHARD_POOL_THREADS`).
 const PAR_THRESHOLD: usize = 1024;
 
 /// Builds, for each transaction, the set of prefix indices as a [`BitSet`]
@@ -71,25 +71,59 @@ pub fn max_missed<A: Application>(exec: &Execution<A>) -> usize {
 /// Whether the execution is **transitive** (§3.2): for all `T, T', T''`,
 /// if `T ∈ 𝒫(T')` and `T' ∈ 𝒫(T'')` then `T ∈ 𝒫(T'')`.
 ///
-/// Runs in O(n² / 64) using dense bit sets; long executions partition
-/// the transaction range across the thread pool (the verdict is a pure
-/// conjunction over independent rows, so the result is identical at
-/// every thread count).
+/// Works on miss sets `Mᵢ = {0..i} ∖ 𝒫ᵢ` against an n×n bit matrix of
+/// columns `col[x] = { j : x ∈ 𝒫ⱼ }`. Row `i` is transitive iff no
+/// missed `x ∈ Mᵢ` has a witness `j ∈ 𝒫ᵢ ∩ col[x]` — and since `𝒫ᵢ`
+/// lies below `i` and `col[x]` above `x`, that is a word-wise AND over
+/// the words covering `(x, i)` only. Cost: n²/64 words to lay the
+/// matrix out (n²/8 bytes resident) plus Σᵢ Σ_{x ∈ Mᵢ} (i − x)/64 word
+/// operations — linear in the total number of misses when misses are
+/// recent, n³/768 at the dense worst case where every row misses half
+/// its predecessors arbitrarily far back. Single-threaded: at sizes an
+/// [`Execution`] can hold, the whole check is shorter than a pool
+/// hand-off.
 pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
     let _span = shard_obs::span!("conditions.is_transitive");
-    let sets = prefix_sets(exec);
-    // The parallel path shares only plain slices ([`Execution`] itself
-    // carries a thread-local replay cache and is not `Sync`).
-    let prefixes: Vec<&[TxnIndex]> = exec.records().iter().map(|r| r.prefix.as_slice()).collect();
-    let row_ok = |i: usize| prefixes[i].iter().all(|&j| sets[j].is_subset_of(&sets[i]));
-    if exec.len() < PAR_THRESHOLD || shard_pool::is_worker() {
-        return (0..exec.len()).all(row_ok);
+    let n = exec.len();
+    let words = n.div_ceil(64);
+    // Columns start complete — col[x] = {x+1..} — and lose one bit per
+    // miss, so the matrix costs O(n²/64 + total misses) to build, not
+    // O(Σ|𝒫ᵢ|). Bits from n up are never read back set: they are only
+    // ever ANDed with a row, which stops below n.
+    let mut cols = vec![0u64; n * words];
+    for x in 0..n {
+        let col = &mut cols[x * words..(x + 1) * words];
+        col[(x + 1) / 64..].fill(!0);
+        if (x + 1) % 64 != 0 {
+            col[(x + 1) / 64] = !0 << ((x + 1) % 64);
+        }
     }
-    shard_pool::par_ranges(&PoolConfig::from_env(), exec.len(), |range| {
-        range.into_iter().all(row_ok)
+    // One pass in serial order: when row i is checked, every bit of a
+    // column below i is final, and the bits from i up are masked off by
+    // the row. `seen` is {0..i} between rows and 𝒫ᵢ during row i.
+    let mut seen = vec![0u64; words];
+    let mut missed: Vec<TxnIndex> = Vec::new();
+    exec.records().iter().enumerate().all(|(i, record)| {
+        missed.clear();
+        missed.extend(missed_indices(&record.prefix, i));
+        for &x in &missed {
+            seen[x / 64] &= !(1u64 << (x % 64));
+            cols[x * words + i / 64] &= !(1u64 << (i % 64));
+        }
+        let transitive = missed.iter().all(|&x| {
+            let span = x / 64..=i / 64;
+            let col = &cols[x * words..(x + 1) * words];
+            seen[span.clone()]
+                .iter()
+                .zip(&col[span])
+                .all(|(p, c)| p & c == 0)
+        });
+        for &x in &missed {
+            seen[x / 64] |= 1u64 << (x % 64);
+        }
+        seen[i / 64] |= 1u64 << (i % 64);
+        transitive
     })
-    .into_iter()
-    .all(|ok| ok)
 }
 
 /// Returns the first transitivity violation as `(t, t_mid, t_top)` where
@@ -210,29 +244,19 @@ impl<A: Application> TimedExecution<A> {
     }
 
     /// Returns the first `(seer, missed)` pair violating t-bounded delay,
-    /// or `None` if the bound holds.
-    ///
-    /// Walks each sorted prefix and the index range `0..i` in lockstep
-    /// (a two-pointer complement scan) — no per-transaction set
-    /// materialization.
+    /// or `None` if the bound holds. Walks each transaction's miss set
+    /// ([`missed_indices`]) — no per-transaction set materialization.
     pub fn delay_bound_violation(&self, t: u64) -> Option<(TxnIndex, TxnIndex)> {
-        for i in 0..self.execution.len() {
-            let mut seen = self.execution.record(i).prefix.iter().copied().peekable();
-            for j in 0..i {
-                if seen.next_if_eq(&j).is_some() {
-                    continue;
-                }
-                if self.times[j] + t <= self.times[i] {
-                    return Some((i, j));
-                }
-            }
-        }
-        None
+        self.execution.iter().find_map(|(i, record)| {
+            missed_indices(&record.prefix, i)
+                .find(|&j| self.times[j] + t <= self.times[i])
+                .map(|j| (i, j))
+        })
     }
 
     /// The smallest `t` for which the execution has t-bounded delay
     /// (`0` for empty executions). Exact; worst case O(n²) when most
-    /// pairs are missed, but allocation-free (the same complement scan
+    /// pairs are missed, but allocation-free (the same miss-set walk
     /// as [`TimedExecution::delay_bound_violation`]).
     pub fn min_delay_bound(&self) -> u64 {
         // Plain slices only: the parallel path must not capture the
@@ -244,18 +268,12 @@ impl<A: Application> TimedExecution<A> {
             .map(|r| r.prefix.as_slice())
             .collect();
         let times = self.times.as_slice();
+        // Missing j is tolerable only for t > times[i] - times[j].
         let row_bound = move |i: usize| {
-            let mut bound = 0u64;
-            let mut seen = prefixes[i].iter().copied().peekable();
-            for j in 0..i {
-                if seen.next_if_eq(&j).is_some() {
-                    continue;
-                }
-                // Missing j is tolerable only for t > times[i] - times[j].
-                let gap = times[i].saturating_sub(times[j]);
-                bound = bound.max(gap + 1);
-            }
-            bound
+            missed_indices(prefixes[i], i)
+                .map(|j| times[i].saturating_sub(times[j]) + 1)
+                .max()
+                .unwrap_or(0)
         };
         let n = self.execution.len();
         if n < PAR_THRESHOLD || shard_pool::is_worker() {
@@ -352,8 +370,8 @@ mod tests {
     #[test]
     fn long_executions_take_the_partitioned_path() {
         // Length ≥ PAR_THRESHOLD exercises the pool-partitioned branch
-        // of `is_transitive` and `min_delay_bound`; verdicts must agree
-        // with the independent oracles either way.
+        // of `min_delay_bound` and a multi-word `is_transitive`; verdicts
+        // must agree with the independent oracles either way.
         let n = PAR_THRESHOLD + 200;
         let skip_at = n - 3;
         let mut b = ExecutionBuilder::new(&Trivial);

@@ -28,6 +28,55 @@ use std::fmt;
 /// Index of a transaction instance within an execution's serial order.
 pub type TxnIndex = usize;
 
+/// The indices in `0..i` absent from `prefix` (strictly increasing,
+/// below `i`), ascending — the *miss set* `{0..i} ∖ 𝒫ᵢ`.
+///
+/// `prefix[k] − k` counts the misses below `prefix[k]` and never
+/// decreases, so each run of consecutively seen predecessors is
+/// skipped by an exponential then binary search for where that count
+/// next changes: O(|miss set| · log i), not O(i) — prefixes are nearly
+/// complete on healthy runs.
+pub fn missed_indices(prefix: &[TxnIndex], i: TxnIndex) -> impl Iterator<Item = TxnIndex> + '_ {
+    // `prefix[..k]` and the indices below `start` are accounted for.
+    let (mut k, mut start) = (0usize, 0);
+    let mut gap = 0..0;
+    std::iter::from_fn(move || loop {
+        if let Some(j) = gap.next() {
+            return Some(j);
+        }
+        if k == prefix.len() {
+            if start >= i {
+                return None;
+            }
+            gap = start..i;
+            start = i;
+            continue;
+        }
+        gap = start..prefix[k];
+        // The run of seen predecessors from k: `prefix[t] − t` stays
+        // at `offset` on it. Invariant: `lo` is on the run, `hi` is
+        // past it (or the end).
+        let offset = prefix[k] - k;
+        let on_run = |t: usize| prefix[t] - t == offset;
+        let (mut lo, mut step) = (k, 1);
+        while lo + step < prefix.len() && on_run(lo + step) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = (lo + step).min(prefix.len());
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if on_run(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        start = prefix[lo] + 1;
+        k = hi;
+    })
+}
+
 /// One transaction instance `Tᵢ` in an execution, with everything the
 /// paper associates with it: its prefix subsequence, the update its
 /// decision chose, and the external actions it triggered.

@@ -40,7 +40,7 @@
 //!   copy-on-write treap) applications build their states on, so state
 //!   clones are O(1) and checkpoint chains cost O(delta) memory.
 //! * [`stream`] — online (streaming) versions of the §3 checkers:
-//!   windowed, resumable monitors over the serial order that emit
+//!   windowed, append-only monitors over the serial order that emit
 //!   incremental verdicts plus compact, independently checkable
 //!   certificates.
 //! * [`bitset`] — a small dense bit-set used by the execution property
@@ -112,4 +112,4 @@ pub use replay::{
     Checkpoints, ReplayStats, Replayer, SpillingCheckpoints, StreamedRecord, StreamingExecution,
     DEFAULT_CHECKPOINT_INTERVAL,
 };
-pub use stream::{Certificate, StreamChecker, StreamReport, StreamRow, WindowVerdict};
+pub use stream::{Certificate, RowError, StreamChecker, StreamReport, StreamRow, WindowVerdict};

@@ -156,54 +156,24 @@ pub struct ReplayStats {
 /// With structurally-shared states (e.g. [`crate::pmap::PMap`]-backed),
 /// consecutive recorded snapshots share all but the nodes touched since
 /// the previous record — the sequence is then a **delta chain**: each
-/// link costs O(delta) memory, not O(state). For deep-cloning states
-/// the optional *anchor spacing* knob
-/// ([`Checkpoints::with_anchor_spacing`]) bounds the chain instead:
-/// only every `anchor_every`-th recorded point is retained long-term
-/// (plus the newest point, where the next resume usually lands), so
-/// the chain holds `O(n / (interval · anchor_every))` full anchors.
-/// Pruning never changes any state a resume produces — only how far
-/// back a resume may have to replay — and the default spacing of 1
-/// retains every point, byte-identical to the pre-delta-chain
-/// behaviour (a property test in `tests/state_inplace.rs` pins this).
+/// link costs O(delta) memory, not O(state).
 #[derive(Clone, Debug)]
 pub struct Checkpoints<S> {
     every: usize,
-    anchor_every: usize,
-    /// Successful records since the last retained anchor; 0 means the
-    /// newest point *is* an anchor.
-    since_anchor: usize,
     points: Vec<(usize, S)>,
 }
 
 impl<S: Clone> Checkpoints<S> {
     /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates, retaining every recorded point (anchor
-    /// spacing 1).
+    /// applied updates.
     ///
     /// # Panics
     ///
     /// Panics if `every == 0` (checkpoint interval must be positive).
     pub fn new(every: usize) -> Self {
-        Self::with_anchor_spacing(every, 1)
-    }
-
-    /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates and retaining one long-term anchor per
-    /// `anchor_every` recorded points (the newest point is always
-    /// kept). `anchor_every == 1` keeps everything — the snapshot
-    /// behaviour [`Checkpoints::new`] gives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0` or `anchor_every == 0`.
-    pub fn with_anchor_spacing(every: usize, anchor_every: usize) -> Self {
         assert!(every > 0, "checkpoint interval must be positive");
-        assert!(anchor_every > 0, "anchor spacing must be positive");
         Checkpoints {
             every,
-            anchor_every,
-            since_anchor: 0,
             points: Vec::new(),
         }
     }
@@ -211,12 +181,6 @@ impl<S: Clone> Checkpoints<S> {
     /// The configured spacing between checkpoints, in applied updates.
     pub fn interval(&self) -> usize {
         self.every
-    }
-
-    /// The anchor spacing: how many recorded points yield one retained
-    /// long-term anchor (1 = retain every point).
-    pub fn anchor_spacing(&self) -> usize {
-        self.anchor_every
     }
 
     /// The number of checkpoints currently stored.
@@ -232,7 +196,6 @@ impl<S: Clone> Checkpoints<S> {
     /// Drops all checkpoints, keeping the interval.
     pub fn clear(&mut self) {
         self.points.clear();
-        self.since_anchor = 0;
     }
 
     /// The depth (applied-update count) of the deepest checkpoint, or 0.
@@ -252,33 +215,19 @@ impl<S: Clone> Checkpoints<S> {
     /// *between* existing checkpoints records nothing new. Returns
     /// whether a checkpoint was stored.
     pub fn record(&mut self, len: usize, state: &S) -> bool {
-        if len >= self.last_len() + self.every {
-            // Delta-chain pruning: the newest point was provisional
-            // unless it fell on an anchor; with spacing 1 every point
-            // is an anchor and nothing is ever dropped.
-            if self.since_anchor != 0 {
-                self.points.pop();
-            }
-            self.since_anchor = (self.since_anchor + 1) % self.anchor_every;
+        let due = len >= self.last_len() + self.every;
+        if due {
             self.points.push((len, state.clone()));
-            true
-        } else {
-            false
         }
+        due
     }
 
     /// Drops every checkpoint deeper than `keep` applied updates — the
     /// *undo* half of undo/redo: checkpoints past an insertion point are
     /// invalidated, those at or before it survive.
     pub fn truncate(&mut self, keep: usize) {
-        let before = self.points.len();
         while self.points.last().is_some_and(|&(l, _)| l > keep) {
             self.points.pop();
-        }
-        if self.points.len() != before {
-            // The surviving tip becomes the anchor the next run of
-            // records counts from.
-            self.since_anchor = 0;
         }
     }
 
@@ -749,16 +698,31 @@ where
     /// verdicts, certificates and the final report are byte-identical
     /// to [`check_rows`](crate::stream::check_rows) on the same rows
     /// materialized in memory.
+    ///
+    /// # Errors
+    ///
+    /// Store errors, and `InvalidData` naming the first stored row that
+    /// is missing, torn, malformed or carries an ill-formed miss set.
     pub fn check_stream(&mut self, window: usize) -> std::io::Result<crate::stream::StreamReport> {
         let mut checker = crate::stream::StreamChecker::new(window);
+        // A row that decodes but does not belong to a serial order
+        // (B+tree pages carry no checksum) is bad data, not a bug.
+        let mut bad_row = None;
         self.for_each_row(|i, row| {
-            checker.push(&crate::stream::StreamRow {
-                index: i,
-                time: row.time,
-                missed: row.missed.clone(),
-            });
+            if bad_row.is_none() {
+                bad_row = checker
+                    .try_push(i, row.time, &row.missed)
+                    .err()
+                    .map(|e| (i, e));
+            }
         })?;
-        Ok(checker.report())
+        match bad_row {
+            None => Ok(checker.report()),
+            Some((i, e)) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("streaming row {i}: {e}"),
+            )),
+        }
     }
 
     /// Spills a timed in-memory execution into `store` row by row — the
@@ -784,6 +748,10 @@ where
     let mut r = shard_store::ByteReader::new(payload);
     let time = r.u64()?;
     let missed_len = r.u32()? as usize;
+    // The length is untrusted: it must fit in the bytes that are left.
+    if missed_len > r.remaining() / 4 {
+        return None;
+    }
     let mut missed = Vec::with_capacity(missed_len);
     for _ in 0..missed_len {
         missed.push(r.u32()? as TxnIndex);
@@ -1287,50 +1255,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "anchor spacing must be positive")]
-    fn checkpoints_reject_zero_anchor_spacing() {
-        let _ = Checkpoints::<u32>::with_anchor_spacing(4, 0);
-    }
-
-    #[test]
-    fn anchor_spacing_prunes_to_anchors_plus_tip() {
-        let mut c: Checkpoints<u32> = Checkpoints::with_anchor_spacing(1, 3);
-        assert_eq!(c.anchor_spacing(), 3);
-        for len in 1..=7usize {
-            assert!(c.record(len, &(len as u32 * 10)));
-        }
-        // Records 3 and 6 are anchors; record 7 is the retained tip.
-        let kept: Vec<usize> = (1..=7).filter_map(|l| c.floor(l).map(|(k, _)| k)).collect();
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.last(), Some((7, &70)));
-        assert_eq!(kept, vec![3, 3, 3, 6, 7], "floors resolve to anchors");
-        // Every surviving point still maps to the state recorded at
-        // that depth — pruning drops points, never corrupts them.
-        assert_eq!(c.floor(5), Some((3, &30)));
-        // Truncation restarts the anchor phase at the surviving tip.
-        c.truncate(6);
-        assert_eq!(c.last(), Some((6, &60)));
-        assert!(c.record(7, &70));
-        assert_eq!(c.len(), 3, "post-truncate tip kept as an anchor");
-    }
-
-    #[test]
-    fn anchor_spacing_one_is_byte_identical_to_snapshots() {
-        let mut plain: Checkpoints<u32> = Checkpoints::new(2);
-        let mut delta: Checkpoints<u32> = Checkpoints::with_anchor_spacing(2, 1);
-        for len in 1..=20usize {
-            assert_eq!(
-                plain.record(len, &(len as u32)),
-                delta.record(len, &(len as u32))
-            );
-        }
-        for limit in 0..=21 {
-            assert_eq!(plain.floor(limit), delta.floor(limit));
-        }
-        assert_eq!(plain.len(), delta.len());
-    }
-
-    #[test]
     fn replayer_matches_naive_on_prefix_sweeps() {
         let app = Trace;
         let updates: Vec<Tag> = (0..100).map(Tag).collect();
@@ -1696,5 +1620,58 @@ mod tests {
         let app = Trace;
         let err = se.final_state(&app).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+    #[test]
+    fn check_stream_reports_corrupted_rows_instead_of_panicking() {
+        // What a flipped byte in a row-store page (B+tree pages carry
+        // no checksum) can make of a row: every variant must come back
+        // as InvalidData naming the row, never as a panic or a
+        // multi-gigabyte reservation.
+        let row = |time: u64, missed_len: u32, missed: &[u32]| {
+            let mut payload = Vec::new();
+            payload.extend_from_slice(&time.to_be_bytes());
+            payload.extend_from_slice(&missed_len.to_be_bytes());
+            for m in missed {
+                payload.extend_from_slice(&m.to_be_bytes());
+            }
+            shard_store::Codec::encode(&Tag(1), &mut payload);
+            payload
+        };
+        let good = [row(0, 0, &[]), row(1, 1, &[0]), row(2, 2, &[0, 1])];
+        let corruptions = [
+            (
+                "a miss count far past the payload",
+                row(2, u32::MAX, &[0, 1]),
+            ),
+            ("a miss count one past the payload", row(2, 4, &[0, 1])),
+            ("a miss set out of order", row(2, 2, &[1, 0])),
+            ("a repeated miss", row(2, 2, &[1, 1])),
+            ("a miss at the row's own index", row(2, 1, &[2])),
+            ("a miss far in the future", row(2, 1, &[u32::MAX])),
+        ];
+        for (what, bad) in corruptions {
+            let mut store: Box<dyn shard_store::Store + Send> =
+                Box::new(shard_store::MemStore::new());
+            // The bad row sits between good ones: rows 0, 1, bad, 3.
+            for (i, payload) in [&good[0], &good[1], &bad, &row(3, 0, &[])]
+                .into_iter()
+                .enumerate()
+            {
+                shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+            }
+            let mut se = StreamingExecution::<Trace>::reopen(store, 4);
+            let err = se.check_stream(2).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("row 2"), "{what}: {err}");
+        }
+        // The uncorrupted rows check clean.
+        let mut store: Box<dyn shard_store::Store + Send> = Box::new(shard_store::MemStore::new());
+        for (i, payload) in good.iter().enumerate() {
+            shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+        }
+        let report = StreamingExecution::<Trace>::reopen(store, 3)
+            .check_stream(2)
+            .unwrap();
+        assert_eq!((report.rows, report.max_missed), (3, 2));
     }
 }

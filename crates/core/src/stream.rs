@@ -27,12 +27,11 @@
 //!
 //! The [`StreamChecker`] wraps the three monitors behind a *window*
 //! abstraction: every `window` rows it emits a [`WindowVerdict`] (the
-//! cumulative verdicts at that boundary) and snapshots its own state
-//! into a [`Checkpoints`] chain. Snapshots are O(1) because the missers
-//! index lives in a [`PMap`] (the structurally shared treap of PR 6),
-//! so the chain is a delta chain and [`StreamChecker::rewind`] can
-//! resume the checker from any retained boundary without re-reading
-//! the stream from the start.
+//! cumulative verdicts at that boundary). The missers index is
+//! append-only and array-indexed — a `u32` slot per consumed row into a
+//! vector of lists — so looking up `missers(x)` and appending to it are
+//! O(1), and a row costs O(|missed|) array operations on top of its gap
+//! scans.
 //!
 //! Verdicts are **bit-identical** to the offline checkers: feeding
 //! [`rows_from_execution`] through a checker of any window size yields
@@ -48,24 +47,18 @@
 
 use crate::app::Application;
 use crate::conditions::TimedExecution;
-use crate::execution::TxnIndex;
-use crate::pmap::PMap;
-use crate::replay::Checkpoints;
+use crate::execution::{missed_indices, TxnIndex};
 use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
 pub const CERT_SCHEMA: &str = "shard-cert/v1";
 
 /// Executions below this length are converted to rows sequentially;
-/// above it, [`rows_from_execution`] partitions the row range across
-/// the pool (same threshold as the offline checkers).
-const PAR_THRESHOLD: usize = 1024;
-
-/// How many window-boundary snapshots yield one long-term anchor in the
-/// checker's [`Checkpoints`] chain (the newest boundary is always
-/// retained). Snapshots are O(1) via [`PMap`] sharing, so this only
-/// bounds chain length, not correctness.
-const ANCHOR_SPACING: usize = 8;
+/// from it on, [`rows_from_execution`] partitions the row range across
+/// the pool. A row costs a few hundred nanoseconds to extract and a
+/// pool hand-off about as much as a thousand of them, so two threads
+/// break even near 1 500 rows.
+const PAR_THRESHOLD: usize = 2048;
 
 /// Per-process stream metrics, resolved once (same pattern as the
 /// replay engine's counters).
@@ -163,9 +156,12 @@ impl StreamRow {
 
     /// Whether the miss set is strictly increasing and below `index`.
     pub fn missed_well_formed(&self) -> bool {
-        self.missed.windows(2).all(|w| w[0] < w[1])
-            && self.missed.last().is_none_or(|&m| m < self.index)
+        missed_well_formed(self.index, &self.missed)
     }
+}
+
+fn missed_well_formed(index: TxnIndex, missed: &[TxnIndex]) -> bool {
+    missed.windows(2).all(|w| w[0] < w[1]) && missed.last().is_none_or(|&m| m < index)
 }
 
 /// A compact, independently checkable witness for a monitor verdict —
@@ -243,46 +239,6 @@ impl Certificate {
     }
 }
 
-/// The cumulative monitor state — everything the three online checkers
-/// know after some prefix of the stream. Cloning is O(1): the missers
-/// index is a structurally shared [`PMap`], the rest scalars. This is
-/// what the window [`Checkpoints`] chain snapshots.
-#[derive(Clone, Debug)]
-struct MonitorState {
-    /// Rows consumed so far.
-    rows: usize,
-    /// No transitivity violation seen yet.
-    transitive: bool,
-    /// First violation in (row, missed, witness)-scan order.
-    first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
-    /// For each transaction `x` missed by anyone: the strictly
-    /// increasing rows whose miss sets contained `x`.
-    missers: PMap<TxnIndex, Vec<TxnIndex>>,
-    /// Largest miss-set size so far (`max_missed` of the prefix).
-    max_missed: usize,
-    /// First row attaining `max_missed` (meaningful when > 0).
-    worst_row: TxnIndex,
-    /// Minimal delay bound of the prefix (0 = all prefixes complete).
-    delay_bound: u64,
-    /// First `(seer, missed)` pair attaining `delay_bound`.
-    delay_witness: Option<(TxnIndex, TxnIndex)>,
-}
-
-impl MonitorState {
-    fn fresh() -> Self {
-        MonitorState {
-            rows: 0,
-            transitive: true,
-            first_violation: None,
-            missers: PMap::new(),
-            max_missed: 0,
-            worst_row: 0,
-            delay_bound: 0,
-            delay_witness: None,
-        }
-    }
-}
-
 /// The cumulative verdicts at one window boundary: after `end` rows,
 /// over the whole stream so far (not just the window's rows — a
 /// violation in window 2 keeps every later verdict false, exactly like
@@ -347,26 +303,74 @@ impl StreamReport {
     }
 }
 
+/// Why [`StreamChecker::try_push`] refused a row. The checker is left
+/// exactly as it was before the call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowError {
+    /// The row is not the next one of the serial order.
+    OutOfOrder {
+        /// The index the checker would accept (rows consumed so far).
+        expected: TxnIndex,
+        /// The index the row carried.
+        got: TxnIndex,
+    },
+    /// The row's miss set is not strictly increasing below its index.
+    MalformedMisses {
+        /// The offending row.
+        index: TxnIndex,
+    },
+}
+
+impl std::fmt::Display for RowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            RowError::OutOfOrder { expected, got } => write!(
+                f,
+                "stream rows must arrive in serial order: got row {got}, expected {expected}"
+            ),
+            RowError::MalformedMisses { index } => write!(
+                f,
+                "miss set of row {index} is not strictly increasing below it"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for RowError {}
+
 /// The windowed online checker: push rows in serial order, get a
 /// cumulative [`WindowVerdict`] back every `window` rows, read the
 /// final [`StreamReport`] (verdicts + certificates) at any point.
 ///
-/// State is O(total misses + rows·8B): the missers index holds one
-/// entry per (row, missed predecessor) pair and the time vector one
-/// `u64` per row; windows bound *latency to a verdict*, while the
-/// [`Checkpoints`] chain of O(1) state snapshots (every boundary, one
-/// long-term anchor per `ANCHOR_SPACING` = 8) makes the checker
-/// resumable: [`StreamChecker::rewind`] restores a retained boundary
-/// so the stream can be re-fed from there instead of from row 0.
+/// State is O(total misses) plus 12 B per consumed row: the missers
+/// index holds one `u32` per (row, missed predecessor) pair behind a
+/// `u32` slot per row, and the time vector one `u64` per row. Windows
+/// bound *latency to a verdict*, nothing else — the checker is
+/// append-only.
 #[derive(Clone, Debug)]
 pub struct StreamChecker {
     window: usize,
-    state: MonitorState,
-    /// Initiation time of every consumed row (append-only; truncated
-    /// exactly on rewind).
+    /// First transitivity violation `(low, mid, top)` in (row, missed,
+    /// smallest witness) scan order; the stream is transitive so far
+    /// iff this is `None`.
+    first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
+    /// The missers index, part 1: for each consumed row `x`, 0 if no
+    /// later row missed it yet, else 1 + the position of its list in
+    /// `missers`.
+    slot: Vec<u32>,
+    /// The missers index, part 2: per missed `x`, the strictly
+    /// increasing rows whose miss sets contained `x`.
+    missers: Vec<Vec<u32>>,
+    /// Largest miss-set size so far (`max_missed` of the prefix).
+    max_missed: usize,
+    /// First row attaining `max_missed` (meaningful when > 0).
+    worst_row: TxnIndex,
+    /// Minimal delay bound of the prefix (0 = all prefixes complete).
+    delay_bound: u64,
+    /// First `(seer, missed)` pair attaining `delay_bound`.
+    delay_witness: Option<(TxnIndex, TxnIndex)>,
+    /// Initiation time of every consumed row.
     times: Vec<u64>,
-    /// O(1) snapshots of `state` at window boundaries.
-    marks: Checkpoints<MonitorState>,
     verdicts: Vec<WindowVerdict>,
 }
 
@@ -380,16 +384,21 @@ impl StreamChecker {
         assert!(window > 0, "a verdict window must hold at least one row");
         StreamChecker {
             window,
-            state: MonitorState::fresh(),
+            first_violation: None,
+            slot: Vec::new(),
+            missers: Vec::new(),
+            max_missed: 0,
+            worst_row: 0,
+            delay_bound: 0,
+            delay_witness: None,
             times: Vec::new(),
-            marks: Checkpoints::with_anchor_spacing(window, ANCHOR_SPACING),
             verdicts: Vec::new(),
         }
     }
 
     /// Rows consumed so far.
     pub fn rows(&self) -> usize {
-        self.state.rows
+        self.times.len()
     }
 
     /// The configured window size.
@@ -401,7 +410,7 @@ impl StreamChecker {
     /// running verdict, readable between windows without building a
     /// report.
     pub fn transitive_so_far(&self) -> bool {
-        self.state.transitive
+        self.first_violation.is_none()
     }
 
     /// Consumes the next row of the serial order; returns the
@@ -409,132 +418,133 @@ impl StreamChecker {
     ///
     /// # Panics
     ///
-    /// Panics if `row.index` is not the next expected index or its miss
-    /// set is not strictly increasing below it — streams are fed in
-    /// serial order by construction, so either is a harness bug (the
-    /// CLI validates untrusted traces before pushing).
+    /// Panics where [`StreamChecker::try_push`] returns an error —
+    /// for streams fed in serial order by construction, where either
+    /// is a harness bug.
     pub fn push(&mut self, row: &StreamRow) -> Option<WindowVerdict> {
-        assert_eq!(
-            row.index, self.state.rows,
-            "stream rows must arrive in serial order"
-        );
-        assert!(
-            row.missed_well_formed(),
-            "miss set of row {} is not strictly increasing below it",
-            row.index
-        );
-        let i = row.index;
-        let s = &mut self.state;
+        self.try_push(row.index, row.time, &row.missed)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`StreamChecker::push`] by borrowed parts, for rows read from
+    /// outside the program (a store, a trace file).
+    ///
+    /// # Errors
+    ///
+    /// [`RowError`] if `index` is not the next expected index or
+    /// `missed` is not strictly increasing below it.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` rows (the index stores rows as `u32`).
+    pub fn try_push(
+        &mut self,
+        index: TxnIndex,
+        time: u64,
+        missed: &[TxnIndex],
+    ) -> Result<Option<WindowVerdict>, RowError> {
+        if index != self.rows() {
+            return Err(RowError::OutOfOrder {
+                expected: self.rows(),
+                got: index,
+            });
+        }
+        if !missed_well_formed(index, missed) {
+            return Err(RowError::MalformedMisses { index });
+        }
+        let row = u32::try_from(index).expect("the missers index holds rows as u32");
 
         // k-completeness: the miss-set size IS missed_count(i).
-        if row.missed.len() > s.max_missed {
-            s.max_missed = row.missed.len();
-            s.worst_row = i;
+        if missed.len() > self.max_missed {
+            self.max_missed = missed.len();
+            self.worst_row = index;
         }
 
         // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
-        for &x in &row.missed {
-            let bound = row.time.saturating_sub(self.times[x]) + 1;
-            if bound > s.delay_bound {
-                s.delay_bound = bound;
-                s.delay_witness = Some((i, x));
+        for &x in missed {
+            let bound = time.saturating_sub(self.times[x]) + 1;
+            if bound > self.delay_bound {
+                self.delay_bound = bound;
+                self.delay_witness = Some((index, x));
             }
         }
 
         // Transitivity: for each missed x, scan (x, i) for a witness j
         // outside both Mᵢ and missers(x) — such a j is in 𝒫ᵢ and saw x.
-        for (pos, &x) in row.missed.iter().enumerate() {
-            if s.first_violation.is_some() {
-                break;
-            }
-            let empty: &[TxnIndex] = &[];
-            let mx: &[TxnIndex] = s.missers.get(&x).map_or(empty, Vec::as_slice);
-            if let Some(j) = gap_witness(&row.missed[pos + 1..], mx, x, i) {
-                s.transitive = false;
-                s.first_violation = Some((x, j, i));
-                if shard_obs::enabled() {
-                    stream_metrics().violations.inc();
+        if self.first_violation.is_none() {
+            for (pos, &x) in missed.iter().enumerate() {
+                let mx: &[u32] = match self.slot[x] {
+                    0 => &[],
+                    s => &self.missers[s as usize - 1],
+                };
+                if let Some(j) = gap_witness(&missed[pos + 1..], mx, x, index) {
+                    self.first_violation = Some((x, j, index));
+                    if shard_obs::enabled() {
+                        stream_metrics().violations.inc();
+                    }
+                    break;
                 }
             }
         }
 
         // Maintain the missers index (after the check: a row is never
-        // its own witness). `get_mut` appends in place — the list is
-        // only copied when a window snapshot still shares it.
-        for &x in &row.missed {
-            match s.missers.get_mut(&x) {
-                Some(list) => list.push(i),
-                None => {
-                    s.missers.insert(x, vec![i]);
-                }
+        // its own witness).
+        for &x in missed {
+            if self.slot[x] == 0 {
+                self.missers.push(Vec::new());
+                self.slot[x] = u32::try_from(self.missers.len()).expect("fewer lists than rows");
             }
+            self.missers[self.slot[x] as usize - 1].push(row);
         }
+        self.slot.push(0);
+        self.times.push(time);
 
-        self.times.push(row.time);
-        s.rows += 1;
         if shard_obs::enabled() {
             stream_metrics().rows.inc();
         }
-        if !s.rows.is_multiple_of(self.window) {
-            return None;
+        let rows = self.rows();
+        if !rows.is_multiple_of(self.window) {
+            return Ok(None);
         }
         let verdict = WindowVerdict {
             window: self.verdicts.len(),
-            start: s.rows - self.window,
-            end: s.rows,
-            transitive: s.transitive,
-            max_missed: s.max_missed,
-            delay_bound: s.delay_bound,
+            start: rows - self.window,
+            end: rows,
+            transitive: self.first_violation.is_none(),
+            max_missed: self.max_missed,
+            delay_bound: self.delay_bound,
         };
-        self.marks.record(s.rows, &self.state);
         self.verdicts.push(verdict);
         if shard_obs::enabled() {
             stream_metrics().windows.inc();
         }
-        Some(verdict)
-    }
-
-    /// Rewinds the checker to the deepest retained window boundary at
-    /// or below `keep_rows` and returns the row count it now holds
-    /// (0 = fresh). Re-feed the stream from that index to continue —
-    /// the resumed checker is indistinguishable from one that never
-    /// went past the boundary.
-    pub fn rewind(&mut self, keep_rows: usize) -> usize {
-        self.marks.truncate(keep_rows);
-        self.state = match self.marks.last() {
-            Some((_, snapshot)) => snapshot.clone(),
-            None => MonitorState::fresh(),
-        };
-        self.times.truncate(self.state.rows);
-        self.verdicts.truncate(self.state.rows / self.window);
-        self.state.rows
+        Ok(Some(verdict))
     }
 
     /// The verdicts and certificates for everything consumed so far.
     pub fn report(&self) -> StreamReport {
-        let s = &self.state;
         let mut certificates = Vec::new();
-        if let Some((low, mid, top)) = s.first_violation {
+        if let Some((low, mid, top)) = self.first_violation {
             certificates.push(Certificate::Transitivity { low, mid, top });
         }
-        if s.max_missed > 0 {
+        if self.max_missed > 0 {
             certificates.push(Certificate::KCompleteness {
-                index: s.worst_row,
-                missed: s.max_missed,
+                index: self.worst_row,
+                missed: self.max_missed,
             });
         }
-        if let Some((seer, missed)) = s.delay_witness {
+        if let Some((seer, missed)) = self.delay_witness {
             certificates.push(Certificate::DelayBound {
                 seer,
                 missed,
-                bound: s.delay_bound,
+                bound: self.delay_bound,
             });
         }
         StreamReport {
-            rows: s.rows,
-            transitive: s.transitive,
-            max_missed: s.max_missed,
-            min_delay_bound: s.delay_bound,
+            rows: self.rows(),
+            transitive: self.first_violation.is_none(),
+            max_missed: self.max_missed,
+            min_delay_bound: self.delay_bound,
             verdicts: self.verdicts.clone(),
             certificates,
         }
@@ -543,37 +553,39 @@ impl StreamChecker {
 
 /// Finds the smallest `j ∈ (x, i)` absent from both sorted lists
 /// (`rest` — the checking row's misses above `x`; `mx` — the rows that
-/// missed `x`), or `None` if every candidate is blocked. A merged gap
-/// scan: O(|rest| + |mx|).
-fn gap_witness(rest: &[TxnIndex], mx: &[TxnIndex], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
+/// missed `x`), or `None` if every candidate is blocked. Both lists are
+/// strictly increasing and lie inside `(x, i)`. A merged scan taken 64
+/// candidates at a time: each list marks its entries in a word, and a
+/// clear bit is a witness — O(|rest| + |mx| + (i − x)/64).
+fn gap_witness(rest: &[TxnIndex], mx: &[u32], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
     let (mut a, mut b) = (0usize, 0usize);
-    let mut candidate = x + 1;
-    while candidate < i {
-        while a < rest.len() && rest[a] < candidate {
+    let mut base = x + 1;
+    while base < i {
+        let end = (base + 64).min(i);
+        let mut blocked = 0u64;
+        while let Some(&r) = rest.get(a).filter(|&&r| r < end) {
+            blocked |= 1 << (r - base);
             a += 1;
         }
-        while b < mx.len() && mx[b] < candidate {
+        while let Some(m) = mx.get(b).map(|&m| m as usize).filter(|&m| m < end) {
+            blocked |= 1 << (m - base);
             b += 1;
         }
-        let blocked = match (rest.get(a).copied(), mx.get(b).copied()) {
-            (Some(u), Some(v)) => u.min(v),
-            (Some(u), None) => u,
-            (None, Some(v)) => v,
-            (None, None) => return Some(candidate),
-        };
-        if blocked > candidate {
-            return Some(candidate);
+        // Bits from `end − base` up are past the range: never free.
+        let free = !blocked & (!0 >> (64 - (end - base)));
+        if free != 0 {
+            return Some(base + free.trailing_zeros() as usize);
         }
-        candidate += 1;
+        base = end;
     }
     None
 }
 
 /// Converts a timed execution into its stream rows — each prefix
-/// complemented into a miss set by a two-pointer scan. Long executions
-/// partition the row range across `pool` (rows are independent and
-/// collected in input order, so the result is identical at every
-/// thread count).
+/// complemented into a miss set by [`missed_indices`], O(|Mᵢ|·log i)
+/// per row. Long executions partition the row range across `pool`
+/// (rows are independent and collected in input order, so the result
+/// is identical at every thread count).
 pub fn rows_from_execution<A: Application>(
     pool: &PoolConfig,
     te: &TimedExecution<A>,
@@ -587,13 +599,7 @@ pub fn rows_from_execution<A: Application>(
     let times = te.times.as_slice();
     let row_of = |i: usize| {
         let mut missed = Vec::with_capacity(i - prefixes[i].len());
-        let mut seen = prefixes[i].iter().copied().peekable();
-        for j in 0..i {
-            if seen.next_if_eq(&j).is_some() {
-                continue;
-            }
-            missed.push(j);
-        }
+        missed.extend(missed_indices(prefixes[i], i));
         StreamRow {
             index: i,
             time: times[i],
@@ -774,46 +780,31 @@ mod tests {
     }
 
     #[test]
-    fn rewind_restores_a_boundary_exactly() {
-        // 20 rows, window 2: records at 2, 4, …, 20. The delta chain
-        // retains every ANCHOR_SPACING-th record (len 16) plus the tip
-        // (len 20), so rewinding to 17 resumes from 16.
-        let n = 20usize;
-        let mut b = ExecutionBuilder::new(&Trivial);
-        for i in 0..n {
-            // Rows 5 and 11 miss a predecessor; the rest see everything.
-            let prefix: Vec<usize> = match i {
-                5 => (0..i).filter(|&j| j != 2).collect(),
-                11 => (0..i).filter(|&j| j != 7).collect(),
-                _ => (0..i).collect(),
-            };
-            b.push((), prefix).unwrap();
-        }
-        let te = TimedExecution::new(b.finish(), (0..n as u64).map(|t| t * 3).collect());
+    fn try_push_refuses_bad_rows_and_leaves_the_checker_untouched() {
+        let te = timed(&[&[], &[0], &[1]], &[0, 10, 20]);
         let rows = rows_of(&te);
         let mut checker = StreamChecker::new(2);
-        for row in &rows {
-            checker.push(row);
+        checker.push(&rows[0]);
+        checker.push(&rows[1]);
+        assert_eq!(
+            checker.try_push(5, 0, &[]),
+            Err(RowError::OutOfOrder {
+                expected: 2,
+                got: 5
+            })
+        );
+        // Not increasing, repeated, and not below the row's index.
+        for bad in [&[1, 0][..], &[1, 1], &[2]] {
+            assert_eq!(
+                checker.try_push(2, 20, bad),
+                Err(RowError::MalformedMisses { index: 2 })
+            );
         }
-        let full = checker.report();
-        assert!(!full.transitive, "rows 5/11 both have witnesses");
-        // Rewind to 17 rows: the deepest retained boundary is 16.
-        let resumed_at = checker.rewind(17);
-        assert_eq!(resumed_at, 16);
-        assert_eq!(checker.rows(), 16);
-        for row in &rows[resumed_at..] {
-            checker.push(row);
-        }
-        let replayed = checker.report();
-        assert_eq!(replayed.rows, full.rows);
-        assert_eq!(replayed.transitive, full.transitive);
-        assert_eq!(replayed.max_missed, full.max_missed);
-        assert_eq!(replayed.min_delay_bound, full.min_delay_bound);
-        assert_eq!(replayed.verdicts, full.verdicts);
-        assert_eq!(replayed.certificates, full.certificates);
-        // Rewind below the first retained point = fresh checker.
-        assert_eq!(checker.rewind(1), 0);
-        assert_eq!(checker.rows(), 0);
+        assert_eq!(checker.rows(), 2);
+        // The refused rows left no trace: the stream continues and
+        // reports exactly what an undisturbed checker reports.
+        assert_eq!(checker.try_push(2, 20, &rows[2].missed), Ok(None));
+        assert_eq!(checker.report(), check_rows(2, &rows));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Property tests for the O(delta) state layer: `apply_in_place` must
 //! agree with the pure `apply` on every application, the persistent
 //! [`PMap`] must behave exactly like a `BTreeMap` oracle (including
-//! across O(1) clones taken mid-sequence), and the delta-chain
-//! [`Checkpoints`] (anchor spacing > 1) must resume replays to states
-//! byte-identical to the retain-everything snapshot implementation —
-//! at pool sizes 1, 2 and 7 for the execution-level cache.
+//! across O(1) clones taken mid-sequence), [`Checkpoints`] must
+//! record, truncate and floor like a naive list of depths and resume
+//! replays to byte-identical states, and the execution-level cache
+//! must answer identically at pool sizes 1, 2 and 7.
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
@@ -210,17 +210,18 @@ proptest! {
         }
     }
 
-    /// Delta-chain checkpoints (anchor spacing > 1) are a pure pruning
-    /// of the snapshot implementation: record decisions are identical,
-    /// every retained point holds the exact prefix state, every floor
-    /// is a snapshot-retained point, and resuming a replay from a
-    /// delta-chain floor reproduces the target state byte-for-byte.
-    /// Spacing 1 retains precisely what the snapshot sequence retains.
+    /// `Checkpoints` against a naive model (the list of depths a
+    /// "record when `interval` past the deepest point" rule keeps):
+    /// record decisions, `len`/`last_len`, every `floor` and the state
+    /// it holds agree through a record run, an undo (`truncate`) at an
+    /// arbitrary depth and the redo that re-records past it — and
+    /// resuming a replay from any floor reproduces the target state
+    /// byte-for-byte.
     #[test]
     fn delta_chain_checkpoints_match_snapshot(
         updates in proptest::collection::vec(airline_update(), 0..120),
         every in 1usize..=16,
-        anchor in 1usize..=8,
+        cut in 0usize..=120,
     ) {
         let app = FlyByNight::new(2);
         // All prefix states up front (the naive oracle).
@@ -229,40 +230,39 @@ proptest! {
         for u in &updates {
             states.push(app.apply(states.last().unwrap(), u));
         }
+        let keep = cut % (updates.len() + 1);
 
-        let mut snap: Checkpoints<_> = Checkpoints::new(every);
-        let mut delta: Checkpoints<_> = Checkpoints::with_anchor_spacing(every, anchor);
-        for (len, state) in states.iter().enumerate().skip(1) {
-            let recorded_snap = snap.record(len, state);
-            let recorded_delta = delta.record(len, state);
-            prop_assert_eq!(recorded_snap, recorded_delta,
-                "record decision diverged at {}", len);
-        }
-        prop_assert!(delta.len() <= snap.len());
-        if anchor == 1 {
-            prop_assert_eq!(delta.len(), snap.len());
-        }
-        prop_assert_eq!(delta.last_len(), snap.last_len(),
-            "the newest point must always survive pruning");
-
-        for depth in 0..=updates.len() {
-            let snap_floor = snap.floor(depth);
-            let delta_floor = delta.floor(depth);
-            if anchor == 1 {
-                prop_assert_eq!(&delta_floor, &snap_floor);
-            }
-            if let Some((l, s)) = delta_floor {
-                // A delta floor is one of the snapshot's points…
-                prop_assert_eq!(s, &states[l], "floor state is the prefix state");
-                prop_assert!(snap_floor.is_some_and(|(sl, _)| l <= sl),
-                    "pruning may only deepen the replay, not skip past it");
-                // …and resuming from it reproduces the target exactly.
-                let mut resumed = s.clone();
-                for u in &updates[l..depth] {
-                    app.apply_in_place(&mut resumed, u);
+        let mut ckpts: Checkpoints<_> = Checkpoints::new(every);
+        let mut model: Vec<usize> = Vec::new();
+        // Record run, undo to `keep`, redo from there.
+        for (from, undo) in [(1, Some(keep)), (keep + 1, None)] {
+            for (len, state) in states.iter().enumerate().skip(from) {
+                let due = len >= model.last().copied().unwrap_or(0) + every;
+                if due {
+                    model.push(len);
                 }
-                prop_assert_eq!(&resumed, &states[depth],
-                    "resume from delta floor at depth {}", depth);
+                prop_assert_eq!(ckpts.record(len, state), due,
+                    "record decision diverged at {}", len);
+            }
+            if let Some(keep) = undo {
+                ckpts.truncate(keep);
+                model.retain(|&l| l <= keep);
+            }
+            prop_assert_eq!(ckpts.len(), model.len());
+            prop_assert_eq!(ckpts.last_len(), model.last().copied().unwrap_or(0));
+            for depth in 0..=updates.len() {
+                let expect = model.iter().rev().find(|&&l| l <= depth).copied();
+                let floor = ckpts.floor(depth);
+                prop_assert_eq!(floor.map(|(l, _)| l), expect, "floor of depth {}", depth);
+                if let Some((l, s)) = floor {
+                    prop_assert_eq!(s, &states[l], "floor state is the prefix state");
+                    let mut resumed = s.clone();
+                    for u in &updates[l..depth] {
+                        app.apply_in_place(&mut resumed, u);
+                    }
+                    prop_assert_eq!(&resumed, &states[depth],
+                        "resume from the floor at depth {}", depth);
+                }
             }
         }
     }
