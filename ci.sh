@@ -74,23 +74,20 @@ if cargo run -q --release -p shard-cli --bin shard-trace -- \
   exit 1
 fi
 # The live-runtime gate: a small seeded threaded deployment (real OS
-# threads, mpsc channels, delta gossip) whose recorded schedule is
+# threads, mpsc channels) in each propagation mode — all three go
+# through the one `run_live`/`replay` pair — whose recorded schedule is
 # replayed through the deterministic kernel; the binary exits non-zero
 # on any fidelity mismatch, and `shard-trace diff` independently
 # requires the live and replayed report documents to agree on
 # everything but wall time (digest, transactions, messages, rounds).
-run cargo run -q --release -p shard-runtime --bin shard-runtime -- \
-  --mode gossip --nodes 4 --txns 2000 --seed 7 --interval-us 500 \
-  --out target/runtime_live.json --replay-out target/runtime_replay.json
-run cargo run -q --release -p shard-cli --bin shard-trace -- \
-  diff target/runtime_live.json target/runtime_replay.json
-# The O(delta) state-layer gate: build + sweep the n=10^4 controlled-k
-# airline execution and hold the replay engine's clone traffic under
-# the pinned budget — >20x below what the pre-refactor engine (one
-# full state materialised per replayed update) copied on the same run.
-# The budget constant lives in exp_state_sweep.rs; the sidecar check
-# re-asserts it from the recorded counters so a regression in either
-# the engine or the accounting fails CI.
+for mode in eager gossip partial; do
+  run cargo run -q --release -p shard-runtime --bin shard-runtime -- \
+    --mode "$mode" --nodes 4 --txns 2000 --seed 7 --interval-us 500 \
+    --out "target/runtime_live_$mode.json" \
+    --replay-out "target/runtime_replay_$mode.json"
+  run cargo run -q --release -p shard-cli --bin shard-trace -- \
+    diff "target/runtime_live_$mode.json" "target/runtime_replay_$mode.json"
+done
 # The crash-recovery gate: E24 end to end at smoke scale (the replay
 # perf phase shrunk to 2*10^4 entries). Each disk-backed sweep run is a
 # CrashRecoverInjector schedule — nodes lose their unsynced WAL tails
@@ -126,6 +123,13 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/e25.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
   "state.peak_resident_bytes<=100000"
+# The O(delta) state-layer gate: build + sweep the n=10^4 controlled-k
+# airline execution and hold the replay engine's clone traffic under
+# the pinned budget — >20x below what the pre-refactor engine (one
+# full state materialised per replayed update) copied on the same run.
+# The budget constant lives in exp_state_sweep.rs; the sidecar check
+# re-asserts it from the recorded counters so a regression in either
+# the engine or the accounting fails CI.
 run cargo run -q --release -p shard-bench --bin exp_state_sweep
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/state_sweep.json \

@@ -193,7 +193,7 @@ fn bench_replay_scaling(_c: &mut Criterion) {
 static KERNEL_ROWS: OnceLock<String> = OnceLock::new();
 
 /// What the seed driver recorded per transaction (the pre-kernel
-/// `ClusterReport` row): serial position, origin, decision-time
+/// report row): serial position, origin, decision-time
 /// knowledge, chosen update and external actions.
 struct SeedTxn {
     ts: Timestamp,
@@ -250,7 +250,7 @@ fn seed_eager_run(
                 let node = invs[i].node;
                 let n = node.0 as usize;
                 let ts = clocks[n].tick();
-                let known = logs[n].known_timestamps();
+                let known = logs[n].known_set().to_vec();
                 let outcome = app.decide(&invs[i].decision, logs[n].state());
                 let update = Arc::new(outcome.update);
                 logs[n].merge(app, ts, Arc::clone(&update));

@@ -26,15 +26,16 @@
 //! repository root.
 
 use shard_analysis::{ClaimCheck, Table};
-use shard_apps::banking::Bank;
+use shard_apps::banking::{Bank, BankTxn};
 use shard_bench::report_claim;
 use shard_core::ObjectModel;
 use shard_obs::RuntimeMetrics;
 use shard_runtime::{
-    banking_submissions, replay_eager, replay_gossip, replay_partial, report_digest, run_eager,
-    run_gossip, run_partial, Pacing, RuntimeConfig,
+    banking_submissions, replay, report_digest, run_live, LiveRun, Pacing, RuntimeConfig,
+    Submission,
 };
 use shard_sim::partial::Placement;
+use shard_sim::{EagerBroadcast, GossipDelta, PartialPlacement, Propagation, RunReport};
 
 const NODES: u16 = 4;
 const ACCOUNTS: u32 = 64;
@@ -49,6 +50,25 @@ struct ModeResult {
     throughput: f64,
     fidelity: bool,
     latency: shard_obs::HistogramSnapshot,
+}
+
+/// Runs `subs` live under `strategy`, then replays the recorded
+/// schedule through the kernel under a clone of the same value. Also
+/// returns the strategy's label, which names its `runtime.<label>.*`
+/// metrics.
+fn live_then_replay<P>(
+    bank: &Bank,
+    cfg: &RuntimeConfig,
+    strategy: P,
+    subs: &[Submission<BankTxn>],
+) -> (LiveRun<Bank>, RunReport<Bank>, &'static str)
+where
+    P: Propagation<Bank> + Clone + Send,
+{
+    let label = strategy.label();
+    let live = run_live(bank, cfg, strategy.clone(), subs.to_vec());
+    let replayed = replay(bank, cfg, strategy, subs, &live.schedule);
+    (live, replayed, label)
 }
 
 fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
@@ -72,21 +92,11 @@ fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
         placement.as_ref(),
     );
     let (live, replayed, label) = match mode {
-        "eager" => {
-            let live = run_eager(&bank, &cfg, false, subs.clone());
-            let rep = replay_eager(&bank, &cfg, false, &subs, &live.schedule);
-            (live, rep, "cluster")
-        }
-        "gossip" => {
-            let live = run_gossip(&bank, &cfg, GOSSIP_INTERVAL_US, subs.clone());
-            let rep = replay_gossip(&bank, &cfg, &subs, &live.schedule);
-            (live, rep, "gossip_delta")
-        }
+        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
+        "gossip" => live_then_replay(&bank, &cfg, GossipDelta::new(GOSSIP_INTERVAL_US), &subs),
         _ => {
             let placement = placement.expect("partial mode built a placement");
-            let live = run_partial(&bank, &cfg, placement.clone(), subs.clone());
-            let rep = replay_partial(&bank, &cfg, placement, &subs, &live.schedule);
-            (live, rep, "partial")
+            live_then_replay(&bank, &cfg, PartialPlacement::new(placement), &subs)
         }
     };
     let executed = live.report.transactions.len();

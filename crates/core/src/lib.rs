@@ -109,7 +109,7 @@ pub use grouping::Grouping;
 pub use objects::{ObjectId, ObjectModel};
 pub use pmap::PMap;
 pub use replay::{
-    Checkpoints, ReplayStats, Replayer, SpillingCheckpoints, StreamedRecord, StreamingExecution,
+    Checkpoints, ReplayStats, Replayer, StreamedRecord, StreamingExecution,
     DEFAULT_CHECKPOINT_INTERVAL,
 };
 pub use stream::{Certificate, RowError, StreamChecker, StreamReport, StreamRow, WindowVerdict};

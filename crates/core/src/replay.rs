@@ -10,10 +10,12 @@
 //!
 //! This module centralizes state computation in one place:
 //!
-//! * [`Checkpoints`] — a sparse, strictly increasing sequence of
-//!   `(updates applied, state)` pairs recorded every `interval` updates.
+//! * [`Checkpoints`] — the one sparse, strictly increasing sequence of
+//!   `(updates applied, state)` pairs recorded every `interval` updates:
+//!   resident points plus an optional cold store for the oldest.
 //!   Shared verbatim by the simulator's undo/redo merge log, where the
-//!   interval is the checkpoint-spacing ablation knob (experiment E11).
+//!   interval is the checkpoint-spacing ablation knob (experiment E11),
+//!   and by the out-of-core merge, which attaches the cold store.
 //! * `ReplayCache` *(crate-private)* — the memo owned by every
 //!   [`Execution`]: checkpoints along the
 //!   full serial order for actual-state queries, plus checkpoints along
@@ -92,7 +94,7 @@ fn replay_metrics() -> &'static ReplayMetrics {
 /// observable side of every memory budget the out-of-core tier is
 /// checked against. Called at checkpoint spill/load boundaries; no-op
 /// while the obs layer is disabled.
-pub fn note_resident_bytes(bytes: usize) {
+fn note_resident_bytes(bytes: usize) {
     if shard_obs::enabled() {
         replay_metrics().peak_resident.max(bytes as i64);
     }
@@ -143,129 +145,35 @@ pub struct ReplayStats {
     pub reused: u64,
 }
 
-/// A sparse sequence of prefix-state checkpoints: strictly increasing
+/// The sequence of prefix-state checkpoints: strictly increasing
 /// `(updates applied, state)` pairs, recorded at most every `interval`
-/// updates.
+/// updates — in RAM, plus an optional cold store for the oldest.
 ///
 /// This is the structure the paper's §1.2 merge discussion attributes to
 /// \[BK\]/\[SKS\]: keep periodic snapshots so that undoing to a timestamp
 /// means dropping the invalidated suffix of checkpoints and redoing from
-/// the deepest survivor. The same structure serves the in-memory replay
-/// cache of [`Replayer`] and `Execution`.
+/// the deepest survivor. The one type serves the replay cache of
+/// [`Replayer`] and `Execution`, the simulator's merge log and the
+/// out-of-core merge's anchors.
 ///
 /// With structurally-shared states (e.g. [`crate::pmap::PMap`]-backed),
 /// consecutive recorded snapshots share all but the nodes touched since
 /// the previous record — the sequence is then a **delta chain**: each
 /// link costs O(delta) memory, not O(state).
-#[derive(Clone, Debug)]
-pub struct Checkpoints<S> {
-    every: usize,
-    points: Vec<(usize, S)>,
-}
-
-impl<S: Clone> Checkpoints<S> {
-    /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0` (checkpoint interval must be positive).
-    pub fn new(every: usize) -> Self {
-        assert!(every > 0, "checkpoint interval must be positive");
-        Checkpoints {
-            every,
-            points: Vec::new(),
-        }
-    }
-
-    /// The configured spacing between checkpoints, in applied updates.
-    pub fn interval(&self) -> usize {
-        self.every
-    }
-
-    /// The number of checkpoints currently stored.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no checkpoints are stored.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Drops all checkpoints, keeping the interval.
-    pub fn clear(&mut self) {
-        self.points.clear();
-    }
-
-    /// The depth (applied-update count) of the deepest checkpoint, or 0.
-    pub fn last_len(&self) -> usize {
-        self.points.last().map_or(0, |&(l, _)| l)
-    }
-
-    /// The deepest checkpoint, if any.
-    pub fn last(&self) -> Option<(usize, &S)> {
-        self.points.last().map(|(l, s)| (*l, s))
-    }
-
-    /// Records `state` as the checkpoint after `len` applied updates if
-    /// the deepest checkpoint is at least `interval` updates back (an
-    /// empty sequence counts as a checkpoint at depth 0). Calls with
-    /// `len` at or below the deepest checkpoint are no-ops — replaying
-    /// *between* existing checkpoints records nothing new. Returns
-    /// whether a checkpoint was stored.
-    pub fn record(&mut self, len: usize, state: &S) -> bool {
-        let due = len >= self.last_len() + self.every;
-        if due {
-            self.points.push((len, state.clone()));
-        }
-        due
-    }
-
-    /// Drops every checkpoint deeper than `keep` applied updates — the
-    /// *undo* half of undo/redo: checkpoints past an insertion point are
-    /// invalidated, those at or before it survive.
-    pub fn truncate(&mut self, keep: usize) {
-        while self.points.last().is_some_and(|&(l, _)| l > keep) {
-            self.points.pop();
-        }
-    }
-
-    /// The deepest checkpoint at or below `limit` applied updates —
-    /// the best place to resume a replay targeting depth `limit`.
-    pub fn floor(&self, limit: usize) -> Option<(usize, &S)> {
-        let idx = self.points.partition_point(|&(l, _)| l <= limit);
-        if idx == 0 {
-            None
-        } else {
-            let (l, s) = &self.points[idx - 1];
-            Some((*l, s))
-        }
-    }
-}
-
-fn encode_state<S: shard_store::Codec>(s: &S, out: &mut Vec<u8>) {
-    s.encode(out);
-}
-
-fn decode_state<S: shard_store::Codec>(bytes: &[u8]) -> Option<S> {
-    S::from_slice(bytes)
-}
-
-/// A two-tier checkpoint sequence: the newest `hot_capacity` points
-/// stay in RAM (the delta chain every resume usually lands on), while
-/// every `spill_spacing`-th point evicted from the hot tier is
-/// serialized through a [`Store`](shard_store::Store) as a **cold
-/// anchor** — so a 10⁷-update execution keeps O(hot) resident state
-/// instead of O(n / interval) snapshots.
 ///
-/// The spill store is a *cache*, not a durability domain: a spilled
-/// anchor that fails to write, load or decode (e.g. a kill point cut
-/// it in half) is simply skipped and the resume falls back to the next
-/// shallower anchor — answers never change, only how far a replay has
-/// to run. The serialization functions are captured as plain `fn`
-/// pointers at construction (the one place a
-/// [`Codec`](shard_store::Codec) bound exists), so every later call
+/// **Without a cold store** every recorded point stays in RAM. **With
+/// one** ([`Checkpoints::with_cold_store`]) only the newest
+/// `hot_capacity` points stay resident, and every `spill_spacing`-th
+/// point evicted from them is serialized through the
+/// [`Store`](shard_store::Store) as a **cold anchor** — so a
+/// 10⁷-update execution keeps O(hot) resident state instead of
+/// O(n / interval) snapshots. The cold store is a *cache*, not a
+/// durability domain: an anchor that fails to write, load or decode
+/// (e.g. a kill point cut it in half) is skipped and the resume falls
+/// back to the next shallower one — answers never change, only how far
+/// a replay has to run. The serialization functions are captured as
+/// plain `fn` pointers when the store is attached (the one place a
+/// [`Codec`](shard_store::Codec) bound exists), so every other call
 /// site — the merge log's undo/redo paths included — stays free of
 /// codec bounds.
 ///
@@ -275,14 +183,21 @@ fn decode_state<S: shard_store::Codec>(bytes: &[u8]) -> Option<S> {
 /// `write_frame(encode(state))` split into
 /// [`CHUNK_BYTES`](shard_store::CHUNK_BYTES) records
 /// `(primary = seq, secondary = chunk index)`.
-pub struct SpillingCheckpoints<S> {
+pub struct Checkpoints<S> {
     every: usize,
+    /// Resident points, ascending by depth.
+    hot: std::collections::VecDeque<(usize, S)>,
+    cold: Option<ColdTier<S>>,
+}
+
+/// The cold half of a [`Checkpoints`] sequence and the bookkeeping
+/// that bounds the hot half.
+struct ColdTier<S> {
     hot_capacity: usize,
     spill_spacing: usize,
-    /// Newest points, ascending by depth; parallel to `hot_hints`.
-    hot: std::collections::VecDeque<(usize, S)>,
+    /// Size hints of the hot points, parallel to `Checkpoints::hot`.
     hot_hints: std::collections::VecDeque<usize>,
-    /// Sum of `hot_hints` — the tier's resident-state bytes.
+    /// Sum of `hot_hints` — the resident-state bytes.
     hot_bytes: usize,
     /// Spilled anchors `(depth, seq)`, ascending by depth; every depth
     /// here is shallower than every hot depth.
@@ -294,54 +209,66 @@ pub struct SpillingCheckpoints<S> {
     decode: fn(&[u8]) -> Option<S>,
 }
 
-impl<S> std::fmt::Debug for SpillingCheckpoints<S> {
+impl<S> std::fmt::Debug for Checkpoints<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpillingCheckpoints")
+        f.debug_struct("Checkpoints")
             .field("every", &self.every)
-            .field("hot_capacity", &self.hot_capacity)
-            .field("spill_spacing", &self.spill_spacing)
             .field("hot_points", &self.hot.len())
-            .field("hot_bytes", &self.hot_bytes)
-            .field("spilled", &self.spilled.len())
+            .field("spilled", &self.spilled_anchors())
             .finish()
     }
 }
 
-impl<S: Clone> SpillingCheckpoints<S> {
-    /// An empty spilling sequence recording every `every` applied
-    /// updates, keeping `hot_capacity` points in RAM and spilling
-    /// every `spill_spacing`-th evicted point to `store` as a cold
-    /// anchor (1 = spill everything evicted).
+impl<S> Checkpoints<S> {
+    /// Creates an empty checkpoint sequence recording every `every`
+    /// applied updates, all in RAM.
     ///
     /// # Panics
     ///
-    /// Panics if `every`, `hot_capacity` or `spill_spacing` is 0.
-    pub fn new(
+    /// Panics if `every == 0` (checkpoint interval must be positive).
+    pub fn new(every: usize) -> Self {
+        assert!(every > 0, "checkpoint interval must be positive");
+        Checkpoints {
+            every,
+            hot: std::collections::VecDeque::new(),
+            cold: None,
+        }
+    }
+
+    /// Attaches a cold store: from here on only the newest
+    /// `hot_capacity` points stay in RAM and every `spill_spacing`-th
+    /// evicted point is spilled to `store` as a cold anchor (1 = spill
+    /// everything evicted). Points recorded so far are dropped — they
+    /// are a cache, and carry no size hints to account them by.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hot_capacity` or `spill_spacing` is 0.
+    pub fn with_cold_store(
+        mut self,
         store: Box<dyn shard_store::Store + Send>,
-        every: usize,
         hot_capacity: usize,
         spill_spacing: usize,
     ) -> Self
     where
         S: shard_store::Codec,
     {
-        assert!(every > 0, "checkpoint interval must be positive");
         assert!(hot_capacity > 0, "hot capacity must be positive");
         assert!(spill_spacing > 0, "spill spacing must be positive");
-        SpillingCheckpoints {
-            every,
+        self.hot.clear();
+        self.cold = Some(ColdTier {
             hot_capacity,
             spill_spacing,
-            hot: std::collections::VecDeque::new(),
             hot_hints: std::collections::VecDeque::new(),
             hot_bytes: 0,
             spilled: Vec::new(),
             next_seq: 0,
             evictions: 0,
             store,
-            encode: encode_state::<S>,
-            decode: decode_state::<S>,
-        }
+            encode: S::encode,
+            decode: S::from_slice,
+        });
+        self
     }
 
     /// The configured spacing between checkpoints, in applied updates.
@@ -349,73 +276,141 @@ impl<S: Clone> SpillingCheckpoints<S> {
         self.every
     }
 
-    /// Checkpoints currently reachable (hot + spilled).
+    /// Checkpoints currently reachable (resident + spilled).
     pub fn len(&self) -> usize {
-        self.hot.len() + self.spilled.len()
+        self.hot.len() + self.spilled_anchors()
     }
 
     /// Whether no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
-        self.hot.is_empty() && self.spilled.is_empty()
+        self.len() == 0
     }
 
-    /// Resident (hot-tier) state bytes, per the recorded size hints.
-    pub fn resident_bytes(&self) -> usize {
-        self.hot_bytes
-    }
-
-    /// Spilled cold anchors currently indexed.
+    /// Cold anchors currently indexed (0 without a cold store).
     pub fn spilled_anchors(&self) -> usize {
-        self.spilled.len()
+        self.cold.as_ref().map_or(0, |c| c.spilled.len())
     }
 
-    /// The spill store — exposed so fault harnesses can crash it under
+    /// The cold store — exposed so fault harnesses can crash it under
     /// a live checkpoint sequence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no cold store is attached.
     pub fn store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
-        &mut *self.store
+        let cold = self.cold.as_mut().expect("no cold store attached");
+        &mut *cold.store
     }
 
-    /// The depth of the deepest checkpoint, or 0.
+    /// Drops all checkpoints, keeping the interval and any cold store.
+    pub fn clear(&mut self) {
+        // Every recorded depth is at least the (positive) interval.
+        self.truncate(0);
+    }
+
+    /// The depth (applied-update count) of the deepest checkpoint, or 0.
     pub fn last_len(&self) -> usize {
+        let spilled = || self.cold.as_ref()?.spilled.last().map(|&(l, _)| l);
         self.hot
             .back()
             .map(|&(l, _)| l)
-            .or_else(|| self.spilled.last().map(|&(l, _)| l))
+            .or_else(spilled)
             .unwrap_or(0)
     }
 
-    /// Records `state` after `len` applied updates under the same
-    /// interval gating as [`Checkpoints::record`]; `size_hint` is the
-    /// state's [`Application::state_size_hint`] cost, used for
-    /// resident-byte accounting. Returns whether a checkpoint was
-    /// stored. Spill failures are swallowed — the anchor is just not
-    /// indexed.
-    pub fn record(&mut self, len: usize, state: &S, size_hint: usize) -> bool {
+    /// Drops every checkpoint deeper than `keep` applied updates — the
+    /// *undo* half of undo/redo: checkpoints past an insertion point are
+    /// invalidated, those at or before it survive. Store records of
+    /// dropped cold anchors are orphaned, never reused — fresh anchors
+    /// get fresh sequence numbers.
+    pub fn truncate(&mut self, keep: usize) {
+        while self.hot.back().is_some_and(|&(l, _)| l > keep) {
+            self.hot.pop_back();
+            if let Some(cold) = &mut self.cold {
+                cold.hot_bytes -= cold.hot_hints.pop_back().unwrap_or(0);
+            }
+        }
+        if let Some(cold) = &mut self.cold {
+            let kept = cold.spilled.partition_point(|&(l, _)| l <= keep);
+            cold.spilled.truncate(kept);
+        }
+    }
+}
+
+impl<S: Clone> Checkpoints<S> {
+    /// Records `state` as the checkpoint after `len` applied updates if
+    /// the deepest checkpoint is at least `interval` updates back (an
+    /// empty sequence counts as a checkpoint at depth 0). Calls with
+    /// `len` at or below the deepest checkpoint are no-ops — replaying
+    /// *between* existing checkpoints records nothing new. Returns
+    /// whether a checkpoint was stored; the clone is not accounted (see
+    /// [`Checkpoints::record_for`]).
+    ///
+    /// `size_hint` — the state's [`Application::state_size_hint`] — is
+    /// consulted only for a stored point with a cold store attached,
+    /// where it drives the resident-byte accounting. Spill failures are
+    /// swallowed: the evicted anchor is just not indexed.
+    pub fn record(&mut self, len: usize, state: &S, size_hint: impl FnOnce(&S) -> usize) -> bool {
         if len < self.last_len() + self.every {
             return false;
         }
-        note_state_clone(size_hint);
         self.hot.push_back((len, state.clone()));
-        self.hot_hints.push_back(size_hint);
-        self.hot_bytes += size_hint;
-        while self.hot.len() > self.hot_capacity {
-            self.evict_front();
+        if let Some(cold) = &mut self.cold {
+            let hint = size_hint(state);
+            cold.hot_hints.push_back(hint);
+            cold.hot_bytes += hint;
+            while self.hot.len() > cold.hot_capacity {
+                let (depth, evicted) = self.hot.pop_front().expect("over capacity");
+                cold.evict(depth, &evicted);
+            }
+            note_resident_bytes(cold.hot_bytes);
         }
-        note_resident_bytes(self.hot_bytes);
         true
     }
 
-    fn evict_front(&mut self) {
-        let Some((depth, state)) = self.hot.pop_front() else {
-            return;
-        };
+    /// [`record`](Checkpoints::record)s a state of `app`, accounting
+    /// the clone ([`note_state_clone`]) if one is taken.
+    pub fn record_for<A>(&mut self, app: &A, len: usize, state: &S) -> bool
+    where
+        A: Application<State = S>,
+    {
+        let stored = self.record(len, state, |s| app.state_size_hint(s));
+        if stored {
+            note_state_clone(app.state_size_hint(state));
+        }
+        stored
+    }
+
+    /// The deepest checkpoint, if any.
+    pub fn last(&mut self) -> Option<(usize, S)> {
+        self.floor(usize::MAX)
+    }
+
+    /// The deepest checkpoint at or below `limit` applied updates —
+    /// the best place to resume a replay targeting depth `limit`.
+    /// Resident points first (always deeper where they qualify), then
+    /// cold anchors deepest-first, skipping any that fail to load or
+    /// decode.
+    pub fn floor(&mut self, limit: usize) -> Option<(usize, S)> {
+        let idx = self.hot.partition_point(|&(l, _)| l <= limit);
+        if idx > 0 {
+            return Some(self.hot[idx - 1].clone());
+        }
+        self.cold.as_mut()?.load_deepest(limit)
+    }
+}
+
+impl<S> ColdTier<S> {
+    /// Accounts the eviction of the oldest hot point and spills it if
+    /// it is a `spill_spacing`-th one.
+    fn evict(&mut self, depth: usize, state: &S) {
         self.hot_bytes -= self.hot_hints.pop_front().unwrap_or(0);
         self.evictions += 1;
         if !self.evictions.is_multiple_of(self.spill_spacing) {
             return;
         }
         let mut payload = Vec::new();
-        (self.encode)(&state, &mut payload);
+        (self.encode)(state, &mut payload);
         let seq = self.next_seq;
         self.next_seq += 1;
         if shard_store::append_chunked(&mut *self.store, seq, &payload).is_ok() {
@@ -426,40 +421,7 @@ impl<S: Clone> SpillingCheckpoints<S> {
         }
     }
 
-    /// Drops every checkpoint deeper than `keep` applied updates (the
-    /// *undo* half of undo/redo). Spilled store records of dropped
-    /// anchors are orphaned, never reused — fresh anchors get fresh
-    /// sequence numbers.
-    pub fn truncate(&mut self, keep: usize) {
-        while self.hot.back().is_some_and(|&(l, _)| l > keep) {
-            self.hot.pop_back();
-            self.hot_bytes -= self.hot_hints.pop_back().unwrap_or(0);
-        }
-        while self.spilled.last().is_some_and(|&(l, _)| l > keep) {
-            self.spilled.pop();
-        }
-    }
-
-    /// The deepest checkpoint, cloned out of the hot tier or loaded
-    /// back from the spill store.
-    pub fn last_owned(&mut self) -> Option<(usize, S)> {
-        if let Some((l, s)) = self.hot.back() {
-            return Some((*l, s.clone()));
-        }
-        self.load_deepest_spilled(usize::MAX)
-    }
-
-    /// The deepest checkpoint at or below `limit` applied updates —
-    /// hot tier first (always deeper where it qualifies), then spilled
-    /// anchors deepest-first, skipping any that fail to load or decode.
-    pub fn floor_owned(&mut self, limit: usize) -> Option<(usize, S)> {
-        if let Some((l, s)) = self.hot.iter().rev().find(|&&(l, _)| l <= limit) {
-            return Some((*l, s.clone()));
-        }
-        self.load_deepest_spilled(limit)
-    }
-
-    fn load_deepest_spilled(&mut self, limit: usize) -> Option<(usize, S)> {
+    fn load_deepest(&mut self, limit: usize) -> Option<(usize, S)> {
         let end = self.spilled.partition_point(|&(l, _)| l <= limit);
         for &(depth, seq) in self.spilled[..end].iter().rev() {
             let Ok(Some(bytes)) = shard_store::read_chunked(&mut *self.store, seq) else {
@@ -496,8 +458,8 @@ pub struct StreamedRecord<U> {
 /// An execution that lives in a [`Store`](shard_store::Store) instead
 /// of a `Vec<TxnRecord>`: rows are appended in serial order as chunked
 /// records, and every whole-execution traversal —
-/// [`fold_actual_states`](StreamingExecution::fold_actual_states),
-/// [`for_each_actual_state`](StreamingExecution::for_each_actual_state),
+/// [`for_each_row`](StreamingExecution::for_each_row),
+/// [`final_state`](StreamingExecution::final_state),
 /// the §3 window checker ([`check_stream`](StreamingExecution::check_stream)) —
 /// runs directly off a key-order cursor, so peak resident state is one
 /// application state plus one row, independent of the execution length.
@@ -543,16 +505,6 @@ where
             len,
             _app: std::marker::PhantomData,
         }
-    }
-
-    /// Rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no rows were pushed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     /// Durability barrier on the backing store.
@@ -647,39 +599,6 @@ where
             return Err(bad(next, "row group missing"));
         }
         Ok(())
-    }
-
-    /// Streams the actual states `s₀, s₁, …, sₙ` through `f` in one
-    /// forward pass off the store cursor — the out-of-core counterpart
-    /// of [`Execution::fold_actual_states`], same callback contract
-    /// (`m = 0` is the initial state, `m = i + 1` the state after
-    /// row `i`), identical fold results for identical rows.
-    pub fn fold_actual_states<T>(
-        &mut self,
-        app: &A,
-        init: T,
-        mut f: impl FnMut(T, usize, &A::State) -> T,
-    ) -> std::io::Result<T> {
-        let mut state = app.initial_state();
-        let mut acc = Some(f(init, 0, &state));
-        let mut applied = 0u64;
-        self.for_each_row(|i, row| {
-            app.apply_in_place(&mut state, &row.update);
-            applied += 1;
-            acc = Some(f(acc.take().expect("accumulator in flight"), i + 1, &state));
-        })?;
-        note_in_place_applies(applied);
-        Ok(acc.expect("fold seeded above"))
-    }
-
-    /// Streams the actual states through `f` (see
-    /// [`StreamingExecution::fold_actual_states`]).
-    pub fn for_each_actual_state(
-        &mut self,
-        app: &A,
-        mut f: impl FnMut(usize, &A::State),
-    ) -> std::io::Result<()> {
-        self.fold_actual_states(app, (), |(), m, s| f(m, s))
     }
 
     /// The final actual state (the initial state if empty).
@@ -778,7 +697,7 @@ where
 ///   prefix-subsequence replay and checkpoints along it. A new query
 ///   resumes from the deepest checkpoint at or below the longest prefix
 ///   shared with `path`.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct ReplayCache<A: Application> {
     /// Index path of the most recent prefix replay.
     path: Vec<TxnIndex>,
@@ -869,7 +788,7 @@ impl<A: Application> ReplayCache<A> {
                 (lcp, self.path_tip.clone())
             } else {
                 match self.path_ckpts.floor(lcp) {
-                    Some((l, s)) => (l, Some(s.clone())),
+                    Some((l, s)) => (l, Some(s)),
                     None => (0, None),
                 }
             };
@@ -893,14 +812,7 @@ impl<A: Application> ReplayCache<A> {
             }
             lo
         };
-        let mut full_resume: Option<(usize, A::State)> =
-            self.full.floor(serial_run).map(|(l, s)| (l, s.clone()));
-        if let Some((l, s)) = &self.full_tip {
-            if *l <= serial_run && *l > full_resume.as_ref().map_or(0, |&(fl, _)| fl) {
-                full_resume = Some((*l, s.clone()));
-            }
-        }
-        let (depth, mut state, from_full) = match full_resume {
+        let (depth, mut state, from_full) = match self.full_resume(serial_run) {
             Some((fl, fs)) if fl > path_resume.0 => (fl, fs, true),
             _ => match path_resume {
                 (d, Some(s)) => (d, s, false),
@@ -930,7 +842,10 @@ impl<A: Application> ReplayCache<A> {
             self.path.clear();
             self.path_ckpts.clear();
             self.path.extend_from_slice(&prefix[..depth]);
-            self.path_ckpts.record(depth, &state);
+            // Plain `record`, not `record_for`: `state.clone_count` has
+            // never included this seed, and sidecar diffs pin the counter.
+            self.path_ckpts
+                .record(depth, &state, |s| app.state_size_hint(s));
         } else {
             self.path.truncate(depth);
             self.path_ckpts.truncate(depth);
@@ -939,13 +854,23 @@ impl<A: Application> ReplayCache<A> {
             app.apply_in_place(&mut state, update_at(j));
             self.stats.applied += 1;
             self.path.push(j);
-            if self.path_ckpts.record(self.path.len(), &state) {
-                note_state_clone(app.state_size_hint(&state));
-            }
+            self.path_ckpts.record_for(app, self.path.len(), &state);
         }
         note_state_clone(app.state_size_hint(&state));
         self.path_tip = Some(state.clone());
         state
+    }
+
+    /// The deepest full-order resume point at or below `limit`: a
+    /// checkpoint, or the cached tip where that is deeper.
+    fn full_resume(&mut self, limit: usize) -> Option<(usize, A::State)> {
+        let base = self.full.floor(limit);
+        match &self.full_tip {
+            Some((l, s)) if *l <= limit && *l > base.as_ref().map_or(0, |&(bl, _)| bl) => {
+                Some((*l, s.clone()))
+            }
+            _ => base,
+        }
     }
 
     /// The state after the first `m` updates of the serial order —
@@ -960,13 +885,7 @@ impl<A: Application> ReplayCache<A> {
         A::Update: 'u,
     {
         self.stats.queries += 1;
-        let mut base: Option<(usize, A::State)> = self.full.floor(m).map(|(l, s)| (l, s.clone()));
-        if let Some((l, s)) = &self.full_tip {
-            if *l <= m && *l > base.as_ref().map_or(0, |(bl, _)| *bl) {
-                base = Some((*l, s.clone()));
-            }
-        }
-        let (mut len, mut state) = base.unwrap_or((0, app.initial_state()));
+        let (mut len, mut state) = self.full_resume(m).unwrap_or((0, app.initial_state()));
         self.stats.reused += len as u64;
         if shard_obs::enabled() {
             let metrics = replay_metrics();
@@ -984,9 +903,7 @@ impl<A: Application> ReplayCache<A> {
             app.apply_in_place(&mut state, update_at(len));
             len += 1;
             self.stats.applied += 1;
-            if self.full.record(len, &state) {
-                note_state_clone(app.state_size_hint(&state));
-            }
+            self.full.record_for(app, len, &state);
         }
         if self.full_tip.as_ref().is_none_or(|(l, _)| *l <= m) {
             note_state_clone(app.state_size_hint(&state));
@@ -999,7 +916,7 @@ impl<A: Application> ReplayCache<A> {
 /// Incremental state computation over an update sequence.
 ///
 /// The public face of the replay cache for code that holds an update
-/// sequence (or an [`Execution`]) and asks for many related states:
+/// sequence and asks for many related states:
 /// cost-bound subsequence enumeration, checker benches, analysis sweeps.
 /// Queries whose index sequences share long prefixes — which is what
 /// every whole-execution sweep in this codebase produces — are answered
@@ -1038,22 +955,6 @@ pub struct Replayer<'a, A: Application> {
 }
 
 impl<'a, A: Application> Replayer<'a, A> {
-    /// A replayer over the update sequence of `exec`, with the default
-    /// checkpoint interval.
-    pub fn new(app: &'a A, exec: &'a Execution<A>) -> Self {
-        Self::with_interval(app, exec, DEFAULT_CHECKPOINT_INTERVAL)
-    }
-
-    /// A replayer over the update sequence of `exec` with checkpoints
-    /// every `every` applied updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn with_interval(app: &'a A, exec: &'a Execution<A>, every: usize) -> Self {
-        Self::from_updates_with_interval(app, exec.records().iter().map(|r| &r.update), every)
-    }
-
     /// A replayer over an explicit update sequence, with the default
     /// checkpoint interval.
     pub fn from_updates(app: &'a A, updates: impl IntoIterator<Item = &'a A::Update>) -> Self {
@@ -1086,11 +987,6 @@ impl<'a, A: Application> Replayer<'a, A> {
     /// Whether the update sequence is empty.
     pub fn is_empty(&self) -> bool {
         self.updates.is_empty()
-    }
-
-    /// The checkpoint spacing, in applied updates.
-    pub fn interval(&self) -> usize {
-        self.cache.interval()
     }
 
     /// Cumulative work counters for this replayer.
@@ -1129,30 +1025,6 @@ impl<'a, A: Application> Replayer<'a, A> {
     /// The state after the whole sequence.
     pub fn final_state(&mut self) -> A::State {
         self.state_after_first(self.updates.len())
-    }
-
-    /// Warms the full-order checkpoint chain in one forward pass.
-    /// Subsequent [`Replayer::state_after_prefix`] queries whose leading
-    /// indices follow the serial order (`prefix[j] == j`) resume from
-    /// the deepest checkpoint under that run instead of replaying from
-    /// the initial state. Idempotent cache priming; answers never
-    /// change.
-    pub fn prebuild(&mut self) {
-        let _ = self.final_state();
-    }
-
-    /// Streams all states `s₀, s₁, …, sₙ` through `f` in one forward
-    /// pass, threading an accumulator. The callback receives the number
-    /// of updates applied so far together with the state.
-    pub fn fold_states<T>(&self, init: T, mut f: impl FnMut(T, usize, &A::State) -> T) -> T {
-        let mut s = self.app.initial_state();
-        let mut acc = f(init, 0, &s);
-        for (i, u) in self.updates.iter().enumerate() {
-            self.app.apply_in_place(&mut s, u);
-            acc = f(acc, i + 1, &s);
-        }
-        note_in_place_applies(self.updates.len() as u64);
-        acc
     }
 }
 
@@ -1222,12 +1094,12 @@ mod tests {
     #[test]
     fn checkpoints_record_at_interval() {
         let mut c: Checkpoints<u32> = Checkpoints::new(3);
-        assert!(!c.record(1, &10));
-        assert!(!c.record(2, &20));
-        assert!(c.record(3, &30));
-        assert!(!c.record(4, &40));
-        assert!(c.record(6, &60));
-        assert_eq!(c.last(), Some((6, &60)));
+        assert!(!c.record(1, &10, |_| 4));
+        assert!(!c.record(2, &20, |_| 4));
+        assert!(c.record(3, &30, |_| 4));
+        assert!(!c.record(4, &40, |_| 4));
+        assert!(c.record(6, &60, |_| 4));
+        assert_eq!(c.last(), Some((6, 60)));
         assert_eq!(c.last_len(), 6);
         assert_eq!(c.len(), 2);
     }
@@ -1236,13 +1108,13 @@ mod tests {
     fn checkpoints_floor_and_truncate() {
         let mut c: Checkpoints<u32> = Checkpoints::new(2);
         for len in 1..=10usize {
-            c.record(len, &(len as u32 * 10));
+            c.record(len, &(len as u32 * 10), |_| 4);
         }
         assert_eq!(c.floor(1), None);
-        assert_eq!(c.floor(5), Some((4, &40)));
-        assert_eq!(c.floor(100), Some((10, &100)));
+        assert_eq!(c.floor(5), Some((4, 40)));
+        assert_eq!(c.floor(100), Some((10, 100)));
         c.truncate(5);
-        assert_eq!(c.last(), Some((4, &40)));
+        assert_eq!(c.last(), Some((4, 40)));
         c.truncate(0);
         assert!(c.is_empty());
         assert_eq!(c.floor(100), None);
@@ -1330,7 +1202,7 @@ mod tests {
         let app = Trace;
         let updates: Vec<Tag> = (0..200).map(Tag).collect();
         let mut r = Replayer::from_updates_with_interval(&app, &updates, 8);
-        r.prebuild();
+        r.final_state(); // warms the full-order chain
         let before = r.stats().applied;
         // A kept set missing only index 190 has a serial run of length
         // 190; a cold path cache would replay all 199 updates, but the
@@ -1361,7 +1233,7 @@ mod tests {
             (0..60).filter(|&j| j != 59).collect(),
         ];
         let mut warm = Replayer::from_updates_with_interval(&app, &updates, 4);
-        warm.prebuild();
+        warm.final_state();
         let mut cold = Replayer::from_updates_with_interval(&app, &updates, 4);
         for q in &queries {
             let expect = naive(&updates, q);
@@ -1402,19 +1274,6 @@ mod tests {
     }
 
     #[test]
-    fn fold_states_streams_every_state() {
-        let app = Trace;
-        let updates: Vec<Tag> = (0..5).map(Tag).collect();
-        let r = Replayer::from_updates(&app, &updates);
-        let lens = r.fold_states(Vec::new(), |mut acc, m, s| {
-            assert_eq!(s.len(), m);
-            acc.push(m);
-            acc
-        });
-        assert_eq!(lens, vec![0, 1, 2, 3, 4, 5]);
-    }
-
-    #[test]
     fn empty_sequence_yields_initial_state() {
         let app = Trace;
         let updates: Vec<Tag> = Vec::new();
@@ -1433,53 +1292,59 @@ mod tests {
         }
     }
 
-    fn spilling(hot: usize, spacing: usize, every: usize) -> SpillingCheckpoints<u64> {
-        SpillingCheckpoints::new(Box::new(shard_store::MemStore::new()), every, hot, spacing)
+    fn spilling(hot: usize, spacing: usize, every: usize) -> Checkpoints<u64> {
+        Checkpoints::new(every).with_cold_store(
+            Box::new(shard_store::MemStore::new()),
+            hot,
+            spacing,
+        )
     }
 
     #[test]
-    fn spilling_with_spacing_one_matches_plain_checkpoints() {
+    fn cold_store_with_spacing_one_changes_no_answer() {
         let mut plain: Checkpoints<u64> = Checkpoints::new(2);
         let mut spill = spilling(3, 1, 2);
         for len in 1..=40usize {
             assert_eq!(
-                plain.record(len, &(len as u64 * 10)),
-                spill.record(len, &(len as u64 * 10), 8)
+                plain.record(len, &(len as u64 * 10), |_| 8),
+                spill.record(len, &(len as u64 * 10), |_| 8)
             );
         }
+        assert_eq!(plain.spilled_anchors(), 0, "nothing to evict to");
         assert!(spill.spilled_anchors() > 0, "eviction must have spilled");
-        assert!(spill.resident_bytes() <= 3 * 8, "hot tier bounded");
+        assert_eq!(
+            spill.len() - spill.spilled_anchors(),
+            3,
+            "resident points bounded by the hot capacity"
+        );
+        assert_eq!(plain.len(), spill.len());
         for limit in 0..=41 {
-            assert_eq!(
-                plain.floor(limit).map(|(l, s)| (l, *s)),
-                spill.floor_owned(limit),
-                "limit {limit}"
-            );
+            assert_eq!(plain.floor(limit), spill.floor(limit), "limit {limit}");
         }
         assert_eq!(plain.last_len(), spill.last_len());
-        assert_eq!(
-            plain.last().map(|(l, s)| (l, *s)),
-            spill.last_owned(),
-            "deepest point loads back from the cold tier too"
-        );
+        // The deepest point loads back from the cold store too.
+        plain.truncate(30);
+        spill.truncate(30);
+        assert_eq!(plain.last(), spill.last());
+        assert_eq!(spill.last(), Some((30, 300)));
     }
 
     #[test]
     fn spilling_truncate_then_readvance_never_collides() {
         let mut spill = spilling(1, 1, 1);
         for len in 1..=10usize {
-            spill.record(len, &(len as u64), 8);
+            spill.record(len, &(len as u64), |_| 8);
         }
         // Undo to depth 4, then redo with *different* states at the
         // same depths: the fresh anchors must win over the orphans.
         spill.truncate(4);
         assert_eq!(spill.last_len(), 4);
         for len in 5..=12usize {
-            spill.record(len, &(len as u64 + 100), 8);
+            spill.record(len, &(len as u64 + 100), |_| 8);
         }
-        assert_eq!(spill.floor_owned(7), Some((7, 107)));
-        assert_eq!(spill.floor_owned(4), Some((4, 4)));
-        assert_eq!(spill.last_owned(), Some((12, 112)));
+        assert_eq!(spill.floor(7), Some((7, 107)));
+        assert_eq!(spill.floor(4), Some((4, 4)));
+        assert_eq!(spill.last(), Some((12, 112)));
     }
 
     #[test]
@@ -1488,10 +1353,10 @@ mod tests {
         // floors fall back to the deepest surviving point.
         let mut spill = spilling(2, 3, 1);
         for len in 1..=20usize {
-            spill.record(len, &(len as u64), 8);
+            spill.record(len, &(len as u64), |_| 8);
         }
         for limit in 0..=21 {
-            match spill.floor_owned(limit) {
+            match spill.floor(limit) {
                 Some((l, s)) => {
                     assert!(l <= limit && s == l as u64);
                 }
@@ -1501,9 +1366,9 @@ mod tests {
         // Crashing the spill store to nothing degrades floors to the
         // hot tier instead of failing.
         spill.store_mut().crash(0).unwrap();
-        assert_eq!(spill.floor_owned(18), None, "cold anchors gone");
-        assert_eq!(spill.floor_owned(19), Some((19, 19)), "hot tier intact");
-        assert_eq!(spill.last_owned(), Some((20, 20)));
+        assert_eq!(spill.floor(18), None, "cold anchors gone");
+        assert_eq!(spill.floor(19), Some((19, 19)), "hot tier intact");
+        assert_eq!(spill.last(), Some((20, 20)));
     }
 
     fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
@@ -1531,19 +1396,21 @@ mod tests {
             &te,
         )
         .unwrap();
-        assert_eq!(se.len(), 60);
         let mem: Vec<(usize, Vec<u64>)> =
             te.execution
                 .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
                     acc.push((m, s.clone()));
                     acc
                 });
-        let streamed = se
-            .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
-                acc.push((m, s.clone()));
-                acc
-            })
-            .unwrap();
+        // Folding the updates as the rows hand them back visits the
+        // same states.
+        let mut state = app.initial_state();
+        let mut streamed = vec![(0, state.clone())];
+        se.for_each_row(|i, row| {
+            app.apply_in_place(&mut state, &row.update);
+            streamed.push((i + 1, state.clone()));
+        })
+        .unwrap();
         assert_eq!(mem, streamed, "identical fold results");
         assert_eq!(
             se.final_state(&app).unwrap(),

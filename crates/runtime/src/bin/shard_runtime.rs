@@ -16,14 +16,33 @@
 //! `shard-trace diff` can compare (the CI smoke gate does exactly
 //! that).
 
-use shard_apps::banking::Bank;
+use shard_apps::banking::{Bank, BankTxn};
 use shard_core::ObjectModel;
 use shard_runtime::{
-    banking_submissions, replay_eager, replay_gossip, replay_partial, report_digest, report_json,
-    run_eager, run_gossip, run_partial, Pacing, RuntimeConfig,
+    banking_submissions, replay, report_digest, report_json, run_live, LiveRun, Pacing,
+    RuntimeConfig, Submission,
 };
-use shard_sim::{MonitorConfig, Placement};
+use shard_sim::{
+    EagerBroadcast, GossipDelta, MonitorConfig, PartialPlacement, Placement, Propagation, RunReport,
+};
 use std::process::ExitCode;
+
+/// Runs `subs` live under `strategy`, then replays the recorded
+/// schedule through the kernel under a clone of the same value.
+fn live_then_replay<P>(
+    bank: &Bank,
+    cfg: &RuntimeConfig,
+    strategy: P,
+    subs: &[Submission<BankTxn>],
+) -> (LiveRun<Bank>, RunReport<Bank>)
+where
+    P: Propagation<Bank> + Clone + Send,
+{
+    let live = run_live(bank, cfg, strategy.clone(), subs.to_vec());
+    // (`replay` never traces: the live trace already holds every event.)
+    let replayed = replay(bank, cfg, strategy, subs, &live.schedule);
+    (live, replayed)
+}
 
 struct Args {
     mode: String,
@@ -128,29 +147,13 @@ fn main() -> ExitCode {
         placement.as_ref(),
     );
 
-    let live = match args.mode.as_str() {
-        "eager" => run_eager(&bank, &cfg, false, subs.clone()),
-        "gossip" => run_gossip(&bank, &cfg, args.interval_us, subs.clone()),
-        _ => run_partial(
-            &bank,
-            &cfg,
-            placement.clone().expect("partial mode built a placement"),
-            subs.clone(),
-        ),
-    };
-    // Replay never re-traces: the recorded schedule already replays the
-    // live trace's events tick for tick.
-    cfg.sink = None;
-    let replayed = match args.mode.as_str() {
-        "eager" => replay_eager(&bank, &cfg, false, &subs, &live.schedule),
-        "gossip" => replay_gossip(&bank, &cfg, &subs, &live.schedule),
-        _ => replay_partial(
-            &bank,
-            &cfg,
-            placement.expect("partial mode built a placement"),
-            &subs,
-            &live.schedule,
-        ),
+    let (live, replayed) = match args.mode.as_str() {
+        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
+        "gossip" => live_then_replay(&bank, &cfg, GossipDelta::new(args.interval_us), &subs),
+        _ => {
+            let placement = placement.expect("partial mode built a placement");
+            live_then_replay(&bank, &cfg, PartialPlacement::new(placement), &subs)
+        }
     };
 
     let live_digest = report_digest(&live.report);

@@ -14,7 +14,7 @@
 //!   loop around them changes.
 //! * **[`load`]** — a seeded Zipf client load generator producing open
 //!   (paced arrival) or closed (max pressure) workloads.
-//! * **[`replay`]** — every live run records its delivery schedule
+//! * **[`mod@replay`]** — every live run records its delivery schedule
 //!   ([`live::RecordedSchedule`]); replaying that schedule through the
 //!   deterministic kernel (scripted delivery via
 //!   [`shard_sim::ScheduledNemesis`], scripted gossip rounds via
@@ -22,6 +22,13 @@
 //!   [`RunReport`] **exactly** — same serial order, same merge
 //!   metrics, same monitor verdicts. A thread-schedule heisenbug seen
 //!   once in production becomes a deterministic unit test.
+//!
+//! The API is one pair, generic over the [`Propagation`] strategy:
+//! [`run_live`] (or [`run_live_durable`], with one write-ahead mirror
+//! per node) records, [`replay()`] replays. Build **one** strategy
+//! value — [`shard_sim::EagerBroadcast`], [`shard_sim::GossipDelta`],
+//! [`shard_sim::PartialPlacement`] — and hand a clone to each side, so
+//! the two cannot be configured apart.
 //!
 //! Why fidelity holds: every live tick comes from one process-wide
 //! atomic counter, so the interleaving of executions, deliveries and
@@ -44,8 +51,7 @@ pub mod load;
 pub mod replay;
 
 pub use live::{
-    run_eager, run_gossip, run_live, run_live_durable, run_partial, LiveRun, MsgRecord,
-    RecordedSchedule, RuntimeConfig, Submission,
+    run_live, run_live_durable, LiveRun, MsgRecord, RecordedSchedule, RuntimeConfig, Submission,
 };
 pub use load::{banking_submissions, Pacing, Zipf};
-pub use replay::{replay_eager, replay_gossip, replay_partial, report_digest, report_json};
+pub use replay::{replay, replay_eager, report_digest, report_json};

@@ -40,11 +40,10 @@ use shard_core::stream::StreamReport;
 use shard_core::{Application, ExternalAction};
 use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
-use shard_sim::kernel::{Entries, Node};
+use shard_sim::kernel::{emit_merge_outcome, Entries, Node};
 use shard_sim::{
-    EagerBroadcast, ExecutedTxn, FaultStats, GossipDelta, LiveMonitor, MonitorConfig, NodeId,
-    NodeMirror, PartialPlacement, Placement, Propagation, RunReport, Timestamp, Transport,
-    WallClock,
+    ExecutedTxn, FaultStats, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
+    RunReport, Timestamp, Transport, WallClock,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -142,7 +141,7 @@ pub struct LiveRun<A: Application> {
     /// The run's report, field-compatible with a kernel run (the
     /// `faults` tally is zero: live runs inject no faults).
     pub report: RunReport<A>,
-    /// The recorded delivery schedule for [`crate::replay`].
+    /// The recorded delivery schedule for [`crate::replay()`].
     pub schedule: RecordedSchedule,
     /// Wall-clock duration of the threaded phase, in microseconds.
     pub wall_us: u64,
@@ -443,36 +442,6 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
     }
 }
 
-/// Mirror of the kernel's merge-outcome trace vocabulary.
-fn emit_merge_outcome(
-    sink: &EventSink,
-    outcome: shard_sim::MergeOutcome,
-    now: SimTime,
-    node: NodeId,
-) {
-    match outcome {
-        shard_sim::MergeOutcome::Duplicate => {
-            sink.event("merge.duplicate")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .emit();
-        }
-        shard_sim::MergeOutcome::OutOfOrder { replayed } => {
-            sink.event("merge.out_of_order")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .u64("replayed", replayed)
-                .emit();
-        }
-        shard_sim::MergeOutcome::Appended => {
-            sink.event("merge.append")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .emit();
-        }
-    }
-}
-
 /// The monitor thread: reads the Lamport watermark *before* draining
 /// the row channel, so every row with `ts.counter ≤ watermark` is
 /// already in the channel when the watermark is read (nodes publish
@@ -528,8 +497,12 @@ fn monitor_loop(
 /// The strategy must behave like the shipped ones: deterministic given
 /// the local replica (no RNG draws) and sending to peers in increasing
 /// node order within one event — that is what makes the recorded
-/// schedule replayable. [`run_eager`], [`run_gossip`] and
-/// [`run_partial`] construct conforming strategies.
+/// schedule replayable. [`EagerBroadcast`](shard_sim::EagerBroadcast),
+/// [`GossipDelta`](shard_sim::GossipDelta) (full fanout, no partner
+/// sampling — which is why live gossip is not the random-partner
+/// [`Gossip`](shard_sim::Gossip)) and
+/// [`PartialPlacement`](shard_sim::PartialPlacement) conform; pass a
+/// clone of the same value to [`crate::replay()`].
 ///
 /// Tick-driven strategies (gossip) use their [`Propagation::
 /// tick_interval`] as a cadence in *microseconds*, and the run ends
@@ -538,7 +511,8 @@ fn monitor_loop(
 ///
 /// # Panics
 ///
-/// Panics if a submission names a node outside the cluster.
+/// Panics if a submission names a node outside the cluster, or a
+/// tick-driven strategy has a zero interval.
 pub fn run_live<A, P>(
     app: &A,
     cfg: &RuntimeConfig,
@@ -610,6 +584,7 @@ where
     let n = cfg.nodes as usize;
     let total = submissions.len() as u64;
     let tick_every_us = strategy.tick_interval();
+    assert_ne!(tick_every_us, Some(0), "gossip needs a positive interval");
     let metrics = RuntimeMetrics::for_mode(strategy.label());
 
     // Per-node FIFO workloads, preserving submission order.
@@ -835,62 +810,4 @@ fn assemble<A: Application>(
         schedule,
         wall_us,
     }
-}
-
-/// Live eager broadcast (`Runner::eager`'s strategy on threads): every
-/// execution floods its update — or, with `piggyback`, the whole log —
-/// to every peer.
-pub fn run_eager<A>(
-    app: &A,
-    cfg: &RuntimeConfig,
-    piggyback: bool,
-    submissions: Vec<Submission<A::Decision>>,
-) -> LiveRun<A>
-where
-    A: Application + Sync,
-    A::State: Send,
-    A::Update: Send + Sync,
-    A::Decision: Send,
-{
-    run_live(app, cfg, EagerBroadcast { piggyback }, submissions)
-}
-
-/// Live delta anti-entropy gossip: each node pushes to **every** peer,
-/// each `interval_us` microseconds, the entries it merged since its own
-/// last round ([`shard_sim::GossipDelta`]). Full fanout and the absence
-/// of partner sampling are what make live rounds deterministic and
-/// hence replayable; shipping deltas instead of whole logs is what
-/// keeps sustained 10⁵-transaction runs linear.
-pub fn run_gossip<A>(
-    app: &A,
-    cfg: &RuntimeConfig,
-    interval_us: u64,
-    submissions: Vec<Submission<A::Decision>>,
-) -> LiveRun<A>
-where
-    A: Application + Sync,
-    A::State: Send,
-    A::Update: Send + Sync,
-    A::Decision: Send,
-{
-    assert!(interval_us > 0, "gossip needs a positive interval");
-    run_live(app, cfg, GossipDelta::new(interval_us), submissions)
-}
-
-/// Live partial replication: updates go only to holders of the objects
-/// they touch. Submissions must target nodes holding the objects their
-/// decision part reads (see [`crate::load::banking_submissions`]).
-pub fn run_partial<A>(
-    app: &A,
-    cfg: &RuntimeConfig,
-    placement: Placement,
-    submissions: Vec<Submission<A::Decision>>,
-) -> LiveRun<A>
-where
-    A: Application + shard_core::ObjectModel + Sync,
-    A::State: Send,
-    A::Update: Send + Sync,
-    A::Decision: Send,
-{
-    run_live(app, cfg, PartialPlacement::new(placement), submissions)
 }

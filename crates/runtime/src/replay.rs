@@ -29,8 +29,8 @@ use crate::live::{sanitize_monitor, RecordedSchedule, RuntimeConfig};
 use shard_core::Application;
 use shard_sim::partition::PartitionSchedule;
 use shard_sim::{
-    ClusterConfig, CrashSchedule, DelayModel, EagerBroadcast, FaultEvent, GossipDelta, Invocation,
-    PartialPlacement, Placement, Propagation, RunReport, Runner, ScheduledNemesis,
+    ClusterConfig, CrashSchedule, DelayModel, EagerBroadcast, FaultEvent, Invocation, Propagation,
+    RunReport, Runner, ScheduledNemesis,
 };
 
 /// Rebuilds the kernel invocation list from the recorded executions,
@@ -74,10 +74,10 @@ fn delivery_faults(schedule: &RecordedSchedule) -> Vec<FaultEvent> {
 }
 
 /// Replays a recorded live run through the deterministic kernel under
-/// `strategy` (which must match the live run's) and returns the
-/// kernel's report. `scripted_ticks` must be true exactly for
-/// tick-driven strategies.
-fn replay_with<A, P>(
+/// `strategy` — a clone of the value the live run was given — and
+/// returns the kernel's report. Rounds of a tick-driven strategy are
+/// scripted from the schedule, so its interval is irrelevant here.
+pub fn replay<A, P>(
     app: &A,
     cfg: &RuntimeConfig,
     strategy: P,
@@ -109,7 +109,9 @@ where
     runner.run(invs)
 }
 
-/// Replays an eager-broadcast live run ([`crate::run_eager`]).
+/// [`replay()`] under [`EagerBroadcast`] — the one named wrapper, kept
+/// because the frozen benchmark calls it; to be removed at the next
+/// benchmark re-baseline.
 pub fn replay_eager<A: Application>(
     app: &A,
     cfg: &RuntimeConfig,
@@ -117,45 +119,8 @@ pub fn replay_eager<A: Application>(
     submissions: &[crate::live::Submission<A::Decision>],
     schedule: &RecordedSchedule,
 ) -> RunReport<A> {
-    replay_with(
-        app,
-        cfg,
-        EagerBroadcast { piggyback },
-        submissions,
-        schedule,
-    )
-}
-
-/// Replays a gossip live run ([`crate::run_gossip`]). The interval is
-/// irrelevant (rounds are scripted); the strategy must match the live
-/// side's [`GossipDelta`] so each scripted round ships the same delta.
-pub fn replay_gossip<A: Application>(
-    app: &A,
-    cfg: &RuntimeConfig,
-    submissions: &[crate::live::Submission<A::Decision>],
-    schedule: &RecordedSchedule,
-) -> RunReport<A> {
-    replay_with(app, cfg, GossipDelta::new(1), submissions, schedule)
-}
-
-/// Replays a partial-replication live run ([`crate::run_partial`]).
-pub fn replay_partial<A>(
-    app: &A,
-    cfg: &RuntimeConfig,
-    placement: Placement,
-    submissions: &[crate::live::Submission<A::Decision>],
-    schedule: &RecordedSchedule,
-) -> RunReport<A>
-where
-    A: Application + shard_core::ObjectModel,
-{
-    replay_with(
-        app,
-        cfg,
-        PartialPlacement::new(placement),
-        submissions,
-        schedule,
-    )
+    let strategy = EagerBroadcast { piggyback };
+    replay(app, cfg, strategy, submissions, schedule)
 }
 
 /// FNV-1a over a string.

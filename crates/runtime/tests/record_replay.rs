@@ -20,12 +20,12 @@ use shard_apps::inventory::{InvTxn, ItemId, Order, OrderId, Warehouse};
 use shard_apps::nameserver::{GroupId, Name, NameServer, NsTxn};
 use shard_apps::Person;
 use shard_core::Application;
-use shard_runtime::{
-    replay_eager, replay_gossip, replay_partial, report_digest, run_eager, run_gossip, run_partial,
-    LiveRun, RuntimeConfig, Submission,
-};
+use shard_runtime::{replay, report_digest, run_live, LiveRun, RuntimeConfig, Submission};
 use shard_sim::partial::Placement;
-use shard_sim::{KnownSet, NodeId, RunReport, Timestamp};
+use shard_sim::{
+    EagerBroadcast, GossipDelta, KnownSet, NodeId, PartialPlacement, Propagation, RunReport,
+    Timestamp,
+};
 
 const NODES: u16 = 3;
 
@@ -90,8 +90,24 @@ fn submissions<D>(raw: Vec<(D, u64, u16)>) -> Vec<Submission<D>> {
         .collect()
 }
 
-/// Runs live + replay in all-peer eager mode and in delta gossip, and
-/// checks both replays reproduce their recordings exactly.
+/// Runs `subs` live under `strategy`, replays the recording through
+/// the kernel under a clone of the same value, and checks the replay
+/// reproduces the recording exactly.
+fn roundtrip<A, P>(app: &A, seed: u64, strategy: P, subs: &[Submission<A::Decision>])
+where
+    A: Application + Sync,
+    A::State: Send + PartialEq + std::fmt::Debug,
+    A::Update: Send + Sync,
+    A::Decision: Send,
+    P: Propagation<A> + Clone + Send,
+{
+    let cfg = config(seed);
+    let live = run_live(app, &cfg, strategy.clone(), subs.to_vec());
+    let replayed = replay(app, &cfg, strategy, subs, &live.schedule);
+    assert_replay_matches(&live, &replayed);
+}
+
+/// [`roundtrip`] in all-peer eager mode and in delta gossip.
 fn roundtrip_eager_and_gossip<A>(app: &A, seed: u64, subs: Vec<Submission<A::Decision>>)
 where
     A: Application + Sync,
@@ -99,14 +115,8 @@ where
     A::Update: Send + Sync,
     A::Decision: Send,
 {
-    let cfg = config(seed);
-    let live = run_eager(app, &cfg, false, subs.clone());
-    let replayed = replay_eager(app, &cfg, false, &subs, &live.schedule);
-    assert_replay_matches(&live, &replayed);
-
-    let live = run_gossip(app, &cfg, 300, subs.clone());
-    let replayed = replay_gossip(app, &cfg, &subs, &live.schedule);
-    assert_replay_matches(&live, &replayed);
+    roundtrip(app, seed, EagerBroadcast { piggyback: false }, &subs);
+    roundtrip(app, seed, GossipDelta::new(300), &subs);
 }
 
 fn airline_txn() -> impl Strategy<Value = AirlineTxn> {
@@ -231,8 +241,9 @@ proptest! {
         let app = Bank::new(3, 50);
         let placement = Placement::round_robin(NODES, &app.objects(), 2);
         // Route each submission to a node that reads everything its
-        // decision needs (the admission rule `run_partial` enforces);
-        // drop the few (e.g. audits) no single node can admit.
+        // decision needs (the admission rule `PartialPlacement`
+        // validates); drop the few (e.g. audits) no single node can
+        // admit.
         let subs: Vec<Submission<BankTxn>> = submissions(raw)
             .into_iter()
             .filter_map(|mut s| {
@@ -241,9 +252,6 @@ proptest! {
                 Some(s)
             })
             .collect();
-        let cfg = config(seed);
-        let live = run_partial(&app, &cfg, placement.clone(), subs.clone());
-        let replayed = replay_partial(&app, &cfg, placement, &subs, &live.schedule);
-        assert_replay_matches(&live, &replayed);
+        roundtrip(&app, seed, PartialPlacement::new(placement), &subs);
     }
 }

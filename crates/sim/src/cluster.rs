@@ -11,7 +11,7 @@
 //! 3. receiving nodes merge it by timestamp, undoing and redoing as
 //!    needed ([`crate::merge`]).
 //!
-//! The run produces a [`ClusterReport`] whose centrepiece is a formal
+//! The run produces a [`RunReport`] whose centrepiece is a formal
 //! [`shard_core::TimedExecution`]: the global timestamp order of the
 //! transactions, each with the prefix subsequence its origin node
 //! actually knew at decision time. [`shard_core::Execution::verify`]
@@ -23,20 +23,20 @@
 //! The event loop lives in [`crate::kernel`]; this module contributes
 //! the [`EagerBroadcast`] propagation strategy (flood every update to
 //! every peer the moment it executes, optionally piggybacking the
-//! origin's whole log for transitivity) and the deprecated `Cluster`
-//! facade, now a thin wrapper over [`Runner::eager`].
+//! origin's whole log for transitivity) and the [`Runner::eager`]
+//! constructor.
+//!
+//! [`RunReport`]: crate::RunReport
+//! [`RunReport::mutually_consistent`]: crate::RunReport::mutually_consistent
 
 use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation, RunReport, Runner};
+use crate::kernel::{Entries, Node, Propagation, Runner};
 use crate::transport::Transport;
 use shard_core::Application;
 use std::sync::Arc;
 
 pub use crate::kernel::{ClusterConfig, ExecutedTxn, Invocation};
-
-/// Everything a cluster run produces (alias of the kernel-wide report).
-pub type ClusterReport<A> = RunReport<A>;
 
 /// Flooding propagation: the moment a transaction executes, its update
 /// is sent to every peer. With `piggyback` the origin attaches its whole
@@ -88,8 +88,23 @@ impl<A: Application> Propagation<A> for EagerBroadcast {
 
 impl<'a, A: Application> Runner<'a, A, EagerBroadcast> {
     /// An eager-broadcast (flooding) runner over `config.nodes` replicas
-    /// of `app` — the canonical entry point the old [`Cluster`] facade
-    /// wraps. Piggybacking follows `config.piggyback`.
+    /// of `app`. Piggybacking follows `config.piggyback`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shard_apps::airline::{AirlineTxn, FlyByNight};
+    /// use shard_apps::Person;
+    /// use shard_sim::{ClusterConfig, Invocation, NodeId, Runner};
+    ///
+    /// let app = FlyByNight::new(3);
+    /// let report = Runner::eager(&app, ClusterConfig::default()).run(vec![
+    ///     Invocation::new(0, NodeId(0), AirlineTxn::Request(Person(1))),
+    ///     Invocation::new(9, NodeId(4), AirlineTxn::MoveUp),
+    /// ]);
+    /// assert!(report.mutually_consistent());
+    /// report.timed_execution().execution.verify(&app).unwrap();
+    /// ```
     ///
     /// # Panics
     ///
@@ -97,67 +112,6 @@ impl<'a, A: Application> Runner<'a, A, EagerBroadcast> {
     pub fn eager(app: &'a A, config: ClusterConfig) -> Self {
         let piggyback = config.piggyback;
         Runner::new(app, config, EagerBroadcast { piggyback })
-    }
-}
-
-/// A simulated SHARD cluster (eager-broadcast facade over the kernel).
-///
-/// # Examples
-///
-/// ```
-/// use shard_apps::airline::{AirlineTxn, FlyByNight};
-/// use shard_apps::Person;
-/// use shard_sim::{ClusterConfig, Invocation, NodeId, Runner};
-///
-/// let app = FlyByNight::new(3);
-/// let report = Runner::eager(&app, ClusterConfig::default()).run(vec![
-///     Invocation::new(0, NodeId(0), AirlineTxn::Request(Person(1))),
-///     Invocation::new(9, NodeId(4), AirlineTxn::MoveUp),
-/// ]);
-/// assert!(report.mutually_consistent());
-/// report.timed_execution().execution.verify(&app).unwrap();
-/// ```
-#[deprecated(since = "0.1.0", note = "use `Runner::eager(app, config)` instead")]
-pub struct Cluster<'a, A: Application> {
-    app: &'a A,
-    config: ClusterConfig,
-}
-
-#[allow(deprecated)]
-impl<'a, A: Application> Cluster<'a, A> {
-    /// Creates a cluster of `config.nodes` replicas of `app`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero nodes.
-    pub fn new(app: &'a A, config: ClusterConfig) -> Self {
-        assert!(config.nodes > 0, "a cluster needs at least one node");
-        Cluster { app, config }
-    }
-
-    /// Runs the invocation schedule to completion (all broadcasts
-    /// drained) and reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation names a node outside the cluster.
-    pub fn run(&self, invocations: Vec<Invocation<A::Decision>>) -> ClusterReport<A> {
-        self.run_with_critical(invocations, |_| false)
-    }
-
-    /// Like [`Cluster::run`], but transactions selected by `is_critical`
-    /// run through the §3.3 barrier protocol — see
-    /// [`Runner::run_with_critical`] for the full story.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation names a node outside the cluster.
-    pub fn run_with_critical(
-        &self,
-        invocations: Vec<Invocation<A::Decision>>,
-        is_critical: impl Fn(&A::Decision) -> bool,
-    ) -> ClusterReport<A> {
-        Runner::eager(self.app, self.config.clone()).run_with_critical(invocations, is_critical)
     }
 }
 
@@ -443,24 +397,5 @@ mod tests {
                 ..Default::default()
             },
         );
-    }
-
-    /// The deprecated facade stays a bit-exact wrapper of
-    /// [`Runner::eager`] until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn facade_matches_runner() {
-        let app = Counter;
-        let cfg = ClusterConfig {
-            nodes: 4,
-            seed: 23,
-            piggyback: true,
-            ..Default::default()
-        };
-        let via_facade = Cluster::new(&app, cfg.clone()).run(spread_invocations(20, 4, 3));
-        let via_runner = Runner::eager(&app, cfg).run(spread_invocations(20, 4, 3));
-        assert_eq!(via_facade.final_states, via_runner.final_states);
-        assert_eq!(via_facade.messages_sent, via_runner.messages_sent);
-        assert_eq!(via_facade.entries_shipped, via_runner.entries_shipped);
     }
 }

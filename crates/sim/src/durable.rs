@@ -87,14 +87,6 @@ impl DurabilityConfig {
             kill_seed,
         }
     }
-
-    /// Reads `SHARD_STORE_DIR` from the environment: set, the mirrors
-    /// live on disk under that directory; unset, returns `None` (run
-    /// without durability or opt into [`DurabilityConfig::mem`]).
-    pub fn from_env(kill_seed: u64) -> Option<Self> {
-        std::env::var_os("SHARD_STORE_DIR")
-            .map(|d| DurabilityConfig::disk(PathBuf::from(d), kill_seed))
-    }
 }
 
 /// What [`DurableFleet::kill`] did to a node's store — the simulated
@@ -167,7 +159,7 @@ where
     /// [`NodeMirror::recover`] rebuilds the node from them, which is
     /// how a replica restarts from a previous process's store.
     pub fn disk(dir: &std::path::Path) -> io::Result<(Self, usize)> {
-        let (store, recovered) = DiskStore::open(dir, StoreOptions::from_env())?;
+        let (store, recovered) = DiskStore::open(dir, StoreOptions::default())?;
         Ok((Self::from_store(Box::new(store), recovered), recovered))
     }
 
@@ -394,15 +386,5 @@ mod tests {
         };
         assert!(key_of(a) < key_of(b) && key_of(b) < key_of(c), "order maps");
         assert_eq!(ts_of(key_of(a)), a, "round trip");
-    }
-
-    #[test]
-    fn from_env_requires_the_variable() {
-        // The test runner may or may not have SHARD_STORE_DIR set;
-        // exercise both constructors directly instead.
-        let mem = DurabilityConfig::mem(7);
-        assert!(matches!(mem.backend, StoreBackend::Mem), "mem backend");
-        let disk = DurabilityConfig::disk("/tmp/x", 7);
-        assert!(matches!(disk.backend, StoreBackend::Disk { .. }), "disk");
     }
 }

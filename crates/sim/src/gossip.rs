@@ -14,9 +14,9 @@
 //! strategies — [`Gossip`] (uniform random partners) and
 //! [`GossipPlacement`] (gossip × partial replication: rounds ship only
 //! the entries the partner's placement cares about) — plus the
-//! [`Runner::gossip`] constructor (and the deprecated `GossipCluster`
-//! facade wrapping it). The event loop, failure gating and traced
-//! merging live in [`crate::kernel`], shared with every other strategy.
+//! [`Runner::gossip`] constructor. The event loop, failure gating and
+//! traced merging live in [`crate::kernel`], shared with every other
+//! strategy.
 //!
 //! Termination is deliberately omniscient about *convergence only*:
 //! rounds stop once every replica holds every update it should and no
@@ -25,14 +25,14 @@
 
 use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation, RunReport, Runner};
+use crate::kernel::{Entries, Node, Propagation, Runner};
 use crate::partial::Placement;
 use crate::transport::Transport;
 use rand::Rng;
 use shard_core::{Application, ObjectModel};
 use std::sync::Arc;
 
-use crate::kernel::{ClusterConfig, ExecutedTxn, Invocation};
+use crate::kernel::{ClusterConfig, ExecutedTxn};
 
 /// Configuration of the gossip layer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,11 +47,6 @@ impl Default for GossipConfig {
         GossipConfig { interval: 50 }
     }
 }
-
-/// Result of a gossip-cluster run (alias of the kernel-wide report; the
-/// interesting fields are [`RunReport::rounds`] and
-/// [`RunReport::entries_shipped`]).
-pub type GossipReport<A> = RunReport<A>;
 
 /// Anti-entropy propagation: nothing is sent at execution time; every
 /// `interval` ticks each live node picks `fanout` uniform random
@@ -361,8 +356,10 @@ impl<A: ObjectModel> Propagation<A> for GossipPlacement {
 }
 
 impl<'a, A: Application> Runner<'a, A, Gossip> {
-    /// A single-partner anti-entropy runner — the canonical entry point
-    /// the old [`GossipCluster`] facade wraps. The `delay` and
+    /// A single-partner anti-entropy runner; the interesting report
+    /// fields are [`RunReport::rounds`](crate::RunReport::rounds) and
+    /// [`RunReport::entries_shipped`](crate::RunReport::entries_shipped).
+    /// The `delay` and
     /// `partitions` of `config` govern the gossip pushes; `piggyback` is
     /// ignored (gossip *is* full piggybacking).
     ///
@@ -384,46 +381,5 @@ impl<'a, A: Application> Runner<'a, A, Gossip> {
                 fanout: 1,
             },
         )
-    }
-}
-
-/// A SHARD cluster whose updates spread by anti-entropy gossip instead
-/// of flooding (facade over the kernel with a single-partner [`Gossip`]
-/// strategy).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Runner::gossip(app, config, gossip)` instead"
-)]
-pub struct GossipCluster<'a, A: Application> {
-    app: &'a A,
-    config: ClusterConfig,
-    gossip: GossipConfig,
-}
-
-#[allow(deprecated)]
-impl<'a, A: Application> GossipCluster<'a, A> {
-    /// Creates the cluster — see [`Runner::gossip`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero nodes or the gossip interval
-    /// is zero.
-    pub fn new(app: &'a A, config: ClusterConfig, gossip: GossipConfig) -> Self {
-        assert!(config.nodes > 0, "a cluster needs at least one node");
-        assert!(gossip.interval > 0, "gossip needs a positive interval");
-        GossipCluster {
-            app,
-            config,
-            gossip,
-        }
-    }
-
-    /// Runs the schedule until every replica has every update.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation names a node outside the cluster.
-    pub fn run(&self, invocations: Vec<Invocation<A::Decision>>) -> GossipReport<A> {
-        Runner::gossip(self.app, self.config.clone(), self.gossip).run(invocations)
     }
 }

@@ -134,8 +134,9 @@ pub(crate) fn emit_schedule(
 /// Emits the trace event for one merge outcome — append, out-of-order
 /// (with its undo/redo depth), or duplicate. Every strategy's deliveries
 /// pass through here, making gossip and partial runs exactly as
-/// observable as flooding runs.
-pub(crate) fn emit_merge_outcome(
+/// observable as flooding runs — and the threaded runtime's too, which
+/// is why this is public.
+pub fn emit_merge_outcome(
     sink: &shard_obs::EventSink,
     outcome: MergeOutcome,
     now: SimTime,
@@ -241,7 +242,6 @@ impl FaultStats {
 }
 
 /// Everything a kernel run produces, whatever the propagation strategy.
-/// `ClusterReport`, `GossipReport` and `PartialReport` are aliases.
 #[derive(Clone, Debug)]
 pub struct RunReport<A: Application> {
     /// Executed transactions sorted by timestamp (the serial order).

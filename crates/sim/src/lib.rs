@@ -86,15 +86,11 @@ pub mod streaming;
 pub mod transport;
 
 pub use clock::{LamportClock, NodeId, Timestamp};
-#[allow(deprecated)]
-pub use cluster::Cluster;
-pub use cluster::{ClusterConfig, ClusterReport, EagerBroadcast, ExecutedTxn, Invocation};
+pub use cluster::{ClusterConfig, EagerBroadcast, ExecutedTxn, Invocation};
 pub use crash::{CrashSchedule, CrashWindow};
 pub use delay::DelayModel;
 pub use durable::{DurabilityConfig, DurableFleet, KillReport, NodeMirror, StoreBackend};
-#[allow(deprecated)]
-pub use gossip::GossipCluster;
-pub use gossip::{Gossip, GossipConfig, GossipDelta, GossipPlacement, GossipReport};
+pub use gossip::{Gossip, GossipConfig, GossipDelta, GossipPlacement};
 pub use kernel::{FaultStats, Propagation, QueueTransport, RunReport, Runner};
 pub use known::KnownSet;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};
@@ -104,9 +100,7 @@ pub use nemesis::{
     MessageDuplicator, MessageReorderer, MsgCtx, Nemesis, NemesisStack, PartitionJitter, Recorder,
     ScheduledNemesis,
 };
-#[allow(deprecated)]
-pub use partial::PartialCluster;
-pub use partial::{PartialPlacement, PartialReport, Placement};
+pub use partial::{PartialPlacement, Placement};
 pub use partition::{PartitionSchedule, PartitionWindow};
 pub use streaming::StreamingMerge;
 pub use transport::{Clock, Transport, VirtualClock, WallClock};

@@ -21,84 +21,9 @@
 
 use crate::clock::Timestamp;
 use crate::known::KnownSet;
-use shard_core::{Application, Checkpoints, SpillingCheckpoints};
+use shard_core::replay::note_state_clone;
+use shard_core::{Application, Checkpoints};
 use std::sync::Arc;
-
-/// Where a [`MergeLog`]'s checkpoint states live: all in RAM (the
-/// default), or two-tiered with cold anchors spilled through a
-/// [`Store`](shard_store::Store) ([`MergeLog::enable_spilling`]).
-///
-/// Both variants answer the same three questions — record a point,
-/// drop points past an undo, find the deepest point under a limit —
-/// and checkpoints are a pure cache, so the merge verdicts are
-/// identical whichever tier holds them; only replay depth (and thus
-/// work) differs when a spilled anchor is missing or unreadable.
-enum CkptTier<A: Application> {
-    Mem(Checkpoints<A::State>),
-    Spill(SpillingCheckpoints<A::State>),
-}
-
-impl<A: Application> CkptTier<A> {
-    fn interval(&self) -> usize {
-        match self {
-            CkptTier::Mem(c) => c.interval(),
-            CkptTier::Spill(c) => c.interval(),
-        }
-    }
-
-    fn record(&mut self, app: &A, len: usize, state: &A::State) -> bool {
-        match self {
-            CkptTier::Mem(c) => {
-                let recorded = c.record(len, state);
-                if recorded {
-                    shard_core::replay::note_state_clone(app.state_size_hint(state));
-                }
-                recorded
-            }
-            CkptTier::Spill(c) => c.record(len, state, app.state_size_hint(state)),
-        }
-    }
-
-    fn truncate(&mut self, keep: usize) {
-        match self {
-            CkptTier::Mem(c) => c.truncate(keep),
-            CkptTier::Spill(c) => c.truncate(keep),
-        }
-    }
-
-    fn last_owned(&mut self, app: &A) -> Option<(usize, A::State)> {
-        match self {
-            CkptTier::Mem(c) => c.last().map(|(len, s)| {
-                shard_core::replay::note_state_clone(app.state_size_hint(s));
-                (len, s.clone())
-            }),
-            CkptTier::Spill(c) => c.last_owned(),
-        }
-    }
-}
-
-impl<A: Application> Clone for CkptTier<A> {
-    /// Cloning a spilling tier yields a fresh in-memory tier at the
-    /// same interval — the spill store is single-owner, and checkpoints
-    /// are a rebuildable cache, so the clone starts cold but answers
-    /// identically (the same convention as `Execution::clone` resetting
-    /// its replay cache).
-    fn clone(&self) -> Self {
-        match self {
-            CkptTier::Mem(c) => CkptTier::Mem(c.clone()),
-            CkptTier::Spill(c) => CkptTier::Mem(Checkpoints::new(c.interval())),
-        }
-    }
-}
-
-impl<A: Application> std::fmt::Debug for CkptTier<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CkptTier::Mem(c) => f.debug_tuple("Mem").field(c).finish(),
-            CkptTier::Spill(c) => f.debug_tuple("Spill").field(c).finish(),
-        }
-    }
-}
 
 /// Global merge metrics across every node of every simulation in the
 /// process, resolved once: `merge.appends` / `merge.out_of_order` /
@@ -204,7 +129,7 @@ impl MergeMetrics {
 pub struct MergeLog<A: Application> {
     entries: Vec<(Timestamp, Arc<A::Update>)>,
     state: A::State,
-    checkpoints: CkptTier<A>,
+    checkpoints: Checkpoints<A::State>,
     metrics: MergeMetrics,
     /// The entry timestamps as a persistent set, maintained merge by
     /// merge so [`MergeLog::known_set`] snapshots it in O(1).
@@ -214,21 +139,6 @@ pub struct MergeLog<A: Application> {
     /// ([`crate::GossipDelta`]) finds "everything merged since my last
     /// round" without scanning the log.
     arrivals: Vec<Timestamp>,
-}
-
-impl<A: Application> Clone for MergeLog<A> {
-    /// Clones the log and state; a spilling checkpoint tier is reset to
-    /// a cold in-memory tier (see `CkptTier::clone`).
-    fn clone(&self) -> Self {
-        MergeLog {
-            entries: self.entries.clone(),
-            state: self.state.clone(),
-            checkpoints: self.checkpoints.clone(),
-            metrics: self.metrics,
-            known: self.known.clone(),
-            arrivals: self.arrivals.clone(),
-        }
-    }
 }
 
 impl<A: Application> MergeLog<A> {
@@ -244,56 +154,41 @@ impl<A: Application> MergeLog<A> {
         MergeLog {
             entries: Vec::new(),
             state: app.initial_state(),
-            checkpoints: CkptTier::Mem(Checkpoints::new(checkpoint_every)),
+            checkpoints: Checkpoints::new(checkpoint_every),
             metrics: MergeMetrics::default(),
             known: KnownSet::new(),
             arrivals: Vec::new(),
         }
     }
 
-    /// Moves the checkpoint tier out of core: the newest `hot_points`
-    /// checkpoints stay resident and every `spill_spacing`-th older
-    /// point is serialized through `store` as a cold anchor (see
-    /// [`SpillingCheckpoints`]). Existing in-memory checkpoints are
-    /// dropped (they are a cache); the current state is re-recorded as
-    /// the first point of the new tier where the interval allows, so a
-    /// straggler arriving right after the switch replays from the tip,
-    /// not from scratch. Merge results are bit-identical either way —
-    /// only resident bytes and replay depth change.
+    /// Moves the checkpoints out of core: attaches `store` as their cold
+    /// store ([`Checkpoints::with_cold_store`]), dropping the points
+    /// recorded so far (they are a cache). Merge results are
+    /// bit-identical either way — only resident bytes and replay depth
+    /// change.
     pub fn enable_spilling(
         &mut self,
-        app: &A,
         store: Box<dyn shard_store::Store + Send>,
         hot_points: usize,
         spill_spacing: usize,
     ) where
         A::State: shard_store::Codec,
     {
-        let mut spill = SpillingCheckpoints::new(
+        self.checkpoints = Checkpoints::new(self.checkpoints.interval()).with_cold_store(
             store,
-            self.checkpoints.interval(),
             hot_points,
             spill_spacing,
         );
-        if !self.entries.is_empty() {
-            spill.record(
-                self.entries.len(),
-                &self.state,
-                app.state_size_hint(&self.state),
-            );
-        }
-        self.checkpoints = CkptTier::Spill(spill);
     }
 
-    /// The spill store behind the checkpoint tier, if
-    /// [`enable_spilling`](MergeLog::enable_spilling) was called —
-    /// exposed so fault harnesses can crash the anchor store under a
-    /// live log and check merges still converge.
-    pub fn spill_store_mut(&mut self) -> Option<&mut (dyn shard_store::Store + Send)> {
-        match &mut self.checkpoints {
-            CkptTier::Mem(_) => None,
-            CkptTier::Spill(c) => Some(c.store_mut()),
-        }
+    /// The cold store, so fault harnesses can crash it under a live log.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`enable_spilling`](MergeLog::enable_spilling) was
+    /// called.
+    pub fn spill_store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
+        self.checkpoints.store_mut()
     }
 
     /// The current merged state — "each node's copy of the database
@@ -313,13 +208,6 @@ impl<A: Application> MergeLog<A> {
     /// forwarding one to a peer costs a reference-count bump.
     pub fn entries(&self) -> &[(Timestamp, Arc<A::Update>)] {
         &self.entries
-    }
-
-    /// The timestamps of all known updates, in order. Materializes a
-    /// fresh vector — offline consumers only; the hot path snapshots
-    /// [`MergeLog::known_set`] instead.
-    pub fn known_timestamps(&self) -> Vec<Timestamp> {
-        self.entries.iter().map(|(ts, _)| *ts).collect()
     }
 
     /// The known timestamps as a persistent set: cloning the returned
@@ -346,11 +234,6 @@ impl<A: Application> MergeLog<A> {
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The checkpoint spacing, in applied updates.
-    pub fn checkpoint_interval(&self) -> usize {
-        self.checkpoints.interval()
     }
 
     /// Undo/redo counters.
@@ -567,7 +450,7 @@ impl<A: Application> MergeLog<A> {
         self.entries.push((ts, update));
         self.known.insert(ts);
         self.checkpoints
-            .record(app, self.entries.len(), &self.state);
+            .record_for(app, self.entries.len(), &self.state);
     }
 
     /// Out of order: undo back to a checkpoint ≤ pos, redo.
@@ -595,8 +478,11 @@ impl<A: Application> MergeLog<A> {
     /// updates that re-applied.
     fn repair_from(&mut self, app: &A, pos: usize) -> u64 {
         self.checkpoints.truncate(pos);
-        let (base_len, mut s) = match self.checkpoints.last_owned(app) {
-            Some((len, s)) => (len, s),
+        let (base_len, mut s) = match self.checkpoints.last() {
+            Some((len, s)) => {
+                note_state_clone(app.state_size_hint(&s));
+                (len, s)
+            }
             None => (0, app.initial_state()),
         };
         for i in base_len..self.entries.len() {
@@ -604,7 +490,7 @@ impl<A: Application> MergeLog<A> {
             // Recreate the checkpoints the insertion invalidated
             // so the next straggler replays only its own tail.
             if i + 1 < self.entries.len() {
-                self.checkpoints.record(app, i + 1, &s);
+                self.checkpoints.record_for(app, i + 1, &s);
             }
         }
         self.state = s;
@@ -727,7 +613,6 @@ mod tests {
         // touches only the tail.
         let mut dense = MergeLog::new(&app, 2);
         let mut sparse = MergeLog::new(&app, 1000);
-        assert_eq!(dense.checkpoint_interval(), 2);
         for i in 0..100u64 {
             let t = 2 * i + 2; // even lamports, leaving odd gaps
             dense.merge(&app, ts(t), t);
@@ -769,7 +654,7 @@ mod tests {
             // Entries stay sorted.
             assert!(log.entries().windows(2).all(|w| w[0].0 < w[1].0));
         }
-        assert_eq!(log.known_timestamps().len(), 10);
+        assert_eq!(log.known_set().to_vec().len(), 10);
         assert!(log.contains(ts(7)));
         assert!(!log.contains(ts(77)));
         assert_eq!(log.into_state(), (1..=10).collect::<Vec<_>>());
@@ -806,16 +691,16 @@ mod tests {
     }
 
     #[test]
-    fn spilling_log_matches_in_memory_log() {
-        // Same adversarial arrival order into a plain log and a log
-        // whose checkpoints spill through a MemStore: states, entries,
-        // and outcome kinds must be identical after every merge —
-        // checkpoints are a cache, wherever they live.
+    fn attaching_a_cold_store_changes_no_merge_result() {
+        // Same adversarial arrival order into a log with no cold store
+        // and logs whose checkpoints spill through a MemStore: states,
+        // entries, and outcome kinds must be identical after every
+        // merge — checkpoints are a cache, wherever they live.
         let app = Trace;
         for (hot, spacing) in [(1, 1), (2, 3), (8, 1)] {
             let mut mem = MergeLog::new(&app, 2);
             let mut spill = MergeLog::new(&app, 2);
-            spill.enable_spilling(&app, Box::new(shard_store::MemStore::new()), hot, spacing);
+            spill.enable_spilling(Box::new(shard_store::MemStore::new()), hot, spacing);
             let order = [7u64, 2, 9, 1, 8, 3, 6, 4, 5, 10, 12, 11];
             for &l in &order {
                 let a = mem.merge_with_outcome(&app, ts(l), l);
@@ -831,26 +716,28 @@ mod tests {
             let (m, s) = (mem.metrics(), spill.metrics());
             assert_eq!(m.appends, s.appends);
             assert_eq!(m.out_of_order, s.out_of_order);
+            if spacing == 1 {
+                assert_eq!(m.replayed, s.replayed, "no point lost, same depth");
+            }
         }
     }
 
     #[test]
-    fn spilling_survives_a_crashed_anchor_store() {
-        // Killing the spill store mid-run costs replay depth, never
+    fn spilling_survives_a_lost_anchor_store() {
+        // Losing the spill store mid-run costs replay depth, never
         // answers: later merges still converge to the full-replay state.
         let app = Trace;
         let mut log = MergeLog::new(&app, 1);
-        log.enable_spilling(&app, Box::new(shard_store::MemStore::new()), 1, 1);
+        log.enable_spilling(Box::new(shard_store::MemStore::new()), 1, 1);
         for l in [4u64, 8, 12, 16, 20] {
             log.merge(&app, ts(l), l);
         }
-        // (Checkpoint store crash is exercised end to end in
-        // tests/durable_recovery.rs; here the cheap proxy is a clone,
-        // which drops the spill tier entirely and starts cold.)
-        let mut cold = log.clone();
-        cold.merge(&app, ts(1), 1);
-        cold.merge(&app, ts(18), 18);
-        assert_eq!(cold.state(), &vec![1, 4, 8, 12, 16, 18, 20]);
+        // (Crashes at every byte offset are exercised end to end in
+        // tests/durable_recovery.rs.)
+        log.spill_store_mut().crash(0).unwrap();
+        log.merge(&app, ts(1), 1);
+        log.merge(&app, ts(18), 18);
+        assert_eq!(log.state(), &vec![1, 4, 8, 12, 16, 18, 20]);
     }
 
     /// Merges `bursts` one `merge_batch` each into one log and entry by

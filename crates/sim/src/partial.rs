@@ -22,8 +22,7 @@
 //!
 //! Since the kernel refactor this module contributes the [`Placement`]
 //! map and the [`PartialPlacement`] propagation strategy; the event loop
-//! lives in [`crate::kernel`], entered via [`Runner::partial`] (the
-//! deprecated `PartialCluster` facade wraps it).
+//! lives in [`crate::kernel`], entered via [`Runner::partial`].
 
 use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
@@ -102,14 +101,10 @@ impl Placement {
     }
 }
 
-/// Result of a partially replicated run (alias of the kernel-wide
-/// report; see [`RunReport::objects_consistent`] for the per-object
-/// consistency check that replaces global agreement here).
-pub type PartialReport<A> = RunReport<A>;
-
 impl<A: Application> RunReport<A> {
     /// Per-object mutual consistency: all holders of each object agree
-    /// on its projection.
+    /// on its projection — the check that replaces global agreement on
+    /// a partially replicated run.
     pub fn objects_consistent(&self, app: &A, placement: &Placement) -> bool
     where
         A: ObjectModel,
@@ -211,9 +206,8 @@ impl<A: ObjectModel> Propagation<A> for PartialPlacement {
 }
 
 impl<'a, A: ObjectModel> Runner<'a, A, PartialPlacement> {
-    /// A partially replicated runner routing by `placement` — the
-    /// canonical entry point the old [`PartialCluster`] facade wraps.
-    /// Each invocation must target a node holding all the objects its
+    /// A partially replicated runner routing by `placement`. Each
+    /// invocation must target a node holding all the objects its
     /// decision reads (checked at run start).
     ///
     /// # Panics
@@ -226,50 +220,6 @@ impl<'a, A: ObjectModel> Runner<'a, A, PartialPlacement> {
             "placement must cover all nodes"
         );
         Runner::new(app, config, PartialPlacement::new(placement))
-    }
-}
-
-/// A partially replicated SHARD cluster (facade over the kernel with a
-/// [`PartialPlacement`] strategy).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Runner::partial(app, config, placement)` instead"
-)]
-pub struct PartialCluster<'a, A: ObjectModel> {
-    app: &'a A,
-    config: ClusterConfig,
-    placement: Placement,
-}
-
-#[allow(deprecated)]
-impl<'a, A: ObjectModel> PartialCluster<'a, A> {
-    /// Creates a cluster; `config.nodes` must match the placement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node counts disagree or the cluster is empty.
-    pub fn new(app: &'a A, config: ClusterConfig, placement: Placement) -> Self {
-        assert!(config.nodes > 0, "a cluster needs at least one node");
-        assert_eq!(
-            config.nodes,
-            placement.nodes(),
-            "placement must cover all nodes"
-        );
-        PartialCluster {
-            app,
-            config,
-            placement,
-        }
-    }
-
-    /// Runs the schedule. Each invocation must target a node holding all
-    /// the objects its decision reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation targets a node missing a required object.
-    pub fn run(&self, invocations: Vec<Invocation<A::Decision>>) -> PartialReport<A> {
-        Runner::partial(self.app, self.config.clone(), self.placement.clone()).run(invocations)
     }
 }
 
@@ -421,21 +371,5 @@ mod tests {
         let p = Placement::new(vec![vec![ObjectId(0)], vec![ObjectId(1)]]);
         let runner = Runner::partial(&app, cfg(2), p);
         let _ = runner.run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
-    }
-
-    /// The deprecated facade stays a bit-exact wrapper of
-    /// [`Runner::partial`] until it is removed.
-    #[test]
-    #[allow(deprecated)]
-    fn facade_matches_runner() {
-        let app = TwoRegs;
-        let p = Placement::round_robin(3, &app.objects(), 2);
-        let invs: Vec<_> = (0..8)
-            .map(|i| Invocation::new(i * 4, NodeId(1), Bump((i % 2) as u32)))
-            .collect();
-        let via_facade = PartialCluster::new(&app, cfg(3), p.clone()).run(invs.clone());
-        let via_runner = Runner::partial(&app, cfg(3), p).run(invs);
-        assert_eq!(via_facade.final_states, via_runner.final_states);
-        assert_eq!(via_facade.messages_sent, via_runner.messages_sent);
     }
 }

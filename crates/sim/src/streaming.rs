@@ -14,8 +14,8 @@
 //! arrival, and the transaction *seals*.
 //!
 //! Sealing folds the update into one in-place state (never a log of
-//! states), records cold anchors through a
-//! [`SpillingCheckpoints`] tier, appends the row to a store-backed
+//! states), records checkpoints whose cold anchors spill through a
+//! store-backed [`Checkpoints`] sequence, appends the row to a store-backed
 //! [`StreamingExecution`], and feeds the online §3 window checker —
 //! so a 10⁷-transaction run holds one application state, a
 //! `capacity`-sized window, and the checker's monitor state in RAM,
@@ -24,7 +24,7 @@
 
 use crate::clock::Timestamp;
 use shard_core::{
-    Application, SpillingCheckpoints, StreamChecker, StreamReport, StreamRow, StreamingExecution,
+    Application, Checkpoints, StreamChecker, StreamReport, StreamRow, StreamingExecution,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
@@ -45,7 +45,7 @@ pub struct StreamingMerge<A: Application> {
     window: BTreeMap<Timestamp, Pending<A::Update>>,
     capacity: usize,
     state: A::State,
-    anchors: SpillingCheckpoints<A::State>,
+    anchors: Checkpoints<A::State>,
     sink: StreamingExecution<A>,
     checker: StreamChecker,
     /// Rows sealed so far — the serial index of the next seal.
@@ -87,9 +87,8 @@ where
             window: BTreeMap::new(),
             capacity,
             state: app.initial_state(),
-            anchors: SpillingCheckpoints::new(
+            anchors: Checkpoints::new(checkpoint_every).with_cold_store(
                 anchor_store,
-                checkpoint_every,
                 hot_points,
                 spill_spacing,
             ),
@@ -103,14 +102,20 @@ where
         }
     }
 
-    /// Delivers the next update. Duplicated timestamps are ignored,
-    /// like [`MergeLog::merge`](crate::MergeLog::merge) redeliveries.
+    /// Delivers the next update. A timestamp still pending in the
+    /// window is ignored, like a [`MergeLog::merge`](crate::MergeLog::merge)
+    /// redelivery.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `ts` precedes an already-sealed transaction — the
-    /// delivery was displaced beyond the reorder window, violating the
-    /// workload's displacement bound.
+    /// Store errors from sealing, and `InvalidInput` — naming `ts` and
+    /// the sealed frontier — for a delivery at or below the newest
+    /// sealed timestamp. That is either a late redelivery of a sealed
+    /// transaction (legal under at-least-once delivery) or a newcomer
+    /// displaced beyond the reorder window (the workload broke its
+    /// displacement bound); without a set of sealed timestamps the two
+    /// are indistinguishable, so the caller decides. The delivery is
+    /// dropped and the merge stays usable.
     pub fn offer(
         &mut self,
         app: &A,
@@ -118,11 +123,16 @@ where
         time: u64,
         update: A::Update,
     ) -> io::Result<()> {
-        assert!(
-            self.last_sealed.is_none_or(|s| ts > s),
-            "delivery displaced beyond the reorder window (capacity {})",
-            self.capacity
-        );
+        if let Some(frontier) = self.last_sealed.filter(|sealed| ts <= *sealed) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "delivery {ts} is at or below the sealed frontier {frontier} \
+                     (reorder window capacity {})",
+                    self.capacity
+                ),
+            ));
+        }
         let arrival = self.next_arrival;
         self.next_arrival += 1;
         if self.window.contains_key(&ts) {
@@ -166,8 +176,7 @@ where
         app.apply_in_place(&mut self.state, &p.update);
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
-        self.anchors
-            .record(self.sealed, &self.state, app.state_size_hint(&self.state));
+        self.anchors.record_for(app, self.sealed, &self.state);
         self.sink.push(p.time, &missed, &p.update)?;
         self.checker.push(&StreamRow {
             index: i,
@@ -202,25 +211,9 @@ where
         self.sealed
     }
 
-    /// Transactions still pending in the reorder window.
-    pub fn pending(&self) -> usize {
-        self.window.len()
-    }
-
-    /// The running §3 verdict — `false` as soon as any window saw a
-    /// transitivity violation.
-    pub fn transitive_so_far(&self) -> bool {
-        self.checker.transitive_so_far()
-    }
-
     /// The online checker's report over everything sealed so far.
     pub fn report(&self) -> StreamReport {
         self.checker.report()
-    }
-
-    /// Resident bytes held by the hot checkpoint tier.
-    pub fn anchor_resident_bytes(&self) -> usize {
-        self.anchors.resident_bytes()
     }
 
     /// Cold anchors spilled to the store so far.
@@ -236,13 +229,7 @@ where
     ///
     /// Panics if transactions are still pending — call
     /// [`StreamingMerge::finish`] first.
-    pub fn into_parts(
-        self,
-    ) -> (
-        StreamingExecution<A>,
-        A::State,
-        SpillingCheckpoints<A::State>,
-    ) {
+    pub fn into_parts(self) -> (StreamingExecution<A>, A::State, Checkpoints<A::State>) {
         assert!(
             self.window.is_empty(),
             "finish() the stream before tearing it down"
@@ -336,7 +323,6 @@ mod tests {
             let order = displaced(200, d);
             let m = merge_all(&app, &order, d + 1);
             assert_eq!(m.sealed(), 200);
-            assert_eq!(m.pending(), 0);
             let mut log = MergeLog::new(&app, 4);
             for &l in &order {
                 log.merge(&app, ts(l + 1), l);
@@ -403,8 +389,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "displaced beyond the reorder window")]
-    fn overdisplaced_delivery_panics() {
+    fn deliveries_at_or_below_the_sealed_frontier_are_errors_not_panics() {
         let app = Trace;
         let mut m = StreamingMerge::new(
             &app,
@@ -419,7 +404,25 @@ mod tests {
         for l in [5u64, 6, 7, 8] {
             m.offer(&app, ts(l), l, l).unwrap();
         }
-        // ts 1 precedes the already-sealed minimum.
-        m.offer(&app, ts(1), 9, 1).unwrap();
+        // Capacity 2 sealed 5 and 6. A newcomer below the frontier
+        // (over-displaced) and a redelivery of a sealed timestamp (what
+        // the nemesis' duplicated messages look like) are both refused,
+        // naming the delivery and the frontier.
+        for late in [1u64, 5, 6] {
+            let err = m.offer(&app, ts(late), 9, late).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "ts {late}");
+            let text = err.to_string();
+            assert!(
+                text.contains(&ts(late).to_string()) && text.contains(&ts(6).to_string()),
+                "{text}"
+            );
+        }
+        // The merge is untouched and keeps going.
+        assert_eq!(m.sealed(), 2);
+        m.offer(&app, ts(7), 10, 7).unwrap(); // still-pending duplicate
+        m.offer(&app, ts(9), 11, 9).unwrap();
+        m.finish(&app).unwrap();
+        assert_eq!(m.state(), &vec![5, 6, 7, 8, 9]);
+        assert!(m.report().transitive);
     }
 }

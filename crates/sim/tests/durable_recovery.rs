@@ -282,7 +282,7 @@ fn spilled_anchor_kill_points<A: Application>(
     let spacing = rng.random_range(1usize..4);
     let mut plain: MergeLog<A> = MergeLog::new(app, 4);
     let mut spilling: MergeLog<A> = MergeLog::new(app, 4);
-    spilling.enable_spilling(app, Box::new(MemStore::new()), hot, spacing);
+    spilling.enable_spilling(Box::new(MemStore::new()), hot, spacing);
 
     for (k, (ts, update)) in pending.into_iter().enumerate() {
         let update = Arc::new(update);
@@ -302,7 +302,7 @@ fn spilled_anchor_kill_points<A: Application>(
         // 0 loses every spilled anchor at once, mid-record offsets tear
         // the newest one.
         if rng.random_range(0u32..5) == 0 {
-            let store = spilling.spill_store_mut().expect("spilling enabled");
+            let store = spilling.spill_store_mut();
             let keep = rng.random_range(0..=store.len_bytes());
             store.crash(keep).expect("mem store crash is infallible");
         }
@@ -339,7 +339,7 @@ fn disk_spilled_anchors_survive_torn_crashes() {
     let mut spilling: MergeLog<Bank> = MergeLog::new(&app, 2);
     let (store, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(recovered, 0, "fresh directory");
-    spilling.enable_spilling(&app, Box::new(store), 1, 1);
+    spilling.enable_spilling(Box::new(store), 1, 1);
 
     for (k, &i) in order.iter().enumerate() {
         let (ts, u) = serial[i].clone();
@@ -348,13 +348,13 @@ fn disk_spilled_anchors_survive_torn_crashes() {
         assert_eq!(plain.state(), spilling.state(), "delivery {k}");
         if k == serial.len() / 2 {
             // Torn tail: keep everything but the last few bytes.
-            let store = spilling.spill_store_mut().unwrap();
+            let store = spilling.spill_store_mut();
             let keep = store.len_bytes().saturating_sub(7);
             store.crash(keep).unwrap();
         }
         if k == serial.len() - 3 {
             // Total anchor loss just before the end.
-            spilling.spill_store_mut().unwrap().crash(0).unwrap();
+            spilling.spill_store_mut().crash(0).unwrap();
         }
     }
     assert_eq!(plain.state(), spilling.state(), "final state");

@@ -21,7 +21,7 @@
 //! * [`store`] — the [`Store`] trait tying it together, with two
 //!   implementations: [`MemStore`] (default; byte-accounting faithful
 //!   to the disk format, for fast deterministic tests) and
-//!   [`DiskStore`] (opt-in via `SHARD_STORE_DIR`).
+//!   [`DiskStore`] (opt-in by opening an explicit directory).
 //! * [`codec`] — the minimal [`Codec`] trait application updates
 //!   implement so the simulator can persist them, plus [`StoreKey`],
 //!   the order-preserving 10-byte timestamp encoding.

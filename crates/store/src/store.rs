@@ -59,25 +59,6 @@ impl Default for StoreOptions {
     }
 }
 
-impl StoreOptions {
-    /// Options with the documented environment overrides applied:
-    /// `SHARD_STORE_SEGMENT_BYTES` and `SHARD_STORE_FRAMES`.
-    pub fn from_env() -> Self {
-        let mut opts = StoreOptions::default();
-        if let Some(v) = env_u64("SHARD_STORE_SEGMENT_BYTES") {
-            opts.segment_bytes = v.max(64);
-        }
-        if let Some(v) = env_u64("SHARD_STORE_FRAMES") {
-            opts.pool_frames = (v as usize).max(BufferPool::MIN_FRAMES);
-        }
-        opts
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 /// An ordered, crash-truncatable record log. See the module docs for
 /// the contract; `docs/storage.md` for the recovery invariants built
 /// on top of it.
@@ -241,7 +222,7 @@ impl Store for MemStore {
 
 /// The disk store: a [`Wal`] (authoritative, arrival order) plus a
 /// [`BTree`] index (derived, key order) rebuilt from the WAL on every
-/// open. Opt in with `SHARD_STORE_DIR` or an explicit directory.
+/// open. Opt in by passing an explicit directory.
 pub struct DiskStore {
     dir: PathBuf,
     opts: StoreOptions,

@@ -33,7 +33,6 @@ fn assert_replayer_matches_oracle<A: Application>(
 ) {
     let mut r = Replayer::from_updates_with_interval(app, updates.iter(), interval);
     assert_eq!(r.len(), updates.len());
-    assert_eq!(r.interval(), interval);
 
     // Subsequence queries, repeated (second answer comes from the warm
     // path cache) and nested (shares the cached longest prefix).
@@ -74,18 +73,6 @@ fn assert_replayer_matches_oracle<A: Application>(
         naive_state(app, updates, &all),
         "final state"
     );
-
-    // The streaming fold must visit s₀ … sₙ in order.
-    let seen = r.fold_states(0usize, |count, m, s| {
-        assert_eq!(count, m, "fold visits states in order");
-        assert_eq!(
-            s,
-            &naive_state(app, updates, &all[..m]),
-            "fold state at {m}"
-        );
-        count + 1
-    });
-    assert_eq!(seen, n + 1, "fold visits every state");
 }
 
 fn airline_update() -> impl Strategy<Value = AirlineUpdate> {

@@ -3,7 +3,8 @@
 //! [`PMap`] must behave exactly like a `BTreeMap` oracle (including
 //! across O(1) clones taken mid-sequence), [`Checkpoints`] must
 //! record, truncate and floor like a naive list of depths and resume
-//! replays to byte-identical states, and the execution-level cache
+//! replays to byte-identical states — with or without a cold store,
+//! whatever a crash of that store destroys — and the execution-level cache
 //! must answer identically at pool sizes 1, 2 and 7.
 
 use proptest::prelude::*;
@@ -15,6 +16,7 @@ use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
 use shard::core::replay::prebuild_executions;
 use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
+use shard::store::MemStore;
 use shard_pool::PoolConfig;
 use std::collections::BTreeMap;
 
@@ -241,7 +243,7 @@ proptest! {
                 if due {
                     model.push(len);
                 }
-                prop_assert_eq!(ckpts.record(len, state), due,
+                prop_assert_eq!(ckpts.record(len, state, |s| app.state_size_hint(s)), due,
                     "record decision diverged at {}", len);
             }
             if let Some(keep) = undo {
@@ -253,15 +255,92 @@ proptest! {
             for depth in 0..=updates.len() {
                 let expect = model.iter().rev().find(|&&l| l <= depth).copied();
                 let floor = ckpts.floor(depth);
-                prop_assert_eq!(floor.map(|(l, _)| l), expect, "floor of depth {}", depth);
-                if let Some((l, s)) = floor {
-                    prop_assert_eq!(s, &states[l], "floor state is the prefix state");
-                    let mut resumed = s.clone();
+                prop_assert_eq!(floor.as_ref().map(|(l, _)| *l), expect,
+                    "floor of depth {}", depth);
+                if let Some((l, mut resumed)) = floor {
+                    prop_assert_eq!(&resumed, &states[l], "floor state is the prefix state");
                     for u in &updates[l..depth] {
                         app.apply_in_place(&mut resumed, u);
                     }
                     prop_assert_eq!(&resumed, &states[depth],
                         "resume from the floor at depth {}", depth);
+                }
+            }
+        }
+    }
+
+    /// Random `record` / `truncate` / `floor` / `last` / cold-store
+    /// `crash(keep)` sequences against a naive `Vec<(depth, state)>`
+    /// model, in three configurations of the one type: no cold store,
+    /// a cold store spilling every evicted point, and one spilling
+    /// every `spacing`-th. A returned checkpoint is always a pair the
+    /// model holds, never deeper than the limit. Where no point can
+    /// have been lost — no cold store, or spacing 1 and no crash yet —
+    /// record decisions, `len`, `last_len` and every answer equal the
+    /// model's exactly; elsewhere an answer may only be shallower.
+    #[test]
+    fn checkpoint_ops_match_model_in_every_configuration(
+        ops in proptest::collection::vec((0u8..6, 0usize..200), 1..120),
+        every in 1usize..=5,
+        hot in 1usize..=4,
+        spacing in 2usize..=4,
+    ) {
+        for cold in [None, Some(1), Some(spacing)] {
+            let mut ckpts: Checkpoints<u64> = Checkpoints::new(every);
+            if let Some(spacing) = cold {
+                ckpts = ckpts.with_cold_store(Box::new(MemStore::new()), hot, spacing);
+            }
+            // Lossless: every stored point is still retrievable.
+            let mut lossless = cold.is_none_or(|spacing| spacing == 1);
+            let mut model: Vec<(usize, u64)> = Vec::new();
+            let (mut depth, mut next_state) = (0usize, 0u64);
+            let floor_of = |model: &[(usize, u64)], limit: usize| {
+                model.iter().rev().find(|&&(l, _)| l <= limit).copied()
+            };
+            for &(op, x) in &ops {
+                match op {
+                    0 | 1 => {
+                        // Advance and offer a never-seen-before state, so
+                        // a stale anchor for a re-recorded depth shows.
+                        depth += x % 4;
+                        next_state += 1;
+                        let stored = ckpts.record(depth, &next_state, |_| 8);
+                        let due = depth >= model.last().map_or(0, |&(l, _)| l) + every;
+                        if cold != Some(spacing) {
+                            prop_assert_eq!(stored, due, "record decision at {}", depth);
+                        }
+                        if stored {
+                            model.push((depth, next_state));
+                        }
+                    }
+                    2 => {
+                        let keep = x % (depth + 1);
+                        ckpts.truncate(keep);
+                        model.retain(|&(l, _)| l <= keep);
+                        depth = keep;
+                    }
+                    3 | 4 => {
+                        let limit = if op == 3 { x % (depth + 2) } else { usize::MAX };
+                        let got = if op == 3 { ckpts.floor(limit) } else { ckpts.last() };
+                        if lossless {
+                            prop_assert_eq!(got, floor_of(&model, limit), "limit {}", limit);
+                        } else if let Some((l, s)) = got {
+                            prop_assert!(l <= limit, "floor {} above limit {}", l, limit);
+                            prop_assert!(model.contains(&(l, s)), "({}, {}) was never stored", l, s);
+                        }
+                    }
+                    _ => {
+                        if cold.is_some() {
+                            let store = ckpts.store_mut();
+                            let keep = store.len_bytes() * (x as u64 % 101) / 100;
+                            lossless &= keep == store.len_bytes();
+                            store.crash(keep).expect("mem store crash is infallible");
+                        }
+                    }
+                }
+                if cold != Some(spacing) {
+                    prop_assert_eq!(ckpts.len(), model.len());
+                    prop_assert_eq!(ckpts.last_len(), model.last().map_or(0, |&(l, _)| l));
                 }
             }
         }

@@ -12,15 +12,15 @@
 //!
 //! The same executions then take the out-of-core path: rows are
 //! serialized into a [`StreamingExecution`] and folded back off the
-//! store cursor, spilled [`SpillingCheckpoints`] floors (at spill
-//! spacings {1, 16, 256}) are compared against the in-memory actual
-//! states, and `check_stream` off the store must produce *the same
+//! store cursor, [`Checkpoints`] floors with a cold store attached (at
+//! spill spacings {1, 16, 256}) are compared against the same sequence
+//! with none attached, and `check_stream` off the store must produce *the same
 //! [`StreamReport`]* — verdicts, certificates and all — as `par_check`
 //! over the in-memory execution at pool sizes {1, 4}.
 //!
 //! [`StreamChecker`]: shard::core::StreamChecker
 //! [`StreamingExecution`]: shard::core::StreamingExecution
-//! [`SpillingCheckpoints`]: shard::core::SpillingCheckpoints
+//! [`Checkpoints`]: shard::core::Checkpoints
 //! [`StreamReport`]: shard::core::StreamReport
 
 use proptest::prelude::*;
@@ -33,8 +33,8 @@ use shard::apps::Person;
 use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
 use shard::core::stream::{par_check, rows_from_execution, CERT_SCHEMA};
 use shard::core::{
-    Application, Certificate, ExecutionBuilder, SpillingCheckpoints, StreamingExecution,
-    TimedExecution, TxnIndex,
+    Application, Certificate, Checkpoints, ExecutionBuilder, StreamingExecution, TimedExecution,
+    TxnIndex,
 };
 use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
@@ -150,7 +150,7 @@ where
 /// The out-of-core leg: serialize the execution's rows through a
 /// store, then demand the store-backed traversals are *identical* to
 /// the in-memory ones — the same actual state at every prefix length,
-/// the same floors out of spilled checkpoints at every spacing, and
+/// the same floors with and without a cold store at every spacing, and
 /// the same `StreamReport` (verdicts *and* certificates; the report is
 /// `Eq`) as `par_check` at every `(window, pool)`.
 fn assert_streaming_matches_in_memory<A>(app: &A, te: &TimedExecution<A>)
@@ -171,16 +171,25 @@ where
         te,
     )
     .expect("memory-backed store never fails");
-    assert_eq!(se.len(), te.execution.len(), "row count");
 
-    // Fold equality, state by state, straight off the store cursor.
-    let mut folded = Vec::with_capacity(expected.len());
-    se.fold_actual_states(app, (), |(), m, s| {
-        assert_eq!(m, folded.len(), "fold visits prefixes in order");
-        folded.push(s.clone());
+    // Fold equality, state by state: applying the updates the rows
+    // hand back off the store cursor, in the order they come, visits
+    // exactly the in-memory states — and `final_state` ends on the last.
+    let mut state = app.initial_state();
+    let mut folded = vec![state.clone()];
+    se.for_each_row(|i, row| {
+        assert_eq!(i + 1, folded.len(), "rows come back in serial order");
+        app.apply_in_place(&mut state, &row.update);
+        folded.push(state.clone());
     })
     .expect("memory-backed store never fails");
     assert_eq!(folded, expected, "streaming fold ≠ in-memory fold");
+    assert_eq!(
+        se.final_state(app)
+            .expect("memory-backed store never fails"),
+        state,
+        "final_state off the cursor"
+    );
 
     // Checker equivalence: the single-pass report off the store equals
     // the in-memory parallel check at every window and pool size.
@@ -197,31 +206,43 @@ where
         }
     }
 
-    // Spilled-checkpoint floors: record every actual state into a
-    // spilling sequence at each spacing, then ask for a floor at every
-    // depth. Whatever floor comes back — hot, or decoded from a
-    // spilled record — must be the in-memory state at that depth; with
-    // spacing 1 nothing is ever dropped, so the floor must be exact.
-    for spacing in SPACINGS {
-        let mut ckpts =
-            SpillingCheckpoints::<A::State>::new(Box::new(MemStore::new()), 1, 2, spacing);
+    // Checkpoint floors, cold store attached vs not: record every
+    // actual state into both, then ask for a floor at every depth. The
+    // all-resident sequence keeps every point, so its floor is the
+    // in-memory state itself. Whatever floor the spilling one returns
+    // — hot, or decoded from a spilled record — must be the point the
+    // resident one holds at that depth; with spacing 1 nothing is ever
+    // dropped, so the two must agree exactly.
+    let record_all = |ckpts: &mut Checkpoints<A::State>| {
         for (m, s) in expected.iter().enumerate().skip(1) {
-            ckpts.record(m, s, app.state_size_hint(s));
+            ckpts.record(m, s, |s| app.state_size_hint(s));
         }
+    };
+    let mut resident = Checkpoints::new(1);
+    record_all(&mut resident);
+    for spacing in SPACINGS {
+        let mut spilling =
+            Checkpoints::new(1).with_cold_store(Box::new(MemStore::new()), 2, spacing);
+        record_all(&mut spilling);
         for (m, want) in expected.iter().enumerate().skip(1) {
-            match ckpts.floor_owned(m) {
+            assert_eq!(
+                resident.floor(m),
+                Some((m, want.clone())),
+                "resident floor at {m}"
+            );
+            match spilling.floor(m) {
                 Some((depth, got)) => {
                     assert!(
                         depth <= m,
                         "spacing {spacing}: floor {depth} above limit {m}"
                     );
                     assert_eq!(
-                        &got, &expected[depth],
+                        Some((depth, got)),
+                        resident.floor(depth),
                         "spacing {spacing}: floor at {m} returned a wrong state for depth {depth}"
                     );
                     if spacing == 1 {
                         assert_eq!(depth, m, "spacing 1 keeps every point");
-                        assert_eq!(&got, want, "spacing 1: exact state at {m}");
                     }
                 }
                 None => assert_ne!(spacing, 1, "spacing 1 must always produce a floor at {m}"),
