@@ -80,14 +80,28 @@ fi
 # on any fidelity mismatch, and `shard-trace diff` independently
 # requires the live and replayed report documents to agree on
 # everything but wall time (digest, transactions, messages, rounds).
+# The eager leg also runs monitored and traced: the live trace — written
+# by the replica step the kernel shares — must be one `shard-trace
+# summarize` accepts, holding exactly one `monitor.final`.
 for mode in eager gossip partial; do
+  traced=""
+  if [ "$mode" = eager ]; then
+    traced="--monitor --trace target/runtime_live_eager.jsonl"
+  fi
   run cargo run -q --release -p shard-runtime --bin shard-runtime -- \
     --mode "$mode" --nodes 4 --txns 2000 --seed 7 --interval-us 500 \
     --out "target/runtime_live_$mode.json" \
-    --replay-out "target/runtime_replay_$mode.json"
+    --replay-out "target/runtime_replay_$mode.json" $traced
   run cargo run -q --release -p shard-cli --bin shard-trace -- \
     diff "target/runtime_live_$mode.json" "target/runtime_replay_$mode.json"
 done
+run cargo run -q --release -p shard-cli --bin shard-trace -- \
+  summarize target/runtime_live_eager.jsonl
+finals=$(grep -c '"event":"monitor.final"' target/runtime_live_eager.jsonl || true)
+if [ "$finals" != 1 ]; then
+  echo "FAILED: live trace holds $finals monitor.final lines, expected 1" >&2
+  exit 1
+fi
 # The crash-recovery gate: E24 end to end at smoke scale (the replay
 # perf phase shrunk to 2*10^4 entries). Each disk-backed sweep run is a
 # CrashRecoverInjector schedule — nodes lose their unsynced WAL tails

@@ -39,8 +39,12 @@ where
     P: Propagation<Bank> + Clone + Send,
 {
     let live = run_live(bank, cfg, strategy.clone(), subs.to_vec());
-    // (`replay` never traces: the live trace already holds every event.)
-    let replayed = replay(bank, cfg, strategy, subs, &live.schedule);
+    // The live trace already holds every event: replay untraced.
+    let untraced = RuntimeConfig {
+        sink: None,
+        ..cfg.clone()
+    };
+    let replayed = replay(bank, &untraced, strategy, subs, &live.schedule);
     (live, replayed)
 }
 

@@ -2,16 +2,17 @@
 //! with record–replay fidelity against the deterministic simulator.
 //!
 //! The `shard-sim` kernel separates *what a replica does* ([`Node`]:
-//! Lamport clock + undo/redo merge log) and *how updates propagate*
+//! Lamport clock + undo/redo merge log, and the traced, durable
+//! execute/deliver/recover step over them) and *how updates propagate*
 //! ([`Propagation`]: eager flooding, gossip, partial replication) from
-//! *where time and delivery come from* ([`Clock`] / [`Transport`]).
-//! This crate supplies the live halves of that split:
+//! *how messages travel* ([`Transport`]). This crate supplies the live
+//! half of that split:
 //!
 //! * **[`live`]** — one OS thread per [`Node`], `std::sync::mpsc`
 //!   channels as the transport, and the shared [`WallClock`] issuing
-//!   globally unique microsecond ticks. The *same* `Node` and
-//!   `Propagation` code runs here as in the simulator; only the event
-//!   loop around them changes.
+//!   globally unique microsecond ticks as event times. The *same*
+//!   replica step and `Propagation` code runs here as in the simulator;
+//!   only the event loop around them changes.
 //! * **[`load`]** — a seeded Zipf client load generator producing open
 //!   (paced arrival) or closed (max pressure) workloads.
 //! * **[`mod@replay`]** — every live run records its delivery schedule
@@ -33,12 +34,12 @@
 //! Why fidelity holds: every live tick comes from one process-wide
 //! atomic counter, so the interleaving of executions, deliveries and
 //! gossip rounds is *totally ordered* and recorded. The kernel replays
-//! that exact total order; since `Node::execute`/`Node::absorb` are the
-//! single shared code path, equal orders give equal reports.
+//! that exact total order; since the replica step
+//! (`Node::execute_step`/`Node::deliver_step`) is the single shared code
+//! path, equal orders give equal reports — and equal traces.
 //!
 //! [`Node`]: shard_sim::kernel::Node
 //! [`Propagation`]: shard_sim::Propagation
-//! [`Clock`]: shard_sim::Clock
 //! [`Transport`]: shard_sim::Transport
 //! [`WallClock`]: shard_sim::WallClock
 //! [`RunReport`]: shard_sim::RunReport

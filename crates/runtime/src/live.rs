@@ -1,7 +1,10 @@
 //! The live threaded deployment: one OS thread per node, mpsc channels
-//! as the [`Transport`], the process-wide [`WallClock`] as the
-//! [`Clock`](shard_sim::Clock), and a delivery recorder that makes
-//! every run replayable.
+//! as the [`Transport`], process-wide [`WallClock`] ticks as event
+//! times, and a delivery recorder that makes every run replayable. What
+//! a node does at each event is the kernel's own replica step
+//! ([`Node::execute_step`], [`Node::deliver_step`],
+//! [`recover_at_start`]): tracing and the write-ahead discipline are
+//! not re-implemented here.
 //!
 //! # Architecture
 //!
@@ -40,12 +43,11 @@ use shard_core::stream::StreamReport;
 use shard_core::{Application, ExternalAction};
 use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
-use shard_sim::kernel::{emit_merge_outcome, Entries, Node};
+use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
     ExecutedTxn, FaultStats, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
     RunReport, Timestamp, Transport, WallClock,
 };
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc};
@@ -257,10 +259,8 @@ struct NodeWorker<'s, A: Application, P> {
     mon_tx: Option<Sender<MonRow>>,
     sink: Option<&'s EventSink>,
     metrics: &'s RuntimeMetrics,
-    /// Durable mirror of the node's log ([`run_live_durable`]): own
-    /// updates are appended + fsynced before propagation, received
-    /// batches appended without a barrier — the same write-ahead
-    /// discipline as the kernel's `Runner::with_durability`.
+    /// Durable mirror of the node's log ([`run_live_durable`]), written
+    /// by the shared replica step.
     mirror: Option<NodeMirror<A>>,
     out: NodeOutcome<A>,
 }
@@ -275,28 +275,18 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
     /// Merges one delivered batch at a fresh tick and records it.
     fn deliver(&mut self, msg: Msg<A>) {
         let now = self.shared.clock.tick();
-        if let Some(s) = self.sink {
-            s.event("deliver")
-                .u64("t", now)
-                .u64("node", u64::from(self.node.id.0))
-                .u64("from", u64::from(msg.from.0))
-                .u64("entries", msg.entries.len() as u64)
-                .emit();
-        }
-        let sink = self.sink;
-        let id = self.node.id;
-        self.node.absorb(self.app, &msg.entries, |outcome| {
-            if let Some(s) = sink {
-                emit_merge_outcome(s, outcome, now, id);
-            }
-        });
-        if let Some(m) = self.mirror.as_mut() {
-            m.persist(&self.node.log, false);
-        }
+        self.node.deliver_step(
+            self.app,
+            msg.from,
+            &msg.entries,
+            now,
+            self.mirror.as_mut(),
+            self.sink,
+        );
         self.out.msgs.push(MsgRecord {
             sent_at: msg.sent_at,
             from: msg.from,
-            to: id,
+            to: self.node.id,
             merged_at: now,
         });
         self.publish();
@@ -320,18 +310,9 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
     /// Executes one due submission at a fresh tick.
     fn execute(&mut self, at_us: u64, decision: A::Decision) {
         let now = self.shared.clock.tick();
-        if let Some(s) = self.sink {
-            s.event("execute")
-                .u64("t", now)
-                .u64("node", u64::from(self.node.id.0))
-                .emit();
-        }
-        let (txn, update) = self.node.execute(self.app, decision, now);
-        // Write-ahead: the own update reaches stable storage before any
-        // peer can learn of it.
-        if let Some(m) = self.mirror.as_mut() {
-            m.persist(&self.node.log, true);
-        }
+        let (txn, update) =
+            self.node
+                .execute_step(self.app, decision, now, self.mirror.as_mut(), self.sink);
         self.metrics
             .latency_us
             .record(self.shared.clock.elapsed_us().saturating_sub(at_us));
@@ -468,21 +449,9 @@ fn monitor_loop(
                     got = true;
                 }
                 Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    // Every node thread exited: all rows are in. Drain
-                    // the stalled tail and report.
-                    lm.flush(sink);
-                    if let Some(s) = sink {
-                        let r = lm.report();
-                        s.event("monitor.final")
-                            .u64("rows", r.rows as u64)
-                            .bool("transitive", r.transitive)
-                            .u64("max_missed", r.max_missed as u64)
-                            .u64("delay_bound", r.min_delay_bound)
-                            .emit();
-                    }
-                    return lm.report();
-                }
+                // Every node thread exited: all rows are in. Drain the
+                // stalled tail and report.
+                Err(TryRecvError::Disconnected) => return lm.finish(sink),
             }
         }
         lm.advance(watermark, sink);
@@ -526,7 +495,7 @@ where
     A::Decision: Send,
     P: Propagation<A> + Clone + Send,
 {
-    run_live_inner(app, cfg, strategy, submissions, None)
+    run_live_inner(app, cfg, strategy, submissions, Vec::new())
 }
 
 /// [`run_live`] with one durable [`NodeMirror`] per node (see
@@ -538,8 +507,11 @@ where
 ///
 /// # Panics
 ///
-/// Panics if the mirror count differs from `cfg.nodes`, or if a
-/// submission names a node outside the cluster.
+/// Panics if the mirror count differs from `cfg.nodes`, if a
+/// submission names a node outside the cluster, or if a mirror already
+/// holds entries while `cfg.monitor` is set: the §3 monitor covers one
+/// process lifetime and never saw the recovered transactions execute
+/// (restart unmonitored).
 pub fn run_live_durable<A, P>(
     app: &A,
     cfg: &RuntimeConfig,
@@ -559,7 +531,7 @@ where
         cfg.nodes as usize,
         "one durable mirror per node"
     );
-    run_live_inner(app, cfg, strategy, submissions, Some(mirrors))
+    run_live_inner(app, cfg, strategy, submissions, mirrors)
 }
 
 fn run_live_inner<A, P>(
@@ -567,7 +539,7 @@ fn run_live_inner<A, P>(
     cfg: &RuntimeConfig,
     strategy: P,
     submissions: Vec<Submission<A::Decision>>,
-    mirrors: Option<Vec<NodeMirror<A>>>,
+    mut mirrors: Vec<NodeMirror<A>>,
 ) -> LiveRun<A>
 where
     A: Application + Sync,
@@ -604,31 +576,23 @@ where
         log_lens: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
 
-    // Recover nodes from mirrors that already hold entries (a previous
-    // process's stores), and collect the distinct recovered timestamps:
-    // the final union every log must reach is `recovered ∪ new`, and
-    // new executions always mint fresh timestamps, so the convergence
-    // target is exactly `recovered_union + total`.
-    let mut recovered_union: BTreeSet<Timestamp> = BTreeSet::new();
-    let mut mirror_iter = mirrors.map(Vec::into_iter);
-    let prepared: Vec<(Node<A>, Option<NodeMirror<A>>)> = (0..n)
-        .map(|id| {
-            let nid = NodeId(id as u16);
-            let mut mirror = mirror_iter.as_mut().and_then(|it| it.next());
-            let node = match mirror.as_mut() {
-                Some(m) if m.entries() > 0 => {
-                    let (node, _) = m.recover(app, nid, cfg.checkpoint_every);
-                    for (ts, _) in node.log.entries() {
-                        recovered_union.insert(*ts);
-                    }
-                    node
-                }
-                _ => Node::new(app, nid, cfg.checkpoint_every),
-            };
-            (node, mirror)
-        })
+    // A mirror that already holds entries is a previous process's
+    // store: its node restarts from it. The final union every log must
+    // reach is `recovered ∪ new`, and new executions always mint fresh
+    // timestamps, so the convergence target is `recovered + total`.
+    let mut nodes: Vec<Node<A>> = (0..cfg.nodes)
+        .map(|i| Node::new(app, NodeId(i), cfg.checkpoint_every))
         .collect();
-    let target = total + recovered_union.len() as u64;
+    let recovered = recover_at_start(
+        app,
+        &mut nodes,
+        &mut mirrors,
+        cfg.checkpoint_every,
+        cfg.monitor.is_some(),
+        cfg.sink.as_deref(),
+    );
+    let target = total + recovered.len() as u64;
+    let mut mirrors = mirrors.into_iter();
 
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel::<Msg<A>>()).unzip();
     let mon_cfg = sanitize_monitor(&cfg.monitor);
@@ -643,12 +607,7 @@ where
         let senders = &senders;
         let metrics = &metrics;
         let mut handles = Vec::with_capacity(n);
-        for (id, ((rx, subs), (node, mirror))) in receivers
-            .into_iter()
-            .zip(per_node)
-            .zip(prepared)
-            .enumerate()
-        {
+        for (id, ((rx, subs), node)) in receivers.into_iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
             let worker = NodeWorker {
                 app,
@@ -666,7 +625,7 @@ where
                 mon_tx: mon_tx.clone(),
                 sink: cfg.sink.as_deref(),
                 metrics,
-                mirror,
+                mirror: mirrors.next(),
                 out: NodeOutcome {
                     txns: Vec::new(),
                     externals: Vec::new(),
@@ -711,25 +670,6 @@ where
             };
             if quiesced {
                 break;
-            }
-            // `SHARD_RUNTIME_DEBUG=1` prints coordinator progress about
-            // once a second — the first thing to reach for if a live
-            // run fails to quiesce.
-            if std::env::var_os("SHARD_RUNTIME_DEBUG").is_some()
-                && shared.clock.elapsed_us() % 1_000_000 < 300
-            {
-                eprintln!(
-                    "[shard-runtime] t={}us executed={}/{} in_flight={} log_lens={:?}",
-                    shared.clock.elapsed_us(),
-                    shared.executed.load(Ordering::SeqCst),
-                    total,
-                    depth,
-                    shared
-                        .log_lens
-                        .iter()
-                        .map(|l| l.load(Ordering::SeqCst))
-                        .collect::<Vec<_>>()
-                );
             }
             thread::park_timeout(Duration::from_micros(500));
         }

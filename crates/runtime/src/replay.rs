@@ -77,6 +77,9 @@ fn delivery_faults(schedule: &RecordedSchedule) -> Vec<FaultEvent> {
 /// `strategy` — a clone of the value the live run was given — and
 /// returns the kernel's report. Rounds of a tick-driven strategy are
 /// scripted from the schedule, so its interval is irrelevant here.
+/// `cfg.sink` traces the replay in the live run's own vocabulary — hand
+/// it a different sink than the live run's (or none) to keep the two
+/// traces apart.
 pub fn replay<A, P>(
     app: &A,
     cfg: &RuntimeConfig,
@@ -97,7 +100,7 @@ where
         checkpoint_every: cfg.checkpoint_every,
         piggyback: false,
         crashes: CrashSchedule::none(),
-        sink: None,
+        sink: cfg.sink.clone(),
         monitor: sanitize_monitor(&cfg.monitor),
     };
     let invs = invocations(cfg.nodes, schedule, submissions);

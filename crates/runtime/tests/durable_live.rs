@@ -4,7 +4,7 @@
 
 use shard_apps::dictionary::{DictTxn, Dictionary};
 use shard_runtime::{run_live_durable, RuntimeConfig, Submission};
-use shard_sim::{DurabilityConfig, DurableFleet, GossipDelta, NodeId};
+use shard_sim::{DurabilityConfig, DurableFleet, GossipDelta, MonitorConfig, NodeId};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("shard-runtime-{name}-{}", std::process::id()));
@@ -14,7 +14,23 @@ fn tmp(name: &str) -> std::path::PathBuf {
 
 #[test]
 fn live_cluster_recovers_state_across_restart() {
-    let dir = tmp("durable-restart");
+    run_restart_restart("durable-restart", None);
+}
+
+/// The §3 monitor covers one process lifetime: recovered timestamps sit
+/// in every known set but never execute — hence never seal — in the
+/// restarted run, so the combination is refused up front, by name
+/// (it used to die of `capacity overflow` in the monitor thread).
+#[test]
+#[should_panic(expected = "cannot start from recovered mirrors: 30 recovered entries")]
+fn monitored_restart_is_refused() {
+    run_restart_restart("durable-monitored", Some(MonitorConfig::default()));
+}
+
+/// Run, restart idle, restart with new submissions; the restarts run
+/// under `restart_monitor` and are traced.
+fn run_restart_restart(name: &str, restart_monitor: Option<MonitorConfig>) {
+    let dir = tmp(name);
     let app = Dictionary;
     let cfg = RuntimeConfig {
         nodes: 3,
@@ -47,6 +63,11 @@ fn live_cluster_recovers_state_across_restart() {
     // reports the recovered states.
     let fleet: DurableFleet<Dictionary> =
         DurableFleet::new(3, &DurabilityConfig::disk(&dir, 1)).unwrap();
+    let cfg = RuntimeConfig {
+        monitor: restart_monitor,
+        sink: Some(shard_obs::EventSink::in_memory()),
+        ..cfg
+    };
     let second = run_live_durable(
         &app,
         &cfg,
@@ -59,6 +80,15 @@ fn live_cluster_recovers_state_across_restart() {
         vec![want.clone(), want.clone(), want],
         "all replicas recovered their pre-restart state from disk"
     );
+    // The restart shows in the trace exactly as a kernel restart does:
+    // one `store.recover` per recovered node, each with all 30 entries.
+    let trace = cfg.sink.as_deref().expect("traced").drain_to_string();
+    let recovers: Vec<&str> = trace
+        .lines()
+        .filter(|l| l.contains("\"event\":\"store.recover\""))
+        .collect();
+    assert_eq!(recovers.len(), 3, "{trace}");
+    assert!(recovers.iter().all(|l| l.contains("\"entries\":30")));
 
     // And a restarted cluster keeps working: new submissions execute on
     // top of the recovered logs and re-converge.

@@ -107,6 +107,63 @@ where
     assert_replay_matches(&live, &replayed);
 }
 
+/// Drains a traced, monitored run's sink: checks it holds exactly one
+/// `monitor.final`, and returns the replica step's lines — `execute`,
+/// `deliver`, `merge.*` — sorted (live node threads interleave their
+/// writes to the sink).
+fn step_lines(cfg: &RuntimeConfig) -> Vec<String> {
+    let trace = cfg.sink.as_deref().expect("traced").drain_to_string();
+    let is = |l: &str, event: &str| l.contains(&format!("\"event\":\"{event}"));
+    assert_eq!(
+        trace.lines().filter(|l| is(l, "monitor.final")).count(),
+        1,
+        "one monitor.final per monitored run"
+    );
+    let mut lines: Vec<String> = trace
+        .lines()
+        .filter(|l| ["execute", "deliver", "merge."].iter().any(|e| is(l, e)))
+        .map(str::to_owned)
+        .collect();
+    lines.sort_unstable();
+    lines
+}
+
+/// A live run and its replay go through one replica step, so tracing
+/// both (into separate sinks) yields the same step lines: every
+/// execution, delivery and merge outcome at the same tick on the same
+/// node.
+#[test]
+fn live_and_replay_traces_agree_line_for_line() {
+    fn check<P: Propagation<Bank> + Clone + Send>(strategy: P) {
+        let app = Bank::new(3, 50);
+        let subs: Vec<Submission<BankTxn>> = (0..60u32)
+            .map(|i| Submission {
+                at_us: u64::from(i / 4) * 150,
+                node: NodeId((i % 3) as u16),
+                decision: BankTxn::Deposit(AccountId(1 + i % 3), 1 + i),
+            })
+            .collect();
+        let traced = || RuntimeConfig {
+            monitor: Some(shard_sim::MonitorConfig::default()),
+            sink: Some(shard_obs::EventSink::in_memory()),
+            ..config(5)
+        };
+        let (live_cfg, replay_cfg) = (traced(), traced());
+        let live = run_live(&app, &live_cfg, strategy.clone(), subs.clone());
+        let replayed = replay(&app, &replay_cfg, strategy, &subs, &live.schedule);
+        assert_replay_matches(&live, &replayed);
+        let live_lines = step_lines(&live_cfg);
+        assert!(live_lines.len() > subs.len(), "deliveries traced too");
+        assert_eq!(
+            live_lines,
+            step_lines(&replay_cfg),
+            "live and replayed step traces diverge"
+        );
+    }
+    check(EagerBroadcast { piggyback: false });
+    check(GossipDelta::new(300));
+}
+
 /// [`roundtrip`] in all-peer eager mode and in delta gossip.
 fn roundtrip_eager_and_gossip<A>(app: &A, seed: u64, subs: Vec<Submission<A::Decision>>)
 where

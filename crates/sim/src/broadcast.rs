@@ -17,7 +17,7 @@
 //! guarantee transitivity, perhaps by piggybacking information about
 //! known transactions on messages". With piggybacking on, every
 //! execution the cluster emits is transitive. The message type itself is
-//! [`crate::kernel::Packet`] — an `Arc`-shared batch of log entries, so
+//! [`crate::kernel::Entries`] — an `Arc`-shared batch of log entries, so
 //! a flood of one transaction costs one allocation regardless of
 //! fan-out; this module keeps the *timing* model.
 

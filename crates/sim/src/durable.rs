@@ -125,7 +125,7 @@ pub struct NodeMirror<A: Application> {
 
 /// The per-node durable mirrors of a cluster, plus the kill-point RNG.
 pub struct DurableFleet<A: Application> {
-    mirrors: Vec<NodeMirror<A>>,
+    pub(crate) mirrors: Vec<NodeMirror<A>>,
     rng: StdRng,
 }
 
@@ -187,9 +187,10 @@ impl<A: Application> NodeMirror<A> {
     }
 
     /// Appends every arrival of `log` past the mirror's cursor, then —
-    /// when `barrier` is set — fsyncs. The kernel and the threaded
-    /// runtime call this with a barrier after each own execution
-    /// (*before* propagation) and without one after each delivery.
+    /// when `barrier` is set — fsyncs. The shared replica step calls
+    /// this with a barrier after each own execution (*before*
+    /// propagation, [`Node::execute_step`]) and without one after each
+    /// delivery ([`Node::deliver_step`]).
     ///
     /// # Panics
     ///
@@ -291,9 +292,9 @@ where
     A::Update: Codec,
 {
     /// Opens (or creates) one mirror per node. Disk-backed mirrors that
-    /// already hold entries are *not* cleared — [`DurableFleet::recover`]
-    /// rebuilds their nodes, which is how a cluster restarts from a
-    /// previous process's stores.
+    /// already hold entries are *not* cleared —
+    /// [`crate::kernel::recover_at_start`] rebuilds their nodes, which
+    /// is how a cluster restarts from a previous process's stores.
     pub fn new(nodes: u16, config: &DurabilityConfig) -> io::Result<Self> {
         let mut mirrors = Vec::with_capacity(nodes as usize);
         for i in 0..nodes {
@@ -310,31 +311,10 @@ where
 }
 
 impl<A: Application> DurableFleet<A> {
-    /// Number of mirrors (one per node).
-    pub fn len(&self) -> usize {
-        self.mirrors.len()
-    }
-
-    /// Whether the fleet has no mirrors.
-    pub fn is_empty(&self) -> bool {
-        self.mirrors.is_empty()
-    }
-
-    /// Entries currently in `node`'s store.
-    pub fn entries(&self, node: NodeId) -> usize {
-        self.mirrors[node.0 as usize].entries()
-    }
-
-    /// Direct access to `node`'s store (tests and experiments inspect
-    /// byte counts and scan orders through this).
-    pub fn store_mut(&mut self, node: NodeId) -> &mut dyn Store {
-        self.mirrors[node.0 as usize].store_mut()
-    }
-
-    /// Appends `node`'s new arrivals to its mirror; see
-    /// [`NodeMirror::persist`].
-    pub fn persist(&mut self, node: NodeId, log: &MergeLog<A>, barrier: bool) {
-        self.mirrors[node.0 as usize].persist(log, barrier);
+    /// `node`'s mirror — what the shared replica step persists to and
+    /// recovers from ([`Node::execute_step`] and friends).
+    pub fn mirror_mut(&mut self, node: NodeId) -> &mut NodeMirror<A> {
+        &mut self.mirrors[node.0 as usize]
     }
 
     /// Simulates a power cut at `node`: picks a kill offset uniformly in
@@ -351,11 +331,6 @@ impl<A: Application> DurableFleet<A> {
             hi
         };
         mirror.crash_at(keep)
-    }
-
-    /// Rebuilds `node` from its store; see [`NodeMirror::recover`].
-    pub fn recover(&mut self, app: &A, id: NodeId, checkpoint_every: usize) -> (Node<A>, usize) {
-        self.mirrors[id.0 as usize].recover(app, id, checkpoint_every)
     }
 
     /// Splits the fleet into its per-node mirrors — the threaded

@@ -23,33 +23,38 @@
 //! * one [`RunReport`] defining `mutually_consistent`,
 //!   `timed_execution` and `total_replayed` for every strategy.
 //!
-//! Time and delivery are traits ([`crate::transport`]): the loop drives
-//! a [`VirtualClock`] and ships messages through [`QueueTransport`], the
-//! in-memory implementation of [`Transport`] (partition waits, sampled
-//! delays, nemesis fate rewriting). The `shard-runtime` crate reuses the
-//! same `Node`/[`Propagation`] logic over a wall clock and real
-//! channels, and replays its recorded schedules back through this loop.
+//! Delivery is a trait ([`crate::transport`]): the loop ships messages
+//! through [`QueueTransport`], the in-memory implementation of
+//! [`Transport`] (partition waits, sampled delays, nemesis fate
+//! rewriting), and reads time straight off each popped event. The
+//! `shard-runtime` crate runs the same [`Propagation`] strategies over
+//! real channels, and replays its recorded schedules back through this
+//! loop.
 //!
-//! Strategies also share one structured-event vocabulary: `execute`,
-//! `deliver` (with `from` and `entries` fields), `reject`, and the
-//! `merge.append` / `merge.out_of_order` / `merge.duplicate` outcomes of
-//! the traced merge are emitted identically whatever the transport.
+//! What a replica does with a transaction or a delivered batch — trace
+//! it, run it, make it durable — is written once, as the **replica
+//! step** on [`Node`] ([`Node::execute_step`], [`Node::deliver_step`],
+//! [`Node::recover_step`], [`recover_at_start`]). This loop and
+//! `shard-runtime`'s node threads both call it, so the `execute`,
+//! `deliver` (with `from` and `entries` fields), `merge.*` and
+//! `store.recover` events and the write-ahead discipline are identical
+//! whatever the transport — by construction, not by comparison.
 
 use crate::broadcast::delivery_time;
 use crate::clock::{LamportClock, NodeId, Timestamp};
 use crate::crash::CrashSchedule;
 use crate::delay::DelayModel;
-use crate::durable::DurableFleet;
+use crate::durable::{DurableFleet, NodeMirror};
 use crate::events::{EventQueue, SimTime};
 use crate::known::KnownSet;
 use crate::merge::{MergeLog, MergeMetrics, MergeOutcome};
 use crate::nemesis::{Fate, MsgCtx, Nemesis};
 use crate::partition::PartitionSchedule;
-use crate::transport::{Clock, Transport, VirtualClock};
+use crate::transport::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard_core::{Application, Execution, ExternalAction, TimedExecution, TxnRecord};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Configuration of a simulated cluster (shared by every strategy).
@@ -132,36 +137,27 @@ pub(crate) fn emit_schedule(
 }
 
 /// Emits the trace event for one merge outcome — append, out-of-order
-/// (with its undo/redo depth), or duplicate. Every strategy's deliveries
-/// pass through here, making gossip and partial runs exactly as
-/// observable as flooding runs — and the threaded runtime's too, which
-/// is why this is public.
-pub fn emit_merge_outcome(
+/// (with its undo/redo depth), or duplicate. Every delivery passes
+/// through here ([`Node::deliver_step`]), making gossip, partial and
+/// live runs exactly as observable as flooding runs.
+fn emit_merge_outcome(
     sink: &shard_obs::EventSink,
     outcome: MergeOutcome,
     now: SimTime,
     node: NodeId,
 ) {
-    match outcome {
-        MergeOutcome::Duplicate => {
-            sink.event("merge.duplicate")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .emit();
-        }
-        MergeOutcome::OutOfOrder { replayed } => {
-            sink.event("merge.out_of_order")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .u64("replayed", replayed)
-                .emit();
-        }
-        MergeOutcome::Appended => {
-            sink.event("merge.append")
-                .u64("t", now)
-                .u64("node", u64::from(node.0))
-                .emit();
-        }
+    let (name, replayed) = match outcome {
+        MergeOutcome::Duplicate => ("merge.duplicate", None),
+        MergeOutcome::OutOfOrder { replayed } => ("merge.out_of_order", Some(replayed)),
+        MergeOutcome::Appended => ("merge.append", None),
+    };
+    let event = sink
+        .event(name)
+        .u64("t", now)
+        .u64("node", u64::from(node.0));
+    match replayed {
+        Some(replayed) => event.u64("replayed", replayed).emit(),
+        None => event.emit(),
     }
 }
 
@@ -337,28 +333,6 @@ impl<A: Application> RunReport<A> {
 /// application data.
 pub type Entries<A> = Arc<[(Timestamp, Arc<<A as Application>::Update>)]>;
 
-/// One point-to-point message: a batch of log entries from `origin`.
-/// Eager broadcast ships a single update (plus optional piggyback),
-/// gossip ships whole logs, partial replication ships per-holder
-/// selections — all as the same packet type, delivered by the same
-/// handler.
-#[derive(Debug)]
-pub struct Packet<A: Application> {
-    /// The sending node.
-    pub origin: NodeId,
-    /// Entries to merge at the receiver, in merge order.
-    pub entries: Entries<A>,
-}
-
-impl<A: Application> Clone for Packet<A> {
-    fn clone(&self) -> Self {
-        Packet {
-            origin: self.origin,
-            entries: Arc::clone(&self.entries),
-        }
-    }
-}
-
 /// One replica of the application.
 pub struct Node<A: Application> {
     /// This node's identity.
@@ -443,6 +417,121 @@ impl<A: Application> Node<A> {
             |_, outcome| on_outcome(outcome),
         );
     }
+
+    /// The **execute** step: emits `execute`, runs [`Node::execute`],
+    /// then appends and fsyncs the own update on `mirror` — write-ahead:
+    /// the caller hands the returned update to its propagation strategy
+    /// only afterwards, so a crash can lose an own update only while no
+    /// peer has seen it.
+    pub fn execute_step(
+        &mut self,
+        app: &A,
+        decision: A::Decision,
+        now: SimTime,
+        mirror: Option<&mut NodeMirror<A>>,
+        sink: Option<&shard_obs::EventSink>,
+    ) -> (ExecutedTxn<A>, Arc<A::Update>) {
+        if let Some(s) = sink {
+            s.event("execute")
+                .u64("t", now)
+                .u64("node", u64::from(self.id.0))
+                .emit();
+        }
+        let executed = self.execute(app, decision, now);
+        if let Some(m) = mirror {
+            m.persist(&self.log, true);
+        }
+        executed
+    }
+
+    /// The **deliver** step: emits `deliver`, merges the batch
+    /// ([`Node::absorb`]) emitting one `merge.*` outcome per entry, then
+    /// appends the arrivals to `mirror` *without* an fsync barrier —
+    /// received updates survive on their origins and re-arrive via
+    /// anti-entropy if this node's unsynced tail is lost.
+    pub fn deliver_step(
+        &mut self,
+        app: &A,
+        from: NodeId,
+        entries: &Entries<A>,
+        now: SimTime,
+        mirror: Option<&mut NodeMirror<A>>,
+        sink: Option<&shard_obs::EventSink>,
+    ) {
+        let id = self.id;
+        if let Some(s) = sink {
+            s.event("deliver")
+                .u64("t", now)
+                .u64("node", u64::from(id.0))
+                .u64("from", u64::from(from.0))
+                .u64("entries", entries.len() as u64)
+                .emit();
+        }
+        self.absorb(app, entries, |outcome| {
+            if let Some(s) = sink {
+                emit_merge_outcome(s, outcome, now, id);
+            }
+        });
+        if let Some(m) = mirror {
+            m.persist(&self.log, false);
+        }
+    }
+
+    /// The **recover** step: replaces this node by the one rebuilt from
+    /// `mirror` ([`NodeMirror::recover`]) and emits `store.recover`.
+    pub fn recover_step(
+        &mut self,
+        app: &A,
+        checkpoint_every: usize,
+        now: SimTime,
+        mirror: &mut NodeMirror<A>,
+        sink: Option<&shard_obs::EventSink>,
+    ) {
+        let (node, entries) = mirror.recover(app, self.id, checkpoint_every);
+        *self = node;
+        if let Some(s) = sink {
+            s.event("store.recover")
+                .u64("t", now)
+                .u64("node", u64::from(self.id.0))
+                .u64("entries", entries as u64)
+                .emit();
+        }
+    }
+}
+
+/// Start-of-run recovery, shared by [`Runner::with_durability`] and
+/// `shard-runtime`'s `run_live_durable`: a mirror already holding
+/// entries is a previous process's store, so its node restarts from it
+/// ([`Node::recover_step`], at time 0). Returns the distinct recovered
+/// timestamps (the live coordinator's convergence target).
+///
+/// # Panics
+///
+/// Panics if anything was recovered and `monitored` is set: the §3
+/// monitor covers one process lifetime, and recovered timestamps sit in
+/// known sets without ever executing — hence sealing — in this run.
+pub fn recover_at_start<A: Application>(
+    app: &A,
+    nodes: &mut [Node<A>],
+    mirrors: &mut [NodeMirror<A>],
+    checkpoint_every: usize,
+    monitored: bool,
+    sink: Option<&shard_obs::EventSink>,
+) -> BTreeSet<Timestamp> {
+    let mut recovered = BTreeSet::new();
+    for (node, mirror) in nodes.iter_mut().zip(mirrors) {
+        if mirror.entries() > 0 {
+            node.recover_step(app, checkpoint_every, 0, mirror, sink);
+            recovered.extend(node.log.entries().iter().map(|(ts, _)| *ts));
+        }
+    }
+    assert!(
+        !monitored || recovered.is_empty(),
+        "a monitored run cannot start from recovered mirrors: {} recovered entries were \
+         executed by an earlier run the §3 monitor never saw (restart unmonitored)",
+        recovered.len()
+    );
+    recovered
 }
 
 /// Events of the unified loop. `Probe`/`Promise` implement the §3.3
@@ -452,9 +541,14 @@ enum Event<A: Application> {
         node: NodeId,
         decision: A::Decision,
     },
+    /// One point-to-point message: a batch of log entries from `from`.
+    /// Eager broadcast ships a single update (plus optional piggyback),
+    /// gossip ships whole logs, partial replication ships per-holder
+    /// selections — all as the same event, delivered by the same step.
     Deliver {
         to: NodeId,
-        packet: Packet<A>,
+        from: NodeId,
+        entries: Entries<A>,
     },
     Tick {
         node: NodeId,
@@ -497,8 +591,7 @@ struct PendingCritical<A: Application> {
     done: bool,
 }
 
-/// Run-wide transport tallies, bundled so [`QueueTransport`]
-/// construction sites thread one borrow instead of four.
+/// Run-wide transport tallies.
 #[derive(Default)]
 struct WireStats {
     messages_sent: u64,
@@ -514,25 +607,22 @@ struct WireStats {
 /// optional [`Nemesis`]. All sends share the kernel's RNG stream and
 /// feed the run's `messages_sent` / `entries_shipped` counters.
 pub struct QueueTransport<'a, A: Application> {
-    partitions: &'a PartitionSchedule,
-    delay: &'a DelayModel,
+    cfg: &'a ClusterConfig,
     rng: &'a mut StdRng,
     queue: &'a mut EventQueue<Event<A>>,
-    n_nodes: u16,
     wire: &'a mut WireStats,
     nemesis: &'a mut Option<Box<dyn Nemesis>>,
-    sink: Option<&'a shard_obs::EventSink>,
 }
 
 impl<A: Application> Transport<A> for QueueTransport<'_, A> {
     fn nodes(&self) -> u16 {
-        self.n_nodes
+        self.cfg.nodes
     }
 
     /// Whether `a` and `b` can communicate right now (no partition
     /// separates them at `now`).
     fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool {
-        self.partitions.connected(now, a, b)
+        self.cfg.partitions.connected(now, a, b)
     }
 
     /// The run's RNG, exposed so strategies (e.g. gossip partner
@@ -550,20 +640,13 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
     /// fault-free delivery time has been computed, so the kernel RNG
     /// stream is identical with and without one.
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, entries: Entries<A>) {
-        let at = delivery_time(self.partitions, self.delay, self.rng, now, from, to);
+        let cfg = self.cfg;
+        let at = delivery_time(&cfg.partitions, &cfg.delay, self.rng, now, from, to);
         self.wire.messages_sent += 1;
         self.wire.entries_shipped += entries.len() as u64;
         let Some(nemesis) = self.nemesis.as_deref_mut() else {
-            self.queue.schedule(
-                at,
-                Event::Deliver {
-                    to,
-                    packet: Packet {
-                        origin: from,
-                        entries,
-                    },
-                },
-            );
+            self.queue
+                .schedule(at, Event::Deliver { to, from, entries });
             return;
         };
         self.wire.msg_seq += 1;
@@ -578,7 +661,7 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         nemesis.on_message(&ctx, &mut fate);
         if fate.is_dropped() {
             self.wire.faults.dropped += 1;
-            if let Some(s) = self.sink {
+            if let Some(s) = cfg.sink.as_deref() {
                 s.event("nemesis.drop")
                     .u64("t", now)
                     .u64("msg", ctx.seq)
@@ -591,7 +674,7 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         let primary = fate.primary().expect("non-dropped fate has a primary");
         if primary != at {
             self.wire.faults.delayed += 1;
-            if let Some(s) = self.sink {
+            if let Some(s) = cfg.sink.as_deref() {
                 s.event("nemesis.delay")
                     .u64("t", now)
                     .u64("msg", ctx.seq)
@@ -603,7 +686,7 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         if fate.times.len() > 1 {
             let extra = (fate.times.len() - 1) as u64;
             self.wire.faults.duplicated += extra;
-            if let Some(s) = self.sink {
+            if let Some(s) = cfg.sink.as_deref() {
                 s.event("nemesis.duplicate")
                     .u64("t", now)
                     .u64("msg", ctx.seq)
@@ -612,18 +695,9 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
                     .emit();
             }
         }
-        let packet = Packet {
-            origin: from,
-            entries,
-        };
         for &t in &fate.times {
-            self.queue.schedule(
-                t,
-                Event::Deliver {
-                    to,
-                    packet: packet.clone(),
-                },
-            );
+            let entries = Arc::clone(&entries);
+            self.queue.schedule(t, Event::Deliver { to, from, entries });
         }
     }
 }
@@ -724,11 +798,22 @@ pub trait Propagation<A: Application> {
 /// ```
 pub struct Runner<'a, A: Application, P: Propagation<A>> {
     app: &'a A,
-    config: ClusterConfig,
+    cfg: ClusterConfig,
     strategy: P,
     nemesis: Option<Box<dyn Nemesis>>,
     ticks: Option<Vec<(SimTime, NodeId)>>,
     durability: Option<DurableFleet<A>>,
+    // The run's state: everything executing a transaction touches, so
+    // that path (from an `Invoke`, or from a barrier clearing on a
+    // `Deliver` / `Promise`) is a method.
+    rng: StdRng,
+    queue: EventQueue<Event<A>>,
+    nodes: Vec<Node<A>>,
+    transactions: Vec<ExecutedTxn<A>>,
+    external_actions: Vec<(SimTime, NodeId, ExternalAction)>,
+    wire: WireStats,
+    pending: Vec<PendingCritical<A>>,
+    barrier_latencies: Vec<SimTime>,
 }
 
 impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
@@ -745,11 +830,21 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         }
         Runner {
             app,
-            config,
             strategy,
             nemesis: None,
             ticks: None,
             durability: None,
+            rng: StdRng::seed_from_u64(config.seed),
+            queue: EventQueue::new(),
+            nodes: (0..config.nodes)
+                .map(|i| Node::new(app, NodeId(i), config.checkpoint_every))
+                .collect(),
+            cfg: config,
+            transactions: Vec::new(),
+            external_actions: Vec::new(),
+            wire: WireStats::default(),
+            pending: Vec::new(),
+            barrier_latencies: Vec::new(),
         }
     }
 
@@ -777,14 +872,22 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
     /// touches the kernel RNG).
     ///
     /// Mirrors opened on existing on-disk stores recover their nodes at
-    /// run start — a process restart. Note [`RunReport::timed_execution`]
-    /// covers only *this* run's transactions, so restarted runs should
-    /// assert on states and logs rather than the formal execution.
+    /// run start — a process restart ([`recover_at_start`]). Note
+    /// [`RunReport::timed_execution`] covers only *this* run's
+    /// transactions, so restarted runs should assert on states and logs
+    /// rather than the formal execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet's size differs from the node count. The run
+    /// panics at start if a mirror already holds entries while
+    /// `ClusterConfig::monitor` is set: like `timed_execution`, the §3
+    /// monitor covers one process lifetime.
     #[must_use]
     pub fn with_durability(mut self, fleet: DurableFleet<A>) -> Self {
         assert_eq!(
-            fleet.len(),
-            self.config.nodes as usize,
+            fleet.mirrors.len(),
+            self.cfg.nodes as usize,
             "one durable mirror per node"
         );
         self.durability = Some(fleet);
@@ -830,23 +933,15 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
     ///
     /// Panics if an invocation names a node outside the cluster.
     pub fn run_with_critical(
-        self,
+        mut self,
         invocations: Vec<Invocation<A::Decision>>,
         is_critical: impl Fn(&A::Decision) -> bool,
     ) -> RunReport<A> {
-        let Runner {
-            app,
-            config: mut cfg,
-            mut strategy,
-            mut nemesis,
-            ticks: scripted_ticks,
-            mut durability,
-        } = self;
-        strategy.validate(app, &invocations);
-        let span_name = format!("sim.{}.run", strategy.label());
+        let app = self.app;
+        self.strategy.validate(app, &invocations);
+        let span_name = format!("sim.{}.run", self.strategy.label());
         let run_span = shard_obs::span!(&span_name);
-        let mut wire = WireStats::default();
-        if let Some(nem) = nemesis.as_deref_mut() {
+        if let Some(nem) = self.nemesis.as_deref_mut() {
             // Injected windows join the scripted schedules before the
             // run starts, so failure gating and the announced schedule
             // treat scripted and injected faults identically.
@@ -855,61 +950,48 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 .map(|i| i.time)
                 .max()
                 .unwrap_or(0)
-                .max(cfg.partitions.horizon());
-            let injected = nem.inject(cfg.nodes, horizon);
-            wire.faults.partitions_injected = injected.partitions.len() as u64;
-            wire.faults.crashes_injected = injected.crashes.len() as u64;
+                .max(self.cfg.partitions.horizon());
+            let injected = nem.inject(self.cfg.nodes, horizon);
+            self.wire.faults.partitions_injected = injected.partitions.len() as u64;
+            self.wire.faults.crashes_injected = injected.crashes.len() as u64;
             for w in injected.partitions {
-                cfg.partitions.push(w);
+                self.cfg.partitions.push(w);
             }
             for w in injected.crashes {
-                cfg.crashes.push(w);
+                self.cfg.crashes.push(w);
             }
         }
-        if let Some(sink) = cfg.sink.as_deref() {
-            emit_schedule(sink, &cfg.partitions, &cfg.crashes);
+        if let Some(sink) = self.cfg.sink.as_deref() {
+            emit_schedule(sink, &self.cfg.partitions, &self.cfg.crashes);
         }
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut nodes: Vec<Node<A>> = (0..cfg.nodes)
-            .map(|i| Node::new(app, NodeId(i), cfg.checkpoint_every))
-            .collect();
-        let mut queue: EventQueue<Event<A>> = EventQueue::new();
-        if let Some(fleet) = durability.as_mut() {
-            // A mirror already holding entries is a previous process's
-            // store: rebuild its node before anything runs (restart).
-            for i in 0..cfg.nodes {
-                let id = NodeId(i);
-                if fleet.entries(id) > 0 {
-                    let (rebuilt, entries) = fleet.recover(app, id, cfg.checkpoint_every);
-                    nodes[i as usize] = rebuilt;
-                    if let Some(s) = cfg.sink.as_deref() {
-                        s.event("store.recover")
-                            .u64("t", 0)
-                            .u64("node", u64::from(i))
-                            .u64("entries", entries as u64)
-                            .emit();
-                    }
-                }
-            }
+        if let Some(fleet) = self.durability.as_mut() {
+            recover_at_start(
+                app,
+                &mut self.nodes,
+                &mut fleet.mirrors,
+                self.cfg.checkpoint_every,
+                self.cfg.monitor.is_some(),
+                self.cfg.sink.as_deref(),
+            );
             // Kill/recover events are scheduled before invocations and
             // held deliveries, so at equal times the store dies before
             // same-tick traffic and revives before the transport
             // releases the messages held during the outage (the event
             // queue breaks ties in insertion order).
-            for w in cfg.crashes.windows() {
-                queue.schedule(w.start, Event::Kill { node: w.node });
-                queue.schedule(w.end, Event::Recover { node: w.node });
+            for w in self.cfg.crashes.windows() {
+                self.queue.schedule(w.start, Event::Kill { node: w.node });
+                self.queue.schedule(w.end, Event::Recover { node: w.node });
             }
         }
         let mut remaining_invokes = 0u64;
         for inv in invocations {
             assert!(
-                (inv.node.0 as usize) < nodes.len(),
+                (inv.node.0 as usize) < self.nodes.len(),
                 "invocation at unknown node {}",
                 inv.node
             );
             remaining_invokes += 1;
-            queue.schedule(
+            self.queue.schedule(
                 inv.time,
                 Event::Invoke {
                     node: inv.node,
@@ -917,41 +999,52 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 },
             );
         }
-        let tick_interval = strategy.tick_interval();
-        let scripted = scripted_ticks.is_some();
-        if let Some(script) = scripted_ticks {
+        let tick_interval = self.strategy.tick_interval();
+        let scripted = self.ticks.is_some();
+        if let Some(script) = self.ticks.take() {
             for (t, node) in script {
-                queue.schedule(t, Event::Tick { node });
+                self.queue.schedule(t, Event::Tick { node });
             }
         } else if let Some(interval) = tick_interval {
-            for i in 0..cfg.nodes {
-                queue.schedule(interval, Event::Tick { node: NodeId(i) });
+            for i in 0..self.cfg.nodes {
+                self.queue
+                    .schedule(interval, Event::Tick { node: NodeId(i) });
             }
         }
 
-        let mut transactions: Vec<ExecutedTxn<A>> = Vec::new();
-        let mut external_actions: Vec<(SimTime, NodeId, ExternalAction)> = Vec::new();
-        let mut pending: Vec<PendingCritical<A>> = Vec::new();
-        let mut barrier_latencies: Vec<SimTime> = Vec::new();
         let mut rejected: Vec<(SimTime, NodeId)> = Vec::new();
         let mut rounds = 0u64;
-        let mut monitor = cfg.monitor.clone().map(crate::monitor::LiveMonitor::new);
+        let mut monitor = self
+            .cfg
+            .monitor
+            .clone()
+            .map(crate::monitor::LiveMonitor::new);
         let mut monitored = 0usize;
         let mut aborted = false;
 
-        // The loop drives a virtual clock: each popped event advances it
-        // to the event's scheduled time. `shard-runtime` runs the same
-        // replica logic against a `WallClock` instead.
-        let mut clock = VirtualClock::new();
-        while let Some((t, event)) = queue.pop() {
-            clock.advance(t);
-            let now = clock.now();
+        // Simulated time is the popped event's scheduled time;
+        // `shard-runtime` runs the same replica step at `WallClock`
+        // ticks instead.
+        let mut last = 0;
+        while let Some((now, event)) = self.queue.pop() {
+            debug_assert!(now >= last, "simulated time is monotone");
+            last = now;
+            if let Event::Deliver { to, .. } | Event::Probe { to, .. } | Event::Promise { to, .. } =
+                &event
+            {
+                if self.cfg.crashes.is_down(now, *to) {
+                    // The transport holds the message until recovery.
+                    let up = self.cfg.crashes.next_up(now, *to);
+                    self.queue.schedule(up, event);
+                    continue;
+                }
+            }
             match event {
                 Event::Invoke { node, decision } => {
                     remaining_invokes -= 1;
-                    if cfg.crashes.is_down(now, node) {
+                    if self.cfg.crashes.is_down(now, node) {
                         rejected.push((now, node));
-                        if let Some(sink) = cfg.sink.as_deref() {
+                        if let Some(sink) = self.cfg.sink.as_deref() {
                             sink.event("reject")
                                 .u64("t", now)
                                 .u64("node", u64::from(node.0))
@@ -959,91 +1052,37 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                         }
                         continue;
                     }
-                    if is_critical(&decision) && cfg.nodes > 1 {
-                        let id = pending.len();
-                        pending.push(PendingCritical {
+                    if is_critical(&decision) && self.cfg.nodes > 1 {
+                        let id = self.pending.len();
+                        self.pending.push(PendingCritical {
                             node,
                             decision,
                             submitted: now,
-                            promises: vec![None; cfg.nodes as usize],
+                            promises: vec![None; self.cfg.nodes as usize],
                             done: false,
                         });
-                        for peer in 0..cfg.nodes {
-                            let to = NodeId(peer);
-                            if to == node {
-                                continue;
-                            }
-                            let at =
-                                delivery_time(&cfg.partitions, &cfg.delay, &mut rng, now, node, to);
-                            queue.schedule(at, Event::Probe { to, from: node, id });
+                        for to in (0..self.cfg.nodes).map(NodeId).filter(|&to| to != node) {
+                            let (cfg, rng) = (&self.cfg, &mut self.rng);
+                            let at = delivery_time(&cfg.partitions, &cfg.delay, rng, now, node, to);
+                            self.queue.schedule(at, Event::Probe { to, from: node, id });
                         }
                     } else {
-                        execute_txn(
-                            app,
-                            &cfg,
-                            &mut strategy,
-                            &mut rng,
-                            &mut queue,
-                            &mut nodes,
-                            &mut transactions,
-                            &mut external_actions,
-                            &mut wire,
-                            &mut nemesis,
-                            &mut durability,
-                            now,
-                            node,
-                            decision,
-                        );
+                        self.execute(now, node, decision);
                     }
                 }
-                Event::Deliver { to, packet } => {
-                    if cfg.crashes.is_down(now, to) {
-                        // The transport holds the message until recovery.
-                        let up = cfg.crashes.next_up(now, to);
-                        queue.schedule(up, Event::Deliver { to, packet });
-                        continue;
-                    }
-                    let sink = cfg.sink.as_deref();
-                    if let Some(s) = sink {
-                        s.event("deliver")
-                            .u64("t", now)
-                            .u64("node", u64::from(to.0))
-                            .u64("from", u64::from(packet.origin.0))
-                            .u64("entries", packet.entries.len() as u64)
-                            .emit();
-                    }
-                    nodes[to.0 as usize].absorb(app, &packet.entries, |outcome| {
-                        if let Some(s) = sink {
-                            emit_merge_outcome(s, outcome, now, to);
-                        }
-                    });
-                    // Received updates are mirrored without an fsync
-                    // barrier: they survive on their origins and
-                    // re-arrive via anti-entropy if this node's
-                    // unsynced tail is lost.
-                    if let Some(fleet) = durability.as_mut() {
-                        fleet.persist(to, &nodes[to.0 as usize].log, false);
-                    }
-                    if pending.is_empty() {
-                        continue;
-                    }
-                    release_criticals(
+                Event::Deliver { to, from, entries } => {
+                    self.nodes[to.0 as usize].deliver_step(
                         app,
-                        &cfg,
-                        &mut strategy,
-                        &mut rng,
-                        &mut queue,
-                        &mut nodes,
-                        &mut transactions,
-                        &mut external_actions,
-                        &mut wire,
-                        &mut nemesis,
-                        &mut durability,
-                        &mut pending,
-                        &mut barrier_latencies,
+                        from,
+                        &entries,
                         now,
-                        to,
+                        self.durability.as_mut().map(|f| f.mirror_mut(to)),
+                        self.cfg.sink.as_deref(),
                     );
+                    if self.pending.is_empty() {
+                        continue;
+                    }
+                    self.release_criticals(now, to);
                 }
                 Event::Tick { node } => {
                     // Stop ticking once everything has drained. Scripted
@@ -1051,44 +1090,31 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                     // rule (none are rescheduled).
                     if !scripted
                         && remaining_invokes == 0
-                        && strategy.synced(app, &nodes, &transactions)
+                        && self.strategy.synced(app, &self.nodes, &self.transactions)
                     {
                         continue;
                     }
                     // A crashed node skips its rounds but resumes the
                     // cadence after recovery.
-                    if !cfg.crashes.is_down(now, node) {
-                        let before = wire.messages_sent;
-                        let mut net = QueueTransport {
-                            partitions: &cfg.partitions,
-                            delay: &cfg.delay,
-                            rng: &mut rng,
-                            queue: &mut queue,
-                            n_nodes: cfg.nodes,
-                            wire: &mut wire,
-                            nemesis: &mut nemesis,
-                            sink: cfg.sink.as_deref(),
-                        };
+                    if !self.cfg.crashes.is_down(now, node) {
+                        let before = self.wire.messages_sent;
+                        let (strategy, mut net, nodes) = self.net();
                         strategy.on_tick(app, &mut net, &nodes[node.0 as usize], now);
-                        if wire.messages_sent > before {
+                        if self.wire.messages_sent > before {
                             rounds += 1;
                         }
                     }
                     if !scripted {
                         let interval =
                             tick_interval.expect("ticks are only scheduled with an interval");
-                        queue.schedule(now + interval, Event::Tick { node });
+                        self.queue.schedule(now + interval, Event::Tick { node });
                     }
                 }
                 Event::Probe { to, from, id } => {
-                    if cfg.crashes.is_down(now, to) {
-                        let up = cfg.crashes.next_up(now, to);
-                        queue.schedule(up, Event::Probe { to, from, id });
-                        continue;
-                    }
-                    let sent = nodes[to.0 as usize].own_sent;
-                    let at = delivery_time(&cfg.partitions, &cfg.delay, &mut rng, now, to, from);
-                    queue.schedule(
+                    let sent = self.nodes[to.0 as usize].own_sent;
+                    let (cfg, rng) = (&self.cfg, &mut self.rng);
+                    let at = delivery_time(&cfg.partitions, &cfg.delay, rng, now, to, from);
+                    self.queue.schedule(
                         at,
                         Event::Promise {
                             to: from,
@@ -1099,36 +1125,16 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                     );
                 }
                 Event::Promise { to, from, id, sent } => {
-                    if cfg.crashes.is_down(now, to) {
-                        let up = cfg.crashes.next_up(now, to);
-                        queue.schedule(up, Event::Promise { to, from, id, sent });
-                        continue;
-                    }
-                    pending[id].promises[from.0 as usize] = Some(sent);
-                    release_criticals(
-                        app,
-                        &cfg,
-                        &mut strategy,
-                        &mut rng,
-                        &mut queue,
-                        &mut nodes,
-                        &mut transactions,
-                        &mut external_actions,
-                        &mut wire,
-                        &mut nemesis,
-                        &mut durability,
-                        &mut pending,
-                        &mut barrier_latencies,
-                        now,
-                        to,
-                    );
+                    self.pending[id].promises[from.0 as usize] = Some(sent);
+                    self.release_criticals(now, to);
                 }
                 Event::Kill { node } => {
-                    let fleet = durability
+                    let fleet = self
+                        .durability
                         .as_mut()
                         .expect("Kill events are scheduled only with durability");
                     let report = fleet.kill(node);
-                    if let Some(s) = cfg.sink.as_deref() {
+                    if let Some(s) = self.cfg.sink.as_deref() {
                         s.event("store.kill")
                             .u64("t", now)
                             .u64("node", u64::from(node.0))
@@ -1140,28 +1146,32 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                     }
                 }
                 Event::Recover { node } => {
-                    let fleet = durability
+                    let fleet = self
+                        .durability
                         .as_mut()
                         .expect("Recover events are scheduled only with durability");
-                    let (rebuilt, entries) = fleet.recover(app, node, cfg.checkpoint_every);
-                    nodes[node.0 as usize] = rebuilt;
-                    if let Some(s) = cfg.sink.as_deref() {
-                        s.event("store.recover")
-                            .u64("t", now)
-                            .u64("node", u64::from(node.0))
-                            .u64("entries", entries as u64)
-                            .emit();
-                    }
+                    self.nodes[node.0 as usize].recover_step(
+                        app,
+                        self.cfg.checkpoint_every,
+                        now,
+                        fleet.mirror_mut(node),
+                        self.cfg.sink.as_deref(),
+                    );
                 }
             }
             if let Some(m) = monitor.as_mut() {
-                while monitored < transactions.len() {
-                    let t = &transactions[monitored];
+                while monitored < self.transactions.len() {
+                    let t = &self.transactions[monitored];
                     m.ingest(t.ts, t.time, t.known.clone());
                     monitored += 1;
                 }
-                let watermark = nodes.iter().map(|n| n.clock.current()).min().unwrap_or(0);
-                m.advance(watermark, cfg.sink.as_deref());
+                let watermark = self
+                    .nodes
+                    .iter()
+                    .map(|n| n.clock.current())
+                    .min()
+                    .unwrap_or(0);
+                m.advance(watermark, self.cfg.sink.as_deref());
                 if m.should_abort() {
                     aborted = true;
                     break;
@@ -1170,25 +1180,15 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         }
 
         debug_assert!(
-            aborted || pending.iter().all(|p| p.done),
+            aborted || self.pending.iter().all(|p| p.done),
             "all barriers clear eventually"
         );
-        if let Some(m) = monitor.as_mut() {
-            // Every executed transaction was ingested above; once the
-            // loop ends (or aborts) no clock ticks again, so draining
-            // the stalled tail is sound and the report covers the run.
-            m.flush(cfg.sink.as_deref());
-            if let Some(sink) = cfg.sink.as_deref() {
-                let r = m.report();
-                sink.event("monitor.final")
-                    .u64("rows", r.rows as u64)
-                    .bool("transitive", r.transitive)
-                    .u64("max_missed", r.max_missed as u64)
-                    .u64("delay_bound", r.min_delay_bound)
-                    .emit();
-            }
-        }
-        if let Some(sink) = cfg.sink.as_deref() {
+        // Every executed transaction was ingested above; once the loop
+        // ends (or aborts) no clock ticks again, so draining the
+        // monitor's stalled tail is sound and the report covers the run.
+        let sink = self.cfg.sink.as_deref();
+        let monitor = monitor.map(|mut m| m.finish(sink));
+        if let Some(sink) = sink {
             // A trailing span line lets `shard-trace summarize` report
             // the run's wall time without access to the registry.
             sink.event("span")
@@ -1197,139 +1197,84 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 .emit();
             sink.flush();
         }
-        transactions.sort_by_key(|t| t.ts);
+        self.transactions.sort_by_key(|t| t.ts);
         RunReport {
-            node_metrics: nodes.iter().map(|n| n.log.metrics()).collect(),
-            final_states: nodes.into_iter().map(|n| n.log.into_state()).collect(),
-            transactions,
-            external_actions,
-            barrier_latencies,
+            node_metrics: self.nodes.iter().map(|n| n.log.metrics()).collect(),
+            final_states: self.nodes.into_iter().map(|n| n.log.into_state()).collect(),
+            transactions: self.transactions,
+            external_actions: self.external_actions,
+            barrier_latencies: self.barrier_latencies,
             rejected,
-            messages_sent: wire.messages_sent,
-            entries_shipped: wire.entries_shipped,
+            messages_sent: self.wire.messages_sent,
+            entries_shipped: self.wire.entries_shipped,
             rounds,
-            faults: wire.faults,
-            monitor: monitor.map(|m| m.report()),
+            faults: self.wire.faults,
+            monitor,
             aborted,
         }
     }
-}
 
-/// Executes one transaction at `node` now: ticks the clock, runs the
-/// decision on the local merged state, performs external actions, merges
-/// the own update, and hands propagation to the strategy.
-#[allow(clippy::too_many_arguments)]
-fn execute_txn<A: Application, P: Propagation<A>>(
-    app: &A,
-    cfg: &ClusterConfig,
-    strategy: &mut P,
-    rng: &mut StdRng,
-    queue: &mut EventQueue<Event<A>>,
-    nodes: &mut [Node<A>],
-    transactions: &mut Vec<ExecutedTxn<A>>,
-    external_actions: &mut Vec<(SimTime, NodeId, ExternalAction)>,
-    wire: &mut WireStats,
-    nemesis: &mut Option<Box<dyn Nemesis>>,
-    durability: &mut Option<DurableFleet<A>>,
-    now: SimTime,
-    node: NodeId,
-    decision: A::Decision,
-) {
-    if let Some(sink) = cfg.sink.as_deref() {
-        sink.event("execute")
-            .u64("t", now)
-            .u64("node", u64::from(node.0))
-            .emit();
+    /// The strategy, the transport it sends through and the replicas it
+    /// may read — the one place a [`QueueTransport`] is built.
+    fn net(&mut self) -> (&mut P, QueueTransport<'_, A>, &[Node<A>]) {
+        let net = QueueTransport {
+            cfg: &self.cfg,
+            rng: &mut self.rng,
+            queue: &mut self.queue,
+            wire: &mut self.wire,
+            nemesis: &mut self.nemesis,
+        };
+        (&mut self.strategy, net, &self.nodes)
     }
-    let (txn, update) = nodes[node.0 as usize].execute(app, decision, now);
-    // Write-ahead discipline: the own update reaches stable storage
-    // (append + fsync) before any peer can learn of it, so a crash can
-    // lose an own update only while it is still invisible to the rest
-    // of the system.
-    if let Some(fleet) = durability.as_mut() {
-        fleet.persist(node, &nodes[node.0 as usize].log, true);
-    }
-    for a in &txn.external_actions {
-        external_actions.push((now, node, a.clone()));
-    }
-    let ts = txn.ts;
-    transactions.push(txn);
-    let mut net = QueueTransport {
-        partitions: &cfg.partitions,
-        delay: &cfg.delay,
-        rng,
-        queue,
-        n_nodes: cfg.nodes,
-        wire,
-        nemesis,
-        sink: cfg.sink.as_deref(),
-    };
-    strategy.on_execute(app, &mut net, &nodes[node.0 as usize], now, ts, &update);
-}
 
-/// Executes every pending critical transaction at `node` whose barrier
-/// has cleared: all peers promised and every promised update has been
-/// received.
-#[allow(clippy::too_many_arguments)]
-fn release_criticals<A: Application, P: Propagation<A>>(
-    app: &A,
-    cfg: &ClusterConfig,
-    strategy: &mut P,
-    rng: &mut StdRng,
-    queue: &mut EventQueue<Event<A>>,
-    nodes: &mut [Node<A>],
-    transactions: &mut Vec<ExecutedTxn<A>>,
-    external_actions: &mut Vec<(SimTime, NodeId, ExternalAction)>,
-    wire: &mut WireStats,
-    nemesis: &mut Option<Box<dyn Nemesis>>,
-    durability: &mut Option<DurableFleet<A>>,
-    pending: &mut [PendingCritical<A>],
-    barrier_latencies: &mut Vec<SimTime>,
-    now: SimTime,
-    node: NodeId,
-) {
-    #[allow(clippy::needless_range_loop)]
-    for id in 0..pending.len() {
-        if pending[id].done || pending[id].node != node {
-            continue;
+    /// Executes one transaction at `node` now — the shared replica step
+    /// ([`Node::execute_step`]: trace, decide, merge, write-ahead
+    /// persist) — records it, and hands propagation to the strategy.
+    fn execute(&mut self, now: SimTime, node: NodeId, decision: A::Decision) {
+        let app = self.app;
+        let (txn, update) = self.nodes[node.0 as usize].execute_step(
+            app,
+            decision,
+            now,
+            self.durability.as_mut().map(|f| f.mirror_mut(node)),
+            self.cfg.sink.as_deref(),
+        );
+        for a in &txn.external_actions {
+            self.external_actions.push((now, node, a.clone()));
         }
-        let cleared = (0..cfg.nodes).all(|peer| {
-            if NodeId(peer) == node {
-                return true;
+        let ts = txn.ts;
+        self.transactions.push(txn);
+        let (strategy, mut net, nodes) = self.net();
+        strategy.on_execute(app, &mut net, &nodes[node.0 as usize], now, ts, &update);
+    }
+
+    /// Executes every pending critical transaction at `node` whose
+    /// barrier has cleared: all peers promised and every promised update
+    /// has been received.
+    fn release_criticals(&mut self, now: SimTime, node: NodeId) {
+        for id in 0..self.pending.len() {
+            let p = &self.pending[id];
+            if p.done || p.node != node {
+                continue;
             }
-            match pending[id].promises[peer as usize] {
-                None => false,
-                Some(promised) => {
-                    let received = nodes[node.0 as usize]
-                        .log
-                        .entries()
-                        .iter()
-                        .filter(|(ts, _)| ts.node == NodeId(peer))
-                        .count() as u64;
-                    received >= promised
-                }
+            let log = &self.nodes[node.0 as usize].log;
+            let cleared = (0..self.cfg.nodes).map(NodeId).all(|peer| {
+                peer == node
+                    || p.promises[peer.0 as usize].is_some_and(|promised| {
+                        let received = log
+                            .entries()
+                            .iter()
+                            .filter(|(ts, _)| ts.node == peer)
+                            .count() as u64;
+                        received >= promised
+                    })
+            });
+            if cleared {
+                self.barrier_latencies.push(now - p.submitted);
+                let decision = p.decision.clone();
+                self.pending[id].done = true;
+                self.execute(now, node, decision);
             }
-        });
-        if cleared {
-            pending[id].done = true;
-            barrier_latencies.push(now - pending[id].submitted);
-            let decision = pending[id].decision.clone();
-            execute_txn(
-                app,
-                cfg,
-                strategy,
-                rng,
-                queue,
-                nodes,
-                transactions,
-                external_actions,
-                wire,
-                nemesis,
-                durability,
-                now,
-                node,
-                decision,
-            );
         }
     }
 }

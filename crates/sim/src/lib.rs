@@ -28,11 +28,13 @@
 //!   §3.3 *barrier protocol* giving designated critical transactions
 //!   (near-)complete prefixes ([`Runner::run_with_critical`]). How
 //!   updates travel is a pluggable [`Propagation`] strategy.
-//! * [`transport`] — the kernel's time and delivery seams: the
-//!   [`Clock`] trait ([`VirtualClock`] for simulation, [`WallClock`]
-//!   with globally unique microsecond ticks for live runs) and the
-//!   [`Transport`] trait ([`QueueTransport`] over the event queue here;
-//!   real `std::sync::mpsc` channels in `shard-runtime`).
+//! * [`transport`] — the delivery seam: the [`Transport`] trait
+//!   ([`QueueTransport`] over the event queue here; real
+//!   `std::sync::mpsc` channels in `shard-runtime`), plus the
+//!   [`WallClock`] whose globally unique microsecond ticks time live
+//!   runs. Everything on the replica's side of that seam — including
+//!   the traced, durable execute/deliver/recover step on
+//!   [`kernel::Node`] — is shared by both deployments.
 //! * [`cluster`] — the [`EagerBroadcast`] strategy (per-update flooding,
 //!   optional full-log piggybacking for transitivity), entered via
 //!   [`Runner::eager`].
@@ -103,4 +105,4 @@ pub use nemesis::{
 pub use partial::{PartialPlacement, Placement};
 pub use partition::{PartitionSchedule, PartitionWindow};
 pub use streaming::StreamingMerge;
-pub use transport::{Clock, Transport, VirtualClock, WallClock};
+pub use transport::{Transport, WallClock};

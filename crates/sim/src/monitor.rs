@@ -20,7 +20,7 @@
 //! draining transaction is already sealed and indexed; the miss set is
 //! the complement of those indices. Crashed nodes stall the watermark
 //! (their clocks stand still), so rows buffer until recovery — a
-//! verdict is never emitted on a guess — and [`LiveMonitor::flush`]
+//! verdict is never emitted on a guess — and [`LiveMonitor::finish`]
 //! drains whatever remains once the run ends and no clock can tick
 //! again.
 //!
@@ -117,16 +117,6 @@ impl LiveMonitor {
         }
     }
 
-    /// Drains everything left in the buffer — sound only once no clock
-    /// can tick again, i.e. when the event loop has ended (or was
-    /// aborted, where the remaining rows still deserve verdicts).
-    pub fn flush(&mut self, sink: Option<&shard_obs::EventSink>) {
-        while let Some(entry) = self.pending.first_entry() {
-            let (ts, (time, known)) = entry.remove_entry();
-            self.seal(ts, time, known, sink);
-        }
-    }
-
     fn seal(
         &mut self,
         ts: Timestamp,
@@ -145,7 +135,16 @@ impl LiveMonitor {
         // one binary search over `KnownSet::nth` rank lookups:
         // O(misses · log²index), not O(index) — the known set is nearly
         // the whole prefix on healthy runs.
-        let mut missed = Vec::with_capacity(index - known.len());
+        let misses = index.checked_sub(known.len()).unwrap_or_else(|| {
+            let stranger = known
+                .iter()
+                .find(|k| self.sealed_ts.binary_search(k).is_err());
+            panic!(
+                "monitor invariant: {ts:?} knows {stranger:?}, which no \
+                 transaction of this run executed"
+            )
+        });
+        let mut missed = Vec::with_capacity(misses);
         let mut j = 0usize;
         while j < index {
             let m = missed.len();
@@ -190,6 +189,28 @@ impl LiveMonitor {
                 s.write_line(&verdict.to_json_line());
             }
         }
+    }
+
+    /// Ends the run's monitoring — the one epilogue of every monitored
+    /// run, kernel or live: drains everything left in the buffer, emits
+    /// the `monitor.final` summary line to `sink`, and reports. Sound
+    /// only once no clock can tick again, i.e. when the event loop has
+    /// ended (or was aborted, where the remaining rows still deserve
+    /// verdicts).
+    pub fn finish(&mut self, sink: Option<&shard_obs::EventSink>) -> StreamReport {
+        while let Some((ts, (time, known))) = self.pending.pop_first() {
+            self.seal(ts, time, known, sink);
+        }
+        let r = self.report();
+        if let Some(s) = sink {
+            s.event("monitor.final")
+                .u64("rows", r.rows as u64)
+                .bool("transitive", r.transitive)
+                .u64("max_missed", r.max_missed as u64)
+                .u64("delay_bound", r.min_delay_bound)
+                .emit();
+        }
+        r
     }
 
     /// Whether a confirmed violation should stop the run.
@@ -245,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn flush_drains_the_stalled_tail_and_misses_are_complements() {
+    fn finish_drains_the_stalled_tail_and_misses_are_complements() {
         let mut m = LiveMonitor::new(MonitorConfig {
             window: 2,
             emit_rows: false,
@@ -261,11 +282,21 @@ mod tests {
         assert!(!m.should_abort());
         // Node 1's clock never reaches 3, so the last row waits for the
         // end-of-run flush.
-        m.flush(None);
+        let report = m.finish(None);
         assert_eq!(m.sealed(), 3);
-        let report = m.report();
         assert_eq!(report.max_missed, 1);
         assert!(!report.transitive);
         assert!(m.should_abort());
+    }
+
+    /// A known timestamp no transaction of this run carries (what a
+    /// restarted, recovered log would hold) is reported by name, not as
+    /// an allocator failure.
+    #[test]
+    #[should_panic(expected = "which no transaction of this run executed")]
+    fn unknown_known_timestamp_is_named() {
+        let mut m = LiveMonitor::new(MonitorConfig::default());
+        m.ingest(ts(5, 0), 0, [ts(1, 1)].into_iter().collect());
+        m.finish(None);
     }
 }

@@ -1,27 +1,26 @@
-//! The kernel's time and delivery seams: [`Clock`] and [`Transport`].
+//! The delivery seam, [`Transport`], and the live deployment's
+//! [`WallClock`].
 //!
-//! The discrete-event [`Runner`](crate::Runner) used to own both time
-//! (the event queue's clock) and delivery (scheduling `Deliver` events
-//! behind partition waits, sampled delays and nemesis gating). Both are
-//! now traits, which is what lets the *same* replica logic — `Node`,
-//! `MergeLog`, [`Propagation`](crate::Propagation), `Nemesis`,
-//! `LiveMonitor` — run in two instantiations:
+//! What a replica *does* — `Node`, `MergeLog`, the traced, durable
+//! replica step ([`crate::kernel::Node::execute_step`] and friends),
+//! [`Propagation`](crate::Propagation), `LiveMonitor` — is written once
+//! and runs in two instantiations that differ only in how messages
+//! travel and where event times come from:
 //!
-//! * **Simulation** — [`VirtualClock`] (advanced to each popped event's
-//!   time) plus the kernel's queue-backed transport
-//!   ([`crate::kernel::QueueTransport`]): deterministic, seeded,
-//!   single-threaded.
-//! * **Live deployment** — [`WallClock`] (monotonic, globally unique
-//!   microsecond ticks) plus a channel-backed transport (the
+//! * **Simulation** — the kernel's queue-backed transport
+//!   ([`crate::kernel::QueueTransport`]); an event's time is the time
+//!   it was scheduled for. Deterministic, seeded, single-threaded.
+//! * **Live deployment** — a channel-backed transport (the
 //!   `shard-runtime` crate): one OS thread per node exchanging messages
-//!   over real `std::sync::mpsc` channels.
+//!   over real `std::sync::mpsc` channels; an event's time is a
+//!   [`WallClock`] tick.
 //!
 //! The wall clock's tick discipline is what makes live runs replayable:
 //! every event (execution, delivery, anti-entropy round) draws a tick
 //! that is *strictly greater than every tick drawn before it anywhere in
 //! the process*, so the recorded schedule totally orders the run and the
-//! virtual-clock kernel can reproduce it exactly (see `shard-runtime`'s
-//! replay module).
+//! kernel can reproduce it exactly (see `shard-runtime`'s replay
+//! module).
 
 use crate::clock::NodeId;
 use crate::events::SimTime;
@@ -30,42 +29,6 @@ use rand::rngs::StdRng;
 use shard_core::Application;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// A source of event times. The kernel loop asks its clock for "now"
-/// once per event; virtual clocks are driven by the event queue, wall
-/// clocks by the hardware.
-pub trait Clock {
-    /// The current time in ticks.
-    fn now(&self) -> SimTime;
-
-    /// Advances the clock to `to` (time never goes backwards). Virtual
-    /// clocks jump; wall clocks ignore this — the hardware advances them.
-    fn advance(&mut self, to: SimTime);
-}
-
-/// Simulated time: holds whatever the event loop last advanced it to.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// A clock at time zero.
-    pub fn new() -> Self {
-        VirtualClock::default()
-    }
-}
-
-impl Clock for VirtualClock {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn advance(&mut self, to: SimTime) {
-        debug_assert!(to >= self.now, "simulated time is monotone");
-        self.now = to;
-    }
-}
 
 /// Monotonic wall-clock time in microseconds since construction, with
 /// **globally unique, strictly increasing** ticks: every call to
@@ -119,14 +82,6 @@ impl Default for WallClock {
     }
 }
 
-impl Clock for WallClock {
-    fn now(&self) -> SimTime {
-        self.tick()
-    }
-
-    fn advance(&mut self, _to: SimTime) {}
-}
-
 /// How update messages travel between replicas — the seam between the
 /// shared replica logic and the deployment. A
 /// [`Propagation`](crate::Propagation) strategy sends through this
@@ -144,8 +99,8 @@ pub trait Transport<A: Application> {
     fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool;
 
     /// Ships `entries` from `from` to `to`, to be merged at the
-    /// receiver by the shared delivery handler
-    /// ([`crate::kernel::Node::absorb`]).
+    /// receiver by the shared deliver step
+    /// ([`crate::kernel::Node::deliver_step`]).
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, entries: Entries<A>);
 
     /// The deterministic RNG stream strategies draw from (e.g. gossip
@@ -157,16 +112,6 @@ pub trait Transport<A: Application> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn virtual_clock_follows_advance() {
-        let mut c = VirtualClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance(17);
-        assert_eq!(c.now(), 17);
-        c.advance(17);
-        assert_eq!(c.now(), 17);
-    }
 
     #[test]
     fn wall_clock_ticks_are_unique_and_increasing() {

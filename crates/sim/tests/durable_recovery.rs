@@ -66,7 +66,7 @@ fn kill_recover_prefix<A: Application>(
             // could see it (the kernel's write-ahead discipline).
             own_max = own_max.max(ts.lamport);
             log.merge(app, ts, Arc::new(update));
-            fleet.persist(me, &log, true);
+            fleet.mirror_mut(me).persist(&log, true);
         } else {
             in_flight.push((ts, update));
         }
@@ -81,17 +81,17 @@ fn kill_recover_prefix<A: Application>(
                 clocks[me.0 as usize].observe(ts);
                 log.merge(app, ts, Arc::new(update));
             }
-            fleet.persist(me, &log, false);
+            fleet.mirror_mut(me).persist(&log, false);
         }
     }
     for (ts, update) in in_flight.drain(..) {
         log.merge(app, ts, Arc::new(update));
     }
-    fleet.persist(me, &log, false);
+    fleet.mirror_mut(me).persist(&log, false);
 
     let pre_crash: Vec<Timestamp> = log.arrivals().to_vec();
     let report = fleet.kill(me);
-    let (recovered, entries) = fleet.recover(app, me, 8);
+    let (recovered, entries) = fleet.mirror_mut(me).recover(app, me, 8);
 
     // (1) Prefix of the arrival order.
     assert_eq!(entries, report.kept_entries, "recovery reads what survived");
@@ -479,8 +479,28 @@ fn eager_piggyback_crash_recovery_stays_transitive() {
 /// real process boundaries.
 #[test]
 fn disk_backed_cluster_survives_a_restart() {
-    let dir =
-        std::env::temp_dir().join(format!("shard-sim-durable-restart-{}", std::process::id()));
+    let (first, second) = run_then_restart("restart", None);
+    assert!(first.mutually_consistent());
+    let want = first.final_states[0].clone();
+    assert_eq!(
+        second.final_states,
+        vec![want.clone(), want.clone(), want],
+        "all replicas recovered their pre-restart state from disk"
+    );
+}
+
+/// Nine inserts on a fresh three-node disk fleet, then a "restart":
+/// the same directories reopened in a new fleet. Every mirror holds
+/// entries, so the runner rebuilds all three nodes at run start; an
+/// empty schedule then just reports their states.
+fn run_then_restart(
+    name: &str,
+    restart_monitor: Option<shard_sim::MonitorConfig>,
+) -> (
+    shard_sim::RunReport<Dictionary>,
+    shard_sim::RunReport<Dictionary>,
+) {
+    let dir = std::env::temp_dir().join(format!("shard-sim-durable-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let app = Dictionary;
     let cfg = ClusterConfig {
@@ -498,24 +518,29 @@ fn disk_backed_cluster_survives_a_restart() {
             )
         })
         .collect();
-    let fleet = DurableFleet::new(3, &DurabilityConfig::disk(&dir, 0)).unwrap();
+    let fleet = |kill_seed| DurableFleet::new(3, &DurabilityConfig::disk(&dir, kill_seed)).unwrap();
     let first = Runner::gossip(&app, cfg.clone(), GossipConfig { interval: 10 })
-        .with_durability(fleet)
+        .with_durability(fleet(0))
         .run(phase1);
-    assert!(first.mutually_consistent());
-    let want = first.final_states[0].clone();
-
-    // "Restart": reopen the same directories in a new fleet. Every
-    // mirror holds entries, so the runner rebuilds all three nodes at
-    // run start; an empty schedule then just reports their states.
-    let fleet = DurableFleet::new(3, &DurabilityConfig::disk(&dir, 1)).unwrap();
-    let second = Runner::gossip(&app, cfg, GossipConfig { interval: 10 })
-        .with_durability(fleet)
+    let restart_cfg = ClusterConfig {
+        monitor: restart_monitor,
+        ..cfg
+    };
+    let second = Runner::gossip(&app, restart_cfg, GossipConfig { interval: 10 })
+        .with_durability(fleet(1))
         .run(Vec::new());
-    assert_eq!(
-        second.final_states,
-        vec![want.clone(), want.clone(), want],
-        "all replicas recovered their pre-restart state from disk"
-    );
     let _ = std::fs::remove_dir_all(&dir);
+    (first, second)
+}
+
+/// The kernel refuses a monitored restart exactly as the live runtime
+/// does (it is the same start-of-run recovery): the §3 monitor never
+/// saw the recovered transactions execute.
+#[test]
+#[should_panic(expected = "cannot start from recovered mirrors: 9 recovered entries")]
+fn monitored_restart_is_refused() {
+    run_then_restart(
+        "monitored-restart",
+        Some(shard_sim::MonitorConfig::default()),
+    );
 }

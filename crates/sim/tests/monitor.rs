@@ -176,7 +176,11 @@ fn monitor_off_is_byte_identical_and_on_only_adds_lines() {
         .filter(|l| l.contains("\"event\":\"txn\""))
         .count();
     assert_eq!(rows, watched.transactions.len());
-    assert!(watched_trace.contains("\"event\":\"monitor.final\""));
+    assert_eq!(
+        watched_trace.matches("\"event\":\"monitor.final\"").count(),
+        1,
+        "exactly one final verdict per monitored run"
+    );
 }
 
 /// Claim (3): with `abort_on_violation`, a run that would violate
