@@ -26,6 +26,15 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 run env CARGO_TARGET_DIR="$PWD/target" \
   cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
 run benchmark/run.sh --smoke
+# The smoke run is 1/50 scale, and `sim-partition` compares its redo
+# volume with the recorded one (`RECORDED_SEED_1`) only at full scale
+# and seed 1: one short full-scale pass, whose last line is the result.
+echo "== benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 =="
+benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
+  tail -n 1 | grep -q '"correct":true' || {
+  echo "FAILED: full-scale sim-partition did not report \"correct\":true" >&2
+  exit 1
+}
 
 # Smoke-check the observability pipeline: a handful of experiments end
 # to end — the worked example plus one per propagation strategy (partial

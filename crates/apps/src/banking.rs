@@ -80,8 +80,14 @@ impl BankState {
         }
     }
 
+    /// One copy-on-write descent for an account seen before.
     fn credit(&mut self, a: AccountId, amount: i64) {
-        self.balances.insert(a, self.balance(a) + amount);
+        match self.balances.get_mut(&a) {
+            Some(balance) => *balance += amount,
+            None => {
+                self.balances.insert(a, amount);
+            }
+        }
     }
 }
 

@@ -37,7 +37,7 @@
 //!   memoizing state computation shared by executions, the checkers and
 //!   the simulator's undo/redo merge log.
 //! * [`pmap`] — a zero-dependency persistent ordered map (`Arc`-shared
-//!   copy-on-write treap) applications build their states on, so state
+//!   copy-on-write B-tree) applications build their states on, so state
 //!   clones are O(1) and checkpoint chains cost O(delta) memory.
 //! * [`stream`] — online (streaming) versions of the §3 checkers:
 //!   windowed, append-only monitors over the serial order that emit

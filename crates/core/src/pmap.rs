@@ -1,28 +1,35 @@
 //! A zero-dependency persistent ordered map with O(1) clones.
 //!
 //! [`PMap`] is the structural-sharing backbone of the O(delta) state
-//! layer: application states built on it clone by bumping `Arc`
-//! reference counts, so the replay engine's checkpoint chains
+//! layer: application states built on it clone by bumping an `Arc`
+//! reference count, so the replay engine's checkpoint chains
 //! ([`crate::replay::Checkpoints`]) cost memory proportional to the
 //! *changes between* checkpoints rather than to the whole state.
 //!
-//! The implementation is a treap (randomized balanced BST) whose node
-//! priorities are derived by hashing the key, which makes the tree
-//! **shape canonical**: a given key set always produces one structure,
-//! independent of insertion order. Nodes are held behind [`Arc`]; a
-//! mutation path-copies only the nodes from the root to the touched
-//! key (O(log n) expected), and [`Arc::make_mut`] turns even that copy
-//! into an in-place write when the map is unshared — exactly the case
+//! The implementation is a copy-on-write B-tree: leaves are sorted
+//! arrays of up to `FANOUT` = 16 entries, inner nodes arrays of up to
+//! `FANOUT` `(separator, subtree size, child)` triples, every leaf at
+//! one depth. Nodes are held behind [`Arc`]; a mutation copies only the
+//! nodes on the root-to-leaf path that a snapshot shares — two or three
+//! for the states in this repository, which is what one re-applied
+//! update of an undo/redo repair costs, since a repair starts from a
+//! checkpoint *clone* — and [`Arc::make_mut`] turns even that copy into
+//! an in-place write when the map is unshared, the case
 //! [`Application::apply_in_place`](crate::Application::apply_in_place)
-//! puts the hot replay loops in.
+//! puts the hot replay loops in. Removal frees a node when it empties
+//! and never borrows or merges, which would copy siblings the caller
+//! did not touch (Sen & Tarjan, "Deletion without rebalancing in
+//! multiway search trees": height stays logarithmic in the insertions).
 //!
-//! Invariants (checked exhaustively against a `BTreeMap` oracle by the
-//! unit tests here and the property suite in `tests/state_inplace.rs`):
+//! Invariants (checked against a `BTreeMap` oracle by the unit tests
+//! here and the property suite in `tests/state_inplace.rs`):
 //!
-//! * binary-search-tree order on keys, max-heap order on priorities;
-//! * `len` equals the number of reachable nodes;
-//! * iteration yields keys in ascending order;
-//! * equality ignores sharing: two maps are equal iff their
+//! * a node holds 1 to `FANOUT` items in an allocation of no more,
+//!   a leaf's in strictly ascending key order;
+//! * every key below child `i` of an inner node is `>=` that child's
+//!   separator and `<` that of child `i + 1`; a child's size counts
+//!   the entries below it, and the root's sizes sum to `len`;
+//! * equality ignores sharing and shape: two maps are equal iff their
 //!   `(key, value)` sequences are (with an `Arc::ptr_eq` fast path).
 //!
 //! Like `shard-pool` and `shard-obs`, this module is std-only: the
@@ -32,39 +39,37 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// Derives the canonical treap priority of a key: a fixed-seed SipHash
-/// of the key. `DefaultHasher::new()` instances all use the same zero
-/// key, so the priority — and therefore the tree shape — is a pure
-/// function of the key set.
-fn priority<K: Hash>(key: &K) -> u64 {
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut h);
-    h.finish()
+/// Most items a node holds, and the most its array is allocated for. On
+/// `sim-partition` 8 is a third slower, 32 no faster for +9 % peak RSS.
+const FANOUT: usize = 16;
+
+#[derive(Clone)]
+enum Node<K, V> {
+    Leaf(Vec<(K, V)>),
+    Inner(Vec<Child<K, V>>),
 }
 
-type Link<K, V> = Option<Arc<Node<K, V>>>;
-
-#[derive(Clone, Debug)]
-struct Node<K, V> {
-    key: K,
-    value: V,
-    prio: u64,
-    /// Entries in this subtree (including this node) — the order
-    /// statistic that makes [`PMap::nth`] O(log n).
+#[derive(Clone)]
+struct Child<K, V> {
+    /// A lower bound on every key below `node` that is also above
+    /// every key below the child before it.
+    sep: K,
+    /// Entries below `node` — the order statistic that makes
+    /// [`PMap::nth`] O(log n).
     size: usize,
-    left: Link<K, V>,
-    right: Link<K, V>,
+    node: Arc<Node<K, V>>,
 }
 
-/// Subtree size of a link (0 for empty).
-fn subtree_size<K, V>(link: &Link<K, V>) -> usize {
-    link.as_deref().map_or(0, |n| n.size)
-}
-
-/// Recomputes a node's size from its children — call after any
-/// structural change below it.
-fn update_size<K, V>(node: &mut Node<K, V>) {
-    node.size = 1 + subtree_size(&node.left) + subtree_size(&node.right);
+impl<K: Clone, V> Child<K, V> {
+    /// A parent's record of `node`.
+    fn of(node: Arc<Node<K, V>>) -> Self {
+        let (sep, size) = match &*node {
+            Node::Leaf(entries) => (&entries[0].0, entries.len()),
+            Node::Inner(children) => (&children[0].sep, children.iter().map(|c| c.size).sum()),
+        };
+        let sep = sep.clone();
+        Child { sep, size, node }
+    }
 }
 
 /// A persistent (copy-on-write) ordered map: `clone` is two pointer
@@ -84,7 +89,7 @@ fn update_size<K, V>(node: &mut Node<K, V>) {
 /// assert_eq!(b.get(&3), None);
 /// ```
 pub struct PMap<K, V> {
-    root: Link<K, V>,
+    root: Option<Arc<Node<K, V>>>,
     len: usize,
 }
 
@@ -106,8 +111,13 @@ impl<K, V> PMap<K, V> {
 
     /// Iterates entries in ascending key order.
     pub fn iter(&self) -> Iter<'_, K, V> {
-        let mut iter = Iter { stack: Vec::new() };
-        iter.push_left(self.root.as_deref());
+        let mut iter = Iter {
+            leaf: [].iter(),
+            inner: Vec::new(),
+        };
+        if let Some(root) = &self.root {
+            iter.enter(root);
+        }
         iter
     }
 
@@ -125,37 +135,49 @@ impl<K, V> PMap<K, V> {
     /// past the end. O(log n) by subtree-size descent — random access
     /// into a snapshot without materializing it.
     pub fn nth(&self, mut i: usize) -> Option<(&K, &V)> {
-        if i >= self.len {
-            return None;
-        }
-        let mut cur = self.root.as_deref();
-        while let Some(node) = cur {
-            let left = subtree_size(&node.left);
-            match i.cmp(&left) {
-                std::cmp::Ordering::Less => cur = node.left.as_deref(),
-                std::cmp::Ordering::Equal => return Some((&node.key, &node.value)),
-                std::cmp::Ordering::Greater => {
-                    i -= left + 1;
-                    cur = node.right.as_deref();
+        let mut node = self.root.as_deref()?;
+        loop {
+            match node {
+                Node::Leaf(entries) => return entries.get(i).map(|(k, v)| (k, v)),
+                Node::Inner(children) => {
+                    let mut children = children.iter();
+                    node = loop {
+                        let child = children.next()?;
+                        if i < child.size {
+                            break &child.node;
+                        }
+                        i -= child.size;
+                    };
                 }
             }
         }
-        None
+    }
+}
+
+/// Where `key` sits in a leaf, or would be inserted.
+fn search<K: Ord, V>(entries: &[(K, V)], key: &K) -> Result<usize, usize> {
+    entries.binary_search_by(|(k, _)| k.cmp(key))
+}
+
+/// The child whose key range holds `key`, or `None` if `key` sorts
+/// below the first separator.
+fn route<K: Ord, V>(children: &[Child<K, V>], key: &K) -> Option<usize> {
+    children.partition_point(|c| c.sep <= *key).checked_sub(1)
+}
+
+fn lookup<'a, K: Ord, V>(mut node: &'a Node<K, V>, key: &K) -> Option<&'a V> {
+    loop {
+        match node {
+            Node::Leaf(entries) => return search(entries, key).ok().map(|i| &entries[i].1),
+            Node::Inner(children) => node = &children[route(children, key)?].node,
+        }
     }
 }
 
 impl<K: Ord, V> PMap<K, V> {
     /// The value stored for `key`, if any.
     pub fn get(&self, key: &K) -> Option<&V> {
-        let mut cur = self.root.as_deref();
-        while let Some(node) = cur {
-            cur = match key.cmp(&node.key) {
-                std::cmp::Ordering::Less => node.left.as_deref(),
-                std::cmp::Ordering::Greater => node.right.as_deref(),
-                std::cmp::Ordering::Equal => return Some(&node.value),
-            };
-        }
-        None
+        lookup(self.root.as_deref()?, key)
     }
 
     /// Whether `key` is present.
@@ -164,162 +186,133 @@ impl<K: Ord, V> PMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> PMap<K, V> {
+impl<K: Ord + Clone, V: Clone> PMap<K, V> {
     /// Inserts `key → value`, returning the previous value if the key
     /// was present. Path-copies shared nodes; in-place when unshared.
     pub fn insert(&mut self, key: K, value: V) -> Option<V> {
-        let prio = priority(&key);
-        let old = insert_node(&mut self.root, key, value, prio);
-        if old.is_none() {
-            self.len += 1;
+        let empty = || Arc::new(Node::Leaf(Vec::new()));
+        let root = self.root.get_or_insert_with(empty);
+        let (old, split) = insert_below(root, key, value);
+        if let Some(right) = split {
+            // The root split: one level up.
+            let halves = [Arc::clone(root), Arc::new(right)].map(Child::of);
+            *root = Arc::new(Node::Inner(halves.into()));
         }
+        self.len += usize::from(old.is_none());
         old
     }
 
     /// Mutable access to the value for `key` — copy-on-write: shared
     /// nodes on the path are cloned (detaching this map from any
     /// snapshot), unshared paths mutate in place with no allocation.
-    /// Absent keys cost a read-only lookup and copy nothing.
+    /// Absent keys copy nothing: the descent looks the key up, read
+    /// only, at the first shared node it meets — all below are shared.
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        if !self.contains_key(key) {
-            return None;
-        }
-        let mut cur = self.root.as_mut();
-        while let Some(rc) = cur {
-            let node = Arc::make_mut(rc);
-            match key.cmp(&node.key) {
-                std::cmp::Ordering::Less => cur = node.left.as_mut(),
-                std::cmp::Ordering::Greater => cur = node.right.as_mut(),
-                std::cmp::Ordering::Equal => return Some(&mut node.value),
+        let mut node = self.root.as_mut()?;
+        let mut present = false;
+        loop {
+            if !present && Arc::get_mut(node).is_none() {
+                lookup(node, key)?;
+                present = true;
+            }
+            match Arc::make_mut(node) {
+                Node::Leaf(leaf) => return search(leaf, key).ok().map(|i| &mut leaf[i].1),
+                Node::Inner(children) => {
+                    let i = route(children, key)?;
+                    node = &mut children[i].node;
+                }
             }
         }
-        unreachable!("contains_key found the key above")
     }
 
     /// Removes `key`, returning its value if present. Absent keys cost
     /// a read-only lookup — no path is copied.
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        if !self.contains_key(key) {
-            return None;
-        }
+        self.get(key)?;
+        let root = self.root.as_mut()?;
+        let old = remove_below(root, key);
         self.len -= 1;
-        remove_node(&mut self.root, key)
+        // A root left with one child: one level down. With none: gone.
+        while let Node::Inner(children) = &**root {
+            let [only] = &children[..] else { break };
+            *root = Arc::clone(&only.node);
+        }
+        if self.len == 0 {
+            self.root = None;
+        }
+        Some(old)
     }
 }
 
-fn insert_node<K: Ord + Clone + Hash, V: Clone>(
-    link: &mut Link<K, V>,
+/// Inserts `item` at `at`. A full node splits first and the upper part
+/// is returned: half of it — or, when `item` goes past its last item,
+/// `item` alone, so that ascending inserts (the known set's timestamps)
+/// leave full nodes behind them, not half-empty ones.
+fn insert_or_split<T>(items: &mut Vec<T>, at: usize, item: T) -> Option<Vec<T>> {
+    let mid = if at == FANOUT { FANOUT } else { FANOUT / 2 };
+    let mut upper = (items.len() == FANOUT).then(|| items.split_off(mid));
+    let (into, at) = match &mut upper {
+        Some(upper) if at >= mid => (upper, at - mid),
+        _ => (items, at),
+    };
+    if into.len() == into.capacity() {
+        // Double, but never past a full node.
+        into.reserve_exact(into.len().clamp(1, FANOUT - into.len()));
+    }
+    into.insert(at, item);
+    upper
+}
+
+/// Inserts below `node`, returning the displaced value and, if `node`
+/// split, its new right sibling.
+fn insert_below<K: Ord + Clone, V: Clone>(
+    node: &mut Arc<Node<K, V>>,
     key: K,
     value: V,
-    prio: u64,
-) -> Option<V> {
-    let Some(rc) = link else {
-        *link = Some(Arc::new(Node {
-            key,
-            value,
-            prio,
-            size: 1,
-            left: None,
-            right: None,
-        }));
-        return None;
-    };
-    let node = Arc::make_mut(rc);
-    match key.cmp(&node.key) {
-        std::cmp::Ordering::Equal => Some(std::mem::replace(&mut node.value, value)),
-        std::cmp::Ordering::Less => {
-            let old = insert_node(&mut node.left, key, value, prio);
-            update_size(node);
-            // Restore the max-heap property on priorities. Ties break
-            // toward the existing root so repeated inserts of the same
-            // key set always rebuild one canonical shape.
-            if node.left.as_ref().is_some_and(|l| l.prio > node.prio) {
-                rotate_right(link);
+) -> (Option<V>, Option<Node<K, V>>) {
+    match Arc::make_mut(node) {
+        Node::Leaf(entries) => match search(entries, &key) {
+            Ok(i) => (Some(std::mem::replace(&mut entries[i].1, value)), None),
+            Err(i) => (
+                None,
+                insert_or_split(entries, i, (key, value)).map(Node::Leaf),
+            ),
+        },
+        Node::Inner(children) => {
+            let i = route(children, &key).unwrap_or_else(|| {
+                children[0].sep = key.clone();
+                0
+            });
+            let (old, split) = insert_below(&mut children[i].node, key, value);
+            children[i].size += usize::from(old.is_none());
+            let split = split.and_then(|right| {
+                let right = Child::of(Arc::new(right));
+                children[i].size -= right.size;
+                insert_or_split(children, i + 1, right).map(Node::Inner)
+            });
+            (old, split)
+        }
+    }
+}
+
+/// Removes `key`, which the caller found present, from below `node`.
+/// A child that empties is dropped from its parent.
+fn remove_below<K: Ord + Clone, V: Clone>(node: &mut Arc<Node<K, V>>, key: &K) -> V {
+    match Arc::make_mut(node) {
+        Node::Leaf(entries) => {
+            let i = search(entries, key).expect("the caller found the key");
+            entries.remove(i).1
+        }
+        Node::Inner(children) => {
+            let i = route(children, key).expect("the caller found the key");
+            let old = remove_below(&mut children[i].node, key);
+            children[i].size -= 1;
+            if children[i].size == 0 {
+                children.remove(i);
             }
             old
         }
-        std::cmp::Ordering::Greater => {
-            let old = insert_node(&mut node.right, key, value, prio);
-            update_size(node);
-            if node.right.as_ref().is_some_and(|r| r.prio > node.prio) {
-                rotate_left(link);
-            }
-            old
-        }
     }
-}
-
-fn remove_node<K: Ord + Clone + Hash, V: Clone>(link: &mut Link<K, V>, key: &K) -> Option<V> {
-    let rc = link.as_mut()?;
-    let node = Arc::make_mut(rc);
-    match key.cmp(&node.key) {
-        std::cmp::Ordering::Less => {
-            let old = remove_node(&mut node.left, key);
-            update_size(node);
-            old
-        }
-        std::cmp::Ordering::Greater => {
-            let old = remove_node(&mut node.right, key);
-            update_size(node);
-            old
-        }
-        std::cmp::Ordering::Equal => {
-            let left = node.left.take();
-            let right = node.right.take();
-            let removed = link.take().expect("link non-empty");
-            *link = merge(left, right);
-            Some(match Arc::try_unwrap(removed) {
-                Ok(n) => n.value,
-                Err(rc) => rc.value.clone(),
-            })
-        }
-    }
-}
-
-/// Merges two treaps where every key of `a` is less than every key of
-/// `b`, preserving the heap order on priorities.
-fn merge<K: Clone, V: Clone>(a: Link<K, V>, b: Link<K, V>) -> Link<K, V> {
-    match (a, b) {
-        (None, x) | (x, None) => x,
-        (Some(mut a), Some(b)) if a.prio >= b.prio => {
-            let am = Arc::make_mut(&mut a);
-            let ar = am.right.take();
-            am.right = merge(ar, Some(b));
-            update_size(am);
-            Some(a)
-        }
-        (a, Some(mut b)) => {
-            let bm = Arc::make_mut(&mut b);
-            let bl = bm.left.take();
-            bm.left = merge(a, bl);
-            update_size(bm);
-            Some(b)
-        }
-    }
-}
-
-fn rotate_right<K: Clone, V: Clone>(link: &mut Link<K, V>) {
-    let mut x = link.take().expect("rotate_right of empty link");
-    let xm = Arc::make_mut(&mut x);
-    let mut l = xm.left.take().expect("left child");
-    let lm = Arc::make_mut(&mut l);
-    xm.left = lm.right.take();
-    update_size(xm);
-    lm.right = Some(x);
-    update_size(lm);
-    *link = Some(l);
-}
-
-fn rotate_left<K: Clone, V: Clone>(link: &mut Link<K, V>) {
-    let mut x = link.take().expect("rotate_left of empty link");
-    let xm = Arc::make_mut(&mut x);
-    let mut r = xm.right.take().expect("right child");
-    let rm = Arc::make_mut(&mut r);
-    xm.right = rm.left.take();
-    update_size(xm);
-    rm.left = Some(x);
-    update_size(rm);
-    *link = Some(r);
 }
 
 impl<K, V> Clone for PMap<K, V> {
@@ -340,17 +333,13 @@ impl<K, V> Default for PMap<K, V> {
 
 impl<K: PartialEq, V: PartialEq> PartialEq for PMap<K, V> {
     fn eq(&self, other: &Self) -> bool {
-        if self.len != other.len {
-            return false;
-        }
         // Shared trees are equal without traversal — the common case
         // after an O(1) clone.
-        match (&self.root, &other.root) {
-            (None, None) => return true,
-            (Some(a), Some(b)) if Arc::ptr_eq(a, b) => return true,
-            _ => {}
-        }
-        self.iter().eq(other.iter())
+        let shared = match (&self.root, &other.root) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        };
+        self.len == other.len && (shared || self.iter().eq(other.iter()))
     }
 }
 
@@ -372,7 +361,7 @@ impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for PMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
+impl<K: Ord + Clone, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
         let mut map = PMap::new();
         map.extend(iter);
@@ -380,7 +369,7 @@ impl<K: Ord + Clone + Hash, V: Clone> FromIterator<(K, V)> for PMap<K, V> {
     }
 }
 
-impl<K: Ord + Clone + Hash, V: Clone> Extend<(K, V)> for PMap<K, V> {
+impl<K: Ord + Clone, V: Clone> Extend<(K, V)> for PMap<K, V> {
     fn extend<I: IntoIterator<Item = (K, V)>>(&mut self, iter: I) {
         for (k, v) in iter {
             self.insert(k, v);
@@ -398,14 +387,17 @@ impl<'a, K, V> IntoIterator for &'a PMap<K, V> {
 
 /// In-order borrowing iterator over a [`PMap`].
 pub struct Iter<'a, K, V> {
-    stack: Vec<&'a Node<K, V>>,
+    /// What is left of the current leaf.
+    leaf: std::slice::Iter<'a, (K, V)>,
+    /// What is left of each inner node above it, root first.
+    inner: Vec<std::slice::Iter<'a, Child<K, V>>>,
 }
 
 impl<'a, K, V> Iter<'a, K, V> {
-    fn push_left(&mut self, mut link: Option<&'a Node<K, V>>) {
-        while let Some(node) = link {
-            self.stack.push(node);
-            link = node.left.as_deref();
+    fn enter(&mut self, node: &'a Node<K, V>) {
+        match node {
+            Node::Leaf(entries) => self.leaf = entries.iter(),
+            Node::Inner(children) => self.inner.push(children.iter()),
         }
     }
 }
@@ -413,9 +405,17 @@ impl<'a, K, V> Iter<'a, K, V> {
 impl<'a, K, V> Iterator for Iter<'a, K, V> {
     type Item = (&'a K, &'a V);
     fn next(&mut self) -> Option<(&'a K, &'a V)> {
-        let node = self.stack.pop()?;
-        self.push_left(node.right.as_deref());
-        Some((&node.key, &node.value))
+        loop {
+            if let Some((k, v)) = self.leaf.next() {
+                return Some((k, v));
+            }
+            match self.inner.last_mut()?.next() {
+                Some(child) => self.enter(&child.node),
+                None => {
+                    self.inner.pop();
+                }
+            }
+        }
     }
 }
 
@@ -437,57 +437,107 @@ mod tests {
         }
     }
 
-    fn check_invariants<K: Ord + Hash + Clone, V: Clone>(map: &PMap<K, V>) {
-        fn go<K: Ord + Hash, V>(link: &Link<K, V>, count: &mut usize) {
-            if let Some(node) = link {
-                assert_eq!(node.prio, priority(&node.key), "priority is key-derived");
-                if let Some(l) = &node.left {
-                    assert!(l.key < node.key, "BST order (left)");
-                    assert!(l.prio <= node.prio, "heap order (left)");
+    /// Checks the module's invariants and returns the tree's depth
+    /// (0 for an empty map, 1 for a lone leaf).
+    fn check_invariants<K: Ord, V>(map: &PMap<K, V>) -> usize {
+        /// Checks the subtree, whose keys must lie in `[lo, hi)`;
+        /// returns its entry count and depth.
+        fn go<K: Ord, V>(node: &Node<K, V>, lo: Option<&K>, hi: Option<&K>) -> (usize, usize) {
+            match node {
+                Node::Leaf(entries) => {
+                    assert!((1..=FANOUT).contains(&entries.len()), "leaf occupancy");
+                    assert!(entries.capacity() <= FANOUT, "no slack past a full node");
+                    assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "sorted leaf");
+                    assert!(lo.is_none_or(|lo| *lo <= entries[0].0), "lower bound");
+                    let last = &entries[entries.len() - 1].0;
+                    assert!(hi.is_none_or(|hi| last < hi), "upper bound");
+                    (entries.len(), 1)
                 }
-                if let Some(r) = &node.right {
-                    assert!(r.key > node.key, "BST order (right)");
-                    assert!(r.prio <= node.prio, "heap order (right)");
+                Node::Inner(children) => {
+                    assert!((1..=FANOUT).contains(&children.len()), "inner occupancy");
+                    assert!(children.capacity() <= FANOUT, "no slack past a full node");
+                    assert!(lo.is_none_or(|lo| *lo <= children[0].sep), "lower bound");
+                    let mut total = 0;
+                    let mut depths = Vec::new();
+                    for (i, c) in children.iter().enumerate() {
+                        let next = children.get(i + 1).map(|n| &n.sep).or(hi);
+                        assert!(next.is_none_or(|n| c.sep < *n), "ascending separators");
+                        let (size, depth) = go(&c.node, Some(&c.sep), next);
+                        assert_eq!(c.size, size, "size matches subtree");
+                        total += size;
+                        depths.push(depth);
+                    }
+                    assert!(
+                        depths.windows(2).all(|w| w[0] == w[1]),
+                        "leaves at one depth"
+                    );
+                    (total, depths[0] + 1)
                 }
-                assert_eq!(
-                    node.size,
-                    1 + subtree_size(&node.left) + subtree_size(&node.right),
-                    "size matches children"
-                );
-                *count += 1;
-                go(&node.left, count);
-                go(&node.right, count);
             }
         }
-        let mut count = 0;
-        go(&map.root, &mut count);
-        assert_eq!(count, map.len(), "len matches reachable nodes");
+        let (count, depth) = map.root.as_deref().map_or((0, 0), |r| go(r, None, None));
+        assert_eq!(count, map.len(), "len matches reachable entries");
+        depth
     }
 
+    fn pairs(map: &PMap<u32, u64>) -> Vec<(u32, u64)> {
+        map.iter().map(|(k, v)| (*k, *v)).collect()
+    }
+
+    /// Fill past three levels, churn, then drain to empty — inserts,
+    /// removes, `get_mut` and `nth` against the oracle at every step,
+    /// with snapshots taken along the way that must never change.
     #[test]
     fn matches_btreemap_oracle_under_random_ops() {
+        const KEYS: u64 = 3 * (FANOUT * FANOUT) as u64;
         let mut rng = Lcg(0xB0B0_CAFE);
         let mut map: PMap<u32, u64> = PMap::new();
         let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
-        for step in 0..4000 {
-            let key = (rng.next() % 64) as u32;
-            if rng.next().is_multiple_of(3) {
-                assert_eq!(map.remove(&key), oracle.remove(&key), "step {step}");
-            } else {
-                let val = rng.next();
-                assert_eq!(map.insert(key, val), oracle.insert(key, val), "step {step}");
-            }
-            assert_eq!(map.len(), oracle.len());
-            assert_eq!(map.get(&key), oracle.get(&key));
-            if step % 97 == 0 {
-                check_invariants(&map);
-                assert!(map
-                    .iter()
-                    .map(|(k, v)| (*k, *v))
-                    .eq(oracle.iter().map(|(k, v)| (*k, *v))));
+        let mut snapshots = Vec::new();
+        let mut deepest = 0;
+        let mut step = 0usize;
+        // (steps, removes per hundred operations); the last phase ends
+        // when the map is empty.
+        for (steps, remove_pct) in [(4000, 5), (4000, 45), (usize::MAX, 90)] {
+            let until = step.saturating_add(steps);
+            while step < until && !(steps == usize::MAX && oracle.is_empty()) {
+                step += 1;
+                let key = (rng.next() % KEYS) as u32;
+                match rng.next() % 100 {
+                    r if r < remove_pct => {
+                        assert_eq!(map.remove(&key), oracle.remove(&key), "step {step}");
+                    }
+                    r if r < remove_pct + 10 => {
+                        let (got, want) = (map.get_mut(&key), oracle.get_mut(&key));
+                        assert_eq!(got.as_deref(), want.as_deref(), "step {step}");
+                        if let (Some(got), Some(want)) = (got, want) {
+                            *got += 1;
+                            *want += 1;
+                        }
+                    }
+                    _ => {
+                        let val = rng.next();
+                        assert_eq!(map.insert(key, val), oracle.insert(key, val), "step {step}");
+                    }
+                }
+                assert_eq!(map.len(), oracle.len());
+                assert_eq!(map.get(&key), oracle.get(&key));
+                if step.is_multiple_of(5) {
+                    let i = rng.next() as usize % (oracle.len() + 1);
+                    assert_eq!(map.nth(i), oracle.iter().nth(i), "step {step}");
+                }
+                if step.is_multiple_of(61) {
+                    deepest = deepest.max(check_invariants(&map));
+                    snapshots.push((map.clone(), oracle.clone()));
+                }
             }
         }
-        check_invariants(&map);
+        assert!(map.is_empty() && map.root.is_none());
+        assert!(deepest >= 3, "the walk built a third level");
+        for (snap, snap_oracle) in &snapshots {
+            check_invariants(snap);
+            assert!(snap.iter().eq(snap_oracle.iter()), "a snapshot changed");
+        }
     }
 
     #[test]
@@ -502,7 +552,7 @@ mod tests {
             map.remove(&((rng.next() % 1024) as u32));
         }
         for m in [&map, &snapshot] {
-            let in_order: Vec<_> = m.iter().map(|(k, v)| (*k, *v)).collect();
+            let in_order = pairs(m);
             for (i, entry) in in_order.iter().enumerate() {
                 assert_eq!(m.nth(i).map(|(k, v)| (*k, *v)), Some(*entry));
             }
@@ -510,22 +560,28 @@ mod tests {
         }
     }
 
+    /// The known set's pattern: ascending keys leave every node but the
+    /// last of each level full, whatever snapshots are taken meanwhile.
     #[test]
-    fn shape_is_canonical_regardless_of_insertion_order() {
-        fn shape(link: &Link<u32, u64>, out: &mut Vec<(u32, usize)>, depth: usize) {
-            if let Some(n) = link {
-                shape(&n.left, out, depth + 1);
-                out.push((n.key, depth));
-                shape(&n.right, out, depth + 1);
+    fn ascending_inserts_fill_nodes_completely() {
+        fn leaves<K, V>(node: &Node<K, V>) -> usize {
+            match node {
+                Node::Leaf(_) => 1,
+                Node::Inner(children) => children.iter().map(|c| leaves(&c.node)).sum(),
             }
         }
-        let keys: Vec<u32> = (0..40).collect();
-        let forward: PMap<u32, u64> = keys.iter().map(|&k| (k, k as u64)).collect();
-        let backward: PMap<u32, u64> = keys.iter().rev().map(|&k| (k, k as u64)).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        shape(&forward.root, &mut a, 0);
-        shape(&backward.root, &mut b, 0);
-        assert_eq!(a, b, "same key set, same tree shape");
+        let n = 2 * FANOUT * FANOUT + 3;
+        let mut map: PMap<u32, ()> = PMap::new();
+        let mut snapshot = map.clone();
+        for k in 0..n as u32 {
+            map.insert(k, ());
+            if k % 7 == 0 {
+                snapshot = map.clone();
+            }
+        }
+        assert_eq!(check_invariants(&map), 3);
+        assert_eq!(leaves(map.root.as_deref().unwrap()), n.div_ceil(FANOUT));
+        check_invariants(&snapshot);
     }
 
     #[test]
@@ -545,14 +601,68 @@ mod tests {
         check_invariants(&b);
     }
 
+    /// After a clone, one write copies one root-to-leaf path: at every
+    /// level exactly one child differs from the snapshot's, every other
+    /// subtree is the same allocation.
+    #[test]
+    fn one_write_copies_one_path() {
+        let keys = (4 * FANOUT * FANOUT) as u32;
+        let mut rng = Lcg(7);
+        // Random order leaves room in the leaves: the insert below
+        // does not split.
+        let mut map: PMap<u32, u64> = PMap::new();
+        while map.len() < keys as usize / 2 {
+            map.insert(2 * (rng.next() as u32 % keys), 0);
+        }
+        let depth = check_invariants(&map);
+        assert!(depth >= 3);
+        /// The key at `len / div`, so each write lands on its own path.
+        fn key_at(m: &PMap<u32, u64>, div: usize) -> u32 {
+            *m.nth(m.len() / div).expect("non-empty").0
+        }
+        type Write = fn(&mut PMap<u32, u64>);
+        let writes: [Write; 3] = [
+            |m| assert_eq!(m.insert(key_at(m, 2), 1), Some(0)),
+            |m| *m.get_mut(&key_at(m, 3)).expect("present") += 1,
+            |m| assert_eq!(m.remove(&key_at(m, 4)), Some(0)),
+        ];
+        for write in writes {
+            let snapshot = map.clone();
+            write(&mut map);
+            let (mut x, mut y) = (map.root.as_ref().unwrap(), snapshot.root.as_ref().unwrap());
+            let mut copied = 0;
+            loop {
+                assert!(!Arc::ptr_eq(x, y));
+                copied += 1;
+                let (Node::Inner(cx), Node::Inner(cy)) = (&**x, &**y) else {
+                    break;
+                };
+                assert_eq!(cx.len(), cy.len());
+                let mut differing = cx
+                    .iter()
+                    .zip(cy)
+                    .filter(|(p, q)| !Arc::ptr_eq(&p.node, &q.node));
+                let (p, q) = differing.next().expect("the written path");
+                assert!(differing.next().is_none(), "one child copied per level");
+                (x, y) = (&p.node, &q.node);
+            }
+            assert_eq!(copied, depth);
+            check_invariants(&snapshot);
+        }
+    }
+
+    /// Nor does `get_mut` of one — below, between and above the keys.
     #[test]
     fn removal_of_absent_key_copies_nothing() {
-        let mut a: PMap<u32, u64> = (0..20).map(|k| (k, 0)).collect();
+        let mut a: PMap<u32, u64> = (1..600).map(|k| (2 * k, 0)).collect();
         let b = a.clone();
-        assert_eq!(a.remove(&99), None);
+        for absent in [0, 99, 2001] {
+            assert_eq!(a.remove(&absent), None);
+            assert_eq!(a.get_mut(&absent), None);
+        }
         assert!(
             Arc::ptr_eq(a.root.as_ref().unwrap(), b.root.as_ref().unwrap()),
-            "absent-key removal must not path-copy"
+            "an absent key must not path-copy"
         );
     }
 
@@ -572,9 +682,10 @@ mod tests {
     #[test]
     fn equality_and_hash_ignore_sharing() {
         use std::collections::hash_map::DefaultHasher;
-        let a: PMap<u32, u64> = (0..30).map(|k| (k, k as u64)).collect();
-        // Same contents built independently (no shared nodes).
-        let b: PMap<u32, u64> = (0..30).rev().map(|k| (k, k as u64)).collect();
+        let a: PMap<u32, u64> = (0..300).map(|k| (k, k as u64)).collect();
+        // Same contents built independently: no shared nodes, and a
+        // different shape (descending inserts split in halves).
+        let b: PMap<u32, u64> = (0..300).rev().map(|k| (k, k as u64)).collect();
         assert_eq!(a, b);
         let hash = |m: &PMap<u32, u64>| {
             let mut h = DefaultHasher::new();

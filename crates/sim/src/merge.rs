@@ -320,18 +320,26 @@ impl<A: Application> MergeLog<A> {
             update: Option<Arc<U>>,
             kind: Kind,
         }
+        let mut batch = batch.into_iter().peekable();
+        let Some(first) = batch.next() else {
+            return;
+        };
+        if batch.peek().is_none() {
+            // A burst of one — every message of an eager broadcast — is
+            // a sequential merge: nothing to sort, splice or tally up.
+            let (ts, update) = first;
+            let outcome = self.merge_with_outcome(app, ts, update);
+            return on_each(ts, outcome);
+        }
         // Arrival order.
-        let mut burst: Vec<Delivery<A::Update>> = batch
-            .into_iter()
+        let mut burst: Vec<Delivery<A::Update>> = std::iter::once(first)
+            .chain(batch)
             .map(|(ts, u)| Delivery {
                 ts,
                 update: Some(u),
                 kind: Kind::App,
             })
             .collect();
-        if burst.is_empty() {
-            return;
-        }
         // The burst's positions in timestamp order (stable: a repeated
         // timestamp keeps its first arrival first).
         let mut by_ts: Vec<usize> = (0..burst.len()).collect();

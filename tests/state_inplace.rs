@@ -112,12 +112,28 @@ fn dictionary_update() -> impl Strategy<Value = DictUpdate> {
     ]
 }
 
-/// One PMap mutation: `Some(v)` inserts, `None` removes.
-fn pmap_op() -> impl Strategy<Value = (u32, Option<u64>)> {
-    (
-        (0u32..24),
-        prop_oneof![(1u64..100).prop_map(Some), Just(None)],
-    )
+/// More keys than two levels of the map's tree hold (fanout² = 256),
+/// so a long enough walk splits inner nodes too.
+const PMAP_KEYS: u32 = 600;
+
+#[derive(Clone, Debug)]
+enum PmapOp {
+    Insert(u32, u64),
+    Remove(u32),
+    /// `get_mut` and add one.
+    Bump(u32),
+    Nth(usize),
+}
+
+/// Two inserts in five operations to one remove: the map settles near
+/// two thirds of the keys.
+fn pmap_op() -> impl Strategy<Value = PmapOp> {
+    (0u32..5, 0..PMAP_KEYS, 1u64..100).prop_map(|(kind, k, v)| match kind {
+        0 | 1 => PmapOp::Insert(k, v),
+        2 => PmapOp::Remove(k),
+        3 => PmapOp::Bump(k),
+        _ => PmapOp::Nth(k as usize),
+    })
 }
 
 proptest! {
@@ -164,51 +180,71 @@ proptest! {
     }
 
     /// The persistent map agrees with a `BTreeMap` oracle after every
-    /// operation — and clones taken along the way are immutable: each
-    /// snapshot still equals the oracle state it was taken at, no
-    /// matter what happened to the map afterwards (structural sharing
-    /// must never leak writes into old versions).
+    /// operation, through a walk long enough to build a third tree
+    /// level and a drain back down to empty — and clones taken along
+    /// the way are immutable: each snapshot still equals the oracle
+    /// state it was taken at, no matter what happened to the map
+    /// afterwards (structural sharing must never leak writes into old
+    /// versions).
     #[test]
     fn pmap_matches_btreemap_oracle(
-        ops in proptest::collection::vec(pmap_op(), 0..200),
+        ops in proptest::collection::vec(pmap_op(), 0..2000),
     ) {
         let mut map: PMap<u32, u64> = PMap::new();
         let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
         let mut snapshots: Vec<(PMap<u32, u64>, BTreeMap<u32, u64>)> = Vec::new();
-        for (i, (k, v)) in ops.iter().enumerate() {
-            match v {
-                Some(v) => {
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                PmapOp::Insert(k, v) => {
                     prop_assert_eq!(map.insert(*k, *v), oracle.insert(*k, *v));
                 }
-                None => {
+                PmapOp::Remove(k) => {
                     prop_assert_eq!(map.remove(k), oracle.remove(k));
+                }
+                PmapOp::Bump(k) => {
+                    let (got, want) = (map.get_mut(k), oracle.get_mut(k));
+                    prop_assert_eq!(got.as_deref(), want.as_deref());
+                    if let (Some(got), Some(want)) = (got, want) {
+                        *got += 1;
+                        *want += 1;
+                    }
+                }
+                PmapOp::Nth(i) => {
+                    prop_assert_eq!(map.nth(*i), oracle.iter().nth(*i));
                 }
             }
             prop_assert_eq!(map.len(), oracle.len());
-            prop_assert_eq!(map.get(k), oracle.get(k));
-            prop_assert_eq!(map.contains_key(k), oracle.contains_key(k));
+            if let PmapOp::Insert(k, _) | PmapOp::Remove(k) | PmapOp::Bump(k) = op {
+                prop_assert_eq!(map.get(k), oracle.get(k));
+                prop_assert_eq!(map.contains_key(k), oracle.contains_key(k));
+            }
             if i % 7 == 0 {
                 snapshots.push((map.clone(), oracle.clone()));
             }
         }
         // Iteration order and content match the sorted oracle exactly.
-        prop_assert_eq!(
-            map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            oracle.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-        );
-        prop_assert_eq!(map.keys().copied().collect::<Vec<_>>(),
-                        oracle.keys().copied().collect::<Vec<_>>());
-        // Rebuilding from the oracle yields an equal map (canonical
-        // shape: equality is structural, not insertion-order).
+        prop_assert!(map.iter().eq(oracle.iter()));
+        prop_assert!(map.keys().eq(oracle.keys()));
+        // Rebuilding from the oracle yields an equal map: equality is
+        // by content, whatever order (and so whatever tree) built it.
         let rebuilt: PMap<u32, u64> = oracle.iter().map(|(k, v)| (*k, *v)).collect();
         prop_assert_eq!(&rebuilt, &map);
+        // Drain to empty, from both ends inwards.
+        let keys: Vec<u32> = oracle.keys().copied().collect();
+        for i in 0..keys.len() {
+            let k = if i % 2 == 0 { keys[i / 2] } else { keys[keys.len() - 1 - i / 2] };
+            prop_assert_eq!(map.remove(&k), oracle.remove(&k));
+            prop_assert_eq!(map.len(), oracle.len());
+            if i % 16 == 0 {
+                prop_assert!(map.iter().eq(oracle.iter()));
+            }
+        }
+        prop_assert!(map.is_empty());
+        prop_assert_eq!(&map, &PMap::new());
         // Old versions are untouched by later writes.
         for (snap_map, snap_oracle) in &snapshots {
             prop_assert_eq!(snap_map.len(), snap_oracle.len());
-            prop_assert_eq!(
-                snap_map.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-                snap_oracle.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>()
-            );
+            prop_assert!(snap_map.iter().eq(snap_oracle.iter()));
         }
     }
 
