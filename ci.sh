@@ -12,8 +12,8 @@ run() {
 run cargo build --release --all-targets
 run cargo test --workspace -q
 run cargo test -q -p shard-pool
-run cargo clippy --all-targets -- -D warnings
-run cargo fmt --check
+run cargo clippy --workspace --all-targets -- -D warnings
+run cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 
 # The benchmark gate: `benchmark/` is a package of its own (own
@@ -113,15 +113,15 @@ if [ "$finals" != 1 ]; then
 fi
 # The crash-recovery gate: E24 end to end at smoke scale (the replay
 # perf phase shrunk to 2*10^4 entries). Each disk-backed sweep run is a
-# CrashRecoverInjector schedule — nodes lose their unsynced WAL tails
-# mid-run and are rebuilt from disk — and the binary exits non-zero
-# unless every §3 oracle holds: the execution verifies, transitivity
-# and the Cor 8 bound survive the restarts, the recovered replicas
-# re-converge, their final state diffs clean against the canonical
-# serial replay, and the in-kernel monitor's certified verdicts equal
-# the offline `par_check` fold. The sidecar check then re-asserts from
-# the recorded counters that the *clean* phase (durability attached,
-# nothing killed) truncated no torn WAL tails.
+# CrashInjector schedule over a durable fleet — nodes lose their
+# unsynced WAL tails mid-run and are rebuilt from disk — and the binary
+# exits non-zero unless every §3 oracle holds: the execution verifies,
+# transitivity and the Cor 8 bound survive the restarts, the recovered
+# replicas re-converge, their final state diffs clean against the
+# canonical serial replay, and the in-kernel monitor's certified
+# verdicts equal the offline `par_check` fold. The sidecar check then
+# re-asserts from the recorded counters that the *clean* phase
+# (durability attached, nothing killed) truncated no torn WAL tails.
 run env SHARD_E24_REPLAY=20000 \
   cargo run -q --release -p shard-bench --bin exp_e24_store_recovery
 run cargo run -q --release -p shard-cli --bin shard-trace -- \

@@ -52,7 +52,7 @@ fn synthetic_rows(n: usize) -> Vec<StreamRow> {
     let mut next = lcg();
     (0..n)
         .map(|i| {
-            let d = if next() % 10 == 0 {
+            let d = if next().is_multiple_of(10) {
                 (1 + next() % 8) as usize
             } else {
                 0

@@ -40,7 +40,7 @@ use shard_obs::Registry;
 use shard_pool::PoolConfig;
 use shard_runtime::report_digest;
 use shard_sim::{
-    ClusterConfig, CrashRecoverInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
+    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
     MergeLog, MonitorConfig, NodeId, NodeMirror, Runner, Timestamp,
 };
 use std::sync::Arc;
@@ -93,14 +93,7 @@ fn sweep_run(
         DurableFleet::new(NODES, &DurabilityConfig::disk(&dir, seed ^ 0xD15C)).unwrap();
     let cfg = base_cfg(seed, strategy == "eager+piggyback");
     let invs = airline_invocations(seed, TXNS, NODES, 7, AirlineMix::default(), Routing::Random);
-    let nemesis = || {
-        Box::new(CrashRecoverInjector::new(
-            KILLS_PER_RUN as u32,
-            40,
-            160,
-            seed,
-        ))
-    };
+    let nemesis = || Box::new(CrashInjector::new(KILLS_PER_RUN as u32, 40, 160, seed));
     let report = if strategy == "gossip" {
         Runner::gossip(app, cfg, GossipConfig { interval: 20 })
             .with_durability(fleet)

@@ -326,15 +326,8 @@ fn main() -> io::Result<()> {
     // would have emitted from the rows now living in the store, then
     // push every certificate through the shared-nothing validator.
     let mut trace = String::new();
-    sink.for_each_row(|i, row| {
-        trace.push_str(
-            &shard_core::StreamRow {
-                index: i,
-                time: row.time,
-                missed: row.missed.clone(),
-            }
-            .to_json_line(),
-        );
+    sink.for_each_row(|rec| {
+        trace.push_str(&rec.row.to_json_line());
         trace.push('\n');
     })?;
     for cert in &report.certificates {

@@ -367,47 +367,15 @@ impl MonitoredOutcome {
     }
 }
 
-/// One faulted run with the kernel's [`LiveMonitor`] attached,
-/// aborting at the first confirmed transitivity violation.
-///
-/// [`LiveMonitor`]: shard_sim::LiveMonitor
-fn run_monitored(cfg: &ChaosConfig, seed: u64, window: usize) -> RunReport<FlyByNight> {
-    let app = FlyByNight::new(cfg.capacity);
-    let invocations = airline_invocations(
-        seed,
-        cfg.txns,
-        cfg.nodes,
-        cfg.mean_gap,
-        AirlineMix::default(),
-        Routing::Random,
-    );
-    let cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed,
-        delay: DelayModel::Fixed(cfg.fixed_delay),
-        piggyback: false,
-        monitor: Some(MonitorConfig {
-            window,
-            emit_rows: false,
-            abort_on_violation: true,
-        }),
-        ..ClusterConfig::default()
-    };
-    Runner::new(&app, cluster, EagerBroadcast { piggyback: false })
-        .with_nemesis(Box::new(stack_for(cfg, seed)))
-        .run(invocations)
-}
-
-/// Replays one monitored seed with row emission on, teeing the full
-/// streaming vocabulary (`txn` rows, `monitor.window` verdicts,
-/// `monitor.final`) into `sink` — the artifact producer behind
-/// `shard-chaos --trace-out` / `--cert-out`. Deterministic: the same
-/// `(cfg, seed, window)` aborts at the same row the sweep did.
-pub fn replay_monitored(
+/// One seeded run of the sweep's cluster: the airline workload of
+/// `seed` over eager broadcast without piggybacking under the fixed
+/// delay, optionally faulted, monitored and traced.
+fn run(
     cfg: &ChaosConfig,
     seed: u64,
-    window: usize,
-    sink: std::sync::Arc<shard_obs::EventSink>,
+    nemesis: Option<Box<dyn Nemesis>>,
+    monitor: Option<MonitorConfig>,
+    sink: Option<std::sync::Arc<shard_obs::EventSink>>,
 ) -> RunReport<FlyByNight> {
     let app = FlyByNight::new(cfg.capacity);
     let invocations = airline_invocations(
@@ -423,17 +391,46 @@ pub fn replay_monitored(
         seed,
         delay: DelayModel::Fixed(cfg.fixed_delay),
         piggyback: false,
-        sink: Some(sink),
-        monitor: Some(MonitorConfig {
-            window,
-            emit_rows: true,
-            abort_on_violation: true,
-        }),
+        sink,
+        monitor,
         ..ClusterConfig::default()
     };
-    Runner::new(&app, cluster, EagerBroadcast { piggyback: false })
-        .with_nemesis(Box::new(stack_for(cfg, seed)))
-        .run(invocations)
+    let mut runner = Runner::new(&app, cluster, EagerBroadcast { piggyback: false });
+    if let Some(n) = nemesis {
+        runner = runner.with_nemesis(n);
+    }
+    runner.run(invocations)
+}
+
+/// The monitor of a monitored run: abort at the first confirmed
+/// transitivity violation.
+fn aborting_monitor(window: usize, emit_rows: bool) -> Option<MonitorConfig> {
+    Some(MonitorConfig {
+        window,
+        emit_rows,
+        abort_on_violation: true,
+    })
+}
+
+/// Replays one monitored seed with row emission on, teeing the full
+/// streaming vocabulary (`txn` rows, `monitor.window` verdicts,
+/// `monitor.final`) into `sink` — the artifact producer behind
+/// `shard-chaos --trace-out` / `--cert-out`. Deterministic: the same
+/// `(cfg, seed, window)` aborts at the same row the sweep did.
+pub fn replay_monitored(
+    cfg: &ChaosConfig,
+    seed: u64,
+    window: usize,
+    sink: std::sync::Arc<shard_obs::EventSink>,
+) -> RunReport<FlyByNight> {
+    let stack = Box::new(stack_for(cfg, seed));
+    run(
+        cfg,
+        seed,
+        Some(stack),
+        aborting_monitor(window, true),
+        Some(sink),
+    )
 }
 
 /// The monitored sweep: every seed runs under the same fault stack as
@@ -455,7 +452,14 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
     let mut outcome = MonitoredOutcome::default();
     for chunk in seeds.chunks(MONITOR_CHUNK) {
         let runs = shard_pool::par_map(&cfg.pool, chunk, |_, &seed| {
-            let report = run_monitored(cfg, seed, window);
+            let stack = Box::new(stack_for(cfg, seed));
+            let report = run(
+                cfg,
+                seed,
+                Some(stack),
+                aborting_monitor(window, false),
+                None,
+            );
             let m = report
                 .monitor
                 .expect("monitored run always carries a StreamReport");
@@ -486,7 +490,7 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
                 // the nemesis to be the culprit. (Under the fixed-delay
                 // sweep it always does; a non-attributable abort is
                 // recorded and the sweep keeps going.)
-                let baseline = run_once(cfg, seed, None);
+                let baseline = run(cfg, seed, None, None, None);
                 if !is_transitive(&baseline.timed_execution().execution) {
                     continue;
                 }
@@ -509,34 +513,6 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
         }
     }
     outcome
-}
-
-fn run_once(
-    cfg: &ChaosConfig,
-    seed: u64,
-    nemesis: Option<Box<dyn Nemesis>>,
-) -> RunReport<FlyByNight> {
-    let app = FlyByNight::new(cfg.capacity);
-    let invocations = airline_invocations(
-        seed,
-        cfg.txns,
-        cfg.nodes,
-        cfg.mean_gap,
-        AirlineMix::default(),
-        Routing::Random,
-    );
-    let cluster = ClusterConfig {
-        nodes: cfg.nodes,
-        seed,
-        delay: DelayModel::Fixed(cfg.fixed_delay),
-        piggyback: false,
-        ..ClusterConfig::default()
-    };
-    let mut runner = Runner::new(&app, cluster, EagerBroadcast { piggyback: false });
-    if let Some(n) = nemesis {
-        runner = runner.with_nemesis(n);
-    }
-    runner.run(invocations)
 }
 
 /// The fault stack one swept seed runs under. Sub-seeds are derived per
@@ -615,10 +591,10 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         events: Vec<FaultEvent>,
     }
     let runs: Vec<SeedRun> = shard_pool::par_map(&cfg.pool, &seeds, |_, &seed| {
-        let baseline = run_once(cfg, seed, None);
+        let baseline = run(cfg, seed, None, None, None);
         let base_exec = baseline.timed_execution().execution;
         let (recorder, log) = Recorder::new(Box::new(stack_for(cfg, seed)));
-        let faulted = run_once(cfg, seed, Some(Box::new(recorder)));
+        let faulted = run(cfg, seed, Some(Box::new(recorder)), None, None);
         let te = faulted.timed_execution();
         let verify_ok = te.execution.verify(&app).is_ok();
         let (_, cost_check) = shard_analysis::claims::check_invariant_bound(
@@ -703,7 +679,8 @@ pub fn shrink_counterexample(
     let mut runs = 0usize;
     let shrunk = shrink(events, |candidate| {
         runs += 1;
-        let report = run_once(cfg, seed, Some(Box::new(ScheduledNemesis::new(candidate))));
+        let schedule = Box::new(ScheduledNemesis::new(candidate));
+        let report = run(cfg, seed, Some(schedule), None, None);
         oracle_holds_broken(cfg, oracle, &report.timed_execution().execution)
     });
     if shard_obs::enabled() {
@@ -830,21 +807,15 @@ mod tests {
             "empty schedule = baseline, which is transitive"
         );
         // Replaying the shrunk schedule still defeats the oracle.
-        let report = run_once(
-            &cfg,
-            ce.seed,
-            Some(Box::new(ScheduledNemesis::new(&ce.events))),
-        );
+        let schedule = Box::new(ScheduledNemesis::new(&ce.events));
+        let report = run(&cfg, ce.seed, Some(schedule), None, None);
         assert!(!is_transitive(&report.timed_execution().execution));
         // And it is 1-minimal: removing any single event repairs it.
         for i in 0..ce.events.len() {
             let mut without: Vec<FaultEvent> = ce.events.clone();
             without.remove(i);
-            let report = run_once(
-                &cfg,
-                ce.seed,
-                Some(Box::new(ScheduledNemesis::new(&without))),
-            );
+            let schedule = Box::new(ScheduledNemesis::new(&without));
+            let report = run(&cfg, ce.seed, Some(schedule), None, None);
             assert!(
                 is_transitive(&report.timed_execution().execution),
                 "event {i} is redundant in the shrunk schedule"

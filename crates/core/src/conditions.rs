@@ -20,14 +20,7 @@
 use crate::app::Application;
 use crate::bitset::BitSet;
 use crate::execution::{missed_indices, Execution, TxnIndex};
-use shard_pool::PoolConfig;
 use std::ops::Range;
-
-/// Executions below this length get their delay bound sequentially:
-/// the walk finishes in microseconds and spawning threads would cost
-/// more than it saves. From it on, [`TimedExecution::min_delay_bound`]
-/// partitions the rows across the pool (`SHARD_POOL_THREADS`).
-const PAR_THRESHOLD: usize = 1024;
 
 /// Builds, for each transaction, the set of prefix indices as a [`BitSet`]
 /// over the execution's indices.
@@ -259,34 +252,15 @@ impl<A: Application> TimedExecution<A> {
     /// pairs are missed, but allocation-free (the same miss-set walk
     /// as [`TimedExecution::delay_bound_violation`]).
     pub fn min_delay_bound(&self) -> u64 {
-        // Plain slices only: the parallel path must not capture the
-        // execution itself (its replay cache is not `Sync`).
-        let prefixes: Vec<&[TxnIndex]> = self
-            .execution
-            .records()
-            .iter()
-            .map(|r| r.prefix.as_slice())
-            .collect();
-        let times = self.times.as_slice();
         // Missing j is tolerable only for t > times[i] - times[j].
-        let row_bound = move |i: usize| {
-            missed_indices(prefixes[i], i)
-                .map(|j| times[i].saturating_sub(times[j]) + 1)
-                .max()
-                .unwrap_or(0)
-        };
-        let n = self.execution.len();
-        if n < PAR_THRESHOLD || shard_pool::is_worker() {
-            return (0..n).map(&row_bound).max().unwrap_or(0);
-        }
-        // Rows are independent and max is commutative: partition the
-        // transaction range across the pool.
-        shard_pool::par_ranges(&PoolConfig::from_env(), n, |range| {
-            range.into_iter().map(&row_bound).max().unwrap_or(0)
-        })
-        .into_iter()
-        .max()
-        .unwrap_or(0)
+        self.execution
+            .iter()
+            .flat_map(|(i, record)| {
+                missed_indices(&record.prefix, i)
+                    .map(move |j| self.times[i].saturating_sub(self.times[j]) + 1)
+            })
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -368,11 +342,19 @@ mod tests {
     }
 
     #[test]
-    fn long_executions_take_the_partitioned_path() {
-        // Length ≥ PAR_THRESHOLD exercises the pool-partitioned branch
-        // of `min_delay_bound` and a multi-word `is_transitive`; verdicts
-        // must agree with the independent oracles either way.
-        let n = PAR_THRESHOLD + 200;
+    fn long_executions_agree_with_the_naive_oracles() {
+        // 1 224 rows: a multi-word `is_transitive`, and a delay bound
+        // held to the naive double loop over `times`.
+        let naive_bound = |te: &TimedExecution<Trivial>| {
+            let mut bound = 0;
+            for (i, record) in te.execution.iter() {
+                for j in (0..i).filter(|j| record.prefix.binary_search(j).is_err()) {
+                    bound = bound.max(te.times[i].saturating_sub(te.times[j]) + 1);
+                }
+            }
+            bound
+        };
+        let n = 1224;
         let skip_at = n - 3;
         let mut b = ExecutionBuilder::new(&Trivial);
         for i in 0..n {
@@ -392,6 +374,18 @@ mod tests {
         let te = TimedExecution::new(e, times);
         // The only missed pair is (skip_at, 0), separated by 3·skip_at.
         assert_eq!(te.min_delay_bound(), 3 * skip_at as u64 + 1);
+        assert_eq!(te.min_delay_bound(), naive_bound(&te));
+
+        // Scattered misses under unorderly times: the bound is attained
+        // by a pair in the middle of the execution.
+        let mut b = ExecutionBuilder::new(&Trivial);
+        for i in 0..n {
+            b.push((), (0..i).filter(|j| (i + j) % 97 != 5).collect())
+                .unwrap();
+        }
+        let times: Vec<u64> = (0..n as u64).map(|i| i * 7 % 400 + i).collect();
+        let te = TimedExecution::new(b.finish(), times);
+        assert_eq!(te.min_delay_bound(), naive_bound(&te));
 
         // The fully-complete variant is transitive with zero bound.
         let mut b = ExecutionBuilder::new(&Trivial);

@@ -21,7 +21,7 @@
 //! which is how simulator output is validated against the formal model.
 
 use crate::app::{Application, DecisionOutcome, ExternalAction};
-use crate::replay::{ReplayCache, ReplayStats, DEFAULT_CHECKPOINT_INTERVAL};
+use crate::replay::{ReplayCache, DEFAULT_CHECKPOINT_INTERVAL};
 use std::cell::RefCell;
 use std::fmt;
 
@@ -225,28 +225,6 @@ impl<A: Application> Execution<A> {
             records: Vec::new(),
             cache: RefCell::new(ReplayCache::new(every)),
         }
-    }
-
-    /// Re-creates the replay cache checkpointing every `every` applied
-    /// updates. Cached states are discarded (replay stats are kept);
-    /// recorded transactions are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `every == 0`.
-    pub fn set_checkpoint_interval(&mut self, every: usize) {
-        self.cache.borrow_mut().set_interval(every);
-    }
-
-    /// The replay cache's checkpoint spacing, in applied updates.
-    pub fn checkpoint_interval(&self) -> usize {
-        self.cache.borrow().interval()
-    }
-
-    /// Cumulative replay-engine counters for this execution: queries
-    /// answered, updates applied, and updates saved by checkpoint reuse.
-    pub fn replay_stats(&self) -> ReplayStats {
-        self.cache.borrow().stats()
     }
 
     /// The number of transaction instances.
@@ -629,6 +607,7 @@ mod tests {
 
     /// Tiny saturating counter app: `Bump` adds 1 if the decision saw a
     /// state below the cap, else it is a no-op. One constraint: value ≤ 2.
+    #[derive(Clone)]
     struct Capped;
 
     #[derive(Clone, Debug, PartialEq)]
@@ -749,7 +728,7 @@ mod tests {
         b.push_complete(()).unwrap();
         let mut e = b.finish();
         e.records[0].update = Up::Noop; // decision from state 0 says Bump
-        e.cache.borrow_mut().clear(); // in-place edit invalidates replays
+        let e = e.clone(); // in-place edit invalidates replays; a clone's cache is cold
         assert_eq!(
             e.verify(&app),
             Err(ExecutionError::UpdateMismatch { txn: 0 })
@@ -765,7 +744,7 @@ mod tests {
         e.records[0]
             .external_actions
             .push(crate::app::ExternalAction::new("bogus", "x"));
-        e.cache.borrow_mut().clear();
+        let e = e.clone();
         assert_eq!(
             e.verify(&app),
             Err(ExecutionError::ExternalActionMismatch { txn: 0 })
@@ -800,28 +779,33 @@ mod tests {
     }
 
     #[test]
-    fn replay_stats_report_reuse() {
+    fn parallel_prebuild_warms_every_execution() {
         let app = Capped;
-        let mut b = ExecutionBuilder::new(&app);
-        for _ in 0..100 {
-            b.push_complete(()).unwrap();
+        let mut execs: Vec<Execution<Capped>> = (0..9)
+            .map(|k| {
+                let mut b = ExecutionBuilder::new(&app);
+                for _ in 0..40 + k {
+                    b.push((), vec![]).unwrap(); // sees nothing: bumps
+                }
+                b.finish().clone() // a clone's cache is cold
+            })
+            .collect();
+        for threads in [1, 4] {
+            crate::replay::prebuild_executions(
+                &shard_pool::PoolConfig::with_threads(threads),
+                &app,
+                &mut execs,
+            );
         }
-        let e = b.finish();
-        e.verify(&app).unwrap();
-        let stats = e.replay_stats();
-        assert!(stats.queries >= 100);
-        assert!(
-            stats.reused > stats.applied,
-            "builder + verify should mostly reuse"
-        );
-    }
-
-    #[test]
-    fn checkpoint_interval_is_configurable() {
-        let mut e = Execution::<Capped>::with_checkpoint_interval(4);
-        assert_eq!(e.checkpoint_interval(), 4);
-        e.set_checkpoint_interval(9);
-        assert_eq!(e.checkpoint_interval(), 9);
+        for (k, e) in execs.iter().enumerate() {
+            assert_eq!(e.final_state(&app), 40 + k as u32);
+            // The warm chain serves mid-sequence queries without a full
+            // replay (stats only move by the short suffix).
+            let applied = |e: &Execution<Capped>| e.cache.borrow().stats().applied;
+            let before = applied(e);
+            assert_eq!(e.actual_state_after(&app, 35), 36);
+            assert!(applied(e) - before <= DEFAULT_CHECKPOINT_INTERVAL as u64);
+        }
     }
 
     #[test]
@@ -850,10 +834,14 @@ mod tests {
         use proptest::prelude::*;
 
         /// Random prefix recipe: each transaction keeps preceding index
-        /// `j` iff bit `j % 64` of its mask is set.
-        fn build(masks: &[u64]) -> Execution<Capped> {
+        /// `j` iff bit `j % 64` of its mask is set. The replay cache
+        /// checkpoints every `every` applied updates.
+        fn build(masks: &[u64], every: usize) -> Execution<Capped> {
             let app = Capped;
-            let mut b = ExecutionBuilder::new(&app);
+            let mut b = ExecutionBuilder {
+                app: &app,
+                exec: Execution::with_checkpoint_interval(every),
+            };
             for (i, m) in masks.iter().enumerate() {
                 let prefix: Vec<TxnIndex> = (0..i).filter(|j| m >> (j % 64) & 1 == 1).collect();
                 b.push((), prefix).unwrap();
@@ -870,8 +858,7 @@ mod tests {
                 every in 1usize..40,
             ) {
                 let app = Capped;
-                let mut e = build(&masks);
-                e.set_checkpoint_interval(every);
+                let e = build(&masks, every);
                 for i in 0..e.len() {
                     let prefix = e.record(i).prefix.clone();
                     prop_assert_eq!(

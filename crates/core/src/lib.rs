@@ -108,8 +108,8 @@ pub use fairness::PriorityModel;
 pub use grouping::Grouping;
 pub use objects::{ObjectId, ObjectModel};
 pub use pmap::PMap;
-pub use replay::{
-    Checkpoints, ReplayStats, Replayer, StreamedRecord, StreamingExecution,
-    DEFAULT_CHECKPOINT_INTERVAL,
+pub use replay::{Checkpoints, ReplayStats, Replayer, DEFAULT_CHECKPOINT_INTERVAL};
+pub use stream::{
+    Certificate, RowError, StreamChecker, StreamReport, StreamRow, StreamedRecord,
+    StreamingExecution, WindowVerdict,
 };
-pub use stream::{Certificate, RowError, StreamChecker, StreamReport, StreamRow, WindowVerdict};

@@ -29,6 +29,10 @@
 //!   an update sequence but no `Execution` (cost-bound subsequence
 //!   enumeration, benches, ad-hoc analysis).
 //!
+//! Rows are not this module's business: the store-backed execution
+//! ([`StreamingExecution`](crate::stream::StreamingExecution)) and its
+//! row codec live in [`crate::stream`], next to the row they store.
+//!
 //! Streaming (`fold`-style) traversal of all actual states lives on
 //! `Execution` itself
 //! ([`fold_actual_states`](crate::execution::Execution::fold_actual_states) /
@@ -39,8 +43,9 @@
 use crate::app::Application;
 use crate::execution::{Execution, TxnIndex};
 
-/// Global replay metrics, resolved once and cached — per-query cost when
-/// enabled is a handful of relaxed atomic adds, nothing when disabled.
+/// Registers the replay engine's global metrics together, the first
+/// time any of them is touched, so a sidecar lists the whole family —
+/// at zero where nothing fired — rather than only the members that did.
 ///
 /// * `replay.queries` / `replay.applied` / `replay.reused` — the global
 ///   equivalents of [`ReplayStats`] across every cache in the process.
@@ -54,40 +59,27 @@ use crate::execution::{Execution, TxnIndex};
 ///   cloned (checkpoint records, cached tips) and their cost per
 ///   [`Application::state_size_hint`]. The clone-budget CI gate watches
 ///   `state.clone_bytes`; a snapshot-copying regression moves it first.
-struct ReplayMetrics {
-    queries: std::sync::Arc<shard_obs::Counter>,
-    applied: std::sync::Arc<shard_obs::Counter>,
-    reused: std::sync::Arc<shard_obs::Counter>,
-    ckpt_hits: std::sync::Arc<shard_obs::Counter>,
-    ckpt_misses: std::sync::Arc<shard_obs::Counter>,
-    lcp: std::sync::Arc<shard_obs::Histogram>,
-    in_place: std::sync::Arc<shard_obs::Counter>,
-    clone_count: std::sync::Arc<shard_obs::Counter>,
-    clone_bytes: std::sync::Arc<shard_obs::Counter>,
-    spills: std::sync::Arc<shard_obs::Counter>,
-    spill_loads: std::sync::Arc<shard_obs::Counter>,
-    peak_resident: std::sync::Arc<shard_obs::Gauge>,
-}
-
-fn replay_metrics() -> &'static ReplayMetrics {
-    static METRICS: std::sync::OnceLock<ReplayMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = shard_obs::Registry::global();
-        ReplayMetrics {
-            queries: r.counter("replay.queries"),
-            applied: r.counter("replay.applied"),
-            reused: r.counter("replay.reused"),
-            ckpt_hits: r.counter("replay.ckpt_hits"),
-            ckpt_misses: r.counter("replay.ckpt_misses"),
-            lcp: r.histogram("replay.lcp"),
-            in_place: r.counter("replay.in_place_applies"),
-            clone_count: r.counter("state.clone_count"),
-            clone_bytes: r.counter("state.clone_bytes"),
-            spills: r.counter("replay.spills"),
-            spill_loads: r.counter("replay.spill_loads"),
-            peak_resident: r.gauge("state.peak_resident_bytes"),
-        }
-    })
+/// * `replay.spills` / `replay.spill_loads` — cold anchors written to
+///   and read back from a [`Checkpoints`] cold store.
+/// * `state.peak_resident_bytes` — see [`note_resident_bytes`].
+fn family() {
+    let r = shard_obs::Registry::global();
+    for name in [
+        "replay.queries",
+        "replay.applied",
+        "replay.reused",
+        "replay.ckpt_hits",
+        "replay.ckpt_misses",
+        "replay.in_place_applies",
+        "state.clone_count",
+        "state.clone_bytes",
+        "replay.spills",
+        "replay.spill_loads",
+    ] {
+        r.counter(name);
+    }
+    r.histogram("replay.lcp");
+    r.gauge("state.peak_resident_bytes");
 }
 
 /// Raises the `state.peak_resident_bytes` high-watermark gauge — the
@@ -95,8 +87,13 @@ fn replay_metrics() -> &'static ReplayMetrics {
 /// checked against. Called at checkpoint spill/load boundaries; no-op
 /// while the obs layer is disabled.
 fn note_resident_bytes(bytes: usize) {
+    static PEAK: std::sync::OnceLock<std::sync::Arc<shard_obs::Gauge>> = std::sync::OnceLock::new();
     if shard_obs::enabled() {
-        replay_metrics().peak_resident.max(bytes as i64);
+        PEAK.get_or_init(|| {
+            family();
+            shard_obs::Registry::global().gauge("state.peak_resident_bytes")
+        })
+        .max(bytes as i64);
     }
 }
 
@@ -108,9 +105,8 @@ fn note_resident_bytes(bytes: usize) {
 /// clones against the same budget.
 pub fn note_state_clone(bytes: usize) {
     if shard_obs::enabled() {
-        let m = replay_metrics();
-        m.clone_count.inc();
-        m.clone_bytes.add(bytes as u64);
+        shard_obs::counter!("state.clone_count", family).inc();
+        shard_obs::counter!("state.clone_bytes", family).add(bytes as u64);
     }
 }
 
@@ -120,7 +116,23 @@ pub fn note_state_clone(bytes: usize) {
 /// [`note_state_clone`].
 pub fn note_in_place_applies(count: u64) {
     if shard_obs::enabled() {
-        replay_metrics().in_place.add(count);
+        shard_obs::counter!("replay.in_place_applies", family).add(count);
+    }
+}
+
+/// Accounts one cache query that resumed `reused` updates deep and
+/// applies `applied` more, in place.
+fn note_query(reused: usize, applied: usize) {
+    if shard_obs::enabled() {
+        shard_obs::counter!("replay.queries", family).inc();
+        shard_obs::counter!("replay.reused", family).add(reused as u64);
+        shard_obs::counter!("replay.applied", family).add(applied as u64);
+        shard_obs::counter!("replay.in_place_applies", family).add(applied as u64);
+        if reused > 0 {
+            shard_obs::counter!("replay.ckpt_hits", family).inc();
+        } else {
+            shard_obs::counter!("replay.ckpt_misses", family).inc();
+        }
     }
 }
 
@@ -177,12 +189,10 @@ pub struct ReplayStats {
 /// site — the merge log's undo/redo paths included — stays free of
 /// codec bounds.
 ///
-/// Spilled record byte layout (see `docs/storage.md`): anchor `seq`
-/// (a monotone sequence number, so truncated-then-rewritten depths
-/// never collide in the insert-only store) keys a chunked group of
-/// `write_frame(encode(state))` split into
-/// [`CHUNK_BYTES`](shard_store::CHUNK_BYTES) records
-/// `(primary = seq, secondary = chunk index)`.
+/// A spilled anchor is the state's encoding, stored as one chunk group
+/// ([`shard_store::append_chunked`]; layout in `docs/storage.md`) under
+/// its `seq` — a monotone sequence number, so truncated-then-rewritten
+/// depths never collide in the insert-only store.
 pub struct Checkpoints<S> {
     every: usize,
     /// Resident points, ascending by depth.
@@ -416,7 +426,7 @@ impl<S> ColdTier<S> {
         if shard_store::append_chunked(&mut *self.store, seq, &payload).is_ok() {
             self.spilled.push((depth, seq));
             if shard_obs::enabled() {
-                replay_metrics().spills.inc();
+                shard_obs::counter!("replay.spills", family).inc();
             }
         }
     }
@@ -431,7 +441,7 @@ impl<S> ColdTier<S> {
                 continue;
             };
             if shard_obs::enabled() {
-                replay_metrics().spill_loads.inc();
+                shard_obs::counter!("replay.spill_loads", family).inc();
             }
             // The loaded anchor is transiently resident on top of the
             // hot tier; its encoded size is the best proxy we have.
@@ -440,250 +450,6 @@ impl<S> ColdTier<S> {
         }
         None
     }
-}
-
-/// A streamed record of the serial order: what
-/// [`StreamingExecution::for_each_row`] yields per transaction.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StreamedRecord<U> {
-    /// Real initiation time (the simulator's integer ticks).
-    pub time: u64,
-    /// Strictly increasing indices in `0..index` the transaction
-    /// missed (the complement of its prefix subsequence).
-    pub missed: Vec<TxnIndex>,
-    /// The update the transaction contributed.
-    pub update: U,
-}
-
-/// An execution that lives in a [`Store`](shard_store::Store) instead
-/// of a `Vec<TxnRecord>`: rows are appended in serial order as chunked
-/// records, and every whole-execution traversal —
-/// [`for_each_row`](StreamingExecution::for_each_row),
-/// [`final_state`](StreamingExecution::final_state),
-/// the §3 window checker ([`check_stream`](StreamingExecution::check_stream)) —
-/// runs directly off a key-order cursor, so peak resident state is one
-/// application state plus one row, independent of the execution length.
-///
-/// Row byte layout (framed and chunked like spilled checkpoints;
-/// `docs/storage.md` documents both): `time: u64` big-endian,
-/// `missed_len: u32`, `missed[i]: u32` each, then the update's
-/// [`Codec`](shard_store::Codec) encoding.
-pub struct StreamingExecution<A: crate::app::Application> {
-    store: Box<dyn shard_store::Store + Send>,
-    len: usize,
-    _app: std::marker::PhantomData<fn() -> A>,
-}
-
-impl<A: crate::app::Application> std::fmt::Debug for StreamingExecution<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StreamingExecution")
-            .field("len", &self.len)
-            .finish()
-    }
-}
-
-impl<A: crate::app::Application> StreamingExecution<A>
-where
-    A::Update: shard_store::Codec,
-{
-    /// An empty streaming execution over `store` (which should be
-    /// empty; reuse [`StreamingExecution::reopen`] for a store that
-    /// already holds rows).
-    pub fn new(store: Box<dyn shard_store::Store + Send>) -> Self {
-        debug_assert_eq!(store.entries(), 0, "use reopen for a non-empty store");
-        StreamingExecution {
-            store,
-            len: 0,
-            _app: std::marker::PhantomData,
-        }
-    }
-
-    /// Re-attaches to a store holding `len` previously pushed rows.
-    pub fn reopen(store: Box<dyn shard_store::Store + Send>, len: usize) -> Self {
-        StreamingExecution {
-            store,
-            len,
-            _app: std::marker::PhantomData,
-        }
-    }
-
-    /// Durability barrier on the backing store.
-    pub fn sync(&mut self) -> std::io::Result<()> {
-        self.store.sync()
-    }
-
-    /// The backing store — exposed so fault harnesses can crash it
-    /// under a live execution.
-    pub fn store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
-        &mut *self.store
-    }
-
-    /// Releases the backing store and the row count, e.g. to reopen the
-    /// same rows after a simulated crash.
-    pub fn into_store(self) -> (Box<dyn shard_store::Store + Send>, usize) {
-        (self.store, self.len)
-    }
-
-    /// Appends the next transaction of the serial order: its initiation
-    /// `time`, the indices it `missed`, and its `update`. Returns the
-    /// row's index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a missed index is not strictly below the row's index.
-    pub fn push(
-        &mut self,
-        time: u64,
-        missed: &[TxnIndex],
-        update: &A::Update,
-    ) -> std::io::Result<TxnIndex> {
-        let index = self.len;
-        let mut payload = Vec::with_capacity(16 + 4 * missed.len());
-        payload.extend_from_slice(&time.to_be_bytes());
-        payload.extend_from_slice(&(missed.len() as u32).to_be_bytes());
-        for &m in missed {
-            assert!(m < index, "missed index {m} not below row {index}");
-            payload.extend_from_slice(&(m as u32).to_be_bytes());
-        }
-        shard_store::Codec::encode(update, &mut payload);
-        shard_store::append_chunked(&mut *self.store, index as u64, &payload)?;
-        self.len += 1;
-        Ok(index)
-    }
-
-    /// Streams every row in serial order through `f` off a key-order
-    /// store cursor. Errors on a missing, torn or malformed row — a
-    /// streaming execution is an *authoritative* copy, not a cache, so
-    /// holes are not skippable.
-    pub fn for_each_row(
-        &mut self,
-        mut f: impl FnMut(TxnIndex, &StreamedRecord<A::Update>),
-    ) -> std::io::Result<()> {
-        let bad = |i: usize, what: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("streaming row {i}: {what}"),
-            )
-        };
-        let mut cursor = shard_store::KeyCursor::new(1024);
-        let mut active: Option<(u64, shard_store::FrameReader)> = None;
-        let mut next = 0usize;
-        loop {
-            let rec = cursor.next(&mut *self.store)?;
-            let boundary = match &rec {
-                Some((k, _)) => active.as_ref().is_some_and(|(p, _)| *p != k.primary),
-                None => active.is_some(),
-            };
-            if boundary {
-                let (primary, mut reader) = active.take().expect("boundary implies a group");
-                if primary != next as u64 {
-                    return Err(bad(next, "row group missing"));
-                }
-                let payload = reader
-                    .next_frame()
-                    .ok_or_else(|| bad(next, "torn row group"))?;
-                let row = decode_row::<A>(payload).ok_or_else(|| bad(next, "malformed row"))?;
-                f(next, &row);
-                next += 1;
-            }
-            match rec {
-                Some((k, v)) => {
-                    let (_, reader) =
-                        active.get_or_insert_with(|| (k.primary, shard_store::FrameReader::new()));
-                    reader.push(&v);
-                }
-                None => break,
-            }
-        }
-        if next != self.len {
-            return Err(bad(next, "row group missing"));
-        }
-        Ok(())
-    }
-
-    /// The final actual state (the initial state if empty).
-    pub fn final_state(&mut self, app: &A) -> std::io::Result<A::State> {
-        let mut state = app.initial_state();
-        let mut applied = 0u64;
-        self.for_each_row(|_, row| {
-            app.apply_in_place(&mut state, &row.update);
-            applied += 1;
-        })?;
-        note_in_place_applies(applied);
-        Ok(state)
-    }
-
-    /// Runs the online §3 window checker over the stored rows —
-    /// verdicts, certificates and the final report are byte-identical
-    /// to [`check_rows`](crate::stream::check_rows) on the same rows
-    /// materialized in memory.
-    ///
-    /// # Errors
-    ///
-    /// Store errors, and `InvalidData` naming the first stored row that
-    /// is missing, torn, malformed or carries an ill-formed miss set.
-    pub fn check_stream(&mut self, window: usize) -> std::io::Result<crate::stream::StreamReport> {
-        let mut checker = crate::stream::StreamChecker::new(window);
-        // A row that decodes but does not belong to a serial order
-        // (B+tree pages carry no checksum) is bad data, not a bug.
-        let mut bad_row = None;
-        self.for_each_row(|i, row| {
-            if bad_row.is_none() {
-                bad_row = checker
-                    .try_push(i, row.time, &row.missed)
-                    .err()
-                    .map(|e| (i, e));
-            }
-        })?;
-        match bad_row {
-            None => Ok(checker.report()),
-            Some((i, e)) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("streaming row {i}: {e}"),
-            )),
-        }
-    }
-
-    /// Spills a timed in-memory execution into `store` row by row — the
-    /// bridge the equivalence tests and benches use.
-    pub fn from_timed_execution(
-        store: Box<dyn shard_store::Store + Send>,
-        pool: &shard_pool::PoolConfig,
-        te: &crate::conditions::TimedExecution<A>,
-    ) -> std::io::Result<Self> {
-        let rows = crate::stream::rows_from_execution(pool, te);
-        let mut out = Self::new(store);
-        for (rec, row) in te.execution.records().iter().zip(&rows) {
-            out.push(row.time, &row.missed, &rec.update)?;
-        }
-        Ok(out)
-    }
-}
-
-fn decode_row<A: crate::app::Application>(payload: &[u8]) -> Option<StreamedRecord<A::Update>>
-where
-    A::Update: shard_store::Codec,
-{
-    let mut r = shard_store::ByteReader::new(payload);
-    let time = r.u64()?;
-    let missed_len = r.u32()? as usize;
-    // The length is untrusted: it must fit in the bytes that are left.
-    if missed_len > r.remaining() / 4 {
-        return None;
-    }
-    let mut missed = Vec::with_capacity(missed_len);
-    for _ in 0..missed_len {
-        missed.push(r.u32()? as TxnIndex);
-    }
-    let update = <A::Update as shard_store::Codec>::decode(&mut r)?;
-    if !r.is_done() {
-        return None;
-    }
-    Some(StreamedRecord {
-        time,
-        missed,
-        update,
-    })
 }
 
 /// The memo behind all incremental state queries.
@@ -730,26 +496,6 @@ impl<A: Application> ReplayCache<A> {
 
     pub(crate) fn stats(&self) -> ReplayStats {
         self.stats
-    }
-
-    /// Re-creates both checkpoint sequences with a new interval,
-    /// dropping cached states (stats are kept — they describe work
-    /// done, not the cache contents).
-    pub(crate) fn set_interval(&mut self, every: usize) {
-        self.path_ckpts = Checkpoints::new(every);
-        self.full = Checkpoints::new(every);
-        self.clear();
-    }
-
-    /// Drops all cached states (keeps the interval and the stats).
-    /// Required after in-place mutation of already-replayed updates;
-    /// appends never require it.
-    pub(crate) fn clear(&mut self) {
-        self.path.clear();
-        self.path_ckpts.clear();
-        self.path_tip = None;
-        self.full.clear();
-        self.full_tip = None;
     }
 
     /// The state after applying the updates selected by `prefix`
@@ -820,20 +566,10 @@ impl<A: Application> ReplayCache<A> {
             },
         };
         self.stats.reused += depth as u64;
+        // Each loop iteration below applies exactly one update, in place.
+        note_query(depth, prefix.len() - depth);
         if shard_obs::enabled() {
-            let m = replay_metrics();
-            m.queries.inc();
-            m.reused.add(depth as u64);
-            // Each loop iteration below applies exactly one update,
-            // in place.
-            m.applied.add((prefix.len() - depth) as u64);
-            m.in_place.add((prefix.len() - depth) as u64);
-            m.lcp.record(lcp as u64);
-            if depth > 0 {
-                m.ckpt_hits.inc();
-            } else {
-                m.ckpt_misses.inc();
-            }
+            shard_obs::histogram!("replay.lcp", family).record(lcp as u64);
         }
         if from_full {
             // The old path may disagree with `prefix[..depth]`; the
@@ -887,18 +623,7 @@ impl<A: Application> ReplayCache<A> {
         self.stats.queries += 1;
         let (mut len, mut state) = self.full_resume(m).unwrap_or((0, app.initial_state()));
         self.stats.reused += len as u64;
-        if shard_obs::enabled() {
-            let metrics = replay_metrics();
-            metrics.queries.inc();
-            metrics.reused.add(len as u64);
-            metrics.applied.add((m - len) as u64);
-            metrics.in_place.add((m - len) as u64);
-            if len > 0 {
-                metrics.ckpt_hits.inc();
-            } else {
-                metrics.ckpt_misses.inc();
-            }
-        }
+        note_query(len, m - len);
         while len < m {
             app.apply_in_place(&mut state, update_at(len));
             len += 1;
@@ -1047,8 +772,6 @@ where
 mod tests {
     use super::*;
     use crate::app::DecisionOutcome;
-    use crate::conditions::TimedExecution;
-    use crate::execution::ExecutionBuilder;
 
     /// Toy application: state is the concatenation-as-number of applied
     /// update ids, so every distinct subsequence yields a distinct state
@@ -1243,37 +966,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_prebuild_warms_every_execution() {
-        use crate::execution::ExecutionBuilder;
-        let app = Trace;
-        let mut execs: Vec<Execution<Trace>> = (0..9)
-            .map(|k| {
-                let mut b = ExecutionBuilder::new(&app);
-                for i in 0..40 {
-                    b.push_complete(Tag(k * 1000 + i)).unwrap();
-                }
-                b.finish()
-            })
-            .collect();
-        for threads in [1, 4] {
-            prebuild_executions(
-                &shard_pool::PoolConfig::with_threads(threads),
-                &app,
-                &mut execs,
-            );
-        }
-        for (k, e) in execs.iter().enumerate() {
-            let expect: Vec<u64> = (0..40).map(|i| k as u64 * 1000 + i).collect();
-            assert_eq!(e.final_state(&app), expect);
-            // The warm chain serves mid-sequence queries without a full
-            // replay (stats only move by the short suffix).
-            let before = e.replay_stats().applied;
-            assert_eq!(e.actual_state_after(&app, 35), expect[..36].to_vec());
-            assert!(e.replay_stats().applied - before <= DEFAULT_CHECKPOINT_INTERVAL as u64);
-        }
-    }
-
-    #[test]
     fn empty_sequence_yields_initial_state() {
         let app = Trace;
         let updates: Vec<Tag> = Vec::new();
@@ -1281,15 +973,6 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.state_after_prefix(&[]), Vec::<u64>::new());
         assert_eq!(r.final_state(), Vec::<u64>::new());
-    }
-
-    impl shard_store::Codec for Tag {
-        fn encode(&self, out: &mut Vec<u8>) {
-            self.0.encode(out);
-        }
-        fn decode(r: &mut shard_store::ByteReader<'_>) -> Option<Self> {
-            Some(Tag(u64::decode(r)?))
-        }
     }
 
     fn spilling(hot: usize, spacing: usize, every: usize) -> Checkpoints<u64> {
@@ -1369,176 +1052,5 @@ mod tests {
         assert_eq!(spill.floor(18), None, "cold anchors gone");
         assert_eq!(spill.floor(19), Some((19, 19)), "hot tier intact");
         assert_eq!(spill.last(), Some((20, 20)));
-    }
-
-    fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
-        let app = Trace;
-        let mut b = ExecutionBuilder::new(&app);
-        for i in 0..n {
-            if i % 3 == 2 {
-                b.push_missing(Tag(i as u64), &[i - 1, i / 2]).unwrap();
-            } else {
-                b.push_complete(Tag(i as u64)).unwrap();
-            }
-        }
-        let times = (0..n as u64).map(|t| t * 7 % 400 + t).collect();
-        TimedExecution::new(b.finish(), times)
-    }
-
-    #[test]
-    fn streaming_execution_matches_in_memory_traversals() {
-        let app = Trace;
-        let pool = shard_pool::PoolConfig::sequential();
-        let te = mixed_timed_execution(60);
-        let mut se = StreamingExecution::<Trace>::from_timed_execution(
-            Box::new(shard_store::MemStore::new()),
-            &pool,
-            &te,
-        )
-        .unwrap();
-        let mem: Vec<(usize, Vec<u64>)> =
-            te.execution
-                .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
-                    acc.push((m, s.clone()));
-                    acc
-                });
-        // Folding the updates as the rows hand them back visits the
-        // same states.
-        let mut state = app.initial_state();
-        let mut streamed = vec![(0, state.clone())];
-        se.for_each_row(|i, row| {
-            app.apply_in_place(&mut state, &row.update);
-            streamed.push((i + 1, state.clone()));
-        })
-        .unwrap();
-        assert_eq!(mem, streamed, "identical fold results");
-        assert_eq!(
-            se.final_state(&app).unwrap(),
-            te.execution.final_state(&app)
-        );
-        for window in [1, 7, 64] {
-            let rows = crate::stream::rows_from_execution(&pool, &te);
-            assert_eq!(
-                se.check_stream(window).unwrap(),
-                crate::stream::check_rows(window, &rows),
-                "window {window}"
-            );
-        }
-    }
-
-    #[test]
-    fn streaming_execution_round_trips_rows_through_disk() {
-        let dir = std::env::temp_dir().join(format!("shard_streaming_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (store, _) =
-            shard_store::DiskStore::open(&dir, shard_store::StoreOptions::default()).unwrap();
-        let mut se = StreamingExecution::<Trace>::new(Box::new(store));
-        se.push(3, &[], &Tag(7)).unwrap();
-        se.push(9, &[0], &Tag(8)).unwrap();
-        se.sync().unwrap();
-        let (store, len) = se.into_store();
-        drop(store);
-        let (store, recovered) =
-            shard_store::DiskStore::open(&dir, shard_store::StoreOptions::default()).unwrap();
-        assert_eq!(recovered, 2);
-        let mut se = StreamingExecution::<Trace>::reopen(Box::new(store), len);
-        let mut rows = Vec::new();
-        se.for_each_row(|i, row| rows.push((i, row.clone())))
-            .unwrap();
-        assert_eq!(
-            rows,
-            vec![
-                (
-                    0,
-                    StreamedRecord {
-                        time: 3,
-                        missed: vec![],
-                        update: Tag(7)
-                    }
-                ),
-                (
-                    1,
-                    StreamedRecord {
-                        time: 9,
-                        missed: vec![0],
-                        update: Tag(8)
-                    }
-                ),
-            ]
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn streaming_execution_rejects_torn_rows() {
-        let pool = shard_pool::PoolConfig::sequential();
-        let te = mixed_timed_execution(10);
-        let se = StreamingExecution::<Trace>::from_timed_execution(
-            Box::new(shard_store::MemStore::new()),
-            &pool,
-            &te,
-        )
-        .unwrap();
-        let (mut store, len) = se.into_store();
-        let keep = store.len_bytes() - 1;
-        store.crash(keep).unwrap();
-        let mut se = StreamingExecution::<Trace>::reopen(store, len);
-        let app = Trace;
-        let err = se.final_state(&app).unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
-    }
-    #[test]
-    fn check_stream_reports_corrupted_rows_instead_of_panicking() {
-        // What a flipped byte in a row-store page (B+tree pages carry
-        // no checksum) can make of a row: every variant must come back
-        // as InvalidData naming the row, never as a panic or a
-        // multi-gigabyte reservation.
-        let row = |time: u64, missed_len: u32, missed: &[u32]| {
-            let mut payload = Vec::new();
-            payload.extend_from_slice(&time.to_be_bytes());
-            payload.extend_from_slice(&missed_len.to_be_bytes());
-            for m in missed {
-                payload.extend_from_slice(&m.to_be_bytes());
-            }
-            shard_store::Codec::encode(&Tag(1), &mut payload);
-            payload
-        };
-        let good = [row(0, 0, &[]), row(1, 1, &[0]), row(2, 2, &[0, 1])];
-        let corruptions = [
-            (
-                "a miss count far past the payload",
-                row(2, u32::MAX, &[0, 1]),
-            ),
-            ("a miss count one past the payload", row(2, 4, &[0, 1])),
-            ("a miss set out of order", row(2, 2, &[1, 0])),
-            ("a repeated miss", row(2, 2, &[1, 1])),
-            ("a miss at the row's own index", row(2, 1, &[2])),
-            ("a miss far in the future", row(2, 1, &[u32::MAX])),
-        ];
-        for (what, bad) in corruptions {
-            let mut store: Box<dyn shard_store::Store + Send> =
-                Box::new(shard_store::MemStore::new());
-            // The bad row sits between good ones: rows 0, 1, bad, 3.
-            for (i, payload) in [&good[0], &good[1], &bad, &row(3, 0, &[])]
-                .into_iter()
-                .enumerate()
-            {
-                shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
-            }
-            let mut se = StreamingExecution::<Trace>::reopen(store, 4);
-            let err = se.check_stream(2).expect_err(what);
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
-            assert!(err.to_string().contains("row 2"), "{what}: {err}");
-        }
-        // The uncorrupted rows check clean.
-        let mut store: Box<dyn shard_store::Store + Send> = Box::new(shard_store::MemStore::new());
-        for (i, payload) in good.iter().enumerate() {
-            shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
-        }
-        let report = StreamingExecution::<Trace>::reopen(store, 3)
-            .check_stream(2)
-            .unwrap();
-        assert_eq!((report.rows, report.max_missed), (3, 2));
     }
 }

@@ -39,6 +39,12 @@
 //! source execution (`tests/stream_equivalence.rs` pins this per
 //! application, window and pool size).
 //!
+//! The row has one home. This module declares [`StreamRow`], its JSONL
+//! form (trace lines) and its binary form (store records), and
+//! [`StreamingExecution`] — the store-backed sequence of rows an
+//! out-of-core run seals into and re-checks from — so a change to what
+//! a sealed row *is* touches one file.
+//!
 //! Every verdict ships with a [`Certificate`] — the witness rows that
 //! *prove* it — serialized into the trace vocabulary so an independent
 //! validator (`shard-trace certify`, implemented in `shard-obs` with no
@@ -60,24 +66,12 @@ pub const CERT_SCHEMA: &str = "shard-cert/v1";
 /// break even near 1 500 rows.
 const PAR_THRESHOLD: usize = 2048;
 
-/// Per-process stream metrics, resolved once (same pattern as the
-/// replay engine's counters).
-struct StreamMetrics {
-    rows: std::sync::Arc<shard_obs::Counter>,
-    windows: std::sync::Arc<shard_obs::Counter>,
-    violations: std::sync::Arc<shard_obs::Counter>,
-}
-
-fn stream_metrics() -> &'static StreamMetrics {
-    static METRICS: std::sync::OnceLock<StreamMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = shard_obs::Registry::global();
-        StreamMetrics {
-            rows: r.counter("stream.rows"),
-            windows: r.counter("stream.windows"),
-            violations: r.counter("stream.violations"),
-        }
-    })
+/// Registers `stream.rows` / `stream.windows` / `stream.violations`
+/// together (see `shard_obs::counter!`).
+fn family() {
+    for name in ["stream.rows", "stream.windows", "stream.violations"] {
+        shard_obs::Registry::global().counter(name);
+    }
 }
 
 /// One transaction of the streaming vocabulary: its position in the
@@ -480,7 +474,7 @@ impl StreamChecker {
                 if let Some(j) = gap_witness(&missed[pos + 1..], mx, x, index) {
                     self.first_violation = Some((x, j, index));
                     if shard_obs::enabled() {
-                        stream_metrics().violations.inc();
+                        shard_obs::counter!("stream.violations", family).inc();
                     }
                     break;
                 }
@@ -500,7 +494,7 @@ impl StreamChecker {
         self.times.push(time);
 
         if shard_obs::enabled() {
-            stream_metrics().rows.inc();
+            shard_obs::counter!("stream.rows", family).inc();
         }
         let rows = self.rows();
         if !rows.is_multiple_of(self.window) {
@@ -516,7 +510,7 @@ impl StreamChecker {
         };
         self.verdicts.push(verdict);
         if shard_obs::enabled() {
-            stream_metrics().windows.inc();
+            shard_obs::counter!("stream.windows", family).inc();
         }
         Ok(Some(verdict))
     }
@@ -640,6 +634,221 @@ pub fn par_check<A: Application>(
     let _span = shard_obs::span!("stream.par_check");
     let rows = rows_from_execution(pool, te);
     check_rows(window, &rows)
+}
+
+/// A stored row as [`StreamingExecution::for_each_row`] hands it back:
+/// the sealed [`StreamRow`] plus the update the transaction contributed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StreamedRecord<U> {
+    /// Position, initiation time and miss set.
+    pub row: StreamRow,
+    /// The update the transaction contributed.
+    pub update: U,
+}
+
+/// An execution that lives in a [`Store`](shard_store::Store) instead
+/// of a `Vec<TxnRecord>`: rows are appended in serial order as chunk
+/// groups, and every whole-execution traversal —
+/// [`for_each_row`](StreamingExecution::for_each_row),
+/// [`final_state`](StreamingExecution::final_state),
+/// the §3 window checker ([`check_stream`](StreamingExecution::check_stream)) —
+/// runs directly off a key-order cursor, so peak resident state is one
+/// application state plus one row, independent of the execution length.
+///
+/// Row `i` is the chunk group ([`shard_store::append_chunked`]) under
+/// primary key `i`; its payload is `time: u64` big-endian,
+/// `missed_len: u32`, `missed[k]: u32` each, then the update's
+/// [`Codec`](shard_store::Codec) encoding (`docs/storage.md`).
+pub struct StreamingExecution<A: Application> {
+    store: Box<dyn shard_store::Store + Send>,
+    len: usize,
+    _app: std::marker::PhantomData<fn() -> A>,
+}
+
+impl<A: Application> std::fmt::Debug for StreamingExecution<A> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("StreamingExecution")
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
+impl<A: Application> StreamingExecution<A>
+where
+    A::Update: shard_store::Codec,
+{
+    /// An empty streaming execution over `store` (which should be
+    /// empty; reuse [`StreamingExecution::reopen`] for a store that
+    /// already holds rows).
+    pub fn new(store: Box<dyn shard_store::Store + Send>) -> Self {
+        debug_assert_eq!(store.entries(), 0, "use reopen for a non-empty store");
+        Self::reopen(store, 0)
+    }
+
+    /// Re-attaches to a store holding `len` previously pushed rows.
+    pub fn reopen(store: Box<dyn shard_store::Store + Send>, len: usize) -> Self {
+        StreamingExecution {
+            store,
+            len,
+            _app: std::marker::PhantomData,
+        }
+    }
+
+    /// Durability barrier on the backing store.
+    pub fn sync(&mut self) -> std::io::Result<()> {
+        self.store.sync()
+    }
+
+    /// The backing store — exposed so fault harnesses can crash it
+    /// under a live execution.
+    pub fn store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
+        &mut *self.store
+    }
+
+    /// Appends the next transaction of the serial order: its sealed
+    /// `row` and the `update` it contributed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is not the next row or its miss set is not
+    /// strictly increasing below its index — rows are sealed by this
+    /// program, so either is a bug in the sealer.
+    pub fn push(&mut self, row: &StreamRow, update: &A::Update) -> std::io::Result<()> {
+        assert_eq!(row.index, self.len, "rows are pushed in serial order");
+        assert!(row.missed_well_formed(), "ill-formed miss set: {row:?}");
+        let mut payload = Vec::with_capacity(16 + 4 * row.missed.len());
+        payload.extend_from_slice(&row.time.to_be_bytes());
+        payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
+        for &m in &row.missed {
+            payload.extend_from_slice(&(m as u32).to_be_bytes());
+        }
+        shard_store::Codec::encode(update, &mut payload);
+        shard_store::append_chunked(&mut *self.store, row.index as u64, &payload)?;
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Streams every row in serial order through `f` off a key-order
+    /// store cursor. Errors (`InvalidData`, naming the row) on a
+    /// missing, torn or malformed row — a streaming execution is an
+    /// *authoritative* copy, not a cache, so holes are not skippable.
+    pub fn for_each_row(
+        &mut self,
+        mut f: impl FnMut(&StreamedRecord<A::Update>),
+    ) -> std::io::Result<()> {
+        let bad = |i: usize, what: &str| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("streaming row {i}: {what}"),
+            )
+        };
+        let mut groups = shard_store::GroupCursor::starting_at(0, 1024);
+        let mut next = 0usize;
+        while let Some((primary, group)) = groups.next(&mut *self.store)? {
+            if primary != next as u64 {
+                return Err(bad(next, "row group missing"));
+            }
+            let payload = group.map_err(|what| bad(next, what))?;
+            f(&decode_row::<A>(next, payload).ok_or_else(|| bad(next, "malformed row"))?);
+            next += 1;
+        }
+        if next != self.len {
+            return Err(bad(next, "row group missing"));
+        }
+        Ok(())
+    }
+
+    /// The final actual state (the initial state if empty).
+    pub fn final_state(&mut self, app: &A) -> std::io::Result<A::State> {
+        let mut state = app.initial_state();
+        let mut applied = 0u64;
+        self.for_each_row(|rec| {
+            app.apply_in_place(&mut state, &rec.update);
+            applied += 1;
+        })?;
+        crate::replay::note_in_place_applies(applied);
+        Ok(state)
+    }
+
+    /// Runs the online §3 window checker over the stored rows —
+    /// verdicts, certificates and the final report are byte-identical
+    /// to [`check_rows`] on the same rows materialized in memory.
+    ///
+    /// # Errors
+    ///
+    /// Store errors, and `InvalidData` naming the first stored row that
+    /// is missing, torn, malformed or carries an ill-formed miss set.
+    pub fn check_stream(&mut self, window: usize) -> std::io::Result<StreamReport> {
+        let mut checker = StreamChecker::new(window);
+        // A row that decodes but does not belong to a serial order
+        // (B+tree pages carry no checksum) is bad data, not a bug.
+        let mut bad_row = None;
+        self.for_each_row(|rec| {
+            if bad_row.is_none() {
+                let row = &rec.row;
+                bad_row = checker
+                    .try_push(row.index, row.time, &row.missed)
+                    .err()
+                    .map(|e| (row.index, e));
+            }
+        })?;
+        match bad_row {
+            None => Ok(checker.report()),
+            Some((i, e)) => Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("streaming row {i}: {e}"),
+            )),
+        }
+    }
+
+    /// Spills a timed in-memory execution into `store` row by row — the
+    /// bridge the equivalence tests and benches use.
+    pub fn from_timed_execution(
+        store: Box<dyn shard_store::Store + Send>,
+        pool: &PoolConfig,
+        te: &TimedExecution<A>,
+    ) -> std::io::Result<Self> {
+        let mut out = Self::new(store);
+        for (rec, row) in te
+            .execution
+            .records()
+            .iter()
+            .zip(rows_from_execution(pool, te))
+        {
+            out.push(&row, &rec.update)?;
+        }
+        Ok(out)
+    }
+}
+
+/// Decodes the payload [`StreamingExecution::push`] wrote for row `index`.
+fn decode_row<A: Application>(index: TxnIndex, payload: &[u8]) -> Option<StreamedRecord<A::Update>>
+where
+    A::Update: shard_store::Codec,
+{
+    let mut r = shard_store::ByteReader::new(payload);
+    let time = r.u64()?;
+    let missed_len = r.u32()? as usize;
+    // The length is untrusted: it must fit in the bytes that are left.
+    if missed_len > r.remaining() / 4 {
+        return None;
+    }
+    let mut missed = Vec::with_capacity(missed_len);
+    for _ in 0..missed_len {
+        missed.push(r.u32()? as TxnIndex);
+    }
+    let update = <A::Update as shard_store::Codec>::decode(&mut r)?;
+    if !r.is_done() {
+        return None;
+    }
+    Some(StreamedRecord {
+        row: StreamRow {
+            index,
+            time,
+            missed,
+        },
+        update,
+    })
 }
 
 #[cfg(test)]
@@ -893,5 +1102,243 @@ mod tests {
             time: 0,
             missed: vec![],
         });
+    }
+
+    /// An application whose updates have a store codec: the state is
+    /// the list of applied updates.
+    struct Trace;
+    impl Application for Trace {
+        type State = Vec<u64>;
+        type Update = u64;
+        type Decision = u64;
+        fn initial_state(&self) -> Vec<u64> {
+            Vec::new()
+        }
+        fn is_well_formed(&self, _: &Vec<u64>) -> bool {
+            true
+        }
+        fn apply(&self, s: &Vec<u64>, u: &u64) -> Vec<u64> {
+            let mut s = s.clone();
+            s.push(*u);
+            s
+        }
+        fn decide(&self, d: &u64, _: &Vec<u64>) -> DecisionOutcome<u64> {
+            DecisionOutcome::update_only(*d)
+        }
+        fn constraint_count(&self) -> usize {
+            0
+        }
+        fn constraint_name(&self, _: usize) -> &str {
+            unreachable!()
+        }
+        fn cost(&self, _: &Vec<u64>, _: usize) -> u64 {
+            0
+        }
+    }
+
+    fn mem_store() -> Box<dyn shard_store::Store + Send> {
+        Box::new(shard_store::MemStore::new())
+    }
+
+    fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
+        let app = Trace;
+        let mut b = ExecutionBuilder::new(&app);
+        for i in 0..n {
+            if i % 3 == 2 {
+                b.push_missing(i as u64, &[i - 1, i / 2]).unwrap();
+            } else {
+                b.push_complete(i as u64).unwrap();
+            }
+        }
+        let times = (0..n as u64).map(|t| t * 7 % 400 + t).collect();
+        TimedExecution::new(b.finish(), times)
+    }
+
+    #[test]
+    fn streaming_execution_matches_in_memory_traversals() {
+        let app = Trace;
+        let pool = PoolConfig::sequential();
+        let te = mixed_timed_execution(60);
+        let mut se =
+            StreamingExecution::<Trace>::from_timed_execution(mem_store(), &pool, &te).unwrap();
+        let mem: Vec<(usize, Vec<u64>)> =
+            te.execution
+                .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
+                    acc.push((m, s.clone()));
+                    acc
+                });
+        // Folding the updates as the rows hand them back visits the
+        // same states.
+        let mut state = app.initial_state();
+        let mut streamed = vec![(0, state.clone())];
+        se.for_each_row(|rec| {
+            app.apply_in_place(&mut state, &rec.update);
+            streamed.push((rec.row.index + 1, state.clone()));
+        })
+        .unwrap();
+        assert_eq!(mem, streamed, "identical fold results");
+        assert_eq!(
+            se.final_state(&app).unwrap(),
+            te.execution.final_state(&app)
+        );
+        let rows = rows_from_execution(&pool, &te);
+        for window in [1, 7, 64] {
+            assert_eq!(
+                se.check_stream(window).unwrap(),
+                check_rows(window, &rows),
+                "window {window}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_execution_round_trips_rows_through_disk() {
+        let dir = std::env::temp_dir().join(format!("shard_streaming_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (store, _) =
+            shard_store::DiskStore::open(&dir, shard_store::StoreOptions::default()).unwrap();
+        let records = [
+            StreamedRecord {
+                row: StreamRow {
+                    index: 0,
+                    time: 3,
+                    missed: vec![],
+                },
+                update: 7,
+            },
+            StreamedRecord {
+                row: StreamRow {
+                    index: 1,
+                    time: 9,
+                    missed: vec![0],
+                },
+                update: 8,
+            },
+        ];
+        let mut se = StreamingExecution::<Trace>::new(Box::new(store));
+        for rec in &records {
+            se.push(&rec.row, &rec.update).unwrap();
+        }
+        se.sync().unwrap();
+        drop(se);
+        let (store, recovered) =
+            shard_store::DiskStore::open(&dir, shard_store::StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 2);
+        let mut se = StreamingExecution::<Trace>::reopen(Box::new(store), 2);
+        let mut rows = Vec::new();
+        se.for_each_row(|rec| rows.push(rec.clone())).unwrap();
+        assert_eq!(rows, records);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streaming_execution_rejects_torn_rows() {
+        let pool = PoolConfig::sequential();
+        let te = mixed_timed_execution(10);
+        let mut se =
+            StreamingExecution::<Trace>::from_timed_execution(mem_store(), &pool, &te).unwrap();
+        let keep = se.store.len_bytes() - 1;
+        se.store.crash(keep).unwrap();
+        let err = se.final_state(&Trace).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    }
+
+    /// The payload of a stored row, miss count and miss list written
+    /// independently so they can disagree.
+    fn raw_row(time: u64, missed_len: u32, missed: &[u32]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&time.to_be_bytes());
+        payload.extend_from_slice(&missed_len.to_be_bytes());
+        for m in missed {
+            payload.extend_from_slice(&m.to_be_bytes());
+        }
+        shard_store::Codec::encode(&1u64, &mut payload);
+        payload
+    }
+
+    #[test]
+    fn check_stream_reports_corrupted_rows_instead_of_panicking() {
+        // What a flipped byte in a row-store page (B+tree pages carry
+        // no checksum) can make of a row: every variant must come back
+        // as InvalidData naming the row, never as a panic or a
+        // multi-gigabyte reservation.
+        let row = raw_row;
+        let good = [row(0, 0, &[]), row(1, 1, &[0]), row(2, 2, &[0, 1])];
+        let corruptions = [
+            (
+                "a miss count far past the payload",
+                row(2, u32::MAX, &[0, 1]),
+            ),
+            ("a miss count one past the payload", row(2, 4, &[0, 1])),
+            ("a miss set out of order", row(2, 2, &[1, 0])),
+            ("a repeated miss", row(2, 2, &[1, 1])),
+            ("a miss at the row's own index", row(2, 1, &[2])),
+            ("a miss far in the future", row(2, 1, &[u32::MAX])),
+        ];
+        for (what, bad) in corruptions {
+            let mut store = mem_store();
+            // The bad row sits between good ones: rows 0, 1, bad, 3.
+            for (i, payload) in [&good[0], &good[1], &bad, &row(3, 0, &[])]
+                .into_iter()
+                .enumerate()
+            {
+                shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+            }
+            let mut se = StreamingExecution::<Trace>::reopen(store, 4);
+            let err = se.check_stream(2).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("row 2"), "{what}: {err}");
+        }
+        // The uncorrupted rows check clean.
+        let mut store = mem_store();
+        for (i, payload) in good.iter().enumerate() {
+            shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+        }
+        let report = StreamingExecution::<Trace>::reopen(store, 3)
+            .check_stream(2)
+            .unwrap();
+        assert_eq!((report.rows, report.max_missed), (3, 2));
+    }
+
+    #[test]
+    fn check_stream_reports_broken_chunk_groups() {
+        // The store filled key by key, so a row's group can break in
+        // ways `append_chunked` never writes: chunk 0 lost (what is
+        // left must not be read as if it began the frame) and a chunk
+        // past the end of the frame (must not be ignored).
+        use shard_store::{StoreKey, CHUNK_BYTES};
+        let framed = |payload: &[u8]| {
+            let mut out = Vec::new();
+            shard_store::write_frame(payload, &mut out);
+            out
+        };
+        let whole = framed(&raw_row(2, 1, &[0]));
+        // A real two-chunk row: 300 misses.
+        let wide: Vec<u32> = (0..300).collect();
+        let wide = framed(&raw_row(2, 300, &wide));
+        assert!(wide.len() > CHUNK_BYTES);
+        // Row 2's chunks as `(index, bytes)`.
+        type Chunks<'a> = Vec<(u16, &'a [u8])>;
+        let lost_whole: Chunks = vec![(1, &whole)];
+        let lost_wide: Chunks = vec![(1, &wide[CHUNK_BYTES..])];
+        let trailing: Chunks = vec![(0, &whole), (1, b"junk")];
+        for (what, chunks) in [
+            ("chunk 0 lost, chunk 1 a frame of its own", lost_whole),
+            ("chunk 0 of a two-chunk row lost", lost_wide),
+            ("a chunk past the frame", trailing),
+        ] {
+            let mut store = mem_store();
+            shard_store::append_chunked(&mut *store, 0, &raw_row(0, 0, &[])).unwrap();
+            shard_store::append_chunked(&mut *store, 1, &raw_row(1, 0, &[])).unwrap();
+            for (c, bytes) in chunks {
+                store.append(StoreKey::new(2, c), bytes).unwrap();
+            }
+            shard_store::append_chunked(&mut *store, 3, &raw_row(3, 0, &[])).unwrap();
+            let mut se = StreamingExecution::<Trace>::reopen(store, 4);
+            let err = se.check_stream(2).expect_err(what);
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
+            assert!(err.to_string().contains("row 2"), "{what}: {err}");
+        }
     }
 }

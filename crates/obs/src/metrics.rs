@@ -2,9 +2,10 @@
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Hot-path cheap.** Handles are `Arc`s resolved once (cache them in
-//!    a `OnceLock` at the instrumentation site); every update is a handful
-//!    of relaxed atomic operations, no locking, no allocation.
+//! 1. **Hot-path cheap.** Handles are `Arc`s resolved once per
+//!    instrumentation site ([`counter!`](crate::counter) /
+//!    [`histogram!`](crate::histogram)); every update is a handful of
+//!    relaxed atomic operations, no locking, no allocation.
 //! 2. **Deterministic snapshots.** Metrics live in `BTreeMap`s, so a
 //!    [`Snapshot`] always lists names in sorted order and two snapshots of
 //!    the same state are identical — required for byte-stable experiment
@@ -394,6 +395,47 @@ impl Registry {
     }
 }
 
+/// The global [`Counter`] `name` as a `&'static` handle, resolved once
+/// per call site: after the first evaluation a use costs an
+/// initialised-check on the site's static plus the update itself. An
+/// instrumentation site reads
+/// `if shard_obs::enabled() { shard_obs::counter!("merge.appends").inc(); }`.
+///
+/// `counter!(name, siblings)` calls `siblings()` before the first
+/// resolution. A module passes the function that registers its whole
+/// metric family, so a snapshot lists every member (at zero) from the
+/// first time any of them fires — sidecar diffs compare name sets.
+#[macro_export]
+macro_rules! counter {
+    ($name:expr) => {
+        $crate::counter!($name, || ())
+    };
+    ($name:expr, $siblings:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Counter>> =
+            ::std::sync::OnceLock::new();
+        &**HANDLE.get_or_init(|| {
+            $siblings();
+            $crate::Registry::global().counter($name)
+        })
+    }};
+}
+
+/// [`counter!`] for the global [`Histogram`] `name`.
+#[macro_export]
+macro_rules! histogram {
+    ($name:expr) => {
+        $crate::histogram!($name, || ())
+    };
+    ($name:expr, $siblings:expr) => {{
+        static HANDLE: ::std::sync::OnceLock<::std::sync::Arc<$crate::Histogram>> =
+            ::std::sync::OnceLock::new();
+        &**HANDLE.get_or_init(|| {
+            $siblings();
+            $crate::Registry::global().histogram($name)
+        })
+    }};
+}
+
 /// A deterministic point-in-time copy of a [`Registry`]'s contents,
 /// name-sorted in every section.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -450,6 +492,24 @@ mod tests {
         g.max(10);
         g.max(7);
         assert_eq!(g.get(), 10);
+    }
+
+    #[test]
+    fn site_macros_resolve_global_handles_and_register_siblings_first() {
+        fn siblings() {
+            Registry::global().counter("obs.test.macro.sibling");
+        }
+        for _ in 0..3 {
+            crate::counter!("obs.test.macro.hits", siblings).inc();
+            crate::histogram!("obs.test.macro.sizes").record(5);
+        }
+        let snap = Registry::global().snapshot();
+        assert_eq!(snap.counter("obs.test.macro.hits"), Some(3));
+        assert_eq!(snap.counter("obs.test.macro.sibling"), Some(0));
+        assert_eq!(
+            snap.histogram("obs.test.macro.sizes").map(|h| h.sum),
+            Some(15)
+        );
     }
 
     #[test]

@@ -114,52 +114,42 @@ thread_local! {
 
 /// Whether the current thread is executing inside a pool worker.
 ///
-/// Nested [`par_map`]/[`par_chunks`] calls from a worker run
+/// Nested [`par_map`]/[`par_ranges`] calls from a worker run
 /// sequentially on that worker; this predicate lets callers pick
 /// cheaper sequential algorithms up front.
 pub fn is_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 
-/// Pool metrics, resolved once. All counters are lock-free adds; the
-/// cost when the obs layer is disabled is a single relaxed load.
-struct PoolMetrics {
-    jobs: std::sync::Arc<shard_obs::Counter>,
-    jobs_sequential: std::sync::Arc<shard_obs::Counter>,
-    tasks: std::sync::Arc<shard_obs::Counter>,
-    handoffs: std::sync::Arc<shard_obs::Counter>,
-    workers: std::sync::Arc<shard_obs::Counter>,
-    busy_ns: std::sync::Arc<shard_obs::Histogram>,
+/// Registers the `pool.*` metrics together (see `shard_obs::counter!`).
+/// All are lock-free adds; the cost when the obs layer is disabled is a
+/// single relaxed load.
+fn family() {
+    let r = shard_obs::Registry::global();
+    for name in [
+        "pool.jobs",
+        "pool.jobs_sequential",
+        "pool.tasks",
+        "pool.handoffs",
+        "pool.workers_spawned",
+    ] {
+        r.counter(name);
+    }
+    r.histogram("pool.busy_ns");
 }
 
-fn metrics() -> &'static PoolMetrics {
-    static METRICS: std::sync::OnceLock<PoolMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = shard_obs::Registry::global();
-        PoolMetrics {
-            jobs: r.counter("pool.jobs"),
-            jobs_sequential: r.counter("pool.jobs_sequential"),
-            tasks: r.counter("pool.tasks"),
-            handoffs: r.counter("pool.handoffs"),
-            workers: r.counter("pool.workers_spawned"),
-            busy_ns: r.histogram("pool.busy_ns"),
+/// Accounts one parallel call over `tasks` items that spawns `workers`
+/// threads (0 = it ran on the calling thread).
+fn note_job(tasks: usize, workers: usize) {
+    if shard_obs::enabled() {
+        shard_obs::counter!("pool.tasks", family).add(tasks as u64);
+        if workers == 0 {
+            shard_obs::counter!("pool.jobs_sequential", family).inc();
+        } else {
+            shard_obs::counter!("pool.jobs", family).inc();
+            shard_obs::counter!("pool.workers_spawned", family).add(workers as u64);
         }
-    })
-}
-
-/// A scope for spawning structured worker threads — a thin wrapper over
-/// [`std::thread::scope`] that marks spawned threads as pool workers
-/// (so nested parallel primitives degrade to sequential) and counts
-/// them in the `pool.*` metrics.
-///
-/// Prefer [`par_map`]/[`par_chunks`]/[`par_for_each_mut`] — `scope` is
-/// the escape hatch for fan-out shapes they don't cover (e.g. a fixed
-/// number of heterogeneous tasks).
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&'scope std::thread::Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(f)
+    }
 }
 
 /// Applies `f` to every element of `items` and returns the results in
@@ -184,19 +174,10 @@ where
     let n = items.len();
     let workers = cfg.threads.max(1).min(n);
     if workers <= 1 || is_worker() {
-        if shard_obs::enabled() {
-            let m = metrics();
-            m.jobs_sequential.inc();
-            m.tasks.add(n as u64);
-        }
+        note_job(n, 0);
         return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
-    if shard_obs::enabled() {
-        let m = metrics();
-        m.jobs.inc();
-        m.tasks.add(n as u64);
-        m.workers.add(workers as u64);
-    }
+    note_job(n, workers);
     // Workers claim short *runs* of tasks per cursor bump rather than
     // one task at a time, so fine-grained work (e.g. 10⁴ cheap partition
     // rows) doesn't serialize on the shared atomic. The claim size is a
@@ -232,9 +213,9 @@ where
                         }
                     }
                     if shard_obs::enabled() {
-                        let m = metrics();
-                        m.handoffs.add(handoffs);
-                        m.busy_ns.record(started.elapsed().as_nanos() as u64);
+                        shard_obs::counter!("pool.handoffs", family).add(handoffs);
+                        shard_obs::histogram!("pool.busy_ns", family)
+                            .record(started.elapsed().as_nanos() as u64);
                     }
                     out
                 })
@@ -259,29 +240,6 @@ where
         merged.sort_unstable_by_key(|&(i, _)| i);
         merged.into_iter().map(|(_, r)| r).collect()
     })
-}
-
-/// Splits `items` into consecutive chunks of at most `chunk_size`
-/// elements and applies `f(start_index, chunk)` to each, in parallel,
-/// returning results in chunk order.
-///
-/// # Panics
-///
-/// Panics if `chunk_size == 0`. Task panics propagate as in
-/// [`par_map`].
-pub fn par_chunks<T, R, F>(cfg: &PoolConfig, items: &[T], chunk_size: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &[T]) -> R + Sync,
-{
-    assert!(chunk_size > 0, "chunk size must be positive");
-    let descriptors: Vec<(usize, &[T])> = items
-        .chunks(chunk_size)
-        .enumerate()
-        .map(|(c, slice)| (c * chunk_size, slice))
-        .collect();
-    par_map(cfg, &descriptors, |_, &(start, slice)| f(start, slice))
 }
 
 /// Partitions `0..len` into contiguous ranges (about four per worker,
@@ -328,22 +286,13 @@ where
     let n = items.len();
     let workers = cfg.threads.max(1).min(n);
     if workers <= 1 || is_worker() {
-        if shard_obs::enabled() {
-            let m = metrics();
-            m.jobs_sequential.inc();
-            m.tasks.add(n as u64);
-        }
+        note_job(n, 0);
         for (i, t) in items.iter_mut().enumerate() {
             f(i, t);
         }
         return;
     }
-    if shard_obs::enabled() {
-        let m = metrics();
-        m.jobs.inc();
-        m.tasks.add(n as u64);
-        m.workers.add(workers as u64);
-    }
+    note_job(n, workers);
     let chunk = n.div_ceil(workers);
     std::thread::scope(|s| {
         let mut handles = Vec::with_capacity(workers);
@@ -356,8 +305,7 @@ where
                     f(c * chunk + j, t);
                 }
                 if shard_obs::enabled() {
-                    metrics()
-                        .busy_ns
+                    shard_obs::histogram!("pool.busy_ns", family)
                         .record(started.elapsed().as_nanos() as u64);
                 }
             }));

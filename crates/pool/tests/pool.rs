@@ -2,7 +2,7 @@
 //! input-ordered collection, panic propagation, the thread-count-1
 //! no-spawn fast path, nested-call degradation, and empty input.
 
-use shard_pool::{is_worker, par_chunks, par_for_each_mut, par_map, scope, PoolConfig};
+use shard_pool::{is_worker, par_for_each_mut, par_map, PoolConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
@@ -134,22 +134,6 @@ fn nested_calls_degrade_to_sequential_on_the_worker() {
 }
 
 #[test]
-fn par_chunks_partitions_and_orders() {
-    let items: Vec<u32> = (0..103).collect();
-    for threads in [1, 3, 8] {
-        let cfg = PoolConfig::with_threads(threads);
-        let sums = par_chunks(&cfg, &items, 10, |start, chunk| {
-            (start, chunk.iter().sum::<u32>())
-        });
-        assert_eq!(sums.len(), 11);
-        assert_eq!(sums.first(), Some(&(0, 45)));
-        assert_eq!(sums.last(), Some(&(100, 100 + 101 + 102)));
-        let total: u32 = sums.iter().map(|&(_, s)| s).sum();
-        assert_eq!(total, items.iter().sum::<u32>());
-    }
-}
-
-#[test]
 fn par_for_each_mut_touches_every_element_once() {
     for threads in [1, 2, 5] {
         let cfg = PoolConfig::with_threads(threads);
@@ -162,17 +146,4 @@ fn par_for_each_mut_touches_every_element_once() {
             "threads = {threads}"
         );
     }
-}
-
-#[test]
-fn scope_is_structured_and_joins() {
-    let counter = AtomicUsize::new(0);
-    scope(|s| {
-        for _ in 0..4 {
-            s.spawn(|| {
-                counter.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-    });
-    assert_eq!(counter.load(Ordering::Relaxed), 4);
 }

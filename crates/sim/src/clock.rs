@@ -51,11 +51,6 @@ impl LamportClock {
         LamportClock { node, counter: 0 }
     }
 
-    /// The owning node.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
     /// Current counter value.
     pub fn current(&self) -> u64 {
         self.counter

@@ -73,11 +73,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
-
-    /// The time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -114,14 +109,12 @@ mod tests {
     }
 
     #[test]
-    fn len_and_peek() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(7, ());
         q.schedule(3, ());
         assert_eq!(q.len(), 2);
-        assert_eq!(q.peek_time(), Some(3));
     }
 
     #[test]

@@ -98,9 +98,8 @@ pub use known::KnownSet;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};
 pub use monitor::{LiveMonitor, MonitorConfig};
 pub use nemesis::{
-    CrashInjector, CrashRecoverInjector, Fate, FaultEvent, FaultLog, MessageDropper,
-    MessageDuplicator, MessageReorderer, MsgCtx, Nemesis, NemesisStack, PartitionJitter, Recorder,
-    ScheduledNemesis,
+    CrashInjector, Fate, FaultEvent, FaultLog, MessageDropper, MessageDuplicator, MessageReorderer,
+    MsgCtx, Nemesis, NemesisStack, PartitionJitter, Recorder, ScheduledNemesis,
 };
 pub use partial::{PartialPlacement, Placement};
 pub use partition::{PartitionSchedule, PartitionWindow};

@@ -25,8 +25,9 @@ use shard_core::replay::note_state_clone;
 use shard_core::{Application, Checkpoints};
 use std::sync::Arc;
 
-/// Global merge metrics across every node of every simulation in the
-/// process, resolved once: `merge.appends` / `merge.out_of_order` /
+/// Registers the merge log's global metrics — totals across every node
+/// of every simulation in the process — together (see
+/// `shard_obs::counter!`): `merge.appends` / `merge.out_of_order` /
 /// `merge.duplicates` mirror [`MergeMetrics`], and the histogram
 /// `merge.replay_depth` records the undo/redo depth of each
 /// out-of-order merge — the quantity the paper's checkpoint discussion
@@ -35,28 +36,18 @@ use std::sync::Arc;
 /// ([`shard_core::replay`]) on purpose: both paths resolve the identical
 /// question against the same [`Checkpoints`] structure — can this replay
 /// resume from a snapshot, or must it restart from the initial state?
-struct MergeObs {
-    appends: Arc<shard_obs::Counter>,
-    out_of_order: Arc<shard_obs::Counter>,
-    duplicates: Arc<shard_obs::Counter>,
-    replay_depth: Arc<shard_obs::Histogram>,
-    ckpt_hits: Arc<shard_obs::Counter>,
-    ckpt_misses: Arc<shard_obs::Counter>,
-}
-
-fn merge_obs() -> &'static MergeObs {
-    static OBS: std::sync::OnceLock<MergeObs> = std::sync::OnceLock::new();
-    OBS.get_or_init(|| {
-        let r = shard_obs::Registry::global();
-        MergeObs {
-            appends: r.counter("merge.appends"),
-            out_of_order: r.counter("merge.out_of_order"),
-            duplicates: r.counter("merge.duplicates"),
-            replay_depth: r.histogram("merge.replay_depth"),
-            ckpt_hits: r.counter("replay.ckpt_hits"),
-            ckpt_misses: r.counter("replay.ckpt_misses"),
-        }
-    })
+fn family() {
+    let r = shard_obs::Registry::global();
+    for name in [
+        "merge.appends",
+        "merge.out_of_order",
+        "merge.duplicates",
+        "replay.ckpt_hits",
+        "replay.ckpt_misses",
+    ] {
+        r.counter(name);
+    }
+    r.histogram("merge.replay_depth");
 }
 
 /// How a single merge landed in a [`MergeLog`].
@@ -159,36 +150,6 @@ impl<A: Application> MergeLog<A> {
             known: KnownSet::new(),
             arrivals: Vec::new(),
         }
-    }
-
-    /// Moves the checkpoints out of core: attaches `store` as their cold
-    /// store ([`Checkpoints::with_cold_store`]), dropping the points
-    /// recorded so far (they are a cache). Merge results are
-    /// bit-identical either way — only resident bytes and replay depth
-    /// change.
-    pub fn enable_spilling(
-        &mut self,
-        store: Box<dyn shard_store::Store + Send>,
-        hot_points: usize,
-        spill_spacing: usize,
-    ) where
-        A::State: shard_store::Codec,
-    {
-        self.checkpoints = Checkpoints::new(self.checkpoints.interval()).with_cold_store(
-            store,
-            hot_points,
-            spill_spacing,
-        );
-    }
-
-    /// The cold store, so fault harnesses can crash it under a live log.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless [`enable_spilling`](MergeLog::enable_spilling) was
-    /// called.
-    pub fn spill_store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
-        self.checkpoints.store_mut()
     }
 
     /// The current merged state — "each node's copy of the database
@@ -411,10 +372,9 @@ impl<A: Application> MergeLog<A> {
         self.metrics.out_of_order += out_of_order;
         self.metrics.duplicates += duplicates;
         if shard_obs::enabled() {
-            let obs = merge_obs();
-            obs.appends.add(appends);
-            obs.out_of_order.add(out_of_order);
-            obs.duplicates.add(duplicates);
+            shard_obs::counter!("merge.appends", family).add(appends);
+            shard_obs::counter!("merge.out_of_order", family).add(out_of_order);
+            shard_obs::counter!("merge.duplicates", family).add(duplicates);
         }
 
         // Outcomes in arrival order; the repair's cost is attributed to
@@ -434,7 +394,7 @@ impl<A: Application> MergeLog<A> {
     fn note_duplicate(&mut self) -> MergeOutcome {
         self.metrics.duplicates += 1;
         if shard_obs::enabled() {
-            merge_obs().duplicates.inc();
+            shard_obs::counter!("merge.duplicates", family).inc();
         }
         MergeOutcome::Duplicate
     }
@@ -446,7 +406,7 @@ impl<A: Application> MergeLog<A> {
         self.arrivals.push(ts);
         self.metrics.appends += 1;
         if shard_obs::enabled() {
-            merge_obs().appends.inc();
+            shard_obs::counter!("merge.appends", family).inc();
         }
         MergeOutcome::Appended
     }
@@ -471,7 +431,7 @@ impl<A: Application> MergeLog<A> {
     ) -> MergeOutcome {
         self.metrics.out_of_order += 1;
         if shard_obs::enabled() {
-            merge_obs().out_of_order.inc();
+            shard_obs::counter!("merge.out_of_order", family).inc();
         }
         self.entries.insert(pos, (ts, update));
         self.known.insert(ts);
@@ -505,12 +465,11 @@ impl<A: Application> MergeLog<A> {
         let replayed = (self.entries.len() - base_len) as u64;
         self.metrics.replayed += replayed;
         if shard_obs::enabled() {
-            let obs = merge_obs();
-            obs.replay_depth.record(replayed);
+            shard_obs::histogram!("merge.replay_depth", family).record(replayed);
             if base_len > 0 {
-                obs.ckpt_hits.inc();
+                shard_obs::counter!("replay.ckpt_hits", family).inc();
             } else {
-                obs.ckpt_misses.inc();
+                shard_obs::counter!("replay.ckpt_misses", family).inc();
             }
         }
         replayed
@@ -696,56 +655,6 @@ mod tests {
         );
         assert!(MergeOutcome::Appended.is_new());
         assert!(!MergeOutcome::Duplicate.is_new());
-    }
-
-    #[test]
-    fn attaching_a_cold_store_changes_no_merge_result() {
-        // Same adversarial arrival order into a log with no cold store
-        // and logs whose checkpoints spill through a MemStore: states,
-        // entries, and outcome kinds must be identical after every
-        // merge — checkpoints are a cache, wherever they live.
-        let app = Trace;
-        for (hot, spacing) in [(1, 1), (2, 3), (8, 1)] {
-            let mut mem = MergeLog::new(&app, 2);
-            let mut spill = MergeLog::new(&app, 2);
-            spill.enable_spilling(Box::new(shard_store::MemStore::new()), hot, spacing);
-            let order = [7u64, 2, 9, 1, 8, 3, 6, 4, 5, 10, 12, 11];
-            for &l in &order {
-                let a = mem.merge_with_outcome(&app, ts(l), l);
-                let b = spill.merge_with_outcome(&app, ts(l), l);
-                assert_eq!(
-                    std::mem::discriminant(&a),
-                    std::mem::discriminant(&b),
-                    "hot={hot} spacing={spacing} ts={l}"
-                );
-                assert_eq!(mem.state(), spill.state());
-            }
-            assert_eq!(mem.entries(), spill.entries());
-            let (m, s) = (mem.metrics(), spill.metrics());
-            assert_eq!(m.appends, s.appends);
-            assert_eq!(m.out_of_order, s.out_of_order);
-            if spacing == 1 {
-                assert_eq!(m.replayed, s.replayed, "no point lost, same depth");
-            }
-        }
-    }
-
-    #[test]
-    fn spilling_survives_a_lost_anchor_store() {
-        // Losing the spill store mid-run costs replay depth, never
-        // answers: later merges still converge to the full-replay state.
-        let app = Trace;
-        let mut log = MergeLog::new(&app, 1);
-        log.enable_spilling(Box::new(shard_store::MemStore::new()), 1, 1);
-        for l in [4u64, 8, 12, 16, 20] {
-            log.merge(&app, ts(l), l);
-        }
-        // (Crashes at every byte offset are exercised end to end in
-        // tests/durable_recovery.rs.)
-        log.spill_store_mut().crash(0).unwrap();
-        log.merge(&app, ts(1), 1);
-        log.merge(&app, ts(18), 18);
-        assert_eq!(log.state(), &vec![1, 4, 8, 12, 16, 18, 20]);
     }
 
     /// Merges `bursts` one `merge_batch` each into one log and entry by

@@ -311,7 +311,13 @@ impl Nemesis for PartitionJitter {
 /// Injects `count` crash-with-recovery windows: a random node is down
 /// for a random `min_len..=max_len` ticks. The kernel rejects client
 /// transactions at a crashed node and holds its incoming messages until
-/// recovery, so every window doubles as a burst of extreme delay.
+/// recovery, so every window doubles as a burst of extreme delay. What a
+/// window destroys is the run's choice, not the injector's: with a
+/// durable fleet attached ([`crate::Runner::with_durability`]) it is a
+/// real kill/recover cycle — a power cut on the node's store at window
+/// start (the unsynced tail may be lost, possibly mid-record), a rebuild
+/// from the surviving WAL at window end — and without one the node keeps
+/// its RAM.
 pub struct CrashInjector {
     count: u32,
     min_len: SimTime,
@@ -346,38 +352,6 @@ impl Nemesis for CrashInjector {
             inj.crashes.push(CrashWindow::new(node, start, start + len));
         }
         inj
-    }
-}
-
-/// Like [`CrashInjector`], but meant for runs with a durable fleet
-/// attached ([`crate::Runner::with_durability`]): every injected window
-/// then becomes a *real* kill/recover cycle — at window start the
-/// node's store suffers a simulated power cut (its unsynced tail may be
-/// lost, possibly mid-record), and at window end the node is rebuilt
-/// from the surviving WAL and rejoins propagation. Without durability
-/// the windows degrade to plain [`CrashInjector`] outages (RAM
-/// retained), so the label distinguishes the two in traces.
-pub struct CrashRecoverInjector {
-    inner: CrashInjector,
-}
-
-impl CrashRecoverInjector {
-    /// A crash/recover injector with its own RNG stream (same sampling
-    /// as [`CrashInjector::new`]).
-    pub fn new(count: u32, min_len: SimTime, max_len: SimTime, seed: u64) -> Self {
-        CrashRecoverInjector {
-            inner: CrashInjector::new(count, min_len, max_len, seed),
-        }
-    }
-}
-
-impl Nemesis for CrashRecoverInjector {
-    fn label(&self) -> &'static str {
-        "crash_recover"
-    }
-
-    fn inject(&mut self, nodes: u16, horizon: SimTime) -> Injected {
-        self.inner.inject(nodes, horizon)
     }
 }
 

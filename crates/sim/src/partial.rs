@@ -148,11 +148,6 @@ impl PartialPlacement {
             placement: Placement::full(nodes, objects),
         }
     }
-
-    /// The placement routing this strategy.
-    pub fn placement(&self) -> &Placement {
-        &self.placement
-    }
 }
 
 impl<A: ObjectModel> Propagation<A> for PartialPlacement {

@@ -177,12 +177,13 @@ where
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
         self.anchors.record_for(app, self.sealed, &self.state);
-        self.sink.push(p.time, &missed, &p.update)?;
-        self.checker.push(&StreamRow {
+        let row = StreamRow {
             index: i,
             time: p.time,
             missed,
-        });
+        };
+        self.sink.push(&row, &p.update)?;
+        self.checker.push(&row);
         self.recent.push_back((i, p.arrival));
         // A sealed row stays interesting only while a pending arrival
         // is older than it; prune amortized once per window turnover.
@@ -344,12 +345,13 @@ mod tests {
         let m = merge_all(&app, &order, 6);
         let (mut sink, _, _) = m.into_parts();
         let mut rows = 0usize;
-        sink.for_each_row(|i, row| {
+        sink.for_each_row(|rec| {
+            let i = rec.row.index;
             let expect: Vec<usize> = (0..i)
                 .filter(|&j| delivery_of[j] > delivery_of[i])
                 .collect();
-            assert_eq!(row.missed, expect, "row {i}");
-            assert_eq!(row.time, delivery_of[i] as u64);
+            assert_eq!(rec.row.missed, expect, "row {i}");
+            assert_eq!(rec.row.time, delivery_of[i] as u64);
             rows += 1;
         })
         .unwrap();

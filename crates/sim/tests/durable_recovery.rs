@@ -3,30 +3,30 @@
 //! by recovery yields a **prefix** of the pre-crash arrival order (and
 //! hence a prefix subsequence of the serial order, §3/Cor 8), the
 //! recovered state equals replaying exactly that prefix, and whole
-//! kernel runs under [`CrashRecoverInjector`] still satisfy the §3
+//! kernel runs under [`CrashInjector`] still satisfy the §3
 //! checkers and converge to the canonical serial replay.
 //!
-//! Plus the out-of-core tier's kill points: a merge log whose cold
-//! checkpoint anchors spill through a [`Store`](shard_store::Store)
-//! must produce byte-identical merge outcomes and states when that
-//! store is crashed at arbitrary moments mid-run — spilled anchors are
-//! a rebuildable cache, never authority.
+//! Plus the out-of-core tier's kill point on the real disk format: a
+//! [`Checkpoints`] sequence whose cold anchors spill through a
+//! [`DiskStore`] keeps answering with true prefix states when that
+//! store is torn or emptied mid-run — spilled anchors are a rebuildable
+//! cache, never authority.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
-use shard_apps::banking::{AccountId, Bank, BankUpdate};
+use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
 use shard_apps::dictionary::{DictTxn, DictUpdate, Dictionary};
 use shard_apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard_apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard_apps::Person;
-use shard_core::Application;
+use shard_core::{Application, Checkpoints};
 use shard_sim::{
-    ClusterConfig, CrashRecoverInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
+    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
     Invocation, LamportClock, MergeLog, NodeId, Runner, Timestamp,
 };
-use shard_store::{Codec, DiskStore, MemStore, StoreOptions};
+use shard_store::{Codec, DiskStore, StoreOptions};
 use std::sync::Arc;
 
 /// Drives one durable node (id 0) through a mixed own/foreign workload,
@@ -228,136 +228,76 @@ proptest! {
         );
         kill_recover_prefix(&NameServer::new(3, 1), ns_update, workload_seed, kill_seed, n);
     }
-
-    /// Spilled-checkpoint kill points: crashing the anchor store under
-    /// a live merge log — at random byte offsets, including 0 — never
-    /// changes a merge outcome or a state, for all five apps.
-    #[test]
-    fn spilled_anchor_crashes_never_change_merge_results(
-        seed in 0u64..10_000,
-        n in 10usize..90,
-    ) {
-        spilled_anchor_kill_points(&FlyByNight::new(3), airline_update, seed, n);
-        spilled_anchor_kill_points(&Bank::new(4, 100), bank_update, seed, n);
-        spilled_anchor_kill_points(&Dictionary, dict_update, seed, n);
-        spilled_anchor_kill_points(&Warehouse::new(3, 20, 1, 1), inv_update, seed, n);
-        spilled_anchor_kill_points(&NameServer::new(3, 1), ns_update, seed, n);
-    }
 }
 
-/// Drives two identical merge logs — one all-RAM, one with its cold
-/// checkpoint anchors spilled through a store — over the same
-/// adversarially shuffled delivery order, crashing the spill store at
-/// random kill points mid-run. Spilled anchors are a cache, never
-/// authority: every merge outcome and every intermediate state must
-/// stay identical to the in-memory log's, whatever the crashes
-/// destroyed; a lost anchor only deepens the next replay.
-fn spilled_anchor_kill_points<A: Application>(
-    app: &A,
-    mut gen_update: impl FnMut(&mut StdRng) -> A::Update,
-    seed: u64,
-    n: usize,
-) where
-    A::State: Codec,
-{
-    let mut rng = StdRng::seed_from_u64(seed);
-    let origin_count = 3u16;
-    let mut clocks: Vec<LamportClock> = (0..origin_count)
-        .map(|i| LamportClock::new(NodeId(i)))
-        .collect();
-    let mut pending: Vec<(Timestamp, A::Update)> = (0..n)
-        .map(|_| {
-            let origin = rng.random_range(0..origin_count) as usize;
-            (clocks[origin].tick(), gen_update(&mut rng))
-        })
-        .collect();
-    // Adversarial delivery: a full shuffle of the serial order — the
-    // undo/redo path must cope with arbitrary displacement, so the
-    // checkpoint tier sees deep truncates, not just tip appends.
-    for i in (1..pending.len()).rev() {
-        pending.swap(i, rng.random_range(0..i + 1));
-    }
-
-    let hot = rng.random_range(1usize..4);
-    let spacing = rng.random_range(1usize..4);
-    let mut plain: MergeLog<A> = MergeLog::new(app, 4);
-    let mut spilling: MergeLog<A> = MergeLog::new(app, 4);
-    spilling.enable_spilling(Box::new(MemStore::new()), hot, spacing);
-
-    for (k, (ts, update)) in pending.into_iter().enumerate() {
-        let update = Arc::new(update);
-        let a = plain.merge_with_outcome(app, ts, update.clone());
-        let b = spilling.merge_with_outcome(app, ts, update);
-        assert_eq!(
-            std::mem::discriminant(&a),
-            std::mem::discriminant(&b),
-            "merge outcome diverged at delivery {k} (hot {hot}, spacing {spacing})"
-        );
-        assert_eq!(
-            plain.state(),
-            spilling.state(),
-            "state diverged at delivery {k} (hot {hot}, spacing {spacing})"
-        );
-        // Kill point: crash the anchor store to a random byte prefix —
-        // 0 loses every spilled anchor at once, mid-record offsets tear
-        // the newest one.
-        if rng.random_range(0u32..5) == 0 {
-            let store = spilling.spill_store_mut();
-            let keep = rng.random_range(0..=store.len_bytes());
-            store.crash(keep).expect("mem store crash is infallible");
-        }
-    }
-    assert_eq!(
-        plain.entries().len(),
-        spilling.entries().len(),
-        "same log length"
-    );
-    assert_eq!(plain.state(), spilling.state(), "same final state");
-}
-
-/// The disk-backed flavor of the same kill point, on the exact store
-/// the out-of-core experiment spills through: anchors land in a
-/// [`DiskStore`], the store is crashed with a torn tail mid-run (and
-/// again, to empty, near the end), and the log still converges to the
-/// in-memory reference.
+/// The skip-unreadable-anchor fallback on the exact store the
+/// out-of-core experiment spills through: anchors land in a
+/// [`DiskStore`], the store is crashed with a torn tail mid-run and
+/// later to empty, and every floor the sequence still returns is a true
+/// prefix state no deeper than asked — a lost anchor only makes the
+/// answer shallower. In between, an undo/redo (truncate, re-record)
+/// writes fresh anchors over the orphaned ones.
 #[test]
 fn disk_spilled_anchors_survive_torn_crashes() {
     let dir = std::env::temp_dir().join(format!("shard-sim-spill-crash-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let app = Bank::new(4, 100);
     let mut rng = StdRng::seed_from_u64(11);
-    let mut clock = LamportClock::new(NodeId(0));
-    let serial: Vec<(Timestamp, BankUpdate)> = (0..60)
-        .map(|_| (clock.tick(), bank_update(&mut rng)))
-        .collect();
-    let mut order: Vec<usize> = (0..serial.len()).collect();
-    for i in (1..order.len()).rev() {
-        order.swap(i, rng.random_range(0..i + 1));
+    // states[d]: the state after the first d updates of the serial order.
+    let mut states: Vec<BankState> = vec![app.initial_state()];
+    for _ in 0..60 {
+        let next = app.apply(&states[states.len() - 1], &bank_update(&mut rng));
+        states.push(next);
     }
-
-    let mut plain: MergeLog<Bank> = MergeLog::new(&app, 2);
-    let mut spilling: MergeLog<Bank> = MergeLog::new(&app, 2);
     let (store, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
     assert_eq!(recovered, 0, "fresh directory");
-    spilling.enable_spilling(Box::new(store), 1, 1);
+    // One resident point; every evicted one is spilled.
+    let mut anchors: Checkpoints<BankState> =
+        Checkpoints::new(2).with_cold_store(Box::new(store), 1, 1);
+    let advance = |anchors: &mut Checkpoints<BankState>,
+                   depths: std::ops::RangeInclusive<usize>| {
+        for d in depths {
+            anchors.record(d, &states[d], |s| app.state_size_hint(s));
+        }
+    };
+    let floor_depths = |anchors: &mut Checkpoints<BankState>| -> Vec<Option<usize>> {
+        (0..=60)
+            .map(|limit| {
+                anchors.floor(limit).map(|(d, s)| {
+                    assert!(d <= limit, "floor {d} above limit {limit}");
+                    assert_eq!(s, states[d], "floor at depth {d} is not the prefix state");
+                    d
+                })
+            })
+            .collect()
+    };
 
-    for (k, &i) in order.iter().enumerate() {
-        let (ts, u) = serial[i].clone();
-        plain.merge(&app, ts, Arc::new(u.clone()));
-        spilling.merge(&app, ts, Arc::new(u));
-        assert_eq!(plain.state(), spilling.state(), "delivery {k}");
-        if k == serial.len() / 2 {
-            // Torn tail: keep everything but the last few bytes.
-            let store = spilling.spill_store_mut();
-            let keep = store.len_bytes().saturating_sub(7);
-            store.crash(keep).unwrap();
-        }
-        if k == serial.len() - 3 {
-            // Total anchor loss just before the end.
-            spilling.spill_store_mut().crash(0).unwrap();
-        }
-    }
-    assert_eq!(plain.state(), spilling.state(), "final state");
+    advance(&mut anchors, 1..=60);
+    let intact = floor_depths(&mut anchors);
+    assert_eq!(intact[59], Some(58), "deepest spilled anchor");
+    // Torn tail: the newest spilled anchor loses its last few bytes.
+    let store = anchors.store_mut();
+    let keep = store.len_bytes().saturating_sub(7);
+    assert!(store.crash(keep).unwrap().torn);
+    let torn = floor_depths(&mut anchors);
+    assert_eq!(torn[59], Some(56), "falls back past the torn anchor");
+    assert_eq!(torn[60], Some(60), "resident point untouched");
+    assert_eq!(torn[..58], intact[..58], "older anchors unaffected");
+
+    // Undo to depth 20 and redo: what a repair does to its checkpoints.
+    anchors.truncate(20);
+    advance(&mut anchors, 21..=60);
+    assert_eq!(
+        floor_depths(&mut anchors),
+        intact,
+        "fresh anchors replace the lost one"
+    );
+
+    // Total anchor loss.
+    anchors.store_mut().crash(0).unwrap();
+    let emptied = floor_depths(&mut anchors);
+    assert_eq!(emptied[59], None, "no cold anchor left to resume from");
+    assert_eq!(emptied[60], Some(60), "resident point untouched");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -404,7 +344,7 @@ fn durability_never_perturbs_fault_free_runs() {
     assert_eq!(plain.final_states, durable.final_states, "same states");
 }
 
-/// A full kernel run under [`CrashRecoverInjector`]: nodes lose their
+/// A full kernel run under [`CrashInjector`]: nodes lose their
 /// unsynced tails mid-run and are rebuilt from their WALs, yet the §3
 /// oracles hold — the execution verifies, gossip re-converges every
 /// replica, and the final state equals the canonical serial replay of
@@ -422,7 +362,7 @@ fn gossip_crash_recovery_holds_section3_oracles() {
         let fleet = DurableFleet::new(4, &DurabilityConfig::mem(seed + 1)).unwrap();
         let report = Runner::gossip(&app, cfg, GossipConfig { interval: 20 })
             .with_durability(fleet)
-            .with_nemesis(Box::new(CrashRecoverInjector::new(2, 40, 160, seed)))
+            .with_nemesis(Box::new(CrashInjector::new(2, 40, 160, seed)))
             .run(airline_invocations(30, 4));
         assert_eq!(report.faults.crashes_injected, 2, "windows injected");
         let te = report.timed_execution();
@@ -462,7 +402,7 @@ fn eager_piggyback_crash_recovery_stays_transitive() {
         let fleet = DurableFleet::new(3, &DurabilityConfig::mem(seed)).unwrap();
         let report = Runner::eager(&app, cfg)
             .with_durability(fleet)
-            .with_nemesis(Box::new(CrashRecoverInjector::new(2, 30, 120, seed)))
+            .with_nemesis(Box::new(CrashInjector::new(2, 30, 120, seed)))
             .run(airline_invocations(24, 3));
         let te = report.timed_execution();
         te.execution.verify(&app).unwrap();

@@ -213,11 +213,6 @@ impl BTree {
         self.entries == 0
     }
 
-    /// The underlying pool (introspection: page counts, capacity).
-    pub fn pool(&self) -> &BufferPool {
-        &self.pool
-    }
-
     /// Inserts `key -> value`; a duplicate key is ignored (first write
     /// wins) and reported as `false`.
     ///
@@ -335,57 +330,6 @@ impl BTree {
         }
         self.pool.unpin(f);
         Ok(Inserted::Split(promoted, right_id))
-    }
-
-    /// Looks a key up.
-    pub fn get(&mut self, key: StoreKey) -> io::Result<Option<Vec<u8>>> {
-        let mut page = self.root;
-        loop {
-            let f = self.pool.pin(page)?;
-            let p = self.pool.page(f);
-            if p.bytes()[0] == LEAF {
-                let out = leaf_search(p, key).ok().map(|i| leaf_value(p, i).to_vec());
-                self.pool.unpin(f);
-                return Ok(out);
-            }
-            let next = int_child_at(p, int_route(p, key));
-            self.pool.unpin(f);
-            page = next;
-        }
-    }
-
-    /// Streams every pair in key order (the paper's serial order, for
-    /// timestamp keys) through the leaf chain — pages fault in and out
-    /// of the pool as the scan walks, so the whole tree never needs to
-    /// be resident.
-    pub fn scan(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        let mut page = self.root;
-        // Descend to the leftmost leaf.
-        loop {
-            let fr = self.pool.pin(page)?;
-            let p = self.pool.page(fr);
-            if p.bytes()[0] == LEAF {
-                self.pool.unpin(fr);
-                break;
-            }
-            let next = int_child0(p);
-            self.pool.unpin(fr);
-            page = next;
-        }
-        let mut leaf = page;
-        loop {
-            let fr = self.pool.pin(leaf)?;
-            let p = self.pool.page(fr);
-            for i in 0..count(p) {
-                f(leaf_key(p, i), leaf_value(p, i));
-            }
-            let next = p.u64_at(3);
-            self.pool.unpin(fr);
-            if next == NO_LEAF {
-                return Ok(());
-            }
-            leaf = next;
-        }
     }
 
     /// Streams pairs with `key >= from` in key order, stopping early
@@ -524,6 +468,26 @@ mod tests {
         (BTree::create(pool).unwrap(), path)
     }
 
+    /// Point lookup, by a range scan that stops at its first pair.
+    fn get(t: &mut BTree, key: StoreKey) -> Option<Vec<u8>> {
+        let mut found = None;
+        t.scan_from(key, &mut |k, v| {
+            found = (k == key).then(|| v.to_vec());
+            false
+        })
+        .unwrap();
+        found
+    }
+
+    /// Every pair, in key order.
+    fn scan(t: &mut BTree, f: &mut dyn FnMut(StoreKey, &[u8])) {
+        t.scan_from(StoreKey::new(0, 0), &mut |k, v| {
+            f(k, v);
+            true
+        })
+        .unwrap();
+    }
+
     /// Deterministic pseudo-random stream (xorshift) — no RNG dep here.
     fn xs(seed: &mut u64) -> u64 {
         *seed ^= *seed << 13;
@@ -547,13 +511,13 @@ mod tests {
         }
         assert_eq!(t.len(), oracle.len());
         let mut scanned = Vec::new();
-        t.scan(&mut |k, v| scanned.push((k, v.to_vec()))).unwrap();
+        scan(&mut t, &mut |k, v| scanned.push((k, v.to_vec())));
         let expect: Vec<_> = oracle.iter().map(|(k, v)| (*k, v.clone())).collect();
         assert_eq!(scanned, expect, "key-order scan matches the oracle");
         for (k, v) in oracle.iter().take(200) {
-            assert_eq!(t.get(*k).unwrap().as_deref(), Some(v.as_slice()));
+            assert_eq!(get(&mut t, *k).as_deref(), Some(v.as_slice()));
         }
-        assert_eq!(t.get(StoreKey::new(u64::MAX, 9)).unwrap(), None);
+        assert_eq!(get(&mut t, StoreKey::new(u64::MAX, 9)), None);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -567,16 +531,15 @@ mod tests {
         for i in 0..n {
             assert!(t.insert(StoreKey::new(i, 3), &i.to_be_bytes()).unwrap());
         }
-        assert!(t.pool().page_count() > 64, "must span many pages");
+        assert!(t.pool.page_count() > 64, "must span many pages");
         let mut prev = None;
         let mut seen = 0u64;
-        t.scan(&mut |k, v| {
+        scan(&mut t, &mut |k, v| {
             assert!(prev.is_none_or(|p| p < k), "strictly increasing");
             assert_eq!(u64::from_be_bytes(v.try_into().unwrap()), k.primary);
             prev = Some(k);
             seen += 1;
-        })
-        .unwrap();
+        });
         assert_eq!(seen, n);
         std::fs::remove_file(&path).unwrap();
     }
@@ -635,7 +598,7 @@ mod tests {
         assert_eq!(s.entries, 20_000);
         assert!(s.depth >= 2, "split at least once: {s:?}");
         assert_eq!(s.total_pages, s.leaf_pages + s.internal_pages);
-        assert_eq!(s.total_pages, t.pool().page_count());
+        assert_eq!(s.total_pages, t.pool.page_count());
         // Ascending inserts leave every leaf but the last half full.
         assert!(
             (300..=1000).contains(&s.leaf_fill_permille),
@@ -653,7 +616,7 @@ mod tests {
                 .unwrap();
         }
         for i in [0u64, 1, 999, 4096, 7999] {
-            let got = t.get(StoreKey::new(i, 0)).unwrap().unwrap();
+            let got = get(&mut t, StoreKey::new(i, 0)).unwrap();
             assert_eq!(u64::from_be_bytes(got.try_into().unwrap()), i * 3);
         }
         std::fs::remove_file(&path).unwrap();

@@ -148,87 +148,24 @@ pub trait Codec: Sized {
 }
 
 /// Appends one length-prefixed frame (`len: u32` big-endian, then the
-/// payload) to `out` — the inverse of what [`FrameReader`] consumes.
-/// Spilled checkpoint records and streaming execution rows use this
-/// framing so a value larger than one store record can be chunked and
-/// reassembled without ambiguity.
+/// payload) to `out`. Spilled checkpoint records and streaming execution
+/// rows use this framing so a value larger than one store record can be
+/// chunked and reassembled without ambiguity.
 pub fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(payload);
 }
 
-/// A batched reader of length-prefixed frames (see [`write_frame`]).
-///
-/// Bytes arrive in arbitrary slices — store-record chunks, cursor
-/// batches — via [`FrameReader::push`]; complete frames come back out
-/// via [`FrameReader::next_frame`] (raw payload) or
-/// [`FrameReader::drain_into`] (decoded through a [`Codec`]). A frame
-/// whose tail has not arrived yet simply stays pending, so the reader
-/// can sit directly on a chunked scan without buffering the whole log.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl FrameReader {
-    /// An empty reader.
-    pub fn new() -> Self {
-        FrameReader::default()
-    }
-
-    /// Feeds more bytes in. Consumed prefix bytes are compacted away
-    /// once they dominate the buffer, so long-running readers stay at
-    /// O(largest frame) memory.
-    pub fn push(&mut self, bytes: &[u8]) {
-        if self.pos > 4096 && self.pos * 2 >= self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// The next complete frame's payload, or `None` while the frame is
-    /// still partial (push more bytes and retry).
-    pub fn next_frame(&mut self) -> Option<&[u8]> {
-        let rest = &self.buf[self.pos..];
-        if rest.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if rest.len() < 4 + len {
-            return None;
-        }
-        let start = self.pos + 4;
-        self.pos = start + len;
-        Some(&self.buf[start..start + len])
-    }
-
-    /// Decodes every complete frame currently buffered, appending to
-    /// `out`; returns the number decoded, or `None` on the first frame
-    /// that is not a valid `T` encoding (the reader stops there).
-    pub fn drain_into<T: Codec>(&mut self, out: &mut Vec<T>) -> Option<usize> {
-        let mut n = 0;
-        loop {
-            let rest = &self.buf[self.pos..];
-            if rest.len() < 4 {
-                return Some(n);
-            }
-            let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-            if rest.len() < 4 + len {
-                return Some(n);
-            }
-            let start = self.pos + 4;
-            let v = T::from_slice(&self.buf[start..start + len])?;
-            self.pos = start + len;
-            out.push(v);
-            n += 1;
-        }
+/// The payload of `framed` if it is exactly one [`write_frame`] frame,
+/// else what is wrong with it.
+pub(crate) fn read_frame(framed: &[u8]) -> Result<&[u8], &'static str> {
+    let Some((len, payload)) = framed.split_first_chunk::<4>() else {
+        return Err("length frame cut short");
+    };
+    match payload.len().cmp(&(u32::from_be_bytes(*len) as usize)) {
+        std::cmp::Ordering::Less => Err("length frame cut short"),
+        std::cmp::Ordering::Equal => Ok(payload),
+        std::cmp::Ordering::Greater => Err("bytes left over after the length frame"),
     }
 }
 
@@ -297,60 +234,15 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_reassembles_split_frames() {
-        let mut encoded = Vec::new();
-        for v in [7u64, 0, u64::MAX, 42] {
-            write_frame(&v.to_vec(), &mut encoded);
-        }
-        // Feed in awkward 5-byte chunks: frames straddle every push.
-        let mut r = FrameReader::new();
-        let mut out: Vec<u64> = Vec::new();
-        for chunk in encoded.chunks(5) {
-            r.push(chunk);
-            assert!(r.drain_into(&mut out).is_some());
-        }
-        assert_eq!(out, vec![7, 0, u64::MAX, 42]);
-        assert_eq!(r.pending(), 0);
-        assert!(r.next_frame().is_none(), "nothing buffered");
-    }
-
-    #[test]
-    fn frame_reader_holds_partial_frames() {
-        let mut encoded = Vec::new();
-        write_frame(b"hello", &mut encoded);
-        let mut r = FrameReader::new();
-        r.push(&encoded[..6]); // header + 2 payload bytes
-        assert!(r.next_frame().is_none(), "incomplete frame stays pending");
-        assert_eq!(r.pending(), 6);
-        r.push(&encoded[6..]);
-        assert_eq!(r.next_frame(), Some(&b"hello"[..]));
-    }
-
-    #[test]
-    fn frame_reader_rejects_corrupt_payload() {
-        let mut encoded = Vec::new();
-        write_frame(&[1, 2, 3], &mut encoded); // 3 bytes: not a u32
-        let mut r = FrameReader::new();
-        r.push(&encoded);
-        let mut out: Vec<u32> = Vec::new();
-        assert_eq!(r.drain_into(&mut out), None, "malformed frame reported");
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn frame_reader_compacts_consumed_prefix() {
-        let mut r = FrameReader::new();
-        let mut frame = Vec::new();
-        write_frame(&vec![9u8; 100], &mut frame);
-        for _ in 0..200 {
-            r.push(&frame);
-            assert!(r.next_frame().is_some());
-        }
-        assert_eq!(r.pending(), 0);
-        assert!(
-            r.buf.len() <= 4096 + 2 * frame.len(),
-            "buffer stays bounded by the compaction threshold"
-        );
+    fn read_frame_accepts_exactly_one_frame() {
+        let mut framed = Vec::new();
+        write_frame(b"hello", &mut framed);
+        assert_eq!(read_frame(&framed), Ok(&b"hello"[..]));
+        assert!(read_frame(&framed[..3]).is_err(), "header cut short");
+        assert!(read_frame(&framed[..6]).is_err(), "payload cut short");
+        framed.push(0);
+        assert!(read_frame(&framed).is_err(), "a byte past the frame");
+        assert_eq!(read_frame(&[0, 0, 0, 0]), Ok(&[][..]), "empty payload");
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! The crash model is explicit rather than accidental: `Store::crash`
 //! truncates the log at an arbitrary byte offset (at or beyond the last
 //! fsync barrier), then recovery re-opens and replays — exactly what
-//! the `CrashRecoverInjector` nemesis in `shard-sim` and experiment E24
-//! drive. The recovery invariants that make §3 survive a restart are
-//! spelled out in `docs/storage.md`.
+//! the `CrashInjector` nemesis in `shard-sim` drives on a durable run
+//! (`Runner::with_durability`), as experiment E24 does. The recovery
+//! invariants that make §3 survive a restart are spelled out in
+//! `docs/storage.md`.
 //!
 //! [`MergeLog`]: ../shard_sim/merge/struct.MergeLog.html
 //! [`Store`]: store::Store
@@ -51,56 +52,40 @@ pub mod store;
 pub mod wal;
 
 pub use btree::{BTree, BTreeStats};
-pub use codec::{write_frame, ByteReader, Codec, FrameReader, StoreKey};
+pub use codec::{write_frame, ByteReader, Codec, StoreKey};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pool::BufferPool;
 pub use store::{
-    append_chunked, read_chunked, CrashReport, DiskStore, KeyCursor, MemStore, Store, StoreOptions,
-    CHUNK_BYTES,
+    append_chunked, read_chunked, ChunkGroup, CrashReport, DiskStore, GroupCursor, KeyCursor,
+    MemStore, Store, StoreOptions, CHUNK_BYTES,
 };
 pub use wal::{Wal, WalInspection, WalOptions};
 
-use std::sync::{Arc, OnceLock};
-
-/// The `store.*` counters every layer of the engine feeds. Follows the
-/// registry idiom of `shard_core::replay`: one lazily initialised
-/// handle bundle, no-ops while the obs layer is disabled.
-pub(crate) struct StoreMetrics {
-    /// `store.pins` — buffer-pool page pins.
-    pub pins: Arc<shard_obs::Counter>,
-    /// `store.evictions` — frames evicted to make room.
-    pub evictions: Arc<shard_obs::Counter>,
-    /// `store.page_reads` — pages read from the backing file.
-    pub page_reads: Arc<shard_obs::Counter>,
-    /// `store.page_writes` — dirty pages written back.
-    pub page_writes: Arc<shard_obs::Counter>,
-    /// `store.readaheads` — pages prefetched by sequential readahead.
-    pub readaheads: Arc<shard_obs::Counter>,
-    /// `store.wal_appends` — records appended to the WAL.
-    pub wal_appends: Arc<shard_obs::Counter>,
-    /// `store.wal_fsyncs` — fsync barriers taken.
-    pub wal_fsyncs: Arc<shard_obs::Counter>,
-    /// `store.wal_torn_truncations` — torn tails dropped on open.
-    pub wal_torn_truncations: Arc<shard_obs::Counter>,
-    /// `store.recovered_entries` — entries replayed out of a store
-    /// during recovery.
-    pub recovered_entries: Arc<shard_obs::Counter>,
-}
-
-pub(crate) fn metrics() -> &'static StoreMetrics {
-    static METRICS: OnceLock<StoreMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let r = shard_obs::Registry::global();
-        StoreMetrics {
-            pins: r.counter("store.pins"),
-            evictions: r.counter("store.evictions"),
-            page_reads: r.counter("store.page_reads"),
-            page_writes: r.counter("store.page_writes"),
-            readaheads: r.counter("store.readaheads"),
-            wal_appends: r.counter("store.wal_appends"),
-            wal_fsyncs: r.counter("store.wal_fsyncs"),
-            wal_torn_truncations: r.counter("store.wal_torn_truncations"),
-            recovered_entries: r.counter("store.recovered_entries"),
-        }
-    })
+/// Registers the `store.*` counters every layer of the engine feeds,
+/// together (see `shard_obs::counter!`):
+///
+/// * `store.pins` — buffer-pool page pins;
+/// * `store.evictions` — frames evicted to make room;
+/// * `store.page_reads` / `store.page_writes` — pages read from, and
+///   dirty pages written back to, the backing file;
+/// * `store.readaheads` — pages prefetched by sequential readahead;
+/// * `store.wal_appends` / `store.wal_fsyncs` — records appended to the
+///   WAL and fsync barriers taken;
+/// * `store.wal_torn_truncations` — torn tails dropped on open;
+/// * `store.recovered_entries` — entries replayed out of a store during
+///   recovery.
+pub(crate) fn family() {
+    for name in [
+        "store.pins",
+        "store.evictions",
+        "store.page_reads",
+        "store.page_writes",
+        "store.readaheads",
+        "store.wal_appends",
+        "store.wal_fsyncs",
+        "store.wal_torn_truncations",
+        "store.recovered_entries",
+    ] {
+        shard_obs::Registry::global().counter(name);
+    }
 }

@@ -35,7 +35,6 @@
 //! The pool feeds `store.pins`, `store.evictions`, `store.page_reads`,
 //! `store.page_writes` and `store.readaheads`.
 
-use crate::metrics;
 use crate::page::{Page, PageId, PAGE_SIZE};
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
@@ -133,7 +132,7 @@ impl BufferPool {
     /// Every `pin` must be paired with an [`BufferPool::unpin`].
     pub fn pin(&mut self, id: PageId) -> io::Result<usize> {
         assert!(id < self.pages, "pin of unallocated page {id}");
-        metrics().pins.inc();
+        shard_obs::counter!("store.pins", crate::family).inc();
         if let Some(&idx) = self.map.get(&id) {
             self.frames[idx].pins += 1;
             self.frames[idx].referenced = true;
@@ -147,7 +146,7 @@ impl BufferPool {
         if id < self.file_pages {
             self.file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
             self.file.read_exact(page.bytes_mut())?;
-            metrics().page_reads.inc();
+            shard_obs::counter!("store.page_reads", crate::family).inc();
         }
         self.frames[idx] = Frame {
             page,
@@ -222,8 +221,8 @@ impl BufferPool {
                 sticky: self.sticky.contains(&id),
             };
             self.map.insert(id, idx);
-            metrics().page_reads.inc();
-            metrics().readaheads.inc();
+            shard_obs::counter!("store.page_reads", crate::family).inc();
+            shard_obs::counter!("store.readaheads", crate::family).inc();
         }
         Ok(())
     }
@@ -263,18 +262,13 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Resident, currently pinned frames — test/introspection hook.
-    pub fn pinned_frames(&self) -> usize {
-        self.frames.iter().filter(|f| f.pins > 0).count()
-    }
-
     fn write_back(&mut self, idx: usize) -> io::Result<()> {
         let id = self.frames[idx].id.expect("write-back of empty frame");
         self.file.seek(SeekFrom::Start(id * PAGE_SIZE as u64))?;
         self.file.write_all(self.frames[idx].page.bytes())?;
         self.frames[idx].dirty = false;
         self.file_pages = self.file_pages.max(id + 1);
-        metrics().page_writes.inc();
+        shard_obs::counter!("store.page_writes", crate::family).inc();
         Ok(())
     }
 
@@ -320,7 +314,7 @@ impl BufferPool {
                     .take()
                     .expect("occupied frame has an id");
                 self.map.remove(&old);
-                metrics().evictions.inc();
+                shard_obs::counter!("store.evictions", crate::family).inc();
                 return Ok(idx);
             }
         }
@@ -340,6 +334,11 @@ mod tests {
             std::env::temp_dir().join(format!("shard-store-pool-{name}-{}.db", std::process::id()));
         let _ = std::fs::remove_file(&path);
         path
+    }
+
+    /// Resident, currently pinned frames.
+    fn pinned_frames(pool: &BufferPool) -> usize {
+        pool.frames.iter().filter(|f| f.pins > 0).count()
     }
 
     /// Stamps a recognisable byte pattern for page `id`.
@@ -371,11 +370,11 @@ mod tests {
         let f1 = pool.pin(id).unwrap();
         let f2 = pool.pin(id).unwrap();
         assert_eq!(f1, f2, "same page shares a frame");
-        assert_eq!(pool.pinned_frames(), 1);
+        assert_eq!(pinned_frames(&pool), 1);
         pool.unpin(f1);
-        assert_eq!(pool.pinned_frames(), 1, "second pin still holds");
+        assert_eq!(pinned_frames(&pool), 1, "second pin still holds");
         pool.unpin(f2);
-        assert_eq!(pool.pinned_frames(), 0);
+        assert_eq!(pinned_frames(&pool), 0);
         std::fs::remove_file(&path).unwrap();
     }
 

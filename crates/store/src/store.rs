@@ -11,7 +11,7 @@
 //!   arbitrary byte offset (honest hardware keeps at least
 //!   [`Store::synced_bytes`]), reopened, and torn records are dropped;
 //! * [`Store::scan_arrival`] streams records in append order — the
-//!   recovery path; [`Store::scan_key_order`] streams in key
+//!   recovery path; [`Store::scan_key_range`] streams in key
 //!   (timestamp) order through the B+tree index.
 //!
 //! [`MemStore`] keeps the same byte accounting as the disk format, so
@@ -21,7 +21,6 @@
 
 use crate::btree::BTree;
 use crate::codec::{StoreKey, KEY_BYTES};
-use crate::metrics;
 use crate::pool::BufferPool;
 use crate::wal::{Wal, WalOptions, RECORD_HEADER};
 use std::collections::BTreeMap;
@@ -81,9 +80,6 @@ pub trait Store {
     /// Streams records in append (arrival) order.
     fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()>;
 
-    /// Streams records in key (timestamp) order.
-    fn scan_key_order(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()>;
-
     /// Streams records with `key >= from` in key order, stopping early
     /// the first time `f` returns `false` — the cursor primitive the
     /// out-of-core replay path folds over.
@@ -92,9 +88,6 @@ pub trait Store {
         from: StoreKey,
         f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
     ) -> io::Result<()>;
-
-    /// Point lookup by key.
-    fn get(&mut self, key: StoreKey) -> io::Result<Option<Vec<u8>>>;
 
     /// Simulates a crash preserving exactly the first `keep` bytes,
     /// then recovers: reopen, truncate the torn tail, rebuild derived
@@ -133,14 +126,14 @@ impl Store for MemStore {
         self.len += record_bytes(value.len());
         self.index.entry(key).or_insert(self.records.len());
         self.records.push((key, value.to_vec(), self.len));
-        metrics().wal_appends.inc();
+        shard_obs::counter!("store.wal_appends", crate::family).inc();
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
         if self.synced < self.len {
             self.synced = self.len;
-            metrics().wal_fsyncs.inc();
+            shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         }
         Ok(())
     }
@@ -164,13 +157,6 @@ impl Store for MemStore {
         Ok(())
     }
 
-    fn scan_key_order(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        for (k, &i) in &self.index {
-            f(*k, &self.records[i].1);
-        }
-        Ok(())
-    }
-
     fn scan_key_range(
         &mut self,
         from: StoreKey,
@@ -182,10 +168,6 @@ impl Store for MemStore {
             }
         }
         Ok(())
-    }
-
-    fn get(&mut self, key: StoreKey) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.index.get(&key).map(|&i| self.records[i].1.clone()))
     }
 
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
@@ -209,9 +191,9 @@ impl Store for MemStore {
         self.len = kept_bytes;
         self.synced = kept_bytes;
         if torn {
-            metrics().wal_torn_truncations.inc();
+            shard_obs::counter!("store.wal_torn_truncations", crate::family).inc();
         }
-        metrics().recovered_entries.add(kept as u64);
+        shard_obs::counter!("store.recovered_entries", crate::family).add(kept as u64);
         Ok(CrashReport {
             kept_entries: kept,
             kept_bytes,
@@ -254,7 +236,7 @@ impl DiskStore {
         if let Some(e) = failed {
             return Err(e);
         }
-        metrics().recovered_entries.add(report.entries as u64);
+        shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
         Ok((
             DiskStore {
                 dir: dir.to_path_buf(),
@@ -264,11 +246,6 @@ impl DiskStore {
             },
             report.entries,
         ))
-    }
-
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Shape/occupancy statistics of the B+tree index
@@ -305,20 +282,12 @@ impl Store for DiskStore {
         self.wal.for_each(f)
     }
 
-    fn scan_key_order(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        self.index.scan(f)
-    }
-
     fn scan_key_range(
         &mut self,
         from: StoreKey,
         f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
     ) -> io::Result<()> {
         self.index.scan_from(from, f)
-    }
-
-    fn get(&mut self, key: StoreKey) -> io::Result<Option<Vec<u8>>> {
-        self.index.get(key)
     }
 
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
@@ -375,29 +344,16 @@ pub fn append_chunked(store: &mut dyn Store, primary: u64, payload: &[u8]) -> io
     Ok(chunks as u32)
 }
 
-/// Reads a chunked record group back. `None` when the group is absent,
-/// incomplete (e.g. truncated by a crash) or malformed — callers treat
-/// all three as "this record is not available" and fall back.
+/// Reads the chunk group under `primary` back. `None` when the group is
+/// absent or malformed (e.g. truncated by a crash) — callers treat both
+/// as "this record is not available" and fall back.
 pub fn read_chunked(store: &mut dyn Store, primary: u64) -> io::Result<Option<Vec<u8>>> {
-    let mut reader = crate::codec::FrameReader::new();
-    let mut expect = 0u32;
-    let mut contiguous = true;
-    store.scan_key_range(StoreKey::new(primary, 0), &mut |k, v| {
-        if k.primary != primary {
-            return false;
-        }
-        if u32::from(k.secondary) != expect {
-            contiguous = false;
-            return false;
-        }
-        expect += 1;
-        reader.push(v);
-        true
-    })?;
-    if !contiguous {
-        return Ok(None);
-    }
-    Ok(reader.next_frame().map(|b| b.to_vec()))
+    // Small batches: one group is a handful of chunks, not a scan.
+    let mut groups = GroupCursor::starting_at(primary, 4);
+    Ok(match groups.next(store)? {
+        Some((p, Ok(payload))) if p == primary => Some(payload.to_vec()),
+        _ => None,
+    })
 }
 
 /// A pull-style cursor over a store's key order: batches of records are
@@ -451,6 +407,65 @@ impl KeyCursor {
     }
 }
 
+/// A chunk group as [`GroupCursor`] yields it: the primary key, and the
+/// payload or what is wrong with the group's chunks.
+pub type ChunkGroup<'a> = (u64, Result<&'a [u8], &'static str>);
+
+/// The one reader of the chunk-group layout [`append_chunked`] writes:
+/// walks a store's key order from `(primary, 0)` and yields each group
+/// as `(primary, payload)`. A group whose chunk indices are not exactly
+/// `0, 1, 2, …`, or whose bytes are not exactly one length frame, comes
+/// back as `Err(what is wrong)` instead of a payload — whether that is
+/// a hole to skip (a cache) or corrupt data (an authoritative copy) is
+/// the caller's call — and the cursor moves on to the next group.
+#[derive(Debug)]
+pub struct GroupCursor {
+    records: KeyCursor,
+    /// The first record of the next group, read while closing the last.
+    ahead: Option<(StoreKey, Vec<u8>)>,
+    /// The current group's chunks, concatenated.
+    framed: Vec<u8>,
+}
+
+impl GroupCursor {
+    /// A cursor over the groups at or above `primary`, fetching
+    /// `batch_size` store records per refill.
+    pub fn starting_at(primary: u64, batch_size: usize) -> Self {
+        GroupCursor {
+            records: KeyCursor::starting_at(StoreKey::new(primary, 0), batch_size),
+            ahead: None,
+            framed: Vec::new(),
+        }
+    }
+
+    /// The next group in key order, or `None` at the end of the store.
+    pub fn next(&mut self, store: &mut dyn Store) -> io::Result<Option<ChunkGroup<'_>>> {
+        let mut record = match self.ahead.take() {
+            Some(first) => Some(first),
+            None => self.records.next(store)?,
+        };
+        let Some(primary) = record.as_ref().map(|(k, _)| k.primary) else {
+            return Ok(None);
+        };
+        self.framed.clear();
+        let mut contiguous = true;
+        let mut expect = 0u32;
+        while let Some((key, chunk)) = record.take_if(|(k, _)| k.primary == primary) {
+            contiguous &= u32::from(key.secondary) == expect;
+            expect += 1;
+            self.framed.extend_from_slice(&chunk);
+            record = self.records.next(store)?;
+        }
+        self.ahead = record;
+        let group = if contiguous {
+            crate::codec::read_frame(&self.framed)
+        } else {
+            Err("chunk indices are not 0, 1, 2, …")
+        };
+        Ok(Some((primary, group)))
+    }
+}
+
 /// The smallest key strictly greater than `k`, or `None` at the top of
 /// the key space.
 fn key_successor(k: StoreKey) -> Option<StoreKey> {
@@ -485,6 +500,17 @@ mod tests {
         }
     }
 
+    fn key_order(store: &mut dyn Store) -> Vec<(StoreKey, Vec<u8>)> {
+        let mut out = Vec::new();
+        store
+            .scan_key_range(StoreKey::new(0, 0), &mut |k, v| {
+                out.push((k, v.to_vec()));
+                true
+            })
+            .unwrap();
+        out
+    }
+
     fn arrival(store: &mut dyn Store) -> Vec<(StoreKey, Vec<u8>)> {
         let mut out = Vec::new();
         store
@@ -504,13 +530,7 @@ mod tests {
         assert_eq!(mem.synced_bytes(), disk.synced_bytes());
         assert_eq!(mem.entries(), disk.entries());
         assert_eq!(arrival(&mut mem), arrival(&mut disk));
-        let mut mk = Vec::new();
-        let mut dk = Vec::new();
-        mem.scan_key_order(&mut |k, v| mk.push((k, v.to_vec())))
-            .unwrap();
-        disk.scan_key_order(&mut |k, v| dk.push((k, v.to_vec())))
-            .unwrap();
-        assert_eq!(mk, dk);
+        assert_eq!(key_order(&mut mem), key_order(&mut disk));
         // Crash both at the same mid-record offset: identical outcomes.
         let keep = mem.len_bytes() - 13;
         let mr = mem.crash(keep).unwrap();
@@ -608,13 +628,54 @@ mod tests {
     }
 
     #[test]
+    fn group_cursor_names_malformed_groups_and_moves_on() {
+        let mut mem = MemStore::new();
+        let blob = |g: u8| vec![g; 2 * CHUNK_BYTES + 10]; // three chunks
+        append_chunked(&mut mem, 0, &blob(0)).unwrap();
+        // Group 1 lost its chunk 0, group 2 its middle chunk, group 3
+        // gained a chunk past its frame; 4 is whole, 6 is cut short.
+        for g in 1..=4u64 {
+            let mut framed = Vec::new();
+            crate::codec::write_frame(&blob(g as u8), &mut framed);
+            for (i, chunk) in framed.chunks(CHUNK_BYTES).enumerate() {
+                if (g, i) != (1, 0) && (g, i) != (2, 1) {
+                    mem.append(StoreKey::new(g, i as u16), chunk).unwrap();
+                }
+            }
+        }
+        mem.append(StoreKey::new(3, 3), b"extra").unwrap();
+        mem.append(StoreKey::new(6, 0), &[0, 0, 1]).unwrap();
+        for batch_size in [1, 2, 1024] {
+            let mut groups = GroupCursor::starting_at(0, batch_size);
+            let mut seen = Vec::new();
+            while let Some((primary, group)) = groups.next(&mut mem).unwrap() {
+                seen.push((primary, group.map(<[u8]>::to_vec)));
+            }
+            assert_eq!(
+                seen,
+                vec![
+                    (0, Ok(blob(0))),
+                    (1, Err("chunk indices are not 0, 1, 2, …")),
+                    (2, Err("chunk indices are not 0, 1, 2, …")),
+                    (3, Err("bytes left over after the length frame")),
+                    (4, Ok(blob(4))),
+                    (6, Err("length frame cut short")),
+                ],
+                "batch size {batch_size}"
+            );
+        }
+        // The single-group read folds "absent" and "malformed" together.
+        for (g, whole) in [(0, true), (1, false), (3, false), (4, true), (5, false)] {
+            assert_eq!(read_chunked(&mut mem, g).unwrap().is_some(), whole, "{g}");
+        }
+    }
+
+    #[test]
     fn cursor_matches_full_scan() {
         let dir = tmp("cursor");
         let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         fill(&mut disk, 257, 50); // not a multiple of the batch size
-        let mut expect = Vec::new();
-        disk.scan_key_order(&mut |k, v| expect.push((k, v.to_vec())))
-            .unwrap();
+        let expect = key_order(&mut disk);
         for batch_size in [1, 7, 64, 1000] {
             let mut cur = KeyCursor::new(batch_size);
             let mut got = Vec::new();
@@ -642,7 +703,9 @@ mod tests {
         let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(recovered, 50);
         assert_eq!(disk.entries(), 50);
-        assert!(disk.get(StoreKey::new(0, 1)).unwrap().is_some());
+        assert!(key_order(&mut disk)
+            .iter()
+            .any(|(k, _)| *k == StoreKey::new(0, 1)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -32,7 +32,6 @@
 //! a *prefix* of the node's arrival order (see `docs/storage.md`).
 
 use crate::codec::{StoreKey, KEY_BYTES};
-use crate::metrics;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -217,7 +216,7 @@ impl Wal {
             fs::remove_file(&path)?;
         }
         if report.torn {
-            metrics().wal_torn_truncations.inc();
+            shard_obs::counter!("store.wal_torn_truncations", crate::family).inc();
         }
         let active_path = segment_path(dir, segments.last().expect("at least one segment").index);
         let mut active = OpenOptions::new().append(true).open(&active_path)?;
@@ -256,11 +255,6 @@ impl Wal {
         self.entries
     }
 
-    /// The log's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Appends one record and returns the global offset *after* it.
     /// The bytes are in the OS page cache, **not durable**, until the
     /// next [`Wal::sync`].
@@ -282,7 +276,7 @@ impl Wal {
         tail.len += rec.len() as u64;
         self.len += rec.len() as u64;
         self.entries += 1;
-        metrics().wal_appends.inc();
+        shard_obs::counter!("store.wal_appends", crate::family).inc();
         Ok(self.len)
     }
 
@@ -292,7 +286,7 @@ impl Wal {
         if self.synced < self.len {
             self.active.sync_data()?;
             self.synced = self.len;
-            metrics().wal_fsyncs.inc();
+            shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         }
         Ok(())
     }
@@ -303,7 +297,7 @@ impl Wal {
         self.active.sync_data()?;
         let closed = self.segments.last().expect("at least one segment");
         self.synced = self.synced.max(closed.start + closed.len);
-        metrics().wal_fsyncs.inc();
+        shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         let index = closed.index + 1;
         let start = closed.start + closed.len;
         let path = segment_path(&self.dir, index);

@@ -177,9 +177,13 @@ where
     // exactly the in-memory states — and `final_state` ends on the last.
     let mut state = app.initial_state();
     let mut folded = vec![state.clone()];
-    se.for_each_row(|i, row| {
-        assert_eq!(i + 1, folded.len(), "rows come back in serial order");
-        app.apply_in_place(&mut state, &row.update);
+    se.for_each_row(|rec| {
+        assert_eq!(
+            rec.row.index + 1,
+            folded.len(),
+            "rows come back in serial order"
+        );
+        app.apply_in_place(&mut state, &rec.update);
         folded.push(state.clone());
     })
     .expect("memory-backed store never fails");
