@@ -40,8 +40,8 @@ use shard_obs::Registry;
 use shard_pool::PoolConfig;
 use shard_runtime::report_digest;
 use shard_sim::{
-    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
-    MergeLog, MonitorConfig, NodeId, NodeMirror, Runner, Timestamp,
+    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, FaultStats,
+    GossipConfig, MergeLog, MonitorConfig, NodeId, NodeMirror, Runner, Timestamp,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -105,7 +105,7 @@ fn sweep_run(
             .with_nemesis(nemesis())
             .run(invs)
     };
-    let kills = report.faults.crashes_injected as usize;
+    let kills = FaultStats::of(&report.faults).crashes_injected as usize;
 
     let te = report.timed_execution();
     let verified = te.execution.verify(app).is_ok();

@@ -40,9 +40,11 @@ use shard_pool::PoolConfig;
 use shard_sim::events::SimTime;
 use shard_sim::nemesis::{
     shrink, CrashInjector, FaultEvent, MessageDropper, MessageDuplicator, MessageReorderer,
-    Nemesis, NemesisStack, PartitionJitter, Recorder, ScheduledNemesis,
+    Nemesis, NemesisStack, PartitionJitter, ScheduledNemesis,
 };
-use shard_sim::{ClusterConfig, DelayModel, EagerBroadcast, MonitorConfig, RunReport, Runner};
+use shard_sim::{
+    ClusterConfig, DelayModel, EagerBroadcast, FaultStats, MonitorConfig, RunReport, Runner,
+};
 use std::fmt;
 
 /// Configuration of one chaos sweep.
@@ -135,7 +137,7 @@ impl fmt::Display for Oracle {
 pub struct SeedVerdict {
     /// The swept seed.
     pub seed: u64,
-    /// Fault events the recorder captured on the faulted run.
+    /// Size of the faulted run's fault ledger (`RunReport::faults`).
     pub fault_events: usize,
     /// Prefix-subsequence condition held on the faulted run (must
     /// always be true — the kernel guarantees it by construction).
@@ -593,8 +595,7 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
     let runs: Vec<SeedRun> = shard_pool::par_map(&cfg.pool, &seeds, |_, &seed| {
         let baseline = run(cfg, seed, None, None, None);
         let base_exec = baseline.timed_execution().execution;
-        let (recorder, log) = Recorder::new(Box::new(stack_for(cfg, seed)));
-        let faulted = run(cfg, seed, Some(Box::new(recorder)), None, None);
+        let faulted = run(cfg, seed, Some(Box::new(stack_for(cfg, seed))), None, None);
         let te = faulted.timed_execution();
         let verify_ok = te.execution.verify(&app).is_ok();
         let (_, cost_check) = shard_analysis::claims::check_invariant_bound(
@@ -606,7 +607,7 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         );
         let verdict = SeedVerdict {
             seed,
-            fault_events: log.len(),
+            fault_events: faulted.faults.len(),
             verify_ok,
             cost_ok: cost_check.holds(),
             base_transitive: is_transitive(&base_exec),
@@ -618,14 +619,13 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         if shard_obs::enabled() {
             let r = shard_obs::Registry::global();
             r.counter("chaos.runs").inc();
-            r.counter("nemesis.dropped").add(faulted.faults.dropped);
-            r.counter("nemesis.duplicated")
-                .add(faulted.faults.duplicated);
-            r.counter("nemesis.delayed").add(faulted.faults.delayed);
+            let faults = FaultStats::of(&faulted.faults);
+            r.counter("nemesis.dropped").add(faults.dropped);
+            r.counter("nemesis.duplicated").add(faults.duplicated);
+            r.counter("nemesis.delayed").add(faults.delayed);
             r.counter("nemesis.partitions")
-                .add(faulted.faults.partitions_injected);
-            r.counter("nemesis.crashes")
-                .add(faulted.faults.crashes_injected);
+                .add(faults.partitions_injected);
+            r.counter("nemesis.crashes").add(faults.crashes_injected);
             if verdict.transitivity_broken() {
                 r.counter("chaos.violations.transitivity").inc();
             }
@@ -635,7 +635,7 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         }
         SeedRun {
             verdict,
-            events: log.events(),
+            events: faulted.faults,
         }
     });
     let mut targets: Vec<(Oracle, u64, &[FaultEvent])> = Vec::new();

@@ -52,6 +52,6 @@ pub use metrics::{
 pub use runtime::RuntimeMetrics;
 pub use span::{SpanGuard, SPAN_PREFIX};
 pub use trace::{
-    aggregate, check_sidecar, diff_sidecars, render_sidecar_histograms, summarize, Distribution,
-    FaultTally, NodeReplay, SpanAgg, TraceSummary,
+    aggregate, check_sidecar, diff_sidecars, render_sidecar_histograms, summarize, FaultTally,
+    NodeReplay, SpanAgg, TraceSummary,
 };

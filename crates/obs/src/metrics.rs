@@ -194,8 +194,10 @@ impl Histogram {
     }
 }
 
-/// Point-in-time contents of a [`Histogram`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Point-in-time contents of a [`Histogram`] — or, built up with
+/// [`HistogramSnapshot::record`], the plain single-threaded histogram
+/// the offline trace tooling accumulates into.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -210,6 +212,20 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one sample, exactly as [`Histogram::record`] followed by
+    /// [`Histogram::snapshot`] would show it.
+    pub fn record(&mut self, v: u64) {
+        let lo = bucket_lo(bucket_index(v));
+        match self.buckets.binary_search_by_key(&lo, |&(lo, _)| lo) {
+            Ok(i) => self.buckets[i].1 += 1,
+            Err(i) => self.buckets.insert(i, (lo, 1)),
+        }
+        self.min = if self.count == 0 { v } else { self.min.min(v) };
+        self.max = self.max.max(v);
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+    }
+
     /// Mean sample value (0.0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -544,6 +560,19 @@ mod tests {
             parsed.get("count").and_then(crate::json::Json::as_u64),
             Some(3)
         );
+    }
+
+    #[test]
+    fn recorded_snapshot_equals_the_atomic_histograms() {
+        let mut plain = HistogramSnapshot::default();
+        let atomic = Histogram::default();
+        assert_eq!(plain, atomic.snapshot(), "empty");
+        let samples = [7, 0, u64::MAX, 1, 1000, 6, u64::MAX, 0, 1 << 40, 3];
+        for v in samples {
+            plain.record(v);
+            atomic.record(v);
+            assert_eq!(plain, atomic.snapshot(), "after {v}");
+        }
     }
 
     #[test]

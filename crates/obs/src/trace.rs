@@ -15,7 +15,7 @@
 //!   bytes so no numeric value is re-serialized (and thus perturbed).
 
 use crate::json::{parse, Json};
-use crate::metrics::{bucket_index, bucket_lo, HistogramSnapshot, HISTOGRAM_BUCKETS};
+use crate::metrics::HistogramSnapshot;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -67,56 +67,6 @@ pub struct NodeReplay {
     pub max_depth: u64,
 }
 
-/// A log₂-bucketed sample distribution accumulated while summarizing —
-/// the plain, single-threaded counterpart of [`crate::Histogram`],
-/// sharing its bucket layout so [`HistogramSnapshot::quantile`] applies.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Distribution {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-}
-
-impl Distribution {
-    /// Records one sample.
-    pub fn record(&mut self, v: u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; HISTOGRAM_BUCKETS];
-            self.min = u64::MAX;
-        }
-        self.buckets[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(v);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// The same immutable view [`crate::Histogram::snapshot`] yields,
-    /// for quantile estimation.
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            count: self.count,
-            sum: self.sum,
-            min: if self.count == 0 { 0 } else { self.min },
-            max: self.max,
-            buckets: self
-                .buckets
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(b, &c)| (bucket_lo(b), c))
-                .collect(),
-        }
-    }
-}
-
 /// `p50 / p90 / p99 / max` of a snapshot as one aligned table cell.
 fn quantile_cell(h: &HistogramSnapshot) -> String {
     format!(
@@ -140,7 +90,7 @@ pub struct TraceSummary {
     /// Undo/redo distribution keyed by node id.
     pub node_replay: BTreeMap<u64, NodeReplay>,
     /// Distribution of undo/redo depths across all nodes.
-    pub replay_depth: Distribution,
+    pub replay_depth: HistogramSnapshot,
     /// Injected-fault totals from `nemesis.*` events.
     pub faults: FaultTally,
     /// Span-time table keyed by span name.
@@ -234,7 +184,7 @@ impl TraceSummary {
             let _ = writeln!(
                 out,
                 "  depth quantiles (log2-bucket estimates): {}",
-                quantile_cell(&self.replay_depth.snapshot())
+                quantile_cell(&self.replay_depth)
             );
         }
         if self.faults.total() > 0 {
@@ -480,11 +430,37 @@ mod tests {
         assert_eq!(s.node_replay[&2].replayed, 1);
         let run = &s.spans["sim.run"];
         assert_eq!((run.count, run.total_ns, run.max_ns), (2, 2000, 1500));
-        let report = s.render();
-        assert!(report.contains("merge.out_of_order"));
-        assert!(report.contains("sim.run"));
-        assert!(report.contains("1 malformed"));
+        assert_eq!(s.replay_depth.count, 3);
+        // Byte for byte what `shard-trace summarize` printed for this
+        // trace before `replay_depth` became a recorded snapshot.
+        assert_eq!(s.render(), RENDERED);
     }
+
+    const RENDERED: &str = "\
+trace: 13 lines, 1 malformed
+
+event counts:
+  deliver                         1
+  merge.append                    1
+  merge.out_of_order              3
+  nemesis.delay                   2
+  nemesis.drop                    2
+  nemesis.duplicate               1
+  span                            2
+
+per-node undo/redo (out-of-order merges):
+  node      merges    replayed  max depth
+     1           2           8          5
+     2           1           1          1
+  depth quantiles (log2-bucket estimates): p50        3  p90        5  p99        5  max        5
+
+injected faults (nemesis):
+  dropped      2   duplicated      2   delayed      2   max delay     40
+
+span times:
+  span                           count      total ns       mean ns        max ns
+  sim.run                            2          2000          1000          1500
+";
 
     #[test]
     fn summarize_tallies_nemesis_faults() {
@@ -499,9 +475,6 @@ mod tests {
             }
         );
         assert_eq!(s.faults.total(), 6);
-        let report = s.render();
-        assert!(report.contains("injected faults (nemesis):"));
-        assert!(report.contains("max delay     40"));
         // A clean trace renders no fault section at all.
         let clean = summarize("{\"event\":\"deliver\",\"t\":1,\"node\":0}\n");
         assert_eq!(clean.faults, FaultTally::default());

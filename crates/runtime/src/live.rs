@@ -45,8 +45,8 @@ use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, FaultStats, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
-    RunReport, Timestamp, Transport, WallClock,
+    ExecutedTxn, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Timestamp,
+    Transport, WallClock,
 };
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
@@ -141,7 +141,7 @@ pub struct RecordedSchedule {
 /// plus the recorded schedule and the wall-clock duration.
 pub struct LiveRun<A: Application> {
     /// The run's report, field-compatible with a kernel run (the
-    /// `faults` tally is zero: live runs inject no faults).
+    /// `faults` ledger is empty: live runs inject no faults).
     pub report: RunReport<A>,
     /// The recorded delivery schedule for [`crate::replay()`].
     pub schedule: RecordedSchedule,
@@ -743,7 +743,7 @@ fn assemble<A: Application>(
             messages_sent,
             entries_shipped,
             rounds,
-            faults: FaultStats::default(),
+            faults: Vec::new(),
             monitor,
             aborted: false,
         },

@@ -23,8 +23,9 @@
 //!   rejected, which §1's availability model already allows.
 //! * **Received updates are appended without an fsync barrier.** They
 //!   survive on the origin (by the rule above) and re-arrive via
-//!   anti-entropy, so batching their durability is safe and keeps the
-//!   fsync count proportional to *own* transactions.
+//!   whole-log anti-entropy ([`crate::Gossip`]), so batching their
+//!   durability is safe and keeps the fsync count proportional to
+//!   *own* transactions.
 //!
 //! Together these give the recovery invariants checked by
 //! `tests/durable_recovery.rs`: the recovered log is a **prefix of the
@@ -199,15 +200,11 @@ impl<A: Application> NodeMirror<A> {
     /// has no error path to thread one through.
     pub fn persist(&mut self, log: &MergeLog<A>, barrier: bool) {
         let arrivals = log.arrivals();
-        let entries = log.entries();
-        for &ts in &arrivals[self.cursor..] {
-            let at = entries
-                .binary_search_by_key(&ts, |(t, _)| *t)
-                .expect("every arrival is in the (timestamp-sorted) log");
+        for (ts, update) in &arrivals[self.cursor..] {
             self.scratch.clear();
-            (self.encode)(&entries[at].1, &mut self.scratch);
+            (self.encode)(update, &mut self.scratch);
             self.store
-                .append(key_of(ts), &self.scratch)
+                .append(key_of(*ts), &self.scratch)
                 .expect("durable mirror append");
         }
         self.cursor = arrivals.len();

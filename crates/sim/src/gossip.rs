@@ -23,7 +23,7 @@
 //! client invocations remain — a simulation-harness stopping rule, not
 //! protocol logic ([`crate::kernel::Propagation::synced`]).
 
-use crate::clock::{NodeId, Timestamp};
+use crate::clock::NodeId;
 use crate::events::SimTime;
 use crate::kernel::{Entries, Node, Propagation, Runner};
 use crate::partial::Placement;
@@ -66,11 +66,6 @@ pub struct Gossip {
 }
 
 impl Gossip {
-    /// Builds the shared log snapshot one round ships.
-    fn snapshot<A: Application>(node: &Node<A>) -> Entries<A> {
-        Arc::from(node.log.entries().to_vec())
-    }
-
     /// Picks a uniform random partner other than `node` (the historical
     /// redraw-while-self scheme, preserving the seed's draw sequence).
     fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
@@ -92,35 +87,11 @@ impl<A: Application> Propagation<A> for Gossip {
         Some(self.interval)
     }
 
-    fn on_execute(
-        &mut self,
-        _app: &A,
-        _net: &mut dyn Transport<A>,
-        _node: &Node<A>,
-        _now: SimTime,
-        _ts: Timestamp,
-        _update: &Arc<A::Update>,
-    ) {
-    }
-
     fn on_tick(&mut self, _app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        let n = net.nodes();
-        if n <= 1 {
-            return;
-        }
-        let entries = Self::snapshot(node);
-        if u32::from(self.fanout) >= u32::from(n) - 1 {
-            // Full fanout: push to every peer deterministically (no
-            // randomness consumed), skipping partitioned ones.
-            for peer in 0..n {
-                let to = NodeId(peer);
-                if to == node.id {
-                    continue;
-                }
-                if net.connected(now, node.id, to) {
-                    net.send(now, node.id, to, Arc::clone(&entries));
-                }
-            }
+        // One shared snapshot of the whole log per round.
+        let entries: Entries<A> = Arc::from(node.log.entries().to_vec());
+        if u32::from(self.fanout) >= u32::from(net.nodes()) - 1 {
+            push_to_all(net, node.id, now, &entries);
         } else {
             for _ in 0..self.fanout {
                 let peer = Self::partner(net, node.id);
@@ -134,6 +105,21 @@ impl<A: Application> Propagation<A> for Gossip {
 
     fn synced(&self, _app: &A, nodes: &[Node<A>], transactions: &[ExecutedTxn<A>]) -> bool {
         synced_on_identical_logs(nodes, transactions)
+    }
+}
+
+/// Full fanout: pushes `entries` to every peer no partition cuts `node`
+/// off from right now, in node order (no randomness consumed).
+fn push_to_all<A: Application>(
+    net: &mut dyn Transport<A>,
+    node: NodeId,
+    now: SimTime,
+    entries: &Entries<A>,
+) {
+    for to in (0..net.nodes()).map(NodeId) {
+        if to != node && net.connected(now, node, to) {
+            net.send(now, node, to, Arc::clone(entries));
+        }
     }
 }
 
@@ -174,9 +160,11 @@ fn synced_on_identical_logs<A: Application>(
 ///
 /// Fanout is always full, and a cursor advances whether or not a given
 /// peer was reachable — an entry dropped by a partition is only
-/// re-delivered via third parties, so under adversarial partitions the
-/// omniscient [`Propagation::synced`] rule may never hold. Use
-/// [`Gossip`] for chaos schedules; `GossipDelta` is the live-runtime
+/// re-delivered via third parties, and a received tail a crashed peer
+/// lost from its store only by copies still in flight — so under
+/// adversarial partitions or lossy crash windows the omniscient
+/// [`Propagation::synced`] rule may never hold. Use [`Gossip`] for
+/// chaos schedules; `GossipDelta` is the live-runtime
 /// strategy (`shard-runtime --mode gossip`), where its determinism
 /// (no partner sampling, no randomness) makes record–replay exact.
 #[derive(Clone, Debug)]
@@ -210,24 +198,7 @@ impl<A: Application> Propagation<A> for GossipDelta {
         Some(self.interval)
     }
 
-    fn on_execute(
-        &mut self,
-        _app: &A,
-        _net: &mut dyn Transport<A>,
-        _node: &Node<A>,
-        _now: SimTime,
-        _ts: Timestamp,
-        _update: &Arc<A::Update>,
-    ) {
-        // A node's own update enters its log (and arrival order) at
-        // execute time; the next round ships it like any other delta.
-    }
-
     fn on_tick(&mut self, _app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        let n = net.nodes();
-        if n <= 1 {
-            return;
-        }
         let idx = usize::from(node.id.0);
         if self.cursors.len() <= idx {
             self.cursors.resize(idx + 1, 0);
@@ -238,28 +209,19 @@ impl<A: Application> Propagation<A> for GossipDelta {
             return;
         }
         self.cursors[idx] = arrivals.len();
-        // Resolve the new arrivals to entries and ship them sorted —
-        // an ascending batch is the receiving merge path's fast case.
-        let log = node.log.entries();
-        let mut delta: Vec<(Timestamp, Arc<A::Update>)> = arrivals[cur..]
-            .iter()
-            .map(|ts| {
-                let i = log
-                    .binary_search_by_key(ts, |(t, _)| *t)
-                    .expect("every arrival is in the log");
-                (log[i].0, Arc::clone(&log[i].1))
-            })
-            .collect();
+        // Ship the new arrivals sorted — an ascending batch is the
+        // receiving merge path's fast case.
+        let mut delta = arrivals[cur..].to_vec();
         delta.sort_unstable_by_key(|(ts, _)| *ts);
-        let entries: Entries<A> = delta.into();
-        for peer in 0..n {
-            let to = NodeId(peer);
-            if to == node.id {
-                continue;
-            }
-            if net.connected(now, node.id, to) {
-                net.send(now, node.id, to, Arc::clone(&entries));
-            }
+        push_to_all(net, node.id, now, &delta.into());
+    }
+
+    /// The recovered log is a prefix of the arrival order the cursor
+    /// indexed: positions below its length hold the same entries, the
+    /// rest were lost and re-arrive at new positions, unshipped.
+    fn on_recover(&mut self, node: &Node<A>) {
+        if let Some(cursor) = self.cursors.get_mut(usize::from(node.id.0)) {
+            *cursor = (*cursor).min(node.log.arrivals().len());
         }
     }
 
@@ -311,17 +273,6 @@ impl<A: ObjectModel> Propagation<A> for GossipPlacement {
 
     fn tick_interval(&self) -> Option<SimTime> {
         Some(self.interval)
-    }
-
-    fn on_execute(
-        &mut self,
-        _app: &A,
-        _net: &mut dyn Transport<A>,
-        _node: &Node<A>,
-        _now: SimTime,
-        _ts: Timestamp,
-        _update: &Arc<A::Update>,
-    ) {
     }
 
     fn on_tick(&mut self, app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {

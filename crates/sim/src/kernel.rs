@@ -48,13 +48,13 @@ use crate::durable::{DurableFleet, NodeMirror};
 use crate::events::{EventQueue, SimTime};
 use crate::known::KnownSet;
 use crate::merge::{MergeLog, MergeMetrics, MergeOutcome};
-use crate::nemesis::{Fate, MsgCtx, Nemesis};
+use crate::nemesis::{fate_faults, Fate, FaultEvent, MsgCtx, Nemesis};
 use crate::partition::PartitionSchedule;
 use crate::transport::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard_core::{Application, Execution, ExternalAction, TimedExecution, TxnRecord};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Configuration of a simulated cluster (shared by every strategy).
@@ -161,6 +161,34 @@ fn emit_merge_outcome(
     }
 }
 
+/// Emits the `nemesis.*` trace lines for one message's faults: a
+/// `nemesis.drop`, or a `nemesis.delay` and/or one `nemesis.duplicate`
+/// counting the extra copies.
+fn emit_faults(sink: &shard_obs::EventSink, ctx: &MsgCtx, events: &[FaultEvent]) {
+    let line = |name| sink.event(name).u64("t", ctx.now).u64("msg", ctx.seq);
+    let (from, to) = (u64::from(ctx.from.0), u64::from(ctx.to.0));
+    let mut extra = 0;
+    for e in events {
+        match e {
+            FaultEvent::Drop { .. } => line("nemesis.drop")
+                .u64("from", from)
+                .u64("node", to)
+                .emit(),
+            FaultEvent::Delay { by, .. } => {
+                line("nemesis.delay").u64("node", to).u64("by", *by).emit();
+            }
+            FaultEvent::Duplicate { .. } => extra += 1,
+            FaultEvent::Partition { .. } | FaultEvent::Crash { .. } => {}
+        }
+    }
+    if extra > 0 {
+        line("nemesis.duplicate")
+            .u64("node", to)
+            .u64("extra", extra)
+            .emit();
+    }
+}
+
 /// One client transaction submission: at `time`, at `node`.
 #[derive(Clone, Debug)]
 pub struct Invocation<D> {
@@ -207,10 +235,10 @@ pub struct ExecutedTxn<A: Application> {
     pub known: KnownSet,
 }
 
-/// What a run's [`Nemesis`] did to the transport, counted by the kernel
-/// itself (by differencing each message's fate against its fault-free
-/// delivery), so the tally is trustworthy whatever the injector claims.
-/// All zeros when no nemesis is attached.
+/// The five counts of a fault ledger ([`RunReport::faults`]) — what a
+/// run's [`Nemesis`] did, as the kernel itself observed it (every fate
+/// differenced against its fault-free delivery), so the tally is
+/// trustworthy whatever the injector claims.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Messages dropped (every copy lost).
@@ -227,13 +255,19 @@ pub struct FaultStats {
 }
 
 impl FaultStats {
-    /// Total faults applied.
-    pub fn total(&self) -> u64 {
-        self.dropped
-            + self.duplicated
-            + self.delayed
-            + self.partitions_injected
-            + self.crashes_injected
+    /// Counts `events` by kind.
+    pub fn of(events: &[FaultEvent]) -> Self {
+        let mut s = FaultStats::default();
+        for e in events {
+            *match e {
+                FaultEvent::Drop { .. } => &mut s.dropped,
+                FaultEvent::Duplicate { .. } => &mut s.duplicated,
+                FaultEvent::Delay { .. } => &mut s.delayed,
+                FaultEvent::Partition { .. } => &mut s.partitions_injected,
+                FaultEvent::Crash { .. } => &mut s.crashes_injected,
+            } += 1;
+        }
+        s
     }
 }
 
@@ -267,8 +301,13 @@ pub struct RunReport<A: Application> {
     /// Anti-entropy rounds performed: ticks on which the strategy sent
     /// at least one message. Zero for strategies without ticks.
     pub rounds: u64,
-    /// Faults the run's [`Nemesis`] applied (all zeros without one).
-    pub faults: FaultStats,
+    /// The fault ledger: every fault the run's [`Nemesis`] actually
+    /// applied, in canonical form ([`crate::nemesis::fate_faults`]) —
+    /// injected partition windows, then crash windows, then message
+    /// faults in send order. [`crate::ScheduledNemesis`] replays it,
+    /// [`crate::nemesis::shrink`] minimises it, [`FaultStats::of`]
+    /// counts it. Empty under a nemesis that changes nothing.
+    pub faults: Vec<FaultEvent>,
     /// The live monitor's verdicts and certificates, when
     /// `ClusterConfig::monitor` was set (`None` otherwise). Covers
     /// every executed transaction even on an aborted run.
@@ -291,26 +330,26 @@ impl<A: Application> RunReport<A> {
     /// The formal timed execution: transactions in timestamp order, each
     /// seeing the prefix subsequence its origin knew.
     pub fn timed_execution(&self) -> TimedExecution<A> {
-        let index_of: BTreeMap<Timestamp, usize> = self
-            .transactions
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.ts, i))
-            .collect();
         let mut exec = Execution::new();
         let mut times = Vec::with_capacity(self.transactions.len());
         for t in &self.transactions {
-            let mut prefix: Vec<usize> = t
+            // Known sets iterate in timestamp order and so do the
+            // transactions: one forward walk resolves every index.
+            let mut at = 0;
+            let prefix = t
                 .known
                 .iter()
                 .map(|ts| {
-                    *index_of.get(&ts).expect(
-                        "simulator invariant: every timestamp a node knew at \
-                         decision time belongs to an executed transaction",
-                    )
+                    at += self.transactions[at..]
+                        .iter()
+                        .position(|x| x.ts == ts)
+                        .expect(
+                            "simulator invariant: every timestamp a node knew at \
+                             decision time belongs to an executed transaction",
+                        );
+                    at
                 })
                 .collect();
-            prefix.sort_unstable();
             exec.push_record(TxnRecord {
                 decision: t.decision.clone(),
                 prefix,
@@ -358,71 +397,15 @@ impl<A: Application> Node<A> {
         }
     }
 
-    /// Executes one transaction at this replica at `now`: ticks the
-    /// Lamport clock, snapshots the known set, runs the decision part on
-    /// the local merged state, and merges the own update. Returns the
-    /// executed record plus the shared update for the propagation
-    /// strategy to ship. This is the *one* transaction-execution path —
+    /// The **execute** step — the *one* transaction-execution path, which
     /// the simulator kernel and the threaded `shard-runtime` both call
-    /// it, which is what makes live runs replayable against the sim.
-    pub fn execute(
-        &mut self,
-        app: &A,
-        decision: A::Decision,
-        now: SimTime,
-    ) -> (ExecutedTxn<A>, Arc<A::Update>) {
-        let ts = self.clock.tick();
-        self.own_sent += 1;
-        let known = self.log.known_set().clone();
-        let outcome = app.decide(&decision, self.log.state());
-        // One allocation shared by the local log and every peer message;
-        // fanning out costs reference counts, not update clones.
-        let update = Arc::new(outcome.update);
-        let fresh = self.log.merge(app, ts, Arc::clone(&update));
-        debug_assert!(fresh, "own timestamp must be new");
-        (
-            ExecutedTxn {
-                ts,
-                time: now,
-                node: self.id,
-                decision,
-                update: (*update).clone(),
-                external_actions: outcome.external_actions,
-                known,
-            },
-            update,
-        )
-    }
-
-    /// Absorbs one delivered batch: advances the Lamport clock past
-    /// every entry's timestamp, then merges the batch, reporting each
-    /// entry's [`MergeOutcome`] to `on_outcome`. The shared delivery
-    /// path of both the kernel and `shard-runtime`.
-    pub fn absorb(
-        &mut self,
-        app: &A,
-        entries: &Entries<A>,
-        mut on_outcome: impl FnMut(MergeOutcome),
-    ) {
-        for (ts, _) in entries.iter() {
-            self.clock.observe(*ts);
-        }
-        // One batch per delivery burst: in-order runs extend the log and
-        // its checkpoint chain without per-entry binary searches, while
-        // per-entry outcomes keep the trace bit-identical to
-        // entry-at-a-time merging.
-        self.log.merge_batch(
-            app,
-            entries.iter().map(|(ts, u)| (*ts, Arc::clone(u))),
-            |_, outcome| on_outcome(outcome),
-        );
-    }
-
-    /// The **execute** step: emits `execute`, runs [`Node::execute`],
-    /// then appends and fsyncs the own update on `mirror` — write-ahead:
-    /// the caller hands the returned update to its propagation strategy
-    /// only afterwards, so a crash can lose an own update only while no
-    /// peer has seen it.
+    /// (that is what makes live runs replayable against the sim): emits
+    /// `execute`, ticks the Lamport clock, snapshots the known set, runs
+    /// the decision part on the local merged state, merges the own
+    /// update, then appends and fsyncs it on `mirror` — write-ahead: the
+    /// caller hands the returned shared update to its propagation
+    /// strategy only afterwards, so a crash can lose an own update only
+    /// while no peer has seen it.
     pub fn execute_step(
         &mut self,
         app: &A,
@@ -437,18 +420,38 @@ impl<A: Application> Node<A> {
                 .u64("node", u64::from(self.id.0))
                 .emit();
         }
-        let executed = self.execute(app, decision, now);
+        let ts = self.clock.tick();
+        self.own_sent += 1;
+        let known = self.log.known_set().clone();
+        let outcome = app.decide(&decision, self.log.state());
+        // One allocation shared by the local log and every peer message;
+        // fanning out costs reference counts, not update clones.
+        let update = Arc::new(outcome.update);
+        let fresh = self.log.merge(app, ts, Arc::clone(&update));
+        debug_assert!(fresh, "own timestamp must be new");
         if let Some(m) = mirror {
             m.persist(&self.log, true);
         }
-        executed
+        (
+            ExecutedTxn {
+                ts,
+                time: now,
+                node: self.id,
+                decision,
+                update: (*update).clone(),
+                external_actions: outcome.external_actions,
+                known,
+            },
+            update,
+        )
     }
 
-    /// The **deliver** step: emits `deliver`, merges the batch
-    /// ([`Node::absorb`]) emitting one `merge.*` outcome per entry, then
-    /// appends the arrivals to `mirror` *without* an fsync barrier —
-    /// received updates survive on their origins and re-arrive via
-    /// anti-entropy if this node's unsynced tail is lost.
+    /// The **deliver** step, shared by the kernel and `shard-runtime`:
+    /// emits `deliver`, advances the Lamport clock past every entry's
+    /// timestamp, merges the batch emitting one `merge.*` outcome per
+    /// entry, then appends the arrivals to `mirror` *without* an fsync
+    /// barrier — received updates survive on their origins and re-arrive
+    /// via anti-entropy if this node's unsynced tail is lost.
     pub fn deliver_step(
         &mut self,
         app: &A,
@@ -467,11 +470,22 @@ impl<A: Application> Node<A> {
                 .u64("entries", entries.len() as u64)
                 .emit();
         }
-        self.absorb(app, entries, |outcome| {
-            if let Some(s) = sink {
-                emit_merge_outcome(s, outcome, now, id);
-            }
-        });
+        for (ts, _) in entries.iter() {
+            self.clock.observe(*ts);
+        }
+        // One batch per delivery burst: in-order runs extend the log and
+        // its checkpoint chain without per-entry binary searches, while
+        // per-entry outcomes keep the trace bit-identical to
+        // entry-at-a-time merging.
+        self.log.merge_batch(
+            app,
+            entries.iter().map(|(ts, u)| (*ts, Arc::clone(u))),
+            |_, outcome| {
+                if let Some(s) = sink {
+                    emit_merge_outcome(s, outcome, now, id);
+                }
+            },
+        );
         if let Some(m) = mirror {
             m.persist(&self.log, false);
         }
@@ -599,7 +613,8 @@ struct WireStats {
     /// Send sequence number the nemesis hook keys message faults by
     /// (1-based, assigned in send order; untouched without a nemesis).
     msg_seq: u64,
-    faults: FaultStats,
+    /// The run's fault ledger ([`RunReport::faults`]).
+    faults: Vec<FaultEvent>,
 }
 
 /// The simulator's [`Transport`]: deliveries become events on the
@@ -659,42 +674,13 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         };
         let mut fate = Fate::deliver(at);
         nemesis.on_message(&ctx, &mut fate);
-        if fate.is_dropped() {
-            self.wire.faults.dropped += 1;
-            if let Some(s) = cfg.sink.as_deref() {
-                s.event("nemesis.drop")
-                    .u64("t", now)
-                    .u64("msg", ctx.seq)
-                    .u64("from", u64::from(from.0))
-                    .u64("node", u64::from(to.0))
-                    .emit();
-            }
-            return;
+        // The one observer of what the nemesis did: ledger and trace
+        // both come from this diff against the fault-free delivery.
+        let faults = fate_faults(&ctx, &fate);
+        if let Some(s) = cfg.sink.as_deref() {
+            emit_faults(s, &ctx, &faults);
         }
-        let primary = fate.primary().expect("non-dropped fate has a primary");
-        if primary != at {
-            self.wire.faults.delayed += 1;
-            if let Some(s) = cfg.sink.as_deref() {
-                s.event("nemesis.delay")
-                    .u64("t", now)
-                    .u64("msg", ctx.seq)
-                    .u64("node", u64::from(to.0))
-                    .u64("by", primary.saturating_sub(at))
-                    .emit();
-            }
-        }
-        if fate.times.len() > 1 {
-            let extra = (fate.times.len() - 1) as u64;
-            self.wire.faults.duplicated += extra;
-            if let Some(s) = cfg.sink.as_deref() {
-                s.event("nemesis.duplicate")
-                    .u64("t", now)
-                    .u64("msg", ctx.seq)
-                    .u64("node", u64::from(to.0))
-                    .u64("extra", extra)
-                    .emit();
-            }
-        }
+        self.wire.faults.extend(faults);
         for &t in &fate.times {
             let entries = Arc::clone(&entries);
             self.queue.schedule(t, Event::Deliver { to, from, entries });
@@ -749,24 +735,33 @@ pub trait Propagation<A: Application> {
 
     /// Called right after `node` executed a transaction and merged
     /// `update` (timestamped `ts`) into its own log. Reactive strategies
-    /// send here; tick-driven strategies typically do nothing. The
+    /// send here; tick-driven ones keep the no-op default — the update
+    /// is in the log, and the next round ships it like any other. The
     /// strategy sees only the *local* replica — propagation decisions
     /// must not peek at peer state, which is what lets the same strategy
     /// run unchanged on `shard-runtime`'s one-thread-per-node channels.
     fn on_execute(
         &mut self,
-        app: &A,
-        net: &mut dyn Transport<A>,
-        node: &Node<A>,
-        now: SimTime,
-        ts: Timestamp,
-        update: &Arc<A::Update>,
-    );
+        _app: &A,
+        _net: &mut dyn Transport<A>,
+        _node: &Node<A>,
+        _now: SimTime,
+        _ts: Timestamp,
+        _update: &Arc<A::Update>,
+    ) {
+    }
 
     /// Called every [`Propagation::tick_interval`] at each live node
     /// (crashed nodes skip their rounds until recovery). Like
     /// [`Propagation::on_execute`], sees only the local replica.
     fn on_tick(&mut self, _app: &A, _net: &mut dyn Transport<A>, _node: &Node<A>, _now: SimTime) {}
+
+    /// Called right after a crash window replaced `node` by the one
+    /// rebuilt from its store ([`Node::recover_step`]): its log is now
+    /// a prefix of the arrival order it had, so a strategy holding
+    /// positions into that order must pull them back. The default
+    /// holds none.
+    fn on_recover(&mut self, _node: &Node<A>) {}
 
     /// Whether the run has converged: with no invocations left, ticking
     /// stops once this holds (a simulation-harness stopping rule, not
@@ -952,13 +947,13 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 .unwrap_or(0)
                 .max(self.cfg.partitions.horizon());
             let injected = nem.inject(self.cfg.nodes, horizon);
-            self.wire.faults.partitions_injected = injected.partitions.len() as u64;
-            self.wire.faults.crashes_injected = injected.crashes.len() as u64;
-            for w in injected.partitions {
-                self.cfg.partitions.push(w);
+            for window in injected.partitions {
+                self.cfg.partitions.push(window.clone());
+                self.wire.faults.push(FaultEvent::Partition { window });
             }
-            for w in injected.crashes {
-                self.cfg.crashes.push(w);
+            for window in injected.crashes {
+                self.cfg.crashes.push(window);
+                self.wire.faults.push(FaultEvent::Crash { window });
             }
         }
         if let Some(sink) = self.cfg.sink.as_deref() {
@@ -1104,9 +1099,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                             rounds += 1;
                         }
                     }
-                    if !scripted {
-                        let interval =
-                            tick_interval.expect("ticks are only scheduled with an interval");
+                    if let (false, Some(interval)) = (scripted, tick_interval) {
                         self.queue.schedule(now + interval, Event::Tick { node });
                     }
                 }
@@ -1157,6 +1150,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                         fleet.mirror_mut(node),
                         self.cfg.sink.as_deref(),
                     );
+                    self.strategy.on_recover(&self.nodes[node.0 as usize]);
                 }
             }
             if let Some(m) = monitor.as_mut() {

@@ -98,8 +98,8 @@ pub use known::KnownSet;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};
 pub use monitor::{LiveMonitor, MonitorConfig};
 pub use nemesis::{
-    CrashInjector, Fate, FaultEvent, FaultLog, MessageDropper, MessageDuplicator, MessageReorderer,
-    MsgCtx, Nemesis, NemesisStack, PartitionJitter, Recorder, ScheduledNemesis,
+    CrashInjector, Fate, FaultEvent, MessageDropper, MessageDuplicator, MessageReorderer, MsgCtx,
+    Nemesis, NemesisStack, PartitionJitter, ScheduledNemesis,
 };
 pub use partial::{PartialPlacement, Placement};
 pub use partition::{PartitionSchedule, PartitionWindow};

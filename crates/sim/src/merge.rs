@@ -125,11 +125,12 @@ pub struct MergeLog<A: Application> {
     /// The entry timestamps as a persistent set, maintained merge by
     /// merge so [`MergeLog::known_set`] snapshots it in O(1).
     known: KnownSet,
-    /// Every entry's timestamp in **merge order** (append-only) —
-    /// cursors into this vector are how delta propagation
-    /// ([`crate::GossipDelta`]) finds "everything merged since my last
-    /// round" without scanning the log.
-    arrivals: Vec<Timestamp>,
+    /// Every entry in **merge order** (append-only, sharing the log's
+    /// `Arc`s) — cursors into this vector are how the WAL mirror
+    /// ([`crate::NodeMirror`]) and delta propagation
+    /// ([`crate::GossipDelta`]) find "everything merged since my last
+    /// visit" without scanning or searching the log.
+    arrivals: Vec<(Timestamp, Arc<A::Update>)>,
 }
 
 impl<A: Application> MergeLog<A> {
@@ -179,11 +180,11 @@ impl<A: Application> MergeLog<A> {
         &self.known
     }
 
-    /// Every entry's timestamp in merge (arrival) order. Append-only:
-    /// a consumer that remembers an index `i` can later read
-    /// `arrivals()[i..]` to learn exactly what merged in between —
-    /// the basis of delta propagation.
-    pub fn arrivals(&self) -> &[Timestamp] {
+    /// Every entry in merge (arrival) order. Append-only: a consumer
+    /// that remembers an index `i` can later read `arrivals()[i..]` to
+    /// learn exactly what merged in between — the basis of the WAL
+    /// mirror and of delta propagation.
+    pub fn arrivals(&self) -> &[(Timestamp, Arc<A::Update>)] {
         &self.arrivals
     }
 
@@ -337,8 +338,12 @@ impl<A: Application> MergeLog<A> {
 
         // `arrivals` keeps delivery order whatever order the log takes
         // the entries in — WAL mirrors and gossip cursors read it.
-        self.arrivals
-            .extend(burst.iter().filter(|d| d.kind != Kind::Dup).map(|d| d.ts));
+        // (Only duplicates have lost their update by now.)
+        self.arrivals.extend(
+            burst
+                .iter()
+                .filter_map(|d| Some((d.ts, Arc::clone(d.update.as_ref()?)))),
+        );
 
         // The new entries in timestamp order: those below the old log
         // end are spliced into its tail by a linear merge and repaired
@@ -402,8 +407,8 @@ impl<A: Application> MergeLog<A> {
     /// In timestamp order: apply incrementally, no clone unless a
     /// checkpoint is recorded.
     fn append(&mut self, app: &A, ts: Timestamp, update: Arc<A::Update>) -> MergeOutcome {
+        self.arrivals.push((ts, Arc::clone(&update)));
         self.extend(app, ts, update);
-        self.arrivals.push(ts);
         self.metrics.appends += 1;
         if shard_obs::enabled() {
             shard_obs::counter!("merge.appends", family).inc();
@@ -433,9 +438,9 @@ impl<A: Application> MergeLog<A> {
         if shard_obs::enabled() {
             shard_obs::counter!("merge.out_of_order", family).inc();
         }
+        self.arrivals.push((ts, Arc::clone(&update)));
         self.entries.insert(pos, (ts, update));
         self.known.insert(ts);
-        self.arrivals.push(ts);
         let replayed = self.repair_from(app, pos);
         MergeOutcome::OutOfOrder { replayed }
     }
@@ -692,7 +697,14 @@ mod tests {
             assert_eq!(batched.state(), sequential.state());
             assert_eq!(batched.entries(), sequential.entries());
             assert_eq!(batched.known_set(), sequential.known_set());
+            // Timestamps and carried updates, and each carried update is
+            // the log's own allocation for that timestamp.
             assert_eq!(batched.arrivals(), sequential.arrivals());
+            let log = batched.entries();
+            assert!(batched
+                .arrivals()
+                .iter()
+                .all(|(t, u)| log.iter().any(|(lt, lu)| lt == t && Arc::ptr_eq(lu, u))));
             let (b, s) = (batched.metrics(), sequential.metrics());
             assert_eq!(
                 (b.appends, b.out_of_order, b.duplicates),

@@ -21,8 +21,10 @@
 //!   with its own seeded RNG (independent of the kernel's delay RNG, so
 //!   enabling a nemesis never perturbs the fault-free schedule), stacked
 //!   with [`NemesisStack`].
-//! * **Recording** — [`Recorder`] wraps a stack and writes the faults it
-//!   *actually* applied, in canonical form, to a shared [`FaultLog`].
+//! * **Recording** — the kernel transport differences every fate
+//!   against its fault-free delivery ([`fate_faults`]) and reports the
+//!   faults *actually* applied, in canonical form, as
+//!   [`RunReport::faults`](crate::RunReport::faults).
 //! * **Replay & shrinking** — [`ScheduledNemesis`] replays an explicit
 //!   [`FaultEvent`] list verbatim, and [`shrink`] delta-debugs a
 //!   violating schedule down to a locally minimal one: the mechanical
@@ -56,7 +58,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Everything a [`Nemesis`] knows about one in-flight message.
 #[derive(Clone, Copy, Debug)]
@@ -378,16 +379,6 @@ impl NemesisStack {
         self.layers.push(layer);
         self
     }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the stack has no layers.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
 }
 
 impl Nemesis for NemesisStack {
@@ -484,109 +475,33 @@ impl fmt::Display for FaultEvent {
     }
 }
 
-/// A cheaply cloneable handle onto the fault list a [`Recorder`] writes.
-/// The kernel consumes the boxed nemesis, so the schedule is read back
-/// through this handle after the run.
-#[derive(Clone, Default)]
-pub struct FaultLog(Arc<Mutex<Vec<FaultEvent>>>);
-
-impl FaultLog {
-    /// A snapshot of the recorded events.
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.0.lock().expect("fault log lock").clone()
+/// The one fate→fault canonicaliser: `fate` differenced against the
+/// fault-free delivery at `ctx.at`. Whatever a nemesis stack did to a
+/// message collapses to one [`FaultEvent::Drop`], or at most one
+/// [`FaultEvent::Delay`] (the earliest surviving copy — the *primary* —
+/// is not at `ctx.at`) followed by a [`FaultEvent::Duplicate`] per
+/// further copy in arrival order; copies sharing the primary's time
+/// count as duplicates from the second on. Empty for an untouched fate.
+/// The kernel transport calls this once per send and keeps the result
+/// as the run's fault ledger ([`crate::RunReport::faults`]), the form
+/// [`ScheduledNemesis`] replays.
+pub fn fate_faults(ctx: &MsgCtx, fate: &Fate) -> Vec<FaultEvent> {
+    let (msg, on_time) = (ctx.seq, fate.primary() == Some(ctx.at));
+    if on_time && fate.times.len() == 1 {
+        return Vec::new();
     }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.0.lock().expect("fault log lock").len()
-    }
-
-    /// Whether nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&self, e: FaultEvent) {
-        self.0.lock().expect("fault log lock").push(e);
-    }
-
-    fn extend(&self, it: impl IntoIterator<Item = FaultEvent>) {
-        self.0.lock().expect("fault log lock").extend(it);
-    }
-}
-
-/// Wraps a nemesis and records every fault it actually applies, in the
-/// canonical [`FaultEvent`] form [`ScheduledNemesis`] replays. The
-/// recording is a *diff* against the fault-free fate, so whatever the
-/// inner stack did collapses to at most one drop, one delay and a set
-/// of duplicates per message.
-pub struct Recorder {
-    inner: Box<dyn Nemesis>,
-    log: FaultLog,
-}
-
-impl Recorder {
-    /// Wraps `inner`; the returned [`FaultLog`] stays readable after the
-    /// kernel has consumed the recorder.
-    pub fn new(inner: Box<dyn Nemesis>) -> (Self, FaultLog) {
-        let log = FaultLog::default();
-        (
-            Recorder {
-                inner,
-                log: log.clone(),
-            },
-            log.clone(),
-        )
-    }
-}
-
-impl Nemesis for Recorder {
-    fn label(&self) -> &'static str {
-        "recorder"
-    }
-
-    fn on_message(&mut self, ctx: &MsgCtx, fate: &mut Fate) {
-        self.inner.on_message(ctx, fate);
-        if fate.is_dropped() {
-            self.log.push(FaultEvent::Drop { msg: ctx.seq });
-            return;
-        }
-        let primary = fate.primary().expect("non-dropped fate has a primary");
-        if primary != ctx.at {
-            self.log.push(FaultEvent::Delay {
-                msg: ctx.seq,
-                by: primary.saturating_sub(ctx.at),
-            });
-        }
-        let mut extras: Vec<SimTime> = fate
-            .times
-            .iter()
-            .copied()
-            .filter(|t| *t != primary)
-            .collect();
-        // A fate may hold several copies at the same non-primary time;
-        // only the first occurrence of `primary` is the primary copy.
-        let primaries = fate.times.iter().filter(|t| **t == primary).count();
-        extras.extend(std::iter::repeat_n(primary, primaries - 1));
-        extras.sort_unstable();
-        self.log
-            .extend(extras.into_iter().map(|t| FaultEvent::Duplicate {
-                msg: ctx.seq,
-                after: t.saturating_sub(ctx.at),
-            }));
-    }
-
-    fn inject(&mut self, nodes: u16, horizon: SimTime) -> Injected {
-        let inj = self.inner.inject(nodes, horizon);
-        self.log.extend(
-            inj.partitions
-                .iter()
-                .map(|w| FaultEvent::Partition { window: w.clone() }),
-        );
-        self.log
-            .extend(inj.crashes.iter().map(|w| FaultEvent::Crash { window: *w }));
-        inj
-    }
+    let mut offsets: Vec<SimTime> = (fate.times.iter())
+        .map(|t| t.saturating_sub(ctx.at))
+        .collect();
+    offsets.sort_unstable();
+    let Some((&by, extras)) = offsets.split_first() else {
+        return vec![FaultEvent::Drop { msg }];
+    };
+    let delay = (!on_time).then_some(FaultEvent::Delay { msg, by });
+    let duplicates = extras
+        .iter()
+        .map(|&after| FaultEvent::Duplicate { msg, after });
+    delay.into_iter().chain(duplicates).collect()
 }
 
 #[derive(Clone, Debug, Default)]
@@ -769,7 +684,6 @@ mod tests {
         let mut s = NemesisStack::new()
             .with(Box::new(MessageDuplicator::new(1.0, 1, 1, 1)))
             .with(Box::new(MessageReorderer::new(1.0, 10, 10, 2)));
-        assert_eq!(s.len(), 2);
         let mut f = Fate::deliver(100);
         s.on_message(&ctx(1, 100), &mut f);
         // Duplicated first (100, 101), then both shifted by 10.
@@ -777,43 +691,33 @@ mod tests {
     }
 
     #[test]
-    fn recorder_canonicalizes_and_scheduled_replays() {
-        let stack = NemesisStack::new()
-            .with(Box::new(MessageDropper::new(0.3, 5)))
-            .with(Box::new(MessageDuplicator::new(0.4, 2, 8, 6)))
-            .with(Box::new(MessageReorderer::new(0.3, 5, 40, 7)));
-        let (mut rec, log) = Recorder::new(Box::new(stack));
-        let mut fates = Vec::new();
-        for i in 0..200u64 {
-            let mut f = Fate::deliver(10 * i);
-            rec.on_message(&ctx(i + 1, 10 * i), &mut f);
-            f.times.sort_unstable();
-            fates.push(f);
+    fn fate_faults_canonicalizes_and_scheduled_replays() {
+        let dup = |after| FaultEvent::Duplicate { msg: 9, after };
+        let delay = |by| FaultEvent::Delay { msg: 9, by };
+        let cases: [(&[SimTime], Vec<FaultEvent>); 5] = [
+            (&[100], vec![]),
+            (&[], vec![FaultEvent::Drop { msg: 9 }]),
+            // Two copies at the primary time: the second is a duplicate
+            // at offset 0, listed before the later copies.
+            (&[107, 100, 103, 100], vec![dup(0), dup(3), dup(7)]),
+            (&[130, 112, 112], vec![delay(12), dup(12), dup(30)]),
+            // A copy moved *before* the fault-free time is a zero delay.
+            (&[90], vec![delay(0)]),
+        ];
+        for (times, canonical) in cases {
+            let fate = Fate {
+                times: times.to_vec(),
+            };
+            assert_eq!(fate_faults(&ctx(9, 100), &fate), canonical);
+            // Replaying the canonical form reproduces the fate (an early
+            // copy lands on time: a schedule only ever adds delay).
+            let mut replayed = Fate::deliver(100);
+            ScheduledNemesis::new(&canonical).on_message(&ctx(9, 100), &mut replayed);
+            let mut want: Vec<SimTime> = times.iter().map(|t| *t.max(&100)).collect();
+            want.sort_unstable();
+            replayed.times.sort_unstable();
+            assert_eq!(replayed.times, want);
         }
-        assert!(!log.is_empty(), "some faults fired");
-        // Replaying the recorded schedule reproduces every fate.
-        let mut replay = ScheduledNemesis::new(&log.events());
-        for i in 0..200u64 {
-            let mut f = Fate::deliver(10 * i);
-            replay.on_message(&ctx(i + 1, 10 * i), &mut f);
-            f.times.sort_unstable();
-            assert_eq!(f, fates[i as usize], "message {}", i + 1);
-        }
-    }
-
-    #[test]
-    fn recorder_captures_injected_windows() {
-        let stack = NemesisStack::new()
-            .with(Box::new(PartitionJitter::new(2, 10, 20, 9)))
-            .with(Box::new(CrashInjector::new(1, 5, 9, 10)));
-        let (mut rec, log) = Recorder::new(Box::new(stack));
-        let inj = rec.inject(5, 500);
-        assert_eq!(inj.partitions.len(), 2);
-        assert_eq!(inj.crashes.len(), 1);
-        let events = log.events();
-        assert_eq!(events.len(), 3);
-        let mut replay = ScheduledNemesis::new(&events);
-        assert_eq!(replay.inject(5, 500), inj);
     }
 
     #[test]

@@ -16,17 +16,19 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
-use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
+use shard_apps::banking::{AccountId, Bank, BankState, BankTxn, BankUpdate};
 use shard_apps::dictionary::{DictTxn, DictUpdate, Dictionary};
 use shard_apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard_apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard_apps::Person;
 use shard_core::{Application, Checkpoints};
+use shard_obs::EventSink;
 use shard_sim::{
-    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, GossipConfig,
-    Invocation, LamportClock, MergeLog, NodeId, Runner, Timestamp,
+    ClusterConfig, CrashInjector, CrashSchedule, CrashWindow, DelayModel, DurabilityConfig,
+    DurableFleet, Fate, GossipConfig, GossipDelta, Invocation, LamportClock, MergeLog, MsgCtx,
+    Nemesis, NodeId, Runner, Timestamp,
 };
-use shard_store::{Codec, DiskStore, StoreOptions};
+use shard_store::{Codec, DiskStore, StoreKey, StoreOptions};
 use std::sync::Arc;
 
 /// Drives one durable node (id 0) through a mixed own/foreign workload,
@@ -89,7 +91,20 @@ fn kill_recover_prefix<A: Application>(
     }
     fleet.mirror_mut(me).persist(&log, false);
 
-    let pre_crash: Vec<Timestamp> = log.arrivals().to_vec();
+    // What the mirror wrote, record by record: the store scanned in
+    // arrival order is `(ts, encode(update))` of the arrival log.
+    let mut stored = Vec::new();
+    let store = fleet.mirror_mut(me).store_mut();
+    let mut push = |k: StoreKey, v: &[u8]| stored.push((k.primary, k.secondary, v.to_vec()));
+    store.scan_arrival(&mut push).unwrap();
+    let written = log.arrivals().iter().map(|(ts, u)| {
+        let mut bytes = Vec::new();
+        u.encode(&mut bytes);
+        (ts.lamport, ts.node.0, bytes)
+    });
+    assert_eq!(stored, written.collect::<Vec<_>>(), "WAL = arrival log");
+
+    let pre_crash = log.arrivals().to_vec();
     let report = fleet.kill(me);
     let (recovered, entries) = fleet.mirror_mut(me).recover(app, me, 8);
 
@@ -104,13 +119,8 @@ fn kill_recover_prefix<A: Application>(
 
     // (2) State equals replaying exactly that prefix.
     let mut reference: MergeLog<A> = MergeLog::new(app, 8);
-    let index: std::collections::BTreeMap<Timestamp, &A::Update> = log
-        .entries()
-        .iter()
-        .map(|(ts, u)| (*ts, u.as_ref()))
-        .collect();
-    for ts in &pre_crash[..entries] {
-        reference.merge(app, *ts, Arc::new(index[ts].clone()));
+    for (ts, update) in &pre_crash[..entries] {
+        reference.merge(app, *ts, Arc::clone(update));
     }
     assert_eq!(
         recovered.log.state(),
@@ -125,7 +135,7 @@ fn kill_recover_prefix<A: Application>(
         .iter()
         .filter(|(ts, _)| ts.node == me)
         .count() as u64;
-    let own_pre = pre_crash.iter().filter(|ts| ts.node == me).count() as u64;
+    let own_pre = pre_crash.iter().filter(|(ts, _)| ts.node == me).count() as u64;
     assert_eq!(own_recovered, own_pre, "fsynced own updates survive kills");
     assert_eq!(recovered.own_sent, own_pre, "§3.3 promise count recovered");
     assert!(
@@ -364,7 +374,7 @@ fn gossip_crash_recovery_holds_section3_oracles() {
             .with_durability(fleet)
             .with_nemesis(Box::new(CrashInjector::new(2, 40, 160, seed)))
             .run(airline_invocations(30, 4));
-        assert_eq!(report.faults.crashes_injected, 2, "windows injected");
+        assert_eq!(report.faults.len(), 2, "the ledger is the two windows");
         let te = report.timed_execution();
         te.execution.verify(&app).unwrap();
         assert!(
@@ -483,4 +493,85 @@ fn monitored_restart_is_refused() {
         "monitored-restart",
         Some(shard_sim::MonitorConfig::default()),
     );
+}
+
+/// Delta gossip (rounds every 10 ticks, 3-tick links) on three durable
+/// nodes: a deposit every five ticks while `i < 39` — the last, at 190
+/// on node 2, reaches node 1 at 193 and is re-shipped from there at 200
+/// — and six more after a 300-tick pause (pending invocations keep the
+/// rounds ticking). Node 1 is down from `crash_at` to 290 and recovers
+/// 38 entries: that last arrival sat in its WAL unsynced, below its
+/// gossip cursor.
+fn delta_gossip_over_a_crash(
+    crash_at: u64,
+    nemesis: Option<Box<dyn Nemesis>>,
+    sink: Option<Arc<EventSink>>,
+) {
+    let cfg = ClusterConfig {
+        nodes: 3,
+        delay: DelayModel::Fixed(3),
+        crashes: CrashSchedule::new(vec![CrashWindow::new(NodeId(1), crash_at, 290)]),
+        sink,
+        ..Default::default()
+    };
+    let deposit = |i: u32| {
+        let at = u64::from(if i < 39 { 5 * i } else { 5 * i + 300 });
+        let txn = BankTxn::Deposit(AccountId(i % 4), 1 + i);
+        Invocation::new(at, NodeId((i % 3) as u16), txn)
+    };
+    let app = Bank::new(4, 100);
+    let mut runner = Runner::new(&app, cfg, GossipDelta::new(10))
+        .with_durability(DurableFleet::new(3, &DurabilityConfig::mem(0)).unwrap());
+    if let Some(nemesis) = nemesis {
+        runner = runner.with_nemesis(nemesis);
+    }
+    let report = runner.run((0..45).map(deposit).collect());
+    assert_eq!(report.transactions.len(), 45, "nothing rejected");
+    assert!(report.mutually_consistent());
+}
+
+/// [`GossipDelta`]'s cursor indexes an arrival order that recovery
+/// replaces by a prefix of itself. Node 1 crashes at 230 holding 39
+/// arrivals, all shipped, and recovers 38: its first round after
+/// recovery must find the cursor pulled back to 38, not slice the log
+/// from 39. (The lost update then re-arrives as a late network
+/// duplicate — delta gossip itself never re-sends what a peer's crash
+/// forgot — and the run converges.)
+#[test]
+fn delta_gossip_cursor_survives_a_shorter_recovered_log() {
+    /// Delivers what node 2 sent node 1 at 190 a second time, 100 ticks
+    /// late: after the recovery and its first round.
+    struct LateCopy;
+    impl Nemesis for LateCopy {
+        fn label(&self) -> &'static str {
+            "late-copy"
+        }
+        fn on_message(&mut self, ctx: &MsgCtx, fate: &mut Fate) {
+            if (ctx.from, ctx.to, ctx.now) == (NodeId(2), NodeId(1), 190) {
+                fate.times.push(ctx.at + 100);
+            }
+        }
+    }
+    delta_gossip_over_a_crash(230, Some(Box::new(LateCopy)), None);
+}
+
+/// The silent half of the same bug: node 1 crashes at 202, right after
+/// shipping, while node 0's re-shipment of the update it is about to
+/// lose is in flight — held, and released at recovery *before* the
+/// first round. The log is 39 long again when the stale cursor (39) is
+/// next read: no panic, and the re-learned arrival is never offered on.
+#[test]
+fn delta_gossip_reships_what_it_relearns_after_recovery() {
+    let sink = EventSink::in_memory();
+    delta_gossip_over_a_crash(202, None, Some(sink.clone()));
+    sink.flush();
+    let trace = sink.drain_to_string();
+    let recovery = r#""event":"store.recover","t":290,"node":1,"entries":38"#;
+    assert!(trace.contains(recovery), "one entry short");
+    // Node 1's first round after recovery (290, landing at 293) offers
+    // the update it has just re-learned to both peers again.
+    for peer in [0, 2] {
+        let line = format!(r#""event":"deliver","t":293,"node":{peer},"from":1,"entries":1"#);
+        assert!(trace.contains(&line), "not re-shipped to node {peer}");
+    }
 }

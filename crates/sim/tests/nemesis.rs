@@ -12,12 +12,14 @@
 //! every extra copy accounted for by the duplicate counters and the
 //! `merge.duplicate` / `nemesis.*` trace vocabulary.
 
+use proptest::prelude::*;
 use shard_apps::airline::workload::AirlineWorkload;
 use shard_apps::airline::{AirlineTxn, FlyByNight};
 use shard_obs::EventSink;
 use shard_sim::{
-    ClusterConfig, DelayModel, EagerBroadcast, Invocation, MergeLog, MessageDuplicator,
-    MessageReorderer, NemesisStack, NodeId, RunReport, Runner,
+    ClusterConfig, CrashInjector, DelayModel, EagerBroadcast, FaultEvent, FaultStats, Invocation,
+    MergeLog, MessageDropper, MessageDuplicator, MessageReorderer, Nemesis, NemesisStack, NodeId,
+    PartitionJitter, RunReport, Runner, ScheduledNemesis,
 };
 
 const NODES: u16 = 5;
@@ -119,13 +121,11 @@ fn duplicated_deliveries_are_idempotent_end_to_end() {
     for seed in [3, 17, 1986] {
         let clean = run(seed, None, None);
         let faulted = run(seed, Some(dup_only_stack(seed)), None);
+        let faults = FaultStats::of(&faulted.faults);
 
-        assert!(
-            faulted.faults.duplicated > 0,
-            "seed {seed}: stack was inert"
-        );
-        assert_eq!(faulted.faults.dropped, 0, "nothing may be lost");
-        assert_eq!(faulted.faults.delayed, 0, "originals must be on time");
+        assert!(faults.duplicated > 0, "seed {seed}: stack was inert");
+        assert_eq!(faults.dropped, 0, "nothing may be lost");
+        assert_eq!(faults.delayed, 0, "originals must be on time");
 
         assert!(faulted.mutually_consistent(), "seed {seed}: nodes disagree");
         assert_eq!(
@@ -139,7 +139,7 @@ fn duplicated_deliveries_are_idempotent_end_to_end() {
         // mechanism re-sends here).
         let ignored: u64 = faulted.node_metrics.iter().map(|m| m.duplicates).sum();
         assert_eq!(
-            ignored, faulted.faults.duplicated,
+            ignored, faults.duplicated,
             "seed {seed}: duplicate deliveries not fully accounted for"
         );
         let clean_ignored: u64 = clean.node_metrics.iter().map(|m| m.duplicates).sum();
@@ -150,31 +150,68 @@ fn duplicated_deliveries_are_idempotent_end_to_end() {
     }
 }
 
-/// The trace vocabulary agrees with the kernel's fault ledger, under
-/// the full duplicate + reorder stack.
+/// A kernel run's ledger opens with the windows its nemesis injected —
+/// partitions, then crashes, as drawn — and replaying it re-injects
+/// those windows and re-applies those message faults: same ledger.
 #[test]
-fn merge_duplicate_trace_events_match_injected_copies() {
-    shard_obs::set_enabled(true);
-    let sink = EventSink::in_memory();
-    let faulted = run(42, Some(dup_reorder_stack(42)), Some(sink.clone()));
-    sink.flush();
-    let trace = sink.drain_to_string();
-
-    let count = |event: &str| {
-        trace
-            .lines()
-            .filter(|l| l.contains(&format!("\"event\":{:?}", event)))
-            .count() as u64
+fn report_faults_capture_injected_windows_and_replay() {
+    let stack = || {
+        dup_reorder_stack(5)
+            .with(Box::new(MessageDropper::new(0.1, 5)))
+            .with(Box::new(PartitionJitter::new(2, 10, 20, 9)))
+            .with(Box::new(CrashInjector::new(1, 5, 9, 10)))
     };
-    assert!(faulted.faults.duplicated > 0, "stack was inert");
-    // One nemesis.duplicate event per duplicated message; one
-    // merge.duplicate event per ignored redundant delivery; and the
-    // totals agree with the kernel's fault ledger.
-    assert!(count("nemesis.duplicate") > 0);
-    assert_eq!(count("merge.duplicate"), faulted.faults.duplicated);
-    assert_eq!(count("nemesis.delay"), faulted.faults.delayed);
-    let summary = shard_obs::summarize(&trace);
-    assert_eq!(summary.faults.duplicated, faulted.faults.duplicated);
-    assert_eq!(summary.faults.delayed, faulted.faults.delayed);
-    assert_eq!(summary.faults.dropped, 0);
+    let recorded = run(5, Some(stack()), None).faults;
+    let horizon = invocations(5, 60).last().map_or(0, |i| i.time);
+    let injected = stack().inject(NODES, horizon);
+    let windows = (injected.partitions.into_iter())
+        .map(|window| FaultEvent::Partition { window })
+        .chain((injected.crashes.into_iter()).map(|window| FaultEvent::Crash { window }));
+    assert_eq!(recorded[..3], windows.collect::<Vec<_>>()[..]);
+    let stats = FaultStats::of(&recorded);
+    assert!(
+        stats.dropped > 0 && stats.duplicated > 0 && stats.delayed > 0,
+        "stack was inert: {stats:?}"
+    );
+    assert_eq!(stats.partitions_injected + stats.crashes_injected, 3);
+    let replay = NemesisStack::new().with(Box::new(ScheduledNemesis::new(&recorded)));
+    assert_eq!(run(5, Some(replay), None).faults, recorded);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// One observer: the tallies `shard_obs::summarize` makes from a
+    /// run's `nemesis.*` lines are the counts of the same run's ledger
+    /// whatever the stack did, and every extra copy it lists surfaces as
+    /// exactly one `merge.duplicate` (one update per message here).
+    #[test]
+    fn trace_tallies_equal_the_ledger_counts(
+        seed in 0u64..10_000,
+        drop in 0u32..40,
+        dup in 0u32..70,
+        reorder in 0u32..70,
+    ) {
+        let p = |percent: u32| f64::from(percent) / 100.0;
+        let stack = NemesisStack::new()
+            .with(Box::new(MessageDropper::new(p(drop), seed ^ 1)))
+            .with(Box::new(MessageDuplicator::new(p(dup), 3, 40, seed ^ 2)))
+            .with(Box::new(MessageReorderer::new(p(reorder), 5, 90, seed ^ 3)));
+        let sink = EventSink::in_memory();
+        let faulted = run(seed, Some(stack), Some(sink.clone()));
+        sink.flush();
+        let summary = shard_obs::summarize(&sink.drain_to_string());
+        let (tally, ledger) = (&summary.faults, FaultStats::of(&faulted.faults));
+        prop_assert_eq!(
+            (tally.dropped, tally.duplicated, tally.delayed),
+            (ledger.dropped, ledger.duplicated, ledger.delayed)
+        );
+        let delays = faulted.faults.iter().filter_map(|e| match e {
+            FaultEvent::Delay { by, .. } => Some(*by),
+            _ => None,
+        });
+        prop_assert_eq!(tally.max_delay, delays.max().unwrap_or(0));
+        let ignored = summary.event_counts.get("merge.duplicate").copied();
+        prop_assert_eq!(ignored.unwrap_or(0), ledger.duplicated);
+    }
 }
