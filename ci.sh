@@ -140,12 +140,20 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # tier's resident state must stay under 100 KB — three orders of
 # magnitude below the in-memory footprint at this scale — so a
 # regression in either the spilling tier or the accounting fails CI.
+# Three more budgets hold the store's hot path to what ascending,
+# append-once traffic needs. The run is single-threaded and the counts
+# repeat exactly (121 137 pins, 2 589 write-backs, 175 write calls), so
+# each budget sits just above its count: a B+tree that descends per row
+# instead of appending at its right edge reads ~317 000 pins, leaves
+# left half empty ~5 200 write-backs, a WAL that writes per record
+# ~100 000 write calls.
 run env SHARD_E25_TXNS=100000 \
   cargo run -q --release -p shard-bench --bin exp_e25_outofcore
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/e25.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
-  "state.peak_resident_bytes<=100000"
+  "state.peak_resident_bytes<=100000" \
+  "store.pins<=150000" "store.page_writes<=3000" "store.wal_writes<=2000"
 # The O(delta) state-layer gate: build + sweep the n=10^4 controlled-k
 # airline execution and hold the replay engine's clone traffic under
 # the pinned budget — >20x below what the pre-refactor engine (one

@@ -26,10 +26,13 @@
 //!   boundaries — at most 1/10 of the in-memory footprint
 //!   extrapolated from the 10⁵ measurement;
 //! * **throughput** — sealed txns/s for the streaming pass and the
-//!   second-pass re-check rate, recorded per tier.
+//!   second-pass re-check rate, recorded per tier, beside what the
+//!   store did for it: the `store.*` counters the tier moved and the
+//!   shape of the row tree it left (depth, pages, leaf fill).
 //!
 //! Numbers land in `BENCH_outofcore.json` at the repo root; `ci.sh`
-//! runs the 10⁵ smoke tier and budgets the peak-resident gauge.
+//! runs the 10⁵ smoke tier and budgets the peak-resident gauge and the
+//! store's pins, page write-backs and WAL write calls.
 
 use shard_analysis::ClaimCheck;
 use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
@@ -37,9 +40,9 @@ use shard_bench::report_claim;
 use shard_core::Application;
 use shard_obs::Registry;
 use shard_sim::{MergeLog, NodeId, StreamingMerge, Timestamp};
-use shard_store::{DiskStore, StoreOptions};
+use shard_store::{BTreeStats, CrashReport, DiskStore, Store, StoreKey, StoreOptions};
 use std::io;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 /// Delivery displacement bound = reorder-window capacity. Matches the
@@ -56,6 +59,130 @@ const MAX_STREAM_OVER_MEM: f64 = 3.0;
 /// Peak resident state must undercut the extrapolated in-memory
 /// footprint by at least this factor.
 const BUDGET_DIVISOR: u64 = 10;
+
+/// Streaming throughput (txn/s) per tier size at the parent of PR 19 —
+/// one `write(2)` per WAL record, every leaf split in half, a bytewise
+/// CRC — measured on the same host, minutes after the run the committed
+/// `BENCH_outofcore.json` records, and written beside each tier's own
+/// figure (this host's speed drifts by half between sessions, so only
+/// figures from one session compare). Drop the table when the file is
+/// re-recorded elsewhere.
+const PARENT_TXNS_PER_SEC: [(usize, u64); 3] = [
+    (100_000, 187_793),
+    (1_000_000, 190_856),
+    (10_000_000, 76_884),
+];
+
+/// The `store.*` counters recorded per tier.
+const STORE_COUNTERS: [&str; 8] = [
+    "pins",
+    "evictions",
+    "page_reads",
+    "page_writes",
+    "readaheads",
+    "wal_appends",
+    "wal_writes",
+    "wal_fsyncs",
+];
+
+fn store_counters() -> [u64; 8] {
+    let snapshot = Registry::global().snapshot();
+    STORE_COUNTERS.map(|name| snapshot.counter(&format!("store.{name}")).unwrap_or(0))
+}
+
+/// The row store as [`StreamingMerge`] sees it, reporting the shape of
+/// its index when the run lets go of it: the [`Store`] trait has no
+/// index statistics, and reopening the directory would rebuild the
+/// tree (and count as a recovery in the sidecar).
+struct RowStore {
+    disk: DiskStore,
+    /// Receives the counters as the run left them, then the shape (the
+    /// walk that measures it pins every leaf).
+    done: mpsc::Sender<([u64; 8], io::Result<BTreeStats>)>,
+}
+
+impl Drop for RowStore {
+    fn drop(&mut self) {
+        let _ = self.done.send((store_counters(), self.disk.index_stats()));
+    }
+}
+
+impl Store for RowStore {
+    fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
+        self.disk.append(key, value)
+    }
+    fn sync(&mut self) -> io::Result<()> {
+        self.disk.sync()
+    }
+    fn len_bytes(&self) -> u64 {
+        self.disk.len_bytes()
+    }
+    fn synced_bytes(&self) -> u64 {
+        self.disk.synced_bytes()
+    }
+    fn entries(&self) -> usize {
+        self.disk.entries()
+    }
+    fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
+        self.disk.scan_arrival(f)
+    }
+    fn scan_key_range(
+        &mut self,
+        from: StoreKey,
+        f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
+    ) -> io::Result<()> {
+        self.disk.scan_key_range(from, f)
+    }
+    fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
+        self.disk.crash(keep)
+    }
+}
+
+/// What a run cost the store, from the moment its row store was opened
+/// to the moment it was dropped: that store (to hand to the run), and
+/// the JSON fields to ask for afterwards.
+struct StoreFootprint {
+    before: [u64; 8],
+    done: mpsc::Receiver<([u64; 8], io::Result<BTreeStats>)>,
+}
+
+impl StoreFootprint {
+    fn open(rows: &std::path::Path) -> io::Result<(RowStore, StoreFootprint)> {
+        let before = store_counters();
+        let (disk, _) = DiskStore::open(rows, StoreOptions::default())?;
+        let (tx, done) = mpsc::channel();
+        Ok((RowStore { disk, done: tx }, StoreFootprint { before, done }))
+    }
+
+    /// The `store.*` counters moved and the row tree's shape. Call once
+    /// the run has dropped the row store.
+    fn json(self) -> io::Result<String> {
+        let (after, tree) = self.done.try_recv().map_err(io::Error::other)?;
+        let tree = tree?;
+        let counters: Vec<String> = STORE_COUNTERS
+            .iter()
+            .zip(self.before.iter().zip(after))
+            .map(|(name, (b, a))| format!("\"{name}\": {}", a - b))
+            .collect();
+        Ok(format!(
+            "\"store\": {{{}}}, \"tree\": {{\"depth\": {}, \"pages\": {}, \
+             \"leaf_fill_permille\": {}}}",
+            counters.join(", "),
+            tree.depth,
+            tree.total_pages,
+            tree.leaf_fill_permille
+        ))
+    }
+}
+
+/// `, "parent_txns_per_sec": N` for a tier size the parent was measured at.
+fn parent_field(txns: usize) -> String {
+    PARENT_TXNS_PER_SEC
+        .iter()
+        .find(|(n, _)| *n == txns)
+        .map(|(_, rate)| format!(", \"parent_txns_per_sec\": {rate}"))
+        .unwrap_or_default()
+}
 
 fn tmp(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("shard-e25-{tag}-{}", std::process::id()))
@@ -164,6 +291,8 @@ struct TierResult {
     budget_bytes: u64,
     spilled_anchors: usize,
     row_store_bytes: u64,
+    /// [`StoreFootprint::json`]'s fields.
+    store: String,
 }
 
 /// One store-backed streaming run: drives `n` txns through a
@@ -178,7 +307,7 @@ fn streaming_tier(
 ) -> io::Result<TierResult> {
     let dir = tmp(&format!("tier-{n}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let (rows, _) = DiskStore::open(&dir.join("rows"), StoreOptions::default())?;
+    let (rows, footprint) = StoreFootprint::open(&dir.join("rows"))?;
     let (anchors, _) = DiskStore::open(&dir.join("anchors"), StoreOptions::default())?;
     let mut m: StreamingMerge<Bank> = StreamingMerge::new(
         app,
@@ -221,6 +350,8 @@ fn streaming_tier(
     *ok &= report_claim(&oracles);
 
     let row_bytes = sink.store_mut().len_bytes();
+    drop(sink);
+    let store = footprint.json()?;
     let result = TierResult {
         txns: n,
         wall_ms: wall.as_secs_f64() * 1e3,
@@ -230,6 +361,7 @@ fn streaming_tier(
         budget_bytes: budget,
         spilled_anchors: spilled,
         row_store_bytes: row_bytes,
+        store,
     };
     println!(
         "  n = {n}: stream {:.0} ms ({:.0}k txn/s), re-check {:.0} ms, peak resident {} B \
@@ -248,17 +380,19 @@ fn streaming_tier(
 
 fn tier_json(t: &TierResult) -> String {
     format!(
-        "{{\"txns\": {}, \"wall_ms\": {:.1}, \"txns_per_sec\": {:.0}, \"second_pass_ms\": {:.1}, \
+        "{{\"txns\": {}, \"wall_ms\": {:.1}, \"txns_per_sec\": {:.0}{}, \"second_pass_ms\": {:.1}, \
          \"peak_resident_bytes\": {}, \"budget_bytes\": {}, \"spilled_anchors\": {}, \
-         \"row_store_bytes\": {}}}",
+         \"row_store_bytes\": {}, {}}}",
         t.txns,
         t.wall_ms,
         t.txns_per_sec,
+        parent_field(t.txns),
         t.second_pass_ms,
         t.peak_resident_bytes,
         t.budget_bytes,
         t.spilled_anchors,
-        t.row_store_bytes
+        t.row_store_bytes,
+        t.store
     )
 }
 
@@ -289,7 +423,7 @@ fn main() -> io::Result<()> {
 
     let dir = tmp("small");
     let _ = std::fs::remove_dir_all(&dir);
-    let (rows, _) = DiskStore::open(&dir.join("rows"), StoreOptions::default())?;
+    let (rows, footprint) = StoreFootprint::open(&dir.join("rows"))?;
     let (anchors, _) = DiskStore::open(&dir.join("anchors"), StoreOptions::default())?;
     let mut m: StreamingMerge<Bank> = StreamingMerge::new(
         &app,
@@ -355,6 +489,8 @@ fn main() -> io::Result<()> {
         )
     }));
     ok &= report_claim(&wall_claim);
+    drop(sink);
+    let fidelity_store = footprint.json()?;
     let _ = std::fs::remove_dir_all(&dir);
     drop(log);
 
@@ -391,7 +527,8 @@ fn main() -> io::Result<()> {
          checkpoints every {CHECKPOINT_EVERY} ({HOT_POINTS} hot, spill spacing \
          {SPILL_SPACING}), checker window {CHECKER_WINDOW}\",\n \"fidelity\": {{\"txns\": \
          {small}, \"in_memory_ms\": {:.1}, \"streaming_ms\": {:.1}, \"stream_over_memory\": \
-         {ratio:.3}, \"bound\": {MAX_STREAM_OVER_MEM}, \"certificates_validated\": {}}},\n \
+         {ratio:.3}, \"bound\": {MAX_STREAM_OVER_MEM}, \"certificates_validated\": {}, \
+         \"txns_per_sec\": {:.0}{}, {fidelity_store}}},\n \
          \"in_memory_bytes_per_txn\": {per_txn_in_memory},\n \"budget\": \"peak resident state \
          <= in-memory footprint / {BUDGET_DIVISOR}, extrapolated from the fidelity tier\",\n \
          \"tiers\": [{}],\n \"oracles\": \"serial-replay state + online report, verdicts and \
@@ -399,6 +536,8 @@ fn main() -> io::Result<()> {
         mem_wall.as_secs_f64() * 1e3,
         stream_wall.as_secs_f64() * 1e3,
         report.certificates.len(),
+        small as f64 / stream_wall.as_secs_f64(),
+        parent_field(small),
         tiers_json.join(", "),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_outofcore.json");

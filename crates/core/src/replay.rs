@@ -419,11 +419,11 @@ impl<S> ColdTier<S> {
         if !self.evictions.is_multiple_of(self.spill_spacing) {
             return;
         }
-        let mut payload = Vec::new();
-        (self.encode)(state, &mut payload);
         let seq = self.next_seq;
         self.next_seq += 1;
-        if shard_store::append_chunked(&mut *self.store, seq, &payload).is_ok() {
+        let encode = self.encode;
+        let spill = |out: &mut Vec<u8>| encode(state, out);
+        if shard_store::append_chunked(&mut *self.store, seq, &mut Vec::new(), spill).is_ok() {
             self.spilled.push((depth, seq));
             if shard_obs::enabled() {
                 shard_obs::counter!("replay.spills", family).inc();

@@ -662,6 +662,8 @@ pub struct StreamedRecord<U> {
 pub struct StreamingExecution<A: Application> {
     store: Box<dyn shard_store::Store + Send>,
     len: usize,
+    /// The row being pushed, framed — reused from row to row.
+    scratch: Vec<u8>,
     _app: std::marker::PhantomData<fn() -> A>,
 }
 
@@ -690,6 +692,7 @@ where
         StreamingExecution {
             store,
             len,
+            scratch: Vec::new(),
             _app: std::marker::PhantomData,
         }
     }
@@ -716,14 +719,15 @@ where
     pub fn push(&mut self, row: &StreamRow, update: &A::Update) -> std::io::Result<()> {
         assert_eq!(row.index, self.len, "rows are pushed in serial order");
         assert!(row.missed_well_formed(), "ill-formed miss set: {row:?}");
-        let mut payload = Vec::with_capacity(16 + 4 * row.missed.len());
-        payload.extend_from_slice(&row.time.to_be_bytes());
-        payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
-        for &m in &row.missed {
-            payload.extend_from_slice(&(m as u32).to_be_bytes());
-        }
-        shard_store::Codec::encode(update, &mut payload);
-        shard_store::append_chunked(&mut *self.store, row.index as u64, &payload)?;
+        let index = row.index as u64;
+        shard_store::append_chunked(&mut *self.store, index, &mut self.scratch, |payload| {
+            payload.extend_from_slice(&row.time.to_be_bytes());
+            payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
+            for &m in &row.missed {
+                payload.extend_from_slice(&(m as u32).to_be_bytes());
+            }
+            shard_store::Codec::encode(update, payload);
+        })?;
         self.len += 1;
         Ok(())
     }
@@ -1140,6 +1144,14 @@ mod tests {
         Box::new(shard_store::MemStore::new())
     }
 
+    /// Stores `payload` as the chunk group of row `primary`.
+    fn append_group(store: &mut dyn shard_store::Store, primary: u64, payload: &[u8]) {
+        shard_store::append_chunked(store, primary, &mut Vec::new(), |out| {
+            out.extend_from_slice(payload)
+        })
+        .unwrap();
+    }
+
     fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
         let app = Trace;
         let mut b = ExecutionBuilder::new(&app);
@@ -1283,7 +1295,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+                append_group(&mut *store, i as u64, payload);
             }
             let mut se = StreamingExecution::<Trace>::reopen(store, 4);
             let err = se.check_stream(2).expect_err(what);
@@ -1293,7 +1305,7 @@ mod tests {
         // The uncorrupted rows check clean.
         let mut store = mem_store();
         for (i, payload) in good.iter().enumerate() {
-            shard_store::append_chunked(&mut *store, i as u64, payload).unwrap();
+            append_group(&mut *store, i as u64, payload);
         }
         let report = StreamingExecution::<Trace>::reopen(store, 3)
             .check_stream(2)
@@ -1310,7 +1322,7 @@ mod tests {
         use shard_store::{StoreKey, CHUNK_BYTES};
         let framed = |payload: &[u8]| {
             let mut out = Vec::new();
-            shard_store::write_frame(payload, &mut out);
+            shard_store::write_frame(&mut out, |out| out.extend_from_slice(payload));
             out
         };
         let whole = framed(&raw_row(2, 1, &[0]));
@@ -1329,12 +1341,12 @@ mod tests {
             ("a chunk past the frame", trailing),
         ] {
             let mut store = mem_store();
-            shard_store::append_chunked(&mut *store, 0, &raw_row(0, 0, &[])).unwrap();
-            shard_store::append_chunked(&mut *store, 1, &raw_row(1, 0, &[])).unwrap();
+            append_group(&mut *store, 0, &raw_row(0, 0, &[]));
+            append_group(&mut *store, 1, &raw_row(1, 0, &[]));
             for (c, bytes) in chunks {
                 store.append(StoreKey::new(2, c), bytes).unwrap();
             }
-            shard_store::append_chunked(&mut *store, 3, &raw_row(3, 0, &[])).unwrap();
+            append_group(&mut *store, 3, &raw_row(3, 0, &[]));
             let mut se = StreamingExecution::<Trace>::reopen(store, 4);
             let err = se.check_stream(2).expect_err(what);
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");

@@ -24,6 +24,19 @@
 //! ```
 //!
 //! Separator `i` is the smallest key reachable under child `i + 1`.
+//!
+//! # Appends at the right edge
+//!
+//! The store's traffic is ascending keys (a sealed serial order, a
+//! node's own timestamps), so [`BTree`] remembers its last leaf and its
+//! largest key. A key above the maximum pins that one leaf and appends
+//! a cell — no descent, no search, no slot shift — and when the last
+//! leaf is full and the newcomer belongs past its last cell, the leaf
+//! keeps its cells and the newcomer starts the next leaf alone
+//! (separator = the new key). Ascending keys therefore leave *full*
+//! leaves behind; every other full leaf still splits in half, as do
+//! internal pages. The page bytes are the same either way.
+//!
 //! The tree is **insert-only** (the WAL never retracts a record;
 //! crashes rebuild the whole index), duplicate keys are ignored
 //! (first-writer-wins — WAL replay never produces them), and the tree's
@@ -43,8 +56,8 @@ const INT_HDR: usize = 11;
 const INT_ENTRY: usize = KEY_BYTES + 8;
 const NO_LEAF: u64 = u64::MAX;
 
-/// Largest value the tree stores inline. WAL payloads above this are a
-/// caller bug (application updates are tens of bytes).
+/// Largest value the tree stores inline (application updates are tens
+/// of bytes; larger payloads go through `append_chunked`).
 pub const MAX_VALUE: usize = 1024;
 
 /// Separators an internal page holds at most.
@@ -185,6 +198,10 @@ pub struct BTree {
     pool: BufferPool,
     root: PageId,
     entries: usize,
+    /// The end of the leaf chain — where a key above `max_key` goes.
+    last_leaf: PageId,
+    /// The largest key stored; `None` while the tree is empty.
+    max_key: Option<StoreKey>,
 }
 
 impl BTree {
@@ -200,6 +217,8 @@ impl BTree {
             pool,
             root,
             entries: 0,
+            last_leaf: root,
+            max_key: None,
         })
     }
 
@@ -216,34 +235,59 @@ impl BTree {
     /// Inserts `key -> value`; a duplicate key is ignored (first write
     /// wins) and reported as `false`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `value` exceeds [`MAX_VALUE`].
+    /// Pool I/O errors, and `InvalidInput` if `value` exceeds
+    /// [`MAX_VALUE`].
     pub fn insert(&mut self, key: StoreKey, value: &[u8]) -> io::Result<bool> {
-        assert!(value.len() <= MAX_VALUE, "value too large for a leaf cell");
-        match self.insert_rec(self.root, key, value)? {
-            Inserted::Duplicate => Ok(false),
-            Inserted::Done => {
-                self.entries += 1;
-                Ok(true)
-            }
-            Inserted::Split(sep, right) => {
-                let new_root = self.pool.allocate();
-                let f = self.pool.pin(new_root)?;
-                let p = self.pool.page_mut(f);
-                init_internal(p, self.root);
-                int_insert_at(p, 0, sep, right);
-                self.pool.unpin(f);
-                // The sticky (scan-resistant) mark follows the root:
-                // every descent starts there, so it is the one page a
-                // full-order scan must never displace.
-                self.pool.set_sticky(self.root, false);
-                self.pool.set_sticky(new_root, true);
-                self.root = new_root;
-                self.entries += 1;
-                Ok(true)
+        if value.len() > MAX_VALUE {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{key:?}: {} value bytes do not fit a leaf cell ({MAX_VALUE})",
+                    value.len()
+                ),
+            ));
+        }
+        let past_max = self.max_key.is_some_and(|max| key > max);
+        if !(past_max && self.append_to_last_leaf(key, value)?) {
+            match self.insert_rec(self.root, key, value)? {
+                Inserted::Duplicate => return Ok(false),
+                Inserted::Done => {}
+                Inserted::Split(sep, right) => {
+                    let new_root = self.pool.allocate();
+                    let f = self.pool.pin(new_root)?;
+                    let p = self.pool.page_mut(f);
+                    init_internal(p, self.root);
+                    int_insert_at(p, 0, sep, right);
+                    self.pool.unpin(f);
+                    // The sticky (scan-resistant) mark follows the root:
+                    // every descent starts there, so it is the one page a
+                    // full-order scan must never displace.
+                    self.pool.set_sticky(self.root, false);
+                    self.pool.set_sticky(new_root, true);
+                    self.root = new_root;
+                }
             }
         }
+        self.entries += 1;
+        self.max_key = self.max_key.max(Some(key));
+        Ok(true)
+    }
+
+    /// The right-edge append: puts `key` (above every key stored) in a
+    /// new last cell of the last leaf — one pin, no descent, no search,
+    /// no slot shift. `false`, with nothing changed, if the leaf has no
+    /// room for it.
+    fn append_to_last_leaf(&mut self, key: StoreKey, value: &[u8]) -> io::Result<bool> {
+        let f = self.pool.pin(self.last_leaf)?;
+        let fits = leaf_free(self.pool.page(f)) >= KEY_BYTES + 4 + value.len();
+        if fits {
+            let p = self.pool.page_mut(f);
+            leaf_insert_at(p, count(p), key, value);
+        }
+        self.pool.unpin(f);
+        Ok(fits)
     }
 
     fn insert_rec(&mut self, page: PageId, key: StoreKey, value: &[u8]) -> io::Result<Inserted> {
@@ -262,6 +306,23 @@ impl BTree {
                 self.pool.unpin(f);
                 return Ok(Inserted::Done);
             }
+            let past_last_cell = slot == count(p);
+            let right_id = self.pool.allocate();
+            if page == self.last_leaf {
+                self.last_leaf = right_id;
+                if past_last_cell {
+                    // Right-edge split: the full leaf keeps its cells
+                    // and the newcomer starts the next leaf alone.
+                    self.pool.page_mut(f).put_u64(3, right_id);
+                    self.pool.unpin(f);
+                    let rf = self.pool.pin(right_id)?;
+                    let rp = self.pool.page_mut(rf);
+                    init_leaf(rp);
+                    leaf_insert_at(rp, 0, key, value);
+                    self.pool.unpin(rf);
+                    return Ok(Inserted::Split(key, right_id));
+                }
+            }
             // Split: gather every cell (plus the newcomer), rewrite the
             // two halves from scratch — compaction for free.
             let p = self.pool.page(f);
@@ -272,7 +333,6 @@ impl BTree {
             let next = p.u64_at(3);
             let mid = cells.len() / 2;
             let sep = cells[mid].0;
-            let right_id = self.pool.allocate();
             let rf = self.pool.pin(right_id)?;
             let rp = self.pool.page_mut(rf);
             init_leaf(rp);
@@ -523,9 +583,8 @@ mod tests {
 
     #[test]
     fn sequential_inserts_chain_leaves() {
-        // Ascending timestamps are the common case (a node's own log);
-        // every leaf but the rightmost ends up exactly half full, and
-        // the scan must still see all keys in order.
+        // Ascending timestamps are the common case (a node's own log):
+        // the scan must see all keys in order across the leaf chain.
         let (mut t, path) = tree("seq", 16);
         let n = 20_000u64;
         for i in 0..n {
@@ -599,11 +658,107 @@ mod tests {
         assert!(s.depth >= 2, "split at least once: {s:?}");
         assert_eq!(s.total_pages, s.leaf_pages + s.internal_pages);
         assert_eq!(s.total_pages, t.pool.page_count());
-        // Ascending inserts leave every leaf but the last half full.
         assert!(
             (300..=1000).contains(&s.leaf_fill_permille),
             "fill factor plausible: {s:?}"
         );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Inserts `order` (values ~90 B, the size of a streamed row) into a
+    /// tree over the smallest legal pool, holds the full scan to a
+    /// `BTreeMap`, and returns the shape.
+    fn shape_after(name: &str, order: &[u64]) -> BTreeStats {
+        let (mut t, path) = tree(name, BufferPool::MIN_FRAMES);
+        let mut oracle = BTreeMap::new();
+        for &i in order {
+            let k = StoreKey::new(i / 2, (i % 2) as u16);
+            let v = vec![(i % 251) as u8; 86 + (i % 9) as usize];
+            assert!(t.insert(k, &v).unwrap(), "{k:?} is new");
+            oracle.insert(k, v);
+        }
+        let mut scanned = Vec::new();
+        scan(&mut t, &mut |k, v| scanned.push((k, v.to_vec())));
+        assert!(scanned.into_iter().eq(oracle), "{name}: scan == oracle");
+        let s = t.stats().unwrap();
+        assert_eq!(s.entries, order.len());
+        std::fs::remove_file(&path).unwrap();
+        s
+    }
+
+    #[test]
+    fn leaf_fill_follows_the_arrival_order() {
+        // 20 000 rows are ~520 full leaves: enough for leaf splits, the
+        // root's split into internal pages and a non-root internal
+        // split, all under a pool of MIN_FRAMES.
+        let n = 20_000u64;
+        let ascending: Vec<u64> = (0..n).collect();
+        let full = shape_after("fill-ascending", &ascending);
+        assert!(full.leaf_fill_permille >= 950, "full leaves: {full:?}");
+        assert!(full.depth == 3 && full.internal_pages > 2, "{full:?}");
+
+        let mut shuffled = ascending.clone();
+        let mut seed = 0x5eed_f111_0000_0003u64;
+        for i in (1..shuffled.len()).rev() {
+            shuffled.swap(i, (xs(&mut seed) % (i as u64 + 1)) as usize);
+        }
+        let random = shape_after("fill-shuffled", &shuffled);
+        assert!(random.depth <= 3, "{random:?}");
+        assert!(
+            (600..800).contains(&random.leaf_fill_permille),
+            "every split halves: {random:?}"
+        );
+
+        // A node mirror's arrival order: ascending, with every 7th key
+        // held back — by 50 positions it lands in a leaf already left
+        // full (which then splits in half), by 3 it lands in the last
+        // leaf, sometimes as the insert that finds it full.
+        for delay in [50u64, 3] {
+            let mut stragglers = Vec::with_capacity(ascending.len());
+            for i in 0..n + delay {
+                if i < n && i % 7 != 6 {
+                    stragglers.push(i);
+                }
+                if i >= delay && (i - delay) % 7 == 6 {
+                    stragglers.push(i - delay);
+                }
+            }
+            let mixed = shape_after("fill-stragglers", &stragglers);
+            assert!(mixed.depth <= 3, "{mixed:?}");
+            assert!(
+                (500..full.leaf_fill_permille).contains(&mixed.leaf_fill_permille),
+                "delay {delay}: never under half full: {mixed:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn duplicates_of_the_maximum_key_stay_first_writer_wins() {
+        let (mut t, path) = tree("dup-max", 16);
+        for i in 0..500u64 {
+            assert!(t.insert(StoreKey::new(i, 0), &i.to_be_bytes()).unwrap());
+            // The key just appended is the maximum: a second write of
+            // it must not take the right-edge path.
+            assert!(!t.insert(StoreKey::new(i, 0), b"second").unwrap());
+        }
+        assert_eq!(t.len(), 500);
+        let mut seen = 0u64;
+        scan(&mut t, &mut |k, v| {
+            assert_eq!(v, k.primary.to_be_bytes());
+            seen += 1;
+        });
+        assert_eq!(seen, 500);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn oversize_value_is_an_error_not_a_panic() {
+        let (mut t, path) = tree("oversize", 16);
+        t.insert(StoreKey::new(1, 0), &[1u8; MAX_VALUE]).unwrap();
+        let e = t.insert(StoreKey::new(2, 0), &[2u8; MAX_VALUE + 1]);
+        assert_eq!(e.unwrap_err().kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(t.len(), 1);
+        assert!(t.insert(StoreKey::new(2, 0), b"fits").unwrap());
         std::fs::remove_file(&path).unwrap();
     }
 

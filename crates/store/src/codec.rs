@@ -147,13 +147,18 @@ pub trait Codec: Sized {
     }
 }
 
-/// Appends one length-prefixed frame (`len: u32` big-endian, then the
-/// payload) to `out`. Spilled checkpoint records and streaming execution
-/// rows use this framing so a value larger than one store record can be
-/// chunked and reassembled without ambiguity.
-pub fn write_frame(payload: &[u8], out: &mut Vec<u8>) {
-    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    out.extend_from_slice(payload);
+/// Makes `out` exactly one length-prefixed frame (`len: u32`
+/// big-endian, then the payload `fill` appends) — in place, so a caller
+/// that reuses `out` encodes and frames without a copy. Spilled
+/// checkpoint records and streaming execution rows use this framing so
+/// a value larger than one store record can be chunked and reassembled
+/// without ambiguity.
+pub fn write_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
+    out.clear();
+    out.extend_from_slice(&[0u8; 4]);
+    fill(out);
+    let len = (out.len() - 4) as u32;
+    out[..4].copy_from_slice(&len.to_be_bytes());
 }
 
 /// The payload of `framed` if it is exactly one [`write_frame`] frame,
@@ -235,8 +240,10 @@ mod tests {
 
     #[test]
     fn read_frame_accepts_exactly_one_frame() {
-        let mut framed = Vec::new();
-        write_frame(b"hello", &mut framed);
+        // Whatever the reused buffer held before is replaced.
+        let mut framed = b"stale".to_vec();
+        write_frame(&mut framed, |out| out.extend_from_slice(b"hello"));
+        assert_eq!(framed, b"\x00\x00\x00\x05hello");
         assert_eq!(read_frame(&framed), Ok(&b"hello"[..]));
         assert!(read_frame(&framed[..3]).is_err(), "header cut short");
         assert!(read_frame(&framed[..6]).is_err(), "payload cut short");

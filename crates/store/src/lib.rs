@@ -61,7 +61,7 @@ pub use store::{
 };
 pub use wal::{Wal, WalInspection, WalOptions};
 
-/// Registers the `store.*` counters every layer of the engine feeds,
+/// Registers the `store.*` metrics every layer of the engine feeds,
 /// together (see `shard_obs::counter!`):
 ///
 /// * `store.pins` — buffer-pool page pins;
@@ -71,10 +71,17 @@ pub use wal::{Wal, WalInspection, WalOptions};
 /// * `store.readaheads` — pages prefetched by sequential readahead;
 /// * `store.wal_appends` / `store.wal_fsyncs` — records appended to the
 ///   WAL and fsync barriers taken;
+/// * `store.wal_writes` — write calls that moved buffered records to a
+///   segment file (`wal_appends / wal_writes` = records per syscall);
+/// * `store.wal_fsync_us` (histogram) — the time each `sync_data` a
+///   [`Wal`] issued took: [`Wal::sync`] barriers and the one a rotation
+///   takes on the segment it closes (a `MemStore` counts its barriers
+///   in `store.wal_fsyncs` but has no time to record);
 /// * `store.wal_torn_truncations` — torn tails dropped on open;
 /// * `store.recovered_entries` — entries replayed out of a store during
 ///   recovery.
 pub(crate) fn family() {
+    let registry = shard_obs::Registry::global();
     for name in [
         "store.pins",
         "store.evictions",
@@ -82,10 +89,12 @@ pub(crate) fn family() {
         "store.page_writes",
         "store.readaheads",
         "store.wal_appends",
+        "store.wal_writes",
         "store.wal_fsyncs",
         "store.wal_torn_truncations",
         "store.recovered_entries",
     ] {
-        shard_obs::Registry::global().counter(name);
+        registry.counter(name);
     }
+    registry.histogram("store.wal_fsync_us");
 }

@@ -63,6 +63,9 @@ impl Default for StoreOptions {
 /// on top of it.
 pub trait Store {
     /// Appends one record. Buffered until the next [`Store::sync`].
+    /// A value longer than [`CHUNK_BYTES`] is refused with
+    /// `InvalidInput` before anything is written (split it with
+    /// [`append_chunked`]).
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()>;
 
     /// Durability barrier: everything appended so far survives crashes.
@@ -100,6 +103,22 @@ fn record_bytes(value_len: usize) -> u64 {
     RECORD_HEADER + (KEY_BYTES + value_len) as u64
 }
 
+/// Errors (as `kind`, naming the key) on a value that does not fit a
+/// B+tree leaf cell — checked before a record is written, and again on
+/// every record an open reads back.
+fn check_value(key: StoreKey, value: &[u8], kind: io::ErrorKind) -> io::Result<()> {
+    if value.len() <= CHUNK_BYTES {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        kind,
+        format!(
+            "record {key:?}: {} value bytes, over the {CHUNK_BYTES}-byte limit",
+            value.len()
+        ),
+    ))
+}
+
 /// The in-memory store: a `Vec` of records with disk-faithful byte
 /// accounting and the same crash semantics as [`DiskStore`]. The
 /// default backend — durability without the I/O, for deterministic
@@ -123,6 +142,7 @@ impl MemStore {
 
 impl Store for MemStore {
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
+        check_value(key, value, io::ErrorKind::InvalidInput)?;
         self.len += record_bytes(value.len());
         self.index.entry(key).or_insert(self.records.len());
         self.records.push((key, value.to_vec(), self.len));
@@ -216,11 +236,17 @@ impl DiskStore {
     /// Opens (creating if needed) the store in `dir`: validates the
     /// WAL, truncates any torn tail, and rebuilds the B+tree index by
     /// streaming the log. Returns the store and the records recovered.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, and `InvalidData` naming the key of a WAL record
+    /// whose value is longer than [`CHUNK_BYTES`] — a log this store
+    /// did not write.
     pub fn open(dir: &Path, opts: StoreOptions) -> io::Result<(Self, usize)> {
         let wal_opts = WalOptions {
             segment_bytes: opts.segment_bytes,
         };
-        let (wal, report) = Wal::open(dir, wal_opts)?;
+        let (mut wal, report) = Wal::open(dir, wal_opts)?;
         let pool = BufferPool::create(&dir.join("pages.db"), opts.pool_frames)?;
         let mut index = BTree::create(pool)?;
         // The scan callback is infallible by design; stash the first
@@ -228,9 +254,9 @@ impl DiskStore {
         let mut failed = None;
         wal.for_each(|k, v| {
             if failed.is_none() {
-                if let Err(e) = index.insert(k, v) {
-                    failed = Some(e);
-                }
+                failed = check_value(k, v, io::ErrorKind::InvalidData)
+                    .and_then(|()| index.insert(k, v))
+                    .err();
             }
         })?;
         if let Some(e) = failed {
@@ -257,6 +283,7 @@ impl DiskStore {
 
 impl Store for DiskStore {
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
+        check_value(key, value, io::ErrorKind::InvalidInput)?;
         self.wal.append(key, value)?;
         self.index.insert(key, value)?;
         Ok(())
@@ -319,10 +346,11 @@ impl Store for DiskStore {
 /// the tree's inline cap, so a chunk is always insertable.
 pub const CHUNK_BYTES: usize = crate::btree::MAX_VALUE;
 
-/// Writes `payload` as one logical record group under `primary`: the
-/// payload is length-framed ([`crate::codec::write_frame`]) and split
-/// into [`CHUNK_BYTES`]-sized chunks keyed `(primary, chunk_index)`, so
-/// a key-order scan from `(primary, 0)` streams the group back
+/// Writes one logical record group under `primary`: the payload `fill`
+/// appends is length-framed in `scratch` ([`crate::codec::write_frame`]
+/// — a buffer the caller reuses from group to group) and split into
+/// [`CHUNK_BYTES`]-sized chunks keyed `(primary, chunk_index)`, so a
+/// key-order scan from `(primary, 0)` streams the group back
 /// contiguously. Returns the chunk count. See `docs/storage.md` for
 /// the byte layout.
 ///
@@ -330,15 +358,19 @@ pub const CHUNK_BYTES: usize = crate::btree::MAX_VALUE;
 ///
 /// Panics if the framed payload needs more than `u16::MAX + 1` chunks
 /// (64 MiB — far above any checkpoint state this system spills).
-pub fn append_chunked(store: &mut dyn Store, primary: u64, payload: &[u8]) -> io::Result<u32> {
-    let mut framed = Vec::with_capacity(4 + payload.len());
-    crate::codec::write_frame(payload, &mut framed);
-    let chunks = framed.len().div_ceil(CHUNK_BYTES);
+pub fn append_chunked(
+    store: &mut dyn Store,
+    primary: u64,
+    scratch: &mut Vec<u8>,
+    fill: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<u32> {
+    crate::codec::write_frame(scratch, fill);
+    let chunks = scratch.len().div_ceil(CHUNK_BYTES);
     assert!(
         chunks <= u16::MAX as usize + 1,
         "payload too large to chunk"
     );
-    for (i, chunk) in framed.chunks(CHUNK_BYTES).enumerate() {
+    for (i, chunk) in scratch.chunks(CHUNK_BYTES).enumerate() {
         store.append(StoreKey::new(primary, i as u16), chunk)?;
     }
     Ok(chunks as u32)
@@ -481,6 +513,7 @@ fn key_successor(k: StoreKey) -> Option<StoreKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -509,6 +542,14 @@ mod tests {
             })
             .unwrap();
         out
+    }
+
+    /// One chunk group holding `payload`; returns the chunk count.
+    fn append_group(store: &mut dyn Store, primary: u64, payload: &[u8]) -> u32 {
+        append_chunked(store, primary, &mut Vec::new(), |out| {
+            out.extend_from_slice(payload)
+        })
+        .unwrap()
     }
 
     fn arrival(store: &mut dyn Store) -> Vec<(StoreKey, Vec<u8>)> {
@@ -600,7 +641,7 @@ mod tests {
             .collect();
         for store in [&mut mem as &mut dyn Store, &mut disk] {
             for (g, p) in payloads.iter().enumerate() {
-                let chunks = append_chunked(store, g as u64, p).unwrap();
+                let chunks = append_group(store, g as u64, p);
                 assert_eq!(chunks as usize, (p.len() + 4).div_ceil(CHUNK_BYTES));
             }
             for (g, p) in payloads.iter().enumerate() {
@@ -619,7 +660,7 @@ mod tests {
     fn truncated_chunk_group_reads_as_absent() {
         let mut mem = MemStore::new();
         let blob = vec![7u8; 3 * CHUNK_BYTES];
-        append_chunked(&mut mem, 5, &blob).unwrap();
+        append_group(&mut mem, 5, &blob);
         // Crash off the tail chunk: the group must read as None, not
         // as a short payload.
         let keep = mem.len_bytes() - 1;
@@ -631,12 +672,12 @@ mod tests {
     fn group_cursor_names_malformed_groups_and_moves_on() {
         let mut mem = MemStore::new();
         let blob = |g: u8| vec![g; 2 * CHUNK_BYTES + 10]; // three chunks
-        append_chunked(&mut mem, 0, &blob(0)).unwrap();
+        append_group(&mut mem, 0, &blob(0));
         // Group 1 lost its chunk 0, group 2 its middle chunk, group 3
         // gained a chunk past its frame; 4 is whole, 6 is cut short.
         for g in 1..=4u64 {
             let mut framed = Vec::new();
-            crate::codec::write_frame(&blob(g as u8), &mut framed);
+            crate::codec::write_frame(&mut framed, |out| out.extend_from_slice(&blob(g as u8)));
             for (i, chunk) in framed.chunks(CHUNK_BYTES).enumerate() {
                 if (g, i) != (1, 0) && (g, i) != (2, 1) {
                     mem.append(StoreKey::new(g, i as u16), chunk).unwrap();
@@ -707,5 +748,157 @@ mod tests {
             .iter()
             .any(|(k, _)| *k == StoreKey::new(0, 1)));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn oversize_value_is_refused_before_anything_is_written() {
+        let dir = tmp("oversize");
+        let mut mem = MemStore::new();
+        let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        for store in [&mut mem as &mut dyn Store, &mut disk] {
+            fill(store, 10, 4);
+            let before = (store.len_bytes(), store.synced_bytes(), store.entries());
+            let e = store
+                .append(StoreKey::new(99, 0), &[0u8; CHUNK_BYTES + 1])
+                .unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(
+                before,
+                (store.len_bytes(), store.synced_bytes(), store.entries())
+            );
+            // Still usable, and the largest legal value goes through.
+            store
+                .append(StoreKey::new(99, 0), &[0u8; CHUNK_BYTES])
+                .unwrap();
+            store.sync().unwrap();
+            assert_eq!(arrival(store).len(), 11);
+            assert_eq!(key_order(store).len(), 11);
+        }
+        drop(disk);
+        let (_, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 11, "the refusal left nothing behind in the WAL");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn wal_holding_an_oversize_record_opens_as_an_error() {
+        // A log some other writer produced: valid framing, but a value
+        // no leaf cell can hold.
+        let dir = tmp("foreign-wal");
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        wal.append(StoreKey::new(1, 0), b"fine").unwrap();
+        wal.append(StoreKey::new(2, 7), &[5u8; CHUNK_BYTES + 1])
+            .unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        let Err(e) = DiskStore::open(&dir, StoreOptions::default()) else {
+            panic!("open accepted an oversize record");
+        };
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        let text = e.to_string();
+        assert!(
+            text.contains("primary: 2") && text.contains("secondary: 7"),
+            "the error names the key: {text}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[derive(Clone, Debug)]
+    enum Op {
+        Append(StoreKey, usize),
+        Sync,
+        ScanArrival,
+        ScanKeys(StoreKey),
+        /// Cut at `synced + (len - synced) * permille / 1000`.
+        Crash(u64),
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        // Appends dominate (252 in 256) so that write buffers fill
+        // between the operations that flush them.
+        let key = (0u64..48, 0u16..3);
+        (0u32..256, key, 0usize..=CHUNK_BYTES, 0u64..=1000).prop_map(
+            |(pick, (primary, secondary), len, permille)| {
+                let key = StoreKey::new(primary, secondary);
+                match pick {
+                    0 => Op::Sync,
+                    1 => Op::ScanArrival,
+                    2 => Op::ScanKeys(key),
+                    3 => Op::Crash(permille),
+                    _ => Op::Append(key, len),
+                }
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// The backends are interchangeable at every step of any
+        /// interleaving — sizes, both scan orders and every crash
+        /// outcome — whether rotations fall mid-buffer (small segments)
+        /// or the buffer fills on its own (default segments). The one
+        /// thing `MemStore` does not model is that a rotation fsyncs
+        /// the segment it closes: the disk's barrier may run ahead of
+        /// the memory model's, never behind, and is equal to it as long
+        /// as nothing rotates.
+        #[test]
+        fn disk_and_mem_agree_under_random_interleavings(
+            ops in proptest::collection::vec(op(), 1..1200),
+            segment_bytes in prop_oneof![2_000u64..40_000, Just(1u64 << 20)],
+        ) {
+            let dir = tmp("interleave");
+            let rotates = segment_bytes < 1 << 20;
+            let opts = StoreOptions { segment_bytes, ..StoreOptions::default() };
+            let mut mem = MemStore::new();
+            let (mut disk, _) = DiskStore::open(&dir, opts).unwrap();
+            for (step, op) in ops.iter().enumerate() {
+                match op {
+                    Op::Append(key, len) => {
+                        let value = vec![step as u8; *len];
+                        mem.append(*key, &value).unwrap();
+                        disk.append(*key, &value).unwrap();
+                    }
+                    Op::Sync => {
+                        mem.sync().unwrap();
+                        disk.sync().unwrap();
+                    }
+                    Op::ScanArrival => {
+                        prop_assert_eq!(arrival(&mut mem), arrival(&mut disk), "step {}", step);
+                    }
+                    Op::ScanKeys(from) => {
+                        let range = |s: &mut dyn Store| {
+                            let mut out = Vec::new();
+                            s.scan_key_range(*from, &mut |k, v| {
+                                out.push((k, v.to_vec()));
+                                out.len() < 40
+                            })
+                            .unwrap();
+                            out
+                        };
+                        prop_assert_eq!(range(&mut mem), range(&mut disk), "step {}", step);
+                    }
+                    Op::Crash(permille) => {
+                        let (synced, len) = (disk.synced_bytes(), disk.len_bytes());
+                        let keep = synced + (len - synced) * permille / 1000;
+                        let report = mem.crash(keep).unwrap();
+                        prop_assert_eq!(report, disk.crash(keep).unwrap(), "step {}", step);
+                    }
+                }
+                prop_assert_eq!(
+                    (mem.len_bytes(), mem.entries()),
+                    (disk.len_bytes(), disk.entries()),
+                    "step {} ({:?})", step, op
+                );
+                let (m, d) = (mem.synced_bytes(), disk.synced_bytes());
+                prop_assert!(
+                    if rotates { m <= d } else { m == d },
+                    "step {} ({:?}): synced {} in memory, {} on disk", step, op, m, d
+                );
+            }
+            prop_assert_eq!(arrival(&mut mem), arrival(&mut disk));
+            prop_assert_eq!(key_order(&mut mem), key_order(&mut disk));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 }

@@ -20,6 +20,18 @@
 //! payload. A record is valid iff its full `8 + len` bytes are present
 //! and the checksum matches.
 //!
+//! # The write buffer
+//!
+//! [`Wal::append`] encodes each record into an in-process buffer that
+//! only ever holds *whole* records; the buffer is written to the active
+//! segment in one `write(2)` when it fills and at every point that
+//! reads or cuts the files ([`Wal::sync`], rotation, [`Wal::for_each`],
+//! [`Wal::crash`], drop). So the bytes on disk are always a
+//! record-aligned prefix of the logical log ([`Wal::len`]), and what
+//! another process sees of a live log ([`Wal::inspect`]) never ends in
+//! a half-written record. `docs/storage.md` spells out what each kind
+//! of exit keeps.
+//!
 //! # Torn tails
 //!
 //! Appends can be cut anywhere by a crash, so [`Wal::open`] scans
@@ -40,13 +52,16 @@ use std::path::{Path, PathBuf};
 pub const RECORD_HEADER: u64 = 8;
 
 /// CRC-32 (IEEE 802.3, reflected) over `data` — the standard `crc32`
-/// polynomial, computed with a lazily built 256-entry table. Zero
-/// dependencies is a crate invariant, so the table lives here.
+/// polynomial, eight bytes per step (slicing-by-8): table `k` holds the
+/// CRC of a byte followed by `k` zero bytes, so the eight lookups of one
+/// step are independent and only the xor chain is serial. Zero
+/// dependencies is a crate invariant, so the lazily built tables (8 KiB)
+/// live here.
 pub fn crc32(data: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut t = [0u32; 256];
-        for (i, slot) in t.iter_mut().enumerate() {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 != 0 {
@@ -57,11 +72,30 @@ pub fn crc32(data: &[u8]) -> u32 {
             }
             *slot = c;
         }
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xff) as usize];
+            }
+        }
         t
     });
     let mut crc = !0u32;
-    for &b in data {
-        crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -103,12 +137,23 @@ struct Segment {
     len: u64,
 }
 
+/// Write-buffer capacity. Measured on 107-byte records (a streamed row),
+/// rotation excluded, two passes per size: 1 KiB buffers cost 218–244 ns
+/// per append, 4 KiB 170–200, 16 KiB 151–176, 64 KiB 129–173, 256 KiB
+/// 127–148 — against 760–990 ns for a `write(2)` per record. The call
+/// is amortised away by 64 KiB (~600 records per call); a larger buffer
+/// only adds resident memory per open log.
+const WRITE_BUFFER: usize = 64 << 10;
+
 /// An open write-ahead log. See the module docs for the format.
 pub struct Wal {
     dir: PathBuf,
     opts: WalOptions,
+    /// Lengths are logical: the active segment's includes `buffer`.
     segments: Vec<Segment>,
     active: File,
+    /// Whole records appended but not yet written to `active`.
+    buffer: Vec<u8>,
     /// Global end offset (sum of segment lengths).
     len: u64,
     /// Global offset up to which data is known durable (fsync barrier).
@@ -227,6 +272,7 @@ impl Wal {
                 opts,
                 segments,
                 active,
+                buffer: Vec::with_capacity(WRITE_BUFFER),
                 len: offset,
                 synced: offset,
                 entries: report.entries,
@@ -256,37 +302,67 @@ impl Wal {
     }
 
     /// Appends one record and returns the global offset *after* it.
-    /// The bytes are in the OS page cache, **not durable**, until the
-    /// next [`Wal::sync`].
+    /// The bytes sit in the write buffer or the OS page cache, **not
+    /// durable**, until the next [`Wal::sync`].
     pub fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<u64> {
         let tail = self.segments.last().expect("at least one segment");
         if tail.len >= self.opts.segment_bytes {
             self.rotate()?;
         }
-        let len = KEY_BYTES + value.len();
-        let mut payload = Vec::with_capacity(len);
-        payload.extend_from_slice(&key.to_bytes());
-        payload.extend_from_slice(value);
-        let mut rec = Vec::with_capacity(8 + len);
-        rec.extend_from_slice(&(len as u32).to_le_bytes());
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        self.active.write_all(&rec)?;
+        let len = u32::try_from(KEY_BYTES + value.len()).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("WAL record for {key:?}: {} value bytes", value.len()),
+            )
+        })?;
+        let record = RECORD_HEADER as usize + len as usize;
+        if self.buffer.len() + record > WRITE_BUFFER {
+            self.flush()?;
+        }
+        let start = self.buffer.len();
+        self.buffer.extend_from_slice(&len.to_le_bytes());
+        self.buffer.extend_from_slice(&[0u8; 4]);
+        self.buffer.extend_from_slice(&key.to_bytes());
+        self.buffer.extend_from_slice(value);
+        let crc = crc32(&self.buffer[start + RECORD_HEADER as usize..]);
+        self.buffer[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
         let tail = self.segments.last_mut().expect("at least one segment");
-        tail.len += rec.len() as u64;
-        self.len += rec.len() as u64;
+        tail.len += record as u64;
+        self.len += record as u64;
         self.entries += 1;
         shard_obs::counter!("store.wal_appends", crate::family).inc();
         Ok(self.len)
+    }
+
+    /// Writes the buffered records to the active segment: after this
+    /// the files hold every appended byte (in the OS cache, not yet
+    /// durable).
+    fn flush(&mut self) -> io::Result<()> {
+        if !self.buffer.is_empty() {
+            self.active.write_all(&self.buffer)?;
+            self.buffer.clear();
+            shard_obs::counter!("store.wal_writes", crate::family).inc();
+        }
+        Ok(())
+    }
+
+    /// `sync_data` on the active segment, timed and counted.
+    fn fsync(&mut self) -> io::Result<()> {
+        let started = std::time::Instant::now();
+        self.active.sync_data()?;
+        shard_obs::histogram!("store.wal_fsync_us", crate::family)
+            .record(started.elapsed().as_micros() as u64);
+        shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
+        Ok(())
     }
 
     /// Fsync barrier: after this returns, every appended byte survives
     /// a crash. No-op (and not counted) when nothing is outstanding.
     pub fn sync(&mut self) -> io::Result<()> {
         if self.synced < self.len {
-            self.active.sync_data()?;
+            self.flush()?;
+            self.fsync()?;
             self.synced = self.len;
-            shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         }
         Ok(())
     }
@@ -294,10 +370,10 @@ impl Wal {
     fn rotate(&mut self) -> io::Result<()> {
         // The outgoing segment is made durable before it is closed, so
         // `synced` never points into a closed, unsynced file.
-        self.active.sync_data()?;
+        self.flush()?;
+        self.fsync()?;
         let closed = self.segments.last().expect("at least one segment");
         self.synced = self.synced.max(closed.start + closed.len);
-        shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         let index = closed.index + 1;
         let start = closed.start + closed.len;
         let path = segment_path(&self.dir, index);
@@ -314,7 +390,8 @@ impl Wal {
     }
 
     /// Streams every record in append (arrival) order.
-    pub fn for_each(&self, mut f: impl FnMut(StoreKey, &[u8])) -> io::Result<()> {
+    pub fn for_each(&mut self, mut f: impl FnMut(StoreKey, &[u8])) -> io::Result<()> {
+        self.flush()?;
         for seg in &self.segments {
             scan_segment(&segment_path(&self.dir, seg.index), &mut f)?;
         }
@@ -322,21 +399,16 @@ impl Wal {
     }
 
     /// Simulates a crash that preserved exactly the first `keep` bytes
-    /// of the global stream: consumes the log, truncates the files to
-    /// `keep` (deleting later segments), and returns the directory for
-    /// reopening. `keep` may fall mid-record — [`Wal::open`] will drop
-    /// the torn record. Callers model honest hardware by passing
-    /// `keep >= synced()`; nothing enforces it here.
-    pub fn crash(self, keep: u64) -> io::Result<PathBuf> {
-        let Wal {
-            dir,
-            segments,
-            active,
-            ..
-        } = self;
-        drop(active);
-        for seg in &segments {
-            let path = segment_path(&dir, seg.index);
+    /// of the global stream — of everything appended, buffered or not:
+    /// consumes the log, truncates the files to `keep` (deleting later
+    /// segments), and returns the directory for reopening. `keep` may
+    /// fall mid-record — [`Wal::open`] will drop the torn record.
+    /// Callers model honest hardware by passing `keep >= synced()`;
+    /// nothing enforces it here.
+    pub fn crash(mut self, keep: u64) -> io::Result<PathBuf> {
+        self.flush()?;
+        for seg in &self.segments {
+            let path = segment_path(&self.dir, seg.index);
             if seg.start >= keep {
                 fs::remove_file(&path)?;
             } else {
@@ -346,7 +418,7 @@ impl Wal {
                 f.sync_data()?;
             }
         }
-        Ok(dir)
+        Ok(std::mem::take(&mut self.dir))
     }
 
     /// Read-only inspection of the log in `dir` — what `shard-trace
@@ -382,6 +454,15 @@ impl Wal {
             offset += file_bytes;
         }
         Ok(info)
+    }
+}
+
+impl Drop for Wal {
+    /// A clean exit keeps every appended record: the buffer is written
+    /// out (best effort — an error here has no caller to go to; use
+    /// [`Wal::sync`] where the outcome matters).
+    fn drop(&mut self) {
+        let _ = self.flush();
     }
 }
 
@@ -426,16 +507,54 @@ mod tests {
         dir
     }
 
-    fn keys(wal: &Wal) -> Vec<u64> {
+    fn keys(wal: &mut Wal) -> Vec<u64> {
         let mut out = Vec::new();
         wal.for_each(|k, _| out.push(k.primary)).unwrap();
         out
     }
 
+    /// The reference `crc32` is held to: one table lookup per byte.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut table = [0u32; 256];
+        for (i, slot) in table.iter_mut().enumerate() {
+            let mut c = i as u32;
+            for _ in 0..8 {
+                c = if c & 1 != 0 {
+                    0xedb8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+            *slot = c;
+        }
+        let mut crc = !0u32;
+        for &b in data {
+            crc = table[((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
-    fn crc_known_vector() {
+    fn crc_matches_the_bytewise_reference() {
         // The standard check value for CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
+        let mut seed = 0x5eed_c4c3_2000_0001u64;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        let bytes: Vec<u8> = (0..4096 + 8).map(|_| next() as u8).collect();
+        // Every start alignment, every length around the 8-byte step,
+        // and random lengths up to a page.
+        for start in 0..8usize {
+            let lens = (0..=72usize).chain((0..64).map(|_| (next() % 4097) as usize));
+            for len in lens {
+                let data = &bytes[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start {start} len {len}");
+            }
+        }
     }
 
     #[test]
@@ -448,10 +567,10 @@ mod tests {
         }
         wal.sync().unwrap();
         drop(wal);
-        let (wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert_eq!(r.entries, 100);
         assert!(!r.torn);
-        assert_eq!(keys(&wal), (0..100).collect::<Vec<_>>());
+        assert_eq!(keys(&mut wal), (0..100).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -466,9 +585,9 @@ mod tests {
         wal.sync().unwrap();
         assert!(wal.segments.len() > 1, "rotation must have happened");
         drop(wal);
-        let (wal, r) = Wal::open(&dir, opts).unwrap();
+        let (mut wal, r) = Wal::open(&dir, opts).unwrap();
         assert_eq!(r.entries, 50);
-        assert_eq!(keys(&wal), (0..50).collect::<Vec<_>>());
+        assert_eq!(keys(&mut wal), (0..50).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -486,10 +605,10 @@ mod tests {
         wal.sync().unwrap();
         // Crash mid-way through record 7.
         let dir = wal.crash(boundary + 5).unwrap();
-        let (wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert!(r.torn);
         assert_eq!(r.entries, 7);
-        assert_eq!(keys(&wal), (0..7).collect::<Vec<_>>());
+        assert_eq!(keys(&mut wal), (0..7).collect::<Vec<_>>());
         assert_eq!(wal.len(), boundary);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -513,10 +632,70 @@ mod tests {
         let idx = start_of_2 as usize + 8 + 3;
         bytes[idx] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
-        let (wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
         assert!(r.torn);
         assert_eq!(r.entries, 2, "records 2 and 3 dropped");
-        assert_eq!(keys(&wal), vec![0, 1]);
+        assert_eq!(keys(&mut wal), vec![0, 1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn unsynced_appends_survive_a_drop_but_not_a_cut_at_the_barrier() {
+        let dir = tmp("drop");
+        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        for i in 0..40u64 {
+            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+        }
+        wal.sync().unwrap();
+        for i in 40..100u64 {
+            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+        }
+        let (synced, len) = (wal.synced(), wal.len());
+        assert!(synced < len);
+        // A clean exit (drop, no sync) keeps every appended record.
+        drop(wal);
+        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!((r.entries, r.torn, wal.len()), (100, false, len));
+        assert_eq!(keys(&mut wal), (0..100).collect::<Vec<_>>());
+        // A cut at the barrier keeps exactly the synced prefix, whether
+        // the tail was still buffered or already written.
+        for i in 100..130u64 {
+            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+        }
+        let dir = wal.crash(synced).unwrap();
+        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!((r.entries, r.torn, wal.len()), (40, false, synced));
+        assert_eq!(keys(&mut wal), (0..40).collect::<Vec<_>>());
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_live_log_shows_other_readers_whole_records_only() {
+        // Enough bytes to overflow the write buffer several times, over
+        // segments small enough that rotations fall mid-buffer: at every
+        // step the files hold a record-aligned prefix of the log.
+        let dir = tmp("live");
+        let opts = WalOptions {
+            segment_bytes: 100_000,
+        };
+        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+        let mut seen = 0;
+        for i in 0..3000u64 {
+            wal.append(StoreKey::new(i, 0), &[9u8; 90]).unwrap();
+            if i % 97 == 0 {
+                let live = Wal::inspect(&dir).unwrap();
+                assert!(live.torn_at.is_none(), "partial record visible at {i}");
+                assert!(live.entries >= seen && live.entries <= wal.entries());
+                assert!(live.bytes <= wal.len());
+                seen = live.entries;
+            }
+        }
+        assert!(wal.segments.len() > 2 && seen > 0);
+        assert!(seen < wal.entries(), "the tail is still buffered");
+        wal.sync().unwrap();
+        let live = Wal::inspect(&dir).unwrap();
+        assert_eq!((live.entries, live.bytes), (wal.entries(), wal.len()));
+        drop(wal);
         fs::remove_dir_all(&dir).unwrap();
     }
 
