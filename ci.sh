@@ -137,9 +137,11 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # through the certify path, and the peak resident state stays under
 # 1/10 of the extrapolated in-memory footprint. The sidecar check
 # re-asserts the memory claim from the recorded gauge: the streaming
-# tier's resident state must stay under 100 KB — three orders of
-# magnitude below the in-memory footprint at this scale — so a
-# regression in either the spilling tier or the accounting fails CI.
+# tier's resident state — hot anchors, reorder window and the online
+# checker, 9 408 B on this run (576 + 4 608 + 4 224) — must stay under
+# 100 KB, so a regression in the spilling tier, in the accounting or in
+# the checker's retirement fails CI: a checker that stopped retiring
+# would hold 6.2 MB of these 10^5 rows.
 # Three more budgets hold the store's hot path to what ascending,
 # append-once traffic needs. The run is single-threaded and the counts
 # repeat exactly (121 137 pins, 2 589 write-backs, 175 write calls), so

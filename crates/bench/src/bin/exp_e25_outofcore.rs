@@ -22,13 +22,15 @@
 //! * **bounded memory at 10⁶/10⁷** — the same oracles (minus the full
 //!   certify trace, which would itself be out-of-core) hold at
 //!   `SHARD_E25_TXNS` scale, with `state.peak_resident_bytes` — the
-//!   checkpoint tier's high-watermark, maintained at spill/load
-//!   boundaries — at most 1/10 of the in-memory footprint
-//!   extrapolated from the 10⁵ measurement;
+//!   high-watermark of what the merge holds: hot anchors, reorder
+//!   window and online checker — at most 1/10 of the in-memory
+//!   footprint extrapolated from the 10⁵ measurement;
 //! * **throughput** — sealed txns/s for the streaming pass and the
 //!   second-pass re-check rate, recorded per tier, beside what the
-//!   store did for it: the `store.*` counters the tier moved and the
-//!   shape of the row tree it left (depth, pages, leaf fill).
+//!   store did for it (the `store.*` counters the tier moved, the
+//!   shape of the row tree it left) and what the process held: the
+//!   checker's bytes after each pass, RSS after the ingest, and a lap
+//!   of wall / user / system time and RSS per million rows.
 //!
 //! Numbers land in `BENCH_outofcore.json` at the repo root; `ci.sh`
 //! runs the 10⁵ smoke tier and budgets the peak-resident gauge and the
@@ -60,17 +62,17 @@ const MAX_STREAM_OVER_MEM: f64 = 3.0;
 /// footprint by at least this factor.
 const BUDGET_DIVISOR: u64 = 10;
 
-/// Streaming throughput (txn/s) per tier size at the parent of PR 19 —
-/// one `write(2)` per WAL record, every leaf split in half, a bytewise
-/// CRC — measured on the same host, minutes after the run the committed
-/// `BENCH_outofcore.json` records, and written beside each tier's own
-/// figure (this host's speed drifts by half between sessions, so only
-/// figures from one session compare). Drop the table when the file is
-/// re-recorded elsewhere.
+/// Streaming throughput (txn/s) per tier size at the parent of PR 20 —
+/// the element-marking §3 checker, never retired: 132 B of heap per
+/// row — measured on the same host, minutes before the run the
+/// committed `BENCH_outofcore.json` records, and written beside each
+/// tier's own figure (this host's speed drifts by half between
+/// sessions, so only figures from one session compare). Drop the table
+/// when the file is re-recorded elsewhere.
 const PARENT_TXNS_PER_SEC: [(usize, u64); 3] = [
-    (100_000, 187_793),
-    (1_000_000, 190_856),
-    (10_000_000, 76_884),
+    (100_000, 253_123),
+    (1_000_000, 214_475),
+    (10_000_000, 118_450),
 ];
 
 /// The `store.*` counters recorded per tier.
@@ -275,11 +277,38 @@ fn in_memory_bytes(app: &Bank, state: &BankState, n: usize) -> u64 {
     (n * entry + points * app.state_size_hint(state)) as u64
 }
 
+fn gauge(name: &str) -> u64 {
+    Registry::global().gauge(name).get().max(0) as u64
+}
+
 fn peak_resident() -> u64 {
-    Registry::global()
-        .gauge("state.peak_resident_bytes")
-        .get()
-        .max(0) as u64
+    gauge("state.peak_resident_bytes")
+}
+
+/// What the §3 checker of the pass that just ended held when it ended.
+fn checker_bytes() -> u64 {
+    gauge("stream.checker_resident_bytes")
+}
+
+/// `[user CPU s, system CPU s, resident MiB]` of this process, from
+/// `/proc/self` (zeros where there is none).
+fn process_figures() -> [f64; 3] {
+    let read = |path| std::fs::read_to_string(path).unwrap_or_default();
+    // utime and stime are fields 14 and 15 of `stat`, 12 and 13 after
+    // the parenthesised command name, in ticks of 1/100 s.
+    let stat = read("/proc/self/stat");
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let mut ticks = after.split_whitespace().skip(11);
+    let mut seconds = || {
+        let tick = ticks.next().and_then(|f| f.parse::<f64>().ok());
+        tick.unwrap_or(0.0) / 100.0
+    };
+    let (user, system) = (seconds(), seconds());
+    let rss_kb = read("/proc/self/status")
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    [user, system, rss_kb.unwrap_or(0.0) / 1024.0]
 }
 
 struct TierResult {
@@ -287,6 +316,14 @@ struct TierResult {
     wall_ms: f64,
     txns_per_sec: f64,
     second_pass_ms: f64,
+    /// The online checker's `resident_bytes()` when the ingest ended,
+    /// and the second pass's when it ended.
+    checker_bytes: [u64; 2],
+    /// Process RSS when the ingest ended, MiB.
+    rss_mb: f64,
+    /// Per million rows ingested: `[wall s, user s, system s, RSS MiB
+    /// at its end]`.
+    laps: Vec<[f64; 4]>,
     peak_resident_bytes: u64,
     budget_bytes: u64,
     spilled_anchors: usize,
@@ -321,9 +358,22 @@ fn streaming_tier(
     );
 
     let started = Instant::now();
-    let reference = drive(app, n, |ts, tick, u| m.offer(app, ts, tick, u))?;
+    let mut laps = Vec::new();
+    let mut lap = (Instant::now(), process_figures());
+    let reference = drive(app, n, |ts, tick, u| {
+        m.offer(app, ts, tick, u)?;
+        if (tick + 1) % 1_000_000 == 0 {
+            let now = (Instant::now(), process_figures());
+            let wall = now.0.duration_since(lap.0).as_secs_f64();
+            laps.push([wall, now.1[0] - lap.1[0], now.1[1] - lap.1[1], now.1[2]]);
+            lap = now;
+        }
+        Ok(())
+    })?;
     m.finish(app)?;
     let wall = started.elapsed();
+    let checker_after_ingest = checker_bytes();
+    let rss_mb = process_figures()[2];
     let report = m.report();
     let sealed = m.sealed();
     let spilled = m.spilled_anchors();
@@ -357,6 +407,9 @@ fn streaming_tier(
         wall_ms: wall.as_secs_f64() * 1e3,
         txns_per_sec: n as f64 / wall.as_secs_f64(),
         second_pass_ms: second_pass.as_secs_f64() * 1e3,
+        checker_bytes: [checker_after_ingest, checker_bytes()],
+        rss_mb,
+        laps,
         peak_resident_bytes: peak,
         budget_bytes: budget,
         spilled_anchors: spilled,
@@ -365,22 +418,40 @@ fn streaming_tier(
     };
     println!(
         "  n = {n}: stream {:.0} ms ({:.0}k txn/s), re-check {:.0} ms, peak resident {} B \
-         (budget {} B), {} cold anchors spilled, {} row-store bytes",
+         (budget {} B), checker {} B after ingest / {} B after re-check, RSS {:.0} MiB, \
+         {} cold anchors spilled, {} row-store bytes",
         result.wall_ms,
         result.txns_per_sec / 1e3,
         result.second_pass_ms,
         peak,
         budget,
+        result.checker_bytes[0],
+        result.checker_bytes[1],
+        result.rss_mb,
         spilled,
         row_bytes
     );
+    for (million, [wall, user, system, rss]) in result.laps.iter().enumerate() {
+        println!(
+            "    million {:>2}: wall {wall:.1} s, user {user:.1} s, system {system:.1} s, \
+             RSS {rss:.0} MiB",
+            million + 1
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
     Ok(result)
 }
 
 fn tier_json(t: &TierResult) -> String {
+    let laps: Vec<String> = t
+        .laps
+        .iter()
+        .map(|[wall, user, system, rss]| format!("[{wall:.1}, {user:.1}, {system:.1}, {rss:.0}]"))
+        .collect();
     format!(
         "{{\"txns\": {}, \"wall_ms\": {:.1}, \"txns_per_sec\": {:.0}{}, \"second_pass_ms\": {:.1}, \
+         \"checker_bytes_after_ingest\": {}, \"checker_bytes_after_second_pass\": {}, \
+         \"rss_mb_after_ingest\": {:.0}, \"laps_wall_user_system_s_rss_mb\": [{}], \
          \"peak_resident_bytes\": {}, \"budget_bytes\": {}, \"spilled_anchors\": {}, \
          \"row_store_bytes\": {}, {}}}",
         t.txns,
@@ -388,6 +459,10 @@ fn tier_json(t: &TierResult) -> String {
         t.txns_per_sec,
         parent_field(t.txns),
         t.second_pass_ms,
+        t.checker_bytes[0],
+        t.checker_bytes[1],
+        t.rss_mb,
+        laps.join(", "),
         t.peak_resident_bytes,
         t.budget_bytes,
         t.spilled_anchors,

@@ -301,6 +301,14 @@ impl<S> Checkpoints<S> {
         self.cold.as_ref().map_or(0, |c| c.spilled.len())
     }
 
+    /// Bytes of the resident points, summed from the size hints they
+    /// were recorded with — what `state.peak_resident_bytes` is raised
+    /// to at every record. 0 without a cold store, which keeps no
+    /// hints.
+    pub fn hot_bytes(&self) -> usize {
+        self.cold.as_ref().map_or(0, |c| c.hot_bytes)
+    }
+
     /// The cold store — exposed so fault harnesses can crash it under
     /// a live checkpoint sequence.
     ///

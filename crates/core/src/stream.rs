@@ -16,22 +16,30 @@
 //!   `j ∈ (x, i)` with `j ∈ 𝒫ᵢ` and `x ∈ 𝒫ⱼ` — a transaction `i` saw
 //!   that had itself seen `x`. Because `j ∈ 𝒫ᵢ ⟺ j ∉ Mᵢ` and
 //!   `x ∈ 𝒫ⱼ ⟺ j ∉ missers(x)`, the check only needs, per past
-//!   transaction `x`, the sorted list of rows that missed `x` — the
-//!   **missers index**. One merged gap-scan of `Mᵢ` and `missers(x)`
-//!   over the range `(x, i)` per missed `x` decides the row; rows with
-//!   empty miss sets (the common case) cost nothing. Total state is
-//!   O(total misses), not O(n²).
+//!   transaction `x`, the set of rows that missed `x` — the **missers
+//!   index**. Both sets are kept as **64-row words**: ascending
+//!   `(row / 64, bits)` pairs, aligned on absolute row numbers, so the
+//!   word of `Mᵢ` and the word of `missers(x)` that cover the same 64
+//!   candidates OR together. Row `i` packs `Mᵢ` once, and for each
+//!   missed `x` walks the words covering `(x, i)`: a clear in-range bit
+//!   is the smallest witness, and a word absent from both lists is free
+//!   at once. That is O(|Mᵢ|) to pack plus Σₓ ⌈(i − x)/64⌉ word
+//!   operations per row; rows with empty miss sets (the common case)
+//!   cost nothing.
 //! * **t-bounded delay** follows the same shape: row `i` raises the
 //!   running bound to `timeᵢ − timeₓ + 1` for each missed `x`, which
-//!   needs only the append-only vector of initiation times.
+//!   needs only the initiation time of every row that can still be
+//!   missed.
 //!
 //! The [`StreamChecker`] wraps the three monitors behind a *window*
 //! abstraction: every `window` rows it emits a [`WindowVerdict`] (the
-//! cumulative verdicts at that boundary). The missers index is
-//! append-only and array-indexed — a `u32` slot per consumed row into a
-//! vector of lists — so looking up `missers(x)` and appending to it are
-//! O(1), and a row costs O(|missed|) array operations on top of its gap
-//! scans.
+//! cumulative verdicts at that boundary). Per-row state — the time and
+//! where the missers words are — sits in a window indexed by
+//! `row − start`, so looking up `missers(x)` and appending to it are
+//! O(1). A driver that knows no later row will miss anything below some
+//! frontier says so ([`StreamChecker::retire_below`]): the window
+//! slides and the word lists behind it are recycled, so the checker
+//! holds the live span, not the history.
 //!
 //! Verdicts are **bit-identical** to the offline checkers: feeding
 //! [`rows_from_execution`] through a checker of any window size yields
@@ -58,13 +66,6 @@ use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
 pub const CERT_SCHEMA: &str = "shard-cert/v1";
-
-/// Executions below this length are converted to rows sequentially;
-/// from it on, [`rows_from_execution`] partitions the row range across
-/// the pool. A row costs a few hundred nanoseconds to extract and a
-/// pool hand-off about as much as a thousand of them, so two threads
-/// break even near 1 500 rows.
-const PAR_THRESHOLD: usize = 2048;
 
 /// Registers `stream.rows` / `stream.windows` / `stream.violations`
 /// together (see `shard_obs::counter!`).
@@ -313,6 +314,17 @@ pub enum RowError {
         /// The offending row.
         index: TxnIndex,
     },
+    /// The row misses a transaction the caller retired
+    /// ([`StreamChecker::retire_below`]): the evidence needed to judge
+    /// it is gone, so the row is refused rather than judged wrongly.
+    RetiredMiss {
+        /// The offending row.
+        index: TxnIndex,
+        /// Its smallest miss.
+        missed: TxnIndex,
+        /// The frontier the caller retired below.
+        frontier: TxnIndex,
+    },
 }
 
 impl std::fmt::Display for RowError {
@@ -326,21 +338,53 @@ impl std::fmt::Display for RowError {
                 f,
                 "miss set of row {index} is not strictly increasing below it"
             ),
+            RowError::RetiredMiss {
+                index,
+                missed,
+                frontier,
+            } => write!(
+                f,
+                "row {index} misses {missed}, below the retired frontier {frontier}"
+            ),
         }
     }
 }
 
 impl std::error::Error for RowError {}
 
+/// One 64-row word of a row set: `(row / 64, bits)`, bit `row % 64` set
+/// for each member. A set is its non-zero words in ascending order,
+/// aligned on absolute row numbers, so two sets OR word against word.
+type Word = (u32, u64);
+
+/// Adds `row` — above every member so far — to a word set.
+fn push_row(words: &mut Vec<Word>, row: TxnIndex) {
+    let (word, bit) = ((row / 64) as u32, 1u64 << (row % 64));
+    match words.last_mut() {
+        Some(last) if last.0 == word => last.1 |= bit,
+        _ => {
+            // Most sets span a word or two: grow 1, 2, 4, … rather
+            // than by `Vec`'s first step of four.
+            if words.len() == words.capacity() {
+                words.reserve_exact(words.len().max(1));
+            }
+            words.push((word, bit));
+        }
+    }
+}
+
 /// The windowed online checker: push rows in serial order, get a
 /// cumulative [`WindowVerdict`] back every `window` rows, read the
 /// final [`StreamReport`] (verdicts + certificates) at any point.
 ///
-/// State is O(total misses) plus 12 B per consumed row: the missers
-/// index holds one `u32` per (row, missed predecessor) pair behind a
-/// `u32` slot per row, and the time vector one `u64` per row. Windows
-/// bound *latency to a verdict*, nothing else — the checker is
-/// append-only.
+/// State is the **live span**: 12 B per row not yet retired, 24 B
+/// more once a later row missed it plus 16 B per 64-row word of its
+/// missers, and one [`WindowVerdict`] per *change* of the cumulative
+/// verdict (the windows between repeat it).
+/// Windows bound *latency to a verdict*; memory is bounded by
+/// [`retire_below`](StreamChecker::retire_below) — a checker nobody
+/// retires (the live monitor, `shard-trace watch`, [`check_rows`])
+/// keeps every row.
 #[derive(Clone, Debug)]
 pub struct StreamChecker {
     window: usize,
@@ -348,13 +392,26 @@ pub struct StreamChecker {
     /// smallest witness) scan order; the stream is transitive so far
     /// iff this is `None`.
     first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
-    /// The missers index, part 1: for each consumed row `x`, 0 if no
-    /// later row missed it yet, else 1 + the position of its list in
-    /// `missers`.
+    /// Rows below this are retired: no later row may miss them.
+    base: TxnIndex,
+    /// The row `times[0]` and `slot[0]` describe; at most `base`, and
+    /// brought up to it whenever the retired rows outnumber the rest.
+    start: TxnIndex,
+    /// Initiation times of rows `start..rows()`, indexed by
+    /// `row − start`.
+    times: Vec<u64>,
+    /// Where `missers(x)` — the later rows whose miss sets contained
+    /// `x` — is kept, indexed like `times`: 0 while there are none,
+    /// else 1 + its position in `lists`.
     slot: Vec<u32>,
-    /// The missers index, part 2: per missed `x`, the strictly
-    /// increasing rows whose miss sets contained `x`.
-    missers: Vec<Vec<u32>>,
+    /// The missers word lists of the rows that have any.
+    lists: Vec<Vec<Word>>,
+    /// The `slot` values of retired rows, their lists emptied
+    /// for the rows that follow: a retiring stream allocates nothing
+    /// in steady state.
+    free: Vec<u32>,
+    /// The miss set of the row being pushed, packed — reused.
+    mine: Vec<Word>,
     /// Largest miss-set size so far (`max_missed` of the prefix).
     max_missed: usize,
     /// First row attaining `max_missed` (meaningful when > 0).
@@ -363,9 +420,11 @@ pub struct StreamChecker {
     delay_bound: u64,
     /// First `(seer, missed)` pair attaining `delay_bound`.
     delay_witness: Option<(TxnIndex, TxnIndex)>,
-    /// Initiation time of every consumed row.
-    times: Vec<u64>,
-    verdicts: Vec<WindowVerdict>,
+    /// Windows completed.
+    windows: usize,
+    /// The verdict history, run-length: the verdict of every window
+    /// whose cumulative answer differs from the window before it.
+    changes: Vec<WindowVerdict>,
 }
 
 impl StreamChecker {
@@ -379,20 +438,25 @@ impl StreamChecker {
         StreamChecker {
             window,
             first_violation: None,
+            base: 0,
+            start: 0,
+            times: Vec::new(),
             slot: Vec::new(),
-            missers: Vec::new(),
+            lists: Vec::new(),
+            free: Vec::new(),
+            mine: Vec::new(),
             max_missed: 0,
             worst_row: 0,
             delay_bound: 0,
             delay_witness: None,
-            times: Vec::new(),
-            verdicts: Vec::new(),
+            windows: 0,
+            changes: Vec::new(),
         }
     }
 
     /// Rows consumed so far.
     pub fn rows(&self) -> usize {
-        self.times.len()
+        self.start + self.times.len()
     }
 
     /// The configured window size.
@@ -405,6 +469,64 @@ impl StreamChecker {
     /// report.
     pub fn transitive_so_far(&self) -> bool {
         self.first_violation.is_none()
+    }
+
+    /// The caller's statement that no later row will miss anything
+    /// below `frontier` (clamped to [`rows`](StreamChecker::rows)):
+    /// the times and missers of those rows are dropped and their word
+    /// lists recycled. Verdicts, witnesses and certificates are exactly
+    /// those of a checker that kept everything; a later row that does
+    /// miss below the frontier is refused
+    /// ([`RowError::RetiredMiss`]), never judged without its evidence.
+    /// The frontier only moves forward — a lower one is a no-op.
+    ///
+    /// Each time the window slides over its dead prefix the gauge
+    /// `stream.checker_resident_bytes` is set to
+    /// [`resident_bytes`](StreamChecker::resident_bytes) — the one
+    /// place it is written, so it reads what the checker of the pass
+    /// running (or last run) holds; a checker nobody retires never
+    /// touches it.
+    pub fn retire_below(&mut self, frontier: TxnIndex) {
+        let frontier = frontier.min(self.rows());
+        if frontier <= self.base {
+            return;
+        }
+        for &dead in &self.slot[self.base - self.start..frontier - self.start] {
+            if dead != 0 {
+                self.lists[dead as usize - 1].clear();
+                self.free.push(dead);
+            }
+        }
+        self.base = frontier;
+        // Close the gap once it is the larger half: a move per row.
+        let gap = self.base - self.start;
+        if gap >= self.times.len() - gap {
+            self.times.drain(..gap);
+            self.slot.drain(..gap);
+            self.start = self.base;
+            if shard_obs::enabled() {
+                shard_obs::Registry::global()
+                    .gauge("stream.checker_resident_bytes")
+                    .set(self.resident_bytes() as i64);
+            }
+        }
+    }
+
+    /// Heap and inline bytes the checker holds right now, summed from
+    /// the capacities of everything it owns. This is the state that
+    /// [`retire_below`](StreamChecker::retire_below) bounds; a
+    /// [`report`](StreamChecker::report) is built on top of it, one
+    /// verdict per window, at every call.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let words = self.lists.iter().map(Vec::capacity).sum::<usize>() + self.mine.capacity();
+        size_of::<Self>()
+            + self.times.capacity() * size_of::<u64>()
+            + self.slot.capacity() * size_of::<u32>()
+            + self.lists.capacity() * size_of::<Vec<Word>>()
+            + self.free.capacity() * size_of::<u32>()
+            + words * size_of::<Word>()
+            + self.changes.capacity() * size_of::<WindowVerdict>()
     }
 
     /// Consumes the next row of the serial order; returns the
@@ -425,12 +547,13 @@ impl StreamChecker {
     ///
     /// # Errors
     ///
-    /// [`RowError`] if `index` is not the next expected index or
-    /// `missed` is not strictly increasing below it.
+    /// [`RowError`] if `index` is not the next expected index, `missed`
+    /// is not strictly increasing below it, or it reaches below the
+    /// retired frontier.
     ///
     /// # Panics
     ///
-    /// Panics past `u32::MAX` rows (the index stores rows as `u32`).
+    /// Panics past 2³⁸ rows (the index numbers its words as `u32`).
     pub fn try_push(
         &mut self,
         index: TxnIndex,
@@ -446,7 +569,17 @@ impl StreamChecker {
         if !missed_well_formed(index, missed) {
             return Err(RowError::MalformedMisses { index });
         }
-        let row = u32::try_from(index).expect("the missers index holds rows as u32");
+        if let Some(&x) = missed.first().filter(|&&x| x < self.base) {
+            return Err(RowError::RetiredMiss {
+                index,
+                missed: x,
+                frontier: self.base,
+            });
+        }
+        assert!(
+            index / 64 <= u32::MAX as usize,
+            "the missers index numbers words as u32"
+        );
 
         // k-completeness: the miss-set size IS missed_count(i).
         if missed.len() > self.max_missed {
@@ -454,44 +587,54 @@ impl StreamChecker {
             self.worst_row = index;
         }
 
-        // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
+        self.mine.clear();
         for &x in missed {
-            let bound = time.saturating_sub(self.times[x]) + 1;
+            push_row(&mut self.mine, x);
+        }
+        // The first word of `mine` that reaches above x.
+        let mut above = 0;
+        for &x in missed {
+            let at = x - self.start;
+            let slot = &mut self.slot[at];
+
+            // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
+            let bound = time.saturating_sub(self.times[at]) + 1;
             if bound > self.delay_bound {
                 self.delay_bound = bound;
                 self.delay_witness = Some((index, x));
             }
-        }
 
-        // Transitivity: for each missed x, scan (x, i) for a witness j
-        // outside both Mᵢ and missers(x) — such a j is in 𝒫ᵢ and saw x.
-        if self.first_violation.is_none() {
-            for (pos, &x) in missed.iter().enumerate() {
-                let mx: &[u32] = match self.slot[x] {
-                    0 => &[],
-                    s => &self.missers[s as usize - 1],
+            // Transitivity: a witness j ∈ (x, i) is outside both Mᵢ and
+            // missers(x) — such a j is in 𝒫ᵢ and saw x.
+            if self.first_violation.is_none() {
+                let first = (x + 1) / 64;
+                while self.mine.get(above).is_some_and(|m| (m.0 as usize) < first) {
+                    above += 1;
+                }
+                let theirs = match *slot {
+                    0 => &[][..],
+                    list => &self.lists[list as usize - 1],
                 };
-                if let Some(j) = gap_witness(&missed[pos + 1..], mx, x, index) {
+                if let Some(j) = gap_witness(&self.mine[above..], theirs, x, index) {
                     self.first_violation = Some((x, j, index));
                     if shard_obs::enabled() {
                         shard_obs::counter!("stream.violations", family).inc();
                     }
-                    break;
                 }
             }
-        }
 
-        // Maintain the missers index (after the check: a row is never
-        // its own witness).
-        for &x in missed {
-            if self.slot[x] == 0 {
-                self.missers.push(Vec::new());
-                self.slot[x] = u32::try_from(self.missers.len()).expect("fewer lists than rows");
+            // Row i joins missers(x) — after the check, though its own
+            // bit lies outside (x, i) either way.
+            if *slot == 0 {
+                *slot = self.free.pop().unwrap_or_else(|| {
+                    self.lists.push(Vec::new());
+                    u32::try_from(self.lists.len()).expect("under 2³² rows missed at once")
+                });
             }
-            self.missers[self.slot[x] as usize - 1].push(row);
+            push_row(&mut self.lists[*slot as usize - 1], index);
         }
-        self.slot.push(0);
         self.times.push(time);
+        self.slot.push(0);
 
         if shard_obs::enabled() {
             shard_obs::counter!("stream.rows", family).inc();
@@ -501,14 +644,18 @@ impl StreamChecker {
             return Ok(None);
         }
         let verdict = WindowVerdict {
-            window: self.verdicts.len(),
+            window: self.windows,
             start: rows - self.window,
             end: rows,
             transitive: self.first_violation.is_none(),
             max_missed: self.max_missed,
             delay_bound: self.delay_bound,
         };
-        self.verdicts.push(verdict);
+        self.windows += 1;
+        let answer = |v: &WindowVerdict| (v.transitive, v.max_missed, v.delay_bound);
+        if self.changes.last().map(answer) != Some(answer(&verdict)) {
+            self.changes.push(verdict);
+        }
         if shard_obs::enabled() {
             shard_obs::counter!("stream.windows", family).inc();
         }
@@ -516,6 +663,12 @@ impl StreamChecker {
     }
 
     /// The verdicts and certificates for everything consumed so far.
+    /// O(windows) time and allocation per call, however far the checker
+    /// has retired: the run-length history is expanded into one
+    /// [`WindowVerdict`] per window. A caller that polls has the
+    /// verdict [`try_push`](StreamChecker::try_push) returned at the
+    /// last window and
+    /// [`transitive_so_far`](StreamChecker::transitive_so_far).
     pub fn report(&self) -> StreamReport {
         let mut certificates = Vec::new();
         if let Some((low, mid, top)) = self.first_violation {
@@ -534,81 +687,97 @@ impl StreamChecker {
                 bound: self.delay_bound,
             });
         }
+        let mut verdicts = Vec::with_capacity(self.windows);
+        for (k, change) in self.changes.iter().enumerate() {
+            let until = self.changes.get(k + 1).map_or(self.windows, |c| c.window);
+            verdicts.extend((change.window..until).map(|w| WindowVerdict {
+                window: w,
+                start: w * self.window,
+                end: (w + 1) * self.window,
+                ..*change
+            }));
+        }
         StreamReport {
             rows: self.rows(),
             transitive: self.first_violation.is_none(),
             max_missed: self.max_missed,
             min_delay_bound: self.delay_bound,
-            verdicts: self.verdicts.clone(),
+            verdicts,
             certificates,
         }
     }
 }
 
-/// Finds the smallest `j ∈ (x, i)` absent from both sorted lists
-/// (`rest` — the checking row's misses above `x`; `mx` — the rows that
-/// missed `x`), or `None` if every candidate is blocked. Both lists are
-/// strictly increasing and lie inside `(x, i)`. A merged scan taken 64
-/// candidates at a time: each list marks its entries in a word, and a
-/// clear bit is a witness — O(|rest| + |mx| + (i − x)/64).
-fn gap_witness(rest: &[TxnIndex], mx: &[u32], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
-    let (mut a, mut b) = (0usize, 0usize);
-    let mut base = x + 1;
-    while base < i {
-        let end = (base + 64).min(i);
-        let mut blocked = 0u64;
-        while let Some(&r) = rest.get(a).filter(|&&r| r < end) {
-            blocked |= 1 << (r - base);
+/// Finds the smallest `j ∈ (x, i)` in neither word set (`mine` — the
+/// checking row's misses; `theirs` — the rows that missed `x`; both
+/// from the word of `x + 1` on), or `None` if every candidate is
+/// blocked. One OR per 64 candidates, ends masked; a word in neither
+/// set is free at its first in-range bit.
+fn gap_witness(mine: &[Word], theirs: &[Word], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
+    // Candidates are x + 1 ..= i − 1 (x < i, so i ≥ 1); for x + 1 = i
+    // the words or the masks leave none.
+    let (first, last) = ((x + 1) / 64, (i - 1) / 64);
+    let (mut a, mut b) = (0, 0);
+    for w in first..=last {
+        let mut free = !0u64;
+        if let Some(m) = mine.get(a).filter(|m| m.0 as usize == w) {
+            free &= !m.1;
             a += 1;
         }
-        while let Some(m) = mx.get(b).map(|&m| m as usize).filter(|&m| m < end) {
-            blocked |= 1 << (m - base);
+        if let Some(t) = theirs.get(b).filter(|t| t.0 as usize == w) {
+            free &= !t.1;
             b += 1;
         }
-        // Bits from `end − base` up are past the range: never free.
-        let free = !blocked & (!0 >> (64 - (end - base)));
-        if free != 0 {
-            return Some(base + free.trailing_zeros() as usize);
+        if w == first {
+            free &= !0 << ((x + 1) % 64);
         }
-        base = end;
+        if w == last {
+            free &= !0 >> (63 - (i - 1) % 64);
+        }
+        if free != 0 {
+            return Some(w * 64 + free.trailing_zeros() as usize);
+        }
     }
     None
 }
 
 /// Converts a timed execution into its stream rows — each prefix
 /// complemented into a miss set by [`missed_indices`], O(|Mᵢ|·log i)
-/// per row. Long executions partition the row range across `pool`
-/// (rows are independent and collected in input order, so the result
-/// is identical at every thread count).
+/// per row, on the calling thread.
+///
+/// `pool` is not used: callers (the frozen benchmark among them) pass
+/// one, and the extraction used to partition the row range across it
+/// from 2 048 rows up. Measured on the reference host (2 cores;
+/// block-shuffled rows missing ~16 of their last 64 predecessors; six
+/// alternating runs, M rows/s) the second thread never bought the 1.2×
+/// that would pay for the hand-off and for rows allocated on one thread
+/// and freed on another:
+///
+/// | rows | 1 thread  | 2 threads | 2 over 1                     |
+/// |------|-----------|-----------|------------------------------|
+/// | 2¹¹  | 2.28–2.59 | 1.93–2.08 | 0.76–0.85                    |
+/// | 2¹²  | 1.50–2.34 | 1.53–2.11 | 0.83–1.10                    |
+/// | 2¹³  | 1.57–1.84 | 1.59–2.44 | 1.02–1.09 in five, 1.44 once |
+/// | 2¹⁴  | 0.81–1.73 | 0.81–1.91 | 1.01–1.10                    |
+///
+/// An execution of n rows holds n²/2 prefix indices — 1 GiB at 2¹⁴ —
+/// so there is no larger size on this host where a threshold could be
+/// measured, and the partitioned path is gone rather than parked
+/// behind a guessed one.
 pub fn rows_from_execution<A: Application>(
-    pool: &PoolConfig,
+    _pool: &PoolConfig,
     te: &TimedExecution<A>,
 ) -> Vec<StreamRow> {
-    let prefixes: Vec<&[TxnIndex]> = te
-        .execution
-        .records()
-        .iter()
-        .map(|r| r.prefix.as_slice())
-        .collect();
-    let times = te.times.as_slice();
-    let row_of = |i: usize| {
-        let mut missed = Vec::with_capacity(i - prefixes[i].len());
-        missed.extend(missed_indices(prefixes[i], i));
+    let rows = te.execution.records().iter().zip(&te.times).enumerate();
+    rows.map(|(i, (record, &time))| {
+        let mut missed = Vec::with_capacity(i - record.prefix.len());
+        missed.extend(missed_indices(&record.prefix, i));
         StreamRow {
             index: i,
-            time: times[i],
+            time,
             missed,
         }
-    };
-    let n = prefixes.len();
-    if n < PAR_THRESHOLD || shard_pool::is_worker() {
-        return (0..n).map(row_of).collect();
-    }
-    shard_pool::par_ranges(pool, n, |range| {
-        range.into_iter().map(row_of).collect::<Vec<_>>()
     })
-    .into_iter()
-    .flatten()
     .collect()
 }
 
@@ -621,11 +790,10 @@ pub fn check_rows(window: usize, rows: &[StreamRow]) -> StreamReport {
     checker.report()
 }
 
-/// The offline entry point over the pool: extracts rows in parallel
-/// ([`rows_from_execution`]), folds them through one sequential
-/// [`StreamChecker`] (the fold is O(total misses) — the cheap part),
-/// and reports. Verdicts equal the offline checkers' at every window
-/// and pool size.
+/// The offline entry point: extracts the rows
+/// ([`rows_from_execution`], which says why `pool` goes unused), folds
+/// them through one [`StreamChecker`], and reports. Verdicts equal the
+/// offline checkers' at every window size.
 pub fn par_check<A: Application>(
     pool: &PoolConfig,
     te: &TimedExecution<A>,
@@ -662,6 +830,11 @@ pub struct StreamedRecord<U> {
 pub struct StreamingExecution<A: Application> {
     store: Box<dyn shard_store::Store + Send>,
     len: usize,
+    /// How far back a row reaches: the largest `index − missed[0]` over
+    /// the rows in the store. Known while every row went through
+    /// [`push`](StreamingExecution::push); `None` after a
+    /// [`reopen`](StreamingExecution::reopen).
+    reach: Option<usize>,
     /// The row being pushed, framed — reused from row to row.
     scratch: Vec<u8>,
     _app: std::marker::PhantomData<fn() -> A>,
@@ -684,7 +857,10 @@ where
     /// already holds rows).
     pub fn new(store: Box<dyn shard_store::Store + Send>) -> Self {
         debug_assert_eq!(store.entries(), 0, "use reopen for a non-empty store");
-        Self::reopen(store, 0)
+        StreamingExecution {
+            reach: Some(0),
+            ..Self::reopen(store, 0)
+        }
     }
 
     /// Re-attaches to a store holding `len` previously pushed rows.
@@ -692,6 +868,7 @@ where
         StreamingExecution {
             store,
             len,
+            reach: None,
             scratch: Vec::new(),
             _app: std::marker::PhantomData,
         }
@@ -729,6 +906,9 @@ where
             shard_store::Codec::encode(update, payload);
         })?;
         self.len += 1;
+        if let (Some(reach), Some(&low)) = (&mut self.reach, row.missed.first()) {
+            *reach = (*reach).max(row.index - low);
+        }
         Ok(())
     }
 
@@ -748,12 +928,17 @@ where
         };
         let mut groups = shard_store::GroupCursor::starting_at(0, 1024);
         let mut next = 0usize;
+        // One miss vector, handed from row to row.
+        let mut missed = Vec::new();
         while let Some((primary, group)) = groups.next(&mut *self.store)? {
             if primary != next as u64 {
                 return Err(bad(next, "row group missing"));
             }
             let payload = group.map_err(|what| bad(next, what))?;
-            f(&decode_row::<A>(next, payload).ok_or_else(|| bad(next, "malformed row"))?);
+            let rec =
+                decode_row::<A>(next, payload, missed).ok_or_else(|| bad(next, "malformed row"))?;
+            f(&rec);
+            missed = rec.row.missed;
             next += 1;
         }
         if next != self.len {
@@ -776,7 +961,11 @@ where
 
     /// Runs the online §3 window checker over the stored rows —
     /// verdicts, certificates and the final report are byte-identical
-    /// to [`check_rows`] on the same rows materialized in memory.
+    /// to [`check_rows`] on the same rows materialized in memory. An
+    /// execution that pushed its rows itself knows how far back any of
+    /// them reaches and retires the checker behind that, so the pass
+    /// holds `reach` rows of checker state; a reopened one retires
+    /// nothing.
     ///
     /// # Errors
     ///
@@ -784,6 +973,7 @@ where
     /// is missing, torn, malformed or carries an ill-formed miss set.
     pub fn check_stream(&mut self, window: usize) -> std::io::Result<StreamReport> {
         let mut checker = StreamChecker::new(window);
+        let reach = self.reach;
         // A row that decodes but does not belong to a serial order
         // (B+tree pages carry no checksum) is bad data, not a bug.
         let mut bad_row = None;
@@ -794,6 +984,9 @@ where
                     .try_push(row.index, row.time, &row.missed)
                     .err()
                     .map(|e| (row.index, e));
+                if let Some(reach) = reach {
+                    checker.retire_below((row.index + 1).saturating_sub(reach));
+                }
             }
         })?;
         match bad_row {
@@ -825,8 +1018,13 @@ where
     }
 }
 
-/// Decodes the payload [`StreamingExecution::push`] wrote for row `index`.
-fn decode_row<A: Application>(index: TxnIndex, payload: &[u8]) -> Option<StreamedRecord<A::Update>>
+/// Decodes the payload [`StreamingExecution::push`] wrote for row
+/// `index`, its miss set into the caller's `missed` buffer.
+fn decode_row<A: Application>(
+    index: TxnIndex,
+    payload: &[u8],
+    mut missed: Vec<TxnIndex>,
+) -> Option<StreamedRecord<A::Update>>
 where
     A::Update: shard_store::Codec,
 {
@@ -837,7 +1035,8 @@ where
     if missed_len > r.remaining() / 4 {
         return None;
     }
-    let mut missed = Vec::with_capacity(missed_len);
+    missed.clear();
+    missed.reserve(missed_len);
     for _ in 0..missed_len {
         missed.push(r.u32()? as TxnIndex);
     }
@@ -1021,6 +1220,263 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_below_the_retired_frontier_is_refused_not_misjudged() {
+        let row = |index, missed: &[usize]| StreamRow {
+            index,
+            time: 10 * index as u64,
+            missed: missed.to_vec(),
+        };
+        let rows = [
+            row(0, &[]),
+            row(1, &[0]),
+            row(2, &[]),
+            row(3, &[2]),
+            row(4, &[2, 3]),
+            row(5, &[4]),
+        ];
+        let mut checker = StreamChecker::new(2);
+        for row in &rows[..4] {
+            checker.push(row);
+        }
+        checker.retire_below(2);
+        // Judging a miss of row 1 takes missers(1), which is gone.
+        assert_eq!(
+            checker.try_push(4, 40, &[1, 2]),
+            Err(RowError::RetiredMiss {
+                index: 4,
+                missed: 1,
+                frontier: 2
+            })
+        );
+        assert_eq!(checker.rows(), 4);
+        // The frontier never moves back, and stops at the rows consumed.
+        checker.retire_below(0);
+        assert!(checker.try_push(4, 40, &[1, 2]).is_err());
+        checker.push(&rows[4]);
+        checker.retire_below(99);
+        assert_eq!(
+            checker.try_push(5, 50, &[4]),
+            Err(RowError::RetiredMiss {
+                index: 5,
+                missed: 4,
+                frontier: 5
+            })
+        );
+        // Refused rows left no trace.
+        let mut kept = StreamChecker::new(2);
+        for row in &rows[..5] {
+            kept.push(row);
+        }
+        assert_eq!(checker.report(), kept.report());
+    }
+
+    /// The naive §3 fold the word checker is held against: a `BTreeSet`
+    /// per row and a triple loop for the first `(low, mid, top)` in
+    /// (top, low, mid) scan order.
+    fn naive_report(window: usize, rows: &[StreamRow]) -> StreamReport {
+        use std::collections::BTreeSet;
+        let sets: Vec<BTreeSet<usize>> = rows
+            .iter()
+            .map(|r| r.missed.iter().copied().collect())
+            .collect();
+        let (mut violation, mut worst, mut delay) = (None, (0, 0), (0, None));
+        let mut verdicts = Vec::new();
+        for (top, row) in rows.iter().enumerate() {
+            if violation.is_none() {
+                violation = sets[top].iter().find_map(|&low| {
+                    (low + 1..top)
+                        .find(|mid| !sets[top].contains(mid) && !sets[*mid].contains(&low))
+                        .map(|mid| (low, mid, top))
+                });
+            }
+            if sets[top].len() > worst.1 {
+                worst = (top, sets[top].len());
+            }
+            for &x in &row.missed {
+                let bound = row.time.saturating_sub(rows[x].time) + 1;
+                if bound > delay.0 {
+                    delay = (bound, Some((top, x)));
+                }
+            }
+            if (top + 1) % window == 0 {
+                verdicts.push(WindowVerdict {
+                    window: verdicts.len(),
+                    start: top + 1 - window,
+                    end: top + 1,
+                    transitive: violation.is_none(),
+                    max_missed: worst.1,
+                    delay_bound: delay.0,
+                });
+            }
+        }
+        let mut certificates = Vec::new();
+        if let Some((low, mid, top)) = violation {
+            certificates.push(Certificate::Transitivity { low, mid, top });
+        }
+        if worst.1 > 0 {
+            certificates.push(Certificate::KCompleteness {
+                index: worst.0,
+                missed: worst.1,
+            });
+        }
+        if let Some((seer, missed)) = delay.1 {
+            certificates.push(Certificate::DelayBound {
+                seer,
+                missed,
+                bound: delay.0,
+            });
+        }
+        StreamReport {
+            rows: rows.len(),
+            transitive: violation.is_none(),
+            max_missed: worst.1,
+            min_delay_bound: delay.0,
+            verdicts,
+            certificates,
+        }
+    }
+
+    fn splitmix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Rows of a delivery schedule built from `segments` of `(shape,
+    /// salt)`: row `i` misses the earlier rows delivered after it, which
+    /// is transitive whatever the schedule. Shapes: calm runs; jitter
+    /// below one word; dense reversed blocks reaching back hundreds of
+    /// rows (what a partition leaves); one straggler delivered a
+    /// thousand or more rows late (a single far miss in every row it
+    /// passes); and a swap across a word boundary (`x % 64 == 63`,
+    /// `i % 64 == 0`, `x + 1 == i`). `flip` then adds or removes one
+    /// miss somewhere — half the time in the first row of a word, or of
+    /// the last row of one — which usually breaks transitivity there.
+    fn scheduled_rows(segments: &[(u8, u64)], flip: Option<(u64, u64)>) -> Vec<StreamRow> {
+        const MAX_ROWS: usize = 1_400;
+        // Delivery key of each row; ties deliver in serial order.
+        let mut keys: Vec<usize> = Vec::new();
+        for &(shape, salt) in segments {
+            let at = keys.len();
+            match shape % 8 {
+                0..=2 => keys.extend(at..at + 1 + salt as usize % 120),
+                3 | 4 => keys.extend(
+                    (at..at + 1 + salt as usize % 60)
+                        .map(|i| i + splitmix(salt ^ i as u64) as usize % 64),
+                ),
+                5 => {
+                    let block = 70 + salt as usize % 60;
+                    keys.extend((0..block).map(|k| at + 2 * block - k));
+                }
+                6 => keys.push(at + 1_000 + salt as usize % 1_000),
+                _ => {
+                    // Calm up to the last row of a word, then that row
+                    // and the next trade places.
+                    keys.extend(at..at.next_multiple_of(64) + 63);
+                    keys.push(keys.len() + 2);
+                    keys.push(keys.len());
+                }
+            }
+        }
+        keys.truncate(MAX_ROWS);
+        let mut rows: Vec<StreamRow> = (0..keys.len())
+            .map(|i| StreamRow {
+                index: i,
+                time: splitmix(i as u64 ^ 0xE25) % 5_000,
+                missed: (0..i).filter(|&j| keys[j] > keys[i]).collect(),
+            })
+            .collect();
+        if let (Some((row, slot)), false) = (flip, rows.len() < 2) {
+            let mut at = 1 + row as usize % (rows.len() - 1);
+            if row >> 63 == 1 && at >= 64 {
+                at -= at % 64;
+            }
+            let row = &mut rows[at];
+            let mut x = slot as usize % row.index;
+            if slot >> 63 == 1 && x | 63 < row.index {
+                x |= 63;
+            }
+            match row.missed.binary_search(&x) {
+                Ok(at) => drop(row.missed.remove(at)),
+                Err(at) => row.missed.insert(at, x),
+            }
+        }
+        rows
+    }
+
+    fn segments() -> impl proptest::strategy::Strategy<Value = Vec<(u8, u64)>> {
+        use proptest::prelude::any;
+        proptest::collection::vec((any::<u8>(), any::<u64>()), 1..24)
+    }
+
+    fn flip() -> impl proptest::strategy::Strategy<Value = Option<(u64, u64)>> {
+        use proptest::prelude::{any, Strategy};
+        (any::<bool>(), any::<u64>(), any::<u64>())
+            .prop_map(|(on, row, slot)| on.then_some((row, slot)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn the_word_checker_reports_what_the_naive_fold_reports(
+            segments in segments(),
+            flip in flip(),
+            window in 1usize..130,
+        ) {
+            let rows = scheduled_rows(&segments, flip);
+            assert_eq!(check_rows(window, &rows), naive_report(window, &rows));
+        }
+
+        #[test]
+        fn retiring_at_legal_frontiers_changes_no_report_and_bounds_the_state(
+            segments in segments(),
+            flip in flip(),
+            window in 1usize..130,
+            eagerness in 0u64..4,
+        ) {
+            let rows = scheduled_rows(&segments, flip);
+            // legal[i]: the smallest row any row from i on misses.
+            let mut legal = vec![rows.len(); rows.len() + 1];
+            for row in rows.iter().rev() {
+                let low = row.missed.first().copied().unwrap_or(row.index);
+                legal[row.index] = legal[row.index + 1].min(low);
+            }
+            let mut checker = StreamChecker::new(window);
+            let mut span = 0;
+            for row in &rows {
+                checker.push(row);
+                // Sometimes not at all, sometimes part of the way.
+                let frontier = match splitmix(row.index as u64) % 4 {
+                    r if r < eagerness => legal[row.index + 1],
+                    _ => legal[row.index + 1] / 2,
+                };
+                checker.retire_below(frontier);
+                span = span.max(checker.rows() - checker.base);
+
+                // At most 2·span + 2 rows sit in the window, as many
+                // lists exist, and a list covers the span above its row
+                // — each doubled for `Vec` growth. Only the verdict
+                // changes are history.
+                let words = 2 * (span / 64 + 2);
+                let bound = std::mem::size_of::<StreamChecker>()
+                    + (4 * span + 8) * 12
+                    + (2 * span + 4) * (28 + words * 16)
+                    + words.max(4) * 16
+                    + checker.changes.capacity() * std::mem::size_of::<WindowVerdict>();
+                assert!(
+                    checker.resident_bytes() <= bound,
+                    "{} B resident over {bound} B for a span of {span} at row {}",
+                    checker.resident_bytes(),
+                    row.index
+                );
+            }
+            assert_eq!(checker.report(), check_rows(window, &rows));
+        }
+    }
+
+    #[test]
     fn certificates_serialize_and_rows_round_trip() {
         let cert = Certificate::Transitivity {
             low: 3,
@@ -1055,10 +1511,8 @@ mod tests {
     }
 
     #[test]
-    fn par_rows_match_sequential_rows() {
-        // Above PAR_THRESHOLD the extraction takes the partitioned
-        // path; rows must be identical to the sequential ones.
-        let n = PAR_THRESHOLD + 100;
+    fn rows_match_the_walked_complement_on_a_long_execution() {
+        let n = 600;
         let mut b = ExecutionBuilder::new(&Trivial);
         for i in 0..n {
             let prefix: Vec<usize> = if i % 97 == 3 {
@@ -1069,7 +1523,7 @@ mod tests {
             b.push((), prefix).unwrap();
         }
         let te = TimedExecution::new(b.finish(), (0..n as u64).collect());
-        let seq: Vec<StreamRow> = (0..n)
+        let walked: Vec<StreamRow> = (0..n)
             .map(|i| {
                 let mut missed = Vec::new();
                 let mut seen = te.execution.record(i).prefix.iter().copied().peekable();
@@ -1086,12 +1540,9 @@ mod tests {
                 }
             })
             .collect();
-        for threads in [1, 2, 7] {
-            let par = rows_from_execution(&PoolConfig::with_threads(threads), &te);
-            assert_eq!(par, seq, "rows diverge at {threads} threads");
-        }
+        assert_eq!(rows_of(&te), walked);
         // And the report agrees with the offline verdicts.
-        let report = check_rows(64, &seq);
+        let report = check_rows(64, &walked);
         assert_eq!(report.transitive, is_transitive(&te.execution));
         assert_eq!(report.max_missed, max_missed(&te.execution));
         assert_eq!(report.min_delay_bound, te.min_delay_bound());
@@ -1194,6 +1645,11 @@ mod tests {
             te.execution.final_state(&app)
         );
         let rows = rows_from_execution(&pool, &te);
+        let reach = rows
+            .iter()
+            .filter_map(|r| Some(r.index - r.missed.first()?))
+            .max();
+        assert_eq!(se.reach, reach, "and the checker is retired behind it");
         for window in [1, 7, 64] {
             assert_eq!(
                 se.check_stream(window).unwrap(),
@@ -1201,6 +1657,11 @@ mod tests {
                 "window {window}"
             );
         }
+        // Reopened, the execution no longer knows how far its rows
+        // reach and retires nothing; it reports the same.
+        let mut reopened = StreamingExecution::<Trace>::reopen(se.store, rows.len());
+        assert_eq!(reopened.reach, None);
+        assert_eq!(reopened.check_stream(7).unwrap(), check_rows(7, &rows));
     }
 
     #[test]

@@ -13,14 +13,16 @@
 //! overflows, its minimum timestamp can never be preceded by a later
 //! arrival, and the transaction *seals*.
 //!
-//! Sealing folds the update into one in-place state (never a log of
-//! states), records checkpoints whose cold anchors spill through a
-//! store-backed [`Checkpoints`] sequence, appends the row to a store-backed
-//! [`StreamingExecution`], and feeds the online §3 window checker —
-//! so a 10⁷-transaction run holds one application state, a
-//! `capacity`-sized window, and the checker's monitor state in RAM,
-//! while the full execution lives in the store for later
-//! byte-identical re-checking. Experiment E25 drives this end to end.
+//! Sealing appends the row to a store-backed [`StreamingExecution`],
+//! folds the update into one in-place state (never a log of states),
+//! records checkpoints whose cold anchors spill through a store-backed
+//! [`Checkpoints`] sequence, and feeds the online §3 window checker —
+//! retired behind the oldest sealed row a pending arrival can still
+//! miss — so a 10⁷-transaction run holds one application state, a
+//! `capacity`-sized window, and a few windows of checker state in RAM
+//! (all three counted in the `state.peak_resident_bytes` gauge), while
+//! the full execution lives in the store for later byte-identical
+//! re-checking. Experiment E25 drives this end to end.
 
 use crate::clock::Timestamp;
 use shard_core::{
@@ -58,6 +60,8 @@ pub struct StreamingMerge<A: Application> {
     recent: VecDeque<(usize, u64)>,
     next_arrival: u64,
     seals_since_prune: usize,
+    /// The row being sealed — reused from seal to seal.
+    row: StreamRow,
 }
 
 impl<A: Application> StreamingMerge<A>
@@ -99,6 +103,11 @@ where
             recent: VecDeque::new(),
             next_arrival: 0,
             seals_since_prune: 0,
+            row: StreamRow {
+                index: 0,
+                time: 0,
+                missed: Vec::new(),
+            },
         }
     }
 
@@ -108,14 +117,19 @@ where
     ///
     /// # Errors
     ///
-    /// Store errors from sealing, and `InvalidInput` — naming `ts` and
-    /// the sealed frontier — for a delivery at or below the newest
-    /// sealed timestamp. That is either a late redelivery of a sealed
-    /// transaction (legal under at-least-once delivery) or a newcomer
-    /// displaced beyond the reorder window (the workload broke its
-    /// displacement bound); without a set of sealed timestamps the two
-    /// are indistinguishable, so the caller decides. The delivery is
-    /// dropped and the merge stays usable.
+    /// `InvalidInput` — naming `ts` and the sealed frontier — for a
+    /// delivery at or below the newest sealed timestamp. That is either
+    /// a late redelivery of a sealed transaction (legal under
+    /// at-least-once delivery) or a newcomer displaced beyond the
+    /// reorder window (the workload broke its displacement bound);
+    /// without a set of sealed timestamps the two are indistinguishable,
+    /// so the caller decides. The delivery is dropped and the merge
+    /// stays usable.
+    ///
+    /// Store errors from sealing. The delivery itself is held in the
+    /// window; the seal that failed left the merge as it was before
+    /// it (see [`StreamingMerge::finish`]) and is tried again by the
+    /// next `offer` or `finish`.
     pub fn offer(
         &mut self,
         app: &A,
@@ -146,7 +160,8 @@ where
                 update,
             },
         );
-        if self.window.len() > self.capacity {
+        // More than one only after a seal failed and left a backlog.
+        while self.window.len() > self.capacity {
             self.seal_min(app)?;
         }
         Ok(())
@@ -155,35 +170,45 @@ where
     /// Seals every pending transaction and syncs the row store. The
     /// stream can keep going afterwards; this is the end-of-input (or
     /// barrier) drain.
+    ///
+    /// # Errors
+    ///
+    /// Store errors. A seal's row append is its first effect, so a
+    /// failed seal changes nothing: the transaction is back in the
+    /// window, `sealed` / `state` / `report` are those of a merge that
+    /// stopped one row earlier, and calling `finish` (or `offer`)
+    /// again retries it — a run that retries through an error ends
+    /// with the store and report of one that never saw it. (A row
+    /// wider than one chunk that failed part-way leaves its first
+    /// chunks in the log twice; they are byte-identical and the index
+    /// keeps the first, so reads cannot tell.)
     pub fn finish(&mut self, app: &A) -> io::Result<()> {
         while !self.window.is_empty() {
             self.seal_min(app)?;
         }
+        self.note_resident();
         self.sink.sync()
     }
 
     fn seal_min(&mut self, app: &A) -> io::Result<()> {
         let (ts, p) = self.window.pop_first().expect("caller checked non-empty");
         let i = self.sealed;
+        self.row.index = i;
+        self.row.time = p.time;
         // The serially-earlier rows this transaction missed: exactly
         // the ones delivered after it.
-        let missed: Vec<usize> = self
-            .recent
-            .iter()
-            .filter(|&&(_, a)| a > p.arrival)
-            .map(|&(j, _)| j)
-            .collect();
+        self.row.missed.clear();
+        let later = self.recent.iter().filter(|&&(_, a)| a > p.arrival);
+        self.row.missed.extend(later.map(|&(j, _)| j));
+        if let Err(e) = self.sink.push(&self.row, &p.update) {
+            self.window.insert(ts, p);
+            return Err(e);
+        }
         app.apply_in_place(&mut self.state, &p.update);
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
         self.anchors.record_for(app, self.sealed, &self.state);
-        let row = StreamRow {
-            index: i,
-            time: p.time,
-            missed,
-        };
-        self.sink.push(&row, &p.update)?;
-        self.checker.push(&row);
+        self.checker.push(&self.row);
         self.recent.push_back((i, p.arrival));
         // A sealed row stays interesting only while a pending arrival
         // is older than it; prune amortized once per window turnover.
@@ -198,8 +223,30 @@ where
                     }
                 }
             }
+            // A row pruned here arrived before everything pending, so
+            // before everything still to come: no later row misses it.
+            let frontier = self.recent.front().map_or(self.sealed, |&(j, _)| j);
+            self.checker.retire_below(frontier);
+            self.note_resident();
         }
         Ok(())
+    }
+
+    /// Raises the `state.peak_resident_bytes` gauge to what the merge
+    /// holds right now: hot anchors, reorder window and checker.
+    fn note_resident(&self) {
+        use std::mem::size_of;
+        use std::sync::{Arc, OnceLock};
+        static PEAK: OnceLock<Arc<shard_obs::Gauge>> = OnceLock::new();
+        if !shard_obs::enabled() {
+            return;
+        }
+        let window = self.window.len() * size_of::<(Timestamp, Pending<A::Update>)>()
+            + self.recent.capacity() * size_of::<(usize, u64)>()
+            + self.row.missed.capacity() * size_of::<usize>();
+        let held = self.anchors.hot_bytes() + window + self.checker.resident_bytes();
+        PEAK.get_or_init(|| shard_obs::Registry::global().gauge("state.peak_resident_bytes"))
+            .max(held as i64);
     }
 
     /// The state after every sealed transaction.
@@ -332,30 +379,38 @@ mod tests {
         }
     }
 
+    /// The rows `order` seals into, from delivery positions alone:
+    /// serial row i missed serial row j < i iff j was delivered after
+    /// it (`reach` bounds how far back that can be).
+    fn rows_by_delivery(order: &[u64], reach: usize) -> Vec<StreamRow> {
+        let mut delivery_of = vec![0usize; order.len()];
+        for (when, &l) in order.iter().enumerate() {
+            delivery_of[l as usize] = when;
+        }
+        (0..order.len())
+            .map(|i| StreamRow {
+                index: i,
+                time: delivery_of[i] as u64,
+                missed: (i.saturating_sub(reach)..i)
+                    .filter(|&j| delivery_of[j] > delivery_of[i])
+                    .collect(),
+            })
+            .collect()
+    }
+
+    fn stored_rows(sink: &mut StreamingExecution<Trace>) -> Vec<StreamRow> {
+        let mut rows = Vec::new();
+        sink.for_each_row(|rec| rows.push(rec.row.clone())).unwrap();
+        rows
+    }
+
     #[test]
     fn missed_sets_name_exactly_the_later_deliveries() {
         let app = Trace;
         let order = displaced(120, 5);
-        // O(n²) oracle over delivery order: serial row i missed serial
-        // row j < i iff j was delivered after i.
-        let mut delivery_of = vec![0usize; 120];
-        for (when, &l) in order.iter().enumerate() {
-            delivery_of[l as usize] = when;
-        }
         let m = merge_all(&app, &order, 6);
         let (mut sink, _, _) = m.into_parts();
-        let mut rows = 0usize;
-        sink.for_each_row(|rec| {
-            let i = rec.row.index;
-            let expect: Vec<usize> = (0..i)
-                .filter(|&j| delivery_of[j] > delivery_of[i])
-                .collect();
-            assert_eq!(rec.row.missed, expect, "row {i}");
-            assert_eq!(rec.row.time, delivery_of[i] as u64);
-            rows += 1;
-        })
-        .unwrap();
-        assert_eq!(rows, 120);
+        assert_eq!(stored_rows(&mut sink), rows_by_delivery(&order, 120));
     }
 
     #[test]
@@ -365,6 +420,168 @@ mod tests {
         let online = m.report();
         let (mut sink, _, _) = m.into_parts();
         assert_eq!(online, sink.check_stream(8).unwrap());
+    }
+
+    #[test]
+    fn the_checker_stays_flat_over_a_long_stream_and_every_pass_agrees() {
+        let app = Trace;
+        for d in [1usize, 16, 64] {
+            let order = displaced(20_000, d);
+            // No anchors: a `Trace` state is the whole history.
+            let mut m = StreamingMerge::new(
+                &app,
+                Box::new(shard_store::MemStore::new()),
+                Box::new(shard_store::MemStore::new()),
+                d + 1,
+                usize::MAX / 2,
+                2,
+                1,
+                8,
+            );
+            let mut samples = Vec::new();
+            for (when, &l) in order.iter().enumerate() {
+                m.offer(&app, ts(l + 1), when as u64, l).unwrap();
+                if m.sealed() == 1_000 * (samples.len() + 1) {
+                    samples.push(m.checker.resident_bytes());
+                }
+            }
+            m.finish(&app).unwrap();
+            // Warm by the second sample: capacities have settled.
+            let (warm, last) = (samples[1], samples[samples.len() - 1]);
+            assert!(
+                4 * last <= 5 * warm,
+                "displacement {d}: checker bytes grew {warm} -> {last}: {samples:?}"
+            );
+            let online = m.report();
+            let (mut sink, _, _) = m.into_parts();
+            assert_eq!(online, sink.check_stream(8).unwrap(), "displacement {d}");
+            let rows = rows_by_delivery(&order, 2 * d + 2);
+            assert_eq!(online, shard_core::stream::check_rows(8, &rows));
+        }
+    }
+
+    /// A row store whose `fail_at`-th append (counting from 1) errors
+    /// before anything is written.
+    struct FailingStore {
+        inner: shard_store::MemStore,
+        appends: usize,
+        fail_at: usize,
+    }
+
+    impl shard_store::Store for FailingStore {
+        fn append(&mut self, key: shard_store::StoreKey, value: &[u8]) -> io::Result<()> {
+            self.appends += 1;
+            if self.appends == self.fail_at {
+                return Err(io::Error::other("disk full"));
+            }
+            self.inner.append(key, value)
+        }
+        fn sync(&mut self) -> io::Result<()> {
+            self.inner.sync()
+        }
+        fn len_bytes(&self) -> u64 {
+            self.inner.len_bytes()
+        }
+        fn synced_bytes(&self) -> u64 {
+            self.inner.synced_bytes()
+        }
+        fn entries(&self) -> usize {
+            self.inner.entries()
+        }
+        fn scan_arrival(
+            &mut self,
+            f: &mut dyn FnMut(shard_store::StoreKey, &[u8]),
+        ) -> io::Result<()> {
+            self.inner.scan_arrival(f)
+        }
+        fn scan_key_range(
+            &mut self,
+            from: shard_store::StoreKey,
+            f: &mut dyn FnMut(shard_store::StoreKey, &[u8]) -> bool,
+        ) -> io::Result<()> {
+            self.inner.scan_key_range(from, f)
+        }
+        fn crash(&mut self, keep: u64) -> io::Result<shard_store::CrashReport> {
+            self.inner.crash(keep)
+        }
+    }
+
+    fn log_of(sink: &mut StreamingExecution<Trace>) -> Vec<(shard_store::StoreKey, Vec<u8>)> {
+        let mut log = Vec::new();
+        sink.store_mut()
+            .scan_arrival(&mut |k, v| log.push((k, v.to_vec())))
+            .unwrap();
+        log
+    }
+
+    /// Streams `order` through a merge whose row store fails its
+    /// `fail_at`-th append, carrying on through the error. At the
+    /// error the merge must be a merge that stopped one row earlier;
+    /// at the end, one that never saw it. Returns how many chunks of
+    /// the failed row had gone in before the failure.
+    fn survives_a_failed_append(order: &[u64], capacity: usize, fail_at: usize) -> usize {
+        let app = Trace;
+        let rows = rows_by_delivery(order, order.len());
+        let store = FailingStore {
+            inner: shard_store::MemStore::new(),
+            appends: 0,
+            fail_at,
+        };
+        let anchors = Box::new(shard_store::MemStore::new());
+        let mut m = StreamingMerge::new(&app, Box::new(store), anchors, capacity, 4, 2, 1, 8);
+        let mut errors = 0;
+        let mut stopped = |m: &StreamingMerge<Trace>, e: io::Error| {
+            errors += 1;
+            assert_eq!(e.to_string(), "disk full");
+            let sealed = m.sealed();
+            assert_eq!(m.state(), &(0..sealed as u64).collect::<Vec<_>>());
+            let so_far = shard_core::stream::check_rows(8, &rows[..sealed]);
+            assert_eq!(m.report(), so_far, "fail_at {fail_at}");
+        };
+        for (when, &l) in order.iter().enumerate() {
+            if let Err(e) = m.offer(&app, ts(l + 1), when as u64, l) {
+                stopped(&m, e);
+            }
+        }
+        while let Err(e) = m.finish(&app) {
+            stopped(&m, e);
+        }
+        assert_eq!(errors, 1, "fail_at {fail_at}");
+
+        let clean = merge_all(&app, order, capacity);
+        assert_eq!(m.state(), clean.state());
+        assert_eq!(m.report(), clean.report(), "fail_at {fail_at}");
+        let (mut sink, _, _) = m.into_parts();
+        let (mut clean, _, _) = clean.into_parts();
+        assert_eq!(
+            sink.check_stream(8).unwrap(),
+            clean.check_stream(8).unwrap()
+        );
+        assert_eq!(stored_rows(&mut sink), rows);
+        // The log is the clean run's, except that the chunks a wide
+        // row got in before its failure went in again with the retry.
+        let (mut log, clean_log) = (log_of(&mut sink), log_of(&mut clean));
+        let twice = log.len() - clean_log.len();
+        let mut seen = std::collections::BTreeSet::new();
+        log.retain(|(key, _)| seen.insert(*key));
+        assert_eq!(log, clean_log, "fail_at {fail_at}");
+        twice
+    }
+
+    #[test]
+    fn a_failed_row_append_leaves_the_merge_one_row_earlier_and_a_retry_completes_it() {
+        // One append per row: every seal of the stream fails once.
+        let order = displaced(200, 5);
+        for fail_at in 1..=200 {
+            survives_a_failed_append(&order, 6, fail_at);
+        }
+        // Rows from 252 misses up take two chunks: fail first and
+        // second chunks of such rows, leaving half-written groups.
+        let order = displaced(600, 299);
+        let chunks: Vec<usize> = (250..=262)
+            .map(|fail_at| survives_a_failed_append(&order, 300, fail_at))
+            .collect();
+        assert!(chunks.contains(&0) && chunks.contains(&1), "{chunks:?}");
     }
 
     #[test]
