@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 fn history_before(exec: &Execution<FlyByNight>, i: TxnIndex) -> (Vec<AirlineUpdate>, Vec<bool>) {
     let updates: Vec<AirlineUpdate> = exec.records()[..i].iter().map(|r| r.update).collect();
     let mut seen = vec![false; i];
-    for &p in &exec.record(i).prefix {
+    for p in exec.record(i).prefix.iter() {
         seen[p] = true;
     }
     (updates, seen)
@@ -264,8 +264,8 @@ pub fn check_theorem25(
         matches!(
             exec.record(i).decision,
             AirlineTxn::MoveUp | AirlineTxn::MoveDown
-        ) && exec.record(i).prefix.contains(&rp)
-            && exec.record(i).prefix.contains(&rq)
+        ) && exec.record(i).prefix.contains(rp)
+            && exec.record(i).prefix.contains(rq)
     })?;
     let apparent = exec.apparent_state_before(app, mover);
     // Normalize so that `p < q` in the apparent state.
@@ -311,7 +311,7 @@ pub fn check_request_order_priority(
             AirlineTxn::MoveUp | AirlineTxn::MoveDown
         ) {
             let pre = &exec.record(i).prefix;
-            if pre.contains(&rq) && !pre.contains(&rp) {
+            if pre.contains(rq) && !pre.contains(rp) {
                 return None;
             }
         }

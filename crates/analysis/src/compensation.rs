@@ -46,7 +46,7 @@ pub fn run_atomic_suffix<A: Application>(
     // appended update applied in turn (atomicity means nothing else
     // intervenes).
     let mut apparent = exec.subsequence_state(app, base);
-    let mut prefix: Vec<TxnIndex> = base.to_vec();
+    let suffix_start = exec.len();
     let mut appended = 0;
     while appended < max_steps {
         if app.cost(&apparent, constraint) == 0 {
@@ -57,13 +57,14 @@ pub fn run_atomic_suffix<A: Application>(
         }
         let outcome = app.decide(decision, &apparent);
         apparent = app.apply(&apparent, &outcome.update);
-        let idx = exec.push_record(TxnRecord {
+        // The base, then the suffix so far.
+        let prefix = base.iter().copied().chain(suffix_start..exec.len());
+        exec.push_record(TxnRecord {
             decision: decision.clone(),
-            prefix: prefix.clone(),
+            prefix: prefix.collect(),
             update: outcome.update,
             external_actions: outcome.external_actions,
         });
-        prefix.push(idx);
         appended += 1;
     }
     SuffixOutcome {

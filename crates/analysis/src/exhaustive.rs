@@ -163,7 +163,7 @@ mod tests {
         for_each_execution(&app, &decisions, |e| {
             let masks = masks_for_index(decisions.len(), g);
             for (i, &m) in masks.iter().enumerate() {
-                let prefix: Vec<usize> = (0..i).filter(|j| m & (1 << j) != 0).collect();
+                let prefix: shard_core::Prefix = (0..i).filter(|j| m & (1 << j) != 0).collect();
                 assert_eq!(e.record(i).prefix, prefix, "g = {g}, txn {i}");
             }
             g += 1;
@@ -180,12 +180,12 @@ mod tests {
             AirlineTxn::Request(p(2)),
             AirlineTxn::MoveDown,
         ];
-        let mut full: Vec<Vec<Vec<usize>>> = Vec::new();
+        let mut full: Vec<Vec<shard_core::Prefix>> = Vec::new();
         for_each_execution(&app, &decisions, |e| {
             full.push((0..e.len()).map(|i| e.record(i).prefix.clone()).collect())
         });
         let total = execution_count(decisions.len());
-        let mut blocks: Vec<Vec<Vec<usize>>> = Vec::new();
+        let mut blocks: Vec<Vec<shard_core::Prefix>> = Vec::new();
         for bounds in [vec![0, total], vec![0, 1, 7, 13, 64], vec![0, 63, 64]] {
             blocks.clear();
             for w in bounds.windows(2) {

@@ -379,7 +379,7 @@ mod tests {
         use shard_core::TxnRecord;
         e.push_record(TxnRecord {
             decision: NsTxn::Deregister(n(1)),
-            prefix: vec![reg],
+            prefix: [reg].into_iter().collect(),
             update: NsUpdate::RemoveName(n(1)),
             external_actions: vec![],
         });

@@ -234,10 +234,9 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
                         external_actions.push((now, a.clone()));
                     }
                     state = app.apply(&state, &outcome.update);
-                    let prefix: Vec<usize> = (0..execution.len()).collect();
                     execution.push_record(shard_core::TxnRecord {
                         decision,
-                        prefix,
+                        prefix: shard_core::Prefix::from_missed(execution.len(), &[]),
                         update: outcome.update,
                         external_actions: outcome.external_actions,
                     });

@@ -70,7 +70,7 @@ fn naive_apparent_state_before(
     i: usize,
 ) -> <FlyByNight as Application>::State {
     let mut s = app.initial_state();
-    for &j in &e.record(i).prefix {
+    for j in e.record(i).prefix.iter() {
         s = app.apply(&s, &e.record(j).update);
     }
     s

@@ -38,7 +38,7 @@
 
 use shard_analysis::ClaimCheck;
 use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
-use shard_bench::report_claim;
+use shard_bench::{process_figures, report_claim};
 use shard_core::Application;
 use shard_obs::Registry;
 use shard_sim::{MergeLog, NodeId, StreamingMerge, Timestamp};
@@ -288,27 +288,6 @@ fn peak_resident() -> u64 {
 /// What the §3 checker of the pass that just ended held when it ended.
 fn checker_bytes() -> u64 {
     gauge("stream.checker_resident_bytes")
-}
-
-/// `[user CPU s, system CPU s, resident MiB]` of this process, from
-/// `/proc/self` (zeros where there is none).
-fn process_figures() -> [f64; 3] {
-    let read = |path| std::fs::read_to_string(path).unwrap_or_default();
-    // utime and stime are fields 14 and 15 of `stat`, 12 and 13 after
-    // the parenthesised command name, in ticks of 1/100 s.
-    let stat = read("/proc/self/stat");
-    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
-    let mut ticks = after.split_whitespace().skip(11);
-    let mut seconds = || {
-        let tick = ticks.next().and_then(|f| f.parse::<f64>().ok());
-        tick.unwrap_or(0.0) / 100.0
-    };
-    let (user, system) = (seconds(), seconds());
-    let rss_kb = read("/proc/self/status")
-        .lines()
-        .find_map(|l| l.strip_prefix("VmRSS:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
-    [user, system, rss_kb.unwrap_or(0.0) / 1024.0]
 }
 
 struct TierResult {

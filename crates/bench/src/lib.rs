@@ -45,6 +45,27 @@ pub fn finish(all_hold: bool) {
     }
 }
 
+/// `[user CPU s, system CPU s, resident MiB]` of this process, from
+/// `/proc/self` (zeros where there is none).
+pub fn process_figures() -> [f64; 3] {
+    let read = |path| std::fs::read_to_string(path).unwrap_or_default();
+    // utime and stime are fields 14 and 15 of `stat`, 12 and 13 after
+    // the parenthesised command name, in ticks of 1/100 s.
+    let stat = read("/proc/self/stat");
+    let after = stat.rsplit_once(')').map_or("", |(_, rest)| rest);
+    let mut ticks = after.split_whitespace().skip(11);
+    let mut seconds = || {
+        let tick = ticks.next().and_then(|f| f.parse::<f64>().ok());
+        tick.unwrap_or(0.0) / 100.0
+    };
+    let (user, system) = (seconds(), seconds());
+    let rss_kb = read("/proc/self/status")
+        .lines()
+        .find_map(|l| l.strip_prefix("VmRSS:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok());
+    [user, system, rss_kb.unwrap_or(0.0) / 1024.0]
+}
+
 /// The directory experiment sidecars are written to: `EXP_METRICS_DIR`
 /// if set, else `target/exp_metrics` at the workspace root.
 pub fn metrics_dir() -> std::path::PathBuf {

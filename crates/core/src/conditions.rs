@@ -18,28 +18,19 @@
 //!   sees all predecessors initiated at least `t` earlier.
 
 use crate::app::Application;
-use crate::bitset::BitSet;
-use crate::execution::{missed_indices, Execution, TxnIndex};
+use crate::execution::{Execution, TxnIndex};
 use std::ops::Range;
 
-/// Builds, for each transaction, the set of prefix indices as a [`BitSet`]
-/// over the execution's indices.
-fn prefix_sets<A: Application>(exec: &Execution<A>) -> Vec<BitSet> {
-    let n = exec.len();
-    exec.records()
-        .iter()
-        .map(|r| BitSet::from_members(n.max(1), &r.prefix))
-        .collect()
-}
-
 /// The number of preceding transactions that transaction `i` does **not**
-/// see: `i − |𝒫ᵢ|`. Transaction `i` is *k-complete* iff this is ≤ `k`.
+/// see: `|{0..i} ∖ 𝒫ᵢ|`. Transaction `i` is *k-complete* iff this is ≤ `k`.
+/// Counted from the gaps of the prefix, so a record whose prefix strays
+/// past its index (which [`Execution::verify`] rejects) cannot wrap it.
 ///
 /// # Panics
 ///
 /// Panics if `i >= exec.len()`.
 pub fn missed_count<A: Application>(exec: &Execution<A>, i: TxnIndex) -> usize {
-    i - exec.record(i).prefix.len()
+    exec.record(i).prefix.missed_below(i).count()
 }
 
 /// Whether transaction `i` is k-complete in `exec` (§3.2): it sees the
@@ -64,19 +55,39 @@ pub fn max_missed<A: Application>(exec: &Execution<A>) -> usize {
 /// Whether the execution is **transitive** (§3.2): for all `T, T', T''`,
 /// if `T ∈ 𝒫(T')` and `T' ∈ 𝒫(T'')` then `T ∈ 𝒫(T'')`.
 ///
+/// [`transitivity_violation`] finding nothing. Single-threaded: at the
+/// sizes its matrix allows, the whole check is shorter than a pool
+/// hand-off.
+pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
+    let _span = shard_obs::span!("conditions.is_transitive");
+    transitivity_violation(exec).is_none()
+}
+
+/// Returns the first transitivity violation as `(t, t_mid, t_top)` where
+/// `t ∈ 𝒫(t_mid)`, `t_mid ∈ 𝒫(t_top)`, but `t ∉ 𝒫(t_top)` — or `None` if
+/// the execution is transitive. First in the order of the triple loop
+/// over `t_top`, then `t_mid ∈ 𝒫(t_top)`, then `t ∈ 𝒫(t_mid)`.
+///
 /// Works on miss sets `Mᵢ = {0..i} ∖ 𝒫ᵢ` against an n×n bit matrix of
 /// columns `col[x] = { j : x ∈ 𝒫ⱼ }`. Row `i` is transitive iff no
 /// missed `x ∈ Mᵢ` has a witness `j ∈ 𝒫ᵢ ∩ col[x]` — and since `𝒫ᵢ`
 /// lies below `i` and `col[x]` above `x`, that is a word-wise AND over
 /// the words covering `(x, i)` only. Cost: n²/64 words to lay the
-/// matrix out (n²/8 bytes resident) plus Σᵢ Σ_{x ∈ Mᵢ} (i − x)/64 word
-/// operations — linear in the total number of misses when misses are
-/// recent, n³/768 at the dense worst case where every row misses half
-/// its predecessors arbitrarily far back. Single-threaded: at sizes an
-/// [`Execution`] can hold, the whole check is shorter than a pool
-/// hand-off.
-pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
-    let _span = shard_obs::span!("conditions.is_transitive");
+/// matrix out plus Σᵢ Σ_{x ∈ Mᵢ} (i − x)/64 word operations — linear in
+/// the total number of misses when misses are recent, n³/768 at the
+/// dense worst case where every row misses half its predecessors
+/// arbitrarily far back.
+///
+/// The matrix is **n²/8 bytes resident** — 1.25 GB at 10⁵ rows — which
+/// caps this checker near there although an [`Execution`] itself now
+/// holds 10⁶ rows easily. Above that the in-memory verdict is
+/// [`check_rows`](crate::stream::check_rows) over
+/// [`rows_from_execution`](crate::stream::rows_from_execution), whose
+/// state is the live span of misses; `tests/checker_oracles.rs` holds
+/// the two equal.
+pub fn transitivity_violation<A: Application>(
+    exec: &Execution<A>,
+) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
     let n = exec.len();
     let words = n.div_ceil(64);
     // Columns start complete — col[x] = {x+1..} — and lose one bit per
@@ -96,44 +107,39 @@ pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
     // the row. `seen` is {0..i} between rows and 𝒫ᵢ during row i.
     let mut seen = vec![0u64; words];
     let mut missed: Vec<TxnIndex> = Vec::new();
-    exec.records().iter().enumerate().all(|(i, record)| {
+    for (i, record) in exec.records().iter().enumerate() {
         missed.clear();
-        missed.extend(missed_indices(&record.prefix, i));
+        record.prefix.extend_missed_below(i, &mut missed);
         for &x in &missed {
             seen[x / 64] &= !(1u64 << (x % 64));
             cols[x * words + i / 64] &= !(1u64 << (i % 64));
         }
-        let transitive = missed.iter().all(|&x| {
+        // `𝒫ᵢ` against the column of `x`, 64 candidates a word, over the
+        // words covering `(x, i)`: a common bit is a witness.
+        let candidates = |x: TxnIndex| {
             let span = x / 64..=i / 64;
             let col = &cols[x * words..(x + 1) * words];
-            seen[span.clone()]
-                .iter()
-                .zip(&col[span])
-                .all(|(p, c)| p & c == 0)
-        });
+            seen[span.clone()].iter().zip(&col[span])
+        };
+        if !missed
+            .iter()
+            .all(|&x| candidates(x).all(|(p, c)| p & c == 0))
+        {
+            // The triple loop meets the smallest witness first, and
+            // under it the smallest miss.
+            let smallest = |x: TxnIndex| {
+                let mut common = candidates(x).map(|(p, c)| p & c).enumerate();
+                let (w, bits) = common.find(|&(_, bits)| bits != 0)?;
+                Some(((x / 64 + w) * 64 + bits.trailing_zeros() as usize, x))
+            };
+            let first = missed.iter().filter_map(|&x| smallest(x)).min();
+            let (mid, low) = first.expect("some miss of this row has a witness");
+            return Some((low, mid, i));
+        }
         for &x in &missed {
             seen[x / 64] |= 1u64 << (x % 64);
         }
         seen[i / 64] |= 1u64 << (i % 64);
-        transitive
-    })
-}
-
-/// Returns the first transitivity violation as `(t, t_mid, t_top)` where
-/// `t ∈ 𝒫(t_mid)`, `t_mid ∈ 𝒫(t_top)`, but `t ∉ 𝒫(t_top)` — or `None` if
-/// the execution is transitive. Useful in tests and diagnostics.
-pub fn transitivity_violation<A: Application>(
-    exec: &Execution<A>,
-) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
-    let sets = prefix_sets(exec);
-    for (top, set) in sets.iter().enumerate() {
-        for mid in exec.record(top).prefix.iter().copied() {
-            for low in exec.record(mid).prefix.iter().copied() {
-                if !set.contains(low) {
-                    return Some((low, mid, top));
-                }
-            }
-        }
     }
     None
 }
@@ -142,22 +148,22 @@ pub fn transitivity_violation<A: Application>(
 /// order) is **centralized** in `exec` (§3.2): each member's prefix
 /// subsequence includes every other member that precedes it in the
 /// complete prefix. Conceptually, a single "agent" runs the group.
+///
+/// # Panics
+///
+/// Panics if a member is not an index of `exec`.
 pub fn is_centralized<A: Application>(exec: &Execution<A>, group: &[TxnIndex]) -> bool {
     let _span = shard_obs::span!("conditions.is_centralized");
-    let n = exec.len();
     let mut sorted: Vec<TxnIndex> = group.to_vec();
     sorted.sort_unstable();
     sorted.dedup();
-    let sets = prefix_sets(exec);
-    for (pos, &g) in sorted.iter().enumerate() {
-        assert!(g < n, "group index {g} out of range");
-        for &earlier in &sorted[..pos] {
-            if !sets[g].contains(earlier) {
-                return false;
-            }
-        }
-    }
-    true
+    sorted.iter().enumerate().all(|(pos, &g)| {
+        assert!(g < exec.len(), "group index {g} out of range");
+        let prefix = &exec.record(g).prefix;
+        sorted[..pos]
+            .iter()
+            .all(|&earlier| prefix.contains(earlier))
+    })
 }
 
 /// Whether the consecutive index range `range` is **atomic** in `exec`
@@ -171,31 +177,20 @@ pub fn is_centralized<A: Application>(exec: &Execution<A>, group: &[TxnIndex]) -
 /// Panics if the range extends past the end of the execution.
 pub fn is_atomic<A: Application>(exec: &Execution<A>, range: Range<TxnIndex>) -> bool {
     assert!(range.end <= exec.len(), "range out of bounds");
-    if range.is_empty() {
-        return true;
-    }
-    // Prefixes are strictly increasing, so "same base below the range"
-    // and "sees every earlier member" are positional checks — one pass
-    // per prefix, no scratch allocations.
-    let first = exec.record(range.start);
-    let base = &first.prefix[..first.prefix.partition_point(|&p| p < range.start)];
-    for j in range.clone() {
-        let pre = &exec.record(j).prefix;
-        let lo = pre.partition_point(|&p| p < range.start);
-        if pre[..lo] != *base {
-            return false;
-        }
-        // Entries at or above range.start must be exactly range.start..j.
-        if pre.len() - lo != j - range.start
-            || !pre[lo..]
-                .iter()
-                .enumerate()
-                .all(|(k, &p)| p == range.start + k)
-        {
-            return false;
-        }
-    }
-    true
+    // Runs are canonical, and clipping them to an interval keeps them
+    // so: two prefixes agree on an interval iff their clipped runs are
+    // equal, one pass per prefix, no scratch allocations.
+    let clipped = |j: TxnIndex, within: Range<TxnIndex>| {
+        let runs = exec.record(j).prefix.runs().iter();
+        runs.map(move |r| r.start.max(within.start)..r.end.min(within.end))
+            .filter(|r| !r.is_empty())
+    };
+    range.clone().all(|j| {
+        // Below the range: the first member's view. From its start on:
+        // exactly the members before `j`.
+        clipped(j, 0..range.start).eq(clipped(range.start, 0..range.start))
+            && clipped(j, range.start..usize::MAX).eq((range.start < j).then_some(range.start..j))
+    })
 }
 
 /// A timed execution (§3.2): an execution together with a real initiation
@@ -238,10 +233,13 @@ impl<A: Application> TimedExecution<A> {
 
     /// Returns the first `(seer, missed)` pair violating t-bounded delay,
     /// or `None` if the bound holds. Walks each transaction's miss set
-    /// ([`missed_indices`]) — no per-transaction set materialization.
+    /// ([`Prefix::missed_below`](crate::execution::Prefix::missed_below))
+    /// — no per-transaction set materialization.
     pub fn delay_bound_violation(&self, t: u64) -> Option<(TxnIndex, TxnIndex)> {
         self.execution.iter().find_map(|(i, record)| {
-            missed_indices(&record.prefix, i)
+            record
+                .prefix
+                .missed_below(i)
                 .find(|&j| self.times[j] + t <= self.times[i])
                 .map(|j| (i, j))
         })
@@ -256,7 +254,9 @@ impl<A: Application> TimedExecution<A> {
         self.execution
             .iter()
             .flat_map(|(i, record)| {
-                missed_indices(&record.prefix, i)
+                record
+                    .prefix
+                    .missed_below(i)
                     .map(move |j| self.times[i].saturating_sub(self.times[j]) + 1)
             })
             .max()
@@ -317,6 +317,40 @@ mod tests {
         assert_eq!(max_missed(&e), 1);
     }
 
+    /// `push_record` takes any record and leaves judging it to `verify`;
+    /// until that judgement a prefix that strays past its index — here
+    /// with more entries than the transaction has predecessors — must not
+    /// wrap a count or trip a checker.
+    #[test]
+    fn a_prefix_past_its_index_is_rejected_by_verify_and_wraps_nothing() {
+        use crate::execution::{ExecutionError, TxnRecord};
+        let mut e = exec_with_prefixes(&[&[], &[0], &[0, 1]]);
+        e.push_record(TxnRecord {
+            decision: (),
+            prefix: [1, 2, 3, 9].into_iter().collect(),
+            update: Nop,
+            external_actions: Vec::new(),
+        });
+        assert_eq!(
+            e.verify(&Trivial),
+            Err(ExecutionError::PrefixOutOfRange { txn: 3, entry: 3 })
+        );
+        assert_eq!(
+            missed_count(&e, 3),
+            1,
+            "below 3 it misses 0, whatever lies above"
+        );
+        assert_eq!(max_missed(&e), 1);
+        assert!(is_centralized(&e, &[1, 3]));
+        assert!(!is_centralized(&e, &[0, 3]));
+        assert_eq!(transitivity_violation(&e), Some((0, 1, 3)));
+        assert!(!is_transitive(&e));
+        let te = TimedExecution::new(e, vec![0, 1, 2, 3]);
+        let rows = crate::stream::rows_from_execution(&shard_pool::PoolConfig::sequential(), &te);
+        assert_eq!(rows[3].missed, vec![0]);
+        assert_eq!(te.min_delay_bound(), 4);
+    }
+
     #[test]
     fn transitive_execution() {
         // 2 sees 1, 1 sees 0, 2 sees 0 as well: transitive.
@@ -348,7 +382,7 @@ mod tests {
         let naive_bound = |te: &TimedExecution<Trivial>| {
             let mut bound = 0;
             for (i, record) in te.execution.iter() {
-                for j in (0..i).filter(|j| record.prefix.binary_search(j).is_err()) {
+                for j in (0..i).filter(|&j| !record.prefix.contains(j)) {
                     bound = bound.max(te.times[i].saturating_sub(te.times[j]) + 1);
                 }
             }

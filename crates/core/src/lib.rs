@@ -21,7 +21,8 @@
 //! * [`execution`] — §3.1: *executions* and the **prefix subsequence
 //!   condition** — every transaction observes the result of some
 //!   subsequence of the transactions that precede it in one global serial
-//!   order.
+//!   order, stored per transaction as a [`Prefix`]: runs of seen indices,
+//!   whose gaps are what it missed.
 //! * [`conditions`] — §3.2: refinements guaranteed by the system —
 //!   transitivity, k-completeness, centralization, atomicity, and
 //!   t-bounded-delay timed executions.
@@ -43,8 +44,6 @@
 //!   windowed, append-only monitors over the serial order that emit
 //!   incremental verdicts plus compact, independently checkable
 //!   certificates.
-//! * [`bitset`] — a small dense bit-set used by the execution property
-//!   checkers.
 //!
 //! ## Quick example
 //!
@@ -89,7 +88,6 @@
 #![deny(missing_docs)]
 
 pub mod app;
-pub mod bitset;
 pub mod conditions;
 pub mod costs;
 pub mod execution;
@@ -103,7 +101,7 @@ pub mod stream;
 pub use app::{Application, Cost, DecisionOutcome, ExplicitStates, ExternalAction, StateSpace};
 pub use conditions::TimedExecution;
 pub use costs::{monus, BoundFn};
-pub use execution::{Execution, ExecutionBuilder, ExecutionError, TxnIndex, TxnRecord};
+pub use execution::{Execution, ExecutionBuilder, ExecutionError, Prefix, TxnIndex, TxnRecord};
 pub use fairness::PriorityModel;
 pub use grouping::Grouping;
 pub use objects::{ObjectId, ObjectModel};

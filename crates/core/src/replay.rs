@@ -41,7 +41,7 @@
 //! so callbacks may re-enter other state queries freely.
 
 use crate::app::Application;
-use crate::execution::{Execution, TxnIndex};
+use crate::execution::{Execution, Prefix, TxnIndex};
 
 /// Registers the replay engine's global metrics together, the first
 /// time any of them is touched, so a sidecar lists the whole family —
@@ -474,7 +474,7 @@ impl<S> ColdTier<S> {
 #[derive(Debug)]
 pub(crate) struct ReplayCache<A: Application> {
     /// Index path of the most recent prefix replay.
-    path: Vec<TxnIndex>,
+    path: Prefix,
     /// Checkpoints along `path`, keyed by depth *into the path*.
     path_ckpts: Checkpoints<A::State>,
     /// State after applying all of `path`, if known.
@@ -489,7 +489,7 @@ pub(crate) struct ReplayCache<A: Application> {
 impl<A: Application> ReplayCache<A> {
     pub(crate) fn new(every: usize) -> Self {
         ReplayCache {
-            path: Vec::new(),
+            path: Prefix::default(),
             path_ckpts: Checkpoints::new(every),
             path_tip: None,
             full: Checkpoints::new(every),
@@ -515,26 +515,17 @@ impl<A: Application> ReplayCache<A> {
         &mut self,
         app: &A,
         update_at: impl Fn(TxnIndex) -> &'u A::Update,
-        prefix: &[TxnIndex],
+        prefix: &Prefix,
     ) -> A::State
     where
         A::Update: 'u,
     {
         self.stats.queries += 1;
-        // Longest common prefix with the previous path, compared in
-        // blocks: whole-execution sweeps ask ~n queries whose shared
-        // runs are ~n long, so this comparison is the only O(n²) term
-        // left in a sweep — block equality compiles to wide compares
-        // instead of an element-at-a-time loop.
-        let m = prefix.len().min(self.path.len());
-        let mut lcp = 0;
-        const BLOCK: usize = 64;
-        while lcp + BLOCK <= m && prefix[lcp..lcp + BLOCK] == self.path[lcp..lcp + BLOCK] {
-            lcp += BLOCK;
-        }
-        while lcp < m && prefix[lcp] == self.path[lcp] {
-            lcp += 1;
-        }
+        // Longest common prefix with the previous path, in members.
+        // Whole-execution sweeps ask ~n queries whose shared head is ~n
+        // long; walking the two run lists costs O(runs), where comparing
+        // members was the last O(n²) term of a sweep.
+        let lcp = prefix.common_len(&self.path);
         // Deepest path-based resume point.
         let path_resume: (usize, Option<A::State>) =
             if lcp == self.path.len() && self.path_tip.is_some() {
@@ -546,25 +537,14 @@ impl<A: Application> ReplayCache<A> {
                     None => (0, None),
                 }
             };
-        // The query's leading *serial run* — `prefix[j] == j` — walks the
-        // full order itself, so full-order checkpoints (e.g. prebuilt by
-        // `state_after_first`) are equally valid resume points for it.
+        // The query's leading *serial run* — members `0, 1, 2, …` — walks
+        // the full order itself, so full-order checkpoints (e.g. prebuilt
+        // by `state_after_first`) are equally valid resume points for it.
         // This is what lets many fresh caches share one warmed full
         // chain instead of each replaying the common prefix from `s₀`.
-        // `prefix` is strictly increasing, so `prefix[j] - j` is
-        // non-decreasing and the identity run is a true prefix — find
-        // its end by binary search instead of walking it.
-        let serial_run = {
-            let (mut lo, mut hi) = (0usize, prefix.len());
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                if prefix[mid] == mid {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            lo
+        let serial_run = match prefix.runs().first() {
+            Some(run) if run.start == 0 => run.end,
+            _ => 0,
         };
         let (depth, mut state, from_full) = match self.full_resume(serial_run) {
             Some((fl, fs)) if fl > path_resume.0 => (fl, fs, true),
@@ -580,26 +560,23 @@ impl<A: Application> ReplayCache<A> {
             shard_obs::histogram!("replay.lcp", family).record(lcp as u64);
         }
         if from_full {
-            // The old path may disagree with `prefix[..depth]`; the
-            // serial run guarantees `prefix[..depth]` is the identity,
-            // so rebuild the path bookkeeping from the full-order state.
-            self.path.clear();
+            // The old path may disagree with the query's first `depth`
+            // members (the serial run guarantees those are `0..depth`),
+            // so restart the path bookkeeping from the full-order state.
             self.path_ckpts.clear();
-            self.path.extend_from_slice(&prefix[..depth]);
             // Plain `record`, not `record_for`: `state.clone_count` has
             // never included this seed, and sidecar diffs pin the counter.
             self.path_ckpts
                 .record(depth, &state, |s| app.state_size_hint(s));
         } else {
-            self.path.truncate(depth);
             self.path_ckpts.truncate(depth);
         }
-        for &j in &prefix[depth..] {
+        for (at, j) in prefix.iter_from(depth).enumerate() {
             app.apply_in_place(&mut state, update_at(j));
             self.stats.applied += 1;
-            self.path.push(j);
-            self.path_ckpts.record_for(app, self.path.len(), &state);
+            self.path_ckpts.record_for(app, depth + at + 1, &state);
         }
+        self.path = prefix.clone();
         note_state_clone(app.state_size_hint(&state));
         self.path_tip = Some(state.clone());
         state
@@ -730,14 +707,17 @@ impl<'a, A: Application> Replayer<'a, A> {
     /// The state after applying the updates selected by `prefix`, in the
     /// given order, to the initial state. Indices may select any
     /// subsequence (the paper's prefix subsequences and the kept sets of
-    /// cost-bound instances are the intended callers).
+    /// cost-bound instances are the intended callers); the slice becomes
+    /// a [`Prefix`] here, so the cache has one path representation.
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range.
+    /// Panics if the indices are not strictly increasing or any is out
+    /// of range.
     pub fn state_after_prefix(&mut self, prefix: &[TxnIndex]) -> A::State {
+        let prefix = prefix.iter().copied().collect();
         self.cache
-            .state_after_prefix(self.app, |j| self.updates[j], prefix)
+            .state_after_prefix(self.app, |j| self.updates[j], &prefix)
     }
 
     /// The state after the first `m` updates of the sequence (`s₀` for

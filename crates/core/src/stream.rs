@@ -61,7 +61,7 @@
 
 use crate::app::Application;
 use crate::conditions::TimedExecution;
-use crate::execution::{missed_indices, TxnIndex};
+use crate::execution::TxnIndex;
 use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
@@ -741,17 +741,19 @@ fn gap_witness(mine: &[Word], theirs: &[Word], x: TxnIndex, i: TxnIndex) -> Opti
     None
 }
 
-/// Converts a timed execution into its stream rows — each prefix
-/// complemented into a miss set by [`missed_indices`], O(|Mᵢ|·log i)
-/// per row, on the calling thread.
+/// Converts a timed execution into its stream rows: row `i`'s miss set
+/// is a copy of the gaps of `𝒫ᵢ`
+/// ([`Prefix::missed_below`](crate::execution::Prefix::missed_below)),
+/// O(|Mᵢ|) per row, on the calling thread.
 ///
 /// `pool` is not used: callers (the frozen benchmark among them) pass
 /// one, and the extraction used to partition the row range across it
 /// from 2 048 rows up. Measured on the reference host (2 cores;
 /// block-shuffled rows missing ~16 of their last 64 predecessors; six
-/// alternating runs, M rows/s) the second thread never bought the 1.2×
-/// that would pay for the hand-off and for rows allocated on one thread
-/// and freed on another:
+/// alternating runs, M rows/s; a row then still cost a search through
+/// its seen list) the second thread never bought the 1.2× that would
+/// pay for the hand-off and for rows allocated on one thread and freed
+/// on another:
 ///
 /// | rows | 1 thread  | 2 threads | 2 over 1                     |
 /// |------|-----------|-----------|------------------------------|
@@ -759,19 +761,16 @@ fn gap_witness(mine: &[Word], theirs: &[Word], x: TxnIndex, i: TxnIndex) -> Opti
 /// | 2¹²  | 1.50–2.34 | 1.53–2.11 | 0.83–1.10                    |
 /// | 2¹³  | 1.57–1.84 | 1.59–2.44 | 1.02–1.09 in five, 1.44 once |
 /// | 2¹⁴  | 0.81–1.73 | 0.81–1.91 | 1.01–1.10                    |
-///
-/// An execution of n rows holds n²/2 prefix indices — 1 GiB at 2¹⁴ —
-/// so there is no larger size on this host where a threshold could be
-/// measured, and the partitioned path is gone rather than parked
-/// behind a guessed one.
 pub fn rows_from_execution<A: Application>(
     _pool: &PoolConfig,
     te: &TimedExecution<A>,
 ) -> Vec<StreamRow> {
     let rows = te.execution.records().iter().zip(&te.times).enumerate();
     rows.map(|(i, (record, &time))| {
-        let mut missed = Vec::with_capacity(i - record.prefix.len());
-        missed.extend(missed_indices(&record.prefix, i));
+        // Exact unless the prefix strays past `i`, which only `verify`
+        // rules out; then the vector grows.
+        let mut missed = Vec::with_capacity(i.saturating_sub(record.prefix.len()));
+        record.prefix.extend_missed_below(i, &mut missed);
         StreamRow {
             index: i,
             time,
@@ -1526,7 +1525,7 @@ mod tests {
         let walked: Vec<StreamRow> = (0..n)
             .map(|i| {
                 let mut missed = Vec::new();
-                let mut seen = te.execution.record(i).prefix.iter().copied().peekable();
+                let mut seen = te.execution.record(i).prefix.iter().peekable();
                 for j in 0..i {
                     if seen.next_if_eq(&j).is_some() {
                         continue;

@@ -1,10 +1,12 @@
 //! Property-based tests of the formal model: the execution builder,
-//! condition checkers and bit-set utility are checked against
+//! condition checkers and the prefix representation are checked against
 //! brute-force reference implementations on randomized inputs.
 
 use proptest::prelude::*;
-use shard_core::bitset::BitSet;
-use shard_core::{conditions, Application, DecisionOutcome, ExecutionBuilder, TimedExecution};
+use shard_core::{
+    conditions, Application, DecisionOutcome, ExecutionBuilder, ExecutionError, Prefix,
+    TimedExecution,
+};
 use std::collections::BTreeSet;
 
 /// Reference application: an append-log of the observed state sizes, so
@@ -71,29 +73,24 @@ proptest! {
         prop_assert!(e.verify(&LogApp).is_ok());
     }
 
-    /// The transitivity checker agrees with a brute-force reference.
+    /// The transitivity checker agrees with the brute-force triple loop,
+    /// down to which violation it names first.
     #[test]
     fn transitivity_matches_brute_force(matrix in prefix_matrix(10)) {
         let e = build_execution(&matrix);
         let sets: Vec<BTreeSet<usize>> = e
             .records()
             .iter()
-            .map(|r| r.prefix.iter().copied().collect())
+            .map(|r| r.prefix.iter().collect())
             .collect();
-        let mut brute = true;
-        'outer: for (top, set) in sets.iter().enumerate() {
-            for &mid in set {
-                for &low in &sets[mid] {
-                    if !set.contains(&low) {
-                        brute = false;
-                        break 'outer;
-                    }
-                }
-            }
-            let _ = top;
-        }
-        prop_assert_eq!(conditions::is_transitive(&e), brute);
-        prop_assert_eq!(conditions::transitivity_violation(&e).is_none(), brute);
+        let brute = sets.iter().enumerate().find_map(|(top, set)| {
+            set.iter().find_map(|&mid| {
+                let low = sets[mid].iter().find(|low| !set.contains(low))?;
+                Some((*low, mid, top))
+            })
+        });
+        prop_assert_eq!(conditions::transitivity_violation(&e), brute);
+        prop_assert_eq!(conditions::is_transitive(&e), brute.is_none());
     }
 
     /// `missed_count` + prefix length always equals the index.
@@ -124,13 +121,13 @@ proptest! {
             let mut ok = true;
             if !range.is_empty() {
                 let base: Vec<usize> = e.record(range.start).prefix.iter()
-                    .copied().filter(|&p| p < range.start).collect();
+                    .filter(|&p| p < range.start).collect();
                 for j in range.clone() {
                     let below: Vec<usize> = e.record(j).prefix.iter()
-                        .copied().filter(|&p| p < range.start).collect();
+                        .filter(|&p| p < range.start).collect();
                     ok &= below == base;
                     for earlier in range.start..j {
-                        ok &= e.record(j).prefix.contains(&earlier);
+                        ok &= e.record(j).prefix.contains(earlier);
                     }
                 }
             }
@@ -156,43 +153,54 @@ proptest! {
         }
     }
 
-    /// BitSet agrees with a BTreeSet model under arbitrary operation
-    /// sequences.
+    /// `Prefix` agrees with a `BTreeSet` model however it is built, and
+    /// its runs are canonical: none empty, overlapping or touching.
     #[test]
-    fn bitset_matches_btreeset_model(
-        ops in proptest::collection::vec((any::<bool>(), 0usize..200), 0..100)
+    fn prefix_matches_btreeset_model(
+        model in proptest::collection::btree_set(0usize..300, 0..120),
+        slack in 0usize..70,
     ) {
-        let mut bs = BitSet::new(200);
-        let mut model = BTreeSet::new();
-        for (insert, i) in ops {
-            if insert {
-                bs.insert(i);
-                model.insert(i);
-            } else {
-                bs.remove(i);
-                model.remove(&i);
-            }
-            prop_assert_eq!(bs.count(), model.len());
+        let members: Vec<usize> = model.iter().copied().collect();
+        let collected: Prefix = members.iter().copied().collect();
+        let checked = Prefix::try_from(members.clone()).unwrap();
+        // The smallest index this could be the prefix of, and beyond.
+        let floor = members.last().map_or(0, |&max| max + 1);
+        for i in [floor, floor + 1, floor + slack] {
+            let missed: Vec<usize> = (0..i).filter(|j| !model.contains(j)).collect();
+            let complemented = Prefix::from_missed(i, &missed);
+            prop_assert_eq!(&complemented, &collected);
+            prop_assert_eq!(complemented.runs(), collected.runs());
+            prop_assert_eq!(collected.missed_below(i).collect::<Vec<_>>(), missed);
         }
-        prop_assert_eq!(bs.iter().collect::<Vec<_>>(), model.iter().copied().collect::<Vec<_>>());
-        for i in 0..200 {
-            prop_assert_eq!(bs.contains(i), model.contains(&i));
+        prop_assert_eq!(&checked, &collected);
+        prop_assert_eq!(checked.runs(), collected.runs());
+        let runs = collected.runs();
+        prop_assert!(runs.iter().all(|r| r.start < r.end));
+        prop_assert!(runs.windows(2).all(|w| w[0].end < w[1].start));
+        prop_assert_eq!(collected.iter().collect::<Vec<_>>(), members);
+        prop_assert_eq!(collected.len(), model.len());
+        prop_assert_eq!(collected.is_empty(), model.is_empty());
+        for j in 0..floor + 2 {
+            prop_assert_eq!(collected.contains(j), model.contains(&j));
         }
     }
 
-    /// Subset relation matches the model.
+    /// A list that is not strictly increasing is refused with the typed
+    /// error, wherever the first repeat or descent sits.
     #[test]
-    fn bitset_subset_matches_model(
-        a in proptest::collection::btree_set(0usize..100, 0..30),
-        b in proptest::collection::btree_set(0usize..100, 0..30),
+    fn prefix_try_from_rejects_non_increasing_lists(
+        model in proptest::collection::btree_set(0usize..300, 1..60),
+        at in any::<usize>(),
+        back in 0usize..5,
     ) {
-        let ba = BitSet::from_members(100, &a.iter().copied().collect::<Vec<_>>());
-        let bb = BitSet::from_members(100, &b.iter().copied().collect::<Vec<_>>());
-        prop_assert_eq!(ba.is_subset_of(&bb), a.iter().all(|x| b.contains(x)));
-        let mut united = ba.clone();
-        united.union_with(&bb);
-        let model_union: Vec<usize> = a.union(&b).copied().collect();
-        prop_assert_eq!(united.iter().collect::<Vec<_>>(), model_union);
+        let mut entries: Vec<usize> = model.iter().copied().collect();
+        let at = at % entries.len();
+        // Re-insert a value at or below entry `at` right after it.
+        entries.insert(at + 1, entries[at].saturating_sub(back));
+        prop_assert!(matches!(
+            Prefix::try_from(entries),
+            Err(ExecutionError::PrefixNotIncreasing { .. })
+        ));
     }
 
     /// Apparent and actual states coincide exactly when prefixes are
@@ -213,4 +221,22 @@ proptest! {
         }
         prop_assert_eq!(conditions::max_missed(&e), 0);
     }
+}
+
+/// `from_missed` refuses a miss list that repeats, descends, or reaches
+/// the transaction's own index.
+#[test]
+fn prefix_from_missed_rejects_ill_formed_miss_lists() {
+    for (i, missed) in [
+        (5, vec![2, 2]),
+        (5, vec![3, 1]),
+        (5, vec![5]),
+        (5, vec![1, 9]),
+        (0, vec![0]),
+    ] {
+        let built = std::panic::catch_unwind(|| Prefix::from_missed(i, &missed));
+        assert!(built.is_err(), "{missed:?} below {i}");
+    }
+    assert_eq!(Prefix::from_missed(0, &[]), Prefix::default());
+    assert_eq!(Prefix::from_missed(3, &[0, 1, 2]), Prefix::default());
 }

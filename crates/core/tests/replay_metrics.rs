@@ -128,4 +128,23 @@ fn global_counters_match_checkpoint_behavior() {
     assert_eq!(lcp.count, 4);
     assert_eq!(lcp.sum, 38);
     assert_eq!(lcp.max, 20);
+
+    // A sweep of the shapes checkers ask — sliding gaps, a scattered
+    // subsequence, a disjoint one — against the shared head counted
+    // member by member over the lists: the histogram must take exactly
+    // those samples, whatever the cache stores its path as.
+    let mut expect = lcp.clone();
+    let mut path = drop_early;
+    let sweep = (0..20usize)
+        .map(|i| (0..i).filter(|j| !(j + 4 > i && j % 2 == 0)).collect())
+        .chain([vec![5, 7, 11], (0..20).step_by(3).collect(), full]);
+    for query in sweep {
+        let query: Vec<usize> = query;
+        let shared = query.iter().zip(&path).take_while(|(a, b)| a == b).count();
+        expect.record(shared as u64);
+        r.state_after_prefix(&query);
+        path = query;
+    }
+    let snap = Registry::global().snapshot();
+    assert_eq!(snap.histogram("replay.lcp"), Some(&expect));
 }

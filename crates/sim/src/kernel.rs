@@ -53,7 +53,7 @@ use crate::partition::PartitionSchedule;
 use crate::transport::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shard_core::{Application, Execution, ExternalAction, TimedExecution, TxnRecord};
+use shard_core::{Application, Execution, ExternalAction, Prefix, TimedExecution, TxnRecord};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -332,24 +332,12 @@ impl<A: Application> RunReport<A> {
     pub fn timed_execution(&self) -> TimedExecution<A> {
         let mut exec = Execution::new();
         let mut times = Vec::with_capacity(self.transactions.len());
-        for t in &self.transactions {
-            // Known sets iterate in timestamp order and so do the
-            // transactions: one forward walk resolves every index.
-            let mut at = 0;
-            let prefix = t
-                .known
-                .iter()
-                .map(|ts| {
-                    at += self.transactions[at..]
-                        .iter()
-                        .position(|x| x.ts == ts)
-                        .expect(
-                            "simulator invariant: every timestamp a node knew at \
-                             decision time belongs to an executed transaction",
-                        );
-                    at
-                })
-                .collect();
+        for (i, t) in self.transactions.iter().enumerate() {
+            // Every timestamp a node knew at decision time belongs to
+            // an earlier transaction of the serial order: the prefix is
+            // `0..i` but the ranks the known set lacks.
+            let missed = t.known.missed_ranks(i, |rank| self.transactions[rank].ts);
+            let prefix = Prefix::from_missed(i, &missed);
             exec.push_record(TxnRecord {
                 decision: t.decision.clone(),
                 prefix,

@@ -16,9 +16,10 @@
 //! timestamp plus a sixteenth of a node header.
 //!
 //! Beyond cost, [`KnownSet::nth`] resolves the i-th timestamp in
-//! O(log n), which keeps the live monitor's miss-detection scan
-//! ([`crate::LiveMonitor`]) at O(misses · log²n) per sealed row instead
-//! of forcing a full materialization. Equality is by content: a live
+//! O(log n), which keeps finding what a transaction *missed*
+//! ([`KnownSet::missed_ranks`], behind the live monitor's rows and the
+//! report's formal execution alike) at O(misses · log²n) instead of
+//! forcing a full materialization. Equality is by content: a live
 //! threaded run and its kernel replay merge in different orders and may
 //! build different trees, and their sets still compare equal.
 
@@ -64,6 +65,56 @@ impl KnownSet {
     /// The `i`-th smallest known timestamp, if any. O(log n).
     pub fn nth(&self, i: usize) -> Option<Timestamp> {
         self.set.nth(i).map(|(ts, ())| *ts)
+    }
+
+    /// The ranks in `0..index` of the serial order `order(0) < order(1)
+    /// < …` whose timestamps this set lacks, ascending — the miss set of
+    /// a transaction that knew this set and sorts `index`-th, every
+    /// member of the set being one of those `index` timestamps.
+    ///
+    /// With `m` misses found so far, `order(t) == nth(t − m)` holds on
+    /// the run up to the next miss and fails from it onward (both
+    /// sequences are strictly increasing), so each miss is one binary
+    /// search over rank lookups: O(misses · log²index), not O(index) —
+    /// a known set is nearly the whole prefix on healthy runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming it, if the set holds a timestamp that is not among
+    /// the first `index` of `order`.
+    pub fn missed_ranks(&self, index: usize, order: impl Fn(usize) -> Timestamp) -> Vec<usize> {
+        let mut missed = Vec::with_capacity(index.saturating_sub(self.len()));
+        let mut j = 0usize;
+        while j < index {
+            let m = missed.len();
+            let diverged = |t: usize| self.nth(t - m).is_none_or(|k| k != order(t));
+            if !diverged(j) {
+                // Skip the aligned run: first diverged rank in (j, index].
+                let (mut lo, mut hi) = (j, index);
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    if diverged(mid) {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                    }
+                }
+                j = hi;
+                if j == index {
+                    break;
+                }
+            }
+            missed.push(j);
+            j += 1;
+        }
+        if self.len() + missed.len() != index {
+            let stranger = self.iter().find(|&k| (0..index).all(|t| order(t) != k));
+            panic!(
+                "known-set invariant: rank {index} knows {stranger:?}, which no \
+                 transaction of this run executed before it"
+            );
+        }
+        missed
     }
 
     /// Iterates timestamps in ascending order.

@@ -126,53 +126,9 @@ impl LiveMonitor {
     ) {
         let index = self.sealed_ts.len();
         // Every known timestamp precedes `ts` (Lamport guarantee) and
-        // is therefore already sealed; the known set arrives in
-        // timestamp order (merge logs keep entries sorted), so the miss
-        // set is the positions where `sealed` and `known` diverge. With
-        // `m` misses seen so far, `sealed[t] == known[t - m]` is true on
-        // the run up to the next miss and false from it onward (both
-        // sequences are strictly increasing), so each miss is found by
-        // one binary search over `KnownSet::nth` rank lookups:
-        // O(misses · log²index), not O(index) — the known set is nearly
-        // the whole prefix on healthy runs.
-        let misses = index.checked_sub(known.len()).unwrap_or_else(|| {
-            let stranger = known
-                .iter()
-                .find(|k| self.sealed_ts.binary_search(k).is_err());
-            panic!(
-                "monitor invariant: {ts:?} knows {stranger:?}, which no \
-                 transaction of this run executed"
-            )
-        });
-        let mut missed = Vec::with_capacity(misses);
-        let mut j = 0usize;
-        while j < index {
-            let m = missed.len();
-            let diverged = |t: usize| known.nth(t - m).is_none_or(|k| k != self.sealed_ts[t]);
-            if !diverged(j) {
-                // Skip the aligned run: first diverged position in (j, index].
-                let (mut lo, mut hi) = (j, index);
-                while hi - lo > 1 {
-                    let mid = lo + (hi - lo) / 2;
-                    if diverged(mid) {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                    }
-                }
-                j = hi;
-                if j == index {
-                    break;
-                }
-            }
-            missed.push(j);
-            j += 1;
-        }
-        debug_assert_eq!(
-            known.len() + missed.len(),
-            index,
-            "monitor invariant: every known timestamp seals before its knower"
-        );
+        // is therefore already sealed, so the miss set is the sealed
+        // ranks the known set lacks.
+        let missed = known.missed_ranks(index, |t| self.sealed_ts[t]);
         self.sealed_ts.push(ts);
         let row = StreamRow {
             index,

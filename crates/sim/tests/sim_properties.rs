@@ -7,12 +7,66 @@ use proptest::prelude::*;
 use shard_apps::airline::{AirlineTxn, FlyByNight};
 use shard_apps::dictionary::{DictTxn, Dictionary};
 use shard_apps::Person;
-use shard_core::ObjectModel;
+use shard_core::{Application, ObjectModel, StreamRow};
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{
-    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, GossipConfig, Invocation, NodeId,
-    Placement, Runner,
+    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, GossipConfig, Invocation, MonitorConfig,
+    NodeId, Placement, RunReport, Runner,
 };
+
+/// The forward walk `timed_execution` built every prefix by before it
+/// built them from misses — each known timestamp resolved to its serial
+/// index, O(Σ|known|) — kept as the reference: the formal execution's
+/// prefixes must be exactly these, and (given a monitored run's trace)
+/// so must the complements of the rows the live monitor sealed.
+fn assert_matches_forward_walk<A: Application>(report: &RunReport<A>, trace: Option<&str>) {
+    let walk: Vec<Vec<usize>> = report
+        .transactions
+        .iter()
+        .map(|t| {
+            let mut at = 0;
+            let index_of = |ts| {
+                at += report.transactions[at..]
+                    .iter()
+                    .position(|x| x.ts == ts)
+                    .expect("every known timestamp belongs to an executed transaction");
+                at
+            };
+            t.known.iter().map(index_of).collect()
+        })
+        .collect();
+    let te = report.timed_execution();
+    assert_eq!(te.execution.len(), walk.len());
+    for (i, record) in te.execution.iter() {
+        assert_eq!(record.prefix.iter().collect::<Vec<_>>(), walk[i], "txn {i}");
+        assert_eq!(te.times[i], report.transactions[i].time);
+    }
+    let Some(trace) = trace else { return };
+    let rows = trace
+        .lines()
+        .filter_map(|l| StreamRow::from_json_line(l).ok());
+    let expect = walk
+        .iter()
+        .zip(&te.times)
+        .enumerate()
+        .map(|(i, (seen, &time))| StreamRow {
+            index: i,
+            time,
+            missed: (0..i).filter(|j| seen.binary_search(j).is_err()).collect(),
+        });
+    assert_eq!(rows.collect::<Vec<_>>(), expect.collect::<Vec<_>>());
+}
+
+/// A monitor that emits every sealed row into `cfg`'s in-memory sink.
+fn monitored(cfg: ClusterConfig) -> (ClusterConfig, std::sync::Arc<shard_obs::EventSink>) {
+    let sink = shard_obs::EventSink::in_memory();
+    let cfg = ClusterConfig {
+        monitor: Some(MonitorConfig::default()),
+        sink: Some(sink.clone()),
+        ..cfg
+    };
+    (cfg, sink)
+}
 
 fn airline_invs() -> impl Strategy<Value = Vec<Invocation<AirlineTxn>>> {
     proptest::collection::vec(
@@ -100,6 +154,7 @@ proptest! {
         prop_assert!(rejects_in_window);
         prop_assert!(report.mutually_consistent());
         prop_assert!(report.timed_execution().execution.verify(&app).is_ok());
+        assert_matches_forward_walk(&report, None);
     }
 
     /// Partial replication of the dictionary: per-bucket agreement and
@@ -139,6 +194,41 @@ proptest! {
         let report = cluster.run(invs);
         prop_assert!(report.objects_consistent(&app, &placement));
         prop_assert!(report.timed_execution().execution.verify(&app).is_ok());
+        assert_matches_forward_walk(&report, None);
+    }
+
+    /// The formal execution and the live monitor's rows are what the
+    /// forward walk over the known sets says, under a partition (eager)
+    /// and under anti-entropy (gossip) — the two ways knowledge gets
+    /// holes that reach far back.
+    #[test]
+    fn prefixes_and_monitor_rows_match_the_forward_walk(
+        invs in airline_invs(),
+        seed in 0u64..500,
+        (start, len, side) in (0u64..300, 1u64..300, 1u16..4),
+        interval in 5u64..200,
+    ) {
+        let app = FlyByNight::new(4);
+        let cfg = ClusterConfig {
+            nodes: 4,
+            seed,
+            delay: DelayModel::Exponential { mean: 20 },
+            ..Default::default()
+        };
+        let isolated = (0..side).map(NodeId).collect();
+        let (eager, sink) = monitored(ClusterConfig {
+            partitions: PartitionSchedule::new(vec![PartitionWindow::isolate(
+                start,
+                start + len,
+                isolated,
+            )]),
+            ..cfg.clone()
+        });
+        let report = Runner::eager(&app, eager).run(invs.clone());
+        assert_matches_forward_walk(&report, Some(&sink.drain_to_string()));
+        let (gossip, sink) = monitored(cfg);
+        let report = Runner::gossip(&app, gossip, GossipConfig { interval }).run(invs);
+        assert_matches_forward_walk(&report, Some(&sink.drain_to_string()));
     }
 
     /// Flood and gossip agree on the *final* database (same invocations,

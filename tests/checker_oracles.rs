@@ -1,8 +1,9 @@
 //! Three implementations of the §3 transitivity condition held to each
-//! other: the offline column-bitset checker `is_transitive`, the online
-//! [`StreamChecker`] fold `check_rows(w, rows_from_execution(..))` at
-//! windows {1, 7, 64}, and the naive triple loop
-//! `transitivity_violation` — on generated executions of the three
+//! other: the offline column-matrix checker `is_transitive` /
+//! `transitivity_violation`, the online [`StreamChecker`] fold
+//! `check_rows(w, rows_from_execution(..))` at windows {1, 7, 64}, and
+//! the definition as a triple loop over seen lists ([`triple_loop`],
+//! kept here as the oracle) — on generated executions of the three
 //! shapes delivery faults produce, each also with one violation
 //! injected:
 //!
@@ -17,17 +18,18 @@
 //!
 //! The online checker's certificate is pinned on three literal cases
 //! (first violation in (row, missed, smallest witness) order), and the
-//! galloping complement [`missed_indices`] is held to the linear scan.
+//! complement every checker reads, [`Prefix::missed_below`], is held to
+//! the linear scan.
 //!
 //! [`StreamChecker`]: shard::core::StreamChecker
-//! [`missed_indices`]: shard::core::execution::missed_indices
+//! [`Prefix::missed_below`]: shard::core::Prefix::missed_below
 
 use proptest::prelude::*;
 use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
-use shard::core::execution::missed_indices;
 use shard::core::stream::{check_rows, rows_from_execution};
 use shard::core::{
-    Application, Certificate, DecisionOutcome, Execution, TimedExecution, TxnIndex, TxnRecord,
+    Application, Certificate, DecisionOutcome, Execution, Prefix, StreamChecker, StreamRow,
+    TimedExecution, TxnIndex, TxnRecord,
 };
 use shard_pool::PoolConfig;
 
@@ -65,7 +67,7 @@ fn timed(prefixes: Vec<Vec<TxnIndex>>) -> TimedExecution<Stub> {
     for prefix in prefixes {
         exec.push_record(TxnRecord {
             decision: (),
-            prefix,
+            prefix: prefix.into_iter().collect(),
             update: (),
             external_actions: Vec::new(),
         });
@@ -136,7 +138,9 @@ fn inject_violation(prefixes: &mut [Vec<TxnIndex>], seed: u64) -> bool {
     let mut rng = Lcg(seed | 1);
     for _ in 0..4 * n {
         let top = rng.below(n);
-        let missed: Vec<TxnIndex> = missed_indices(&prefixes[top], top).collect();
+        let missed: Vec<TxnIndex> = (0..top)
+            .filter(|j| prefixes[top].binary_search(j).is_err())
+            .collect();
         if missed.is_empty() {
             continue;
         }
@@ -154,16 +158,30 @@ fn inject_violation(prefixes: &mut [Vec<TxnIndex>], seed: u64) -> bool {
     false
 }
 
-/// The three implementations agree on `te`; returns the shared verdict.
-fn assert_checkers_agree(te: &TimedExecution<Stub>, naive: bool) -> bool {
+/// §3.2's definition, literally: the first `(low, mid, top)` with
+/// `low ∈ 𝒫(mid)`, `mid ∈ 𝒫(top)`, `low ∉ 𝒫(top)` in loop order. Cubic.
+fn triple_loop(prefixes: &[Vec<TxnIndex>]) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
+    prefixes.iter().enumerate().find_map(|(top, seen)| {
+        seen.iter().find_map(|&mid| {
+            let unseen = |low: &&TxnIndex| seen.binary_search(low).is_err();
+            Some((*prefixes[mid].iter().find(unseen)?, mid, top))
+        })
+    })
+}
+
+/// The implementations agree on `te` — built from `prefixes`, which the
+/// triple loop reads where it can afford to; returns the shared verdict.
+fn assert_checkers_agree(prefixes: &[Vec<TxnIndex>], naive: bool) -> bool {
+    let te = &timed(prefixes.to_vec());
     let offline = is_transitive(&te.execution);
     if naive {
         assert_eq!(
-            transitivity_violation(&te.execution).is_none(),
-            offline,
-            "is_transitive vs the triple loop"
+            transitivity_violation(&te.execution),
+            triple_loop(prefixes),
+            "the matrix walk vs the triple loop"
         );
     }
+    assert_eq!(transitivity_violation(&te.execution).is_none(), offline);
     let rows = rows_from_execution(&PoolConfig::sequential(), te);
     let mut first = None;
     for window in WINDOWS {
@@ -178,7 +196,7 @@ fn assert_checkers_agree(te: &TimedExecution<Stub>, naive: bool) -> bool {
         if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
             let p = |i: usize| &te.execution.record(i).prefix;
             assert!(
-                p(*mid).contains(low) && p(*top).contains(mid) && !p(*top).contains(low),
+                p(*mid).contains(*low) && p(*top).contains(*mid) && !p(*top).contains(*low),
                 "window {window}: ({low}, {mid}, {top}) is not a violation"
             );
         }
@@ -192,9 +210,9 @@ fn assert_checkers_agree(te: &TimedExecution<Stub>, naive: bool) -> bool {
 /// Checks a generated shape as built (transitive by construction) and
 /// again with one injected violation.
 fn assert_shape(mut prefixes: Vec<Vec<TxnIndex>>, seed: u64, naive: bool) {
-    assert!(assert_checkers_agree(&timed(prefixes.clone()), naive));
+    assert!(assert_checkers_agree(&prefixes, naive));
     if inject_violation(&mut prefixes, seed) {
-        assert!(!assert_checkers_agree(&timed(prefixes), naive));
+        assert!(!assert_checkers_agree(&prefixes, naive));
     }
 }
 
@@ -211,10 +229,10 @@ proptest! {
         assert_shape(two_sided(seed, n, head), seed, true);
     }
 
-    /// The galloping complement equals the linear scan on strictly
-    /// increasing prefixes of every density.
+    /// The gaps between a prefix's runs equal the linear scan on
+    /// strictly increasing prefixes of every density.
     #[test]
-    fn galloping_complement_matches_linear_scan(
+    fn missed_below_matches_linear_scan(
         seed in any::<u64>(),
         i in 0usize..400,
         keep_per_mille in 0usize..=1000,
@@ -240,12 +258,13 @@ proptest! {
 
 fn assert_complement(prefix: &[TxnIndex], i: TxnIndex) {
     let linear: Vec<TxnIndex> = (0..i).filter(|j| !prefix.contains(j)).collect();
-    let galloped: Vec<TxnIndex> = missed_indices(prefix, i).collect();
-    assert_eq!(galloped, linear, "prefix {prefix:?} below {i}");
+    let runs: Prefix = prefix.iter().copied().collect();
+    let gaps: Vec<TxnIndex> = runs.missed_below(i).collect();
+    assert_eq!(gaps, linear, "prefix {prefix:?} below {i}");
 }
 
 #[test]
-fn galloping_complement_edge_cases() {
+fn missed_below_edge_cases() {
     assert_complement(&[], 0);
     assert_complement(&[], 5);
     for i in [1usize, 2, 63, 64, 65, 300] {
@@ -283,4 +302,63 @@ fn certificates_name_the_first_violation_in_scan_order() {
         }
         assert!(!is_transitive(&te.execution));
     }
+}
+
+/// The size a list of seen predecessors could not reach — 2¹⁷ rows are
+/// 64 GiB of indices, the runs a few megabytes: E25's shape (delivery
+/// shuffled inside blocks of 64, so a row misses at most 63 recent
+/// predecessors) built from its miss sets, extracted back, and checked.
+/// `is_transitive` sits this size out: its matrix alone is 2 GiB here.
+#[test]
+fn block_shuffled_execution_of_131072_rows_round_trips() {
+    const ROWS: usize = 1 << 17;
+    const BLOCK: usize = 64;
+    let mut rng = Lcg(25);
+    let mut delivered_at: Vec<u64> = (0..ROWS as u64).collect();
+    for chunk in delivered_at.chunks_mut(BLOCK) {
+        for i in (1..chunk.len()).rev() {
+            chunk.swap(i, rng.below(i + 1));
+        }
+    }
+    let rows: Vec<StreamRow> = (0..ROWS)
+        .map(|i| StreamRow {
+            index: i,
+            time: delivered_at[i],
+            missed: (i.saturating_sub(BLOCK)..i)
+                .filter(|&j| delivered_at[j] > delivered_at[i])
+                .collect(),
+        })
+        .collect();
+    let mut exec: Execution<Stub> = Execution::new();
+    for row in &rows {
+        exec.push_record(TxnRecord {
+            decision: (),
+            prefix: Prefix::from_missed(row.index, &row.missed),
+            update: (),
+            external_actions: Vec::new(),
+        });
+    }
+    let runs: usize = exec.records().iter().map(|r| r.prefix.runs().len()).sum();
+    let misses: usize = rows.iter().map(|r| r.missed.len()).sum();
+    assert!(misses > 15 * ROWS, "the shape misses ~16 of the last 64");
+    assert!(runs <= misses + ROWS, "k misses cost at most k + 1 runs");
+    let te = TimedExecution::new(exec, delivered_at);
+
+    let extracted = rows_from_execution(&PoolConfig::sequential(), &te);
+    assert!(
+        extracted == rows,
+        "extraction returns the rows it was built from"
+    );
+    let mut checker = StreamChecker::new(BLOCK);
+    for row in &rows {
+        checker.push(row);
+    }
+    let report = check_rows(BLOCK, &extracted);
+    assert!(report == checker.report());
+    assert!(
+        report.transitive,
+        "a seen row was delivered before every missed one"
+    );
+    assert_eq!(report.max_missed, max_missed(&te.execution));
+    assert_eq!(report.min_delay_bound, te.min_delay_bound());
 }

@@ -5,6 +5,14 @@
 //! checkpoint intervals, repeated and nested queries, and out-of-order
 //! `state_after_first` calls exercise the longest-shared-prefix reuse,
 //! checkpoint flooring, and tip paths of the cache.
+//!
+//! The cache's *work* is held to a model as well: [`ListCache`] replays
+//! the cache's resume policy over plain index lists — the shared head
+//! found by comparing members — and every query's [`ReplayStats`] must
+//! equal the model's. How long two index sequences agree does not depend
+//! on how they are stored, so storing the path as runs may not move a
+//! counter (`crates/core/tests/replay_metrics.rs` holds the `replay.lcp`
+//! histogram to the same member-by-member count).
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
@@ -12,7 +20,9 @@ use shard::apps::banking::{AccountId, Bank, BankUpdate};
 use shard::apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
-use shard::core::{Application, Execution, ExecutionBuilder, Replayer, TxnIndex};
+use shard::core::{
+    Application, Checkpoints, Execution, ExecutionBuilder, ReplayStats, Replayer, TxnIndex,
+};
 
 /// The naive oracle: fold the selected updates over the initial state,
 /// exactly as every checker did before the replay engine existed.
@@ -20,6 +30,88 @@ fn naive_state<A: Application>(app: &A, updates: &[A::Update], prefix: &[usize])
     prefix
         .iter()
         .fold(app.initial_state(), |s, &j| app.apply(&s, &updates[j]))
+}
+
+/// The replay cache's resume policy over index lists, states left out:
+/// where a query resumes depends only on which depths hold a checkpoint
+/// or a tip, so the counters follow from [`Checkpoints`]' record / floor
+/// rules and a member-by-member shared-head count.
+struct ListCache {
+    path: Vec<TxnIndex>,
+    path_ckpts: Checkpoints<()>,
+    has_path_tip: bool,
+    full: Checkpoints<()>,
+    full_tip: Option<usize>,
+    stats: ReplayStats,
+}
+
+impl ListCache {
+    fn new(every: usize) -> Self {
+        ListCache {
+            path: Vec::new(),
+            path_ckpts: Checkpoints::new(every),
+            has_path_tip: false,
+            full: Checkpoints::new(every),
+            full_tip: None,
+            stats: ReplayStats::default(),
+        }
+    }
+
+    fn full_resume(&mut self, limit: usize) -> usize {
+        let base = self.full.floor(limit).map_or(0, |(depth, ())| depth);
+        self.full_tip
+            .filter(|&l| l <= limit && l > base)
+            .unwrap_or(base)
+    }
+
+    fn state_after_prefix(&mut self, prefix: &[TxnIndex]) {
+        let shared = prefix
+            .iter()
+            .zip(&self.path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let by_path = if shared == self.path.len() && self.has_path_tip {
+            shared
+        } else {
+            self.path_ckpts.floor(shared).map_or(0, |(depth, ())| depth)
+        };
+        let serial_run = prefix
+            .iter()
+            .enumerate()
+            .take_while(|&(j, &p)| p == j)
+            .count();
+        let by_full = self.full_resume(serial_run);
+        let depth = by_full.max(by_path);
+        if by_full > by_path {
+            self.path_ckpts.clear();
+            self.path_ckpts.record(depth, &(), |()| 0);
+        } else {
+            self.path_ckpts.truncate(depth);
+        }
+        for applied in depth + 1..=prefix.len() {
+            self.path_ckpts.record(applied, &(), |()| 0);
+        }
+        self.path = prefix.to_vec();
+        self.has_path_tip = true;
+        self.answered(depth, prefix.len());
+    }
+
+    fn state_after_first(&mut self, m: usize) {
+        let depth = self.full_resume(m);
+        for applied in depth + 1..=m {
+            self.full.record(applied, &(), |()| 0);
+        }
+        if self.full_tip.is_none_or(|l| l <= m) {
+            self.full_tip = Some(m);
+        }
+        self.answered(depth, m);
+    }
+
+    fn answered(&mut self, resumed_at: usize, target: usize) {
+        self.stats.queries += 1;
+        self.stats.reused += resumed_at as u64;
+        self.stats.applied += (target - resumed_at) as u64;
+    }
 }
 
 /// Runs one replayer over `updates` with the given checkpoint interval
@@ -32,29 +124,31 @@ fn assert_replayer_matches_oracle<A: Application>(
     sel: &[bool],
 ) {
     let mut r = Replayer::from_updates_with_interval(app, updates.iter(), interval);
+    let mut model = ListCache::new(interval);
     assert_eq!(r.len(), updates.len());
+    let subsequence =
+        |r: &mut Replayer<A>, model: &mut ListCache, prefix: &[TxnIndex], what: &str| {
+            assert_eq!(
+                r.state_after_prefix(prefix),
+                naive_state(app, updates, prefix),
+                "{what}"
+            );
+            model.state_after_prefix(prefix);
+            assert_eq!(r.stats(), model.stats, "work done by the {what}");
+        };
 
     // Subsequence queries, repeated (second answer comes from the warm
     // path cache) and nested (shares the cached longest prefix).
     let prefix: Vec<TxnIndex> = (0..updates.len())
         .filter(|&i| sel[i % sel.len().max(1)])
         .collect();
-    let expect = naive_state(app, updates, &prefix);
-    assert_eq!(
-        r.state_after_prefix(&prefix),
-        expect,
-        "cold subsequence query"
-    );
-    assert_eq!(
-        r.state_after_prefix(&prefix),
-        expect,
-        "warm subsequence query"
-    );
-    let half = &prefix[..prefix.len() / 2];
-    assert_eq!(
-        r.state_after_prefix(half),
-        naive_state(app, updates, half),
-        "nested subsequence query"
+    subsequence(&mut r, &mut model, &prefix, "cold subsequence query");
+    subsequence(&mut r, &mut model, &prefix, "warm subsequence query");
+    subsequence(
+        &mut r,
+        &mut model,
+        &prefix[..prefix.len() / 2],
+        "nested subsequence query",
     );
 
     // Full-order queries in a deliberately non-monotone order, so the
@@ -67,12 +161,36 @@ fn assert_replayer_matches_oracle<A: Application>(
             naive_state(app, updates, &all[..m]),
             "state_after_first({m}) of {n}"
         );
+        model.state_after_first(m);
+        assert_eq!(
+            r.stats(),
+            model.stats,
+            "work done by state_after_first({m})"
+        );
     }
     assert_eq!(
         r.final_state(),
         naive_state(app, updates, &all),
         "final state"
     );
+    model.state_after_first(n);
+
+    // With the full order warm, a long serial run may resume from its
+    // chain instead of the path's; then the path is asked for again.
+    let late_gap: Vec<usize> = (0..n).filter(|&j| j + 3 != n).collect();
+    subsequence(
+        &mut r,
+        &mut model,
+        &late_gap,
+        "serial run over the warm full order",
+    );
+    subsequence(
+        &mut r,
+        &mut model,
+        &prefix,
+        "subsequence query after the serial run",
+    );
+    subsequence(&mut r, &mut model, &all, "complete query");
 }
 
 fn airline_update() -> impl Strategy<Value = AirlineUpdate> {
@@ -226,7 +344,8 @@ proptest! {
             e.records().iter().map(|r| r.update).collect();
         let all: Vec<usize> = (0..e.len()).collect();
         for i in 0..e.len() {
-            let apparent = naive_state(&app, &updates, &e.record(i).prefix);
+            let seen: Vec<TxnIndex> = e.record(i).prefix.iter().collect();
+            let apparent = naive_state(&app, &updates, &seen);
             // Twice: the second answer must come from the warm cache.
             prop_assert_eq!(e.apparent_state_before(&app, i), apparent.clone());
             prop_assert_eq!(e.apparent_state_before(&app, i), apparent);

@@ -423,7 +423,7 @@ proptest! {
                 for i in 0..warmed.len() {
                     prop_assert_eq!(
                         warmed.apparent_state_before(&app, i),
-                        naive(&warmed.record(i).prefix),
+                        naive(&warmed.record(i).prefix.iter().collect::<Vec<_>>()),
                         "apparent state at {} with {} threads", i, threads
                     );
                     prop_assert_eq!(

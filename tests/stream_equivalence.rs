@@ -126,7 +126,7 @@ where
             if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
                 let p = |i: usize| &te.execution.record(i).prefix;
                 assert!(
-                    p(*mid).contains(low) && p(*top).contains(mid) && !p(*top).contains(low),
+                    p(*mid).contains(*low) && p(*top).contains(*mid) && !p(*top).contains(*low),
                     "window {window} pool {pool}: ({low}, {mid}, {top}) is not a violation"
                 );
             }
