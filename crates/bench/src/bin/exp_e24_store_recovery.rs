@@ -153,8 +153,8 @@ fn sweep_run(
 }
 
 /// Times recovery of an `n`-entry log from a mirror backend. For disk
-/// the timer covers the true restart path: reopen (WAL replay into
-/// pages) plus the streaming scan into a fresh node.
+/// the timer covers the true restart path: reopen (one validating
+/// pass over the WAL) plus the streaming scan into a fresh node.
 fn replay_perf(n: usize) -> (u64, u64) {
     let app = Dictionary;
     let mut log: MergeLog<Dictionary> = MergeLog::new(&app, 1024);
@@ -318,8 +318,8 @@ fn main() {
          \"torn_tail_truncations\": {{\"clean_phase\": {torn_before_kills}, \"after_kills\": \
          {}}},\n \"replay\": {{\"entries\": {n}, \"mem_us\": {mem_us}, \"disk_us\": {disk_us}, \
          \"disk_over_mem\": {ratio:.3}, \"bound\": {MAX_DISK_OVER_MEM}}},\n \"note\": \
-         \"disk_us covers the full restart path: DiskStore reopen (WAL replay, torn-tail \
-         scan) plus the streaming page scan into a fresh node\"\n}}\n",
+         \"disk_us covers the full restart path: DiskStore reopen (one validating pass over \
+         the WAL) plus the arrival-order scan into a fresh node\"\n}}\n",
         SWEEP_SEEDS.len(),
         kill_points[0],
         kill_points[1],

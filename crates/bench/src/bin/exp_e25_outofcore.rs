@@ -27,14 +27,14 @@
 //!   footprint extrapolated from the 10⁵ measurement;
 //! * **throughput** — sealed txns/s for the streaming pass and the
 //!   second-pass re-check rate, recorded per tier, beside what the
-//!   store did for it (the `store.*` counters the tier moved, the
-//!   shape of the row tree it left) and what the process held: the
-//!   checker's bytes after each pass, RSS after the ingest, and a lap
-//!   of wall / user / system time and RSS per million rows.
+//!   store did for it (the `store.*` counters the tier moved) and what
+//!   the process held: the checker's bytes after each pass, RSS after
+//!   the ingest, and a lap of wall / user / system time and RSS per
+//!   million rows.
 //!
 //! Numbers land in `BENCH_outofcore.json` at the repo root; `ci.sh`
-//! runs the 10⁵ smoke tier and budgets the peak-resident gauge and the
-//! store's pins, page write-backs and WAL write calls.
+//! runs the 10⁵ smoke tier and budgets the peak-resident gauge, the
+//! WAL's write calls and the bytes its key scans read.
 
 use shard_analysis::ClaimCheck;
 use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
@@ -42,9 +42,9 @@ use shard_bench::{process_figures, report_claim};
 use shard_core::Application;
 use shard_obs::Registry;
 use shard_sim::{MergeLog, NodeId, StreamingMerge, Timestamp};
-use shard_store::{BTreeStats, CrashReport, DiskStore, Store, StoreKey, StoreOptions};
+use shard_store::{DiskStore, StoreOptions};
 use std::io;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Delivery displacement bound = reorder-window capacity. Matches the
@@ -62,119 +62,35 @@ const MAX_STREAM_OVER_MEM: f64 = 3.0;
 /// footprint by at least this factor.
 const BUDGET_DIVISOR: u64 = 10;
 
-/// Streaming throughput (txn/s) per tier size at the parent of PR 20 —
-/// the element-marking §3 checker, never retired: 132 B of heap per
-/// row — measured on the same host, minutes before the run the
-/// committed `BENCH_outofcore.json` records, and written beside each
-/// tier's own figure (this host's speed drifts by half between
+/// Streaming throughput (txn/s) per tier size at the parent of PR 22 —
+/// rows indexed by a B+tree in a page file beside the WAL, a second
+/// copy of every row — measured on the same host, minutes before the
+/// run the committed `BENCH_outofcore.json` records, and written
+/// beside each tier's own figure (this host's speed drifts between
 /// sessions, so only figures from one session compare). Drop the table
 /// when the file is re-recorded elsewhere.
 const PARENT_TXNS_PER_SEC: [(usize, u64); 3] = [
-    (100_000, 253_123),
-    (1_000_000, 214_475),
-    (10_000_000, 118_450),
+    (100_000, 963_433),
+    (1_000_000, 1_007_258),
+    (10_000_000, 698_070),
 ];
 
 /// The `store.*` counters recorded per tier.
-const STORE_COUNTERS: [&str; 8] = [
-    "pins",
-    "evictions",
-    "page_reads",
-    "page_writes",
-    "readaheads",
-    "wal_appends",
-    "wal_writes",
-    "wal_fsyncs",
-];
+const STORE_COUNTERS: [&str; 4] = ["wal_appends", "wal_writes", "wal_fsyncs", "wal_read_bytes"];
 
-fn store_counters() -> [u64; 8] {
+fn store_counters() -> [u64; 4] {
     let snapshot = Registry::global().snapshot();
     STORE_COUNTERS.map(|name| snapshot.counter(&format!("store.{name}")).unwrap_or(0))
 }
 
-/// The row store as [`StreamingMerge`] sees it, reporting the shape of
-/// its index when the run lets go of it: the [`Store`] trait has no
-/// index statistics, and reopening the directory would rebuild the
-/// tree (and count as a recovery in the sidecar).
-struct RowStore {
-    disk: DiskStore,
-    /// Receives the counters as the run left them, then the shape (the
-    /// walk that measures it pins every leaf).
-    done: mpsc::Sender<([u64; 8], io::Result<BTreeStats>)>,
-}
-
-impl Drop for RowStore {
-    fn drop(&mut self) {
-        let _ = self.done.send((store_counters(), self.disk.index_stats()));
-    }
-}
-
-impl Store for RowStore {
-    fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
-        self.disk.append(key, value)
-    }
-    fn sync(&mut self) -> io::Result<()> {
-        self.disk.sync()
-    }
-    fn len_bytes(&self) -> u64 {
-        self.disk.len_bytes()
-    }
-    fn synced_bytes(&self) -> u64 {
-        self.disk.synced_bytes()
-    }
-    fn entries(&self) -> usize {
-        self.disk.entries()
-    }
-    fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        self.disk.scan_arrival(f)
-    }
-    fn scan_key_range(
-        &mut self,
-        from: StoreKey,
-        f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
-    ) -> io::Result<()> {
-        self.disk.scan_key_range(from, f)
-    }
-    fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
-        self.disk.crash(keep)
-    }
-}
-
-/// What a run cost the store, from the moment its row store was opened
-/// to the moment it was dropped: that store (to hand to the run), and
-/// the JSON fields to ask for afterwards.
-struct StoreFootprint {
-    before: [u64; 8],
-    done: mpsc::Receiver<([u64; 8], io::Result<BTreeStats>)>,
-}
-
-impl StoreFootprint {
-    fn open(rows: &std::path::Path) -> io::Result<(RowStore, StoreFootprint)> {
-        let before = store_counters();
-        let (disk, _) = DiskStore::open(rows, StoreOptions::default())?;
-        let (tx, done) = mpsc::channel();
-        Ok((RowStore { disk, done: tx }, StoreFootprint { before, done }))
-    }
-
-    /// The `store.*` counters moved and the row tree's shape. Call once
-    /// the run has dropped the row store.
-    fn json(self) -> io::Result<String> {
-        let (after, tree) = self.done.try_recv().map_err(io::Error::other)?;
-        let tree = tree?;
-        let counters: Vec<String> = STORE_COUNTERS
-            .iter()
-            .zip(self.before.iter().zip(after))
-            .map(|(name, (b, a))| format!("\"{name}\": {}", a - b))
-            .collect();
-        Ok(format!(
-            "\"store\": {{{}}}, \"tree\": {{\"depth\": {}, \"pages\": {}, \
-             \"leaf_fill_permille\": {}}}",
-            counters.join(", "),
-            tree.depth,
-            tree.total_pages,
-            tree.leaf_fill_permille
-        ))
-    }
+/// `"store": {…}` — the `store.*` counters moved since `before`.
+fn store_json(before: [u64; 4]) -> String {
+    let counters: Vec<String> = STORE_COUNTERS
+        .iter()
+        .zip(before.iter().zip(store_counters()))
+        .map(|(name, (b, a))| format!("\"{name}\": {}", a - b))
+        .collect();
+    format!("\"store\": {{{}}}", counters.join(", "))
 }
 
 /// `, "parent_txns_per_sec": N` for a tier size the parent was measured at.
@@ -307,7 +223,7 @@ struct TierResult {
     budget_bytes: u64,
     spilled_anchors: usize,
     row_store_bytes: u64,
-    /// [`StoreFootprint::json`]'s fields.
+    /// [`store_json`]'s field.
     store: String,
 }
 
@@ -323,7 +239,8 @@ fn streaming_tier(
 ) -> io::Result<TierResult> {
     let dir = tmp(&format!("tier-{n}"));
     let _ = std::fs::remove_dir_all(&dir);
-    let (rows, footprint) = StoreFootprint::open(&dir.join("rows"))?;
+    let store_before = store_counters();
+    let (rows, _) = DiskStore::open(&dir.join("rows"), StoreOptions::default())?;
     let (anchors, _) = DiskStore::open(&dir.join("anchors"), StoreOptions::default())?;
     let mut m: StreamingMerge<Bank> = StreamingMerge::new(
         app,
@@ -380,7 +297,7 @@ fn streaming_tier(
 
     let row_bytes = sink.store_mut().len_bytes();
     drop(sink);
-    let store = footprint.json()?;
+    let store = store_json(store_before);
     let result = TierResult {
         txns: n,
         wall_ms: wall.as_secs_f64() * 1e3,
@@ -477,7 +394,8 @@ fn main() -> io::Result<()> {
 
     let dir = tmp("small");
     let _ = std::fs::remove_dir_all(&dir);
-    let (rows, footprint) = StoreFootprint::open(&dir.join("rows"))?;
+    let store_before = store_counters();
+    let (rows, _) = DiskStore::open(&dir.join("rows"), StoreOptions::default())?;
     let (anchors, _) = DiskStore::open(&dir.join("anchors"), StoreOptions::default())?;
     let mut m: StreamingMerge<Bank> = StreamingMerge::new(
         &app,
@@ -544,7 +462,7 @@ fn main() -> io::Result<()> {
     }));
     ok &= report_claim(&wall_claim);
     drop(sink);
-    let fidelity_store = footprint.json()?;
+    let fidelity_store = store_json(store_before);
     let _ = std::fs::remove_dir_all(&dir);
     drop(log);
 

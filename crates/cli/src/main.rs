@@ -65,7 +65,7 @@ const COMMANDS: &[Command] = &[
     Command {
         name: "store",
         synopsis: "<dir> [--stats]",
-        blurb: "inspect on-disk store segments (a node dir or a fleet dir of node-*/); exit 1 on a torn tail",
+        blurb: "inspect on-disk store segments, read-only (a node dir or a fleet dir of node-*/); exit 1 on an invalid record",
         run: store,
     },
     Command {
@@ -253,50 +253,39 @@ fn certify(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// Rebuilds the B+tree index from the WAL (exactly what recovery does;
-/// a torn tail is truncated on open) and renders its shape — pages,
-/// fill factor, scan depth — for postmortem inspection of spilled runs.
-fn store_stats(label: &str, dir: &Path) -> Result<(), CliError> {
-    let (mut disk, _) = shard_store::DiskStore::open(dir, shard_store::StoreOptions::default())
-        .map_err(|e| fail(format!("{label}: {e}")))?;
-    let s = disk
-        .index_stats()
-        .map_err(|e| fail(format!("{label}: {e}")))?;
-    println!(
-        "  index: {} entries, depth {}, {} pages ({} leaf + {} internal), leaf fill {}.{}%",
-        s.entries,
-        s.depth,
-        s.total_pages,
-        s.leaf_pages,
-        s.internal_pages,
-        s.leaf_fill_permille / 10,
-        s.leaf_fill_permille % 10,
-    );
-    Ok(())
-}
-
-/// Renders one store directory's [`shard_store::WalInspection`];
-/// returns whether its tail is torn.
-fn store_one(label: &str, dir: &Path) -> Result<bool, CliError> {
+/// Renders one store directory's [`shard_store::WalInspection`] — read
+/// only, whatever state the directory is in — and returns whether its
+/// log holds an invalid record. With `stats`, each segment's key range
+/// and how a key scan of the log would read it.
+fn store_one(label: &str, dir: &Path, stats: bool) -> Result<bool, CliError> {
     let info = shard_store::Wal::inspect(dir).map_err(|e| fail(format!("{label}: {e}")))?;
+    let fmt_key = |k: Option<shard_store::StoreKey>| {
+        k.map_or("-".into(), |k| format!("{}.{}", k.primary, k.secondary))
+    };
+    // Only the last segment can be torn (a rotation fsyncs the one it
+    // closes); an invalid record anywhere else is corruption.
+    let closed = |index: u64| info.segments.last().is_some_and(|last| index < last.index);
     println!("{label}:");
     for s in &info.segments {
         let tail = if s.valid_bytes < s.file_bytes {
             format!(
-                "  TORN ({} trailing bytes invalid)",
+                "  {} ({} trailing bytes invalid)",
+                if closed(s.index) { "CORRUPT" } else { "TORN" },
                 s.file_bytes - s.valid_bytes
             )
         } else {
             String::new()
         };
+        let keys = if stats {
+            format!(", keys {} .. {}", fmt_key(s.first_key), fmt_key(s.last_key))
+        } else {
+            String::new()
+        };
         println!(
-            "  segment {:06}: {} record(s), {}/{} bytes valid{tail}",
+            "  segment {:06}: {} record(s), {}/{} bytes valid{keys}{tail}",
             s.index, s.records, s.valid_bytes, s.file_bytes
         );
     }
-    let fmt_key = |k: Option<shard_store::StoreKey>| {
-        k.map_or("-".into(), |k| format!("{}.{}", k.primary, k.secondary))
-    };
     println!(
         "  total: {} entr{} in {} segment(s), {} bytes; keys {} .. {}",
         info.entries,
@@ -306,8 +295,26 @@ fn store_one(label: &str, dir: &Path) -> Result<bool, CliError> {
         fmt_key(info.first_key),
         fmt_key(info.last_key),
     );
+    if stats {
+        println!(
+            "  key scans: {}",
+            if info.in_key_order {
+                "the log is in key order — a seek over one fence per segment"
+            } else {
+                "the log is not in key order — a sort per scan"
+            }
+        );
+    }
     if let Some(at) = info.torn_at {
-        println!("  torn tail at global offset {at} (Wal::open would truncate here)");
+        let invalid = info.segments.iter().find(|s| s.valid_bytes < s.file_bytes);
+        if invalid.is_some_and(|s| closed(s.index)) {
+            println!(
+                "  invalid record in a closed segment at global offset {at} \
+                 (not a torn tail: Wal::open refuses this log)"
+            );
+        } else {
+            println!("  torn tail at global offset {at} (Wal::open would truncate here)");
+        }
     }
     Ok(info.torn_at.is_some())
 }
@@ -336,22 +343,17 @@ fn store(args: &[String]) -> CmdResult {
     nodes.sort();
     let mut torn = false;
     if nodes.is_empty() {
-        torn = store_one(dir, root)?;
-        if stats {
-            store_stats(dir, root)?;
-        }
+        torn = store_one(dir, root, stats)?;
     } else {
         for node in &nodes {
             let label = node.display().to_string();
-            torn |= store_one(&label, node)?;
-            if stats {
-                store_stats(&label, node)?;
-            }
+            torn |= store_one(&label, node, stats)?;
         }
     }
     if torn {
         return Err(fail(
-            "torn tail present (unsynced bytes from the last crash)",
+            "invalid record present (a torn tail is unsynced bytes from the last crash; \
+             anywhere else it is corruption)",
         ));
     }
     Ok(())
@@ -631,22 +633,45 @@ mod tests {
     }
 
     #[test]
-    fn store_stats_reports_index_shape() {
+    fn store_stats_reads_a_torn_directory_and_changes_no_byte_of_it() {
         use shard_store::{DiskStore, Store, StoreKey, StoreOptions};
         let root =
             std::env::temp_dir().join(format!("shard-cli-store-stats-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
-        let (mut disk, _) = DiskStore::open(&root, StoreOptions::default()).unwrap();
+        let opts = StoreOptions {
+            segment_bytes: 4096,
+            ..StoreOptions::default()
+        };
+        let (mut disk, _) = DiskStore::open(&root, opts).unwrap();
         for i in 0..500u64 {
             disk.append(StoreKey::new(i, 0), &i.to_be_bytes()).unwrap();
         }
         disk.sync().unwrap();
         drop(disk);
+        let files = || -> Vec<(std::path::PathBuf, Vec<u8>)> {
+            let mut files: Vec<_> = std::fs::read_dir(&root)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+                .collect();
+            files.sort();
+            files
+        };
         let args = [root.display().to_string(), "--stats".to_string()];
         assert!(store(&args).is_ok());
         // Flag order must not matter.
-        let args = ["--stats".to_string(), root.display().to_string()];
-        assert!(store(&args).is_ok());
+        let flag_first = ["--stats".to_string(), root.display().to_string()];
+        assert!(store(&flag_first).is_ok());
+
+        // Tear the tail: `--stats` still reports (exit 1) and leaves
+        // every file as the crash left it — the inspection is not the
+        // recovery.
+        let (last, bytes) = files().pop().unwrap();
+        std::fs::write(&last, &bytes[..bytes.len() - 5]).unwrap();
+        let before = files();
+        assert!(before.len() > 2, "several segments");
+        assert!(matches!(store(&args), Err(CliError::Failed(_))));
+        assert_eq!(files(), before, "no file created, cut or rewritten");
         let _ = std::fs::remove_dir_all(&root);
     }
 

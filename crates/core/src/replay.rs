@@ -189,10 +189,10 @@ pub struct ReplayStats {
 /// site — the merge log's undo/redo paths included — stays free of
 /// codec bounds.
 ///
-/// A spilled anchor is the state's encoding, stored as one chunk group
-/// ([`shard_store::append_chunked`]; layout in `docs/storage.md`) under
-/// its `seq` — a monotone sequence number, so truncated-then-rewritten
-/// depths never collide in the insert-only store.
+/// A spilled anchor is the state's encoding, stored as one record under
+/// `(seq, 0)` — `seq` a monotone sequence number, so
+/// truncated-then-rewritten depths never collide in the insert-only
+/// store, and the anchor log stays in key order.
 pub struct Checkpoints<S> {
     every: usize,
     /// Resident points, ascending by depth.
@@ -429,9 +429,10 @@ impl<S> ColdTier<S> {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let encode = self.encode;
-        let spill = |out: &mut Vec<u8>| encode(state, out);
-        if shard_store::append_chunked(&mut *self.store, seq, &mut Vec::new(), spill).is_ok() {
+        let mut bytes = Vec::new();
+        (self.encode)(state, &mut bytes);
+        let key = shard_store::StoreKey::new(seq, 0);
+        if self.store.append(key, &bytes).is_ok() {
             self.spilled.push((depth, seq));
             if shard_obs::enabled() {
                 shard_obs::counter!("replay.spills", family).inc();
@@ -442,10 +443,18 @@ impl<S> ColdTier<S> {
     fn load_deepest(&mut self, limit: usize) -> Option<(usize, S)> {
         let end = self.spilled.partition_point(|&(l, _)| l <= limit);
         for &(depth, seq) in self.spilled[..end].iter().rev() {
-            let Ok(Some(bytes)) = shard_store::read_chunked(&mut *self.store, seq) else {
-                continue;
-            };
-            let Some(state) = (self.decode)(&bytes) else {
+            // One scan that stops at its first record: the anchor, or
+            // whatever follows where a crash took it.
+            let key = shard_store::StoreKey::new(seq, 0);
+            let mut loaded = None;
+            let decode = self.decode;
+            let _ = self.store.scan_key_range(key, &mut |k, bytes| {
+                if k == key {
+                    loaded = decode(bytes).map(|state| (state, bytes.len()));
+                }
+                false
+            });
+            let Some((state, bytes)) = loaded else {
                 continue;
             };
             if shard_obs::enabled() {
@@ -453,7 +462,7 @@ impl<S> ColdTier<S> {
             }
             // The loaded anchor is transiently resident on top of the
             // hot tier; its encoded size is the best proxy we have.
-            note_resident_bytes(self.hot_bytes + bytes.len());
+            note_resident_bytes(self.hot_bytes + bytes);
             return Some((depth, state));
         }
         None

@@ -814,18 +814,17 @@ pub struct StreamedRecord<U> {
 }
 
 /// An execution that lives in a [`Store`](shard_store::Store) instead
-/// of a `Vec<TxnRecord>`: rows are appended in serial order as chunk
-/// groups, and every whole-execution traversal —
+/// of a `Vec<TxnRecord>`: rows are appended in serial order, one record
+/// each, and every whole-execution traversal —
 /// [`for_each_row`](StreamingExecution::for_each_row),
 /// [`final_state`](StreamingExecution::final_state),
 /// the §3 window checker ([`check_stream`](StreamingExecution::check_stream)) —
 /// runs directly off a key-order cursor, so peak resident state is one
 /// application state plus one row, independent of the execution length.
 ///
-/// Row `i` is the chunk group ([`shard_store::append_chunked`]) under
-/// primary key `i`; its payload is `time: u64` big-endian,
-/// `missed_len: u32`, `missed[k]: u32` each, then the update's
-/// [`Codec`](shard_store::Codec) encoding (`docs/storage.md`).
+/// Row `i` is the record under key `(i, 0)`; its value is `time: u64`
+/// big-endian, `missed_len: u32`, `missed[k]: u32` each, then the
+/// update's [`Codec`](shard_store::Codec) encoding (`docs/storage.md`).
 pub struct StreamingExecution<A: Application> {
     store: Box<dyn shard_store::Store + Send>,
     len: usize,
@@ -834,7 +833,7 @@ pub struct StreamingExecution<A: Application> {
     /// [`push`](StreamingExecution::push); `None` after a
     /// [`reopen`](StreamingExecution::reopen).
     reach: Option<usize>,
-    /// The row being pushed, framed — reused from row to row.
+    /// The row being pushed, encoded — reused from row to row.
     scratch: Vec<u8>,
     _app: std::marker::PhantomData<fn() -> A>,
 }
@@ -895,15 +894,16 @@ where
     pub fn push(&mut self, row: &StreamRow, update: &A::Update) -> std::io::Result<()> {
         assert_eq!(row.index, self.len, "rows are pushed in serial order");
         assert!(row.missed_well_formed(), "ill-formed miss set: {row:?}");
-        let index = row.index as u64;
-        shard_store::append_chunked(&mut *self.store, index, &mut self.scratch, |payload| {
-            payload.extend_from_slice(&row.time.to_be_bytes());
-            payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
-            for &m in &row.missed {
-                payload.extend_from_slice(&(m as u32).to_be_bytes());
-            }
-            shard_store::Codec::encode(update, payload);
-        })?;
+        let payload = &mut self.scratch;
+        payload.clear();
+        payload.extend_from_slice(&row.time.to_be_bytes());
+        payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
+        for &m in &row.missed {
+            payload.extend_from_slice(&(m as u32).to_be_bytes());
+        }
+        shard_store::Codec::encode(update, payload);
+        self.store
+            .append(shard_store::StoreKey::new(row.index as u64, 0), payload)?;
         self.len += 1;
         if let (Some(reach), Some(&low)) = (&mut self.reach, row.missed.first()) {
             *reach = (*reach).max(row.index - low);
@@ -925,23 +925,26 @@ where
                 format!("streaming row {i}: {what}"),
             )
         };
-        let mut groups = shard_store::GroupCursor::starting_at(0, 1024);
+        let mut records = shard_store::KeyCursor::new(1024);
         let mut next = 0usize;
         // One miss vector, handed from row to row.
         let mut missed = Vec::new();
-        while let Some((primary, group)) = groups.next(&mut *self.store)? {
-            if primary != next as u64 {
-                return Err(bad(next, "row group missing"));
+        while let Some((key, payload)) = records.next(&mut *self.store)? {
+            if key.secondary != 0 {
+                let row = key.primary as usize;
+                return Err(bad(row, "a record under a secondary key"));
             }
-            let payload = group.map_err(|what| bad(next, what))?;
-            let rec =
-                decode_row::<A>(next, payload, missed).ok_or_else(|| bad(next, "malformed row"))?;
+            if key.primary != next as u64 {
+                return Err(bad(next, "row missing"));
+            }
+            let rec = decode_row::<A>(next, &payload, missed)
+                .ok_or_else(|| bad(next, "malformed row"))?;
             f(&rec);
             missed = rec.row.missed;
             next += 1;
         }
         if next != self.len {
-            return Err(bad(next, "row group missing"));
+            return Err(bad(next, "row missing"));
         }
         Ok(())
     }
@@ -974,7 +977,8 @@ where
         let mut checker = StreamChecker::new(window);
         let reach = self.reach;
         // A row that decodes but does not belong to a serial order
-        // (B+tree pages carry no checksum) is bad data, not a bug.
+        // (some other writer's, or a bug upstream of the checksum) is
+        // bad data, not a panic.
         let mut bad_row = None;
         self.for_each_row(|rec| {
             if bad_row.is_none() {
@@ -1594,12 +1598,11 @@ mod tests {
         Box::new(shard_store::MemStore::new())
     }
 
-    /// Stores `payload` as the chunk group of row `primary`.
-    fn append_group(store: &mut dyn shard_store::Store, primary: u64, payload: &[u8]) {
-        shard_store::append_chunked(store, primary, &mut Vec::new(), |out| {
-            out.extend_from_slice(payload)
-        })
-        .unwrap();
+    /// Stores `payload` as the record of row `index`.
+    fn append_row(store: &mut dyn shard_store::Store, index: u64, payload: &[u8]) {
+        store
+            .append(shard_store::StoreKey::new(index, 0), payload)
+            .unwrap();
     }
 
     fn mixed_timed_execution(n: usize) -> TimedExecution<Trace> {
@@ -1731,10 +1734,10 @@ mod tests {
 
     #[test]
     fn check_stream_reports_corrupted_rows_instead_of_panicking() {
-        // What a flipped byte in a row-store page (B+tree pages carry
-        // no checksum) can make of a row: every variant must come back
-        // as InvalidData naming the row, never as a panic or a
-        // multi-gigabyte reservation.
+        // What a writer other than `push` can make of a row (a stored
+        // record's own bytes are behind the WAL's checksum): every
+        // variant must come back as InvalidData naming the row, never
+        // as a panic or a multi-gigabyte reservation.
         let row = raw_row;
         let good = [row(0, 0, &[]), row(1, 1, &[0]), row(2, 2, &[0, 1])];
         let corruptions = [
@@ -1755,7 +1758,7 @@ mod tests {
                 .into_iter()
                 .enumerate()
             {
-                append_group(&mut *store, i as u64, payload);
+                append_row(&mut *store, i as u64, payload);
             }
             let mut se = StreamingExecution::<Trace>::reopen(store, 4);
             let err = se.check_stream(2).expect_err(what);
@@ -1765,7 +1768,7 @@ mod tests {
         // The uncorrupted rows check clean.
         let mut store = mem_store();
         for (i, payload) in good.iter().enumerate() {
-            append_group(&mut *store, i as u64, payload);
+            append_row(&mut *store, i as u64, payload);
         }
         let report = StreamingExecution::<Trace>::reopen(store, 3)
             .check_stream(2)
@@ -1774,43 +1777,77 @@ mod tests {
     }
 
     #[test]
-    fn check_stream_reports_broken_chunk_groups() {
-        // The store filled key by key, so a row's group can break in
-        // ways `append_chunked` never writes: chunk 0 lost (what is
-        // left must not be read as if it began the frame) and a chunk
-        // past the end of the frame (must not be ignored).
-        use shard_store::{StoreKey, CHUNK_BYTES};
-        let framed = |payload: &[u8]| {
-            let mut out = Vec::new();
-            shard_store::write_frame(&mut out, |out| out.extend_from_slice(payload));
-            out
-        };
-        let whole = framed(&raw_row(2, 1, &[0]));
-        // A real two-chunk row: 300 misses.
-        let wide: Vec<u32> = (0..300).collect();
-        let wide = framed(&raw_row(2, 300, &wide));
-        assert!(wide.len() > CHUNK_BYTES);
-        // Row 2's chunks as `(index, bytes)`.
-        type Chunks<'a> = Vec<(u16, &'a [u8])>;
-        let lost_whole: Chunks = vec![(1, &whole)];
-        let lost_wide: Chunks = vec![(1, &wide[CHUNK_BYTES..])];
-        let trailing: Chunks = vec![(0, &whole), (1, b"junk")];
-        for (what, chunks) in [
-            ("chunk 0 lost, chunk 1 a frame of its own", lost_whole),
-            ("chunk 0 of a two-chunk row lost", lost_wide),
-            ("a chunk past the frame", trailing),
+    fn check_stream_reports_rows_that_are_not_one_record_each() {
+        // The store filled key by key, so the row store can hold what
+        // `push` never writes: a row left out, a second record under a
+        // row's key, a payload cut short or run long.
+        use shard_store::StoreKey;
+        let whole = raw_row(2, 1, &[0]);
+        let mut long = whole.clone();
+        long.push(0);
+        type Records<'a> = Vec<(u16, &'a [u8])>;
+        let missing: Records = vec![];
+        let stray: Records = vec![(0, &whole), (1, b"junk")];
+        let only_stray: Records = vec![(1, &whole)];
+        let short: Records = vec![(0, &whole[..whole.len() - 1])];
+        let trailing: Records = vec![(0, &long)];
+        for (what, records) in [
+            ("row 2 missing", missing),
+            ("a second record under row 2", stray),
+            ("row 2 only under a secondary key", only_stray),
+            ("row 2 cut short", short),
+            ("a byte past the end of row 2", trailing),
         ] {
             let mut store = mem_store();
-            append_group(&mut *store, 0, &raw_row(0, 0, &[]));
-            append_group(&mut *store, 1, &raw_row(1, 0, &[]));
-            for (c, bytes) in chunks {
-                store.append(StoreKey::new(2, c), bytes).unwrap();
+            append_row(&mut *store, 0, &raw_row(0, 0, &[]));
+            append_row(&mut *store, 1, &raw_row(1, 0, &[]));
+            for (secondary, bytes) in records {
+                store.append(StoreKey::new(2, secondary), bytes).unwrap();
             }
-            append_group(&mut *store, 3, &raw_row(3, 0, &[]));
+            append_row(&mut *store, 3, &raw_row(3, 0, &[]));
             let mut se = StreamingExecution::<Trace>::reopen(store, 4);
             let err = se.check_stream(2).expect_err(what);
             assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{what}");
             assert!(err.to_string().contains("row 2"), "{what}: {err}");
         }
+        // The last row missing is a missing row too.
+        let mut store = mem_store();
+        append_row(&mut *store, 0, &raw_row(0, 0, &[]));
+        let err = StreamingExecution::<Trace>::reopen(store, 2)
+            .check_stream(2)
+            .expect_err("row 1 missing");
+        assert!(err.to_string().contains("row 1"), "{err}");
+    }
+
+    #[test]
+    fn a_row_with_ten_thousand_misses_round_trips() {
+        // 40 KB of miss list in one record: no cell limit to split at.
+        let wide = StreamRow {
+            index: 10_000,
+            time: 77,
+            missed: (0..10_000).collect(),
+        };
+        let dir = std::env::temp_dir().join(format!("shard_streaming_wide_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (disk, _) =
+            shard_store::DiskStore::open(&dir, shard_store::StoreOptions::default()).unwrap();
+        for store in [mem_store(), Box::new(disk)] {
+            let mut se = StreamingExecution::<Trace>::new(store);
+            for index in 0..10_000 {
+                let row = StreamRow {
+                    index,
+                    time: index as u64,
+                    missed: vec![],
+                };
+                se.push(&row, &(index as u64)).unwrap();
+            }
+            se.push(&wide, &5).unwrap();
+            let mut last = None;
+            se.for_each_row(|rec| last = Some(rec.clone())).unwrap();
+            let last = last.unwrap();
+            assert_eq!((last.row, last.update), (wide.clone(), 5));
+            assert_eq!(se.check_stream(64).unwrap().max_missed, 10_000);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

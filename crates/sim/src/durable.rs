@@ -244,8 +244,8 @@ impl<A: Application> NodeMirror<A> {
         let mut clock = LamportClock::new(id);
         let mut own_sent = 0u64;
         let decode = self.decode;
-        // Stream in bounded chunks: the store scan reads page-at-a-time
-        // and the merge log absorbs each chunk as one batch, so peak
+        // Stream in bounded chunks: the store scan reads a block at a
+        // time and the merge log absorbs each chunk as one batch, so peak
         // memory is O(chunk), not O(log).
         const CHUNK: usize = 1024;
         let mut batch: Vec<(Timestamp, Arc<A::Update>)> = Vec::with_capacity(CHUNK);

@@ -12,8 +12,8 @@
 /// A 10-byte, order-preserving key: `(primary, secondary)` encoded
 /// big-endian so **byte order equals logical order**. The simulator maps
 /// its Lamport timestamps here (`primary` = Lamport counter,
-/// `secondary` = node id tiebreak), which makes a key-order scan of the
-/// B+tree exactly the paper's serial order.
+/// `secondary` = node id tiebreak), which makes a key-order scan of a
+/// store exactly the paper's serial order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StoreKey {
     /// High-order component (the Lamport counter, for the simulator).
@@ -147,33 +147,6 @@ pub trait Codec: Sized {
     }
 }
 
-/// Makes `out` exactly one length-prefixed frame (`len: u32`
-/// big-endian, then the payload `fill` appends) — in place, so a caller
-/// that reuses `out` encodes and frames without a copy. Spilled
-/// checkpoint records and streaming execution rows use this framing so
-/// a value larger than one store record can be chunked and reassembled
-/// without ambiguity.
-pub fn write_frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) {
-    out.clear();
-    out.extend_from_slice(&[0u8; 4]);
-    fill(out);
-    let len = (out.len() - 4) as u32;
-    out[..4].copy_from_slice(&len.to_be_bytes());
-}
-
-/// The payload of `framed` if it is exactly one [`write_frame`] frame,
-/// else what is wrong with it.
-pub(crate) fn read_frame(framed: &[u8]) -> Result<&[u8], &'static str> {
-    let Some((len, payload)) = framed.split_first_chunk::<4>() else {
-        return Err("length frame cut short");
-    };
-    match payload.len().cmp(&(u32::from_be_bytes(*len) as usize)) {
-        std::cmp::Ordering::Less => Err("length frame cut short"),
-        std::cmp::Ordering::Equal => Ok(payload),
-        std::cmp::Ordering::Greater => Err("bytes left over after the length frame"),
-    }
-}
-
 macro_rules! int_codec {
     ($($t:ty => $get:ident),*) => {$(
         impl Codec for $t {
@@ -236,20 +209,6 @@ mod tests {
         assert_eq!(r.u32(), None);
         assert_eq!(r.u8(), Some(3));
         assert!(r.is_done());
-    }
-
-    #[test]
-    fn read_frame_accepts_exactly_one_frame() {
-        // Whatever the reused buffer held before is replaced.
-        let mut framed = b"stale".to_vec();
-        write_frame(&mut framed, |out| out.extend_from_slice(b"hello"));
-        assert_eq!(framed, b"\x00\x00\x00\x05hello");
-        assert_eq!(read_frame(&framed), Ok(&b"hello"[..]));
-        assert!(read_frame(&framed[..3]).is_err(), "header cut short");
-        assert!(read_frame(&framed[..6]).is_err(), "payload cut short");
-        framed.push(0);
-        assert!(read_frame(&framed).is_err(), "a byte past the frame");
-        assert_eq!(read_frame(&[0, 0, 0, 0]), Ok(&[][..]), "empty payload");
     }
 
     #[test]

@@ -9,15 +9,12 @@
 //! * [`wal`] — an append-only **write-ahead segment log**: fixed-header
 //!   records (`len`, CRC-32, payload) appended to rotating segment
 //!   files, with torn-tail detection and truncation on open. The WAL is
-//!   the *authoritative* copy of a node's merge log, in arrival order.
-//! * [`pool`] — a **buffer pool** of fixed-size page frames over one
-//!   backing file: pin counts, second-chance (clock) eviction, dirty
-//!   write-back.
-//! * [`btree`] — a **slotted-page B+tree** keyed by [`StoreKey`]
-//!   (timestamp order), built through the buffer pool. The tree is a
-//!   *derived index* over the WAL — rebuilt on open, never trusted
-//!   after a crash — which keeps the recovery story one-sided: replay
-//!   the WAL, re-derive everything else.
+//!   the *authoritative* copy of a node's merge log, in arrival order —
+//!   and the only copy: every log the system reads by key (sealed rows,
+//!   spilled anchors) is appended in key order, so a key scan is a
+//!   binary search over one **fence** per segment (the key of its first
+//!   record) and a sequential, CRC-checked read from there. There is no
+//!   second structure to rebuild on open or distrust after a crash.
 //! * [`store`] — the [`Store`] trait tying it together, with two
 //!   implementations: [`MemStore`] (default; byte-accounting faithful
 //!   to the disk format, for fast deterministic tests) and
@@ -44,31 +41,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod btree;
 pub mod codec;
-pub mod page;
-pub mod pool;
 pub mod store;
 pub mod wal;
 
-pub use btree::{BTree, BTreeStats};
-pub use codec::{write_frame, ByteReader, Codec, StoreKey};
-pub use page::{Page, PageId, PAGE_SIZE};
-pub use pool::BufferPool;
-pub use store::{
-    append_chunked, read_chunked, ChunkGroup, CrashReport, DiskStore, GroupCursor, KeyCursor,
-    MemStore, Store, StoreOptions, CHUNK_BYTES,
-};
+pub use codec::{ByteReader, Codec, StoreKey};
+pub use store::{CrashReport, DiskStore, KeyCursor, MemStore, Store, StoreOptions};
 pub use wal::{Wal, WalInspection, WalOptions};
 
 /// Registers the `store.*` metrics every layer of the engine feeds,
 /// together (see `shard_obs::counter!`):
 ///
-/// * `store.pins` — buffer-pool page pins;
-/// * `store.evictions` — frames evicted to make room;
-/// * `store.page_reads` / `store.page_writes` — pages read from, and
-///   dirty pages written back to, the backing file;
-/// * `store.readaheads` — pages prefetched by sequential readahead;
 /// * `store.wal_appends` / `store.wal_fsyncs` — records appended to the
 ///   WAL and fsync barriers taken;
 /// * `store.wal_writes` — write calls that moved buffered records to a
@@ -77,20 +60,19 @@ pub use wal::{Wal, WalInspection, WalOptions};
 ///   [`Wal`] issued took: [`Wal::sync`] barriers and the one a rotation
 ///   takes on the segment it closes (a `MemStore` counts its barriers
 ///   in `store.wal_fsyncs` but has no time to record);
+/// * `store.wal_read_bytes` — bytes key scans asked the segment files
+///   for (over the bytes of the records they handed out: the read
+///   amplification);
 /// * `store.wal_torn_truncations` — torn tails dropped on open;
 /// * `store.recovered_entries` — entries replayed out of a store during
 ///   recovery.
 pub(crate) fn family() {
     let registry = shard_obs::Registry::global();
     for name in [
-        "store.pins",
-        "store.evictions",
-        "store.page_reads",
-        "store.page_writes",
-        "store.readaheads",
         "store.wal_appends",
         "store.wal_writes",
         "store.wal_fsyncs",
+        "store.wal_read_bytes",
         "store.wal_torn_truncations",
         "store.recovered_entries",
     ] {

@@ -12,17 +12,15 @@
 //!   [`Store::synced_bytes`]), reopened, and torn records are dropped;
 //! * [`Store::scan_arrival`] streams records in append order — the
 //!   recovery path; [`Store::scan_key_range`] streams in key
-//!   (timestamp) order through the B+tree index.
+//!   (timestamp) order.
 //!
 //! [`MemStore`] keeps the same byte accounting as the disk format, so
 //! crash offsets mean the same thing in both — the deterministic
 //! kernel's proptests run against `MemStore` and transfer to
 //! [`DiskStore`] by construction (and E24 checks they agree).
 
-use crate::btree::BTree;
-use crate::codec::{StoreKey, KEY_BYTES};
-use crate::pool::BufferPool;
-use crate::wal::{Wal, WalOptions, RECORD_HEADER};
+use crate::codec::StoreKey;
+use crate::wal::{record_bytes, Wal, WalOptions};
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -44,16 +42,19 @@ pub struct CrashReport {
 pub struct StoreOptions {
     /// WAL segment rotation threshold.
     pub segment_bytes: u64,
-    /// Buffer-pool frames for the B+tree index.
+    // Vestige: nothing reads it and there is no pool. Kept because the
+    // frozen benchmark prints it as a note (`benchmark/src/audit.rs:392`);
+    // goes with ROADMAP item 1.
+    #[doc(hidden)]
     pub pool_frames: usize,
 }
 
 impl Default for StoreOptions {
-    /// 1 MiB segments, 64 frames (256 KiB of page cache).
+    /// 1 MiB segments.
     fn default() -> Self {
         StoreOptions {
             segment_bytes: WalOptions::default().segment_bytes,
-            pool_frames: 64,
+            pool_frames: 0,
         }
     }
 }
@@ -63,9 +64,9 @@ impl Default for StoreOptions {
 /// on top of it.
 pub trait Store {
     /// Appends one record. Buffered until the next [`Store::sync`].
-    /// A value longer than [`CHUNK_BYTES`] is refused with
-    /// `InvalidInput` before anything is written (split it with
-    /// [`append_chunked`]).
+    /// A value of any length a record can frame — a [`DiskStore`]
+    /// refuses, with `InvalidInput` and before anything is written, one
+    /// whose record would not fit the WAL's `u32` length field.
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()>;
 
     /// Durability barrier: everything appended so far survives crashes.
@@ -83,8 +84,9 @@ pub trait Store {
     /// Streams records in append (arrival) order.
     fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()>;
 
-    /// Streams records with `key >= from` in key order, stopping early
-    /// the first time `f` returns `false` — the cursor primitive the
+    /// Streams records with `key >= from` in key order — of records
+    /// appended under one key, only the first — stopping early the
+    /// first time `f` returns `false`: the cursor primitive the
     /// out-of-core replay path folds over.
     fn scan_key_range(
         &mut self,
@@ -98,36 +100,16 @@ pub trait Store {
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport>;
 }
 
-/// Per-record byte cost shared by both stores (`header + key + value`).
-fn record_bytes(value_len: usize) -> u64 {
-    RECORD_HEADER + (KEY_BYTES + value_len) as u64
-}
-
-/// Errors (as `kind`, naming the key) on a value that does not fit a
-/// B+tree leaf cell — checked before a record is written, and again on
-/// every record an open reads back.
-fn check_value(key: StoreKey, value: &[u8], kind: io::ErrorKind) -> io::Result<()> {
-    if value.len() <= CHUNK_BYTES {
-        return Ok(());
-    }
-    Err(io::Error::new(
-        kind,
-        format!(
-            "record {key:?}: {} value bytes, over the {CHUNK_BYTES}-byte limit",
-            value.len()
-        ),
-    ))
-}
-
 /// The in-memory store: a `Vec` of records with disk-faithful byte
 /// accounting and the same crash semantics as [`DiskStore`]. The
 /// default backend — durability without the I/O, for deterministic
-/// tests and fast chaos sweeps.
+/// tests and fast chaos sweeps — and the reference [`DiskStore`]'s
+/// reads are held to.
 #[derive(Default)]
 pub struct MemStore {
     /// `(key, value, end_offset)` in arrival order.
     records: Vec<(StoreKey, Vec<u8>, u64)>,
-    /// Key-order index (the `DiskStore`'s B+tree, flattened).
+    /// Key order, first writer of a key wins.
     index: BTreeMap<StoreKey, usize>,
     len: u64,
     synced: u64,
@@ -142,7 +124,6 @@ impl MemStore {
 
 impl Store for MemStore {
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
-        check_value(key, value, io::ErrorKind::InvalidInput)?;
         self.len += record_bytes(value.len());
         self.index.entry(key).or_insert(self.records.len());
         self.records.push((key, value.to_vec(), self.len));
@@ -203,7 +184,7 @@ impl Store for MemStore {
         };
         let torn = kept_bytes < keep.min(self.len);
         self.records.truncate(kept);
-        // Rebuild the index first-writer-wins, matching the B+tree.
+        // Rebuild the index first-writer-wins.
         self.index.clear();
         for (i, (k, _, _)) in self.records.iter().enumerate() {
             self.index.entry(*k).or_insert(i);
@@ -222,71 +203,64 @@ impl Store for MemStore {
     }
 }
 
-/// The disk store: a [`Wal`] (authoritative, arrival order) plus a
-/// [`BTree`] index (derived, key order) rebuilt from the WAL on every
-/// open. Opt in by passing an explicit directory.
+/// The disk store: a [`Wal`], which is all of it — arrival order is the
+/// file order, and key order is a seek into a log appended in key order
+/// (a sort of one that was not). Opt in by passing an explicit
+/// directory.
 pub struct DiskStore {
     dir: PathBuf,
     opts: StoreOptions,
     wal: Wal,
-    index: BTree,
+}
+
+// Vestige of the B+tree this store no longer has: the frozen benchmark
+// reads `depth` and `total_pages` off `index_stats()`
+// (`benchmark/src/layers.rs:315–317`). One level of fences, no pages;
+// goes with ROADMAP item 1.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct IndexStats {
+    pub depth: usize,
+    pub total_pages: usize,
 }
 
 impl DiskStore {
-    /// Opens (creating if needed) the store in `dir`: validates the
-    /// WAL, truncates any torn tail, and rebuilds the B+tree index by
-    /// streaming the log. Returns the store and the records recovered.
+    /// Opens (creating if needed) the store in `dir`: one pass validates
+    /// the WAL and truncates a torn tail. Returns the store and the
+    /// records recovered.
     ///
     /// # Errors
     ///
-    /// I/O errors, and `InvalidData` naming the key of a WAL record
-    /// whose value is longer than [`CHUNK_BYTES`] — a log this store
-    /// did not write.
+    /// I/O errors, and `InvalidData` for a log corrupt somewhere a
+    /// crash cannot tear it ([`Wal::open`]).
     pub fn open(dir: &Path, opts: StoreOptions) -> io::Result<(Self, usize)> {
         let wal_opts = WalOptions {
             segment_bytes: opts.segment_bytes,
         };
-        let (mut wal, report) = Wal::open(dir, wal_opts)?;
-        let pool = BufferPool::create(&dir.join("pages.db"), opts.pool_frames)?;
-        let mut index = BTree::create(pool)?;
-        // The scan callback is infallible by design; stash the first
-        // index-build error and surface it after the walk.
-        let mut failed = None;
-        wal.for_each(|k, v| {
-            if failed.is_none() {
-                failed = check_value(k, v, io::ErrorKind::InvalidData)
-                    .and_then(|()| index.insert(k, v))
-                    .err();
-            }
-        })?;
-        if let Some(e) = failed {
-            return Err(e);
-        }
+        let (wal, report) = Wal::open(dir, wal_opts)?;
         shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
         Ok((
             DiskStore {
                 dir: dir.to_path_buf(),
                 opts,
                 wal,
-                index,
             },
             report.entries,
         ))
     }
 
-    /// Shape/occupancy statistics of the B+tree index
-    /// (`shard-trace store --stats`).
-    pub fn index_stats(&mut self) -> io::Result<crate::btree::BTreeStats> {
-        self.index.stats()
+    #[doc(hidden)]
+    pub fn index_stats(&self) -> io::Result<IndexStats> {
+        Ok(IndexStats {
+            depth: 1,
+            total_pages: 0,
+        })
     }
 }
 
 impl Store for DiskStore {
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
-        check_value(key, value, io::ErrorKind::InvalidInput)?;
-        self.wal.append(key, value)?;
-        self.index.insert(key, value)?;
-        Ok(())
+        self.wal.append(key, value).map(drop)
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -314,7 +288,7 @@ impl Store for DiskStore {
         from: StoreKey,
         f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
     ) -> io::Result<()> {
-        self.index.scan_from(from, f)
+        self.wal.scan_key_range(from, f)
     }
 
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
@@ -340,52 +314,6 @@ impl Store for DiskStore {
             torn: kept_bytes < requested_end,
         })
     }
-}
-
-/// Chunk size for records larger than one B+tree leaf cell — exactly
-/// the tree's inline cap, so a chunk is always insertable.
-pub const CHUNK_BYTES: usize = crate::btree::MAX_VALUE;
-
-/// Writes one logical record group under `primary`: the payload `fill`
-/// appends is length-framed in `scratch` ([`crate::codec::write_frame`]
-/// — a buffer the caller reuses from group to group) and split into
-/// [`CHUNK_BYTES`]-sized chunks keyed `(primary, chunk_index)`, so a
-/// key-order scan from `(primary, 0)` streams the group back
-/// contiguously. Returns the chunk count. See `docs/storage.md` for
-/// the byte layout.
-///
-/// # Panics
-///
-/// Panics if the framed payload needs more than `u16::MAX + 1` chunks
-/// (64 MiB — far above any checkpoint state this system spills).
-pub fn append_chunked(
-    store: &mut dyn Store,
-    primary: u64,
-    scratch: &mut Vec<u8>,
-    fill: impl FnOnce(&mut Vec<u8>),
-) -> io::Result<u32> {
-    crate::codec::write_frame(scratch, fill);
-    let chunks = scratch.len().div_ceil(CHUNK_BYTES);
-    assert!(
-        chunks <= u16::MAX as usize + 1,
-        "payload too large to chunk"
-    );
-    for (i, chunk) in scratch.chunks(CHUNK_BYTES).enumerate() {
-        store.append(StoreKey::new(primary, i as u16), chunk)?;
-    }
-    Ok(chunks as u32)
-}
-
-/// Reads the chunk group under `primary` back. `None` when the group is
-/// absent or malformed (e.g. truncated by a crash) — callers treat both
-/// as "this record is not available" and fall back.
-pub fn read_chunked(store: &mut dyn Store, primary: u64) -> io::Result<Option<Vec<u8>>> {
-    // Small batches: one group is a handful of chunks, not a scan.
-    let mut groups = GroupCursor::starting_at(primary, 4);
-    Ok(match groups.next(store)? {
-        Some((p, Ok(payload))) if p == primary => Some(payload.to_vec()),
-        _ => None,
-    })
 }
 
 /// A pull-style cursor over a store's key order: batches of records are
@@ -439,65 +367,6 @@ impl KeyCursor {
     }
 }
 
-/// A chunk group as [`GroupCursor`] yields it: the primary key, and the
-/// payload or what is wrong with the group's chunks.
-pub type ChunkGroup<'a> = (u64, Result<&'a [u8], &'static str>);
-
-/// The one reader of the chunk-group layout [`append_chunked`] writes:
-/// walks a store's key order from `(primary, 0)` and yields each group
-/// as `(primary, payload)`. A group whose chunk indices are not exactly
-/// `0, 1, 2, …`, or whose bytes are not exactly one length frame, comes
-/// back as `Err(what is wrong)` instead of a payload — whether that is
-/// a hole to skip (a cache) or corrupt data (an authoritative copy) is
-/// the caller's call — and the cursor moves on to the next group.
-#[derive(Debug)]
-pub struct GroupCursor {
-    records: KeyCursor,
-    /// The first record of the next group, read while closing the last.
-    ahead: Option<(StoreKey, Vec<u8>)>,
-    /// The current group's chunks, concatenated.
-    framed: Vec<u8>,
-}
-
-impl GroupCursor {
-    /// A cursor over the groups at or above `primary`, fetching
-    /// `batch_size` store records per refill.
-    pub fn starting_at(primary: u64, batch_size: usize) -> Self {
-        GroupCursor {
-            records: KeyCursor::starting_at(StoreKey::new(primary, 0), batch_size),
-            ahead: None,
-            framed: Vec::new(),
-        }
-    }
-
-    /// The next group in key order, or `None` at the end of the store.
-    pub fn next(&mut self, store: &mut dyn Store) -> io::Result<Option<ChunkGroup<'_>>> {
-        let mut record = match self.ahead.take() {
-            Some(first) => Some(first),
-            None => self.records.next(store)?,
-        };
-        let Some(primary) = record.as_ref().map(|(k, _)| k.primary) else {
-            return Ok(None);
-        };
-        self.framed.clear();
-        let mut contiguous = true;
-        let mut expect = 0u32;
-        while let Some((key, chunk)) = record.take_if(|(k, _)| k.primary == primary) {
-            contiguous &= u32::from(key.secondary) == expect;
-            expect += 1;
-            self.framed.extend_from_slice(&chunk);
-            record = self.records.next(store)?;
-        }
-        self.ahead = record;
-        let group = if contiguous {
-            crate::codec::read_frame(&self.framed)
-        } else {
-            Err("chunk indices are not 0, 1, 2, …")
-        };
-        Ok(Some((primary, group)))
-    }
-}
-
 /// The smallest key strictly greater than `k`, or `None` at the top of
 /// the key space.
 fn key_successor(k: StoreKey) -> Option<StoreKey> {
@@ -542,14 +411,6 @@ mod tests {
             })
             .unwrap();
         out
-    }
-
-    /// One chunk group holding `payload`; returns the chunk count.
-    fn append_group(store: &mut dyn Store, primary: u64, payload: &[u8]) -> u32 {
-        append_chunked(store, primary, &mut Vec::new(), |out| {
-            out.extend_from_slice(payload)
-        })
-        .unwrap()
     }
 
     fn arrival(store: &mut dyn Store) -> Vec<(StoreKey, Vec<u8>)> {
@@ -630,88 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_records_round_trip_on_both_stores() {
-        let dir = tmp("chunked");
-        let mut mem = MemStore::new();
-        let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
-        // Sizes straddling the chunk boundary, plus a multi-chunk blob.
-        let payloads: Vec<Vec<u8>> = [0usize, 1, CHUNK_BYTES - 4, CHUNK_BYTES, 3 * CHUNK_BYTES + 7]
-            .iter()
-            .map(|&n| (0..n).map(|i| (i % 251) as u8).collect())
-            .collect();
-        for store in [&mut mem as &mut dyn Store, &mut disk] {
-            for (g, p) in payloads.iter().enumerate() {
-                let chunks = append_group(store, g as u64, p);
-                assert_eq!(chunks as usize, (p.len() + 4).div_ceil(CHUNK_BYTES));
-            }
-            for (g, p) in payloads.iter().enumerate() {
-                assert_eq!(
-                    read_chunked(store, g as u64).unwrap().as_ref(),
-                    Some(p),
-                    "group {g}"
-                );
-            }
-            assert_eq!(read_chunked(store, 999).unwrap(), None, "absent group");
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_chunk_group_reads_as_absent() {
-        let mut mem = MemStore::new();
-        let blob = vec![7u8; 3 * CHUNK_BYTES];
-        append_group(&mut mem, 5, &blob);
-        // Crash off the tail chunk: the group must read as None, not
-        // as a short payload.
-        let keep = mem.len_bytes() - 1;
-        mem.crash(keep).unwrap();
-        assert_eq!(read_chunked(&mut mem, 5).unwrap(), None);
-    }
-
-    #[test]
-    fn group_cursor_names_malformed_groups_and_moves_on() {
-        let mut mem = MemStore::new();
-        let blob = |g: u8| vec![g; 2 * CHUNK_BYTES + 10]; // three chunks
-        append_group(&mut mem, 0, &blob(0));
-        // Group 1 lost its chunk 0, group 2 its middle chunk, group 3
-        // gained a chunk past its frame; 4 is whole, 6 is cut short.
-        for g in 1..=4u64 {
-            let mut framed = Vec::new();
-            crate::codec::write_frame(&mut framed, |out| out.extend_from_slice(&blob(g as u8)));
-            for (i, chunk) in framed.chunks(CHUNK_BYTES).enumerate() {
-                if (g, i) != (1, 0) && (g, i) != (2, 1) {
-                    mem.append(StoreKey::new(g, i as u16), chunk).unwrap();
-                }
-            }
-        }
-        mem.append(StoreKey::new(3, 3), b"extra").unwrap();
-        mem.append(StoreKey::new(6, 0), &[0, 0, 1]).unwrap();
-        for batch_size in [1, 2, 1024] {
-            let mut groups = GroupCursor::starting_at(0, batch_size);
-            let mut seen = Vec::new();
-            while let Some((primary, group)) = groups.next(&mut mem).unwrap() {
-                seen.push((primary, group.map(<[u8]>::to_vec)));
-            }
-            assert_eq!(
-                seen,
-                vec![
-                    (0, Ok(blob(0))),
-                    (1, Err("chunk indices are not 0, 1, 2, …")),
-                    (2, Err("chunk indices are not 0, 1, 2, …")),
-                    (3, Err("bytes left over after the length frame")),
-                    (4, Ok(blob(4))),
-                    (6, Err("length frame cut short")),
-                ],
-                "batch size {batch_size}"
-            );
-        }
-        // The single-group read folds "absent" and "malformed" together.
-        for (g, whole) in [(0, true), (1, false), (3, false), (4, true), (5, false)] {
-            assert_eq!(read_chunked(&mut mem, g).unwrap().is_some(), whole, "{g}");
-        }
-    }
-
-    #[test]
     fn cursor_matches_full_scan() {
         let dir = tmp("cursor");
         let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
@@ -751,55 +530,34 @@ mod tests {
     }
 
     #[test]
-    fn oversize_value_is_refused_before_anything_is_written() {
-        let dir = tmp("oversize");
+    fn a_three_mebibyte_value_round_trips_across_a_rotation() {
+        // Far over the write buffer, the read block and a segment: one
+        // record all the same, on both stores, before and after reopen.
+        let dir = tmp("big-value");
+        let big: Vec<u8> = (0..3usize << 20).map(|i| (i % 251) as u8).collect();
         let mut mem = MemStore::new();
         let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         for store in [&mut mem as &mut dyn Store, &mut disk] {
-            fill(store, 10, 4);
-            let before = (store.len_bytes(), store.synced_bytes(), store.entries());
-            let e = store
-                .append(StoreKey::new(99, 0), &[0u8; CHUNK_BYTES + 1])
-                .unwrap_err();
-            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
-            assert_eq!(
-                before,
-                (store.len_bytes(), store.synced_bytes(), store.entries())
-            );
-            // Still usable, and the largest legal value goes through.
-            store
-                .append(StoreKey::new(99, 0), &[0u8; CHUNK_BYTES])
-                .unwrap();
+            fill(store, 30, 7);
+            store.append(StoreKey::new(10, 0), &big).unwrap();
+            // The segment is over its size now: the next append rotates.
+            store.append(StoreKey::new(11, 0), b"after").unwrap();
+            store.append(StoreKey::new(12, 0), &big[..70_000]).unwrap();
             store.sync().unwrap();
-            assert_eq!(arrival(store).len(), 11);
-            assert_eq!(key_order(store).len(), 11);
         }
+        assert_eq!(mem.len_bytes(), disk.len_bytes());
+        let expect = key_order(&mut mem);
+        assert_eq!(expect[30], (StoreKey::new(10, 0), big.clone()));
+        assert_eq!(key_order(&mut disk), expect);
+        assert_eq!(arrival(&mut disk), arrival(&mut mem));
         drop(disk);
-        let (_, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
-        assert_eq!(recovered, 11, "the refusal left nothing behind in the WAL");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn wal_holding_an_oversize_record_opens_as_an_error() {
-        // A log some other writer produced: valid framing, but a value
-        // no leaf cell can hold.
-        let dir = tmp("foreign-wal");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
-        wal.append(StoreKey::new(1, 0), b"fine").unwrap();
-        wal.append(StoreKey::new(2, 7), &[5u8; CHUNK_BYTES + 1])
-            .unwrap();
-        wal.sync().unwrap();
-        drop(wal);
-        let Err(e) = DiskStore::open(&dir, StoreOptions::default()) else {
-            panic!("open accepted an oversize record");
-        };
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        let text = e.to_string();
-        assert!(
-            text.contains("primary: 2") && text.contains("secondary: 7"),
-            "the error names the key: {text}"
-        );
+        assert!(dir.join("wal-00000001.seg").exists(), "it did rotate");
+        let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 33);
+        assert_eq!(key_order(&mut disk), expect);
+        let mut cursor = KeyCursor::starting_at(StoreKey::new(10, 0), 2);
+        let first = cursor.next(&mut disk).unwrap().unwrap();
+        assert_eq!(first, (StoreKey::new(10, 0), big));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -817,7 +575,7 @@ mod tests {
         // Appends dominate (252 in 256) so that write buffers fill
         // between the operations that flush them.
         let key = (0u64..48, 0u16..3);
-        (0u32..256, key, 0usize..=CHUNK_BYTES, 0u64..=1000).prop_map(
+        (0u32..256, key, 0usize..=1024, 0u64..=1000).prop_map(
             |(pick, (primary, secondary), len, permille)| {
                 let key = StoreKey::new(primary, secondary);
                 match pick {
@@ -827,6 +585,35 @@ mod tests {
                     3 => Op::Crash(permille),
                     _ => Op::Append(key, len),
                 }
+            },
+        )
+    }
+
+    /// What the streaming tier does to a store: appends in key order
+    /// (a key may repeat), and cursors that come back for more.
+    #[derive(Clone, Debug)]
+    enum SortedOp {
+        /// Append under the last key plus this step — 0 repeats it.
+        Append(u64, usize),
+        Sync,
+        /// Cut at `synced + (len - synced) * permille / 1000`.
+        Crash(u64),
+        /// Point a cursor at `max key * permille / 1000` with a batch.
+        Seek(usize, u64, usize),
+        /// Pull this many records off a cursor.
+        Pull(usize, usize),
+    }
+
+    fn sorted_op() -> impl Strategy<Value = SortedOp> {
+        let batch = prop_oneof![Just(1usize), Just(7), Just(1024)];
+        let cursor = (0usize..2, batch, 1usize..60);
+        (0u32..100, (0u64..4, 0usize..200), 0u64..=1000, cursor).prop_map(
+            |(pick, (step, len), permille, (which, batch, pulls))| match pick {
+                0..=59 => SortedOp::Append(step, len),
+                60..=61 => SortedOp::Sync,
+                62..=63 => SortedOp::Crash(permille),
+                64..=71 => SortedOp::Seek(which, permille, batch),
+                _ => SortedOp::Pull(which, pulls),
             },
         )
     }
@@ -897,6 +684,68 @@ mod tests {
                 );
             }
             prop_assert_eq!(arrival(&mut mem), arrival(&mut disk));
+            prop_assert_eq!(key_order(&mut mem), key_order(&mut disk));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+
+        /// On a log in key order the disk store seeks — over fences, or
+        /// from where its last scan stopped — and none of that may show:
+        /// two cursors taking turns on one store, at any batch size,
+        /// from any key, across syncs, rotations and crashes, read what
+        /// `MemStore`'s read.
+        #[test]
+        fn cursors_over_a_sorted_log_read_what_the_memory_store_reads(
+            ops in proptest::collection::vec(sorted_op(), 1..900),
+            segment_bytes in prop_oneof![1_500u64..20_000, Just(1u64 << 20)],
+        ) {
+            let dir = tmp("sorted-cursors");
+            let opts = StoreOptions { segment_bytes, ..StoreOptions::default() };
+            let mut mem = MemStore::new();
+            let (mut disk, _) = DiskStore::open(&dir, opts).unwrap();
+            let key = |n: u64| StoreKey::new(n / 3, (n % 3) as u16);
+            let mut last = 0u64;
+            let mut cursors = [
+                (KeyCursor::new(7), KeyCursor::new(7)),
+                (KeyCursor::new(1), KeyCursor::new(1)),
+            ];
+            for (step, op) in ops.iter().enumerate() {
+                match *op {
+                    SortedOp::Append(ahead, len) => {
+                        last += ahead;
+                        let value = vec![step as u8; len];
+                        mem.append(key(last), &value).unwrap();
+                        disk.append(key(last), &value).unwrap();
+                    }
+                    SortedOp::Sync => {
+                        mem.sync().unwrap();
+                        disk.sync().unwrap();
+                    }
+                    SortedOp::Crash(permille) => {
+                        let (synced, len) = (disk.synced_bytes(), disk.len_bytes());
+                        let keep = synced + (len - synced) * permille / 1000;
+                        let report = mem.crash(keep).unwrap();
+                        prop_assert_eq!(report, disk.crash(keep).unwrap(), "step {}", step);
+                    }
+                    SortedOp::Seek(which, permille, batch) => {
+                        let from = key(last * permille / 1000);
+                        cursors[which] = (
+                            KeyCursor::starting_at(from, batch),
+                            KeyCursor::starting_at(from, batch),
+                        );
+                    }
+                    SortedOp::Pull(which, pulls) => {
+                        let (on_mem, on_disk) = &mut cursors[which];
+                        for _ in 0..pulls {
+                            let expect = on_mem.next(&mut mem).unwrap();
+                            let got = on_disk.next(&mut disk).unwrap();
+                            prop_assert_eq!(&got, &expect, "step {} ({:?})", step, op);
+                            if got.is_none() {
+                                break;
+                            }
+                        }
+                    }
+                }
+            }
             prop_assert_eq!(key_order(&mut mem), key_order(&mut disk));
             std::fs::remove_dir_all(&dir).unwrap();
         }

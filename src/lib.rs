@@ -22,9 +22,9 @@
 //! * [`analysis`] — cost traces, measured k-completeness, witness
 //!   accounting, fairness audits, and the theorem checkers behind
 //!   EXPERIMENTS.md;
-//! * [`store`] — the durable storage engine (WAL + B+tree index +
-//!   buffer pool) behind crash recovery and the out-of-core replay
-//!   tier.
+//! * [`store`] — the durable storage engine (a checksummed WAL that
+//!   answers key scans itself) behind crash recovery and the
+//!   out-of-core replay tier.
 //!
 //! ## Quickstart
 //!
