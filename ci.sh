@@ -40,11 +40,19 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # to end — the worked example plus one per propagation strategy (partial
 # E16, gossip E17, composed gossip×partial E20) — then a pure-rust
 # validation that each metrics sidecar is well-formed JSON carrying the
-# schema's required keys.
+# schema's required keys. The kernel gossip smokes (E17, E20, and the
+# E24 smoke below) are built first and then run under `timeout 120` —
+# each takes about a second: the kernel's ticks stop on local facts
+# (nothing but ticks queued, no node with unsent entries), and a
+# regression of that rule must fail the gate, not hang it. Their
+# sidecar checks also hold `sim.not_converged` — gossip runs that ended
+# with some node lacking an entry it should hold — at zero.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
-run cargo run -q --release -p shard-bench --bin exp_e17_gossip
-run cargo run -q --release -p shard-bench --bin exp_e20_gossip_partial
+run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
+  --bin exp_e20_gossip_partial --bin exp_e24_store_recovery
+run timeout 120 target/release/exp_e17_gossip
+run timeout 120 target/release/exp_e20_gossip_partial
 # The chaos search at CI scale: a 25-seed nemesis sweep. Its claims are
 # only the always-theorems (prefix-subsequence, Cor 8, fault-free
 # baselines), so the smoke run cannot flake; its sidecar goes through
@@ -60,9 +68,12 @@ run env SHARD_POOL_THREADS=4 EXP_METRICS_DIR=target/exp_metrics_par \
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   diff target/exp_metrics/chaos.json target/exp_metrics_par/chaos.json
 for sidecar in e01 e16 e17 e20 chaos; do
+  budget=()
+  case "$sidecar" in e17 | e20) budget=("sim.not_converged<=0") ;; esac
   run cargo run -q --release -p shard-cli --bin shard-trace -- \
     check "target/exp_metrics/$sidecar.json" \
-    experiment ok wall_time_ms claims counters gauges histograms spans
+    experiment ok wall_time_ms claims counters gauges histograms spans \
+    "${budget[@]}"
 done
 # The streaming monitor gate: a monitored chaos sweep must find a
 # violation, cut the run at it, and leave behind a replayed trace plus
@@ -122,12 +133,11 @@ fi
 # verdicts equal the offline `par_check` fold. The sidecar check then
 # re-asserts from the recorded counters that the *clean* phase
 # (durability attached, nothing killed) truncated no torn WAL tails.
-run env SHARD_E24_REPLAY=20000 \
-  cargo run -q --release -p shard-bench --bin exp_e24_store_recovery
+run env SHARD_E24_REPLAY=20000 timeout 120 target/release/exp_e24_store_recovery
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/e24.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
-  "store.wal_torn_truncations_clean<=0"
+  "store.wal_torn_truncations_clean<=0" "sim.not_converged<=0"
 # The out-of-core gate: E25 at smoke scale — 10^5 banking transactions
 # through the store-backed streaming tier (DiskStore rows + spilled
 # checkpoint anchors). The binary exits non-zero unless the streamed

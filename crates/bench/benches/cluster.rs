@@ -64,7 +64,7 @@ fn bench_piggyback_cost(c: &mut Criterion) {
 }
 
 fn bench_gossip_vs_flood(c: &mut Criterion) {
-    use shard_sim::{GossipConfig, Runner};
+    use shard_sim::{Gossip, Runner};
     let app = FlyByNight::new(40);
     let invs = airline_invocations(21, 400, 4, 5, AirlineMix::default(), Routing::Random);
     let mut group = c.benchmark_group("cluster/broadcast_mode");
@@ -85,7 +85,7 @@ fn bench_gossip_vs_flood(c: &mut Criterion) {
     });
     group.bench_function("gossip_50", |b| {
         b.iter(|| {
-            let cluster = Runner::gossip(
+            let cluster = Runner::new(
                 &app,
                 ClusterConfig {
                     nodes: 4,
@@ -93,7 +93,7 @@ fn bench_gossip_vs_flood(c: &mut Criterion) {
                     delay: DelayModel::Fixed(10),
                     ..Default::default()
                 },
-                GossipConfig { interval: 50 },
+                Gossip::new(50, 1),
             );
             black_box(cluster.run(invs.clone()).rounds)
         })

@@ -4,8 +4,10 @@
 //! The paper's broadcast only needs eventual delivery; the protocol is
 //! an implementation degree of freedom. Flooding delivers each update
 //! directly to every peer (n−1 messages per transaction, minimal
-//! staleness); anti-entropy gossip ships whole logs at a fixed cadence
-//! (bounded message *count*, higher staleness). The experiment measures
+//! staleness); anti-entropy gossip hands a random partner, at a fixed
+//! cadence, what it has not been offered yet (bounded message *count*,
+//! each entry offered to each peer once by every node, higher
+//! staleness). The experiment measures
 //! both sides: the k-distribution (which instantiates every cost bound)
 //! and the message/bandwidth cost, across a gossip-interval sweep —
 //! all cost theorems must keep holding under either broadcast.
@@ -17,7 +19,7 @@ use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
-use shard_sim::{ClusterConfig, DelayModel, GossipConfig, Runner};
+use shard_sim::{ClusterConfig, DelayModel, Gossip, Runner};
 
 fn main() {
     let exp = shard_bench::Experiment::start("e17");
@@ -90,7 +92,7 @@ fn main() {
         for seed in TRIAL_SEEDS {
             let invs =
                 airline_invocations(seed, 1000, 5, 6, AirlineMix::default(), Routing::Random);
-            let cluster = Runner::gossip(&app, config(seed), GossipConfig { interval });
+            let cluster = Runner::new(&app, config(seed), Gossip::new(interval, 1));
             let report = cluster.run(invs);
             assert!(report.mutually_consistent());
             rounds += report.rounds;

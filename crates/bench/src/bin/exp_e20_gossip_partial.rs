@@ -3,9 +3,9 @@
 //!
 //! E16 removed the full-replication assumption; E17 swapped flooding
 //! for anti-entropy gossip. The kernel refactor makes the two degrees
-//! of freedom *compose*: [`shard_sim::GossipPlacement`] gossips at a
-//! fixed cadence but each round ships only the entries the partner's
-//! placement cares about. The experiment sweeps the replication factor
+//! of freedom *compose*: [`shard_sim::Gossip::over`] gossips at a
+//! fixed cadence but hands a partner only the entries its placement
+//! cares about. The experiment sweeps the replication factor
 //! against the gossip interval and checks that the §3.1 correctness
 //! conditions, per-object replica agreement and the overdraft cost
 //! bounds all survive the composition — while entry volume tracks the
@@ -19,9 +19,7 @@ use shard_apps::banking::{AccountId, Bank, BankTxn};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
 use shard_core::{Application, ObjectModel};
-use shard_sim::{
-    ClusterConfig, DelayModel, GossipPlacement, Invocation, NodeId, Placement, Runner,
-};
+use shard_sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Placement, Runner};
 
 fn main() {
     let exp = shard_bench::Experiment::start("e20");
@@ -81,11 +79,7 @@ fn main() {
                     let node = holders[rng.random_range(0..holders.len())];
                     invs.push(Invocation::new(t_now, node, txn));
                 }
-                let strategy = GossipPlacement {
-                    interval,
-                    fanout: 2,
-                    placement: placement.clone(),
-                };
+                let strategy = Gossip::new(interval, 2).over(placement.clone());
                 let report = Runner::new(
                     &app,
                     ClusterConfig {

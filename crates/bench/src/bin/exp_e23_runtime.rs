@@ -35,7 +35,7 @@ use shard_runtime::{
     Submission,
 };
 use shard_sim::partial::Placement;
-use shard_sim::{EagerBroadcast, GossipDelta, PartialPlacement, Propagation, RunReport};
+use shard_sim::{EagerBroadcast, Gossip, PartialPlacement, Propagation, RunReport};
 
 const NODES: u16 = 4;
 const ACCOUNTS: u32 = 64;
@@ -93,7 +93,7 @@ fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
     );
     let (live, replayed, label) = match mode {
         "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
-        "gossip" => live_then_replay(&bank, &cfg, GossipDelta::new(GOSSIP_INTERVAL_US), &subs),
+        "gossip" => live_then_replay(&bank, &cfg, Gossip::new(GOSSIP_INTERVAL_US, NODES), &subs),
         _ => {
             let placement = placement.expect("partial mode built a placement");
             live_then_replay(&bank, &cfg, PartialPlacement::new(placement), &subs)

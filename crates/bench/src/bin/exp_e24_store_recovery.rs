@@ -13,14 +13,14 @@
 //!   run's, and clean opens truncate no torn WAL tails
 //!   (`store.wal_torn_truncations` stays 0 until the kill sweep);
 //! * **recovery soundness** — across ≥ 10 seeded kill points per
-//!   strategy (whole-log gossip; eager broadcast with piggybacking),
-//!   every disk-backed run passes the §3 oracles: the recorded
-//!   execution verifies, transitivity holds (Thm 2 reasoning survives
-//!   restarts), the Corollary 8 invariant bound holds with `k`
-//!   measured across the kills, all replicas re-converge, the final
-//!   state equals the canonical serial replay, and the in-kernel
-//!   streaming monitor's certified verdicts equal the offline `par_check`
-//!   fold (certificates included);
+//!   strategy (anti-entropy gossip, one random partner per round; eager
+//!   broadcast with piggybacking), every disk-backed run passes the §3
+//!   oracles: the recorded execution verifies, transitivity holds (Thm 2
+//!   reasoning survives restarts), the Corollary 8 invariant bound
+//!   holds with `k` measured across the kills, all replicas re-converge
+//!   with nothing missing, the final state equals the canonical serial
+//!   replay, and the in-kernel streaming monitor's certified verdicts
+//!   equal the offline `par_check` fold (certificates included);
 //! * **replay-from-disk perf** — reopening a `DiskStore` holding a
 //!   10⁵-entry WAL (override with `SHARD_E24_REPLAY`) and replaying it
 //!   into a fresh node completes within 3× of the same replay from a
@@ -40,8 +40,8 @@ use shard_obs::Registry;
 use shard_pool::PoolConfig;
 use shard_runtime::report_digest;
 use shard_sim::{
-    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, FaultStats,
-    GossipConfig, MergeLog, MonitorConfig, NodeId, NodeMirror, Runner, Timestamp,
+    ClusterConfig, CrashInjector, DelayModel, DurabilityConfig, DurableFleet, FaultStats, Gossip,
+    MergeLog, MonitorConfig, NodeId, NodeMirror, Runner, Timestamp,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,7 +95,7 @@ fn sweep_run(
     let invs = airline_invocations(seed, TXNS, NODES, 7, AirlineMix::default(), Routing::Random);
     let nemesis = || Box::new(CrashInjector::new(KILLS_PER_RUN as u32, 40, 160, seed));
     let report = if strategy == "gossip" {
-        Runner::gossip(app, cfg, GossipConfig { interval: 20 })
+        Runner::new(app, cfg, Gossip::new(20, 1))
             .with_durability(fleet)
             .with_nemesis(nemesis())
             .run(invs)
@@ -113,7 +113,7 @@ fn sweep_run(
     let (k, cor8) = check_invariant_bound(app, &te.execution, OVERBOOKING, f, |d| {
         matches!(d, AirlineTxn::MoveUp)
     });
-    let consistent = report.mutually_consistent();
+    let consistent = report.mutually_consistent() && report.missing().is_empty();
     let mut serial = app.initial_state();
     for txn in &report.transactions {
         serial = app.apply(&serial, &txn.update);
@@ -207,7 +207,7 @@ fn main() {
     for seed in TRIAL_SEEDS {
         let invs =
             airline_invocations(seed, TXNS, NODES, 7, AirlineMix::default(), Routing::Random);
-        let mk = || Runner::gossip(&app, base_cfg(seed, false), GossipConfig { interval: 20 });
+        let mk = || Runner::new(&app, base_cfg(seed, false), Gossip::new(20, 1));
         let plain = mk().run(invs.clone());
         let mem_fleet = DurableFleet::new(NODES, &DurabilityConfig::mem(seed)).unwrap();
         let durable = mk().with_durability(mem_fleet).run(invs.clone());
@@ -314,7 +314,8 @@ fn main() {
          nodes, exponential delay; kill sweep = {} seeds x {KILLS_PER_RUN} kill/recover \
          windows per strategy, DiskStore-backed\",\n \"kill_points\": {{\"gossip\": {}, \
          \"eager_piggyback\": {}}},\n \"oracles\": \"verify + transitivity + Cor 8 + mutual \
-         consistency + serial replay + online==offline certified verdicts, all hold\",\n \
+         consistency, nothing missing + serial replay + online==offline certified verdicts, \
+         all hold\",\n \
          \"torn_tail_truncations\": {{\"clean_phase\": {torn_before_kills}, \"after_kills\": \
          {}}},\n \"replay\": {{\"entries\": {n}, \"mem_us\": {mem_us}, \"disk_us\": {disk_us}, \
          \"disk_over_mem\": {ratio:.3}, \"bound\": {MAX_DISK_OVER_MEM}}},\n \"note\": \

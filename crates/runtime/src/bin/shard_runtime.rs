@@ -23,7 +23,7 @@ use shard_runtime::{
     RuntimeConfig, Submission,
 };
 use shard_sim::{
-    EagerBroadcast, GossipDelta, MonitorConfig, PartialPlacement, Placement, Propagation, RunReport,
+    EagerBroadcast, Gossip, MonitorConfig, PartialPlacement, Placement, Propagation, RunReport,
 };
 use std::process::ExitCode;
 
@@ -153,7 +153,8 @@ fn main() -> ExitCode {
 
     let (live, replayed) = match args.mode.as_str() {
         "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
-        "gossip" => live_then_replay(&bank, &cfg, GossipDelta::new(args.interval_us), &subs),
+        // Full fanout (no partner sampling): what replay needs.
+        "gossip" => live_then_replay(&bank, &cfg, Gossip::new(args.interval_us, u16::MAX), &subs),
         _ => {
             let placement = placement.expect("partial mode built a placement");
             live_then_replay(&bank, &cfg, PartialPlacement::new(placement), &subs)

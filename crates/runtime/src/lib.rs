@@ -27,9 +27,9 @@
 //! The API is one pair, generic over the [`Propagation`] strategy:
 //! [`run_live`] (or [`run_live_durable`], with one write-ahead mirror
 //! per node) records, [`replay()`] replays. Build **one** strategy
-//! value — [`shard_sim::EagerBroadcast`], [`shard_sim::GossipDelta`],
-//! [`shard_sim::PartialPlacement`] — and hand a clone to each side, so
-//! the two cannot be configured apart.
+//! value — [`shard_sim::EagerBroadcast`], [`shard_sim::Gossip`] at
+//! full fanout, [`shard_sim::PartialPlacement`] — and hand a clone to
+//! each side, so the two cannot be configured apart.
 //!
 //! Why fidelity holds: every live tick comes from one process-wide
 //! atomic counter, so the interleaving of executions, deliveries and

@@ -162,15 +162,20 @@ pub(crate) fn sanitize_monitor(m: &Option<MonitorConfig>) -> Option<MonitorConfi
 /// the coordinator.
 struct Shared {
     clock: WallClock,
-    /// Messages sent but not yet merged at their receiver. Incremented
-    /// *before* the channel send, decremented *after* the merge — zero
-    /// therefore proves the network is silent.
+    /// Work outstanding, two counts in one word so that one load sees
+    /// both: messages sent but not yet merged at their receiver (the
+    /// word `% UNSENT`), and nodes whose strategy still has entries to
+    /// offer a peer ([`Propagation::has_unsent`]; one [`UNSENT`] each).
+    /// A message counts from *before* the channel send until *after*
+    /// the merge and the receiver's own unsent mark; a node's mark drops
+    /// only *after* the round that emptied it has counted its sends — so
+    /// zero proves the cluster is quiet.
     in_flight: AtomicU64,
     /// Transactions executed so far, across all nodes.
     executed: AtomicU64,
-    /// Phase 1 of shutdown: set once every submission has executed, the
-    /// network is silent and the convergence rule holds. Nodes stop
-    /// initiating work (submissions, gossip rounds) once they see it.
+    /// Phase 1 of shutdown: set once every submission has executed and
+    /// nothing is outstanding. Nodes stop initiating work (submissions,
+    /// gossip rounds) once they see it.
     stop: AtomicBool,
     /// Nodes that have acknowledged `stop` (and thus will never send
     /// again).
@@ -181,10 +186,10 @@ struct Shared {
     /// Per-node Lamport clock values, published after every execute and
     /// absorb — their minimum is the monitor watermark.
     clocks: Vec<AtomicU64>,
-    /// Per-node merge-log lengths, published likewise — the gossip
-    /// convergence rule reads them.
-    log_lens: Vec<AtomicU64>,
 }
+
+/// One node's unsent mark in [`Shared::in_flight`].
+const UNSENT: u64 = 1 << 32;
 
 /// One update message in flight between node threads.
 struct Msg<A: Application> {
@@ -206,10 +211,6 @@ struct ChannelTransport<'s, A: Application> {
 impl<A: Application> Transport<A> for ChannelTransport<'_, A> {
     fn nodes(&self) -> u16 {
         self.peers.len() as u16
-    }
-
-    fn connected(&self, _now: SimTime, _a: NodeId, _b: NodeId) -> bool {
-        true
     }
 
     fn rng(&mut self) -> &mut StdRng {
@@ -262,14 +263,27 @@ struct NodeWorker<'s, A: Application, P> {
     /// Durable mirror of the node's log ([`run_live_durable`]), written
     /// by the shared replica step.
     mirror: Option<NodeMirror<A>>,
+    /// Whether this node holds its unsent mark in `Shared::in_flight`.
+    unsent: bool,
     out: NodeOutcome<A>,
 }
 
 impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
-    fn publish(&self) {
+    /// Publishes the node's clock and its unsent mark — after every
+    /// event, before the event's own count (`in_flight`, `executed`)
+    /// lets the coordinator see it done.
+    fn publish(&mut self) {
         let id = self.node.id.0 as usize;
         self.shared.clocks[id].store(self.node.clock.current(), Ordering::SeqCst);
-        self.shared.log_lens[id].store(self.node.log.len() as u64, Ordering::SeqCst);
+        let unsent = self.strategy.has_unsent(&self.node);
+        if unsent != self.unsent {
+            self.unsent = unsent;
+            if unsent {
+                self.shared.in_flight.fetch_add(UNSENT, Ordering::SeqCst);
+            } else {
+                self.shared.in_flight.fetch_sub(UNSENT, Ordering::SeqCst);
+            }
+        }
     }
 
     /// Merges one delivered batch at a fresh tick and records it.
@@ -346,6 +360,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
             self.out.rounds += 1;
         }
         self.out.ticks.push((now, self.node.id));
+        self.publish();
     }
 
     /// The thread body: see the module diagram.
@@ -357,10 +372,9 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         let mut next_sub = 0usize;
         let mut next_round_us = tick_every_us.unwrap_or(0);
         let mut acked = false;
-        // Publish the starting clock/log-length: a node recovered from
-        // a durable mirror begins with a non-empty log, and the
-        // coordinator's convergence rule must see it even if the node
-        // never executes or receives anything.
+        // Publish the starting clock: a node recovered from a durable
+        // mirror begins past zero, and the monitor's watermark must see
+        // that even if the node never executes or receives anything.
         self.publish();
         loop {
             let mut did = self.drain();
@@ -381,7 +395,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                     // backlog only deepen it, so a saturated network
                     // would never converge. Skipped rounds are never
                     // recorded, so replay is unaffected.
-                    let backlog = self.shared.in_flight.load(Ordering::SeqCst);
+                    let backlog = self.shared.in_flight.load(Ordering::SeqCst) % UNSENT;
                     if self.shared.clock.elapsed_us() >= next_round_us
                         && backlog < 2 * self.transport.peers.len() as u64
                     {
@@ -467,16 +481,15 @@ fn monitor_loop(
 /// the local replica (no RNG draws) and sending to peers in increasing
 /// node order within one event — that is what makes the recorded
 /// schedule replayable. [`EagerBroadcast`](shard_sim::EagerBroadcast),
-/// [`GossipDelta`](shard_sim::GossipDelta) (full fanout, no partner
-/// sampling — which is why live gossip is not the random-partner
-/// [`Gossip`](shard_sim::Gossip)) and
+/// [`Gossip`](shard_sim::Gossip) at full fanout (`fanout ≥ nodes − 1`:
+/// all peers in node order, no partner sampling) and
 /// [`PartialPlacement`](shard_sim::PartialPlacement) conform; pass a
 /// clone of the same value to [`crate::replay()`].
 ///
 /// Tick-driven strategies (gossip) use their [`Propagation::
-/// tick_interval`] as a cadence in *microseconds*, and the run ends
-/// only once every node's log holds every update (full replication);
-/// reactive strategies end when the network drains.
+/// tick_interval`] as a cadence in *microseconds*. Every run ends the
+/// same way: all submissions executed, no message in flight and no
+/// node with anything left to offer ([`Propagation::has_unsent`]).
 ///
 /// # Panics
 ///
@@ -573,17 +586,14 @@ where
         acked: AtomicU64::new(0),
         done: AtomicBool::new(false),
         clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        log_lens: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
 
     // A mirror that already holds entries is a previous process's
-    // store: its node restarts from it. The final union every log must
-    // reach is `recovered ∪ new`, and new executions always mint fresh
-    // timestamps, so the convergence target is `recovered + total`.
+    // store: its node restarts from it.
     let mut nodes: Vec<Node<A>> = (0..cfg.nodes)
         .map(|i| Node::new(app, NodeId(i), cfg.checkpoint_every))
         .collect();
-    let recovered = recover_at_start(
+    recover_at_start(
         app,
         &mut nodes,
         &mut mirrors,
@@ -591,7 +601,6 @@ where
         cfg.monitor.is_some(),
         cfg.sink.as_deref(),
     );
-    let target = total + recovered.len() as u64;
     let mut mirrors = mirrors.into_iter();
 
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel::<Msg<A>>()).unzip();
@@ -609,6 +618,12 @@ where
         let mut handles = Vec::with_capacity(n);
         for (id, ((rx, subs), node)) in receivers.into_iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
+            // A recovered node starts with entries to offer: marked here,
+            // before the coordinator's first look could read it as quiet.
+            let unsent = strategy.has_unsent(&node);
+            if unsent {
+                shared.in_flight.fetch_add(UNSENT, Ordering::SeqCst);
+            }
             let worker = NodeWorker {
                 app,
                 node,
@@ -626,6 +641,7 @@ where
                 sink: cfg.sink.as_deref(),
                 metrics,
                 mirror: mirrors.next(),
+                unsent,
                 out: NodeOutcome {
                     txns: Vec::new(),
                     externals: Vec::new(),
@@ -647,28 +663,16 @@ where
             scope.spawn(move || monitor_loop(mc, mon_rx, shared, sink.as_deref()))
         });
 
-        // Coordinator (this thread): three-phase shutdown. Reactive
-        // strategies quiesce when everything executed and the network
-        // is silent. Tick-driven strategies never go silent on their
-        // own (rounds fire until told to stop), so their phase-1 rule
-        // is convergence: every log holds every update. Either way no
-        // new *information* moves after `stop` — at most already-known
-        // entries are re-delivered, and those are recorded and
-        // replayed like any other message.
+        // Coordinator (this thread): three-phase shutdown. Phase 1
+        // waits until everything executed and nothing is outstanding —
+        // no message unmerged, no node with unsent entries (one load of
+        // `Shared::in_flight` decides). An execution publishes its
+        // node's mark before it counts, so `executed` is read first.
         loop {
-            let depth = shared.in_flight.load(Ordering::SeqCst);
-            metrics.queue_depth.record(depth);
             let all_executed = shared.executed.load(Ordering::SeqCst) == total;
-            let quiesced = if tick_every_us.is_some() {
-                all_executed
-                    && shared
-                        .log_lens
-                        .iter()
-                        .all(|l| l.load(Ordering::SeqCst) == target)
-            } else {
-                all_executed && depth == 0
-            };
-            if quiesced {
+            let outstanding = shared.in_flight.load(Ordering::SeqCst);
+            metrics.queue_depth.record(outstanding % UNSENT);
+            if all_executed && outstanding == 0 {
                 break;
             }
             thread::park_timeout(Duration::from_micros(500));
@@ -688,25 +692,27 @@ where
     });
 
     let wall_us = shared.clock.elapsed_us();
-    assemble(cfg, outcomes, monitor_report, wall_us)
+    assemble(app, cfg, &strategy, outcomes, monitor_report, wall_us)
 }
 
 /// Folds the per-node outcomes into a kernel-shaped [`RunReport`] plus
 /// the recorded schedule.
-fn assemble<A: Application>(
+fn assemble<A: Application, P: Propagation<A>>(
+    app: &A,
     cfg: &RuntimeConfig,
+    strategy: &P,
     outcomes: Vec<Option<(Node<A>, NodeOutcome<A>)>>,
     monitor: Option<StreamReport>,
     wall_us: u64,
 ) -> LiveRun<A> {
+    let mut nodes = Vec::new();
     let mut transactions = Vec::new();
     let mut external_actions = Vec::new();
-    let mut node_metrics = Vec::new();
-    let mut final_states = Vec::new();
     let mut schedule = RecordedSchedule::default();
     let (mut messages_sent, mut entries_shipped, mut rounds) = (0u64, 0u64, 0u64);
     for o in outcomes {
         let (node, o) = o.expect("every node joined");
+        nodes.push(node);
         transactions.extend(o.txns);
         external_actions.extend(o.externals);
         schedule.execs.extend(o.execs);
@@ -715,12 +721,9 @@ fn assemble<A: Application>(
         messages_sent += o.messages_sent;
         entries_shipped += o.entries_shipped;
         rounds += o.rounds;
-        node_metrics.push(node.log.metrics());
-        final_states.push(node.log.into_state());
     }
-    // The kernel reports in serial (timestamp) order and real-time
-    // event order respectively; ticks are unique, so sorting is total.
-    transactions.sort_by_key(|t| t.ts);
+    // The kernel reports external actions in real-time event order;
+    // ticks are unique, so sorting is total.
     external_actions.sort_by_key(|(t, _, _)| *t);
     schedule.execs.sort_unstable_by_key(|(t, _)| *t);
     schedule.ticks.sort_unstable_by_key(|(t, _)| *t);
@@ -732,21 +735,14 @@ fn assemble<A: Application>(
             .emit();
         sink.flush();
     }
+    let mut report = RunReport::collect(app, strategy, nodes, transactions);
+    report.external_actions = external_actions;
+    report.messages_sent = messages_sent;
+    report.entries_shipped = entries_shipped;
+    report.rounds = rounds;
+    report.monitor = monitor;
     LiveRun {
-        report: RunReport {
-            transactions,
-            node_metrics,
-            external_actions,
-            final_states,
-            barrier_latencies: Vec::new(),
-            rejected: Vec::new(),
-            messages_sent,
-            entries_shipped,
-            rounds,
-            faults: Vec::new(),
-            monitor,
-            aborted: false,
-        },
+        report,
         schedule,
         wall_us,
     }

@@ -10,7 +10,7 @@
 //!   queue in FIFO order) — decisions are recovered positionally.
 //! * **Gossip rounds** become a scripted tick list
 //!   ([`Runner::with_ticks`]): one `Tick` event per recorded round, no
-//!   rescheduling, no synced stopping rule.
+//!   rescheduling — the script is the stopping rule.
 //! * **Messages** are the crux. The kernel numbers sends 1, 2, 3, … in
 //!   send order; live, sends happen inside execution/round events
 //!   (whose ticks totally order them) and go to peers in increasing
@@ -137,8 +137,9 @@ fn fnv(h: &mut u64, s: &str) {
 /// A digest of every replay-comparable field of a [`RunReport`] —
 /// everything except `faults` (see the module docs). Two reports with
 /// equal digests executed the same transactions in the same serial
-/// order, performed the same external actions, converged to the same
-/// states, shipped the same traffic and drew the same monitor verdicts.
+/// order, performed the same external actions, ended in the same states
+/// (short of the same entries), shipped the same traffic and drew the
+/// same monitor verdicts.
 pub fn report_digest<A: Application>(r: &RunReport<A>) -> u64 {
     let mut h = 0xcbf29ce484222325u64;
     for t in &r.transactions {
@@ -175,6 +176,7 @@ pub fn report_digest<A: Application>(r: &RunReport<A>) -> u64 {
         ),
     );
     fnv(&mut h, &format!("{:?}", r.monitor));
+    fnv(&mut h, &format!("{:?}", r.missing()));
     h
 }
 

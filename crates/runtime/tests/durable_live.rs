@@ -4,7 +4,7 @@
 
 use shard_apps::dictionary::{DictTxn, Dictionary};
 use shard_runtime::{run_live_durable, RuntimeConfig, Submission};
-use shard_sim::{DurabilityConfig, DurableFleet, GossipDelta, MonitorConfig, NodeId};
+use shard_sim::{DurabilityConfig, DurableFleet, Gossip, MonitorConfig, NodeId};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("shard-runtime-{name}-{}", std::process::id()));
@@ -49,7 +49,7 @@ fn run_restart_restart(name: &str, restart_monitor: Option<MonitorConfig>) {
     let first = run_live_durable(
         &app,
         &cfg,
-        GossipDelta::new(2_000),
+        Gossip::new(2_000, u16::MAX),
         subs,
         fleet.into_mirrors(),
     );
@@ -71,7 +71,7 @@ fn run_restart_restart(name: &str, restart_monitor: Option<MonitorConfig>) {
     let second = run_live_durable(
         &app,
         &cfg,
-        GossipDelta::new(2_000),
+        Gossip::new(2_000, u16::MAX),
         Vec::new(),
         fleet.into_mirrors(),
     );
@@ -104,7 +104,7 @@ fn run_restart_restart(name: &str, restart_monitor: Option<MonitorConfig>) {
     let third = run_live_durable(
         &app,
         &cfg,
-        GossipDelta::new(2_000),
+        Gossip::new(2_000, u16::MAX),
         subs,
         fleet.into_mirrors(),
     );

@@ -23,8 +23,7 @@ use shard_core::Application;
 use shard_runtime::{replay, report_digest, run_live, LiveRun, RuntimeConfig, Submission};
 use shard_sim::partial::Placement;
 use shard_sim::{
-    EagerBroadcast, GossipDelta, KnownSet, NodeId, PartialPlacement, Propagation, RunReport,
-    Timestamp,
+    EagerBroadcast, Gossip, KnownSet, NodeId, PartialPlacement, Propagation, RunReport, Timestamp,
 };
 
 const NODES: u16 = 3;
@@ -161,10 +160,10 @@ fn live_and_replay_traces_agree_line_for_line() {
         );
     }
     check(EagerBroadcast { piggyback: false });
-    check(GossipDelta::new(300));
+    check(Gossip::new(300, u16::MAX));
 }
 
-/// [`roundtrip`] in all-peer eager mode and in delta gossip.
+/// [`roundtrip`] in all-peer eager mode and in full-fanout gossip.
 fn roundtrip_eager_and_gossip<A>(app: &A, seed: u64, subs: Vec<Submission<A::Decision>>)
 where
     A: Application + Sync,
@@ -173,7 +172,7 @@ where
     A::Decision: Send,
 {
     roundtrip(app, seed, EagerBroadcast { piggyback: false }, &subs);
-    roundtrip(app, seed, GossipDelta::new(300), &subs);
+    roundtrip(app, seed, Gossip::new(300, u16::MAX), &subs);
 }
 
 fn airline_txn() -> impl Strategy<Value = AirlineTxn> {

@@ -1,84 +1,145 @@
-//! Anti-entropy gossip broadcast — the \[GLBKSS\]-style alternative to
-//! per-update flooding.
+//! Anti-entropy gossip — the \[GLBKSS\]-style alternative to per-update
+//! flooding ([`crate::cluster`]), as one strategy: [`Gossip`]. Each node
+//! periodically hands its partners what they have not been offered yet:
+//! per-round (not per-update) message cost, at the price of a larger
+//! `k`. E17 measures that trade, E20 the same over partial replication.
 //!
-//! §1.2 relies on a reliable broadcast that delivers "in as timely a
-//! manner as possible" but tolerates arbitrary delay. The flooding model
-//! in [`crate::cluster`] sends every update to every peer directly; real
-//! deployments (and the Grapevine lineage the paper cites) often use
-//! **anti-entropy**: each node periodically picks a partner and pushes
-//! everything it knows. Gossip gives eventual delivery with per-round
-//! (not per-update) message cost, at the price of higher propagation
-//! delay — i.e. larger `k`. Experiment E17 measures that trade.
+//! §1.2 asks one thing of the broadcast — barring permanent failure,
+//! every node eventually receives every update — and it has two owners:
 //!
-//! Since the kernel refactor this module only contributes propagation
-//! strategies — [`Gossip`] (uniform random partners) and
-//! [`GossipPlacement`] (gossip × partial replication: rounds ship only
-//! the entries the partner's placement cares about) — plus the
-//! [`Runner::gossip`] constructor. The event loop, failure gating and
-//! traced merging live in [`crate::kernel`], shared with every other
-//! strategy.
+//! * **The link owns delivery.** [`Transport::send`] holds a message
+//!   until the partition between the pair heals and its receiver is up,
+//!   so a round never asks whether a partner is reachable — it sends.
+//!   Rounds travel *ordered* links (the kernel's tick sends,
+//!   `shard-runtime`'s channels): a batch arrives no earlier than the
+//!   one handed to the same link before it, and never at a peer that
+//!   restarted from its store in between.
+//! * **The strategy owns what it handed to which link**: a cursor *per
+//!   peer* into the sender's arrival order
+//!   ([`crate::MergeLog::arrivals`]) that moves only with what was sent
+//!   to that peer. A peer that restarts is a new link epoch: every
+//!   cursor *for* it starts over, so what its WAL lost is offered again
+//!   (duplicates are idempotent at the merge).
 //!
-//! Termination is deliberately omniscient about *convergence only*:
-//! rounds stop once every replica holds every update it should and no
-//! client invocations remain — a simulation-harness stopping rule, not
-//! protocol logic ([`crate::kernel::Propagation::synced`]).
+//! Each node thus offers each entry to each peer once per epoch —
+//! O(entries · n²) on the wire, never a log twice — with no digest, no
+//! acknowledgement, no second message kind; and a partner holds all
+//! below its cursor when a batch (in timestamp order) from above it
+//! lands, so §3.2 transitivity holds, restarts included.
 
 use crate::clock::NodeId;
 use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation, Runner};
+use crate::kernel::{Entries, Node, Propagation};
 use crate::partial::Placement;
 use crate::transport::Transport;
 use rand::Rng;
 use shard_core::{Application, ObjectModel};
 use std::sync::Arc;
 
-use crate::kernel::{ClusterConfig, ExecutedTxn};
-
-/// Configuration of the gossip layer.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GossipConfig {
-    /// How often each node initiates an anti-entropy round.
-    pub interval: SimTime,
-}
-
-impl Default for GossipConfig {
-    /// One round per 50 ticks.
-    fn default() -> Self {
-        GossipConfig { interval: 50 }
-    }
-}
-
 /// Anti-entropy propagation: nothing is sent at execution time; every
-/// `interval` ticks each live node picks `fanout` uniform random
-/// partners and pushes its whole log (rounds blocked by a partition are
-/// skipped, not retried early).
+/// `interval` ticks each live node hands each partner the entries
+/// merged since that partner was last served, sorted by timestamp and,
+/// under a [`Placement`], narrowed to what the partner holds (plus
+/// empty-write updates). A run ends when no node has anything unsent.
 ///
-/// `Gossip { interval: 1, fanout: n }` degenerates to deterministic
-/// flooding — with fanout ≥ `nodes − 1` the strategy pushes to *all*
-/// peers in node order without consuming randomness, which is what makes
-/// the cross-strategy equivalence suite exact.
-#[derive(Clone, Copy, Debug)]
-pub struct Gossip {
+/// Partners are all peers in node order, with no RNG draw, when `fanout
+/// ≥ nodes − 1`; otherwise `fanout` uniform random ones. Full fanout is
+/// therefore deterministic given the local replica (`shard-runtime
+/// --mode gossip` needs that), and `Gossip::new(1, nodes)` degenerates
+/// to flooding — `tests/strategy_equivalence.rs` holds it to that.
+///
+/// # Examples
+///
+/// ```
+/// use shard_apps::banking::{AccountId, Bank, BankTxn};
+/// use shard_core::ObjectModel;
+/// use shard_sim::{ClusterConfig, Gossip, Invocation, NodeId, Placement, Runner};
+///
+/// let app = Bank::new(4, 100);
+/// // Account 1 is the first object: round-robin puts it on nodes 0 and 1.
+/// let placement = Placement::round_robin(5, &app.objects(), 2);
+/// let invs = vec![Invocation::new(1, NodeId(0), BankTxn::Deposit(AccountId(1), 5))];
+/// let strategy = Gossip::new(10, 2).over(placement.clone());
+/// let report = Runner::new(&app, ClusterConfig::default(), strategy).run(invs);
+/// assert!(report.missing().is_empty());
+/// assert!(report.objects_consistent(&app, &placement));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Gossip<F = ()> {
     /// How often each node initiates an anti-entropy round.
     pub interval: SimTime,
-    /// Number of random partners pushed to per round.
+    /// Number of partners served per round.
     pub fanout: u16,
+    /// Who is offered what: `()` or a [`Placement`] ([`Gossip::over`]).
+    pub placement: F,
+    /// `cursors[node][peer]`: how much of `node`'s arrival order has
+    /// been handed to its link to `peer`. The kernel's one instance
+    /// serves all nodes; a live node thread uses only its own row.
+    cursors: Vec<Vec<usize>>,
 }
 
 impl Gossip {
-    /// Picks a uniform random partner other than `node` (the historical
-    /// redraw-while-self scheme, preserving the seed's draw sequence).
-    fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
-        let n = net.nodes();
-        let mut peer = NodeId(net.rng().random_range(0..n));
-        while peer == node {
-            peer = NodeId(net.rng().random_range(0..n));
+    /// Rounds every `interval` ticks to `fanout` partners, everyone
+    /// offered everything.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fanout` is zero: such rounds would offer nothing, ever.
+    pub fn new(interval: SimTime, fanout: u16) -> Self {
+        assert!(fanout > 0, "a round needs at least one partner");
+        Gossip {
+            interval,
+            fanout,
+            placement: (),
+            cursors: Vec::new(),
         }
-        peer
+    }
+
+    /// The same over partial replication: a partner is offered only
+    /// what `placement` has it hold.
+    pub fn over(self, placement: Placement) -> Gossip<Placement> {
+        Gossip {
+            interval: self.interval,
+            fanout: self.fanout,
+            placement,
+            cursors: self.cursors,
+        }
     }
 }
 
-impl<A: Application> Propagation<A> for Gossip {
+/// A uniform random partner other than `node` (redraw while self).
+fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
+    let n = net.nodes();
+    loop {
+        let peer = NodeId(net.rng().random_range(0..n));
+        if peer != node {
+            return peer;
+        }
+    }
+}
+
+/// Whom a batch is for (`()`: everyone, everything) — private, and there
+/// to carry the [`ObjectModel`] bound only a [`Placement`] needs.
+mod audience {
+    pub trait Audience<A: super::Application> {
+        fn wants(&self, app: &A, node: super::NodeId, update: &A::Update) -> bool;
+    }
+}
+use audience::Audience;
+
+impl<A: Application> Audience<A> for () {
+    fn wants(&self, _app: &A, _node: NodeId, _update: &A::Update) -> bool {
+        true
+    }
+}
+
+impl<A: ObjectModel> Audience<A> for Placement {
+    fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
+        Placement::wants(self, app, node, update)
+    }
+}
+
+impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
     fn label(&self) -> &'static str {
         "gossip"
     }
@@ -87,250 +148,74 @@ impl<A: Application> Propagation<A> for Gossip {
         Some(self.interval)
     }
 
-    fn on_tick(&mut self, _app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        // One shared snapshot of the whole log per round.
-        let entries: Entries<A> = Arc::from(node.log.entries().to_vec());
-        if u32::from(self.fanout) >= u32::from(net.nodes()) - 1 {
-            push_to_all(net, node.id, now, &entries);
-        } else {
-            for _ in 0..self.fanout {
-                let peer = Self::partner(net, node.id);
-                // Skip the round if the partition blocks it right now.
-                if net.connected(now, node.id, peer) {
-                    net.send(now, node.id, peer, Arc::clone(&entries));
-                }
-            }
-        }
-    }
-
-    fn synced(&self, _app: &A, nodes: &[Node<A>], transactions: &[ExecutedTxn<A>]) -> bool {
-        synced_on_identical_logs(nodes, transactions)
-    }
-}
-
-/// Full fanout: pushes `entries` to every peer no partition cuts `node`
-/// off from right now, in node order (no randomness consumed).
-fn push_to_all<A: Application>(
-    net: &mut dyn Transport<A>,
-    node: NodeId,
-    now: SimTime,
-    entries: &Entries<A>,
-) {
-    for to in (0..net.nodes()).map(NodeId) {
-        if to != node && net.connected(now, node, to) {
-            net.send(now, node, to, Arc::clone(entries));
-        }
-    }
-}
-
-/// The gossip strategies' shared stopping rule: every replica's log is
-/// identical and covers at least every transaction this run executed.
-/// On an ordinary run this is exactly "every log holds all `n` executed
-/// transactions"; on a run whose nodes recovered durable state from a
-/// previous process ([`crate::Runner::with_durability`]) the recovered
-/// entries inflate the logs past this run's transaction count, so the
-/// rule compares the logs themselves. Length equality is the cheap
-/// gate; the known-set comparison runs only once lengths agree.
-fn synced_on_identical_logs<A: Application>(
-    nodes: &[Node<A>],
-    transactions: &[ExecutedTxn<A>],
-) -> bool {
-    let len0 = nodes[0].log.len();
-    len0 >= transactions.len()
-        && nodes.iter().all(|n| n.log.len() == len0)
-        && nodes
-            .windows(2)
-            .all(|w| w[0].log.known_set() == w[1].log.known_set())
-}
-
-/// Delta anti-entropy: every `interval` ticks each node pushes to
-/// **every** peer only the entries it merged since its *own* last round
-/// — a cursor into the merge log's arrival order
-/// ([`crate::MergeLog::arrivals`]), not a log scan. Rounds with nothing
-/// new send nothing.
-///
-/// Whole-log gossip ([`Gossip`]) re-ships the entire log every round:
-/// O(rounds · log) entries on the wire and through the receiving merge
-/// path, which turns quadratic the moment rounds overlap sustained
-/// load. Delta rounds ship each entry from each node at most once —
-/// O(entries · n²) total — which is what makes 10⁵-transaction live
-/// gossip runs feasible. Propagation is flooding: a node re-ships
-/// whatever it just *learned* (from anyone), so an update reaches
-/// everyone within two rounds of its first delivery.
-///
-/// Fanout is always full, and a cursor advances whether or not a given
-/// peer was reachable — an entry dropped by a partition is only
-/// re-delivered via third parties, and a received tail a crashed peer
-/// lost from its store only by copies still in flight — so under
-/// adversarial partitions or lossy crash windows the omniscient
-/// [`Propagation::synced`] rule may never hold. Use [`Gossip`] for
-/// chaos schedules; `GossipDelta` is the live-runtime
-/// strategy (`shard-runtime --mode gossip`), where its determinism
-/// (no partner sampling, no randomness) makes record–replay exact.
-#[derive(Clone, Debug)]
-pub struct GossipDelta {
-    /// How often each node initiates a delta round.
-    pub interval: SimTime,
-    /// Per-node cursors into each node's [`crate::MergeLog::arrivals`]:
-    /// everything before the cursor has been offered to every peer. In
-    /// the kernel one strategy instance serves all nodes; in the live
-    /// runtime each node thread owns an instance and uses only its own
-    /// slot — the behavior per node is identical either way.
-    cursors: Vec<usize>,
-}
-
-impl GossipDelta {
-    /// A delta-gossip strategy pushing every `interval` ticks.
-    pub fn new(interval: SimTime) -> Self {
-        GossipDelta {
-            interval,
-            cursors: Vec::new(),
-        }
-    }
-}
-
-impl<A: Application> Propagation<A> for GossipDelta {
-    fn label(&self) -> &'static str {
-        "gossip_delta"
-    }
-
-    fn tick_interval(&self) -> Option<SimTime> {
-        Some(self.interval)
-    }
-
-    fn on_tick(&mut self, _app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        let idx = usize::from(node.id.0);
-        if self.cursors.len() <= idx {
-            self.cursors.resize(idx + 1, 0);
-        }
-        let arrivals = node.log.arrivals();
-        let cur = self.cursors[idx];
-        if cur == arrivals.len() {
-            return;
-        }
-        self.cursors[idx] = arrivals.len();
-        // Ship the new arrivals sorted — an ascending batch is the
-        // receiving merge path's fast case.
-        let mut delta = arrivals[cur..].to_vec();
-        delta.sort_unstable_by_key(|(ts, _)| *ts);
-        push_to_all(net, node.id, now, &delta.into());
-    }
-
-    /// The recovered log is a prefix of the arrival order the cursor
-    /// indexed: positions below its length hold the same entries, the
-    /// rest were lost and re-arrive at new positions, unshipped.
-    fn on_recover(&mut self, node: &Node<A>) {
-        if let Some(cursor) = self.cursors.get_mut(usize::from(node.id.0)) {
-            *cursor = (*cursor).min(node.log.arrivals().len());
-        }
-    }
-
-    fn synced(&self, _app: &A, nodes: &[Node<A>], transactions: &[ExecutedTxn<A>]) -> bool {
-        synced_on_identical_logs(nodes, transactions)
-    }
-}
-
-/// Gossip over partial replication — the composed scenario the kernel
-/// refactor unlocks (experiment E20). Rounds run exactly like
-/// [`Gossip`]'s, but a push to a partner ships only the entries that
-/// partner's [`Placement`] cares about: updates writing one of its held
-/// objects, plus empty-write updates (pure serial-order information,
-/// relevant everywhere). Rounds with nothing relevant to say are
-/// skipped entirely.
-#[derive(Clone, Debug)]
-pub struct GossipPlacement {
-    /// How often each node initiates an anti-entropy round.
-    pub interval: SimTime,
-    /// Number of random partners pushed to per round.
-    pub fanout: u16,
-    /// Which nodes replicate which objects.
-    pub placement: Placement,
-}
-
-impl GossipPlacement {
-    /// Whether `update` matters to `node` under this placement.
-    fn relevant<A: ObjectModel>(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
-        let writes = app.update_objects(update);
-        writes.is_empty() || writes.iter().any(|o| self.placement.holds(node, *o))
-    }
-
-    /// The subset of `node`'s log that `to` cares about.
-    fn selection<A: ObjectModel>(&self, app: &A, node: &Node<A>, to: NodeId) -> Entries<A> {
-        node.log
-            .entries()
-            .iter()
-            .filter(|(_, u)| self.relevant(app, to, u))
-            .cloned()
-            .collect::<Vec<_>>()
-            .into()
-    }
-}
-
-impl<A: ObjectModel> Propagation<A> for GossipPlacement {
-    fn label(&self) -> &'static str {
-        "gossip_partial"
-    }
-
-    fn tick_interval(&self) -> Option<SimTime> {
-        Some(self.interval)
-    }
-
     fn on_tick(&mut self, app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        if net.nodes() <= 1 {
-            return;
+        let n = net.nodes();
+        if self.cursors.len() < usize::from(n) {
+            self.cursors.resize(usize::from(n), vec![0; usize::from(n)]);
         }
-        for _ in 0..self.fanout {
-            let peer = Gossip::partner(net, node.id);
-            if !net.connected(now, node.id, peer) {
+        let row = &mut self.cursors[usize::from(node.id.0)];
+        let arrivals = node.log.arrivals();
+        let full = u32::from(self.fanout) >= u32::from(n) - 1;
+        // The sorted slice past the cursor served last: partners whose
+        // cursors agree (all of them, on a run without restarts at full
+        // fanout) share it.
+        let mut shared: Option<(usize, Entries<A>)> = None;
+        for k in 0..if full { n } else { self.fanout } {
+            let peer = if full {
+                NodeId(k)
+            } else {
+                partner(net, node.id)
+            };
+            let cursor = row[usize::from(peer.0)];
+            if peer == node.id || cursor == arrivals.len() {
                 continue;
             }
-            let entries = self.selection(app, node, peer);
-            if !entries.is_empty() {
-                net.send(now, node.id, peer, entries);
+            row[usize::from(peer.0)] = arrivals.len();
+            shared.take_if(|(from, _)| *from != cursor);
+            let (_, delta) = shared.get_or_insert_with(|| {
+                let mut sorted = arrivals[cursor..].to_vec();
+                sorted.sort_unstable_by_key(|(ts, _)| *ts);
+                (cursor, sorted.into())
+            });
+            // All of it by reference count, or the part the peer holds.
+            let wanted = |(_, u): &&(_, Arc<A::Update>)| self.placement.wants(app, peer, u);
+            let batch = if delta.iter().all(|e| wanted(&e)) {
+                Arc::clone(delta)
+            } else {
+                delta.iter().filter(wanted).cloned().collect()
+            };
+            if !batch.is_empty() {
+                net.send(now, node.id, peer, batch);
             }
         }
     }
 
-    /// Converged when every node's log contains every executed update
-    /// relevant to it (per-object completeness, not global identity).
-    fn synced(&self, app: &A, nodes: &[Node<A>], transactions: &[ExecutedTxn<A>]) -> bool {
-        transactions.iter().all(|t| {
-            nodes.iter().all(|n| {
-                !self.relevant(app, n.id, &t.update)
-                    || n.log
-                        .entries()
-                        .binary_search_by_key(&t.ts, |(ts, _)| *ts)
-                        .is_ok()
-            })
-        })
+    /// A restart is a new link epoch, on both sides. The recovered log
+    /// is a prefix of the arrival order the node's own cursors indexed
+    /// (what was lost re-arrives at new positions, unsent), so those are
+    /// pulled back to it; and what the peers had handed to their links
+    /// for this node may be among what it lost, so they start over.
+    fn on_recover(&mut self, node: &Node<A>) {
+        let (id, len) = (usize::from(node.id.0), node.log.arrivals().len());
+        for (from, row) in self.cursors.iter_mut().enumerate() {
+            if from == id {
+                row.iter_mut().for_each(|c| *c = (*c).min(len));
+            } else {
+                row[id] = 0;
+            }
+        }
     }
-}
 
-impl<'a, A: Application> Runner<'a, A, Gossip> {
-    /// A single-partner anti-entropy runner; the interesting report
-    /// fields are [`RunReport::rounds`](crate::RunReport::rounds) and
-    /// [`RunReport::entries_shipped`](crate::RunReport::entries_shipped).
-    /// The `delay` and
-    /// `partitions` of `config` govern the gossip pushes; `piggyback` is
-    /// ignored (gossip *is* full piggybacking).
-    ///
-    /// The seed is perturbed (`seed ^ 0x60551b`) — a historical quirk
-    /// kept for per-seed reproducibility, so flood-vs-gossip comparisons
-    /// under one seed don't share delay streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has zero nodes or the gossip interval
-    /// is zero.
-    pub fn gossip(app: &'a A, mut config: ClusterConfig, gossip: GossipConfig) -> Self {
-        config.seed ^= 0x60551b;
-        Runner::new(
-            app,
-            config,
-            Gossip {
-                interval: gossip.interval,
-                fanout: 1,
-            },
-        )
+    fn has_unsent(&self, node: &Node<A>) -> bool {
+        let (id, len) = (usize::from(node.id.0), node.log.arrivals().len());
+        match self.cursors.get(id) {
+            Some(row) => row.iter().enumerate().any(|(p, &c)| p != id && c < len),
+            // Before the first round everything is unsent.
+            None => len > 0,
+        }
+    }
+
+    fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
+        self.placement.wants(app, node, update)
     }
 }

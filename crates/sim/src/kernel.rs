@@ -42,7 +42,7 @@
 
 use crate::broadcast::delivery_time;
 use crate::clock::{LamportClock, NodeId, Timestamp};
-use crate::crash::CrashSchedule;
+use crate::crash::{CrashSchedule, CrashWindow};
 use crate::delay::DelayModel;
 use crate::durable::{DurableFleet, NodeMirror};
 use crate::events::{EventQueue, SimTime};
@@ -72,7 +72,7 @@ pub struct ClusterConfig {
     pub checkpoint_every: usize,
     /// Piggyback the origin's full log on every message, guaranteeing
     /// transitive executions (§3.3). Consumed by the eager-broadcast
-    /// strategy; gossip *is* full piggybacking and ignores it.
+    /// strategy only.
     pub piggyback: bool,
     /// Node outage schedule: a crashed node rejects client transactions
     /// and receives no messages until it recovers.
@@ -296,7 +296,8 @@ pub struct RunReport<A: Application> {
     /// replication one per interested holder).
     pub messages_sent: u64,
     /// Total `(timestamp, update)` entries shipped across all messages —
-    /// the bandwidth cost (piggybacking and gossip ship whole logs).
+    /// the bandwidth cost (piggybacking ships whole logs; gossip ships
+    /// each entry to each peer once per link epoch).
     pub entries_shipped: u64,
     /// Anti-entropy rounds performed: ticks on which the strategy sent
     /// at least one message. Zero for strategies without ticks.
@@ -316,12 +317,73 @@ pub struct RunReport<A: Application> {
     /// violation: the remaining events were abandoned, so drain-based
     /// guarantees (mutual consistency) need not hold.
     pub aborted: bool,
+    /// See [`RunReport::missing`].
+    missing: Vec<(NodeId, Timestamp)>,
 }
 
 impl<A: Application> RunReport<A> {
+    /// The replica half of a report (serial order, node metrics, final
+    /// states, [missing](RunReport::missing)) from the replicas a kernel
+    /// or live run ended with; the tallies start empty.
+    pub fn collect<P: Propagation<A>>(
+        app: &A,
+        strategy: &P,
+        nodes: Vec<Node<A>>,
+        mut transactions: Vec<ExecutedTxn<A>>,
+    ) -> Self {
+        transactions.sort_by_key(|t| t.ts);
+        // One pass over every update some replica holds — the logs are
+        // sorted runs, walked in step, nothing gathered. (What this run
+        // executed its origin holds: own updates are fsynced.)
+        let mut heads: Vec<_> = nodes
+            .iter()
+            .map(|n| n.log.entries().iter().map(|(ts, u)| (*ts, &**u)).peekable())
+            .collect();
+        let mut missing = Vec::new();
+        while let Some((ts, update)) = heads
+            .iter_mut()
+            .filter_map(|held| held.peek().copied())
+            .min_by_key(|(ts, _)| *ts)
+        {
+            for (node, held) in nodes.iter().zip(&mut heads) {
+                if held.next_if(|(at, _)| *at == ts).is_none()
+                    && strategy.wants(app, node.id, update)
+                {
+                    missing.push((node.id, ts));
+                }
+            }
+        }
+        missing.sort_unstable();
+        RunReport {
+            node_metrics: nodes.iter().map(|n| n.log.metrics()).collect(),
+            final_states: nodes.into_iter().map(|n| n.log.into_state()).collect(),
+            transactions,
+            external_actions: Vec::new(),
+            barrier_latencies: Vec::new(),
+            rejected: Vec::new(),
+            messages_sent: 0,
+            entries_shipped: 0,
+            rounds: 0,
+            faults: Vec::new(),
+            monitor: None,
+            aborted: false,
+            missing,
+        }
+    }
+
+    /// What the run ended without: every `(node, timestamp)` such that
+    /// some replica holds the update but `node`, which should
+    /// ([`Propagation::wants`]), does not — sorted; **empty on a
+    /// converged run**, whatever the strategy. Otherwise delivery failed
+    /// for good (a nemesis drop; a crash-lost tail that eager broadcast
+    /// without piggyback never re-sends) or the monitor aborted the run.
+    pub fn missing(&self) -> &[(NodeId, Timestamp)] {
+        &self.missing
+    }
+
     /// Whether all node copies agree (mutual consistency, §1.2). Holds
-    /// whenever every broadcast drained, i.e. always at the end of a
-    /// fully replicated run. Under partial replication, per-object
+    /// whenever nothing is [missing](RunReport::missing) at the end of
+    /// a fully replicated run. Under partial replication, per-object
     /// agreement is the right question — see `objects_consistent`.
     pub fn mutually_consistent(&self) -> bool {
         self.final_states.windows(2).all(|w| w[0] == w[1])
@@ -438,8 +500,9 @@ impl<A: Application> Node<A> {
     /// emits `deliver`, advances the Lamport clock past every entry's
     /// timestamp, merges the batch emitting one `merge.*` outcome per
     /// entry, then appends the arrivals to `mirror` *without* an fsync
-    /// barrier — received updates survive on their origins and re-arrive
-    /// via anti-entropy if this node's unsynced tail is lost.
+    /// barrier — received updates survive on their origins and, under
+    /// gossip or piggybacked broadcast, re-arrive if this node's
+    /// unsynced tail is lost.
     pub fn deliver_step(
         &mut self,
         app: &A,
@@ -504,8 +567,7 @@ impl<A: Application> Node<A> {
 /// Start-of-run recovery, shared by [`Runner::with_durability`] and
 /// `shard-runtime`'s `run_live_durable`: a mirror already holding
 /// entries is a previous process's store, so its node restarts from it
-/// ([`Node::recover_step`], at time 0). Returns the distinct recovered
-/// timestamps (the live coordinator's convergence target).
+/// ([`Node::recover_step`], at time 0).
 ///
 /// # Panics
 ///
@@ -519,7 +581,7 @@ pub fn recover_at_start<A: Application>(
     checkpoint_every: usize,
     monitored: bool,
     sink: Option<&shard_obs::EventSink>,
-) -> BTreeSet<Timestamp> {
+) {
     let mut recovered = BTreeSet::new();
     for (node, mirror) in nodes.iter_mut().zip(mirrors) {
         if mirror.entries() > 0 {
@@ -533,7 +595,6 @@ pub fn recover_at_start<A: Application>(
          executed by an earlier run the §3 monitor never saw (restart unmonitored)",
         recovered.len()
     );
-    recovered
 }
 
 /// Events of the unified loop. `Probe`/`Promise` implement the §3.3
@@ -545,8 +606,9 @@ enum Event<A: Application> {
     },
     /// One point-to-point message: a batch of log entries from `from`.
     /// Eager broadcast ships a single update (plus optional piggyback),
-    /// gossip ships whole logs, partial replication ships per-holder
-    /// selections — all as the same event, delivered by the same step.
+    /// gossip what a partner has not been offered yet, partial
+    /// replication per-holder selections — all as the same event,
+    /// delivered by the same step.
     Deliver {
         to: NodeId,
         from: NodeId,
@@ -615,17 +677,16 @@ pub struct QueueTransport<'a, A: Application> {
     queue: &'a mut EventQueue<Event<A>>,
     wire: &'a mut WireStats,
     nemesis: &'a mut Option<Box<dyn Nemesis>>,
+    /// While a round sends: when the batch handed last to each link
+    /// (`from · nodes + to`) arrives.
+    links: Option<&'a mut [SimTime]>,
+    /// Whether crash windows end in a restart from the node's store.
+    durable: bool,
 }
 
 impl<A: Application> Transport<A> for QueueTransport<'_, A> {
     fn nodes(&self) -> u16 {
         self.cfg.nodes
-    }
-
-    /// Whether `a` and `b` can communicate right now (no partition
-    /// separates them at `now`).
-    fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool {
-        self.cfg.partitions.connected(now, a, b)
     }
 
     /// The run's RNG, exposed so strategies (e.g. gossip partner
@@ -642,11 +703,28 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
     /// drop the message, duplicate it, or move its arrivals — after the
     /// fault-free delivery time has been computed, so the kernel RNG
     /// stream is identical with and without one.
+    ///
+    /// A round's batch travels an **ordered link**: it arrives no
+    /// earlier than the one before it on the same link (the receiver's
+    /// outage waited out here, so a held batch is not overtaken
+    /// either), and never at a receiver that restarts from its store
+    /// in between — a new link epoch, for which the sender's cursor
+    /// starts over ([`Propagation::on_recover`]). A message sent at an
+    /// execution is a datagram, timed on its own.
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, entries: Entries<A>) {
         let cfg = self.cfg;
-        let at = delivery_time(&cfg.partitions, &cfg.delay, self.rng, now, from, to);
+        let mut at = delivery_time(&cfg.partitions, &cfg.delay, self.rng, now, from, to);
         self.wire.messages_sent += 1;
         self.wire.entries_shipped += entries.len() as u64;
+        if let Some(links) = self.links.as_deref_mut() {
+            let link = &mut links[usize::from(from.0) * usize::from(cfg.nodes) + usize::from(to.0)];
+            at = cfg.crashes.next_up(at.max(*link), to);
+            *link = at;
+            let restarts = |w: &CrashWindow| w.node == to && now < w.end && w.end <= at;
+            if self.durable && cfg.crashes.windows().iter().any(restarts) {
+                return;
+            }
+        }
         let Some(nemesis) = self.nemesis.as_deref_mut() else {
             self.queue
                 .schedule(at, Event::Deliver { to, from, entries });
@@ -679,7 +757,8 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
 /// How updates travel between replicas. The kernel owns invocation,
 /// execution, delivery, merging and failure gating; a strategy only
 /// decides *what to send when* — on each execution and on each
-/// anti-entropy tick — and when a draining run has converged.
+/// anti-entropy tick — and says, of one replica at a time, whether it
+/// still has something to send.
 ///
 /// # Examples
 ///
@@ -696,13 +775,8 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
 /// let invs = vec![Invocation::new(1, NodeId(0), AirlineTxn::Request(Person(7)))];
 /// let flood = Runner::new(&app, ClusterConfig::default(), EagerBroadcast::default())
 ///     .run(invs.clone());
-/// let gossip = Runner::new(
-///     &app,
-///     ClusterConfig::default(),
-///     Gossip { interval: 5, fanout: 4 },
-/// )
-/// .run(invs);
-/// assert!(flood.mutually_consistent() && gossip.mutually_consistent());
+/// let gossip = Runner::new(&app, ClusterConfig::default(), Gossip::new(5, 4)).run(invs);
+/// assert!(flood.missing().is_empty() && gossip.missing().is_empty());
 /// assert_eq!(flood.final_states[0], gossip.final_states[0]);
 /// ```
 pub trait Propagation<A: Application> {
@@ -746,16 +820,21 @@ pub trait Propagation<A: Application> {
 
     /// Called right after a crash window replaced `node` by the one
     /// rebuilt from its store ([`Node::recover_step`]): its log is now
-    /// a prefix of the arrival order it had, so a strategy holding
-    /// positions into that order must pull them back. The default
-    /// holds none.
+    /// a prefix of the arrival order it had and its peers' links to it
+    /// start a new epoch — a strategy holding positions must reset them.
     fn on_recover(&mut self, _node: &Node<A>) {}
 
-    /// Whether the run has converged: with no invocations left, ticking
-    /// stops once this holds (a simulation-harness stopping rule, not
-    /// protocol logic). Strategies without ticks drain naturally and can
-    /// keep the default `true`.
-    fn synced(&self, _app: &A, _nodes: &[Node<A>], _transactions: &[ExecutedTxn<A>]) -> bool {
+    /// Whether something of `node`'s log has yet to be handed to some
+    /// peer's link — local knowledge: the node's log and the strategy's
+    /// bookkeeping for it. Ticks go on while this holds anywhere
+    /// ([`Runner::run`]); reactive strategies keep the default.
+    fn has_unsent(&self, _node: &Node<A>) -> bool {
+        false
+    }
+
+    /// Whether `node` should end up holding `update` (default: yes,
+    /// full replication) — what [`RunReport::missing`] is judged by.
+    fn wants(&self, _app: &A, _node: NodeId, _update: &A::Update) -> bool {
         true
     }
 }
@@ -795,6 +874,8 @@ pub struct Runner<'a, A: Application, P: Propagation<A>> {
     transactions: Vec<ExecutedTxn<A>>,
     external_actions: Vec<(SimTime, NodeId, ExternalAction)>,
     wire: WireStats,
+    /// Last round batch's arrival per link ([`QueueTransport::send`]).
+    links: Vec<SimTime>,
     pending: Vec<PendingCritical<A>>,
     barrier_latencies: Vec<SimTime>,
 }
@@ -822,6 +903,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             nodes: (0..config.nodes)
                 .map(|i| Node::new(app, NodeId(i), config.checkpoint_every))
                 .collect(),
+            links: vec![0; usize::from(config.nodes).pow(2)],
             cfg: config,
             transactions: Vec::new(),
             external_actions: Vec::new(),
@@ -879,19 +961,20 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
 
     /// Replaces the strategy's periodic anti-entropy cadence with an
     /// explicit tick script: `Tick` events fire at exactly the given
-    /// `(time, node)` pairs, none are rescheduled, and the synced
-    /// stopping rule is bypassed (every scripted tick fires). This is
-    /// how a live `shard-runtime` run's recorded gossip rounds are
-    /// replayed deterministically — round-for-round, at the recorded
-    /// ticks.
+    /// `(time, node)` pairs and none are rescheduled — the script is
+    /// the stopping rule. This is how a live `shard-runtime` run's
+    /// recorded gossip rounds are replayed, round for round.
     #[must_use]
     pub fn with_ticks(mut self, ticks: Vec<(SimTime, NodeId)>) -> Self {
         self.ticks = Some(ticks);
         self
     }
 
-    /// Runs the invocation schedule to completion (all messages drained,
-    /// all replicas synced) and reports.
+    /// Runs the invocation schedule until the event queue is empty and
+    /// reports. Every run ends: ticks reschedule themselves only while
+    /// an invocation, a message or a crash window is pending or some
+    /// node [`Propagation::has_unsent`] entries (local facts all);
+    /// whether it *converged* is [`RunReport::missing`].
     ///
     /// # Panics
     ///
@@ -966,14 +1049,12 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 self.queue.schedule(w.end, Event::Recover { node: w.node });
             }
         }
-        let mut remaining_invokes = 0u64;
         for inv in invocations {
             assert!(
                 (inv.node.0 as usize) < self.nodes.len(),
                 "invocation at unknown node {}",
                 inv.node
             );
-            remaining_invokes += 1;
             self.queue.schedule(
                 inv.time,
                 Event::Invoke {
@@ -982,17 +1063,21 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 },
             );
         }
-        let tick_interval = self.strategy.tick_interval();
-        let scripted = self.ticks.is_some();
+        // A tick script fires as written; otherwise each node's tick
+        // reschedules itself every `cadence` ticks. `ticks_queued`
+        // counts the `Tick` events in the queue right now.
+        let (mut cadence, mut ticks_queued) = (None, 0);
         if let Some(script) = self.ticks.take() {
             for (t, node) in script {
                 self.queue.schedule(t, Event::Tick { node });
             }
-        } else if let Some(interval) = tick_interval {
+        } else if let Some(interval) = self.strategy.tick_interval() {
+            cadence = Some(interval);
             for i in 0..self.cfg.nodes {
                 self.queue
                     .schedule(interval, Event::Tick { node: NodeId(i) });
             }
+            ticks_queued = usize::from(self.cfg.nodes);
         }
 
         let mut rejected: Vec<(SimTime, NodeId)> = Vec::new();
@@ -1003,6 +1088,8 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             .clone()
             .map(crate::monitor::LiveMonitor::new);
         let mut monitored = 0usize;
+        // Lamport value of each node's last own timestamp, as monitored.
+        let mut issued = vec![0u64; usize::from(self.cfg.nodes)];
         let mut aborted = false;
 
         // Simulated time is the popped event's scheduled time;
@@ -1024,7 +1111,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             }
             match event {
                 Event::Invoke { node, decision } => {
-                    remaining_invokes -= 1;
                     if self.cfg.crashes.is_down(now, node) {
                         rejected.push((now, node));
                         if let Some(sink) = self.cfg.sink.as_deref() {
@@ -1068,27 +1154,28 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                     self.release_criticals(now, to);
                 }
                 Event::Tick { node } => {
-                    // Stop ticking once everything has drained. Scripted
-                    // ticks always fire: the script *is* the stopping
-                    // rule (none are rescheduled).
-                    if !scripted
-                        && remaining_invokes == 0
-                        && self.strategy.synced(app, &self.nodes, &self.transactions)
-                    {
-                        continue;
-                    }
                     // A crashed node skips its rounds but resumes the
                     // cadence after recovery.
                     if !self.cfg.crashes.is_down(now, node) {
                         let before = self.wire.messages_sent;
-                        let (strategy, mut net, nodes) = self.net();
+                        let (strategy, mut net, nodes) = self.net(true);
                         strategy.on_tick(app, &mut net, &nodes[node.0 as usize], now);
                         if self.wire.messages_sent > before {
                             rounds += 1;
                         }
                     }
-                    if let (false, Some(interval)) = (scripted, tick_interval) {
-                        self.queue.schedule(now + interval, Event::Tick { node });
+                    // The cadence goes on while anything but ticks is
+                    // queued (an invocation, a message, a kill or
+                    // recovery to come) or some node has something to
+                    // offer. Otherwise no tick can send again.
+                    if let Some(interval) = cadence {
+                        ticks_queued -= 1;
+                        if self.queue.len() > ticks_queued
+                            || self.nodes.iter().any(|n| self.strategy.has_unsent(n))
+                        {
+                            self.queue.schedule(now + interval, Event::Tick { node });
+                            ticks_queued += 1;
+                        }
                     }
                 }
                 Event::Probe { to, from, id } => {
@@ -1145,14 +1232,22 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 while monitored < self.transactions.len() {
                     let t = &self.transactions[monitored];
                     m.ingest(t.ts, t.time, t.known.clone());
+                    issued[usize::from(t.node.0)] = t.ts.lamport;
                     monitored += 1;
                 }
-                let watermark = self
-                    .nodes
-                    .iter()
-                    .map(|n| n.clock.current())
-                    .min()
-                    .unwrap_or(0);
+                // A node yet to restart from its store may come back
+                // with an older clock (its lost tail's worth), never
+                // below its last own, fsynced timestamp.
+                let durable = self.durability.is_some();
+                let vouched = |n: &Node<A>| {
+                    let restarts = |w: &CrashWindow| w.node == n.id && now < w.end;
+                    if durable && self.cfg.crashes.windows().iter().any(restarts) {
+                        issued[usize::from(n.id.0)]
+                    } else {
+                        n.clock.current()
+                    }
+                };
+                let watermark = self.nodes.iter().map(vouched).min().unwrap_or(0);
                 m.advance(watermark, self.cfg.sink.as_deref());
                 if m.should_abort() {
                     aborted = true;
@@ -1179,11 +1274,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 .emit();
             sink.flush();
         }
-        self.transactions.sort_by_key(|t| t.ts);
-        RunReport {
-            node_metrics: self.nodes.iter().map(|n| n.log.metrics()).collect(),
-            final_states: self.nodes.into_iter().map(|n| n.log.into_state()).collect(),
-            transactions: self.transactions,
+        let report = RunReport {
             external_actions: self.external_actions,
             barrier_latencies: self.barrier_latencies,
             rejected,
@@ -1193,18 +1284,28 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             faults: self.wire.faults,
             monitor,
             aborted,
+            ..RunReport::collect(app, &self.strategy, self.nodes, self.transactions)
+        };
+        // Anti-entropy promises convergence: count its runs that ended
+        // short of it (adding zero registers the counter).
+        if self.strategy.tick_interval().is_some() {
+            shard_obs::counter!("sim.not_converged").add(u64::from(!report.missing.is_empty()));
         }
+        report
     }
 
-    /// The strategy, the transport it sends through and the replicas it
-    /// may read — the one place a [`QueueTransport`] is built.
-    fn net(&mut self) -> (&mut P, QueueTransport<'_, A>, &[Node<A>]) {
+    /// The strategy, the transport it sends through (over ordered links
+    /// if `round`) and the replicas it may read — the one place a
+    /// [`QueueTransport`] is built.
+    fn net(&mut self, round: bool) -> (&mut P, QueueTransport<'_, A>, &[Node<A>]) {
         let net = QueueTransport {
             cfg: &self.cfg,
             rng: &mut self.rng,
             queue: &mut self.queue,
             wire: &mut self.wire,
             nemesis: &mut self.nemesis,
+            links: round.then_some(&mut self.links[..]),
+            durable: self.durability.is_some(),
         };
         (&mut self.strategy, net, &self.nodes)
     }
@@ -1226,7 +1327,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         }
         let ts = txn.ts;
         self.transactions.push(txn);
-        let (strategy, mut net, nodes) = self.net();
+        let (strategy, mut net, nodes) = self.net(false);
         strategy.on_execute(app, &mut net, &nodes[node.0 as usize], now, ts, &update);
     }
 

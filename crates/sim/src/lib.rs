@@ -38,11 +38,11 @@
 //! * [`cluster`] — the [`EagerBroadcast`] strategy (per-update flooding,
 //!   optional full-log piggybacking for transitivity), entered via
 //!   [`Runner::eager`].
-//! * [`gossip`] — the [`Gossip`] anti-entropy strategy (periodic random
-//!   partners, whole-log pushes), the [`GossipDelta`] variant (full
-//!   fanout, ships only entries merged since the node's last round),
-//!   and the composed [`GossipPlacement`] strategy (gossip × partial
-//!   replication), entered via [`Runner::gossip`].
+//! * [`gossip`] — the [`Gossip`] anti-entropy strategy: periodic
+//!   rounds to all peers or to `fanout` random ones, each partner
+//!   handed what it has not been offered yet (a cursor per peer, reset
+//!   when the peer restarts), optionally narrowed to the partner's
+//!   [`Placement`] ([`Gossip::over`] — gossip × partial replication).
 //! * [`partial`] — the §6 generalization: partial replication with
 //!   per-object [`Placement`]s ([`PartialPlacement`] strategy, entered
 //!   via [`Runner::partial`]), preserving all correctness conditions
@@ -92,7 +92,7 @@ pub use cluster::{ClusterConfig, EagerBroadcast, ExecutedTxn, Invocation};
 pub use crash::{CrashSchedule, CrashWindow};
 pub use delay::DelayModel;
 pub use durable::{DurabilityConfig, DurableFleet, KillReport, NodeMirror, StoreBackend};
-pub use gossip::{Gossip, GossipConfig, GossipDelta, GossipPlacement};
+pub use gossip::Gossip;
 pub use kernel::{FaultStats, Propagation, QueueTransport, RunReport, Runner};
 pub use known::KnownSet;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};

@@ -127,9 +127,9 @@ pub struct MergeLog<A: Application> {
     known: KnownSet,
     /// Every entry in **merge order** (append-only, sharing the log's
     /// `Arc`s) — cursors into this vector are how the WAL mirror
-    /// ([`crate::NodeMirror`]) and delta propagation
-    /// ([`crate::GossipDelta`]) find "everything merged since my last
-    /// visit" without scanning or searching the log.
+    /// ([`crate::NodeMirror`]) and anti-entropy ([`crate::Gossip`], a
+    /// cursor per peer) find "everything merged since my last visit"
+    /// without scanning or searching the log.
     arrivals: Vec<(Timestamp, Arc<A::Update>)>,
 }
 

@@ -19,7 +19,9 @@
 //! kernel's structural Lamport guarantee), every known timestamp of a
 //! draining transaction is already sealed and indexed; the miss set is
 //! the complement of those indices. Crashed nodes stall the watermark
-//! (their clocks stand still), so rows buffer until recovery — a
+//! (their clocks stand still; one yet to restart from its store
+//! counts only as far as its last own, fsynced timestamp — its clock
+//! may come back older), so rows buffer until recovery — a
 //! verdict is never emitted on a guess — and [`LiveMonitor::finish`]
 //! drains whatever remains once the run ends and no clock can tick
 //! again.

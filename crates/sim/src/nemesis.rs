@@ -35,16 +35,18 @@
 //! *send* schedule is fate-independent. That holds for reactive
 //! strategies ([`crate::EagerBroadcast`]: sends happen only at
 //! executions, and executions are client invocations); tick-driven
-//! strategies stop ticking based on what was *delivered*, so their send
-//! sequence can drift under a different fault schedule — shrink against
-//! eager broadcast.
+//! strategies send what was *delivered* on, so their send sequence can
+//! drift under a different fault schedule — shrink against eager
+//! broadcast.
 //!
-//! Termination: drops are safe for every strategy. Eager broadcast
-//! schedules no retries, so a dropped message is simply lost (that is
-//! the point — the paper's conditions describe what survives). Gossip
-//! re-ships whole logs every round, so any drop probability < 1 still
-//! converges. Injected windows are finite: partitions heal and crashed
-//! nodes recover, preserving the kernel's drain guarantee.
+//! Termination: every run ends, under every strategy. A dropped message
+//! is a permanent loss, outside the link's contract, and its sender
+//! never re-sends it (the paper's conditions describe what survives):
+//! eager broadcast schedules no retries, and gossip's cursor moved when
+//! the batch was handed over. The run stops when nothing is left to
+//! offer and [`RunReport::missing`](crate::RunReport::missing) names
+//! what never arrived. Injected windows are finite, so nothing waits
+//! in a link for ever.
 //!
 //! [`Runner`]: crate::Runner
 //! [`Transport::send`]: crate::Transport::send

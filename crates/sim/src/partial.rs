@@ -93,6 +93,13 @@ impl Placement {
             .collect()
     }
 
+    /// Whether `node` should end up holding `update`: it writes an object
+    /// `node` holds, or none (pure serial-order information).
+    pub fn wants<A: ObjectModel>(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
+        let writes = app.update_objects(update);
+        writes.is_empty() || writes.iter().any(|o| self.holds(node, *o))
+    }
+
     /// A node holding all of `objects`, if any (useful for routing).
     pub fn any_holder_of_all(&self, objects: &[ObjectId]) -> Option<NodeId> {
         (0..self.nodes())
@@ -197,6 +204,10 @@ impl<A: ObjectModel> Propagation<A> for PartialPlacement {
             }
             net.send(now, node.id, to, Arc::clone(&entries));
         }
+    }
+
+    fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
+        self.placement.wants(app, node, update)
     }
 }
 

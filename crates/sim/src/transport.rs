@@ -93,14 +93,11 @@ pub trait Transport<A: Application> {
     /// Number of nodes reachable through this transport.
     fn nodes(&self) -> u16;
 
-    /// Whether `a` and `b` can communicate at `now`. The simulator
-    /// consults its partition schedule; real channels are always
-    /// connected (partitions there are injected by dropping sends).
-    fn connected(&self, now: SimTime, a: NodeId, b: NodeId) -> bool;
-
     /// Ships `entries` from `from` to `to`, to be merged at the
     /// receiver by the shared deliver step
-    /// ([`crate::kernel::Node::deliver_step`]).
+    /// ([`crate::kernel::Node::deliver_step`]). The link owns
+    /// reliability: barring permanent failure the message arrives,
+    /// however long a partition or the receiver's outage holds it.
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, entries: Entries<A>);
 
     /// The deterministic RNG stream strategies draw from (e.g. gossip

@@ -7,8 +7,8 @@ use shard_apps::airline::{AirlineTxn, FlyByNight};
 use shard_apps::Person;
 use shard_core::ObjectModel;
 use shard_sim::{
-    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, GossipConfig, Invocation, NodeId,
-    Placement, Runner,
+    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, Gossip, Invocation, NodeId, Placement,
+    Runner,
 };
 use std::sync::Arc;
 
@@ -130,7 +130,7 @@ fn gossip_rejects_clients_at_crashed_nodes() {
         150,
     )]));
     config.sink = Some(Arc::clone(&sink));
-    let cluster = Runner::gossip(&app, config, GossipConfig { interval: 20 });
+    let cluster = Runner::new(&app, config, Gossip::new(20, 1));
     let report = cluster.run(rejection_invocations());
     assert_rejects_like_broadcast(&report, &sink);
     assert!(report.mutually_consistent());

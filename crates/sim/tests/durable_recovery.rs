@@ -25,8 +25,8 @@ use shard_core::{Application, Checkpoints};
 use shard_obs::EventSink;
 use shard_sim::{
     ClusterConfig, CrashInjector, CrashSchedule, CrashWindow, DelayModel, DurabilityConfig,
-    DurableFleet, Fate, GossipConfig, GossipDelta, Invocation, LamportClock, MergeLog, MsgCtx,
-    Nemesis, NodeId, Runner, Timestamp,
+    DurableFleet, EagerBroadcast, Gossip, Invocation, LamportClock, MergeLog, NodeId,
+    PartitionSchedule, PartitionWindow, Propagation, RunReport, Runner, Timestamp,
 };
 use shard_store::{Codec, DiskStore, StoreKey, StoreOptions};
 use std::sync::Arc;
@@ -342,9 +342,9 @@ fn durability_never_perturbs_fault_free_runs() {
         ..Default::default()
     };
     let invs = airline_invocations(24, 4);
-    let plain = Runner::gossip(&app, cfg.clone(), GossipConfig { interval: 25 }).run(invs.clone());
+    let plain = Runner::new(&app, cfg.clone(), Gossip::new(25, 1)).run(invs.clone());
     let fleet = DurableFleet::new(4, &DurabilityConfig::mem(1)).unwrap();
-    let durable = Runner::gossip(&app, cfg, GossipConfig { interval: 25 })
+    let durable = Runner::new(&app, cfg, Gossip::new(25, 1))
         .with_durability(fleet)
         .run(invs);
     let ts = |r: &shard_sim::RunReport<FlyByNight>| {
@@ -362,15 +362,16 @@ fn durability_never_perturbs_fault_free_runs() {
 #[test]
 fn gossip_crash_recovery_holds_section3_oracles() {
     let app = FlyByNight::new(4);
-    for seed in [3u64, 17, 88] {
+    for seed in [3u64, 5, 17, 88] {
         let cfg = ClusterConfig {
             nodes: 4,
             seed,
             delay: DelayModel::Exponential { mean: 12 },
+            monitor: Some(shard_sim::MonitorConfig::default()),
             ..Default::default()
         };
         let fleet = DurableFleet::new(4, &DurabilityConfig::mem(seed + 1)).unwrap();
-        let report = Runner::gossip(&app, cfg, GossipConfig { interval: 20 })
+        let report = Runner::new(&app, cfg, Gossip::new(20, 1))
             .with_durability(fleet)
             .with_nemesis(Box::new(CrashInjector::new(2, 40, 160, seed)))
             .run(airline_invocations(30, 4));
@@ -379,8 +380,19 @@ fn gossip_crash_recovery_holds_section3_oracles() {
         te.execution.verify(&app).unwrap();
         assert!(
             shard_core::conditions::is_transitive(&te.execution),
-            "gossip ships whole logs: prefixes stay transitively closed \
-             across kill/recover (seed {seed})"
+            "gossip rounds travel ordered links: prefixes stay transitively \
+             closed across kill/recover (seed {seed})"
+        );
+        // The live monitor sealed the same serial order: a node that
+        // restarts with an older clock vouches only for its own last
+        // timestamp, so nothing it executes next sorts below a verdict.
+        let online = report.monitor.as_ref().expect("monitored");
+        assert_eq!(online.rows, report.transactions.len());
+        assert!(online.transitive, "seed {seed}");
+        assert_eq!(
+            report.missing(),
+            &[],
+            "every lost tail re-offered (seed {seed})"
         );
         assert!(report.mutually_consistent(), "re-converged (seed {seed})");
         // Canonical serial replay of exactly the executed updates.
@@ -469,14 +481,14 @@ fn run_then_restart(
         })
         .collect();
     let fleet = |kill_seed| DurableFleet::new(3, &DurabilityConfig::disk(&dir, kill_seed)).unwrap();
-    let first = Runner::gossip(&app, cfg.clone(), GossipConfig { interval: 10 })
+    let first = Runner::new(&app, cfg.clone(), Gossip::new(10, 1))
         .with_durability(fleet(0))
         .run(phase1);
     let restart_cfg = ClusterConfig {
         monitor: restart_monitor,
         ..cfg
     };
-    let second = Runner::gossip(&app, restart_cfg, GossipConfig { interval: 10 })
+    let second = Runner::new(&app, restart_cfg, Gossip::new(10, 1))
         .with_durability(fleet(1))
         .run(Vec::new());
     let _ = std::fs::remove_dir_all(&dir);
@@ -495,18 +507,16 @@ fn monitored_restart_is_refused() {
     );
 }
 
-/// Delta gossip (rounds every 10 ticks, 3-tick links) on three durable
-/// nodes: a deposit every five ticks while `i < 39` — the last, at 190
-/// on node 2, reaches node 1 at 193 and is re-shipped from there at 200
-/// — and six more after a 300-tick pause (pending invocations keep the
-/// rounds ticking). Node 1 is down from `crash_at` to 290 and recovers
-/// 38 entries: that last arrival sat in its WAL unsynced, below its
-/// gossip cursor.
-fn delta_gossip_over_a_crash(
+/// Three durable nodes, 3-tick links, a deposit every five ticks while
+/// `i < 39` — the last, at 190 on node 2, reaches node 1 at 193 — and
+/// six more after a 300-tick pause (under gossip, pending invocations
+/// keep the rounds ticking). Node 1 is down from `crash_at` to 290 and
+/// recovers 38 entries: that last arrival sat in its WAL unsynced.
+fn deposits_over_a_crash<P: Propagation<Bank>>(
     crash_at: u64,
-    nemesis: Option<Box<dyn Nemesis>>,
+    strategy: P,
     sink: Option<Arc<EventSink>>,
-) {
+) -> RunReport<Bank> {
     let cfg = ClusterConfig {
         nodes: 3,
         delay: DelayModel::Fixed(3),
@@ -520,58 +530,144 @@ fn delta_gossip_over_a_crash(
         Invocation::new(at, NodeId((i % 3) as u16), txn)
     };
     let app = Bank::new(4, 100);
-    let mut runner = Runner::new(&app, cfg, GossipDelta::new(10))
-        .with_durability(DurableFleet::new(3, &DurabilityConfig::mem(0)).unwrap());
-    if let Some(nemesis) = nemesis {
-        runner = runner.with_nemesis(nemesis);
-    }
-    let report = runner.run((0..45).map(deposit).collect());
+    let report = Runner::new(&app, cfg, strategy)
+        .with_durability(DurableFleet::new(3, &DurabilityConfig::mem(0)).unwrap())
+        .run((0..45).map(deposit).collect());
     assert_eq!(report.transactions.len(), 45, "nothing rejected");
+    report
+}
+
+/// [`deposits_over_a_crash`] under full-fanout gossip, rounds every 10
+/// ticks: node 1 offers its arrival of 193 on at 200, so by either
+/// crash time below the lost entry sits below every cursor node 1 held.
+fn delta_gossip_over_a_crash(crash_at: u64, sink: Option<Arc<EventSink>>) {
+    let report = deposits_over_a_crash(crash_at, Gossip::new(10, 2), sink);
+    assert_eq!(report.missing(), &[], "nothing lost for good");
     assert!(report.mutually_consistent());
 }
 
-/// [`GossipDelta`]'s cursor indexes an arrival order that recovery
-/// replaces by a prefix of itself. Node 1 crashes at 230 holding 39
-/// arrivals, all shipped, and recovers 38: its first round after
-/// recovery must find the cursor pulled back to 38, not slice the log
-/// from 39. (The lost update then re-arrives as a late network
-/// duplicate — delta gossip itself never re-sends what a peer's crash
-/// forgot — and the run converges.)
+/// The schedule that made the parent's delta gossip tick forever (its
+/// test carried a hand-made late duplicate to dodge that): node 1
+/// crashes at 230 holding 39 arrivals, all offered on, and recovers 38;
+/// nothing is in flight. Its own cursors are pulled back to 38, and its
+/// peers' cursors *for* it start over — they re-offer their logs, the
+/// lost update among them — so the run converges, and ends.
 #[test]
 fn delta_gossip_cursor_survives_a_shorter_recovered_log() {
-    /// Delivers what node 2 sent node 1 at 190 a second time, 100 ticks
-    /// late: after the recovery and its first round.
-    struct LateCopy;
-    impl Nemesis for LateCopy {
-        fn label(&self) -> &'static str {
-            "late-copy"
-        }
-        fn on_message(&mut self, ctx: &MsgCtx, fate: &mut Fate) {
-            if (ctx.from, ctx.to, ctx.now) == (NodeId(2), NodeId(1), 190) {
-                fate.times.push(ctx.at + 100);
-            }
-        }
-    }
-    delta_gossip_over_a_crash(230, Some(Box::new(LateCopy)), None);
+    delta_gossip_over_a_crash(230, None);
 }
 
-/// The silent half of the same bug: node 1 crashes at 202, right after
-/// shipping, while node 0's re-shipment of the update it is about to
-/// lose is in flight — held, and released at recovery *before* the
-/// first round. The log is 39 long again when the stale cursor (39) is
-/// next read: no panic, and the re-learned arrival is never offered on.
+/// Both halves of the per-peer rule in one trace: node 1 crashes at
+/// 202, right after offering the update it is about to lose, while node
+/// 0's own offer of it is in flight — to a peer that restarts before it
+/// can land, so the link never delivers it (the old epoch's batch).
+/// Nodes 0 and 2 then re-offer node 1 their whole logs (a new link
+/// epoch), and node 1 offers on what it has re-learned (position 38 of
+/// its arrival order again, above its clamped cursors).
 #[test]
 fn delta_gossip_reships_what_it_relearns_after_recovery() {
     let sink = EventSink::in_memory();
-    delta_gossip_over_a_crash(202, None, Some(sink.clone()));
+    delta_gossip_over_a_crash(202, Some(sink.clone()));
     sink.flush();
     let trace = sink.drain_to_string();
     let recovery = r#""event":"store.recover","t":290,"node":1,"entries":38"#;
     assert!(trace.contains(recovery), "one entry short");
-    // Node 1's first round after recovery (290, landing at 293) offers
-    // the update it has just re-learned to both peers again.
+    assert!(
+        !trace.contains(r#""event":"deliver","t":290,"node":1"#),
+        "a batch of the epoch before the restart was delivered"
+    );
+    // The first round after recovery is at 290 and lands at 293; node 1
+    // offers what it brought on in its next, at 300.
     for peer in [0, 2] {
-        let line = format!(r#""event":"deliver","t":293,"node":{peer},"from":1,"entries":1"#);
-        assert!(trace.contains(&line), "not re-shipped to node {peer}");
+        let again = format!(r#""event":"deliver","t":293,"node":1,"from":{peer},"entries":39"#);
+        assert!(trace.contains(&again), "node {peer} did not start over");
+        let on = format!(r#""event":"deliver","t":303,"node":{peer},"from":1,"entries":1"#);
+        assert!(trace.contains(&on), "not offered on to node {peer}");
+    }
+}
+
+/// The same crash under eager broadcast *without* piggyback, which
+/// sends each update once and repairs nothing: node 1 never hears of
+/// the lost deposit again. The run used to end silently divergent; the
+/// report now names the node and the timestamp.
+#[test]
+fn eager_without_piggyback_reports_the_tail_it_cannot_repair() {
+    let report = deposits_over_a_crash(230, EagerBroadcast { piggyback: false }, None);
+    let lost = report.transactions.iter().find(|t| t.time == 190).unwrap();
+    assert_eq!(report.missing(), &[(NodeId(1), lost.ts)]);
+    assert!(!report.mutually_consistent());
+}
+
+const FLEET: u16 = 4;
+
+/// Deposits commute and are decided without reading the state, so two
+/// runs of the same invocations end in the same states exactly when
+/// both delivered everything everywhere (rejections depend on the crash
+/// schedule alone). One closing deposit per node, after every window
+/// has ended, gives piggybacked flooding the later message its repair
+/// of a lost tail rides on; gossip needs no such help.
+fn deposit_run<P: Propagation<Bank>>(
+    strategy: P,
+    cfg: &ClusterConfig,
+    deposits: &[(u64, u16, u32)],
+) -> RunReport<Bank> {
+    let app = Bank::new(4, 100);
+    let closing = (0..FLEET).map(|n| (2_000 + u64::from(n), n, 1));
+    let mut invs: Vec<Invocation<BankTxn>> = deposits
+        .iter()
+        .copied()
+        .chain(closing)
+        .map(|(at, node, amount)| {
+            let txn = BankTxn::Deposit(AccountId(1 + u32::from(node)), amount);
+            Invocation::new(at, NodeId(node), txn)
+        })
+        .collect();
+    invs.sort_by_key(|i| i.time);
+    Runner::new(&app, cfg.clone(), strategy)
+        .with_durability(DurableFleet::new(FLEET, &DurabilityConfig::mem(cfg.seed)).unwrap())
+        .run(invs)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Random partitions × random kill/recover windows on a durable
+    /// fleet: gossip — one random partner per round, or all of them —
+    /// ends exactly where eager broadcast with piggybacking ends, its
+    /// prefixes transitively closed all the way.
+    #[test]
+    fn gossip_ends_where_piggybacked_flooding_does(
+        deposits in proptest::collection::vec((0u64..700, 0..FLEET, 1u32..50), 1..40),
+        cuts in proptest::collection::vec((0u64..500, 1u64..250, 1u16..15), 0..3),
+        kills in proptest::collection::vec((0u64..500, 1u64..250), 0..5),
+        seed in 0u64..1_000,
+    ) {
+        let isolate = |&(start, len, mask): &(u64, u64, u16)| {
+            let side = (0..FLEET).filter(|n| mask & (1 << n) != 0).map(NodeId).collect();
+            PartitionWindow::isolate(start, start + len, side)
+        };
+        // At most one window per node (windows are kill/recover pairs);
+        // a fifth would name a node outside the fleet.
+        let kill = |(n, &(start, len)): (usize, &(u64, u64))| {
+            CrashWindow::new(NodeId(n as u16), start, start + len)
+        };
+        let cfg = ClusterConfig {
+            nodes: FLEET,
+            seed,
+            delay: DelayModel::Exponential { mean: 10 },
+            partitions: PartitionSchedule::new(cuts.iter().map(isolate).collect()),
+            crashes: CrashSchedule::new(kills.iter().enumerate().map(kill).collect()),
+            ..Default::default()
+        };
+        let flood = deposit_run(EagerBroadcast { piggyback: true }, &cfg, &deposits);
+        prop_assert_eq!(flood.missing(), &[]);
+        for fanout in [1, FLEET - 1] {
+            let gossip = deposit_run(Gossip::new(15, fanout), &cfg, &deposits);
+            prop_assert_eq!(gossip.missing(), &[], "fanout {}", fanout);
+            prop_assert_eq!(&gossip.rejected, &flood.rejected);
+            prop_assert_eq!(&gossip.final_states, &flood.final_states, "fanout {}", fanout);
+            let execution = gossip.timed_execution().execution;
+            prop_assert!(shard_core::conditions::is_transitive(&execution), "fanout {}", fanout);
+        }
     }
 }

@@ -61,15 +61,7 @@ fn run_eager(seed: u64, cfg: ClusterConfig) -> RunReport<FlyByNight> {
 
 fn run_gossip(seed: u64, cfg: ClusterConfig) -> RunReport<FlyByNight> {
     let app = FlyByNight::new(25);
-    Runner::new(
-        &app,
-        cfg,
-        Gossip {
-            interval: 25,
-            fanout: 2,
-        },
-    )
-    .run(invocations(seed, 120))
+    Runner::new(&app, cfg, Gossip::new(25, 2)).run(invocations(seed, 120))
 }
 
 /// Claim (1): the online report equals the offline `par_check` on the

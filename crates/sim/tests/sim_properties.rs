@@ -10,7 +10,7 @@ use shard_apps::Person;
 use shard_core::{Application, ObjectModel, StreamRow};
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{
-    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, GossipConfig, Invocation, MonitorConfig,
+    ClusterConfig, CrashSchedule, CrashWindow, DelayModel, Gossip, Invocation, MonitorConfig,
     NodeId, Placement, RunReport, Runner,
 };
 
@@ -103,7 +103,7 @@ proptest! {
         interval in 5u64..200,
     ) {
         let app = FlyByNight::new(4);
-        let cluster = Runner::gossip(
+        let cluster = Runner::new(
             &app,
             ClusterConfig {
                 nodes: 4,
@@ -111,7 +111,7 @@ proptest! {
                 delay: DelayModel::Exponential { mean: 20 },
                 ..Default::default()
             },
-            GossipConfig { interval },
+            Gossip::new(interval, 1),
         );
         let n = invs.len();
         let report = cluster.run(invs);
@@ -227,7 +227,7 @@ proptest! {
         let report = Runner::eager(&app, eager).run(invs.clone());
         assert_matches_forward_walk(&report, Some(&sink.drain_to_string()));
         let (gossip, sink) = monitored(cfg);
-        let report = Runner::gossip(&app, gossip, GossipConfig { interval }).run(invs);
+        let report = Runner::new(&app, gossip, Gossip::new(interval, 1)).run(invs);
         assert_matches_forward_walk(&report, Some(&sink.drain_to_string()));
     }
 
@@ -253,7 +253,7 @@ proptest! {
         let te = flood.timed_execution();
         prop_assert_eq!(&flood.final_states[0], &te.execution.final_state(&app));
         let gossip =
-            Runner::gossip(&app, cfg, GossipConfig { interval: 40 }).run(invs);
+            Runner::new(&app, cfg, Gossip::new(40, 1)).run(invs);
         let te = gossip.timed_execution();
         prop_assert_eq!(&gossip.final_states[0], &te.execution.final_state(&app));
     }

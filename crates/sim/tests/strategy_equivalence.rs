@@ -71,15 +71,7 @@ where
 {
     let eager =
         Runner::new(app, cfg.clone(), EagerBroadcast { piggyback: false }).run(invs.to_vec());
-    let gossip = Runner::new(
-        app,
-        cfg.clone(),
-        Gossip {
-            interval: 1,
-            fanout: cfg.nodes,
-        },
-    )
-    .run(invs.to_vec());
+    let gossip = Runner::new(app, cfg.clone(), Gossip::new(1, cfg.nodes)).run(invs.to_vec());
     let partial = Runner::new(
         app,
         cfg.clone(),
