@@ -102,13 +102,18 @@ fi
 # everything but wall time (digest, transactions, messages, rounds).
 # The eager leg also runs monitored and traced: the live trace — written
 # by the replica step the kernel shares — must be one `shard-trace
-# summarize` accepts, holding exactly one `monitor.final`.
+# summarize` accepts, holding exactly one `monitor.final`. The binary is
+# built once and each run sits under `timeout 120` (a run takes well
+# under a second): a live run ends on one observation — everything
+# executed, nothing in flight, nothing unsent — or on a dead node
+# thread, and a regression of either must fail the gate, not hang it.
+run cargo build -q --release -p shard-runtime --bin shard-runtime
 for mode in eager gossip partial; do
   traced=""
   if [ "$mode" = eager ]; then
     traced="--monitor --trace target/runtime_live_eager.jsonl"
   fi
-  run cargo run -q --release -p shard-runtime --bin shard-runtime -- \
+  run timeout 120 target/release/shard-runtime \
     --mode "$mode" --nodes 4 --txns 2000 --seed 7 --interval-us 500 \
     --out "target/runtime_live_$mode.json" \
     --replay-out "target/runtime_replay_$mode.json" $traced

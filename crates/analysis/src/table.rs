@@ -48,11 +48,6 @@ impl Table {
         self.rows.is_empty()
     }
 
-    /// The title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -83,48 +78,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV (RFC-4180-style quoting for cells
-    /// containing commas or quotes), for feeding plots or spreadsheets.
-    pub fn render_csv(&self) -> String {
-        let quote = |c: &str| {
-            if c.contains(',') || c.contains('"') || c.contains('\n') {
-                format!("\"{}\"", c.replace('"', "\"\""))
-            } else {
-                c.to_string()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .headers
-                .iter()
-                .map(|h| quote(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| quote(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Renders a GitHub-flavoured markdown table.
-    pub fn render_markdown(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("**{}**\n\n", self.title));
-        out.push_str(&format!("| {} |\n", self.headers.join(" | ")));
-        out.push_str(&format!(
-            "|{}\n",
-            self.headers.iter().map(|_| "---|").collect::<String>()
-        ));
-        for row in &self.rows {
-            out.push_str(&format!("| {} |\n", row.join(" | ")));
-        }
-        out
-    }
 }
 
 impl fmt::Display for Table {
@@ -148,25 +101,6 @@ mod tests {
         assert!(s.contains("14400"));
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-        assert_eq!(t.title(), "demo");
-    }
-
-    #[test]
-    fn csv_rendering_quotes_when_needed() {
-        let mut t = Table::new("c", &["a", "b,with comma"]);
-        t.push_row(vec!["plain".into(), "has \"quote\"".into()]);
-        let csv = t.render_csv();
-        assert_eq!(csv, "a,\"b,with comma\"\nplain,\"has \"\"quote\"\"\"\n");
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let mut t = Table::new("m", &["a", "b"]);
-        t.push_row(vec!["1".into(), "2".into()]);
-        let md = t.render_markdown();
-        assert!(md.contains("| a | b |"));
-        assert!(md.contains("|---|---|"));
-        assert!(md.contains("| 1 | 2 |"));
     }
 
     #[test]

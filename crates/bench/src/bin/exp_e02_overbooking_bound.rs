@@ -63,7 +63,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Adversarial linear growth: the §3.1 double-booking generalized to
@@ -120,7 +119,6 @@ fn main() {
             check.holds().to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     exp.finish(ok);

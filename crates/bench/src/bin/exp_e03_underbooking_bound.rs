@@ -104,7 +104,6 @@ fn main() {
             c11.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     exp.finish(ok);

@@ -61,7 +61,6 @@ fn main() {
             extra.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Corollary 13 part 1: atomic MOVE-DOWN suffix with a base missing k
@@ -98,7 +97,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Corollary 13 part 2: MOVE-UP suffix repairs underbooking to ≤ 300k.
@@ -135,7 +133,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     exp.finish(ok);

@@ -83,7 +83,6 @@ fn main() {
             thm20.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!("shape check: m ≪ k throughout — the refined bound 900·m is far tighter than 900·k\n");
 
@@ -128,7 +127,6 @@ fn main() {
             p2.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Also report the k distribution on one configuration for context.

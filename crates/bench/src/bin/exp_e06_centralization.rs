@@ -91,7 +91,6 @@ fn main() {
             zero.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Part 2: the §5.4 counterexample — centralized movers, transitive,

@@ -99,7 +99,6 @@ fn main() {
             inversions.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!("note: final inversions are *permitted* by Thm 25 (priority is fixed only from\nthe moment the agent learns both requests); Thm 27 below bounds them by request gap\n");
 
@@ -189,7 +188,6 @@ fn main() {
             violations.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     exp.finish(ok);

@@ -131,7 +131,6 @@ fn main() {
         // waiting-list inversions among co-listed passengers.
         ok &= inv_ts <= inv_base;
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: churn rises with delay in both designs (it reflects missing information),\n\

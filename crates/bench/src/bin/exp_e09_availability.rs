@@ -133,7 +133,6 @@ fn main() {
             bound.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: the serializable baseline's availability falls with partition duty and its\n\

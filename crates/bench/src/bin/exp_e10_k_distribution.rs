@@ -55,7 +55,6 @@ fn main() {
             under.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     let mut t = Table::new(
@@ -81,7 +80,6 @@ fn main() {
             under.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: k grows smoothly with delay and with arrival rate (shorter gaps), and the\n\
@@ -105,7 +103,6 @@ fn main() {
             row.cost_bound.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "reading: 'with probability 0.99, a transaction runs at most k₀.₉₉ behind, so\n\

@@ -97,7 +97,6 @@ fn main() {
             format!("{ratio:.2}"),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     let mut t = Table::new(
@@ -116,7 +115,6 @@ fn main() {
             format!("{ratio:.2}"),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     // Shape: denser checkpoints strictly reduce replay volume.
     let shape = rows.windows(2).all(|w| w[0].1 <= w[1].1);

@@ -70,7 +70,6 @@ fn main() {
         // compensates.
         ok &= c.preserves;
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // (b) invariant bound under simulated partitions.
@@ -125,7 +124,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // (c) compensation: RECONCILE clears an overdraft in one step.

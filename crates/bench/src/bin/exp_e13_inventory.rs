@@ -89,7 +89,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: the airline's Corollary 8 transplants — oversell stays inside the\n\

@@ -73,7 +73,6 @@ fn main() {
                 matches.to_string(),
             ]);
         }
-        shard_bench::maybe_dump_csv(&t);
         println!("{t}");
     }
 
@@ -87,7 +86,6 @@ fn main() {
         ok &= holds;
         t.push_row(vec![name.to_string(), holds.to_string()]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
 
     // Priority properties (§4.2): all four preserve priority; only
@@ -114,7 +112,6 @@ fn main() {
             matches.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "note: MOVE-DOWN preserves priority only because move-down(P) inserts at the\n\

@@ -127,7 +127,6 @@ fn main() {
             },
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: §3.3's trade-off measured — the barrier buys audits a (near-)complete\n\

@@ -114,7 +114,6 @@ fn main() {
             worst_k.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: message volume scales with the replication factor while every §3.1\n\

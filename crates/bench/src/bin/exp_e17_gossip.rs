@@ -121,7 +121,6 @@ fn main() {
             holds.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: staleness (k) grows with the gossip interval while round count falls;\n\

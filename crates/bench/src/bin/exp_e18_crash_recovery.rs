@@ -84,7 +84,6 @@ fn main() {
             replays.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: rejections scale with the outage (only the crashed node's clients are\n\

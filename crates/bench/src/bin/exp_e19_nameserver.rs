@@ -106,7 +106,6 @@ fn main() {
             cor10.to_string(),
         ]);
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     println!(
         "shape: the airline's §4 taxonomy and §5 bound machinery describe Grapevine's\n\

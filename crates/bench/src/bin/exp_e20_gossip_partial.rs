@@ -131,7 +131,6 @@ fn main() {
             ]);
         }
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("\n{t}");
     println!(
         "shape: the two §6 relaxations compose — entry volume falls with the\n\

@@ -160,7 +160,6 @@ fn main() {
         }
     }
     println!("\n{t}");
-    shard_bench::maybe_dump_csv(&t);
     ok &= report_claim(&shrunk);
 
     for ce in &outcome.counterexamples {

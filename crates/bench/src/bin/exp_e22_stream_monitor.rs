@@ -101,7 +101,6 @@ fn main() {
         }
     }
     println!("{t}");
-    shard_bench::maybe_dump_csv(&t);
     ok &= report_claim(&equiv);
 
     // Part 2 — monitored chaos sweep with early abort.
@@ -150,7 +149,6 @@ fn main() {
         ]);
     }
     println!("{t}");
-    shard_bench::maybe_dump_csv(&t);
 
     let mut abort =
         ClaimCheck::new("the sweep stops at a confirmed, attributable transitivity violation");

@@ -269,7 +269,6 @@ fn main() {
             kill_points[i] += sweep_run(&app, strategy, seed, &f, &mut t, &mut oracles);
         }
     }
-    shard_bench::maybe_dump_csv(&t);
     println!("{t}");
     ok &= report_claim(&oracles);
 

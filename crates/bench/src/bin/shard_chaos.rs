@@ -105,7 +105,6 @@ fn run_monitored_mode(
         ]);
     }
     println!("{t}");
-    shard_bench::maybe_dump_csv(&t);
 
     // The monitor aborts exactly the runs it found non-transitive; any
     // mismatch between the two flags is a monitor bug, not a finding.
@@ -270,7 +269,6 @@ fn main() {
         t.row(&[oracle.to_string(), format!("{broken}/{}", cfg.seeds), ce]);
     }
     println!("\n{t}");
-    shard_bench::maybe_dump_csv(&t);
 
     for ce in &outcome.counterexamples {
         println!("\nminimal {} counterexample (seed {}):", ce.oracle, ce.seed);

@@ -209,33 +209,6 @@ impl Experiment {
 /// Standard seeds for multi-trial experiments.
 pub const TRIAL_SEEDS: [u64; 5] = [11, 42, 1986, 3640, 77];
 
-/// If the `EXP_CSV_DIR` environment variable is set, writes the table as
-/// CSV into that directory (named after a slug of its title) so the
-/// series can feed plots; otherwise does nothing. Errors are reported on
-/// stderr, never fatal.
-pub fn maybe_dump_csv(table: &shard_analysis::Table) {
-    let Ok(dir) = std::env::var("EXP_CSV_DIR") else {
-        return;
-    };
-    let slug: String = table
-        .title()
-        .chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() {
-                c.to_ascii_lowercase()
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    let path = std::path::Path::new(&dir).join(format!("{slug}.csv"));
-    if let Err(e) =
-        std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, table.render_csv()))
-    {
-        eprintln!("warning: failed to write {}: {e}", path.display());
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

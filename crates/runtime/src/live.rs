@@ -9,18 +9,33 @@
 //! # Architecture
 //!
 //! ```text
-//!   client load (Vec<Submission>)          coordinator thread
-//!        │ partitioned by node             (convergence + shutdown,
-//!        ▼                                  queue-depth sampling)
-//!   ┌────────┐   mpsc    ┌────────┐
-//!   │ node 0 │──────────▶│ node 1 │ …one thread per Node: drain
-//!   │ thread │◀──────────│ thread │  channel → absorb, execute due
-//!   └────────┘           └────────┘  submissions, gossip on cadence
-//!        │ txn rows (ts, time, known)
-//!        ▼
-//!   monitor thread: LiveMonitor over the watermark of the
-//!   per-node Lamport clocks (same §3 checkers as the kernel)
+//!   client load (Vec<Submission>)          coordinator (the caller's
+//!        │ partitioned by node             thread): every 500 µs samples
+//!        ▼                                 the queue depth, steps the §3
+//!   ┌────────┐   mpsc    ┌────────┐        LiveMonitor over the watermark
+//!   │ node 0 │──────────▶│ node 1 │ …      of the per-node Lamport clocks
+//!   │ thread │◀──────────│ thread │        (the kernel's checkers), and
+//!   └────────┘           └────────┘        looks for the quiet point
+//!        │ txn rows (ts, time, known)           │
+//!        └──────────────▶ coordinator           └─ one `Quit` per channel
 //! ```
+//!
+//! Two kinds of thread. A node thread merges what its channel holds,
+//! executes its due submissions, starts a gossip round when one is due,
+//! and otherwise blocks on the channel until its next deadline — or for
+//! good if it has none: whatever else can concern it arrives there.
+//!
+//! # How a run ends
+//!
+//! On one observation: every submission executed and `Shared::in_flight`
+//! zero — no message unmerged, no node with anything left to offer. The
+//! coordinator then puts one `Quit` on each node's channel and joins.
+//! The point is stable, so nothing follows a `Quit`: a send originates
+//! in `EagerBroadcast::on_execute` or `PartialPlacement::on_execute`,
+//! and no execution is left; or in `Gossip::on_tick`, which sends only
+//! past a peer's cursor ([`Propagation::has_unsent`], the node's mark in
+//! `in_flight`), and only an execution or a merge raises a mark.
+//! A node thread that dies ends the wait too; the join propagates it.
 //!
 //! # Why a recorded run replays exactly
 //!
@@ -48,8 +63,8 @@ use shard_sim::{
     ExecutedTxn, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Timestamp,
     Transport, WallClock,
 };
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
@@ -57,12 +72,6 @@ use std::time::Duration;
 /// How many due submissions a node executes before draining its channel
 /// again — keeps closed workloads from starving merges.
 const EXEC_BATCH: usize = 64;
-/// Longest an idle thread sleeps before re-checking shared state.
-/// Coarse on purpose: busy threads never sleep (node threads block on
-/// their channel and wake the instant a message arrives), and a storm
-/// of fine-grained sleeps across many threads starves single-core
-/// machines in context switches.
-const IDLE_PARK: Duration = Duration::from_millis(1);
 
 /// One client request: `decision` is due at `node` once `at_us`
 /// microseconds have elapsed since run start.
@@ -87,8 +96,8 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Merge-log checkpoint interval (must match the replay's).
     pub checkpoint_every: usize,
-    /// Run the §3 [`LiveMonitor`] on a dedicated thread, fed by every
-    /// node and advanced by the watermark of the per-node Lamport
+    /// Run the §3 [`LiveMonitor`] on the coordinator's loop, fed by
+    /// every node and advanced by the watermark of the per-node Lamport
     /// clocks. `abort_on_violation` is ignored: a live run always
     /// drains.
     pub monitor: Option<MonitorConfig>,
@@ -158,8 +167,7 @@ pub(crate) fn sanitize_monitor(m: &Option<MonitorConfig>) -> Option<MonitorConfi
     })
 }
 
-/// Cross-thread state shared by node threads, the monitor thread and
-/// the coordinator.
+/// Cross-thread state shared by the node threads and the coordinator.
 struct Shared {
     clock: WallClock,
     /// Work outstanding, two counts in one word so that one load sees
@@ -173,16 +181,6 @@ struct Shared {
     in_flight: AtomicU64,
     /// Transactions executed so far, across all nodes.
     executed: AtomicU64,
-    /// Phase 1 of shutdown: set once every submission has executed and
-    /// nothing is outstanding. Nodes stop initiating work (submissions,
-    /// gossip rounds) once they see it.
-    stop: AtomicBool,
-    /// Nodes that have acknowledged `stop` (and thus will never send
-    /// again).
-    acked: AtomicU64,
-    /// Phase 2: set once every node acked and the network is silent.
-    /// Nodes drain a final time and exit.
-    done: AtomicBool,
     /// Per-node Lamport clock values, published after every execute and
     /// absorb — their minimum is the monitor watermark.
     clocks: Vec<AtomicU64>,
@@ -191,11 +189,15 @@ struct Shared {
 /// One node's unsent mark in [`Shared::in_flight`].
 const UNSENT: u64 = 1 << 32;
 
-/// One update message in flight between node threads.
-struct Msg<A: Application> {
-    from: NodeId,
-    sent_at: SimTime,
-    entries: Entries<A>,
+/// What a node's channel carries: update batches from its peers, then
+/// — once, last — the coordinator's `Quit`.
+enum Msg<A: Application> {
+    Batch {
+        from: NodeId,
+        sent_at: SimTime,
+        entries: Entries<A>,
+    },
+    Quit,
 }
 
 /// The live [`Transport`]: sends go straight onto the receiver's
@@ -222,12 +224,12 @@ impl<A: Application> Transport<A> for ChannelTransport<'_, A> {
         self.entries_shipped += entries.len() as u64;
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
         self.peers[to.0 as usize]
-            .send(Msg {
+            .send(Msg::Batch {
                 from,
                 sent_at: now,
                 entries,
             })
-            .expect("receivers outlive every send (three-phase shutdown)");
+            .expect("nothing is sent past the quiet point, and a channel closes after it");
     }
 }
 
@@ -286,39 +288,35 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         }
     }
 
-    /// Merges one delivered batch at a fresh tick and records it.
-    fn deliver(&mut self, msg: Msg<A>) {
+    /// Merges one delivered batch at a fresh tick and records it;
+    /// `false` on `Quit`.
+    fn deliver(&mut self, msg: Msg<A>) -> bool {
+        let Msg::Batch {
+            from,
+            sent_at,
+            entries,
+        } = msg
+        else {
+            return false;
+        };
         let now = self.shared.clock.tick();
         self.node.deliver_step(
             self.app,
-            msg.from,
-            &msg.entries,
+            from,
+            &entries,
             now,
             self.mirror.as_mut(),
             self.sink,
         );
         self.out.msgs.push(MsgRecord {
-            sent_at: msg.sent_at,
-            from: msg.from,
+            sent_at,
+            from,
             to: self.node.id,
             merged_at: now,
         });
         self.publish();
         self.shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Drains everything currently queued; returns how many merged.
-    fn drain(&mut self) -> usize {
-        let mut n = 0;
-        loop {
-            match self.rx.try_recv() {
-                Ok(m) => {
-                    self.deliver(m);
-                    n += 1;
-                }
-                Err(TryRecvError::Empty | TryRecvError::Disconnected) => return n,
-            }
-        }
+        true
     }
 
     /// Executes one due submission at a fresh tick.
@@ -370,108 +368,55 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         tick_every_us: Option<SimTime>,
     ) -> (Node<A>, NodeOutcome<A>) {
         let mut next_sub = 0usize;
-        let mut next_round_us = tick_every_us.unwrap_or(0);
-        let mut acked = false;
+        let mut next_round_us = tick_every_us;
         // Publish the starting clock: a node recovered from a durable
         // mirror begins past zero, and the monitor's watermark must see
         // that even if the node never executes or receives anything.
         self.publish();
-        loop {
-            let mut did = self.drain();
-            if !self.shared.stop.load(Ordering::SeqCst) {
-                let mut burst = 0;
-                while next_sub < subs.len()
-                    && burst < EXEC_BATCH
-                    && subs[next_sub].0 <= self.shared.clock.elapsed_us()
-                {
-                    let (at_us, decision) = subs[next_sub].clone();
-                    next_sub += 1;
-                    burst += 1;
-                    self.execute(at_us, decision);
+        'run: loop {
+            let mut did = 0;
+            while let Ok(msg) = self.rx.try_recv() {
+                if !self.deliver(msg) {
+                    break 'run;
                 }
-                did += burst;
-                if let Some(every) = tick_every_us {
-                    // Backpressure: rounds fired into an unmerged
-                    // backlog only deepen it, so a saturated network
-                    // would never converge. Skipped rounds are never
-                    // recorded, so replay is unaffected.
-                    let backlog = self.shared.in_flight.load(Ordering::SeqCst) % UNSENT;
-                    if self.shared.clock.elapsed_us() >= next_round_us
-                        && backlog < 2 * self.transport.peers.len() as u64
-                    {
-                        self.round();
-                        next_round_us = self.shared.clock.elapsed_us() + every;
-                        did += 1;
-                    }
-                }
-            } else if !acked {
-                acked = true;
-                self.shared.acked.fetch_add(1, Ordering::SeqCst);
+                did += 1;
             }
-            if self.shared.done.load(Ordering::SeqCst) {
-                self.drain();
-                break;
+            let burst_end = subs.len().min(next_sub + EXEC_BATCH);
+            while next_sub < burst_end && subs[next_sub].0 <= self.shared.clock.elapsed_us() {
+                let (at_us, decision) = subs[next_sub].clone();
+                next_sub += 1;
+                did += 1;
+                self.execute(at_us, decision);
+            }
+            if next_round_us.is_some_and(|at_us| at_us <= self.shared.clock.elapsed_us()) {
+                self.round();
+                next_round_us = tick_every_us.map(|every| self.shared.clock.elapsed_us() + every);
+                did += 1;
             }
             if did == 0 {
-                // Sleep until the next client or gossip deadline —
-                // or the instant a message arrives.
-                let mut wait = IDLE_PARK;
-                let elapsed = self.shared.clock.elapsed_us();
-                if next_sub < subs.len() {
-                    let due = subs[next_sub].0.saturating_sub(elapsed).max(1);
-                    wait = wait.min(Duration::from_micros(due));
-                }
-                if tick_every_us.is_some() {
-                    let due = next_round_us.saturating_sub(elapsed).max(1);
-                    wait = wait.min(Duration::from_micros(due));
-                }
-                if let Ok(m) = self.rx.recv_timeout(wait) {
-                    self.deliver(m);
+                // Block until the next submission or round is due, or
+                // for good if neither is: a batch or the `Quit` wakes
+                // the node the instant it arrives.
+                let due = subs.get(next_sub).map(|s| s.0);
+                let msg = match due.into_iter().chain(next_round_us).min() {
+                    Some(at_us) => {
+                        let wait = at_us.saturating_sub(self.shared.clock.elapsed_us());
+                        self.rx
+                            .recv_timeout(Duration::from_micros(wait.max(1)))
+                            .ok()
+                    }
+                    None => self.rx.recv().ok(),
+                };
+                if let Some(msg) = msg {
+                    if !self.deliver(msg) {
+                        break;
+                    }
                 }
             }
         }
-        self.publish();
         self.out.messages_sent = self.transport.messages_sent;
         self.out.entries_shipped = self.transport.entries_shipped;
         (self.node, self.out)
-    }
-}
-
-/// The monitor thread: reads the Lamport watermark *before* draining
-/// the row channel, so every row with `ts.counter ≤ watermark` is
-/// already in the channel when the watermark is read (nodes publish
-/// their clock only after sending the row) — sealing is sound.
-fn monitor_loop(
-    cfg: MonitorConfig,
-    rx: Receiver<MonRow>,
-    shared: &Shared,
-    sink: Option<&EventSink>,
-) -> StreamReport {
-    let mut lm = LiveMonitor::new(cfg);
-    loop {
-        let watermark = shared
-            .clocks
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst))
-            .min()
-            .unwrap_or(0);
-        let mut got = false;
-        loop {
-            match rx.try_recv() {
-                Ok((ts, time, known)) => {
-                    lm.ingest(ts, time, known);
-                    got = true;
-                }
-                Err(TryRecvError::Empty) => break,
-                // Every node thread exited: all rows are in. Drain the
-                // stalled tail and report.
-                Err(TryRecvError::Disconnected) => return lm.finish(sink),
-            }
-        }
-        lm.advance(watermark, sink);
-        if !got {
-            thread::park_timeout(IDLE_PARK);
-        }
     }
 }
 
@@ -582,9 +527,6 @@ where
         clock: WallClock::new(),
         in_flight: AtomicU64::new(0),
         executed: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        acked: AtomicU64::new(0),
-        done: AtomicBool::new(false),
         clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
 
@@ -604,12 +546,17 @@ where
     let mut mirrors = mirrors.into_iter();
 
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel::<Msg<A>>()).unzip();
-    let mon_cfg = sanitize_monitor(&cfg.monitor);
+    let mut monitor = sanitize_monitor(&cfg.monitor).map(LiveMonitor::new);
     let (mon_tx, mon_rx) = mpsc::channel::<MonRow>();
-    let mon_tx = mon_cfg.as_ref().map(|_| mon_tx);
+    let mon_tx = monitor.is_some().then_some(mon_tx);
+    let sink = cfg.sink.as_deref();
+    let ingest_rows = |lm: &mut LiveMonitor| {
+        mon_rx
+            .try_iter()
+            .for_each(|(ts, time, known)| lm.ingest(ts, time, known));
+    };
 
     let mut outcomes: Vec<Option<(Node<A>, NodeOutcome<A>)>> = (0..n).map(|_| None).collect();
-    let mut monitor_report: Option<StreamReport> = None;
 
     thread::scope(|scope| {
         let shared = &shared;
@@ -638,7 +585,7 @@ where
                 },
                 rx,
                 mon_tx: mon_tx.clone(),
-                sink: cfg.sink.as_deref(),
+                sink,
                 metrics,
                 mirror: mirrors.next(),
                 unsent,
@@ -655,40 +602,45 @@ where
             };
             handles.push(scope.spawn(move || worker.run(subs, tick_every_us)));
         }
-        // The workers hold clones; drop ours so the monitor sees a
-        // disconnect once every node thread exits.
-        drop(mon_tx);
-        let mon_handle = mon_cfg.map(|mc| {
-            let sink = cfg.sink.clone();
-            scope.spawn(move || monitor_loop(mc, mon_rx, shared, sink.as_deref()))
-        });
 
-        // Coordinator (this thread): three-phase shutdown. Phase 1
-        // waits until everything executed and nothing is outstanding —
-        // no message unmerged, no node with unsent entries (one load of
-        // `Shared::in_flight` decides). An execution publishes its
-        // node's mark before it counts, so `executed` is read first.
+        // Coordinator (this thread): samples the queue depth, steps the
+        // monitor, and waits for the quiet point — everything executed
+        // and nothing outstanding: no message unmerged, no node with
+        // unsent entries (one load of `Shared::in_flight` decides). An
+        // execution publishes its node's mark before it counts, so
+        // `executed` is read first. A node thread that finished before
+        // its `Quit` panicked: stop waiting and let the join say so.
         loop {
             let all_executed = shared.executed.load(Ordering::SeqCst) == total;
             let outstanding = shared.in_flight.load(Ordering::SeqCst);
             metrics.queue_depth.record(outstanding % UNSENT);
-            if all_executed && outstanding == 0 {
+            if let Some(lm) = &mut monitor {
+                // The watermark is read *before* the rows are drained: a
+                // node publishes its clock only after sending its row, so
+                // every row with `ts.counter ≤ watermark` is already in
+                // the channel — sealing is sound.
+                let clocks = shared.clocks.iter().map(|c| c.load(Ordering::SeqCst));
+                let watermark = clocks.min().unwrap_or(0);
+                ingest_rows(lm);
+                lm.advance(watermark, sink);
+            }
+            if (all_executed && outstanding == 0) || handles.iter().any(|h| h.is_finished()) {
                 break;
             }
             thread::park_timeout(Duration::from_micros(500));
         }
-        shared.stop.store(true, Ordering::SeqCst);
-        while shared.acked.load(Ordering::SeqCst) < n as u64
-            || shared.in_flight.load(Ordering::SeqCst) != 0
-        {
-            thread::park_timeout(Duration::from_micros(200));
+        for tx in senders {
+            // A dead node's channel is closed; the join reports it.
+            let _ = tx.send(Msg::Quit);
         }
-        shared.done.store(true, Ordering::SeqCst);
-
         for (i, h) in handles.into_iter().enumerate() {
             outcomes[i] = Some(h.join().expect("node thread panicked"));
         }
-        monitor_report = mon_handle.map(|h| h.join().expect("monitor thread panicked"));
+    });
+    // Every row is in: ingest the tail, then seal what stalled.
+    let monitor_report = monitor.map(|mut lm| {
+        ingest_rows(&mut lm);
+        lm.finish(sink)
     });
 
     let wall_us = shared.clock.elapsed_us();

@@ -91,8 +91,8 @@ fn submissions<D>(raw: Vec<(D, u64, u16)>) -> Vec<Submission<D>> {
 
 /// Runs `subs` live under `strategy`, replays the recording through
 /// the kernel under a clone of the same value, and checks the replay
-/// reproduces the recording exactly.
-fn roundtrip<A, P>(app: &A, seed: u64, strategy: P, subs: &[Submission<A::Decision>])
+/// reproduces the recording exactly. Returns the live run.
+fn roundtrip<A, P>(app: &A, seed: u64, strategy: P, subs: &[Submission<A::Decision>]) -> LiveRun<A>
 where
     A: Application + Sync,
     A::State: Send + PartialEq + std::fmt::Debug,
@@ -104,6 +104,24 @@ where
     let live = run_live(app, &cfg, strategy.clone(), subs.to_vec());
     let replayed = replay(app, &cfg, strategy, subs, &live.schedule);
     assert_replay_matches(&live, &replayed);
+    live
+}
+
+/// Routes each submission to a node that reads everything its decision
+/// needs (the admission rule `PartialPlacement` validates), dropping
+/// the few (e.g. audits) no single node can admit.
+fn route_to_holders(
+    app: &Bank,
+    placement: &Placement,
+    subs: Vec<Submission<BankTxn>>,
+) -> Vec<Submission<BankTxn>> {
+    use shard_core::ObjectModel;
+    subs.into_iter()
+        .filter_map(|mut s| {
+            s.node = placement.any_holder_of_all(&app.decision_objects(&s.decision))?;
+            Some(s)
+        })
+        .collect()
 }
 
 /// Drains a traced, monitored run's sink: checks it holds exactly one
@@ -161,6 +179,63 @@ fn live_and_replay_traces_agree_line_for_line() {
     }
     check(EagerBroadcast { piggyback: false });
     check(Gossip::new(300, u16::MAX));
+}
+
+/// Gossip over partial placement reaches the quiet point through an
+/// *empty* round: a node's `has_unsent` mark outlives its last merge
+/// until a round that sends nothing moves the cursor past entries its
+/// peer does not hold. The run must still return, converged, and replay.
+#[test]
+fn gossip_over_placement_ends_through_an_empty_round() {
+    use shard_core::ObjectModel;
+    let app = Bank::new(3, 50);
+    let placement = Placement::round_robin(NODES, &app.objects(), 2);
+    // Account `a` is held by two of the three nodes; deposit at one.
+    let subs: Vec<Submission<BankTxn>> = (0..45u32)
+        .map(|i| {
+            let decision = BankTxn::Deposit(AccountId(1 + i % 3), 1 + i);
+            let holder = placement.any_holder_of_all(&app.decision_objects(&decision));
+            Submission {
+                at_us: u64::from(i / 3) * 100,
+                node: holder.expect("every account has a holder"),
+                decision,
+            }
+        })
+        .collect();
+    let live = roundtrip(&app, 11, Gossip::new(200, NODES).over(placement), &subs);
+    assert_eq!(live.report.transactions.len(), subs.len());
+    assert_eq!(live.report.missing(), vec![], "a holder lacks an entry");
+}
+
+/// Two hundred short runs per mode, back to back: each must return (a
+/// node that missed its `Quit` would block the join) and replay — and a
+/// send after `Quit` would die on the closed channel's `expect`.
+#[test]
+fn short_runs_end_cleanly_in_every_mode() {
+    use shard_core::ObjectModel;
+    let app = Bank::new(3, 50);
+    let placement = Placement::round_robin(NODES, &app.objects(), 2);
+    for run in 0..200u32 {
+        // Up to 32 submissions, the first half due at once.
+        let (n, gap_us) = (run % 33, u64::from(run % 7) * 20);
+        let subs: Vec<Submission<BankTxn>> = (0..n)
+            .map(|i| Submission {
+                at_us: u64::from(i.saturating_sub(n / 2)) * gap_us,
+                node: NodeId(((i + run) % 3) as u16),
+                decision: BankTxn::Deposit(AccountId(1 + (i + run) % 3), 1 + i),
+            })
+            .collect();
+        let seed = u64::from(run);
+        roundtrip(&app, seed, EagerBroadcast { piggyback: false }, &subs);
+        roundtrip(&app, seed, Gossip::new(150, u16::MAX), &subs);
+        let routed = route_to_holders(&app, &placement, subs);
+        roundtrip(
+            &app,
+            seed,
+            PartialPlacement::new(placement.clone()),
+            &routed,
+        );
+    }
 }
 
 /// [`roundtrip`] in all-peer eager mode and in full-fanout gossip.
@@ -296,18 +371,7 @@ proptest! {
         use shard_core::ObjectModel;
         let app = Bank::new(3, 50);
         let placement = Placement::round_robin(NODES, &app.objects(), 2);
-        // Route each submission to a node that reads everything its
-        // decision needs (the admission rule `PartialPlacement`
-        // validates); drop the few (e.g. audits) no single node can
-        // admit.
-        let subs: Vec<Submission<BankTxn>> = submissions(raw)
-            .into_iter()
-            .filter_map(|mut s| {
-                let node = placement.any_holder_of_all(&app.decision_objects(&s.decision))?;
-                s.node = node;
-                Some(s)
-            })
-            .collect();
+        let subs = route_to_holders(&app, &placement, submissions(raw));
         roundtrip(&app, seed, PartialPlacement::new(placement), &subs);
     }
 }
