@@ -20,7 +20,7 @@
 //! reads the total and reports it — the transaction §3.2 suggests running
 //! with a complete prefix.
 
-use shard_core::{Application, Cost, DecisionOutcome, ExternalAction, PMap};
+use shard_core::{Application, Cost, DecisionOutcome, ExternalAction};
 use std::fmt;
 
 /// An account identifier.
@@ -35,59 +35,95 @@ impl fmt::Display for AccountId {
 
 /// Bank database state: balances in cents (absent account = 0).
 ///
-/// Balances live in a [`PMap`], so cloning a `BankState` is an O(1)
-/// pointer bump and a credit touches only the O(log n) path to the
-/// account — the structural sharing the replay checkpoints rely on.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// Balances are one array sorted by account, every account touched so
+/// far present once (a balance credited back to zero stays). A bank is
+/// flat because its hottest clone is the merge log's undo/redo repair:
+/// it replays ~30 updates from a checkpoint clone, which rewrites most
+/// of a 64-account bank, so a tree shared with the checkpoint is copied
+/// piecemeal anyway. One 1 KiB copy is cheaper: `sim-partition`
+/// `life_p50_us` 10.5 → 5.7 and `apps.apply_ns` 45 → 16 against a
+/// `PMap` of balances. The price is memory once banks grow past what
+/// any caller uses (DESIGN.md §11: +8 % peak RSS at 512 accounts, +26 %
+/// at 4 096, still faster).
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct BankState {
-    balances: PMap<AccountId, i64>,
+    /// Boxed, not a `Vec`: no spare capacity to clone, and the 16-byte
+    /// shallow size `state.clone_bytes` has always counted for a bank.
+    balances: Box<[(AccountId, i64)]>,
 }
 
 impl BankState {
     /// Balance of `a` in cents (0 if the account was never touched).
     pub fn balance(&self, a: AccountId) -> i64 {
-        self.balances.get(&a).copied().unwrap_or(0)
+        self.slot(a).map_or(0, |i| self.balances[i].1)
     }
 
     /// Total balance over all accounts.
     pub fn total(&self) -> i64 {
-        self.balances.values().sum()
+        self.balances.iter().map(|&(_, b)| b).sum()
     }
 
     /// Sum of the magnitudes of all negative balances.
     pub fn total_overdraft(&self) -> u64 {
         self.balances
-            .values()
-            .filter(|b| **b < 0)
-            .map(|b| (-b) as u64)
+            .iter()
+            .filter(|&&(_, b)| b < 0)
+            .map(|&(_, b)| b.unsigned_abs())
             .sum()
     }
 
     /// Overdraft magnitude of one account.
     pub fn overdraft(&self, a: AccountId) -> u64 {
-        (-self.balance(a)).max(0) as u64
+        self.balance(a).min(0).unsigned_abs()
     }
 
     /// Every touched account and its balance, in account order.
-    pub fn balances(&self) -> impl Iterator<Item = (AccountId, i64)> + '_ {
-        self.balances.iter().map(|(a, b)| (*a, *b))
+    pub fn balances(&self) -> impl ExactSizeIterator<Item = (AccountId, i64)> + '_ {
+        self.balances.iter().copied()
     }
 
-    /// Test/helper constructor from `(account, balance)` pairs.
+    /// Test/helper constructor from `(account, balance)` pairs in any
+    /// order; of repeated accounts the last pair wins.
     pub fn with_balances(pairs: &[(AccountId, i64)]) -> Self {
+        let mut balances = pairs.to_vec();
+        // Stable, so repeats stay in input order; each run of them keeps
+        // its first slot and takes its last value.
+        balances.sort_by_key(|&(a, _)| a);
+        balances.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                kept.1 = later.1;
+            }
+            repeat
+        });
         BankState {
-            balances: pairs.iter().copied().collect(),
+            balances: balances.into(),
         }
     }
 
-    /// One copy-on-write descent for an account seen before.
+    /// Where `a` sits in the array, or would be inserted.
+    fn slot(&self, a: AccountId) -> Result<usize, usize> {
+        self.balances.binary_search_by_key(&a, |&(k, _)| k)
+    }
+
     fn credit(&mut self, a: AccountId, amount: i64) {
-        match self.balances.get_mut(&a) {
-            Some(balance) => *balance += amount,
-            None => {
-                self.balances.insert(a, amount);
+        match self.slot(a) {
+            Ok(i) => self.balances[i].1 += amount,
+            Err(i) => {
+                let (below, above) = self.balances.split_at(i);
+                self.balances = [below, &[(a, amount)], above].concat().into();
             }
         }
+    }
+}
+
+impl fmt::Debug for BankState {
+    /// As a map, `BankState { balances: {AccountId(1): 5} }` — the form
+    /// `shard-runtime`'s report digest hashes.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let pairs = self.balances.iter().map(|(a, b)| (a, b));
+        let map = fmt::from_fn(|f| f.debug_map().entries(pairs.clone()).finish());
+        f.debug_struct("BankState").field("balances", &map).finish()
     }
 }
 
@@ -458,6 +494,28 @@ mod tests {
         assert_eq!(s.balance(a(9)), 0);
         assert_eq!(s.total(), 0);
         assert_eq!(s.total_overdraft(), 0);
+    }
+
+    /// The most overdrawn balance representable costs 2⁶³, not 0 (and
+    /// does not overflow on the way there).
+    #[test]
+    fn minimum_balance_is_the_largest_overdraft() {
+        use shard_store::Codec;
+        let bytes = BankState::with_balances(&[(a(1), i64::MIN), (a(2), 7)]).to_vec();
+        let s = BankState::from_slice(&bytes).expect("a valid encoding");
+        assert_eq!(s.overdraft(a(1)), 1 << 63);
+        assert_eq!(s.total_overdraft(), 1 << 63);
+        assert_eq!(Bank::default().cost(&s, 0), 1 << 63);
+    }
+
+    /// `shard-runtime`'s report digest hashes this text.
+    #[test]
+    fn debug_prints_the_balances_as_a_map() {
+        let s = BankState::with_balances(&[(a(3), -2), (a(1), 5)]);
+        assert_eq!(
+            format!("{s:?}"),
+            "BankState { balances: {AccountId(1): 5, AccountId(3): -2} }"
+        );
     }
 
     #[test]

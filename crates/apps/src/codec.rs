@@ -277,8 +277,8 @@ impl Codec for AirlineState {
 
 impl Codec for BankState {
     fn encode(&self, out: &mut Vec<u8>) {
-        let pairs: Vec<(AccountId, i64)> = self.balances().collect();
-        encode_seq(pairs.len(), pairs.into_iter(), out, |(a, b), o| {
+        let pairs = self.balances();
+        encode_seq(pairs.len(), pairs, out, |(a, b), o| {
             a.0.encode(o);
             (b as u64).encode(o);
         });

@@ -1,22 +1,23 @@
 //! Property tests for the O(delta) state layer: `apply_in_place` must
 //! agree with the pure `apply` on every application, the persistent
-//! [`PMap`] must behave exactly like a `BTreeMap` oracle (including
-//! across O(1) clones taken mid-sequence), [`Checkpoints`] must
-//! record, truncate and floor like a naive list of depths and resume
-//! replays to byte-identical states — with or without a cold store,
-//! whatever a crash of that store destroys — and the execution-level cache
-//! must answer identically at pool sizes 1, 2 and 7.
+//! [`PMap`] and the bank's flat state must behave exactly like a
+//! `BTreeMap` oracle (including across clones taken mid-sequence),
+//! [`Checkpoints`] must record, truncate and floor like a naive list of
+//! depths and resume replays to byte-identical states — with or without
+//! a cold store, whatever a crash of that store destroys — and the
+//! execution-level cache must answer identically at pool sizes 1, 2
+//! and 7.
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
-use shard::apps::banking::{AccountId, Bank, BankUpdate};
+use shard::apps::banking::{AccountId, Bank, BankState, BankUpdate};
 use shard::apps::dictionary::{DictUpdate, Dictionary};
 use shard::apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
 use shard::core::replay::prebuild_executions;
 use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
-use shard::store::MemStore;
+use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
 use std::collections::BTreeMap;
 
@@ -48,18 +49,55 @@ fn airline_update() -> impl Strategy<Value = AirlineUpdate> {
     ]
 }
 
+/// Mostly `Bank::new(3, ..)`'s tracked `A1..=A3`, but also `A0` and
+/// accounts no bank of three tracks.
+fn bank_account() -> impl Strategy<Value = AccountId> {
+    prop_oneof![0u32..6, 1u32..4, Just(u32::MAX)].prop_map(AccountId)
+}
+
 fn bank_update() -> impl Strategy<Value = BankUpdate> {
     prop_oneof![
-        ((1u32..4), (1u32..200)).prop_map(|(a, x)| BankUpdate::Credit(AccountId(a), x)),
-        ((1u32..4), (1u32..200)).prop_map(|(a, x)| BankUpdate::Debit(AccountId(a), x)),
-        ((1u32..4), (1u32..4), (1u32..100)).prop_map(|(a, b, x)| BankUpdate::Move(
-            AccountId(a),
-            AccountId(b),
-            x
-        )),
-        (1u32..4).prop_map(|a| BankUpdate::Sweep(AccountId(a))),
+        (bank_account(), (1u32..200)).prop_map(|(a, x)| BankUpdate::Credit(a, x)),
+        (bank_account(), (1u32..200)).prop_map(|(a, x)| BankUpdate::Debit(a, x)),
+        (bank_account(), bank_account(), (1u32..100))
+            .prop_map(|(a, b, x)| BankUpdate::Move(a, b, x)),
+        bank_account().prop_map(BankUpdate::Sweep),
         Just(BankUpdate::Noop),
     ]
+}
+
+/// The bank oracle's `apply`: every account an update credits or
+/// debits is touched — present from then on, even at zero.
+fn bank_oracle_apply(oracle: &mut BTreeMap<AccountId, i64>, update: &BankUpdate) {
+    let mut credit = |a: AccountId, x: i64| *oracle.entry(a).or_insert(0) += x;
+    match *update {
+        BankUpdate::Credit(a, x) => credit(a, x.into()),
+        BankUpdate::Debit(a, x) => credit(a, -i64::from(x)),
+        BankUpdate::Move(from, to, x) => {
+            credit(from, -i64::from(x));
+            credit(to, x.into());
+        }
+        BankUpdate::Sweep(a) => {
+            let b = oracle.get(&a).copied().unwrap_or(0);
+            if b < 0 {
+                oracle.insert(a, 0);
+            }
+        }
+        BankUpdate::Noop => {}
+    }
+}
+
+/// A bank state's encoding of `pairs`, in whatever order they come,
+/// written out field by field: the count, then each account and its
+/// balance's bits.
+fn bank_bytes(pairs: &[(AccountId, i64)]) -> Vec<u8> {
+    let mut out = Vec::new();
+    (pairs.len() as u32).encode(&mut out);
+    for &(a, b) in pairs {
+        a.0.encode(&mut out);
+        (b as u64).encode(&mut out);
+    }
+    out
 }
 
 fn inventory_update() -> impl Strategy<Value = InvUpdate> {
@@ -120,18 +158,15 @@ const PMAP_KEYS: u32 = 600;
 enum PmapOp {
     Insert(u32, u64),
     Remove(u32),
-    /// `get_mut` and add one.
-    Bump(u32),
     Nth(usize),
 }
 
-/// Two inserts in five operations to one remove: the map settles near
+/// Two inserts in four operations to one remove: the map settles near
 /// two thirds of the keys.
 fn pmap_op() -> impl Strategy<Value = PmapOp> {
-    (0u32..5, 0..PMAP_KEYS, 1u64..100).prop_map(|(kind, k, v)| match kind {
+    (0u32..4, 0..PMAP_KEYS, 1u64..100).prop_map(|(kind, k, v)| match kind {
         0 | 1 => PmapOp::Insert(k, v),
         2 => PmapOp::Remove(k),
-        3 => PmapOp::Bump(k),
         _ => PmapOp::Nth(k as usize),
     })
 }
@@ -201,20 +236,12 @@ proptest! {
                 PmapOp::Remove(k) => {
                     prop_assert_eq!(map.remove(k), oracle.remove(k));
                 }
-                PmapOp::Bump(k) => {
-                    let (got, want) = (map.get_mut(k), oracle.get_mut(k));
-                    prop_assert_eq!(got.as_deref(), want.as_deref());
-                    if let (Some(got), Some(want)) = (got, want) {
-                        *got += 1;
-                        *want += 1;
-                    }
-                }
                 PmapOp::Nth(i) => {
                     prop_assert_eq!(map.nth(*i), oracle.iter().nth(*i));
                 }
             }
             prop_assert_eq!(map.len(), oracle.len());
-            if let PmapOp::Insert(k, _) | PmapOp::Remove(k) | PmapOp::Bump(k) = op {
+            if let PmapOp::Insert(k, _) | PmapOp::Remove(k) = op {
                 prop_assert_eq!(map.get(k), oracle.get(k));
                 prop_assert_eq!(map.contains_key(k), oracle.contains_key(k));
             }
@@ -245,6 +272,55 @@ proptest! {
         for (snap_map, snap_oracle) in &snapshots {
             prop_assert_eq!(snap_map.len(), snap_oracle.len());
             prop_assert!(snap_map.iter().eq(snap_oracle.iter()));
+        }
+    }
+
+    /// The bank's state agrees with a `BTreeMap` oracle after every
+    /// update, over tracked accounts, `A0` and untracked ones: the
+    /// touched accounts and their balances in account order, equality
+    /// with the state built from those pairs in reverse, the encoding
+    /// byte for byte, decoding of unsorted and repeated pairs (the last
+    /// wins) — and clones taken along the way never see a later write.
+    #[test]
+    fn bank_state_matches_btreemap_oracle(
+        updates in proptest::collection::vec(bank_update(), 0..200),
+    ) {
+        let app = Bank::new(3, 200);
+        let mut state = app.initial_state();
+        let mut oracle: BTreeMap<AccountId, i64> = BTreeMap::new();
+        let mut snapshots = Vec::new();
+        for (i, u) in updates.iter().enumerate() {
+            app.apply_in_place(&mut state, u);
+            bank_oracle_apply(&mut oracle, u);
+            let pairs: Vec<(AccountId, i64)> = oracle.iter().map(|(a, b)| (*a, *b)).collect();
+            prop_assert_eq!(state.balances().collect::<Vec<_>>(), pairs.clone());
+            for a in (0..6).chain([u32::MAX]).map(AccountId) {
+                prop_assert_eq!(state.balance(a), oracle.get(&a).copied().unwrap_or(0));
+            }
+            let reversed: Vec<_> = pairs.iter().rev().copied().collect();
+            prop_assert_eq!(&BankState::with_balances(&reversed), &state);
+            prop_assert_eq!(state.to_vec(), bank_bytes(&pairs));
+            // Every account once with a stale balance, then the real
+            // ones in reverse order.
+            let mut repeated: Vec<_> = pairs.iter().map(|&(a, b)| (a, b ^ 1)).collect();
+            repeated.extend(reversed);
+            prop_assert_eq!(BankState::from_slice(&bank_bytes(&repeated)), Some(state.clone()));
+            if i % 7 == 0 {
+                snapshots.push((state.clone(), pairs));
+            }
+        }
+        // Crediting an account back to zero keeps it: touched, it is
+        // encoded and makes the state differ from one that never was.
+        let fresh = AccountId(1_000);
+        let mut zeroed = app.apply(&state, &BankUpdate::Credit(fresh, 5));
+        app.apply_in_place(&mut zeroed, &BankUpdate::Debit(fresh, 5));
+        oracle.insert(fresh, 0);
+        let pairs: Vec<(AccountId, i64)> = oracle.iter().map(|(a, b)| (*a, *b)).collect();
+        prop_assert_eq!(zeroed.balances().collect::<Vec<_>>(), pairs.clone());
+        prop_assert_eq!(zeroed.to_vec(), bank_bytes(&pairs));
+        prop_assert_ne!(&zeroed, &state);
+        for (snap, pairs) in &snapshots {
+            prop_assert_eq!(snap.balances().collect::<Vec<_>>(), pairs.clone());
         }
     }
 
