@@ -164,12 +164,11 @@ fn kernel_run_ns(txns: usize, monitor: Option<MonitorConfig>) -> f64 {
         nodes: 5,
         seed: 3,
         delay: DelayModel::Fixed(10),
-        piggyback: false,
         monitor,
         ..ClusterConfig::default()
     };
     let t0 = Instant::now();
-    let report = Runner::new(&app, cfg, EagerBroadcast { piggyback: false }).run(invocations);
+    let report = Runner::new(&app, cfg, EagerBroadcast::default()).run(invocations);
     let ns = t0.elapsed().as_nanos() as f64;
     black_box(report.transactions.len());
     ns

@@ -8,7 +8,7 @@
 //!   keeps priority over `Q` in every reachable state.
 //!
 //! The experiment runs simulator executions with centralized movers and
-//! piggyback transitivity, checks Theorem 25 on every eligible pair, and
+//! transitivity from a gossip round at each execution, checks Theorem 25 on every eligible pair, and
 //! sweeps the request-gap threshold for the Theorem 27 claim using the
 //! execution's *measured* delay bound.
 
@@ -23,7 +23,7 @@ use shard_apps::Person;
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::conditions;
-use shard_sim::{ClusterConfig, DelayModel, Runner};
+use shard_sim::{ClusterConfig, DelayModel, Gossip, Runner};
 
 fn main() {
     let exp = shard_bench::Experiment::start("e07");
@@ -38,22 +38,26 @@ fn main() {
             "pairs checked",
             "violations",
             "final inversions",
+            "messages",
+            "entries shipped",
+            "k max",
         ],
     );
     for mean_delay in [10u64, 60, 240] {
+        let (mut messages, mut shipped, mut k) = (0, 0, 0);
         let mut pairs = 0usize;
         let mut violations = 0usize;
         let mut inversions = 0usize;
         for seed in TRIAL_SEEDS {
-            let cluster = Runner::eager(
+            let cluster = Runner::new(
                 &app,
                 ClusterConfig {
                     nodes: 4,
                     seed,
                     delay: DelayModel::Exponential { mean: mean_delay },
-                    piggyback: true,
                     ..Default::default()
                 },
+                Gossip::new(0, 3),
             );
             let invs = airline_invocations(
                 seed,
@@ -67,11 +71,14 @@ fn main() {
                 Routing::CentralizedMovers,
             );
             let report = cluster.run(invs);
+            messages += report.messages_sent;
+            shipped += report.entries_shipped;
             let te = report.timed_execution();
             te.execution.verify(&app).expect("valid execution");
+            k = k.max(conditions::max_missed(&te.execution));
             assert!(
                 conditions::is_transitive(&te.execution),
-                "piggyback ⇒ transitive"
+                "a round at each execution ⇒ transitive"
             );
             // Eligible people: single uncancelled request.
             let people: Vec<Person> = (1..=200u32)
@@ -97,6 +104,9 @@ fn main() {
             pairs.to_string(),
             violations.to_string(),
             inversions.to_string(),
+            messages.to_string(),
+            shipped.to_string(),
+            k.to_string(),
         ]);
     }
     println!("{t}");
@@ -120,15 +130,15 @@ fn main() {
         let mut pairs = 0usize;
         let mut violations = 0usize;
         for seed in TRIAL_SEEDS {
-            let cluster = Runner::eager(
+            let cluster = Runner::new(
                 &app,
                 ClusterConfig {
                     nodes: 4,
                     seed,
                     delay: DelayModel::Fixed(mean_delay),
-                    piggyback: true,
                     ..Default::default()
                 },
+                Gossip::new(0, 3),
             );
             let invs = airline_invocations(
                 seed,

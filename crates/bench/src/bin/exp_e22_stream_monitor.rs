@@ -43,7 +43,6 @@ fn monitored_run(seed: u64, window: usize) -> shard_sim::RunReport<FlyByNight> {
         nodes: NODES,
         seed,
         delay: DelayModel::Exponential { mean: 40 },
-        piggyback: false,
         monitor: Some(MonitorConfig {
             window,
             emit_rows: false,
@@ -51,7 +50,7 @@ fn monitored_run(seed: u64, window: usize) -> shard_sim::RunReport<FlyByNight> {
         }),
         ..ClusterConfig::default()
     };
-    Runner::new(&app, cfg, EagerBroadcast { piggyback: false }).run(invocations)
+    Runner::new(&app, cfg, EagerBroadcast::default()).run(invocations)
 }
 
 fn main() {

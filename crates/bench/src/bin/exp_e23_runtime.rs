@@ -92,7 +92,7 @@ fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
         placement.as_ref(),
     );
     let (live, replayed, label) = match mode {
-        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
+        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast::default(), &subs),
         "gossip" => live_then_replay(&bank, &cfg, Gossip::new(GOSSIP_INTERVAL_US, NODES), &subs),
         _ => {
             let placement = placement.expect("partial mode built a placement");

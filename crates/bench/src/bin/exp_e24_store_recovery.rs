@@ -13,8 +13,8 @@
 //!   run's, and clean opens truncate no torn WAL tails
 //!   (`store.wal_torn_truncations` stays 0 until the kill sweep);
 //! * **recovery soundness** — across ≥ 10 seeded kill points per
-//!   strategy (anti-entropy gossip, one random partner per round; eager
-//!   broadcast with piggybacking), every disk-backed run passes the §3
+//!   strategy (anti-entropy gossip, one random partner per round; gossip
+//!   to every peer at each execution), every disk-backed run passes the §3
 //!   oracles: the recorded execution verifies, transitivity holds (Thm 2
 //!   reasoning survives restarts), the Corollary 8 invariant bound
 //!   holds with `k` measured across the kills, all replicas re-converge
@@ -50,6 +50,9 @@ const NODES: u16 = 4;
 const TXNS: usize = 300;
 const SWEEP_SEEDS: [u64; 6] = [3, 17, 88, 151, 909, 4242];
 const KILLS_PER_RUN: usize = 2;
+/// Gossip rounds by the clock to one random partner, and at each
+/// execution to every peer.
+const STRATEGIES: [&str; 2] = ["gossip", "gossip-per-exec"];
 const MAX_DISK_OVER_MEM: f64 = 3.0;
 
 fn tmp(tag: &str) -> std::path::PathBuf {
@@ -62,12 +65,11 @@ fn torn_truncations() -> u64 {
         .get()
 }
 
-fn base_cfg(seed: u64, piggyback: bool) -> ClusterConfig {
+fn base_cfg(seed: u64) -> ClusterConfig {
     ClusterConfig {
         nodes: NODES,
         seed,
         delay: DelayModel::Exponential { mean: 12 },
-        piggyback,
         monitor: Some(MonitorConfig {
             window: 32,
             emit_rows: false,
@@ -91,20 +93,20 @@ fn sweep_run(
     let _ = std::fs::remove_dir_all(&dir);
     let fleet: DurableFleet<FlyByNight> =
         DurableFleet::new(NODES, &DurabilityConfig::disk(&dir, seed ^ 0xD15C)).unwrap();
-    let cfg = base_cfg(seed, strategy == "eager+piggyback");
     let invs = airline_invocations(seed, TXNS, NODES, 7, AirlineMix::default(), Routing::Random);
-    let nemesis = || Box::new(CrashInjector::new(KILLS_PER_RUN as u32, 40, 160, seed));
-    let report = if strategy == "gossip" {
-        Runner::new(app, cfg, Gossip::new(20, 1))
-            .with_durability(fleet)
-            .with_nemesis(nemesis())
-            .run(invs)
-    } else {
-        Runner::eager(app, cfg)
-            .with_durability(fleet)
-            .with_nemesis(nemesis())
-            .run(invs)
+    let gossip = match strategy {
+        "gossip" => Gossip::new(20, 1),
+        _ => Gossip::new(0, NODES - 1),
     };
+    let report = Runner::new(app, base_cfg(seed), gossip)
+        .with_durability(fleet)
+        .with_nemesis(Box::new(CrashInjector::new(
+            KILLS_PER_RUN as u32,
+            40,
+            160,
+            seed,
+        )))
+        .run(invs);
     let kills = FaultStats::of(&report.faults).crashes_injected as usize;
 
     let te = report.timed_execution();
@@ -147,6 +149,8 @@ fn sweep_run(
         consistent.to_string(),
         serial_ok.to_string(),
         monitor_ok.to_string(),
+        report.messages_sent.to_string(),
+        report.entries_shipped.to_string(),
     ]);
     let _ = std::fs::remove_dir_all(&dir);
     kills
@@ -207,7 +211,7 @@ fn main() {
     for seed in TRIAL_SEEDS {
         let invs =
             airline_invocations(seed, TXNS, NODES, 7, AirlineMix::default(), Routing::Random);
-        let mk = || Runner::new(&app, base_cfg(seed, false), Gossip::new(20, 1));
+        let mk = || Runner::new(&app, base_cfg(seed), Gossip::new(20, 1));
         let plain = mk().run(invs.clone());
         let mem_fleet = DurableFleet::new(NODES, &DurabilityConfig::mem(seed)).unwrap();
         let durable = mk().with_durability(mem_fleet).run(invs.clone());
@@ -257,6 +261,8 @@ fn main() {
             "consistent",
             "serial ==",
             "monitor ==",
+            "messages",
+            "entries shipped",
         ],
     );
     let mut oracles = ClaimCheck::new(
@@ -264,7 +270,7 @@ fn main() {
          convergence, serial replay, online == offline certified verdicts)",
     );
     let mut kill_points = [0usize; 2];
-    for (i, strategy) in ["gossip", "eager+piggyback"].into_iter().enumerate() {
+    for (i, strategy) in STRATEGIES.into_iter().enumerate() {
         for seed in SWEEP_SEEDS {
             kill_points[i] += sweep_run(&app, strategy, seed, &f, &mut t, &mut oracles);
         }
@@ -273,7 +279,7 @@ fn main() {
     ok &= report_claim(&oracles);
 
     let mut coverage = ClaimCheck::new("each strategy was killed at >= 10 distinct seeded points");
-    for (i, strategy) in ["gossip", "eager+piggyback"].into_iter().enumerate() {
+    for (i, strategy) in STRATEGIES.into_iter().enumerate() {
         coverage.record(
             (kill_points[i] < 10)
                 .then(|| format!("{strategy}: only {} kill points", kill_points[i])),
@@ -282,7 +288,7 @@ fn main() {
     ok &= report_claim(&coverage);
     let torn_total = torn_truncations();
     println!(
-        "\nkill points: gossip {} / eager+piggyback {}; torn tails truncated on \
+        "\nkill points: gossip {} / gossip-per-exec {}; torn tails truncated on \
          post-kill reopens: {}",
         kill_points[0],
         kill_points[1],
@@ -312,7 +318,7 @@ fn main() {
         "{{\n \"bench\": \"store_recovery\",\n \"workload\": \"{TXNS} airline txns, {NODES} \
          nodes, exponential delay; kill sweep = {} seeds x {KILLS_PER_RUN} kill/recover \
          windows per strategy, DiskStore-backed\",\n \"kill_points\": {{\"gossip\": {}, \
-         \"eager_piggyback\": {}}},\n \"oracles\": \"verify + transitivity + Cor 8 + mutual \
+         \"gossip_per_exec\": {}}},\n \"oracles\": \"verify + transitivity + Cor 8 + mutual \
          consistency, nothing missing + serial replay + online==offline certified verdicts, \
          all hold\",\n \
          \"torn_tail_truncations\": {{\"clean_phase\": {torn_before_kills}, \"after_kills\": \

@@ -392,12 +392,11 @@ fn run(
         nodes: cfg.nodes,
         seed,
         delay: DelayModel::Fixed(cfg.fixed_delay),
-        piggyback: false,
         sink,
         monitor,
         ..ClusterConfig::default()
     };
-    let mut runner = Runner::new(&app, cluster, EagerBroadcast { piggyback: false });
+    let mut runner = Runner::new(&app, cluster, EagerBroadcast::default());
     if let Some(n) = nemesis {
         runner = runner.with_nemesis(n);
     }

@@ -152,7 +152,7 @@ fn main() -> ExitCode {
     );
 
     let (live, replayed) = match args.mode.as_str() {
-        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast { piggyback: false }, &subs),
+        "eager" => live_then_replay(&bank, &cfg, EagerBroadcast::default(), &subs),
         // Full fanout (no partner sampling): what replay needs.
         "gossip" => live_then_replay(&bank, &cfg, Gossip::new(args.interval_us, u16::MAX), &subs),
         _ => {

@@ -31,9 +31,9 @@
 //! zero — no message unmerged, no node with anything left to offer. The
 //! coordinator then puts one `Quit` on each node's channel and joins.
 //! The point is stable, so nothing follows a `Quit`: a send originates
-//! in `EagerBroadcast::on_execute` or `PartialPlacement::on_execute`,
-//! and no execution is left; or in `Gossip::on_tick`, which sends only
-//! past a peer's cursor ([`Propagation::has_unsent`], the node's mark in
+//! in an `on_execute` (every strategy's, gossip's at interval 0), and no
+//! execution is left; or in `Gossip::on_tick`, which sends only past a
+//! peer's cursor ([`Propagation::has_unsent`], the node's mark in
 //! `in_flight`), and only an execution or a merge raises a mark.
 //! A node thread that dies ends the wait too; the join propagates it.
 //!
@@ -432,7 +432,8 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 /// clone of the same value to [`crate::replay()`].
 ///
 /// Tick-driven strategies (gossip) use their [`Propagation::
-/// tick_interval`] as a cadence in *microseconds*. Every run ends the
+/// tick_interval`] as a cadence in *microseconds*; gossip at interval 0
+/// has none and runs its rounds at executions. Every run ends the
 /// same way: all submissions executed, no message in flight and no
 /// node with anything left to offer ([`Propagation::has_unsent`]).
 ///

@@ -57,7 +57,7 @@ fn a_node_thread_panic_fails_the_run() {
         ..Default::default()
     };
     let strategy = DiesAtNodeOne {
-        eager: EagerBroadcast { piggyback: false },
+        eager: EagerBroadcast::default(),
         calls: 0,
     };
     run_live(&Dictionary, &cfg, strategy, subs);

@@ -5,7 +5,8 @@
 //! node's final state; and the cross-field report digest. Exercised
 //! over all five paper applications (airline, banking, warehouse
 //! inventory, dictionary, name server) and all three propagation modes
-//! (eager broadcast, delta gossip, partial replication).
+//! (eager broadcast, delta gossip — by the clock and at each execution —
+//! partial replication).
 //!
 //! Live runs are genuinely concurrent — OS threads, mpsc channels,
 //! wall-clock pacing — so each case explores whatever interleaving the
@@ -177,8 +178,9 @@ fn live_and_replay_traces_agree_line_for_line() {
             "live and replayed step traces diverge"
         );
     }
-    check(EagerBroadcast { piggyback: false });
+    check(EagerBroadcast::default());
     check(Gossip::new(300, u16::MAX));
+    check(Gossip::new(0, u16::MAX));
 }
 
 /// Gossip over partial placement reaches the quiet point through an
@@ -226,8 +228,9 @@ fn short_runs_end_cleanly_in_every_mode() {
             })
             .collect();
         let seed = u64::from(run);
-        roundtrip(&app, seed, EagerBroadcast { piggyback: false }, &subs);
+        roundtrip(&app, seed, EagerBroadcast::default(), &subs);
         roundtrip(&app, seed, Gossip::new(150, u16::MAX), &subs);
+        roundtrip(&app, seed, Gossip::new(0, u16::MAX), &subs);
         let routed = route_to_holders(&app, &placement, subs);
         roundtrip(
             &app,
@@ -238,7 +241,8 @@ fn short_runs_end_cleanly_in_every_mode() {
     }
 }
 
-/// [`roundtrip`] in all-peer eager mode and in full-fanout gossip.
+/// [`roundtrip`] in all-peer eager mode and in full-fanout gossip, by
+/// the clock and at each execution.
 fn roundtrip_eager_and_gossip<A>(app: &A, seed: u64, subs: Vec<Submission<A::Decision>>)
 where
     A: Application + Sync,
@@ -246,8 +250,9 @@ where
     A::Update: Send + Sync,
     A::Decision: Send,
 {
-    roundtrip(app, seed, EagerBroadcast { piggyback: false }, &subs);
+    roundtrip(app, seed, EagerBroadcast::default(), &subs);
     roundtrip(app, seed, Gossip::new(300, u16::MAX), &subs);
+    roundtrip(app, seed, Gossip::new(0, u16::MAX), &subs);
 }
 
 fn airline_txn() -> impl Strategy<Value = AirlineTxn> {

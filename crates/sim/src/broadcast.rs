@@ -12,10 +12,11 @@
 //! property the paper relies on, with none of the protocol detail of the
 //! (unpublished) \[GLBKSS\] report.
 //!
-//! Messages optionally **piggyback** the origin's entire known log —
 //! §3.3: "an appropriate distributed communication protocol could
 //! guarantee transitivity, perhaps by piggybacking information about
-//! known transactions on messages". With piggybacking on, every
+//! known transactions on messages". [`crate::Gossip`] at interval 0 is
+//! that protocol: each execution's message to a peer carries what its
+//! sender knew past that peer's cursor, over ordered links, and every
 //! execution the cluster emits is transitive. The message type itself is
 //! [`crate::kernel::Entries`] — an `Arc`-shared batch of log entries, so
 //! a flood of one transaction costs one allocation regardless of

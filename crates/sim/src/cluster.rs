@@ -22,9 +22,11 @@
 //!
 //! The event loop lives in [`crate::kernel`]; this module contributes
 //! the [`EagerBroadcast`] propagation strategy (flood every update to
-//! every peer the moment it executes, optionally piggybacking the
-//! origin's whole log for transitivity) and the [`Runner::eager`]
-//! constructor.
+//! every peer the moment it executes, one datagram per peer) and the
+//! [`Runner::eager`] constructor. Transitive executions (§3.3) come from
+//! the gossip strategy's round at each execution instead,
+//! [`crate::Gossip::new`]`(0, nodes − 1)`: the same flood, each message
+//! also carrying what its sender knew that the peer had not been offered.
 //!
 //! [`RunReport`]: crate::RunReport
 //! [`RunReport::mutually_consistent`]: crate::RunReport::mutually_consistent
@@ -39,18 +41,27 @@ use std::sync::Arc;
 pub use crate::kernel::{ClusterConfig, ExecutedTxn, Invocation};
 
 /// Flooding propagation: the moment a transaction executes, its update
-/// is sent to every peer. With `piggyback` the origin attaches its whole
-/// log, so any single message carries everything its sender knew —
-/// transitive executions by construction (§3.3).
+/// — and nothing else — is sent to every peer as a datagram, timed on
+/// its own.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EagerBroadcast {
-    /// Attach the origin's full log to every broadcast.
+    /// Must stay `false` ([`Propagation::validate`] refuses `true`).
+    /// Kept only because the frozen benchmark writes `piggyback: false`.
+    #[doc(hidden)]
     pub piggyback: bool,
 }
 
 impl<A: Application> Propagation<A> for EagerBroadcast {
     fn label(&self) -> &'static str {
         "cluster"
+    }
+
+    fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {
+        assert!(
+            !self.piggyback,
+            "whole-log piggybacking was removed: for transitive executions run \
+             `Gossip::new(0, nodes - 1)`, a cursor round at each execution"
+        );
     }
 
     fn on_execute(
@@ -62,20 +73,7 @@ impl<A: Application> Propagation<A> for EagerBroadcast {
         ts: Timestamp,
         update: &Arc<A::Update>,
     ) {
-        // Piggybacked entries first, the fresh update last, so receivers
-        // merge the origin's history before its newest timestamp.
-        let mut batch: Vec<(Timestamp, Arc<A::Update>)> = if self.piggyback {
-            node.log
-                .entries()
-                .iter()
-                .filter(|(t, _)| *t != ts)
-                .cloned()
-                .collect()
-        } else {
-            Vec::new()
-        };
-        batch.push((ts, Arc::clone(update)));
-        let entries: Entries<A> = Arc::from(batch);
+        let entries: Entries<A> = Arc::from([(ts, Arc::clone(update))]);
         for peer in 0..net.nodes() {
             let to = NodeId(peer);
             if to == node.id {
@@ -88,7 +86,7 @@ impl<A: Application> Propagation<A> for EagerBroadcast {
 
 impl<'a, A: Application> Runner<'a, A, EagerBroadcast> {
     /// An eager-broadcast (flooding) runner over `config.nodes` replicas
-    /// of `app`. Piggybacking follows `config.piggyback`.
+    /// of `app`.
     ///
     /// # Examples
     ///
@@ -108,7 +106,8 @@ impl<'a, A: Application> Runner<'a, A, EagerBroadcast> {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration has zero nodes.
+    /// Panics if the configuration has zero nodes; the run panics at
+    /// start if `config.piggyback` is set ([`EagerBroadcast`] refuses it).
     pub fn eager(app: &'a A, config: ClusterConfig) -> Self {
         let piggyback = config.piggyback;
         Runner::new(app, config, EagerBroadcast { piggyback })
@@ -258,26 +257,31 @@ mod tests {
     }
 
     #[test]
-    fn piggybacking_yields_transitive_executions() {
-        let app = Counter;
-        for piggyback in [false, true] {
-            let runner = Runner::eager(
-                &app,
-                ClusterConfig {
-                    nodes: 4,
-                    seed: 11,
-                    delay: DelayModel::Exponential { mean: 40 },
-                    piggyback,
-                    ..Default::default()
-                },
-            );
-            let report = runner.run(spread_invocations(60, 4, 2));
-            let te = report.timed_execution();
-            te.execution.verify(&app).unwrap();
-            if piggyback {
-                assert!(conditions::is_transitive(&te.execution));
-            }
-        }
+    #[should_panic(expected = "run `Gossip::new(0, nodes - 1)`")]
+    fn piggybacking_strategy_is_refused_at_run_start() {
+        let strategy = EagerBroadcast { piggyback: true };
+        let runner = Runner::new(&Counter, ClusterConfig::default(), strategy);
+        let _ = runner.run(spread_invocations(3, 5, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "run `Gossip::new(0, nodes - 1)`")]
+    fn piggybacking_config_is_refused_at_run_start() {
+        let config = ClusterConfig {
+            piggyback: true,
+            ..Default::default()
+        };
+        let _ = Runner::eager(&Counter, config).run(Vec::new());
+    }
+
+    /// An update merged from a peer travels on only with the merging
+    /// node's next execution, so at interval 0 a random partner per
+    /// round could leave a run quiet but unconverged.
+    #[test]
+    #[should_panic(expected = "must serve every peer: run `Gossip::new(0, nodes - 1)`")]
+    fn gossip_at_each_execution_below_full_fanout_is_refused() {
+        let runner = Runner::new(&Counter, ClusterConfig::default(), crate::Gossip::new(0, 1));
+        let _ = runner.run(spread_invocations(3, 5, 2));
     }
 
     #[test]

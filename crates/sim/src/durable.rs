@@ -24,18 +24,19 @@
 //! * **Received updates are appended without an fsync barrier.** They
 //!   survive on the origin (by the rule above) and re-arrive via
 //!   anti-entropy ([`crate::Gossip`] offers a restarted peer the log
-//!   again; piggybacked eager broadcast carries it on the next
-//!   message), so batching their durability is safe and keeps the
-//!   fsync count proportional to *own* transactions. Without piggyback
-//!   a lost tail stays lost; [`crate::RunReport::missing`] reports it.
+//!   again at each sender's next round — under interval 0, its next
+//!   execution), so batching their durability is safe and keeps the
+//!   fsync count proportional to *own* transactions. Under eager
+//!   broadcast, or gossip at interval 0 with no later execution, a lost
+//!   tail stays lost; [`crate::RunReport::missing`] reports it.
 //!
 //! Together these give the recovery invariants checked by
 //! `tests/durable_recovery.rs`: the recovered log is a **prefix of the
-//! pre-crash arrival order** (and hence, under piggybacked broadcast
-//! and under gossip's ordered links, still transitively closed), and
-//! the recovered Lamport clock has observed every timestamp the node
-//! ever issued — so no timestamp is ever reused, and prefix
-//! subsequence (§3, Cor 8) holds across the restart.
+//! pre-crash arrival order** (and hence, under gossip's ordered links,
+//! still transitively closed), and the recovered Lamport clock has
+//! observed every timestamp the node ever issued — so no timestamp is
+//! ever reused, and prefix subsequence (§3, Cor 8) holds across the
+//! restart.
 
 use crate::clock::{LamportClock, NodeId, Timestamp};
 use crate::kernel::Node;

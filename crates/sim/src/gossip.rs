@@ -3,6 +3,9 @@
 //! periodically hands its partners what they have not been offered yet:
 //! per-round (not per-update) message cost, at the price of a larger
 //! `k`. E17 measures that trade, E20 the same over partial replication.
+//! At interval 0 the round runs at each execution instead: §3.3's
+//! "piggybacking information about known transactions on messages",
+//! cut to what the peer lacks.
 //!
 //! §1.2 asks one thing of the broadcast — barring permanent failure,
 //! every node eventually receives every update — and it has two owners:
@@ -10,16 +13,17 @@
 //! * **The link owns delivery.** [`Transport::send`] holds a message
 //!   until the partition between the pair heals and its receiver is up,
 //!   so a round never asks whether a partner is reachable — it sends.
-//!   Rounds travel *ordered* links (the kernel's tick sends,
-//!   `shard-runtime`'s channels): a batch arrives no earlier than the
-//!   one handed to the same link before it, and never at a peer that
+//!   Rounds travel *ordered* links ([`Propagation::ordered_links`],
+//!   `shard-runtime`'s channels): a batch arrives no earlier than the one
+//!   handed to the same link before it, and never at a peer that
 //!   restarted from its store in between.
 //! * **The strategy owns what it handed to which link**: a cursor *per
 //!   peer* into the sender's arrival order
 //!   ([`crate::MergeLog::arrivals`]) that moves only with what was sent
 //!   to that peer. A peer that restarts is a new link epoch: every
 //!   cursor *for* it starts over, so what its WAL lost is offered again
-//!   (duplicates are idempotent at the merge).
+//!   (duplicates are idempotent at the merge) — at the sender's next
+//!   round, which under interval 0 means its next execution.
 //!
 //! Each node thus offers each entry to each peer once per epoch —
 //! O(entries · n²) on the wire, never a log twice — with no digest, no
@@ -27,7 +31,7 @@
 //! below its cursor when a batch (in timestamp order) from above it
 //! lands, so §3.2 transitivity holds, restarts included.
 
-use crate::clock::NodeId;
+use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
 use crate::kernel::{Entries, Node, Propagation};
 use crate::partial::Placement;
@@ -36,17 +40,26 @@ use rand::Rng;
 use shard_core::{Application, ObjectModel};
 use std::sync::Arc;
 
-/// Anti-entropy propagation: nothing is sent at execution time; every
-/// `interval` ticks each live node hands each partner the entries
-/// merged since that partner was last served, sorted by timestamp and,
-/// under a [`Placement`], narrowed to what the partner holds (plus
-/// empty-write updates). A run ends when no node has anything unsent.
+/// Anti-entropy propagation: every `interval` ticks, and never at
+/// execution time, each live node hands each partner the entries merged
+/// since that partner was last served, sorted by timestamp and, under a
+/// [`Placement`], narrowed to what the partner holds (plus empty-write
+/// updates). A run ends when no node has anything unsent.
+///
+/// **Interval 0 means no clock: the same round runs at each of the
+/// node's executions**, right after it merged its own update — §3.3's
+/// transitive flooding. Nothing then counts as unsent; what a node
+/// merges travels on with its next execution, and
+/// [`crate::RunReport::missing`] names what no later execution carried.
+/// So each origin must reach every peer itself: a round at interval 0
+/// below full fanout panics.
 ///
 /// Partners are all peers in node order, with no RNG draw, when `fanout
 /// ≥ nodes − 1`; otherwise `fanout` uniform random ones. Full fanout is
 /// therefore deterministic given the local replica (`shard-runtime
 /// --mode gossip` needs that), and `Gossip::new(1, nodes)` degenerates
-/// to flooding — `tests/strategy_equivalence.rs` holds it to that.
+/// to flooding — `tests/strategy_equivalence.rs` holds it to that, and
+/// `Gossip::new(0, nodes − 1)` to whole-log piggybacking on FIFO links.
 ///
 /// # Examples
 ///
@@ -66,7 +79,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct Gossip<F = ()> {
-    /// How often each node initiates an anti-entropy round.
+    /// How often each node initiates an anti-entropy round; 0: at each
+    /// of its executions.
     pub interval: SimTime,
     /// Number of partners served per round.
     pub fanout: u16,
@@ -79,8 +93,8 @@ pub struct Gossip<F = ()> {
 }
 
 impl Gossip {
-    /// Rounds every `interval` ticks to `fanout` partners, everyone
-    /// offered everything.
+    /// Rounds every `interval` ticks (0: at each execution) to `fanout`
+    /// partners, everyone offered everything.
     ///
     /// # Panics
     ///
@@ -145,7 +159,25 @@ impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
     }
 
     fn tick_interval(&self) -> Option<SimTime> {
-        Some(self.interval)
+        (self.interval > 0).then_some(self.interval)
+    }
+
+    fn ordered_links(&self) -> bool {
+        true
+    }
+
+    fn on_execute(
+        &mut self,
+        app: &A,
+        net: &mut dyn Transport<A>,
+        node: &Node<A>,
+        now: SimTime,
+        _ts: Timestamp,
+        _update: &Arc<A::Update>,
+    ) {
+        if self.interval == 0 {
+            self.on_tick(app, net, node, now);
+        }
     }
 
     fn on_tick(&mut self, app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
@@ -156,6 +188,10 @@ impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
         let row = &mut self.cursors[usize::from(node.id.0)];
         let arrivals = node.log.arrivals();
         let full = u32::from(self.fanout) >= u32::from(n) - 1;
+        assert!(
+            full || self.interval > 0,
+            "gossip at each execution must serve every peer: run `Gossip::new(0, nodes - 1)`"
+        );
         // The sorted slice past the cursor served last: partners whose
         // cursors agree (all of them, on a run without restarts at full
         // fanout) share it.
@@ -206,7 +242,11 @@ impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
         }
     }
 
+    /// Never at interval 0: no clock will start a round.
     fn has_unsent(&self, node: &Node<A>) -> bool {
+        if self.interval == 0 {
+            return false;
+        }
         let (id, len) = (usize::from(node.id.0), node.log.arrivals().len());
         match self.cursors.get(id) {
             Some(row) => row.iter().enumerate().any(|(p, &c)| p != id && c < len),

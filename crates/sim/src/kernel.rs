@@ -19,7 +19,9 @@
 //!   ([`crate::broadcast::delivery_time`]);
 //! * a [`Propagation`] strategy deciding what to send on execution
 //!   ([`Propagation::on_execute`]) and on periodic anti-entropy ticks
-//!   ([`Propagation::on_tick`]), via the [`Transport`] seam;
+//!   ([`Propagation::on_tick`]), via the [`Transport`] seam, and whether
+//!   its messages are datagrams or travel ordered links
+//!   ([`Propagation::ordered_links`]);
 //! * one [`RunReport`] defining `mutually_consistent`,
 //!   `timed_execution` and `total_replayed` for every strategy.
 //!
@@ -70,9 +72,10 @@ pub struct ClusterConfig {
     pub partitions: PartitionSchedule,
     /// Merge-log checkpoint interval (see [`MergeLog::new`]).
     pub checkpoint_every: usize,
-    /// Piggyback the origin's full log on every message, guaranteeing
-    /// transitive executions (§3.3). Consumed by the eager-broadcast
-    /// strategy only.
+    /// Must stay `false`: [`Runner::eager`] hands it to
+    /// [`crate::EagerBroadcast`], which refuses `true` at run start.
+    /// Kept only because the frozen benchmark writes `piggyback: false`.
+    #[doc(hidden)]
     pub piggyback: bool,
     /// Node outage schedule: a crashed node rejects client transactions
     /// and receives no messages until it recovers.
@@ -296,8 +299,8 @@ pub struct RunReport<A: Application> {
     /// replication one per interested holder).
     pub messages_sent: u64,
     /// Total `(timestamp, update)` entries shipped across all messages —
-    /// the bandwidth cost (piggybacking ships whole logs; gossip ships
-    /// each entry to each peer once per link epoch).
+    /// the bandwidth cost (flooding ships one per message; gossip each
+    /// entry to each peer once per link epoch).
     pub entries_shipped: u64,
     /// Anti-entropy rounds performed: ticks on which the strategy sent
     /// at least one message. Zero for strategies without ticks.
@@ -376,7 +379,8 @@ impl<A: Application> RunReport<A> {
     /// ([`Propagation::wants`]), does not — sorted; **empty on a
     /// converged run**, whatever the strategy. Otherwise delivery failed
     /// for good (a nemesis drop; a crash-lost tail that eager broadcast
-    /// without piggyback never re-sends) or the monitor aborted the run.
+    /// never re-sends, or that per-execution gossip had no later
+    /// execution to re-send) or the monitor aborted the run.
     pub fn missing(&self) -> &[(NodeId, Timestamp)] {
         &self.missing
     }
@@ -501,8 +505,7 @@ impl<A: Application> Node<A> {
     /// timestamp, merges the batch emitting one `merge.*` outcome per
     /// entry, then appends the arrivals to `mirror` *without* an fsync
     /// barrier — received updates survive on their origins and, under
-    /// gossip or piggybacked broadcast, re-arrive if this node's
-    /// unsynced tail is lost.
+    /// gossip, re-arrive if this node's unsynced tail is lost.
     pub fn deliver_step(
         &mut self,
         app: &A,
@@ -605,8 +608,8 @@ enum Event<A: Application> {
         decision: A::Decision,
     },
     /// One point-to-point message: a batch of log entries from `from`.
-    /// Eager broadcast ships a single update (plus optional piggyback),
-    /// gossip what a partner has not been offered yet, partial
+    /// Eager broadcast ships a single update, gossip what a partner has
+    /// not been offered yet, partial
     /// replication per-holder selections — all as the same event,
     /// delivered by the same step.
     Deliver {
@@ -677,8 +680,8 @@ pub struct QueueTransport<'a, A: Application> {
     queue: &'a mut EventQueue<Event<A>>,
     wire: &'a mut WireStats,
     nemesis: &'a mut Option<Box<dyn Nemesis>>,
-    /// While a round sends: when the batch handed last to each link
-    /// (`from · nodes + to`) arrives.
+    /// For a strategy with ordered links: when the batch handed last to
+    /// each link (`from · nodes + to`) arrives.
     links: Option<&'a mut [SimTime]>,
     /// Whether crash windows end in a restart from the node's store.
     durable: bool,
@@ -704,13 +707,13 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
     /// fault-free delivery time has been computed, so the kernel RNG
     /// stream is identical with and without one.
     ///
-    /// A round's batch travels an **ordered link**: it arrives no
-    /// earlier than the one before it on the same link (the receiver's
-    /// outage waited out here, so a held batch is not overtaken
-    /// either), and never at a receiver that restarts from its store
-    /// in between — a new link epoch, for which the sender's cursor
-    /// starts over ([`Propagation::on_recover`]). A message sent at an
-    /// execution is a datagram, timed on its own.
+    /// A strategy with [`Propagation::ordered_links`] sends over
+    /// **ordered links**: a batch arrives no earlier than the one before
+    /// it on the same link (the receiver's outage waited out here, so a
+    /// held batch is not overtaken either), and never at a receiver that
+    /// restarts from its store in between — a new link epoch, for which
+    /// the sender's cursor starts over ([`Propagation::on_recover`]).
+    /// Any other strategy's message is a datagram, timed on its own.
     fn send(&mut self, now: SimTime, from: NodeId, to: NodeId, entries: Entries<A>) {
         let cfg = self.cfg;
         let mut at = delivery_time(&cfg.partitions, &cfg.delay, self.rng, now, from, to);
@@ -789,16 +792,24 @@ pub trait Propagation<A: Application> {
         None
     }
 
-    /// Validates an invocation schedule before a run starts (e.g.
-    /// partial replication asserts every invocation targets a node
-    /// holding the objects its decision reads). The default accepts
-    /// everything.
+    /// Whether this strategy's sends travel ordered links
+    /// ([`QueueTransport::send`]) rather than datagrams (the default).
+    /// A strategy that sends each peer only what is past a cursor needs
+    /// them: that is what makes its deliveries transitive.
+    fn ordered_links(&self) -> bool {
+        false
+    }
+
+    /// Validates the strategy and an invocation schedule before a run
+    /// starts (e.g. partial replication asserts every invocation targets
+    /// a node holding the objects its decision reads). The default
+    /// accepts everything.
     fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {}
 
     /// Called right after `node` executed a transaction and merged
     /// `update` (timestamped `ts`) into its own log. Reactive strategies
-    /// send here; tick-driven ones keep the no-op default — the update
-    /// is in the log, and the next round ships it like any other. The
+    /// send here; tick-driven ones do nothing — the update is in the
+    /// log, and the next round ships it like any other. The
     /// strategy sees only the *local* replica — propagation decisions
     /// must not peek at peer state, which is what lets the same strategy
     /// run unchanged on `shard-runtime`'s one-thread-per-node channels.
@@ -874,7 +885,7 @@ pub struct Runner<'a, A: Application, P: Propagation<A>> {
     transactions: Vec<ExecutedTxn<A>>,
     external_actions: Vec<(SimTime, NodeId, ExternalAction)>,
     wire: WireStats,
-    /// Last round batch's arrival per link ([`QueueTransport::send`]).
+    /// Last ordered batch's arrival per link ([`QueueTransport::send`]).
     links: Vec<SimTime>,
     pending: Vec<PendingCritical<A>>,
     barrier_latencies: Vec<SimTime>,
@@ -1158,7 +1169,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                     // cadence after recovery.
                     if !self.cfg.crashes.is_down(now, node) {
                         let before = self.wire.messages_sent;
-                        let (strategy, mut net, nodes) = self.net(true);
+                        let (strategy, mut net, nodes) = self.net();
                         strategy.on_tick(app, &mut net, &nodes[node.0 as usize], now);
                         if self.wire.messages_sent > before {
                             rounds += 1;
@@ -1295,16 +1306,16 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
     }
 
     /// The strategy, the transport it sends through (over ordered links
-    /// if `round`) and the replicas it may read — the one place a
-    /// [`QueueTransport`] is built.
-    fn net(&mut self, round: bool) -> (&mut P, QueueTransport<'_, A>, &[Node<A>]) {
+    /// if it asks for them) and the replicas it may read — the one place
+    /// a [`QueueTransport`] is built.
+    fn net(&mut self) -> (&mut P, QueueTransport<'_, A>, &[Node<A>]) {
         let net = QueueTransport {
             cfg: &self.cfg,
             rng: &mut self.rng,
             queue: &mut self.queue,
             wire: &mut self.wire,
             nemesis: &mut self.nemesis,
-            links: round.then_some(&mut self.links[..]),
+            links: self.strategy.ordered_links().then_some(&mut self.links[..]),
             durable: self.durability.is_some(),
         };
         (&mut self.strategy, net, &self.nodes)
@@ -1327,7 +1338,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         }
         let ts = txn.ts;
         self.transactions.push(txn);
-        let (strategy, mut net, nodes) = self.net(false);
+        let (strategy, mut net, nodes) = self.net();
         strategy.on_execute(app, &mut net, &nodes[node.0 as usize], now, ts, &update);
     }
 

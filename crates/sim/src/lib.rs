@@ -36,13 +36,15 @@
 //!   the traced, durable execute/deliver/recover step on
 //!   [`kernel::Node`] — is shared by both deployments.
 //! * [`cluster`] — the [`EagerBroadcast`] strategy (per-update flooding,
-//!   optional full-log piggybacking for transitivity), entered via
-//!   [`Runner::eager`].
-//! * [`gossip`] — the [`Gossip`] anti-entropy strategy: periodic
-//!   rounds to all peers or to `fanout` random ones, each partner
-//!   handed what it has not been offered yet (a cursor per peer, reset
-//!   when the peer restarts), optionally narrowed to the partner's
-//!   [`Placement`] ([`Gossip::over`] — gossip × partial replication).
+//!   one datagram per peer), entered via [`Runner::eager`].
+//! * [`gossip`] — the [`Gossip`] anti-entropy strategy: rounds, periodic
+//!   or (interval 0) at each execution, to all peers or to `fanout`
+//!   random ones, each partner handed what it has not been offered yet
+//!   (a cursor per peer, reset when the peer restarts) over ordered
+//!   links, optionally narrowed to the partner's [`Placement`]
+//!   ([`Gossip::over`] — gossip × partial replication). At interval 0
+//!   and full fanout it is the repo's one mechanism for §3.3's
+//!   transitive executions.
 //! * [`partial`] — the §6 generalization: partial replication with
 //!   per-object [`Placement`]s ([`PartialPlacement`] strategy, entered
 //!   via [`Runner::partial`]), preserving all correctness conditions

@@ -407,22 +407,21 @@ fn gossip_crash_recovery_holds_section3_oracles() {
     }
 }
 
-/// Eager broadcast with piggybacking under kill/recover: piggybacked
-/// whole-log packets keep recovered prefixes transitively closed, so
-/// the §3 transitivity checker must still pass.
+/// Gossip at each execution under kill/recover: ordered links keep
+/// recovered prefixes transitively closed, so the §3 transitivity
+/// checker must still pass.
 #[test]
-fn eager_piggyback_crash_recovery_stays_transitive() {
+fn per_execution_gossip_crash_recovery_stays_transitive() {
     let app = FlyByNight::new(4);
     for seed in [5u64, 23] {
         let cfg = ClusterConfig {
             nodes: 3,
             seed,
             delay: DelayModel::Fixed(8),
-            piggyback: true,
             ..Default::default()
         };
         let fleet = DurableFleet::new(3, &DurabilityConfig::mem(seed)).unwrap();
-        let report = Runner::eager(&app, cfg)
+        let report = Runner::new(&app, cfg, Gossip::new(0, 2))
             .with_durability(fleet)
             .with_nemesis(Box::new(CrashInjector::new(2, 30, 120, seed)))
             .run(airline_invocations(24, 3));
@@ -430,7 +429,7 @@ fn eager_piggyback_crash_recovery_stays_transitive() {
         te.execution.verify(&app).unwrap();
         assert!(
             shard_core::conditions::is_transitive(&te.execution),
-            "piggybacked logs keep recovered prefixes transitive (seed {seed})"
+            "ordered links keep recovered prefixes transitive (seed {seed})"
         );
     }
 }
@@ -509,11 +508,12 @@ fn monitored_restart_is_refused() {
 
 /// Three durable nodes, 3-tick links, a deposit every five ticks while
 /// `i < 39` — the last, at 190 on node 2, reaches node 1 at 193 — and
-/// six more after a 300-tick pause (under gossip, pending invocations
-/// keep the rounds ticking). Node 1 is down from `crash_at` to 290 and
-/// recovers 38 entries: that last arrival sat in its WAL unsynced.
+/// `late` more after a 300-tick pause (under gossip, pending invocations
+/// keep the rounds ticking). Node 1 is down from `crash_at` to 290; a
+/// deposit due there meanwhile is rejected.
 fn deposits_over_a_crash<P: Propagation<Bank>>(
     crash_at: u64,
+    late: u32,
     strategy: P,
     sink: Option<Arc<EventSink>>,
 ) -> RunReport<Bank> {
@@ -530,18 +530,18 @@ fn deposits_over_a_crash<P: Propagation<Bank>>(
         Invocation::new(at, NodeId((i % 3) as u16), txn)
     };
     let app = Bank::new(4, 100);
-    let report = Runner::new(&app, cfg, strategy)
+    Runner::new(&app, cfg, strategy)
         .with_durability(DurableFleet::new(3, &DurabilityConfig::mem(0)).unwrap())
-        .run((0..45).map(deposit).collect());
-    assert_eq!(report.transactions.len(), 45, "nothing rejected");
-    report
+        .run((0..39 + late).map(deposit).collect())
 }
 
 /// [`deposits_over_a_crash`] under full-fanout gossip, rounds every 10
 /// ticks: node 1 offers its arrival of 193 on at 200, so by either
 /// crash time below the lost entry sits below every cursor node 1 held.
+/// It recovers 38 entries: that last arrival sat in its WAL unsynced.
 fn delta_gossip_over_a_crash(crash_at: u64, sink: Option<Arc<EventSink>>) {
-    let report = deposits_over_a_crash(crash_at, Gossip::new(10, 2), sink);
+    let report = deposits_over_a_crash(crash_at, 6, Gossip::new(10, 2), sink);
+    assert_eq!(report.transactions.len(), 45, "nothing rejected");
     assert_eq!(report.missing(), &[], "nothing lost for good");
     assert!(report.mutually_consistent());
 }
@@ -586,16 +586,48 @@ fn delta_gossip_reships_what_it_relearns_after_recovery() {
     }
 }
 
-/// The same crash under eager broadcast *without* piggyback, which
-/// sends each update once and repairs nothing: node 1 never hears of
-/// the lost deposit again. The run used to end silently divergent; the
-/// report now names the node and the timestamp.
+/// The same crash under eager broadcast, which sends each update once
+/// and repairs nothing: node 1 never hears of the lost deposit again.
+/// The run used to end silently divergent; the report now names the
+/// node and the timestamp.
 #[test]
-fn eager_without_piggyback_reports_the_tail_it_cannot_repair() {
-    let report = deposits_over_a_crash(230, EagerBroadcast { piggyback: false }, None);
+fn eager_broadcast_reports_the_tail_it_cannot_repair() {
+    let report = deposits_over_a_crash(230, 6, EagerBroadcast::default(), None);
+    assert_eq!(report.transactions.len(), 45, "nothing rejected");
     let lost = report.transactions.iter().find(|t| t.time == 190).unwrap();
     assert_eq!(report.missing(), &[(NodeId(1), lost.ts)]);
     assert!(!report.mutually_consistent());
+}
+
+/// The restart contract of gossip at each execution: node 1 goes down
+/// at 180 (its deposit due at 185 is rejected) and restarts at 290.
+/// What it lacks then — the arrival of 175, which its WAL lost, and the
+/// deposits of 180 and 190, whose batches were handed to its links in
+/// the epoch before the restart and so are never delivered — comes back
+/// only with a later execution elsewhere, whose round re-offers the log
+/// from a cursor started over. With no such execution the run ends
+/// short, and `missing()` names every entry. (Whole-log datagrams, held
+/// through the outage and released at the restart, used to repair it
+/// with no later execution.)
+#[test]
+fn per_execution_gossip_repairs_a_restart_at_the_next_execution() {
+    let short = deposits_over_a_crash(180, 0, Gossip::new(0, 2), None);
+    assert_eq!(short.rejected, vec![(185, NodeId(1))]);
+    let at = |time| {
+        short
+            .transactions
+            .iter()
+            .find(|t| t.time == time)
+            .unwrap()
+            .ts
+    };
+    let lacks = [175, 180, 190].map(|time| (NodeId(1), at(time)));
+    assert_eq!(short.missing(), &lacks);
+    // One deposit at node 0 after the restart repairs all three.
+    let repaired = deposits_over_a_crash(180, 1, Gossip::new(0, 2), None);
+    assert_eq!(repaired.transactions.last().unwrap().node, NodeId(0));
+    assert_eq!(repaired.missing(), &[]);
+    assert!(repaired.mutually_consistent());
 }
 
 const FLEET: u16 = 4;
@@ -604,8 +636,8 @@ const FLEET: u16 = 4;
 /// runs of the same invocations end in the same states exactly when
 /// both delivered everything everywhere (rejections depend on the crash
 /// schedule alone). One closing deposit per node, after every window
-/// has ended, gives piggybacked flooding the later message its repair
-/// of a lost tail rides on; gossip needs no such help.
+/// has ended, gives gossip at each execution the later round its repair
+/// of a restart rides on; gossip by the clock needs no such help.
 fn deposit_run<P: Propagation<Bank>>(
     strategy: P,
     cfg: &ClusterConfig,
@@ -632,11 +664,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Random partitions × random kill/recover windows on a durable
-    /// fleet: gossip — one random partner per round, or all of them —
-    /// ends exactly where eager broadcast with piggybacking ends, its
-    /// prefixes transitively closed all the way.
+    /// fleet: gossip by the clock — one random partner per round, or all
+    /// of them — ends exactly where gossip at each execution ends, with
+    /// nothing missing and prefixes transitively closed all the way.
     #[test]
-    fn gossip_ends_where_piggybacked_flooding_does(
+    fn gossip_ends_where_per_execution_gossip_does(
         deposits in proptest::collection::vec((0u64..700, 0..FLEET, 1u32..50), 1..40),
         cuts in proptest::collection::vec((0u64..500, 1u64..250, 1u16..15), 0..3),
         kills in proptest::collection::vec((0u64..500, 1u64..250), 0..5),
@@ -659,8 +691,10 @@ proptest! {
             crashes: CrashSchedule::new(kills.iter().enumerate().map(kill).collect()),
             ..Default::default()
         };
-        let flood = deposit_run(EagerBroadcast { piggyback: true }, &cfg, &deposits);
+        let flood = deposit_run(Gossip::new(0, FLEET - 1), &cfg, &deposits);
         prop_assert_eq!(flood.missing(), &[]);
+        let execution = flood.timed_execution().execution;
+        prop_assert!(shard_core::conditions::is_transitive(&execution));
         for fanout in [1, FLEET - 1] {
             let gossip = deposit_run(Gossip::new(15, fanout), &cfg, &deposits);
             prop_assert_eq!(gossip.missing(), &[], "fanout {}", fanout);

@@ -56,7 +56,7 @@ fn faulted_config(seed: u64, monitor: Option<MonitorConfig>) -> ClusterConfig {
 
 fn run_eager(seed: u64, cfg: ClusterConfig) -> RunReport<FlyByNight> {
     let app = FlyByNight::new(25);
-    Runner::new(&app, cfg, EagerBroadcast { piggyback: false }).run(invocations(seed, 120))
+    Runner::new(&app, cfg, EagerBroadcast::default()).run(invocations(seed, 120))
 }
 
 fn run_gossip(seed: u64, cfg: ClusterConfig) -> RunReport<FlyByNight> {

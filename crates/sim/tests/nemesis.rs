@@ -46,7 +46,7 @@ fn run(
         sink,
         ..ClusterConfig::default()
     };
-    let mut runner = Runner::new(&app, cfg, EagerBroadcast { piggyback: false });
+    let mut runner = Runner::new(&app, cfg, EagerBroadcast::default());
     if let Some(n) = nemesis {
         runner = runner.with_nemesis(Box::new(n));
     }

@@ -12,6 +12,11 @@
 //! banking and inventory applications; banking's `Audit` also covers
 //! the empty-write-set path (pure serial-order information goes to
 //! every node under partial placement too).
+//!
+//! And one equivalence across mechanisms: on FIFO links, gossip at each
+//! execution (`Gossip::new(0, nodes − 1)`) knows exactly what the
+//! whole-log piggybacking it replaced knew — [`WholeLog`], kept here as
+//! the oracle.
 
 use proptest::prelude::*;
 use shard_apps::airline::{AirlineTxn, FlyByNight};
@@ -19,11 +24,14 @@ use shard_apps::banking::{AccountId, Bank, BankTxn};
 use shard_apps::inventory::{InvTxn, ItemId, Order, OrderId, Warehouse};
 use shard_apps::Person;
 use shard_core::{Application, ObjectModel};
+use shard_sim::events::SimTime;
+use shard_sim::kernel::{Entries, Node};
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{
     ClusterConfig, DelayModel, EagerBroadcast, Gossip, Invocation, NodeId, PartialPlacement,
-    RunReport, Runner, Timestamp,
+    Propagation, RunReport, Runner, Timestamp, Transport,
 };
+use std::sync::Arc;
 
 /// Per-transaction fingerprint: everything the timed execution is built
 /// from (serial position, real time, origin, decision-time knowledge)
@@ -69,8 +77,7 @@ fn assert_strategies_agree<A>(app: &A, cfg: &ClusterConfig, invs: &[Invocation<A
 where
     A: Application + ObjectModel,
 {
-    let eager =
-        Runner::new(app, cfg.clone(), EagerBroadcast { piggyback: false }).run(invs.to_vec());
+    let eager = Runner::new(app, cfg.clone(), EagerBroadcast::default()).run(invs.to_vec());
     let gossip = Runner::new(app, cfg.clone(), Gossip::new(1, cfg.nodes)).run(invs.to_vec());
     let partial = Runner::new(
         app,
@@ -89,6 +96,33 @@ where
     te.execution
         .verify(app)
         .expect("the strategies' shared execution must satisfy §3.1");
+}
+
+/// Whole-log piggybacking, the transitivity mechanism eager broadcast
+/// once carried: at each execution every peer is sent the origin's
+/// entire log, the fresh update last — a datagram that may overtake.
+struct WholeLog;
+
+impl<A: Application> Propagation<A> for WholeLog {
+    fn label(&self) -> &'static str {
+        "whole-log"
+    }
+
+    fn on_execute(
+        &mut self,
+        _app: &A,
+        net: &mut dyn Transport<A>,
+        node: &Node<A>,
+        now: SimTime,
+        ts: Timestamp,
+        update: &Arc<A::Update>,
+    ) {
+        let others = node.log.entries().iter().filter(|(t, _)| *t != ts);
+        let log: Entries<A> = others.cloned().chain([(ts, Arc::clone(update))]).collect();
+        for to in (0..net.nodes()).map(NodeId).filter(|&to| to != node.id) {
+            net.send(now, node.id, to, Arc::clone(&log));
+        }
+    }
 }
 
 /// Raw workloads: `(txn, time, node)` triples with times ≥ 1 (so every
@@ -224,5 +258,53 @@ proptest! {
         }
         let invs = build(raw, nodes);
         assert_strategies_agree(&app, &config(nodes, seed, delay, &specs), &invs);
+    }
+
+    /// Gossip at each execution against the whole-log oracle. On FIFO
+    /// links — a fixed delay, any partition windows — every batch lands
+    /// after its sender's earlier ones, so a node knows at each instant
+    /// exactly what whole-log messages would have taught it: identical
+    /// timed executions and final states, for fewer entries shipped.
+    /// Under exponential delays a whole-log datagram may overtake an
+    /// older one and a cursor batch waits instead, so the executions
+    /// differ, but both stay transitive.
+    #[test]
+    fn per_execution_gossip_is_whole_log_piggybacking_on_fifo_links(
+        raw in workload(airline_txn()),
+        nodes in 2u16..5,
+        seed in 0u64..1000,
+        delay in 1u64..25,
+        cuts in proptest::collection::vec((0u64..300, 1u64..150, 0u16..8), 0..3),
+    ) {
+        let app = FlyByNight::new(4);
+        let invs = build(raw, nodes);
+        let isolate = |&(start, len, node): &(u64, u64, u16)| {
+            PartitionWindow::isolate(start, start + len, vec![NodeId(node % nodes)])
+        };
+        let fifo = ClusterConfig {
+            nodes,
+            seed,
+            delay: DelayModel::Fixed(delay),
+            partitions: PartitionSchedule::new(cuts.iter().map(isolate).collect()),
+            ..Default::default()
+        };
+        let exponential = ClusterConfig {
+            delay: DelayModel::Exponential { mean: 4 * delay },
+            ..fifo.clone()
+        };
+        let per_execution = Gossip::new(0, nodes - 1);
+        let whole = Runner::new(&app, fifo.clone(), WholeLog).run(invs.clone());
+        let gossip = Runner::new(&app, fifo, per_execution.clone()).run(invs.clone());
+        prop_assert_eq!(fingerprints(&whole), fingerprints(&gossip));
+        prop_assert_eq!(&whole.final_states, &gossip.final_states);
+        prop_assert_eq!(whole.messages_sent, gossip.messages_sent);
+        prop_assert!(gossip.entries_shipped <= whole.entries_shipped);
+        for report in [
+            Runner::new(&app, exponential.clone(), WholeLog).run(invs.clone()),
+            Runner::new(&app, exponential, per_execution).run(invs),
+        ] {
+            let execution = report.timed_execution().execution;
+            prop_assert!(shard_core::conditions::is_transitive(&execution));
+        }
     }
 }

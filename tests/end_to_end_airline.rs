@@ -8,7 +8,7 @@ use shard::apps::Person;
 use shard::core::costs::BoundFn;
 use shard::core::{conditions, Application};
 use shard::sim::partition::{PartitionSchedule, PartitionWindow};
-use shard::sim::{ClusterConfig, DelayModel, Invocation, NodeId, Runner};
+use shard::sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Runner};
 
 fn booking_storm(seed: u64, n: u32, nodes: u16) -> Vec<Invocation<AirlineTxn>> {
     // Requests and move-ups interleaved tightly across all nodes.
@@ -96,18 +96,19 @@ fn theorem_battery_on_partitioned_runs() {
 
 #[test]
 fn centralized_movers_with_piggyback_never_overbook() {
-    // Theorem 22/23 hypotheses realized by routing + piggybacking.
+    // Theorem 22/23 hypotheses realized by routing + piggybacking what
+    // each peer lacks (a gossip round at each execution).
     let app = FlyByNight::new(10);
     for seed in [9u64, 10] {
-        let cluster = Runner::eager(
+        let cluster = Runner::new(
             &app,
             ClusterConfig {
                 nodes: 3,
                 seed,
                 delay: DelayModel::Exponential { mean: 60 },
-                piggyback: true,
                 ..Default::default()
             },
+            Gossip::new(0, 2),
         );
         // All MOVE-UPs at node 0; one request per person.
         let mut invs = Vec::new();

@@ -10,7 +10,7 @@ use shard::apps::Person;
 use shard::core::costs::BoundFn;
 use shard::core::{conditions, Application};
 use shard::sim::partition::{PartitionSchedule, PartitionWindow};
-use shard::sim::{ClusterConfig, DelayModel, Invocation, NodeId, Runner};
+use shard::sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Runner};
 
 /// Strategy: a random airline transaction over a small person pool.
 fn txn_strategy() -> impl Strategy<Value = AirlineTxn> {
@@ -98,20 +98,20 @@ proptest! {
         prop_assert!(check_theorem20(&app, &te.execution).holds());
     }
 
-    /// Piggybacking always yields transitive executions.
+    /// Piggybacking what a peer lacks — a gossip round at each
+    /// execution — always yields transitive executions.
     #[test]
     fn piggyback_guarantees_transitivity(
         invs in invocations_strategy(),
         seed in 0u64..1000,
     ) {
         let app = FlyByNight::new(5);
-        let cluster = Runner::eager(&app, ClusterConfig {
+        let cluster = Runner::new(&app, ClusterConfig {
             nodes: 4,
             seed,
             delay: DelayModel::Exponential { mean: 80 },
-            piggyback: true,
             ..Default::default()
-        });
+        }, Gossip::new(0, 3));
         let te = cluster.run(invs).timed_execution();
         prop_assert!(conditions::is_transitive(&te.execution));
     }

@@ -59,7 +59,6 @@ fn three_thousand_transactions_survive_the_battery() {
             delay: DelayModel::Exponential { mean: 35 },
             partitions,
             crashes,
-            piggyback: false,
             checkpoint_every: 32,
             ..ClusterConfig::default()
         },
