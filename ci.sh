@@ -37,10 +37,13 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 }
 
 # Smoke-check the observability pipeline: a handful of experiments end
-# to end — the worked example, the bank's own experiment (E12; the one
-# state kept as a flat array, not a `PMap`), plus one per propagation
-# strategy (transitive flooding — gossip at each execution — E06,
-# partial E16, gossip E17, composed gossip×partial E20) — then
+# to end — the worked example, the undo/redo sweep (E11: checkpoint
+# intervals 1 … 100 000 through the merge log's repair, whose restore
+# and re-records reuse the states an undo drops; ≈ 2 s), the bank's own
+# experiment (E12; the one state kept as a flat array, not a `PMap`),
+# plus one per propagation strategy (transitive flooding — gossip at
+# each execution — E06, partial E16, gossip E17, composed
+# gossip×partial E20) — then
 # a pure-rust validation that each metrics sidecar is well-formed JSON
 # carrying the schema's required keys. The kernel gossip smokes (E17,
 # E20, and the E24 smoke below) are built first and then run under
@@ -51,6 +54,7 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # with some node lacking an entry it should hold — at zero.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e06_centralization
+run cargo run -q --release -p shard-bench --bin exp_e11_undo_redo
 run cargo run -q --release -p shard-bench --bin exp_e12_banking
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
 run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
@@ -71,7 +75,7 @@ run env SHARD_POOL_THREADS=4 EXP_METRICS_DIR=target/exp_metrics_par \
   cargo run -q --release -p shard-bench --bin shard-chaos -- --seeds 25
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   diff target/exp_metrics/chaos.json target/exp_metrics_par/chaos.json
-for sidecar in e01 e06 e12 e16 e17 e20 chaos; do
+for sidecar in e01 e06 e11 e12 e16 e17 e20 chaos; do
   budget=()
   case "$sidecar" in e17 | e20) budget=("sim.not_converged<=0") ;; esac
   run cargo run -q --release -p shard-cli --bin shard-trace -- \

@@ -38,18 +38,33 @@ impl fmt::Display for AccountId {
 /// Balances are one array sorted by account, every account touched so
 /// far present once (a balance credited back to zero stays). A bank is
 /// flat because its hottest clone is the merge log's undo/redo repair:
-/// it replays ~30 updates from a checkpoint clone, which rewrites most
+/// it replays ~30 updates from a copy of a checkpoint, which rewrites most
 /// of a 64-account bank, so a tree shared with the checkpoint is copied
 /// piecemeal anyway. One 1 KiB copy is cheaper: `sim-partition`
 /// `life_p50_us` 10.5 → 5.7 and `apps.apply_ns` 45 → 16 against a
 /// `PMap` of balances. The price is memory once banks grow past what
 /// any caller uses (DESIGN.md §11: +8 % peak RSS at 512 accounts, +26 %
 /// at 4 096, still faster).
-#[derive(Clone, Default, PartialEq, Eq)]
+#[derive(Default, PartialEq, Eq)]
 pub struct BankState {
     /// Boxed, not a `Vec`: no spare capacity to clone, and the 16-byte
     /// shallow size `state.clone_bytes` has always counted for a bank.
     balances: Box<[(AccountId, i64)]>,
+}
+
+impl Clone for BankState {
+    fn clone(&self) -> Self {
+        BankState {
+            balances: self.balances.clone(),
+        }
+    }
+
+    /// Copies into the box `self` holds when the two banks hold the same
+    /// number of accounts — the undo/redo repair's restore and checkpoint
+    /// records, which would otherwise allocate and free 1 KiB each.
+    fn clone_from(&mut self, source: &Self) {
+        self.balances.clone_from(&source.balances);
+    }
 }
 
 impl BankState {

@@ -187,7 +187,7 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
         let mut execution: Execution<A> = Execution::new();
         let mut external_actions: Vec<(SimTime, ExternalAction)> = Vec::new();
 
-        for (id, inv) in invocations.into_iter().enumerate() {
+        queue.schedule_all(invocations.into_iter().enumerate().map(|(id, inv)| {
             assert!(
                 (inv.node.0) < cfg.nodes,
                 "invocation at unknown node {}",
@@ -205,16 +205,14 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
                     primary,
                 )
             };
-            queue.schedule(
-                arrive,
-                Event::RequestArrive {
-                    submitted: inv.time,
-                    origin: inv.node,
-                    id,
-                    decision: inv.decision,
-                },
-            );
-        }
+            let event = Event::RequestArrive {
+                submitted: inv.time,
+                origin: inv.node,
+                id,
+                decision: inv.decision,
+            };
+            (arrive, event)
+        }));
 
         while let Some((now, event)) = queue.pop() {
             match event {

@@ -197,8 +197,18 @@ pub struct Checkpoints<S> {
     every: usize,
     /// Resident points, ascending by depth.
     hot: std::collections::VecDeque<(usize, S)>,
+    /// States of points [`truncate`](Checkpoints::truncate) dropped,
+    /// kept — at most `SPARE_STATES`, and none with a cold store — for
+    /// the records that redo those depths to copy into with
+    /// `clone_from`, reusing their allocations.
+    spare: Vec<S>,
     cold: Option<ColdTier<S>>,
 }
+
+/// Most dropped checkpoint states a [`Checkpoints`] keeps for reuse. A
+/// repair re-records the depths its undo dropped, so a few spares serve
+/// it; the bound keeps a deep undo from holding on to many states.
+const SPARE_STATES: usize = 4;
 
 /// The cold half of a [`Checkpoints`] sequence and the bookkeeping
 /// that bounds the hot half.
@@ -241,6 +251,7 @@ impl<S> Checkpoints<S> {
         Checkpoints {
             every,
             hot: std::collections::VecDeque::new(),
+            spare: Vec::new(),
             cold: None,
         }
     }
@@ -266,6 +277,7 @@ impl<S> Checkpoints<S> {
         assert!(hot_capacity > 0, "hot capacity must be positive");
         assert!(spill_spacing > 0, "spill spacing must be positive");
         self.hot.clear();
+        self.spare.clear();
         self.cold = Some(ColdTier {
             hot_capacity,
             spill_spacing,
@@ -338,14 +350,17 @@ impl<S> Checkpoints<S> {
 
     /// Drops every checkpoint deeper than `keep` applied updates — the
     /// *undo* half of undo/redo: checkpoints past an insertion point are
-    /// invalidated, those at or before it survive. Store records of
-    /// dropped cold anchors are orphaned, never reused — fresh anchors
-    /// get fresh sequence numbers.
+    /// invalidated, those at or before it survive. Without a cold store
+    /// a few dropped states are kept for the redo's records to reuse.
+    /// Store records of dropped cold anchors are orphaned, never reused
+    /// — fresh anchors get fresh sequence numbers.
     pub fn truncate(&mut self, keep: usize) {
         while self.hot.back().is_some_and(|&(l, _)| l > keep) {
-            self.hot.pop_back();
-            if let Some(cold) = &mut self.cold {
-                cold.hot_bytes -= cold.hot_hints.pop_back().unwrap_or(0);
+            let (_, state) = self.hot.pop_back().expect("a deeper point");
+            match &mut self.cold {
+                Some(cold) => cold.hot_bytes -= cold.hot_hints.pop_back().unwrap_or(0),
+                None if self.spare.len() < SPARE_STATES => self.spare.push(state),
+                None => {}
             }
         }
         if let Some(cold) = &mut self.cold {
@@ -372,7 +387,14 @@ impl<S: Clone> Checkpoints<S> {
         if len < self.last_len() + self.every {
             return false;
         }
-        self.hot.push_back((len, state.clone()));
+        let point = match self.spare.pop() {
+            Some(mut spare) => {
+                spare.clone_from(state);
+                spare
+            }
+            None => state.clone(),
+        };
+        self.hot.push_back((len, point));
         if let Some(cold) = &mut self.cold {
             let hint = size_hint(state);
             cold.hot_hints.push_back(hint);
@@ -399,9 +421,18 @@ impl<S: Clone> Checkpoints<S> {
         stored
     }
 
-    /// The deepest checkpoint, if any.
-    pub fn last(&mut self) -> Option<(usize, S)> {
-        self.floor(usize::MAX)
+    /// Copies the deepest checkpoint into `state` — with `clone_from`,
+    /// so a state type that can reuses `state`'s allocation — and
+    /// returns its depth. `None`, with `state` untouched, if there is no
+    /// checkpoint. The copy is not accounted (see [`note_state_clone`]).
+    pub fn restore_last(&mut self, state: &mut S) -> Option<usize> {
+        if let Some((depth, point)) = self.hot.back() {
+            state.clone_from(point);
+            return Some(*depth);
+        }
+        let (depth, loaded) = self.cold.as_mut()?.load_deepest(usize::MAX)?;
+        *state = loaded;
+        Some(depth)
     }
 
     /// The deepest checkpoint at or below `limit` applied updates —
@@ -807,6 +838,12 @@ mod tests {
         }
     }
 
+    /// The deepest checkpoint, as `restore_last` copies it out.
+    fn deepest<S: Clone + Default>(c: &mut Checkpoints<S>) -> Option<(usize, S)> {
+        let mut state = S::default();
+        c.restore_last(&mut state).map(|depth| (depth, state))
+    }
+
     fn naive(updates: &[Tag], prefix: &[usize]) -> Vec<u64> {
         prefix.iter().map(|&j| updates[j].0).collect()
     }
@@ -819,7 +856,7 @@ mod tests {
         assert!(c.record(3, &30, |_| 4));
         assert!(!c.record(4, &40, |_| 4));
         assert!(c.record(6, &60, |_| 4));
-        assert_eq!(c.last(), Some((6, 60)));
+        assert_eq!(deepest(&mut c), Some((6, 60)));
         assert_eq!(c.last_len(), 6);
         assert_eq!(c.len(), 2);
     }
@@ -834,7 +871,7 @@ mod tests {
         assert_eq!(c.floor(5), Some((4, 40)));
         assert_eq!(c.floor(100), Some((10, 100)));
         c.truncate(5);
-        assert_eq!(c.last(), Some((4, 40)));
+        assert_eq!(deepest(&mut c), Some((4, 40)));
         c.truncate(0);
         assert!(c.is_empty());
         assert_eq!(c.floor(100), None);
@@ -1005,8 +1042,8 @@ mod tests {
         // The deepest point loads back from the cold store too.
         plain.truncate(30);
         spill.truncate(30);
-        assert_eq!(plain.last(), spill.last());
-        assert_eq!(spill.last(), Some((30, 300)));
+        assert_eq!(deepest(&mut plain), deepest(&mut spill));
+        assert_eq!(deepest(&mut spill), Some((30, 300)));
     }
 
     #[test]
@@ -1024,7 +1061,7 @@ mod tests {
         }
         assert_eq!(spill.floor(7), Some((7, 107)));
         assert_eq!(spill.floor(4), Some((4, 4)));
-        assert_eq!(spill.last(), Some((12, 112)));
+        assert_eq!(deepest(&mut spill), Some((12, 112)));
     }
 
     #[test]
@@ -1048,6 +1085,6 @@ mod tests {
         spill.store_mut().crash(0).unwrap();
         assert_eq!(spill.floor(18), None, "cold anchors gone");
         assert_eq!(spill.floor(19), Some((19, 19)), "hot tier intact");
-        assert_eq!(spill.last(), Some((20, 20)));
+        assert_eq!(deepest(&mut spill), Some((20, 20)));
     }
 }

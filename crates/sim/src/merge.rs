@@ -226,11 +226,29 @@ impl<A: Application> MergeLog<A> {
         ts: Timestamp,
         update: impl Into<Arc<A::Update>>,
     ) -> MergeOutcome {
-        match self.entries.binary_search_by_key(&ts, |(t, _)| *t) {
+        match self.locate(ts) {
             Ok(_) => self.note_duplicate(),
             Err(pos) if pos == self.entries.len() => self.append(app, ts, update.into()),
             Err(pos) => self.insert_and_replay(app, ts, update.into(), pos),
         }
+    }
+
+    /// Where `ts` sits in the log, or would go — `binary_search`'s
+    /// answer, found by galloping back from the end, where arrivals
+    /// land: O(log d) for a timestamp d entries from the end, one
+    /// comparison for an append.
+    fn locate(&self, ts: Timestamp) -> Result<usize, usize> {
+        let entries = &self.entries;
+        // Everything before `lo` sorts below `ts` once this stops.
+        let (mut lo, mut step) = (entries.len(), 1);
+        while lo > 0 && entries[lo - 1].0 >= ts {
+            lo = lo.saturating_sub(step);
+            step *= 2;
+        }
+        entries[lo..]
+            .binary_search_by_key(&ts, |(t, _)| *t)
+            .map(|i| lo + i)
+            .map_err(|i| lo + i)
     }
 
     /// Merges a burst of deliveries, invoking `on_each` with every
@@ -446,27 +464,31 @@ impl<A: Application> MergeLog<A> {
     }
 
     /// The undo/redo pass after entries were inserted at or past `pos`:
-    /// drops the checkpoints the insertion invalidated, replays from the
-    /// deepest survivor to the end of the log, and returns how many
-    /// updates that re-applied.
+    /// drops the checkpoints the insertion invalidated, copies the
+    /// deepest survivor over the live state, replays from there to the
+    /// end of the log, and returns how many updates that re-applied.
+    /// The copies land in allocations the state and the dropped
+    /// checkpoints already hold.
     fn repair_from(&mut self, app: &A, pos: usize) -> u64 {
         self.checkpoints.truncate(pos);
-        let (base_len, mut s) = match self.checkpoints.last() {
-            Some((len, s)) => {
-                note_state_clone(app.state_size_hint(&s));
-                (len, s)
+        let base_len = match self.checkpoints.restore_last(&mut self.state) {
+            Some(len) => {
+                note_state_clone(app.state_size_hint(&self.state));
+                len
             }
-            None => (0, app.initial_state()),
+            None => {
+                self.state = app.initial_state();
+                0
+            }
         };
         for i in base_len..self.entries.len() {
-            app.apply_in_place(&mut s, &self.entries[i].1);
+            app.apply_in_place(&mut self.state, &self.entries[i].1);
             // Recreate the checkpoints the insertion invalidated
             // so the next straggler replays only its own tail.
             if i + 1 < self.entries.len() {
-                self.checkpoints.record_for(app, i + 1, &s);
+                self.checkpoints.record_for(app, i + 1, &self.state);
             }
         }
-        self.state = s;
         let replayed = (self.entries.len() - base_len) as u64;
         self.metrics.replayed += replayed;
         if shard_obs::enabled() {

@@ -150,6 +150,78 @@ fn dictionary_update() -> impl Strategy<Value = DictUpdate> {
     ]
 }
 
+/// `Checkpoints` against a naive model — the depths a "record when
+/// `every` past the deepest point" rule keeps — through a record run and
+/// then one undo/redo cycle per cut: `truncate` to the cut, and
+/// re-record every depth past it, which copies into the states the
+/// truncate dropped. After every record run and every undo, `len`,
+/// `last_len`, every `floor` and what `restore_last` copies over a
+/// smaller and a larger state agree with the model, and resuming a
+/// replay from any floor reproduces the target state byte for byte.
+fn assert_checkpoints_match_model<A: Application>(
+    app: &A,
+    updates: &[A::Update],
+    every: usize,
+    cuts: &[usize],
+) {
+    let mut states = Vec::with_capacity(updates.len() + 1);
+    states.push(app.initial_state());
+    for u in updates {
+        states.push(app.apply(states.last().unwrap(), u));
+    }
+    let mut ckpts: Checkpoints<A::State> = Checkpoints::new(every);
+    let mut model: Vec<usize> = Vec::new();
+    let check = |ckpts: &mut Checkpoints<A::State>, model: &[usize]| {
+        assert_eq!(ckpts.len(), model.len());
+        assert_eq!(ckpts.last_len(), model.last().copied().unwrap_or(0));
+        for over in [&states[0], &states[updates.len()]] {
+            let mut restored = over.clone();
+            let depth = ckpts.restore_last(&mut restored);
+            assert_eq!(depth, model.last().copied(), "restored depth");
+            assert_eq!(
+                &restored,
+                depth.map_or(over, |l| &states[l]),
+                "restored state"
+            );
+        }
+        for depth in 0..=updates.len() {
+            let expect = model.iter().rev().find(|&&l| l <= depth).copied();
+            let floor = ckpts.floor(depth);
+            assert_eq!(
+                floor.as_ref().map(|(l, _)| *l),
+                expect,
+                "floor of depth {depth}"
+            );
+            if let Some((l, mut resumed)) = floor {
+                assert_eq!(&resumed, &states[l], "floor state is the prefix state");
+                for u in &updates[l..depth] {
+                    app.apply_in_place(&mut resumed, u);
+                }
+                assert_eq!(&resumed, &states[depth], "resume from the floor at {depth}");
+            }
+        }
+    };
+    let mut from = 1;
+    for phase in 0..=cuts.len() {
+        for (len, state) in states.iter().enumerate().skip(from) {
+            let due = len >= model.last().copied().unwrap_or(0) + every;
+            if due {
+                model.push(len);
+            }
+            let stored = ckpts.record(len, state, |s| app.state_size_hint(s));
+            assert_eq!(stored, due, "record decision diverged at {len}");
+        }
+        check(&mut ckpts, &model);
+        if let Some(&cut) = cuts.get(phase) {
+            let keep = cut % (updates.len() + 1);
+            ckpts.truncate(keep);
+            model.retain(|&l| l <= keep);
+            check(&mut ckpts, &model);
+            from = keep + 1;
+        }
+    }
+}
+
 /// More keys than two levels of the map's tree hold (fanout² = 256),
 /// so a long enough walk splits inner nodes too.
 const PMAP_KEYS: u32 = 600;
@@ -322,67 +394,50 @@ proptest! {
         for (snap, pairs) in &snapshots {
             prop_assert_eq!(snap.balances().collect::<Vec<_>>(), pairs.clone());
         }
+        // `clone_from` between banks of different sizes — an older
+        // snapshot, the final bank, an empty one and one of forty
+        // accounts, each way round — copies exactly what `clone` does.
+        let forty: Vec<(AccountId, i64)> = (0..40).map(|a| (AccountId(a), -i64::from(a))).collect();
+        let mut banks = vec![state.clone(), zeroed, BankState::default(), BankState::with_balances(&forty)];
+        banks.extend(snapshots.into_iter().map(|(snap, _)| snap));
+        for source in &banks {
+            for target in &banks {
+                let mut copy = target.clone();
+                copy.clone_from(source);
+                prop_assert_eq!(&copy, source);
+                prop_assert_eq!(copy.to_vec(), source.to_vec());
+            }
+        }
     }
 
-    /// `Checkpoints` against a naive model (the list of depths a
-    /// "record when `interval` past the deepest point" rule keeps):
-    /// record decisions, `len`/`last_len`, every `floor` and the state
-    /// it holds agree through a record run, an undo (`truncate`) at an
-    /// arbitrary depth and the redo that re-records past it — and
-    /// resuming a replay from any floor reproduces the target state
-    /// byte-for-byte.
+    /// `Checkpoints` against a naive model, through undo/redo cycles,
+    /// on the airline's tree-backed states (see
+    /// [`assert_checkpoints_match_model`]).
     #[test]
     fn delta_chain_checkpoints_match_snapshot(
         updates in proptest::collection::vec(airline_update(), 0..120),
         every in 1usize..=16,
-        cut in 0usize..=120,
+        cuts in proptest::collection::vec(0usize..=120, 1..5),
     ) {
-        let app = FlyByNight::new(2);
-        // All prefix states up front (the naive oracle).
-        let mut states = Vec::with_capacity(updates.len() + 1);
-        states.push(app.initial_state());
-        for u in &updates {
-            states.push(app.apply(states.last().unwrap(), u));
-        }
-        let keep = cut % (updates.len() + 1);
-
-        let mut ckpts: Checkpoints<_> = Checkpoints::new(every);
-        let mut model: Vec<usize> = Vec::new();
-        // Record run, undo to `keep`, redo from there.
-        for (from, undo) in [(1, Some(keep)), (keep + 1, None)] {
-            for (len, state) in states.iter().enumerate().skip(from) {
-                let due = len >= model.last().copied().unwrap_or(0) + every;
-                if due {
-                    model.push(len);
-                }
-                prop_assert_eq!(ckpts.record(len, state, |s| app.state_size_hint(s)), due,
-                    "record decision diverged at {}", len);
-            }
-            if let Some(keep) = undo {
-                ckpts.truncate(keep);
-                model.retain(|&l| l <= keep);
-            }
-            prop_assert_eq!(ckpts.len(), model.len());
-            prop_assert_eq!(ckpts.last_len(), model.last().copied().unwrap_or(0));
-            for depth in 0..=updates.len() {
-                let expect = model.iter().rev().find(|&&l| l <= depth).copied();
-                let floor = ckpts.floor(depth);
-                prop_assert_eq!(floor.as_ref().map(|(l, _)| *l), expect,
-                    "floor of depth {}", depth);
-                if let Some((l, mut resumed)) = floor {
-                    prop_assert_eq!(&resumed, &states[l], "floor state is the prefix state");
-                    for u in &updates[l..depth] {
-                        app.apply_in_place(&mut resumed, u);
-                    }
-                    prop_assert_eq!(&resumed, &states[depth],
-                        "resume from the floor at depth {}", depth);
-                }
-            }
-        }
+        assert_checkpoints_match_model(&FlyByNight::new(2), &updates, every, &cuts);
     }
 
-    /// Random `record` / `truncate` / `floor` / `last` / cold-store
-    /// `crash(keep)` sequences against a naive `Vec<(depth, state)>`
+    /// The same cycles on banks, whose restores and re-records copy
+    /// into the allocations of states the undo dropped — banks that
+    /// hold fewer or more accounts than the one copied in, as the
+    /// accounts touched grow along the sequence.
+    #[test]
+    fn bank_checkpoints_match_snapshot_through_cycles(
+        updates in proptest::collection::vec(bank_update(), 0..120),
+        every in 1usize..=8,
+        cuts in proptest::collection::vec(0usize..=120, 1..5),
+    ) {
+        assert_checkpoints_match_model(&Bank::new(3, 200), &updates, every, &cuts);
+    }
+
+    /// Random `record` / `truncate` / `floor` / `restore_last` /
+    /// undo-then-redo / cold-store `crash(keep)` sequences against a
+    /// naive `Vec<(depth, state)>`
     /// model, in three configurations of the one type: no cold store,
     /// a cold store spilling every evicted point, and one spilling
     /// every `spacing`-th. A returned checkpoint is always a pair the
@@ -392,7 +447,7 @@ proptest! {
     /// model's exactly; elsewhere an answer may only be shallower.
     #[test]
     fn checkpoint_ops_match_model_in_every_configuration(
-        ops in proptest::collection::vec((0u8..6, 0usize..200), 1..120),
+        ops in proptest::collection::vec((0u8..7, 0usize..200), 1..120),
         every in 1usize..=5,
         hot in 1usize..=4,
         spacing in 2usize..=4,
@@ -431,9 +486,37 @@ proptest! {
                         model.retain(|&(l, _)| l <= keep);
                         depth = keep;
                     }
+                    6 => {
+                        // A repair: undo a little and redo every depth
+                        // back to where it was, with new states — the
+                        // re-records reuse what the undo dropped.
+                        let keep = depth.saturating_sub(x % (3 * every + 1));
+                        ckpts.truncate(keep);
+                        model.retain(|&(l, _)| l <= keep);
+                        for len in keep + 1..=depth {
+                            next_state += 1;
+                            let stored = ckpts.record(len, &next_state, |_| 8);
+                            let due = len >= model.last().map_or(0, |&(l, _)| l) + every;
+                            if cold != Some(spacing) {
+                                prop_assert_eq!(stored, due, "re-record decision at {}", len);
+                            }
+                            if stored {
+                                model.push((len, next_state));
+                            }
+                        }
+                    }
                     3 | 4 => {
                         let limit = if op == 3 { x % (depth + 2) } else { usize::MAX };
-                        let got = if op == 3 { ckpts.floor(limit) } else { ckpts.last() };
+                        let got = if op == 3 {
+                            ckpts.floor(limit)
+                        } else {
+                            // Over a state no point holds, which must
+                            // survive a restore that finds nothing.
+                            let mut state = u64::MAX;
+                            let depth = ckpts.restore_last(&mut state);
+                            prop_assert!(depth.is_some() || state == u64::MAX);
+                            depth.map(|l| (l, state))
+                        };
                         if lossless {
                             prop_assert_eq!(got, floor_of(&model, limit), "limit {}", limit);
                         } else if let Some((l, s)) = got {
