@@ -41,6 +41,10 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # intervals 1 … 100 000 through the merge log's repair, whose restore
 # and re-records reuse the states an undo drops; ≈ 2 s), the bank's own
 # experiment (E12; the one state kept as a flat array, not a `PMap`),
+# the two that read known sets back through `nth` / `missed_ranks` — the
+# offline k distribution (E10, ≈ 1 s) and the online monitor that must
+# equal the offline checkers (E22, ≈ 0.1 s), so a known set split
+# between a `PMap` base and a shared tail is read end to end —
 # plus one per propagation strategy (transitive flooding — gossip at
 # each execution — E06, partial E16, gossip E17, composed
 # gossip×partial E20) — then
@@ -54,9 +58,11 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # with some node lacking an entry it should hold — at zero.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e06_centralization
+run cargo run -q --release -p shard-bench --bin exp_e10_k_distribution
 run cargo run -q --release -p shard-bench --bin exp_e11_undo_redo
 run cargo run -q --release -p shard-bench --bin exp_e12_banking
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
+run cargo run -q --release -p shard-bench --bin exp_e22_stream_monitor
 run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
   --bin exp_e20_gossip_partial --bin exp_e24_store_recovery
 run timeout 120 target/release/exp_e17_gossip
@@ -75,7 +81,7 @@ run env SHARD_POOL_THREADS=4 EXP_METRICS_DIR=target/exp_metrics_par \
   cargo run -q --release -p shard-bench --bin shard-chaos -- --seeds 25
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   diff target/exp_metrics/chaos.json target/exp_metrics_par/chaos.json
-for sidecar in e01 e06 e11 e12 e16 e17 e20 chaos; do
+for sidecar in e01 e06 e10 e11 e12 e16 e17 e20 e22 chaos; do
   budget=()
   case "$sidecar" in e17 | e20) budget=("sim.not_converged<=0") ;; esac
   run cargo run -q --release -p shard-cli --bin shard-trace -- \

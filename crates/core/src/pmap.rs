@@ -11,12 +11,13 @@
 //! `FANOUT` `(separator, subtree size, child)` triples, every leaf at
 //! one depth. Nodes are held behind [`Arc`]; a mutation copies only the
 //! nodes on the root-to-leaf path that a snapshot shares — two or three
-//! for the maps in this repository: the known set, which every executed
-//! transaction snapshots before its own update goes in (and which takes
-//! 59 % of its inserts below its largest key, EXPERIMENTS.md "The
-//! kernel's own time, named"), and the airline's membership index and
-//! the dictionary's and name server's states, which checkpoints
-//! snapshot — and [`Arc::make_mut`] turns
+//! for the maps in this repository: the known set's base, which every
+//! executed transaction snapshots and which takes its keys 16 at a time
+//! through [`PMap::push_leaf`] (one path copy down the right spine per
+//! leaf) and only 5 % of them one by one (EXPERIMENTS.md "The known set
+//! a leaf at a time"), and the airline's membership index and the
+//! dictionary's and name server's states, which checkpoints snapshot —
+//! and [`Arc::make_mut`] turns
 //! even that copy into an in-place write when the map is unshared, the
 //! case [`Application::apply_in_place`](crate::Application::apply_in_place)
 //! puts the hot replay loops in. Removal frees a node when it empties
@@ -43,9 +44,10 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Most items a node holds, and the most its array is allocated for. On
-/// `sim-partition`, whose only map is now the known set, 8 is ≈ 5 %
-/// slower, 32 no faster for +12 % peak RSS (PR 25, 9 rotating rounds).
-/// Not re-measured since: the known set's traffic has not changed.
+/// `sim-partition`, whose only map is the known set's base, fed a leaf at
+/// a time: 8 (flushing 8) is ≈ 4 % slower for +4 % peak RSS, 32 ≈ 2 %
+/// slower for +2 % (30 rotating harness rounds, EXPERIMENTS.md "The known
+/// set a leaf at a time").
 const FANOUT: usize = 16;
 
 #[derive(Clone)]
@@ -199,12 +201,50 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         let root = self.root.get_or_insert_with(empty);
         let (old, split) = insert_below(root, key, value);
         if let Some(right) = split {
-            // The root split: one level up.
-            let halves = [Arc::clone(root), Arc::new(right)].map(Child::of);
-            *root = Arc::new(Node::Inner(halves.into()));
+            raise(root, Arc::new(right));
         }
         self.len += usize::from(old.is_none());
         old
+    }
+
+    /// Appends `entries` as a new rightmost leaf: one path copy down
+    /// the right spine for all of them, where [`PMap::insert`] pays a
+    /// descent per key. The leaf is allocated for exactly its entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `entries` holds 1 to 16 entries (a node's
+    /// capacity) in strictly ascending key order, every key above every
+    /// key already in the map.
+    pub fn push_leaf(&mut self, mut entries: Vec<(K, V)>) {
+        assert!(
+            (1..=FANOUT).contains(&entries.len()),
+            "push_leaf takes 1 to {FANOUT} entries, not {}",
+            entries.len()
+        );
+        let above = self.root.as_deref().map(last_key);
+        assert!(
+            above
+                .into_iter()
+                .chain(entries.iter().map(|(k, _)| k))
+                .is_sorted_by(|a, b| a < b),
+            "push_leaf takes ascending keys above the map's"
+        );
+        entries.shrink_to_fit();
+        self.len += entries.len();
+        let leaf = Arc::new(Node::Leaf(entries));
+        let Some(root) = &mut self.root else {
+            self.root = Some(leaf);
+            return;
+        };
+        let split = match **root {
+            // A lone leaf: the new one is its sibling under a new root.
+            Node::Leaf(_) => Some(leaf),
+            Node::Inner(_) => push_below(root, Child::of(leaf)).map(Arc::new),
+        };
+        if let Some(right) = split {
+            raise(root, right);
+        }
     }
 
     /// Removes `key`, returning its value if present. Absent keys cost
@@ -228,8 +268,8 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
 
 /// Inserts `item` at `at`. A full node splits first and the upper part
 /// is returned: half of it — or, when `item` goes past its last item,
-/// `item` alone, so that ascending inserts (the known set's timestamps)
-/// leave full nodes behind them, not half-empty ones.
+/// `item` alone, so that ascending inserts and pushed leaves (the known
+/// set's timestamps) leave full nodes behind them, not half-empty ones.
 fn insert_or_split<T>(items: &mut Vec<T>, at: usize, item: T) -> Option<Vec<T>> {
     let mid = if at == FANOUT { FANOUT } else { FANOUT / 2 };
     let mut upper = (items.len() == FANOUT).then(|| items.split_off(mid));
@@ -275,6 +315,44 @@ fn insert_below<K: Ord + Clone, V: Clone>(
             (old, split)
         }
     }
+}
+
+/// The root split and `right` is its new sibling: one level up.
+fn raise<K: Clone, V>(root: &mut Arc<Node<K, V>>, right: Arc<Node<K, V>>) {
+    let halves = [Arc::clone(root), right].map(Child::of);
+    *root = Arc::new(Node::Inner(halves.into()));
+}
+
+/// The largest key below `node`.
+fn last_key<K, V>(mut node: &Node<K, V>) -> &K {
+    loop {
+        match node {
+            Node::Leaf(entries) => return &entries[entries.len() - 1].0,
+            Node::Inner(children) => node = &children[children.len() - 1].node,
+        }
+    }
+}
+
+/// Appends `leaf` after the last leaf below `node`, an inner node,
+/// returning `node`'s new right sibling if it split.
+fn push_below<K: Clone, V: Clone>(
+    node: &mut Arc<Node<K, V>>,
+    leaf: Child<K, V>,
+) -> Option<Node<K, V>> {
+    let Node::Inner(children) = Arc::make_mut(node) else {
+        unreachable!("a leaf is pushed beside a leaf, not into one");
+    };
+    let i = children.len() - 1;
+    let child = match *children[i].node {
+        Node::Leaf(_) => leaf,
+        Node::Inner(_) => {
+            children[i].size += leaf.size;
+            let right = Child::of(Arc::new(push_below(&mut children[i].node, leaf)?));
+            children[i].size -= right.size;
+            right
+        }
+    };
+    insert_or_split(children, i + 1, child).map(Node::Inner)
 }
 
 /// Removes `key`, which the caller found present, from below `node`.
@@ -559,6 +637,135 @@ mod tests {
         assert_eq!(check_invariants(&map), 3);
         assert_eq!(leaves(map.root.as_deref().unwrap()), n.div_ceil(FANOUT));
         check_invariants(&snapshot);
+    }
+
+    /// `push_leaf` of 1 to `FANOUT` entries above the top, mixed with
+    /// inserts and removes below it — invariants and the oracle at every
+    /// step, `nth` spot checks, and snapshots that must never change.
+    #[test]
+    fn push_leaf_matches_btreemap_oracle() {
+        let mut rng = Lcg(0x1EAF_F00D);
+        let mut map: PMap<u32, u64> = PMap::new();
+        let mut oracle: BTreeMap<u32, u64> = BTreeMap::new();
+        let mut snapshots = Vec::new();
+        let mut deepest = 0;
+        // Pushed keys step by 1 to 3, so inserts below find gaps.
+        let mut top = 0u32;
+        for step in 0..1500 {
+            let key = (rng.next() % (u64::from(top) + 1)) as u32;
+            match rng.next() % 8 {
+                0..=2 => {
+                    let n = 1 + rng.next() as usize % FANOUT;
+                    let entries: Vec<(u32, u64)> = (0..n)
+                        .map(|_| {
+                            top += 1 + (rng.next() % 3) as u32;
+                            (top, rng.next())
+                        })
+                        .collect();
+                    oracle.extend(entries.iter().copied());
+                    map.push_leaf(entries);
+                }
+                3..=5 => {
+                    let val = rng.next();
+                    assert_eq!(map.insert(key, val), oracle.insert(key, val), "step {step}");
+                }
+                _ => assert_eq!(map.remove(&key), oracle.remove(&key), "step {step}"),
+            }
+            deepest = deepest.max(check_invariants(&map));
+            assert!(map.iter().eq(oracle.iter()), "step {step}");
+            let i = rng.next() as usize % (oracle.len() + 1);
+            assert_eq!(map.nth(i), oracle.iter().nth(i), "step {step}");
+            if step % 37 == 0 {
+                snapshots.push((map.clone(), oracle.clone()));
+            }
+        }
+        assert!(deepest >= 3, "the walk built a third level");
+        for (snap, snap_oracle) in &snapshots {
+            check_invariants(snap);
+            assert!(snap.iter().eq(snap_oracle.iter()), "a snapshot changed");
+        }
+    }
+
+    /// The nodes reachable from `map` that `snapshot` does not share.
+    fn fresh_nodes(map: &PMap<u32, u64>, snapshot: &PMap<u32, u64>) -> usize {
+        fn walk<'a>(node: &'a Arc<Node<u32, u64>>, out: &mut Vec<&'a Arc<Node<u32, u64>>>) {
+            out.push(node);
+            if let Node::Inner(children) = &**node {
+                children.iter().for_each(|c| walk(&c.node, out));
+            }
+        }
+        let (mut new, mut old) = (Vec::new(), Vec::new());
+        map.root.iter().for_each(|r| walk(r, &mut new));
+        snapshot.root.iter().for_each(|r| walk(r, &mut old));
+        new.iter()
+            .filter(|n| !old.iter().any(|o| Arc::ptr_eq(n, o)))
+            .count()
+    }
+
+    /// The edges of the right spine: a push into an empty map and onto a
+    /// lone-leaf root, a push that copies the spine and nothing else,
+    /// and one that splits every level of it.
+    #[test]
+    fn push_leaf_copies_the_right_spine_and_splits_it_when_full() {
+        let leaf = |from: u32, n: u32| -> Vec<(u32, u64)> {
+            (from..from + n).map(|k| (k, u64::from(k))).collect()
+        };
+        let mut map: PMap<u32, u64> = PMap::new();
+        map.push_leaf(leaf(0, 3));
+        assert_eq!(
+            check_invariants(&map),
+            1,
+            "an empty map takes the leaf as its root"
+        );
+        let snapshot = map.clone();
+        map.push_leaf(leaf(3, 1));
+        assert_eq!(
+            check_invariants(&map),
+            2,
+            "a lone-leaf root gains a sibling"
+        );
+        assert_eq!(fresh_nodes(&map, &snapshot), 2, "a new root and the leaf");
+        assert!(map.keys().copied().eq(0..4));
+
+        // FANOUT² full leaves fill every node of a depth-3 tree; the last
+        // of them copies the two spine nodes above it and nothing else.
+        let full = FANOUT as u32;
+        let mut map: PMap<u32, u64> = PMap::new();
+        for k in 0..full * full - 1 {
+            map.push_leaf(leaf(k * full, full));
+        }
+        let snapshot = map.clone();
+        map.push_leaf(leaf((full * full - 1) * full, full));
+        assert_eq!(check_invariants(&map), 3);
+        assert_eq!(
+            fresh_nodes(&map, &snapshot),
+            3,
+            "two spine copies and the leaf"
+        );
+
+        // One more leaf splits every level of the full spine, the root
+        // too: three copies, the leaf, a new right sibling at each of
+        // the two inner levels and a new root.
+        let snapshot = map.clone();
+        let top = full.pow(3);
+        map.push_leaf(leaf(top, 1));
+        assert_eq!(check_invariants(&map), 4);
+        assert_eq!(fresh_nodes(&map, &snapshot), 6);
+        assert!(map.keys().copied().eq(0..=top));
+        assert_eq!(map.nth(top as usize), Some((&top, &u64::from(top))));
+        let Some(Node::Inner(halves)) = map.root.as_deref() else {
+            panic!("an inner root")
+        };
+        let sizes: Vec<usize> = halves.iter().map(|c| c.size).collect();
+        assert_eq!(sizes, [top as usize, 1], "the full tree, then the new leaf");
+        assert_eq!(check_invariants(&snapshot), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending keys above the map's")]
+    fn push_leaf_refuses_a_key_below_the_top() {
+        let mut map: PMap<u32, u64> = (0..40).map(|k| (k, 0)).collect();
+        map.push_leaf(vec![(39, 0), (41, 0)]);
     }
 
     #[test]

@@ -50,9 +50,27 @@ fn airline_update() -> impl Strategy<Value = AirlineUpdate> {
 }
 
 /// Mostly `Bank::new(3, ..)`'s tracked `A1..=A3`, but also `A0` and
-/// accounts no bank of three tracks.
+/// accounts no bank of three tracks: a few past `A3`, sparse ones whose
+/// index `a − 1` lies far past any bank's end, and `u32::MAX − 1` and
+/// `u32::MAX`, where it is near the top of `usize` — every lookup that
+/// misses the bank's index probe and must fall back to its search.
 fn bank_account() -> impl Strategy<Value = AccountId> {
-    prop_oneof![0u32..6, 1u32..4, Just(u32::MAX)].prop_map(AccountId)
+    prop_oneof![
+        0u32..6,
+        1u32..4,
+        (1u32..=4).prop_map(|k| 100 * k),
+        Just(u32::MAX - 1),
+        Just(u32::MAX),
+    ]
+    .prop_map(AccountId)
+}
+
+/// Every account [`bank_account`] draws from, and a few near them.
+fn bank_lookups() -> impl Iterator<Item = AccountId> {
+    (0..8)
+        .chain((1..=4).map(|k| 100 * k))
+        .chain([99, 101, u32::MAX - 1, u32::MAX])
+        .map(AccountId)
 }
 
 fn bank_update() -> impl Strategy<Value = BankUpdate> {
@@ -366,7 +384,7 @@ proptest! {
             bank_oracle_apply(&mut oracle, u);
             let pairs: Vec<(AccountId, i64)> = oracle.iter().map(|(a, b)| (*a, *b)).collect();
             prop_assert_eq!(state.balances().collect::<Vec<_>>(), pairs.clone());
-            for a in (0..6).chain([u32::MAX]).map(AccountId) {
+            for a in bank_lookups() {
                 prop_assert_eq!(state.balance(a), oracle.get(&a).copied().unwrap_or(0));
             }
             let reversed: Vec<_> = pairs.iter().rev().copied().collect();
