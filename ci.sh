@@ -81,9 +81,15 @@ run env SHARD_POOL_THREADS=4 EXP_METRICS_DIR=target/exp_metrics_par \
   cargo run -q --release -p shard-bench --bin shard-chaos -- --seeds 25
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   diff target/exp_metrics/chaos.json target/exp_metrics_par/chaos.json
+# E10 reads its executions through prefixes and one forward fold of the
+# actual states, neither of which asks a replay cache: a warm-up that
+# creeps back in front of its sweeps would show as cache queries.
 for sidecar in e01 e06 e10 e11 e12 e16 e17 e20 e22 chaos; do
   budget=()
-  case "$sidecar" in e17 | e20) budget=("sim.not_converged<=0") ;; esac
+  case "$sidecar" in
+  e10) budget=("replay.queries<=0") ;;
+  e17 | e20) budget=("sim.not_converged<=0") ;;
+  esac
   run cargo run -q --release -p shard-cli --bin shard-trace -- \
     check "target/exp_metrics/$sidecar.json" \
     experiment ok wall_time_ms claims counters gauges histograms spans \

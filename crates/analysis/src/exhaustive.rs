@@ -9,7 +9,6 @@
 //! sampled. `n ≤ 7` keeps the space under 2²¹ executions.
 
 use shard_core::{Application, Execution, ExecutionBuilder, TxnIndex};
-use shard_pool::PoolConfig;
 
 /// Visits every execution of `decisions` (every combination of prefix
 /// subsequences), in a deterministic order.
@@ -21,50 +20,14 @@ use shard_pool::PoolConfig;
 pub fn for_each_execution<A: Application>(
     app: &A,
     decisions: &[A::Decision],
-    visit: impl FnMut(&Execution<A>),
-) {
-    for_each_execution_in(app, decisions, 0..execution_count(decisions.len()), visit);
-}
-
-/// The odometer state of the execution with global index `g` in the
-/// order [`for_each_execution`] visits: transaction `i`'s prefix
-/// bitmask occupies the `i` bits of `g` starting at bit `i(i−1)/2`
-/// (transaction 0 has no predecessors and contributes no bits). The
-/// closed form is what lets an index range of the space be enumerated
-/// without stepping through its predecessors.
-pub fn masks_for_index(n: usize, g: u64) -> Vec<u32> {
-    (0..n)
-        .map(|i| ((g >> (i * i.saturating_sub(1) / 2)) as u32) & ((1u32 << i) - 1))
-        .collect()
-}
-
-/// Visits the executions with global indices in `range`, in index
-/// order — the contiguous sub-block of [`for_each_execution`]'s
-/// sequence that parallel sweeps hand to one worker.
-///
-/// # Panics
-///
-/// Panics if `decisions.len() > 7` or `range` extends past
-/// [`execution_count`].
-pub fn for_each_execution_in<A: Application>(
-    app: &A,
-    decisions: &[A::Decision],
-    range: std::ops::Range<u64>,
     mut visit: impl FnMut(&Execution<A>),
 ) {
     let n = decisions.len();
     assert!(n <= 7, "exhaustive enumeration is for small scopes (n ≤ 7)");
-    assert!(
-        range.end <= execution_count(n),
-        "range extends past the execution space"
-    );
-    if range.is_empty() {
-        return;
-    }
     // Odometer over per-transaction prefix bitmasks: txn i has 2^i
-    // subsets of {0..i}. Seeded from the closed form, then stepped.
-    let mut masks = masks_for_index(n, range.start);
-    for _ in range {
+    // subsets of {0..i}.
+    let mut masks = vec![0u32; n];
+    for _ in 0..execution_count(n) {
         let mut b = ExecutionBuilder::new(app);
         for (i, d) in decisions.iter().enumerate() {
             let prefix: Vec<TxnIndex> = (0..i).filter(|j| masks[i] & (1 << j) != 0).collect();
@@ -110,37 +73,6 @@ pub fn check_all_executions<A: Application>(
     (checked, violations)
 }
 
-/// Parallel [`check_all_executions`]: splits the `2^(n(n−1)/2)` index
-/// space into contiguous ranges across the pool, each worker running
-/// the same odometer over its block. The decomposition depends on the
-/// space size alone, so the tally equals the sequential one at every
-/// thread count.
-pub fn par_check_all_executions<A>(
-    pool: &PoolConfig,
-    app: &A,
-    decisions: &[A::Decision],
-    property: impl Fn(&Execution<A>) -> bool + Sync,
-) -> (u64, u64)
-where
-    A: Application + Sync,
-    A::Decision: Sync,
-{
-    let total = execution_count(decisions.len());
-    shard_pool::par_ranges(pool, total as usize, |r| {
-        let mut checked = 0u64;
-        let mut violations = 0u64;
-        for_each_execution_in(app, decisions, r.start as u64..r.end as u64, |e| {
-            checked += 1;
-            if !property(e) {
-                violations += 1;
-            }
-        });
-        (checked, violations)
-    })
-    .into_iter()
-    .fold((0, 0), |(c, v), (pc, pv)| (c + pc, v + pv))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,80 +88,19 @@ mod tests {
     }
 
     #[test]
-    fn masks_closed_form_matches_odometer_order() {
-        let app = FlyByNight::new(1);
-        let decisions = vec![AirlineTxn::Request(p(1)); 5];
-        let mut g = 0u64;
-        for_each_execution(&app, &decisions, |e| {
-            let masks = masks_for_index(decisions.len(), g);
-            for (i, &m) in masks.iter().enumerate() {
-                let prefix: shard_core::Prefix = (0..i).filter(|j| m & (1 << j) != 0).collect();
-                assert_eq!(e.record(i).prefix, prefix, "g = {g}, txn {i}");
-            }
-            g += 1;
-        });
-        assert_eq!(g, execution_count(5));
-    }
-
-    #[test]
-    fn range_blocks_concatenate_to_the_full_enumeration() {
-        let app = FlyByNight::new(1);
-        let decisions = vec![
-            AirlineTxn::Request(p(1)),
-            AirlineTxn::MoveUp,
-            AirlineTxn::Request(p(2)),
-            AirlineTxn::MoveDown,
-        ];
-        let mut full: Vec<Vec<shard_core::Prefix>> = Vec::new();
-        for_each_execution(&app, &decisions, |e| {
-            full.push((0..e.len()).map(|i| e.record(i).prefix.clone()).collect())
-        });
-        let total = execution_count(decisions.len());
-        let mut blocks: Vec<Vec<shard_core::Prefix>> = Vec::new();
-        for bounds in [vec![0, total], vec![0, 1, 7, 13, 64], vec![0, 63, 64]] {
-            blocks.clear();
-            for w in bounds.windows(2) {
-                for_each_execution_in(&app, &decisions, w[0]..w[1], |e| {
-                    blocks.push((0..e.len()).map(|i| e.record(i).prefix.clone()).collect())
-                });
-            }
-            assert_eq!(blocks, full, "bounds {bounds:?}");
-        }
-    }
-
-    #[test]
-    fn parallel_check_matches_sequential() {
-        use shard_core::conditions;
-        let app = FlyByNight::new(1);
-        let decisions = vec![
-            AirlineTxn::Request(p(1)),
-            AirlineTxn::Request(p(2)),
-            AirlineTxn::MoveUp,
-            AirlineTxn::MoveUp,
-            AirlineTxn::MoveDown,
-        ];
-        // A property with a non-trivial violation count, so the oracle
-        // is not vacuous.
-        let seq = check_all_executions(&app, &decisions, conditions::is_transitive);
-        assert!(seq.1 > 0, "some enumerated executions are intransitive");
-        for threads in [1, 2, 4, 7] {
-            let par = par_check_all_executions(
-                &PoolConfig::with_threads(threads),
-                &app,
-                &decisions,
-                conditions::is_transitive,
-            );
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
     fn counts_match_formula() {
         let app = FlyByNight::new(1);
         let decisions = vec![AirlineTxn::Request(p(1)); 5];
-        let mut seen = 0u64;
-        for_each_execution(&app, &decisions, |_| seen += 1);
-        assert_eq!(seen, execution_count(5));
+        // Every visit is a distinct execution: the odometer covers the
+        // space exactly once.
+        let mut seen = std::collections::HashSet::new();
+        for_each_execution(&app, &decisions, |e| {
+            let prefixes: Vec<Vec<TxnIndex>> = (0..e.len())
+                .map(|i| e.record(i).prefix.iter().collect())
+                .collect();
+            assert!(seen.insert(prefixes), "an execution visited twice");
+        });
+        assert_eq!(seen.len() as u64, execution_count(5));
         assert_eq!(execution_count(5), 1024);
         assert_eq!(execution_count(0), 1);
         assert_eq!(execution_count(1), 1);
@@ -249,6 +120,13 @@ mod tests {
             check_all_executions(&app, &decisions, |e| e.verify(&app).is_ok());
         assert_eq!(checked, 1024);
         assert_eq!(violations, 0);
+        // The space is not only the transitive corner: the enumeration
+        // reaches intransitive executions too.
+        let (_, intransitive) = check_all_executions(&app, &decisions, conditions::is_transitive);
+        assert!(
+            intransitive > 0,
+            "some enumerated executions are intransitive"
+        );
     }
 
     /// Theorem 5, *verified* (not sampled) at small scope: over every

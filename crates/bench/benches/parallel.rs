@@ -1,7 +1,8 @@
 //! Scaling of the `shard-pool` parallel layer, and proof-of-identity
-//! alongside it: the chaos sweep and the §3/§4 checker sweeps are run
-//! at pool sizes 1/2/4/8, every parallel result is asserted equal to
-//! the sequential one before its time is reported, and the numbers
+//! alongside it: the chaos sweep — the pool's one workload — runs at
+//! pool sizes 1/2/4/8, every parallel result is asserted equal to the
+//! sequential one before its time is reported, and a single-threaded
+//! §3 transitivity check runs beside it as the control. The numbers
 //! land in `BENCH_parallel.json` at the repository root together with
 //! the host's core count — on a single-core host the table shows the
 //! (honest) absence of speedup while still certifying determinism.
@@ -9,11 +10,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
-use shard_apps::Person;
 use shard_bench::chaos::{sweep, ChaosConfig};
 use shard_bench::workloads::airline_execution_with_k;
 use shard_core::conditions;
-use shard_core::costs::{count_bound_violations, par_count_bound_violations, BoundFn};
 use shard_pool::PoolConfig;
 use std::hint::black_box;
 use std::time::Instant;
@@ -150,73 +149,22 @@ fn checker_rows() -> String {
     json_rows(&rows, baseline)
 }
 
-/// The §4 cost-bound sweep (full subsequence lattice of a 16-update
-/// sequence, 2¹⁶ instances) across the pool sizes.
-fn bound_rows() -> String {
-    let app = FlyByNight::new(1);
-    let updates: Vec<_> = (0..16)
-        .map(|i| {
-            use shard_apps::airline::AirlineUpdate;
-            match i % 4 {
-                0 => AirlineUpdate::Request(Person(i)),
-                1 => AirlineUpdate::Request(Person(i + 100)),
-                2 => AirlineUpdate::MoveUp(Person(i + 99)),
-                _ => AirlineUpdate::Cancel(Person(i - 3)),
-            }
-        })
-        .collect();
-    let f = BoundFn::linear(100);
-    let n = updates.len();
-    let reference = count_bound_violations(&app, &f, 0, &updates, n);
-    println!("\nparallel/bound_sweep (2^16 subsequences)");
-    for threads in THREADS {
-        let pool = PoolConfig::with_threads(threads);
-        assert_eq!(
-            par_count_bound_violations(&pool, &app, &f, 0, &updates, n),
-            reference,
-            "bound tally diverged at {threads} threads"
-        );
-    }
-    let pools: Vec<PoolConfig> = THREADS
-        .iter()
-        .map(|&threads| PoolConfig::with_threads(threads).capped_to_host())
-        .collect();
-    let mut runs: Vec<Box<dyn FnMut()>> = pools
-        .iter()
-        .map(|pool| {
-            let (app, f, updates) = (&app, &f, &updates);
-            Box::new(move || {
-                black_box(par_count_bound_violations(pool, app, f, 0, updates, n).checked);
-            }) as Box<dyn FnMut()>
-        })
-        .collect();
-    let bests = interleaved_best_ns(3, &mut runs);
-    let rows: Vec<(usize, f64)> = THREADS.into_iter().zip(bests).collect();
-    for &(threads, ns) in &rows {
-        println!("  threads={threads}  best {ns:>14.0} ns");
-    }
-    let baseline = rows[0].1;
-    json_rows(&rows, baseline)
-}
-
 fn bench_parallel_scaling(_c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let chaos = chaos_rows();
     let checker = checker_rows();
-    let bound = bound_rows();
     let json = format!(
         "{{\n  \"bench\": \"shard_pool_scaling\",\n  \
          \"host_cpus\": {host_cpus},\n  \
          \"note\": \"correctness is asserted at the requested thread count; timings \
          use the host-capped pool every production path gets via from_env, so ratios \
          stay >= ~1.0 even when threads > host_cpus (oversubscription no longer \
-         thrashes the checkers); samples are taken round-robin across thread counts \
+         thrashes the sweep); samples are taken round-robin across thread counts \
          with the starting config rotated each round (best of 12 rounds after a \
          discarded warmup; noise on a shared host is strictly additive) so host noise \
          and throttle phase cannot masquerade as a per-thread-count regression\",\n  \
          \"chaos_sweep_120_seeds\": {{\n    \"results\": [\n{chaos}\n    ]\n  }},\n  \
-         \"is_transitive_n10000\": {{\n    \"results\": [\n{checker}\n    ]\n  }},\n  \
-         \"bound_sweep_2e16\": {{\n    \"results\": [\n{bound}\n    ]\n  }}\n}}\n"
+         \"is_transitive_n10000\": {{\n    \"results\": [\n{checker}\n    ]\n  }}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
     match std::fs::write(path, json) {

@@ -114,10 +114,7 @@ fn main() {
 }
 
 fn run_sweep(app: &FlyByNight, mean_delay: u64, gap: u64) -> (Vec<u64>, u64, u64) {
-    // Run the per-seed clusters first, then warm every execution's
-    // replay checkpoint chain through the shard-pool before the cost
-    // sweeps query apparent states (SHARD_POOL_THREADS sizes the pool).
-    let mut execs: Vec<_> = TRIAL_SEEDS
+    let execs: Vec<_> = TRIAL_SEEDS
         .into_iter()
         .map(|seed| {
             let cluster = Runner::eager(
@@ -134,7 +131,6 @@ fn run_sweep(app: &FlyByNight, mean_delay: u64, gap: u64) -> (Vec<u64>, u64, u64
             cluster.run(invs).timed_execution().execution
         })
         .collect();
-    shard_core::replay::prebuild_executions(&shard_pool::PoolConfig::from_env(), app, &mut execs);
 
     let mut ks = Vec::new();
     let mut over = 0;

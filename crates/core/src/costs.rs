@@ -27,8 +27,6 @@
 
 use crate::app::{Application, Cost, StateSpace};
 use crate::execution::{Execution, TxnIndex};
-use crate::replay::Replayer;
-use shard_pool::PoolConfig;
 use std::fmt;
 
 /// Truncated subtraction `X ∸ Y = max(X − Y, 0)` — the paper's `X /. Y`,
@@ -271,56 +269,6 @@ pub fn check_bound_instance<A: Application>(
     app.cost(&s, constraint) <= app.cost(&t, constraint) + f.at(k)
 }
 
-/// Checks many bound-property instances over **one** update sequence
-/// incrementally. The full-sequence state is computed once; each kept
-/// subsequence is replayed through a [`Replayer`], resuming from the
-/// longest prefix shared with the previous query. The kept sets produced
-/// by [`for_each_subsequence_missing_at_most`] are enumerated in an
-/// order that shares long prefixes, so an exhaustive `Σ C(n, j)` sweep
-/// replays a short suffix per instance instead of the whole sequence.
-///
-/// One-shot checks can keep using [`check_bound_instance`]; the two are
-/// equivalent (a proptest in this module pins that down).
-pub struct BoundChecker<'a, A: Application> {
-    app: &'a A,
-    constraint: usize,
-    full_cost: Cost,
-    replayer: Replayer<'a, A>,
-}
-
-impl<'a, A: Application> BoundChecker<'a, A> {
-    /// Prepares to check bound instances for `constraint` over the full
-    /// update sequence `seq`.
-    pub fn new(app: &'a A, constraint: usize, seq: &'a [A::Update]) -> Self {
-        let mut replayer = Replayer::from_updates(app, seq);
-        let full_cost = app.cost(&replayer.final_state(), constraint);
-        BoundChecker {
-            app,
-            constraint,
-            full_cost,
-            replayer,
-        }
-    }
-
-    /// `cost(s, constraint)` for the full-sequence state `s`.
-    pub fn full_cost(&self) -> Cost {
-        self.full_cost
-    }
-
-    /// Checks `cost(s, constraint) ≤ cost(t, constraint) + f(k)` where
-    /// `t` results from keeping exactly the (strictly increasing)
-    /// indices `kept` and `k = seq.len() − kept.len()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kept` contains an index `≥ seq.len()`.
-    pub fn check(&mut self, f: &BoundFn, kept: &[usize]) -> bool {
-        let t = self.replayer.state_after_prefix(kept);
-        let k = self.replayer.len() - kept.len();
-        self.full_cost <= self.app.cost(&t, self.constraint) + f.at(k)
-    }
-}
-
 /// Enumerates every subsequence of `0..n` that omits at most `max_missing`
 /// indices, invoking `visit` with the kept indices. Exponential in
 /// `max_missing` (`Σ_{j≤k} C(n, j)` subsequences) — intended for the
@@ -335,11 +283,10 @@ pub fn for_each_subsequence_missing_at_most(
     subsequences_go(n, 0, max_missing, &mut missing, &mut visit);
 }
 
-/// The shared recursion: emits the kept set for the current missing set,
-/// then extends the missing set with each index in `start..n` while
-/// budget remains. Enumeration order is depth-first on the smallest
-/// still-addable missing index, which shares long kept-prefixes between
-/// consecutive visits (what [`BoundChecker`] exploits).
+/// The recursion behind [`for_each_subsequence_missing_at_most`]: emits
+/// the kept set for the current missing set, then extends the missing
+/// set with each index in `start..n` while budget remains. Enumeration
+/// order is depth-first on the smallest still-addable missing index.
 fn subsequences_go(
     n: usize,
     start: usize,
@@ -357,112 +304,6 @@ fn subsequences_go(
         subsequences_go(n, i + 1, remaining - 1, missing, visit);
         missing.pop();
     }
-}
-
-/// Enumerates the subsequences of `0..n` missing at most `max_missing`
-/// indices whose **first missing index** is `first` — or, for
-/// `first = None`, the single complete subsequence missing nothing.
-///
-/// Over `first ∈ {None} ∪ {Some(0), …, Some(n−1)}` these families are
-/// disjoint and cover exactly the space of
-/// [`for_each_subsequence_missing_at_most`]; they are the unit of work
-/// the parallel bound sweep distributes across pool workers.
-pub fn for_each_subsequence_with_first_missing(
-    n: usize,
-    max_missing: usize,
-    first: Option<usize>,
-    mut visit: impl FnMut(&[usize]),
-) {
-    match first {
-        None => {
-            let kept: Vec<usize> = (0..n).collect();
-            visit(&kept);
-        }
-        Some(i) => {
-            if max_missing == 0 || i >= n {
-                return;
-            }
-            let mut missing = vec![i];
-            subsequences_go(n, i + 1, max_missing - 1, &mut missing, &mut visit);
-        }
-    }
-}
-
-/// Tally of one exhaustive bound sweep: instances checked and instances
-/// violating `cost(s) ≤ cost(t) + f(k)`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoundSweep {
-    /// Subsequence instances evaluated.
-    pub checked: u64,
-    /// Instances where the bound failed.
-    pub violations: u64,
-}
-
-impl BoundSweep {
-    fn merge(self, other: BoundSweep) -> BoundSweep {
-        BoundSweep {
-            checked: self.checked + other.checked,
-            violations: self.violations + other.violations,
-        }
-    }
-}
-
-/// Sweeps every subsequence of `seq` missing at most `max_missing`
-/// updates and counts violations of the §4.1 bound property
-/// `cost(s, constraint) ≤ cost(t, constraint) + f(k)`. Sequential
-/// reference implementation of [`par_count_bound_violations`].
-pub fn count_bound_violations<A: Application>(
-    app: &A,
-    f: &BoundFn,
-    constraint: usize,
-    seq: &[A::Update],
-    max_missing: usize,
-) -> BoundSweep {
-    let mut checker = BoundChecker::new(app, constraint, seq);
-    let mut sweep = BoundSweep::default();
-    for_each_subsequence_missing_at_most(seq.len(), max_missing, |kept| {
-        sweep.checked += 1;
-        if !checker.check(f, kept) {
-            sweep.violations += 1;
-        }
-    });
-    sweep
-}
-
-/// Parallel [`count_bound_violations`]: partitions the subsequence space
-/// by first missing index (`n + 1` disjoint families) across the pool,
-/// one [`BoundChecker`] per task so replay caches stay thread-local.
-/// The partition — and therefore the tally — is a function of the input
-/// alone; any thread count returns exactly the sequential answer.
-pub fn par_count_bound_violations<A>(
-    pool: &PoolConfig,
-    app: &A,
-    f: &BoundFn,
-    constraint: usize,
-    seq: &[A::Update],
-    max_missing: usize,
-) -> BoundSweep
-where
-    A: Application + Sync,
-    A::Update: Sync,
-{
-    let n = seq.len();
-    let firsts: Vec<Option<usize>> = std::iter::once(None)
-        .chain((0..if max_missing == 0 { 0 } else { n }).map(Some))
-        .collect();
-    shard_pool::par_map(pool, &firsts, |_, &first| {
-        let mut checker = BoundChecker::new(app, constraint, seq);
-        let mut part = BoundSweep::default();
-        for_each_subsequence_with_first_missing(n, max_missing, first, |kept| {
-            part.checked += 1;
-            if !checker.check(f, kept) {
-                part.violations += 1;
-            }
-        });
-        part
-    })
-    .into_iter()
-    .fold(BoundSweep::default(), BoundSweep::merge)
 }
 
 /// The relation `s ≤ₖ t` realized over an execution: `t` is the state
@@ -673,86 +514,6 @@ mod tests {
         for_each_subsequence_missing_at_most(seq.len(), 2, |kept| {
             assert!(check_bound_instance(&app, &f, 0, &seq, kept));
         });
-    }
-
-    #[test]
-    fn bound_checker_agrees_with_one_shot_instances() {
-        let app = Account;
-        let seq = vec![
-            Op::Deposit(1),
-            Op::Withdraw(3),
-            Op::Deposit(2),
-            Op::Withdraw(1),
-            Op::Deposit(1),
-            Op::Withdraw(2),
-        ];
-        for slope in [0, 1, 3] {
-            let f = BoundFn::linear(slope);
-            let mut checker = BoundChecker::new(&app, 0, &seq);
-            for_each_subsequence_missing_at_most(seq.len(), 3, |kept| {
-                assert_eq!(
-                    checker.check(&f, kept),
-                    check_bound_instance(&app, &f, 0, &seq, kept),
-                    "slope {slope}, kept {kept:?}"
-                );
-            });
-        }
-    }
-
-    #[test]
-    fn first_missing_partition_covers_the_space_exactly() {
-        for (n, max_missing) in [(0, 0), (1, 1), (4, 2), (5, 5), (6, 3)] {
-            let mut flat: Vec<Vec<usize>> = Vec::new();
-            for_each_subsequence_missing_at_most(n, max_missing, |kept| flat.push(kept.to_vec()));
-            let mut parts: Vec<Vec<usize>> = Vec::new();
-            for first in std::iter::once(None).chain((0..n).map(Some)) {
-                for_each_subsequence_with_first_missing(n, max_missing, first, |kept| {
-                    parts.push(kept.to_vec())
-                });
-            }
-            flat.sort();
-            parts.sort();
-            assert_eq!(flat, parts, "n = {n}, max_missing = {max_missing}");
-        }
-    }
-
-    #[test]
-    fn parallel_bound_sweep_matches_sequential() {
-        let app = Account;
-        let seq = vec![
-            Op::Deposit(1),
-            Op::Withdraw(3),
-            Op::Deposit(2),
-            Op::Withdraw(1),
-            Op::Deposit(1),
-            Op::Withdraw(2),
-        ];
-        for slope in [0, 1, 3] {
-            let f = BoundFn::linear(slope);
-            for max_missing in [0, 2, seq.len()] {
-                let seq_sweep = count_bound_violations(&app, &f, 0, &seq, max_missing);
-                for threads in [1, 2, 4, 7] {
-                    let par_sweep = par_count_bound_violations(
-                        &PoolConfig::with_threads(threads),
-                        &app,
-                        &f,
-                        0,
-                        &seq,
-                        max_missing,
-                    );
-                    assert_eq!(
-                        seq_sweep, par_sweep,
-                        "slope {slope}, max_missing {max_missing}, threads {threads}"
-                    );
-                }
-            }
-        }
-        // The zero-slope sweep must actually see violations, or the
-        // oracle above is vacuous.
-        let f0 = BoundFn::linear(0);
-        let sweep = count_bound_violations(&app, &f0, 0, &seq, seq.len());
-        assert!(sweep.violations > 0, "zero bound is violated somewhere");
-        assert_eq!(sweep.checked, 1 << seq.len());
     }
 
     #[test]

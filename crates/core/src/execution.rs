@@ -520,16 +520,6 @@ impl<A: Application> Execution<A> {
         )
     }
 
-    /// Warms the full-order checkpoint chain in one forward pass, so
-    /// later `actual_state_after` / `state_after_prefix` queries resume
-    /// from a nearby checkpoint instead of `s₀`. Idempotent; purely a
-    /// cache priming step (answers never change). The parallel prebuild
-    /// (`shard_core::replay::prebuild_executions`) calls this once per
-    /// execution on a pool worker.
-    pub fn prebuild_actual_states(&mut self, app: &A) {
-        let _ = self.final_state(app);
-    }
-
     /// The state resulting from applying only the updates with indices in
     /// `subsequence` (which must be strictly increasing) to `s₀`. This is
     /// the `t` of Corollary 2 / Lemma 12 and the right-hand side of the
@@ -928,36 +918,6 @@ mod tests {
     fn error_display_is_informative() {
         let e = ExecutionError::UpdateMismatch { txn: 3 };
         assert!(e.to_string().contains("transaction 3"));
-    }
-
-    #[test]
-    fn parallel_prebuild_warms_every_execution() {
-        let app = Capped;
-        let mut execs: Vec<Execution<Capped>> = (0..9)
-            .map(|k| {
-                let mut b = ExecutionBuilder::new(&app);
-                for _ in 0..40 + k {
-                    b.push((), vec![]).unwrap(); // sees nothing: bumps
-                }
-                b.finish().clone() // a clone's cache is cold
-            })
-            .collect();
-        for threads in [1, 4] {
-            crate::replay::prebuild_executions(
-                &shard_pool::PoolConfig::with_threads(threads),
-                &app,
-                &mut execs,
-            );
-        }
-        for (k, e) in execs.iter().enumerate() {
-            assert_eq!(e.final_state(&app), 40 + k as u32);
-            // The warm chain serves mid-sequence queries without a full
-            // replay (stats only move by the short suffix).
-            let applied = |e: &Execution<Capped>| e.cache.borrow().stats().applied;
-            let before = applied(e);
-            assert_eq!(e.actual_state_after(&app, 35), 36);
-            assert!(applied(e) - before <= DEFAULT_CHECKPOINT_INTERVAL as u64);
-        }
     }
 
     #[test]

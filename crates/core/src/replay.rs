@@ -17,7 +17,7 @@
 //!   interval is the checkpoint-spacing ablation knob (experiment E11),
 //!   and by the out-of-core merge, which attaches the cold store.
 //! * `ReplayCache` *(crate-private)* — the memo owned by every
-//!   [`Execution`]: checkpoints along the
+//!   [`Execution`](crate::execution::Execution): checkpoints along the
 //!   full serial order for actual-state queries, plus checkpoints along
 //!   the **most recent replay path** for prefix-subsequence queries.
 //!   A query for a new prefix resumes from the deepest checkpoint at or
@@ -25,9 +25,10 @@
 //!   of near-identical prefixes (exactly what `verify`, grouping
 //!   discovery and k-completeness checkers produce) costs
 //!   `O(changed suffix + interval)` per query instead of `O(n)`.
-//! * [`Replayer`] — the public face of the same cache for code that has
-//!   an update sequence but no `Execution` (cost-bound subsequence
-//!   enumeration, benches, ad-hoc analysis).
+//! * [`Replayer`] — the public face of the same cache over a bare update
+//!   sequence. Its callers are tests: `tests/replay_equivalence.rs`
+//!   holds every query's [`ReplayStats`] against a list model through
+//!   it.
 //!
 //! Rows are not this module's business: the store-backed execution
 //! ([`StreamingExecution`](crate::stream::StreamingExecution)) and its
@@ -41,7 +42,7 @@
 //! so callbacks may re-enter other state queries freely.
 
 use crate::app::Application;
-use crate::execution::{Execution, Prefix, TxnIndex};
+use crate::execution::{Prefix, TxnIndex};
 
 /// Registers the replay engine's global metrics together, the first
 /// time any of them is touched, so a sidecar lists the whole family —
@@ -779,21 +780,6 @@ impl<'a, A: Application> Replayer<'a, A> {
     pub fn final_state(&mut self) -> A::State {
         self.state_after_first(self.updates.len())
     }
-}
-
-/// Warms the full-order checkpoint chain of every execution in
-/// parallel — one pool worker per contiguous block of executions, one
-/// forward pass each (see
-/// [`Execution::prebuild_actual_states`]).
-/// Caches are per-execution, so the parallel warm-up is embarrassingly
-/// parallel and the resulting cache contents are independent of the
-/// thread count.
-pub fn prebuild_executions<A>(pool: &shard_pool::PoolConfig, app: &A, execs: &mut [Execution<A>])
-where
-    A: Application + Sync,
-    Execution<A>: Send,
-{
-    shard_pool::par_for_each_mut(pool, execs, |_, exec| exec.prebuild_actual_states(app));
 }
 
 #[cfg(test)]

@@ -1,18 +1,16 @@
 //! `shard-pool` — a deterministic, zero-dependency scoped thread pool.
 //!
-//! Every search harness in this workspace — the chaos seed sweep, the
-//! exhaustive small-scope enumerations, the §3 condition checkers, the
-//! E01–E21 experiment suite — is embarrassingly parallel: independent
-//! seeds, independent candidate executions, independent index ranges.
-//! This crate provides the one concurrency primitive they all share,
-//! with two hard guarantees:
+//! The chaos search (`shard-chaos`, E21, E22) fans independent seeds
+//! out across workers; that sweep is the pool's one workload. This
+//! crate provides its one primitive, [`par_map`], with two hard
+//! guarantees:
 //!
 //! 1. **Determinism** — results are collected in *input order*, so the
-//!    output of [`par_map`] (and everything built on it) is bit-for-bit
-//!    identical at every thread count, including 1. Thread count is a
-//!    throughput knob, never a semantics knob.
+//!    output of [`par_map`] is bit-for-bit identical at every thread
+//!    count, including 1. Thread count is a throughput knob, never a
+//!    semantics knob.
 //! 2. **Sequential fidelity** — at one thread (or when already inside a
-//!    pool worker) the primitives take a no-spawn fast path that *is*
+//!    pool worker) [`par_map`] takes a no-spawn fast path that *is*
 //!    the plain sequential loop: same iteration order, same stack.
 //!
 //! Work distribution is dynamic (workers share one atomic task cursor,
@@ -25,7 +23,7 @@
 //! environment variable overrides the default size process-wide
 //! (`1` reproduces today's sequential behaviour everywhere). The
 //! environment path caps the size at the host's available parallelism —
-//! oversubscribing a CPU-bound checker only adds preemption.
+//! oversubscribing CPU-bound work only adds preemption.
 //!
 //! The registry being offline, this crate is std-only — consistent with
 //! the vendored rand/proptest/criterion shims (see DESIGN.md §8).
@@ -114,7 +112,7 @@ thread_local! {
 
 /// Whether the current thread is executing inside a pool worker.
 ///
-/// Nested [`par_map`]/[`par_ranges`] calls from a worker run
+/// Nested [`par_map`] calls from a worker run
 /// sequentially on that worker; this predicate lets callers pick
 /// cheaper sequential algorithms up front.
 pub fn is_worker() -> bool {
@@ -179,10 +177,10 @@ where
     }
     note_job(n, workers);
     // Workers claim short *runs* of tasks per cursor bump rather than
-    // one task at a time, so fine-grained work (e.g. 10⁴ cheap partition
-    // rows) doesn't serialize on the shared atomic. The claim size is a
-    // function of the input size and worker count alone; results are
-    // written back by index, so the output is unchanged.
+    // one task at a time, so a long list of short tasks (a chaos batch
+    // of quick seeds) doesn't serialize on the shared atomic. The claim
+    // size is a function of the input size and worker count alone;
+    // results are written back by index, so the output is unchanged.
     let claim = (n / (workers * 8)).clamp(1, 64);
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {
@@ -242,88 +240,6 @@ where
     })
 }
 
-/// Partitions `0..len` into contiguous ranges (about four per worker,
-/// for load balance under uneven task costs) and applies `f` to each
-/// range in parallel, returning the per-range results in range order.
-///
-/// The workhorse for checkers that scan an index space. The range
-/// boundaries are a function of `len` alone (never of the thread
-/// count), so the returned vector is identical at every pool size.
-pub fn par_ranges<R, F>(cfg: &PoolConfig, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Sync,
-{
-    if len == 0 {
-        return Vec::new();
-    }
-    // Fixed sub-range granularity independent of the thread count keeps
-    // the (range → result) decomposition identical at every pool size;
-    // only which worker runs each range varies. The minimum grain keeps
-    // cheap rows (a transitivity check on one prefix pair is tens of
-    // nanoseconds) from drowning in per-range dispatch overhead.
-    const TARGET_RANGES: usize = 32;
-    const MIN_GRAIN: usize = 256;
-    let chunk = len.div_ceil(TARGET_RANGES).max(MIN_GRAIN);
-    let starts: Vec<usize> = (0..len).step_by(chunk).collect();
-    par_map(cfg, &starts, |_, &start| f(start..(start + chunk).min(len)))
-}
-
-/// Applies `f(index, &mut item)` to every element of `items` in
-/// parallel, partitioning the slice into one contiguous chunk per
-/// worker. Mutation is disjoint by construction; iteration order within
-/// each chunk is ascending, so with one thread this is exactly the
-/// sequential `iter_mut` loop.
-///
-/// # Panics
-///
-/// Task panics propagate as in [`par_map`].
-pub fn par_for_each_mut<T, F>(cfg: &PoolConfig, items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut T) + Sync,
-{
-    let n = items.len();
-    let workers = cfg.threads.max(1).min(n);
-    if workers <= 1 || is_worker() {
-        note_job(n, 0);
-        for (i, t) in items.iter_mut().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    note_job(n, workers);
-    let chunk = n.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers);
-        for (c, sub) in items.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            handles.push(s.spawn(move || {
-                IN_WORKER.with(|cell| cell.set(true));
-                let started = Instant::now();
-                for (j, t) in sub.iter_mut().enumerate() {
-                    f(c * chunk + j, t);
-                }
-                if shard_obs::enabled() {
-                    shard_obs::histogram!("pool.busy_ns", family)
-                        .record(started.elapsed().as_nanos() as u64);
-                }
-            }));
-        }
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
-            if let Err(p) = h.join() {
-                if panic.is_none() {
-                    panic = Some(p);
-                }
-            }
-        }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -336,23 +252,6 @@ mod tests {
             let cfg = PoolConfig::with_threads(threads);
             let got = par_map(&cfg, &items, |_, &x| x * x + 1);
             assert_eq!(got, expect, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_ranges_covers_exactly_once() {
-        for len in [0usize, 1, 5, 31, 32, 33, 1000] {
-            let cfg = PoolConfig::with_threads(4);
-            let ranges = par_ranges(&cfg, len, |r| r);
-            let mut covered = vec![0u32; len];
-            for r in &ranges {
-                for i in r.clone() {
-                    covered[i] += 1;
-                }
-            }
-            assert!(covered.iter().all(|&c| c == 1), "len = {len}");
-            // Decomposition is a function of len alone.
-            assert_eq!(ranges, par_ranges(&PoolConfig::sequential(), len, |r| r));
         }
     }
 

@@ -2,7 +2,7 @@
 //! input-ordered collection, panic propagation, the thread-count-1
 //! no-spawn fast path, nested-call degradation, and empty input.
 
-use shard_pool::{is_worker, par_for_each_mut, par_map, PoolConfig};
+use shard_pool::{is_worker, par_map, PoolConfig};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread::ThreadId;
@@ -131,19 +131,4 @@ fn nested_calls_degrade_to_sequential_on_the_worker() {
         inner_ids.iter().all(|&(id, _)| id == worker) && inner_ids.iter().map(|&(_, x)| x).eq(0..16)
     });
     assert!(reports.into_iter().all(|ok| ok));
-}
-
-#[test]
-fn par_for_each_mut_touches_every_element_once() {
-    for threads in [1, 2, 5] {
-        let cfg = PoolConfig::with_threads(threads);
-        let mut items: Vec<u64> = vec![0; 97];
-        par_for_each_mut(&cfg, &mut items, |i, slot| {
-            *slot += i as u64 + 1;
-        });
-        assert!(
-            items.iter().enumerate().all(|(i, &v)| v == i as u64 + 1),
-            "threads = {threads}"
-        );
-    }
 }

@@ -69,7 +69,7 @@ fn run_gossip(seed: u64, cfg: ClusterConfig) -> RunReport<FlyByNight> {
 /// it — and both agree with the original whole-execution checkers.
 #[test]
 fn online_report_equals_offline_par_check() {
-    let pool = PoolConfig::with_threads(2);
+    let pool = PoolConfig::sequential();
     for strategy in ["eager", "gossip"] {
         for window in [1usize, 7, 64] {
             let monitor = Some(MonitorConfig {

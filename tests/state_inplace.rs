@@ -5,8 +5,8 @@
 //! [`Checkpoints`] must record, truncate and floor like a naive list of
 //! depths and resume replays to byte-identical states — with or without
 //! a cold store, whatever a crash of that store destroys — and the
-//! execution-level cache must answer identically at pool sizes 1, 2
-//! and 7.
+//! execution-level cache, warmed along the full serial order, must
+//! answer like the naive fold.
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
@@ -15,10 +15,8 @@ use shard::apps::dictionary::{DictUpdate, Dictionary};
 use shard::apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
-use shard::core::replay::prebuild_executions;
 use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
 use shard::store::{Codec, MemStore};
-use shard_pool::PoolConfig;
 use std::collections::BTreeMap;
 
 /// Folds `updates` twice — once through the pure `apply`, once through
@@ -559,12 +557,12 @@ proptest! {
         }
     }
 
-    /// The execution-level replay cache answers identically at pool
-    /// sizes 1, 2 and 7: `prebuild_executions` warms per-execution
-    /// caches in parallel, and every apparent/actual state must match
-    /// the naive fold no matter how many workers did the warming.
+    /// The execution-level replay cache, warmed along the full serial
+    /// order by `final_state`, answers like the naive fold: prefix
+    /// queries that resume from the full-order chain and actual-state
+    /// queries served from its checkpoints both match.
     #[test]
-    fn execution_cache_agrees_across_pool_sizes(
+    fn warmed_execution_cache_matches_naive_fold(
         txns in proptest::collection::vec(
             (prop_oneof![
                 (1u32..6).prop_map(|p| AirlineTxn::Request(Person(p))),
@@ -593,23 +591,20 @@ proptest! {
         let naive = |prefix: &[TxnIndex]| {
             prefix.iter().fold(app.initial_state(), |s, &j| app.apply(&s, &updates[j]))
         };
-        for threads in [1usize, 2, 7] {
-            let mut execs = vec![e.clone(), e.clone()];
-            prebuild_executions(&PoolConfig::with_threads(threads), &app, &mut execs);
-            for warmed in &execs {
-                for i in 0..warmed.len() {
-                    prop_assert_eq!(
-                        warmed.apparent_state_before(&app, i),
-                        naive(&warmed.record(i).prefix.iter().collect::<Vec<_>>()),
-                        "apparent state at {} with {} threads", i, threads
-                    );
-                    prop_assert_eq!(
-                        warmed.actual_state_after(&app, i),
-                        naive(&(0..=i).collect::<Vec<_>>()),
-                        "actual state at {} with {} threads", i, threads
-                    );
-                }
-            }
+        // A clone's cache is cold; `final_state` warms its full chain.
+        let warmed = e.clone();
+        prop_assert_eq!(warmed.final_state(&app), naive(&(0..e.len()).collect::<Vec<_>>()));
+        for i in 0..warmed.len() {
+            prop_assert_eq!(
+                warmed.apparent_state_before(&app, i),
+                naive(&warmed.record(i).prefix.iter().collect::<Vec<_>>()),
+                "apparent state at {}", i
+            );
+            prop_assert_eq!(
+                warmed.actual_state_after(&app, i),
+                naive(&(0..=i).collect::<Vec<_>>()),
+                "actual state at {}", i
+            );
         }
     }
 }

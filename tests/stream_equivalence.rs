@@ -1,14 +1,14 @@
 //! Online ≡ offline equivalence for the streaming §3 checkers: on
 //! random executions from all five applications, the windowed
-//! [`StreamChecker`] fold (through `par_check`, at several window and
-//! pool sizes) must reach exactly the verdicts of the whole-execution
+//! [`StreamChecker`] fold (through `par_check`, at several window
+//! sizes) must reach exactly the verdicts of the whole-execution
 //! checkers — `is_transitive`, `max_missed`, `min_delay_bound` and the
 //! first transitivity witness — and every certificate the checker
 //! emits must re-validate through the shared-nothing `shard-trace
 //! certify` validator against a JSONL trace synthesized from the same
 //! rows. Window sizes {1, 7, 64} cross verdict boundaries at every
-//! alignment; pool sizes {1, 2, 7} pin thread-count invariance of the
-//! row extraction.
+//! alignment. `par_check` is a single-threaded fold that ignores its
+//! pool, so each case runs once, on the sequential pool.
 //!
 //! The same executions then take the out-of-core path: rows are
 //! serialized into a [`StreamingExecution`] and folded back off the
@@ -16,7 +16,7 @@
 //! spill spacings {1, 16, 256}) are compared against the same sequence
 //! with none attached, and `check_stream` off the store must produce *the same
 //! [`StreamReport`]* — verdicts, certificates and all — as `par_check`
-//! over the in-memory execution at pool sizes {1, 4}.
+//! over the in-memory execution.
 //!
 //! [`StreamChecker`]: shard::core::StreamChecker
 //! [`StreamingExecution`]: shard::core::StreamingExecution
@@ -40,12 +40,9 @@ use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
 
 const WINDOWS: [usize; 3] = [1, 7, 64];
-const POOLS: [usize; 3] = [1, 2, 7];
 /// Spill spacings for the out-of-core leg: every eviction spilled,
 /// sparse anchors, and effectively never (at these sizes) spilled.
 const SPACINGS: [usize; 3] = [1, 16, 256];
-/// Pool sizes the store-backed report must match `par_check` at.
-const STREAM_POOLS: [usize; 2] = [1, 4];
 
 /// One generated transaction: a decision, a miss mask over the eight
 /// most recent predecessors, and the time gap since the previous
@@ -75,8 +72,7 @@ fn timed<A: Application>(app: &A, txns: Vec<Gen<A::Decision>>) -> TimedExecution
     TimedExecution::new(b.finish(), times)
 }
 
-/// The property: every `(window, pool)` combination of the streaming
-/// pipeline agrees with the whole-execution fold, every emitted
+/// The property: every window size of the streaming pipeline agrees with the whole-execution fold, every emitted
 /// certificate independently re-validates against the row trace, and
 /// the store-backed out-of-core path reproduces the in-memory fold,
 /// floors and reports exactly.
@@ -99,50 +95,39 @@ where
     let trace: String = rows.iter().map(|r| r.to_json_line() + "\n").collect();
 
     for window in WINDOWS {
-        let mut against: Option<shard::core::StreamReport> = None;
-        for pool in POOLS {
-            let report = par_check(&PoolConfig::with_threads(pool), &te, window);
-            assert_eq!(
-                report.transitive, offline_transitive,
-                "window {window} pool {pool}: transitivity verdict"
+        let report = par_check(&PoolConfig::sequential(), &te, window);
+        assert_eq!(
+            report.transitive, offline_transitive,
+            "window {window}: transitivity verdict"
+        );
+        assert_eq!(
+            report.max_missed, offline_max_missed,
+            "window {window}: max_missed"
+        );
+        assert_eq!(
+            report.min_delay_bound, offline_bound,
+            "window {window}: delay bound"
+        );
+        // The checkers may pick different (equally valid) witness
+        // triples — both enumerate violations, in different orders —
+        // so require existence to agree and validity via `certify`
+        // below; only the *verdict* must be identical.
+        assert_eq!(
+            report.violation().is_some(),
+            offline_witness.is_some(),
+            "window {window}: witness presence"
+        );
+        if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
+            let p = |i: usize| &te.execution.record(i).prefix;
+            assert!(
+                p(*mid).contains(*low) && p(*top).contains(*mid) && !p(*top).contains(*low),
+                "window {window}: ({low}, {mid}, {top}) is not a violation"
             );
-            assert_eq!(
-                report.max_missed, offline_max_missed,
-                "window {window} pool {pool}: max_missed"
-            );
-            assert_eq!(
-                report.min_delay_bound, offline_bound,
-                "window {window} pool {pool}: delay bound"
-            );
-            // The checkers may pick different (equally valid) witness
-            // triples — both enumerate violations, in different orders —
-            // so require existence to agree and validity via `certify`
-            // below; only the *verdict* must be identical.
-            assert_eq!(
-                report.violation().is_some(),
-                offline_witness.is_some(),
-                "window {window} pool {pool}: witness presence"
-            );
-            if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
-                let p = |i: usize| &te.execution.record(i).prefix;
-                assert!(
-                    p(*mid).contains(*low) && p(*top).contains(*mid) && !p(*top).contains(*low),
-                    "window {window} pool {pool}: ({low}, {mid}, {top}) is not a violation"
-                );
-            }
-            for cert in &report.certificates {
-                let v = shard_obs::certify(&trace, &cert.to_json())
-                    .unwrap_or_else(|e| panic!("certificate {} rejected: {e}", cert.to_json()));
-                assert_eq!(v.property, cert.property(), "validated property");
-            }
-            match &against {
-                None => against = Some(report),
-                Some(first) => assert_eq!(
-                    first, &report,
-                    "window {window}: pools {} and {pool} disagree",
-                    POOLS[0]
-                ),
-            }
+        }
+        for cert in &report.certificates {
+            let v = shard_obs::certify(&trace, &cert.to_json())
+                .unwrap_or_else(|e| panic!("certificate {} rejected: {e}", cert.to_json()));
+            assert_eq!(v.property, cert.property(), "validated property");
         }
     }
 }
@@ -152,7 +137,7 @@ where
 /// the in-memory ones — the same actual state at every prefix length,
 /// the same floors with and without a cold store at every spacing, and
 /// the same `StreamReport` (verdicts *and* certificates; the report is
-/// `Eq`) as `par_check` at every `(window, pool)`.
+/// `Eq`) as `par_check` at every window size.
 fn assert_streaming_matches_in_memory<A>(app: &A, te: &TimedExecution<A>)
 where
     A: Application,
@@ -196,18 +181,16 @@ where
     );
 
     // Checker equivalence: the single-pass report off the store equals
-    // the in-memory parallel check at every window and pool size.
+    // the in-memory check at every window size.
     for window in WINDOWS {
         let streamed = se
             .check_stream(window)
             .expect("memory-backed store never fails");
-        for pool in STREAM_POOLS {
-            let in_memory = par_check(&PoolConfig::with_threads(pool), te, window);
-            assert_eq!(
-                streamed, in_memory,
-                "window {window} pool {pool}: store-backed report diverged"
-            );
-        }
+        let in_memory = par_check(&PoolConfig::sequential(), te, window);
+        assert_eq!(
+            streamed, in_memory,
+            "window {window}: store-backed report diverged"
+        );
     }
 
     // Checkpoint floors, cold store attached vs not: record every
