@@ -41,6 +41,9 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # intervals 1 … 100 000 through the merge log's repair, whose restore
 # and re-records reuse the states an undo drops; ≈ 2 s), the bank's own
 # experiment (E12; the one state kept as a flat array, not a `PMap`),
+# the timestamp-ordered airline's thrashing comparison (E08; its update
+# runs in place through the merge log), the exhaustive §4 taxonomy (E14;
+# every checker over one state slice, ≈ 0.2 s),
 # the two that read known sets back through `nth` / `missed_ranks` — the
 # offline k distribution (E10, ≈ 1 s) and the online monitor that must
 # equal the offline checkers (E22, ≈ 0.1 s), so a known set split
@@ -58,9 +61,11 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # with some node lacking an entry it should hold — at zero.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e06_centralization
+run cargo run -q --release -p shard-bench --bin exp_e08_thrashing
 run cargo run -q --release -p shard-bench --bin exp_e10_k_distribution
 run cargo run -q --release -p shard-bench --bin exp_e11_undo_redo
 run cargo run -q --release -p shard-bench --bin exp_e12_banking
+run cargo run -q --release -p shard-bench --bin exp_e14_taxonomy
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
 run cargo run -q --release -p shard-bench --bin exp_e22_stream_monitor
 run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
@@ -84,7 +89,7 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # E10 reads its executions through prefixes and one forward fold of the
 # actual states, neither of which asks a replay cache: a warm-up that
 # creeps back in front of its sweeps would show as cache queries.
-for sidecar in e01 e06 e10 e11 e12 e16 e17 e20 e22 chaos; do
+for sidecar in e01 e06 e08 e10 e11 e12 e14 e16 e17 e20 e22 chaos; do
   budget=()
   case "$sidecar" in
   e10) budget=("replay.queries<=0") ;;

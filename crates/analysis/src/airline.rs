@@ -3,7 +3,9 @@
 
 use crate::claims::ClaimCheck;
 use shard_apps::airline::witness::UpdateHistory;
-use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight, OVERBOOKING, UNDERBOOKING};
+use shard_apps::airline::{
+    AirlineState, AirlineTxn, AirlineUpdate, FlyByNight, OVERBOOKING, UNDERBOOKING,
+};
 use shard_apps::Person;
 #[allow(unused_imports)]
 use shard_core::Application as _;
@@ -248,10 +250,13 @@ pub fn single_uncancelled_request(exec: &Execution<FlyByNight>, p: Person) -> bo
 /// the "agent" learns of both). If `p < q` in `T`'s apparent state, then
 /// `p < q` in the actual state before `T` and in every later actual
 /// state (whenever both are known). Returns `None` if no mover ever sees
-/// both requests (hypothesis unmet).
+/// both requests (hypothesis unmet). `states` is
+/// `exec.actual_states(app)`, folded once by a caller that checks many
+/// pairs.
 pub fn check_theorem25(
     app: &FlyByNight,
     exec: &Execution<FlyByNight>,
+    states: &[AirlineState],
     p: Person,
     q: Person,
 ) -> Option<ClaimCheck> {
@@ -279,7 +284,6 @@ pub fn check_theorem25(
     let mut check = ClaimCheck::new(format!(
         "Theorem 25 priority {p} < {q} fixed from txn {mover}"
     ));
-    let states = exec.actual_states(app);
     for (si, s) in states.iter().enumerate().skip(mover) {
         if s.is_known(p) && s.is_known(q) {
             let ok = app.precedes(s, &p, &q);
@@ -292,10 +296,12 @@ pub fn check_theorem25(
 /// **Lemma 26 / Theorem 27 conclusion.** If `REQUEST(p)` precedes
 /// `REQUEST(q)` in the serial order and every mover that saw `q`'s
 /// request also saw `p`'s, then `p < q` in every actual state where both
-/// are known.
+/// are known. `states` is `exec.actual_states(app)`, as for
+/// [`check_theorem25`].
 pub fn check_request_order_priority(
     app: &FlyByNight,
     exec: &Execution<FlyByNight>,
+    states: &[AirlineState],
     p: Person,
     q: Person,
 ) -> Option<ClaimCheck> {
@@ -317,7 +323,7 @@ pub fn check_request_order_priority(
         }
     }
     let mut check = ClaimCheck::new(format!("Lemma 26 request-order priority {p} < {q}"));
-    for (si, s) in exec.actual_states(app).iter().enumerate() {
+    for (si, s) in states.iter().enumerate() {
         if s.is_known(p) && s.is_known(q) {
             let ok = app.precedes(s, &p, &q);
             check.record((!ok).then(|| format!("actual state {si}: {q} ahead of {p}")));
@@ -434,7 +440,8 @@ mod tests {
         // The MOVE-DOWN (index 4) is the first mover seeing both
         // requests; in its apparent state P2 < P1, and indeed P2 stays
         // ahead of P1 ever after.
-        let check = check_theorem25(&app, &e, p(1), p(2)).expect("hypotheses met");
+        let check =
+            check_theorem25(&app, &e, &e.actual_states(&app), p(1), p(2)).expect("hypotheses met");
         assert!(check.holds(), "{check}");
         assert!(check.instances > 0);
     }
@@ -477,12 +484,16 @@ mod tests {
         b.push_complete(AirlineTxn::MoveUp).unwrap();
         b.push_complete(AirlineTxn::MoveUp).unwrap();
         let e = b.finish();
-        let check = check_request_order_priority(&app, &e, p(1), p(2)).expect("hypotheses met");
+        let check = check_request_order_priority(&app, &e, &e.actual_states(&app), p(1), p(2))
+            .expect("hypotheses met");
         assert!(check.holds(), "{check}");
         // The anomaly execution violates the hypothesis (a mover saw Q's
         // request without P's), so the check is N/A there.
         let (app2, e2) = anomaly_exec();
-        assert!(check_request_order_priority(&app2, &e2, p(1), p(2)).is_none());
+        assert!(
+            check_request_order_priority(&app2, &e2, &e2.actual_states(&app2), p(1), p(2))
+                .is_none()
+        );
     }
 
     #[test]

@@ -204,12 +204,6 @@ impl Application for FlyByNight {
         state.lists_disjoint()
     }
 
-    fn apply(&self, state: &AirlineState, update: &AirlineUpdate) -> AirlineState {
-        let mut s = state.clone();
-        self.apply_in_place(&mut s, update);
-        s
-    }
-
     fn apply_in_place(&self, s: &mut AirlineState, update: &AirlineUpdate) {
         match update {
             AirlineUpdate::Request(p) => s.request(*p),
@@ -495,7 +489,7 @@ mod tests {
     #[test]
     fn updates_preserve_well_formedness_exhaustively() {
         let app = FlyByNight::new(2);
-        let space = super::space::AirlineSpace::all_states(3);
+        let space = super::space::all_states(3);
         for txn in [
             AirlineTxn::Request(p(1)),
             AirlineTxn::Cancel(p(1)),

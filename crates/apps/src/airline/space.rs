@@ -9,120 +9,84 @@
 //! experiments use the 100-seat instance for the execution-level claims.
 
 use super::AirlineState;
-use super::FlyByNight;
 use crate::person::Person;
-use shard_core::StateSpace;
 
 /// Every well-formed airline state over people `P1..=Pn` (both lists in
-/// every possible order). Grows super-exponentially: n=3 gives 34
-/// states, n=4 gives 209, n=5 gives 1546 — keep `n ≤ 5`.
-#[derive(Clone, Debug)]
-pub struct AirlineSpace {
-    people: Vec<Person>,
+/// every possible order). Grows super-exponentially: n=3 gives 49
+/// states, n=4 gives 261, n=5 gives 1 631 — keep `n ≤ 5`.
+pub fn all_states(n: u32) -> Vec<AirlineState> {
+    over(&(1..=n).map(Person).collect::<Vec<_>>())
 }
 
-impl AirlineSpace {
-    /// The space of all well-formed states over `P1..=Pn`.
-    pub fn all_states(n: u32) -> Self {
-        AirlineSpace {
-            people: (1..=n).map(Person).collect(),
-        }
-    }
+/// Every well-formed airline state over an explicit set of people.
+pub fn over(people: &[Person]) -> Vec<AirlineState> {
+    // Choose an ordered assigned list from the people, then an ordered
+    // waiting list from the remainder.
+    let mut out = Vec::new();
+    pick_assigned(people, &mut Vec::new(), &mut out);
+    out
+}
 
-    /// The space over an explicit set of people.
-    pub fn over(people: Vec<Person>) -> Self {
-        AirlineSpace { people }
-    }
-
-    /// The people the space ranges over.
-    pub fn people(&self) -> &[Person] {
-        &self.people
-    }
-
-    fn enumerate(&self) -> Vec<AirlineState> {
-        // Choose an ordered assigned list from the people, then an
-        // ordered waiting list from the remainder.
-        let mut out = Vec::new();
-        let mut assigned: Vec<Person> = Vec::new();
-        self.pick_assigned(&mut assigned, &mut out);
-        out
-    }
-
-    fn pick_assigned(&self, assigned: &mut Vec<Person>, out: &mut Vec<AirlineState>) {
-        // For the current assigned list, enumerate all waiting lists.
-        let remaining: Vec<Person> = self
-            .people
-            .iter()
-            .copied()
-            .filter(|p| !assigned.contains(p))
-            .collect();
-        let mut waiting: Vec<Person> = Vec::new();
-        Self::pick_waiting(&remaining, &mut waiting, assigned, out);
-        // Extend the assigned list by each unused person.
-        for p in remaining {
-            assigned.push(p);
-            self.pick_assigned(assigned, out);
-            assigned.pop();
-        }
-    }
-
-    fn pick_waiting(
-        pool: &[Person],
-        waiting: &mut Vec<Person>,
-        assigned: &[Person],
-        out: &mut Vec<AirlineState>,
-    ) {
-        out.push(AirlineState::from_lists(assigned.to_vec(), waiting.clone()));
-        for &p in pool {
-            if waiting.contains(&p) {
-                continue;
-            }
-            waiting.push(p);
-            Self::pick_waiting(pool, waiting, assigned, out);
-            waiting.pop();
-        }
+fn pick_assigned(people: &[Person], assigned: &mut Vec<Person>, out: &mut Vec<AirlineState>) {
+    // For the current assigned list, enumerate all waiting lists.
+    let remaining: Vec<Person> = people
+        .iter()
+        .copied()
+        .filter(|p| !assigned.contains(p))
+        .collect();
+    pick_waiting(&remaining, &mut Vec::new(), assigned, out);
+    // Extend the assigned list by each unused person.
+    for p in remaining {
+        assigned.push(p);
+        pick_assigned(people, assigned, out);
+        assigned.pop();
     }
 }
 
-impl StateSpace<FlyByNight> for AirlineSpace {
-    fn states(&self, _app: &FlyByNight) -> Vec<AirlineState> {
-        self.enumerate()
+fn pick_waiting(
+    pool: &[Person],
+    waiting: &mut Vec<Person>,
+    assigned: &[Person],
+    out: &mut Vec<AirlineState>,
+) {
+    out.push(AirlineState::from_lists(assigned.to_vec(), waiting.clone()));
+    for &p in pool {
+        if waiting.contains(&p) {
+            continue;
+        }
+        waiting.push(p);
+        pick_waiting(pool, waiting, assigned, out);
+        waiting.pop();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::airline::FlyByNight;
     use shard_core::Application;
-
-    fn count(n: u32) -> usize {
-        AirlineSpace::all_states(n)
-            .states(&FlyByNight::new(2))
-            .len()
-    }
 
     #[test]
     fn enumeration_counts_match_combinatorics() {
         // Σ_a P(n,a) · Σ_w P(n−a,w): ordered disjoint list pairs.
-        assert_eq!(count(0), 1);
-        assert_eq!(count(1), 3); // {}, [P1| ], [ |P1]
-        assert_eq!(count(2), 11);
-        assert_eq!(count(3), 49);
+        assert_eq!(all_states(0).len(), 1);
+        assert_eq!(all_states(1).len(), 3); // {}, [P1| ], [ |P1]
+        assert_eq!(all_states(2).len(), 11);
+        assert_eq!(all_states(3).len(), 49);
+        assert_eq!(all_states(4).len(), 261);
     }
 
     #[test]
     fn all_enumerated_states_are_well_formed() {
         let app = FlyByNight::new(2);
-        let space = AirlineSpace::all_states(3);
-        for s in space.states(&app) {
+        for s in all_states(3) {
             assert!(app.is_well_formed(&s), "ill-formed: {s}");
         }
     }
 
     #[test]
     fn enumeration_has_no_duplicates() {
-        let app = FlyByNight::new(2);
-        let states = AirlineSpace::all_states(3).states(&app);
+        let states = all_states(3);
         for (i, a) in states.iter().enumerate() {
             for b in &states[i + 1..] {
                 assert_ne!(a, b);
@@ -132,9 +96,6 @@ mod tests {
 
     #[test]
     fn over_custom_people() {
-        let space = AirlineSpace::over(vec![Person(7)]);
-        assert_eq!(space.people(), &[Person(7)]);
-        let states = space.states(&FlyByNight::new(1));
-        assert_eq!(states.len(), 3);
+        assert_eq!(over(&[Person(7)]).len(), 3);
     }
 }

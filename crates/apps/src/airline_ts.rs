@@ -172,8 +172,7 @@ impl Application for TsFlyByNight {
         distinct && sorted(&state.assigned) && sorted(&state.waiting)
     }
 
-    fn apply(&self, state: &TsAirlineState, update: &TsUpdate) -> TsAirlineState {
-        let mut s = state.clone();
+    fn apply_in_place(&self, s: &mut TsAirlineState, update: &TsUpdate) {
         match update {
             TsUpdate::Request(sp) => {
                 if !s.is_known(sp.person) {
@@ -198,7 +197,6 @@ impl Application for TsFlyByNight {
             }
             TsUpdate::Noop => {}
         }
-        s
     }
 
     fn decide(&self, decision: &TsTxn, observed: &TsAirlineState) -> DecisionOutcome<TsUpdate> {

@@ -254,12 +254,6 @@ impl Application for Bank {
         true // negative balances are costly but representable
     }
 
-    fn apply(&self, state: &BankState, update: &BankUpdate) -> BankState {
-        let mut s = state.clone();
-        self.apply_in_place(&mut s, update);
-        s
-    }
-
     fn apply_in_place(&self, s: &mut BankState, update: &BankUpdate) {
         match update {
             BankUpdate::Credit(a, amt) => s.credit(*a, *amt as i64),
@@ -380,20 +374,20 @@ impl shard_core::ObjectModel for Bank {
 mod tests {
     use super::*;
     use shard_core::costs::{compensates_for, is_safe_for, preserves_cost};
-    use shard_core::{ExecutionBuilder, ExplicitStates};
+    use shard_core::ExecutionBuilder;
 
     fn a(n: u32) -> AccountId {
         AccountId(n)
     }
 
-    fn space() -> ExplicitStates<BankState> {
+    fn space() -> Vec<BankState> {
         let mut states = Vec::new();
         for b1 in [-300i64, -1, 0, 1, 250] {
             for b2 in [-50i64, 0, 400] {
                 states.push(BankState::with_balances(&[(a(1), b1), (a(2), b2)]));
             }
         }
-        ExplicitStates(states)
+        states
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl Application for Dictionary {
         true
     }
 
-    fn apply(&self, state: &DictState, update: &DictUpdate) -> DictState {
-        let mut s = state.clone();
-        self.apply_in_place(&mut s, update);
-        s
-    }
-
     fn apply_in_place(&self, s: &mut DictState, update: &DictUpdate) {
         match update {
             DictUpdate::Insert(k, v) => {

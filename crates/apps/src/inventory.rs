@@ -290,12 +290,6 @@ impl Application for Warehouse {
         ids.windows(2).all(|w| w[0] != w[1])
     }
 
-    fn apply(&self, state: &InventoryState, update: &InvUpdate) -> InventoryState {
-        let mut s = state.clone();
-        self.apply_in_place(&mut s, update);
-        s
-    }
-
     fn apply_in_place(&self, s: &mut InventoryState, update: &InvUpdate) {
         match update {
             InvUpdate::Commit(i, o) => {
@@ -500,7 +494,7 @@ impl PriorityModel for Warehouse {
 mod tests {
     use super::*;
     use shard_core::costs::{compensates_for, is_safe_for, preserves_cost};
-    use shard_core::{ExecutionBuilder, ExplicitStates};
+    use shard_core::ExecutionBuilder;
 
     fn o(id: u32, qty: u64) -> Order {
         Order {
@@ -517,7 +511,7 @@ mod tests {
 
     /// A structured space over one item: stock 0..=6, up to two orders in
     /// each queue with quantities 1..=3.
-    fn space() -> ExplicitStates<InventoryState> {
+    fn space() -> Vec<InventoryState> {
         let mut states = Vec::new();
         let order_sets: Vec<Vec<Order>> = vec![
             vec![],
@@ -547,7 +541,7 @@ mod tests {
                 }
             }
         }
-        ExplicitStates(states)
+        states
     }
 
     #[test]

@@ -206,12 +206,6 @@ impl Application for NameServer {
             })
     }
 
-    fn apply(&self, state: &NsState, update: &NsUpdate) -> NsState {
-        let mut s = state.clone();
-        self.apply_in_place(&mut s, update);
-        s
-    }
-
     fn apply_in_place(&self, s: &mut NsState, update: &NsUpdate) {
         match update {
             NsUpdate::SetAddress(n, a) => {
@@ -303,7 +297,7 @@ impl Application for NameServer {
 mod tests {
     use super::*;
     use shard_core::costs::{compensates_for, is_safe_for, preserves_cost};
-    use shard_core::{ExecutionBuilder, ExplicitStates};
+    use shard_core::ExecutionBuilder;
 
     fn n(i: u32) -> Name {
         Name(i)
@@ -316,7 +310,7 @@ mod tests {
     }
 
     /// Structured state space over two names and two groups.
-    fn space() -> ExplicitStates<NsState> {
+    fn space() -> Vec<NsState> {
         let mut out = Vec::new();
         let reg_options: Vec<Vec<(Name, u64)>> = vec![
             vec![],
@@ -332,7 +326,7 @@ mod tests {
                 }
             }
         }
-        ExplicitStates(out)
+        out
     }
 
     #[test]

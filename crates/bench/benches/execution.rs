@@ -1,10 +1,9 @@
-//! Scaling of the formal-model checkers: execution verification,
-//! transitivity, and apparent-state replay.
+//! Apparent-state replay and the propagation kernel's overhead.
 //!
-//! `bench_replay_scaling` additionally compares the incremental
-//! (checkpointed) replay engine against from-scratch replay on the
-//! whole-execution apparent-state sweep every checker performs, and
-//! writes the numbers to `BENCH_replay.json` at the repository root.
+//! `bench_replay_scaling` compares the incremental (checkpointed) replay
+//! engine against from-scratch replay on the whole-execution
+//! apparent-state sweep every checker performs, and writes the numbers
+//! to `BENCH_replay.json` at the repository root.
 //!
 //! `bench_kernel_overhead` times the unified propagation kernel
 //! ([`shard_sim::Runner`] + `EagerBroadcast`) against a bench-local
@@ -13,11 +12,10 @@
 //! workloads; the overhead lands in `BENCH_replay.json` too, with a
 //! 5% regression budget.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineState, AirlineTxn, FlyByNight};
 use shard_bench::workloads::{airline_execution_with_k, airline_invocations, Routing};
-use shard_core::{conditions, Application, Execution};
+use shard_core::{Application, Execution};
 use shard_sim::broadcast::delivery_time;
 use shard_sim::events::EventQueue;
 use shard_sim::{
@@ -25,42 +23,8 @@ use shard_sim::{
     Runner, Timestamp,
 };
 use std::hint::black_box;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
-
-fn bench_verify(c: &mut Criterion) {
-    let app = FlyByNight::new(40);
-    let mut group = c.benchmark_group("execution/verify");
-    group.sample_size(10);
-    for n in [200usize, 800, 2000] {
-        let e = airline_execution_with_k(&app, 3, n, 4, AirlineMix::default());
-        group.bench_with_input(BenchmarkId::from_parameter(n), &e, |b, e| {
-            b.iter(|| black_box(e.verify(&app).is_ok()))
-        });
-    }
-    group.finish();
-}
-
-fn bench_transitivity(c: &mut Criterion) {
-    let app = FlyByNight::new(40);
-    let mut group = c.benchmark_group("execution/is_transitive");
-    group.sample_size(10);
-    for n in [500usize, 2000, 5000] {
-        let e = airline_execution_with_k(&app, 5, n, 4, AirlineMix::default());
-        group.bench_with_input(BenchmarkId::from_parameter(n), &e, |b, e| {
-            b.iter(|| black_box(conditions::is_transitive(e)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_actual_states(c: &mut Criterion) {
-    let app = FlyByNight::new(40);
-    let e = airline_execution_with_k(&app, 1, 2000, 4, AirlineMix::default());
-    c.bench_function("execution/actual_states_2000", |b| {
-        b.iter(|| black_box(e.actual_states(&app).len()))
-    });
-}
 
 /// From-scratch apparent state: what every checker cost before the
 /// replay engine existed (the seed's `O(n²)` path).
@@ -109,8 +73,9 @@ fn median(samples: &mut [f64]) -> f64 {
 /// strided sample of the queries (its per-query cost is linear in the
 /// prefix length, so the strided mean is the overall mean) and scaled
 /// to the full sweep; the sampling keeps the n = 10⁴ case from taking
-/// minutes. Results are printed and written to `BENCH_replay.json`.
-fn bench_replay_scaling(_c: &mut Criterion) {
+/// minutes. Results are printed and written to `BENCH_replay.json`,
+/// together with `kernel_rows` from [`bench_kernel_overhead`].
+fn bench_replay_scaling(kernel_rows: &str) {
     let app = FlyByNight::new(40);
     let mut rows = String::new();
     println!("\nexecution/replay_scaling (naive vs incremental apparent-state sweep)");
@@ -166,15 +131,13 @@ fn bench_replay_scaling(_c: &mut Criterion) {
             if n == 10_000 { "" } else { "," }
         ));
     }
-    let kernel = KERNEL_ROWS.get().map_or(String::new(), |r| {
-        format!(
-            ",\n  \"kernel_overhead\": {{\n    \
-             \"workload\": \"airline flooding, 5 nodes, eager broadcast\",\n    \
-             \"baseline\": \"bench-local seed driver (flat loop, no strategy/crash/trace plumbing)\",\n    \
-             \"results\": [\n{}    ]\n  }}",
-            r.replace("    {", "      {")
-        )
-    });
+    let kernel = format!(
+        ",\n  \"kernel_overhead\": {{\n    \
+         \"workload\": \"airline flooding, 5 nodes, eager broadcast\",\n    \
+         \"baseline\": \"bench-local seed driver (flat loop, no strategy/crash/trace plumbing)\",\n    \
+         \"results\": [\n{}    ]\n  }}",
+        kernel_rows.replace("    {", "      {")
+    );
     let json = format!(
         "{{\n  \"bench\": \"execution_checker_sweep\",\n  \
          \"workload\": \"airline apparent-state sweep, k<=4, 40 seats\",\n  \
@@ -186,11 +149,6 @@ fn bench_replay_scaling(_c: &mut Criterion) {
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
 }
-
-/// JSON rows produced by `bench_kernel_overhead`, picked up by
-/// `bench_replay_scaling` when it writes `BENCH_replay.json` (the two
-/// run in group order).
-static KERNEL_ROWS: OnceLock<String> = OnceLock::new();
 
 /// What the seed driver recorded per transaction (the pre-kernel
 /// report row): serial position, origin, decision-time
@@ -304,9 +262,9 @@ fn best_of_ns(reps: usize, mut run: impl FnMut()) -> f64 {
 /// transactions over 5 nodes. Both are timed with the metrics layer
 /// off, so the number isolates the kernel's structural bookkeeping
 /// (strategy dispatch, crash gating, traced merge, barrier checks).
-/// The repo budget for the overhead is ≤ 5%; the rows land in
-/// `BENCH_replay.json` via `bench_replay_scaling`.
-fn bench_kernel_overhead(_c: &mut Criterion) {
+/// The repo budget for the overhead is ≤ 5%; the returned JSON rows
+/// land in `BENCH_replay.json` via `bench_replay_scaling`.
+fn bench_kernel_overhead() -> String {
     let app = FlyByNight::new(40);
     let nodes = 5u16;
     let delay = DelayModel::Exponential { mean: 10 };
@@ -356,15 +314,10 @@ fn bench_kernel_overhead(_c: &mut Criterion) {
             if n == 4000 { "" } else { "," }
         ));
     }
-    let _ = KERNEL_ROWS.set(rows);
+    rows
 }
 
-criterion_group!(
-    benches,
-    bench_verify,
-    bench_transitivity,
-    bench_actual_states,
-    bench_kernel_overhead,
-    bench_replay_scaling
-);
-criterion_main!(benches);
+fn main() {
+    let kernel_rows = bench_kernel_overhead();
+    bench_replay_scaling(&kernel_rows);
+}

@@ -7,7 +7,6 @@
 //! the host's core count — on a single-core host the table shows the
 //! (honest) absence of speedup while still certifying determinism.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_bench::chaos::{sweep, ChaosConfig};
@@ -149,7 +148,7 @@ fn checker_rows() -> String {
     json_rows(&rows, baseline)
 }
 
-fn bench_parallel_scaling(_c: &mut Criterion) {
+fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let chaos = chaos_rows();
     let checker = checker_rows();
@@ -172,6 +171,3 @@ fn bench_parallel_scaling(_c: &mut Criterion) {
         Err(e) => eprintln!("  could not write {path}: {e}"),
     }
 }
-
-criterion_group!(benches, bench_parallel_scaling);
-criterion_main!(benches);

@@ -11,7 +11,6 @@
 //! * clone traffic is ≥ 10× under the pre-refactor engine, which
 //!   materialised one full state per replayed update.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_bench::workloads::airline_execution_with_k;
@@ -47,7 +46,7 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-fn bench_state_layer(_c: &mut Criterion) {
+fn main() {
     let n = 10_000usize;
     let app = FlyByNight::new(40);
     let e = airline_execution_with_k(&app, 3, n, 4, AirlineMix::default());
@@ -136,6 +135,3 @@ fn bench_state_layer(_c: &mut Criterion) {
         "clone traffic must be >= 10x under the pre-refactor engine (got {clone_reduction:.1}x)"
     );
 }
-
-criterion_group!(benches, bench_state_layer);
-criterion_main!(benches);

@@ -25,7 +25,6 @@
 //! [`StreamChecker`]: shard_core::stream::StreamChecker
 //! [`LiveMonitor`]: shard_sim::LiveMonitor
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_apps::banking::{Bank, BankTxn, BankUpdate};
@@ -185,7 +184,7 @@ fn median(samples: &mut [f64]) -> f64 {
     }
 }
 
-fn bench_stream(_c: &mut Criterion) {
+fn main() {
     const N: usize = 1_000_000;
     println!("\nstream/checker (windowed §3 verification over synthetic rows)");
     let rows = synthetic_rows(N);
@@ -356,6 +355,3 @@ fn bench_stream(_c: &mut Criterion) {
         println!("  WARN live monitor overhead {overhead_pct:+.1}% is over its 10% target");
     }
 }
-
-criterion_group!(benches, bench_stream);
-criterion_main!(benches);

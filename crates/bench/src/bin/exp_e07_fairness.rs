@@ -80,6 +80,7 @@ fn main() {
                 conditions::is_transitive(&te.execution),
                 "a round at each execution ⇒ transitive"
             );
+            let states = te.execution.actual_states(&app);
             // Eligible people: single uncancelled request.
             let people: Vec<Person> = (1..=200u32)
                 .map(Person)
@@ -88,7 +89,7 @@ fn main() {
             // Sample pairs (stride to keep runtime sane).
             for (a, &p) in people.iter().enumerate().step_by(3) {
                 for &q in people[a + 1..].iter().step_by(7) {
-                    if let Some(check) = check_theorem25(&app, &te.execution, p, q) {
+                    if let Some(check) = check_theorem25(&app, &te.execution, &states, p, q) {
                         pairs += 1;
                         if !check.holds() {
                             violations += 1;
@@ -157,6 +158,7 @@ fn main() {
             orderly_all &= orderly;
             let t_bound = te.min_delay_bound();
             tmax = tmax.max(t_bound);
+            let states = te.execution.actual_states(&app);
             // Request times per person.
             let mut reqs: Vec<(u64, Person)> = Vec::new();
             for (i, r) in te.execution.iter() {
@@ -174,7 +176,9 @@ fn main() {
                     }
                     // Lemma 26's hypothesis is implied by the t-bound +
                     // orderliness; verify the conclusion.
-                    if let Some(check) = check_request_order_priority(&app, &te.execution, p, q) {
+                    if let Some(check) =
+                        check_request_order_priority(&app, &te.execution, &states, p, q)
+                    {
                         pairs += 1;
                         if !check.holds() {
                             violations += 1;

@@ -16,7 +16,6 @@ use shard_bench::workloads::bank_invocations;
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::{classify_transaction, compensation_steps, BoundFn};
 use shard_core::Application;
-use shard_core::ExplicitStates;
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{ClusterConfig, DelayModel, NodeId, Runner};
 
@@ -30,7 +29,7 @@ fn main() {
     println!("E12: banking — taxonomy, invariant overdraft bound, compensation\n");
 
     // (a) §4.1 classification over a structured state space.
-    let space = {
+    let space: Vec<BankState> = {
         let mut states = Vec::new();
         let vals = [-250i64, -100, -1, 0, 1, 99, 100, 300];
         for b1 in vals {
@@ -41,7 +40,7 @@ fn main() {
                 ]));
             }
         }
-        ExplicitStates(states)
+        states
     };
     let c1 = app.account_constraint(AccountId(1)).unwrap();
     let mut t = Table::new(

@@ -6,11 +6,11 @@
 //! priority; REQUEST/CANCEL strongly preserve it; the movers do not).
 //! This experiment discharges every one of those quantified claims
 //! *exactly* on a scaled-down instance (capacity 2, people P1–P4, all
-//! 209 well-formed states enumerated) — the arguments in §4.1 are
+//! 261 well-formed states enumerated) — the arguments in §4.1 are
 //! capacity-independent, so the small instance is faithful.
 
 use shard_analysis::Table;
-use shard_apps::airline::space::AirlineSpace;
+use shard_apps::airline::space;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_apps::Person;
 use shard_core::costs::{classify_transaction, updates_preserve_well_formedness};
@@ -19,7 +19,7 @@ use shard_core::fairness::{preserves_priority, strongly_preserves_priority};
 fn main() {
     let exp = shard_bench::Experiment::start("e14");
     let app = FlyByNight::new(2);
-    let space = AirlineSpace::all_states(4);
+    let states = space::all_states(4);
     let mut ok = true;
     println!("E14: §4.1/§4.2 taxonomy, exhaustive over capacity-2 / 4-person instance\n");
 
@@ -62,7 +62,7 @@ fn main() {
             ],
         );
         for ((name, txn), (e_safe, e_pres, e_comp)) in txns.iter().zip(expected.iter()) {
-            let c = classify_transaction(&app, txn, constraint, &space);
+            let c = classify_transaction(&app, txn, constraint, &states);
             let matches = c.safe == *e_safe && c.preserves == *e_pres && c.compensates == *e_comp;
             ok &= matches;
             t.push_row(vec![
@@ -82,7 +82,7 @@ fn main() {
         &["transaction", "holds"],
     );
     for (name, txn) in &txns {
-        let holds = updates_preserve_well_formedness(&app, txn, &space);
+        let holds = updates_preserve_well_formedness(&app, txn, &states);
         ok &= holds;
         t.push_row(vec![name.to_string(), holds.to_string()]);
     }
@@ -101,8 +101,8 @@ fn main() {
         ],
     );
     for ((name, txn), e_strong) in txns.iter().zip(expected_strong.iter()) {
-        let weak = preserves_priority(&app, txn, &space);
-        let strong = strongly_preserves_priority(&app, txn, &space);
+        let weak = preserves_priority(&app, txn, &states);
+        let strong = strongly_preserves_priority(&app, txn, &states);
         let matches = weak && strong == *e_strong;
         ok &= matches;
         t.push_row(vec![

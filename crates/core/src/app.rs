@@ -92,15 +92,17 @@ impl<U> DecisionOutcome<U> {
 ///
 /// `Decision` values name transaction *instances* as submitted by clients
 /// (e.g. `REQUEST(P)` or `MOVE-UP`); [`Application::decide`] is the
-/// decision part `D_T`, and [`Application::apply`] executes update parts.
+/// decision part `D_T`, and [`Application::apply_in_place`] executes
+/// update parts. An application states each update once, in place;
+/// [`Application::apply`] derives the pure map from it.
 ///
 /// # Contract
 ///
 /// * [`Application::initial_state`] must be well-formed.
 /// * Every update returned by [`Application::decide`] must preserve
-///   well-formedness under [`Application::apply`] (the paper *requires*
-///   this of updates; [`costs::updates_preserve_well_formedness`] checks
-///   it over a [`StateSpace`]).
+///   well-formedness under [`Application::apply_in_place`] (the paper
+///   *requires* this of updates; [`costs::updates_preserve_well_formedness`]
+///   checks it over a slice of states).
 /// * [`Application::cost`] must be `0` exactly when constraint `i` is
 ///   satisfied in `s`.
 ///
@@ -119,22 +121,22 @@ pub trait Application {
     /// Whether `state` satisfies the fundamental consistency conditions.
     fn is_well_formed(&self, state: &Self::State) -> bool;
 
-    /// Runs the update part: the state produced by applying `update`
-    /// to `state` (the paper's `A(s)`).
-    fn apply(&self, state: &Self::State, update: &Self::Update) -> Self::State;
-
-    /// Runs the update part **in place**: `*state` becomes `A(*state)`.
+    /// Runs the update part **in place**: `*state` becomes `A(*state)`
+    /// (the paper's `A(s)`).
     ///
-    /// Semantically identical to [`Application::apply`] (a property
-    /// test per application pins the equivalence); the point is cost.
     /// The replay engine, the execution folds and the simulator's merge
-    /// log all advance a state they own through long update runs, and
-    /// the default clone-and-replace turns every step into an O(state)
-    /// copy. Applications whose updates touch a small part of the state
-    /// override this with a direct mutation, making the advance loops
-    /// O(delta) per update.
-    fn apply_in_place(&self, state: &mut Self::State, update: &Self::Update) {
-        *state = self.apply(state, update);
+    /// log all advance a state they own through long update runs, so an
+    /// update that touches a small part of the state costs O(delta) per
+    /// step there.
+    fn apply_in_place(&self, state: &mut Self::State, update: &Self::Update);
+
+    /// The pure form of [`Application::apply_in_place`]: the state
+    /// produced by applying `update` to a clone of `state`. For checkers
+    /// that quantify over borrowed states.
+    fn apply(&self, state: &Self::State, update: &Self::Update) -> Self::State {
+        let mut s = state.clone();
+        self.apply_in_place(&mut s, update);
+        s
     }
 
     /// Approximate size of `state` in bytes — inline footprint plus
@@ -196,49 +198,6 @@ pub trait Application {
     }
 }
 
-/// A finite set of states used to check the universally quantified
-/// transaction properties of §4 ("for every well-formed state s ...").
-///
-/// The paper's properties quantify over *all* well-formed states, which
-/// is undecidable for a black-box [`Application`]. Concrete applications
-/// provide either an exhaustive enumeration of a scaled-down instance
-/// (e.g. an airline with 3 seats and 4 people — small enough that the
-/// quantifier is checked exactly) or a structured random sample. The
-/// checkers in [`crate::costs`] and [`crate::fairness`] are exact over
-/// whatever space they are given.
-pub trait StateSpace<A: Application + ?Sized> {
-    /// Produces the well-formed states to quantify over.
-    fn states(&self, app: &A) -> Vec<A::State>;
-
-    /// Visits each state by reference, stopping early when `visit`
-    /// returns `false`; the result is whether every visited state
-    /// returned `true` (i.e. `∀s. visit(s)`, short-circuiting).
-    ///
-    /// This is the borrowing path the §4 checkers iterate on: the
-    /// default routes through [`StateSpace::states`] (one owned vector
-    /// per call), while spaces that already hold their states — like
-    /// [`ExplicitStates`] — override it to lend them out with no clone
-    /// at all. Checkers call it many times per classification, so the
-    /// difference is a large constant factor on exhaustive spaces.
-    fn for_each_state(&self, app: &A, visit: &mut dyn FnMut(&A::State) -> bool) -> bool {
-        self.states(app).iter().all(&mut *visit)
-    }
-}
-
-/// A state space given as an explicit vector of states.
-#[derive(Clone, Debug)]
-pub struct ExplicitStates<S>(pub Vec<S>);
-
-impl<A: Application> StateSpace<A> for ExplicitStates<A::State> {
-    fn states(&self, _app: &A) -> Vec<A::State> {
-        self.0.clone()
-    }
-
-    fn for_each_state(&self, _app: &A, visit: &mut dyn FnMut(&A::State) -> bool) -> bool {
-        self.0.iter().all(&mut *visit)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,8 +216,8 @@ mod tests {
         fn is_well_formed(&self, _: &u32) -> bool {
             true
         }
-        fn apply(&self, s: &u32, _: &Inc) -> u32 {
-            s + 1
+        fn apply_in_place(&self, s: &mut u32, _: &Inc) {
+            *s += 1;
         }
         fn decide(&self, _: &Inc, _: &u32) -> DecisionOutcome<Inc> {
             DecisionOutcome::update_only(Inc)
@@ -303,34 +262,11 @@ mod tests {
     }
 
     #[test]
-    fn explicit_states_roundtrip() {
-        let space = ExplicitStates(vec![0u32, 1, 2]);
-        assert_eq!(space.states(&Toy), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn for_each_state_borrows_and_short_circuits() {
-        let space = ExplicitStates(vec![0u32, 1, 2, 3]);
-        let mut seen = Vec::new();
-        assert!(space.for_each_state(&Toy, &mut |s| {
-            seen.push(*s);
-            true
-        }));
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        seen.clear();
-        assert!(!space.for_each_state(&Toy, &mut |s| {
-            seen.push(*s);
-            *s < 1
-        }));
-        assert_eq!(seen, vec![0, 1], "stops at the first false");
-    }
-
-    #[test]
-    fn default_apply_in_place_matches_apply() {
+    fn derived_apply_leaves_its_input_alone() {
         let app = Toy;
-        let mut s = 5u32;
-        app.apply_in_place(&mut s, &Inc);
-        assert_eq!(s, app.apply(&5, &Inc));
+        let s = 5u32;
+        assert_eq!(app.apply(&s, &Inc), 6);
+        assert_eq!(s, 5);
     }
 
     #[test]

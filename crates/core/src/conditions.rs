@@ -282,7 +282,7 @@ mod tests {
         fn is_well_formed(&self, _: &()) -> bool {
             true
         }
-        fn apply(&self, _: &(), _: &Nop) {}
+        fn apply_in_place(&self, _: &mut (), _: &Nop) {}
         fn decide(&self, _: &(), _: &()) -> DecisionOutcome<Nop> {
             DecisionOutcome::update_only(Nop)
         }

@@ -21,11 +21,13 @@
 //!   is the result of a subsequence of `s`'s update sequence missing at
 //!   most `k` updates.
 //!
-//! These properties quantify over all well-formed states; the checkers
-//! here are exact over a caller-supplied [`StateSpace`] (applications
-//! provide exhaustive scaled-down enumerations).
+//! These properties quantify over all well-formed states, which is
+//! undecidable for a black-box [`Application`]; the checkers here are
+//! exact over a caller-supplied slice of states (applications provide
+//! exhaustive enumerations of a scaled-down instance, e.g. an airline
+//! with 3 seats and 4 people).
 
-use crate::app::{Application, Cost, StateSpace};
+use crate::app::{Application, Cost};
 use crate::execution::{Execution, TxnIndex};
 use std::fmt;
 
@@ -96,41 +98,39 @@ impl fmt::Debug for BoundFn {
     }
 }
 
-/// Whether update `u` is **increasing** for `constraint` over the given
-/// state space: some well-formed state's cost strictly rises under `u`.
+/// Whether update `u` is **increasing** for `constraint` over
+/// `states`: some well-formed state's cost strictly rises under `u`.
 pub fn is_increasing_for<A: Application>(
     app: &A,
     u: &A::Update,
     constraint: usize,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    // `any` = not `all states fail the predicate`; the borrowing visitor
-    // avoids cloning the quantifier space on every call.
-    !space.for_each_state(app, &mut |s| {
-        !(app.is_well_formed(s) && app.cost(&app.apply(s, u), constraint) > app.cost(s, constraint))
+    states.iter().any(|s| {
+        app.is_well_formed(s) && app.cost(&app.apply(s, u), constraint) > app.cost(s, constraint)
     })
 }
 
-/// Whether transaction `decision` is **safe** for `constraint` over the
-/// state space: from every well-formed state, the update it invokes is
+/// Whether transaction `decision` is **safe** for `constraint` over
+/// `states`: from every well-formed state, the update it invokes is
 /// non-increasing for the constraint.
 pub fn is_safe_for<A: Application>(
     app: &A,
     decision: &A::Decision,
     constraint: usize,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    space.for_each_state(app, &mut |s| {
+    states.iter().all(|s| {
         if !app.is_well_formed(s) {
             return true;
         }
         let u = app.decide(decision, s).update;
-        !is_increasing_for(app, &u, constraint, space)
+        !is_increasing_for(app, &u, constraint, states)
     })
 }
 
 /// Whether transaction `decision` **preserves the cost** of `constraint`
-/// over the state space (§4.1): if from well-formed `s` it invokes an
+/// over `states` (§4.1): if from well-formed `s` it invokes an
 /// update `A` that is increasing for the constraint, then
 /// `cost(A(s), constraint) = 0` — the transaction believes the post-state
 /// satisfies the constraint.
@@ -138,14 +138,14 @@ pub fn preserves_cost<A: Application>(
     app: &A,
     decision: &A::Decision,
     constraint: usize,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    space.for_each_state(app, &mut |s| {
+    states.iter().all(|s| {
         if !app.is_well_formed(s) {
             return true;
         }
         let u = app.decide(decision, s).update;
-        if is_increasing_for(app, &u, constraint, space) {
+        if is_increasing_for(app, &u, constraint, states) {
             app.cost(&app.apply(s, &u), constraint) == 0
         } else {
             true
@@ -154,15 +154,15 @@ pub fn preserves_cost<A: Application>(
 }
 
 /// Whether transaction `decision` **compensates** for `constraint` over
-/// the state space: from every well-formed `s` with positive cost,
+/// `states`: from every well-formed `s` with positive cost,
 /// `T(s, s)` strictly decreases the cost.
 pub fn compensates_for<A: Application>(
     app: &A,
     decision: &A::Decision,
     constraint: usize,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    space.for_each_state(app, &mut |s| {
+    states.iter().all(|s| {
         if !(app.is_well_formed(s) && app.cost(s, constraint) > 0) {
             return true;
         }
@@ -171,22 +171,22 @@ pub fn compensates_for<A: Application>(
     })
 }
 
-/// Whether every update a transaction can invoke (over the space)
+/// Whether every update a transaction can invoke (over `states`)
 /// preserves well-formedness — the baseline requirement the paper places
 /// on all updates (§2.3).
 pub fn updates_preserve_well_formedness<A: Application>(
     app: &A,
     decision: &A::Decision,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    space.for_each_state(app, &mut |observed| {
+    states.iter().all(|observed| {
         if !app.is_well_formed(observed) {
             return true;
         }
         let u = app.decide(decision, observed).update;
-        space.for_each_state(app, &mut |acting| {
-            !app.is_well_formed(acting) || app.is_well_formed(&app.apply(acting, &u))
-        })
+        states
+            .iter()
+            .all(|acting| !app.is_well_formed(acting) || app.is_well_formed(&app.apply(acting, &u)))
     })
 }
 
@@ -227,17 +227,17 @@ pub struct TxnClassification {
     pub compensates: bool,
 }
 
-/// Classifies `decision` against `constraint` over the state space.
+/// Classifies `decision` against `constraint` over `states`.
 pub fn classify_transaction<A: Application>(
     app: &A,
     decision: &A::Decision,
     constraint: usize,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> TxnClassification {
     TxnClassification {
-        safe: is_safe_for(app, decision, constraint, space),
-        preserves: preserves_cost(app, decision, constraint, space),
-        compensates: compensates_for(app, decision, constraint, space),
+        safe: is_safe_for(app, decision, constraint, states),
+        preserves: preserves_cost(app, decision, constraint, states),
+        compensates: compensates_for(app, decision, constraint, states),
     }
 }
 
@@ -317,7 +317,7 @@ pub fn missing_between<A: Application>(exec: &Execution<A>, kept: &[TxnIndex]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{DecisionOutcome, ExplicitStates};
+    use crate::app::DecisionOutcome;
 
     /// A bank account with one constraint: balance ≥ 0. `Withdraw` is
     /// invoked only when the decision saw enough money; `Deposit` always.
@@ -349,12 +349,12 @@ mod tests {
         fn is_well_formed(&self, s: &i64) -> bool {
             *s > -1000 && *s < 1000
         }
-        fn apply(&self, s: &i64, u: &Op) -> i64 {
+        fn apply_in_place(&self, s: &mut i64, u: &Op) {
             match u {
-                Op::Deposit(a) => s + a,
-                Op::Withdraw(a) => s - a,
-                Op::Sweep => (*s).max(0),
-                Op::Noop => *s,
+                Op::Deposit(a) => *s += a,
+                Op::Withdraw(a) => *s -= a,
+                Op::Sweep => *s = (*s).max(0),
+                Op::Noop => {}
             }
         }
         fn decide(&self, d: &Txn, observed: &i64) -> DecisionOutcome<Op> {
@@ -376,8 +376,8 @@ mod tests {
         }
     }
 
-    fn space() -> ExplicitStates<i64> {
-        ExplicitStates((-20..=20).collect())
+    fn space() -> Vec<i64> {
+        (-20..=20).collect()
     }
 
     #[test]
@@ -438,8 +438,8 @@ mod tests {
             fn is_well_formed(&self, s: &i64) -> bool {
                 *s > -1000 && *s < 1000
             }
-            fn apply(&self, s: &i64, u: &Op) -> i64 {
-                Account.apply(s, u)
+            fn apply_in_place(&self, s: &mut i64, u: &Op) {
+                Account.apply_in_place(s, u)
             }
             fn decide(&self, d: &Txn, _: &i64) -> DecisionOutcome<Op> {
                 match d {
@@ -489,7 +489,7 @@ mod tests {
     #[test]
     fn updates_preserve_wf() {
         let app = Account;
-        let small = ExplicitStates((-5..=5).collect());
+        let small: Vec<i64> = (-5..=5).collect();
         assert!(updates_preserve_well_formedness(
             &app,
             &Txn::Deposit(3),

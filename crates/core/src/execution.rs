@@ -768,10 +768,9 @@ mod tests {
         fn is_well_formed(&self, s: &u32) -> bool {
             *s < 1000
         }
-        fn apply(&self, s: &u32, u: &Up) -> u32 {
-            match u {
-                Up::Bump => s + 1,
-                Up::Noop => *s,
+        fn apply_in_place(&self, s: &mut u32, u: &Up) {
+            if let Up::Bump = u {
+                *s += 1;
             }
         }
         fn decide(&self, _: &(), observed: &u32) -> DecisionOutcome<Up> {

@@ -16,7 +16,7 @@
 //!   (the worked example in §4.2), which is precisely why the fairness
 //!   theorems of §5.5 need centralization of the moving transactions.
 
-use crate::app::{Application, StateSpace};
+use crate::app::Application;
 use std::fmt::Debug;
 
 /// Extends an [`Application`] with the competing-entity model of §4.2.
@@ -107,81 +107,56 @@ fn check_pair<A: PriorityModel>(
     None
 }
 
-/// Whether `decision` **preserves priority** over the state space:
+/// Whether `decision` **preserves priority** over `states`:
 /// for every well-formed `s`, running `T(s, s)` keeps relative priority
 /// of surviving entities and ranks newcomers last.
 pub fn preserves_priority<A: PriorityModel>(
     app: &A,
     decision: &A::Decision,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    priority_violation(app, decision, space).is_none()
+    priority_violation(app, decision, states).is_none()
 }
 
 /// First violation of the weak property, if any.
 pub fn priority_violation<A: PriorityModel>(
     app: &A,
     decision: &A::Decision,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> Option<PriorityViolation<A::State, A::Entity>> {
-    let mut found = None;
-    space.for_each_state(app, &mut |s| {
-        if !app.is_well_formed(s) {
-            return true;
-        }
-        match check_pair(app, decision, s, s) {
-            Some(v) => {
-                found = Some(v);
-                false
-            }
-            None => true,
-        }
-    });
-    found
+    states
+        .iter()
+        .filter(|s| app.is_well_formed(s))
+        .find_map(|s| check_pair(app, decision, s, s))
 }
 
-/// Whether `decision` **strongly preserves priority** over the state
-/// space: for all well-formed `s` (observed) and `s′` (acting),
-/// `T(s, s′)` keeps relative priority. Quadratic in the space size.
+/// Whether `decision` **strongly preserves priority** over `states`:
+/// for all well-formed `s` (observed) and `s′` (acting), `T(s, s′)`
+/// keeps relative priority. Quadratic in `states.len()`.
 pub fn strongly_preserves_priority<A: PriorityModel>(
     app: &A,
     decision: &A::Decision,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> bool {
-    strong_priority_violation(app, decision, space).is_none()
+    strong_priority_violation(app, decision, states).is_none()
 }
 
 /// First violation of the strong property, if any.
 pub fn strong_priority_violation<A: PriorityModel>(
     app: &A,
     decision: &A::Decision,
-    space: &impl StateSpace<A>,
+    states: &[A::State],
 ) -> Option<PriorityViolation<A::State, A::Entity>> {
-    let mut found = None;
-    space.for_each_state(app, &mut |observed| {
-        if !app.is_well_formed(observed) {
-            return true;
-        }
-        space.for_each_state(app, &mut |acting| {
-            if !app.is_well_formed(acting) {
-                return true;
-            }
-            match check_pair(app, decision, observed, acting) {
-                Some(v) => {
-                    found = Some(v);
-                    false
-                }
-                None => true,
-            }
-        })
-    });
-    found
+    let well_formed = || states.iter().filter(|s| app.is_well_formed(s));
+    well_formed().find_map(|observed| {
+        well_formed().find_map(|acting| check_pair(app, decision, observed, acting))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{Cost, DecisionOutcome, ExplicitStates};
+    use crate::app::{Cost, DecisionOutcome};
 
     /// A one-slot queue world: state is an ordered list of entities.
     /// `Join(e)` appends `e` if absent; `Promote(e)` moves `e` to the
@@ -211,8 +186,8 @@ mod tests {
             v.dedup();
             v.len() == s.0.len()
         }
-        fn apply(&self, s: &Q, u: &QOp) -> Q {
-            let mut v = s.0.clone();
+        fn apply_in_place(&self, s: &mut Q, u: &QOp) {
+            let v = &mut s.0;
             match u {
                 QOp::Join(e) => {
                     if !v.contains(e) {
@@ -227,7 +202,6 @@ mod tests {
                 }
                 QOp::Leave(e) => v.retain(|x| x != e),
             }
-            Q(v)
         }
         fn decide(&self, d: &QOp, _: &Q) -> DecisionOutcome<QOp> {
             DecisionOutcome::update_only(d.clone())
@@ -259,7 +233,7 @@ mod tests {
         }
     }
 
-    fn space() -> ExplicitStates<Q> {
+    fn space() -> Vec<Q> {
         // All permutations of subsets of {1,2,3} up to length 3.
         let mut out = vec![Q(vec![])];
         for a in 1..=3u8 {
@@ -275,7 +249,7 @@ mod tests {
                 }
             }
         }
-        ExplicitStates(out)
+        out
     }
 
     #[test]
@@ -327,16 +301,11 @@ mod tests {
             fn is_well_formed(&self, s: &Q) -> bool {
                 Queue.is_well_formed(s)
             }
-            fn apply(&self, s: &Q, u: &QOp) -> Q {
-                match u {
-                    QOp::Join(e) => {
-                        let mut v = s.0.clone();
-                        if !v.contains(e) {
-                            v.insert(0, *e);
-                        }
-                        Q(v)
+            fn apply_in_place(&self, s: &mut Q, u: &QOp) {
+                if let QOp::Join(e) = u {
+                    if !s.0.contains(e) {
+                        s.0.insert(0, *e);
                     }
-                    _ => s.clone(),
                 }
             }
             fn decide(&self, _: &(), _: &Q) -> DecisionOutcome<QOp> {
@@ -362,7 +331,7 @@ mod tests {
             }
         }
         let app = PushFront;
-        let sp = ExplicitStates(vec![Q(vec![1])]);
+        let sp = vec![Q(vec![1])];
         let v = priority_violation(&app, &(), &sp).unwrap();
         assert_eq!(v.kind, PriorityViolationKind::NewAheadOfOld);
         assert_eq!(v.pair, (1, 9));

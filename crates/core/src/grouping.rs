@@ -207,10 +207,10 @@ mod tests {
         fn is_well_formed(&self, _: &u32) -> bool {
             true
         }
-        fn apply(&self, s: &u32, u: &Act) -> u32 {
+        fn apply_in_place(&self, s: &mut u32, u: &Act) {
             match u {
-                Act::Borrow => s + 1,
-                Act::Repay => 0,
+                Act::Borrow => *s += 1,
+                Act::Repay => *s = 0,
             }
         }
         fn decide(&self, d: &Act, _: &u32) -> DecisionOutcome<Act> {

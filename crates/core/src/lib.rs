@@ -65,7 +65,7 @@
 //!     type Decision = Add;
 //!     fn initial_state(&self) -> i64 { 0 }
 //!     fn is_well_formed(&self, _: &i64) -> bool { true }
-//!     fn apply(&self, s: &i64, u: &Add) -> i64 { s + u.0 }
+//!     fn apply_in_place(&self, s: &mut i64, u: &Add) { *s += u.0 }
 //!     fn decide(&self, d: &Add, _seen: &i64) -> DecisionOutcome<Add> {
 //!         DecisionOutcome::update_only(d.clone())
 //!     }
@@ -98,7 +98,7 @@ pub mod pmap;
 pub mod replay;
 pub mod stream;
 
-pub use app::{Application, Cost, DecisionOutcome, ExplicitStates, ExternalAction, StateSpace};
+pub use app::{Application, Cost, DecisionOutcome, ExternalAction};
 pub use conditions::TimedExecution;
 pub use costs::{monus, BoundFn};
 pub use execution::{Execution, ExecutionBuilder, ExecutionError, Prefix, TxnIndex, TxnRecord};

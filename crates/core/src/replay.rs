@@ -55,7 +55,7 @@ use crate::execution::{Prefix, TxnIndex};
 /// * `replay.lcp` — histogram of the longest-common-prefix length each
 ///   prefix query shared with its predecessor (the reuse opportunity).
 /// * `replay.in_place_applies` — updates advanced via
-///   [`Application::apply_in_place`] instead of clone-and-replace.
+///   [`Application::apply_in_place`] on a state the fold owns.
 /// * `state.clone_count` / `state.clone_bytes` — full state snapshots
 ///   cloned (checkpoint records, cached tips) and their cost per
 ///   [`Application::state_size_hint`]. The clone-budget CI gate watches
@@ -684,7 +684,7 @@ impl<A: Application> ReplayCache<A> {
 /// #     type Decision = Add;
 /// #     fn initial_state(&self) -> i64 { 0 }
 /// #     fn is_well_formed(&self, _: &i64) -> bool { true }
-/// #     fn apply(&self, s: &i64, u: &Add) -> i64 { s + u.0 }
+/// #     fn apply_in_place(&self, s: &mut i64, u: &Add) { *s += u.0 }
 /// #     fn decide(&self, d: &Add, _: &i64) -> DecisionOutcome<Add> {
 /// #         DecisionOutcome::update_only(d.clone())
 /// #     }
@@ -805,10 +805,8 @@ mod tests {
         fn is_well_formed(&self, _: &Vec<u64>) -> bool {
             true
         }
-        fn apply(&self, s: &Vec<u64>, u: &Tag) -> Vec<u64> {
-            let mut s = s.clone();
+        fn apply_in_place(&self, s: &mut Vec<u64>, u: &Tag) {
             s.push(u.0);
-            s
         }
         fn decide(&self, d: &Tag, _: &Vec<u64>) -> DecisionOutcome<Tag> {
             DecisionOutcome::update_only(d.clone())

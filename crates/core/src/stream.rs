@@ -1002,10 +1002,9 @@ where
     }
 
     /// Spills a timed in-memory execution into `store` row by row — the
-    /// bridge the equivalence tests and benches use.
+    /// bridge the equivalence tests use.
     pub fn from_timed_execution(
         store: Box<dyn shard_store::Store + Send>,
-        pool: &PoolConfig,
         te: &TimedExecution<A>,
     ) -> std::io::Result<Self> {
         let mut out = Self::new(store);
@@ -1013,7 +1012,7 @@ where
             .execution
             .records()
             .iter()
-            .zip(rows_from_execution(pool, te))
+            .zip(rows_from_execution(&PoolConfig::sequential(), te))
         {
             out.push(&row, &rec.update)?;
         }
@@ -1076,7 +1075,7 @@ mod tests {
         fn is_well_formed(&self, _: &()) -> bool {
             true
         }
-        fn apply(&self, _: &(), _: &Nop) {}
+        fn apply_in_place(&self, _: &mut (), _: &Nop) {}
         fn decide(&self, _: &(), _: &()) -> DecisionOutcome<Nop> {
             DecisionOutcome::update_only(Nop)
         }
@@ -1575,10 +1574,8 @@ mod tests {
         fn is_well_formed(&self, _: &Vec<u64>) -> bool {
             true
         }
-        fn apply(&self, s: &Vec<u64>, u: &u64) -> Vec<u64> {
-            let mut s = s.clone();
+        fn apply_in_place(&self, s: &mut Vec<u64>, u: &u64) {
             s.push(*u);
-            s
         }
         fn decide(&self, d: &u64, _: &Vec<u64>) -> DecisionOutcome<u64> {
             DecisionOutcome::update_only(*d)
@@ -1622,10 +1619,8 @@ mod tests {
     #[test]
     fn streaming_execution_matches_in_memory_traversals() {
         let app = Trace;
-        let pool = PoolConfig::sequential();
         let te = mixed_timed_execution(60);
-        let mut se =
-            StreamingExecution::<Trace>::from_timed_execution(mem_store(), &pool, &te).unwrap();
+        let mut se = StreamingExecution::<Trace>::from_timed_execution(mem_store(), &te).unwrap();
         let mem: Vec<(usize, Vec<u64>)> =
             te.execution
                 .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
@@ -1646,7 +1641,7 @@ mod tests {
             se.final_state(&app).unwrap(),
             te.execution.final_state(&app)
         );
-        let rows = rows_from_execution(&pool, &te);
+        let rows = rows_from_execution(&PoolConfig::sequential(), &te);
         let reach = rows
             .iter()
             .filter_map(|r| Some(r.index - r.missed.first()?))
@@ -1709,10 +1704,8 @@ mod tests {
 
     #[test]
     fn streaming_execution_rejects_torn_rows() {
-        let pool = PoolConfig::sequential();
         let te = mixed_timed_execution(10);
-        let mut se =
-            StreamingExecution::<Trace>::from_timed_execution(mem_store(), &pool, &te).unwrap();
+        let mut se = StreamingExecution::<Trace>::from_timed_execution(mem_store(), &te).unwrap();
         let keep = se.store.len_bytes() - 1;
         se.store.crash(keep).unwrap();
         let err = se.final_state(&Trace).unwrap_err();

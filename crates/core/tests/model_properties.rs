@@ -26,10 +26,8 @@ impl Application for LogApp {
     fn is_well_formed(&self, _: &Vec<usize>) -> bool {
         true
     }
-    fn apply(&self, s: &Vec<usize>, u: &Append) -> Vec<usize> {
-        let mut v = s.clone();
-        v.push(u.0);
-        v
+    fn apply_in_place(&self, s: &mut Vec<usize>, u: &Append) {
+        s.push(u.0);
     }
     fn decide(&self, _: &(), observed: &Vec<usize>) -> DecisionOutcome<Append> {
         // The update records how much the decision saw: any tampering

@@ -23,10 +23,8 @@ impl Application for Trace {
     fn is_well_formed(&self, _: &Vec<u64>) -> bool {
         true
     }
-    fn apply(&self, s: &Vec<u64>, u: &Tag) -> Vec<u64> {
-        let mut s = s.clone();
+    fn apply_in_place(&self, s: &mut Vec<u64>, u: &Tag) {
         s.push(u.0);
-        s
     }
     fn decide(&self, d: &Tag, _: &Vec<u64>) -> DecisionOutcome<Tag> {
         DecisionOutcome::update_only(d.clone())

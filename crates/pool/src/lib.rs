@@ -26,7 +26,7 @@
 //! oversubscribing CPU-bound work only adds preemption.
 //!
 //! The registry being offline, this crate is std-only — consistent with
-//! the vendored rand/proptest/criterion shims (see DESIGN.md §8).
+//! the vendored rand/proptest shims (see DESIGN.md §8).
 //!
 //! Observability: when the `shard-obs` metrics layer is enabled, the
 //! pool feeds a `pool.*` counter family — jobs, tasks, handoffs (tasks

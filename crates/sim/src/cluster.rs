@@ -141,10 +141,9 @@ mod tests {
         fn is_well_formed(&self, _: &i64) -> bool {
             true
         }
-        fn apply(&self, s: &i64, u: &CUpd) -> i64 {
-            match u {
-                CUpd::Inc => s + 1,
-                CUpd::Noop => *s,
+        fn apply_in_place(&self, s: &mut i64, u: &CUpd) {
+            if let CUpd::Inc = u {
+                *s += 1;
             }
         }
         fn decide(&self, _: &(), observed: &i64) -> DecisionOutcome<CUpd> {

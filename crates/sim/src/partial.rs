@@ -252,10 +252,8 @@ mod tests {
         fn is_well_formed(&self, _: &[u64; 2]) -> bool {
             true
         }
-        fn apply(&self, s: &[u64; 2], u: &Bump) -> [u64; 2] {
-            let mut v = *s;
-            v[u.0 as usize] += 1;
-            v
+        fn apply_in_place(&self, s: &mut [u64; 2], u: &Bump) {
+            s[u.0 as usize] += 1;
         }
         fn decide(&self, d: &Bump, _: &[u64; 2]) -> DecisionOutcome<Bump> {
             DecisionOutcome::update_only(d.clone())

@@ -303,10 +303,8 @@ mod tests {
         fn is_well_formed(&self, _: &Vec<u64>) -> bool {
             true
         }
-        fn apply(&self, s: &Vec<u64>, u: &u64) -> Vec<u64> {
-            let mut v = s.clone();
-            v.push(*u);
-            v
+        fn apply_in_place(&self, s: &mut Vec<u64>, u: &u64) {
+            s.push(*u);
         }
         fn decide(&self, d: &u64, _: &Vec<u64>) -> DecisionOutcome<u64> {
             DecisionOutcome::update_only(*d)

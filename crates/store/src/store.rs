@@ -23,7 +23,7 @@ use crate::codec::StoreKey;
 use crate::wal::{record_bytes, Wal, WalOptions};
 use std::collections::BTreeMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Outcome of a [`Store::crash`] + reopen.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -208,8 +208,6 @@ impl Store for MemStore {
 /// (a sort of one that was not). Opt in by passing an explicit
 /// directory.
 pub struct DiskStore {
-    dir: PathBuf,
-    opts: StoreOptions,
     wal: Wal,
 }
 
@@ -239,14 +237,7 @@ impl DiskStore {
         };
         let (wal, report) = Wal::open(dir, wal_opts)?;
         shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
-        Ok((
-            DiskStore {
-                dir: dir.to_path_buf(),
-                opts,
-                wal,
-            },
-            report.entries,
-        ))
+        Ok((DiskStore { wal }, report.entries))
     }
 
     #[doc(hidden)]
@@ -292,24 +283,12 @@ impl Store for DiskStore {
     }
 
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
-        // Swap in a throwaway WAL so we can consume the real one (crash
-        // takes self by value to close file handles before truncating).
-        let tmp_dir = self.dir.join(".crash-tmp");
-        let (placeholder, _) = Wal::open(
-            &tmp_dir,
-            WalOptions {
-                segment_bytes: self.opts.segment_bytes,
-            },
-        )?;
-        let wal = std::mem::replace(&mut self.wal, placeholder);
-        let requested_end = wal.len().min(keep);
-        let dir = wal.crash(keep)?;
-        std::fs::remove_dir_all(&tmp_dir)?;
-        let (reopened, entries) = DiskStore::open(&dir, self.opts.clone())?;
-        let kept_bytes = reopened.wal.len();
-        *self = reopened;
+        let requested_end = self.wal.len().min(keep);
+        let report = self.wal.crash(keep)?;
+        shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
+        let kept_bytes = self.wal.len();
         Ok(CrashReport {
-            kept_entries: entries,
+            kept_entries: report.entries,
             kept_bytes,
             torn: kept_bytes < requested_end,
         })
@@ -383,6 +362,7 @@ fn key_successor(k: StoreKey) -> Option<StoreKey> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::path::PathBuf;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =

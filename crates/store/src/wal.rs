@@ -716,14 +716,14 @@ impl Wal {
     }
 
     /// Simulates a crash that preserved exactly the first `keep` bytes
-    /// of the global stream — of everything appended, buffered or not:
-    /// consumes the log, truncates the files to `keep` (deleting later
-    /// segments), and returns the directory for reopening. `keep` may
-    /// fall mid-record — [`Wal::open`] will drop the torn record, which
-    /// is in the last segment left.
+    /// of the global stream — of everything appended, buffered or not —
+    /// and the restart after it: truncates the files to `keep` (deleting
+    /// later segments), then reopens the log in place and returns what
+    /// [`Wal::open`] found. `keep` may fall mid-record — the reopen drops
+    /// the torn record, which is in the last segment left.
     /// Callers model honest hardware by passing `keep >= synced()`;
     /// nothing enforces it here.
-    pub fn crash(mut self, keep: u64) -> io::Result<PathBuf> {
+    pub fn crash(&mut self, keep: u64) -> io::Result<OpenReport> {
         self.flush()?;
         for seg in &self.segments {
             let path = segment_path(&self.dir, seg.index);
@@ -736,7 +736,9 @@ impl Wal {
                 f.sync_data()?;
             }
         }
-        Ok(std::mem::take(&mut self.dir))
+        let (reopened, report) = Wal::open(&self.dir, self.opts)?;
+        *self = reopened;
+        Ok(report)
     }
 
     /// Read-only inspection of the log in `dir` — what `shard-trace
@@ -938,8 +940,7 @@ mod tests {
         }
         wal.sync().unwrap();
         // Crash mid-way through record 7.
-        let dir = wal.crash(boundary + 5).unwrap();
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let r = wal.crash(boundary + 5).unwrap();
         assert!(r.torn);
         assert_eq!(r.entries, 7);
         assert_eq!(keys(&mut wal), (0..7).collect::<Vec<_>>());
@@ -996,8 +997,7 @@ mod tests {
         for i in 100..130u64 {
             wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
         }
-        let dir = wal.crash(synced).unwrap();
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let r = wal.crash(synced).unwrap();
         assert_eq!((r.entries, r.torn, wal.len()), (40, false, synced));
         assert_eq!(keys(&mut wal), (0..40).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
@@ -1041,7 +1041,8 @@ mod tests {
             wal.append(StoreKey::new(i, 2), b"xyzw").unwrap();
         }
         wal.sync().unwrap();
-        let dir = wal.crash(u64::MAX).unwrap();
+        wal.crash(u64::MAX).unwrap();
+        drop(wal);
         let before = Wal::inspect(&dir).unwrap();
         assert_eq!(before.entries, 20);
         assert!(before.torn_at.is_none());

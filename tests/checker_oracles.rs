@@ -46,7 +46,7 @@ impl Application for Stub {
     fn is_well_formed(&self, _: &()) -> bool {
         true
     }
-    fn apply(&self, _: &(), _: &()) {}
+    fn apply_in_place(&self, _: &mut (), _: &()) {}
     fn decide(&self, _: &(), _: &()) -> DecisionOutcome<()> {
         DecisionOutcome::update_only(())
     }

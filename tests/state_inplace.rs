@@ -1,5 +1,6 @@
-//! Property tests for the O(delta) state layer: `apply_in_place` must
-//! agree with the pure `apply` on every application, the persistent
+//! Property tests for the O(delta) state layer: the timestamp-ordered
+//! airline's in-place update must agree with its former pure one, every
+//! application's size hint must cover a state's shallow size, the persistent
 //! [`PMap`] and the bank's flat state must behave exactly like a
 //! `BTreeMap` oracle (including across clones taken mid-sequence),
 //! [`Checkpoints`] must record, truncate and floor like a naive list of
@@ -10,6 +11,7 @@
 
 use proptest::prelude::*;
 use shard::apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
+use shard::apps::airline_ts::{StampedPerson, TsAirlineState, TsFlyByNight, TsUpdate};
 use shard::apps::banking::{AccountId, Bank, BankState, BankUpdate};
 use shard::apps::dictionary::{DictUpdate, Dictionary};
 use shard::apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
@@ -19,22 +21,82 @@ use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
 use shard::store::{Codec, MemStore};
 use std::collections::BTreeMap;
 
-/// Folds `updates` twice — once through the pure `apply`, once through
-/// `apply_in_place` — and checks the states agree after every step.
-/// Also pins the `state_size_hint` contract: at least the shallow size.
-fn assert_in_place_matches_apply<A: Application>(app: &A, updates: &[A::Update]) {
-    let mut in_place = app.initial_state();
-    let mut pure = app.initial_state();
+/// Folds `updates` in place and pins the `state_size_hint` contract
+/// after every step: at least the shallow size.
+fn assert_size_hint_covers_shallow_size<A: Application>(app: &A, updates: &[A::Update]) {
+    let mut state = app.initial_state();
     for u in updates {
-        let next = app.apply(&pure, u);
-        app.apply_in_place(&mut in_place, u);
-        assert_eq!(in_place, next, "apply_in_place diverged on {u:?}");
+        app.apply_in_place(&mut state, u);
         assert!(
-            app.state_size_hint(&in_place) >= std::mem::size_of::<A::State>(),
-            "size hint below shallow size"
+            app.state_size_hint(&state) >= std::mem::size_of::<A::State>(),
+            "size hint below shallow size after {u:?}"
         );
-        pure = next;
     }
+}
+
+/// The timestamp-ordered airline's update as a pure map, the way the
+/// application wrote it before it stated its update in place — over the
+/// two lists, since a state's fields are private.
+fn ts_oracle_apply(
+    (assigned, waiting): &(Vec<StampedPerson>, Vec<StampedPerson>),
+    update: &TsUpdate,
+) -> (Vec<StampedPerson>, Vec<StampedPerson>) {
+    let insert_sorted = |list: &mut Vec<StampedPerson>, sp: StampedPerson| {
+        let pos = list
+            .iter()
+            .position(|x| (x.stamp, x.person) > (sp.stamp, sp.person))
+            .unwrap_or(list.len());
+        list.insert(pos, sp);
+    };
+    let (mut assigned, mut waiting) = (assigned.clone(), waiting.clone());
+    match update {
+        TsUpdate::Request(sp) => {
+            if !assigned
+                .iter()
+                .chain(&waiting)
+                .any(|x| x.person == sp.person)
+            {
+                insert_sorted(&mut waiting, *sp);
+            }
+        }
+        TsUpdate::Cancel(p) => {
+            assigned.retain(|x| x.person != *p);
+            waiting.retain(|x| x.person != *p);
+        }
+        TsUpdate::MoveUp(p) => {
+            if let Some(pos) = waiting.iter().position(|x| x.person == *p) {
+                let sp = waiting.remove(pos);
+                insert_sorted(&mut assigned, sp);
+            }
+        }
+        TsUpdate::MoveDown(p) => {
+            if let Some(pos) = assigned.iter().position(|x| x.person == *p) {
+                let sp = assigned.remove(pos);
+                insert_sorted(&mut waiting, sp);
+            }
+        }
+        TsUpdate::Noop => {}
+    }
+    (assigned, waiting)
+}
+
+fn ts_lists(s: &TsAirlineState) -> (Vec<StampedPerson>, Vec<StampedPerson>) {
+    (s.assigned().to_vec(), s.waiting().to_vec())
+}
+
+/// A person's stamp is drawn from few values, so ties between people
+/// exercise the tie break by person id.
+fn ts_update() -> impl Strategy<Value = TsUpdate> {
+    prop_oneof![
+        (1u32..6, 0u64..4).prop_map(|(p, stamp)| TsUpdate::Request(StampedPerson {
+            person: Person(p),
+            stamp,
+        })),
+        (1u32..6).prop_map(|p| TsUpdate::Cancel(Person(p))),
+        (1u32..6).prop_map(|p| TsUpdate::MoveUp(Person(p))),
+        (1u32..6).prop_map(|p| TsUpdate::MoveDown(Person(p))),
+        Just(TsUpdate::Noop),
+    ]
 }
 
 fn airline_update() -> impl Strategy<Value = AirlineUpdate> {
@@ -262,44 +324,41 @@ fn pmap_op() -> impl Strategy<Value = PmapOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Airline: in-place application is the pure application.
+    /// Every application's `state_size_hint` is at least the shallow
+    /// size of the states its updates reach.
     #[test]
-    fn airline_in_place_matches_apply(
-        updates in proptest::collection::vec(airline_update(), 0..120),
+    fn size_hints_cover_the_shallow_size(
+        airline in proptest::collection::vec(airline_update(), 0..120),
+        bank in proptest::collection::vec(bank_update(), 0..120),
+        inventory in proptest::collection::vec(inventory_update(), 0..120),
+        nameserver in proptest::collection::vec(nameserver_update(), 0..120),
+        dictionary in proptest::collection::vec(dictionary_update(), 0..120),
+        ts in proptest::collection::vec(ts_update(), 0..120),
     ) {
-        assert_in_place_matches_apply(&FlyByNight::new(2), &updates);
+        assert_size_hint_covers_shallow_size(&FlyByNight::new(2), &airline);
+        assert_size_hint_covers_shallow_size(&Bank::new(3, 200), &bank);
+        assert_size_hint_covers_shallow_size(&Warehouse::new(3, 10, 7, 3), &inventory);
+        assert_size_hint_covers_shallow_size(&NameServer::new(3, 5), &nameserver);
+        assert_size_hint_covers_shallow_size(&Dictionary, &dictionary);
+        assert_size_hint_covers_shallow_size(&TsFlyByNight::new(2), &ts);
     }
 
-    /// Banking: in-place application is the pure application.
+    /// The timestamp-ordered airline's in-place update is its former
+    /// pure one, step by step, and every state it reaches is
+    /// well-formed: no person twice, both lists in timestamp order.
     #[test]
-    fn bank_in_place_matches_apply(
-        updates in proptest::collection::vec(bank_update(), 0..120),
+    fn ts_airline_in_place_matches_pure_oracle(
+        updates in proptest::collection::vec(ts_update(), 0..120),
     ) {
-        assert_in_place_matches_apply(&Bank::new(3, 200), &updates);
-    }
-
-    /// Inventory: in-place application is the pure application.
-    #[test]
-    fn inventory_in_place_matches_apply(
-        updates in proptest::collection::vec(inventory_update(), 0..120),
-    ) {
-        assert_in_place_matches_apply(&Warehouse::new(3, 10, 7, 3), &updates);
-    }
-
-    /// Name server: in-place application is the pure application.
-    #[test]
-    fn nameserver_in_place_matches_apply(
-        updates in proptest::collection::vec(nameserver_update(), 0..120),
-    ) {
-        assert_in_place_matches_apply(&NameServer::new(3, 5), &updates);
-    }
-
-    /// Dictionary: in-place application is the pure application.
-    #[test]
-    fn dictionary_in_place_matches_apply(
-        updates in proptest::collection::vec(dictionary_update(), 0..120),
-    ) {
-        assert_in_place_matches_apply(&Dictionary, &updates);
+        let app = TsFlyByNight::new(2);
+        let mut state = app.initial_state();
+        let mut oracle = ts_lists(&state);
+        for u in &updates {
+            app.apply_in_place(&mut state, u);
+            oracle = ts_oracle_apply(&oracle, u);
+            prop_assert_eq!(ts_lists(&state), oracle.clone(), "diverged on {:?}", u);
+            prop_assert!(app.is_well_formed(&state), "ill-formed after {:?}", u);
+        }
     }
 
     /// The persistent map agrees with a `BTreeMap` oracle after every

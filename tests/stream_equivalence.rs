@@ -150,12 +150,8 @@ where
     te.execution
         .for_each_actual_state(app, |_, s| expected.push(s.clone()));
 
-    let mut se = StreamingExecution::<A>::from_timed_execution(
-        Box::new(MemStore::new()),
-        &PoolConfig::sequential(),
-        te,
-    )
-    .expect("memory-backed store never fails");
+    let mut se = StreamingExecution::<A>::from_timed_execution(Box::new(MemStore::new()), te)
+        .expect("memory-backed store never fails");
 
     // Fold equality, state by state: applying the updates the rows
     // hand back off the store cursor, in the order they come, visits
