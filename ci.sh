@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# The committed perf records (`BENCH_*.json`) come from full-scale runs;
+# a smoke run below must leave every one of them byte for byte as it
+# found it. Checked again at the end.
+bench_sums=$(sha256sum BENCH_*.json)
+
 run() {
   echo "== $* =="
   "$@"
@@ -169,23 +174,21 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
   experiment ok wall_time_ms claims counters gauges histograms spans \
   "store.wal_torn_truncations_clean<=0" "sim.not_converged<=0"
 # The out-of-core gate: E25 at smoke scale — 10^5 banking transactions
-# through the store-backed streaming tier (DiskStore rows + spilled
-# checkpoint anchors). The binary exits non-zero unless the streamed
+# through the store-backed streaming tier (DiskStore rows). The binary exits non-zero unless the streamed
 # state equals both the in-memory merge and the serial replay, the
 # online report (verdicts AND certificates) is byte-identical to the
 # second pass off the store, every captured certificate re-validates
 # through the certify path, and the peak resident state stays under
 # 1/10 of the extrapolated in-memory footprint. The sidecar check
 # re-asserts the memory claim from the recorded gauge: the streaming
-# tier's resident state — hot anchors, reorder window and the online
-# checker, 9 408 B on this run (576 + 4 608 + 4 224) — must stay under
-# 100 KB, so a regression in the spilling tier, in the accounting or in
-# the checker's retirement fails CI: a checker that stopped retiring
-# would hold 6.2 MB of these 10^5 rows.
+# tier's resident state — reorder window and the online checker,
+# 8 832 B on this run (4 608 + 4 224) — must stay under 100 KB, so a
+# regression in the accounting or in the checker's retirement fails CI:
+# a checker that stopped retiring would hold 6.2 MB of these 10^5 rows.
 # Two more budgets hold the store to what ascending, append-once,
 # read-in-order traffic needs. The run is single-threaded and the
 # counts repeat exactly, so each budget sits just above its count. The
-# WAL writes a buffer per call, not a record: 168 write calls (~100 000
+# WAL writes a buffer per call, not a record: 167 write calls (~100 000
 # if it wrote per record). And the two key-order passes the run makes
 # over its 10.2 MB row store (the re-check and the certify trace) ask
 # the segment files for 22 367 402 bytes, 1.10x the rows a pass: a
@@ -212,4 +215,9 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/state_sweep.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
   "state.clone_bytes<=400000000"
+if [ "$(sha256sum BENCH_*.json)" != "$bench_sums" ]; then
+  echo "FAILED: a smoke run rewrote a committed BENCH_*.json:" >&2
+  sha256sum -c --quiet <<<"$bench_sums" >&2 || true
+  exit 1
+fi
 echo "CI PASSED"

@@ -521,9 +521,7 @@ mod tests {
     /// does not overflow on the way there).
     #[test]
     fn minimum_balance_is_the_largest_overdraft() {
-        use shard_store::Codec;
-        let bytes = BankState::with_balances(&[(a(1), i64::MIN), (a(2), 7)]).to_vec();
-        let s = BankState::from_slice(&bytes).expect("a valid encoding");
+        let s = BankState::with_balances(&[(a(1), i64::MIN), (a(2), 7)]);
         assert_eq!(s.overdraft(a(1)), 1 << 63);
         assert_eq!(s.total_overdraft(), 1 << 63);
         assert_eq!(Bank::default().cost(&s, 0), 1 << 63);

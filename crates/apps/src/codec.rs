@@ -1,52 +1,21 @@
-//! [`Codec`] implementations for the five applications' update and
-//! state types — what lets a node's merge log live in a `shard-store`
-//! WAL and come back after a crash, and what lets the out-of-core
-//! replay tier spill cold checkpoint states through a store.
+//! [`Codec`] implementations for the five applications' update types —
+//! what lets a node's merge log live in a `shard-store` WAL and come
+//! back after a crash, and what lets the out-of-core merge stream its
+//! rows through a store.
 //!
-//! The update encoding is a one-byte variant tag followed by the
-//! variant's fields as fixed-width big-endian integers. State
-//! encodings are length-prefixed field lists in each state's canonical
-//! iteration order (key order for map-backed states, list order where
-//! the order *is* the data), so equal states encode to equal bytes.
-//! Updates are the only thing persisted *authoritatively* — spilled
-//! states are a cache, rebuildable by replay — but every impl must
+//! The encoding is a one-byte variant tag followed by the variant's
+//! fields as fixed-width big-endian integers. Updates are the only
+//! thing persisted — a state is rebuilt by replay — so every impl must
 //! round-trip exactly; the tests fold each constructor through an
 //! encode/decode cycle.
 
-use crate::airline::{AirlineState, AirlineUpdate};
-use crate::banking::{AccountId, BankState, BankUpdate};
-use crate::dictionary::{DictState, DictUpdate};
-use crate::inventory::{InvUpdate, InventoryState, ItemId, ItemState, Order, OrderId};
-use crate::nameserver::{GroupId, Name, NsState, NsUpdate};
+use crate::airline::AirlineUpdate;
+use crate::banking::{AccountId, BankUpdate};
+use crate::dictionary::DictUpdate;
+use crate::inventory::{InvUpdate, ItemId, Order, OrderId};
+use crate::nameserver::{GroupId, Name, NsUpdate};
 use crate::person::Person;
 use shard_store::{ByteReader, Codec};
-
-fn encode_seq<T>(
-    count: usize,
-    items: impl Iterator<Item = T>,
-    out: &mut Vec<u8>,
-    f: impl Fn(T, &mut Vec<u8>),
-) {
-    (count as u32).encode(out);
-    let mut written = 0usize;
-    for item in items {
-        f(item, out);
-        written += 1;
-    }
-    debug_assert_eq!(written, count, "sequence length must match its prefix");
-}
-
-fn decode_seq<T>(
-    r: &mut ByteReader<'_>,
-    f: impl Fn(&mut ByteReader<'_>) -> Option<T>,
-) -> Option<Vec<T>> {
-    let n = r.u32()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        out.push(f(r)?);
-    }
-    Some(out)
-}
 
 impl Codec for AirlineUpdate {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -255,101 +224,6 @@ impl Codec for NsUpdate {
     }
 }
 
-impl Codec for AirlineState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(
-            self.assigned().len(),
-            self.assigned().iter(),
-            out,
-            |p, o| p.0.encode(o),
-        );
-        encode_seq(self.waiting().len(), self.waiting().iter(), out, |p, o| {
-            p.0.encode(o)
-        });
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let assigned = decode_seq(r, |r| Some(Person(r.u32()?)))?;
-        let waiting = decode_seq(r, |r| Some(Person(r.u32()?)))?;
-        Some(AirlineState::from_lists(assigned, waiting))
-    }
-}
-
-impl Codec for BankState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let pairs = self.balances();
-        encode_seq(pairs.len(), pairs, out, |(a, b), o| {
-            a.0.encode(o);
-            (b as u64).encode(o);
-        });
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let pairs = decode_seq(r, |r| Some((AccountId(r.u32()?), r.u64()? as i64)))?;
-        Some(BankState::with_balances(&pairs))
-    }
-}
-
-impl Codec for DictState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(self.len(), self.entries(), out, |(k, v), o| {
-            k.encode(o);
-            v.encode(o);
-        });
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let pairs = decode_seq(r, |r| Some((r.u32()?, r.u64()?)))?;
-        Some(DictState::with_entries(&pairs))
-    }
-}
-
-impl Codec for InventoryState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_seq(self.items().len(), self.items().iter(), out, |it, o| {
-            it.stock.encode(o);
-            encode_seq(it.committed.len(), it.committed.iter(), o, |ord, o| {
-                encode_order(ord, o)
-            });
-            encode_seq(it.backlog.len(), it.backlog.iter(), o, |ord, o| {
-                encode_order(ord, o)
-            });
-        });
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let items = decode_seq(r, |r| {
-            Some(ItemState {
-                stock: r.u64()?,
-                committed: decode_seq(r, decode_order)?,
-                backlog: decode_seq(r, decode_order)?,
-            })
-        })?;
-        Some(InventoryState::from_items(items))
-    }
-}
-
-impl Codec for NsState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let regs: Vec<(Name, u64)> = self.registrations().collect();
-        encode_seq(regs.len(), regs.into_iter(), out, |(n, a), o| {
-            n.0.encode(o);
-            a.encode(o);
-        });
-        (self.group_count() as u32).encode(out);
-        for g in 0..self.group_count() {
-            let members = self.members(GroupId(g as u32));
-            encode_seq(members.len(), members.iter(), out, |n, o| n.0.encode(o));
-        }
-    }
-
-    fn decode(r: &mut ByteReader<'_>) -> Option<Self> {
-        let regs = decode_seq(r, |r| Some((Name(r.u32()?), r.u64()?)))?;
-        let groups = decode_seq(r, |r| decode_seq(r, |r| Some(Name(r.u32()?))))?;
-        Some(NsState::with(&regs, groups))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,63 +293,6 @@ mod tests {
             NsUpdate::RemoveMember(GroupId(5), Name(6)),
             NsUpdate::Noop,
         ]);
-    }
-
-    #[test]
-    fn states_round_trip() {
-        round_trip(vec![
-            AirlineState::new(),
-            AirlineState::from_lists(vec![Person(1), Person(3)], vec![Person(2)]),
-        ]);
-        round_trip(vec![
-            BankState::with_balances(&[]),
-            BankState::with_balances(&[(AccountId(0), -250), (AccountId(9), i64::MAX)]),
-        ]);
-        round_trip(vec![
-            DictState::default(),
-            DictState::with_entries(&[(1, 10), (2, u64::MAX)]),
-        ]);
-        round_trip(vec![
-            InventoryState::empty(0),
-            InventoryState::from_items(vec![
-                ItemState {
-                    stock: 40,
-                    committed: vec![Order {
-                        id: OrderId(1),
-                        qty: 3,
-                    }],
-                    backlog: vec![
-                        Order {
-                            id: OrderId(2),
-                            qty: 9,
-                        },
-                        Order {
-                            id: OrderId(3),
-                            qty: 1,
-                        },
-                    ],
-                },
-                ItemState::default(),
-            ]),
-        ]);
-        round_trip(vec![
-            NsState::empty(0),
-            NsState::with(
-                &[(Name(4), 0xbeef), (Name(7), 1)],
-                vec![vec![Name(4)], vec![], vec![Name(7), Name(9)]],
-            ),
-        ]);
-    }
-
-    #[test]
-    fn state_junk_is_rejected() {
-        assert_eq!(BankState::from_slice(&[0, 0, 0, 2, 0]), None, "short pairs");
-        assert_eq!(DictState::from_slice(&[]), None, "empty");
-        assert_eq!(
-            AirlineState::from_slice(&AirlineState::new().to_vec()[..4]),
-            None,
-            "missing wait list"
-        );
     }
 
     #[test]

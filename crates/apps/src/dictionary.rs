@@ -42,18 +42,6 @@ impl DictState {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Every binding, in key order.
-    pub fn entries(&self) -> impl Iterator<Item = (Key, Value)> + '_ {
-        self.entries.iter().map(|(k, v)| (*k, *v))
-    }
-
-    /// Builds a state directly from bindings (later pairs win).
-    pub fn with_entries(pairs: &[(Key, Value)]) -> Self {
-        DictState {
-            entries: pairs.iter().copied().collect(),
-        }
-    }
 }
 
 /// Dictionary transactions.

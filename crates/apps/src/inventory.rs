@@ -124,16 +124,6 @@ impl InventoryState {
         &self.items[i.0 as usize]
     }
 
-    /// All per-item states, in item order.
-    pub fn items(&self) -> &[ItemState] {
-        &self.items
-    }
-
-    /// Builds a state directly from per-item states.
-    pub fn from_items(items: Vec<ItemState>) -> Self {
-        InventoryState { items }
-    }
-
     fn item_mut(&mut self, i: ItemId) -> &mut ItemState {
         &mut self.items[i.0 as usize]
     }

@@ -95,16 +95,6 @@ impl NsState {
             .collect()
     }
 
-    /// Every registration, in name order.
-    pub fn registrations(&self) -> impl Iterator<Item = (Name, u64)> + '_ {
-        self.registrations.iter().map(|(n, a)| (*n, *a))
-    }
-
-    /// Number of groups.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     /// Test/helper constructor.
     pub fn with(registrations: &[(Name, u64)], groups: Vec<Vec<Name>>) -> Self {
         NsState {

@@ -11,11 +11,10 @@
 //! This module centralizes state computation in one place:
 //!
 //! * [`Checkpoints`] — the one sparse, strictly increasing sequence of
-//!   `(updates applied, state)` pairs recorded every `interval` updates:
-//!   resident points plus an optional cold store for the oldest.
-//!   Shared verbatim by the simulator's undo/redo merge log, where the
-//!   interval is the checkpoint-spacing ablation knob (experiment E11),
-//!   and by the out-of-core merge, which attaches the cold store.
+//!   `(updates applied, state)` pairs recorded every `interval` updates,
+//!   all in RAM. Shared verbatim by the simulator's undo/redo merge log,
+//!   where the interval is the checkpoint-spacing ablation knob
+//!   (experiment E11).
 //! * `ReplayCache` *(crate-private)* — the memo owned by every
 //!   [`Execution`](crate::execution::Execution): checkpoints along the
 //!   full serial order for actual-state queries, plus checkpoints along
@@ -60,9 +59,9 @@ use crate::execution::{Prefix, TxnIndex};
 ///   cloned (checkpoint records, cached tips) and their cost per
 ///   [`Application::state_size_hint`]. The clone-budget CI gate watches
 ///   `state.clone_bytes`; a snapshot-copying regression moves it first.
-/// * `replay.spills` / `replay.spill_loads` — cold anchors written to
-///   and read back from a [`Checkpoints`] cold store.
-/// * `state.peak_resident_bytes` — see [`note_resident_bytes`].
+/// * `state.peak_resident_bytes` — the high-watermark of what the
+///   out-of-core merge holds in RAM, raised by `shard-sim`'s
+///   `StreamingMerge`; registered here so every sidecar lists it.
 fn family() {
     let r = shard_obs::Registry::global();
     for name in [
@@ -74,28 +73,11 @@ fn family() {
         "replay.in_place_applies",
         "state.clone_count",
         "state.clone_bytes",
-        "replay.spills",
-        "replay.spill_loads",
     ] {
         r.counter(name);
     }
     r.histogram("replay.lcp");
     r.gauge("state.peak_resident_bytes");
-}
-
-/// Raises the `state.peak_resident_bytes` high-watermark gauge — the
-/// observable side of every memory budget the out-of-core tier is
-/// checked against. Called at checkpoint spill/load boundaries; no-op
-/// while the obs layer is disabled.
-fn note_resident_bytes(bytes: usize) {
-    static PEAK: std::sync::OnceLock<std::sync::Arc<shard_obs::Gauge>> = std::sync::OnceLock::new();
-    if shard_obs::enabled() {
-        PEAK.get_or_init(|| {
-            family();
-            shard_obs::Registry::global().gauge("state.peak_resident_bytes")
-        })
-        .max(bytes as i64);
-    }
 }
 
 /// Records that a full state snapshot was cloned somewhere in the
@@ -160,50 +142,26 @@ pub struct ReplayStats {
 
 /// The sequence of prefix-state checkpoints: strictly increasing
 /// `(updates applied, state)` pairs, recorded at most every `interval`
-/// updates — in RAM, plus an optional cold store for the oldest.
+/// updates, all in RAM.
 ///
 /// This is the structure the paper's §1.2 merge discussion attributes to
 /// \[BK\]/\[SKS\]: keep periodic snapshots so that undoing to a timestamp
 /// means dropping the invalidated suffix of checkpoints and redoing from
 /// the deepest survivor. The one type serves the replay cache of
-/// [`Replayer`] and `Execution`, the simulator's merge log and the
-/// out-of-core merge's anchors.
+/// [`Replayer`] and `Execution`, and the simulator's merge log.
 ///
 /// With structurally-shared states (e.g. [`crate::pmap::PMap`]-backed),
 /// consecutive recorded snapshots share all but the nodes touched since
 /// the previous record — the sequence is then a **delta chain**: each
 /// link costs O(delta) memory, not O(state).
-///
-/// **Without a cold store** every recorded point stays in RAM. **With
-/// one** ([`Checkpoints::with_cold_store`]) only the newest
-/// `hot_capacity` points stay resident, and every `spill_spacing`-th
-/// point evicted from them is serialized through the
-/// [`Store`](shard_store::Store) as a **cold anchor** — so a
-/// 10⁷-update execution keeps O(hot) resident state instead of
-/// O(n / interval) snapshots. The cold store is a *cache*, not a
-/// durability domain: an anchor that fails to write, load or decode
-/// (e.g. a kill point cut it in half) is skipped and the resume falls
-/// back to the next shallower one — answers never change, only how far
-/// a replay has to run. The serialization functions are captured as
-/// plain `fn` pointers when the store is attached (the one place a
-/// [`Codec`](shard_store::Codec) bound exists), so every other call
-/// site — the merge log's undo/redo paths included — stays free of
-/// codec bounds.
-///
-/// A spilled anchor is the state's encoding, stored as one record under
-/// `(seq, 0)` — `seq` a monotone sequence number, so
-/// truncated-then-rewritten depths never collide in the insert-only
-/// store, and the anchor log stays in key order.
 pub struct Checkpoints<S> {
     every: usize,
-    /// Resident points, ascending by depth.
-    hot: std::collections::VecDeque<(usize, S)>,
+    /// The points, ascending by depth.
+    points: Vec<(usize, S)>,
     /// States of points [`truncate`](Checkpoints::truncate) dropped,
-    /// kept — at most `SPARE_STATES`, and none with a cold store — for
-    /// the records that redo those depths to copy into with
-    /// `clone_from`, reusing their allocations.
+    /// kept — at most `SPARE_STATES` — for the records that redo those
+    /// depths to copy into with `clone_from`, reusing their allocations.
     spare: Vec<S>,
-    cold: Option<ColdTier<S>>,
 }
 
 /// Most dropped checkpoint states a [`Checkpoints`] keeps for reuse. A
@@ -211,38 +169,18 @@ pub struct Checkpoints<S> {
 /// it; the bound keeps a deep undo from holding on to many states.
 const SPARE_STATES: usize = 4;
 
-/// The cold half of a [`Checkpoints`] sequence and the bookkeeping
-/// that bounds the hot half.
-struct ColdTier<S> {
-    hot_capacity: usize,
-    spill_spacing: usize,
-    /// Size hints of the hot points, parallel to `Checkpoints::hot`.
-    hot_hints: std::collections::VecDeque<usize>,
-    /// Sum of `hot_hints` — the resident-state bytes.
-    hot_bytes: usize,
-    /// Spilled anchors `(depth, seq)`, ascending by depth; every depth
-    /// here is shallower than every hot depth.
-    spilled: Vec<(usize, u64)>,
-    next_seq: u64,
-    evictions: usize,
-    store: Box<dyn shard_store::Store + Send>,
-    encode: fn(&S, &mut Vec<u8>),
-    decode: fn(&[u8]) -> Option<S>,
-}
-
 impl<S> std::fmt::Debug for Checkpoints<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Checkpoints")
             .field("every", &self.every)
-            .field("hot_points", &self.hot.len())
-            .field("spilled", &self.spilled_anchors())
+            .field("points", &self.points.len())
             .finish()
     }
 }
 
 impl<S> Checkpoints<S> {
     /// Creates an empty checkpoint sequence recording every `every`
-    /// applied updates, all in RAM.
+    /// applied updates.
     ///
     /// # Panics
     ///
@@ -251,47 +189,9 @@ impl<S> Checkpoints<S> {
         assert!(every > 0, "checkpoint interval must be positive");
         Checkpoints {
             every,
-            hot: std::collections::VecDeque::new(),
+            points: Vec::new(),
             spare: Vec::new(),
-            cold: None,
         }
-    }
-
-    /// Attaches a cold store: from here on only the newest
-    /// `hot_capacity` points stay in RAM and every `spill_spacing`-th
-    /// evicted point is spilled to `store` as a cold anchor (1 = spill
-    /// everything evicted). Points recorded so far are dropped — they
-    /// are a cache, and carry no size hints to account them by.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `hot_capacity` or `spill_spacing` is 0.
-    pub fn with_cold_store(
-        mut self,
-        store: Box<dyn shard_store::Store + Send>,
-        hot_capacity: usize,
-        spill_spacing: usize,
-    ) -> Self
-    where
-        S: shard_store::Codec,
-    {
-        assert!(hot_capacity > 0, "hot capacity must be positive");
-        assert!(spill_spacing > 0, "spill spacing must be positive");
-        self.hot.clear();
-        self.spare.clear();
-        self.cold = Some(ColdTier {
-            hot_capacity,
-            spill_spacing,
-            hot_hints: std::collections::VecDeque::new(),
-            hot_bytes: 0,
-            spilled: Vec::new(),
-            next_seq: 0,
-            evictions: 0,
-            store,
-            encode: S::encode,
-            decode: S::from_slice,
-        });
-        self
     }
 
     /// The configured spacing between checkpoints, in applied updates.
@@ -299,41 +199,17 @@ impl<S> Checkpoints<S> {
         self.every
     }
 
-    /// Checkpoints currently reachable (resident + spilled).
+    /// Checkpoints currently stored.
     pub fn len(&self) -> usize {
-        self.hot.len() + self.spilled_anchors()
+        self.points.len()
     }
 
     /// Whether no checkpoints are stored.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.points.is_empty()
     }
 
-    /// Cold anchors currently indexed (0 without a cold store).
-    pub fn spilled_anchors(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.spilled.len())
-    }
-
-    /// Bytes of the resident points, summed from the size hints they
-    /// were recorded with — what `state.peak_resident_bytes` is raised
-    /// to at every record. 0 without a cold store, which keeps no
-    /// hints.
-    pub fn hot_bytes(&self) -> usize {
-        self.cold.as_ref().map_or(0, |c| c.hot_bytes)
-    }
-
-    /// The cold store — exposed so fault harnesses can crash it under
-    /// a live checkpoint sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no cold store is attached.
-    pub fn store_mut(&mut self) -> &mut (dyn shard_store::Store + Send) {
-        let cold = self.cold.as_mut().expect("no cold store attached");
-        &mut *cold.store
-    }
-
-    /// Drops all checkpoints, keeping the interval and any cold store.
+    /// Drops all checkpoints, keeping the interval.
     pub fn clear(&mut self) {
         // Every recorded depth is at least the (positive) interval.
         self.truncate(0);
@@ -341,32 +217,19 @@ impl<S> Checkpoints<S> {
 
     /// The depth (applied-update count) of the deepest checkpoint, or 0.
     pub fn last_len(&self) -> usize {
-        let spilled = || self.cold.as_ref()?.spilled.last().map(|&(l, _)| l);
-        self.hot
-            .back()
-            .map(|&(l, _)| l)
-            .or_else(spilled)
-            .unwrap_or(0)
+        self.points.last().map_or(0, |&(l, _)| l)
     }
 
     /// Drops every checkpoint deeper than `keep` applied updates — the
     /// *undo* half of undo/redo: checkpoints past an insertion point are
-    /// invalidated, those at or before it survive. Without a cold store
-    /// a few dropped states are kept for the redo's records to reuse.
-    /// Store records of dropped cold anchors are orphaned, never reused
-    /// — fresh anchors get fresh sequence numbers.
+    /// invalidated, those at or before it survive. A few dropped states
+    /// are kept for the redo's records to reuse.
     pub fn truncate(&mut self, keep: usize) {
-        while self.hot.back().is_some_and(|&(l, _)| l > keep) {
-            let (_, state) = self.hot.pop_back().expect("a deeper point");
-            match &mut self.cold {
-                Some(cold) => cold.hot_bytes -= cold.hot_hints.pop_back().unwrap_or(0),
-                None if self.spare.len() < SPARE_STATES => self.spare.push(state),
-                None => {}
+        while self.points.last().is_some_and(|&(l, _)| l > keep) {
+            let (_, state) = self.points.pop().expect("a deeper point");
+            if self.spare.len() < SPARE_STATES {
+                self.spare.push(state);
             }
-        }
-        if let Some(cold) = &mut self.cold {
-            let kept = cold.spilled.partition_point(|&(l, _)| l <= keep);
-            cold.spilled.truncate(kept);
         }
     }
 }
@@ -379,12 +242,7 @@ impl<S: Clone> Checkpoints<S> {
     /// *between* existing checkpoints records nothing new. Returns
     /// whether a checkpoint was stored; the clone is not accounted (see
     /// [`Checkpoints::record_for`]).
-    ///
-    /// `size_hint` — the state's [`Application::state_size_hint`] — is
-    /// consulted only for a stored point with a cold store attached,
-    /// where it drives the resident-byte accounting. Spill failures are
-    /// swallowed: the evicted anchor is just not indexed.
-    pub fn record(&mut self, len: usize, state: &S, size_hint: impl FnOnce(&S) -> usize) -> bool {
+    pub fn record(&mut self, len: usize, state: &S) -> bool {
         if len < self.last_len() + self.every {
             return false;
         }
@@ -395,17 +253,7 @@ impl<S: Clone> Checkpoints<S> {
             }
             None => state.clone(),
         };
-        self.hot.push_back((len, point));
-        if let Some(cold) = &mut self.cold {
-            let hint = size_hint(state);
-            cold.hot_hints.push_back(hint);
-            cold.hot_bytes += hint;
-            while self.hot.len() > cold.hot_capacity {
-                let (depth, evicted) = self.hot.pop_front().expect("over capacity");
-                cold.evict(depth, &evicted);
-            }
-            note_resident_bytes(cold.hot_bytes);
-        }
+        self.points.push((len, point));
         true
     }
 
@@ -415,7 +263,7 @@ impl<S: Clone> Checkpoints<S> {
     where
         A: Application<State = S>,
     {
-        let stored = self.record(len, state, |s| app.state_size_hint(s));
+        let stored = self.record(len, state);
         if stored {
             note_state_clone(app.state_size_hint(state));
         }
@@ -426,78 +274,17 @@ impl<S: Clone> Checkpoints<S> {
     /// so a state type that can reuses `state`'s allocation — and
     /// returns its depth. `None`, with `state` untouched, if there is no
     /// checkpoint. The copy is not accounted (see [`note_state_clone`]).
-    pub fn restore_last(&mut self, state: &mut S) -> Option<usize> {
-        if let Some((depth, point)) = self.hot.back() {
-            state.clone_from(point);
-            return Some(*depth);
-        }
-        let (depth, loaded) = self.cold.as_mut()?.load_deepest(usize::MAX)?;
-        *state = loaded;
-        Some(depth)
+    pub fn restore_last(&self, state: &mut S) -> Option<usize> {
+        let (depth, point) = self.points.last()?;
+        state.clone_from(point);
+        Some(*depth)
     }
 
     /// The deepest checkpoint at or below `limit` applied updates —
     /// the best place to resume a replay targeting depth `limit`.
-    /// Resident points first (always deeper where they qualify), then
-    /// cold anchors deepest-first, skipping any that fail to load or
-    /// decode.
-    pub fn floor(&mut self, limit: usize) -> Option<(usize, S)> {
-        let idx = self.hot.partition_point(|&(l, _)| l <= limit);
-        if idx > 0 {
-            return Some(self.hot[idx - 1].clone());
-        }
-        self.cold.as_mut()?.load_deepest(limit)
-    }
-}
-
-impl<S> ColdTier<S> {
-    /// Accounts the eviction of the oldest hot point and spills it if
-    /// it is a `spill_spacing`-th one.
-    fn evict(&mut self, depth: usize, state: &S) {
-        self.hot_bytes -= self.hot_hints.pop_front().unwrap_or(0);
-        self.evictions += 1;
-        if !self.evictions.is_multiple_of(self.spill_spacing) {
-            return;
-        }
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut bytes = Vec::new();
-        (self.encode)(state, &mut bytes);
-        let key = shard_store::StoreKey::new(seq, 0);
-        if self.store.append(key, &bytes).is_ok() {
-            self.spilled.push((depth, seq));
-            if shard_obs::enabled() {
-                shard_obs::counter!("replay.spills", family).inc();
-            }
-        }
-    }
-
-    fn load_deepest(&mut self, limit: usize) -> Option<(usize, S)> {
-        let end = self.spilled.partition_point(|&(l, _)| l <= limit);
-        for &(depth, seq) in self.spilled[..end].iter().rev() {
-            // One scan that stops at its first record: the anchor, or
-            // whatever follows where a crash took it.
-            let key = shard_store::StoreKey::new(seq, 0);
-            let mut loaded = None;
-            let decode = self.decode;
-            let _ = self.store.scan_key_range(key, &mut |k, bytes| {
-                if k == key {
-                    loaded = decode(bytes).map(|state| (state, bytes.len()));
-                }
-                false
-            });
-            let Some((state, bytes)) = loaded else {
-                continue;
-            };
-            if shard_obs::enabled() {
-                shard_obs::counter!("replay.spill_loads", family).inc();
-            }
-            // The loaded anchor is transiently resident on top of the
-            // hot tier; its encoded size is the best proxy we have.
-            note_resident_bytes(self.hot_bytes + bytes);
-            return Some((depth, state));
-        }
-        None
+    pub fn floor(&self, limit: usize) -> Option<(usize, S)> {
+        let idx = self.points.partition_point(|&(l, _)| l <= limit);
+        idx.checked_sub(1).map(|i| self.points[i].clone())
     }
 }
 
@@ -607,8 +394,7 @@ impl<A: Application> ReplayCache<A> {
             self.path_ckpts.clear();
             // Plain `record`, not `record_for`: `state.clone_count` has
             // never included this seed, and sidecar diffs pin the counter.
-            self.path_ckpts
-                .record(depth, &state, |s| app.state_size_hint(s));
+            self.path_ckpts.record(depth, &state);
         } else {
             self.path_ckpts.truncate(depth);
         }
@@ -625,7 +411,7 @@ impl<A: Application> ReplayCache<A> {
 
     /// The deepest full-order resume point at or below `limit`: a
     /// checkpoint, or the cached tip where that is deeper.
-    fn full_resume(&mut self, limit: usize) -> Option<(usize, A::State)> {
+    fn full_resume(&self, limit: usize) -> Option<(usize, A::State)> {
         let base = self.full.floor(limit);
         match &self.full_tip {
             Some((l, s)) if *l <= limit && *l > base.as_ref().map_or(0, |&(bl, _)| bl) => {
@@ -823,7 +609,7 @@ mod tests {
     }
 
     /// The deepest checkpoint, as `restore_last` copies it out.
-    fn deepest<S: Clone + Default>(c: &mut Checkpoints<S>) -> Option<(usize, S)> {
+    fn deepest<S: Clone + Default>(c: &Checkpoints<S>) -> Option<(usize, S)> {
         let mut state = S::default();
         c.restore_last(&mut state).map(|depth| (depth, state))
     }
@@ -835,12 +621,12 @@ mod tests {
     #[test]
     fn checkpoints_record_at_interval() {
         let mut c: Checkpoints<u32> = Checkpoints::new(3);
-        assert!(!c.record(1, &10, |_| 4));
-        assert!(!c.record(2, &20, |_| 4));
-        assert!(c.record(3, &30, |_| 4));
-        assert!(!c.record(4, &40, |_| 4));
-        assert!(c.record(6, &60, |_| 4));
-        assert_eq!(deepest(&mut c), Some((6, 60)));
+        assert!(!c.record(1, &10));
+        assert!(!c.record(2, &20));
+        assert!(c.record(3, &30));
+        assert!(!c.record(4, &40));
+        assert!(c.record(6, &60));
+        assert_eq!(deepest(&c), Some((6, 60)));
         assert_eq!(c.last_len(), 6);
         assert_eq!(c.len(), 2);
     }
@@ -849,13 +635,13 @@ mod tests {
     fn checkpoints_floor_and_truncate() {
         let mut c: Checkpoints<u32> = Checkpoints::new(2);
         for len in 1..=10usize {
-            c.record(len, &(len as u32 * 10), |_| 4);
+            c.record(len, &(len as u32 * 10));
         }
         assert_eq!(c.floor(1), None);
         assert_eq!(c.floor(5), Some((4, 40)));
         assert_eq!(c.floor(100), Some((10, 100)));
         c.truncate(5);
-        assert_eq!(deepest(&mut c), Some((4, 40)));
+        assert_eq!(deepest(&c), Some((4, 40)));
         c.truncate(0);
         assert!(c.is_empty());
         assert_eq!(c.floor(100), None);
@@ -991,84 +777,5 @@ mod tests {
         assert!(r.is_empty());
         assert_eq!(r.state_after_prefix(&[]), Vec::<u64>::new());
         assert_eq!(r.final_state(), Vec::<u64>::new());
-    }
-
-    fn spilling(hot: usize, spacing: usize, every: usize) -> Checkpoints<u64> {
-        Checkpoints::new(every).with_cold_store(
-            Box::new(shard_store::MemStore::new()),
-            hot,
-            spacing,
-        )
-    }
-
-    #[test]
-    fn cold_store_with_spacing_one_changes_no_answer() {
-        let mut plain: Checkpoints<u64> = Checkpoints::new(2);
-        let mut spill = spilling(3, 1, 2);
-        for len in 1..=40usize {
-            assert_eq!(
-                plain.record(len, &(len as u64 * 10), |_| 8),
-                spill.record(len, &(len as u64 * 10), |_| 8)
-            );
-        }
-        assert_eq!(plain.spilled_anchors(), 0, "nothing to evict to");
-        assert!(spill.spilled_anchors() > 0, "eviction must have spilled");
-        assert_eq!(
-            spill.len() - spill.spilled_anchors(),
-            3,
-            "resident points bounded by the hot capacity"
-        );
-        assert_eq!(plain.len(), spill.len());
-        for limit in 0..=41 {
-            assert_eq!(plain.floor(limit), spill.floor(limit), "limit {limit}");
-        }
-        assert_eq!(plain.last_len(), spill.last_len());
-        // The deepest point loads back from the cold store too.
-        plain.truncate(30);
-        spill.truncate(30);
-        assert_eq!(deepest(&mut plain), deepest(&mut spill));
-        assert_eq!(deepest(&mut spill), Some((30, 300)));
-    }
-
-    #[test]
-    fn spilling_truncate_then_readvance_never_collides() {
-        let mut spill = spilling(1, 1, 1);
-        for len in 1..=10usize {
-            spill.record(len, &(len as u64), |_| 8);
-        }
-        // Undo to depth 4, then redo with *different* states at the
-        // same depths: the fresh anchors must win over the orphans.
-        spill.truncate(4);
-        assert_eq!(spill.last_len(), 4);
-        for len in 5..=12usize {
-            spill.record(len, &(len as u64 + 100), |_| 8);
-        }
-        assert_eq!(spill.floor(7), Some((7, 107)));
-        assert_eq!(spill.floor(4), Some((4, 4)));
-        assert_eq!(deepest(&mut spill), Some((12, 112)));
-    }
-
-    #[test]
-    fn spilling_floor_degrades_past_lost_anchors() {
-        // Spacing 3 drops two of every three evicted points entirely;
-        // floors fall back to the deepest surviving point.
-        let mut spill = spilling(2, 3, 1);
-        for len in 1..=20usize {
-            spill.record(len, &(len as u64), |_| 8);
-        }
-        for limit in 0..=21 {
-            match spill.floor(limit) {
-                Some((l, s)) => {
-                    assert!(l <= limit && s == l as u64);
-                }
-                None => assert!(limit < 3, "shallow limits may have no anchor"),
-            }
-        }
-        // Crashing the spill store to nothing degrades floors to the
-        // hot tier instead of failing.
-        spill.store_mut().crash(0).unwrap();
-        assert_eq!(spill.floor(18), None, "cold anchors gone");
-        assert_eq!(spill.floor(19), Some((19, 19)), "hot tier intact");
-        assert_eq!(deepest(&mut spill), Some((20, 20)));
     }
 }

@@ -62,7 +62,7 @@ fn global_counters_match_checkpoint_behavior() {
     let full: Vec<usize> = (0..20).collect();
     r.state_after_prefix(&full);
     for len in 1..=20usize {
-        oracle.record(len, &len, |_| 8);
+        oracle.record(len, &len);
     }
     assert_eq!(
         deltas("replay.ckpt_misses", &before),

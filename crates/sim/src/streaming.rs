@@ -15,19 +15,18 @@
 //!
 //! Sealing appends the row to a store-backed [`StreamingExecution`],
 //! folds the update into one in-place state (never a log of states),
-//! records checkpoints whose cold anchors spill through a store-backed
-//! [`Checkpoints`] sequence, and feeds the online §3 window checker —
-//! retired behind the oldest sealed row a pending arrival can still
-//! miss — so a 10⁷-transaction run holds one application state, a
+//! and feeds the online §3 window checker — retired behind the oldest
+//! sealed row a pending arrival can still miss — so a
+//! 10⁷-transaction run holds one application state, a
 //! `capacity`-sized window, and a few windows of checker state in RAM
-//! (all three counted in the `state.peak_resident_bytes` gauge), while
-//! the full execution lives in the store for later byte-identical
-//! re-checking. Experiment E25 drives this end to end.
+//! (window and checker counted in the `state.peak_resident_bytes`
+//! gauge), while the full execution lives in the store for later
+//! byte-identical re-checking. Seals come in timestamp order and are
+//! final, so nothing is ever undone and no checkpoint is kept.
+//! Experiment E25 drives this end to end.
 
 use crate::clock::Timestamp;
-use shard_core::{
-    Application, Checkpoints, StreamChecker, StreamReport, StreamRow, StreamingExecution,
-};
+use shard_core::{Application, StreamChecker, StreamReport, StreamRow, StreamingExecution};
 use std::collections::{BTreeMap, VecDeque};
 use std::io;
 
@@ -47,7 +46,6 @@ pub struct StreamingMerge<A: Application> {
     window: BTreeMap<Timestamp, Pending<A::Update>>,
     capacity: usize,
     state: A::State,
-    anchors: Checkpoints<A::State>,
     sink: StreamingExecution<A>,
     checker: StreamChecker,
     /// Rows sealed so far — the serial index of the next seal.
@@ -66,24 +64,20 @@ pub struct StreamingMerge<A: Application> {
 
 impl<A: Application> StreamingMerge<A>
 where
-    A::State: shard_store::Codec,
     A::Update: shard_store::Codec,
 {
-    /// A merge over `app` whose rows stream into `row_store` and whose
-    /// cold checkpoint anchors spill into `anchor_store`. `capacity`
-    /// bounds the reorder window (= the delivery displacement the
-    /// workload guarantees); `checkpoint_every`, `hot_points` and
-    /// `spill_spacing` configure the anchor tier; `checker_window` is
-    /// the online §3 verdict cadence.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    /// A merge over `app` whose rows stream into `row_store`.
+    /// `capacity` bounds the reorder window (= the delivery
+    /// displacement the workload guarantees); `checker_window` is the
+    /// online §3 verdict cadence.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity == 0`.
+    pub fn with_window(
         app: &A,
         row_store: Box<dyn shard_store::Store + Send>,
-        anchor_store: Box<dyn shard_store::Store + Send>,
         capacity: usize,
-        checkpoint_every: usize,
-        hot_points: usize,
-        spill_spacing: usize,
         checker_window: usize,
     ) -> Self {
         assert!(capacity > 0, "reorder window must hold at least one row");
@@ -91,11 +85,6 @@ where
             window: BTreeMap::new(),
             capacity,
             state: app.initial_state(),
-            anchors: Checkpoints::new(checkpoint_every).with_cold_store(
-                anchor_store,
-                hot_points,
-                spill_spacing,
-            ),
             sink: StreamingExecution::new(row_store),
             checker: StreamChecker::new(checker_window),
             sealed: 0,
@@ -204,7 +193,6 @@ where
         app.apply_in_place(&mut self.state, &p.update);
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
-        self.anchors.record_for(app, self.sealed, &self.state);
         self.checker.push(&self.row);
         self.recent.push_back((i, p.arrival));
         // A sealed row stays interesting only while a pending arrival
@@ -230,7 +218,7 @@ where
     }
 
     /// Raises the `state.peak_resident_bytes` gauge to what the merge
-    /// holds right now: hot anchors, reorder window and checker.
+    /// holds right now: reorder window and checker.
     fn note_resident(&self) {
         use std::mem::size_of;
         use std::sync::{Arc, OnceLock};
@@ -241,7 +229,7 @@ where
         let window = self.window.len() * size_of::<(Timestamp, Pending<A::Update>)>()
             + self.recent.capacity() * size_of::<(usize, u64)>()
             + self.row.missed.capacity() * size_of::<usize>();
-        let held = self.anchors.hot_bytes() + window + self.checker.resident_bytes();
+        let held = window + self.checker.resident_bytes();
         PEAK.get_or_init(|| shard_obs::Registry::global().gauge("state.peak_resident_bytes"))
             .max(held as i64);
     }
@@ -261,25 +249,45 @@ where
         self.checker.report()
     }
 
-    /// Cold anchors spilled to the store so far.
-    pub fn spilled_anchors(&self) -> usize {
-        self.anchors.spilled_anchors()
-    }
-
     /// Tears the merge down into its store-backed execution (for
-    /// second-pass re-checking off the cursor), final state, and cold
-    /// anchor tier.
+    /// second-pass re-checking off the cursor) and final state. The
+    /// third part is an empty execution over a [`MemStore`](shard_store::MemStore),
+    /// kept so existing three-part destructuring still compiles.
     ///
     /// # Panics
     ///
     /// Panics if transactions are still pending — call
     /// [`StreamingMerge::finish`] first.
-    pub fn into_parts(self) -> (StreamingExecution<A>, A::State, Checkpoints<A::State>) {
+    pub fn into_parts(self) -> (StreamingExecution<A>, A::State, StreamingExecution<A>) {
         assert!(
             self.window.is_empty(),
             "finish() the stream before tearing it down"
         );
-        (self.sink, self.state, self.anchors)
+        let empty = StreamingExecution::new(Box::new(shard_store::MemStore::new()));
+        (self.sink, self.state, empty)
+    }
+
+    /// The pre-[`with_window`](StreamingMerge::with_window) constructor:
+    /// the anchor store and the three anchor settings are ignored.
+    #[doc(hidden)]
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        app: &A,
+        row_store: Box<dyn shard_store::Store + Send>,
+        _anchor_store: Box<dyn shard_store::Store + Send>,
+        capacity: usize,
+        _checkpoint_every: usize,
+        _hot_points: usize,
+        _spill_spacing: usize,
+        checker_window: usize,
+    ) -> Self {
+        Self::with_window(app, row_store, capacity, checker_window)
+    }
+
+    /// Always 0: the merge keeps no checkpoints.
+    #[doc(hidden)]
+    pub fn spilled_anchors(&self) -> usize {
+        0
     }
 }
 
@@ -290,23 +298,38 @@ mod tests {
     use crate::merge::MergeLog;
     use shard_core::DecisionOutcome;
 
+    thread_local! {
+        static CLONES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The history of updates a `Trace` state is, every clone counted.
+    #[derive(Debug, PartialEq)]
+    struct Counted(Vec<u64>);
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONES.with(|c| c.set(c.get() + 1));
+            Counted(self.0.clone())
+        }
+    }
+
     #[derive(Clone)]
     struct Trace;
 
     impl Application for Trace {
-        type State = Vec<u64>;
+        type State = Counted;
         type Update = u64;
         type Decision = u64;
-        fn initial_state(&self) -> Vec<u64> {
-            Vec::new()
+        fn initial_state(&self) -> Counted {
+            Counted(Vec::new())
         }
-        fn is_well_formed(&self, _: &Vec<u64>) -> bool {
+        fn is_well_formed(&self, _: &Counted) -> bool {
             true
         }
-        fn apply_in_place(&self, s: &mut Vec<u64>, u: &u64) {
-            s.push(*u);
+        fn apply_in_place(&self, s: &mut Counted, u: &u64) {
+            s.0.push(*u);
         }
-        fn decide(&self, d: &u64, _: &Vec<u64>) -> DecisionOutcome<u64> {
+        fn decide(&self, d: &u64, _: &Counted) -> DecisionOutcome<u64> {
             DecisionOutcome::update_only(*d)
         }
         fn constraint_count(&self) -> usize {
@@ -315,7 +338,7 @@ mod tests {
         fn constraint_name(&self, _: usize) -> &str {
             unreachable!()
         }
-        fn cost(&self, _: &Vec<u64>, _: usize) -> u64 {
+        fn cost(&self, _: &Counted, _: usize) -> u64 {
             0
         }
     }
@@ -342,16 +365,8 @@ mod tests {
     }
 
     fn merge_all(app: &Trace, order: &[u64], capacity: usize) -> StreamingMerge<Trace> {
-        let mut m = StreamingMerge::new(
-            app,
-            Box::new(shard_store::MemStore::new()),
-            Box::new(shard_store::MemStore::new()),
-            capacity,
-            4,
-            2,
-            1,
-            8,
-        );
+        let mut m =
+            StreamingMerge::with_window(app, Box::new(shard_store::MemStore::new()), capacity, 8);
         for (when, &l) in order.iter().enumerate() {
             m.offer(app, ts(l + 1), when as u64, l).unwrap();
         }
@@ -372,6 +387,24 @@ mod tests {
             }
             assert_eq!(m.state(), log.state(), "displacement {d}");
         }
+    }
+
+    /// "One in-place state (never a log of states)": sealing folds
+    /// each update into the one state and copies it nowhere.
+    #[test]
+    fn a_seal_never_copies_the_state() {
+        let app = Trace;
+        let order = displaced(2_000, 16);
+        let mut m =
+            StreamingMerge::with_window(&app, Box::new(shard_store::MemStore::new()), 17, 8);
+        CLONES.with(|c| c.set(0));
+        for (when, &l) in order.iter().enumerate() {
+            m.offer(&app, ts(l + 1), when as u64, l).unwrap();
+        }
+        m.finish(&app).unwrap();
+        assert_eq!(CLONES.with(std::cell::Cell::get), 0, "state clones");
+        assert_eq!(m.sealed(), 2_000);
+        assert_eq!(m.state().0, (0..2_000).collect::<Vec<_>>());
     }
 
     /// The rows `order` seals into, from delivery positions alone:
@@ -422,17 +455,8 @@ mod tests {
         let app = Trace;
         for d in [1usize, 16, 64] {
             let order = displaced(20_000, d);
-            // No anchors: a `Trace` state is the whole history.
-            let mut m = StreamingMerge::new(
-                &app,
-                Box::new(shard_store::MemStore::new()),
-                Box::new(shard_store::MemStore::new()),
-                d + 1,
-                usize::MAX / 2,
-                2,
-                1,
-                8,
-            );
+            let mut m =
+                StreamingMerge::with_window(&app, Box::new(shard_store::MemStore::new()), d + 1, 8);
             let mut samples = Vec::new();
             for (when, &l) in order.iter().enumerate() {
                 m.offer(&app, ts(l + 1), when as u64, l).unwrap();
@@ -522,14 +546,13 @@ mod tests {
             appends: 0,
             fail_at,
         };
-        let anchors = Box::new(shard_store::MemStore::new());
-        let mut m = StreamingMerge::new(&app, Box::new(store), anchors, capacity, 4, 2, 1, 8);
+        let mut m = StreamingMerge::with_window(&app, Box::new(store), capacity, 8);
         let mut errors = 0;
         let mut stopped = |m: &StreamingMerge<Trace>, e: io::Error| {
             errors += 1;
             assert_eq!(e.to_string(), "disk full");
             let sealed = m.sealed();
-            assert_eq!(m.state(), &(0..sealed as u64).collect::<Vec<_>>());
+            assert_eq!(m.state().0, (0..sealed as u64).collect::<Vec<_>>());
             let so_far = shard_core::stream::check_rows(8, &rows[..sealed]);
             assert_eq!(m.report(), so_far, "fail_at {fail_at}");
         };
@@ -573,39 +596,21 @@ mod tests {
     #[test]
     fn duplicates_and_in_order_streams_are_cheap() {
         let app = Trace;
-        let mut m = StreamingMerge::new(
-            &app,
-            Box::new(shard_store::MemStore::new()),
-            Box::new(shard_store::MemStore::new()),
-            4,
-            4,
-            2,
-            1,
-            8,
-        );
+        let mut m = StreamingMerge::with_window(&app, Box::new(shard_store::MemStore::new()), 4, 8);
         for l in 0..50u64 {
             m.offer(&app, ts(l + 1), l, l).unwrap();
             m.offer(&app, ts(l + 1), l, l).unwrap(); // redelivery
         }
         m.finish(&app).unwrap();
         assert_eq!(m.sealed(), 50);
-        assert_eq!(m.state(), &(0..50).collect::<Vec<_>>());
+        assert_eq!(m.state().0, (0..50).collect::<Vec<_>>());
         assert!(m.report().transitive);
     }
 
     #[test]
     fn deliveries_at_or_below_the_sealed_frontier_are_errors_not_panics() {
         let app = Trace;
-        let mut m = StreamingMerge::new(
-            &app,
-            Box::new(shard_store::MemStore::new()),
-            Box::new(shard_store::MemStore::new()),
-            2,
-            4,
-            2,
-            1,
-            8,
-        );
+        let mut m = StreamingMerge::with_window(&app, Box::new(shard_store::MemStore::new()), 2, 8);
         for l in [5u64, 6, 7, 8] {
             m.offer(&app, ts(l), l, l).unwrap();
         }
@@ -627,7 +632,7 @@ mod tests {
         m.offer(&app, ts(7), 10, 7).unwrap(); // still-pending duplicate
         m.offer(&app, ts(9), 11, 9).unwrap();
         m.finish(&app).unwrap();
-        assert_eq!(m.state(), &vec![5, 6, 7, 8, 9]);
+        assert_eq!(m.state().0, vec![5, 6, 7, 8, 9]);
         assert!(m.report().transitive);
     }
 }

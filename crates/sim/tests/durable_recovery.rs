@@ -5,30 +5,24 @@
 //! recovered state equals replaying exactly that prefix, and whole
 //! kernel runs under [`CrashInjector`] still satisfy the §3
 //! checkers and converge to the canonical serial replay.
-//!
-//! Plus the out-of-core tier's kill point on the real disk format: a
-//! [`Checkpoints`] sequence whose cold anchors spill through a
-//! [`DiskStore`] keeps answering with true prefix states when that
-//! store is torn or emptied mid-run — spilled anchors are a rebuildable
-//! cache, never authority.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
-use shard_apps::banking::{AccountId, Bank, BankState, BankTxn, BankUpdate};
+use shard_apps::banking::{AccountId, Bank, BankTxn, BankUpdate};
 use shard_apps::dictionary::{DictTxn, DictUpdate, Dictionary};
 use shard_apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard_apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard_apps::Person;
-use shard_core::{Application, Checkpoints};
+use shard_core::Application;
 use shard_obs::EventSink;
 use shard_sim::{
     ClusterConfig, CrashInjector, CrashSchedule, CrashWindow, DelayModel, DurabilityConfig,
     DurableFleet, EagerBroadcast, Gossip, Invocation, LamportClock, MergeLog, NodeId,
     PartitionSchedule, PartitionWindow, Propagation, RunReport, Runner, Timestamp,
 };
-use shard_store::{Codec, DiskStore, StoreKey, StoreOptions};
+use shard_store::{Codec, StoreKey};
 use std::sync::Arc;
 
 /// Drives one durable node (id 0) through a mixed own/foreign workload,
@@ -238,77 +232,6 @@ proptest! {
         );
         kill_recover_prefix(&NameServer::new(3, 1), ns_update, workload_seed, kill_seed, n);
     }
-}
-
-/// The skip-unreadable-anchor fallback on the exact store the
-/// out-of-core experiment spills through: anchors land in a
-/// [`DiskStore`], the store is crashed with a torn tail mid-run and
-/// later to empty, and every floor the sequence still returns is a true
-/// prefix state no deeper than asked — a lost anchor only makes the
-/// answer shallower. In between, an undo/redo (truncate, re-record)
-/// writes fresh anchors over the orphaned ones.
-#[test]
-fn disk_spilled_anchors_survive_torn_crashes() {
-    let dir = std::env::temp_dir().join(format!("shard-sim-spill-crash-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let app = Bank::new(4, 100);
-    let mut rng = StdRng::seed_from_u64(11);
-    // states[d]: the state after the first d updates of the serial order.
-    let mut states: Vec<BankState> = vec![app.initial_state()];
-    for _ in 0..60 {
-        let next = app.apply(&states[states.len() - 1], &bank_update(&mut rng));
-        states.push(next);
-    }
-    let (store, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
-    assert_eq!(recovered, 0, "fresh directory");
-    // One resident point; every evicted one is spilled.
-    let mut anchors: Checkpoints<BankState> =
-        Checkpoints::new(2).with_cold_store(Box::new(store), 1, 1);
-    let advance = |anchors: &mut Checkpoints<BankState>,
-                   depths: std::ops::RangeInclusive<usize>| {
-        for d in depths {
-            anchors.record(d, &states[d], |s| app.state_size_hint(s));
-        }
-    };
-    let floor_depths = |anchors: &mut Checkpoints<BankState>| -> Vec<Option<usize>> {
-        (0..=60)
-            .map(|limit| {
-                anchors.floor(limit).map(|(d, s)| {
-                    assert!(d <= limit, "floor {d} above limit {limit}");
-                    assert_eq!(s, states[d], "floor at depth {d} is not the prefix state");
-                    d
-                })
-            })
-            .collect()
-    };
-
-    advance(&mut anchors, 1..=60);
-    let intact = floor_depths(&mut anchors);
-    assert_eq!(intact[59], Some(58), "deepest spilled anchor");
-    // Torn tail: the newest spilled anchor loses its last few bytes.
-    let store = anchors.store_mut();
-    let keep = store.len_bytes().saturating_sub(7);
-    assert!(store.crash(keep).unwrap().torn);
-    let torn = floor_depths(&mut anchors);
-    assert_eq!(torn[59], Some(56), "falls back past the torn anchor");
-    assert_eq!(torn[60], Some(60), "resident point untouched");
-    assert_eq!(torn[..58], intact[..58], "older anchors unaffected");
-
-    // Undo to depth 20 and redo: what a repair does to its checkpoints.
-    anchors.truncate(20);
-    advance(&mut anchors, 21..=60);
-    assert_eq!(
-        floor_depths(&mut anchors),
-        intact,
-        "fresh anchors replace the lost one"
-    );
-
-    // Total anchor loss.
-    anchors.store_mut().crash(0).unwrap();
-    let emptied = floor_depths(&mut anchors);
-    assert_eq!(emptied[59], None, "no cold anchor left to resume from");
-    assert_eq!(emptied[60], Some(60), "resident point untouched");
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn airline_invocations(n: u32, nodes: u16) -> Vec<Invocation<AirlineTxn>> {

@@ -16,7 +16,7 @@
 
 use shard_apps::banking::{AccountId, Bank, BankUpdate};
 use shard_sim::{NodeId, StreamingMerge, Timestamp};
-use shard_store::{DiskStore, KeyCursor, MemStore, StoreOptions};
+use shard_store::{DiskStore, KeyCursor, StoreOptions};
 
 /// E25's rows at its smoke scale: banking updates delivered in blocks
 /// of 64, each block shuffled, so a row misses up to 63 others.
@@ -29,9 +29,8 @@ fn a_cursor_pass_over_the_row_store_reads_the_rows_about_once() {
     let _ = std::fs::remove_dir_all(&dir);
     let app = Bank::new(8, 1_000_000);
     let (rows, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
-    let anchors = Box::new(MemStore::new());
     let mut merge: StreamingMerge<Bank> =
-        StreamingMerge::new(&app, Box::new(rows), anchors, BLOCK, 1024, 4, 16, 64);
+        StreamingMerge::with_window(&app, Box::new(rows), BLOCK, 64);
     let mut seed = 0x5AD_E25u64;
     let mut next = |below: u64| {
         seed ^= seed << 13;

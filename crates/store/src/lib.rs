@@ -10,8 +10,8 @@
 //!   records (`len`, CRC-32, payload) appended to rotating segment
 //!   files, with torn-tail detection and truncation on open. The WAL is
 //!   the *authoritative* copy of a node's merge log, in arrival order —
-//!   and the only copy: every log the system reads by key (sealed rows,
-//!   spilled anchors) is appended in key order, so a key scan is a
+//!   and the only copy: every log the system reads by key (sealed
+//!   rows) is appended in key order, so a key scan is a
 //!   binary search over one **fence** per segment (the key of its first
 //!   record) and a sequential, CRC-checked read from there. There is no
 //!   second structure to rebuild on open or distrust after a crash.

@@ -84,12 +84,12 @@ impl ListCache {
         let depth = by_full.max(by_path);
         if by_full > by_path {
             self.path_ckpts.clear();
-            self.path_ckpts.record(depth, &(), |()| 0);
+            self.path_ckpts.record(depth, &());
         } else {
             self.path_ckpts.truncate(depth);
         }
         for applied in depth + 1..=prefix.len() {
-            self.path_ckpts.record(applied, &(), |()| 0);
+            self.path_ckpts.record(applied, &());
         }
         self.path = prefix.to_vec();
         self.has_path_tip = true;
@@ -99,7 +99,7 @@ impl ListCache {
     fn state_after_first(&mut self, m: usize) {
         let depth = self.full_resume(m);
         for applied in depth + 1..=m {
-            self.full.record(applied, &(), |()| 0);
+            self.full.record(applied, &());
         }
         if self.full_tip.is_none_or(|l| l <= m) {
             self.full_tip = Some(m);

@@ -4,8 +4,7 @@
 //! [`PMap`] and the bank's flat state must behave exactly like a
 //! `BTreeMap` oracle (including across clones taken mid-sequence),
 //! [`Checkpoints`] must record, truncate and floor like a naive list of
-//! depths and resume replays to byte-identical states — with or without
-//! a cold store, whatever a crash of that store destroys — and the
+//! depths and resume replays to byte-identical states, and the
 //! execution-level cache, warmed along the full serial order, must
 //! answer like the naive fold.
 
@@ -18,7 +17,6 @@ use shard::apps::inventory::{InvUpdate, ItemId, Order, OrderId, Warehouse};
 use shard::apps::nameserver::{GroupId, Name, NameServer, NsUpdate};
 use shard::apps::Person;
 use shard::core::{Application, Checkpoints, ExecutionBuilder, PMap, TxnIndex};
-use shard::store::{Codec, MemStore};
 use std::collections::BTreeMap;
 
 /// Folds `updates` in place and pins the `state_size_hint` contract
@@ -168,16 +166,6 @@ fn bank_oracle_apply(oracle: &mut BTreeMap<AccountId, i64>, update: &BankUpdate)
 /// A bank state's encoding of `pairs`, in whatever order they come,
 /// written out field by field: the count, then each account and its
 /// balance's bits.
-fn bank_bytes(pairs: &[(AccountId, i64)]) -> Vec<u8> {
-    let mut out = Vec::new();
-    (pairs.len() as u32).encode(&mut out);
-    for &(a, b) in pairs {
-        a.0.encode(&mut out);
-        (b as u64).encode(&mut out);
-    }
-    out
-}
-
 fn inventory_update() -> impl Strategy<Value = InvUpdate> {
     let item = 0u32..3;
     let id = 1u32..12;
@@ -249,7 +237,7 @@ fn assert_checkpoints_match_model<A: Application>(
     }
     let mut ckpts: Checkpoints<A::State> = Checkpoints::new(every);
     let mut model: Vec<usize> = Vec::new();
-    let check = |ckpts: &mut Checkpoints<A::State>, model: &[usize]| {
+    let check = |ckpts: &Checkpoints<A::State>, model: &[usize]| {
         assert_eq!(ckpts.len(), model.len());
         assert_eq!(ckpts.last_len(), model.last().copied().unwrap_or(0));
         for over in [&states[0], &states[updates.len()]] {
@@ -286,15 +274,15 @@ fn assert_checkpoints_match_model<A: Application>(
             if due {
                 model.push(len);
             }
-            let stored = ckpts.record(len, state, |s| app.state_size_hint(s));
+            let stored = ckpts.record(len, state);
             assert_eq!(stored, due, "record decision diverged at {len}");
         }
-        check(&mut ckpts, &model);
+        check(&ckpts, &model);
         if let Some(&cut) = cuts.get(phase) {
             let keep = cut % (updates.len() + 1);
             ckpts.truncate(keep);
             model.retain(|&l| l <= keep);
-            check(&mut ckpts, &model);
+            check(&ckpts, &model);
             from = keep + 1;
         }
     }
@@ -425,9 +413,9 @@ proptest! {
     /// The bank's state agrees with a `BTreeMap` oracle after every
     /// update, over tracked accounts, `A0` and untracked ones: the
     /// touched accounts and their balances in account order, equality
-    /// with the state built from those pairs in reverse, the encoding
-    /// byte for byte, decoding of unsorted and repeated pairs (the last
-    /// wins) — and clones taken along the way never see a later write.
+    /// with the state built from those pairs in reverse, building from
+    /// unsorted and repeated pairs (the last wins) — and clones taken
+    /// along the way never see a later write.
     #[test]
     fn bank_state_matches_btreemap_oracle(
         updates in proptest::collection::vec(bank_update(), 0..200),
@@ -446,25 +434,23 @@ proptest! {
             }
             let reversed: Vec<_> = pairs.iter().rev().copied().collect();
             prop_assert_eq!(&BankState::with_balances(&reversed), &state);
-            prop_assert_eq!(state.to_vec(), bank_bytes(&pairs));
             // Every account once with a stale balance, then the real
             // ones in reverse order.
             let mut repeated: Vec<_> = pairs.iter().map(|&(a, b)| (a, b ^ 1)).collect();
             repeated.extend(reversed);
-            prop_assert_eq!(BankState::from_slice(&bank_bytes(&repeated)), Some(state.clone()));
+            prop_assert_eq!(&BankState::with_balances(&repeated), &state);
             if i % 7 == 0 {
                 snapshots.push((state.clone(), pairs));
             }
         }
         // Crediting an account back to zero keeps it: touched, it is
-        // encoded and makes the state differ from one that never was.
+        // listed and makes the state differ from one that never was.
         let fresh = AccountId(1_000);
         let mut zeroed = app.apply(&state, &BankUpdate::Credit(fresh, 5));
         app.apply_in_place(&mut zeroed, &BankUpdate::Debit(fresh, 5));
         oracle.insert(fresh, 0);
         let pairs: Vec<(AccountId, i64)> = oracle.iter().map(|(a, b)| (*a, *b)).collect();
         prop_assert_eq!(zeroed.balances().collect::<Vec<_>>(), pairs.clone());
-        prop_assert_eq!(zeroed.to_vec(), bank_bytes(&pairs));
         prop_assert_ne!(&zeroed, &state);
         for (snap, pairs) in &snapshots {
             prop_assert_eq!(snap.balances().collect::<Vec<_>>(), pairs.clone());
@@ -480,7 +466,7 @@ proptest! {
                 let mut copy = target.clone();
                 copy.clone_from(source);
                 prop_assert_eq!(&copy, source);
-                prop_assert_eq!(copy.to_vec(), source.to_vec());
+                prop_assert!(copy.balances().eq(source.balances()));
             }
         }
     }
@@ -511,108 +497,74 @@ proptest! {
     }
 
     /// Random `record` / `truncate` / `floor` / `restore_last` /
-    /// undo-then-redo / cold-store `crash(keep)` sequences against a
-    /// naive `Vec<(depth, state)>`
-    /// model, in three configurations of the one type: no cold store,
-    /// a cold store spilling every evicted point, and one spilling
-    /// every `spacing`-th. A returned checkpoint is always a pair the
-    /// model holds, never deeper than the limit. Where no point can
-    /// have been lost — no cold store, or spacing 1 and no crash yet —
-    /// record decisions, `len`, `last_len` and every answer equal the
-    /// model's exactly; elsewhere an answer may only be shallower.
+    /// undo-then-redo sequences against a naive `Vec<(depth, state)>`
+    /// model: record decisions, `len`, `last_len` and every answer
+    /// equal the model's exactly.
     #[test]
     fn checkpoint_ops_match_model_in_every_configuration(
-        ops in proptest::collection::vec((0u8..7, 0usize..200), 1..120),
+        ops in proptest::collection::vec((0u8..6, 0usize..200), 1..120),
         every in 1usize..=5,
-        hot in 1usize..=4,
-        spacing in 2usize..=4,
     ) {
-        for cold in [None, Some(1), Some(spacing)] {
-            let mut ckpts: Checkpoints<u64> = Checkpoints::new(every);
-            if let Some(spacing) = cold {
-                ckpts = ckpts.with_cold_store(Box::new(MemStore::new()), hot, spacing);
-            }
-            // Lossless: every stored point is still retrievable.
-            let mut lossless = cold.is_none_or(|spacing| spacing == 1);
-            let mut model: Vec<(usize, u64)> = Vec::new();
-            let (mut depth, mut next_state) = (0usize, 0u64);
-            let floor_of = |model: &[(usize, u64)], limit: usize| {
-                model.iter().rev().find(|&&(l, _)| l <= limit).copied()
-            };
-            for &(op, x) in &ops {
-                match op {
-                    0 | 1 => {
-                        // Advance and offer a never-seen-before state, so
-                        // a stale anchor for a re-recorded depth shows.
-                        depth += x % 4;
+        let mut ckpts: Checkpoints<u64> = Checkpoints::new(every);
+        let mut model: Vec<(usize, u64)> = Vec::new();
+        let (mut depth, mut next_state) = (0usize, 0u64);
+        let floor_of = |model: &[(usize, u64)], limit: usize| {
+            model.iter().rev().find(|&&(l, _)| l <= limit).copied()
+        };
+        for &(op, x) in &ops {
+            match op {
+                0 | 1 => {
+                    // Advance and offer a never-seen-before state, so
+                    // a stale point for a re-recorded depth shows.
+                    depth += x % 4;
+                    next_state += 1;
+                    let stored = ckpts.record(depth, &next_state);
+                    let due = depth >= model.last().map_or(0, |&(l, _)| l) + every;
+                    prop_assert_eq!(stored, due, "record decision at {}", depth);
+                    if stored {
+                        model.push((depth, next_state));
+                    }
+                }
+                2 => {
+                    let keep = x % (depth + 1);
+                    ckpts.truncate(keep);
+                    model.retain(|&(l, _)| l <= keep);
+                    depth = keep;
+                }
+                5 => {
+                    // A repair: undo a little and redo every depth
+                    // back to where it was, with new states — the
+                    // re-records reuse what the undo dropped.
+                    let keep = depth.saturating_sub(x % (3 * every + 1));
+                    ckpts.truncate(keep);
+                    model.retain(|&(l, _)| l <= keep);
+                    for len in keep + 1..=depth {
                         next_state += 1;
-                        let stored = ckpts.record(depth, &next_state, |_| 8);
-                        let due = depth >= model.last().map_or(0, |&(l, _)| l) + every;
-                        if cold != Some(spacing) {
-                            prop_assert_eq!(stored, due, "record decision at {}", depth);
-                        }
+                        let stored = ckpts.record(len, &next_state);
+                        let due = len >= model.last().map_or(0, |&(l, _)| l) + every;
+                        prop_assert_eq!(stored, due, "re-record decision at {}", len);
                         if stored {
-                            model.push((depth, next_state));
-                        }
-                    }
-                    2 => {
-                        let keep = x % (depth + 1);
-                        ckpts.truncate(keep);
-                        model.retain(|&(l, _)| l <= keep);
-                        depth = keep;
-                    }
-                    6 => {
-                        // A repair: undo a little and redo every depth
-                        // back to where it was, with new states — the
-                        // re-records reuse what the undo dropped.
-                        let keep = depth.saturating_sub(x % (3 * every + 1));
-                        ckpts.truncate(keep);
-                        model.retain(|&(l, _)| l <= keep);
-                        for len in keep + 1..=depth {
-                            next_state += 1;
-                            let stored = ckpts.record(len, &next_state, |_| 8);
-                            let due = len >= model.last().map_or(0, |&(l, _)| l) + every;
-                            if cold != Some(spacing) {
-                                prop_assert_eq!(stored, due, "re-record decision at {}", len);
-                            }
-                            if stored {
-                                model.push((len, next_state));
-                            }
-                        }
-                    }
-                    3 | 4 => {
-                        let limit = if op == 3 { x % (depth + 2) } else { usize::MAX };
-                        let got = if op == 3 {
-                            ckpts.floor(limit)
-                        } else {
-                            // Over a state no point holds, which must
-                            // survive a restore that finds nothing.
-                            let mut state = u64::MAX;
-                            let depth = ckpts.restore_last(&mut state);
-                            prop_assert!(depth.is_some() || state == u64::MAX);
-                            depth.map(|l| (l, state))
-                        };
-                        if lossless {
-                            prop_assert_eq!(got, floor_of(&model, limit), "limit {}", limit);
-                        } else if let Some((l, s)) = got {
-                            prop_assert!(l <= limit, "floor {} above limit {}", l, limit);
-                            prop_assert!(model.contains(&(l, s)), "({}, {}) was never stored", l, s);
-                        }
-                    }
-                    _ => {
-                        if cold.is_some() {
-                            let store = ckpts.store_mut();
-                            let keep = store.len_bytes() * (x as u64 % 101) / 100;
-                            lossless &= keep == store.len_bytes();
-                            store.crash(keep).expect("mem store crash is infallible");
+                            model.push((len, next_state));
                         }
                     }
                 }
-                if cold != Some(spacing) {
-                    prop_assert_eq!(ckpts.len(), model.len());
-                    prop_assert_eq!(ckpts.last_len(), model.last().map_or(0, |&(l, _)| l));
+                _ => {
+                    let limit = if op == 3 { x % (depth + 2) } else { usize::MAX };
+                    let got = if op == 3 {
+                        ckpts.floor(limit)
+                    } else {
+                        // Over a state no point holds, which must
+                        // survive a restore that finds nothing.
+                        let mut state = u64::MAX;
+                        let depth = ckpts.restore_last(&mut state);
+                        prop_assert!(depth.is_some() || state == u64::MAX);
+                        depth.map(|l| (l, state))
+                    };
+                    prop_assert_eq!(got, floor_of(&model, limit), "limit {}", limit);
                 }
             }
+            prop_assert_eq!(ckpts.len(), model.len());
+            prop_assert_eq!(ckpts.last_len(), model.last().map_or(0, |&(l, _)| l));
         }
     }
 

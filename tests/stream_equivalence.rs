@@ -12,15 +12,12 @@
 //!
 //! The same executions then take the out-of-core path: rows are
 //! serialized into a [`StreamingExecution`] and folded back off the
-//! store cursor, [`Checkpoints`] floors with a cold store attached (at
-//! spill spacings {1, 16, 256}) are compared against the same sequence
-//! with none attached, and `check_stream` off the store must produce *the same
+//! store cursor, and `check_stream` off the store must produce *the same
 //! [`StreamReport`]* — verdicts, certificates and all — as `par_check`
 //! over the in-memory execution.
 //!
 //! [`StreamChecker`]: shard::core::StreamChecker
 //! [`StreamingExecution`]: shard::core::StreamingExecution
-//! [`Checkpoints`]: shard::core::Checkpoints
 //! [`StreamReport`]: shard::core::StreamReport
 
 use proptest::prelude::*;
@@ -33,16 +30,12 @@ use shard::apps::Person;
 use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
 use shard::core::stream::{par_check, rows_from_execution, CERT_SCHEMA};
 use shard::core::{
-    Application, Certificate, Checkpoints, ExecutionBuilder, StreamingExecution, TimedExecution,
-    TxnIndex,
+    Application, Certificate, ExecutionBuilder, StreamingExecution, TimedExecution, TxnIndex,
 };
 use shard::store::{Codec, MemStore};
 use shard_pool::PoolConfig;
 
 const WINDOWS: [usize; 3] = [1, 7, 64];
-/// Spill spacings for the out-of-core leg: every eviction spilled,
-/// sparse anchors, and effectively never (at these sizes) spilled.
-const SPACINGS: [usize; 3] = [1, 16, 256];
 
 /// One generated transaction: a decision, a miss mask over the eight
 /// most recent predecessors, and the time gap since the previous
@@ -74,12 +67,11 @@ fn timed<A: Application>(app: &A, txns: Vec<Gen<A::Decision>>) -> TimedExecution
 
 /// The property: every window size of the streaming pipeline agrees with the whole-execution fold, every emitted
 /// certificate independently re-validates against the row trace, and
-/// the store-backed out-of-core path reproduces the in-memory fold,
-/// floors and reports exactly.
+/// the store-backed out-of-core path reproduces the in-memory fold and
+/// reports exactly.
 fn assert_online_matches_offline<A>(app: &A, txns: Vec<Gen<A::Decision>>)
 where
     A: Application,
-    A::State: Codec,
     A::Update: Codec,
 {
     let te = timed(app, txns);
@@ -134,14 +126,12 @@ where
 
 /// The out-of-core leg: serialize the execution's rows through a
 /// store, then demand the store-backed traversals are *identical* to
-/// the in-memory ones — the same actual state at every prefix length,
-/// the same floors with and without a cold store at every spacing, and
-/// the same `StreamReport` (verdicts *and* certificates; the report is
+/// the in-memory ones — the same actual state at every prefix length
+/// and the same `StreamReport` (verdicts *and* certificates; the report is
 /// `Eq`) as `par_check` at every window size.
 fn assert_streaming_matches_in_memory<A>(app: &A, te: &TimedExecution<A>)
 where
     A: Application,
-    A::State: Codec,
     A::Update: Codec,
 {
     // Ground truth: the in-memory actual state at every prefix length
@@ -187,50 +177,6 @@ where
             streamed, in_memory,
             "window {window}: store-backed report diverged"
         );
-    }
-
-    // Checkpoint floors, cold store attached vs not: record every
-    // actual state into both, then ask for a floor at every depth. The
-    // all-resident sequence keeps every point, so its floor is the
-    // in-memory state itself. Whatever floor the spilling one returns
-    // — hot, or decoded from a spilled record — must be the point the
-    // resident one holds at that depth; with spacing 1 nothing is ever
-    // dropped, so the two must agree exactly.
-    let record_all = |ckpts: &mut Checkpoints<A::State>| {
-        for (m, s) in expected.iter().enumerate().skip(1) {
-            ckpts.record(m, s, |s| app.state_size_hint(s));
-        }
-    };
-    let mut resident = Checkpoints::new(1);
-    record_all(&mut resident);
-    for spacing in SPACINGS {
-        let mut spilling =
-            Checkpoints::new(1).with_cold_store(Box::new(MemStore::new()), 2, spacing);
-        record_all(&mut spilling);
-        for (m, want) in expected.iter().enumerate().skip(1) {
-            assert_eq!(
-                resident.floor(m),
-                Some((m, want.clone())),
-                "resident floor at {m}"
-            );
-            match spilling.floor(m) {
-                Some((depth, got)) => {
-                    assert!(
-                        depth <= m,
-                        "spacing {spacing}: floor {depth} above limit {m}"
-                    );
-                    assert_eq!(
-                        Some((depth, got)),
-                        resident.floor(depth),
-                        "spacing {spacing}: floor at {m} returned a wrong state for depth {depth}"
-                    );
-                    if spacing == 1 {
-                        assert_eq!(depth, m, "spacing 1 keeps every point");
-                    }
-                }
-                None => assert_ne!(spacing, 1, "spacing 1 must always produce a floor at {m}"),
-            }
-        }
     }
 }
 
