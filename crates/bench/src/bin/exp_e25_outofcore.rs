@@ -64,17 +64,19 @@ const MAX_STREAM_OVER_MEM: f64 = 3.0;
 const BUDGET_DIVISOR: u64 = 10;
 
 /// Streaming throughput (txn/s) per tier size at the parent commit —
-/// the merge that still recorded checkpoints and spilled the oldest
-/// through a second store — as the median of six runs alternating with
-/// this code on the same host, minutes before the run the committed
+/// the checker that kept every missed row's missers in a word list,
+/// the seal that filtered its reorder window through a branch per
+/// entry, and the re-check that read rows through a 1 024-record
+/// cursor — as the median of six runs alternating with this code on
+/// the same host, minutes before the run the committed
 /// `BENCH_outofcore.json` records, and written beside each tier's own
 /// figure (this host's speed drifts between sessions, so only figures
 /// from one session compare). Drop the table when the file is
 /// re-recorded elsewhere.
 const PARENT_TXNS_PER_SEC: [(usize, u64); 3] = [
-    (100_000, 880_528),
-    (1_000_000, 824_748),
-    (10_000_000, 796_068),
+    (100_000, 821_223),
+    (1_000_000, 865_262),
+    (10_000_000, 869_861),
 ];
 
 /// The `store.*` counters recorded per tier.

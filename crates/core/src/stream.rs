@@ -17,15 +17,19 @@
 //!   that had itself seen `x`. Because `j ∈ 𝒫ᵢ ⟺ j ∉ Mᵢ` and
 //!   `x ∈ 𝒫ⱼ ⟺ j ∉ missers(x)`, the check only needs, per past
 //!   transaction `x`, the set of rows that missed `x` — the **missers
-//!   index**. Both sets are kept as **64-row words**: ascending
-//!   `(row / 64, bits)` pairs, aligned on absolute row numbers, so the
-//!   word of `Mᵢ` and the word of `missers(x)` that cover the same 64
-//!   candidates OR together. Row `i` packs `Mᵢ` once, and for each
-//!   missed `x` walks the words covering `(x, i)`: a clear in-range bit
-//!   is the smallest witness, and a word absent from both lists is free
-//!   at once. That is O(|Mᵢ|) to pack plus Σₓ ⌈(i − x)/64⌉ word
-//!   operations per row; rows with empty miss sets (the common case)
-//!   cost nothing.
+//!   index**. Each past row keeps its missers less than 128 rows on
+//!   **inline**, beside its time, as a 128-bit map relative to itself
+//!   (bit `d`: row `x + d` missed `x`), and row `i` packs the misses
+//!   of its own last 127 rows into one map ending just below `i`. For
+//!   a missed `x` that near, one shift lines the two maps up: a clear
+//!   bit in `(x, i)` is the smallest witness, and adding `i` to
+//!   `missers(x)` is one OR. Misses 128 or more rows back take the
+//!   general path, on **64-row words** — ascending `(row / 64, bits)`
+//!   pairs aligned on absolute row numbers: `Mᵢ` packed once, and
+//!   `missers(x)` as its near map's words plus a list of the far ones,
+//!   walked over `(x, i)` a word at a time. That is O(|Mᵢ|) per row
+//!   plus Σ ⌈(i − x)/64⌉ word operations over the far misses only;
+//!   rows with empty miss sets (the common case) cost nothing.
 //! * **t-bounded delay** follows the same shape: row `i` raises the
 //!   running bound to `timeᵢ − timeₓ + 1` for each missed `x`, which
 //!   needs only the initiation time of every row that can still be
@@ -33,9 +37,9 @@
 //!
 //! The [`StreamChecker`] wraps the three monitors behind a *window*
 //! abstraction: every `window` rows it emits a [`WindowVerdict`] (the
-//! cumulative verdicts at that boundary). Per-row state — the time and
-//! where the missers words are — sits in a window indexed by
-//! `row − start`, so looking up `missers(x)` and appending to it are
+//! cumulative verdicts at that boundary). Per-row state — the time, the
+//! near missers and where the far ones are — sits in a window indexed
+//! by `row − start`, so looking up `missers(x)` and adding to it are
 //! O(1). A driver that knows no later row will miss anything below some
 //! frontier says so ([`StreamChecker::retire_below`]): the window
 //! slides and the word lists behind it are recycled, so the checker
@@ -357,6 +361,10 @@ impl std::error::Error for RowError {}
 /// aligned on absolute row numbers, so two sets OR word against word.
 type Word = (u32, u64);
 
+/// How far back the inline missers bitmap reaches: row `x + d` for
+/// `d < NEAR` missed `x` iff bit `d` of `x`'s bitmap is set.
+const NEAR: usize = 128;
+
 /// Adds `row` — above every member so far — to a word set.
 fn push_row(words: &mut Vec<Word>, row: TxnIndex) {
     let (word, bit) = ((row / 64) as u32, 1u64 << (row % 64));
@@ -373,12 +381,28 @@ fn push_row(words: &mut Vec<Word>, row: TxnIndex) {
     }
 }
 
+/// What the checker keeps of one row `x` it has consumed and not yet
+/// retired.
+#[derive(Clone, Copy, Debug)]
+struct Seen {
+    /// `missers(x)` below [`NEAR`] rows on: bit `d` is set iff row
+    /// `x + d` missed `x`.
+    near: u128,
+    /// Initiation time of `x`.
+    time: u64,
+    /// Where the rest of `missers(x)` — rows `NEAR` or more after `x`
+    /// — is kept: 0 while there are none, else 1 + its position in
+    /// `lists`.
+    slot: u32,
+}
+
 /// The windowed online checker: push rows in serial order, get a
 /// cumulative [`WindowVerdict`] back every `window` rows, read the
 /// final [`StreamReport`] (verdicts + certificates) at any point.
 ///
-/// State is the **live span**: 12 B per row not yet retired, 24 B
-/// more once a later row missed it plus 16 B per 64-row word of its
+/// State is the **live span**: 32 B per row not yet retired — its
+/// time and the missers less than 128 rows on — 24 B more once a row
+/// 128 or more later missed it plus 16 B per 64-row word of those far
 /// missers, and one [`WindowVerdict`] per *change* of the cumulative
 /// verdict (the windows between repeat it).
 /// Windows bound *latency to a verdict*; memory is bounded by
@@ -394,23 +418,19 @@ pub struct StreamChecker {
     first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
     /// Rows below this are retired: no later row may miss them.
     base: TxnIndex,
-    /// The row `times[0]` and `slot[0]` describe; at most `base`, and
-    /// brought up to it whenever the retired rows outnumber the rest.
+    /// The row `seen[0]` describes; at most `base`, and brought up to
+    /// it whenever the retired rows outnumber the rest.
     start: TxnIndex,
-    /// Initiation times of rows `start..rows()`, indexed by
-    /// `row − start`.
-    times: Vec<u64>,
-    /// Where `missers(x)` — the later rows whose miss sets contained
-    /// `x` — is kept, indexed like `times`: 0 while there are none,
-    /// else 1 + its position in `lists`.
-    slot: Vec<u32>,
-    /// The missers word lists of the rows that have any.
+    /// Rows `start..rows()`, indexed by `row − start`.
+    seen: Vec<Seen>,
+    /// The far missers word lists of the rows that have any.
     lists: Vec<Vec<Word>>,
     /// The `slot` values of retired rows, their lists emptied
     /// for the rows that follow: a retiring stream allocates nothing
     /// in steady state.
     free: Vec<u32>,
-    /// The miss set of the row being pushed, packed — reused.
+    /// The miss set of the row being pushed, packed — reused, and
+    /// filled only for a row with a miss [`NEAR`] or more rows back.
     mine: Vec<Word>,
     /// Largest miss-set size so far (`max_missed` of the prefix).
     max_missed: usize,
@@ -440,8 +460,7 @@ impl StreamChecker {
             first_violation: None,
             base: 0,
             start: 0,
-            times: Vec::new(),
-            slot: Vec::new(),
+            seen: Vec::new(),
             lists: Vec::new(),
             free: Vec::new(),
             mine: Vec::new(),
@@ -456,7 +475,7 @@ impl StreamChecker {
 
     /// Rows consumed so far.
     pub fn rows(&self) -> usize {
-        self.start + self.times.len()
+        self.start + self.seen.len()
     }
 
     /// The configured window size.
@@ -491,18 +510,17 @@ impl StreamChecker {
         if frontier <= self.base {
             return;
         }
-        for &dead in &self.slot[self.base - self.start..frontier - self.start] {
-            if dead != 0 {
-                self.lists[dead as usize - 1].clear();
-                self.free.push(dead);
+        for dead in &self.seen[self.base - self.start..frontier - self.start] {
+            if dead.slot != 0 {
+                self.lists[dead.slot as usize - 1].clear();
+                self.free.push(dead.slot);
             }
         }
         self.base = frontier;
         // Close the gap once it is the larger half: a move per row.
         let gap = self.base - self.start;
-        if gap >= self.times.len() - gap {
-            self.times.drain(..gap);
-            self.slot.drain(..gap);
+        if gap >= self.seen.len() - gap {
+            self.seen.drain(..gap);
             self.start = self.base;
             if shard_obs::enabled() {
                 shard_obs::Registry::global()
@@ -521,8 +539,7 @@ impl StreamChecker {
         use std::mem::size_of;
         let words = self.lists.iter().map(Vec::capacity).sum::<usize>() + self.mine.capacity();
         size_of::<Self>()
-            + self.times.capacity() * size_of::<u64>()
-            + self.slot.capacity() * size_of::<u32>()
+            + self.seen.capacity() * size_of::<Seen>()
             + self.lists.capacity() * size_of::<Vec<Word>>()
             + self.free.capacity() * size_of::<u32>()
             + words * size_of::<Word>()
@@ -587,54 +604,72 @@ impl StreamChecker {
             self.worst_row = index;
         }
 
+        // Misses NEAR or more rows back take the general path: the row's
+        // misses packed into words, against each one's near map and
+        // far list.
+        let near_from = missed.partition_point(|&x| index - x >= NEAR);
         self.mine.clear();
-        for &x in missed {
-            push_row(&mut self.mine, x);
+        if near_from > 0 {
+            for &x in missed {
+                push_row(&mut self.mine, x);
+            }
         }
         // The first word of `mine` that reaches above x.
         let mut above = 0;
-        for &x in missed {
-            let at = x - self.start;
-            let slot = &mut self.slot[at];
-
-            // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
-            let bound = time.saturating_sub(self.times[at]) + 1;
-            if bound > self.delay_bound {
-                self.delay_bound = bound;
-                self.delay_witness = Some((index, x));
-            }
-
-            // Transitivity: a witness j ∈ (x, i) is outside both Mᵢ and
-            // missers(x) — such a j is in 𝒫ᵢ and saw x.
+        for &x in &missed[..near_from] {
+            let seen = &mut self.seen[x - self.start];
+            let mut witness = None;
             if self.first_violation.is_none() {
                 let first = (x + 1) / 64;
                 while self.mine.get(above).is_some_and(|m| (m.0 as usize) < first) {
                     above += 1;
                 }
-                let theirs = match *slot {
+                let far = match seen.slot {
                     0 => &[][..],
                     list => &self.lists[list as usize - 1],
                 };
-                if let Some(j) = gap_witness(&self.mine[above..], theirs, x, index) {
-                    self.first_violation = Some((x, j, index));
-                    if shard_obs::enabled() {
-                        shard_obs::counter!("stream.violations", family).inc();
-                    }
-                }
+                witness = gap_witness(&self.mine[above..], seen.near, far, x, index);
             }
-
             // Row i joins missers(x) — after the check, though its own
             // bit lies outside (x, i) either way.
-            if *slot == 0 {
-                *slot = self.free.pop().unwrap_or_else(|| {
+            if seen.slot == 0 {
+                seen.slot = self.free.pop().unwrap_or_else(|| {
                     self.lists.push(Vec::new());
                     u32::try_from(self.lists.len()).expect("under 2³² rows missed at once")
                 });
             }
-            push_row(&mut self.lists[*slot as usize - 1], index);
+            push_row(&mut self.lists[seen.slot as usize - 1], index);
+            let since = seen.time;
+            self.judge_miss(index, time, x, since, witness);
         }
-        self.times.push(time);
-        self.slot.push(0);
+
+        // The rest of Mᵢ as one map ending just below i: bit k is row
+        // i − NEAR + k. Shifted down by NEAR − (i − x), it is Mᵢ from x
+        // on, aligned with x's near map.
+        let mut recent = 0u128;
+        for &x in &missed[near_from..] {
+            recent |= 1 << (x + NEAR - index);
+        }
+        for &x in &missed[near_from..] {
+            let back = index - x;
+            let seen = &mut self.seen[x - self.start];
+            let mut witness = None;
+            if self.first_violation.is_none() {
+                // Bit d is row x + d; bits 1..back are (x, i), and bit 0
+                // — x itself — is set, since i missed it.
+                let blocked = (recent >> (NEAR - back)) | seen.near;
+                let free = !blocked & ((1 << back) - 1);
+                witness = (free != 0).then(|| x + free.trailing_zeros() as usize);
+            }
+            seen.near |= 1 << back;
+            let since = seen.time;
+            self.judge_miss(index, time, x, since, witness);
+        }
+        self.seen.push(Seen {
+            near: 0,
+            time,
+            slot: 0,
+        });
 
         if shard_obs::enabled() {
             shard_obs::counter!("stream.rows", family).inc();
@@ -660,6 +695,33 @@ impl StreamChecker {
             shard_obs::counter!("stream.windows", family).inc();
         }
         Ok(Some(verdict))
+    }
+
+    /// Folds one miss of row `index` (started at `time`) into the
+    /// running verdicts: of `x`, started at `since`, with the smallest
+    /// transitivity witness for it if the check ran and found one.
+    fn judge_miss(
+        &mut self,
+        index: TxnIndex,
+        time: u64,
+        x: TxnIndex,
+        since: u64,
+        witness: Option<TxnIndex>,
+    ) {
+        // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
+        let bound = time.saturating_sub(since) + 1;
+        if bound > self.delay_bound {
+            self.delay_bound = bound;
+            self.delay_witness = Some((index, x));
+        }
+        // Transitivity: a witness j ∈ (x, i) is outside both Mᵢ and
+        // missers(x) — such a j is in 𝒫ᵢ and saw x.
+        if let Some(j) = witness {
+            self.first_violation = Some((x, j, index));
+            if shard_obs::enabled() {
+                shard_obs::counter!("stream.violations", family).inc();
+            }
+        }
     }
 
     /// The verdicts and certificates for everything consumed so far.
@@ -708,23 +770,37 @@ impl StreamChecker {
     }
 }
 
-/// Finds the smallest `j ∈ (x, i)` in neither word set (`mine` — the
-/// checking row's misses; `theirs` — the rows that missed `x`; both
-/// from the word of `x + 1` on), or `None` if every candidate is
-/// blocked. One OR per 64 candidates, ends masked; a word in neither
-/// set is free at its first in-range bit.
-fn gap_witness(mine: &[Word], theirs: &[Word], x: TxnIndex, i: TxnIndex) -> Option<TxnIndex> {
+/// Finds the smallest `j ∈ (x, i)` in none of the checking row's
+/// misses (`mine`, words from the word of `x + 1` on) and the rows that
+/// missed `x` (`near`, its map, and `far`, its words), or `None` if
+/// every candidate is blocked. One OR per 64 candidates, ends masked; a
+/// word in no set is free at its first in-range bit.
+fn gap_witness(
+    mine: &[Word],
+    near: u128,
+    far: &[Word],
+    x: TxnIndex,
+    i: TxnIndex,
+) -> Option<TxnIndex> {
     // Candidates are x + 1 ..= i − 1 (x < i, so i ≥ 1); for x + 1 = i
     // the words or the masks leave none.
     let (first, last) = ((x + 1) / 64, (i - 1) / 64);
+    // The near map spans the word of x and the two after it; its last
+    // word may also be the first of `far`, and each blocks on its own.
+    let s = x % 64;
+    let near_words = [
+        (near << s) as u64,
+        ((near << s) >> 64) as u64,
+        near.checked_shr(128 - s as u32).unwrap_or(0) as u64,
+    ];
     let (mut a, mut b) = (0, 0);
     for w in first..=last {
-        let mut free = !0u64;
+        let mut free = !near_words.get(w - x / 64).copied().unwrap_or(0);
         if let Some(m) = mine.get(a).filter(|m| m.0 as usize == w) {
             free &= !m.1;
             a += 1;
         }
-        if let Some(t) = theirs.get(b).filter(|t| t.0 as usize == w) {
+        if let Some(t) = far.get(b).filter(|t| t.0 as usize == w) {
             free &= !t.1;
             b += 1;
         }
@@ -819,7 +895,7 @@ pub struct StreamedRecord<U> {
 /// [`for_each_row`](StreamingExecution::for_each_row),
 /// [`final_state`](StreamingExecution::final_state),
 /// the §3 window checker ([`check_stream`](StreamingExecution::check_stream)) —
-/// runs directly off a key-order cursor, so peak resident state is one
+/// runs in one key-order scan of the store, so peak resident state is one
 /// application state plus one row, independent of the execution length.
 ///
 /// Row `i` is the record under key `(i, 0)`; its value is `time: u64`
@@ -911,40 +987,56 @@ where
         Ok(())
     }
 
-    /// Streams every row in serial order through `f` off a key-order
-    /// store cursor. Errors (`InvalidData`, naming the row) on a
-    /// missing, torn or malformed row — a streaming execution is an
+    /// Streams every row in serial order through `f`, in one key-order
+    /// scan of the store, each row decoded straight from the bytes the
+    /// store lends. Errors (`InvalidData`, naming the row) on a missing,
+    /// torn or malformed row — a streaming execution is an
     /// *authoritative* copy, not a cache, so holes are not skippable.
     pub fn for_each_row(
         &mut self,
         mut f: impl FnMut(&StreamedRecord<A::Update>),
     ) -> std::io::Result<()> {
-        let bad = |i: usize, what: &str| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("streaming row {i}: {what}"),
-            )
-        };
-        let mut records = shard_store::KeyCursor::new(1024);
+        self.try_for_each_row(|rec| {
+            f(rec);
+            Ok(())
+        })
+    }
+
+    /// [`for_each_row`](StreamingExecution::for_each_row) for an `f`
+    /// that may refuse a row: the scan stops at the first refusal, and
+    /// the refusal is the answer.
+    fn try_for_each_row(
+        &mut self,
+        mut f: impl FnMut(&StreamedRecord<A::Update>) -> std::io::Result<()>,
+    ) -> std::io::Result<()> {
         let mut next = 0usize;
         // One miss vector, handed from row to row.
         let mut missed = Vec::new();
-        while let Some((key, payload)) = records.next(&mut *self.store)? {
+        let mut step = |key: shard_store::StoreKey, payload: &[u8]| {
             if key.secondary != 0 {
                 let row = key.primary as usize;
-                return Err(bad(row, "a record under a secondary key"));
+                return Err(bad_row(row, "a record under a secondary key"));
             }
             if key.primary != next as u64 {
-                return Err(bad(next, "row missing"));
+                return Err(bad_row(next, "row missing"));
             }
-            let rec = decode_row::<A>(next, &payload, missed)
-                .ok_or_else(|| bad(next, "malformed row"))?;
-            f(&rec);
+            let rec = decode_row::<A>(next, payload, std::mem::take(&mut missed))
+                .ok_or_else(|| bad_row(next, "malformed row"))?;
+            f(&rec)?;
             missed = rec.row.missed;
             next += 1;
+            Ok(())
+        };
+        let mut refused = None;
+        self.store
+            .scan_key_range(shard_store::StoreKey::new(0, 0), &mut |key, payload| {
+                step(key, payload).map_err(|e| refused = Some(e)).is_ok()
+            })?;
+        if let Some(e) = refused {
+            return Err(e);
         }
         if next != self.len {
-            return Err(bad(next, "row missing"));
+            return Err(bad_row(next, "row missing"));
         }
         Ok(())
     }
@@ -973,32 +1065,24 @@ where
     ///
     /// Store errors, and `InvalidData` naming the first stored row that
     /// is missing, torn, malformed or carries an ill-formed miss set.
+    /// The scan stops at that row.
     pub fn check_stream(&mut self, window: usize) -> std::io::Result<StreamReport> {
         let mut checker = StreamChecker::new(window);
         let reach = self.reach;
         // A row that decodes but does not belong to a serial order
         // (some other writer's, or a bug upstream of the checksum) is
         // bad data, not a panic.
-        let mut bad_row = None;
-        self.for_each_row(|rec| {
-            if bad_row.is_none() {
-                let row = &rec.row;
-                bad_row = checker
-                    .try_push(row.index, row.time, &row.missed)
-                    .err()
-                    .map(|e| (row.index, e));
-                if let Some(reach) = reach {
-                    checker.retire_below((row.index + 1).saturating_sub(reach));
-                }
+        self.try_for_each_row(|rec| {
+            let row = &rec.row;
+            checker
+                .try_push(row.index, row.time, &row.missed)
+                .map_err(|e| bad_row(row.index, e))?;
+            if let Some(reach) = reach {
+                checker.retire_below((row.index + 1).saturating_sub(reach));
             }
+            Ok(())
         })?;
-        match bad_row {
-            None => Ok(checker.report()),
-            Some((i, e)) => Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("streaming row {i}: {e}"),
-            )),
-        }
+        Ok(checker.report())
     }
 
     /// Spills a timed in-memory execution into `store` row by row — the
@@ -1020,6 +1104,14 @@ where
     }
 }
 
+/// `InvalidData` naming stored row `index`.
+fn bad_row(index: TxnIndex, what: impl std::fmt::Display) -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        format!("streaming row {index}: {what}"),
+    )
+}
+
 /// Decodes the payload [`StreamingExecution::push`] wrote for row
 /// `index`, its miss set into the caller's `missed` buffer.
 fn decode_row<A: Application>(
@@ -1037,11 +1129,9 @@ where
     if missed_len > r.remaining() / 4 {
         return None;
     }
+    let words = r.bytes(4 * missed_len)?.chunks_exact(4);
     missed.clear();
-    missed.reserve(missed_len);
-    for _ in 0..missed_len {
-        missed.push(r.u32()? as TxnIndex);
-    }
+    missed.extend(words.map(|w| u32::from_be_bytes(w.try_into().expect("4 bytes")) as TxnIndex));
     let update = <A::Update as shard_store::Codec>::decode(&mut r)?;
     if !r.is_done() {
         return None;
@@ -1351,17 +1441,20 @@ mod tests {
     /// below one word; dense reversed blocks reaching back hundreds of
     /// rows (what a partition leaves); one straggler delivered a
     /// thousand or more rows late (a single far miss in every row it
-    /// passes); and a swap across a word boundary (`x % 64 == 63`,
-    /// `i % 64 == 0`, `x + 1 == i`). `flip` then adds or removes one
-    /// miss somewhere — half the time in the first row of a word, or of
-    /// the last row of one — which usually breaks transitivity there.
+    /// passes); one delivered so late that the last row to miss it does
+    /// so from exactly 127, 128 or 129 rows on (either side of the
+    /// checker's near map); and a swap across a word boundary
+    /// (`x % 64 == 63`, `i % 64 == 0`, `x + 1 == i`). `flip` then adds
+    /// or removes one miss somewhere — half the time in the first row
+    /// of a word, or of the last row of one — which usually breaks
+    /// transitivity there.
     fn scheduled_rows(segments: &[(u8, u64)], flip: Option<(u64, u64)>) -> Vec<StreamRow> {
         const MAX_ROWS: usize = 1_400;
         // Delivery key of each row; ties deliver in serial order.
         let mut keys: Vec<usize> = Vec::new();
         for &(shape, salt) in segments {
             let at = keys.len();
-            match shape % 8 {
+            match shape % 9 {
                 0..=2 => keys.extend(at..at + 1 + salt as usize % 120),
                 3 | 4 => keys.extend(
                     (at..at + 1 + salt as usize % 60)
@@ -1372,6 +1465,12 @@ mod tests {
                     keys.extend((0..block).map(|k| at + 2 * block - k));
                 }
                 6 => keys.push(at + 1_000 + salt as usize % 1_000),
+                7 => {
+                    // Rows at + 1 … at + back deliver before row at.
+                    let back = NEAR - 1 + salt as usize % 3;
+                    keys.push(at + back + 1);
+                    keys.extend(at + 1..at + back + 2);
+                }
                 _ => {
                     // Calm up to the last row of a word, then that row
                     // and the next trade places.
@@ -1457,15 +1556,24 @@ mod tests {
                 checker.retire_below(frontier);
                 span = span.max(checker.rows() - checker.base);
 
-                // At most 2·span + 2 rows sit in the window, as many
-                // lists exist, and a list covers the span above its row
-                // — each doubled for `Vec` growth. Only the verdict
-                // changes are history.
-                let words = 2 * (span / 64 + 2);
+                // At most 2·span + 2 rows sit in the window, doubled
+                // for `Vec` growth. Lists and the packed row exist only
+                // once a row misses one NEAR or more rows back, which
+                // takes a span over NEAR: then as many lists as rows,
+                // each covering the span past NEAR above its row, and a
+                // packed row covering the span — doubled too. Only the
+                // verdict changes are history.
+                let far = match span.checked_sub(NEAR + 1) {
+                    None => 0,
+                    Some(past) => {
+                        let list_words = 2 * (past / 64 + 2);
+                        let row_words = 2 * (span / 64 + 2);
+                        (2 * span + 4) * (28 + list_words * 16) + row_words * 16
+                    }
+                };
                 let bound = std::mem::size_of::<StreamChecker>()
-                    + (4 * span + 8) * 12
-                    + (2 * span + 4) * (28 + words * 16)
-                    + words.max(4) * 16
+                    + (4 * span + 8) * std::mem::size_of::<Seen>()
+                    + far
                     + checker.changes.capacity() * std::mem::size_of::<WindowVerdict>();
                 assert!(
                     checker.resident_bytes() <= bound,
@@ -1475,6 +1583,49 @@ mod tests {
                 );
             }
             assert_eq!(checker.report(), check_rows(window, &rows));
+        }
+    }
+
+    /// Row 10 is missed by every row up to 200, so its missers' word 2
+    /// (rows 128–191) holds rows 128–137 in its near map and 138–191 in
+    /// its far list. Row 201 misses 10 and nothing else: the witness
+    /// search must block on both halves of that word at once. Checking
+    /// the list's first word apart from, rather than together with, the
+    /// map's last finds a false witness in either half.
+    #[test]
+    fn a_far_miss_blocks_on_the_word_its_near_map_and_far_list_share() {
+        let row = |index: usize, missed: Vec<usize>| StreamRow {
+            index,
+            time: index as u64,
+            missed,
+        };
+        let mut rows: Vec<StreamRow> = (0..=10).map(|i| row(i, vec![])).collect();
+        rows.extend((11..=200).map(|i| row(i, vec![10])));
+        rows.push(row(201, vec![10]));
+        let report = check_rows(7, &rows);
+        assert!(report.transitive, "every row 201 saw had missed 10");
+        assert_eq!(report, naive_report(7, &rows));
+
+        // Row 201 saw 10 through one row on either side of the seam,
+        // or through one in the word before it — a row that saw 10 and
+        // that every later row up to 200 missed along with 10.
+        for mid in [60, 137, 138] {
+            let mut rows = rows.clone();
+            rows[mid].missed.clear();
+            for row in &mut rows[mid + 1..=200] {
+                row.missed.push(mid);
+            }
+            let report = check_rows(7, &rows);
+            assert_eq!(
+                report.violation(),
+                Some(&Certificate::Transitivity {
+                    low: 10,
+                    mid,
+                    top: 201
+                }),
+                "through row {mid}"
+            );
+            assert_eq!(report, naive_report(7, &rows));
         }
     }
 
@@ -1810,6 +1961,83 @@ mod tests {
             .check_stream(2)
             .expect_err("row 1 missing");
         assert!(err.to_string().contains("row 1"), "{err}");
+    }
+
+    /// A store that counts the records its key scans hand out.
+    struct Counting {
+        inner: shard_store::MemStore,
+        handed: std::sync::Arc<std::sync::atomic::AtomicUsize>,
+    }
+
+    impl shard_store::Store for Counting {
+        fn append(&mut self, key: shard_store::StoreKey, value: &[u8]) -> std::io::Result<()> {
+            self.inner.append(key, value)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.inner.sync()
+        }
+        fn len_bytes(&self) -> u64 {
+            self.inner.len_bytes()
+        }
+        fn synced_bytes(&self) -> u64 {
+            self.inner.synced_bytes()
+        }
+        fn entries(&self) -> usize {
+            self.inner.entries()
+        }
+        fn scan_arrival(
+            &mut self,
+            f: &mut dyn FnMut(shard_store::StoreKey, &[u8]),
+        ) -> std::io::Result<()> {
+            self.inner.scan_arrival(f)
+        }
+        fn scan_key_range(
+            &mut self,
+            from: shard_store::StoreKey,
+            f: &mut dyn FnMut(shard_store::StoreKey, &[u8]) -> bool,
+        ) -> std::io::Result<()> {
+            let handed = &self.handed;
+            self.inner.scan_key_range(from, &mut |k, v| {
+                handed.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                f(k, v)
+            })
+        }
+        fn crash(&mut self, keep: u64) -> std::io::Result<shard_store::CrashReport> {
+            self.inner.crash(keep)
+        }
+    }
+
+    #[test]
+    fn check_stream_stops_reading_at_the_first_refused_row() {
+        // Row 5 of 1 000 is refused — by the checker (a miss above its
+        // own index) or by the decoder (a miss count past the payload);
+        // either way the scan reads no row after it.
+        for (what, bad) in [
+            ("a miss above the row", raw_row(5, 1, &[7])),
+            ("a miss count past the payload", raw_row(5, 9, &[1])),
+        ] {
+            let handed = std::sync::Arc::default();
+            let mut store = Counting {
+                inner: shard_store::MemStore::new(),
+                handed: std::sync::Arc::clone(&handed),
+            };
+            for i in 0..1_000 {
+                let payload = if i == 5 {
+                    bad.clone()
+                } else {
+                    raw_row(i, 0, &[])
+                };
+                append_row(&mut store, i, &payload);
+            }
+            let mut se = StreamingExecution::<Trace>::reopen(Box::new(store), 1_000);
+            let err = se.check_stream(8).expect_err(what);
+            assert!(err.to_string().contains("row 5"), "{what}: {err}");
+            assert_eq!(
+                handed.load(std::sync::atomic::Ordering::Relaxed),
+                6,
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -182,10 +182,17 @@ where
         self.row.index = i;
         self.row.time = p.time;
         // The serially-earlier rows this transaction missed: exactly
-        // the ones delivered after it.
-        self.row.missed.clear();
-        let later = self.recent.iter().filter(|&&(_, a)| a > p.arrival);
-        self.row.missed.extend(later.map(|&(j, _)| j));
+        // the ones delivered after it. Under reordering that is a coin
+        // toss per row, so each row is written and the end advances past
+        // it only if it was delivered later — no branch on the arrival.
+        let missed = &mut self.row.missed;
+        missed.resize(self.recent.len(), 0);
+        let mut kept = 0;
+        for &(j, a) in &self.recent {
+            missed[kept] = j;
+            kept += usize::from(a > p.arrival);
+        }
+        missed.truncate(kept);
         if let Err(e) = self.sink.push(&self.row, &p.update) {
             self.window.insert(ts, p);
             return Err(e);
