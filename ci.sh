@@ -55,9 +55,14 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # between a `PMap` base and a shared tail is read end to end —
 # plus one per propagation strategy (transitive flooding — gossip at
 # each execution — E06, partial E16, gossip E17, composed
-# gossip×partial E20) — then
-# a pure-rust validation that each metrics sidecar is well-formed JSON
-# carrying the schema's required keys. The kernel gossip smokes (E17,
+# gossip×partial E20), plus every other theorem experiment that runs in
+# under a second — the bounds E02 (Cor 8), E03 (Cor 10/11), E04
+# (compensation), E09 (availability vs integrity), E13 (inventory), E15
+# (§3.3 barrier), E18 (crash/recovery), E19 (name server) and E21 (the
+# nemesis search, through the chaos report `shard-chaos` shares), ≈ 2.6 s
+# together — then a pure-rust validation that each metrics sidecar is
+# well-formed JSON carrying the schema's required keys. Every sidecar
+# names its claims (`claims.list`); a run that names none fails. The kernel gossip smokes (E17,
 # E20, and the E24 smoke below) are built first and then run under
 # `timeout 120` — each takes about a second: the kernel's ticks stop on
 # local facts (nothing but ticks queued, no node with unsent entries),
@@ -65,13 +70,22 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # sidecar checks also hold `sim.not_converged` — gossip runs that ended
 # with some node lacking an entry it should hold — at zero.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
+run cargo run -q --release -p shard-bench --bin exp_e02_overbooking_bound
+run cargo run -q --release -p shard-bench --bin exp_e03_underbooking_bound
+run cargo run -q --release -p shard-bench --bin exp_e04_compensation
 run cargo run -q --release -p shard-bench --bin exp_e06_centralization
 run cargo run -q --release -p shard-bench --bin exp_e08_thrashing
+run cargo run -q --release -p shard-bench --bin exp_e09_availability
 run cargo run -q --release -p shard-bench --bin exp_e10_k_distribution
 run cargo run -q --release -p shard-bench --bin exp_e11_undo_redo
 run cargo run -q --release -p shard-bench --bin exp_e12_banking
+run cargo run -q --release -p shard-bench --bin exp_e13_inventory
 run cargo run -q --release -p shard-bench --bin exp_e14_taxonomy
+run cargo run -q --release -p shard-bench --bin exp_e15_complete_prefix
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
+run cargo run -q --release -p shard-bench --bin exp_e18_crash_recovery
+run cargo run -q --release -p shard-bench --bin exp_e19_nameserver
+run cargo run -q --release -p shard-bench --bin exp_e21_nemesis_chaos
 run cargo run -q --release -p shard-bench --bin exp_e22_stream_monitor
 run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
   --bin exp_e20_gossip_partial --bin exp_e24_store_recovery
@@ -94,7 +108,8 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # E10 reads its executions through prefixes and one forward fold of the
 # actual states, neither of which asks a replay cache: a warm-up that
 # creeps back in front of its sweeps would show as cache queries.
-for sidecar in e01 e06 e08 e10 e11 e12 e14 e16 e17 e20 e22 chaos; do
+for sidecar in e01 e02 e03 e04 e06 e08 e09 e10 e11 e12 e13 e14 e15 e16 \
+  e17 e18 e19 e20 e21 e22 chaos; do
   budget=()
   case "$sidecar" in
   e10) budget=("replay.queries<=0") ;;

@@ -127,13 +127,6 @@ pub struct Theorem21Outcome {
     pub suffix_lens: (usize, usize),
 }
 
-impl Theorem21Outcome {
-    /// Whether both parts held.
-    pub fn holds(&self) -> bool {
-        self.part1.holds() && self.part2.holds()
-    }
-}
-
 /// **Theorem 21.** Let `e` be a finite execution, `𝒰` a subsequence of
 /// its indices, and `s` the final actual state.
 ///
@@ -194,24 +187,24 @@ pub fn check_theorem21(
 
     // Part 1: MOVE-DOWN suffix.
     let bound1 = app.overbook_rate() * m1 as u64;
-    let mut part1 = ClaimCheck::new(format!("Theorem 21(1) overbooking ≤ 900·{m1}"));
+    let mut part1 = ClaimCheck::new("Theorem 21(1) overbooking ≤ 900·m₁");
     let mut e1 = exec.clone();
     let out1 = run_atomic_suffix(app, &mut e1, base, &AirlineTxn::MoveDown, OVERBOOKING, 500);
     let c1 = app.cost(&e1.final_state(app), OVERBOOKING);
     part1.record(
         (!(out1.converged && c1 <= bound1))
-            .then(|| format!("final overbooking {c1} > bound {bound1}")),
+            .then(|| format!("m₁={m1}: final overbooking {c1} > bound {bound1}")),
     );
 
     // Part 2: MOVE-UP suffix.
     let bound2 = app.underbook_rate() * m2 as u64;
-    let mut part2 = ClaimCheck::new(format!("Theorem 21(2) underbooking ≤ 300·{m2}"));
+    let mut part2 = ClaimCheck::new("Theorem 21(2) underbooking ≤ 300·m₂");
     let mut e2 = exec.clone();
     let out2 = run_atomic_suffix(app, &mut e2, base, &AirlineTxn::MoveUp, UNDERBOOKING, 500);
     let c2 = app.cost(&e2.final_state(app), UNDERBOOKING);
     part2.record(
         (!(out2.converged && c2 <= bound2))
-            .then(|| format!("final underbooking {c2} > bound {bound2}")),
+            .then(|| format!("m₂={m2}: final underbooking {c2} > bound {bound2}")),
     );
 
     Theorem21Outcome {
@@ -281,13 +274,15 @@ pub fn check_theorem25(
     } else {
         return None; // not both known apparently — hypothesis unmet
     };
-    let mut check = ClaimCheck::new(format!(
-        "Theorem 25 priority {p} < {q} fixed from txn {mover}"
-    ));
+    let mut check = ClaimCheck::new("Theorem 25 priority fixed once a mover knows both requests");
     for (si, s) in states.iter().enumerate().skip(mover) {
         if s.is_known(p) && s.is_known(q) {
             let ok = app.precedes(s, &p, &q);
-            check.record((!ok).then(|| format!("actual state {si}: {q} ahead of {p}")));
+            check.record(
+                (!ok).then(|| {
+                    format!("actual state {si}: {q} ahead of {p}, fixed from txn {mover}")
+                }),
+            );
         }
     }
     Some(check)
@@ -322,7 +317,7 @@ pub fn check_request_order_priority(
             }
         }
     }
-    let mut check = ClaimCheck::new(format!("Lemma 26 request-order priority {p} < {q}"));
+    let mut check = ClaimCheck::new("Lemma 26 request-order priority");
     for (si, s) in states.iter().enumerate() {
         if s.is_known(p) && s.is_known(q) {
             let ok = app.precedes(s, &p, &q);
@@ -512,7 +507,12 @@ mod tests {
         let base: Vec<usize> = (0..e.len()).collect();
         let out = check_theorem21(&app, &e, &base);
         assert_eq!(out.assigned_misses, 0);
-        assert!(out.holds(), "{:?} {:?}", out.part1, out.part2);
+        assert!(
+            out.part1.holds() && out.part2.holds(),
+            "{:?} {:?}",
+            out.part1,
+            out.part2
+        );
     }
 
     #[test]
@@ -546,7 +546,7 @@ mod tests {
         // Base missing the last two requests: two waiting misses.
         let out = check_theorem21(&app, &e, &[0]);
         assert_eq!(out.waiting_misses, 2);
-        assert!(out.holds());
+        assert!(out.part1.holds() && out.part2.holds());
     }
 
     #[test]

@@ -121,13 +121,13 @@ pub fn check_invariant_bound<A: Application>(
     let k = max_missed_where(exec, |_, d| is_unsafe(d));
     let bound = f.at(k);
     let mut check = ClaimCheck::new(format!(
-        "Corollary 8 invariant [{} ≤ {}(k={k})={bound}]",
+        "Corollary 8 invariant [{} ≤ {}]",
         app.constraint_name(constraint),
         f.description()
     ));
     exec.for_each_actual_state(app, |i, s| {
         let c = app.cost(s, constraint);
-        check.record((c > bound).then(|| format!("state {i}: cost {c} > bound {bound}")));
+        check.record((c > bound).then(|| format!("k={k}: state {i}: cost {c} > bound {bound}")));
     });
     (k, check)
 }
@@ -153,13 +153,15 @@ pub fn check_grouped_bound<A: Application>(
     });
     let bound = f.at(k);
     let mut check = ClaimCheck::new(format!(
-        "Corollary 10 normal-state bound [{} ≤ {}(k={k})={bound}]",
+        "Corollary 10 normal-state bound [{} ≤ {}]",
         app.constraint_name(constraint),
         f.description()
     ));
     grouping.for_each_normal_state(app, exec, |after, state| {
         let c = app.cost(state, constraint);
-        check.record((c > bound).then(|| format!("normal state after {after:?}: {c} > {bound}")));
+        check.record(
+            (c > bound).then(|| format!("k={k}: normal state after {after:?}: {c} > {bound}")),
+        );
     });
     Some((k, check))
 }
@@ -185,13 +187,14 @@ pub fn check_total_bound_at_normal_states<A: Application>(
     });
     let bound = f.at(k);
     let mut check = ClaimCheck::new(format!(
-        "Corollary 11 total cost at normal states ≤ {}(k={k})={bound}",
+        "Corollary 11 total cost at normal states ≤ {}",
         f.description()
     ));
     grouping.for_each_normal_state(app, exec, |after, state| {
         let c: Cost = app.total_cost(state);
         check.record(
-            (c > bound).then(|| format!("normal state after {after:?}: total {c} > {bound}")),
+            (c > bound)
+                .then(|| format!("k={k}: normal state after {after:?}: total {c} > {bound}")),
         );
     });
     Some((k, check))

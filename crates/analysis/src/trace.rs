@@ -20,48 +20,6 @@ pub fn max_cost<A: Application>(app: &A, exec: &Execution<A>, constraint: usize)
     exec.fold_actual_states(app, 0, |worst, _, s| worst.max(app.cost(s, constraint)))
 }
 
-/// `Σᵢ cost(s, i)` traced over reachable states.
-pub fn total_cost_trace<A: Application>(app: &A, exec: &Execution<A>) -> Vec<Cost> {
-    exec.fold_actual_states(app, Vec::with_capacity(exec.len() + 1), |mut out, _, s| {
-        out.push(app.total_cost(s));
-        out
-    })
-}
-
-/// Maximum total cost over reachable states.
-pub fn max_total_cost<A: Application>(app: &A, exec: &Execution<A>) -> Cost {
-    exec.fold_actual_states(app, 0, |worst, _, s| worst.max(app.total_cost(s)))
-}
-
-/// Costs at a selected set of reachable states (e.g. the *normal*
-/// states of a grouping — indices are positions in the
-/// `actual_states` vector, i.e. `0` is the initial state and `i + 1`
-/// is the state after transaction `i`). Answered from the execution's
-/// full-order replay checkpoints, so scattered indices cost a bounded
-/// replay each instead of a full `actual_states` materialization.
-///
-/// # Panics
-///
-/// Panics if an index exceeds `exec.len()`.
-pub fn costs_at<A: Application>(
-    app: &A,
-    exec: &Execution<A>,
-    constraint: usize,
-    state_indices: &[usize],
-) -> Vec<Cost> {
-    state_indices
-        .iter()
-        .map(|&i| {
-            let s = if i == 0 {
-                app.initial_state()
-            } else {
-                exec.actual_state_after(app, i - 1)
-            };
-            app.cost(&s, constraint)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,22 +47,6 @@ mod tests {
         assert_eq!(under, vec![0, 300, 300, 0, 0]);
         assert_eq!(max_cost(&app, &e, OVERBOOKING), 900);
         assert_eq!(max_cost(&app, &e, UNDERBOOKING), 300);
-    }
-
-    #[test]
-    fn total_cost_trace_sums() {
-        let app = FlyByNight::new(1);
-        let e = overbooked_exec(&app);
-        let totals = total_cost_trace(&app, &e);
-        assert_eq!(totals, vec![0, 300, 300, 0, 900]);
-        assert_eq!(max_total_cost(&app, &e), 900);
-    }
-
-    #[test]
-    fn costs_at_selected_states() {
-        let app = FlyByNight::new(1);
-        let e = overbooked_exec(&app);
-        assert_eq!(costs_at(&app, &e, OVERBOOKING, &[0, 4]), vec![0, 900]);
     }
 
     #[test]

@@ -142,15 +142,6 @@ impl FlyByNight {
         }
     }
 
-    /// An instance with custom cost rates.
-    pub fn with_rates(capacity: u64, overbook_rate: Cost, underbook_rate: Cost) -> Self {
-        FlyByNight {
-            capacity,
-            overbook_rate,
-            underbook_rate,
-        }
-    }
-
     /// The flight capacity (100 in the paper).
     pub fn capacity(&self) -> u64 {
         self.capacity

@@ -16,7 +16,7 @@
 //!   trivial-decision REQUESTs the 198-transaction prefix (as §3.2
 //!   suggests) makes it transitive without changing any update.
 
-use shard_analysis::{trace, Table};
+use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_apps::Person;
 use shard_core::Application as _;
@@ -64,20 +64,23 @@ fn build(app: &FlyByNight, transitive_requests: bool) -> Execution<FlyByNight> {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e01");
+    let mut exp = shard_bench::Experiment::start("e01");
     let app = FlyByNight::default();
     let e = build(&app, false);
     e.verify(&app)
         .expect("the worked example satisfies §3.1 conditions 1-4");
     println!("E01: §3.1 worked example — {} transactions\n", e.len());
-    let mut ok = true;
+    let assigned = |s: &shard_apps::airline::AirlineState| -> Vec<u32> {
+        s.assigned().iter().map(|p| p.0).collect()
+    };
 
     // s204: 102 assigned in numerical order, nobody waiting.
     let s204 = e.actual_state_after(&app, 203);
-    let ids: Vec<u32> = s204.assigned().iter().map(|p| p.0).collect();
-    ok &= ids == (1..=102).collect::<Vec<u32>>();
-    ok &= s204.wl() == 0;
-    ok &= app.cost(&s204, OVERBOOKING) == 1800;
+    let mut c = ClaimCheck::new("§3.1 s204: P1..P102 assigned in order, none waiting, $1800 over");
+    c.record((assigned(&s204) != (1..=102).collect::<Vec<u32>>()).then(|| "assigned".into()));
+    c.record((s204.wl() != 0).then(|| format!("WL = {}", s204.wl())));
+    c.record((app.cost(&s204, OVERBOOKING) != 1800).then(|| "overbooking cost".into()));
+    exp.claim(c);
     println!(
         "s204: AL={} WL={} overbooking cost ${} (paper: 102, 0, nonzero)",
         s204.al(),
@@ -87,9 +90,11 @@ fn main() {
 
     // After the MOVE-DOWN: P101 waits; assigned P1..P100,P102.
     let s205 = e.actual_state_after(&app, 204);
-    ok &= s205.is_waiting(Person(101));
+    let mut c = ClaimCheck::new("§3.1 s205: P101 waits, P1..P100,P102 assigned");
+    c.record((!s205.is_waiting(Person(101))).then(|| "P101 not waiting".into()));
     let want: Vec<u32> = (1..=100).chain([102]).collect();
-    ok &= s205.assigned().iter().map(|p| p.0).collect::<Vec<u32>>() == want;
+    c.record((assigned(&s205) != want).then(|| "assigned".into()));
+    exp.claim(c);
     println!(
         "s205: P101 waitlisted, assigned = P1..P100,P102: {}",
         s205.is_waiting(Person(101))
@@ -97,9 +102,11 @@ fn main() {
 
     // Final state: exactly 100 assigned, P2..P100,P102.
     let fin = e.final_state(&app);
+    let mut c = ClaimCheck::new("§3.1 final: P2..P100,P102 assigned at zero cost");
     let want: Vec<u32> = (2..=100).chain([102]).collect();
-    ok &= fin.assigned().iter().map(|p| p.0).collect::<Vec<u32>>() == want;
-    ok &= app.cost(&fin, OVERBOOKING) == 0 && app.cost(&fin, UNDERBOOKING) == 0;
+    c.record((assigned(&fin) != want).then(|| "assigned".into()));
+    c.record((app.total_cost(&fin) != 0).then(|| "nonzero cost".into()));
+    exp.claim(c);
     println!(
         "final: AL={} = P2..P100,P102; costs ({}, {})",
         fin.al(),
@@ -108,7 +115,10 @@ fn main() {
     );
 
     // The unfairness remark: P102 requested after P101, yet P102 flies.
-    ok &= fin.is_assigned(Person(102)) && !fin.is_assigned(Person(101));
+    let mut c = ClaimCheck::new("§3.1 unfairness: P102 seated, P101 bumped");
+    let unfair = fin.is_assigned(Person(102)) && !fin.is_assigned(Person(101));
+    c.record((!unfair).then(|| "the later requester does not fly instead".into()));
+    exp.claim(c);
     println!("unfairness: P102 seated, P101 bumped (requested earlier)");
 
     // Cost trace table.
@@ -135,14 +145,17 @@ fn main() {
     let modified = build(&app, true);
     modified.verify(&app).expect("modified execution is valid");
     let mod_transitive = conditions::is_transitive(&modified);
-    ok &= !raw_transitive && mod_transitive;
     // "without changing the updates generated":
     let same_updates = e
         .records()
         .iter()
         .zip(modified.records())
         .all(|(a, b)| a.update == b.update);
-    ok &= same_updates;
+    let mut c = ClaimCheck::new("§3.2: not transitive as given, transitive once modified");
+    c.record(raw_transitive.then(|| "raw execution is transitive".into()));
+    c.record((!mod_transitive).then(|| "modified execution is not transitive".into()));
+    c.record((!same_updates).then(|| "the modification changed an update".into()));
+    exp.claim(c);
     println!("transitivity: raw={raw_transitive} (paper: fails), modified={mod_transitive} (paper: holds), updates unchanged={same_updates}");
 
     // The example's k-completeness: the two blind MOVE-UPs and the
@@ -157,5 +170,5 @@ fn main() {
     }
     println!("{kt}");
 
-    exp.finish(ok);
+    exp.finish();
 }

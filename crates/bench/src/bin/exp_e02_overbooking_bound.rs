@@ -19,12 +19,11 @@ use shard_core::costs::BoundFn;
 use shard_core::ExecutionBuilder;
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e02");
+    let mut exp = shard_bench::Experiment::start("e02");
     // A 10-seat plane for the randomized sweep: small enough that
     // missing a handful of transactions actually overbooks.
     let app = FlyByNight::new(10);
     let f = BoundFn::linear(app.overbook_rate());
-    let mut ok = true;
 
     println!("E02: invariant overbooking bound (Cor 8)\n");
     let mut t = Table::new(
@@ -46,12 +45,9 @@ fn main() {
             let (mk, check) = check_invariant_bound(&app, &e, OVERBOOKING, &f, |d| {
                 matches!(d, AirlineTxn::MoveUp)
             });
-            holds &= check.holds();
-            ok &= check.holds();
+            holds &= exp.claim(check);
             // Theorem 5's per-step form must hold too.
-            let step = check_theorem5(&app, &e, OVERBOOKING, &f, |_| true);
-            ok &= step.holds();
-            holds &= step.holds();
+            holds &= exp.claim(check_theorem5(&app, &e, OVERBOOKING, &f, |_| true));
             worst_k = worst_k.max(mk);
             worst_cost = worst_cost.max(trace::max_cost(&app, &e, OVERBOOKING));
         }
@@ -107,7 +103,7 @@ fn main() {
         let (mk, check) = check_invariant_bound(&app, &e, OVERBOOKING, &f, |d| {
             matches!(d, AirlineTxn::MoveUp)
         });
-        ok &= check.holds();
+        let holds = exp.claim(check);
         let max = trace::max_cost(&app, &e, OVERBOOKING);
         assert_eq!(max, 900 * m as u64, "each blind MOVE-UP seats one extra");
         t.push_row(vec![
@@ -116,10 +112,10 @@ fn main() {
             (900 * m as u64).to_string(),
             mk.to_string(),
             (900 * mk as u64).to_string(),
-            check.holds().to_string(),
+            holds.to_string(),
         ]);
     }
     println!("{t}");
 
-    exp.finish(ok);
+    exp.finish();
 }

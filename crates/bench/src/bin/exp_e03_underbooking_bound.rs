@@ -10,7 +10,7 @@
 //! the normal states across a k sweep.
 
 use shard_analysis::claims::{check_grouped_bound, check_total_bound_at_normal_states};
-use shard_analysis::{trace, Table};
+use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, UNDERBOOKING};
 use shard_apps::Person;
@@ -25,11 +25,10 @@ fn is_mover(d: &AirlineTxn) -> bool {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e03");
+    let mut exp = shard_bench::Experiment::start("e03");
     let app = FlyByNight::default();
     let f300 = BoundFn::linear(app.underbook_rate());
     let f900 = BoundFn::linear(app.overbook_rate());
-    let mut ok = true;
 
     println!("E03: normal-state underbooking bound (Cor 10/11)\n");
 
@@ -45,7 +44,9 @@ fn main() {
             "without MOVE-UPs: 50 serial (k=0!) requests reach underbooking cost ${max} — no \
              invariant bound exists; the grouping hypothesis is necessary\n"
         );
-        ok &= max == 300 * 50;
+        let mut c = ClaimCheck::new("without compensation, k = 0 does not bound underbooking");
+        c.record((max != 300 * 50).then(|| format!("50 requests cost ${max}, not $15000")));
+        exp.claim(c);
     }
 
     // Part 2: grouped executions, k sweep.
@@ -72,8 +73,7 @@ fn main() {
                 println!("  (seed {seed}, k {k}: no grouping — skipped)");
                 continue;
             };
-            c10 &= check.holds();
-            ok &= check.holds();
+            c10 &= exp.claim(check);
             worst_k = worst_k.max(mk);
             // Record the worst cost over the normal states themselves.
             let grouping = shard_core::Grouping::discover(&app, &e, UNDERBOOKING, is_mover)
@@ -91,8 +91,7 @@ fn main() {
                     matches!(d, AirlineTxn::MoveUp)
                 })
             {
-                c11 &= total.holds();
-                ok &= total.holds();
+                c11 &= exp.claim(total);
             }
         }
         t.push_row(vec![
@@ -106,5 +105,5 @@ fn main() {
     }
     println!("{t}");
 
-    exp.finish(ok);
+    exp.finish();
 }

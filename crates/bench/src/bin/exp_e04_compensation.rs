@@ -9,7 +9,7 @@
 //! cost after the suffix is at most `900·k` (resp. `300·k`).
 
 use shard_analysis::compensation::run_atomic_suffix;
-use shard_analysis::Table;
+use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_apps::Person;
 use shard_core::costs::compensation_steps;
@@ -35,10 +35,9 @@ fn overbooked(app: &FlyByNight, cap: u32, extra: u32) -> Execution<FlyByNight> {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e04");
+    let mut exp = shard_bench::Experiment::start("e04");
     let cap = 20u32;
     let app = FlyByNight::new(cap as u64);
-    let mut ok = true;
     println!("E04: compensation convergence (Lemma 1, Cor 2, Lemma 12, Cor 13)\n");
 
     // Lemma 1: iterating MOVE-DOWN from an overbooked state reaches
@@ -47,13 +46,14 @@ fn main() {
         "E04a Lemma 1: atomic MOVE-DOWN iteration from overbooked states",
         &["excess", "start cost $", "steps to 0", "expected steps"],
     );
+    let mut lemma1 = ClaimCheck::new("Lemma 1: MOVE-DOWN reaches cost 0 in exactly `excess` steps");
     for extra in [1u32, 3, 7, 15] {
         let e = overbooked(&app, cap, extra);
         let start = e.final_state(&app);
         let cost0 = shard_core::Application::cost(&app, &start, OVERBOOKING);
         let steps = compensation_steps(&app, &AirlineTxn::MoveDown, OVERBOOKING, &start, 100)
             .expect("MOVE-DOWN compensates");
-        ok &= steps == extra as usize;
+        lemma1.record((steps != extra as usize).then(|| format!("excess {extra}: {steps} steps")));
         t.push_row(vec![
             extra.to_string(),
             cost0.to_string(),
@@ -62,6 +62,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(lemma1);
 
     // Corollary 13 part 1: atomic MOVE-DOWN suffix with a base missing k
     // updates leaves actual overbooking cost ≤ 900·k.
@@ -76,6 +77,7 @@ fn main() {
             "holds",
         ],
     );
+    let mut cor13 = ClaimCheck::new("Cor 13(1): a MOVE-DOWN suffix leaves overbooking ≤ 900k");
     for k in [0usize, 1, 2, 4, 8] {
         let mut e = overbooked(&app, cap, 10);
         let start_cost = shard_core::Application::cost(&app, &e.final_state(&app), OVERBOOKING);
@@ -86,7 +88,7 @@ fn main() {
         let final_cost = shard_core::Application::cost(&app, &e.final_state(&app), OVERBOOKING);
         let bound = 900 * k as u64;
         let holds = out.converged && final_cost <= bound;
-        ok &= holds;
+        cor13.record((!holds).then(|| format!("k={k}: final ${final_cost} > ${bound}")));
         e.verify(&app).expect("extended execution stays valid");
         t.push_row(vec![
             k.to_string(),
@@ -98,6 +100,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(cor13);
 
     // Corollary 13 part 2: MOVE-UP suffix repairs underbooking to ≤ 300k.
     let mut t = Table::new(
@@ -111,6 +114,7 @@ fn main() {
             "holds",
         ],
     );
+    let mut cor13 = ClaimCheck::new("Cor 13(2): a MOVE-UP suffix leaves underbooking ≤ 300k");
     for k in [0usize, 1, 2, 4, 8] {
         let mut b = ExecutionBuilder::new(&app);
         for i in 1..=15u32 {
@@ -123,7 +127,7 @@ fn main() {
         let final_cost = shard_core::Application::cost(&app, &e.final_state(&app), UNDERBOOKING);
         let bound = 300 * k as u64;
         let holds = out.converged && final_cost <= bound;
-        ok &= holds;
+        cor13.record((!holds).then(|| format!("k={k}: final ${final_cost} > ${bound}")));
         t.push_row(vec![
             k.to_string(),
             start_cost.to_string(),
@@ -134,6 +138,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(cor13);
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -23,9 +23,8 @@ use shard_core::conditions::missed_count;
 use shard_sim::{ClusterConfig, DelayModel, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e05");
+    let mut exp = shard_bench::Experiment::start("e05");
     let app = FlyByNight::new(25);
-    let mut ok = true;
     println!("E05: witness-refined bounds (Thm 20/21), 25-seat plane, 5 nodes\n");
 
     let mut t = Table::new(
@@ -54,9 +53,7 @@ fn main() {
             te.execution
                 .verify(&app)
                 .expect("simulator output is a valid execution");
-            let check = check_theorem20(&app, &te.execution);
-            thm20 &= check.holds();
-            ok &= check.holds();
+            thm20 &= exp.claim(check_theorem20(&app, &te.execution));
             for i in 0..te.execution.len() {
                 match te.execution.record(i).decision {
                     AirlineTxn::MoveUp => {
@@ -73,7 +70,6 @@ fn main() {
         }
         let ks_sum = Summary::of(&ks);
         let ms_sum = Summary::of(&ms);
-        ok &= thm20;
         t.push_row(vec![
             mean_delay.to_string(),
             format!("{:.1}", ks_sum.mean),
@@ -115,9 +111,8 @@ fn main() {
             let out = check_theorem21(&app, &te.execution, &base);
             m1 = m1.max(out.assigned_misses);
             m2 = m2.max(out.waiting_misses);
-            p1 &= out.part1.holds();
-            p2 &= out.part2.holds();
-            ok &= out.holds();
+            p1 &= exp.claim(out.part1);
+            p2 &= exp.claim(out.part2);
         }
         t.push_row(vec![
             drop.to_string(),
@@ -146,5 +141,5 @@ fn main() {
         completeness::missed_summary(&te.execution)
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

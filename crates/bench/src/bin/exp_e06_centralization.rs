@@ -10,7 +10,7 @@
 //! REQUEST/CANCEL/REQUEST/MOVE-UP overbook a 100-seat plane.
 
 use shard_analysis::airline::check_zero_overbooking;
-use shard_analysis::{trace, Table};
+use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
 use shard_apps::Person;
@@ -20,9 +20,8 @@ use shard_core::{conditions, ExecutionBuilder};
 use shard_sim::{ClusterConfig, DelayModel, Gossip, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e06");
+    let mut exp = shard_bench::Experiment::start("e06");
     let app = FlyByNight::new(100);
-    let mut ok = true;
     println!("E06: centralization ⇒ zero overbooking (Thm 22/23) + §5.4 counterexample\n");
 
     // Part 1: simulator runs with centralized movers + per-person
@@ -43,6 +42,8 @@ fn main() {
             "k max",
         ],
     );
+    let mut hypotheses =
+        ClaimCheck::new("Thm 22's hypotheses hold on every run: transitive, movers centralized");
     for mean_delay in [10u64, 50, 200] {
         let (mut messages, mut shipped, mut k) = (0, 0, 0);
         let mut max_cost = 0;
@@ -85,12 +86,12 @@ fn main() {
                 })
                 .collect();
             all_central &= conditions::is_centralized(&te.execution, &movers);
-            let check = check_zero_overbooking(&app, &te.execution);
-            zero &= check.holds();
-            ok &= check.holds();
+            zero &= exp.claim(check_zero_overbooking(&app, &te.execution));
             max_cost = max_cost.max(trace::max_cost(&app, &te.execution, OVERBOOKING));
         }
-        ok &= all_trans && all_central;
+        hypotheses.record((!(all_trans && all_central)).then(|| {
+            format!("delay {mean_delay}: transitive {all_trans}, centralized {all_central}")
+        }));
         t.push_row(vec![
             mean_delay.to_string(),
             all_trans.to_string(),
@@ -103,6 +104,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(hypotheses);
 
     // Part 2: the §5.4 counterexample — centralized movers, transitive,
     // but per-person transactions NOT centralized (each MOVE-UP misses
@@ -148,7 +150,10 @@ fn main() {
     println!(
         "  per-person centralization dropped ⇒ final overbooking cost ${final_cost} (paper: nonzero)"
     );
-    ok &= transitive && central && final_cost == 900;
+    let mut c = ClaimCheck::new("§5.4: transitive with centralized movers, yet $900 overbooked");
+    c.record((!(transitive && central)).then(|| "a hypothesis fails".into()));
+    c.record((final_cost != 900).then(|| format!("final cost ${final_cost}")));
+    exp.claim(c);
 
     // And the repaired version: give every MOVE-UP its block's cancel
     // and re-request too (per-person centralization restored) — cost 0.
@@ -168,7 +173,7 @@ fn main() {
     repaired.verify(&app).expect("repaired execution is valid");
     let check = check_zero_overbooking(&app, &repaired);
     println!("E06c repaired (per-person centralization restored): {check}");
-    ok &= check.holds();
+    exp.claim(check);
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -16,7 +16,7 @@ use shard_analysis::airline::{
     check_request_order_priority, check_theorem25, final_priority_inversions,
     single_uncancelled_request,
 };
-use shard_analysis::Table;
+use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight};
 use shard_apps::Person;
@@ -26,9 +26,8 @@ use shard_core::conditions;
 use shard_sim::{ClusterConfig, DelayModel, Gossip, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e07");
+    let mut exp = shard_bench::Experiment::start("e07");
     let app = FlyByNight::new(15);
-    let mut ok = true;
     println!("E07: fairness (Thm 25, Lemma 26, Thm 27), centralized movers\n");
 
     let mut t = Table::new(
@@ -91,10 +90,7 @@ fn main() {
                 for &q in people[a + 1..].iter().step_by(7) {
                     if let Some(check) = check_theorem25(&app, &te.execution, &states, p, q) {
                         pairs += 1;
-                        if !check.holds() {
-                            violations += 1;
-                            ok = false;
-                        }
+                        violations += usize::from(!exp.claim(check));
                     }
                 }
             }
@@ -125,6 +121,7 @@ fn main() {
             "violations",
         ],
     );
+    let mut thm27 = ClaimCheck::new("Theorem 27: Lemma 26's hypothesis holds at gaps ≥ t̂");
     for mean_delay in [5u64, 40] {
         let mut orderly_all = true;
         let mut tmax = 0u64;
@@ -176,20 +173,20 @@ fn main() {
                     }
                     // Lemma 26's hypothesis is implied by the t-bound +
                     // orderliness; verify the conclusion.
-                    if let Some(check) =
-                        check_request_order_priority(&app, &te.execution, &states, p, q)
-                    {
-                        pairs += 1;
-                        if !check.holds() {
-                            violations += 1;
-                            ok = false;
+                    match check_request_order_priority(&app, &te.execution, &states, p, q) {
+                        Some(check) => {
+                            pairs += 1;
+                            violations += usize::from(!exp.claim(check));
+                            thm27.record(None);
                         }
-                    } else if orderly {
                         // Hypothesis failed although gap ≥ measured
                         // bound — that contradicts Theorem 27.
-                        pairs += 1;
-                        violations += 1;
-                        ok = false;
+                        None if orderly => {
+                            pairs += 1;
+                            violations += 1;
+                            thm27.record(Some(format!("{p} < {q}: hypothesis fails")));
+                        }
+                        None => {}
                     }
                 }
             }
@@ -203,6 +200,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(thm27);
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -15,7 +15,7 @@
 //! smooth, roughly proportional growth of both `k` and cost with delay.
 
 use shard_analysis::probabilistic::probabilistic_bounds;
-use shard_analysis::{completeness, trace, Table};
+use shard_analysis::{completeness, trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_bench::workloads::{airline_invocations, Routing};
@@ -24,7 +24,7 @@ use shard_core::costs::BoundFn;
 use shard_sim::{ClusterConfig, DelayModel, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e10");
+    let mut exp = shard_bench::Experiment::start("e10");
     let app = FlyByNight::new(40);
     println!("E10: measured k distribution vs delay/rate (5 nodes, 1500 txns × 5 seeds)\n");
 
@@ -40,11 +40,11 @@ fn main() {
         ],
     );
     let mut prev_mean = -1.0f64;
-    let mut monotone = true;
+    let mut monotone = ClaimCheck::new("mean k does not fall as the mean delay grows");
     for mean_delay in [2u64, 8, 32, 128, 512] {
         let (ks, over, under) = run_sweep(&app, mean_delay, 8);
         let s = completeness_summary(&ks);
-        monotone &= s.0 >= prev_mean;
+        monotone.record((s.0 < prev_mean).then(|| format!("delay {mean_delay}: k mean fell")));
         prev_mean = s.0;
         t.push_row(vec![
             mean_delay.to_string(),
@@ -56,6 +56,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(monotone);
 
     let mut t = Table::new(
         "E10 arrival-rate sweep at mean delay 32",
@@ -110,7 +111,7 @@ fn main() {
          — exactly the statement form §1.3 calls for"
     );
 
-    exp.finish(monotone);
+    exp.finish();
 }
 
 fn run_sweep(app: &FlyByNight, mean_delay: u64, gap: u64) -> (Vec<u64>, u64, u64) {

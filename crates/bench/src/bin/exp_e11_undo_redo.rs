@@ -9,7 +9,7 @@
 //! ablation: denser checkpoints cut replayed updates at the price of
 //! more snapshots — the trade the optimization papers describe.
 
-use shard_analysis::Table;
+use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_bench::workloads::{airline_invocations, Routing};
@@ -51,7 +51,7 @@ fn run(
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e11");
+    let mut exp = shard_bench::Experiment::start("e11");
     // JSONL trace of the highest-variance sweep point (exp(80) delays),
     // where out-of-order arrival — and hence undo/redo — peaks.
     let trace_sink = exp.trace_sink();
@@ -69,7 +69,8 @@ fn main() {
         ],
     );
     let mut prev_ratio = -1.0;
-    let mut monotone = true;
+    let mut monotone =
+        ClaimCheck::new("the replay ratio does not fall as the delay variance grows");
     for (name, delay) in [
         ("fixed(20)", DelayModel::Fixed(20)),
         ("uniform(1,40)", DelayModel::Uniform { lo: 1, hi: 40 }),
@@ -86,7 +87,7 @@ fn main() {
         );
         let ratio = replayed as f64 / merged as f64;
         if name.starts_with("uniform") || name == "fixed(20)" {
-            monotone &= ratio >= prev_ratio;
+            monotone.record((ratio < prev_ratio).then(|| format!("{name}: ratio fell")));
             prev_ratio = ratio;
         }
         t.push_row(vec![
@@ -98,6 +99,7 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(monotone);
 
     let mut t = Table::new(
         "E11b checkpoint-interval ablation at exp(80) delays",
@@ -117,8 +119,12 @@ fn main() {
     }
     println!("{t}");
     // Shape: denser checkpoints strictly reduce replay volume.
-    let shape = rows.windows(2).all(|w| w[0].1 <= w[1].1);
+    let mut shape = ClaimCheck::new("replay volume does not fall as checkpoints grow sparser");
+    for w in rows.windows(2) {
+        shape.record((w[0].1 > w[1].1).then(|| format!("interval {}: replay fell", w[1].0)));
+    }
+    exp.claim(shape);
     println!("shape: replay volume grows with delay variance and with checkpoint sparsity");
 
-    exp.finish(monotone && shape);
+    exp.finish();
 }

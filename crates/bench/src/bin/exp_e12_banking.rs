@@ -10,7 +10,7 @@
 //! unsafe), and (c) checks compensation convergence for `RECONCILE`.
 
 use shard_analysis::claims::{check_invariant_bound, check_theorem5};
-use shard_analysis::{trace, Table};
+use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::banking::{AccountId, Bank, BankState, BankTxn};
 use shard_bench::workloads::bank_invocations;
 use shard_bench::TRIAL_SEEDS;
@@ -20,12 +20,11 @@ use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{ClusterConfig, DelayModel, NodeId, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e12");
+    let mut exp = shard_bench::Experiment::start("e12");
     let accounts = 4u32;
     let max_debit = 100u32;
     let app = Bank::new(accounts, max_debit);
     let f = BoundFn::linear(max_debit as u64);
-    let mut ok = true;
     println!("E12: banking — taxonomy, invariant overdraft bound, compensation\n");
 
     // (a) §4.1 classification over a structured state space.
@@ -57,6 +56,7 @@ fn main() {
         ("RECONCILE(A1)", BankTxn::Reconcile(AccountId(1))),
         ("AUDIT", BankTxn::Audit),
     ];
+    let mut preserves = ClaimCheck::new("§4.1: every banking transaction preserves no-overdraft");
     for (name, txn) in &txns {
         let c = classify_transaction(&app, txn, c1, &space);
         t.push_row(vec![
@@ -67,9 +67,10 @@ fn main() {
         ]);
         // Everything preserves; only the debits are unsafe; Reconcile
         // compensates.
-        ok &= c.preserves;
+        preserves.record((!c.preserves).then(|| format!("{name} does not preserve")));
     }
     println!("{t}");
+    exp.claim(preserves);
 
     // (b) invariant bound under simulated partitions.
     let mut t = Table::new(
@@ -107,12 +108,10 @@ fn main() {
                 let (k, check) = check_invariant_bound(&app, &te.execution, c, &f, |d| {
                     matches!(d, BankTxn::Withdraw(..) | BankTxn::Transfer(..))
                 });
-                holds &= check.holds();
-                ok &= check.holds();
+                holds &= exp.claim(check);
                 worst_k = worst_k.max(k);
                 worst_cost = worst_cost.max(trace::max_cost(&app, &te.execution, c));
-                let step = check_theorem5(&app, &te.execution, c, &f, |_| true);
-                ok &= step.holds();
+                exp.claim(check_theorem5(&app, &te.execution, c, &f, |_| true));
             }
         }
         t.push_row(vec![
@@ -129,7 +128,9 @@ fn main() {
     let damaged = BankState::with_balances(&[(AccountId(1), -500)]);
     let steps = compensation_steps(&app, &BankTxn::Reconcile(AccountId(1)), c1, &damaged, 5);
     println!("E12c RECONCILE(A1) from ¢-500: converges in {steps:?} step(s)");
-    ok &= steps == Some(1);
+    let mut c = ClaimCheck::new("RECONCILE clears an overdraft in one step");
+    c.record((steps != Some(1)).then(|| format!("{steps:?} steps")));
+    exp.claim(c);
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -18,14 +18,13 @@ use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{ClusterConfig, DelayModel, NodeId, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e13");
+    let mut exp = shard_bench::Experiment::start("e13");
     let items = 2u32;
     let max_qty = 5u64;
     let over_rate = 40u64;
     let under_rate = 15u64;
     let app = Warehouse::new(items, max_qty, over_rate, under_rate);
     let f_over = BoundFn::linear(over_rate * max_qty);
-    let mut ok = true;
     println!("E13: inventory control — transplanted bounds on simulated runs\n");
 
     let mut t = Table::new(
@@ -66,19 +65,16 @@ fn main() {
                 let (k, check) = check_invariant_bound(&app, &te.execution, c, &f_over, |d| {
                     matches!(d, InvTxn::PlaceOrder { .. } | InvTxn::Promote { .. })
                 });
-                holds &= check.holds();
-                ok &= check.holds();
+                holds &= exp.claim(check);
                 worst_k = worst_k.max(k);
                 worst_cost = worst_cost.max(trace::max_cost(&app, &te.execution, c));
                 // Theorem 5 per-step form for both constraints.
-                let step = check_theorem5(&app, &te.execution, c, &f_over, |_| true);
-                ok &= step.holds();
+                exp.claim(check_theorem5(&app, &te.execution, c, &f_over, |_| true));
                 let cu = app.backlog_constraint(ItemId(i));
                 let f_under = BoundFn::linear(under_rate * max_qty);
-                let step = check_theorem5(&app, &te.execution, cu, &f_under, |d| {
+                exp.claim(check_theorem5(&app, &te.execution, cu, &f_under, |d| {
                     matches!(d, InvTxn::Promote { .. } | InvTxn::Unship { .. })
-                });
-                ok &= step.holds();
+                }));
             }
         }
         t.push_row(vec![
@@ -95,5 +91,5 @@ fn main() {
          rate·max_qty·k envelope with k measured from the run"
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -16,7 +16,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_analysis::claims::check_invariant_bound;
-use shard_analysis::Table;
+use shard_analysis::{ClaimCheck, Table};
 use shard_apps::banking::{AccountId, Bank, BankTxn};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
@@ -24,14 +24,13 @@ use shard_core::{Application, ObjectModel};
 use shard_sim::{ClusterConfig, DelayModel, Invocation, Placement, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e16");
+    let mut exp = shard_bench::Experiment::start("e16");
     let accounts = 8u32;
     let max_debit = 100u32;
     let nodes = 8u16;
     let app = Bank::new(accounts, max_debit);
     let objects = app.objects();
     let f = BoundFn::linear(max_debit as u64);
-    let mut ok = true;
     println!("E16: partial replication (§6 extension) — 8 accounts over 8 nodes\n");
 
     let mut t = Table::new(
@@ -45,6 +44,7 @@ fn main() {
             "worst k",
         ],
     );
+    let mut agree = ClaimCheck::new("§6: every object's holders agree at every replication factor");
     for factor in [8u16, 4, 2] {
         let placement = Placement::round_robin(nodes, &objects, factor);
         let mut messages = 0u64;
@@ -96,11 +96,11 @@ fn main() {
                 let (k, check) = check_invariant_bound(&app, &te.execution, c, &f, |d| {
                     matches!(d, BankTxn::Withdraw(..) | BankTxn::Transfer(..))
                 });
-                bounds &= check.holds();
+                bounds &= exp.claim(check);
                 worst_k = worst_k.max(k);
             }
         }
-        ok &= consistent && bounds;
+        agree.record((!consistent).then(|| format!("replication {factor}")));
         t.push_row(vec![
             if factor == nodes {
                 format!("{factor}× (full)")
@@ -115,10 +115,11 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(agree);
     println!(
         "shape: message volume scales with the replication factor while every §3.1\n\
          condition and cost bound survives — §6's claim, realized"
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -22,10 +22,9 @@ use shard_core::costs::BoundFn;
 use shard_sim::{ClusterConfig, DelayModel, Gossip, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e17");
+    let mut exp = shard_bench::Experiment::start("e17");
     let app = FlyByNight::new(25);
     let f = BoundFn::linear(900);
-    let mut ok = true;
     println!("E17: gossip vs flooding broadcast (extension), 5 nodes, 1000 txns × 5 seeds\n");
 
     let mut t = Table::new(
@@ -69,9 +68,8 @@ fn main() {
             let (_, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
                 matches!(d, AirlineTxn::MoveUp)
             });
-            holds &= check.holds();
+            holds &= exp.claim(check);
         }
-        ok &= holds;
         let s = Summary::of(&ks);
         t.push_row(vec![
             "flood".to_string(),
@@ -107,9 +105,8 @@ fn main() {
             let (_, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
                 matches!(d, AirlineTxn::MoveUp)
             });
-            holds &= check.holds();
+            holds &= exp.claim(check);
         }
-        ok &= holds;
         let s = Summary::of(&ks);
         t.push_row(vec![
             format!("gossip/{interval}"),
@@ -128,5 +125,5 @@ fn main() {
          depended on *how* updates travel, only on what prefixes transactions see"
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

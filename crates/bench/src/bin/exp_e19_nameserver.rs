@@ -47,12 +47,11 @@ fn is_preserving(d: &NsTxn) -> bool {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e19");
+    let mut exp = shard_bench::Experiment::start("e19");
     let groups = 3u32;
     let rate = 25u64;
     let app = NameServer::new(groups, rate);
     let f = BoundFn::linear(rate);
-    let mut ok = true;
     println!("E19: Grapevine-style name server (§6 extension), 4 nodes, 800 txns × 5 seeds\n");
 
     let mut t = Table::new(
@@ -86,15 +85,12 @@ fn main() {
             te.execution.verify(&app).expect("valid execution");
             for c in 0..app.constraint_count() {
                 worst = worst.max(trace::max_cost(&app, &te.execution, c));
-                let step = check_theorem5(&app, &te.execution, c, &f, is_preserving);
-                thm5 &= step.holds();
-                ok &= step.holds();
+                thm5 &= exp.claim(check_theorem5(&app, &te.execution, c, &f, is_preserving));
                 if let Some((_, check)) =
                     check_grouped_bound(&app, &te.execution, c, &f, is_preserving)
                 {
                     groupings += 1;
-                    cor10 &= check.holds();
-                    ok &= check.holds();
+                    cor10 &= exp.claim(check);
                 }
             }
         }
@@ -112,5 +108,5 @@ fn main() {
          dangling-member anomaly without modification — §6's conjecture, checked"
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -22,14 +22,13 @@ use shard_core::{Application, ObjectModel};
 use shard_sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Placement, Runner};
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e20");
+    let mut exp = shard_bench::Experiment::start("e20");
     let accounts = 8u32;
     let max_debit = 100u32;
     let nodes = 8u16;
     let app = Bank::new(accounts, max_debit);
     let objects = app.objects();
     let f = BoundFn::linear(max_debit as u64);
-    let mut ok = true;
     println!(
         "E20: gossip × partial replication (composed extension) — \
          8 accounts over 8 nodes\n"
@@ -114,8 +113,8 @@ fn main() {
                     });
                 }
             }
-            ok &= shard_bench::report_claim(&consistency);
-            ok &= shard_bench::report_claim(&bounds);
+            let agree = exp.claim(consistency);
+            let bounded = exp.claim(bounds);
             t.push_row(vec![
                 if factor == nodes {
                     format!("{factor}× (full)")
@@ -125,8 +124,8 @@ fn main() {
                 format!("every {interval}"),
                 rounds.to_string(),
                 shipped.to_string(),
-                consistency.holds().to_string(),
-                bounds.holds().to_string(),
+                agree.to_string(),
+                bounded.to_string(),
                 worst_k.to_string(),
             ]);
         }
@@ -138,5 +137,5 @@ fn main() {
          and every correctness condition and cost bound holds at every grid point"
     );
 
-    exp.finish(ok);
+    exp.finish();
 }

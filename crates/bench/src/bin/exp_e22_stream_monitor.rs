@@ -25,7 +25,6 @@ use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
 use shard_bench::chaos::{monitored_sweep, replay_monitored, ChaosConfig};
-use shard_bench::report_claim;
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_core::stream::{par_check, Certificate};
 use shard_obs::EventSink;
@@ -54,8 +53,7 @@ fn monitored_run(seed: u64, window: usize) -> shard_sim::RunReport<FlyByNight> {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e22");
-    let mut ok = true;
+    let mut exp = shard_bench::Experiment::start("e22");
     println!(
         "E22: streaming certified checkers — live monitor vs offline §3 verdicts\n\
          part 1: {TXNS} txns × {NODES} nodes, exponential delay, seeds 1..=6, windows {{1, 7, 64}}\n"
@@ -100,7 +98,7 @@ fn main() {
         }
     }
     println!("{t}");
-    ok &= report_claim(&equiv);
+    exp.claim(equiv);
 
     // Part 2 — monitored chaos sweep with early abort.
     let cfg = ChaosConfig {
@@ -181,7 +179,7 @@ fn main() {
             hit.certificate.to_json()
         );
     }
-    ok &= report_claim(&abort);
+    exp.claim(abort);
 
     // Part 3 — certificate round-trip through the independent validator.
     let mut certs = ClaimCheck::new(
@@ -223,10 +221,10 @@ fn main() {
     } else {
         certs.record(Some("no hit to certify".into()));
     }
-    ok &= report_claim(&certs);
+    exp.claim(certs);
 
     if let Some(sink) = sink.as_deref() {
         sink.flush();
     }
-    exp.finish(ok);
+    exp.finish();
 }

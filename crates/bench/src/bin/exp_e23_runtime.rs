@@ -27,7 +27,6 @@
 
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::banking::{Bank, BankTxn};
-use shard_bench::report_claim;
 use shard_core::ObjectModel;
 use shard_obs::RuntimeMetrics;
 use shard_runtime::{
@@ -111,12 +110,11 @@ fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e23");
+    let mut exp = shard_bench::Experiment::start("e23");
     let txns: usize = std::env::var("SHARD_E23_TXNS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(100_000);
-    let mut ok = true;
     println!(
         "E23: threaded live deployment — {txns} Zipf({ZIPF_S})-skewed banking txns, \
          {NODES} node threads, closed pacing\n"
@@ -161,7 +159,7 @@ fn main() {
         fidelity
             .record((!r.fidelity).then(|| format!("{}: live and replay digests diverge", r.mode)));
     }
-    ok &= report_claim(&fidelity);
+    exp.claim(fidelity);
 
     let mut linear = ClaimCheck::new("every live mode sustains >= 5000 txn/s at 10^5 txns");
     for r in &results {
@@ -170,7 +168,7 @@ fn main() {
                 .then(|| format!("{}: {:.0} txn/s over {} txns", r.mode, r.throughput, r.txns)),
         );
     }
-    ok &= report_claim(&linear);
+    exp.claim(linear);
 
     let mode_json: Vec<String> = results
         .iter()
@@ -206,5 +204,5 @@ fn main() {
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
 
-    exp.finish(ok);
+    exp.finish();
 }

@@ -33,7 +33,7 @@ use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
 use shard_apps::dictionary::{DictUpdate, Dictionary};
 use shard_bench::workloads::{airline_invocations, Routing};
-use shard_bench::{report_claim, TRIAL_SEEDS};
+use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
 use shard_core::stream::par_check;
 use shard_core::Application;
@@ -198,10 +198,9 @@ fn replay_perf(n: usize) -> (u64, u64) {
 }
 
 fn main() {
-    let exp = shard_bench::Experiment::start("e24");
+    let mut exp = shard_bench::Experiment::start("e24");
     let app = FlyByNight::new(25);
     let f = BoundFn::linear(900);
-    let mut ok = true;
     println!(
         "E24: durable store + crash recovery — {NODES} nodes, {TXNS} airline txns, \
          {} seeds × {KILLS_PER_RUN} kill points per strategy\n",
@@ -235,7 +234,7 @@ fn main() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
-    ok &= report_claim(&transparent);
+    exp.claim(transparent);
 
     let mut clean = ClaimCheck::new("clean runs truncate no torn WAL tails");
     let torn_before_kills = torn_truncations();
@@ -243,7 +242,7 @@ fn main() {
         (torn_before_kills > 0)
             .then(|| format!("{torn_before_kills} torn-tail truncation(s) during clean opens")),
     );
-    ok &= report_claim(&clean);
+    exp.claim(clean);
     // Mirror the clean-phase tally into its own counter: the kill sweep
     // below tears tails *on purpose*, so `store.wal_torn_truncations`
     // ends up non-zero by design — ci.sh budgets the clean slice only.
@@ -280,7 +279,7 @@ fn main() {
         }
     }
     println!("{t}");
-    ok &= report_claim(&oracles);
+    exp.claim(oracles);
 
     let mut coverage = ClaimCheck::new("each strategy was killed at >= 10 distinct seeded points");
     for (i, strategy) in STRATEGIES.into_iter().enumerate() {
@@ -289,7 +288,7 @@ fn main() {
                 .then(|| format!("{strategy}: only {} kill points", kill_points[i])),
         );
     }
-    ok &= report_claim(&coverage);
+    exp.claim(coverage);
     let torn_total = torn_truncations();
     println!(
         "\nkill points: gossip {} / gossip-per-exec {}; torn tails truncated on \
@@ -316,7 +315,7 @@ fn main() {
     perf.record((ratio > MAX_DISK_OVER_MEM).then(|| {
         format!("n={n}: disk {disk_us}us vs mem {mem_us}us = {ratio:.2}x > {MAX_DISK_OVER_MEM}x")
     }));
-    ok &= report_claim(&perf);
+    exp.claim(perf);
 
     let json = format!(
         "{{\n \"bench\": \"store_recovery\",\n \"workload\": \"{TXNS} airline txns, {NODES} \
@@ -345,5 +344,5 @@ fn main() {
         }
     }
 
-    exp.finish(ok);
+    exp.finish();
 }

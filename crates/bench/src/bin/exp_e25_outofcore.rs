@@ -38,7 +38,7 @@
 
 use shard_analysis::ClaimCheck;
 use shard_apps::banking::{AccountId, Bank, BankState, BankUpdate};
-use shard_bench::{process_figures, report_claim};
+use shard_bench::{process_figures, Experiment};
 use shard_core::Application;
 use shard_obs::Registry;
 use shard_sim::{MergeLog, NodeId, StreamingMerge, Timestamp};
@@ -238,7 +238,7 @@ fn streaming_tier(
     app: &Bank,
     n: usize,
     per_txn_budget: u64,
-    ok: &mut bool,
+    exp: &mut Experiment,
 ) -> io::Result<TierResult> {
     let dir = tmp(&format!("tier-{n}"));
     let _ = std::fs::remove_dir_all(&dir);
@@ -286,7 +286,7 @@ fn streaming_tier(
     oracles.record((peak > budget).then(|| {
         format!("n={n}: peak resident {peak} B over budget {budget} B (1/{BUDGET_DIVISOR} of in-memory)")
     }));
-    *ok &= report_claim(&oracles);
+    exp.claim(oracles);
 
     let row_bytes = sink.store_mut().len_bytes();
     drop(sink);
@@ -357,13 +357,12 @@ fn tier_json(t: &TierResult) -> String {
 }
 
 fn main() -> io::Result<()> {
-    let exp = shard_bench::Experiment::start("e25");
+    let mut exp = Experiment::start("e25");
     let app = Bank::new(ACCOUNTS, 1_000_000);
     let n: usize = std::env::var("SHARD_E25_TXNS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(HEADLINE);
-    let mut ok = true;
     println!("E25: out-of-core replay — banking, displacement < {BLOCK}, target {n} txns\n");
 
     // Part 1 — fidelity at 10⁵, where the in-memory path still fits.
@@ -426,7 +425,7 @@ fn main() -> io::Result<()> {
             .is_empty()
             .then(|| "checker emitted no certificates to validate".to_string()),
     );
-    ok &= report_claim(&fidelity);
+    exp.claim(fidelity);
 
     let mut wall_claim = ClaimCheck::new("streaming wall clock stays within 3x of in-memory");
     wall_claim.record((ratio > MAX_STREAM_OVER_MEM).then(|| {
@@ -436,7 +435,7 @@ fn main() -> io::Result<()> {
             mem_wall.as_secs_f64() * 1e3
         )
     }));
-    ok &= report_claim(&wall_claim);
+    exp.claim(wall_claim);
     drop(sink);
     let fidelity_store = store_json(store_before);
     let _ = std::fs::remove_dir_all(&dir);
@@ -453,7 +452,7 @@ fn main() -> io::Result<()> {
     tiers.dedup();
     let mut results: Vec<TierResult> = Vec::new();
     for &tier in &tiers {
-        results.push(streaming_tier(&app, tier, per_txn_in_memory, &mut ok)?);
+        results.push(streaming_tier(&app, tier, per_txn_in_memory, &mut exp)?);
     }
     if tiers.is_empty() {
         // Smoke mode (ci.sh): the small run doubles as the budgeted
@@ -465,7 +464,7 @@ fn main() -> io::Result<()> {
         smoke.record(
             (peak > budget).then(|| format!("peak resident {peak} B over budget {budget} B")),
         );
-        ok &= report_claim(&smoke);
+        exp.claim(smoke);
     }
 
     let tiers_json: Vec<String> = results.iter().map(tier_json).collect();
@@ -500,6 +499,6 @@ fn main() -> io::Result<()> {
         }
     }
 
-    exp.finish(ok);
+    exp.finish();
     Ok(())
 }

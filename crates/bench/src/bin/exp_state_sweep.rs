@@ -33,7 +33,7 @@ use std::hint::black_box;
 pub const CLONE_BYTES_BUDGET: u64 = 400_000_000;
 
 fn main() {
-    let exp = shard_bench::Experiment::start("state_sweep");
+    let mut exp = shard_bench::Experiment::start("state_sweep");
     shard_obs::set_enabled(true);
     let n = 10_000usize;
     let app = FlyByNight::new(40);
@@ -67,8 +67,7 @@ fn main() {
     println!("  replay.in_place_applies  = {in_place}");
     println!("  pre-refactor estimate    = {pre_refactor_est} bytes (state hint {state_bytes})");
 
-    let mut ok = true;
-    ok &= shard_bench::report_claim(&ClaimCheck {
+    exp.claim(ClaimCheck {
         name: format!("state.clone_bytes within CI budget ({CLONE_BYTES_BUDGET})"),
         instances: n,
         violations: if clone_bytes <= CLONE_BYTES_BUDGET {
@@ -79,7 +78,7 @@ fn main() {
             )]
         },
     });
-    ok &= shard_bench::report_claim(&ClaimCheck {
+    exp.claim(ClaimCheck {
         name: "clone traffic >= 10x under the pre-refactor engine".into(),
         instances: n,
         violations: if clone_bytes.saturating_mul(10) <= pre_refactor_est {
@@ -90,7 +89,7 @@ fn main() {
             )]
         },
     });
-    ok &= shard_bench::report_claim(&ClaimCheck {
+    exp.claim(ClaimCheck {
         name: "the sweep exercised the in-place replay path".into(),
         instances: n,
         violations: if in_place > 0 {
@@ -99,5 +98,5 @@ fn main() {
             vec!["no in-place applies recorded".into()]
         },
     });
-    exp.finish(ok);
+    exp.finish();
 }

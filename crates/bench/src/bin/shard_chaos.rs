@@ -31,8 +31,7 @@
 //! sweeps stay deterministic-green.
 
 use shard_analysis::{ClaimCheck, Table};
-use shard_bench::chaos::{monitored_sweep, replay_monitored, sweep, ChaosConfig, Oracle};
-use shard_bench::report_claim;
+use shard_bench::chaos::{monitored_sweep, replay_monitored, report_sweep, sweep, ChaosConfig};
 
 fn usage() -> ! {
     eprintln!(
@@ -70,7 +69,7 @@ fn run_monitored_mode(
     cert_out: Option<String>,
     trace_out: Option<String>,
 ) {
-    let exp = shard_bench::Experiment::start(name);
+    let mut exp = shard_bench::Experiment::start(name);
     println!(
         "shard-chaos: monitored sweep of {} seed(s) from {} — window {}, \
          {} txns over {} nodes\n",
@@ -117,7 +116,7 @@ fn run_monitored_mode(
             )
         }));
     }
-    let ok = report_claim(&consistent);
+    exp.claim(consistent);
 
     match &outcome.hit {
         None => println!("\nno violation in {} seed(s)", cfg.seeds),
@@ -155,7 +154,7 @@ fn run_monitored_mode(
             }
         }
     }
-    exp.finish(ok);
+    exp.finish();
 }
 
 fn main() {
@@ -207,7 +206,7 @@ fn main() {
         return;
     }
 
-    let exp = shard_bench::Experiment::start(name);
+    let mut exp = shard_bench::Experiment::start(name);
     println!(
         "shard-chaos: sweeping {} seed(s) from {} — {} txns over {} nodes, \
          drop {:.2} / dup {:.2} / reorder {:.2}, {} partition + {} crash window(s)\n",
@@ -222,60 +221,6 @@ fn main() {
         cfg.crash_windows,
     );
     let outcome = sweep(&cfg);
-
-    let mut theorems = ClaimCheck::new(
-        "theorem oracles hold on every run (prefix-subsequence, Cor 8, fault-free baselines)",
-    );
-    for v in &outcome.verdicts {
-        theorems.record(
-            (!v.verify_ok)
-                .then(|| format!("seed {}: prefix-subsequence condition violated", v.seed)),
-        );
-        theorems.record(
-            (!v.cost_ok)
-                .then(|| format!("seed {}: Corollary 8 overbooking bound violated", v.seed)),
-        );
-        theorems.record(
-            (!v.base_transitive)
-                .then(|| format!("seed {}: fault-free baseline not transitive", v.seed)),
-        );
-        theorems.record((v.base_max_missed > cfg.k_limit).then(|| {
-            format!(
-                "seed {}: fault-free baseline max_missed = {} > {}",
-                v.seed, v.base_max_missed, cfg.k_limit
-            )
-        }));
-    }
-    let ok = report_claim(&theorems);
-
-    let mut t = Table::new(
-        format!("refinement violations over {} seed(s)", cfg.seeds),
-        &["oracle", "violating seeds", "shrunk counterexample"],
-    );
-    for (oracle, broken) in [
-        (Oracle::Transitivity, outcome.transitivity_violations()),
-        (Oracle::KCompleteness, outcome.k_violations(cfg.k_limit)),
-    ] {
-        let ce = match outcome.counterexample(oracle) {
-            Some(ce) => format!(
-                "seed {}: {} → {} events ({} re-runs)",
-                ce.seed,
-                ce.recorded,
-                ce.events.len(),
-                ce.shrink_runs
-            ),
-            None => "—".into(),
-        };
-        t.row(&[oracle.to_string(), format!("{broken}/{}", cfg.seeds), ce]);
-    }
-    println!("\n{t}");
-
-    for ce in &outcome.counterexamples {
-        println!("\nminimal {} counterexample (seed {}):", ce.oracle, ce.seed);
-        for e in &ce.events {
-            println!("  {e}");
-        }
-    }
-
-    exp.finish(ok);
+    report_sweep(&mut exp, &cfg, &outcome, None);
+    exp.finish();
 }

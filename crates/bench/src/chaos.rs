@@ -30,12 +30,15 @@
 //! shrinking sound (see `shard_sim::nemesis` on replay determinism).
 
 use crate::workloads::{airline_invocations, Routing};
+use crate::Experiment;
+use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
 use shard_core::conditions::{is_transitive, max_missed};
 use shard_core::costs::BoundFn;
 use shard_core::stream::Certificate;
 use shard_core::Execution;
+use shard_obs::EventSink;
 use shard_pool::PoolConfig;
 use shard_sim::events::SimTime;
 use shard_sim::nemesis::{
@@ -662,6 +665,121 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
             .set(outcome.digest() as i64);
     }
     outcome
+}
+
+/// Reports one offline sweep into `exp`: claims the theorem oracles
+/// (prefix-subsequence and Corollary 8 on every faulted run) and the
+/// fault-free baselines (each transitive and ≤ `k_limit`-incomplete),
+/// prints the refinement table and every minimal counterexample, and
+/// writes one `chaos.verdict` event per seed and one
+/// `chaos.counterexample` per shrunk schedule to `sink`, if given.
+pub fn report_sweep(
+    exp: &mut Experiment,
+    cfg: &ChaosConfig,
+    outcome: &ChaosOutcome,
+    sink: Option<&EventSink>,
+) {
+    if let Some(sink) = sink {
+        for v in &outcome.verdicts {
+            sink.event("chaos.verdict")
+                .u64("seed", v.seed)
+                .u64("faults", v.fault_events as u64)
+                .bool("verify_ok", v.verify_ok)
+                .bool("cost_ok", v.cost_ok)
+                .bool("transitivity_broken", v.transitivity_broken())
+                .bool("k_broken", v.k_broken(cfg.k_limit))
+                .u64("max_missed", v.faulted_max_missed as u64)
+                .u64("delay_bound", v.faulted_delay_bound)
+                .emit();
+        }
+    }
+
+    let mut theorems =
+        ClaimCheck::new("prefix-subsequence (§3.1) and Corollary 8 hold on every faulted run");
+    let mut baselines = ClaimCheck::new(format!(
+        "every fault-free baseline is transitive and ≤{}-incomplete",
+        cfg.k_limit
+    ));
+    for v in &outcome.verdicts {
+        theorems.record(
+            (!v.verify_ok)
+                .then(|| format!("seed {}: prefix-subsequence condition violated", v.seed)),
+        );
+        theorems.record(
+            (!v.cost_ok)
+                .then(|| format!("seed {}: Corollary 8 overbooking bound violated", v.seed)),
+        );
+        baselines.record(
+            (!v.base_transitive)
+                .then(|| format!("seed {}: fault-free baseline not transitive", v.seed)),
+        );
+        baselines.record((v.base_max_missed > cfg.k_limit).then(|| {
+            format!(
+                "seed {}: fault-free baseline max_missed = {}",
+                v.seed, v.base_max_missed
+            )
+        }));
+    }
+    exp.claim(theorems);
+    exp.claim(baselines);
+
+    let mut t = Table::new(
+        format!(
+            "refinement violations over {} seeds (k limit = {})",
+            cfg.seeds, cfg.k_limit
+        ),
+        &[
+            "oracle",
+            "violating seeds",
+            "first seed",
+            "recorded faults",
+            "shrunk to",
+            "shrink re-runs",
+        ],
+    );
+    for (oracle, broken) in [
+        (Oracle::Transitivity, outcome.transitivity_violations()),
+        (Oracle::KCompleteness, outcome.k_violations(cfg.k_limit)),
+    ] {
+        let mut cells = vec![oracle.to_string(), format!("{broken}/{}", cfg.seeds)];
+        match outcome.counterexample(oracle) {
+            Some(ce) => cells.extend([
+                ce.seed.to_string(),
+                ce.recorded.to_string(),
+                ce.events.len().to_string(),
+                ce.shrink_runs.to_string(),
+            ]),
+            None => cells.extend(["—"; 4].map(String::from)),
+        }
+        t.push_row(cells);
+    }
+    println!("\n{t}");
+
+    for ce in &outcome.counterexamples {
+        println!(
+            "\nminimal {} counterexample (seed {}, {} → {} events):",
+            ce.oracle,
+            ce.seed,
+            ce.recorded,
+            ce.events.len()
+        );
+        for e in &ce.events {
+            println!("  {e}");
+        }
+        if let Some(sink) = sink {
+            let schedule: Vec<String> = ce.events.iter().map(ToString::to_string).collect();
+            sink.event("chaos.counterexample")
+                .str("oracle", &ce.oracle.to_string())
+                .u64("seed", ce.seed)
+                .u64("recorded", ce.recorded as u64)
+                .u64("events", ce.events.len() as u64)
+                .str("schedule", &schedule.join("; "))
+                .emit();
+        }
+    }
+    if let Some(sink) = sink {
+        sink.flush();
+    }
 }
 
 /// Shrinks `events` to a locally minimal schedule still defeating

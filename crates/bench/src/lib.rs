@@ -14,37 +14,6 @@ use shard_obs::{EventSink, ObjWriter, Registry, SPAN_PREFIX};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Prints a claim check and returns whether it held (experiment binaries
-/// exit non-zero on violated claims so CI catches regressions). Also
-/// feeds the global `claims.*` counters, so every experiment's sidecar
-/// reports how many claims (and instances) it checked without any
-/// per-call-site changes.
-pub fn report_claim(check: &ClaimCheck) -> bool {
-    println!("  {check}");
-    let ok = check.holds();
-    if shard_obs::enabled() {
-        let r = Registry::global();
-        r.counter("claims.checked").inc();
-        r.counter("claims.instances").add(check.instances as u64);
-        r.counter("claims.violations")
-            .add(check.violations.len() as u64);
-        if !ok {
-            r.counter("claims.failed").inc();
-        }
-    }
-    ok
-}
-
-/// Exits with an error if any claim failed.
-pub fn finish(all_hold: bool) {
-    if all_hold {
-        println!("\nALL CLAIMS HOLD");
-    } else {
-        println!("\nCLAIM VIOLATIONS FOUND");
-        std::process::exit(1);
-    }
-}
-
 /// `[user CPU s, system CPU s, resident MiB]` of this process, from
 /// `/proc/self` (zeros where there is none).
 pub fn process_figures() -> [f64; 3] {
@@ -85,15 +54,20 @@ pub fn traces_dir() -> std::path::PathBuf {
     )
 }
 
-/// Per-experiment metrics harness: wraps an experiment binary's run and
-/// writes a JSON *sidecar* (`target/exp_metrics/<name>.json`) carrying
-/// everything the run recorded — claims checked, every global counter,
-/// gauge and histogram, and a digest of every span timer. The sidecars
-/// are machine-validated by `ci.sh` and aggregated by
-/// `run_experiments.sh` into `EXPERIMENTS_METRICS.json`.
+/// Per-experiment harness: wraps an experiment binary's run, records
+/// the claims it checks, and writes a JSON *sidecar*
+/// (`target/exp_metrics/<name>.json`) carrying everything the run
+/// recorded — every claim by name, every global counter, gauge and
+/// histogram, and a digest of every span timer. The sidecars are
+/// machine-validated by `ci.sh` and aggregated by `run_experiments.sh`
+/// into `EXPERIMENTS_METRICS.json`.
+///
+/// The verdict is computed from the claims alone: a run passes when it
+/// named at least one claim and every claim held.
 pub struct Experiment {
     name: String,
     started: Instant,
+    claims: Vec<ClaimCheck>,
 }
 
 impl Experiment {
@@ -102,7 +76,28 @@ impl Experiment {
         Experiment {
             name: name.into(),
             started: Instant::now(),
+            claims: Vec::new(),
         }
+    }
+
+    /// Records a claim check and returns whether it held. Checks that
+    /// share a name are one claim: their instances add up, and so do
+    /// their violations.
+    pub fn claim(&mut self, check: ClaimCheck) -> bool {
+        let holds = check.holds();
+        match self.claims.iter_mut().find(|c| c.name == check.name) {
+            Some(c) => {
+                c.instances += check.instances;
+                c.violations.extend(check.violations);
+            }
+            None => self.claims.push(check),
+        }
+        holds
+    }
+
+    /// The run's verdict: at least one claim was named and all held.
+    fn verdict(&self) -> bool {
+        !self.claims.is_empty() && self.claims.iter().all(ClaimCheck::holds)
     }
 
     /// A JSONL trace sink at `target/exp_traces/<name>.jsonl` for this
@@ -119,82 +114,77 @@ impl Experiment {
         }
     }
 
-    /// The sidecar document for the current global registry state.
-    fn sidecar_json(&self, all_hold: bool) -> String {
+    /// The sidecar document: this run's claims plus the current global
+    /// registry state.
+    fn sidecar_json(&self) -> String {
         let snap = Registry::global().snapshot();
-        let mut counters = String::from("{");
-        let mut first = true;
-        for (name, v) in &snap.counters {
-            if !std::mem::take(&mut first) {
-                counters.push(',');
-            }
-            counters.push_str(&format!("{}:{v}", shard_obs::json::string(name)));
+        let (mut counters, mut gauges) = (ObjWriter::new(), ObjWriter::new());
+        for (k, v) in &snap.counters {
+            counters = counters.u64(k, *v);
         }
-        counters.push('}');
-        let mut gauges = String::from("{");
-        first = true;
-        for (name, v) in &snap.gauges {
-            if !std::mem::take(&mut first) {
-                gauges.push(',');
-            }
-            gauges.push_str(&format!("{}:{v}", shard_obs::json::string(name)));
+        for (k, v) in &snap.gauges {
+            gauges = gauges.i64(k, *v);
         }
-        gauges.push('}');
-        let mut histograms = String::from("{");
-        let mut spans = String::from("{");
-        let (mut first_h, mut first_s) = (true, true);
+        let (mut histograms, mut spans) = (ObjWriter::new(), ObjWriter::new());
         for (name, h) in &snap.histograms {
-            if let Some(span) = name.strip_prefix(SPAN_PREFIX) {
-                if !std::mem::take(&mut first_s) {
-                    spans.push(',');
+            match name.strip_prefix(SPAN_PREFIX) {
+                Some(span) => {
+                    let digest = ObjWriter::new()
+                        .u64("count", h.count)
+                        .u64("total_ns", h.sum)
+                        .f64("mean_ns", h.mean())
+                        .u64("max_ns", h.max)
+                        .finish();
+                    spans = spans.raw(span, &digest);
                 }
-                let digest = ObjWriter::new()
-                    .u64("count", h.count)
-                    .u64("total_ns", h.sum)
-                    .f64("mean_ns", h.mean())
-                    .u64("max_ns", h.max)
-                    .finish();
-                spans.push_str(&format!("{}:{digest}", shard_obs::json::string(span)));
-            } else {
-                if !std::mem::take(&mut first_h) {
-                    histograms.push(',');
-                }
-                histograms.push_str(&format!(
-                    "{}:{}",
-                    shard_obs::json::string(name),
-                    h.to_json()
-                ));
+                None => histograms = histograms.raw(name, &h.to_json()),
             }
         }
-        histograms.push('}');
-        spans.push('}');
+        let list: Vec<String> = self
+            .claims
+            .iter()
+            .map(|c| {
+                ObjWriter::new()
+                    .str("name", &c.name)
+                    .u64("instances", c.instances as u64)
+                    .u64("violations", c.violations.len() as u64)
+                    .finish()
+            })
+            .collect();
+        let sum = |f: fn(&ClaimCheck) -> usize| self.claims.iter().map(f).sum::<usize>() as u64;
         let claims = ObjWriter::new()
-            .u64("checked", snap.counter("claims.checked").unwrap_or(0))
-            .u64("failed", snap.counter("claims.failed").unwrap_or(0))
-            .u64("instances", snap.counter("claims.instances").unwrap_or(0))
-            .u64("violations", snap.counter("claims.violations").unwrap_or(0))
+            .u64("checked", self.claims.len() as u64)
+            .u64("failed", sum(|c| usize::from(!c.holds())))
+            .u64("instances", sum(|c| c.instances))
+            .u64("violations", sum(|c| c.violations.len()))
+            .raw("list", &format!("[{}]", list.join(",")))
             .finish();
         ObjWriter::new()
             .str("experiment", &self.name)
-            .bool("ok", all_hold)
+            .bool("ok", self.verdict())
             .f64(
                 "wall_time_ms",
                 self.started.elapsed().as_secs_f64() * 1_000.0,
             )
             .raw("claims", &claims)
-            .raw("counters", &counters)
-            .raw("gauges", &gauges)
-            .raw("histograms", &histograms)
-            .raw("spans", &spans)
+            .raw("counters", &counters.finish())
+            .raw("gauges", &gauges.finish())
+            .raw("histograms", &histograms.finish())
+            .raw("spans", &spans.finish())
             .finish()
     }
 
-    /// Writes the sidecar (pass or fail), then defers to [`finish`]:
-    /// prints the verdict and exits non-zero if any claim failed.
-    pub fn finish(self, all_hold: bool) {
+    /// Prints every claim once, writes the sidecar (pass or fail) and
+    /// prints the verdict; exits non-zero if any claim failed or none
+    /// was named.
+    pub fn finish(self) {
+        println!();
+        for check in &self.claims {
+            println!("  {check}");
+        }
         let dir = metrics_dir();
         let path = dir.join(format!("{}.json", self.name));
-        let doc = self.sidecar_json(all_hold);
+        let doc = self.sidecar_json();
         if let Err(e) =
             std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, format!("{doc}\n")))
         {
@@ -202,7 +192,16 @@ impl Experiment {
         } else {
             println!("\nmetrics sidecar: {}", path.display());
         }
-        finish(all_hold);
+        if self.verdict() {
+            println!("\nALL CLAIMS HOLD");
+        } else {
+            if self.claims.is_empty() {
+                println!("\nNO CLAIM NAMED");
+            } else {
+                println!("\nCLAIM VIOLATIONS FOUND");
+            }
+            std::process::exit(1);
+        }
     }
 }
 
@@ -212,14 +211,96 @@ pub const TRIAL_SEEDS: [u64; 5] = [11, 42, 1986, 3640, 77];
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shard_obs::Json;
+
+    fn check(name: &str, passes: usize, violations: usize) -> ClaimCheck {
+        let mut c = ClaimCheck::new(name);
+        for _ in 0..passes {
+            c.record(None);
+        }
+        for i in 0..violations {
+            c.record(Some(format!("violation {i}")));
+        }
+        c
+    }
+
+    fn claims_of(exp: &Experiment) -> Json {
+        let v = shard_obs::json::parse(&exp.sidecar_json()).expect("sidecar is JSON");
+        v.get("claims").expect("claims section").clone()
+    }
 
     #[test]
-    fn report_claim_passes_through_holds() {
-        let mut c = ClaimCheck::new("x");
-        c.record(None);
-        assert!(report_claim(&c));
-        c.record(Some("bad".into()));
-        assert!(!report_claim(&c));
+    fn checks_sharing_a_name_merge_into_one_claim() {
+        let mut exp = Experiment::start("unit-merge");
+        assert!(exp.claim(check("a", 3, 0)));
+        assert!(exp.claim(check("b", 1, 0)));
+        assert!(
+            !exp.claim(check("a", 2, 1)),
+            "returns the check's own verdict"
+        );
+        assert!(exp.claim(check("a", 4, 0)), "not the merged claim's");
+        assert_eq!(exp.claims.len(), 2);
+        assert_eq!(exp.claims[0].name, "a");
+        assert_eq!(exp.claims[0].instances, 10);
+        assert_eq!(exp.claims[0].violations.len(), 1);
+        assert!(!exp.verdict());
+    }
+
+    #[test]
+    fn a_run_that_names_no_claim_fails() {
+        let mut exp = Experiment::start("unit-verdict");
+        assert!(!exp.verdict(), "no claim named");
+        exp.claim(check("held", 1, 0));
+        assert!(exp.verdict());
+        exp.claim(check("broke", 1, 1));
+        assert!(!exp.verdict());
+    }
+
+    #[test]
+    fn sidecar_lists_every_claim_by_name() {
+        let mut exp = Experiment::start("unit-list");
+        exp.claim(check("first", 2, 0));
+        exp.claim(check("second", 1, 2));
+        exp.claim(check("first", 1, 0));
+        let claims = claims_of(&exp);
+        let field = |k| claims.get(k).and_then(Json::as_u64);
+        assert_eq!(field("checked"), Some(2));
+        assert_eq!(field("failed"), Some(1));
+        assert_eq!(field("instances"), Some(6));
+        assert_eq!(field("violations"), Some(2));
+        let list = shard_obs::json::parse(
+            r#"[{"name":"first","instances":3,"violations":0},
+                {"name":"second","instances":3,"violations":2}]"#,
+        );
+        assert_eq!(claims.get("list"), list.ok().as_ref());
+    }
+
+    #[test]
+    fn claims_come_from_the_run_not_the_registry() {
+        // Whether recording is on or off, the registry carries no
+        // `claims.*` counter: the section is computed from the run's
+        // own list, so a run with metrics off still names its claims.
+        let mut exp = Experiment::start("unit-no-registry");
+        exp.claim(check("named", 5, 0));
+        let snap = Registry::global().snapshot();
+        assert!(!snap.counters.iter().any(|(k, _)| k.starts_with("claims.")));
+        let claims = claims_of(&exp);
+        assert_eq!(claims.get("checked").and_then(Json::as_u64), Some(1));
+        assert_eq!(claims.get("instances").and_then(Json::as_u64), Some(5));
+    }
+
+    #[test]
+    fn one_claims_violation_count_turns_the_sidecar_diff_red() {
+        let sidecar = |violations| {
+            let mut exp = Experiment::start("unit-diff");
+            exp.claim(check("steady", 4, 0));
+            exp.claim(check("moving", 4, violations));
+            exp.sidecar_json()
+        };
+        let (one, two) = (sidecar(1), sidecar(2));
+        shard_obs::diff_sidecars(&one, &one).expect("a sidecar diffs clean against itself");
+        let err = shard_obs::diff_sidecars(&one, &two).expect_err("violation counts differ");
+        assert!(err.contains("$.claims"), "{err}");
     }
 
     #[test]
@@ -230,7 +311,7 @@ mod tests {
         Registry::global().gauge("unit.gauge").set(-3);
         Registry::global().histogram("unit.hist").record(12);
         drop(shard_obs::span!("unit.span"));
-        let doc = exp.sidecar_json(true);
+        let doc = exp.sidecar_json();
         let v = shard_obs::check_sidecar(
             &doc,
             &[
@@ -245,7 +326,6 @@ mod tests {
             ],
         )
         .expect("sidecar must be valid JSON with all required keys");
-        use shard_obs::Json;
         assert_eq!(
             v.get("experiment").and_then(Json::as_str),
             Some("unit-test")

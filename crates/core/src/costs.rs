@@ -28,7 +28,6 @@
 //! with 3 seats and 4 people).
 
 use crate::app::{Application, Cost};
-use crate::execution::{Execution, TxnIndex};
 use std::fmt;
 
 /// Truncated subtraction `X ∸ Y = max(X − Y, 0)` — the paper's `X /. Y`,
@@ -304,14 +303,6 @@ fn subsequences_go(
         subsequences_go(n, i + 1, remaining - 1, missing, visit);
         missing.pop();
     }
-}
-
-/// The relation `s ≤ₖ t` realized over an execution: `t` is the state
-/// reached by keeping only `kept` (strictly increasing indices into the
-/// execution) and `s` the full final state; returns the `k` for which the
-/// pair is related, i.e. the number of omitted updates.
-pub fn missing_between<A: Application>(exec: &Execution<A>, kept: &[TxnIndex]) -> usize {
-    exec.len() - kept.len()
 }
 
 #[cfg(test)]

@@ -52,13 +52,6 @@ impl Grouping {
         Grouping { ends }
     }
 
-    /// The trivial grouping: every transaction is its own group.
-    pub fn singletons(n: usize) -> Self {
-        Grouping {
-            ends: (1..=n).collect(),
-        }
-    }
-
     /// The number of groups.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -247,12 +240,6 @@ mod tests {
         assert_eq!(groups, vec![0..2, 2..3, 3..6]);
         assert_eq!(g.covered(), 6);
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn singleton_grouping() {
-        let g = Grouping::singletons(3);
-        assert_eq!(g.groups().collect::<Vec<_>>(), vec![0..1, 1..2, 2..3]);
     }
 
     #[test]

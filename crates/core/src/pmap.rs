@@ -14,9 +14,9 @@
 //! for the maps in this repository: the known set's base, which every
 //! executed transaction snapshots and which takes its keys 16 at a time
 //! through [`PMap::push_leaf`] (one path copy down the right spine per
-//! leaf) and only 5 % of them one by one (EXPERIMENTS.md "The known set
-//! a leaf at a time"), and the airline's membership index and the
-//! dictionary's and name server's states, which checkpoints snapshot —
+//! leaf) and only 5 % of them one by one (docs/perf/known-set-leaf.md),
+//! and the airline's membership index and the dictionary's and name
+//! server's states, which checkpoints snapshot —
 //! and [`Arc::make_mut`] turns
 //! even that copy into an in-place write when the map is unshared, the
 //! case [`Application::apply_in_place`](crate::Application::apply_in_place)
@@ -46,8 +46,8 @@ use std::sync::Arc;
 /// Most items a node holds, and the most its array is allocated for. On
 /// `sim-partition`, whose only map is the known set's base, fed a leaf at
 /// a time: 8 (flushing 8) is ≈ 4 % slower for +4 % peak RSS, 32 ≈ 2 %
-/// slower for +2 % (30 rotating harness rounds, EXPERIMENTS.md "The known
-/// set a leaf at a time").
+/// slower for +2 % (30 rotating harness rounds,
+/// docs/perf/known-set-leaf.md).
 const FANOUT: usize = 16;
 
 #[derive(Clone)]

@@ -34,7 +34,7 @@
 //! flushes. The leaf append is what pays: the same tail flushing its 16
 //! by per-key inserts measured 23 % slower, and a tail that a flush
 //! empties (8 slots) sent 36 % of inserts down the per-key path
-//! (EXPERIMENTS.md, "The known set a leaf at a time").
+//! (docs/perf/known-set-leaf.md).
 //!
 //! Beyond cost, [`KnownSet::nth`] resolves the i-th timestamp in
 //! O(log n), which keeps finding what a transaction *missed*

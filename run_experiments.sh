@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Runs all 25 experiment binaries (E01-E25) in release mode; fails fast
-# on the first violated claim. Logs land in target/exp_logs/, per-run
+# Runs all 25 experiment binaries (E01-E25) in release mode, then exits
+# non-zero if any of them failed (a violated claim, or no claim named);
+# every experiment runs either way. Logs land in target/exp_logs/, per-run
 # metrics sidecars in target/exp_metrics/ (aggregated into
 # EXPERIMENTS_METRICS.json), and JSONL traces in target/exp_traces/.
 #
