@@ -60,7 +60,9 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # (compensation), E09 (availability vs integrity), E13 (inventory), E15
 # (§3.3 barrier), E18 (crash/recovery), E19 (name server) and E21 (the
 # nemesis search, through the chaos report `shard-chaos` shares), ≈ 2.6 s
-# together — then a pure-rust validation that each metrics sidecar is
+# together — and the two slower ones, E05 (witness bounds, ≈ 2.4 s) and
+# E07 (fairness, ≈ 18 s: `is_transitive` and `min_delay_bound` on kernel
+# runs) — then a pure-rust validation that each metrics sidecar is
 # well-formed JSON carrying the schema's required keys. Every sidecar
 # names its claims (`claims.list`); a run that names none fails. The kernel gossip smokes (E17,
 # E20, and the E24 smoke below) are built first and then run under
@@ -73,7 +75,9 @@ run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e02_overbooking_bound
 run cargo run -q --release -p shard-bench --bin exp_e03_underbooking_bound
 run cargo run -q --release -p shard-bench --bin exp_e04_compensation
+run cargo run -q --release -p shard-bench --bin exp_e05_witness_bounds
 run cargo run -q --release -p shard-bench --bin exp_e06_centralization
+run cargo run -q --release -p shard-bench --bin exp_e07_fairness
 run cargo run -q --release -p shard-bench --bin exp_e08_thrashing
 run cargo run -q --release -p shard-bench --bin exp_e09_availability
 run cargo run -q --release -p shard-bench --bin exp_e10_k_distribution
@@ -108,8 +112,8 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # E10 reads its executions through prefixes and one forward fold of the
 # actual states, neither of which asks a replay cache: a warm-up that
 # creeps back in front of its sweeps would show as cache queries.
-for sidecar in e01 e02 e03 e04 e06 e08 e09 e10 e11 e12 e13 e14 e15 e16 \
-  e17 e18 e19 e20 e21 e22 chaos; do
+for sidecar in e01 e02 e03 e04 e05 e06 e07 e08 e09 e10 e11 e12 e13 e14 \
+  e15 e16 e17 e18 e19 e20 e21 e22 chaos; do
   budget=()
   case "$sidecar" in
   e10) budget=("replay.queries<=0") ;;

@@ -112,7 +112,7 @@ fn chaos_rows() -> String {
 }
 
 /// The §3 transitivity checker on an n = 10⁴ execution. It has been
-/// single-threaded since its column-bitset rewrite, so these rows are
+/// single-threaded since it left the pool, so these rows are
 /// the control: the same work under every `SHARD_POOL_THREADS` must
 /// read the same, which bounds what the sampling scheme itself adds.
 fn checker_rows() -> String {

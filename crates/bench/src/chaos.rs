@@ -34,10 +34,9 @@ use crate::Experiment;
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
-use shard_core::conditions::{is_transitive, max_missed};
+use shard_core::conditions::{is_transitive, TimedExecution};
 use shard_core::costs::BoundFn;
-use shard_core::stream::Certificate;
-use shard_core::Execution;
+use shard_core::stream::{par_check, Certificate, StreamReport};
 use shard_obs::EventSink;
 use shard_pool::PoolConfig;
 use shard_sim::events::SimTime;
@@ -561,10 +560,16 @@ fn stack_for(cfg: &ChaosConfig, seed: u64) -> NemesisStack {
     stack
 }
 
-fn oracle_holds_broken(cfg: &ChaosConfig, oracle: Oracle, exec: &Execution<FlyByNight>) -> bool {
+/// The §3 verdicts of one run, from one pass over its execution, in
+/// one window: the sweep reads only the totals.
+fn check(te: &TimedExecution<FlyByNight>) -> StreamReport {
+    par_check(&PoolConfig::sequential(), te, te.execution.len().max(1))
+}
+
+fn oracle_holds_broken(cfg: &ChaosConfig, oracle: Oracle, report: &StreamReport) -> bool {
     match oracle {
-        Oracle::Transitivity => !is_transitive(exec),
-        Oracle::KCompleteness => max_missed(exec) > cfg.k_limit,
+        Oracle::Transitivity => !report.transitive,
+        Oracle::KCompleteness => report.max_missed > cfg.k_limit,
     }
 }
 
@@ -595,10 +600,10 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         events: Vec<FaultEvent>,
     }
     let runs: Vec<SeedRun> = shard_pool::par_map(&cfg.pool, &seeds, |_, &seed| {
-        let baseline = run(cfg, seed, None, None, None);
-        let base_exec = baseline.timed_execution().execution;
+        let base = check(&run(cfg, seed, None, None, None).timed_execution());
         let faulted = run(cfg, seed, Some(Box::new(stack_for(cfg, seed))), None, None);
         let te = faulted.timed_execution();
+        let checked = check(&te);
         let verify_ok = te.execution.verify(&app).is_ok();
         let (_, cost_check) = shard_analysis::claims::check_invariant_bound(
             &app,
@@ -612,11 +617,11 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
             fault_events: faulted.faults.len(),
             verify_ok,
             cost_ok: cost_check.holds(),
-            base_transitive: is_transitive(&base_exec),
-            faulted_transitive: is_transitive(&te.execution),
-            base_max_missed: max_missed(&base_exec),
-            faulted_max_missed: max_missed(&te.execution),
-            faulted_delay_bound: te.min_delay_bound(),
+            base_transitive: base.transitive,
+            faulted_transitive: checked.transitive,
+            base_max_missed: base.max_missed,
+            faulted_max_missed: checked.max_missed,
+            faulted_delay_bound: checked.min_delay_bound,
         };
         if shard_obs::enabled() {
             let r = shard_obs::Registry::global();
@@ -798,7 +803,7 @@ pub fn shrink_counterexample(
         runs += 1;
         let schedule = Box::new(ScheduledNemesis::new(candidate));
         let report = run(cfg, seed, Some(schedule), None, None);
-        oracle_holds_broken(cfg, oracle, &report.timed_execution().execution)
+        oracle_holds_broken(cfg, oracle, &check(&report.timed_execution()))
     });
     if shard_obs::enabled() {
         let r = shard_obs::Registry::global();

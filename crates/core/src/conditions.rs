@@ -16,6 +16,9 @@
 //!   information intervening;
 //! * **timed executions** with **t-bounded delay** — every transaction
 //!   sees all predecessors initiated at least `t` earlier.
+//!
+//! Transitivity is answered by the one §3 checker, the
+//! [`StreamChecker`](crate::stream::StreamChecker) fold.
 
 use crate::app::Application;
 use crate::execution::{Execution, TxnIndex};
@@ -55,93 +58,28 @@ pub fn max_missed<A: Application>(exec: &Execution<A>) -> usize {
 /// Whether the execution is **transitive** (§3.2): for all `T, T', T''`,
 /// if `T ∈ 𝒫(T')` and `T' ∈ 𝒫(T'')` then `T ∈ 𝒫(T'')`.
 ///
-/// [`transitivity_violation`] finding nothing. Single-threaded: at the
-/// sizes its matrix allows, the whole check is shorter than a pool
-/// hand-off.
+/// [`transitivity_violation`] finding nothing.
 pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
     let _span = shard_obs::span!("conditions.is_transitive");
     transitivity_violation(exec).is_none()
 }
 
-/// Returns the first transitivity violation as `(t, t_mid, t_top)` where
-/// `t ∈ 𝒫(t_mid)`, `t_mid ∈ 𝒫(t_top)`, but `t ∉ 𝒫(t_top)` — or `None` if
-/// the execution is transitive. First in the order of the triple loop
-/// over `t_top`, then `t_mid ∈ 𝒫(t_top)`, then `t ∈ 𝒫(t_mid)`.
+/// Returns the first transitivity violation as `(low, mid, top)` where
+/// `low ∈ 𝒫(mid)`, `mid ∈ 𝒫(top)`, but `low ∉ 𝒫(top)` — or `None` if
+/// the execution is transitive. First in (row, missed, smallest
+/// witness) order: the smallest violating `top`, then the smallest
+/// `low` it missed that something it saw had seen, then the smallest
+/// such `mid` — the triple a [`StreamChecker`] certifies.
 ///
-/// Works on miss sets `Mᵢ = {0..i} ∖ 𝒫ᵢ` against an n×n bit matrix of
-/// columns `col[x] = { j : x ∈ 𝒫ⱼ }`. Row `i` is transitive iff no
-/// missed `x ∈ Mᵢ` has a witness `j ∈ 𝒫ᵢ ∩ col[x]` — and since `𝒫ᵢ`
-/// lies below `i` and `col[x]` above `x`, that is a word-wise AND over
-/// the words covering `(x, i)` only. Cost: n²/64 words to lay the
-/// matrix out plus Σᵢ Σ_{x ∈ Mᵢ} (i − x)/64 word operations — linear in
-/// the total number of misses when misses are recent, n³/768 at the
-/// dense worst case where every row misses half its predecessors
-/// arbitrarily far back.
+/// The fold `par_check` runs, with every time 0 (times only feed the
+/// delay bound), stopped at the first violating row: the checker's
+/// 32 B a row and one reused miss set.
 ///
-/// The matrix is **n²/8 bytes resident** — 1.25 GB at 10⁵ rows — which
-/// caps this checker near there although an [`Execution`] itself now
-/// holds 10⁶ rows easily. Above that the in-memory verdict is
-/// [`check_rows`](crate::stream::check_rows) over
-/// [`rows_from_execution`](crate::stream::rows_from_execution), whose
-/// state is the live span of misses; `tests/checker_oracles.rs` holds
-/// the two equal.
+/// [`StreamChecker`]: crate::stream::StreamChecker
 pub fn transitivity_violation<A: Application>(
     exec: &Execution<A>,
 ) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
-    let n = exec.len();
-    let words = n.div_ceil(64);
-    // Columns start complete — col[x] = {x+1..} — and lose one bit per
-    // miss, so the matrix costs O(n²/64 + total misses) to build, not
-    // O(Σ|𝒫ᵢ|). Bits from n up are never read back set: they are only
-    // ever ANDed with a row, which stops below n.
-    let mut cols = vec![0u64; n * words];
-    for x in 0..n {
-        let col = &mut cols[x * words..(x + 1) * words];
-        col[(x + 1) / 64..].fill(!0);
-        if (x + 1) % 64 != 0 {
-            col[(x + 1) / 64] = !0 << ((x + 1) % 64);
-        }
-    }
-    // One pass in serial order: when row i is checked, every bit of a
-    // column below i is final, and the bits from i up are masked off by
-    // the row. `seen` is {0..i} between rows and 𝒫ᵢ during row i.
-    let mut seen = vec![0u64; words];
-    let mut missed: Vec<TxnIndex> = Vec::new();
-    for (i, record) in exec.records().iter().enumerate() {
-        missed.clear();
-        record.prefix.extend_missed_below(i, &mut missed);
-        for &x in &missed {
-            seen[x / 64] &= !(1u64 << (x % 64));
-            cols[x * words + i / 64] &= !(1u64 << (i % 64));
-        }
-        // `𝒫ᵢ` against the column of `x`, 64 candidates a word, over the
-        // words covering `(x, i)`: a common bit is a witness.
-        let candidates = |x: TxnIndex| {
-            let span = x / 64..=i / 64;
-            let col = &cols[x * words..(x + 1) * words];
-            seen[span.clone()].iter().zip(&col[span])
-        };
-        if !missed
-            .iter()
-            .all(|&x| candidates(x).all(|(p, c)| p & c == 0))
-        {
-            // The triple loop meets the smallest witness first, and
-            // under it the smallest miss.
-            let smallest = |x: TxnIndex| {
-                let mut common = candidates(x).map(|(p, c)| p & c).enumerate();
-                let (w, bits) = common.find(|&(_, bits)| bits != 0)?;
-                Some(((x / 64 + w) * 64 + bits.trailing_zeros() as usize, x))
-            };
-            let first = missed.iter().filter_map(|&x| smallest(x)).min();
-            let (mid, low) = first.expect("some miss of this row has a witness");
-            return Some((low, mid, i));
-        }
-        for &x in &missed {
-            seen[x / 64] |= 1u64 << (x % 64);
-        }
-        seen[i / 64] |= 1u64 << (i % 64);
-    }
-    None
+    crate::stream::fold_execution(exec, None, exec.len().max(1)).first_violation
 }
 
 /// Whether the group of transactions `group` (indices into `exec`, any
@@ -344,7 +282,6 @@ mod tests {
         assert!(is_centralized(&e, &[1, 3]));
         assert!(!is_centralized(&e, &[0, 3]));
         assert_eq!(transitivity_violation(&e), Some((0, 1, 3)));
-        assert!(!is_transitive(&e));
         let te = TimedExecution::new(e, vec![0, 1, 2, 3]);
         let rows = crate::stream::rows_from_execution(&shard_pool::PoolConfig::sequential(), &te);
         assert_eq!(rows[3].missed, vec![0]);

@@ -45,11 +45,12 @@
 //! slides and the word lists behind it are recycled, so the checker
 //! holds the live span, not the history.
 //!
-//! Verdicts are **bit-identical** to the offline checkers: feeding
-//! [`rows_from_execution`] through a checker of any window size yields
-//! exactly `is_transitive`, `max_missed` and `min_delay_bound` of the
-//! source execution (`tests/stream_equivalence.rs` pins this per
-//! application, window and pool size).
+//! The checker is the one §3 transitivity algorithm: `is_transitive`
+//! and `transitivity_violation` are [`par_check`]'s fold, cut at the
+//! first violation. Its independent judges are the oracles of
+//! `tests/checker_oracles.rs` and the shared-nothing `shard-trace
+//! certify`; its k and t equal `max_missed` and `min_delay_bound` at
+//! every window (`tests/stream_equivalence.rs`).
 //!
 //! The row has one home. This module declares [`StreamRow`], its JSONL
 //! form (trace lines) and its binary form (store records), and
@@ -65,7 +66,7 @@
 
 use crate::app::Application;
 use crate::conditions::TimedExecution;
-use crate::execution::TxnIndex;
+use crate::execution::{Execution, TxnIndex};
 use shard_pool::PoolConfig;
 
 /// Schema tag stamped into serialized certificates.
@@ -415,7 +416,7 @@ pub struct StreamChecker {
     /// First transitivity violation `(low, mid, top)` in (row, missed,
     /// smallest witness) scan order; the stream is transitive so far
     /// iff this is `None`.
-    first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
+    pub(crate) first_violation: Option<(TxnIndex, TxnIndex, TxnIndex)>,
     /// Rows below this are retired: no later row may miss them.
     base: TxnIndex,
     /// The row `seen[0]` describes; at most `base`, and brought up to
@@ -593,6 +594,26 @@ impl StreamChecker {
                 frontier: self.base,
             });
         }
+        let transitive = self.transitive_so_far();
+        let verdict = self.step(index, time, missed);
+        if shard_obs::enabled() {
+            let found = transitive && !self.transitive_so_far();
+            shard_obs::counter!("stream.rows", family).inc();
+            shard_obs::counter!("stream.windows", family).add(verdict.is_some().into());
+            shard_obs::counter!("stream.violations", family).add(found.into());
+        }
+        Ok(verdict)
+    }
+
+    /// [`try_push`](StreamChecker::try_push)'s work on a row the caller
+    /// vouches for, counted nowhere: the whole-execution checkers of
+    /// [`crate::conditions`] consume no stream.
+    pub(crate) fn step(
+        &mut self,
+        index: TxnIndex,
+        time: u64,
+        missed: &[TxnIndex],
+    ) -> Option<WindowVerdict> {
         assert!(
             index / 64 <= u32::MAX as usize,
             "the missers index numbers words as u32"
@@ -671,12 +692,9 @@ impl StreamChecker {
             slot: 0,
         });
 
-        if shard_obs::enabled() {
-            shard_obs::counter!("stream.rows", family).inc();
-        }
         let rows = self.rows();
         if !rows.is_multiple_of(self.window) {
-            return Ok(None);
+            return None;
         }
         let verdict = WindowVerdict {
             window: self.windows,
@@ -691,10 +709,7 @@ impl StreamChecker {
         if self.changes.last().map(answer) != Some(answer(&verdict)) {
             self.changes.push(verdict);
         }
-        if shard_obs::enabled() {
-            shard_obs::counter!("stream.windows", family).inc();
-        }
-        Ok(Some(verdict))
+        Some(verdict)
     }
 
     /// Folds one miss of row `index` (started at `time`) into the
@@ -718,9 +733,6 @@ impl StreamChecker {
         // missers(x) — such a j is in 𝒫ᵢ and saw x.
         if let Some(j) = witness {
             self.first_violation = Some((x, j, index));
-            if shard_obs::enabled() {
-                shard_obs::counter!("stream.violations", family).inc();
-            }
         }
     }
 
@@ -823,20 +835,8 @@ fn gap_witness(
 /// O(|Mᵢ|) per row, on the calling thread.
 ///
 /// `pool` is not used: callers (the frozen benchmark among them) pass
-/// one, and the extraction used to partition the row range across it
-/// from 2 048 rows up. Measured on the reference host (2 cores;
-/// block-shuffled rows missing ~16 of their last 64 predecessors; six
-/// alternating runs, M rows/s; a row then still cost a search through
-/// its seen list) the second thread never bought the 1.2× that would
-/// pay for the hand-off and for rows allocated on one thread and freed
-/// on another:
-///
-/// | rows | 1 thread  | 2 threads | 2 over 1                     |
-/// |------|-----------|-----------|------------------------------|
-/// | 2¹¹  | 2.28–2.59 | 1.93–2.08 | 0.76–0.85                    |
-/// | 2¹²  | 1.50–2.34 | 1.53–2.11 | 0.83–1.10                    |
-/// | 2¹³  | 1.57–1.84 | 1.59–2.44 | 1.02–1.09 in five, 1.44 once |
-/// | 2¹⁴  | 0.81–1.73 | 0.81–1.91 | 1.01–1.10                    |
+/// one, and a second thread never paid for the hand-off (DESIGN.md
+/// §12 has the measurement).
 pub fn rows_from_execution<A: Application>(
     _pool: &PoolConfig,
     te: &TimedExecution<A>,
@@ -865,18 +865,46 @@ pub fn check_rows(window: usize, rows: &[StreamRow]) -> StreamReport {
     checker.report()
 }
 
-/// The offline entry point: extracts the rows
-/// ([`rows_from_execution`], which says why `pool` goes unused), folds
-/// them through one [`StreamChecker`], and reports. Verdicts equal the
-/// offline checkers' at every window size.
+/// The offline entry point: folds the execution through one
+/// [`StreamChecker`] — its rows are never materialized — and reports.
+/// `pool` is not used, as in [`rows_from_execution`].
 pub fn par_check<A: Application>(
-    pool: &PoolConfig,
+    _pool: &PoolConfig,
     te: &TimedExecution<A>,
     window: usize,
 ) -> StreamReport {
     let _span = shard_obs::span!("stream.par_check");
-    let rows = rows_from_execution(pool, te);
-    check_rows(window, &rows)
+    fold_execution(&te.execution, Some(&te.times), window).report()
+}
+
+/// The fold of an execution behind [`par_check`] and the §3
+/// transitivity checkers: row `i` is `(i, times[i], gaps of 𝒫ᵢ)`, its
+/// misses written into one reused buffer — no [`StreamRow`] list.
+/// Without `times` it checks transitivity only: every time 0, stopped
+/// at the first violating row (whose certificate is final there), and
+/// uncounted.
+pub(crate) fn fold_execution<A: Application>(
+    exec: &Execution<A>,
+    times: Option<&[u64]>,
+    window: usize,
+) -> StreamChecker {
+    let mut checker = StreamChecker::new(window);
+    checker.seen.reserve_exact(exec.len());
+    let mut missed = Vec::new();
+    for (i, record) in exec.records().iter().enumerate() {
+        if times.is_none() && !checker.transitive_so_far() {
+            break;
+        }
+        missed.clear();
+        record.prefix.extend_missed_below(i, &mut missed);
+        match times {
+            Some(times) => checker
+                .try_push(i, times[i], &missed)
+                .expect("an execution's rows"),
+            None => checker.step(i, 0, &missed),
+        };
+    }
+    checker
 }
 
 /// A stored row as [`StreamingExecution::for_each_row`] hands it back:
@@ -1251,8 +1279,6 @@ mod tests {
                 top: 3
             })
         );
-        // Offline agreement on the verdict.
-        assert!(!is_transitive(&te.execution));
     }
 
     #[test]

@@ -72,7 +72,8 @@ proptest! {
     }
 
     /// The transitivity checker agrees with the brute-force triple loop,
-    /// down to which violation it names first.
+    /// down to which violation it names first: loops over `top`, the
+    /// `low` it missed, then `mid`.
     #[test]
     fn transitivity_matches_brute_force(matrix in prefix_matrix(10)) {
         let e = build_execution(&matrix);
@@ -82,9 +83,9 @@ proptest! {
             .map(|r| r.prefix.iter().collect())
             .collect();
         let brute = sets.iter().enumerate().find_map(|(top, set)| {
-            set.iter().find_map(|&mid| {
-                let low = sets[mid].iter().find(|low| !set.contains(low))?;
-                Some((*low, mid, top))
+            (0..top).filter(|low| !set.contains(low)).find_map(|low| {
+                let mid = set.iter().find(|&&mid| sets[mid].contains(&low))?;
+                Some((low, *mid, top))
             })
         });
         prop_assert_eq!(conditions::transitivity_violation(&e), brute);

@@ -60,8 +60,8 @@ use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Timestamp,
-    Transport, WallClock,
+    ExecutedTxn, Invocation, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
+    RunReport, Timestamp, Transport, WallClock,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -439,7 +439,8 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 ///
 /// # Panics
 ///
-/// Panics if a submission names a node outside the cluster, or a
+/// Panics if a submission names a node outside the cluster, the
+/// strategy's [`Propagation::validate`] refuses the submissions, or a
 /// tick-driven strategy has a zero interval.
 pub fn run_live<A, P>(
     app: &A,
@@ -517,11 +518,17 @@ where
     let tick_every_us = strategy.tick_interval();
     assert_ne!(tick_every_us, Some(0), "gossip needs a positive interval");
     let metrics = RuntimeMetrics::for_mode(strategy.label());
+    // Judged as a kernel run would be, before any node executes.
+    let invocations: Vec<Invocation<A::Decision>> = submissions
+        .into_iter()
+        .map(|s| Invocation::new(s.at_us, s.node, s.decision))
+        .collect();
+    strategy.validate(app, &invocations);
 
     // Per-node FIFO workloads, preserving submission order.
     let mut per_node: Vec<Vec<(u64, A::Decision)>> = (0..n).map(|_| Vec::new()).collect();
-    for s in submissions {
-        per_node[s.node.0 as usize].push((s.at_us, s.decision));
+    for inv in invocations {
+        per_node[inv.node.0 as usize].push((inv.time, inv.decision));
     }
 
     let shared = Shared {

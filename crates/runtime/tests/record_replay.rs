@@ -209,6 +209,23 @@ fn gossip_over_placement_ends_through_an_empty_round() {
     assert_eq!(live.report.missing(), vec![], "a holder lacks an entry");
 }
 
+/// A live run refuses a schedule its strategy refuses, before any node
+/// executes on state it does not hold (whose replay would panic the
+/// same way): account 1, the first object, is on nodes 0 and 1 only.
+#[test]
+#[should_panic(expected = "lacks objects")]
+fn live_partial_run_refuses_a_misrouted_submission() {
+    use shard_core::ObjectModel;
+    let app = Bank::new(3, 50);
+    let placement = Placement::round_robin(NODES, &app.objects(), 2);
+    let subs = vec![Submission {
+        at_us: 0,
+        node: NodeId(2),
+        decision: BankTxn::Deposit(AccountId(1), 5),
+    }];
+    run_live(&app, &config(1), PartialPlacement::new(placement), subs);
+}
+
 /// Two hundred short runs per mode, back to back: each must return (a
 /// node that missed its `Quit` would block the join) and replay — and a
 /// send after `Quit` would die on the closed channel's `expect`.

@@ -33,7 +33,7 @@
 
 use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation};
+use crate::kernel::{Entries, Invocation, Node, Propagation};
 use crate::partial::Placement;
 use crate::transport::Transport;
 use rand::Rng;
@@ -132,11 +132,13 @@ fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
     }
 }
 
-/// Whom a batch is for (`()`: everyone, everything) — private, and there
-/// to carry the [`ObjectModel`] bound only a [`Placement`] needs.
+/// Whom a batch is for and where a transaction may run (`()`: everyone,
+/// everything, anywhere) — private, and there to carry the
+/// [`ObjectModel`] bound only a [`Placement`] needs.
 mod audience {
     pub trait Audience<A: super::Application> {
         fn wants(&self, app: &A, node: super::NodeId, update: &A::Update) -> bool;
+        fn validate(&self, app: &A, invocations: &[super::Invocation<A::Decision>]);
     }
 }
 use audience::Audience;
@@ -145,11 +147,17 @@ impl<A: Application> Audience<A> for () {
     fn wants(&self, _app: &A, _node: NodeId, _update: &A::Update) -> bool {
         true
     }
+
+    fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {}
 }
 
 impl<A: ObjectModel> Audience<A> for Placement {
     fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
         Placement::wants(self, app, node, update)
+    }
+
+    fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
+        Placement::validate(self, app, invocations);
     }
 }
 
@@ -164,6 +172,11 @@ impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
 
     fn ordered_links(&self) -> bool {
         true
+    }
+
+    /// Over a [`Placement`], the §6 routing rule.
+    fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
+        self.placement.validate(app, invocations);
     }
 
     fn on_execute(

@@ -85,19 +85,37 @@ impl Placement {
         objects.iter().all(|o| self.holds(node, *o))
     }
 
-    /// The nodes holding at least one of `objects`.
-    pub fn holders_of_any(&self, objects: &[ObjectId]) -> Vec<NodeId> {
-        (0..self.nodes())
-            .map(NodeId)
-            .filter(|n| objects.iter().any(|o| self.holds(*n, *o)))
-            .collect()
-    }
-
     /// Whether `node` should end up holding `update`: it writes an object
-    /// `node` holds, or none (pure serial-order information).
+    /// `node` holds, or none (pure serial-order information). The one
+    /// audience rule: partial placement sends an update to these nodes,
+    /// gossip over a placement offers it to them.
     pub fn wants<A: ObjectModel>(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
         let writes = app.update_objects(update);
         writes.is_empty() || writes.iter().any(|o| self.holds(node, *o))
+    }
+
+    /// The §6 routing rule, for every strategy that runs over a
+    /// placement: each invocation targets a node holding all the
+    /// objects its decision reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invocation targets a node missing a required object.
+    pub(crate) fn validate<A: ObjectModel>(
+        &self,
+        app: &A,
+        invocations: &[Invocation<A::Decision>],
+    ) {
+        for inv in invocations {
+            let reads = app.decision_objects(&inv.decision);
+            assert!(
+                self.holds_all(inv.node, &reads),
+                "node {} lacks objects {:?} read by {:?}",
+                inv.node,
+                reads,
+                inv.decision
+            );
+        }
     }
 
     /// A node holding all of `objects`, if any (useful for routing).
@@ -134,8 +152,8 @@ impl<A: Application> RunReport<A> {
 /// Object-aware propagation: the moment a transaction executes, its
 /// update is sent only to the nodes whose [`Placement`] holds one of the
 /// objects it writes. Updates with an empty write set carry pure
-/// serial-order information and are sent to every node, so
-/// `PartialPlacement::full` reproduces [`crate::cluster::EagerBroadcast`]
+/// serial-order information and are sent to every node, so over
+/// [`Placement::full`] it reproduces [`crate::cluster::EagerBroadcast`]
 /// exactly.
 #[derive(Clone, Debug)]
 pub struct PartialPlacement {
@@ -147,14 +165,6 @@ impl PartialPlacement {
     pub fn new(placement: Placement) -> Self {
         PartialPlacement { placement }
     }
-
-    /// The degenerate fully replicated placement (for comparisons with
-    /// eager broadcast).
-    pub fn full(nodes: u16, objects: &[ObjectId]) -> Self {
-        PartialPlacement {
-            placement: Placement::full(nodes, objects),
-        }
-    }
 }
 
 impl<A: ObjectModel> Propagation<A> for PartialPlacement {
@@ -164,21 +174,8 @@ impl<A: ObjectModel> Propagation<A> for PartialPlacement {
 
     /// Every invocation must target a node holding all the objects its
     /// decision reads (the §6 routing rule).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation targets a node missing a required object.
     fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
-        for inv in invocations {
-            let reads = app.decision_objects(&inv.decision);
-            assert!(
-                self.placement.holds_all(inv.node, &reads),
-                "node {} lacks objects {:?} read by {:?}",
-                inv.node,
-                reads,
-                inv.decision
-            );
-        }
+        self.placement.validate(app, invocations);
     }
 
     fn on_execute(
@@ -190,19 +187,11 @@ impl<A: ObjectModel> Propagation<A> for PartialPlacement {
         ts: Timestamp,
         update: &Arc<A::Update>,
     ) {
-        let writes = app.update_objects(update);
         let entries: Entries<A> = Arc::from(vec![(ts, Arc::clone(update))]);
-        let recipients = if writes.is_empty() {
-            // Pure serial-order information: everyone hears about it.
-            (0..net.nodes()).map(NodeId).collect()
-        } else {
-            self.placement.holders_of_any(&writes)
-        };
-        for to in recipients {
-            if to == node.id {
-                continue;
+        for to in (0..net.nodes()).map(NodeId) {
+            if to != node.id && self.placement.wants(app, to, update) {
+                net.send(now, node.id, to, Arc::clone(&entries));
             }
-            net.send(now, node.id, to, Arc::clone(&entries));
         }
     }
 
@@ -300,7 +289,8 @@ mod tests {
         assert!(p.holds(NodeId(0), ObjectId(0)));
         assert!(p.holds(NodeId(1), ObjectId(0)));
         assert!(!p.holds(NodeId(2), ObjectId(0)));
-        assert_eq!(p.holders_of_any(&[ObjectId(0)]), vec![NodeId(0), NodeId(1)]);
+        let wants = |n| p.wants(&TwoRegs, NodeId(n), &Bump(0));
+        assert!(wants(0) && wants(1) && !wants(2));
         assert!(p.holds_all(NodeId(1), &[ObjectId(0), ObjectId(1)]));
         assert_eq!(
             p.any_holder_of_all(&[ObjectId(0), ObjectId(2)]),
@@ -375,5 +365,20 @@ mod tests {
         let p = Placement::new(vec![vec![ObjectId(0)], vec![ObjectId(1)]]);
         let runner = Runner::partial(&app, cfg(2), p);
         let _ = runner.run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
+    }
+
+    /// Gossip over a placement keeps the same rule.
+    #[test]
+    #[should_panic(expected = "lacks objects")]
+    fn misrouted_gossip_over_a_placement_panics() {
+        let app = TwoRegs;
+        let p = Placement::new(vec![
+            vec![ObjectId(0)],
+            vec![ObjectId(1)],
+            vec![ObjectId(1)],
+        ]);
+        let strategy = crate::Gossip::new(10, 2).over(p);
+        let _ =
+            Runner::new(&app, cfg(3), strategy).run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
     }
 }

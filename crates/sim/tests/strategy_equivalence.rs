@@ -29,7 +29,7 @@ use shard_sim::kernel::{Entries, Node};
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{
     ClusterConfig, DelayModel, EagerBroadcast, Gossip, Invocation, NodeId, PartialPlacement,
-    Propagation, RunReport, Runner, Timestamp, Transport,
+    Placement, Propagation, RunReport, Runner, Timestamp, Transport,
 };
 use std::sync::Arc;
 
@@ -82,7 +82,7 @@ where
     let partial = Runner::new(
         app,
         cfg.clone(),
-        PartialPlacement::full(cfg.nodes, &app.objects()),
+        PartialPlacement::new(Placement::full(cfg.nodes, &app.objects())),
     )
     .run(invs.to_vec());
 

@@ -1,11 +1,13 @@
-//! Three implementations of the §3 transitivity condition held to each
-//! other: the offline column-matrix checker `is_transitive` /
-//! `transitivity_violation`, the online [`StreamChecker`] fold
-//! `check_rows(w, rows_from_execution(..))` at windows {1, 7, 64}, and
-//! the definition as a triple loop over seen lists ([`triple_loop`],
-//! kept here as the oracle) — on generated executions of the three
-//! shapes delivery faults produce, each also with one violation
-//! injected:
+//! The one §3 transitivity checker — the [`StreamChecker`] fold behind
+//! `is_transitive` / `transitivity_violation` and, over extracted rows,
+//! `check_rows(w, rows_from_execution(..))` at windows {1, 7, 64} —
+//! held to oracles that share none of its code: the definition as a
+//! triple loop over seen lists ([`triple_loop`]) where the cubic loop
+//! is affordable, and the definition over per-row bitsets ([`bitsets`])
+//! at the sizes it sits out. Both enumerate in the checker's
+//! certificate order, so the first violation must match exactly. On
+//! generated executions of the three shapes delivery faults produce,
+//! each also with one violation injected:
 //!
 //! * **windowed** — delivery order is the serial order shuffled inside
 //!   blocks, so a row misses only recent predecessors (displacement
@@ -26,7 +28,7 @@
 
 use proptest::prelude::*;
 use shard::core::conditions::{is_transitive, max_missed, transitivity_violation};
-use shard::core::stream::{check_rows, rows_from_execution};
+use shard::core::stream::{check_rows, par_check, rows_from_execution};
 use shard::core::{
     Application, Certificate, DecisionOutcome, Execution, Prefix, StreamChecker, StreamRow,
     TimedExecution, TxnIndex, TxnRecord,
@@ -159,52 +161,61 @@ fn inject_violation(prefixes: &mut [Vec<TxnIndex>], seed: u64) -> bool {
 }
 
 /// §3.2's definition, literally: the first `(low, mid, top)` with
-/// `low ∈ 𝒫(mid)`, `mid ∈ 𝒫(top)`, `low ∉ 𝒫(top)` in loop order. Cubic.
+/// `low ∈ 𝒫(mid)`, `mid ∈ 𝒫(top)`, `low ∉ 𝒫(top)` in loop order — over
+/// `top`, the `low` it missed, then `mid`. Cubic.
 fn triple_loop(prefixes: &[Vec<TxnIndex>]) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
     prefixes.iter().enumerate().find_map(|(top, seen)| {
-        seen.iter().find_map(|&mid| {
-            let unseen = |low: &&TxnIndex| seen.binary_search(low).is_err();
-            Some((*prefixes[mid].iter().find(unseen)?, mid, top))
+        let unseen = |low: &TxnIndex| seen.binary_search(low).is_err();
+        (0..top).filter(unseen).find_map(|low| {
+            let saw_low = |mid: &&TxnIndex| prefixes[**mid].binary_search(&low).is_ok();
+            Some((low, *seen.iter().find(saw_low)?, top))
         })
     })
 }
 
-/// The implementations agree on `te` — built from `prefixes`, which the
-/// triple loop reads where it can afford to; returns the shared verdict.
+/// The same definition in the same order over one bitset per row: for
+/// each `top` and each `low` it missed, the smallest `mid ∈ 𝒫(top)`
+/// with `low ∈ 𝒫(mid)` — a bit test per candidate, for the sizes
+/// where [`triple_loop`]'s searches cost too much.
+fn bitsets(prefixes: &[Vec<TxnIndex>]) -> Option<(TxnIndex, TxnIndex, TxnIndex)> {
+    let words = prefixes.len().div_ceil(64);
+    let mut seen = vec![0u64; prefixes.len() * words];
+    for (i, prefix) in prefixes.iter().enumerate() {
+        for &j in prefix {
+            seen[i * words + j / 64] |= 1 << (j % 64);
+        }
+    }
+    let sees = |i: usize, j: usize| seen[i * words + j / 64] >> (j % 64) & 1 == 1;
+    (0..prefixes.len()).find_map(|top| {
+        (0..top).filter(|&low| !sees(top, low)).find_map(|low| {
+            let mid = (low + 1..top).find(|&mid| sees(top, mid) && sees(mid, low))?;
+            Some((low, mid, top))
+        })
+    })
+}
+
+/// The checker agrees with an oracle on `te` — built from `prefixes`:
+/// the triple loop where it can afford to (`naive`), else the bitsets;
+/// returns the shared verdict.
 fn assert_checkers_agree(prefixes: &[Vec<TxnIndex>], naive: bool) -> bool {
     let te = &timed(prefixes.to_vec());
-    let offline = is_transitive(&te.execution);
-    if naive {
-        assert_eq!(
-            transitivity_violation(&te.execution),
-            triple_loop(prefixes),
-            "the matrix walk vs the triple loop"
-        );
-    }
-    assert_eq!(transitivity_violation(&te.execution).is_none(), offline);
+    let first = transitivity_violation(&te.execution);
+    let oracle = if naive { triple_loop } else { bitsets };
+    assert_eq!(first, oracle(prefixes), "the checker vs the definition");
+    assert_eq!(first.is_none(), is_transitive(&te.execution));
+    let certificate = first.map(|(low, mid, top)| Certificate::Transitivity { low, mid, top });
     let rows = rows_from_execution(&PoolConfig::sequential(), te);
-    let mut first = None;
+    let mut certificates = None;
     for window in WINDOWS {
         let report = check_rows(window, &rows);
-        assert_eq!(
-            report.transitive, offline,
-            "window {window} vs is_transitive"
-        );
         assert_eq!(report.max_missed, max_missed(&te.execution));
         assert_eq!(report.min_delay_bound, te.min_delay_bound());
-        assert_eq!(report.violation().is_none(), offline);
-        if let Some(Certificate::Transitivity { low, mid, top }) = report.violation() {
-            let p = |i: usize| &te.execution.record(i).prefix;
-            assert!(
-                p(*mid).contains(*low) && p(*top).contains(*mid) && !p(*top).contains(*low),
-                "window {window}: ({low}, {mid}, {top}) is not a violation"
-            );
-        }
+        assert_eq!(report.violation(), certificate.as_ref(), "window {window}");
         // Windows change when verdicts are cut, never what they say.
         let certs = report.certificates.clone();
-        assert_eq!(*first.get_or_insert(certs), report.certificates);
+        assert_eq!(*certificates.get_or_insert(certs), report.certificates);
     }
-    offline
+    first.is_none()
 }
 
 /// Checks a generated shape as built (transitive by construction) and
@@ -247,9 +258,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Lists far longer than the window: each cut-off row collects a
-    /// misser per later row on the other side, over thousands of rows.
-    /// (The cubic triple loop sits this size out; the two-sided shape
-    /// covers it against dense misses.)
+    /// misser per later row on the other side, over thousands of rows —
+    /// held to the bitsets, as the triple loop sits this size out.
     #[test]
     fn long_partitions_agree(seed in any::<u64>(), n in 2_100usize..2_400, isolated in 1usize..12) {
         assert_shape(long_partition(seed, n, 64, isolated), seed, false);
@@ -289,18 +299,15 @@ fn certificates_name_the_first_violation_in_scan_order() {
         (two_sided(12, 150, 10), (10, 25, 113)),
         (long_partition(13, 2_200, 64, 6), (19, 22, 1_763)),
     ];
-    for (k, (mut prefixes, (low, mid, top))) in cases.into_iter().enumerate() {
+    for (k, (mut prefixes, triple)) in cases.into_iter().enumerate() {
         assert!(inject_violation(&mut prefixes, 7 + k as u64), "case {k}");
+        assert!(!assert_checkers_agree(&prefixes, k < 2), "case {k}");
         let te = timed(prefixes);
-        let rows = rows_from_execution(&PoolConfig::sequential(), &te);
-        for window in WINDOWS {
-            assert_eq!(
-                check_rows(window, &rows).violation(),
-                Some(&Certificate::Transitivity { low, mid, top }),
-                "case {k}, window {window}"
-            );
-        }
-        assert!(!is_transitive(&te.execution));
+        assert_eq!(
+            transitivity_violation(&te.execution),
+            Some(triple),
+            "case {k}"
+        );
     }
 }
 
@@ -308,7 +315,7 @@ fn certificates_name_the_first_violation_in_scan_order() {
 /// 64 GiB of indices, the runs a few megabytes: E25's shape (delivery
 /// shuffled inside blocks of 64, so a row misses at most 63 recent
 /// predecessors) built from its miss sets, extracted back, and checked.
-/// `is_transitive` sits this size out: its matrix alone is 2 GiB here.
+/// `is_transitive` is the same fold as `check_rows` over these rows.
 #[test]
 fn block_shuffled_execution_of_131072_rows_round_trips() {
     const ROWS: usize = 1 << 17;
@@ -355,8 +362,9 @@ fn block_shuffled_execution_of_131072_rows_round_trips() {
     }
     let report = check_rows(BLOCK, &extracted);
     assert!(report == checker.report());
+    assert!(report == par_check(&PoolConfig::sequential(), &te, BLOCK));
     assert!(
-        report.transitive,
+        report.transitive && is_transitive(&te.execution),
         "a seen row was delivered before every missed one"
     );
     assert_eq!(report.max_missed, max_missed(&te.execution));
