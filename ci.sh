@@ -142,6 +142,29 @@ if cargo run -q --release -p shard-cli --bin shard-trace -- \
   echo "FAILED: certify accepted a mutated certificate" >&2
   exit 1
 fi
+# Hostile input files are refused with exit 1, not a crash or a false
+# acceptance: a megabyte of `[` (the JSON parser caps nesting at 128
+# levels; uncapped, it overflowed the stack and aborted with 134), and a
+# delay-bound certificate claiming 0 for two rows 2⁶⁴ − 1 ticks apart
+# (the implied bound saturates at u64::MAX; unsaturated, it wrapped to
+# 0 and the forgery passed).
+head -c 1000000 /dev/zero | tr '\0' '[' >target/deep.json
+status=0
+cargo run -q --release -p shard-cli --bin shard-trace -- \
+  check target/deep.json || status=$?
+if [ "$status" != 1 ]; then
+  echo "FAILED: shard-trace check exited $status on deeply nested JSON, expected 1" >&2
+  exit 1
+fi
+printf '%s\n' '{"event":"txn","i":0,"t":0,"missed":[]}' \
+  '{"event":"txn","i":1,"t":18446744073709551615,"missed":[0]}' >target/late.jsonl
+echo '{"schema":"shard-cert/v1","property":"delay_bound","seer":1,"missed":0,"bound":0}' \
+  >target/late.cert.json
+if cargo run -q --release -p shard-cli --bin shard-trace -- \
+  certify target/late.jsonl target/late.cert.json; then
+  echo "FAILED: certify accepted a wrapped delay bound" >&2
+  exit 1
+fi
 # The live-runtime gate: a small seeded threaded deployment (real OS
 # threads, mpsc channels) in each propagation mode — all three go
 # through the one `run_live`/`replay` pair — whose recorded schedule is

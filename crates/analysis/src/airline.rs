@@ -9,31 +9,30 @@ use shard_apps::airline::{
 use shard_apps::Person;
 #[allow(unused_imports)]
 use shard_core::Application as _;
-use shard_core::{Application, Execution, ExternalAction, PriorityModel, TxnIndex};
+use shard_core::{Application, Execution, ExternalAction, Prefix, PriorityModel, TxnIndex};
 use std::collections::BTreeMap;
 
-/// The update sequence preceding transaction `i`, plus the seen-index
-/// set, packaged for witness queries.
-fn history_before(exec: &Execution<FlyByNight>, i: TxnIndex) -> (Vec<AirlineUpdate>, Vec<bool>) {
-    let updates: Vec<AirlineUpdate> = exec.records()[..i].iter().map(|r| r.update).collect();
-    let mut seen = vec![false; i];
-    for p in exec.record(i).prefix.iter() {
+/// A mover's seen predecessors as a bitmap: witness queries ask per person.
+fn seen_bitmap(history_len: usize, prefix: &Prefix) -> Vec<bool> {
+    let mut seen = vec![false; history_len];
+    for p in prefix.iter() {
         seen[p] = true;
     }
-    (updates, seen)
+    seen
 }
 
-/// Theorem 20's hypothesis parameter for a MOVE-UP at index `i`: the
-/// number of persons on the **actual** assigned list before `i` for whom
-/// the prefix subsequence fails to include an assignment witness.
+/// Theorem 20's hypothesis parameter for a MOVE-UP with update history
+/// `history` (the updates before it), prefix subsequence `prefix` and
+/// actual state `actual` before it: the number of persons on the
+/// **actual** assigned list for whom the prefix subsequence fails to
+/// include an assignment witness.
 pub fn assignment_witness_misses(
-    app: &FlyByNight,
-    exec: &Execution<FlyByNight>,
-    i: TxnIndex,
+    history: &[AirlineUpdate],
+    prefix: &Prefix,
+    actual: &AirlineState,
 ) -> usize {
-    let (updates, seen) = history_before(exec, i);
-    let h = UpdateHistory::new(&updates);
-    let actual = exec.actual_state_before(app, i);
+    let seen = seen_bitmap(history.len(), prefix);
+    let h = UpdateHistory::new(history);
     actual
         .assigned()
         .iter()
@@ -41,26 +40,38 @@ pub fn assignment_witness_misses(
         .count()
 }
 
-/// Theorem 20 part 2's parameter for a MOVE-DOWN at index `i`: the
-/// number of persons **not** on the actual assigned list before `i` for
-/// whom the prefix misses the last `cancel(P)` or last `move-down(P)`.
-/// Persons never mentioned in the history are skipped (they cannot
-/// confuse the mover).
-pub fn negative_info_misses(app: &FlyByNight, exec: &Execution<FlyByNight>, i: TxnIndex) -> usize {
-    let (updates, seen) = history_before(exec, i);
-    let h = UpdateHistory::new(&updates);
-    let actual = exec.actual_state_before(app, i);
-    let mut people: Vec<Person> = updates.iter().filter_map(|u| u.person()).collect();
-    people.sort_unstable();
-    people.dedup();
-    people
-        .iter()
-        .filter(|p| !actual.is_assigned(**p))
-        .filter(|p| {
-            let cancel_missed = h.last_cancel(**p).is_some_and(|c| !seen[c]);
-            let down_missed = h.last_move_down(**p).is_some_and(|d| !seen[d]);
-            cancel_missed || down_missed
-        })
+/// Theorem 20 part 2's parameter for a MOVE-DOWN, with the arguments of
+/// [`assignment_witness_misses`]: the number of persons **not** on the
+/// actual assigned list for whom the prefix misses the last `cancel(P)`
+/// or last `move-down(P)`. Persons never mentioned in the history are
+/// skipped (they cannot confuse the mover).
+pub fn negative_info_misses(
+    history: &[AirlineUpdate],
+    prefix: &Prefix,
+    actual: &AirlineState,
+) -> usize {
+    negative_info_count(history, &seen_bitmap(history.len(), prefix), actual)
+}
+
+/// The persons `history` mentions who are not assigned in `actual` and
+/// whose last `cancel(P)` or last `move-down(P)` is not `seen` — Theorem
+/// 20 part 2's count for one mover and Theorem 21 part 2's `w₂` alike.
+fn negative_info_count(history: &[AirlineUpdate], seen: &[bool], actual: &AirlineState) -> usize {
+    // Each person the history mentions, with where their last cancel and
+    // last move-down sit: one pass, where a scan per person was O(n²).
+    let mut last: BTreeMap<Person, [Option<usize>; 2]> = BTreeMap::new();
+    for (j, u) in history.iter().enumerate() {
+        let Some(slot) = u.person().map(|p| last.entry(p).or_default()) else {
+            continue;
+        };
+        match u {
+            AirlineUpdate::Cancel(_) => slot[0] = Some(j),
+            AirlineUpdate::MoveDown(_) => slot[1] = Some(j),
+            _ => {}
+        }
+    }
+    last.iter()
+        .filter(|&(p, at)| !actual.is_assigned(*p) && at.iter().flatten().any(|&j| !seen[j]))
         .count()
 }
 
@@ -71,17 +82,19 @@ pub fn negative_info_misses(app: &FlyByNight, exec: &Execution<FlyByNight>, i: T
 pub fn check_theorem20(app: &FlyByNight, exec: &Execution<FlyByNight>) -> ClaimCheck {
     let mut check = ClaimCheck::new("Theorem 20 witness-refined step bounds");
     let states = exec.actual_states(app);
-    for i in 0..exec.len() {
-        match exec.record(i).decision {
+    let updates: Vec<AirlineUpdate> = exec.records().iter().map(|r| r.update).collect();
+    for (i, rec) in exec.iter() {
+        let (history, prefix) = (&updates[..i], &rec.prefix);
+        match rec.decision {
             AirlineTxn::MoveUp => {
-                let m = assignment_witness_misses(app, exec, i) as u64;
+                let m = assignment_witness_misses(history, prefix, &states[i]) as u64;
                 let before = app.cost(&states[i], OVERBOOKING);
                 let after = app.cost(&states[i + 1], OVERBOOKING);
                 let ok = after <= before || after <= app.overbook_rate() * m;
                 check.record((!ok).then(|| format!("MOVE-UP {i}: over {before}->{after}, m={m}")));
             }
             AirlineTxn::MoveDown => {
-                let m = negative_info_misses(app, exec, i) as u64;
+                let m = negative_info_misses(history, prefix, &states[i]) as u64;
                 let before = app.cost(&states[i], UNDERBOOKING);
                 let after = app.cost(&states[i + 1], UNDERBOOKING);
                 let ok = after <= before || after <= app.underbook_rate() * m;
@@ -172,17 +185,7 @@ pub fn check_theorem21(
         .iter()
         .filter(|p| rh.waiting_witness(**p).is_none())
         .count();
-    let mut people: Vec<Person> = updates.iter().filter_map(|u| u.person()).collect();
-    people.sort_unstable();
-    people.dedup();
-    let w2 = people
-        .iter()
-        .filter(|p| !final_state.is_assigned(**p))
-        .filter(|p| {
-            h.last_cancel(**p).is_some_and(|c| !seen[c])
-                || h.last_move_down(**p).is_some_and(|d| !seen[d])
-        })
-        .count();
+    let w2 = negative_info_count(&updates, &seen, &final_state);
     let m2 = w1.max(w2);
 
     // Part 1: MOVE-DOWN suffix.
@@ -454,11 +457,16 @@ mod tests {
         let (app, e) = anomaly_exec();
         // The second MOVE-UP (index 3) saw only REQUEST(P1): P2 is
         // actually assigned but the mover has no witness for P2.
-        assert_eq!(assignment_witness_misses(&app, &e, 3), 1);
+        let updates: Vec<AirlineUpdate> = e.records().iter().map(|r| r.update).collect();
+        let states = e.actual_states(&app);
+        let misses = |count: fn(&[AirlineUpdate], &Prefix, &AirlineState) -> usize, i: usize| {
+            count(&updates[..i], &e.record(i).prefix, &states[i])
+        };
+        assert_eq!(misses(assignment_witness_misses, 3), 1);
         // The first MOVE-UP (index 2) ran when nobody was assigned.
-        assert_eq!(assignment_witness_misses(&app, &e, 2), 0);
+        assert_eq!(misses(assignment_witness_misses, 2), 0);
         // The informed MOVE-DOWN misses nothing.
-        assert_eq!(negative_info_misses(&app, &e, 4), 0);
+        assert_eq!(misses(negative_info_misses, 4), 0);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use shard_analysis::airline::{
 };
 use shard_analysis::{completeness, Summary, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight};
+use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::conditions::missed_count;
@@ -54,19 +54,22 @@ fn main() {
                 .verify(&app)
                 .expect("simulator output is a valid execution");
             thm20 &= exp.claim(check_theorem20(&app, &te.execution));
-            for i in 0..te.execution.len() {
-                match te.execution.record(i).decision {
-                    AirlineTxn::MoveUp => {
-                        ks.push(missed_count(&te.execution, i) as u64);
-                        ms.push(assignment_witness_misses(&app, &te.execution, i) as u64);
-                    }
-                    AirlineTxn::MoveDown => {
-                        ks.push(missed_count(&te.execution, i) as u64);
-                        ms.push(negative_info_misses(&app, &te.execution, i) as u64);
-                    }
-                    _ => {}
-                }
-            }
+            // One forward fold per execution: a mover at `i` is measured
+            // against `sᵢ₋₁`, the state the fold holds after `i` updates.
+            let exec = &te.execution;
+            let updates: Vec<AirlineUpdate> = exec.records().iter().map(|r| r.update).collect();
+            exec.for_each_actual_state(&app, |i, before| {
+                let Some(rec) = exec.records().get(i) else {
+                    return;
+                };
+                let misses = match rec.decision {
+                    AirlineTxn::MoveUp => assignment_witness_misses,
+                    AirlineTxn::MoveDown => negative_info_misses,
+                    _ => return,
+                };
+                ks.push(missed_count(exec, i) as u64);
+                ms.push(misses(&updates[..i], &rec.prefix, before) as u64);
+            });
         }
         let ks_sum = Summary::of(&ks);
         let ms_sum = Summary::of(&ms);

@@ -36,7 +36,6 @@ use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
 use shard_core::stream::par_check;
-use shard_core::Application;
 use shard_obs::Registry;
 use shard_pool::PoolConfig;
 use shard_runtime::report_digest;
@@ -120,11 +119,7 @@ fn sweep_run(
         matches!(d, AirlineTxn::MoveUp)
     });
     let consistent = report.mutually_consistent() && report.missing().is_empty();
-    let mut serial = app.initial_state();
-    for txn in &report.transactions {
-        serial = app.apply(&serial, &txn.update);
-    }
-    let serial_ok = report.final_states[0] == serial;
+    let serial_ok = report.final_states[0] == te.execution.final_state(app);
     let offline = par_check(&PoolConfig::with_threads(2), &te, 32);
     let monitor_ok = report.monitor.as_ref() == Some(&offline);
 

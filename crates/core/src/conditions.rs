@@ -178,24 +178,32 @@ impl<A: Application> TimedExecution<A> {
             record
                 .prefix
                 .missed_below(i)
-                .find(|&j| self.times[j] + t <= self.times[i])
+                .find(|&j| {
+                    self.times[i]
+                        .checked_sub(self.times[j])
+                        .is_some_and(|gap| gap >= t)
+                })
                 .map(|j| (i, j))
         })
     }
 
     /// The smallest `t` for which the execution has t-bounded delay
-    /// (`0` for empty executions). Exact; worst case O(n²) when most
-    /// pairs are missed, but allocation-free (the same miss-set walk
-    /// as [`TimedExecution::delay_bound_violation`]).
+    /// (`0` for empty executions). Worst case O(n²) when most pairs are
+    /// missed, but allocation-free (the same miss-set walk as
+    /// [`TimedExecution::delay_bound_violation`]). Exact below
+    /// `u64::MAX`; it saturates there, as the stream checker and
+    /// `shard_obs::certify` do, so `u64::MAX` may also mean that no
+    /// `u64` bound holds (a miss 2⁶⁴ − 1 ticks back).
     pub fn min_delay_bound(&self) -> u64 {
         // Missing j is tolerable only for t > times[i] - times[j].
         self.execution
             .iter()
             .flat_map(|(i, record)| {
-                record
-                    .prefix
-                    .missed_below(i)
-                    .map(move |j| self.times[i].saturating_sub(self.times[j]) + 1)
+                record.prefix.missed_below(i).map(move |j| {
+                    self.times[i]
+                        .saturating_sub(self.times[j])
+                        .saturating_add(1)
+                })
             })
             .max()
             .unwrap_or(0)

@@ -435,33 +435,26 @@ impl<A: Application> Execution<A> {
         app.apply(&t, &self.records[i].update)
     }
 
-    /// The actual state `sᵢ` after running updates `A₀ … Aᵢ` from `s₀`,
-    /// answered from full-order checkpoints.
+    /// The actual state `sᵢ` after running updates `A₀ … Aᵢ` from `s₀`:
+    /// one forward fold, `O(i)`. A sweep over many actual states wants
+    /// [`Execution::fold_actual_states`] instead.
     ///
     /// # Panics
     ///
     /// Panics if `i >= self.len()`.
     pub fn actual_state_after(&self, app: &A, i: TxnIndex) -> A::State {
-        assert!(
-            i < self.records.len(),
-            "actual_state_after: index {i} out of range"
-        );
-        self.cache
-            .borrow_mut()
-            .state_after_first(app, |j| &self.records[j].update, i + 1)
+        self.actual_state_before(app, i + 1)
     }
 
-    /// The actual state before transaction `i` (equals `s₀` for `i = 0`).
+    /// The actual state before transaction `i`: the fold of its `i`
+    /// predecessors' updates (`s₀` for `i = 0`, the final state for
+    /// `i = self.len()`), which asks no cache.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= self.len()`.
+    /// Panics if `i > self.len()`.
     pub fn actual_state_before(&self, app: &A, i: TxnIndex) -> A::State {
-        if i == 0 {
-            app.initial_state()
-        } else {
-            self.actual_state_after(app, i - 1)
-        }
+        crate::replay::fold_updates(app, self.records[..i].iter().map(|r| &r.update))
     }
 
     /// All actual (reachable) states `s₀, s₁, …, sₙ`, starting with the
@@ -511,13 +504,10 @@ impl<A: Application> Execution<A> {
         self.fold_actual_states(app, (), |(), m, s| f(m, s));
     }
 
-    /// The final actual state (the initial state if empty).
+    /// The final actual state (the initial state if empty): one forward
+    /// fold of every update, `O(n)`.
     pub fn final_state(&self, app: &A) -> A::State {
-        self.cache.borrow_mut().state_after_first(
-            app,
-            |j| &self.records[j].update,
-            self.records.len(),
-        )
+        self.actual_state_before(app, self.records.len())
     }
 
     /// The state resulting from applying only the updates with indices in

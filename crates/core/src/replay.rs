@@ -17,13 +17,15 @@
 //!   (experiment E11).
 //! * `ReplayCache` *(crate-private)* — the memo owned by every
 //!   [`Execution`](crate::execution::Execution): checkpoints along the
-//!   full serial order for actual-state queries, plus checkpoints along
-//!   the **most recent replay path** for prefix-subsequence queries.
+//!   **most recent replay path**, answering prefix-subsequence queries.
 //!   A query for a new prefix resumes from the deepest checkpoint at or
 //!   below the longest shared prefix with the previous path, so a sweep
 //!   of near-identical prefixes (exactly what `verify`, grouping
 //!   discovery and k-completeness checkers produce) costs
 //!   `O(changed suffix + interval)` per query instead of `O(n)`.
+//! * Actual states are not memoised. A single one (`sₘ`, the final
+//!   state) is one forward fold of the first `m` updates, `O(m)`, with
+//!   no clone.
 //! * [`Replayer`] — the public face of the same cache over a bare update
 //!   sequence. Its callers are tests: `tests/replay_equivalence.rs`
 //!   holds every query's [`ReplayStats`] against a list model through
@@ -33,7 +35,7 @@
 //! ([`StreamingExecution`](crate::stream::StreamingExecution)) and its
 //! row codec live in [`crate::stream`], next to the row they store.
 //!
-//! Streaming (`fold`-style) traversal of all actual states lives on
+//! Streaming (`fold`-style) traversal of *all* actual states lives on
 //! `Execution` itself
 //! ([`fold_actual_states`](crate::execution::Execution::fold_actual_states) /
 //! [`for_each_actual_state`](crate::execution::Execution::for_each_actual_state));
@@ -209,12 +211,6 @@ impl<S> Checkpoints<S> {
         self.points.is_empty()
     }
 
-    /// Drops all checkpoints, keeping the interval.
-    pub fn clear(&mut self) {
-        // Every recorded depth is at least the (positive) interval.
-        self.truncate(0);
-    }
-
     /// The depth (applied-update count) of the deepest checkpoint, or 0.
     pub fn last_len(&self) -> usize {
         self.points.last().map_or(0, |&(l, _)| l)
@@ -288,17 +284,29 @@ impl<S: Clone> Checkpoints<S> {
     }
 }
 
-/// The memo behind all incremental state queries.
-///
-/// Holds two checkpoint sequences plus a cached "tip" for each:
-///
-/// * `full` — checkpoints along the full serial order `A₀ … Aₙ₋₁`,
-///   serving actual-state queries. Executions are append-only, so these
-///   never invalidate.
-/// * `path` / `path_ckpts` — the index path of the most recent
-///   prefix-subsequence replay and checkpoints along it. A new query
-///   resumes from the deepest checkpoint at or below the longest prefix
-///   shared with `path`.
+/// The state after applying `updates`, in order, to the initial state:
+/// one forward fold in place, memoising and cloning nothing. Every
+/// single actual-state query is one. Counted by
+/// `replay.in_place_applies`.
+pub(crate) fn fold_updates<'u, A: Application>(
+    app: &A,
+    updates: impl ExactSizeIterator<Item = &'u A::Update>,
+) -> A::State
+where
+    A::Update: 'u,
+{
+    note_in_place_applies(updates.len() as u64);
+    updates.fold(app.initial_state(), |mut state, u| {
+        app.apply_in_place(&mut state, u);
+        state
+    })
+}
+
+/// The memo behind prefix-subsequence queries: the index path of the
+/// most recent query, checkpoints along it, and the state at its tip.
+/// A new query resumes from the deepest checkpoint at or below the
+/// longest prefix it shares with that path — or from the tip, when the
+/// old path is a prefix of the new one.
 #[derive(Debug)]
 pub(crate) struct ReplayCache<A: Application> {
     /// Index path of the most recent prefix replay.
@@ -307,10 +315,6 @@ pub(crate) struct ReplayCache<A: Application> {
     path_ckpts: Checkpoints<A::State>,
     /// State after applying all of `path`, if known.
     path_tip: Option<A::State>,
-    /// Checkpoints along the full serial order, keyed by prefix length.
-    full: Checkpoints<A::State>,
-    /// Deepest full-order state computed so far `(prefix length, state)`.
-    full_tip: Option<(usize, A::State)>,
     stats: ReplayStats,
 }
 
@@ -320,8 +324,6 @@ impl<A: Application> ReplayCache<A> {
             path: Prefix::default(),
             path_ckpts: Checkpoints::new(every),
             path_tip: None,
-            full: Checkpoints::new(every),
-            full_tip: None,
             stats: ReplayStats::default(),
         }
     }
@@ -354,32 +356,13 @@ impl<A: Application> ReplayCache<A> {
         // long; walking the two run lists costs O(runs), where comparing
         // members was the last O(n²) term of a sweep.
         let lcp = prefix.common_len(&self.path);
-        // Deepest path-based resume point.
-        let path_resume: (usize, Option<A::State>) =
-            if lcp == self.path.len() && self.path_tip.is_some() {
-                // The previous path is a prefix of this query: extend its tip.
-                (lcp, self.path_tip.clone())
-            } else {
-                match self.path_ckpts.floor(lcp) {
-                    Some((l, s)) => (l, Some(s)),
-                    None => (0, None),
-                }
-            };
-        // The query's leading *serial run* — members `0, 1, 2, …` — walks
-        // the full order itself, so full-order checkpoints (e.g. prebuilt
-        // by `state_after_first`) are equally valid resume points for it.
-        // This is what lets many fresh caches share one warmed full
-        // chain instead of each replaying the common prefix from `s₀`.
-        let serial_run = match prefix.runs().first() {
-            Some(run) if run.start == 0 => run.end,
-            _ => 0,
-        };
-        let (depth, mut state, from_full) = match self.full_resume(serial_run) {
-            Some((fl, fs)) if fl > path_resume.0 => (fl, fs, true),
-            _ => match path_resume {
-                (d, Some(s)) => (d, s, false),
-                _ => (0, app.initial_state(), false),
-            },
+        let (depth, mut state) = match &self.path_tip {
+            // The previous path is a prefix of this query: extend its tip.
+            Some(tip) if lcp == self.path.len() => (lcp, tip.clone()),
+            _ => self
+                .path_ckpts
+                .floor(lcp)
+                .unwrap_or_else(|| (0, app.initial_state())),
         };
         self.stats.reused += depth as u64;
         // Each loop iteration below applies exactly one update, in place.
@@ -387,17 +370,7 @@ impl<A: Application> ReplayCache<A> {
         if shard_obs::enabled() {
             shard_obs::histogram!("replay.lcp", family).record(lcp as u64);
         }
-        if from_full {
-            // The old path may disagree with the query's first `depth`
-            // members (the serial run guarantees those are `0..depth`),
-            // so restart the path bookkeeping from the full-order state.
-            self.path_ckpts.clear();
-            // Plain `record`, not `record_for`: `state.clone_count` has
-            // never included this seed, and sidecar diffs pin the counter.
-            self.path_ckpts.record(depth, &state);
-        } else {
-            self.path_ckpts.truncate(depth);
-        }
+        self.path_ckpts.truncate(depth);
         for (at, j) in prefix.iter_from(depth).enumerate() {
             app.apply_in_place(&mut state, update_at(j));
             self.stats.applied += 1;
@@ -406,46 +379,6 @@ impl<A: Application> ReplayCache<A> {
         self.path = prefix.clone();
         note_state_clone(app.state_size_hint(&state));
         self.path_tip = Some(state.clone());
-        state
-    }
-
-    /// The deepest full-order resume point at or below `limit`: a
-    /// checkpoint, or the cached tip where that is deeper.
-    fn full_resume(&self, limit: usize) -> Option<(usize, A::State)> {
-        let base = self.full.floor(limit);
-        match &self.full_tip {
-            Some((l, s)) if *l <= limit && *l > base.as_ref().map_or(0, |&(bl, _)| bl) => {
-                Some((*l, s.clone()))
-            }
-            _ => base,
-        }
-    }
-
-    /// The state after the first `m` updates of the serial order —
-    /// `sₘ` in the paper's numbering (`s₀` for `m = 0`).
-    pub(crate) fn state_after_first<'u>(
-        &mut self,
-        app: &A,
-        update_at: impl Fn(TxnIndex) -> &'u A::Update,
-        m: usize,
-    ) -> A::State
-    where
-        A::Update: 'u,
-    {
-        self.stats.queries += 1;
-        let (mut len, mut state) = self.full_resume(m).unwrap_or((0, app.initial_state()));
-        self.stats.reused += len as u64;
-        note_query(len, m - len);
-        while len < m {
-            app.apply_in_place(&mut state, update_at(len));
-            len += 1;
-            self.stats.applied += 1;
-            self.full.record_for(app, len, &state);
-        }
-        if self.full_tip.as_ref().is_none_or(|(l, _)| *l <= m) {
-            note_state_clone(app.state_size_hint(&state));
-            self.full_tip = Some((m, state.clone()));
-        }
         state
     }
 }
@@ -548,22 +481,18 @@ impl<'a, A: Application> Replayer<'a, A> {
     }
 
     /// The state after the first `m` updates of the sequence (`s₀` for
-    /// `m = 0`), answered from full-order checkpoints.
+    /// `m = 0`): one forward fold, which leaves the cache and its
+    /// [`ReplayStats`] untouched.
     ///
     /// # Panics
     ///
     /// Panics if `m > self.len()`.
-    pub fn state_after_first(&mut self, m: usize) -> A::State {
-        assert!(
-            m <= self.updates.len(),
-            "state_after_first: {m} updates requested"
-        );
-        self.cache
-            .state_after_first(self.app, |j| self.updates[j], m)
+    pub fn state_after_first(&self, m: usize) -> A::State {
+        fold_updates(self.app, self.updates[..m].iter().copied())
     }
 
     /// The state after the whole sequence.
-    pub fn final_state(&mut self) -> A::State {
+    pub fn final_state(&self) -> A::State {
         self.state_after_first(self.updates.len())
     }
 }
@@ -706,50 +635,13 @@ mod tests {
     }
 
     #[test]
-    fn state_after_first_uses_full_checkpoints() {
-        let app = Trace;
-        let updates: Vec<Tag> = (0..100).map(Tag).collect();
-        let mut r = Replayer::from_updates_with_interval(&app, &updates, 10);
-        let full: Vec<usize> = (0..100).collect();
-        for m in [100usize, 50, 55, 0, 99] {
-            assert_eq!(r.state_after_first(m), naive(&updates, &full[..m]));
-        }
-        // A forward sweep after the warm-up replays only between
-        // checkpoints: far less than the quadratic 100·100/2.
-        let before = r.stats().applied;
-        for m in 0..=100 {
-            r.state_after_first(m);
-        }
-        let swept = r.stats().applied - before;
-        assert!(swept <= 100 * 10, "sweep applied {swept} updates");
-    }
-
-    #[test]
-    fn prefix_queries_resume_from_prebuilt_full_chain() {
-        let app = Trace;
-        let updates: Vec<Tag> = (0..200).map(Tag).collect();
-        let mut r = Replayer::from_updates_with_interval(&app, &updates, 8);
-        r.final_state(); // warms the full-order chain
-        let before = r.stats().applied;
-        // A kept set missing only index 190 has a serial run of length
-        // 190; a cold path cache would replay all 199 updates, but the
-        // prebuilt full chain offers a checkpoint near depth 190.
-        let kept: Vec<usize> = (0..200).filter(|&j| j != 190).collect();
-        assert_eq!(r.state_after_prefix(&kept), naive(&updates, &kept));
-        let applied = r.stats().applied - before;
-        assert!(applied <= 200 - 190 + 8, "applied {applied} after prebuild");
-        // And the answers stay correct when the path cache is reused for
-        // a related query afterwards.
-        let kept2: Vec<usize> = (0..200).filter(|&j| j != 190 && j != 195).collect();
-        assert_eq!(r.state_after_prefix(&kept2), naive(&updates, &kept2));
-    }
-
-    #[test]
     fn full_chain_resume_never_changes_answers() {
         let app = Trace;
         let updates: Vec<Tag> = (0..60).map(Tag).collect();
-        // Interleave serial-run queries with divergent paths, warm vs
-        // cold, and compare every answer against the naive oracle.
+        // Interleave serial-run queries with divergent paths, on a
+        // replayer that folded the whole order first and on one that did
+        // not, and compare every answer against the naive oracle: a fold
+        // leaves the path cache as it found it.
         let queries: Vec<Vec<usize>> = vec![
             (0..50).collect(),
             (0..50).filter(|&j| j != 49).collect(),

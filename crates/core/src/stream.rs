@@ -724,7 +724,7 @@ impl StreamChecker {
         witness: Option<TxnIndex>,
     ) {
         // Delay bound: missing x is tolerable only for t > timeᵢ − timeₓ.
-        let bound = time.saturating_sub(since) + 1;
+        let bound = time.saturating_sub(since).saturating_add(1);
         if bound > self.delay_bound {
             self.delay_bound = bound;
             self.delay_witness = Some((index, x));
@@ -1687,6 +1687,27 @@ mod tests {
                 .is_err(),
             "miss entries must lie below the row index"
         );
+    }
+
+    #[test]
+    fn delay_bounds_saturate_at_the_end_of_time_and_certify_agrees() {
+        // Row 1 started 2⁶⁴ − 1 ticks after row 0 and missed it.
+        let two = |times: [u64; 2]| timed(&[&[], &[]], &times);
+        let te = two([0, u64::MAX]);
+        let rows = rows_of(&te);
+        let report = check_rows(1, &rows);
+        assert_eq!(report.min_delay_bound, u64::MAX);
+        assert_eq!(te.min_delay_bound(), u64::MAX);
+        // The saturated bound is a ceiling, not a bound that holds.
+        assert!(!te.has_t_bounded_delay(u64::MAX));
+        let trace: String = rows.iter().map(|r| r.to_json_line() + "\n").collect();
+        for cert in &report.certificates {
+            shard_obs::certify(&trace, &cert.to_json()).expect("the checker's own certificate");
+        }
+        // `t = 0` stays exact, and `tⱼ + t` past u64::MAX is no violation.
+        assert_eq!(te.delay_bound_violation(0), Some((1, 0)));
+        assert_eq!(two([u64::MAX; 2]).delay_bound_violation(1), None);
+        assert_eq!(two([5, 3]).delay_bound_violation(0), None);
     }
 
     #[test]

@@ -1,8 +1,15 @@
 //! Property-based tests of the formal model: the execution builder,
 //! condition checkers and the prefix representation are checked against
-//! brute-force reference implementations on randomized inputs.
+//! brute-force reference implementations on randomized inputs. Hostile
+//! lines never panic the trace row parser.
 
+// One splice dictionary and rule for both crates' parser tests.
+#[path = "../../obs/tests/hostile/mod.rs"]
+mod hostile;
+
+use hostile::{arb_string, mutate, TRACE};
 use proptest::prelude::*;
+use shard_core::stream::StreamRow;
 use shard_core::{
     conditions, Application, DecisionOutcome, ExecutionBuilder, ExecutionError, Prefix,
     TimedExecution,
@@ -238,4 +245,23 @@ fn prefix_from_missed_rejects_ill_formed_miss_lists() {
     }
     assert_eq!(Prefix::from_missed(0, &[]), Prefix::default());
     assert_eq!(Prefix::from_missed(3, &[0, 1, 2]), Prefix::default());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Arbitrary text, and the lines of a valid trace mutated by
+    /// `shard-obs`'s token splicer, never panic the row parser.
+    #[test]
+    fn hostile_lines_never_panic_the_row_parser(
+        text in arb_string(),
+        edits in proptest::collection::vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..6),
+    ) {
+        let _ = StreamRow::from_json_line(&text);
+        for line in mutate(TRACE, &edits).lines() {
+            if let Ok(parsed) = StreamRow::from_json_line(line) {
+                prop_assert!(parsed.missed_well_formed(), "{line}");
+            }
+        }
+    }
 }

@@ -177,7 +177,9 @@ pub fn certify(trace: &str, cert: &str) -> Result<CertVerdict, String> {
             if !s.missed.contains(&missed) {
                 return Err(format!("row {seer} saw {missed}: no delay witness"));
             }
-            let implied = s.time.saturating_sub(x.time) + 1;
+            // Saturating, like the emitter's `min_delay_bound`: two rows
+            // 2⁶⁴ − 1 ticks apart witness `u64::MAX`, not a wrapped 0.
+            let implied = s.time.saturating_sub(x.time).saturating_add(1);
             if implied != bound {
                 return Err(format!(
                     "rows {seer} and {missed} witness a delay bound of {implied}, \
@@ -262,6 +264,18 @@ mod tests {
         let bad = "{\"schema\":\"shard-cert/v1\",\"property\":\"delay_bound\",\
                    \"seer\":1,\"missed\":0,\"bound\":11}";
         assert!(certify(TRACE, bad).unwrap_err().contains("saw 0"));
+        // Rows 2⁶⁴ − 1 ticks apart: the bound saturates, and a wrapped
+        // `"bound":0` is no witness.
+        let trace = format!(
+            "{TRACE}{{\"event\":\"txn\",\"i\":3,\"t\":{},\"missed\":[0]}}",
+            u64::MAX
+        );
+        let cert = |b: u64| {
+            good.replace("\"seer\":2", "\"seer\":3")
+                .replace("21", &b.to_string())
+        };
+        assert!(certify(&trace, &cert(0)).unwrap_err().contains("claims 0"));
+        assert!(certify(&trace, &cert(u64::MAX)).is_ok());
     }
 
     #[test]

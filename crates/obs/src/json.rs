@@ -228,12 +228,17 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one complete JSON document (trailing whitespace allowed).
+/// Deepest nesting [`parse`] accepts: it recurses once per level, so a
+/// file of `[`s would overflow the stack. Sidecars nest a few levels.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one complete JSON document (trailing whitespace allowed),
+/// nested at most 128 levels deep.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let b = input.as_bytes();
     let mut p = Parser { b, pos: 0 };
     p.skip_ws();
-    let v = p.value()?;
+    let v = p.value(0)?;
     p.skip_ws();
     if p.pos != b.len() {
         return Err(p.err("trailing data after document"));
@@ -283,10 +288,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// The value at `pos`, inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err("arrays and objects nest more than 128 levels deep"))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -296,7 +305,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.eat(b'{', "expected '{'")?;
         let mut m = BTreeMap::new();
         self.skip_ws();
@@ -310,7 +319,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.eat(b':', "expected ':' after key")?;
             self.skip_ws();
-            let v = self.value()?;
+            let v = self.value(depth)?;
             m.insert(k, v);
             self.skip_ws();
             match self.peek() {
@@ -324,7 +333,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
         self.eat(b'[', "expected '['")?;
         let mut v = Vec::new();
         self.skip_ws();
@@ -334,7 +343,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            v.push(self.value()?);
+            v.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,

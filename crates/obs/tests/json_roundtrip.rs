@@ -1,24 +1,23 @@
 //! Property tests for the hand-rolled JSON layer: arbitrary strings —
 //! including control characters, quotes, backslashes and astral-plane
 //! code points — must survive escape → JSONL line → parse unchanged,
-//! and every emitted line must stay a single line.
+//! and every emitted line must stay a single line. Hostile input never
+//! panics `parse` or `certify`.
 
+mod hostile;
+
+use hostile::{arb_string, mutate, TRACE};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use shard_obs::json::{parse, string, Json};
-use shard_obs::EventSink;
+use shard_obs::{certify, EventSink};
 
-/// Arbitrary (often hostile) Unicode strings. The vendored proptest
-/// shim has no `String` strategy, so build one from raw code points,
-/// biased toward the troublesome low range (controls, quote, backslash).
-fn arb_string() -> impl Strategy<Value = String> {
-    vec(any::<u32>(), 0..40).prop_map(|codes| {
-        codes
-            .into_iter()
-            .filter_map(|c| char::from_u32(c % 0x110000).or(char::from_u32(c % 0x80)))
-            .collect()
-    })
-}
+/// One certificate of each property [`TRACE`] witnesses.
+const CERTS: [&str; 3] = [
+    "{\"schema\":\"shard-cert/v1\",\"property\":\"transitivity\",\"low\":0,\"mid\":1,\"top\":2}",
+    "{\"schema\":\"shard-cert/v1\",\"property\":\"k_completeness\",\"index\":2,\"missed\":1}",
+    "{\"schema\":\"shard-cert/v1\",\"property\":\"delay_bound\",\"seer\":2,\"missed\":0,\"bound\":21}",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -52,4 +51,33 @@ proptest! {
             prop_assert_eq!(obj.get(&k).and_then(Json::as_str), Some(v.as_str()));
         }
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn hostile_text_never_panics_the_parsers(
+        (a, b) in (arb_string(), arb_string()),
+        seed in 0usize..3,
+        edits in vec((any::<u32>(), any::<u32>(), any::<u32>()), 1..6),
+    ) {
+        let (trace, cert) = (mutate(TRACE, &edits), mutate(CERTS[seed], &edits));
+        let pairs = [(a.as_str(), b.as_str()), (TRACE, &a), (&trace, CERTS[seed]), (TRACE, &cert)];
+        for (trace, cert) in pairs {
+            let _ = parse(cert);
+            let _ = certify(trace, cert);
+        }
+        let _ = parse(trace.lines().nth(seed).unwrap_or_default());
+    }
+}
+
+#[test]
+fn nesting_past_the_cap_is_refused_without_overflowing_the_stack() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(parse(&nested(128)).is_ok());
+    assert!(parse(&nested(129)).unwrap_err().msg.contains("128 levels"));
+    let deep = "[".repeat(1_000_000);
+    assert!(parse(&deep).is_err());
+    assert!(certify(TRACE, &deep).unwrap_err().contains("128 levels"));
 }

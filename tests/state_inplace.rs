@@ -568,10 +568,10 @@ proptest! {
         }
     }
 
-    /// The execution-level replay cache, warmed along the full serial
-    /// order by `final_state`, answers like the naive fold: prefix
-    /// queries that resume from the full-order chain and actual-state
-    /// queries served from its checkpoints both match.
+    /// An execution whose final state was asked for first answers like
+    /// the naive fold: `final_state` is a fold outside the replay cache,
+    /// so the prefix queries after it and the actual-state folds both
+    /// match.
     #[test]
     fn warmed_execution_cache_matches_naive_fold(
         txns in proptest::collection::vec(
@@ -602,7 +602,7 @@ proptest! {
         let naive = |prefix: &[TxnIndex]| {
             prefix.iter().fold(app.initial_state(), |s, &j| app.apply(&s, &updates[j]))
         };
-        // A clone's cache is cold; `final_state` warms its full chain.
+        // A clone's cache is cold, and `final_state` leaves it so.
         let warmed = e.clone();
         prop_assert_eq!(warmed.final_state(&app), naive(&(0..e.len()).collect::<Vec<_>>()));
         for i in 0..warmed.len() {
