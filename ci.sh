@@ -20,6 +20,9 @@ run cargo test -q -p shard-pool
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
+# Every `pub fn` has traffic: a name that only tests call fails the gate
+# (the script says how it matches, and what a shared name can hide).
+run ./pub_traffic.sh
 
 # The benchmark gate: `benchmark/` is a package of its own (own
 # workspace and lock file, path dependencies on crates/*), so nothing
@@ -154,6 +157,16 @@ cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/deep.json || status=$?
 if [ "$status" != 1 ]; then
   echo "FAILED: shard-trace check exited $status on deeply nested JSON, expected 1" >&2
+  exit 1
+fi
+# A trace with no well-formed event line (six lines of base64) is
+# refused like an empty one, not summarized as "6 lines, 6 malformed".
+head -c 342 /dev/zero | base64 >target/b64.jsonl
+status=0
+cargo run -q --release -p shard-cli --bin shard-trace -- \
+  summarize target/b64.jsonl || status=$?
+if [ "$status" != 1 ]; then
+  echo "FAILED: shard-trace summarize exited $status on a trace with no event, expected 1" >&2
   exit 1
 fi
 printf '%s\n' '{"event":"txn","i":0,"t":0,"missed":[]}' \

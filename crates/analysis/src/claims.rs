@@ -235,7 +235,7 @@ mod tests {
         let (app, e) = blind_overbooking();
         let f = BoundFn::linear(900);
         let (k, check) = check_invariant_bound(&app, &e, OVERBOOKING, &f, |d| {
-            matches!(d, AirlineTxn::MoveUp)
+            !app.is_statically_safe(d, OVERBOOKING)
         });
         // The second MOVE-UP misses two predecessors (REQUEST(P1) and
         // the first MOVE-UP).
@@ -250,7 +250,7 @@ mod tests {
         let (app, e) = blind_overbooking();
         let f = BoundFn::linear(1); // absurd: $1 per missed txn
         let (_, check) = check_invariant_bound(&app, &e, OVERBOOKING, &f, |d| {
-            matches!(d, AirlineTxn::MoveUp)
+            !app.is_statically_safe(d, OVERBOOKING)
         });
         assert!(!check.holds());
         assert!(check.to_string().contains("VIOLATIONS"));
@@ -268,7 +268,7 @@ mod tests {
         let e = b.finish();
         let f = BoundFn::linear(300);
         let result = check_grouped_bound(&app, &e, UNDERBOOKING, &f, |d| {
-            matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown)
+            app.preserves(d, UNDERBOOKING)
         });
         let (k, check) = result.expect("grouping exists");
         assert_eq!(k, 0);
@@ -283,13 +283,8 @@ mod tests {
         b.push_complete(AirlineTxn::Request(Person(1))).unwrap();
         let e = b.finish();
         let f = BoundFn::linear(300);
-        assert!(
-            check_grouped_bound(&app, &e, UNDERBOOKING, &f, |d| matches!(
-                d,
-                AirlineTxn::MoveUp | AirlineTxn::MoveDown
-            ))
-            .is_none()
-        );
+        let preserving = |d: &AirlineTxn| app.preserves(d, UNDERBOOKING);
+        assert!(check_grouped_bound(&app, &e, UNDERBOOKING, &f, preserving).is_none());
     }
 
     #[test]
@@ -307,8 +302,8 @@ mod tests {
             &e,
             UNDERBOOKING,
             &f,
-            |d| matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown),
-            |d| matches!(d, AirlineTxn::MoveUp),
+            |d| app.preserves(d, UNDERBOOKING),
+            |d| !app.is_statically_safe(d, OVERBOOKING),
         )
         .expect("grouping exists");
         assert_eq!(k, 0);

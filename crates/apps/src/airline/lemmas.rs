@@ -5,35 +5,27 @@
 //! engine room of the refined Theorems 20–21: each says that if `𝒮`
 //! contains certain critical updates, then `t` agrees with `s` about a
 //! particular person. Each lemma here is a function returning whether
-//! the implication held on a concrete `(𝒜, 𝒮, P)` instance; the test
-//! suite checks them exhaustively over small update universes — which is
-//! how the Lemma 16 erratum (see below) was found.
+//! the implication held on a concrete `(𝒜, 𝒮, P)` instance. An
+//! exhaustive sweep over small update universes found the Lemma 16 and
+//! Lemma 19 errata (see below); experiment E05 runs that sweep
+//! (`shard_analysis::exhaustive::check_lemma_exhaustively`) as one claim
+//! per lemma, and prints each erratum's counterexample.
 
 use super::witness::{UpdateHistory, WaitingWitness};
 use super::{AirlineState, AirlineUpdate, FlyByNight};
 use crate::person::Person;
-use shard_core::Application;
+use shard_core::{Replayer, DEFAULT_CHECKPOINT_INTERVAL};
 
 /// The pair of states `(s, t)` a lemma instance compares: `s` from the
-/// full sequence, `t` from the kept subsequence.
-pub fn states_of<'a>(
+/// full sequence, `t` from the subsequence keeping the (strictly
+/// increasing) indices `kept`.
+pub fn states_of(
     app: &FlyByNight,
     seq: &[AirlineUpdate],
-    kept: impl Iterator<Item = &'a AirlineUpdate>,
+    kept: &[usize],
 ) -> (AirlineState, AirlineState) {
-    let mut s = app.initial_state();
-    for u in seq {
-        s = app.apply(&s, u);
-    }
-    let mut t = app.initial_state();
-    for u in kept {
-        t = app.apply(&t, u);
-    }
-    (s, t)
-}
-
-fn restrict(seq: &[AirlineUpdate], kept: &[usize]) -> Vec<AirlineUpdate> {
-    kept.iter().map(|&i| seq[i]).collect()
+    let mut replayer = Replayer::from_updates_with_interval(app, seq, DEFAULT_CHECKPOINT_INTERVAL);
+    (replayer.final_state(), replayer.state_after_prefix(kept))
 }
 
 /// **Lemma 15.** If `P ∈ ASSIGNED-LIST(s)` and `(A, B)` is an assignment
@@ -41,7 +33,7 @@ fn restrict(seq: &[AirlineUpdate], kept: &[usize]) -> Vec<AirlineUpdate> {
 /// `P ∈ ASSIGNED-LIST(t)`. Returns `None` when the hypothesis is unmet,
 /// `Some(conclusion)` otherwise.
 pub fn lemma15(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Person) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     if !s.is_assigned(p) {
         return None;
     }
@@ -60,9 +52,9 @@ pub fn lemma15(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Perso
 /// request(P)]` and `𝒮` keeping everything but the cancel. `P` waits in
 /// `s` and the second request satisfies form (1), but in `t` the
 /// un-cancelled move-up leaves `P` assigned. [`lemma16_literal`] exposes
-/// that reading so the tests can exhibit the counterexample.
+/// that reading so E05 can exhibit the counterexample.
 pub fn lemma16(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Person) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     if !s.is_waiting(p) {
         return None;
     }
@@ -89,15 +81,15 @@ pub fn lemma16(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Perso
 
 /// The paper's **literal Lemma 16 form (1)** hypothesis: some
 /// `request(P)` in `𝒮` with no `cancel(P)` or `move-up(P)` after it in
-/// `𝒜`. Returns `Some(t-waiting?)` when that hypothesis holds — the
-/// tests show this implication is falsifiable (the erratum).
+/// `𝒜`. Returns `Some(t-waiting?)` when that hypothesis holds — E05
+/// shows this implication is falsifiable (the erratum).
 pub fn lemma16_literal(
     app: &FlyByNight,
     seq: &[AirlineUpdate],
     kept: &[usize],
     p: Person,
 ) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     if !s.is_waiting(p) {
         return None;
     }
@@ -117,7 +109,7 @@ pub fn lemma16_literal(
 /// **Lemma 17.** If `𝒮` contains the last `cancel(P)` (if any) of `𝒜`
 /// and `P` is known in `t`, then `P` is known in `s`.
 pub fn lemma17(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Person) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     let h = UpdateHistory::new(seq);
     if !h.last_cancel(p).is_none_or(|c| kept.contains(&c)) || !t.is_known(p) {
         return None;
@@ -129,7 +121,7 @@ pub fn lemma17(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Perso
 /// `cancel(P)` (if any) of `𝒜`, and `P ∈ ASSIGNED-LIST(t)`, then
 /// `P ∈ ASSIGNED-LIST(s)`.
 pub fn lemma18(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Person) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     let h = UpdateHistory::new(seq);
     let negatives = h.last_move_down(p).is_none_or(|d| kept.contains(&d))
         && h.last_cancel(p).is_none_or(|c| kept.contains(&c));
@@ -148,15 +140,15 @@ pub fn lemma18(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Perso
 ///
 /// The paper states the hypothesis with only the two "last" updates
 /// ("Assume that 𝒮 contains the last move-up(P)… the last cancel(P)…",
-/// proof "analogous"). The exhaustive sweep below falsifies that
+/// proof "analogous"). E05's exhaustive sweep falsifies that
 /// reading — the same duplicate-request corner as Lemma 16: with
 /// `𝒜 = [request(P), move-up(P), request(P)]` and `𝒮 = {move-up,
 /// second request}`, both "lasts" are kept and `P` waits in `t` (the
 /// move-up replays as a no-op before the request), yet `P` is assigned
 /// in `s`. Keeping the *establishing* request closes the gap:
-/// [`lemma19_literal`] exposes the paper's reading for the tests.
+/// [`lemma19_literal`] exposes the paper's reading for E05.
 pub fn lemma19(app: &FlyByNight, seq: &[AirlineUpdate], kept: &[usize], p: Person) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     let h = UpdateHistory::new(seq);
     let cancel_bar = h.last_cancel(p).map_or(0, |c| c + 1);
     let establishing = seq
@@ -180,7 +172,7 @@ pub fn lemma19_literal(
     kept: &[usize],
     p: Person,
 ) -> Option<bool> {
-    let (s, t) = states_of(app, seq, restrict(seq, kept).iter());
+    let (s, t) = states_of(app, seq, kept);
     let h = UpdateHistory::new(seq);
     let negatives = h.last_move_up(p).is_none_or(|u| kept.contains(&u))
         && h.last_cancel(p).is_none_or(|c| kept.contains(&c));
@@ -193,129 +185,14 @@ pub fn lemma19_literal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shard_core::costs::for_each_subsequence_missing_at_most;
-
-    fn p(n: u32) -> Person {
-        Person(n)
-    }
-
-    /// Exhaustively check a lemma over all update sequences of length
-    /// ≤ `max_len` drawn from a two-person universe and all their
-    /// subsequences. Returns (instances where the hypothesis held,
-    /// violations of the conclusion).
-    fn sweep(
-        max_len: usize,
-        lemma: impl Fn(&FlyByNight, &[AirlineUpdate], &[usize], Person) -> Option<bool>,
-    ) -> (u64, u64) {
-        use AirlineUpdate::*;
-        let app = FlyByNight::new(1);
-        let universe = [
-            Request(p(1)),
-            Cancel(p(1)),
-            MoveUp(p(1)),
-            MoveDown(p(1)),
-            Request(p(2)),
-            MoveUp(p(2)),
-        ];
-        let mut instances = 0;
-        let mut violations = 0;
-        let mut stack: Vec<Vec<AirlineUpdate>> = vec![vec![]];
-        while let Some(seq) = stack.pop() {
-            for_each_subsequence_missing_at_most(seq.len(), seq.len(), |kept| {
-                for person in [p(1), p(2)] {
-                    if let Some(conclusion) = lemma(&app, &seq, kept, person) {
-                        instances += 1;
-                        if !conclusion {
-                            violations += 1;
-                        }
-                    }
-                }
-            });
-            if seq.len() < max_len {
-                for u in universe {
-                    let mut next = seq.clone();
-                    next.push(u);
-                    stack.push(next);
-                }
-            }
-        }
-        (instances, violations)
-    }
-
-    #[test]
-    fn lemma15_verified_exhaustively() {
-        let (instances, violations) = sweep(4, lemma15);
-        assert!(instances > 500, "non-trivial scope: {instances}");
-        assert_eq!(violations, 0);
-    }
-
-    #[test]
-    fn lemma16_corrected_verified_exhaustively() {
-        let (instances, violations) = sweep(4, lemma16);
-        assert!(instances > 200, "non-trivial scope: {instances}");
-        assert_eq!(violations, 0);
-    }
-
-    /// The erratum, demonstrated: the paper's literal form-(1) reading
-    /// of Lemma 16 has counterexamples within the same scope.
-    #[test]
-    fn lemma16_literal_reading_is_falsifiable() {
-        let (instances, violations) = sweep(4, lemma16_literal);
-        assert!(instances > 200);
-        assert!(violations > 0, "the literal reading should fail somewhere");
-        // The concrete counterexample from the module docs.
-        use AirlineUpdate::*;
-        let app = FlyByNight::new(1);
-        let seq = [Request(p(1)), MoveUp(p(1)), Cancel(p(1)), Request(p(1))];
-        let kept = [0usize, 1, 3]; // drop the cancel
-        assert_eq!(lemma16_literal(&app, &seq, &kept, p(1)), Some(false));
-    }
-
-    #[test]
-    fn lemma17_verified_exhaustively() {
-        let (instances, violations) = sweep(4, lemma17);
-        assert!(instances > 500);
-        assert_eq!(violations, 0);
-    }
-
-    #[test]
-    fn lemma18_verified_exhaustively() {
-        let (instances, violations) = sweep(4, lemma18);
-        assert!(instances > 500);
-        assert_eq!(violations, 0);
-    }
-
-    #[test]
-    fn lemma19_corrected_verified_exhaustively() {
-        let (instances, violations) = sweep(4, lemma19);
-        assert!(instances > 400, "non-trivial scope: {instances}");
-        assert_eq!(violations, 0);
-    }
-
-    /// The second erratum, demonstrated: the paper's literal Lemma 19
-    /// hypothesis admits counterexamples.
-    #[test]
-    fn lemma19_literal_reading_is_falsifiable() {
-        let (instances, violations) = sweep(4, lemma19_literal);
-        assert!(instances > 400);
-        assert!(violations > 0, "the literal reading should fail somewhere");
-        use AirlineUpdate::*;
-        let app = FlyByNight::new(1);
-        let seq = [Request(p(1)), MoveUp(p(1)), Request(p(1))];
-        let kept = [1usize, 2]; // both "lasts" kept, establishing request dropped
-        assert_eq!(lemma19_literal(&app, &seq, &kept, p(1)), Some(false));
-        // The corrected hypothesis excludes this instance.
-        assert_eq!(lemma19(&app, &seq, &kept, p(1)), None);
-    }
 
     #[test]
     fn states_of_computes_both_sides() {
         use AirlineUpdate::*;
         let app = FlyByNight::new(1);
-        let seq = [Request(p(1)), MoveUp(p(1))];
-        let kept = restrict(&seq, &[0]);
-        let (s, t) = states_of(&app, &seq, kept.iter());
-        assert!(s.is_assigned(p(1)));
-        assert!(t.is_waiting(p(1)));
+        let seq = [Request(Person(1)), MoveUp(Person(1))];
+        let (s, t) = states_of(&app, &seq, &[0]);
+        assert!(s.is_assigned(Person(1)));
+        assert!(t.is_waiting(Person(1)));
     }
 }

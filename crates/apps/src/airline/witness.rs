@@ -60,11 +60,6 @@ impl<'a> UpdateHistory<'a> {
         UpdateHistory { seq }
     }
 
-    /// The underlying sequence.
-    pub fn sequence(&self) -> &'a [AirlineUpdate] {
-        self.seq
-    }
-
     fn last_index(&self, pred: impl Fn(&AirlineUpdate) -> bool) -> Option<usize> {
         self.seq.iter().rposition(pred)
     }
@@ -385,11 +380,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sequence_accessor() {
-        let seq = [Request(p(1))];
-        assert_eq!(UpdateHistory::new(&seq).sequence(), &seq);
     }
 }

@@ -90,29 +90,29 @@ impl AirlineWorkload {
         self.issued.push(p);
         AirlineTxn::Request(p)
     }
-
-    /// Generates `n` transactions.
-    pub fn take_txns(&mut self, n: usize) -> Vec<AirlineTxn> {
-        (0..n).map(|_| self.next_txn()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The first `n` transactions `w` generates.
+    fn take(mut w: AirlineWorkload, n: usize) -> Vec<AirlineTxn> {
+        (0..n).map(|_| w.next_txn()).collect()
+    }
+
     #[test]
     fn workload_is_deterministic_per_seed() {
-        let a = AirlineWorkload::with_seed(42).take_txns(100);
-        let b = AirlineWorkload::with_seed(42).take_txns(100);
+        let a = take(AirlineWorkload::with_seed(42), 100);
+        let b = take(AirlineWorkload::with_seed(42), 100);
         assert_eq!(a, b);
-        let c = AirlineWorkload::with_seed(43).take_txns(100);
+        let c = take(AirlineWorkload::with_seed(43), 100);
         assert_ne!(a, c);
     }
 
     #[test]
     fn requests_use_fresh_people() {
-        let txns = AirlineWorkload::with_seed(7).take_txns(500);
+        let txns = take(AirlineWorkload::with_seed(7), 500);
         let mut requested = Vec::new();
         for t in txns {
             if let AirlineTxn::Request(p) = t {
@@ -125,8 +125,7 @@ mod tests {
 
     #[test]
     fn cancels_target_known_people() {
-        let mut w = AirlineWorkload::with_seed(11);
-        let txns = w.take_txns(1000);
+        let txns = take(AirlineWorkload::with_seed(11), 1000);
         let mut requested = Vec::new();
         for t in &txns {
             match t {
@@ -147,7 +146,7 @@ mod tests {
             move_up: 1.0,
             move_down: 0.0,
         };
-        let txns = AirlineWorkload::new(3, mix).take_txns(2000);
+        let txns = take(AirlineWorkload::new(3, mix), 2000);
         let requests = txns
             .iter()
             .filter(|t| matches!(t, AirlineTxn::Request(_)))
@@ -168,7 +167,7 @@ mod tests {
             move_up: 0.0,
             move_down: 0.0,
         };
-        let txns = AirlineWorkload::new(5, mix).take_txns(300);
+        let txns = take(AirlineWorkload::new(5, mix), 300);
         assert!(txns.iter().all(|t| matches!(t, AirlineTxn::Request(_))));
     }
 }

@@ -84,15 +84,6 @@ impl BankState {
         self.balances.iter().map(|&(_, b)| b).sum()
     }
 
-    /// Sum of the magnitudes of all negative balances.
-    pub fn total_overdraft(&self) -> u64 {
-        self.balances
-            .iter()
-            .filter(|&&(_, b)| b < 0)
-            .map(|&(_, b)| b.unsigned_abs())
-            .sum()
-    }
-
     /// Overdraft magnitude of one account.
     pub fn overdraft(&self, a: AccountId) -> u64 {
         self.balance(a).min(0).unsigned_abs()
@@ -514,7 +505,6 @@ mod tests {
         let s = BankState::default();
         assert_eq!(s.balance(a(9)), 0);
         assert_eq!(s.total(), 0);
-        assert_eq!(s.total_overdraft(), 0);
     }
 
     /// The most overdrawn balance representable costs 2⁶³, not 0 (and
@@ -523,7 +513,6 @@ mod tests {
     fn minimum_balance_is_the_largest_overdraft() {
         let s = BankState::with_balances(&[(a(1), i64::MIN), (a(2), 7)]);
         assert_eq!(s.overdraft(a(1)), 1 << 63);
-        assert_eq!(s.total_overdraft(), 1 << 63);
         assert_eq!(Bank::default().cost(&s, 0), 1 << 63);
     }
 

@@ -159,12 +159,6 @@ impl NameServer {
         }
     }
 
-    /// The constraint index of group `g`.
-    pub fn group_constraint(&self, g: GroupId) -> usize {
-        assert!(g.0 < self.groups, "unknown group {g}");
-        g.0 as usize
-    }
-
     /// Cost per dangling member.
     pub fn rate(&self) -> Cost {
         self.rate
@@ -370,8 +364,8 @@ mod tests {
         e.verify(&app).unwrap();
         let s = e.final_state(&app);
         assert_eq!(s.dangling(G0), vec![n(1)]);
-        assert_eq!(app.cost(&s, app.group_constraint(G0)), 25);
-        assert_eq!(app.cost(&s, app.group_constraint(G1)), 0);
+        assert_eq!(app.cost(&s, 0), 25);
+        assert_eq!(app.cost(&s, 1), 0);
     }
 
     #[test]
@@ -392,8 +386,8 @@ mod tests {
     fn taxonomy_matches_the_airline_pattern() {
         let app = ns();
         let sp = space();
-        let c0 = app.group_constraint(G0);
-        // Register and Lookup are safe.
+        let c0 = 0; // G0's constraint
+                    // Register and Lookup are safe.
         assert!(is_safe_for(&app, &NsTxn::Register(n(1), 10), c0, &sp));
         assert!(is_safe_for(&app, &NsTxn::Lookup(n(1)), c0, &sp));
         // AddMember is unsafe for its group but preserves (guarded).
@@ -439,7 +433,6 @@ mod tests {
     fn constraint_indexing() {
         let app = NameServer::new(3, 10);
         assert_eq!(app.constraint_count(), 3);
-        assert_eq!(app.group_constraint(GroupId(2)), 2);
         assert_eq!(app.constraint_name(2), "no-dangling-members-G2");
         assert_eq!(app.rate(), 10);
     }

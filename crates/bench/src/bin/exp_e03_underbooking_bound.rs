@@ -10,9 +10,10 @@
 //! the normal states across a k sweep.
 
 use shard_analysis::claims::{check_grouped_bound, check_total_bound_at_normal_states};
+use shard_analysis::exhaustive::check_bound_exhaustively;
 use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, UNDERBOOKING};
+use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_apps::Person;
 use shard_bench::workloads::airline_execution_grouped;
 use shard_bench::TRIAL_SEEDS;
@@ -20,15 +21,12 @@ use shard_core::costs::BoundFn;
 use shard_core::Application;
 use shard_core::ExecutionBuilder;
 
-fn is_mover(d: &AirlineTxn) -> bool {
-    matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown)
-}
-
 fn main() {
     let mut exp = shard_bench::Experiment::start("e03");
     let app = FlyByNight::default();
     let f300 = BoundFn::linear(app.underbook_rate());
     let f900 = BoundFn::linear(app.overbook_rate());
+    let preserving = |d: &AirlineTxn| app.preserves(d, UNDERBOOKING);
 
     println!("E03: normal-state underbooking bound (Cor 10/11)\n");
 
@@ -50,6 +48,7 @@ fn main() {
     }
 
     // Part 2: grouped executions, k sweep.
+    let mut grouped = ClaimCheck::new("§5.2: each discovered grouping is a grouping");
     let mut t = Table::new(
         "E03 grouped executions (~120 groups each, 5 seeds)",
         &[
@@ -68,7 +67,7 @@ fn main() {
         let mut c11 = true;
         for seed in TRIAL_SEEDS {
             let e = airline_execution_grouped(&app, seed, 120, k, AirlineMix::default());
-            let Some((mk, check)) = check_grouped_bound(&app, &e, UNDERBOOKING, &f300, is_mover)
+            let Some((mk, check)) = check_grouped_bound(&app, &e, UNDERBOOKING, &f300, preserving)
             else {
                 println!("  (seed {seed}, k {k}: no grouping — skipped)");
                 continue;
@@ -76,8 +75,12 @@ fn main() {
             c10 &= exp.claim(check);
             worst_k = worst_k.max(mk);
             // Record the worst cost over the normal states themselves.
-            let grouping = shard_core::Grouping::discover(&app, &e, UNDERBOOKING, is_mover)
+            let grouping = shard_core::Grouping::discover(&app, &e, UNDERBOOKING, preserving)
                 .expect("grouping exists");
+            grouped.record(
+                (!grouping.is_grouping_for(&app, &e, UNDERBOOKING, preserving))
+                    .then(|| format!("seed {seed}, k {k}: not a grouping")),
+            );
             let worst_here = grouping
                 .normal_states(&app, &e)
                 .iter()
@@ -87,8 +90,8 @@ fn main() {
             worst_cost = worst_cost.max(worst_here);
             // Corollary 11: total cost at normal states ≤ 900·k.
             if let Some((_, total)) =
-                check_total_bound_at_normal_states(&app, &e, UNDERBOOKING, &f900, is_mover, |d| {
-                    matches!(d, AirlineTxn::MoveUp)
+                check_total_bound_at_normal_states(&app, &e, UNDERBOOKING, &f900, preserving, |d| {
+                    !app.is_statically_safe(d, OVERBOOKING)
                 })
             {
                 c11 &= exp.claim(total);
@@ -104,6 +107,11 @@ fn main() {
         ]);
     }
     println!("{t}");
+    exp.claim(grouped);
+
+    // Small scope, every case: the 300·k bound over every pair of an
+    // update sequence and a subsequence (§4.1).
+    exp.claim(check_bound_exhaustively(UNDERBOOKING, &f300));
 
     exp.finish();
 }

@@ -13,7 +13,7 @@ use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard_apps::Person;
 use shard_core::costs::compensation_steps;
-use shard_core::{Execution, ExecutionBuilder};
+use shard_core::{conditions, Execution, ExecutionBuilder};
 
 /// Overbook a `cap`-seat plane by `extra` passengers using blind movers.
 fn overbooked(app: &FlyByNight, cap: u32, extra: u32) -> Execution<FlyByNight> {
@@ -64,6 +64,9 @@ fn main() {
     println!("{t}");
     exp.claim(lemma1);
 
+    // Every suffix below must be atomic in the §3.1 sense.
+    let mut suffix_atomic = ClaimCheck::new("§3.1: each compensating suffix is atomic");
+
     // Corollary 13 part 1: atomic MOVE-DOWN suffix with a base missing k
     // updates leaves actual overbooking cost ≤ 900·k.
     let mut t = Table::new(
@@ -84,7 +87,11 @@ fn main() {
         // Base: everything except the last k updates (the agent missed
         // the most recent activity).
         let base: Vec<usize> = (0..e.len() - k).collect();
+        let start = e.len();
         let out = run_atomic_suffix(&app, &mut e, &base, &AirlineTxn::MoveDown, OVERBOOKING, 100);
+        suffix_atomic.record(
+            (!conditions::is_atomic(&e, start..e.len())).then(|| format!("MOVE-DOWN, k={k}")),
+        );
         let final_cost = shard_core::Application::cost(&app, &e.final_state(&app), OVERBOOKING);
         let bound = 900 * k as u64;
         let holds = out.converged && final_cost <= bound;
@@ -123,7 +130,11 @@ fn main() {
         let mut e = b.finish();
         let start_cost = shard_core::Application::cost(&app, &e.final_state(&app), UNDERBOOKING);
         let base: Vec<usize> = (0..e.len() - k).collect();
+        let start = e.len();
         let out = run_atomic_suffix(&app, &mut e, &base, &AirlineTxn::MoveUp, UNDERBOOKING, 100);
+        suffix_atomic.record(
+            (!conditions::is_atomic(&e, start..e.len())).then(|| format!("MOVE-UP, k={k}")),
+        );
         let final_cost = shard_core::Application::cost(&app, &e.final_state(&app), UNDERBOOKING);
         let bound = 300 * k as u64;
         let holds = out.converged && final_cost <= bound;
@@ -139,6 +150,7 @@ fn main() {
     }
     println!("{t}");
     exp.claim(cor13);
+    exp.claim(suffix_atomic);
 
     exp.finish();
 }

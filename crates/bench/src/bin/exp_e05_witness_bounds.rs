@@ -14,11 +14,17 @@
 use shard_analysis::airline::{
     assignment_witness_misses, check_theorem20, check_theorem21, negative_info_misses,
 };
+use shard_analysis::exhaustive::{check_lemma_exhaustively, check_refuted};
 use shard_analysis::{completeness, Summary, Table};
+use shard_apps::airline::lemmas::{
+    lemma15, lemma16, lemma16_literal, lemma17, lemma18, lemma19, lemma19_literal, states_of,
+};
 use shard_apps::airline::workload::AirlineMix;
+use shard_apps::airline::AirlineUpdate::{Cancel, MoveUp, Request};
 use shard_apps::airline::{AirlineTxn, AirlineUpdate, FlyByNight};
+use shard_apps::Person;
 use shard_bench::workloads::{airline_invocations, Routing};
-use shard_bench::TRIAL_SEEDS;
+use shard_bench::{Experiment, TRIAL_SEEDS};
 use shard_core::conditions::missed_count;
 use shard_sim::{ClusterConfig, DelayModel, Runner};
 
@@ -144,5 +150,55 @@ fn main() {
         completeness::missed_summary(&te.execution)
     );
 
+    // §5.3's update-sequence lemmas, over every sequence of at most four
+    // updates, every subsequence and both people.
+    exp.claim(check_lemma_exhaustively("Lemma 15", lemma15));
+    exp.claim(check_lemma_exhaustively("Lemma 16 (corrected)", lemma16));
+    exp.claim(check_lemma_exhaustively("Lemma 17", lemma17));
+    exp.claim(check_lemma_exhaustively("Lemma 18", lemma18));
+    exp.claim(check_lemma_exhaustively("Lemma 19 (corrected)", lemma19));
+
+    // The errata: the paper's printed readings of Lemmas 16 and 19 fail
+    // in the same scope, and on the counterexamples lemmas.rs documents.
+    println!();
+    let p = Person(1);
+    let cex16 = [Request(p), MoveUp(p), Cancel(p), Request(p)];
+    refute(&mut exp, "Lemma 16", lemma16_literal, &cex16, &[0, 1, 3]);
+    let cex19 = [Request(p), MoveUp(p), Request(p)];
+    refute(&mut exp, "Lemma 19", lemma19_literal, &cex19, &[1, 2]);
+
     exp.finish();
+}
+
+/// Claims that `literal`, the printed reading of a §5.3 lemma, is
+/// refuted, and prints the counterexample `seq` keeping `kept`.
+fn refute(
+    exp: &mut Experiment,
+    name: &str,
+    literal: fn(&FlyByNight, &[AirlineUpdate], &[usize], Person) -> Option<bool>,
+    seq: &[AirlineUpdate],
+    kept: &[usize],
+) {
+    let (s, t) = states_of(&FlyByNight::new(1), seq, kept);
+    let subsequence: Vec<AirlineUpdate> = kept.iter().map(|&i| seq[i]).collect();
+    println!(
+        "{name} as printed fails on 𝒜 = {}, 𝒮 = {}: s has {s}, t has {t}",
+        spell(seq),
+        spell(&subsequence),
+    );
+    exp.claim(check_refuted(name, literal, seq, kept));
+}
+
+/// An update sequence in the paper's notation.
+fn spell(seq: &[AirlineUpdate]) -> String {
+    let names: Vec<String> = seq
+        .iter()
+        .map(|u| match u {
+            Request(p) => format!("request({p})"),
+            Cancel(p) => format!("cancel({p})"),
+            MoveUp(p) => format!("move-up({p})"),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    format!("[{}]", names.join(", "))
 }

@@ -10,6 +10,7 @@
 //! REQUEST/CANCEL/REQUEST/MOVE-UP overbook a 100-seat plane.
 
 use shard_analysis::airline::check_zero_overbooking;
+use shard_analysis::exhaustive::check_theorem22_exhaustively;
 use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
@@ -174,6 +175,10 @@ fn main() {
     let check = check_zero_overbooking(&app, &repaired);
     println!("E06c repaired (per-person centralization restored): {check}");
     exp.claim(check);
+
+    // Small scope, every case: Theorem 22 over every execution of a
+    // six-transaction block workload.
+    exp.claim(check_theorem22_exhaustively());
 
     exp.finish();
 }

@@ -16,6 +16,7 @@ use shard_analysis::airline::{
     check_request_order_priority, check_theorem25, final_priority_inversions,
     single_uncancelled_request,
 };
+use shard_analysis::exhaustive::check_priority_preservation_exhaustively;
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{AirlineTxn, FlyByNight};
@@ -122,6 +123,8 @@ fn main() {
         ],
     );
     let mut thm27 = ClaimCheck::new("Theorem 27: Lemma 26's hypothesis holds at gaps ≥ t̂");
+    let mut least_bound =
+        ClaimCheck::new("§3.2: each run's t̂ is its least t-bounded delay (t̂ holds, t̂ − 1 fails)");
     for mean_delay in [5u64, 40] {
         let mut orderly_all = true;
         let mut tmax = 0u64;
@@ -155,6 +158,9 @@ fn main() {
             orderly_all &= orderly;
             let t_bound = te.min_delay_bound();
             tmax = tmax.max(t_bound);
+            let tight = te.delay_bound_violation(t_bound).is_none()
+                && (t_bound == 0 || te.delay_bound_violation(t_bound - 1).is_some());
+            least_bound.record((!tight).then(|| format!("seed {seed}: t̂ = {t_bound}")));
             let states = te.execution.actual_states(&app);
             // Request times per person.
             let mut reqs: Vec<(u64, Person)> = Vec::new();
@@ -201,6 +207,11 @@ fn main() {
     }
     println!("{t}");
     exp.claim(thm27);
+    exp.claim(least_bound);
+
+    // Small scope, every case: §4.2's priority preservation over every
+    // execution of a five-transaction workload.
+    exp.claim(check_priority_preservation_exhaustively());
 
     exp.finish();
 }

@@ -11,7 +11,7 @@
 use shard_analysis::claims::check_invariant_bound;
 use shard_analysis::{trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
+use shard_apps::airline::{FlyByNight, OVERBOOKING};
 use shard_baseline::{BaselineConfig, PrimaryCopy};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
@@ -100,7 +100,7 @@ fn main() {
             te.execution.verify(&app).expect("valid execution");
             shard_cost = shard_cost.max(trace::max_cost(&app, &te.execution, OVERBOOKING));
             let (k, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
-                matches!(d, AirlineTxn::MoveUp)
+                !app.is_statically_safe(d, OVERBOOKING)
             });
             exp.claim(check);
             bound = bound.max(900 * k as u64);

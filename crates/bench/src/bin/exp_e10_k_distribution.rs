@@ -14,7 +14,7 @@
 //! to small perturbations in correctness conditions" — appears as the
 //! smooth, roughly proportional growth of both `k` and cost with delay.
 
-use shard_analysis::probabilistic::probabilistic_bounds;
+use shard_analysis::probabilistic::{probabilistic_bounds, probability_k_at_most};
 use shard_analysis::{completeness, trace, ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::{FlyByNight, OVERBOOKING, UNDERBOOKING};
@@ -97,7 +97,15 @@ fn main() {
     );
     let (ks, _, _) = run_sweep(&app, 32, 8);
     let samples: Vec<usize> = ks.iter().map(|k| *k as usize).collect();
+    // Each row's k is the p-quantile: it covers at least p of the
+    // samples, and k − 1 covers less.
+    let mut quantiles =
+        ClaimCheck::new("§1.3: each k quantile covers ≥ p of the samples, and k − 1 covers < p");
     for row in probabilistic_bounds(&samples, &f, &[0.50, 0.90, 0.99, 0.999, 1.0]) {
+        let (p, k) = (row.probability, row.k_bound);
+        let covers = probability_k_at_most(&samples, k) >= p;
+        let least = k == 0 || probability_k_at_most(&samples, k - 1) < p;
+        quantiles.record((!(covers && least)).then(|| format!("p {p}: k {k} is not the quantile")));
         t.push_row(vec![
             format!("{:.3}", row.probability),
             row.k_bound.to_string(),
@@ -110,6 +118,7 @@ fn main() {
          with probability 0.99 the overbooking cost it can cause is at most 900·k₀.₉₉'\n\
          — exactly the statement form §1.3 calls for"
     );
+    exp.claim(quantiles);
 
     exp.finish();
 }

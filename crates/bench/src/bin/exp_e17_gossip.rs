@@ -15,7 +15,7 @@
 use shard_analysis::claims::check_invariant_bound;
 use shard_analysis::{completeness, Summary, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
+use shard_apps::airline::{FlyByNight, OVERBOOKING};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
@@ -66,7 +66,7 @@ fn main() {
                     .map(|c| *c as u64),
             );
             let (_, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
-                matches!(d, AirlineTxn::MoveUp)
+                !app.is_statically_safe(d, OVERBOOKING)
             });
             holds &= exp.claim(check);
         }
@@ -103,7 +103,7 @@ fn main() {
                     .map(|c| *c as u64),
             );
             let (_, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
-                matches!(d, AirlineTxn::MoveUp)
+                !app.is_statically_safe(d, OVERBOOKING)
             });
             holds &= exp.claim(check);
         }

@@ -12,7 +12,7 @@
 use shard_analysis::claims::check_invariant_bound;
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
+use shard_apps::airline::{FlyByNight, OVERBOOKING};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
@@ -69,7 +69,7 @@ fn main() {
                 .verify(&app)
                 .expect("valid execution despite crashes");
             let (k, check) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f, |d| {
-                matches!(d, AirlineTxn::MoveUp)
+                !app.is_statically_safe(d, OVERBOOKING)
             });
             holds &= exp.claim(check);
             worst_k = worst_k.max(k);

@@ -30,7 +30,7 @@
 use shard_analysis::claims::check_invariant_bound;
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
+use shard_apps::airline::{FlyByNight, OVERBOOKING};
 use shard_apps::dictionary::{DictUpdate, Dictionary};
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_bench::TRIAL_SEEDS;
@@ -116,7 +116,7 @@ fn sweep_run(
     let verified = te.execution.verify(app).is_ok();
     let transitive = shard_core::conditions::is_transitive(&te.execution);
     let (k, cor8) = check_invariant_bound(app, &te.execution, OVERBOOKING, f, |d| {
-        matches!(d, AirlineTxn::MoveUp)
+        !app.is_statically_safe(d, OVERBOOKING)
     });
     let consistent = report.mutually_consistent() && report.missing().is_empty();
     let serial_ok = report.final_states[0] == te.execution.final_state(app);

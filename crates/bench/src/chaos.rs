@@ -33,7 +33,7 @@ use crate::workloads::{airline_invocations, Routing};
 use crate::Experiment;
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
-use shard_apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING};
+use shard_apps::airline::{FlyByNight, OVERBOOKING};
 use shard_core::conditions::{is_transitive, TimedExecution};
 use shard_core::costs::BoundFn;
 use shard_core::stream::{par_check, Certificate, StreamReport};
@@ -610,7 +610,7 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
             &te.execution,
             OVERBOOKING,
             &bound,
-            |d| matches!(d, AirlineTxn::MoveUp),
+            |d| !app.is_statically_safe(d, OVERBOOKING),
         );
         let verdict = SeedVerdict {
             seed,

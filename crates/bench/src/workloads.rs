@@ -328,8 +328,9 @@ mod tests {
         let app = FlyByNight::new(3);
         let e = airline_execution_grouped(&app, 5, 40, 2, AirlineMix::default());
         e.verify(&app).unwrap();
-        let g = shard_core::Grouping::discover(&app, &e, shard_apps::airline::UNDERBOOKING, |d| {
-            matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown)
+        let underbooking = shard_apps::airline::UNDERBOOKING;
+        let g = shard_core::Grouping::discover(&app, &e, underbooking, |d| {
+            app.preserves(d, underbooking)
         });
         assert!(g.is_some(), "constructed to admit a grouping");
     }

@@ -137,8 +137,10 @@ fn summarize(args: &[String]) -> CmdResult {
     };
     let summary = shard_obs::summarize(&read(path)?);
     print!("{}", summary.render());
-    if summary.lines == 0 {
-        return Err(fail(format!("{path}: trace is empty")));
+    // An empty trace and one with no well-formed event line are
+    // refused alike: neither recorded anything.
+    if summary.lines == summary.malformed {
+        return Err(fail(format!("{path}: trace holds no well-formed event")));
     }
     Ok(())
 }
@@ -153,6 +155,7 @@ fn check(args: &[String]) -> CmdResult {
     let mut budgets: Vec<(&str, u64)> = Vec::new();
     for key in keys {
         match key.split_once("<=") {
+            Some(("", _)) => return Err(bad_usage(format!("budget {key:?} names no metric"))),
             Some((counter, limit)) => {
                 let limit = limit
                     .parse::<u64>()
@@ -687,8 +690,32 @@ mod tests {
             "x".to_string(),
         ];
         assert!(matches!(watch(&bad), Err(CliError::Usage(_))));
+        // A budget must name its metric.
+        let nameless = ["run.json".to_string(), "<=5".to_string()];
+        assert!(matches!(check(&nameless), Err(CliError::Usage(_))));
         // A missing file is operational, not usage.
         let missing = ["/nonexistent/trace.jsonl".to_string()];
         assert!(matches!(summarize(&missing), Err(CliError::Failed(_))));
+    }
+
+    #[test]
+    fn a_trace_with_no_well_formed_event_is_refused() {
+        let dir = std::env::temp_dir().join(format!("shard-cli-summarize-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let run = |name: &str, text: &str| {
+            let path = dir.join(name);
+            std::fs::write(&path, text).unwrap();
+            summarize(&[path.display().to_string()])
+        };
+        assert!(matches!(run("empty.jsonl", ""), Err(CliError::Failed(_))));
+        let base64 = "eyJldmVudCI6InR4biJ9\n".repeat(6);
+        assert!(matches!(
+            run("b64.jsonl", &base64),
+            Err(CliError::Failed(_))
+        ));
+        let one_event = format!("{base64}{{\"event\":\"txn\"}}\n");
+        assert!(run("mixed.jsonl", &one_event).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -36,16 +36,6 @@ pub fn missed_count<A: Application>(exec: &Execution<A>, i: TxnIndex) -> usize {
     exec.record(i).prefix.missed_below(i).count()
 }
 
-/// Whether transaction `i` is k-complete in `exec` (§3.2): it sees the
-/// results of all but at most `k` of the preceding transactions.
-///
-/// # Panics
-///
-/// Panics if `i >= exec.len()`.
-pub fn is_k_complete<A: Application>(exec: &Execution<A>, i: TxnIndex, k: usize) -> bool {
-    missed_count(exec, i) <= k
-}
-
 /// The largest number of missed predecessors over all transactions — the
 /// smallest `k` such that *every* transaction is k-complete.
 pub fn max_missed<A: Application>(exec: &Execution<A>) -> usize {
@@ -162,15 +152,10 @@ impl<A: Application> TimedExecution<A> {
         self.times.windows(2).all(|w| w[0] <= w[1])
     }
 
-    /// Whether the execution has **t-bounded delay**: the prefix
-    /// subsequence of each transaction `T` includes every preceding
-    /// transaction whose real time is at least `t` smaller than `T`'s.
-    pub fn has_t_bounded_delay(&self, t: u64) -> bool {
-        self.delay_bound_violation(t).is_none()
-    }
-
-    /// Returns the first `(seer, missed)` pair violating t-bounded delay,
-    /// or `None` if the bound holds. Walks each transaction's miss set
+    /// Returns the first `(seer, missed)` pair violating **t-bounded
+    /// delay** (§3.2: the prefix subsequence of each transaction `T`
+    /// includes every preceding transaction whose real time is at least
+    /// `t` smaller than `T`'s), or `None` if the bound holds. Walks each transaction's miss set
     /// ([`Prefix::missed_below`](crate::execution::Prefix::missed_below))
     /// — no per-transaction set materialization.
     pub fn delay_bound_violation(&self, t: u64) -> Option<(TxnIndex, TxnIndex)> {
@@ -258,8 +243,6 @@ mod tests {
         assert_eq!(missed_count(&e, 0), 0);
         assert_eq!(missed_count(&e, 1), 0);
         assert_eq!(missed_count(&e, 2), 1);
-        assert!(is_k_complete(&e, 2, 1));
-        assert!(!is_k_complete(&e, 2, 0));
         assert_eq!(max_missed(&e), 1);
     }
 
@@ -413,8 +396,8 @@ mod tests {
         let te = TimedExecution::new(e, vec![0, 10, 20]);
         assert!(te.is_orderly());
         // Txn 2 misses txn 0 which ran 20 earlier: bound must exceed 20.
-        assert!(!te.has_t_bounded_delay(20));
-        assert!(te.has_t_bounded_delay(21));
+        assert!(te.delay_bound_violation(20).is_some());
+        assert!(te.delay_bound_violation(21).is_none());
         assert_eq!(te.min_delay_bound(), 21);
         assert_eq!(te.delay_bound_violation(5), Some((2, 0)));
     }
@@ -430,7 +413,7 @@ mod tests {
     fn complete_prefixes_have_zero_delay_bound() {
         let e = exec_with_prefixes(&[&[], &[0], &[0, 1]]);
         let te = TimedExecution::new(e, vec![0, 1, 2]);
-        assert!(te.has_t_bounded_delay(0));
+        assert!(te.delay_bound_violation(0).is_none());
         assert_eq!(te.min_delay_bound(), 0);
     }
 

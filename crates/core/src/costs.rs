@@ -28,6 +28,7 @@
 //! with 3 seats and 4 people).
 
 use crate::app::{Application, Cost};
+use crate::replay::{Replayer, DEFAULT_CHECKPOINT_INTERVAL};
 use std::fmt;
 
 /// Truncated subtraction `X ∸ Y = max(X − Y, 0)` — the paper's `X /. Y`,
@@ -248,7 +249,8 @@ pub fn classify_transaction<A: Application>(
 ///
 /// # Panics
 ///
-/// Panics if `kept` contains an index `≥ seq.len()`.
+/// Panics if `kept` is not strictly increasing or contains an index
+/// `≥ seq.len()`.
 pub fn check_bound_instance<A: Application>(
     app: &A,
     f: &BoundFn,
@@ -256,52 +258,56 @@ pub fn check_bound_instance<A: Application>(
     seq: &[A::Update],
     kept: &[usize],
 ) -> bool {
-    let mut s = app.initial_state();
-    for u in seq {
-        app.apply_in_place(&mut s, u);
-    }
-    let mut t = app.initial_state();
-    for &i in kept {
-        app.apply_in_place(&mut t, &seq[i]);
-    }
+    let mut replayer = Replayer::from_updates_with_interval(app, seq, DEFAULT_CHECKPOINT_INTERVAL);
+    let s = replayer.final_state();
+    let t = replayer.state_after_prefix(kept);
     let k = seq.len() - kept.len();
     app.cost(&s, constraint) <= app.cost(&t, constraint) + f.at(k)
 }
 
-/// Enumerates every subsequence of `0..n` that omits at most `max_missing`
-/// indices, invoking `visit` with the kept indices. Exponential in
-/// `max_missing` (`Σ_{j≤k} C(n, j)` subsequences) — intended for the
-/// exhaustive small-instance checks.
-pub fn for_each_subsequence_missing_at_most(
-    n: usize,
-    max_missing: usize,
-    mut visit: impl FnMut(&[usize]),
+/// Enumerates every sequence `𝒜` over `universe` of length at most
+/// `max_len` and, for each, every subsequence `𝒮` of it: `visit(𝒜,
+/// kept)` gets the (strictly increasing) indices `𝒮` keeps. That is
+/// `Σ_{L ≤ max_len} (2·|universe|)^L` pairs — the scope of the exhaustive
+/// §4.1 bound checks and §5.3 lemma sweeps, where the pair `(𝒜, 𝒮)`
+/// realizes `s ≤ₖ t` with `k = |𝒜| − |𝒮|`.
+///
+/// # Panics
+///
+/// Panics if `max_len > 16`.
+pub fn for_each_sequence_and_subsequence<U: Clone>(
+    universe: &[U],
+    max_len: usize,
+    mut visit: impl FnMut(&[U], &[usize]),
 ) {
-    // Choose the set of *missing* indices of each size 0..=max_missing.
-    let mut missing: Vec<usize> = Vec::new();
-    subsequences_go(n, 0, max_missing, &mut missing, &mut visit);
+    assert!(max_len <= 16, "exhaustive enumeration is for small scopes");
+    let mut seq = Vec::with_capacity(max_len);
+    let mut kept = Vec::with_capacity(max_len);
+    sequences_go(universe, max_len, &mut seq, &mut kept, &mut visit);
 }
 
-/// The recursion behind [`for_each_subsequence_missing_at_most`]: emits
-/// the kept set for the current missing set, then extends the missing
-/// set with each index in `start..n` while budget remains. Enumeration
-/// order is depth-first on the smallest still-addable missing index.
-fn subsequences_go(
-    n: usize,
-    start: usize,
-    remaining: usize,
-    missing: &mut Vec<usize>,
-    visit: &mut impl FnMut(&[usize]),
+/// The recursion behind [`for_each_sequence_and_subsequence`]: visits
+/// every subsequence of `seq` (one bitmask each), then extends `seq` by
+/// each member of `universe` while it is shorter than `max_len`.
+fn sequences_go<U: Clone>(
+    universe: &[U],
+    max_len: usize,
+    seq: &mut Vec<U>,
+    kept: &mut Vec<usize>,
+    visit: &mut impl FnMut(&[U], &[usize]),
 ) {
-    let kept: Vec<usize> = (0..n).filter(|i| !missing.contains(i)).collect();
-    visit(&kept);
-    if remaining == 0 {
-        return;
+    let n = seq.len();
+    for mask in 0..1u32 << n {
+        kept.clear();
+        kept.extend((0..n).filter(|i| mask >> i & 1 == 1));
+        visit(seq, kept);
     }
-    for i in start..n {
-        missing.push(i);
-        subsequences_go(n, i + 1, remaining - 1, missing, visit);
-        missing.pop();
+    if n < max_len {
+        for u in universe {
+            seq.push(u.clone());
+            sequences_go(universe, max_len, seq, kept, visit);
+            seq.pop();
+        }
     }
 }
 
@@ -496,29 +502,30 @@ mod tests {
     #[test]
     fn bound_instance_holds_for_unit_slope() {
         let app = Account;
-        // Sequence: two deposits of 1, one withdraw of 2 (decision-time
-        // withdraw is recorded as an update directly here).
-        let seq = vec![Op::Deposit(1), Op::Deposit(1), Op::Withdraw(2)];
+        // Missing a deposit of 1 or a withdrawal of 2 moves the
+        // overdraft by at most 2, so f(k) = 2·k bounds the increase.
         let f = BoundFn::linear(2);
-        // Missing the two deposits (k = 2): s = -0? s = 0, t = -2 … check
-        // the inequality cost(s) ≤ cost(t) + f(k) in all enumerations.
-        for_each_subsequence_missing_at_most(seq.len(), 2, |kept| {
-            assert!(check_bound_instance(&app, &f, 0, &seq, kept));
+        let universe = [Op::Deposit(1), Op::Withdraw(2)];
+        for_each_sequence_and_subsequence(&universe, 4, |seq, kept| {
+            assert!(check_bound_instance(&app, &f, 0, seq, kept));
         });
     }
 
     #[test]
-    fn subsequence_enumeration_counts() {
-        let mut count = 0;
-        for_each_subsequence_missing_at_most(4, 2, |_| count += 1);
-        // C(4,0) + C(4,1) + C(4,2) = 1 + 4 + 6.
-        assert_eq!(count, 11);
-
-        let mut kept_sets = Vec::new();
-        for_each_subsequence_missing_at_most(2, 2, |kept| kept_sets.push(kept.to_vec()));
-        assert!(kept_sets.contains(&vec![]));
-        assert!(kept_sets.contains(&vec![0, 1]));
-        assert!(kept_sets.contains(&vec![0]));
-        assert!(kept_sets.contains(&vec![1]));
+    fn sequence_and_subsequence_enumeration_counts() {
+        let mut pairs = Vec::new();
+        for_each_sequence_and_subsequence(&['a', 'b'], 2, |seq, kept| {
+            pairs.push((seq.to_vec(), kept.to_vec()));
+        });
+        // (2·2)^0 + (2·2)^1 + (2·2)^2, every pair once.
+        assert_eq!(pairs.len(), 21);
+        let unique: std::collections::HashSet<_> = pairs.iter().collect();
+        assert_eq!(unique.len(), 21);
+        let kept_of_ab: Vec<&Vec<usize>> = pairs
+            .iter()
+            .filter(|(seq, _)| *seq == ['a', 'b'])
+            .map(|(_, kept)| kept)
+            .collect();
+        assert_eq!(kept_of_ab, [&vec![], &vec![0], &vec![1], &vec![0, 1]]);
     }
 }

@@ -20,16 +20,8 @@ use crate::app::Application;
 use crate::execution::{Execution, TxnIndex};
 use std::ops::Range;
 
-/// A partition of `0..n` into consecutive groups.
-///
-/// # Examples
-///
-/// ```
-/// use shard_core::Grouping;
-/// let g = Grouping::from_ends(vec![2, 5]);
-/// let groups: Vec<_> = g.groups().collect();
-/// assert_eq!(groups, vec![0..2, 2..5]);
-/// ```
+/// A partition of `0..n` into consecutive groups, built by
+/// [`Grouping::discover`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Grouping {
     /// Exclusive end index of each group; the last entry equals `n`.
@@ -37,21 +29,6 @@ pub struct Grouping {
 }
 
 impl Grouping {
-    /// Builds a grouping from consecutive group end indices (exclusive).
-    /// `ends` must be strictly increasing and its last entry must equal
-    /// the execution length the grouping is used with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ends` is not strictly increasing.
-    pub fn from_ends(ends: Vec<usize>) -> Self {
-        assert!(
-            ends.windows(2).all(|w| w[0] < w[1]),
-            "group ends must increase"
-        );
-        Grouping { ends }
-    }
-
     /// The number of groups.
     pub fn len(&self) -> usize {
         self.ends.len()
@@ -235,17 +212,13 @@ mod tests {
 
     #[test]
     fn groups_iteration() {
-        let g = Grouping::from_ends(vec![2, 3, 6]);
+        let g = Grouping {
+            ends: vec![2, 3, 6],
+        };
         let groups: Vec<_> = g.groups().collect();
         assert_eq!(groups, vec![0..2, 2..3, 3..6]);
         assert_eq!(g.covered(), 6);
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "must increase")]
-    fn non_increasing_ends_panic() {
-        let _ = Grouping::from_ends(vec![2, 2]);
     }
 
     #[test]
@@ -274,10 +247,10 @@ mod tests {
     fn invalid_groupings_rejected() {
         let e = exec(&[Act::Borrow, Act::Repay]);
         // A singleton group around the Borrow violates both (a) and (b).
-        let g = Grouping::from_ends(vec![1, 2]);
+        let g = Grouping { ends: vec![1, 2] };
         assert!(!g.is_grouping_for(&Debt, &e, 0, preserving));
         // Wrong coverage.
-        let g = Grouping::from_ends(vec![1]);
+        let g = Grouping { ends: vec![1] };
         assert!(!g.is_grouping_for(&Debt, &e, 0, preserving));
     }
 

@@ -413,7 +413,7 @@ impl<A: Application> ReplayCache<A> {
 /// # }
 /// let app = Counter;
 /// let updates = vec![Add(1), Add(2), Add(4)];
-/// let mut replayer = Replayer::from_updates(&app, &updates);
+/// let mut replayer = Replayer::from_updates_with_interval(&app, &updates, 2);
 /// assert_eq!(replayer.state_after_prefix(&[0, 2]), 5);
 /// assert_eq!(replayer.state_after_prefix(&[0, 1, 2]), 7);
 /// assert_eq!(replayer.final_state(), 7);
@@ -425,12 +425,6 @@ pub struct Replayer<'a, A: Application> {
 }
 
 impl<'a, A: Application> Replayer<'a, A> {
-    /// A replayer over an explicit update sequence, with the default
-    /// checkpoint interval.
-    pub fn from_updates(app: &'a A, updates: impl IntoIterator<Item = &'a A::Update>) -> Self {
-        Self::from_updates_with_interval(app, updates, DEFAULT_CHECKPOINT_INTERVAL)
-    }
-
     /// A replayer over an explicit update sequence with checkpoints every
     /// `every` applied updates.
     ///
@@ -665,7 +659,7 @@ mod tests {
     fn empty_sequence_yields_initial_state() {
         let app = Trace;
         let updates: Vec<Tag> = Vec::new();
-        let mut r = Replayer::from_updates(&app, &updates);
+        let mut r = Replayer::from_updates_with_interval(&app, &updates, 4);
         assert!(r.is_empty());
         assert_eq!(r.state_after_prefix(&[]), Vec::<u64>::new());
         assert_eq!(r.final_state(), Vec::<u64>::new());

@@ -1112,24 +1112,6 @@ where
         })?;
         Ok(checker.report())
     }
-
-    /// Spills a timed in-memory execution into `store` row by row — the
-    /// bridge the equivalence tests use.
-    pub fn from_timed_execution(
-        store: Box<dyn shard_store::Store + Send>,
-        te: &TimedExecution<A>,
-    ) -> std::io::Result<Self> {
-        let mut out = Self::new(store);
-        for (rec, row) in te
-            .execution
-            .records()
-            .iter()
-            .zip(rows_from_execution(&PoolConfig::sequential(), te))
-        {
-            out.push(&row, &rec.update)?;
-        }
-        Ok(out)
-    }
 }
 
 /// `InvalidData` naming stored row `index`.
@@ -1699,7 +1681,7 @@ mod tests {
         assert_eq!(report.min_delay_bound, u64::MAX);
         assert_eq!(te.min_delay_bound(), u64::MAX);
         // The saturated bound is a ceiling, not a bound that holds.
-        assert!(!te.has_t_bounded_delay(u64::MAX));
+        assert!(te.delay_bound_violation(u64::MAX).is_some());
         let trace: String = rows.iter().map(|r| r.to_json_line() + "\n").collect();
         for cert in &report.certificates {
             shard_obs::certify(&trace, &cert.to_json()).expect("the checker's own certificate");
@@ -1814,11 +1796,21 @@ mod tests {
         TimedExecution::new(b.finish(), times)
     }
 
+    /// Spills `te` into a memory store row by row, through `push`.
+    fn spilled(te: &TimedExecution<Trace>) -> StreamingExecution<Trace> {
+        let mut se = StreamingExecution::new(mem_store());
+        let rows = rows_from_execution(&PoolConfig::sequential(), te);
+        for (rec, row) in te.execution.records().iter().zip(&rows) {
+            se.push(row, &rec.update).unwrap();
+        }
+        se
+    }
+
     #[test]
     fn streaming_execution_matches_in_memory_traversals() {
         let app = Trace;
         let te = mixed_timed_execution(60);
-        let mut se = StreamingExecution::<Trace>::from_timed_execution(mem_store(), &te).unwrap();
+        let mut se = spilled(&te);
         let mem: Vec<(usize, Vec<u64>)> =
             te.execution
                 .fold_actual_states(&app, Vec::new(), |mut acc, m, s| {
@@ -1902,8 +1894,7 @@ mod tests {
 
     #[test]
     fn streaming_execution_rejects_torn_rows() {
-        let te = mixed_timed_execution(10);
-        let mut se = StreamingExecution::<Trace>::from_timed_execution(mem_store(), &te).unwrap();
+        let mut se = spilled(&mixed_timed_execution(10));
         let keep = se.store.len_bytes() - 1;
         se.store.crash(keep).unwrap();
         let err = se.final_state(&Trace).unwrap_err();

@@ -111,7 +111,7 @@ proptest! {
         }
         let max = conditions::max_missed(&e);
         for i in 0..e.len() {
-            prop_assert!(conditions::is_k_complete(&e, i, max));
+            prop_assert!(conditions::missed_count(&e, i) <= max);
         }
     }
 
@@ -153,9 +153,9 @@ proptest! {
         times.sort_unstable();
         let te = TimedExecution::new(e, times);
         let t = te.min_delay_bound();
-        prop_assert!(te.has_t_bounded_delay(t));
+        prop_assert!(te.delay_bound_violation(t).is_none());
         if t > 0 {
-            prop_assert!(!te.has_t_bounded_delay(t - 1));
+            prop_assert!(te.delay_bound_violation(t - 1).is_some());
         }
     }
 

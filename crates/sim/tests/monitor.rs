@@ -28,10 +28,8 @@ const NODES: u16 = 5;
 
 fn invocations(seed: u64, n: usize) -> Vec<Invocation<AirlineTxn>> {
     let mut wl = AirlineWorkload::with_seed(seed);
-    wl.take_txns(n)
-        .into_iter()
-        .enumerate()
-        .map(|(i, txn)| Invocation::new(1 + 9 * i as u64, NodeId(i as u16 % NODES), txn))
+    (0..n)
+        .map(|i| Invocation::new(1 + 9 * i as u64, NodeId(i as u16 % NODES), wl.next_txn()))
         .collect()
 }
 

@@ -84,7 +84,7 @@ fn main() {
         &te.execution,
         OVERBOOKING,
         &BoundFn::linear(900),
-        |d| matches!(d, AirlineTxn::MoveUp),
+        |d| !app.is_statically_safe(d, OVERBOOKING),
     );
     println!("\nCorollary 8 with measured k = {k}: {check}");
     assert!(check.holds());

@@ -54,7 +54,7 @@
 //! te.execution.verify(&app).expect("simulator obeys the formal model");
 //! let (k, check) = check_invariant_bound(
 //!     &app, &te.execution, OVERBOOKING, &BoundFn::linear(900),
-//!     |d| matches!(d, AirlineTxn::MoveUp));
+//!     |d| !app.is_statically_safe(d, OVERBOOKING));
 //! assert!(check.holds(), "overbooking ≤ 900·{k}");
 //! ```
 

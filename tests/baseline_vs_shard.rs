@@ -92,7 +92,7 @@ fn shard_stays_available_and_pays_bounded_cost() {
         &te.execution,
         OVERBOOKING,
         &shard::core::costs::BoundFn::linear(900),
-        |d| matches!(d, AirlineTxn::MoveUp),
+        |d| !app.is_statically_safe(d, OVERBOOKING),
     );
     assert!(check.holds(), "k={k}: {check}");
     // And the network healed: replicas agree.

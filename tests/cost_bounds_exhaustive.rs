@@ -9,62 +9,26 @@
 //! their subsequences, so within the scope the claim is verified rather
 //! than sampled.
 
+use shard::analysis::exhaustive::check_bound_exhaustively;
 use shard::apps::airline::{AirlineUpdate, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard::apps::banking::{AccountId, Bank, BankUpdate};
 use shard::apps::Person;
-use shard::core::costs::{check_bound_instance, for_each_subsequence_missing_at_most, BoundFn};
-
-fn airline_universe() -> Vec<AirlineUpdate> {
-    use AirlineUpdate::*;
-    let p = Person;
-    vec![
-        Request(p(1)),
-        Cancel(p(1)),
-        MoveUp(p(1)),
-        MoveDown(p(1)),
-        Request(p(2)),
-        MoveUp(p(2)),
-        MoveDown(p(2)),
-    ]
-}
-
-/// Enumerate all sequences over `universe` of length ≤ `max_len` and all
-/// their subsequences, checking the bound for both constraints.
-fn sweep_airline(max_len: usize) -> u64 {
-    let app = FlyByNight::new(1);
-    let f900 = BoundFn::linear(900);
-    let f300 = BoundFn::linear(300);
-    let universe = airline_universe();
-    let mut checked = 0u64;
-    let mut stack: Vec<Vec<AirlineUpdate>> = vec![vec![]];
-    while let Some(seq) = stack.pop() {
-        for_each_subsequence_missing_at_most(seq.len(), seq.len(), |kept| {
-            checked += 1;
-            assert!(
-                check_bound_instance(&app, &f900, OVERBOOKING, &seq, kept),
-                "900k bound failed: seq={seq:?} kept={kept:?}"
-            );
-            assert!(
-                check_bound_instance(&app, &f300, UNDERBOOKING, &seq, kept),
-                "300k bound failed: seq={seq:?} kept={kept:?}"
-            );
-        });
-        if seq.len() < max_len {
-            for u in &universe {
-                let mut next = seq.clone();
-                next.push(*u);
-                stack.push(next);
-            }
-        }
-    }
-    checked
-}
+use shard::core::costs::{check_bound_instance, for_each_sequence_and_subsequence, BoundFn};
 
 #[test]
 fn airline_bound_functions_verified_exhaustively() {
-    // 7^0..7^4 sequences × 2^len subsequences each ≈ 46k instances.
-    let checked = sweep_airline(4);
-    assert!(checked > 40_000, "non-trivial scope: {checked}");
+    // 7^0..7^4 sequences × 2^len subsequences each = 41 371 instances,
+    // the scope experiments E02 and E03 claim.
+    for (constraint, f) in [
+        (OVERBOOKING, BoundFn::linear(900)),
+        (UNDERBOOKING, BoundFn::linear(300)),
+    ] {
+        let check = check_bound_exhaustively(constraint, &f);
+        assert!(check.holds(), "{check}");
+        assert!(check.instances > 40_000, "non-trivial scope: {check}");
+    }
+    // One missed MOVE-UP can overbook by a whole passenger: 899·k fails.
+    assert!(!check_bound_exhaustively(OVERBOOKING, &BoundFn::linear(899)).holds());
 }
 
 #[test]
@@ -82,23 +46,13 @@ fn bank_bound_function_verified_exhaustively() {
         BankUpdate::Sweep(a),
     ];
     let mut checked = 0u64;
-    let mut stack: Vec<Vec<BankUpdate>> = vec![vec![]];
-    while let Some(seq) = stack.pop() {
-        for_each_subsequence_missing_at_most(seq.len(), seq.len(), |kept| {
-            checked += 1;
-            assert!(
-                check_bound_instance(&app, &f, 0, &seq, kept),
-                "max_debit·k bound failed: seq={seq:?} kept={kept:?}"
-            );
-        });
-        if seq.len() < 5 {
-            for u in &universe {
-                let mut next = seq.clone();
-                next.push(*u);
-                stack.push(next);
-            }
-        }
-    }
+    for_each_sequence_and_subsequence(&universe, 5, |seq, kept| {
+        checked += 1;
+        assert!(
+            check_bound_instance(&app, &f, 0, seq, kept),
+            "max_debit·k bound failed: seq={seq:?} kept={kept:?}"
+        );
+    });
     assert!(checked > 50_000, "non-trivial scope: {checked}");
 }
 

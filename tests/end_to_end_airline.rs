@@ -79,14 +79,16 @@ fn theorem_battery_on_partitioned_runs() {
         let te = report.timed_execution();
         te.execution.verify(&app).unwrap();
 
-        let t5_over = check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |_| true);
+        let t5_over = check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |d| {
+            app.preserves(d, OVERBOOKING)
+        });
         assert!(t5_over.holds(), "{t5_over}");
         let t5_under = check_theorem5(&app, &te.execution, UNDERBOOKING, &f300, |d| {
-            matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown)
+            app.preserves(d, UNDERBOOKING)
         });
         assert!(t5_under.holds(), "{t5_under}");
         let (_, c8) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f900, |d| {
-            matches!(d, AirlineTxn::MoveUp)
+            !app.is_statically_safe(d, OVERBOOKING)
         });
         assert!(c8.holds(), "{c8}");
         let t20 = check_theorem20(&app, &te.execution);

@@ -89,11 +89,11 @@ proptest! {
         let te = cluster.run(invs).timed_execution();
         let f900 = BoundFn::linear(900);
         let f300 = BoundFn::linear(300);
-        prop_assert!(check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |_| true).holds());
+        prop_assert!(check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |d| app.preserves(d, OVERBOOKING)).holds());
         prop_assert!(check_theorem5(&app, &te.execution, UNDERBOOKING, &f300,
-            |d| matches!(d, AirlineTxn::MoveUp | AirlineTxn::MoveDown)).holds());
+            |d| app.preserves(d, UNDERBOOKING)).holds());
         let (_, c8) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f900,
-            |d| matches!(d, AirlineTxn::MoveUp));
+            |d| !app.is_statically_safe(d, OVERBOOKING));
         prop_assert!(c8.holds());
         prop_assert!(check_theorem20(&app, &te.execution).holds());
     }

@@ -82,15 +82,17 @@ fn three_thousand_transactions_survive_the_battery() {
     let f900 = BoundFn::linear(900);
     let f300 = BoundFn::linear(300);
     let (k, c8) = check_invariant_bound(&app, &te.execution, OVERBOOKING, &f900, |d| {
-        matches!(d, AirlineTxn::MoveUp)
+        !app.is_statically_safe(d, OVERBOOKING)
     });
     assert!(c8.holds(), "k={k}: {c8}");
-    assert!(check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |_| true).holds());
     assert!(
-        check_theorem5(&app, &te.execution, UNDERBOOKING, &f300, |d| matches!(
-            d,
-            AirlineTxn::MoveUp | AirlineTxn::MoveDown
-        ))
+        check_theorem5(&app, &te.execution, OVERBOOKING, &f900, |d| app
+            .preserves(d, OVERBOOKING))
+        .holds()
+    );
+    assert!(
+        check_theorem5(&app, &te.execution, UNDERBOOKING, &f300, |d| app
+            .preserves(d, UNDERBOOKING))
         .holds()
     );
 
