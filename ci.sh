@@ -61,8 +61,7 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # gossip×partial E20), plus every other theorem experiment that runs in
 # under a second — the bounds E02 (Cor 8), E03 (Cor 10/11), E04
 # (compensation), E09 (availability vs integrity), E13 (inventory), E15
-# (§3.3 barrier), E18 (crash/recovery), E19 (name server) and E21 (the
-# nemesis search, through the chaos report `shard-chaos` shares), ≈ 2.6 s
+# (§3.3 barrier), E18 (crash/recovery) and E19 (name server), ≈ 2.6 s
 # together — and the two slower ones, E05 (witness bounds, ≈ 2.4 s) and
 # E07 (fairness, ≈ 18 s: `is_transitive` and `min_delay_bound` on kernel
 # runs) — then a pure-rust validation that each metrics sidecar is
@@ -74,6 +73,8 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # and a regression of that rule must fail the gate, not hang it. Their
 # sidecar checks also hold `sim.not_converged` — gossip runs that ended
 # with some node lacking an entry it should hold — at zero.
+# E21 (the nemesis search), E22's certificate and E23 (the live
+# runtime) each carry a gate of their own below.
 run cargo run -q --release -p shard-bench --bin exp_e01_worked_example
 run cargo run -q --release -p shard-bench --bin exp_e02_overbooking_bound
 run cargo run -q --release -p shard-bench --bin exp_e03_underbooking_bound
@@ -92,31 +93,43 @@ run cargo run -q --release -p shard-bench --bin exp_e15_complete_prefix
 run cargo run -q --release -p shard-bench --bin exp_e16_partial_replication
 run cargo run -q --release -p shard-bench --bin exp_e18_crash_recovery
 run cargo run -q --release -p shard-bench --bin exp_e19_nameserver
-run cargo run -q --release -p shard-bench --bin exp_e21_nemesis_chaos
 run cargo run -q --release -p shard-bench --bin exp_e22_stream_monitor
 run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
-  --bin exp_e20_gossip_partial --bin exp_e24_store_recovery
+  --bin exp_e20_gossip_partial --bin exp_e23_runtime --bin exp_e24_store_recovery
 run timeout 120 target/release/exp_e17_gossip
 run timeout 120 target/release/exp_e20_gossip_partial
-# The chaos search at CI scale: a 25-seed nemesis sweep. Its claims are
-# only the always-theorems (prefix-subsequence, Cor 8, fault-free
-# baselines), so the smoke run cannot flake; its sidecar goes through
-# the same validation as the experiments'. The sweep runs once
-# sequentially and once on a 4-thread pool into a separate sidecar
-# directory; `shard-trace diff` then requires the two sidecars to agree
-# on everything but wall time, spans and pool.* metrics — the pool's
-# determinism guarantee, enforced end to end on every CI run.
+# The live-runtime gate: E23 at smoke scale, 2 000 transactions on real
+# OS threads and mpsc channels in each propagation mode — all three go
+# through the one `run_live`/`replay` pair — whose recorded schedule is
+# replayed through the deterministic kernel; the run fails unless the
+# live and replayed report digests are equal in every mode (the digest
+# covers every transaction, message count and round). A run takes well
+# under a second, and it sits under `timeout 120`: a live run ends on
+# one observation — everything executed, nothing in flight, nothing
+# unsent — or on a dead node thread, and a regression of either must
+# fail the gate, not hang it. At this size it leaves
+# `BENCH_runtime.json` alone. (The monitored, traced eager leg and its
+# one `monitor.final` are pinned by crates/runtime/tests/record_replay.rs.)
+run env SHARD_E23_TXNS=2000 timeout 120 target/release/exp_e23_runtime
+# The pool's determinism guarantee, end to end on every CI run: E21's
+# 120-seed nemesis sweep runs once sequentially and once on a 4-thread
+# pool (capped at the host's cores) into a separate sidecar directory;
+# `shard-trace diff` then requires the two sidecars to agree on
+# everything but wall time, spans and pool.* metrics —
+# `chaos.outcome_hash`, the fingerprint of every verdict and shrunk
+# schedule, included. The sweep is a pure function of its seeds, so its
+# claims cannot flake.
 run env SHARD_POOL_THREADS=1 \
-  cargo run -q --release -p shard-bench --bin shard-chaos -- --seeds 25
+  cargo run -q --release -p shard-bench --bin exp_e21_nemesis_chaos
 run env SHARD_POOL_THREADS=4 EXP_METRICS_DIR=target/exp_metrics_par \
-  cargo run -q --release -p shard-bench --bin shard-chaos -- --seeds 25
+  cargo run -q --release -p shard-bench --bin exp_e21_nemesis_chaos
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
-  diff target/exp_metrics/chaos.json target/exp_metrics_par/chaos.json
+  diff target/exp_metrics/e21.json target/exp_metrics_par/e21.json
 # E10 reads its executions through prefixes and one forward fold of the
 # actual states, neither of which asks a replay cache: a warm-up that
 # creeps back in front of its sweeps would show as cache queries.
 for sidecar in e01 e02 e03 e04 e05 e06 e07 e08 e09 e10 e11 e12 e13 e14 \
-  e15 e16 e17 e18 e19 e20 e21 e22 chaos; do
+  e15 e16 e17 e18 e19 e20 e21 e22 e23; do
   budget=()
   case "$sidecar" in
   e10) budget=("replay.queries<=0") ;;
@@ -127,21 +140,19 @@ for sidecar in e01 e02 e03 e04 e05 e06 e07 e08 e09 e10 e11 e12 e13 e14 \
     experiment ok wall_time_ms claims counters gauges histograms spans \
     "${budget[@]}"
 done
-# The streaming monitor gate: a monitored chaos sweep must find a
-# violation, cut the run at it, and leave behind a replayed trace plus
-# a certificate that the shared-nothing `shard-trace certify` validator
-# accepts — while a mutated certificate (witness shifted off the end of
-# the trace) must be rejected. This exercises the live monitor, the
-# early abort, the trace tee and the certificate round-trip end to end.
-run cargo run -q --release -p shard-bench --bin shard-chaos -- \
-  --seeds 25 --monitor-window 8 \
-  --trace-out target/monitored.jsonl --cert-out target/monitored.cert.json
+# The streaming monitor gate: E22's monitored chaos sweep (run above)
+# must find a violation, cut the run at it, and leave behind the hit's
+# replayed trace plus its certificate, which the shared-nothing
+# `shard-trace certify` validator accepts — while a mutated certificate
+# (witness shifted off the end of the trace) must be rejected. This
+# exercises the live monitor, the early abort, the trace tee and the
+# certificate round-trip end to end, out of process.
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
-  certify target/monitored.jsonl target/monitored.cert.json
-sed 's/"top":[0-9]*/"top":99999/' target/monitored.cert.json \
-  > target/monitored.cert.bad.json
+  certify target/exp_traces/e22.hit.jsonl target/exp_traces/e22.hit.cert.json
+sed 's/"top":[0-9]*/"top":99999/' target/exp_traces/e22.hit.cert.json \
+  >target/e22.hit.cert.bad.json
 if cargo run -q --release -p shard-cli --bin shard-trace -- \
-  certify target/monitored.jsonl target/monitored.cert.bad.json; then
+  certify target/exp_traces/e22.hit.jsonl target/e22.hit.cert.bad.json; then
   echo "FAILED: certify accepted a mutated certificate" >&2
   exit 1
 fi
@@ -176,40 +187,6 @@ echo '{"schema":"shard-cert/v1","property":"delay_bound","seer":1,"missed":0,"bo
 if cargo run -q --release -p shard-cli --bin shard-trace -- \
   certify target/late.jsonl target/late.cert.json; then
   echo "FAILED: certify accepted a wrapped delay bound" >&2
-  exit 1
-fi
-# The live-runtime gate: a small seeded threaded deployment (real OS
-# threads, mpsc channels) in each propagation mode — all three go
-# through the one `run_live`/`replay` pair — whose recorded schedule is
-# replayed through the deterministic kernel; the binary exits non-zero
-# on any fidelity mismatch, and `shard-trace diff` independently
-# requires the live and replayed report documents to agree on
-# everything but wall time (digest, transactions, messages, rounds).
-# The eager leg also runs monitored and traced: the live trace — written
-# by the replica step the kernel shares — must be one `shard-trace
-# summarize` accepts, holding exactly one `monitor.final`. The binary is
-# built once and each run sits under `timeout 120` (a run takes well
-# under a second): a live run ends on one observation — everything
-# executed, nothing in flight, nothing unsent — or on a dead node
-# thread, and a regression of either must fail the gate, not hang it.
-run cargo build -q --release -p shard-runtime --bin shard-runtime
-for mode in eager gossip partial; do
-  traced=""
-  if [ "$mode" = eager ]; then
-    traced="--monitor --trace target/runtime_live_eager.jsonl"
-  fi
-  run timeout 120 target/release/shard-runtime \
-    --mode "$mode" --nodes 4 --txns 2000 --seed 7 --interval-us 500 \
-    --out "target/runtime_live_$mode.json" \
-    --replay-out "target/runtime_replay_$mode.json" $traced
-  run cargo run -q --release -p shard-cli --bin shard-trace -- \
-    diff "target/runtime_live_$mode.json" "target/runtime_replay_$mode.json"
-done
-run cargo run -q --release -p shard-cli --bin shard-trace -- \
-  summarize target/runtime_live_eager.jsonl
-finals=$(grep -c '"event":"monitor.final"' target/runtime_live_eager.jsonl || true)
-if [ "$finals" != 1 ]; then
-  echo "FAILED: live trace holds $finals monitor.final lines, expected 1" >&2
   exit 1
 fi
 # The crash-recovery gate: E24 end to end at smoke scale (the replay

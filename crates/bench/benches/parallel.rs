@@ -69,10 +69,9 @@ fn json_rows(rows: &[(usize, f64)], baseline_ns: f64) -> String {
 /// sidecars.
 fn chaos_rows() -> String {
     let mut cfg = ChaosConfig {
+        pool: PoolConfig::with_threads(1),
         seeds: 120,
-        ..ChaosConfig::default()
     };
-    cfg.pool = PoolConfig::with_threads(1);
     let reference = sweep(&cfg).to_json_string();
     println!("\nparallel/chaos_sweep (120 seeds, shrinking on)");
     // Determinism is certified at the *requested* thread count (real

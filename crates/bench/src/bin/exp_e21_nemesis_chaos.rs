@@ -25,44 +25,41 @@
 //! * the sweep finds at least one execution defeating transitivity and
 //!   at least one defeating k-completeness;
 //! * each violating schedule shrinks to ≤ 12 fault events.
+//!
+//! The pool only sets the pace: `ci.sh` runs this sweep at
+//! `SHARD_POOL_THREADS=1` and `4` and requires `shard-trace diff` to
+//! find the two sidecars equal (`chaos.outcome_hash` included).
 
 use shard_analysis::ClaimCheck;
-use shard_bench::chaos::{report_sweep, sweep, ChaosConfig, Oracle};
+use shard_bench::chaos::{
+    report_sweep, sweep, ChaosConfig, Oracle, CRASH_WINDOWS, DROP_PROB, DUP_PROB, NODES,
+    PARTITION_WINDOWS, REORDER_PROB, TXNS,
+};
 
 fn main() {
     let mut exp = shard_bench::Experiment::start("e21");
-    let cfg = ChaosConfig {
-        seeds: 120,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig::new(120);
     println!(
-        "E21: nemesis chaos search — {} seeds × {} txns over {} nodes\n\
+        "E21: nemesis chaos search — {} seeds × {TXNS} txns over {NODES} nodes\n\
          fault stack: drop {:.0}% / duplicate {:.0}% / reorder {:.0}% / \
-         {} partition + {} crash window(s) per run\n",
+         {PARTITION_WINDOWS} partition + {CRASH_WINDOWS} crash window(s) per run\n",
         cfg.seeds,
-        cfg.txns,
-        cfg.nodes,
-        100.0 * cfg.drop_prob,
-        100.0 * cfg.dup_prob,
-        100.0 * cfg.reorder_prob,
-        cfg.partition_windows,
-        cfg.crash_windows,
+        100.0 * DROP_PROB,
+        100.0 * DUP_PROB,
+        100.0 * REORDER_PROB,
     );
 
     let outcome = sweep(&cfg);
     // Per-seed verdicts go to the JSONL trace: the sidecar records the
     // aggregate, the trace records which seed broke what.
     let sink = exp.trace_sink();
-    report_sweep(&mut exp, &cfg, &outcome, sink.as_deref());
+    report_sweep(&mut exp, &outcome, sink.as_deref());
 
     let mut found = ClaimCheck::new("the sweep defeats both §3.2 refinements somewhere");
     found.record(
         (outcome.transitivity_violations() == 0).then(|| "no transitivity violation found".into()),
     );
-    found.record(
-        (outcome.k_violations(cfg.k_limit) == 0)
-            .then(|| "no k-completeness violation found".into()),
-    );
+    found.record((outcome.k_violations() == 0).then(|| "no k-completeness violation found".into()));
     exp.claim(found);
 
     let mut shrunk = ClaimCheck::new("each counterexample shrinks to ≤ 12 fault events");

@@ -19,12 +19,16 @@
 //! * **certificates check independently** — the certificate the monitor
 //!   emitted re-validates against the replayed raw trace via
 //!   `shard_obs::certify` (shared-nothing validator, O(|certificate|)
-//!   work), and a mutated certificate is rejected.
+//!   work), and a mutated certificate is rejected. The replayed trace
+//!   and the certificate are also written to `e22.hit.jsonl` and
+//!   `e22.hit.cert.json` under the traces directory, where `ci.sh`
+//!   hands them to `shard-trace certify`.
 
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
-use shard_bench::chaos::{monitored_sweep, replay_monitored, ChaosConfig};
+use shard_bench::chaos::{self, monitored_sweep, replay_monitored, ChaosConfig};
+use shard_bench::traces_dir;
 use shard_bench::workloads::{airline_invocations, Routing};
 use shard_core::stream::{par_check, Certificate};
 use shard_obs::EventSink;
@@ -101,15 +105,12 @@ fn main() {
     exp.claim(equiv);
 
     // Part 2 — monitored chaos sweep with early abort.
-    let cfg = ChaosConfig {
-        seeds: 60,
-        shrink: false,
-        ..ChaosConfig::default()
-    };
+    let cfg = ChaosConfig::new(60);
     let window = 8;
     println!(
         "\npart 2: monitored sweep — {} seeds × {} txns, window {window}, abort on violation\n",
-        cfg.seeds, cfg.txns
+        cfg.seeds,
+        chaos::TXNS
     );
     let outcome = monitored_sweep(&cfg, window);
 
@@ -160,10 +161,11 @@ fn main() {
             (!hit.baseline_transitive)
                 .then(|| format!("seed {}: baseline itself violates", hit.seed)),
         );
-        abort.record((hit.rows_at_abort > cfg.txns).then(|| {
+        abort.record((hit.rows_at_abort > chaos::TXNS).then(|| {
             format!(
                 "abort after {} rows exceeds the {}-txn schedule",
-                hit.rows_at_abort, cfg.txns
+                hit.rows_at_abort,
+                chaos::TXNS
             )
         }));
         let last = outcome.verdicts.last().expect("hit implies a verdict");
@@ -175,7 +177,7 @@ fn main() {
             "hit: seed {} aborted after {} of {} txns — certificate {}",
             hit.seed,
             hit.rows_at_abort,
-            cfg.txns,
+            chaos::TXNS,
             hit.certificate.to_json()
         );
     }
@@ -187,10 +189,22 @@ fn main() {
     );
     if let Some(hit) = &outcome.hit {
         let sink = EventSink::in_memory();
-        let replay = replay_monitored(&cfg, hit.seed, window, sink.clone());
+        let replay = replay_monitored(hit.seed, window, sink.clone());
         certs.record((!replay.aborted).then(|| "replay did not abort".to_string()));
         let trace = sink.drain_to_string();
         let cert = hit.certificate.to_json();
+        // The same pair on disk, for `shard-trace certify` out of process.
+        let dir = traces_dir();
+        for (name, body) in [
+            ("e22.hit.jsonl", trace.as_str()),
+            ("e22.hit.cert.json", &format!("{cert}\n")),
+        ] {
+            let path = dir.join(name);
+            match std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, body)) {
+                Ok(()) => println!("wrote {}", path.display()),
+                Err(e) => eprintln!("could not write {}: {e}", path.display()),
+            }
+        }
         match shard_obs::certify(&trace, &cert) {
             Ok(v) => {
                 certs.record(

@@ -2,9 +2,9 @@
 //! and record–replay fidelity at 10⁵ transactions (extension).
 //!
 //! E01–E22 verify the paper's conditions inside the deterministic
-//! simulator; `shard-runtime` runs the same kernel node objects on OS
-//! threads with real mpsc channels and wall-clock pacing. This
-//! experiment drives a Zipf-skewed banking workload of 10⁵
+//! simulator; the `shard-runtime` crate runs the same kernel node
+//! objects on OS threads with real mpsc channels and wall-clock pacing.
+//! This experiment drives a Zipf-skewed banking workload of 10⁵
 //! transactions (override with `SHARD_E23_TXNS`) through all three
 //! live modes and pins down:
 //!
@@ -23,7 +23,10 @@
 //! Client-observed latency (submission → execution, in µs) comes from
 //! the `runtime.<mode>.latency_us` histograms every live run records;
 //! the quantiles and throughputs land in `BENCH_runtime.json` at the
-//! repository root.
+//! repository root — from a 10⁵-transaction run only: any other size
+//! leaves the file alone. `ci.sh` runs it at `SHARD_E23_TXNS=2000`
+//! under `timeout 120`, so a live run that never reaches its quiet
+//! point fails the gate instead of hanging it.
 
 use shard_analysis::{ClaimCheck, Table};
 use shard_apps::banking::{Bank, BankTxn};
@@ -41,6 +44,8 @@ const ACCOUNTS: u32 = 64;
 const ZIPF_S: f64 = 1.1;
 const GOSSIP_INTERVAL_US: u64 = 500;
 const MIN_TXN_PER_S: f64 = 5_000.0;
+/// The run size `BENCH_runtime.json` records.
+const RECORDED_TXNS: usize = 100_000;
 
 struct ModeResult {
     mode: &'static str,
@@ -114,7 +119,7 @@ fn main() {
     let txns: usize = std::env::var("SHARD_E23_TXNS")
         .ok()
         .and_then(|v| v.parse().ok())
-        .unwrap_or(100_000);
+        .unwrap_or(RECORDED_TXNS);
     println!(
         "E23: threaded live deployment — {txns} Zipf({ZIPF_S})-skewed banking txns, \
          {NODES} node threads, closed pacing\n"
@@ -161,7 +166,9 @@ fn main() {
     }
     exp.claim(fidelity);
 
-    let mut linear = ClaimCheck::new("every live mode sustains >= 5000 txn/s at 10^5 txns");
+    let mut linear = ClaimCheck::new(format!(
+        "every live mode sustains >= 5000 txn/s at {txns} txns"
+    ));
     for r in &results {
         linear.record(
             (r.throughput < MIN_TXN_PER_S)
@@ -199,9 +206,13 @@ fn main() {
         mode_json.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_runtime.json");
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    if txns != RECORDED_TXNS {
+        println!("left {path} alone: it records a {RECORDED_TXNS}-txn run, this run's was {txns}");
+    } else {
+        match std::fs::write(path, &json) {
+            Ok(()) => println!("wrote {path}"),
+            Err(e) => eprintln!("could not write {path}: {e}"),
+        }
     }
 
     exp.finish();

@@ -49,7 +49,10 @@ use shard_sim::{
 };
 use std::fmt;
 
-/// Configuration of one chaos sweep.
+/// Configuration of one chaos sweep: how many seeds, and on how many
+/// threads. Everything else about a swept run is fixed (the constants
+/// below): 5 nodes, 40 transactions, moderate fault rates — violations
+/// are common but not universal, so the sweep exercises both verdicts.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Thread pool for the per-seed fan-out and the per-oracle shrinks.
@@ -57,70 +60,53 @@ pub struct ChaosConfig {
     /// the shrunk schedules are identical at every pool size (a proptest
     /// suite in `crates/bench/tests` pins this down byte-for-byte).
     pub pool: PoolConfig,
-    /// Number of consecutive seeds to sweep.
+    /// Number of consecutive seeds to sweep, from seed 1.
     pub seeds: u64,
-    /// First seed.
-    pub start_seed: u64,
-    /// Runner size.
-    pub nodes: u16,
-    /// Transactions per run.
-    pub txns: usize,
-    /// Flight capacity (Fly-by-Night).
-    pub capacity: u64,
-    /// Fixed message delay. A *fixed* delay delivers in send order, so
-    /// fault-free runs are transitive and low-k — every refinement
-    /// violation is then attributable to the nemesis.
-    pub fixed_delay: SimTime,
-    /// Mean gap between invocations.
-    pub mean_gap: SimTime,
-    /// k-completeness threshold: a run breaks the oracle when some
-    /// transaction misses more than this many predecessors.
-    pub k_limit: usize,
-    /// Per-message drop probability.
-    pub drop_prob: f64,
-    /// Per-message duplication probability.
-    pub dup_prob: f64,
-    /// Per-message adversarial-reorder probability.
-    pub reorder_prob: f64,
-    /// Jittered partition windows injected per run.
-    pub partition_windows: u32,
-    /// Crash-with-recovery windows injected per run.
-    pub crash_windows: u32,
-    /// Whether to shrink the first violating schedule per oracle.
-    pub shrink: bool,
 }
 
-impl Default for ChaosConfig {
-    /// The E21 configuration: 5 nodes, 40 transactions, moderate fault
-    /// rates — violations are common but not universal, so the sweep
-    /// exercises both verdicts.
-    fn default() -> Self {
+impl ChaosConfig {
+    /// A sweep of `seeds` seeds on the process's default pool
+    /// (`SHARD_POOL_THREADS`).
+    pub fn new(seeds: u64) -> Self {
         ChaosConfig {
             pool: PoolConfig::from_env(),
-            seeds: 100,
-            start_seed: 1,
-            nodes: 5,
-            txns: 40,
-            capacity: 20,
-            fixed_delay: 10,
-            mean_gap: 15,
-            k_limit: 4,
-            drop_prob: 0.12,
-            dup_prob: 0.10,
-            reorder_prob: 0.12,
-            partition_windows: 1,
-            crash_windows: 1,
-            shrink: true,
+            seeds,
         }
     }
 }
+
+/// Runner size.
+pub const NODES: u16 = 5;
+/// Transactions per run.
+pub const TXNS: usize = 40;
+/// Per-message drop probability.
+pub const DROP_PROB: f64 = 0.12;
+/// Per-message duplication probability.
+pub const DUP_PROB: f64 = 0.10;
+/// Per-message adversarial-reorder probability.
+pub const REORDER_PROB: f64 = 0.12;
+/// Jittered partition windows injected per run.
+pub const PARTITION_WINDOWS: u32 = 1;
+/// Crash-with-recovery windows injected per run.
+pub const CRASH_WINDOWS: u32 = 1;
+/// Flight capacity (Fly-by-Night).
+const CAPACITY: u64 = 20;
+/// Fixed message delay. A *fixed* delay delivers in send order, so
+/// fault-free runs are transitive and low-k — every refinement
+/// violation is then attributable to the nemesis.
+const FIXED_DELAY: SimTime = 10;
+/// Mean gap between invocations.
+const MEAN_GAP: SimTime = 15;
+/// k-completeness threshold: a run breaks the oracle when some
+/// transaction misses more than this many predecessors.
+const K_LIMIT: usize = 4;
 
 /// Which refinement oracle a counterexample defeats.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Oracle {
     /// §3.2 transitivity (`is_transitive`).
     Transitivity,
-    /// §3.2 k-completeness (`max_missed > k_limit`).
+    /// §3.2 k-completeness (`max_missed > K_LIMIT`).
     KCompleteness,
 }
 
@@ -166,9 +152,9 @@ impl SeedVerdict {
         self.base_transitive && !self.faulted_transitive
     }
 
-    /// The nemesis defeated k-completeness at `k_limit`.
-    pub fn k_broken(&self, k_limit: usize) -> bool {
-        self.base_max_missed <= k_limit && self.faulted_max_missed > k_limit
+    /// The nemesis defeated k-completeness at `K_LIMIT`.
+    pub fn k_broken(&self) -> bool {
+        self.base_max_missed <= K_LIMIT && self.faulted_max_missed > K_LIMIT
     }
 }
 
@@ -206,9 +192,9 @@ impl ChaosOutcome {
             .count()
     }
 
-    /// Seeds on which the nemesis defeated k-completeness at `k_limit`.
-    pub fn k_violations(&self, k_limit: usize) -> usize {
-        self.verdicts.iter().filter(|v| v.k_broken(k_limit)).count()
+    /// Seeds on which the nemesis defeated k-completeness at `K_LIMIT`.
+    pub fn k_violations(&self) -> usize {
+        self.verdicts.iter().filter(|v| v.k_broken()).count()
     }
 
     /// The shrunk counterexample for `oracle`, if one was found.
@@ -315,7 +301,7 @@ pub struct MonitoredHit {
     /// The §3 witness triple the monitor certified.
     pub certificate: Certificate,
     /// Rows executed before the kernel aborted — what the early abort
-    /// saved is `cfg.txns - rows_at_abort` per remaining doomed run.
+    /// saved is `TXNS - rows_at_abort` per remaining doomed run.
     pub rows_at_abort: usize,
     /// The same seed's fault-free baseline was transitive, attributing
     /// the violation to the fault schedule (always re-checked before a
@@ -375,25 +361,24 @@ impl MonitoredOutcome {
 /// `seed` over eager broadcast without piggybacking under the fixed
 /// delay, optionally faulted, monitored and traced.
 fn run(
-    cfg: &ChaosConfig,
     seed: u64,
     nemesis: Option<Box<dyn Nemesis>>,
     monitor: Option<MonitorConfig>,
     sink: Option<std::sync::Arc<shard_obs::EventSink>>,
 ) -> RunReport<FlyByNight> {
-    let app = FlyByNight::new(cfg.capacity);
+    let app = FlyByNight::new(CAPACITY);
     let invocations = airline_invocations(
         seed,
-        cfg.txns,
-        cfg.nodes,
-        cfg.mean_gap,
+        TXNS,
+        NODES,
+        MEAN_GAP,
         AirlineMix::default(),
         Routing::Random,
     );
     let cluster = ClusterConfig {
-        nodes: cfg.nodes,
+        nodes: NODES,
         seed,
-        delay: DelayModel::Fixed(cfg.fixed_delay),
+        delay: DelayModel::Fixed(FIXED_DELAY),
         sink,
         monitor,
         ..ClusterConfig::default()
@@ -417,18 +402,16 @@ fn aborting_monitor(window: usize, emit_rows: bool) -> Option<MonitorConfig> {
 
 /// Replays one monitored seed with row emission on, teeing the full
 /// streaming vocabulary (`txn` rows, `monitor.window` verdicts,
-/// `monitor.final`) into `sink` — the artifact producer behind
-/// `shard-chaos --trace-out` / `--cert-out`. Deterministic: the same
-/// `(cfg, seed, window)` aborts at the same row the sweep did.
+/// `monitor.final`) into `sink` — the trace E22 writes beside the hit's
+/// certificate for `shard-trace certify`. Deterministic: the same
+/// `(seed, window)` aborts at the same row the sweep did.
 pub fn replay_monitored(
-    cfg: &ChaosConfig,
     seed: u64,
     window: usize,
     sink: std::sync::Arc<shard_obs::EventSink>,
 ) -> RunReport<FlyByNight> {
-    let stack = Box::new(stack_for(cfg, seed));
+    let stack = Box::new(stack_for(seed));
     run(
-        cfg,
         seed,
         Some(stack),
         aborting_monitor(window, true),
@@ -451,18 +434,12 @@ pub fn replay_monitored(
 /// `crates/bench/tests` pins this).
 pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
     let _span = shard_obs::span!("chaos.monitored_sweep");
-    let seeds: Vec<u64> = (cfg.start_seed..cfg.start_seed + cfg.seeds).collect();
+    let seeds: Vec<u64> = (1..=cfg.seeds).collect();
     let mut outcome = MonitoredOutcome::default();
     for chunk in seeds.chunks(MONITOR_CHUNK) {
         let runs = shard_pool::par_map(&cfg.pool, chunk, |_, &seed| {
-            let stack = Box::new(stack_for(cfg, seed));
-            let report = run(
-                cfg,
-                seed,
-                Some(stack),
-                aborting_monitor(window, false),
-                None,
-            );
+            let stack = Box::new(stack_for(seed));
+            let report = run(seed, Some(stack), aborting_monitor(window, false), None);
             let m = report
                 .monitor
                 .expect("monitored run always carries a StreamReport");
@@ -493,7 +470,7 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
                 // the nemesis to be the culprit. (Under the fixed-delay
                 // sweep it always does; a non-attributable abort is
                 // recorded and the sweep keeps going.)
-                let baseline = run(cfg, seed, None, None, None);
+                let baseline = run(seed, None, None, None);
                 if !is_transitive(&baseline.timed_execution().execution) {
                     continue;
                 }
@@ -520,44 +497,33 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
 
 /// The fault stack one swept seed runs under. Sub-seeds are derived per
 /// injector so each fault class has an independent stream.
-fn stack_for(cfg: &ChaosConfig, seed: u64) -> NemesisStack {
-    let mut stack = NemesisStack::new();
-    if cfg.drop_prob > 0.0 {
-        stack = stack.with(Box::new(MessageDropper::new(cfg.drop_prob, seed ^ 0xD509)));
-    }
-    if cfg.dup_prob > 0.0 {
-        stack = stack.with(Box::new(MessageDuplicator::new(
-            cfg.dup_prob,
+fn stack_for(seed: u64) -> NemesisStack {
+    NemesisStack::new()
+        .with(Box::new(MessageDropper::new(DROP_PROB, seed ^ 0xD509)))
+        .with(Box::new(MessageDuplicator::new(
+            DUP_PROB,
             2,
-            3 * cfg.fixed_delay,
+            3 * FIXED_DELAY,
             seed ^ 0xD0B1,
-        )));
-    }
-    if cfg.reorder_prob > 0.0 {
-        stack = stack.with(Box::new(MessageReorderer::new(
-            cfg.reorder_prob,
-            3 * cfg.fixed_delay,
-            12 * cfg.fixed_delay,
+        )))
+        .with(Box::new(MessageReorderer::new(
+            REORDER_PROB,
+            3 * FIXED_DELAY,
+            12 * FIXED_DELAY,
             seed ^ 0x8E0D,
-        )));
-    }
-    if cfg.partition_windows > 0 {
-        stack = stack.with(Box::new(PartitionJitter::new(
-            cfg.partition_windows,
-            6 * cfg.fixed_delay,
-            15 * cfg.fixed_delay,
+        )))
+        .with(Box::new(PartitionJitter::new(
+            PARTITION_WINDOWS,
+            6 * FIXED_DELAY,
+            15 * FIXED_DELAY,
             seed ^ 0xBA51,
-        )));
-    }
-    if cfg.crash_windows > 0 {
-        stack = stack.with(Box::new(CrashInjector::new(
-            cfg.crash_windows,
-            6 * cfg.fixed_delay,
-            15 * cfg.fixed_delay,
+        )))
+        .with(Box::new(CrashInjector::new(
+            CRASH_WINDOWS,
+            6 * FIXED_DELAY,
+            15 * FIXED_DELAY,
             seed ^ 0xC8A5,
-        )));
-    }
-    stack
+        )))
 }
 
 /// The §3 verdicts of one run, from one pass over its execution, in
@@ -566,10 +532,10 @@ fn check(te: &TimedExecution<FlyByNight>) -> StreamReport {
     par_check(&PoolConfig::sequential(), te, te.execution.len().max(1))
 }
 
-fn oracle_holds_broken(cfg: &ChaosConfig, oracle: Oracle, report: &StreamReport) -> bool {
+fn oracle_holds_broken(oracle: Oracle, report: &StreamReport) -> bool {
     match oracle {
         Oracle::Transitivity => !report.transitive,
-        Oracle::KCompleteness => report.max_missed > cfg.k_limit,
+        Oracle::KCompleteness => report.max_missed > K_LIMIT,
     }
 }
 
@@ -580,7 +546,7 @@ fn oracle_holds_broken(cfg: &ChaosConfig, oracle: Oracle, report: &StreamReport)
 /// observability is enabled.
 ///
 /// Parallelism: each seed's pair of runs plus oracle evaluation is a
-/// pure function of `(cfg, seed)`, so phase 1 fans seeds out across
+/// pure function of its seed, so phase 1 fans seeds out across
 /// `cfg.pool` and collects verdicts back in seed order. Phase 2 then
 /// selects counterexample targets by scanning verdicts sequentially in
 /// exactly the order the sequential loop did — first violating seed per
@@ -592,16 +558,16 @@ fn oracle_holds_broken(cfg: &ChaosConfig, oracle: Oracle, report: &StreamReport)
 /// size.
 pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
     let _span = shard_obs::span!("chaos.sweep");
-    let app = FlyByNight::new(cfg.capacity);
+    let app = FlyByNight::new(CAPACITY);
     let bound = BoundFn::linear(900);
-    let seeds: Vec<u64> = (cfg.start_seed..cfg.start_seed + cfg.seeds).collect();
+    let seeds: Vec<u64> = (1..=cfg.seeds).collect();
     struct SeedRun {
         verdict: SeedVerdict,
         events: Vec<FaultEvent>,
     }
     let runs: Vec<SeedRun> = shard_pool::par_map(&cfg.pool, &seeds, |_, &seed| {
-        let base = check(&run(cfg, seed, None, None, None).timed_execution());
-        let faulted = run(cfg, seed, Some(Box::new(stack_for(cfg, seed))), None, None);
+        let base = check(&run(seed, None, None, None).timed_execution());
+        let faulted = run(seed, Some(Box::new(stack_for(seed))), None, None);
         let te = faulted.timed_execution();
         let checked = check(&te);
         let verify_ok = te.execution.verify(&app).is_ok();
@@ -636,7 +602,7 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
             if verdict.transitivity_broken() {
                 r.counter("chaos.violations.transitivity").inc();
             }
-            if verdict.k_broken(cfg.k_limit) {
+            if verdict.k_broken() {
                 r.counter("chaos.violations.k_completeness").inc();
             }
         }
@@ -650,15 +616,15 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
         for oracle in [Oracle::Transitivity, Oracle::KCompleteness] {
             let broken = match oracle {
                 Oracle::Transitivity => run.verdict.transitivity_broken(),
-                Oracle::KCompleteness => run.verdict.k_broken(cfg.k_limit),
+                Oracle::KCompleteness => run.verdict.k_broken(),
             };
-            if broken && cfg.shrink && !targets.iter().any(|&(o, _, _)| o == oracle) {
+            if broken && !targets.iter().any(|&(o, _, _)| o == oracle) {
                 targets.push((oracle, run.verdict.seed, &run.events));
             }
         }
     }
     let counterexamples = shard_pool::par_map(&cfg.pool, &targets, |_, &(oracle, seed, events)| {
-        shrink_counterexample(cfg, oracle, seed, events)
+        shrink_counterexample(oracle, seed, events)
     });
     let outcome = ChaosOutcome {
         verdicts: runs.into_iter().map(|r| r.verdict).collect(),
@@ -674,16 +640,11 @@ pub fn sweep(cfg: &ChaosConfig) -> ChaosOutcome {
 
 /// Reports one offline sweep into `exp`: claims the theorem oracles
 /// (prefix-subsequence and Corollary 8 on every faulted run) and the
-/// fault-free baselines (each transitive and ≤ `k_limit`-incomplete),
+/// fault-free baselines (each transitive and ≤ `K_LIMIT`-incomplete),
 /// prints the refinement table and every minimal counterexample, and
 /// writes one `chaos.verdict` event per seed and one
 /// `chaos.counterexample` per shrunk schedule to `sink`, if given.
-pub fn report_sweep(
-    exp: &mut Experiment,
-    cfg: &ChaosConfig,
-    outcome: &ChaosOutcome,
-    sink: Option<&EventSink>,
-) {
+pub fn report_sweep(exp: &mut Experiment, outcome: &ChaosOutcome, sink: Option<&EventSink>) {
     if let Some(sink) = sink {
         for v in &outcome.verdicts {
             sink.event("chaos.verdict")
@@ -692,18 +653,18 @@ pub fn report_sweep(
                 .bool("verify_ok", v.verify_ok)
                 .bool("cost_ok", v.cost_ok)
                 .bool("transitivity_broken", v.transitivity_broken())
-                .bool("k_broken", v.k_broken(cfg.k_limit))
+                .bool("k_broken", v.k_broken())
                 .u64("max_missed", v.faulted_max_missed as u64)
                 .u64("delay_bound", v.faulted_delay_bound)
                 .emit();
         }
     }
 
+    let seeds = outcome.verdicts.len();
     let mut theorems =
         ClaimCheck::new("prefix-subsequence (§3.1) and Corollary 8 hold on every faulted run");
     let mut baselines = ClaimCheck::new(format!(
-        "every fault-free baseline is transitive and ≤{}-incomplete",
-        cfg.k_limit
+        "every fault-free baseline is transitive and ≤{K_LIMIT}-incomplete"
     ));
     for v in &outcome.verdicts {
         theorems.record(
@@ -718,7 +679,7 @@ pub fn report_sweep(
             (!v.base_transitive)
                 .then(|| format!("seed {}: fault-free baseline not transitive", v.seed)),
         );
-        baselines.record((v.base_max_missed > cfg.k_limit).then(|| {
+        baselines.record((v.base_max_missed > K_LIMIT).then(|| {
             format!(
                 "seed {}: fault-free baseline max_missed = {}",
                 v.seed, v.base_max_missed
@@ -729,10 +690,7 @@ pub fn report_sweep(
     exp.claim(baselines);
 
     let mut t = Table::new(
-        format!(
-            "refinement violations over {} seeds (k limit = {})",
-            cfg.seeds, cfg.k_limit
-        ),
+        format!("refinement violations over {seeds} seeds (k limit = {K_LIMIT})",),
         &[
             "oracle",
             "violating seeds",
@@ -744,9 +702,9 @@ pub fn report_sweep(
     );
     for (oracle, broken) in [
         (Oracle::Transitivity, outcome.transitivity_violations()),
-        (Oracle::KCompleteness, outcome.k_violations(cfg.k_limit)),
+        (Oracle::KCompleteness, outcome.k_violations()),
     ] {
-        let mut cells = vec![oracle.to_string(), format!("{broken}/{}", cfg.seeds)];
+        let mut cells = vec![oracle.to_string(), format!("{broken}/{seeds}")];
         match outcome.counterexample(oracle) {
             Some(ce) => cells.extend([
                 ce.seed.to_string(),
@@ -791,19 +749,14 @@ pub fn report_sweep(
 /// `oracle` at `seed`, re-running the simulator per candidate through
 /// [`ScheduledNemesis`] (exact replay: eager broadcast's send sequence
 /// is fate-independent).
-pub fn shrink_counterexample(
-    cfg: &ChaosConfig,
-    oracle: Oracle,
-    seed: u64,
-    events: &[FaultEvent],
-) -> Counterexample {
+fn shrink_counterexample(oracle: Oracle, seed: u64, events: &[FaultEvent]) -> Counterexample {
     let _span = shard_obs::span!("chaos.shrink");
     let mut runs = 0usize;
     let shrunk = shrink(events, |candidate| {
         runs += 1;
         let schedule = Box::new(ScheduledNemesis::new(candidate));
-        let report = run(cfg, seed, Some(schedule), None, None);
-        oracle_holds_broken(cfg, oracle, &check(&report.timed_execution()))
+        let report = run(seed, Some(schedule), None, None);
+        oracle_holds_broken(oracle, &check(&report.timed_execution()))
     });
     if shard_obs::enabled() {
         let r = shard_obs::Registry::global();
@@ -827,12 +780,9 @@ pub fn shrink_counterexample(
 mod tests {
     use super::*;
 
+    /// E21's sweep at a few seeds.
     fn tiny() -> ChaosConfig {
-        ChaosConfig {
-            seeds: 6,
-            txns: 25,
-            ..ChaosConfig::default()
-        }
+        ChaosConfig::new(6)
     }
 
     #[test]
@@ -840,25 +790,15 @@ mod tests {
         // Fixed delay ⇒ send-order delivery ⇒ fault-free runs are
         // transitive and low-k: the precondition for attributing any
         // violation to the nemesis.
-        let cfg = tiny();
-        for v in sweep(&ChaosConfig {
-            shrink: false,
-            ..cfg
-        })
-        .verdicts
-        {
+        for v in sweep(&tiny()).verdicts {
             assert!(v.base_transitive, "seed {}", v.seed);
-            assert!(v.base_max_missed <= cfg.k_limit, "seed {}", v.seed);
+            assert!(v.base_max_missed <= K_LIMIT, "seed {}", v.seed);
         }
     }
 
     #[test]
     fn theorems_survive_faults_and_refinements_break() {
-        let cfg = ChaosConfig {
-            seeds: 12,
-            ..tiny()
-        };
-        let outcome = sweep(&cfg);
+        let outcome = sweep(&ChaosConfig::new(12));
         for v in &outcome.verdicts {
             assert!(v.verify_ok, "prefix-subsequence must survive faults");
             assert!(v.cost_ok, "Corollary 8 must survive faults");
@@ -871,10 +811,7 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic_per_seed_range() {
-        let cfg = ChaosConfig {
-            shrink: false,
-            ..tiny()
-        };
+        let cfg = tiny();
         let a = sweep(&cfg);
         let b = sweep(&cfg);
         for (x, y) in a.verdicts.iter().zip(&b.verdicts) {
@@ -898,7 +835,7 @@ mod tests {
         assert!(last.aborted && !last.transitive);
         // The abort cut the run short: the prefix the monitor checked is
         // what the hit cost, and everything after the hit was skipped.
-        assert!(hit.rows_at_abort <= cfg.txns);
+        assert!(hit.rows_at_abort <= TXNS);
         assert_eq!(
             outcome.seeds_skipped,
             cfg.seeds - outcome.verdicts.len() as u64
@@ -908,7 +845,7 @@ mod tests {
         // seed with row emission on and hand the raw trace plus the
         // certificate to `shard_obs::certify` — no checker re-run.
         let sink = shard_obs::EventSink::in_memory();
-        let report = replay_monitored(&cfg, hit.seed, 1, sink.clone());
+        let report = replay_monitored(hit.seed, 1, sink.clone());
         assert!(report.aborted, "replaying the hit seed aborts again");
         let trace = sink.drain_to_string();
         let verdict = shard_obs::certify(&trace, &hit.certificate.to_json())
@@ -918,8 +855,7 @@ mod tests {
 
     #[test]
     fn shrunk_counterexample_still_reproduces_and_is_minimal_enough() {
-        let cfg = tiny();
-        let outcome = sweep(&cfg);
+        let outcome = sweep(&tiny());
         let Some(ce) = outcome.counterexample(Oracle::Transitivity) else {
             panic!("expected a transitivity counterexample in 6 seeds");
         };
@@ -930,14 +866,14 @@ mod tests {
         );
         // Replaying the shrunk schedule still defeats the oracle.
         let schedule = Box::new(ScheduledNemesis::new(&ce.events));
-        let report = run(&cfg, ce.seed, Some(schedule), None, None);
+        let report = run(ce.seed, Some(schedule), None, None);
         assert!(!is_transitive(&report.timed_execution().execution));
         // And it is 1-minimal: removing any single event repairs it.
         for i in 0..ce.events.len() {
             let mut without: Vec<FaultEvent> = ce.events.clone();
             without.remove(i);
             let schedule = Box::new(ScheduledNemesis::new(&without));
-            let report = run(&cfg, ce.seed, Some(schedule), None, None);
+            let report = run(ce.seed, Some(schedule), None, None);
             assert!(
                 is_transitive(&report.timed_execution().execution),
                 "event {i} is redundant in the shrunk schedule"

@@ -7,7 +7,8 @@
 //! every verdict, the chosen counterexample seeds, the recorded and
 //! shrunk fault schedules — must be byte-identical at every pool size,
 //! including the degenerate sequential pool. These tests pin that down
-//! over randomly drawn sweep configurations.
+//! over randomly drawn seed counts (and, for the monitored sweep,
+//! windows).
 
 use proptest::prelude::*;
 use shard_bench::chaos::{monitored_sweep, sweep, ChaosConfig};
@@ -31,31 +32,11 @@ fn assert_pool_invariant(mut cfg: ChaosConfig) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Small random sweeps: seed window, workload size, fault rates and
-    /// window counts all vary; the outcome must not see the pool.
+    /// Sweeps of a random number of seeds: the outcome must not see the
+    /// pool.
     #[test]
-    fn sweep_outcome_is_identical_at_every_pool_size(
-        start_seed in 1u64..500,
-        seeds in 2u64..6,
-        txns in 8usize..20,
-        drop_idx in 0usize..3,
-        dup_idx in 0usize..2,
-        reorder_idx in 0usize..2,
-        partition_windows in 0u32..2,
-        crash_windows in 0u32..2,
-    ) {
-        let cfg = ChaosConfig {
-            start_seed,
-            seeds,
-            txns,
-            drop_prob: [0.0, 0.08, 0.2][drop_idx],
-            dup_prob: [0.0, 0.1][dup_idx],
-            reorder_prob: [0.0, 0.15][reorder_idx],
-            partition_windows,
-            crash_windows,
-            ..ChaosConfig::default()
-        };
-        assert_pool_invariant(cfg);
+    fn sweep_outcome_is_identical_at_every_pool_size(seeds in 1u64..24) {
+        assert_pool_invariant(ChaosConfig::new(seeds));
     }
 
     /// The monitored sweep stops early at the first confirmed
@@ -64,22 +45,10 @@ proptest! {
     /// never derived from the pool).
     #[test]
     fn monitored_sweep_outcome_is_identical_at_every_pool_size(
-        start_seed in 1u64..500,
-        seeds in 2u64..12,
-        txns in 8usize..20,
+        seeds in 1u64..24,
         window_idx in 0usize..3,
-        drop_idx in 0usize..3,
-        reorder_idx in 0usize..2,
     ) {
-        let mut cfg = ChaosConfig {
-            start_seed,
-            seeds,
-            txns,
-            drop_prob: [0.0, 0.08, 0.2][drop_idx],
-            reorder_prob: [0.0, 0.15][reorder_idx],
-            shrink: false,
-            ..ChaosConfig::default()
-        };
+        let mut cfg = ChaosConfig::new(seeds);
         let window = [1usize, 7, 64][window_idx];
         cfg.pool = PoolConfig::with_threads(1);
         let sequential = monitored_sweep(&cfg, window).to_json_string();
@@ -94,37 +63,9 @@ proptest! {
     }
 }
 
-/// The E21 default configuration at reduced seed count — the exact
-/// shape CI smoke runs — with shrinking on, so the parallel shrink
-/// phase is exercised on real counterexamples.
+/// E21's sweep at a reduced seed count, with shrinking on, so the
+/// parallel shrink phase is exercised on real counterexamples.
 #[test]
-fn default_config_sweep_is_pool_invariant() {
-    let cfg = ChaosConfig {
-        seeds: 12,
-        ..ChaosConfig::default()
-    };
-    assert_pool_invariant(cfg);
-}
-
-/// Determinism must also hold when shrinking is disabled (phase 3
-/// empty) and when no faults fire (all verdicts clean).
-#[test]
-fn degenerate_sweeps_are_pool_invariant() {
-    let no_shrink = ChaosConfig {
-        seeds: 6,
-        shrink: false,
-        ..ChaosConfig::default()
-    };
-    assert_pool_invariant(no_shrink);
-
-    let fault_free = ChaosConfig {
-        seeds: 6,
-        drop_prob: 0.0,
-        dup_prob: 0.0,
-        reorder_prob: 0.0,
-        partition_windows: 0,
-        crash_windows: 0,
-        ..ChaosConfig::default()
-    };
-    assert_pool_invariant(fault_free);
+fn e21_sweep_is_pool_invariant() {
+    assert_pool_invariant(ChaosConfig::new(12));
 }

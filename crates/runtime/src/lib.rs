@@ -55,4 +55,4 @@ pub use live::{
     run_live, run_live_durable, LiveRun, MsgRecord, RecordedSchedule, RuntimeConfig, Submission,
 };
 pub use load::{banking_submissions, Pacing, Zipf};
-pub use replay::{replay, replay_eager, report_digest, report_json};
+pub use replay::{replay, replay_eager, report_digest};

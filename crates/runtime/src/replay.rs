@@ -181,26 +181,3 @@ pub fn report_digest<A: Application>(r: &RunReport<A>) -> u64 {
     fnv(&mut h, &format!("{:?}", r.missing()));
     h
 }
-
-/// Renders the replay-comparable facts of a report as a JSON document
-/// for `shard-trace diff`: two fidelity-equal runs produce identical
-/// documents (the volatile `wall_time_ms` field is stripped by the
-/// differ).
-pub fn report_json<A: Application>(r: &RunReport<A>, wall_us: u64) -> String {
-    shard_obs::ObjWriter::new()
-        .str("digest", &format!("{:016x}", report_digest(r)))
-        .u64("transactions", r.transactions.len() as u64)
-        .u64("messages_sent", r.messages_sent)
-        .u64("entries_shipped", r.entries_shipped)
-        .u64("rounds", r.rounds)
-        .u64(
-            "monitor_rows",
-            r.monitor.as_ref().map_or(0, |m| m.rows as u64),
-        )
-        .bool(
-            "transitive",
-            r.monitor.as_ref().is_none_or(|m| m.transitive),
-        )
-        .u64("wall_time_ms", wall_us / 1_000)
-        .finish()
-}

@@ -5,11 +5,10 @@
 #                               names; exit 1 if there is one
 #   ./pub_traffic.sh NAME...    print every non-test line naming each NAME
 #
-# Traffic is the code that runs: each crate's `src/` (the E01–E25
-# binaries, `shard-chaos`, `shard-runtime`, `shard-trace`), the facade's
-# `src/`, the examples and the benchmark (`benchmark/src`). A test is not
-# traffic: every file is cut at its first `#[cfg(test)]`, and `tests/`
-# and `benches/` are left out.
+# Traffic is the code that runs: each crate's `src/` (the experiment
+# binaries and `shard-trace`), the facade's `src/`, the examples and the
+# benchmark (`benchmark/src`). A test is not traffic: every file is cut
+# at its first `#[cfg(test)]`, and `tests/` and `benches/` are left out.
 #
 # The match is by name, not by resolved path: a `pub fn` counts as called
 # when its name appears as a word in that code anywhere but in an `fn`
