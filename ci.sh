@@ -214,27 +214,29 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # 1/10 of the extrapolated in-memory footprint. The sidecar check
 # re-asserts the memory claim from the recorded gauge: the streaming
 # tier's resident state — reorder window and the online checker,
-# 7 272 B on this run (4 608 + 2 664) — must stay under 100 KB, so a
+# 6 760 B on this run (4 096 + 2 664) — must stay under 100 KB, so a
 # regression in the accounting or in the checker's retirement fails CI:
 # a checker that stopped retiring would hold 32 B for each of these
 # 10^5 rows, 3.2 MB.
 # Two more budgets hold the store to what ascending, append-once,
 # read-in-order traffic needs. The run is single-threaded and the
 # counts repeat exactly, so each budget sits just above its count. The
-# WAL writes a buffer per call, not a record: 167 write calls (~100 000
+# WAL writes a buffer per call, not a record: 77 write calls (~100 000
 # if it wrote per record). And the two key-order passes the run makes
-# over its 10 310 052-byte row store (the re-check and the certify
-# trace) are one scan each: 20 620 104 bytes, the rows exactly twice.
-# A pass that went back to refilling a 1 024-record cursor would read
-# 22 367 402 (each refill re-reads the tail of the last one's block);
-# what a refill costs is pinned by crates/sim/tests/read_amplification.rs.
+# over its 4 761 079-byte row store (47.6 B a row: varint times and
+# miss back-distances; the fixed-width rows took 10 310 052) — the
+# re-check and the certify trace — are one scan each: 9 522 158 bytes,
+# the rows exactly twice. A pass that went back to refilling a
+# 1 024-record cursor would read more (each refill re-reads the tail of
+# the last one's block); what a refill costs is pinned by
+# crates/sim/tests/read_amplification.rs.
 run env SHARD_E25_TXNS=100000 \
   cargo run -q --release -p shard-bench --bin exp_e25_outofcore
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/e25.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
   "state.peak_resident_bytes<=100000" \
-  "store.wal_writes<=2000" "store.wal_read_bytes<=20700000"
+  "store.wal_writes<=80" "store.wal_read_bytes<=9560000"
 # The O(delta) state-layer gate: build + sweep the n=10^4 controlled-k
 # airline execution and hold the replay engine's clone traffic under
 # the pinned budget — >20x below what the pre-refactor engine (one

@@ -64,19 +64,18 @@ const MAX_STREAM_OVER_MEM: f64 = 3.0;
 const BUDGET_DIVISOR: u64 = 10;
 
 /// Streaming throughput (txn/s) per tier size at the parent commit —
-/// the checker that kept every missed row's missers in a word list,
-/// the seal that filtered its reorder window through a branch per
-/// entry, and the re-check that read rows through a 1 024-record
-/// cursor — as the median of six runs alternating with this code on
-/// the same host, minutes before the run the committed
-/// `BENCH_outofcore.json` records, and written beside each tier's own
-/// figure (this host's speed drifts between sessions, so only figures
-/// from one session compare). Drop the table when the file is
+/// the row store that wrote a row's time as a `u64`, its miss count as
+/// a `u32` and each miss as an absolute `u32` index, behind a reorder
+/// window kept in a `BTreeMap` — as the median of three runs
+/// alternating with this code on the same host, minutes before the run
+/// the committed `BENCH_outofcore.json` records, and written beside
+/// each tier's own figure (the host's speed drifts over hours, so only
+/// figures measured together compare). Drop the table when the file is
 /// re-recorded elsewhere.
 const PARENT_TXNS_PER_SEC: [(usize, u64); 3] = [
-    (100_000, 821_223),
-    (1_000_000, 865_262),
-    (10_000_000, 869_861),
+    (100_000, 1_240_238),
+    (1_000_000, 999_172),
+    (10_000_000, 1_129_088),
 ];
 
 /// The `store.*` counters recorded per tier.

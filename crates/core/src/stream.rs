@@ -597,10 +597,14 @@ impl StreamChecker {
         let transitive = self.transitive_so_far();
         let verdict = self.step(index, time, missed);
         if shard_obs::enabled() {
-            let found = transitive && !self.transitive_so_far();
+            // One atomic a row: the other two counters move rarely.
             shard_obs::counter!("stream.rows", family).inc();
-            shard_obs::counter!("stream.windows", family).add(verdict.is_some().into());
-            shard_obs::counter!("stream.violations", family).add(found.into());
+            if verdict.is_some() {
+                shard_obs::counter!("stream.windows", family).inc();
+            }
+            if transitive && !self.transitive_so_far() {
+                shard_obs::counter!("stream.violations", family).inc();
+            }
         }
         Ok(verdict)
     }
@@ -926,9 +930,11 @@ pub struct StreamedRecord<U> {
 /// runs in one key-order scan of the store, so peak resident state is one
 /// application state plus one row, independent of the execution length.
 ///
-/// Row `i` is the record under key `(i, 0)`; its value is `time: u64`
-/// big-endian, `missed_len: u32`, `missed[k]: u32` each, then the
-/// update's [`Codec`](shard_store::Codec) encoding (`docs/storage.md`).
+/// Row `i` is the record under key `(i, 0)`; its value is `time` and
+/// the miss count as LEB128 varints, the misses as varint
+/// back-distances — `i` minus the last miss, then each gap down to the
+/// miss before — and the update's [`Codec`](shard_store::Codec)
+/// encoding (`docs/storage.md`).
 pub struct StreamingExecution<A: Application> {
     store: Box<dyn shard_store::Store + Send>,
     len: usize,
@@ -998,16 +1004,12 @@ where
     pub fn push(&mut self, row: &StreamRow, update: &A::Update) -> std::io::Result<()> {
         assert_eq!(row.index, self.len, "rows are pushed in serial order");
         assert!(row.missed_well_formed(), "ill-formed miss set: {row:?}");
-        let payload = &mut self.scratch;
-        payload.clear();
-        payload.extend_from_slice(&row.time.to_be_bytes());
-        payload.extend_from_slice(&(row.missed.len() as u32).to_be_bytes());
-        for &m in &row.missed {
-            payload.extend_from_slice(&(m as u32).to_be_bytes());
-        }
-        shard_store::Codec::encode(update, payload);
-        self.store
-            .append(shard_store::StoreKey::new(row.index as u64, 0), payload)?;
+        self.scratch.clear();
+        encode_row(row, update, &mut self.scratch);
+        self.store.append(
+            shard_store::StoreKey::new(row.index as u64, 0),
+            &self.scratch,
+        )?;
         self.len += 1;
         if let (Some(reach), Some(&low)) = (&mut self.reach, row.missed.first()) {
             *reach = (*reach).max(row.index - low);
@@ -1048,8 +1050,16 @@ where
             if key.primary != next as u64 {
                 return Err(bad_row(next, "row missing"));
             }
-            let rec = decode_row::<A>(next, payload, std::mem::take(&mut missed))
-                .ok_or_else(|| bad_row(next, "malformed row"))?;
+            let (time, update) =
+                decode_row::<A>(next, payload, &mut missed).map_err(|e| bad_row(next, e))?;
+            let rec = StreamedRecord {
+                row: StreamRow {
+                    index: next,
+                    time,
+                    missed: std::mem::take(&mut missed),
+                },
+                update,
+            };
             f(&rec)?;
             missed = rec.row.missed;
             next += 1;
@@ -1122,38 +1132,102 @@ fn bad_row(index: TxnIndex, what: impl std::fmt::Display) -> std::io::Error {
     )
 }
 
+/// Appends `v` as an LEB128 varint: seven bits a byte, low bits
+/// first, the high bit set on every byte but the last.
+#[inline]
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Appends the payload of stored row `row`, laid out as
+/// [`StreamingExecution`] describes.
+fn encode_row<U: shard_store::Codec>(row: &StreamRow, update: &U, out: &mut Vec<u8>) {
+    put_varint(out, row.time);
+    put_varint(out, row.missed.len() as u64);
+    let mut above = row.index;
+    for &m in row.missed.iter().rev() {
+        put_varint(out, (above - m) as u64);
+        above = m;
+    }
+    update.encode(out);
+}
+
+/// Reads the varint at `bytes[*at..]` and moves `at` past it. Refuses
+/// one that runs off the end, is overlong (a last byte of 0 after the
+/// first) or does not fit in a `u64` (a tenth byte above 1, which an
+/// eleventh would follow).
+#[inline]
+fn get_varint(bytes: &[u8], at: &mut usize) -> Result<u64, &'static str> {
+    const CUT: &str = "a varint cut short";
+    let &first = bytes.get(*at).ok_or(CUT)?;
+    *at += 1;
+    if first < 0x80 {
+        return Ok(u64::from(first));
+    }
+    let mut v = u64::from(first & 0x7f);
+    let mut shift = 7;
+    loop {
+        let &b = bytes.get(*at).ok_or(CUT)?;
+        *at += 1;
+        if shift == 63 && b > 1 {
+            return Err("a varint past 64 bits");
+        }
+        v |= u64::from(b & 0x7f) << shift;
+        if b < 0x80 {
+            return if b == 0 {
+                Err("an overlong varint")
+            } else {
+                Ok(v)
+            };
+        }
+        shift += 7;
+    }
+}
+
 /// Decodes the payload [`StreamingExecution::push`] wrote for row
-/// `index`, its miss set into the caller's `missed` buffer.
+/// `index` straight from the bytes the store lends: its time and
+/// update, its miss set into `missed`. The miss count is untrusted and
+/// must fit in the bytes left, so `missed` never grows past the
+/// payload's length; a zero gap, a gap reaching below row 0 and
+/// trailing bytes are refused, so a decoded miss set is always strictly
+/// increasing below `index`.
 fn decode_row<A: Application>(
     index: TxnIndex,
     payload: &[u8],
-    mut missed: Vec<TxnIndex>,
-) -> Option<StreamedRecord<A::Update>>
+    missed: &mut Vec<TxnIndex>,
+) -> Result<(u64, A::Update), &'static str>
 where
     A::Update: shard_store::Codec,
 {
-    let mut r = shard_store::ByteReader::new(payload);
-    let time = r.u64()?;
-    let missed_len = r.u32()? as usize;
-    // The length is untrusted: it must fit in the bytes that are left.
-    if missed_len > r.remaining() / 4 {
-        return None;
+    let mut at = 0;
+    let time = get_varint(payload, &mut at)?;
+    let count = get_varint(payload, &mut at)?;
+    // Every gap takes at least one byte.
+    if count > (payload.len() - at) as u64 {
+        return Err("a miss count above the bytes left");
     }
-    let words = r.bytes(4 * missed_len)?.chunks_exact(4);
     missed.clear();
-    missed.extend(words.map(|w| u32::from_be_bytes(w.try_into().expect("4 bytes")) as TxnIndex));
-    let update = <A::Update as shard_store::Codec>::decode(&mut r)?;
-    if !r.is_done() {
-        return None;
+    missed.reserve_exact(count as usize);
+    missed.resize(count as usize, 0);
+    let mut above = index as u64;
+    for slot in missed.iter_mut().rev() {
+        let gap = get_varint(payload, &mut at)?;
+        if gap == 0 {
+            return Err("a zero gap between misses");
+        }
+        above = above.checked_sub(gap).ok_or("a miss below row 0")?;
+        *slot = above as TxnIndex;
     }
-    Some(StreamedRecord {
-        row: StreamRow {
-            index,
-            time,
-            missed,
-        },
-        update,
-    })
+    let mut r = shard_store::ByteReader::new(&payload[at..]);
+    let update = <A::Update as shard_store::Codec>::decode(&mut r).ok_or("a malformed update")?;
+    if !r.is_done() {
+        return Err("trailing bytes");
+    }
+    Ok((time, update))
 }
 
 #[cfg(test)]
@@ -1901,14 +1975,18 @@ mod tests {
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 
-    /// The payload of a stored row, miss count and miss list written
-    /// independently so they can disagree.
-    fn raw_row(time: u64, missed_len: u32, missed: &[u32]) -> Vec<u8> {
+    /// The payload of stored row `index` (its time is its index), miss
+    /// count and miss list written independently so they can disagree.
+    /// Gaps are taken wrapping, so a miss list out of order or at or
+    /// above the row stores a gap of 0 or one reaching below row 0.
+    fn raw_row(index: u64, missed_len: u64, missed: &[u64]) -> Vec<u8> {
         let mut payload = Vec::new();
-        payload.extend_from_slice(&time.to_be_bytes());
-        payload.extend_from_slice(&missed_len.to_be_bytes());
-        for m in missed {
-            payload.extend_from_slice(&m.to_be_bytes());
+        put_varint(&mut payload, index);
+        put_varint(&mut payload, missed_len);
+        let mut above = index;
+        for &m in missed.iter().rev() {
+            put_varint(&mut payload, above.wrapping_sub(m));
+            above = m;
         }
         shard_store::Codec::encode(&1u64, &mut payload);
         payload
@@ -1925,13 +2003,13 @@ mod tests {
         let corruptions = [
             (
                 "a miss count far past the payload",
-                row(2, u32::MAX, &[0, 1]),
+                row(2, u64::MAX, &[0, 1]),
             ),
-            ("a miss count one past the payload", row(2, 4, &[0, 1])),
+            ("a miss count past the misses written", row(2, 4, &[0, 1])),
             ("a miss set out of order", row(2, 2, &[1, 0])),
             ("a repeated miss", row(2, 2, &[1, 1])),
             ("a miss at the row's own index", row(2, 1, &[2])),
-            ("a miss far in the future", row(2, 1, &[u32::MAX])),
+            ("a miss far in the future", row(2, 1, &[1 << 40])),
         ];
         for (what, bad) in corruptions {
             let mut store = mem_store();
@@ -2047,12 +2125,12 @@ mod tests {
 
     #[test]
     fn check_stream_stops_reading_at_the_first_refused_row() {
-        // Row 5 of 1 000 is refused — by the checker (a miss above its
-        // own index) or by the decoder (a miss count past the payload);
-        // either way the scan reads no row after it.
+        // Row 5 of 1 000 is refused — for a miss above its own index
+        // (a gap reaching below row 0) or a miss count past the
+        // payload; either way the scan reads no row after it.
         for (what, bad) in [
             ("a miss above the row", raw_row(5, 1, &[7])),
-            ("a miss count past the payload", raw_row(5, 9, &[1])),
+            ("a miss count past the payload", raw_row(5, 10, &[1])),
         ] {
             let handed = std::sync::Arc::default();
             let mut store = Counting {
@@ -2080,7 +2158,7 @@ mod tests {
 
     #[test]
     fn a_row_with_ten_thousand_misses_round_trips() {
-        // 40 KB of miss list in one record: no cell limit to split at.
+        // Ten thousand misses in one record: no cell limit to split at.
         let wide = StreamRow {
             index: 10_000,
             time: 77,
@@ -2108,5 +2186,133 @@ mod tests {
             assert_eq!(se.check_stream(64).unwrap().max_missed, 10_000);
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn misses_past_row_two_to_the_32_round_trip() {
+        // A `u32` miss index would read row 2³² + 1 back as row 1.
+        let big = 1usize << 32;
+        for index in [big - 1, big, big + 1, big + 3] {
+            for missed in [
+                vec![],
+                vec![0],
+                vec![1, index - 2],
+                vec![0, big - 3, index - 1],
+            ] {
+                let row = StreamRow {
+                    index,
+                    time: u64::MAX - index as u64,
+                    missed,
+                };
+                let mut payload = Vec::new();
+                encode_row(&row, &(index as u64), &mut payload);
+                let mut missed = Vec::new();
+                let decoded = decode_row::<Trace>(index, &payload, &mut missed);
+                assert_eq!(decoded, Ok((row.time, index as u64)), "{row:?}");
+                assert_eq!(missed, row.missed);
+            }
+        }
+    }
+
+    /// A hostile payload for row `index` from `(shape, salt, junk)`:
+    /// the junk itself; a valid row with a byte flipped, cut short or
+    /// run long; or a valid row with one of its varints (time, count
+    /// or a gap) replaced by an 11-byte varint or a 10-byte one that
+    /// overflows 64 bits.
+    fn hostile_payload(index: usize, shape: u8, salt: u64, junk: &[u8]) -> Vec<u8> {
+        let missed: Vec<usize> = (0..index)
+            .filter(|&j| splitmix(salt ^ j as u64).is_multiple_of(3))
+            .collect();
+        let row = StreamRow {
+            index,
+            time: splitmix(salt) >> (salt % 64),
+            missed,
+        };
+        let mut valid = Vec::new();
+        encode_row(&row, &salt, &mut valid);
+        let at = splitmix(salt ^ 0x5A17) as usize % valid.len();
+        match shape % 6 {
+            0 => junk.to_vec(),
+            1 => {
+                valid[at] ^= 1 << (salt >> 61);
+                valid
+            }
+            2 => valid[..at].to_vec(),
+            3 => {
+                valid.extend_from_slice(junk);
+                valid.push(salt as u8);
+                valid
+            }
+            long => {
+                let bad: &[u8] = if long == 4 {
+                    &[
+                        0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x81, 0x00,
+                    ]
+                } else {
+                    &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]
+                };
+                let mut fields = vec![row.time, row.missed.len() as u64];
+                let mut above = index;
+                for &m in row.missed.iter().rev() {
+                    fields.push((above - m) as u64);
+                    above = m;
+                }
+                let at = salt as usize % fields.len();
+                let mut payload = Vec::new();
+                for (k, &field) in fields.iter().enumerate() {
+                    match k == at {
+                        true => payload.extend_from_slice(bad),
+                        false => put_varint(&mut payload, field),
+                    }
+                }
+                shard_store::Codec::encode(&salt, &mut payload);
+                payload
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn hostile_row_payloads_are_refused_by_row_never_by_panic(
+            at in 1usize..7,
+            shape in proptest::prelude::any::<u8>(),
+            salt in proptest::prelude::any::<u64>(),
+            junk in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+        ) {
+            let bad = hostile_payload(at, shape, salt, &junk);
+            // However it decodes, the miss vector stays within the bytes.
+            let mut missed = Vec::new();
+            let decoded = decode_row::<Trace>(at, &bad, &mut missed);
+            assert!(missed.capacity() <= bad.len(), "{decoded:?}: {bad:?}");
+            // A valid row cut short, run long or given a bad varint is
+            // always refused.
+            assert!(shape % 6 < 2 || decoded.is_err(), "{decoded:?}: {bad:?}");
+
+            let mut store = mem_store();
+            for i in 0..8 {
+                let payload = match i == at {
+                    true => bad.clone(),
+                    false => raw_row(i as u64, 0, &[]),
+                };
+                append_row(&mut *store, i as u64, &payload);
+            }
+            let mut se = StreamingExecution::<Trace>::reopen(store, 8);
+            let named = format!("row {at}");
+            let judge = |what: &str, outcome: std::io::Result<()>| match outcome {
+                Ok(()) => assert!(decoded.is_ok(), "{what} took a row decode_row refuses"),
+                Err(e) => {
+                    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{what}: {e}");
+                    assert!(e.to_string().contains(&named), "{what}: {e}");
+                }
+            };
+            let mut widest = 0;
+            let outcome = se.for_each_row(|rec| widest = widest.max(rec.row.missed.capacity()));
+            judge("for_each_row", outcome);
+            assert!(widest <= bad.len());
+            judge("final_state", se.final_state(&Trace).map(drop));
+            judge("check_stream", se.check_stream(3).map(drop));
+        }
     }
 }

@@ -81,6 +81,10 @@ pub struct MergeMetrics {
     pub out_of_order: u64,
     /// Total updates re-applied during undo/redo replays.
     pub replayed: u64,
+    /// The part of `replayed` that re-applied the **checkpoint gap**:
+    /// the updates from each repair's restored checkpoint up to its
+    /// insertion slot. The rest is the suffix, from the slot to the tip.
+    pub gap_replayed: u64,
     /// Duplicate deliveries ignored.
     pub duplicates: u64,
 }
@@ -491,6 +495,7 @@ impl<A: Application> MergeLog<A> {
         }
         let replayed = (self.entries.len() - base_len) as u64;
         self.metrics.replayed += replayed;
+        self.metrics.gap_replayed += (pos - base_len) as u64;
         if shard_obs::enabled() {
             shard_obs::histogram!("merge.replay_depth", family).record(replayed);
             if base_len > 0 {

@@ -27,7 +27,7 @@
 
 use crate::clock::Timestamp;
 use shard_core::{Application, StreamChecker, StreamReport, StreamRow, StreamingExecution};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 
 struct Pending<U> {
@@ -43,7 +43,9 @@ struct Pending<U> {
 /// contract: deliveries may be displaced from timestamp order by at
 /// most `capacity` positions.
 pub struct StreamingMerge<A: Application> {
-    window: BTreeMap<Timestamp, Pending<A::Update>>,
+    /// The pending deliveries, sorted by timestamp: the front seals
+    /// next.
+    window: VecDeque<(Timestamp, Pending<A::Update>)>,
     capacity: usize,
     state: A::State,
     sink: StreamingExecution<A>,
@@ -51,11 +53,11 @@ pub struct StreamingMerge<A: Application> {
     /// Rows sealed so far — the serial index of the next seal.
     sealed: usize,
     last_sealed: Option<Timestamp>,
-    /// Recently sealed `(serial index, arrival)` pairs, ascending by
-    /// serial index; retained exactly while some pending arrival is
-    /// older, because those are the rows a pending transaction can
-    /// still have missed.
-    recent: VecDeque<(usize, u64)>,
+    /// The arrivals of the last `recent.len()` sealed rows, in serial
+    /// order — entry `k` is row `sealed − recent.len() + k`; retained
+    /// exactly while some pending arrival is older, because those are
+    /// the rows a pending transaction can still have missed.
+    recent: VecDeque<u64>,
     next_arrival: u64,
     seals_since_prune: usize,
     /// The row being sealed — reused from seal to seal.
@@ -82,7 +84,7 @@ where
     ) -> Self {
         assert!(capacity > 0, "reorder window must hold at least one row");
         StreamingMerge {
-            window: BTreeMap::new(),
+            window: VecDeque::new(),
             capacity,
             state: app.initial_state(),
             sink: StreamingExecution::new(row_store),
@@ -138,17 +140,16 @@ where
         }
         let arrival = self.next_arrival;
         self.next_arrival += 1;
-        if self.window.contains_key(&ts) {
+        // The search that places the delivery also finds a duplicate.
+        let Err(at) = self.window.binary_search_by(|(t, _)| t.cmp(&ts)) else {
             return Ok(());
-        }
-        self.window.insert(
-            ts,
-            Pending {
-                arrival,
-                time,
-                update,
-            },
-        );
+        };
+        let pending = Pending {
+            arrival,
+            time,
+            update,
+        };
+        self.window.insert(at, (ts, pending));
         // More than one only after a seal failed and left a backlog.
         while self.window.len() > self.capacity {
             self.seal_min(app)?;
@@ -177,8 +178,9 @@ where
     }
 
     fn seal_min(&mut self, app: &A) -> io::Result<()> {
-        let (ts, p) = self.window.pop_first().expect("caller checked non-empty");
+        let (ts, p) = self.window.pop_front().expect("caller checked non-empty");
         let i = self.sealed;
+        let first = i - self.recent.len();
         self.row.index = i;
         self.row.time = p.time;
         // The serially-earlier rows this transaction missed: exactly
@@ -188,37 +190,32 @@ where
         let missed = &mut self.row.missed;
         missed.resize(self.recent.len(), 0);
         let mut kept = 0;
-        for &(j, a) in &self.recent {
-            missed[kept] = j;
+        for (k, &a) in self.recent.iter().enumerate() {
+            missed[kept] = first + k;
             kept += usize::from(a > p.arrival);
         }
         missed.truncate(kept);
         if let Err(e) = self.sink.push(&self.row, &p.update) {
-            self.window.insert(ts, p);
+            self.window.push_front((ts, p));
             return Err(e);
         }
         app.apply_in_place(&mut self.state, &p.update);
         self.sealed = i + 1;
         self.last_sealed = Some(ts);
         self.checker.push(&self.row);
-        self.recent.push_back((i, p.arrival));
+        self.recent.push_back(p.arrival);
         // A sealed row stays interesting only while a pending arrival
         // is older than it; prune amortized once per window turnover.
         self.seals_since_prune += 1;
         if self.seals_since_prune >= self.capacity {
             self.seals_since_prune = 0;
-            match self.window.values().map(|p| p.arrival).min() {
-                None => self.recent.clear(),
-                Some(oldest) => {
-                    while self.recent.front().is_some_and(|&(_, a)| a < oldest) {
-                        self.recent.pop_front();
-                    }
-                }
-            }
+            let oldest = self.window.iter().map(|(_, p)| p.arrival).min();
+            let oldest = oldest.unwrap_or(self.next_arrival);
+            let dead = self.recent.iter().take_while(|&&a| a < oldest).count();
+            self.recent.drain(..dead);
             // A row pruned here arrived before everything pending, so
             // before everything still to come: no later row misses it.
-            let frontier = self.recent.front().map_or(self.sealed, |&(j, _)| j);
-            self.checker.retire_below(frontier);
+            self.checker.retire_below(self.sealed - self.recent.len());
             self.note_resident();
         }
         Ok(())
@@ -234,7 +231,7 @@ where
             return;
         }
         let window = self.window.len() * size_of::<(Timestamp, Pending<A::Update>)>()
-            + self.recent.capacity() * size_of::<(usize, u64)>()
+            + self.recent.capacity() * size_of::<u64>()
             + self.row.missed.capacity() * size_of::<usize>();
         let held = window + self.checker.resident_bytes();
         PEAK.get_or_init(|| shard_obs::Registry::global().gauge("state.peak_resident_bytes"))

@@ -74,7 +74,7 @@ fn a_cursor_pass_over_the_row_store_reads_the_rows_about_once() {
     let asked = read_bytes() - before;
     let stored = store.len_bytes();
     assert_eq!(seen, ROWS);
-    assert!(stored > 9_000_000, "rows of E25's size: {stored} bytes");
+    assert!(stored > 4_500_000, "rows of E25's size: {stored} bytes");
     assert!(
         asked >= stored && asked * 10 <= stored * 13,
         "the pass asked the files for {asked} bytes of a {stored}-byte row store ({:.2}x)",

@@ -3,14 +3,16 @@
 //! at full scale (`RECORDED_SEED_1`). This pins the same shape at the
 //! benchmark's smoke scale, where tier-1 runs it: a change to the merge
 //! log, the checkpoint chain or a state type may make a re-application
-//! cheaper, never more or fewer of them. The banking run is the
+//! cheaper, never more or fewer of them — nor move them between the
+//! checkpoint gap and the suffix. The banking run is the
 //! benchmark's own; the airline run is its twin over Fly-by-Night.
 
 use shard::apps::airline::workload::AirlineWorkload;
 use shard::apps::airline::FlyByNight;
 use shard::apps::banking::Bank;
 use shard::sim::{
-    ClusterConfig, DelayModel, Invocation, NodeId, PartitionSchedule, PartitionWindow, Runner,
+    ClusterConfig, DelayModel, Invocation, MergeMetrics, NodeId, PartitionSchedule,
+    PartitionWindow, Runner,
 };
 use shard_runtime::{banking_submissions, Pacing};
 
@@ -41,6 +43,15 @@ fn sim_partition_shape() -> ClusterConfig {
     }
 }
 
+/// The re-applications split by where they start: from each repair's
+/// restored checkpoint up to its insertion slot (the checkpoint gap),
+/// and from the slot to the tip (the suffix).
+fn gap_and_suffix(metrics: &[MergeMetrics]) -> (u64, u64) {
+    let sum = |f: fn(&MergeMetrics) -> u64| metrics.iter().map(f).sum::<u64>();
+    let gap = sum(|m| m.gap_replayed);
+    (gap, sum(|m| m.replayed) - gap)
+}
+
 /// The benchmark's workload: 64 Zipf(1.1) accounts.
 #[test]
 fn sim_partition_shape_replays_a_recorded_volume() {
@@ -60,6 +71,7 @@ fn sim_partition_shape_replays_a_recorded_volume() {
     let report = Runner::eager(&bank, sim_partition_shape()).run(invocations);
     assert_eq!(report.transactions.len(), INVOCATIONS);
     assert_eq!(report.total_replayed(), 12_766);
+    assert_eq!(gap_and_suffix(&report.node_metrics), (8_675, 4_091));
     assert_eq!(report.messages_sent, 800);
     assert!(report.mutually_consistent());
 }
@@ -79,6 +91,7 @@ fn airline_sim_partition_shape_replays_a_recorded_volume() {
     let report = Runner::eager(&app, sim_partition_shape()).run(invocations);
     assert_eq!(report.transactions.len(), INVOCATIONS);
     assert_eq!(report.total_replayed(), 13_027);
+    assert_eq!(gap_and_suffix(&report.node_metrics), (8_879, 4_148));
     assert_eq!(report.messages_sent, 800);
     assert!(report.mutually_consistent());
 }
