@@ -230,13 +230,22 @@ run cargo run -q --release -p shard-cli --bin shard-trace -- \
 # 1 024-record cursor would read more (each refill re-reads the tail of
 # the last one's block); what a refill costs is pinned by
 # crates/sim/tests/read_amplification.rs.
+# Two budgets hold the checker passes. The run feeds the §3 checker
+# exactly 200 000 rows, two passes over its 10^5, so a third pass — or a
+# pass counting a row twice — fails. And a block-shuffled delivery
+# stream is transitive by construction (a seen row was delivered before
+# every missed one), so any violation is a false witness: the checker's
+# near-map word path judged a row it should have cleared. The binary
+# holds its own verdicts to an oracle; this holds the counted ones from
+# outside the process.
 run env SHARD_E25_TXNS=100000 \
   cargo run -q --release -p shard-bench --bin exp_e25_outofcore
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   check target/exp_metrics/e25.json \
   experiment ok wall_time_ms claims counters gauges histograms spans \
   "state.peak_resident_bytes<=100000" \
-  "store.wal_writes<=80" "store.wal_read_bytes<=9560000"
+  "store.wal_writes<=80" "store.wal_read_bytes<=9560000" \
+  "stream.rows<=200000" "stream.violations<=0"
 # The O(delta) state-layer gate: build + sweep the n=10^4 controlled-k
 # airline execution and hold the replay engine's clone traffic under
 # the pinned budget — >20x below what the pre-refactor engine (one

@@ -38,16 +38,14 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// The window sizes measured, each with the synthetic stream's rows
-/// per second at the parent of PR 20 (`Vec<u32>` missers lists, a slot
-/// and a time per row): this bench run on a checkout of that parent on
-/// the same host in PR 20's session, and written beside each window's
-/// own figure (PR 21 re-recorded the file, the checker unchanged,
-/// without re-measuring them). One process reads 12–20 M rows/s within
-/// the hour here, so a pair of files settles nothing; DESIGN.md §12 has
-/// the interleaved comparison. Drop the figures when the file is
-/// re-recorded elsewhere.
+/// per second at the parent commit of the checker's near-map row form:
+/// this bench run on a checkout of that parent on the same host, right
+/// before the committed run, and written beside each window's own
+/// figure. One process reads 12–25 M rows/s within the hour here, so a
+/// pair of files settles nothing; DESIGN.md §12 has the interleaved
+/// comparisons. Drop the figures when the file is re-recorded elsewhere.
 const PARENT_ROWS_PER_S: [(usize, u64); 3] =
-    [(64, 12_945_527), (1024, 13_301_003), (65536, 13_904_678)];
+    [(64, 19_629_750), (1024, 19_541_593), (65536, 18_094_787)];
 
 /// The benches' fixed pseudo-random stream (a 64-bit LCG's high bits).
 fn lcg() -> impl FnMut() -> u32 {

@@ -26,14 +26,19 @@ use std::ops::Range;
 
 /// The number of preceding transactions that transaction `i` does **not**
 /// see: `|{0..i} ∖ 𝒫ᵢ|`. Transaction `i` is *k-complete* iff this is ≤ `k`.
-/// Counted from the gaps of the prefix, so a record whose prefix strays
-/// past its index (which [`Execution::verify`] rejects) cannot wrap it.
+/// Summed over the gaps of the prefix, O(runs), so a record whose
+/// prefix strays past its index (which [`Execution::verify`] rejects)
+/// cannot wrap it.
 ///
 /// # Panics
 ///
 /// Panics if `i >= exec.len()`.
 pub fn missed_count<A: Application>(exec: &Execution<A>, i: TxnIndex) -> usize {
-    exec.record(i).prefix.missed_below(i).count()
+    exec.record(i)
+        .prefix
+        .gaps_below(i)
+        .map(|gap| gap.len())
+        .sum()
 }
 
 /// The largest number of missed predecessors over all transactions — the
@@ -63,7 +68,8 @@ pub fn is_transitive<A: Application>(exec: &Execution<A>) -> bool {
 ///
 /// The fold `par_check` runs, with every time 0 (times only feed the
 /// delay bound), stopped at the first violating row: the checker's
-/// 32 B a row and one reused miss set.
+/// 32 B a row, each row read off its prefix's runs — a near map, and a
+/// reused buffer for misses 128 or more rows back.
 ///
 /// [`StreamChecker`]: crate::stream::StreamChecker
 pub fn transitivity_violation<A: Application>(

@@ -19,15 +19,19 @@
 //!   transaction `x`, the set of rows that missed `x` — the **missers
 //!   index**. Each past row keeps its missers less than 128 rows on
 //!   **inline**, beside its time, as a 128-bit map relative to itself
-//!   (bit `d`: row `x + d` missed `x`), and row `i` packs the misses
-//!   of its own last 127 rows into one map ending just below `i`. For
-//!   a missed `x` that near, one shift lines the two maps up: a clear
-//!   bit in `(x, i)` is the smallest witness, and adding `i` to
-//!   `missers(x)` is one OR. Misses 128 or more rows back take the
-//!   general path, on **64-row words** — ascending `(row / 64, bits)`
-//!   pairs aligned on absolute row numbers: `Mᵢ` packed once, and
-//!   `missers(x)` as its near map's words plus a list of the far ones,
-//!   walked over `(x, i)` a word at a time. That is O(|Mᵢ|) per row
+//!   (bit `d`: row `x + d` missed `x`), and row `i` comes to the checker
+//!   with the misses of its own last 127 rows as one *near map* ending
+//!   just below `i`. For a missed `x` that near, one shift lines the two
+//!   maps up: a clear bit in `(x, i)` is the smallest witness, and
+//!   adding `i` to `missers(x)` is one OR. Under 64 rows back — every
+//!   miss of a block-shuffled stream — the halves of both maps that
+//!   matter are one machine word each, so that is `u64` work; the near
+//!   map's set bits are walked in ascending order. Misses 128 or more
+//!   rows back take the general path, on **64-row words** — ascending
+//!   `(row / 64, bits)` pairs aligned on absolute row numbers: `Mᵢ`
+//!   packed once, and `missers(x)` as its near map's words plus a list
+//!   of the far ones, walked over `(x, i)` a word at a time, a full
+//!   word of that list at one compare. That is O(|Mᵢ|) per row
 //!   plus Σ ⌈(i − x)/64⌉ word operations over the far misses only;
 //!   rows with empty miss sets (the common case) cost nothing.
 //! * **t-bounded delay** follows the same shape: row `i` raises the
@@ -44,6 +48,15 @@
 //! frontier says so ([`StreamChecker::retire_below`]): the window
 //! slides and the word lists behind it are recycled, so the checker
 //! holds the live span, not the history.
+//!
+//! A row reaches the checker in one form: its far misses as a sorted
+//! slice and its near map. Two adapters build it.
+//! [`StreamChecker::try_push`] takes a miss list from outside the
+//! program, refuses an ill-formed one ([`RowError`]) and ORs the near
+//! part into the map. The fold behind [`par_check`] and the
+//! whole-execution checkers reads each prefix's runs directly: a gap
+//! inside the near span is one mask, and only a gap reaching 128 rows
+//! back is copied out, miss by miss.
 //!
 //! The checker is the one §3 transitivity algorithm: `is_transitive`
 //! and `transitivity_violation` are [`par_check`]'s fold, cut at the
@@ -594,8 +607,31 @@ impl StreamChecker {
                 frontier: self.base,
             });
         }
+        let near_from = missed.partition_point(|&x| index - x >= NEAR);
+        // The near map, bit k for row index − NEAR + k, built a word at
+        // a time: a u128 shift by a variable is a shld/cmov sequence.
+        let (mut low, mut high) = (0u64, 0u64);
+        for &x in &missed[near_from..] {
+            match x + NEAR - index {
+                k @ 0..64 => low |= 1 << k,
+                k => high |= 1 << (k - 64),
+            }
+        }
+        let near = u128::from(high) << 64 | u128::from(low);
+        Ok(self.counted_step(index, time, &missed[..near_from], near))
+    }
+
+    /// [`step`](StreamChecker::step), counted as a stream row.
+    #[inline]
+    fn counted_step(
+        &mut self,
+        index: TxnIndex,
+        time: u64,
+        far: &[TxnIndex],
+        near: u128,
+    ) -> Option<WindowVerdict> {
         let transitive = self.transitive_so_far();
-        let verdict = self.step(index, time, missed);
+        let verdict = self.step(index, time, far, near);
         if shard_obs::enabled() {
             // One atomic a row: the other two counters move rarely.
             shard_obs::counter!("stream.rows", family).inc();
@@ -606,89 +642,82 @@ impl StreamChecker {
                 shard_obs::counter!("stream.violations", family).inc();
             }
         }
-        Ok(verdict)
+        verdict
     }
 
     /// [`try_push`](StreamChecker::try_push)'s work on a row the caller
     /// vouches for, counted nowhere: the whole-execution checkers of
-    /// [`crate::conditions`] consume no stream.
+    /// [`crate::conditions`] consume no stream. The row comes as its
+    /// misses [`NEAR`] or more rows back, `far` (ascending, at or above
+    /// the retired frontier), and its *near map* of the rest: bit `k`
+    /// is row `index − NEAR + k`, so bit 0 is always clear.
     pub(crate) fn step(
         &mut self,
         index: TxnIndex,
         time: u64,
-        missed: &[TxnIndex],
+        far: &[TxnIndex],
+        near: u128,
     ) -> Option<WindowVerdict> {
         assert!(
             index / 64 <= u32::MAX as usize,
             "the missers index numbers words as u32"
         );
 
-        // k-completeness: the miss-set size IS missed_count(i).
-        if missed.len() > self.max_missed {
-            self.max_missed = missed.len();
-            self.worst_row = index;
+        // The miss-set size, counted as the loops below walk it.
+        let mut missed = far.len();
+        if !far.is_empty() {
+            self.far_misses(index, time, far, near);
         }
 
-        // Misses NEAR or more rows back take the general path: the row's
-        // misses packed into words, against each one's near map and
-        // far list.
-        let near_from = missed.partition_point(|&x| index - x >= NEAR);
-        self.mine.clear();
-        if near_from > 0 {
-            for &x in missed {
-                push_row(&mut self.mine, x);
-            }
-        }
-        // The first word of `mine` that reaches above x.
-        let mut above = 0;
-        for &x in &missed[..near_from] {
+        // The near misses, ascending. The near map shifted down by
+        // NEAR − (i − x) is Mᵢ from x on, aligned with x's near map:
+        // bit d is row x + d; bits 1..back are (x, i), and bit 0 — x
+        // itself — is set, since i missed it. First those 64 to 127 rows
+        // back (the low word and bit 64), on u128.
+        let mut wide = near & ((1 << 65) - 1);
+        while wide != 0 {
+            let back = NEAR - wide.trailing_zeros() as usize;
+            wide &= wide - 1;
+            missed += 1;
+            let x = index - back;
             let seen = &mut self.seen[x - self.start];
             let mut witness = None;
             if self.first_violation.is_none() {
-                let first = (x + 1) / 64;
-                while self.mine.get(above).is_some_and(|m| (m.0 as usize) < first) {
-                    above += 1;
-                }
-                let far = match seen.slot {
-                    0 => &[][..],
-                    list => &self.lists[list as usize - 1],
-                };
-                witness = gap_witness(&self.mine[above..], seen.near, far, x, index);
-            }
-            // Row i joins missers(x) — after the check, though its own
-            // bit lies outside (x, i) either way.
-            if seen.slot == 0 {
-                seen.slot = self.free.pop().unwrap_or_else(|| {
-                    self.lists.push(Vec::new());
-                    u32::try_from(self.lists.len()).expect("under 2³² rows missed at once")
-                });
-            }
-            push_row(&mut self.lists[seen.slot as usize - 1], index);
-            let since = seen.time;
-            self.judge_miss(index, time, x, since, witness);
-        }
-
-        // The rest of Mᵢ as one map ending just below i: bit k is row
-        // i − NEAR + k. Shifted down by NEAR − (i − x), it is Mᵢ from x
-        // on, aligned with x's near map.
-        let mut recent = 0u128;
-        for &x in &missed[near_from..] {
-            recent |= 1 << (x + NEAR - index);
-        }
-        for &x in &missed[near_from..] {
-            let back = index - x;
-            let seen = &mut self.seen[x - self.start];
-            let mut witness = None;
-            if self.first_violation.is_none() {
-                // Bit d is row x + d; bits 1..back are (x, i), and bit 0
-                // — x itself — is set, since i missed it.
-                let blocked = (recent >> (NEAR - back)) | seen.near;
+                let blocked = (near >> (NEAR - back)) | seen.near;
                 let free = !blocked & ((1 << back) - 1);
                 witness = (free != 0).then(|| x + free.trailing_zeros() as usize);
             }
             seen.near |= 1 << back;
             let since = seen.time;
             self.judge_miss(index, time, x, since, witness);
+        }
+        // Then those under 64 rows back — every miss of a block-shuffled
+        // stream — on one word: the high word of the near map holds row
+        // i − 64 + k at bit k, and missers(x) under 64 rows on is the low
+        // word of x's map.
+        let high = (near >> 64) as u64;
+        let mut narrow = high & !1;
+        while narrow != 0 {
+            let back = 64 - narrow.trailing_zeros() as usize;
+            narrow &= narrow - 1;
+            missed += 1;
+            let x = index - back;
+            let seen = &mut self.seen[x - self.start];
+            let mut witness = None;
+            if self.first_violation.is_none() {
+                let blocked = (high >> (64 - back)) | seen.near as u64;
+                let free = !blocked & ((1 << back) - 1);
+                witness = (free != 0).then(|| x + free.trailing_zeros() as usize);
+            }
+            seen.near |= u128::from(1u64 << back);
+            let since = seen.time;
+            self.judge_miss(index, time, x, since, witness);
+        }
+
+        // k-completeness: the miss-set size IS missed_count(i).
+        if missed > self.max_missed {
+            self.max_missed = missed;
+            self.worst_row = index;
         }
         self.seen.push(Seen {
             near: 0,
@@ -714,6 +743,55 @@ impl StreamChecker {
             self.changes.push(verdict);
         }
         Some(verdict)
+    }
+
+    /// [`step`](StreamChecker::step)'s general path, for the misses
+    /// [`NEAR`] or more rows back: the row's misses packed into words,
+    /// against each one's near map and far list.
+    // Kept out of `step`, whose near loops every row runs: inlined, it
+    // slowed the far-miss shapes it serves.
+    #[inline(never)]
+    fn far_misses(&mut self, index: TxnIndex, time: u64, far: &[TxnIndex], near: u128) {
+        self.mine.clear();
+        for &x in far {
+            push_row(&mut self.mine, x);
+        }
+        let mut bits = near;
+        while bits != 0 {
+            push_row(
+                &mut self.mine,
+                index - NEAR + bits.trailing_zeros() as usize,
+            );
+            bits &= bits - 1;
+        }
+        // The first word of `mine` that reaches above x.
+        let mut above = 0;
+        for &x in far {
+            let seen = &mut self.seen[x - self.start];
+            let mut witness = None;
+            if self.first_violation.is_none() {
+                let first = (x + 1) / 64;
+                while self.mine.get(above).is_some_and(|m| (m.0 as usize) < first) {
+                    above += 1;
+                }
+                let list = match seen.slot {
+                    0 => &[][..],
+                    slot => &self.lists[slot as usize - 1],
+                };
+                witness = gap_witness(&self.mine[above..], seen.near, list, x, index);
+            }
+            // Row i joins missers(x) — after the check, though its own
+            // bit lies outside (x, i) either way.
+            if seen.slot == 0 {
+                seen.slot = self.free.pop().unwrap_or_else(|| {
+                    self.lists.push(Vec::new());
+                    u32::try_from(self.lists.len()).expect("under 2³² rows missed at once")
+                });
+            }
+            push_row(&mut self.lists[seen.slot as usize - 1], index);
+            let since = seen.time;
+            self.judge_miss(index, time, x, since, witness);
+        }
     }
 
     /// Folds one miss of row `index` (started at `time`) into the
@@ -790,7 +868,10 @@ impl StreamChecker {
 /// misses (`mine`, words from the word of `x + 1` on) and the rows that
 /// missed `x` (`near`, its map, and `far`, its words), or `None` if
 /// every candidate is blocked. One OR per 64 candidates, ends masked; a
-/// word in no set is free at its first in-range bit.
+/// word in no set is free at its first in-range bit. A full word of the
+/// far list blocks whatever else holds: past the row's own last word,
+/// such words are stepped over at one compare each — the whole scan
+/// when a row long cut off is missed by every row since.
 fn gap_witness(
     mine: &[Word],
     near: u128,
@@ -810,7 +891,14 @@ fn gap_witness(
         near.checked_shr(128 - s as u32).unwrap_or(0) as u64,
     ];
     let (mut a, mut b) = (0, 0);
-    for w in first..=last {
+    let mut w = first;
+    while w <= last {
+        if a == mine.len() {
+            while w < last && far.get(b).is_some_and(|&t| t == (w as u32, !0)) {
+                w += 1;
+                b += 1;
+            }
+        }
         let mut free = !near_words.get(w - x / 64).copied().unwrap_or(0);
         if let Some(m) = mine.get(a).filter(|m| m.0 as usize == w) {
             free &= !m.1;
@@ -829,14 +917,15 @@ fn gap_witness(
         if free != 0 {
             return Some(w * 64 + free.trailing_zeros() as usize);
         }
+        w += 1;
     }
     None
 }
 
 /// Converts a timed execution into its stream rows: row `i`'s miss set
-/// is a copy of the gaps of `𝒫ᵢ`
+/// is a copy of the gaps of `𝒫ᵢ` below `i`
 /// ([`Prefix::missed_below`](crate::execution::Prefix::missed_below)),
-/// O(|Mᵢ|) per row, on the calling thread.
+/// extended gap by gap, O(|Mᵢ|) per row, on the calling thread.
 ///
 /// `pool` is not used: callers (the frozen benchmark among them) pass
 /// one, and a second thread never paid for the hand-off (DESIGN.md
@@ -850,7 +939,9 @@ pub fn rows_from_execution<A: Application>(
         // Exact unless the prefix strays past `i`, which only `verify`
         // rules out; then the vector grows.
         let mut missed = Vec::with_capacity(i.saturating_sub(record.prefix.len()));
-        record.prefix.extend_missed_below(i, &mut missed);
+        for gap in record.prefix.gaps_below(i) {
+            missed.extend(gap);
+        }
         StreamRow {
             index: i,
             time,
@@ -882,11 +973,15 @@ pub fn par_check<A: Application>(
 }
 
 /// The fold of an execution behind [`par_check`] and the §3
-/// transitivity checkers: row `i` is `(i, times[i], gaps of 𝒫ᵢ)`, its
-/// misses written into one reused buffer — no [`StreamRow`] list.
-/// Without `times` it checks transitivity only: every time 0, stopped
-/// at the first violating row (whose certificate is final there), and
-/// uncounted.
+/// transitivity checkers: row `i` is `(i, times[i], gaps of 𝒫ᵢ)`, read
+/// straight off the prefix's runs into the form the checker steps on.
+/// A gap less than [`NEAR`] rows back is one mask on the row's near
+/// map; only a gap reaching further writes its far part, miss by miss,
+/// into one reused buffer. Its rows are never materialized: no
+/// [`StreamRow`], no miss list. With `times` every row is counted as
+/// [`StreamChecker::try_push`] counts it. Without, it checks
+/// transitivity only: every time 0, stopped at the first violating row
+/// (whose certificate is final there), and uncounted.
 pub(crate) fn fold_execution<A: Application>(
     exec: &Execution<A>,
     times: Option<&[u64]>,
@@ -894,18 +989,28 @@ pub(crate) fn fold_execution<A: Application>(
 ) -> StreamChecker {
     let mut checker = StreamChecker::new(window);
     checker.seen.reserve_exact(exec.len());
-    let mut missed = Vec::new();
+    let mut far = Vec::new();
     for (i, record) in exec.records().iter().enumerate() {
         if times.is_none() && !checker.transitive_so_far() {
             break;
         }
-        missed.clear();
-        record.prefix.extend_missed_below(i, &mut missed);
+        // Rows from `near_from` on sit in the near map; bit k is row
+        // i − NEAR + k.
+        let near_from = (i + 1).saturating_sub(NEAR);
+        let mut near = 0u128;
+        far.clear();
+        for gap in record.prefix.gaps_below(i) {
+            if gap.start < near_from {
+                far.extend(gap.start..gap.end.min(near_from));
+            }
+            let start = gap.start.max(near_from);
+            if start < gap.end {
+                near |= ((1 << (gap.end - start)) - 1) << (start + NEAR - i);
+            }
+        }
         match times {
-            Some(times) => checker
-                .try_push(i, times[i], &missed)
-                .expect("an execution's rows"),
-            None => checker.step(i, 0, &missed),
+            Some(times) => checker.counted_step(i, times[i], &far, near),
+            None => checker.step(i, 0, &far, near),
         };
     }
     checker
@@ -1525,7 +1630,8 @@ mod tests {
     /// thousand or more rows late (a single far miss in every row it
     /// passes); one delivered so late that the last row to miss it does
     /// so from exactly 127, 128 or 129 rows on (either side of the
-    /// checker's near map); and a swap across a word boundary
+    /// checker's near map), or from exactly 63, 64 or 65 rows on (either
+    /// side of the near map's word path); and a swap across a word boundary
     /// (`x % 64 == 63`, `i % 64 == 0`, `x + 1 == i`). `flip` then adds
     /// or removes one miss somewhere — half the time in the first row
     /// of a word, or of the last row of one — which usually breaks
@@ -1536,7 +1642,7 @@ mod tests {
         let mut keys: Vec<usize> = Vec::new();
         for &(shape, salt) in segments {
             let at = keys.len();
-            match shape % 9 {
+            match shape % 10 {
                 0..=2 => keys.extend(at..at + 1 + salt as usize % 120),
                 3 | 4 => keys.extend(
                     (at..at + 1 + salt as usize % 60)
@@ -1550,6 +1656,12 @@ mod tests {
                 7 => {
                     // Rows at + 1 … at + back deliver before row at.
                     let back = NEAR - 1 + salt as usize % 3;
+                    keys.push(at + back + 1);
+                    keys.extend(at + 1..at + back + 2);
+                }
+                8 => {
+                    // The same, with the last misser 63, 64 or 65 rows on.
+                    let back = 63 + salt as usize % 3;
                     keys.push(at + back + 1);
                     keys.extend(at + 1..at + back + 2);
                 }
@@ -1802,6 +1914,69 @@ mod tests {
         assert_eq!(report.transitive, is_transitive(&te.execution));
         assert_eq!(report.max_missed, max_missed(&te.execution));
         assert_eq!(report.min_delay_bound, te.min_delay_bound());
+    }
+
+    /// Prefixes that reach past their own index (which `verify`
+    /// rejects) are read below it: a run that straddles the index or lies
+    /// wholly above it subtracts nothing. The fold behind `par_check` and
+    /// `transitivity_violation` reads the runs itself, so it is held to
+    /// the rows worked out by filtering, on gaps that fall on either
+    /// side of the near map's two seams (64 and 128 rows back).
+    #[test]
+    fn prefixes_past_their_own_index_are_clipped_by_every_reader() {
+        use crate::conditions::missed_count;
+        use crate::execution::TxnRecord;
+        let n = 300;
+        let seen = |i: usize| -> Vec<usize> {
+            match i {
+                0 => vec![0, 1, 2],
+                5 => (0..8).collect(),
+                9 => vec![20, 21],
+                // Gaps 40..60 (far) and 70..150 (far below 73, near from
+                // it on); the last run straddles 200.
+                200 => (0..40).chain(60..70).chain(150..260).collect(),
+                // A gap 63 to 28 rows back, and a run wholly above 263.
+                263 => (0..200).chain(236..263).chain(264..270).collect(),
+                // One miss exactly 64 rows back.
+                264 => (0..200).chain(201..264).chain(265..300).collect(),
+                _ => (0..i).collect(),
+            }
+        };
+        let mut exec = Execution::new();
+        for i in 0..n {
+            exec.push_record(TxnRecord {
+                decision: (),
+                prefix: seen(i).into_iter().collect(),
+                update: Nop,
+                external_actions: Vec::new(),
+            });
+        }
+        let te = TimedExecution::new(exec, (0..n as u64).map(|t| 7 * t % 50).collect());
+        let rows: Vec<StreamRow> = (0..n)
+            .map(|i| StreamRow {
+                index: i,
+                time: te.times[i],
+                missed: (0..i).filter(|j| !seen(i).contains(j)).collect(),
+            })
+            .collect();
+        assert_eq!(rows[9].missed, (0..9).collect::<Vec<_>>());
+        assert_eq!(rows_of(&te), rows);
+        for (i, row) in rows.iter().enumerate() {
+            let prefix = &te.execution.record(i).prefix;
+            assert_eq!(prefix.missed_below(i).collect::<Vec<_>>(), row.missed);
+            assert_eq!(missed_count(&te.execution, i), row.missed.len());
+        }
+        for window in [1, 7, 64] {
+            let report = par_check(&PoolConfig::sequential(), &te, window);
+            assert_eq!(report, check_rows(window, &rows), "window {window}");
+            assert_eq!(report, naive_report(window, &rows), "window {window}");
+        }
+        let first = naive_report(1, &rows).violation().map(|c| match *c {
+            Certificate::Transitivity { low, mid, top } => (low, mid, top),
+            _ => unreachable!(),
+        });
+        assert_eq!(first.map(|(.., top)| top), Some(200));
+        assert_eq!(transitivity_violation(&te.execution), first);
     }
 
     #[test]

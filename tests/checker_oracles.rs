@@ -254,6 +254,46 @@ proptest! {
     }
 }
 
+/// The fold reads a row straight off its prefix's runs: misses under 64
+/// rows back on one word, 64 to 127 on the near map's two, the rest
+/// copied out. `is_transitive` and `par_check` (every window) are held to
+/// the definition and to the slice path, `check_rows` over the extracted
+/// rows, on `prefixes` as built and with one injected violation.
+fn assert_folds_agree(mut prefixes: Vec<Vec<TxnIndex>>, seed: u64) {
+    for injected in [false, true] {
+        if injected && !inject_violation(&mut prefixes, seed) {
+            return;
+        }
+        let te = &timed(prefixes.clone());
+        let first = triple_loop(&prefixes);
+        assert_eq!(first.is_some(), injected, "built transitive, then broken");
+        assert_eq!(transitivity_violation(&te.execution), first);
+        assert_eq!(is_transitive(&te.execution), first.is_none());
+        let certificate = first.map(|(low, mid, top)| Certificate::Transitivity { low, mid, top });
+        let rows = rows_from_execution(&PoolConfig::sequential(), te);
+        for window in WINDOWS {
+            let report = par_check(&PoolConfig::sequential(), te, window);
+            assert_eq!(report, check_rows(window, &rows), "window {window}");
+            assert_eq!(report.violation(), certificate.as_ref(), "window {window}");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Delivery blocks of 60–140 rows: a row misses up to 139 rows back,
+    /// so misses fall on both sides of 64 and of 128.
+    #[test]
+    fn windowed_shapes_across_the_word_seams_agree(
+        seed in any::<u64>(),
+        n in 1usize..420,
+        block in 60usize..140,
+    ) {
+        assert_folds_agree(windowed(seed, n, block), seed);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
