@@ -16,7 +16,6 @@ run() {
 
 run cargo build --release --all-targets
 run cargo test --workspace -q
-run cargo test -q -p shard-pool
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q

@@ -75,7 +75,7 @@ fn main() {
                 invs.push(Invocation::new(t_now, node, txn));
             }
             txns += invs.len() as u64;
-            let cluster = Runner::partial(
+            let cluster = Runner::new(
                 &app,
                 ClusterConfig {
                     nodes,

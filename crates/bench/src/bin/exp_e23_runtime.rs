@@ -37,7 +37,7 @@ use shard_runtime::{
     Submission,
 };
 use shard_sim::partial::Placement;
-use shard_sim::{EagerBroadcast, Gossip, PartialPlacement, Propagation, RunReport};
+use shard_sim::{EagerBroadcast, Gossip, Propagation, RunReport};
 
 const NODES: u16 = 4;
 const ACCOUNTS: u32 = 64;
@@ -100,7 +100,7 @@ fn run_mode(mode: &'static str, txns: usize, seed: u64) -> ModeResult {
         "gossip" => live_then_replay(&bank, &cfg, Gossip::new(GOSSIP_INTERVAL_US, NODES), &subs),
         _ => {
             let placement = placement.expect("partial mode built a placement");
-            live_then_replay(&bank, &cfg, PartialPlacement::new(placement), &subs)
+            live_then_replay(&bank, &cfg, placement, &subs)
         }
     };
     let executed = live.report.transactions.len();

@@ -261,7 +261,7 @@ fn certify(args: &[String]) -> CmdResult {
 /// log holds an invalid record. With `stats`, each segment's key range
 /// and how a key scan of the log would read it.
 fn store_one(label: &str, dir: &Path, stats: bool) -> Result<bool, CliError> {
-    let info = shard_store::Wal::inspect(dir).map_err(|e| fail(format!("{label}: {e}")))?;
+    let info = shard_store::DiskStore::inspect(dir).map_err(|e| fail(format!("{label}: {e}")))?;
     let fmt_key = |k: Option<shard_store::StoreKey>| {
         k.map_or("-".into(), |k| format!("{}.{}", k.primary, k.secondary))
     };
@@ -313,10 +313,10 @@ fn store_one(label: &str, dir: &Path, stats: bool) -> Result<bool, CliError> {
         if invalid.is_some_and(|s| closed(s.index)) {
             println!(
                 "  invalid record in a closed segment at global offset {at} \
-                 (not a torn tail: Wal::open refuses this log)"
+                 (not a torn tail: DiskStore::open refuses this log)"
             );
         } else {
-            println!("  torn tail at global offset {at} (Wal::open would truncate here)");
+            println!("  torn tail at global offset {at} (DiskStore::open would truncate here)");
         }
     }
     Ok(info.torn_at.is_some())
@@ -569,13 +569,13 @@ mod tests {
 
     #[test]
     fn store_inspects_fleets_and_flags_torn_tails() {
-        use shard_store::{StoreKey, Wal, WalOptions};
+        use shard_store::{DiskStore, Store, StoreKey, StoreOptions};
         let root = std::env::temp_dir().join(format!("shard-cli-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let node = root.join("node-0");
-        let (mut wal, _) = Wal::open(&node, WalOptions::default()).unwrap();
+        let (mut disk, _) = DiskStore::open(&node, StoreOptions::default()).unwrap();
         for i in 0..5u64 {
-            wal.append(
+            disk.append(
                 StoreKey {
                     primary: i,
                     secondary: 0,
@@ -584,8 +584,8 @@ mod tests {
             )
             .unwrap();
         }
-        wal.sync().unwrap();
-        drop(wal);
+        disk.sync().unwrap();
+        drop(disk);
 
         // Clean: both the fleet directory and the node directory pass.
         let fleet_arg = [root.display().to_string()];

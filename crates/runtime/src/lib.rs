@@ -28,7 +28,7 @@
 //! [`run_live`] (or [`run_live_durable`], with one write-ahead mirror
 //! per node) records, [`replay()`] replays. Build **one** strategy
 //! value — [`shard_sim::EagerBroadcast`], [`shard_sim::Gossip`] at
-//! full fanout, [`shard_sim::PartialPlacement`] — and hand a clone to
+//! full fanout, a [`shard_sim::Placement`] — and hand a clone to
 //! each side, so the two cannot be configured apart.
 //!
 //! Why fidelity holds: every live tick comes from one process-wide

@@ -428,7 +428,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 /// schedule replayable. [`EagerBroadcast`](shard_sim::EagerBroadcast),
 /// [`Gossip`](shard_sim::Gossip) at full fanout (`fanout ≥ nodes − 1`:
 /// all peers in node order, no partner sampling) and
-/// [`PartialPlacement`](shard_sim::PartialPlacement) conform; pass a
+/// a [`Placement`](shard_sim::Placement) conform; pass a
 /// clone of the same value to [`crate::replay()`].
 ///
 /// Tick-driven strategies (gossip) use their [`Propagation::
@@ -523,7 +523,7 @@ where
         .into_iter()
         .map(|s| Invocation::new(s.at_us, s.node, s.decision))
         .collect();
-    strategy.validate(app, &invocations);
+    strategy.validate(app, cfg.nodes, &invocations);
 
     // Per-node FIFO workloads, preserving submission order.
     let mut per_node: Vec<Vec<(u64, A::Decision)>> = (0..n).map(|_| Vec::new()).collect();

@@ -80,7 +80,7 @@ impl Pacing {
 ///
 /// Under partial replication, pass the run's `placement`: each
 /// transaction is routed to a node holding every object its decision
-/// part reads (the same admission rule `Runner::partial` enforces).
+/// part reads (the same admission rule a `Placement` validates).
 /// Without one, origin nodes are drawn uniformly.
 pub fn banking_submissions(
     bank: &Bank,

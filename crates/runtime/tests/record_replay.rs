@@ -23,9 +23,7 @@ use shard_apps::Person;
 use shard_core::Application;
 use shard_runtime::{replay, report_digest, run_live, LiveRun, RuntimeConfig, Submission};
 use shard_sim::partial::Placement;
-use shard_sim::{
-    EagerBroadcast, Gossip, KnownSet, NodeId, PartialPlacement, Propagation, RunReport, Timestamp,
-};
+use shard_sim::{EagerBroadcast, Gossip, KnownSet, NodeId, Propagation, RunReport, Timestamp};
 
 const NODES: u16 = 3;
 
@@ -109,7 +107,7 @@ where
 }
 
 /// Routes each submission to a node that reads everything its decision
-/// needs (the admission rule `PartialPlacement` validates), dropping
+/// needs (the admission rule a `Placement` validates), dropping
 /// the few (e.g. audits) no single node can admit.
 fn route_to_holders(
     app: &Bank,
@@ -223,7 +221,28 @@ fn live_partial_run_refuses_a_misrouted_submission() {
         node: NodeId(2),
         decision: BankTxn::Deposit(AccountId(1), 5),
     }];
-    run_live(&app, &config(1), PartialPlacement::new(placement), subs);
+    run_live(&app, &config(1), placement, subs);
+}
+
+/// A placement must cover the cluster: a 3-node one on a 4-node live
+/// run is refused on the calling thread before any node thread starts
+/// (node 3 would otherwise index past it inside one).
+#[test]
+#[should_panic(expected = "a placement of 3 nodes on a cluster of 4")]
+fn live_run_refuses_a_placement_smaller_than_the_cluster() {
+    use shard_core::ObjectModel;
+    let app = Bank::new(3, 50);
+    let placement = Placement::full(NODES, &app.objects());
+    let cfg = RuntimeConfig {
+        nodes: NODES + 1,
+        ..config(1)
+    };
+    let subs = vec![Submission {
+        at_us: 0,
+        node: NodeId(0),
+        decision: BankTxn::Deposit(AccountId(1), 5),
+    }];
+    run_live(&app, &cfg, placement, subs);
 }
 
 /// Two hundred short runs per mode, back to back: each must return (a
@@ -249,12 +268,7 @@ fn short_runs_end_cleanly_in_every_mode() {
         roundtrip(&app, seed, Gossip::new(150, u16::MAX), &subs);
         roundtrip(&app, seed, Gossip::new(0, u16::MAX), &subs);
         let routed = route_to_holders(&app, &placement, subs);
-        roundtrip(
-            &app,
-            seed,
-            PartialPlacement::new(placement.clone()),
-            &routed,
-        );
+        roundtrip(&app, seed, placement.clone(), &routed);
     }
 }
 
@@ -394,6 +408,6 @@ proptest! {
         let app = Bank::new(3, 50);
         let placement = Placement::round_robin(NODES, &app.objects(), 2);
         let subs = route_to_holders(&app, &placement, submissions(raw));
-        roundtrip(&app, seed, PartialPlacement::new(placement), &subs);
+        roundtrip(&app, seed, placement, &subs);
     }
 }

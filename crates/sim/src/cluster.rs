@@ -56,7 +56,7 @@ impl<A: Application> Propagation<A> for EagerBroadcast {
         "cluster"
     }
 
-    fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {
+    fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {
         assert!(
             !self.piggyback,
             "whole-log piggybacking was removed: for transitive executions run \

@@ -44,7 +44,7 @@ use crate::merge::MergeLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_core::Application;
-use shard_store::{Codec, DiskStore, MemStore, Store, StoreKey, StoreOptions};
+use shard_store::{Codec, CrashReport, DiskStore, MemStore, Store, StoreKey, StoreOptions};
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -91,22 +91,6 @@ impl DurabilityConfig {
             kill_seed,
         }
     }
-}
-
-/// What [`DurableFleet::kill`] did to a node's store — the simulated
-/// power cut, reported for tracing and assertions.
-#[derive(Clone, Copy, Debug)]
-pub struct KillReport {
-    /// Entries that survived the cut (a prefix of the arrival order).
-    pub kept_entries: usize,
-    /// Bytes of intact log after torn-tail truncation.
-    pub kept_bytes: u64,
-    /// Bytes that were appended but lost to the cut.
-    pub lost_bytes: u64,
-    /// Whether the cut tore a record in half (the torn tail is
-    /// truncated on reopen, exactly as [`shard_store::Wal::open`]
-    /// would after a real crash).
-    pub torn: bool,
 }
 
 /// One node's durable mirror: its store, a cursor into the merge log's
@@ -220,16 +204,10 @@ impl<A: Application> NodeMirror<A> {
     /// is lost, possibly tearing a record; the store truncates the torn
     /// tail on reopen). The cursor rewinds to the surviving prefix.
     /// [`DurableFleet::kill`] picks the offset; tests may pin it.
-    pub fn crash_at(&mut self, keep: u64) -> KillReport {
-        let len = self.store.len_bytes();
+    pub fn crash_at(&mut self, keep: u64) -> CrashReport {
         let report = self.store.crash(keep).expect("durable mirror crash");
         self.cursor = report.kept_entries;
-        KillReport {
-            kept_entries: report.kept_entries,
-            kept_bytes: report.kept_bytes,
-            lost_bytes: len - report.kept_bytes,
-            torn: report.torn,
-        }
+        report
     }
 
     /// Rebuilds node `id` from the store: streams the surviving WAL in
@@ -321,7 +299,7 @@ impl<A: Application> DurableFleet<A> {
     /// `[synced_bytes, len_bytes]` — everything fsynced survives,
     /// anything after the last barrier may be lost, and the cut may
     /// land mid-record (a torn tail, truncated on reopen).
-    pub fn kill(&mut self, node: NodeId) -> KillReport {
+    pub fn kill(&mut self, node: NodeId) -> CrashReport {
         let mirror = &mut self.mirrors[node.0 as usize];
         let lo = mirror.store.synced_bytes();
         let hi = mirror.store.len_bytes();

@@ -138,7 +138,7 @@ fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
 mod audience {
     pub trait Audience<A: super::Application> {
         fn wants(&self, app: &A, node: super::NodeId, update: &A::Update) -> bool;
-        fn validate(&self, app: &A, invocations: &[super::Invocation<A::Decision>]);
+        fn validate(&self, app: &A, nodes: u16, invocations: &[super::Invocation<A::Decision>]);
     }
 }
 use audience::Audience;
@@ -148,7 +148,7 @@ impl<A: Application> Audience<A> for () {
         true
     }
 
-    fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {}
+    fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {}
 }
 
 impl<A: ObjectModel> Audience<A> for Placement {
@@ -156,8 +156,8 @@ impl<A: ObjectModel> Audience<A> for Placement {
         Placement::wants(self, app, node, update)
     }
 
-    fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
-        Placement::validate(self, app, invocations);
+    fn validate(&self, app: &A, nodes: u16, invocations: &[Invocation<A::Decision>]) {
+        Propagation::validate(self, app, nodes, invocations);
     }
 }
 
@@ -175,8 +175,8 @@ impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
     }
 
     /// Over a [`Placement`], the §6 routing rule.
-    fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
-        self.placement.validate(app, invocations);
+    fn validate(&self, app: &A, nodes: u16, invocations: &[Invocation<A::Decision>]) {
+        self.placement.validate(app, nodes, invocations);
     }
 
     fn on_execute(

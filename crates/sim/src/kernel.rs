@@ -804,10 +804,11 @@ pub trait Propagation<A: Application> {
     }
 
     /// Validates the strategy and an invocation schedule before a run
-    /// starts (e.g. partial replication asserts every invocation targets
-    /// a node holding the objects its decision reads). The default
-    /// accepts everything.
-    fn validate(&self, _app: &A, _invocations: &[Invocation<A::Decision>]) {}
+    /// over `nodes` replicas starts (e.g. partial replication asserts
+    /// that its placement covers every node and that every invocation
+    /// targets a node holding the objects its decision reads). The
+    /// default accepts everything.
+    fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {}
 
     /// Called right after `node` executed a transaction and merged
     /// `update` (timestamped `ts`) into its own log. Reactive strategies
@@ -1018,7 +1019,7 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         is_critical: impl Fn(&A::Decision) -> bool,
     ) -> RunReport<A> {
         let app = self.app;
-        self.strategy.validate(app, &invocations);
+        self.strategy.validate(app, self.cfg.nodes, &invocations);
         let span_name = format!("sim.{}.run", self.strategy.label());
         let run_span = shard_obs::span!(&span_name);
         if let Some(nem) = self.nemesis.as_deref_mut() {

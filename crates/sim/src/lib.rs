@@ -46,8 +46,8 @@
 //!   and full fanout it is the repo's one mechanism for §3.3's
 //!   transitive executions.
 //! * [`partial`] — the §6 generalization: partial replication with
-//!   per-object [`Placement`]s ([`PartialPlacement`] strategy, entered
-//!   via [`Runner::partial`]), preserving all correctness conditions
+//!   per-object [`Placement`]s (each one a propagation strategy, run
+//!   by [`Runner::new`]), preserving all correctness conditions
 //!   while reducing message volume.
 //! * [`monitor`] — live §3 verification inside the kernel loop: a
 //!   [`LiveMonitor`] seals executed transactions behind a Lamport
@@ -93,7 +93,7 @@ pub use clock::{LamportClock, NodeId, Timestamp};
 pub use cluster::{ClusterConfig, EagerBroadcast, ExecutedTxn, Invocation};
 pub use crash::{CrashSchedule, CrashWindow};
 pub use delay::DelayModel;
-pub use durable::{DurabilityConfig, DurableFleet, KillReport, NodeMirror, StoreBackend};
+pub use durable::{DurabilityConfig, DurableFleet, NodeMirror, StoreBackend};
 pub use gossip::Gossip;
 pub use kernel::{FaultStats, Propagation, QueueTransport, RunReport, Runner};
 pub use known::KnownSet;
@@ -103,7 +103,7 @@ pub use nemesis::{
     CrashInjector, Fate, FaultEvent, MessageDropper, MessageDuplicator, MessageReorderer, MsgCtx,
     Nemesis, NemesisStack, PartitionJitter, ScheduledNemesis,
 };
-pub use partial::{PartialPlacement, Placement};
+pub use partial::Placement;
 pub use partition::{PartitionSchedule, PartitionWindow};
 pub use streaming::StreamingMerge;
 pub use transport::{Transport, WallClock};

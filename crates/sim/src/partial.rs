@@ -21,17 +21,15 @@
 //! E16).
 //!
 //! Since the kernel refactor this module contributes the [`Placement`]
-//! map and the [`PartialPlacement`] propagation strategy; the event loop
-//! lives in [`crate::kernel`], entered via [`Runner::partial`].
+//! map, which is itself a propagation strategy; the event loop lives in
+//! [`crate::kernel`], entered via `Runner::new(app, config, placement)`.
 
 use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation, RunReport, Runner};
+use crate::kernel::{Entries, Invocation, Node, Propagation, RunReport};
 use crate::transport::Transport;
 use shard_core::{Application, ObjectId, ObjectModel};
 use std::sync::Arc;
-
-use crate::kernel::{ClusterConfig, Invocation};
 
 /// Which nodes replicate which objects.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -94,30 +92,6 @@ impl Placement {
         writes.is_empty() || writes.iter().any(|o| self.holds(node, *o))
     }
 
-    /// The §6 routing rule, for every strategy that runs over a
-    /// placement: each invocation targets a node holding all the
-    /// objects its decision reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an invocation targets a node missing a required object.
-    pub(crate) fn validate<A: ObjectModel>(
-        &self,
-        app: &A,
-        invocations: &[Invocation<A::Decision>],
-    ) {
-        for inv in invocations {
-            let reads = app.decision_objects(&inv.decision);
-            assert!(
-                self.holds_all(inv.node, &reads),
-                "node {} lacks objects {:?} read by {:?}",
-                inv.node,
-                reads,
-                inv.decision
-            );
-        }
-    }
-
     /// A node holding all of `objects`, if any (useful for routing).
     pub fn any_holder_of_all(&self, objects: &[ObjectId]) -> Option<NodeId> {
         (0..self.nodes())
@@ -150,32 +124,42 @@ impl<A: Application> RunReport<A> {
 }
 
 /// Object-aware propagation: the moment a transaction executes, its
-/// update is sent only to the nodes whose [`Placement`] holds one of the
+/// update is sent only to the nodes whose placement holds one of the
 /// objects it writes. Updates with an empty write set carry pure
 /// serial-order information and are sent to every node, so over
 /// [`Placement::full`] it reproduces [`crate::cluster::EagerBroadcast`]
 /// exactly.
-#[derive(Clone, Debug)]
-pub struct PartialPlacement {
-    placement: Placement,
-}
-
-impl PartialPlacement {
-    /// Routes by the given placement.
-    pub fn new(placement: Placement) -> Self {
-        PartialPlacement { placement }
-    }
-}
-
-impl<A: ObjectModel> Propagation<A> for PartialPlacement {
+impl<A: ObjectModel> Propagation<A> for Placement {
     fn label(&self) -> &'static str {
         "partial"
     }
 
-    /// Every invocation must target a node holding all the objects its
-    /// decision reads (the §6 routing rule).
-    fn validate(&self, app: &A, invocations: &[Invocation<A::Decision>]) {
-        self.placement.validate(app, invocations);
+    /// The §6 routing rule, for every strategy that runs over a
+    /// placement: the placement covers the cluster's `nodes`, and each
+    /// invocation targets a node holding all the objects its decision
+    /// reads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node counts differ, or if an invocation targets a
+    /// node missing a required object.
+    fn validate(&self, app: &A, nodes: u16, invocations: &[Invocation<A::Decision>]) {
+        assert_eq!(
+            self.nodes(),
+            nodes,
+            "a placement of {} nodes on a cluster of {nodes}: it must cover every node",
+            self.nodes()
+        );
+        for inv in invocations {
+            let reads = app.decision_objects(&inv.decision);
+            assert!(
+                self.holds_all(inv.node, &reads),
+                "node {} lacks objects {:?} read by {:?}",
+                inv.node,
+                reads,
+                inv.decision
+            );
+        }
     }
 
     fn on_execute(
@@ -189,39 +173,21 @@ impl<A: ObjectModel> Propagation<A> for PartialPlacement {
     ) {
         let entries: Entries<A> = Arc::from(vec![(ts, Arc::clone(update))]);
         for to in (0..net.nodes()).map(NodeId) {
-            if to != node.id && self.placement.wants(app, to, update) {
+            if to != node.id && Placement::wants(self, app, to, update) {
                 net.send(now, node.id, to, Arc::clone(&entries));
             }
         }
     }
 
     fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
-        self.placement.wants(app, node, update)
-    }
-}
-
-impl<'a, A: ObjectModel> Runner<'a, A, PartialPlacement> {
-    /// A partially replicated runner routing by `placement`. Each
-    /// invocation must target a node holding all the objects its
-    /// decision reads (checked at run start).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node counts disagree or the cluster is empty.
-    pub fn partial(app: &'a A, config: ClusterConfig, placement: Placement) -> Self {
-        assert_eq!(
-            config.nodes,
-            placement.nodes(),
-            "placement must cover all nodes"
-        );
-        Runner::new(app, config, PartialPlacement::new(placement))
+        Placement::wants(self, app, node, update)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DelayModel;
+    use crate::{ClusterConfig, DelayModel, Runner};
     use shard_core::DecisionOutcome;
 
     /// A two-register database: object 0 and object 1, each an
@@ -309,7 +275,7 @@ mod tests {
             vec![ObjectId(0), ObjectId(1)],
             vec![ObjectId(1)],
         ]);
-        let runner = Runner::partial(&app, cfg(3), p.clone());
+        let runner = Runner::new(&app, cfg(3), p.clone());
         let invs = vec![
             Invocation::new(0, NodeId(0), Bump(0)),
             Invocation::new(10, NodeId(2), Bump(1)),
@@ -330,7 +296,7 @@ mod tests {
     fn full_placement_matches_global_state() {
         let app = TwoRegs;
         let p = Placement::full(3, &app.objects());
-        let runner = Runner::partial(&app, cfg(3), p.clone());
+        let runner = Runner::new(&app, cfg(3), p.clone());
         let invs: Vec<_> = (0..10)
             .map(|i| Invocation::new(i * 5, NodeId((i % 3) as u16), Bump((i % 2) as u32)))
             .collect();
@@ -349,10 +315,10 @@ mod tests {
             .map(|i| Invocation::new(i * 5, NodeId(0), Bump(0)))
             .collect();
         // All activity on object 0.
-        let full = Runner::partial(&app, cfg(4), Placement::full(4, &objs))
+        let full = Runner::new(&app, cfg(4), Placement::full(4, &objs))
             .run(invs.clone())
             .messages_sent;
-        let part = Runner::partial(&app, cfg(4), Placement::round_robin(4, &objs, 2))
+        let part = Runner::new(&app, cfg(4), Placement::round_robin(4, &objs, 2))
             .run(invs)
             .messages_sent;
         assert!(part < full, "partial {part} < full {full}");
@@ -363,7 +329,7 @@ mod tests {
     fn misrouted_decision_panics() {
         let app = TwoRegs;
         let p = Placement::new(vec![vec![ObjectId(0)], vec![ObjectId(1)]]);
-        let runner = Runner::partial(&app, cfg(2), p);
+        let runner = Runner::new(&app, cfg(2), p);
         let _ = runner.run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
     }
 
@@ -380,5 +346,25 @@ mod tests {
         let strategy = crate::Gossip::new(10, 2).over(p);
         let _ =
             Runner::new(&app, cfg(3), strategy).run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
+    }
+
+    /// A placement covers the cluster or the run does not start, as the
+    /// strategy and under gossip alike: node 3 or 4 would index past a
+    /// 3-node placement the first time an update is routed to it.
+    #[test]
+    #[should_panic(expected = "a placement of 3 nodes on a cluster of 5")]
+    fn a_placement_smaller_than_the_cluster_is_refused() {
+        let app = TwoRegs;
+        let p = Placement::full(3, &app.objects());
+        let _ = Runner::new(&app, cfg(5), p).run(vec![Invocation::new(0, NodeId(0), Bump(0))]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a placement of 3 nodes on a cluster of 5")]
+    fn gossip_over_a_placement_smaller_than_the_cluster_is_refused() {
+        let app = TwoRegs;
+        let strategy = crate::Gossip::new(10, 2).over(Placement::full(3, &app.objects()));
+        let _ =
+            Runner::new(&app, cfg(5), strategy).run(vec![Invocation::new(0, NodeId(0), Bump(0))]);
     }
 }

@@ -553,6 +553,95 @@ fn per_execution_gossip_repairs_a_restart_at_the_next_execution() {
     assert!(repaired.mutually_consistent());
 }
 
+/// The `store.kill` line is the one crash report, and it reads the same
+/// off either backend: a traced gossip run under a [`CrashInjector`],
+/// once on `MemStore` mirrors and once on `DiskStore` mirrors, cuts the
+/// same bytes at every kill. And what a line calls lost is what the
+/// store held before the cut less what it kept, as the trace itself
+/// accounts for it: every deposit encodes to the same number of bytes,
+/// a node's store gains one record per `execute` and per fresh merge at
+/// it, and a restarted node holds what its `store.recover` line read.
+#[test]
+fn store_kill_lines_agree_across_backends_and_count_what_was_lost() {
+    let dir = std::env::temp_dir().join(format!(
+        "shard-sim-durable-kill-lines-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let app = Bank::new(4, 100);
+    let invs: Vec<Invocation<BankTxn>> = (0..60u32)
+        .map(|i| {
+            let txn = BankTxn::Deposit(AccountId(i % 4), 1 + i);
+            Invocation::new(u64::from(i) * 7, NodeId((i % 3) as u16), txn)
+        })
+        .collect();
+    let traced = |durability: DurabilityConfig| {
+        let sink = EventSink::in_memory();
+        let cfg = ClusterConfig {
+            nodes: 3,
+            seed: 11,
+            delay: DelayModel::Exponential { mean: 10 },
+            sink: Some(sink.clone()),
+            ..Default::default()
+        };
+        Runner::new(&app, cfg, Gossip::new(15, 1))
+            .with_durability(DurableFleet::new(3, &durability).unwrap())
+            .with_nemesis(Box::new(CrashInjector::new(4, 20, 80, 1)))
+            .run(invs.clone());
+        sink.flush();
+        sink.drain_to_string()
+    };
+    let mem = traced(DurabilityConfig::mem(1));
+    let disk = traced(DurabilityConfig::disk(&dir, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+    let kill_lines = |trace: &str| -> Vec<String> {
+        let kill = r#""event":"store.kill""#;
+        trace
+            .lines()
+            .filter(|l| l.contains(kill))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(
+        kill_lines(&mem),
+        kill_lines(&disk),
+        "the backends cut alike"
+    );
+
+    let mut credit = Vec::new();
+    BankUpdate::Credit(AccountId(0), 1).encode(&mut credit);
+    let record = 8 + 10 + credit.len() as u64;
+    let mut held = [0u64; 3];
+    let (mut kills, mut lost) = (0, 0);
+    for line in mem.lines() {
+        let event = shard_obs::json::parse(line).unwrap();
+        let field = |name| event.get(name).and_then(shard_obs::Json::as_u64);
+        let Some(node) = field("node") else { continue };
+        let held = &mut held[node as usize];
+        match event.get("event").and_then(shard_obs::Json::as_str) {
+            Some("execute" | "merge.append" | "merge.out_of_order") => *held += 1,
+            Some("store.recover") => *held = field("entries").unwrap(),
+            Some("store.kill") => {
+                let kept = field("kept_entries").unwrap();
+                let kept_bytes = field("kept_bytes").unwrap();
+                assert_eq!(kept_bytes, kept * record, "{line}");
+                assert_eq!(
+                    field("lost_bytes").unwrap(),
+                    *held * record - kept_bytes,
+                    "{line}"
+                );
+                kills += 1;
+                lost += field("lost_bytes").unwrap();
+                *held = kept;
+            }
+            _ => {}
+        }
+    }
+    assert_eq!(kills, 4, "every injected window kills once");
+    assert!(lost > 0, "some cut lost an unsynced tail");
+    assert!(mem.contains(r#""torn":true"#), "and tore a record");
+}
+
 const FLEET: u16 = 4;
 
 /// Deposits commute and are decided without reading the state, so two

@@ -181,7 +181,7 @@ proptest! {
             invs.push(Invocation::new(t, node, txn));
         }
         invs.sort_by_key(|i| i.time);
-        let cluster = Runner::partial(
+        let cluster = Runner::new(
             &app,
             ClusterConfig {
                 nodes: 4,

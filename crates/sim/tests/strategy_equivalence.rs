@@ -28,8 +28,8 @@ use shard_sim::events::SimTime;
 use shard_sim::kernel::{Entries, Node};
 use shard_sim::partition::{PartitionSchedule, PartitionWindow};
 use shard_sim::{
-    ClusterConfig, DelayModel, EagerBroadcast, Gossip, Invocation, NodeId, PartialPlacement,
-    Placement, Propagation, RunReport, Runner, Timestamp, Transport,
+    ClusterConfig, DelayModel, EagerBroadcast, Gossip, Invocation, NodeId, Placement, Propagation,
+    RunReport, Runner, Timestamp, Transport,
 };
 use std::sync::Arc;
 
@@ -79,12 +79,8 @@ where
 {
     let eager = Runner::new(app, cfg.clone(), EagerBroadcast::default()).run(invs.to_vec());
     let gossip = Runner::new(app, cfg.clone(), Gossip::new(1, cfg.nodes)).run(invs.to_vec());
-    let partial = Runner::new(
-        app,
-        cfg.clone(),
-        PartialPlacement::new(Placement::full(cfg.nodes, &app.objects())),
-    )
-    .run(invs.to_vec());
+    let partial = Runner::new(app, cfg.clone(), Placement::full(cfg.nodes, &app.objects()))
+        .run(invs.to_vec());
 
     assert_eq!(&eager.final_states, &gossip.final_states);
     assert_eq!(&eager.final_states, &partial.final_states);

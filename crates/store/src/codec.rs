@@ -4,7 +4,7 @@
 //!
 //! Everything here is deliberately boring: fixed-width big-endian
 //! integers, explicit field order, no self-description. The WAL record
-//! framing (length + CRC) lives in [`crate::wal`]; this module only
+//! framing (length + CRC) is [`crate::DiskStore`]'s; this module only
 //! defines payload bytes. Payload compatibility is *within one run* —
 //! a store directory is owned by a single build of the system, so no
 //! versioning machinery is carried.
@@ -111,7 +111,7 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// What a type must provide to live in a [`crate::store::Store`]:
+/// What a type must provide to live in a [`crate::Store`]:
 /// write itself to bytes, read itself back. Implementations must
 /// round-trip (`decode(encode(x)) == Some(x)`) and fail cleanly
 /// (`None`) on any input they did not produce.

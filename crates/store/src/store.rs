@@ -18,29 +18,37 @@
 //! crash offsets mean the same thing in both — the deterministic
 //! kernel's proptests run against `MemStore` and transfer to
 //! [`DiskStore`] by construction (and E24 checks they agree).
+//!
+//! [`DiskStore`]: crate::DiskStore
 
 use crate::codec::StoreKey;
-use crate::wal::{record_bytes, Wal, WalOptions};
+use crate::wal::record_bytes;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
 
-/// Outcome of a [`Store::crash`] + reopen.
+/// What a power cut did to a store: the outcome of a [`Store::crash`]
+/// and the reopen after it — and of a node's kill, which is one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CrashReport {
-    /// Records that survived.
+    /// Records that survived (a prefix of the arrival order).
     pub kept_entries: usize,
-    /// Bytes that survived (record-aligned, `<=` the requested keep).
+    /// Bytes of intact log after torn-tail truncation (record-aligned,
+    /// `<=` the requested keep).
     pub kept_bytes: u64,
+    /// Bytes that were appended but lost to the cut: the length before
+    /// it less `kept_bytes`.
+    pub lost_bytes: u64,
     /// Whether the keep offset cut a record in half (the torn record
-    /// was dropped).
+    /// was dropped on reopen, as after a real crash).
     pub torn: bool,
 }
 
-/// Tuning for a [`DiskStore`] (and the byte model of [`MemStore`]).
+/// Tuning for a [`DiskStore`](crate::DiskStore) (and the byte model of [`MemStore`]).
 #[derive(Clone, Debug)]
 pub struct StoreOptions {
-    /// WAL segment rotation threshold.
+    /// Rotate to a fresh WAL segment once the active one reaches this
+    /// many bytes. Small values exercise rotation; production-ish
+    /// values amortise file-table overhead.
     pub segment_bytes: u64,
     // Vestige: nothing reads it and there is no pool. Kept because the
     // frozen benchmark prints it as a note (`benchmark/src/audit.rs:392`);
@@ -53,7 +61,7 @@ impl Default for StoreOptions {
     /// 1 MiB segments.
     fn default() -> Self {
         StoreOptions {
-            segment_bytes: WalOptions::default().segment_bytes,
+            segment_bytes: 1 << 20,
             pool_frames: 0,
         }
     }
@@ -64,9 +72,10 @@ impl Default for StoreOptions {
 /// on top of it.
 pub trait Store {
     /// Appends one record. Buffered until the next [`Store::sync`].
-    /// A value of any length a record can frame — a [`DiskStore`]
-    /// refuses, with `InvalidInput` and before anything is written, one
-    /// whose record would not fit the WAL's `u32` length field.
+    /// A value of any length a record can frame — a
+    /// [`DiskStore`](crate::DiskStore) refuses, with `InvalidInput` and
+    /// before anything is written, one whose record would not fit the
+    /// WAL's `u32` length field.
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()>;
 
     /// Durability barrier: everything appended so far survives crashes.
@@ -101,10 +110,10 @@ pub trait Store {
 }
 
 /// The in-memory store: a `Vec` of records with disk-faithful byte
-/// accounting and the same crash semantics as [`DiskStore`]. The
-/// default backend — durability without the I/O, for deterministic
-/// tests and fast chaos sweeps — and the reference [`DiskStore`]'s
-/// reads are held to.
+/// accounting and the same crash semantics as a
+/// [`DiskStore`](crate::DiskStore). The default backend — durability
+/// without the I/O, for deterministic tests and fast chaos sweeps — and
+/// the reference a `DiskStore`'s reads are held to.
 #[derive(Default)]
 pub struct MemStore {
     /// `(key, value, end_offset)` in arrival order.
@@ -183,6 +192,7 @@ impl Store for MemStore {
             self.records[kept - 1].2
         };
         let torn = kept_bytes < keep.min(self.len);
+        let lost_bytes = self.len - kept_bytes;
         self.records.truncate(kept);
         // Rebuild the index first-writer-wins.
         self.index.clear();
@@ -198,99 +208,8 @@ impl Store for MemStore {
         Ok(CrashReport {
             kept_entries: kept,
             kept_bytes,
+            lost_bytes,
             torn,
-        })
-    }
-}
-
-/// The disk store: a [`Wal`], which is all of it — arrival order is the
-/// file order, and key order is a seek into a log appended in key order
-/// (a sort of one that was not). Opt in by passing an explicit
-/// directory.
-pub struct DiskStore {
-    wal: Wal,
-}
-
-// Vestige of the B+tree this store no longer has: the frozen benchmark
-// reads `depth` and `total_pages` off `index_stats()`
-// (`benchmark/src/layers.rs:315–317`). One level of fences, no pages;
-// goes with ROADMAP item 1.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug)]
-pub struct IndexStats {
-    pub depth: usize,
-    pub total_pages: usize,
-}
-
-impl DiskStore {
-    /// Opens (creating if needed) the store in `dir`: one pass validates
-    /// the WAL and truncates a torn tail. Returns the store and the
-    /// records recovered.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, and `InvalidData` for a log corrupt somewhere a
-    /// crash cannot tear it ([`Wal::open`]).
-    pub fn open(dir: &Path, opts: StoreOptions) -> io::Result<(Self, usize)> {
-        let wal_opts = WalOptions {
-            segment_bytes: opts.segment_bytes,
-        };
-        let (wal, report) = Wal::open(dir, wal_opts)?;
-        shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
-        Ok((DiskStore { wal }, report.entries))
-    }
-
-    #[doc(hidden)]
-    pub fn index_stats(&self) -> io::Result<IndexStats> {
-        Ok(IndexStats {
-            depth: 1,
-            total_pages: 0,
-        })
-    }
-}
-
-impl Store for DiskStore {
-    fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
-        self.wal.append(key, value).map(drop)
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        self.wal.sync()
-    }
-
-    fn len_bytes(&self) -> u64 {
-        self.wal.len()
-    }
-
-    fn synced_bytes(&self) -> u64 {
-        self.wal.synced()
-    }
-
-    fn entries(&self) -> usize {
-        self.wal.entries()
-    }
-
-    fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        self.wal.for_each(f)
-    }
-
-    fn scan_key_range(
-        &mut self,
-        from: StoreKey,
-        f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
-    ) -> io::Result<()> {
-        self.wal.scan_key_range(from, f)
-    }
-
-    fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
-        let requested_end = self.wal.len().min(keep);
-        let report = self.wal.crash(keep)?;
-        shard_obs::counter!("store.recovered_entries", crate::family).add(report.entries as u64);
-        let kept_bytes = self.wal.len();
-        Ok(CrashReport {
-            kept_entries: report.entries,
-            kept_bytes,
-            torn: kept_bytes < requested_end,
         })
     }
 }
@@ -361,6 +280,7 @@ fn key_successor(k: StoreKey) -> Option<StoreKey> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::DiskStore;
     use proptest::prelude::*;
     use std::path::PathBuf;
 

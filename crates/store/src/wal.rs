@@ -1,7 +1,7 @@
-//! The append-only write-ahead segment log — and, because the log is
-//! appended in key order, its own index.
+//! [`DiskStore`]: the append-only write-ahead segment log — and,
+//! because the log is appended in key order, its own index.
 //!
-//! The WAL is the **authoritative** copy of a node's merge log, in
+//! The log is the **authoritative** copy of a node's merge log, in
 //! arrival order, and the only copy of anything a store holds.
 //! Everything else in the engine (the in-memory `MergeLog` it recovers
 //! into) is derived from it.
@@ -24,23 +24,23 @@
 //!
 //! # The write buffer
 //!
-//! [`Wal::append`] encodes each record into an in-process buffer that
-//! only ever holds *whole* records; the buffer is written to the active
+//! An append encodes each record into an in-process buffer that only
+//! ever holds *whole* records; the buffer is written to the active
 //! segment in one `write(2)` when it fills and at every point that
-//! reads or cuts the files ([`Wal::sync`], rotation, [`Wal::for_each`],
-//! [`Wal::scan_key_range`], [`Wal::crash`], drop). So the bytes on disk
-//! are always a record-aligned prefix of the logical log
-//! ([`Wal::len`]), and what another process sees of a live log
-//! ([`Wal::inspect`]) never ends in a half-written record.
-//! `docs/storage.md` spells out what each kind of exit keeps.
+//! reads or cuts the files (`sync`, rotation, `scan_arrival`,
+//! `scan_key_range`, `crash`, drop). So the bytes on disk are always a
+//! record-aligned prefix of the logical log (`len_bytes`), and what
+//! another process sees of a live log ([`DiskStore::inspect`]) never
+//! ends in a half-written record. `docs/storage.md` spells out what
+//! each kind of exit keeps.
 //!
 //! # Torn tails, and only tails
 //!
-//! Appends can be cut anywhere by a crash, so [`Wal::open`] validates
-//! every record of every segment. A rotation fsyncs the segment it
-//! closes before the next one exists, so only the **last** segment can
-//! be torn: it is cut back to its last valid record boundary and
-//! `store.wal_torn_truncations` is incremented. Because records are
+//! Appends can be cut anywhere by a crash, so [`DiskStore::open`]
+//! validates every record of every segment. A rotation fsyncs the
+//! segment it closes before the next one exists, so only the **last**
+//! segment can be torn: it is cut back to its last valid record boundary
+//! and `store.wal_torn_truncations` is incremented. Because records are
 //! only ever appended and `sync` is a barrier, everything before the
 //! torn point is exactly the prefix of appends that reached the disk —
 //! which is what makes recovery produce a *prefix* of the node's
@@ -53,20 +53,21 @@
 //! Each segment remembers the key of its first record (its **fence**)
 //! and the log remembers whether every key so far was at or above the
 //! one before it — both observed from the records, by the pass `open`
-//! makes anyway and by every append. On such a log
-//! [`Wal::scan_key_range`] seeks: binary search over the fences (or the
-//! position the last scan stopped at, whichever is further along), then
-//! sequential blocks, records parsed in place and CRC-checked. On any
-//! other log — a node mirror, whose arrival order is not key order and
-//! which no traffic reads by key — it sorts, per call.
+//! makes anyway and by every append. On such a log `scan_key_range`
+//! seeks: binary search over the fences (or the position the last scan
+//! stopped at, whichever is further along), then sequential blocks,
+//! records parsed in place and CRC-checked. On any other log — a node
+//! mirror, whose arrival order is not key order and which no traffic
+//! reads by key — it sorts, per call.
 
 use crate::codec::{StoreKey, KEY_BYTES};
+use crate::store::{CrashReport, Store, StoreOptions};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Per-record framing overhead in bytes (`len` + `crc`).
-pub const RECORD_HEADER: u64 = 8;
+const RECORD_HEADER: u64 = 8;
 
 /// Bytes one record takes in the log (`header + key + value`) — and in
 /// a `MemStore`'s accounting of one.
@@ -80,7 +81,7 @@ pub(crate) fn record_bytes(value_len: usize) -> u64 {
 /// step are independent and only the xor chain is serial. Zero
 /// dependencies is a crate invariant, so the lazily built tables (8 KiB)
 /// live here.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
     let t = TABLES.get_or_init(|| {
         let mut t = [[0u32; 256]; 8];
@@ -121,35 +122,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         crc = t[0][((crc ^ u32::from(b)) & 0xff) as usize] ^ (crc >> 8);
     }
     !crc
-}
-
-/// Tuning knobs for a [`Wal`].
-#[derive(Clone, Copy, Debug)]
-pub struct WalOptions {
-    /// Rotate to a fresh segment once the active one reaches this many
-    /// bytes. Small values exercise rotation; production-ish values
-    /// amortise file-table overhead.
-    pub segment_bytes: u64,
-}
-
-impl Default for WalOptions {
-    /// 1 MiB segments.
-    fn default() -> Self {
-        WalOptions {
-            segment_bytes: 1 << 20,
-        }
-    }
-}
-
-/// What [`Wal::open`] found on disk.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpenReport {
-    /// Valid records recovered.
-    pub entries: usize,
-    /// Whether a torn tail was truncated away.
-    pub torn: bool,
-    /// Bytes dropped by the truncation.
-    pub truncated_bytes: u64,
 }
 
 struct Segment {
@@ -204,10 +176,15 @@ const WRITE_BUFFER: usize = 64 << 10;
 /// resident per open log that has been read.
 const READ_BLOCK: usize = 16 << 10;
 
-/// An open write-ahead log. See the module docs for the format.
-pub struct Wal {
+/// The disk store: an open write-ahead log, which is all of it —
+/// arrival order is the file order, and key order is a seek into a log
+/// appended in key order (a sort of one that was not). Opt in by
+/// opening an explicit directory. See the module docs for the format.
+pub struct DiskStore {
     dir: PathBuf,
-    opts: WalOptions,
+    /// Rotate to a fresh segment once the active one reaches this many
+    /// bytes ([`StoreOptions::segment_bytes`]).
+    segment_bytes: u64,
     /// Lengths are logical: the active segment's includes `buffer`.
     segments: Vec<Segment>,
     active: File,
@@ -219,7 +196,7 @@ pub struct Wal {
     synced: u64,
     entries: usize,
     /// Whether the log is in key order, and its largest key. Decides
-    /// how [`Wal::scan_key_range`] reads; never configured.
+    /// how `scan_key_range` reads; never configured.
     keys: KeyOrder,
     /// Where the last key scan of a log in key order stopped: the key
     /// it handed out last and the position just past that record, as
@@ -230,6 +207,17 @@ pub struct Wal {
     resume: Option<(StoreKey, usize, u64)>,
     /// The block buffer reads parse records out of, reused.
     read_buf: Vec<u8>,
+}
+
+// Vestige of the B+tree this store no longer has: the frozen benchmark
+// reads `depth` and `total_pages` off `index_stats()`
+// (`benchmark/src/layers.rs:315–317`). One level of fences, no pages;
+// goes with ROADMAP item 1.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug)]
+pub struct IndexStats {
+    pub depth: usize,
+    pub total_pages: usize,
 }
 
 fn segment_path(dir: &Path, index: u64) -> PathBuf {
@@ -379,12 +367,13 @@ fn read_segment(
     Ok(reader.asked)
 }
 
-impl Wal {
-    /// Opens (creating if absent) the log in `dir`: one pass validates
+impl DiskStore {
+    /// Opens (creating if absent) the store in `dir`: one pass validates
     /// every record, fills each segment's fence and observes whether
     /// the log is in key order; a torn tail of the last segment is
     /// truncated. Everything the pass accepted is treated as durable
-    /// (`synced == len`).
+    /// (`synced_bytes == len_bytes`). Returns the store and the records
+    /// recovered.
     ///
     /// # Errors
     ///
@@ -392,18 +381,14 @@ impl Wal {
     /// no file touched — for a closed segment that holds an invalid
     /// record, or none at all: a rotation fsyncs the segment it closes
     /// and closes none without a record, so neither is a torn tail.
-    pub fn open(dir: &Path, opts: WalOptions) -> io::Result<(Wal, OpenReport)> {
+    pub fn open(dir: &Path, opts: StoreOptions) -> io::Result<(DiskStore, usize)> {
         fs::create_dir_all(dir)?;
         if list_segments(dir)?.is_empty() {
             File::create(segment_path(dir, 0))?;
         }
         // The pass is `inspect`'s; what to do about what it found is
         // decided here.
-        let found = Wal::inspect(dir)?;
-        let mut report = OpenReport {
-            entries: found.entries,
-            ..OpenReport::default()
-        };
+        let found = DiskStore::inspect(dir)?;
         let mut segments = Vec::with_capacity(found.segments.len());
         let mut offset = 0u64;
         for (i, seg) in found.segments.iter().enumerate() {
@@ -416,8 +401,6 @@ impl Wal {
                 return Err(corrupt(index, 0, "a closed segment without a record"));
             }
             if good < seg.file_bytes {
-                report.torn = true;
-                report.truncated_bytes = seg.file_bytes - good;
                 let f = OpenOptions::new()
                     .write(true)
                     .open(segment_path(dir, index))?;
@@ -436,85 +419,32 @@ impl Wal {
         let active_path = segment_path(dir, segments.last().expect("at least one segment").index);
         let mut active = OpenOptions::new().append(true).open(&active_path)?;
         active.seek(SeekFrom::End(0))?;
-        Ok((
-            Wal {
-                dir: dir.to_path_buf(),
-                opts,
-                segments,
-                active,
-                buffer: Vec::with_capacity(WRITE_BUFFER),
-                len: offset,
-                synced: offset,
-                entries: report.entries,
-                keys: KeyOrder {
-                    max: found.last_key,
-                    ascending: found.in_key_order,
-                },
-                resume: None,
-                read_buf: Vec::new(),
+        shard_obs::counter!("store.recovered_entries", crate::family).add(found.entries as u64);
+        let store = DiskStore {
+            dir: dir.to_path_buf(),
+            segment_bytes: opts.segment_bytes,
+            segments,
+            active,
+            buffer: Vec::with_capacity(WRITE_BUFFER),
+            len: offset,
+            synced: offset,
+            entries: found.entries,
+            keys: KeyOrder {
+                max: found.last_key,
+                ascending: found.in_key_order,
             },
-            report,
-        ))
+            resume: None,
+            read_buf: Vec::new(),
+        };
+        Ok((store, found.entries))
     }
 
-    /// Global end offset in bytes.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
-    }
-
-    /// Global offset up to which appends are known durable.
-    pub fn synced(&self) -> u64 {
-        self.synced
-    }
-
-    /// Valid records in the log.
-    pub fn entries(&self) -> usize {
-        self.entries
-    }
-
-    /// Appends one record and returns the global offset *after* it.
-    /// The bytes sit in the write buffer or the OS page cache, **not
-    /// durable**, until the next [`Wal::sync`].
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, and `InvalidInput` — before anything is written —
-    /// for a value whose record does not fit the `u32` length field.
-    pub fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<u64> {
-        let len = u32::try_from(KEY_BYTES + value.len()).map_err(|_| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("WAL record for {key:?}: {} value bytes", value.len()),
-            )
-        })?;
-        let tail = self.segments.last().expect("at least one segment");
-        if tail.len > 0 && tail.len >= self.opts.segment_bytes {
-            self.rotate()?;
-        }
-        let record = RECORD_HEADER as usize + len as usize;
-        if self.buffer.len() + record > WRITE_BUFFER {
-            self.flush()?;
-        }
-        let start = self.buffer.len();
-        self.buffer.extend_from_slice(&len.to_le_bytes());
-        self.buffer.extend_from_slice(&[0u8; 4]);
-        self.buffer.extend_from_slice(&key.to_bytes());
-        self.buffer.extend_from_slice(value);
-        let crc = crc32(&self.buffer[start + RECORD_HEADER as usize..]);
-        self.buffer[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        let tail = self.segments.last_mut().expect("at least one segment");
-        tail.first_key.get_or_insert(key);
-        tail.len += record as u64;
-        self.len += record as u64;
-        self.entries += 1;
-        self.keys.push(key);
-        shard_obs::counter!("store.wal_appends", crate::family).inc();
-        Ok(self.len)
+    #[doc(hidden)]
+    pub fn index_stats(&self) -> io::Result<IndexStats> {
+        Ok(IndexStats {
+            depth: 1,
+            total_pages: 0,
+        })
     }
 
     /// Writes the buffered records to the active segment: after this
@@ -536,17 +466,6 @@ impl Wal {
         shard_obs::histogram!("store.wal_fsync_us", crate::family)
             .record(started.elapsed().as_micros() as u64);
         shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
-        Ok(())
-    }
-
-    /// Fsync barrier: after this returns, every appended byte survives
-    /// a crash. No-op (and not counted) when nothing is outstanding.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.synced < self.len {
-            self.flush()?;
-            self.fsync()?;
-            self.synced = self.len;
-        }
         Ok(())
     }
 
@@ -574,52 +493,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Streams every record in append (arrival) order.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, and `InvalidData` naming segment and offset for a
-    /// record that no longer passes its checksum.
-    pub fn for_each(&mut self, mut f: impl FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        self.flush()?;
-        for seg in &self.segments {
-            read_segment(&self.dir, seg, 0, &mut self.read_buf, |_, key, value| {
-                f(key, value);
-                true
-            })?;
-        }
-        Ok(())
-    }
-
-    /// Streams the records with `key >= from` in key order — of equal
-    /// keys only the first appended — until `f` returns `false`. Every
-    /// record handed out has just passed its checksum.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors, and `InvalidData` naming segment and offset for a
-    /// record that no longer passes its checksum.
-    pub fn scan_key_range(
-        &mut self,
-        from: StoreKey,
-        f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
-    ) -> io::Result<()> {
-        self.flush()?;
-        if self.keys.max.is_none_or(|max| max < from) {
-            return Ok(());
-        }
-        let mut asked = 0;
-        let outcome = if self.keys.ascending {
-            self.scan_in_key_order(from, f, &mut asked)
-        } else {
-            self.scan_sorting(from, f, &mut asked)
-        };
-        shard_obs::counter!("store.wal_read_bytes", crate::family).add(asked);
-        outcome
-    }
-
-    /// [`Wal::scan_key_range`] over a log in key order: the log is the
-    /// sorted run, so seek and read on.
+    /// `scan_key_range` over a log in key order: the log is the sorted
+    /// run, so seek and read on.
     fn scan_in_key_order(
         &mut self,
         from: StoreKey,
@@ -668,10 +543,10 @@ impl Wal {
         Ok(())
     }
 
-    /// [`Wal::scan_key_range`] over a log that is *not* in key order:
-    /// one pass for the keys at or above `from` and where their records
-    /// are, a stable sort (the first writer of a key stays first), and
-    /// a read-back in key order. Stateless, O(n log n) a call.
+    /// `scan_key_range` over a log that is *not* in key order: one pass
+    /// for the keys at or above `from` and where their records are, a
+    /// stable sort (the first writer of a key stays first), and a
+    /// read-back in key order. Stateless, O(n log n) a call.
     fn scan_sorting(
         &mut self,
         from: StoreKey,
@@ -715,35 +590,9 @@ impl Wal {
         Ok(())
     }
 
-    /// Simulates a crash that preserved exactly the first `keep` bytes
-    /// of the global stream — of everything appended, buffered or not —
-    /// and the restart after it: truncates the files to `keep` (deleting
-    /// later segments), then reopens the log in place and returns what
-    /// [`Wal::open`] found. `keep` may fall mid-record — the reopen drops
-    /// the torn record, which is in the last segment left.
-    /// Callers model honest hardware by passing `keep >= synced()`;
-    /// nothing enforces it here.
-    pub fn crash(&mut self, keep: u64) -> io::Result<OpenReport> {
-        self.flush()?;
-        for seg in &self.segments {
-            let path = segment_path(&self.dir, seg.index);
-            if seg.start >= keep {
-                fs::remove_file(&path)?;
-            } else {
-                let within = (keep - seg.start).min(seg.len);
-                let f = OpenOptions::new().write(true).open(&path)?;
-                f.set_len(within)?;
-                f.sync_data()?;
-            }
-        }
-        let (reopened, report) = Wal::open(&self.dir, self.opts)?;
-        *self = reopened;
-        Ok(report)
-    }
-
     /// Read-only inspection of the log in `dir` — what `shard-trace
-    /// store` prints, and the pass [`Wal::open`] starts from. Unlike
-    /// `open` this never modifies files: an invalid record is
+    /// store` prints, and the pass [`DiskStore::open`] starts from.
+    /// Unlike `open` this never modifies files: an invalid record is
     /// *reported*, not truncated or refused.
     pub fn inspect(dir: &Path) -> io::Result<WalInspection> {
         let mut info = WalInspection::default();
@@ -784,10 +633,147 @@ impl Wal {
     }
 }
 
-impl Drop for Wal {
+impl Store for DiskStore {
+    /// The bytes sit in the write buffer or the OS page cache, **not
+    /// durable**, until the next `sync`.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, and `InvalidInput` — before anything is written —
+    /// for a value whose record does not fit the `u32` length field.
+    fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
+        let len = u32::try_from(KEY_BYTES + value.len()).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("WAL record for {key:?}: {} value bytes", value.len()),
+            )
+        })?;
+        let tail = self.segments.last().expect("at least one segment");
+        if tail.len > 0 && tail.len >= self.segment_bytes {
+            self.rotate()?;
+        }
+        let record = RECORD_HEADER as usize + len as usize;
+        if self.buffer.len() + record > WRITE_BUFFER {
+            self.flush()?;
+        }
+        let start = self.buffer.len();
+        self.buffer.extend_from_slice(&len.to_le_bytes());
+        self.buffer.extend_from_slice(&[0u8; 4]);
+        self.buffer.extend_from_slice(&key.to_bytes());
+        self.buffer.extend_from_slice(value);
+        let crc = crc32(&self.buffer[start + RECORD_HEADER as usize..]);
+        self.buffer[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+        let tail = self.segments.last_mut().expect("at least one segment");
+        tail.first_key.get_or_insert(key);
+        tail.len += record as u64;
+        self.len += record as u64;
+        self.entries += 1;
+        self.keys.push(key);
+        shard_obs::counter!("store.wal_appends", crate::family).inc();
+        Ok(())
+    }
+
+    /// Fsync barrier; a no-op (and not counted) when nothing is
+    /// outstanding.
+    fn sync(&mut self) -> io::Result<()> {
+        if self.synced < self.len {
+            self.flush()?;
+            self.fsync()?;
+            self.synced = self.len;
+        }
+        Ok(())
+    }
+
+    fn len_bytes(&self) -> u64 {
+        self.len
+    }
+
+    fn synced_bytes(&self) -> u64 {
+        self.synced
+    }
+
+    fn entries(&self) -> usize {
+        self.entries
+    }
+
+    /// # Errors
+    ///
+    /// I/O errors, and `InvalidData` naming segment and offset for a
+    /// record that no longer passes its checksum.
+    fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
+        self.flush()?;
+        for seg in &self.segments {
+            read_segment(&self.dir, seg, 0, &mut self.read_buf, |_, key, value| {
+                f(key, value);
+                true
+            })?;
+        }
+        Ok(())
+    }
+
+    /// Every record handed out has just passed its checksum.
+    ///
+    /// # Errors
+    ///
+    /// I/O errors, and `InvalidData` naming segment and offset for a
+    /// record that no longer passes its checksum.
+    fn scan_key_range(
+        &mut self,
+        from: StoreKey,
+        f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
+    ) -> io::Result<()> {
+        self.flush()?;
+        if self.keys.max.is_none_or(|max| max < from) {
+            return Ok(());
+        }
+        let mut asked = 0;
+        let outcome = if self.keys.ascending {
+            self.scan_in_key_order(from, f, &mut asked)
+        } else {
+            self.scan_sorting(from, f, &mut asked)
+        };
+        shard_obs::counter!("store.wal_read_bytes", crate::family).add(asked);
+        outcome
+    }
+
+    /// Keeps exactly the first `keep` bytes of the global stream — of
+    /// everything appended, buffered or not: truncates the files to
+    /// `keep` (deleting later segments), then reopens the log in place
+    /// ([`DiskStore::open`]). `keep` may fall mid-record — the reopen
+    /// drops the torn record, which is in the last segment left.
+    /// Nothing enforces `keep >= synced_bytes()` here.
+    fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
+        self.flush()?;
+        let before = self.len;
+        for seg in &self.segments {
+            let path = segment_path(&self.dir, seg.index);
+            if seg.start >= keep {
+                fs::remove_file(&path)?;
+            } else {
+                let within = (keep - seg.start).min(seg.len);
+                let f = OpenOptions::new().write(true).open(&path)?;
+                f.set_len(within)?;
+                f.sync_data()?;
+            }
+        }
+        let opts = StoreOptions {
+            segment_bytes: self.segment_bytes,
+            ..StoreOptions::default()
+        };
+        *self = DiskStore::open(&self.dir, opts)?.0;
+        Ok(CrashReport {
+            kept_entries: self.entries,
+            kept_bytes: self.len,
+            lost_bytes: before - self.len,
+            torn: self.len < before.min(keep),
+        })
+    }
+}
+
+impl Drop for DiskStore {
     /// A clean exit keeps every appended record: the buffer is written
-    /// out (best effort — an error here has no caller to go to; use
-    /// [`Wal::sync`] where the outcome matters).
+    /// out (best effort — an error here has no caller to go to; `sync`
+    /// where the outcome matters).
     fn drop(&mut self) {
         let _ = self.flush();
     }
@@ -812,7 +798,7 @@ pub struct SegmentInfo {
     pub last_key: Option<StoreKey>,
 }
 
-/// What [`Wal::inspect`] reports about a log directory.
+/// What [`DiskStore::inspect`] reports about a log directory.
 #[derive(Clone, Debug, Default)]
 pub struct WalInspection {
     /// Per-segment detail, in index order.
@@ -827,8 +813,8 @@ pub struct WalInspection {
     pub first_key: Option<StoreKey>,
     /// Largest key present.
     pub last_key: Option<StoreKey>,
-    /// Whether every key is at or above the one before it — whether
-    /// [`Wal::scan_key_range`] would seek or sort.
+    /// Whether every key is at or above the one before it — whether a
+    /// key scan of the log would seek or sort.
     pub in_key_order: bool,
 }
 
@@ -843,9 +829,16 @@ mod tests {
         dir
     }
 
-    fn keys(wal: &mut Wal) -> Vec<u64> {
+    fn segments(segment_bytes: u64) -> StoreOptions {
+        StoreOptions {
+            segment_bytes,
+            ..StoreOptions::default()
+        }
+    }
+
+    fn keys(disk: &mut DiskStore) -> Vec<u64> {
         let mut out = Vec::new();
-        wal.for_each(|k, _| out.push(k.primary)).unwrap();
+        disk.scan_arrival(&mut |k, _| out.push(k.primary)).unwrap();
         out
     }
 
@@ -896,110 +889,124 @@ mod tests {
     #[test]
     fn append_reopen_round_trip() {
         let dir = tmp("roundtrip");
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
-        assert_eq!(r.entries, 0);
+        let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 0);
         for i in 0..100u64 {
-            wal.append(StoreKey::new(i, 0), &i.to_be_bytes()).unwrap();
+            disk.append(StoreKey::new(i, 0), &i.to_be_bytes()).unwrap();
         }
-        wal.sync().unwrap();
-        drop(wal);
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
-        assert_eq!(r.entries, 100);
-        assert!(!r.torn);
-        assert_eq!(keys(&mut wal), (0..100).collect::<Vec<_>>());
+        disk.sync().unwrap();
+        let len = disk.len_bytes();
+        drop(disk);
+        let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 100);
+        assert_eq!(disk.len_bytes(), len, "nothing torn");
+        assert_eq!(keys(&mut disk), (0..100).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotation_spans_segments() {
         let dir = tmp("rotate");
-        let opts = WalOptions { segment_bytes: 64 };
-        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(64)).unwrap();
         for i in 0..50u64 {
-            wal.append(StoreKey::new(i, 1), b"payload-bytes").unwrap();
+            disk.append(StoreKey::new(i, 1), b"payload-bytes").unwrap();
         }
-        wal.sync().unwrap();
-        assert!(wal.segments.len() > 1, "rotation must have happened");
-        drop(wal);
-        let (mut wal, r) = Wal::open(&dir, opts).unwrap();
-        assert_eq!(r.entries, 50);
-        assert_eq!(keys(&mut wal), (0..50).collect::<Vec<_>>());
+        disk.sync().unwrap();
+        assert!(disk.segments.len() > 1, "rotation must have happened");
+        drop(disk);
+        let (mut disk, recovered) = DiskStore::open(&dir, segments(64)).unwrap();
+        assert_eq!(recovered, 50);
+        assert_eq!(keys(&mut disk), (0..50).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_truncated_to_record_boundary() {
         let dir = tmp("torn");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         let mut boundary = 0;
         for i in 0..10u64 {
-            let after = wal.append(StoreKey::new(i, 0), &[7u8; 21]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[7u8; 21]).unwrap();
             if i == 6 {
-                boundary = after;
+                boundary = disk.len_bytes();
             }
         }
-        wal.sync().unwrap();
+        disk.sync().unwrap();
+        let len = disk.len_bytes();
         // Crash mid-way through record 7.
-        let r = wal.crash(boundary + 5).unwrap();
+        let r = disk.crash(boundary + 5).unwrap();
         assert!(r.torn);
-        assert_eq!(r.entries, 7);
-        assert_eq!(keys(&mut wal), (0..7).collect::<Vec<_>>());
-        assert_eq!(wal.len(), boundary);
+        assert_eq!((r.kept_entries, r.kept_bytes), (7, boundary));
+        assert_eq!(
+            r.lost_bytes,
+            len - boundary,
+            "the torn record counts as lost"
+        );
+        assert_eq!(keys(&mut disk), (0..7).collect::<Vec<_>>());
+        assert_eq!(disk.len_bytes(), boundary);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_crc_drops_tail() {
         let dir = tmp("crc");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         let mut start_of_2 = 0;
         for i in 0..4u64 {
-            let after = wal.append(StoreKey::new(i, 0), b"abc").unwrap();
+            disk.append(StoreKey::new(i, 0), b"abc").unwrap();
             if i == 1 {
-                start_of_2 = after;
+                start_of_2 = disk.len_bytes();
             }
         }
-        wal.sync().unwrap();
-        drop(wal);
+        disk.sync().unwrap();
+        drop(disk);
         // Flip a payload byte of record 2.
         let path = segment_path(&dir, 0);
         let mut bytes = fs::read(&path).unwrap();
         let idx = start_of_2 as usize + 8 + 3;
         bytes[idx] ^= 0xff;
         fs::write(&path, &bytes).unwrap();
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
-        assert!(r.torn);
-        assert_eq!(r.entries, 2, "records 2 and 3 dropped");
-        assert_eq!(keys(&mut wal), vec![0, 1]);
+        assert_eq!(DiskStore::inspect(&dir).unwrap().torn_at, Some(start_of_2));
+        let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!(recovered, 2, "records 2 and 3 dropped");
+        assert_eq!(keys(&mut disk), vec![0, 1]);
+        // The open cut the file back to the last valid record.
+        let after = DiskStore::inspect(&dir).unwrap();
+        assert_eq!((after.torn_at, after.bytes), (None, start_of_2));
+        assert_eq!(fs::metadata(&path).unwrap().len(), start_of_2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn unsynced_appends_survive_a_drop_but_not_a_cut_at_the_barrier() {
         let dir = tmp("drop");
-        let (mut wal, _) = Wal::open(&dir, WalOptions::default()).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
         for i in 0..40u64 {
-            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
         }
-        wal.sync().unwrap();
+        disk.sync().unwrap();
         for i in 40..100u64 {
-            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
         }
-        let (synced, len) = (wal.synced(), wal.len());
+        let (synced, len) = (disk.synced_bytes(), disk.len_bytes());
         assert!(synced < len);
         // A clean exit (drop, no sync) keeps every appended record.
-        drop(wal);
-        let (mut wal, r) = Wal::open(&dir, WalOptions::default()).unwrap();
-        assert_eq!((r.entries, r.torn, wal.len()), (100, false, len));
-        assert_eq!(keys(&mut wal), (0..100).collect::<Vec<_>>());
+        drop(disk);
+        assert_eq!(DiskStore::inspect(&dir).unwrap().torn_at, None);
+        let (mut disk, recovered) = DiskStore::open(&dir, StoreOptions::default()).unwrap();
+        assert_eq!((recovered, disk.len_bytes()), (100, len));
+        assert_eq!(keys(&mut disk), (0..100).collect::<Vec<_>>());
         // A cut at the barrier keeps exactly the synced prefix, whether
         // the tail was still buffered or already written.
         for i in 100..130u64 {
-            wal.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[3u8; 50]).unwrap();
         }
-        let r = wal.crash(synced).unwrap();
-        assert_eq!((r.entries, r.torn, wal.len()), (40, false, synced));
-        assert_eq!(keys(&mut wal), (0..40).collect::<Vec<_>>());
+        let r = disk.crash(synced).unwrap();
+        assert_eq!(
+            (r.kept_entries, r.torn, disk.len_bytes()),
+            (40, false, synced)
+        );
+        assert_eq!(keys(&mut disk), (0..40).collect::<Vec<_>>());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1009,41 +1016,41 @@ mod tests {
         // segments small enough that rotations fall mid-buffer: at every
         // step the files hold a record-aligned prefix of the log.
         let dir = tmp("live");
-        let opts = WalOptions {
-            segment_bytes: 100_000,
-        };
-        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(100_000)).unwrap();
         let mut seen = 0;
         for i in 0..3000u64 {
-            wal.append(StoreKey::new(i, 0), &[9u8; 90]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[9u8; 90]).unwrap();
             if i % 97 == 0 {
-                let live = Wal::inspect(&dir).unwrap();
+                let live = DiskStore::inspect(&dir).unwrap();
                 assert!(live.torn_at.is_none(), "partial record visible at {i}");
-                assert!(live.entries >= seen && live.entries <= wal.entries());
-                assert!(live.bytes <= wal.len());
+                assert!(live.entries >= seen && live.entries <= disk.entries());
+                assert!(live.bytes <= disk.len_bytes());
                 seen = live.entries;
             }
         }
-        assert!(wal.segments.len() > 2 && seen > 0);
-        assert!(seen < wal.entries(), "the tail is still buffered");
-        wal.sync().unwrap();
-        let live = Wal::inspect(&dir).unwrap();
-        assert_eq!((live.entries, live.bytes), (wal.entries(), wal.len()));
-        drop(wal);
+        assert!(disk.segments.len() > 2 && seen > 0);
+        assert!(seen < disk.entries(), "the tail is still buffered");
+        disk.sync().unwrap();
+        let live = DiskStore::inspect(&dir).unwrap();
+        assert_eq!(
+            (live.entries, live.bytes),
+            (disk.entries(), disk.len_bytes())
+        );
+        drop(disk);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn inspect_reports_without_mutating() {
         let dir = tmp("inspect");
-        let (mut wal, _) = Wal::open(&dir, WalOptions { segment_bytes: 80 }).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(80)).unwrap();
         for i in 0..20u64 {
-            wal.append(StoreKey::new(i, 2), b"xyzw").unwrap();
+            disk.append(StoreKey::new(i, 2), b"xyzw").unwrap();
         }
-        wal.sync().unwrap();
-        wal.crash(u64::MAX).unwrap();
-        drop(wal);
-        let before = Wal::inspect(&dir).unwrap();
+        disk.sync().unwrap();
+        disk.crash(u64::MAX).unwrap();
+        drop(disk);
+        let before = DiskStore::inspect(&dir).unwrap();
         assert_eq!(before.entries, 20);
         assert!(before.torn_at.is_none());
         assert_eq!(before.first_key.unwrap().primary, 0);
@@ -1058,10 +1065,10 @@ mod tests {
             assert_eq!(seg.last_key.unwrap().primary, next - 1);
         }
         assert!(before.in_key_order);
-        let (mut wal, _) = Wal::open(&dir, WalOptions { segment_bytes: 80 }).unwrap();
-        wal.append(StoreKey::new(7, 0), b"late").unwrap();
-        drop(wal);
-        let after = Wal::inspect(&dir).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(80)).unwrap();
+        disk.append(StoreKey::new(7, 0), b"late").unwrap();
+        drop(disk);
+        let after = DiskStore::inspect(&dir).unwrap();
         assert!(!after.in_key_order, "a straggler: scans of this log sort");
         assert_eq!((after.entries, after.last_key), (21, before.last_key));
         fs::remove_dir_all(&dir).unwrap();
@@ -1085,16 +1092,13 @@ mod tests {
         // rotation fsyncs the segment it closes), so nothing `open` may
         // repair by deleting the sixteen segments after it.
         let dir = tmp("closed-corrupt");
-        let opts = WalOptions {
-            segment_bytes: 4096,
-        };
-        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(4096)).unwrap();
         for i in 0..1000u64 {
-            wal.append(StoreKey::new(i, 0), &[i as u8; 46]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[i as u8; 46]).unwrap();
         }
-        wal.sync().unwrap();
-        assert!(wal.segments.len() > 10);
-        drop(wal);
+        disk.sync().unwrap();
+        assert!(disk.segments.len() > 10);
+        drop(disk);
         let path = segment_path(&dir, 1);
         let mut bytes = fs::read(&path).unwrap();
         let record = 8 + KEY_BYTES + 46;
@@ -1102,7 +1106,7 @@ mod tests {
         fs::write(&path, &bytes).unwrap();
         let before = files(&dir);
 
-        let Err(e) = Wal::open(&dir, opts) else {
+        let Err(e) = DiskStore::open(&dir, segments(4096)) else {
             panic!("open accepted a corrupt closed segment");
         };
         assert_eq!(e.kind(), io::ErrorKind::InvalidData);
@@ -1115,7 +1119,7 @@ mod tests {
         assert_eq!(files(&dir), before, "no file touched");
 
         // The read-only inspection finds the same byte.
-        let seen = Wal::inspect(&dir).unwrap();
+        let seen = DiskStore::inspect(&dir).unwrap();
         assert_eq!(seen.segments[1].valid_bytes, at as u64);
         assert_eq!(
             seen.torn_at,
@@ -1132,14 +1136,11 @@ mod tests {
     #[test]
     fn a_byte_flipped_after_open_fails_the_scans_that_reach_it() {
         let dir = tmp("flip-after-open");
-        let opts = WalOptions {
-            segment_bytes: 4096,
-        };
-        let (mut wal, _) = Wal::open(&dir, opts).unwrap();
+        let (mut disk, _) = DiskStore::open(&dir, segments(4096)).unwrap();
         for i in 0..400u64 {
-            wal.append(StoreKey::new(i, 0), &[i as u8; 46]).unwrap();
+            disk.append(StoreKey::new(i, 0), &[i as u8; 46]).unwrap();
         }
-        wal.sync().unwrap();
+        disk.sync().unwrap();
         let record = 8 + KEY_BYTES + 46;
         let per_segment = 4096usize.div_ceil(record);
         let path = segment_path(&dir, 2);
@@ -1150,7 +1151,7 @@ mod tests {
 
         // A scan that stops short of the record never reads it …
         let mut seen = Vec::new();
-        wal.scan_key_range(StoreKey::new(0, 0), &mut |k, _| {
+        disk.scan_key_range(StoreKey::new(0, 0), &mut |k, _| {
             seen.push(k.primary);
             seen.len() < 50
         })
@@ -1159,14 +1160,14 @@ mod tests {
         // … one that reaches it hands out everything before it, then
         // names the segment and the offset; so does the arrival scan.
         let mut seen = Vec::new();
-        let e = wal
+        let e = disk
             .scan_key_range(StoreKey::new(40, 0), &mut |k, _| {
                 seen.push(k.primary);
                 true
             })
             .unwrap_err();
         assert_eq!(seen, (40..hit).collect::<Vec<_>>());
-        let arrival = wal.for_each(|_, _| {}).unwrap_err();
+        let arrival = disk.scan_arrival(&mut |_, _| {}).unwrap_err();
         for e in [e, arrival] {
             assert_eq!(e.kind(), io::ErrorKind::InvalidData);
             let text = e.to_string();
@@ -1180,13 +1181,13 @@ mod tests {
         // (within the damaged one there is nothing to resynchronise on).
         let later = (3 * per_segment + 1) as u64;
         let mut seen = Vec::new();
-        wal.scan_key_range(StoreKey::new(later, 0), &mut |k, _| {
+        disk.scan_key_range(StoreKey::new(later, 0), &mut |k, _| {
             seen.push(k.primary);
             true
         })
         .unwrap();
         assert_eq!(seen, (later..400).collect::<Vec<_>>());
-        drop(wal);
+        drop(disk);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

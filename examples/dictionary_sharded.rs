@@ -15,7 +15,7 @@ fn main() {
     let objects = app.objects();
     // Six nodes, each bucket replicated on three of them.
     let placement = Placement::round_robin(6, &objects, 3);
-    let cluster = Runner::partial(
+    let cluster = Runner::new(
         &app,
         ClusterConfig {
             nodes: 6,
