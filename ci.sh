@@ -22,6 +22,9 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
 # Every `pub fn` has traffic: a name that only tests call fails the gate
 # (the script says how it matches, and what a shared name can hide).
 run ./pub_traffic.sh
+# Every backticked CamelCase name in the docs names something in the
+# code (matched by name, as above; the script says what that misses).
+run ./doc_names.sh
 
 # The benchmark gate: `benchmark/` is a package of its own (own
 # workspace and lock file, path dependencies on crates/*), so nothing

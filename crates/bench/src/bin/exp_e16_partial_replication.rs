@@ -13,15 +13,14 @@
 //! consistent, and (c) update-message volume drops with the replication
 //! factor, the point of the generalization.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shard_analysis::claims::check_invariant_bound;
 use shard_analysis::{ClaimCheck, Table};
-use shard_apps::banking::{AccountId, Bank, BankTxn};
+use shard_apps::banking::{Bank, BankTxn};
+use shard_bench::workloads::placed_bank_invocations;
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
 use shard_core::{Application, ObjectModel};
-use shard_sim::{ClusterConfig, DelayModel, Invocation, Placement, Runner};
+use shard_sim::{ClusterConfig, DelayModel, Placement, Runner};
 
 fn main() {
     let mut exp = shard_bench::Experiment::start("e16");
@@ -53,27 +52,7 @@ fn main() {
         let mut bounds = true;
         let mut worst_k = 0usize;
         for seed in TRIAL_SEEDS {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut invs = Vec::new();
-            let mut t_now = 0u64;
-            for _ in 0..800 {
-                t_now += rng.random_range(1..=8);
-                let a = AccountId(rng.random_range(1..=accounts));
-                let txn = if rng.random_bool(0.6) {
-                    BankTxn::Deposit(a, rng.random_range(1..=max_debit))
-                } else {
-                    BankTxn::Withdraw(a, rng.random_range(1..=max_debit))
-                };
-                // Route to a uniformly random holder of everything the
-                // decision reads.
-                let reads = app.decision_objects(&txn);
-                let holders: Vec<_> = (0..nodes)
-                    .map(shard_sim::NodeId)
-                    .filter(|n| placement.holds_all(*n, &reads))
-                    .collect();
-                let node = holders[rng.random_range(0..holders.len())];
-                invs.push(Invocation::new(t_now, node, txn));
-            }
+            let invs = placed_bank_invocations(&app, &placement, seed, 800);
             txns += invs.len() as u64;
             let cluster = Runner::new(
                 &app,

@@ -11,15 +11,14 @@
 //! bounds all survive the composition — while entry volume tracks the
 //! replication factor and round count tracks the interval.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shard_analysis::claims::{check_invariant_bound, ClaimCheck};
 use shard_analysis::Table;
-use shard_apps::banking::{AccountId, Bank, BankTxn};
+use shard_apps::banking::{Bank, BankTxn};
+use shard_bench::workloads::placed_bank_invocations;
 use shard_bench::TRIAL_SEEDS;
 use shard_core::costs::BoundFn;
 use shard_core::{Application, ObjectModel};
-use shard_sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Placement, Runner};
+use shard_sim::{ClusterConfig, DelayModel, Gossip, Placement, Runner};
 
 fn main() {
     let mut exp = shard_bench::Experiment::start("e20");
@@ -59,25 +58,7 @@ fn main() {
                 "overdraft ≤ f(k) under gossip × partial (r={factor}, interval={interval})"
             ));
             for seed in TRIAL_SEEDS {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut invs = Vec::new();
-                let mut t_now = 0u64;
-                for _ in 0..600 {
-                    t_now += rng.random_range(1..=8);
-                    let a = AccountId(rng.random_range(1..=accounts));
-                    let txn = if rng.random_bool(0.6) {
-                        BankTxn::Deposit(a, rng.random_range(1..=max_debit))
-                    } else {
-                        BankTxn::Withdraw(a, rng.random_range(1..=max_debit))
-                    };
-                    let reads = app.decision_objects(&txn);
-                    let holders: Vec<_> = (0..nodes)
-                        .map(NodeId)
-                        .filter(|n| placement.holds_all(*n, &reads))
-                        .collect();
-                    let node = holders[rng.random_range(0..holders.len())];
-                    invs.push(Invocation::new(t_now, node, txn));
-                }
+                let invs = placed_bank_invocations(&app, &placement, seed, 600);
                 let strategy = Gossip::new(interval, 2).over(placement.clone());
                 let report = Runner::new(
                     &app,

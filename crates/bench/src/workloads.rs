@@ -1,6 +1,6 @@
-//! Workload builders shared by the experiments: airline invocation
-//! schedules for the simulator, and builder-based executions with
-//! controlled k-incompleteness.
+//! Workload builders shared by the experiments: airline, banking and
+//! inventory invocation schedules for the simulator, and builder-based
+//! executions with controlled k-incompleteness.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -8,7 +8,7 @@ use shard_apps::airline::workload::{AirlineMix, AirlineWorkload};
 use shard_apps::airline::{AirlineTxn, FlyByNight};
 use shard_core::{Application, Execution, ExecutionBuilder, TxnIndex};
 use shard_sim::events::SimTime;
-use shard_sim::{Invocation, NodeId};
+use shard_sim::{Invocation, NodeId, Placement};
 
 /// How transactions are routed to nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,6 +192,41 @@ pub fn bank_invocations(
             _ => BankTxn::Audit,
         };
         out.push(Invocation::new(t, NodeId(rng.random_range(0..nodes)), txn));
+    }
+    out
+}
+
+/// A randomized banking workload over a partially replicated bank
+/// (E16, E20): `n` deposits (60 %) and withdrawals over every account
+/// of `app`, 1–8 ticks apart, each sent to a uniformly random node that
+/// `placement` has hold what its decision reads.
+pub fn placed_bank_invocations(
+    app: &shard_apps::banking::Bank,
+    placement: &Placement,
+    seed: u64,
+    n: usize,
+) -> Vec<Invocation<shard_apps::banking::BankTxn>> {
+    use shard_apps::banking::{AccountId, BankTxn};
+    use shard_core::ObjectModel;
+    let (accounts, max_debit) = (app.accounts().count() as u32, app.max_debit());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = 0u64;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        t += rng.random_range(1..=8);
+        let a = AccountId(rng.random_range(1..=accounts));
+        let txn = if rng.random_bool(0.6) {
+            BankTxn::Deposit(a, rng.random_range(1..=max_debit))
+        } else {
+            BankTxn::Withdraw(a, rng.random_range(1..=max_debit))
+        };
+        let reads = app.decision_objects(&txn);
+        let holders: Vec<_> = (0..placement.nodes())
+            .map(NodeId)
+            .filter(|n| placement.holds_all(*n, &reads))
+            .collect();
+        let node = holders[rng.random_range(0..holders.len())];
+        out.push(Invocation::new(t, node, txn));
     }
     out
 }

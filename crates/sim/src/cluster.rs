@@ -21,28 +21,24 @@
 //! mutual-consistency guarantee of §1.2.
 //!
 //! The event loop lives in [`crate::kernel`]; this module contributes
-//! the [`EagerBroadcast`] propagation strategy (flood every update to
-//! every peer the moment it executes, one datagram per peer) and the
-//! [`Runner::eager`] constructor. Transitive executions (§3.3) come from
-//! the gossip strategy's round at each execution instead,
+//! the [`EagerBroadcast`] propagation strategy (the default
+//! [`Propagation::on_execute`] flood, every peer wanting every update)
+//! and the [`Runner::eager`] constructor. Transitive executions (§3.3)
+//! come from the gossip strategy's round at each execution instead,
 //! [`crate::Gossip::new`]`(0, nodes − 1)`: the same flood, each message
 //! also carrying what its sender knew that the peer had not been offered.
 //!
 //! [`RunReport`]: crate::RunReport
 //! [`RunReport::mutually_consistent`]: crate::RunReport::mutually_consistent
 
-use crate::clock::{NodeId, Timestamp};
-use crate::events::SimTime;
-use crate::kernel::{Entries, Node, Propagation, Runner};
-use crate::transport::Transport;
+use crate::kernel::{Propagation, Runner};
 use shard_core::Application;
-use std::sync::Arc;
 
 pub use crate::kernel::{ClusterConfig, ExecutedTxn, Invocation};
 
 /// Flooding propagation: the moment a transaction executes, its update
 /// — and nothing else — is sent to every peer as a datagram, timed on
-/// its own.
+/// its own: [`Propagation`]'s defaults.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EagerBroadcast {
     /// Must stay `false` ([`Propagation::validate`] refuses `true`).
@@ -62,25 +58,6 @@ impl<A: Application> Propagation<A> for EagerBroadcast {
             "whole-log piggybacking was removed: for transitive executions run \
              `Gossip::new(0, nodes - 1)`, a cursor round at each execution"
         );
-    }
-
-    fn on_execute(
-        &mut self,
-        _app: &A,
-        net: &mut dyn Transport<A>,
-        node: &Node<A>,
-        now: SimTime,
-        ts: Timestamp,
-        update: &Arc<A::Update>,
-    ) {
-        let entries: Entries<A> = Arc::from([(ts, Arc::clone(update))]);
-        for peer in 0..net.nodes() {
-            let to = NodeId(peer);
-            if to == node.id {
-                continue;
-            }
-            net.send(now, node.id, to, Arc::clone(&entries));
-        }
     }
 }
 
@@ -117,9 +94,10 @@ impl<'a, A: Application> Runner<'a, A, EagerBroadcast> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delay::DelayModel;
     use crate::partition::{PartitionSchedule, PartitionWindow};
+    use crate::{delay::DelayModel, events::SimTime, NodeId};
     use shard_core::{conditions, DecisionOutcome};
+    use std::sync::Arc;
 
     /// Grow-only counter with a cap-aware decision, to make missing
     /// information observable.

@@ -29,7 +29,9 @@ impl CrashWindow {
     }
 }
 
-/// A schedule of node outages.
+/// A schedule of node outages: a node's windows that overlap or touch
+/// are merged as they are added, so a durable run kills and rebuilds a
+/// node once per window.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrashSchedule {
     windows: Vec<CrashWindow>,
@@ -41,9 +43,11 @@ impl CrashSchedule {
         CrashSchedule::default()
     }
 
-    /// A schedule from explicit windows.
+    /// A schedule from explicit windows, pushed in order.
     pub fn new(windows: Vec<CrashWindow>) -> Self {
-        CrashSchedule { windows }
+        let mut s = CrashSchedule::none();
+        windows.into_iter().for_each(|w| s.push(w));
+        s
     }
 
     /// Whether any crashes are scheduled.
@@ -51,9 +55,18 @@ impl CrashSchedule {
         self.windows.is_empty()
     }
 
-    /// Adds a window.
-    pub fn push(&mut self, w: CrashWindow) {
-        self.windows.push(w);
+    /// Adds a window, absorbing every window of the same node that
+    /// overlaps or touches it: the outage takes the first one's place.
+    pub fn push(&mut self, mut w: CrashWindow) {
+        let joins = |v: &CrashWindow, w: &CrashWindow| {
+            v.node == w.node && v.start <= w.end && w.start <= v.end
+        };
+        let mut at = self.windows.len();
+        while let Some(i) = self.windows.iter().position(|v| joins(v, &w)) {
+            let v = self.windows.remove(i);
+            (w.start, w.end, at) = (w.start.min(v.start), w.end.max(v.end), at.min(i));
+        }
+        self.windows.insert(at, w);
     }
 
     /// The scheduled outage windows.
@@ -63,25 +76,16 @@ impl CrashSchedule {
 
     /// Whether `node` is down at time `t`.
     pub fn is_down(&self, t: SimTime, node: NodeId) -> bool {
-        self.windows
-            .iter()
-            .any(|w| w.node == node && w.start <= t && t < w.end)
+        self.next_up(t, node) > t
     }
 
-    /// The earliest time `≥ t` at which `node` is up.
+    /// The earliest time `≥ t` at which `node` is up: the end of the
+    /// outage holding `t`, if any (outages never touch).
     pub fn next_up(&self, t: SimTime, node: NodeId) -> SimTime {
-        let mut t = t;
-        // Windows may chain back to back; iterate until stable.
-        loop {
-            match self
-                .windows
-                .iter()
-                .find(|w| w.node == node && w.start <= t && t < w.end)
-            {
-                Some(w) => t = w.end,
-                None => return t,
-            }
-        }
+        self.windows
+            .iter()
+            .find(|w| w.node == node && w.start <= t && t < w.end)
+            .map_or(t, |w| w.end)
     }
 }
 
@@ -113,12 +117,17 @@ mod tests {
         assert_eq!(s.next_up(5, n(1)), 5);
     }
 
+    /// A node's chained, nested and bridging windows become one outage
+    /// where the first of them stood; another node's window keeps its
+    /// place.
     #[test]
     fn chained_windows_resolve_transitively() {
-        let s = CrashSchedule::new(vec![
-            CrashWindow::new(n(0), 10, 20),
-            CrashWindow::new(n(0), 20, 35),
-        ]);
+        let w = |node, start, end| CrashWindow::new(n(node), start, end);
+        let mut s =
+            CrashSchedule::new(vec![w(0, 10, 20), w(1, 15, 25), w(0, 20, 35), w(0, 12, 18)]);
         assert_eq!(s.next_up(12, n(0)), 35);
+        s.push(w(0, 40, 50));
+        s.push(w(0, 35, 40));
+        assert_eq!(s.windows(), [w(0, 10, 50), w(1, 15, 25)]);
     }
 }

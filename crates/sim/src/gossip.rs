@@ -7,6 +7,9 @@
 //! "piggybacking information about known transactions on messages",
 //! cut to what the peer lacks.
 //!
+//! Who is offered an entry is the [`Propagation::wants`] of the
+//! strategy a round runs over: [`EagerBroadcast`] or a [`Placement`].
+//!
 //! §1.2 asks one thing of the broadcast — barring permanent failure,
 //! every node eventually receives every update — and it has two owners:
 //!
@@ -32,12 +35,13 @@
 //! lands, so §3.2 transitivity holds, restarts included.
 
 use crate::clock::{NodeId, Timestamp};
+use crate::cluster::EagerBroadcast;
 use crate::events::SimTime;
 use crate::kernel::{Entries, Invocation, Node, Propagation};
 use crate::partial::Placement;
 use crate::transport::Transport;
 use rand::Rng;
-use shard_core::{Application, ObjectModel};
+use shard_core::Application;
 use std::sync::Arc;
 
 /// Anti-entropy propagation: every `interval` ticks, and never at
@@ -56,10 +60,11 @@ use std::sync::Arc;
 ///
 /// Partners are all peers in node order, with no RNG draw, when `fanout
 /// ≥ nodes − 1`; otherwise `fanout` uniform random ones. Full fanout is
-/// therefore deterministic given the local replica (`shard-runtime
-/// --mode gossip` needs that), and `Gossip::new(1, nodes)` degenerates
-/// to flooding — `tests/strategy_equivalence.rs` holds it to that, and
-/// `Gossip::new(0, nodes − 1)` to whole-log piggybacking on FIFO links.
+/// therefore deterministic given the local replica (E23's live gossip
+/// mode, replayed, needs that), and `Gossip::new(1, nodes)` degenerates
+/// to flooding — `tests/strategy_equivalence.rs` holds it (and its
+/// `.over` a full placement) to that, and `Gossip::new(0, nodes − 1)`
+/// to whole-log piggybacking on FIFO links.
 ///
 /// # Examples
 ///
@@ -78,14 +83,15 @@ use std::sync::Arc;
 /// assert!(report.objects_consistent(&app, &placement));
 /// ```
 #[derive(Clone, Debug)]
-pub struct Gossip<F = ()> {
+pub struct Gossip<P = EagerBroadcast> {
     /// How often each node initiates an anti-entropy round; 0: at each
     /// of its executions.
     pub interval: SimTime,
     /// Number of partners served per round.
     pub fanout: u16,
-    /// Who is offered what: `()` or a [`Placement`] ([`Gossip::over`]).
-    pub placement: F,
+    /// Whose `wants` and `validate` gossip reuses: [`EagerBroadcast`]
+    /// (everyone, everything, anywhere) or a [`Placement`].
+    placement: P,
     /// `cursors[node][peer]`: how much of `node`'s arrival order has
     /// been handed to its link to `peer`. The kernel's one instance
     /// serves all nodes; a live node thread uses only its own row.
@@ -104,7 +110,7 @@ impl Gossip {
         Gossip {
             interval,
             fanout,
-            placement: (),
+            placement: EagerBroadcast::default(),
             cursors: Vec::new(),
         }
     }
@@ -132,36 +138,7 @@ fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
     }
 }
 
-/// Whom a batch is for and where a transaction may run (`()`: everyone,
-/// everything, anywhere) — private, and there to carry the
-/// [`ObjectModel`] bound only a [`Placement`] needs.
-mod audience {
-    pub trait Audience<A: super::Application> {
-        fn wants(&self, app: &A, node: super::NodeId, update: &A::Update) -> bool;
-        fn validate(&self, app: &A, nodes: u16, invocations: &[super::Invocation<A::Decision>]);
-    }
-}
-use audience::Audience;
-
-impl<A: Application> Audience<A> for () {
-    fn wants(&self, _app: &A, _node: NodeId, _update: &A::Update) -> bool {
-        true
-    }
-
-    fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {}
-}
-
-impl<A: ObjectModel> Audience<A> for Placement {
-    fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
-        Placement::wants(self, app, node, update)
-    }
-
-    fn validate(&self, app: &A, nodes: u16, invocations: &[Invocation<A::Decision>]) {
-        Propagation::validate(self, app, nodes, invocations);
-    }
-}
-
-impl<A: Application, F: Audience<A>> Propagation<A> for Gossip<F> {
+impl<A: Application, P: Propagation<A>> Propagation<A> for Gossip<P> {
     fn label(&self) -> &'static str {
         "gossip"
     }

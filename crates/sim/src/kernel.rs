@@ -253,7 +253,7 @@ pub struct FaultStats {
     pub delayed: u64,
     /// Partition windows the nemesis injected at run start.
     pub partitions_injected: u64,
-    /// Crash windows the nemesis injected at run start.
+    /// Outages (merged crash windows) the nemesis injected at run start.
     pub crashes_injected: u64,
 }
 
@@ -811,21 +811,27 @@ pub trait Propagation<A: Application> {
     fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {}
 
     /// Called right after `node` executed a transaction and merged
-    /// `update` (timestamped `ts`) into its own log. Reactive strategies
-    /// send here; tick-driven ones do nothing — the update is in the
-    /// log, and the next round ships it like any other. The
-    /// strategy sees only the *local* replica — propagation decisions
-    /// must not peek at peer state, which is what lets the same strategy
-    /// run unchanged on `shard-runtime`'s one-thread-per-node channels.
+    /// `update` (timestamped `ts`) into its own log. The default floods:
+    /// one shared batch to every other node that [`Propagation::wants`]
+    /// it. The strategy sees only the
+    /// *local* replica — propagation decisions must not peek at peer
+    /// state, which is what lets the same strategy run unchanged on
+    /// `shard-runtime`'s one-thread-per-node channels.
     fn on_execute(
         &mut self,
-        _app: &A,
-        _net: &mut dyn Transport<A>,
-        _node: &Node<A>,
-        _now: SimTime,
-        _ts: Timestamp,
-        _update: &Arc<A::Update>,
+        app: &A,
+        net: &mut dyn Transport<A>,
+        node: &Node<A>,
+        now: SimTime,
+        ts: Timestamp,
+        update: &Arc<A::Update>,
     ) {
+        let entries: Entries<A> = Arc::from([(ts, Arc::clone(update))]);
+        for to in (0..net.nodes()).map(NodeId) {
+            if to != node.id && self.wants(app, to, update) {
+                net.send(now, node.id, to, Arc::clone(&entries));
+            }
+        }
     }
 
     /// Called every [`Propagation::tick_interval`] at each live node
@@ -848,7 +854,8 @@ pub trait Propagation<A: Application> {
     }
 
     /// Whether `node` should end up holding `update` (default: yes,
-    /// full replication) — what [`RunReport::missing`] is judged by.
+    /// full replication): whom the flood and gossip send it to, and
+    /// what [`RunReport::missing`] is judged by.
     fn wants(&self, _app: &A, _node: NodeId, _update: &A::Update) -> bool {
         true
     }
@@ -1037,7 +1044,8 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 self.cfg.partitions.push(window.clone());
                 self.wire.faults.push(FaultEvent::Partition { window });
             }
-            for window in injected.crashes {
+            // The ledger holds outages, so a replay rebuilds this schedule.
+            for &window in CrashSchedule::new(injected.crashes).windows() {
                 self.cfg.crashes.push(window);
                 self.wire.faults.push(FaultEvent::Crash { window });
             }

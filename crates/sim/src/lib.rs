@@ -12,10 +12,10 @@
 //! * [`delay`] — message delay models (fixed / uniform / exponential).
 //! * [`partition`] — partition schedules: time windows during which the
 //!   nodes are split into disconnected groups.
-//! * [`broadcast`] — reliable broadcast via per-link retry: messages
-//!   blocked by a partition are retried until the network heals, so
-//!   barring permanent failure every node eventually receives every
-//!   update (the \[GLBKSS\] guarantee, which is all the paper relies on).
+//! * [`broadcast`] — reliable broadcast: a message is held until the
+//!   pair is connected again, so barring permanent failure every node
+//!   eventually receives every update (the \[GLBKSS\] guarantee, which
+//!   is all the paper relies on).
 //! * [`merge`] — the undo/redo merge engine: each node keeps its copy
 //!   equal to the effect of running all updates it knows in timestamp
 //!   order, rolling back to a checkpoint and replaying when an update

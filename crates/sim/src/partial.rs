@@ -20,16 +20,14 @@
 //! volume*, which [`RunReport::messages_sent`] measures (experiment
 //! E16).
 //!
-//! Since the kernel refactor this module contributes the [`Placement`]
-//! map, which is itself a propagation strategy; the event loop lives in
-//! [`crate::kernel`], entered via `Runner::new(app, config, placement)`.
+//! This module contributes the [`Placement`] map, which is itself a
+//! propagation strategy, run by `Runner::new(app, config, placement)`:
+//! its [`Propagation::wants`] narrows the kernel's default flood, and
+//! what [`crate::Gossip::over`] offers.
 
-use crate::clock::{NodeId, Timestamp};
-use crate::events::SimTime;
-use crate::kernel::{Entries, Invocation, Node, Propagation, RunReport};
-use crate::transport::Transport;
+use crate::clock::NodeId;
+use crate::kernel::{Invocation, Propagation, RunReport};
 use shard_core::{Application, ObjectId, ObjectModel};
-use std::sync::Arc;
 
 /// Which nodes replicate which objects.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -81,15 +79,6 @@ impl Placement {
     /// Whether `node` holds every object in `objects`.
     pub fn holds_all(&self, node: NodeId, objects: &[ObjectId]) -> bool {
         objects.iter().all(|o| self.holds(node, *o))
-    }
-
-    /// Whether `node` should end up holding `update`: it writes an object
-    /// `node` holds, or none (pure serial-order information). The one
-    /// audience rule: partial placement sends an update to these nodes,
-    /// gossip over a placement offers it to them.
-    pub fn wants<A: ObjectModel>(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
-        let writes = app.update_objects(update);
-        writes.is_empty() || writes.iter().any(|o| self.holds(node, *o))
     }
 
     /// A node holding all of `objects`, if any (useful for routing).
@@ -162,25 +151,11 @@ impl<A: ObjectModel> Propagation<A> for Placement {
         }
     }
 
-    fn on_execute(
-        &mut self,
-        app: &A,
-        net: &mut dyn Transport<A>,
-        node: &Node<A>,
-        now: SimTime,
-        ts: Timestamp,
-        update: &Arc<A::Update>,
-    ) {
-        let entries: Entries<A> = Arc::from(vec![(ts, Arc::clone(update))]);
-        for to in (0..net.nodes()).map(NodeId) {
-            if to != node.id && Placement::wants(self, app, to, update) {
-                net.send(now, node.id, to, Arc::clone(&entries));
-            }
-        }
-    }
-
+    /// Whether `update` writes an object `node` holds, or none (pure
+    /// serial-order information).
     fn wants(&self, app: &A, node: NodeId, update: &A::Update) -> bool {
-        Placement::wants(self, app, node, update)
+        let writes = app.update_objects(update);
+        writes.is_empty() || writes.iter().any(|o| self.holds(node, *o))
     }
 }
 

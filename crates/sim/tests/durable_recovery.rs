@@ -19,7 +19,7 @@ use shard_core::Application;
 use shard_obs::EventSink;
 use shard_sim::{
     ClusterConfig, CrashInjector, CrashSchedule, CrashWindow, DelayModel, DurabilityConfig,
-    DurableFleet, EagerBroadcast, Gossip, Invocation, LamportClock, MergeLog, NodeId,
+    DurableFleet, EagerBroadcast, FaultStats, Gossip, Invocation, LamportClock, MergeLog, NodeId,
     PartitionSchedule, PartitionWindow, Propagation, RunReport, Runner, Timestamp,
 };
 use shard_store::{Codec, StoreKey};
@@ -553,6 +553,95 @@ fn per_execution_gossip_repairs_a_restart_at_the_next_execution() {
     assert!(repaired.mutually_consistent());
 }
 
+/// 60 deposits, one every 7 ticks round-robin over 3 durable nodes
+/// (cluster seed 11), gossiped every 15 ticks to one partner, under
+/// `crashes`: the report and its trace.
+fn traced_crash_run(
+    durability: &DurabilityConfig,
+    crashes: CrashInjector,
+) -> (RunReport<Bank>, String) {
+    let app = Bank::new(4, 100);
+    let invs: Vec<Invocation<BankTxn>> = (0..60u32)
+        .map(|i| {
+            let txn = BankTxn::Deposit(AccountId(i % 4), 1 + i);
+            Invocation::new(u64::from(i) * 7, NodeId((i % 3) as u16), txn)
+        })
+        .collect();
+    let sink = EventSink::in_memory();
+    let cfg = ClusterConfig {
+        nodes: 3,
+        seed: 11,
+        delay: DelayModel::Exponential { mean: 10 },
+        sink: Some(sink.clone()),
+        ..Default::default()
+    };
+    let report = Runner::new(&app, cfg, Gossip::new(15, 1))
+        .with_durability(DurableFleet::new(3, durability).unwrap())
+        .with_nemesis(Box::new(crashes))
+        .run(invs);
+    sink.flush();
+    (report, sink.drain_to_string())
+}
+
+/// Each node's `store.kill` / `store.recover` lines in trace order, as
+/// `(kill?, t)`.
+fn store_cycles(trace: &str, nodes: usize) -> Vec<Vec<(bool, u64)>> {
+    let mut cycles = vec![Vec::new(); nodes];
+    for line in trace.lines() {
+        let event = shard_obs::json::parse(line).unwrap();
+        let kill = match event.get("event").and_then(shard_obs::Json::as_str) {
+            Some("store.kill") => true,
+            Some("store.recover") => false,
+            _ => continue,
+        };
+        let field = |name| event.get(name).and_then(shard_obs::Json::as_u64).unwrap();
+        cycles[field("node") as usize].push((kill, field("t")));
+    }
+    cycles
+}
+
+/// Nested injected windows are one outage. At injector seed 5, node 0
+/// draws `[218, 280)` and `[253, 278)`: its store is killed once, at
+/// 218, and the node rebuilt once, at 280 — not killed again while down
+/// and rebuilt at 278 inside the first window — and the ledger counts
+/// three outages for the four windows drawn.
+#[test]
+fn nested_crash_windows_kill_and_recover_once() {
+    let (report, trace) =
+        traced_crash_run(&DurabilityConfig::mem(1), CrashInjector::new(4, 20, 80, 5));
+    let cycles = store_cycles(&trace, 3);
+    assert_eq!(cycles[0], [(true, 218), (false, 280)]);
+    assert_eq!(FaultStats::of(&report.faults).crashes_injected, 3);
+    assert_eq!(cycles.iter().flatten().filter(|(kill, _)| *kill).count(), 3);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// However the injector's windows fall — nested, overlapping,
+    /// touching — every node's store lines alternate kill, recover, …,
+    /// recover, and the ledger counts one outage per kill.
+    #[test]
+    fn store_kills_and_recoveries_alternate(
+        count in 1u32..8,
+        min_len in 1u64..40,
+        extra in 0u64..120,
+        seed in 0u64..1_000,
+    ) {
+        let crashes = CrashInjector::new(count, min_len, min_len + extra, seed);
+        let (report, trace) = traced_crash_run(&DurabilityConfig::mem(seed), crashes);
+        let mut kills = 0;
+        for (node, cycle) in store_cycles(&trace, 3).iter().enumerate() {
+            prop_assert_eq!(cycle.len() % 2, 0, "node {} ends up", node);
+            for (i, &(kill, _)) in cycle.iter().enumerate() {
+                prop_assert_eq!(kill, i % 2 == 0, "node {}: {:?}", node, cycle);
+            }
+            kills += cycle.len() / 2;
+        }
+        prop_assert_eq!(FaultStats::of(&report.faults).crashes_injected, kills as u64);
+    }
+}
+
 /// The `store.kill` line is the one crash report, and it reads the same
 /// off either backend: a traced gossip run under a [`CrashInjector`],
 /// once on `MemStore` mirrors and once on `DiskStore` mirrors, cuts the
@@ -568,29 +657,7 @@ fn store_kill_lines_agree_across_backends_and_count_what_was_lost() {
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&dir);
-    let app = Bank::new(4, 100);
-    let invs: Vec<Invocation<BankTxn>> = (0..60u32)
-        .map(|i| {
-            let txn = BankTxn::Deposit(AccountId(i % 4), 1 + i);
-            Invocation::new(u64::from(i) * 7, NodeId((i % 3) as u16), txn)
-        })
-        .collect();
-    let traced = |durability: DurabilityConfig| {
-        let sink = EventSink::in_memory();
-        let cfg = ClusterConfig {
-            nodes: 3,
-            seed: 11,
-            delay: DelayModel::Exponential { mean: 10 },
-            sink: Some(sink.clone()),
-            ..Default::default()
-        };
-        Runner::new(&app, cfg, Gossip::new(15, 1))
-            .with_durability(DurableFleet::new(3, &durability).unwrap())
-            .with_nemesis(Box::new(CrashInjector::new(4, 20, 80, 1)))
-            .run(invs.clone());
-        sink.flush();
-        sink.drain_to_string()
-    };
+    let traced = |durability| traced_crash_run(&durability, CrashInjector::new(4, 20, 80, 1)).1;
     let mem = traced(DurabilityConfig::mem(1));
     let disk = traced(DurabilityConfig::disk(&dir, 1));
     let _ = std::fs::remove_dir_all(&dir);

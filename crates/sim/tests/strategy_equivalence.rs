@@ -1,8 +1,9 @@
 //! Cross-strategy equivalence: with gossip cranked to its fastest
 //! setting (`interval: 1`, full fanout) and partial replication
-//! degenerated to full placement, all three propagation strategies are
-//! *the same protocol* — every update reaches every peer one sampled
-//! delay after it becomes shippable. Under a fixed delay model (which
+//! degenerated to full placement, all three propagation strategies (and
+//! gossip over that full placement) are *the same protocol* — every
+//! update reaches every peer one sampled delay after it becomes
+//! shippable. Under a fixed delay model (which
 //! consumes no RNG), invocation times ≥ 1 (so a gossip tick coincides
 //! with every execution instant) and partitions that only ever isolate
 //! node 0 (so relays cannot beat direct delivery), the kernel must
@@ -72,21 +73,26 @@ fn isolate_node0(specs: &[(u64, u64)]) -> PartitionSchedule {
 }
 
 /// Runs the same workload through all three strategies at their
-/// equivalence settings and checks the reports agree.
+/// equivalence settings, and gossip over a full placement (which must
+/// be gossip: everyone wants everything), and checks the reports agree.
 fn assert_strategies_agree<A>(app: &A, cfg: &ClusterConfig, invs: &[Invocation<A::Decision>])
 where
     A: Application + ObjectModel,
 {
     let eager = Runner::new(app, cfg.clone(), EagerBroadcast::default()).run(invs.to_vec());
     let gossip = Runner::new(app, cfg.clone(), Gossip::new(1, cfg.nodes)).run(invs.to_vec());
-    let partial = Runner::new(app, cfg.clone(), Placement::full(cfg.nodes, &app.objects()))
-        .run(invs.to_vec());
+    let full = Placement::full(cfg.nodes, &app.objects());
+    let partial = Runner::new(app, cfg.clone(), full.clone()).run(invs.to_vec());
+    let gossip_over = Gossip::new(1, cfg.nodes).over(full);
+    let gossip_over = Runner::new(app, cfg.clone(), gossip_over).run(invs.to_vec());
 
-    assert_eq!(&eager.final_states, &gossip.final_states);
-    assert_eq!(&eager.final_states, &partial.final_states);
     let reference = fingerprints(&eager);
-    assert_eq!(&reference, &fingerprints(&gossip));
-    assert_eq!(&reference, &fingerprints(&partial));
+    for other in [&gossip, &partial, &gossip_over] {
+        assert_eq!(&eager.final_states, &other.final_states);
+        assert_eq!(&reference, &fingerprints(other));
+    }
+    let wire = |r: &RunReport<A>| (r.messages_sent, r.entries_shipped, r.rounds);
+    assert_eq!(wire(&gossip), wire(&gossip_over));
     // And the shared execution is a valid one.
     let te = eager.timed_execution();
     te.execution
