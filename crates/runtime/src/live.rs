@@ -25,11 +25,22 @@
 //! and otherwise blocks on the channel until its next deadline — or for
 //! good if it has none: whatever else can concern it arrives there.
 //!
+//! Due submissions run in bursts of up to `EXEC_BATCH` (64). On a durable
+//! node a burst is one group commit: each execution appends its own
+//! update to the mirror, one fsync covers them all, and only then is
+//! each transaction released, in execution order — its sends, its
+//! external actions, its monitor row — and the burst counted as
+//! executed. A node without a mirror has no barrier to wait for and
+//! releases each execution at once.
+//!
 //! # How a run ends
 //!
 //! On one observation: every submission executed and `Shared::in_flight`
-//! zero — no message unmerged, no node with anything left to offer. The
-//! coordinator then puts one `Quit` on each node's channel and joins.
+//! zero — no message unmerged, no node with anything left to offer. A
+//! transaction counts in `executed` only after its burst's barrier and
+//! after its sends are in `in_flight`, so the coordinator never sees a
+//! quiet point that a released send would break. The coordinator then
+//! puts one `Quit` on each node's channel and joins.
 //! The point is stable, so nothing follows a `Quit`: a send originates
 //! in an `on_execute` (every strategy's, gossip's at interval 0), and no
 //! execution is left; or in `Gossip::on_tick`, which sends only past a
@@ -70,7 +81,8 @@ use std::thread;
 use std::time::Duration;
 
 /// How many due submissions a node executes before draining its channel
-/// again — keeps closed workloads from starving merges.
+/// again — keeps closed workloads from starving merges — and so the
+/// most own updates one fsync of a durable node covers.
 const EXEC_BATCH: usize = 64;
 
 /// One client request: `decision` is due at `node` once `at_us`
@@ -265,6 +277,9 @@ struct NodeWorker<'s, A: Application, P> {
     /// Durable mirror of the node's log ([`run_live_durable`]), written
     /// by the shared replica step.
     mirror: Option<NodeMirror<A>>,
+    /// Executed transactions of the current burst, waiting for the
+    /// barrier that covers them.
+    burst: Vec<(ExecutedTxn<A>, Arc<A::Update>)>,
     /// Whether this node holds its unsent mark in `Shared::in_flight`.
     unsent: bool,
     out: NodeOutcome<A>,
@@ -319,33 +334,55 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         true
     }
 
-    /// Executes one due submission at a fresh tick.
+    /// Executes one due submission at a fresh tick. What the execution
+    /// makes visible waits in the burst for [`NodeWorker::commit`].
     fn execute(&mut self, at_us: u64, decision: A::Decision) {
         let now = self.shared.clock.tick();
-        let (txn, update) =
+        let executed =
             self.node
                 .execute_step(self.app, decision, now, self.mirror.as_mut(), self.sink);
         self.metrics
             .latency_us
             .record(self.shared.clock.elapsed_us().saturating_sub(at_us));
-        for a in &txn.external_actions {
-            self.out.externals.push((now, self.node.id, a.clone()));
+        self.burst.push(executed);
+    }
+
+    /// Ends a burst: one barrier covers every own update it appended,
+    /// then each of its transactions, in execution order, is released —
+    /// its sends, its external actions, its record and its monitor row
+    /// — and last the node's clock and the burst's count as executed,
+    /// which come after its sends are in `in_flight`.
+    fn commit(&mut self) {
+        if self.burst.is_empty() {
+            return;
         }
-        self.strategy.on_execute(
-            self.app,
-            &mut self.transport,
-            &self.node,
-            now,
-            txn.ts,
-            &update,
-        );
-        self.out.execs.push((now, self.node.id));
-        if let Some(tx) = &self.mon_tx {
-            let _ = tx.send((txn.ts, txn.time, txn.known.clone()));
+        if let Some(m) = &mut self.mirror {
+            m.persist(&self.node.log, true);
         }
-        self.out.txns.push(txn);
+        let mut burst = std::mem::take(&mut self.burst);
+        let released = burst.len() as u64;
+        for (txn, update) in burst.drain(..) {
+            let now = txn.time;
+            self.strategy.on_execute(
+                self.app,
+                &mut self.transport,
+                &self.node,
+                now,
+                txn.ts,
+                &update,
+            );
+            for a in &txn.external_actions {
+                self.out.externals.push((now, self.node.id, a.clone()));
+            }
+            self.out.execs.push((now, self.node.id));
+            if let Some(tx) = &self.mon_tx {
+                let _ = tx.send((txn.ts, now, txn.known.clone()));
+            }
+            self.out.txns.push(txn);
+        }
+        self.burst = burst;
         self.publish();
-        self.shared.executed.fetch_add(1, Ordering::SeqCst);
+        self.shared.executed.fetch_add(released, Ordering::SeqCst);
     }
 
     /// Initiates one gossip round at a fresh tick.
@@ -387,7 +424,12 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 next_sub += 1;
                 did += 1;
                 self.execute(at_us, decision);
+                if self.mirror.is_none() {
+                    // No barrier to wait for: release at once.
+                    self.commit();
+                }
             }
+            self.commit();
             if next_round_us.is_some_and(|at_us| at_us <= self.shared.clock.elapsed_us()) {
                 self.round();
                 next_round_us = tick_every_us.map(|every| self.shared.clock.elapsed_us() + every);
@@ -460,10 +502,11 @@ where
 
 /// [`run_live`] with one durable [`NodeMirror`] per node (see
 /// `shard_sim::durable`): each node thread appends its arrivals to its
-/// mirror — own updates fsynced before propagation, received batches
-/// without a barrier — and a mirror that already holds entries (a
-/// previous process's store) has its node **recovered from the WAL**
-/// before the threads start, which is how a live cluster restarts.
+/// mirror — own updates fsynced once per burst, before any of them is
+/// propagated; received batches without a barrier — and a mirror that
+/// already holds entries (a previous process's store) has its node
+/// **recovered from the WAL** before the threads start, which is how a
+/// live cluster restarts.
 ///
 /// # Panics
 ///
@@ -596,6 +639,7 @@ where
                 sink,
                 metrics,
                 mirror: mirrors.next(),
+                burst: Vec::new(),
                 unsent,
                 out: NodeOutcome {
                     txns: Vec::new(),

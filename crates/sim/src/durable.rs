@@ -14,13 +14,20 @@
 //!
 //! # The write-ahead discipline
 //!
-//! * **Own updates are fsynced before propagation.** When a node
-//!   executes a client transaction, the kernel appends the update to
-//!   the mirror and calls [`shard_store::Store::sync`] *before* the
-//!   propagation strategy ships it to any peer. A crash can therefore
-//!   lose an own update only if no other node ever saw it — after
-//!   recovery the system state is as if the client request had been
-//!   rejected, which §1's availability model already allows.
+//! * **Own updates are fsynced before propagation, once per burst.**
+//!   Each execution appends its own update to the mirror
+//!   ([`Node::execute_step`]) without a barrier. After the last
+//!   execution of a burst the node calls [`shard_store::Store::sync`]
+//!   once, and only then releases, in execution order, what each of
+//!   the burst's transactions makes visible: its propagation to peers,
+//!   its external actions, its monitor row, the node's published clock
+//!   and its count as executed. A crash can therefore lose an own
+//!   update only if no other node ever saw it and none of its external
+//!   actions was recorded — after recovery the system state is as if
+//!   the client request had been rejected, which §1's availability
+//!   model already allows. The kernel runs bursts of one (a barrier
+//!   right after each execution); a live node's burst is its due
+//!   submissions, up to its batch.
 //! * **Received updates are appended without an fsync barrier.** They
 //!   survive on the origin (by the rule above) and re-arrive via
 //!   anti-entropy ([`crate::Gossip`] offers a restarted peer the log
@@ -34,9 +41,11 @@
 //! `tests/durable_recovery.rs`: the recovered log is a **prefix of the
 //! pre-crash arrival order** (and hence, under gossip's ordered links,
 //! still transitively closed), and the recovered Lamport clock has
-//! observed every timestamp the node ever issued — so no timestamp is
-//! ever reused, and prefix subsequence (§3, Cor 8) holds across the
-//! restart.
+//! observed every timestamp the node ever released — so no timestamp
+//! any peer or external action saw is ever reused (one lost with an
+//! unsynced burst may be: nothing ever saw it), and prefix subsequence
+//! (§3, Cor 8) holds across the restart. In the kernel, whose bursts
+//! are of one, released and issued are the same.
 
 use crate::clock::{LamportClock, NodeId, Timestamp};
 use crate::kernel::Node;
@@ -176,9 +185,11 @@ impl<A: Application> NodeMirror<A> {
 
     /// Appends every arrival of `log` past the mirror's cursor, then —
     /// when `barrier` is set — fsyncs. The shared replica step calls
-    /// this with a barrier after each own execution (*before*
-    /// propagation, [`Node::execute_step`]) and without one after each
-    /// delivery ([`Node::deliver_step`]).
+    /// this without a barrier after each own execution
+    /// ([`Node::execute_step`]) and each delivery
+    /// ([`Node::deliver_step`]); the caller ends each burst of
+    /// executions with a barrier, before anything of the burst is
+    /// propagated.
     ///
     /// # Panics
     ///
@@ -216,8 +227,8 @@ impl<A: Application> NodeMirror<A> {
     /// Lamport clock past every recovered timestamp, and recounts the
     /// node's own transactions for the §3.3 barrier protocol. Because
     /// own updates were fsynced before propagation, the recovered clock
-    /// dominates every timestamp the node ever issued — recovery can
-    /// never reuse a timestamp.
+    /// dominates every timestamp the node ever released — recovery can
+    /// never reuse a timestamp that anything outside the node saw.
     ///
     /// Returns the rebuilt node and the number of recovered entries.
     pub fn recover(&mut self, app: &A, id: NodeId, checkpoint_every: usize) -> (Node<A>, usize) {

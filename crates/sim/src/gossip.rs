@@ -51,9 +51,11 @@ use std::sync::Arc;
 /// updates). A run ends when no node has anything unsent.
 ///
 /// **Interval 0 means no clock: the same round runs at each of the
-/// node's executions**, right after it merged its own update — §3.3's
-/// transitive flooding. Nothing then counts as unsent; what a node
-/// merges travels on with its next execution, and
+/// node's executions**, over the log up to its own update — what the
+/// node held when it executed, even when a live node releases the
+/// execution after the rest of its burst — §3.3's transitive flooding.
+/// Nothing then counts as unsent; what a node merges travels on with
+/// its next execution, and
 /// [`crate::RunReport::missing`] names what no later execution carried.
 /// So each origin must reach every peer itself: a round at interval 0
 /// below full fanout panics.
@@ -138,6 +140,64 @@ fn partner<A: Application>(net: &mut dyn Transport<A>, node: NodeId) -> NodeId {
     }
 }
 
+impl<P> Gossip<P> {
+    /// One round at `node`: each partner is offered what `arrivals` — a
+    /// prefix of the node's arrival order — holds past its cursor.
+    fn round<A: Application>(
+        &mut self,
+        app: &A,
+        net: &mut dyn Transport<A>,
+        node: &Node<A>,
+        now: SimTime,
+        arrivals: &[(Timestamp, Arc<A::Update>)],
+    ) where
+        P: Propagation<A>,
+    {
+        let n = net.nodes();
+        if self.cursors.len() < usize::from(n) {
+            self.cursors.resize(usize::from(n), vec![0; usize::from(n)]);
+        }
+        let row = &mut self.cursors[usize::from(node.id.0)];
+        let full = u32::from(self.fanout) >= u32::from(n) - 1;
+        assert!(
+            full || self.interval > 0,
+            "gossip at each execution must serve every peer: run `Gossip::new(0, nodes - 1)`"
+        );
+        // The sorted slice past the cursor served last: partners whose
+        // cursors agree (all of them, on a run without restarts at full
+        // fanout) share it.
+        let mut shared: Option<(usize, Entries<A>)> = None;
+        for k in 0..if full { n } else { self.fanout } {
+            let peer = if full {
+                NodeId(k)
+            } else {
+                partner(net, node.id)
+            };
+            let cursor = row[usize::from(peer.0)];
+            if peer == node.id || cursor >= arrivals.len() {
+                continue;
+            }
+            row[usize::from(peer.0)] = arrivals.len();
+            shared.take_if(|(from, _)| *from != cursor);
+            let (_, delta) = shared.get_or_insert_with(|| {
+                let mut sorted = arrivals[cursor..].to_vec();
+                sorted.sort_unstable_by_key(|(ts, _)| *ts);
+                (cursor, sorted.into())
+            });
+            // All of it by reference count, or the part the peer holds.
+            let wanted = |(_, u): &&(_, Arc<A::Update>)| self.placement.wants(app, peer, u);
+            let batch = if delta.iter().all(|e| wanted(&e)) {
+                Arc::clone(delta)
+            } else {
+                delta.iter().filter(wanted).cloned().collect()
+            };
+            if !batch.is_empty() {
+                net.send(now, node.id, peer, batch);
+            }
+        }
+    }
+}
+
 impl<A: Application, P: Propagation<A>> Propagation<A> for Gossip<P> {
     fn label(&self) -> &'static str {
         "gossip"
@@ -162,58 +222,24 @@ impl<A: Application, P: Propagation<A>> Propagation<A> for Gossip<P> {
         net: &mut dyn Transport<A>,
         node: &Node<A>,
         now: SimTime,
-        _ts: Timestamp,
+        ts: Timestamp,
         _update: &Arc<A::Update>,
     ) {
         if self.interval == 0 {
-            self.on_tick(app, net, node, now);
+            // The log as it stood at this execution, up to its own
+            // update: a live node releases a burst's executions after
+            // their barrier, when its log already holds the later ones.
+            let arrivals = node.log.arrivals();
+            let upto = arrivals
+                .iter()
+                .rposition(|(t, _)| *t == ts)
+                .expect("an execution's own update is in its log");
+            self.round(app, net, node, now, &arrivals[..=upto]);
         }
     }
 
     fn on_tick(&mut self, app: &A, net: &mut dyn Transport<A>, node: &Node<A>, now: SimTime) {
-        let n = net.nodes();
-        if self.cursors.len() < usize::from(n) {
-            self.cursors.resize(usize::from(n), vec![0; usize::from(n)]);
-        }
-        let row = &mut self.cursors[usize::from(node.id.0)];
-        let arrivals = node.log.arrivals();
-        let full = u32::from(self.fanout) >= u32::from(n) - 1;
-        assert!(
-            full || self.interval > 0,
-            "gossip at each execution must serve every peer: run `Gossip::new(0, nodes - 1)`"
-        );
-        // The sorted slice past the cursor served last: partners whose
-        // cursors agree (all of them, on a run without restarts at full
-        // fanout) share it.
-        let mut shared: Option<(usize, Entries<A>)> = None;
-        for k in 0..if full { n } else { self.fanout } {
-            let peer = if full {
-                NodeId(k)
-            } else {
-                partner(net, node.id)
-            };
-            let cursor = row[usize::from(peer.0)];
-            if peer == node.id || cursor == arrivals.len() {
-                continue;
-            }
-            row[usize::from(peer.0)] = arrivals.len();
-            shared.take_if(|(from, _)| *from != cursor);
-            let (_, delta) = shared.get_or_insert_with(|| {
-                let mut sorted = arrivals[cursor..].to_vec();
-                sorted.sort_unstable_by_key(|(ts, _)| *ts);
-                (cursor, sorted.into())
-            });
-            // All of it by reference count, or the part the peer holds.
-            let wanted = |(_, u): &&(_, Arc<A::Update>)| self.placement.wants(app, peer, u);
-            let batch = if delta.iter().all(|e| wanted(&e)) {
-                Arc::clone(delta)
-            } else {
-                delta.iter().filter(wanted).cloned().collect()
-            };
-            if !batch.is_empty() {
-                net.send(now, node.id, peer, batch);
-            }
-        }
+        self.round(app, net, node, now, node.log.arrivals());
     }
 
     /// A restart is a new link epoch, on both sides. The recovered log

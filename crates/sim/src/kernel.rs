@@ -39,8 +39,10 @@
 //! [`Node::recover_step`], [`recover_at_start`]). This loop and
 //! `shard-runtime`'s node threads both call it, so the `execute`,
 //! `deliver` (with `from` and `entries` fields), `merge.*` and
-//! `store.recover` events and the write-ahead discipline are identical
-//! whatever the transport — by construction, not by comparison.
+//! `store.recover` events and the write-ahead appends are identical
+//! whatever the transport — by construction, not by comparison. Only
+//! the barrier that ends a burst of executions is the caller's: this
+//! loop takes it after each execution, a live node once per burst.
 
 use crate::broadcast::delivery_time;
 use crate::clock::{LamportClock, NodeId, Timestamp};
@@ -459,10 +461,19 @@ impl<A: Application> Node<A> {
     /// (that is what makes live runs replayable against the sim): emits
     /// `execute`, ticks the Lamport clock, snapshots the known set, runs
     /// the decision part on the local merged state, merges the own
-    /// update, then appends and fsyncs it on `mirror` — write-ahead: the
-    /// caller hands the returned shared update to its propagation
-    /// strategy only afterwards, so a crash can lose an own update only
-    /// while no peer has seen it.
+    /// update, then appends it to `mirror` **without** the barrier.
+    ///
+    /// The write-ahead rule is the caller's, per burst: after the last
+    /// execute step of a burst it fsyncs the mirror once
+    /// ([`NodeMirror::persist`] with a barrier), and only then releases
+    /// what each of the burst's transactions makes visible, in execution
+    /// order — its propagation ([`Propagation::on_execute`]), its
+    /// external actions, its monitor row, its node's published clock and
+    /// its count as executed. A crash can then lose an own update only
+    /// while no peer has seen it and no external action of it was
+    /// recorded. The kernel runs bursts of one (it syncs right after
+    /// each execute step); a live node runs up to its batch of due
+    /// submissions.
     pub fn execute_step(
         &mut self,
         app: &A,
@@ -487,7 +498,7 @@ impl<A: Application> Node<A> {
         let fresh = self.log.merge(app, ts, Arc::clone(&update));
         debug_assert!(fresh, "own timestamp must be new");
         if let Some(m) = mirror {
-            m.persist(&self.log, true);
+            m.persist(&self.log, false);
         }
         (
             ExecutedTxn {
@@ -810,13 +821,15 @@ pub trait Propagation<A: Application> {
     /// default accepts everything.
     fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {}
 
-    /// Called right after `node` executed a transaction and merged
-    /// `update` (timestamped `ts`) into its own log. The default floods:
-    /// one shared batch to every other node that [`Propagation::wants`]
-    /// it. The strategy sees only the
-    /// *local* replica — propagation decisions must not peek at peer
-    /// state, which is what lets the same strategy run unchanged on
-    /// `shard-runtime`'s one-thread-per-node channels.
+    /// Called after `node` executed a transaction, merged `update`
+    /// (timestamped `ts`) into its own log and made it durable — on a
+    /// live node after the rest of its burst, so the log may already
+    /// hold the node's later own updates, and `now` is the execution's
+    /// tick, not the release's. The default floods: one shared batch
+    /// to every other node that [`Propagation::wants`] it. The strategy
+    /// sees only the *local* replica — propagation decisions must not
+    /// peek at peer state, which is what lets the same strategy run
+    /// unchanged on `shard-runtime`'s one-thread-per-node channels.
     fn on_execute(
         &mut self,
         app: &A,
@@ -1329,17 +1342,23 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
     }
 
     /// Executes one transaction at `node` now — the shared replica step
-    /// ([`Node::execute_step`]: trace, decide, merge, write-ahead
-    /// persist) — records it, and hands propagation to the strategy.
+    /// ([`Node::execute_step`]: trace, decide, merge, append) — fsyncs
+    /// it (a burst of one), records it, and hands propagation to the
+    /// strategy.
     fn execute(&mut self, now: SimTime, node: NodeId, decision: A::Decision) {
         let app = self.app;
-        let (txn, update) = self.nodes[node.0 as usize].execute_step(
+        let replica = &mut self.nodes[node.0 as usize];
+        let mut mirror = self.durability.as_mut().map(|f| f.mirror_mut(node));
+        let (txn, update) = replica.execute_step(
             app,
             decision,
             now,
-            self.durability.as_mut().map(|f| f.mirror_mut(node)),
+            mirror.as_deref_mut(),
             self.cfg.sink.as_deref(),
         );
+        if let Some(m) = mirror {
+            m.persist(&replica.log, true);
+        }
         for a in &txn.external_actions {
             self.external_actions.push((now, node, a.clone()));
         }

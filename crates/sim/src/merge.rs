@@ -485,12 +485,16 @@ impl<A: Application> MergeLog<A> {
                 0
             }
         };
+        // Recreate the checkpoints the insertion invalidated, so the
+        // next straggler replays only its own tail: one at each depth
+        // the interval reaches short of the end, which is exactly where
+        // `record_for` would store one.
+        let mut next = self.checkpoints.last_len() + self.checkpoints.interval();
         for i in base_len..self.entries.len() {
             app.apply_in_place(&mut self.state, &self.entries[i].1);
-            // Recreate the checkpoints the insertion invalidated
-            // so the next straggler replays only its own tail.
-            if i + 1 < self.entries.len() {
-                self.checkpoints.record_for(app, i + 1, &self.state);
+            if i + 1 == next && next < self.entries.len() {
+                self.checkpoints.record_for(app, next, &self.state);
+                next += self.checkpoints.interval();
             }
         }
         let replayed = (self.entries.len() - base_len) as u64;

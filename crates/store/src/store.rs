@@ -22,8 +22,7 @@
 //! [`DiskStore`]: crate::DiskStore
 
 use crate::codec::StoreKey;
-use crate::wal::record_bytes;
-use std::collections::BTreeMap;
+use crate::wal::{record_bytes, KeyOrder};
 use std::io;
 
 /// What a power cut did to a store: the outcome of a [`Store::crash`]
@@ -109,19 +108,37 @@ pub trait Store {
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport>;
 }
 
-/// The in-memory store: a `Vec` of records with disk-faithful byte
-/// accounting and the same crash semantics as a
-/// [`DiskStore`](crate::DiskStore). The default backend — durability
-/// without the I/O, for deterministic tests and fast chaos sweeps — and
-/// the reference a `DiskStore`'s reads are held to.
-#[derive(Default)]
+/// The in-memory store: the write-ahead log's byte model in one buffer,
+/// with the same crash semantics as a [`DiskStore`](crate::DiskStore).
+/// Every value sits back to back in one `Vec<u8>` and each record is
+/// one `(key, value end, byte end)` entry, so an append copies its
+/// value once and allocates only when a buffer grows. Key scans take
+/// the disk store's two paths: a log whose keys never decreased is
+/// searched in place, any other is sorted on the call. The default
+/// backend — durability without the I/O, for deterministic tests and
+/// fast chaos sweeps — and the reference a `DiskStore`'s reads are held
+/// to.
 pub struct MemStore {
-    /// `(key, value, end_offset)` in arrival order.
-    records: Vec<(StoreKey, Vec<u8>, u64)>,
-    /// Key order, first writer of a key wins.
-    index: BTreeMap<StoreKey, usize>,
-    len: u64,
+    /// Every value, back to back in arrival order.
+    values: Vec<u8>,
+    /// `(key, end of the value in values, end of the record in the
+    /// log)` in arrival order.
+    records: Vec<(StoreKey, usize, u64)>,
+    /// Whether the keys never decreased, and the largest; decides how
+    /// `scan_key_range` reads.
+    keys: KeyOrder,
     synced: u64,
+}
+
+impl Default for MemStore {
+    fn default() -> Self {
+        MemStore {
+            values: Vec::new(),
+            records: Vec::new(),
+            keys: KeyOrder::EMPTY,
+            synced: 0,
+        }
+    }
 }
 
 impl MemStore {
@@ -129,27 +146,36 @@ impl MemStore {
     pub fn new() -> Self {
         MemStore::default()
     }
+
+    /// Record `i`'s key and value.
+    fn record(&self, i: usize) -> (StoreKey, &[u8]) {
+        let start = i.checked_sub(1).map_or(0, |j| self.records[j].1);
+        let (key, end, _) = self.records[i];
+        (key, &self.values[start..end])
+    }
 }
 
 impl Store for MemStore {
     fn append(&mut self, key: StoreKey, value: &[u8]) -> io::Result<()> {
-        self.len += record_bytes(value.len());
-        self.index.entry(key).or_insert(self.records.len());
-        self.records.push((key, value.to_vec(), self.len));
+        let end = self.len_bytes() + record_bytes(value.len());
+        self.values.extend_from_slice(value);
+        self.records.push((key, self.values.len(), end));
+        self.keys.push(key);
         shard_obs::counter!("store.wal_appends", crate::family).inc();
         Ok(())
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.synced < self.len {
-            self.synced = self.len;
+        let len = self.len_bytes();
+        if self.synced < len {
+            self.synced = len;
             shard_obs::counter!("store.wal_fsyncs", crate::family).inc();
         }
         Ok(())
     }
 
     fn len_bytes(&self) -> u64 {
-        self.len
+        self.records.last().map_or(0, |&(_, _, end)| end)
     }
 
     fn synced_bytes(&self) -> u64 {
@@ -161,8 +187,9 @@ impl Store for MemStore {
     }
 
     fn scan_arrival(&mut self, f: &mut dyn FnMut(StoreKey, &[u8])) -> io::Result<()> {
-        for (k, v, _) in &self.records {
-            f(*k, v);
+        for i in 0..self.records.len() {
+            let (key, value) = self.record(i);
+            f(key, value);
         }
         Ok(())
     }
@@ -172,34 +199,52 @@ impl Store for MemStore {
         from: StoreKey,
         f: &mut dyn FnMut(StoreKey, &[u8]) -> bool,
     ) -> io::Result<()> {
-        for (k, &i) in self.index.range(from..) {
-            if !f(*k, &self.records[i].1) {
-                break;
+        if self.keys.max.is_none_or(|max| max < from) {
+            return Ok(());
+        }
+        if self.keys.ascending {
+            // The log is the sorted run: of a key's records, the first.
+            let start = self.records.partition_point(|&(k, ..)| k < from);
+            let mut last = None;
+            for i in start..self.records.len() {
+                let (key, value) = self.record(i);
+                if last == Some(key) {
+                    continue;
+                }
+                last = Some(key);
+                if !f(key, value) {
+                    break;
+                }
+            }
+        } else {
+            // A stable sort keeps the first writer of a key first.
+            let mut order: Vec<usize> = (0..self.records.len())
+                .filter(|&i| self.records[i].0 >= from)
+                .collect();
+            order.sort_by_key(|&i| self.records[i].0);
+            order.dedup_by_key(|i| self.records[*i].0);
+            for i in order {
+                let (key, value) = self.record(i);
+                if !f(key, value) {
+                    break;
+                }
             }
         }
         Ok(())
     }
 
     fn crash(&mut self, keep: u64) -> io::Result<CrashReport> {
-        let kept = self
-            .records
-            .iter()
-            .take_while(|(_, _, end)| *end <= keep)
-            .count();
-        let kept_bytes = if kept == 0 {
-            0
-        } else {
-            self.records[kept - 1].2
-        };
-        let torn = kept_bytes < keep.min(self.len);
-        let lost_bytes = self.len - kept_bytes;
+        let len = self.len_bytes();
+        let kept = self.records.partition_point(|&(_, _, end)| end <= keep);
         self.records.truncate(kept);
-        // Rebuild the index first-writer-wins.
-        self.index.clear();
-        for (i, (k, _, _)) in self.records.iter().enumerate() {
-            self.index.entry(*k).or_insert(i);
+        self.values
+            .truncate(self.records.last().map_or(0, |&(_, end, _)| end));
+        self.keys = KeyOrder::EMPTY;
+        for &(key, ..) in &self.records {
+            self.keys.push(key);
         }
-        self.len = kept_bytes;
+        let kept_bytes = self.len_bytes();
+        let torn = kept_bytes < keep.min(len);
         self.synced = kept_bytes;
         if torn {
             shard_obs::counter!("store.wal_torn_truncations", crate::family).inc();
@@ -208,7 +253,7 @@ impl Store for MemStore {
         Ok(CrashReport {
             kept_entries: kept,
             kept_bytes,
-            lost_bytes,
+            lost_bytes: len - kept_bytes,
             torn,
         })
     }

@@ -137,21 +137,22 @@ struct Segment {
     first_key: Option<StoreKey>,
 }
 
-/// What a log's keys have looked like so far, a record at a time.
+/// What a log's keys have looked like so far, a record at a time —
+/// for a [`DiskStore`] and a [`MemStore`](crate::MemStore) alike.
 #[derive(Clone, Copy)]
-struct KeyOrder {
-    max: Option<StoreKey>,
+pub(crate) struct KeyOrder {
+    pub(crate) max: Option<StoreKey>,
     /// Whether every key was at or above the one before it.
-    ascending: bool,
+    pub(crate) ascending: bool,
 }
 
 impl KeyOrder {
-    const EMPTY: KeyOrder = KeyOrder {
+    pub(crate) const EMPTY: KeyOrder = KeyOrder {
         max: None,
         ascending: true,
     };
 
-    fn push(&mut self, key: StoreKey) {
+    pub(crate) fn push(&mut self, key: StoreKey) {
         self.ascending &= self.max.is_none_or(|max| max <= key);
         self.max = self.max.max(Some(key));
     }
