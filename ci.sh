@@ -19,11 +19,12 @@ run cargo test --workspace -q
 run cargo clippy --workspace --all-targets -- -D warnings
 run cargo fmt --all --check
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps -q
-# Every `pub fn` has traffic: a name that only tests call fails the gate
-# (the script says how it matches, and what a shared name can hide).
+# Every `pub fn` has traffic: one that only tests reach, as the compiler
+# resolves calls, fails the gate (≈ 20–60 s; it works on a copy under
+# target/pub_traffic and leaves the tree and target/release alone).
 run ./pub_traffic.sh
 # Every backticked CamelCase name in the docs names something in the
-# code (matched by name, as above; the script says what that misses).
+# code (matched by name; the script says what that misses).
 run ./doc_names.sh
 
 # The benchmark gate: `benchmark/` is a package of its own (own

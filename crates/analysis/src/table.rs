@@ -38,16 +38,6 @@ impl Table {
         self.push_row(cells.iter().map(|c| c.to_string()).collect());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether there are no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -99,8 +89,8 @@ mod tests {
         assert!(s.contains("== demo =="));
         assert!(s.contains("k"));
         assert!(s.contains("14400"));
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
+        assert_eq!(t.rows.len(), 2);
+        assert!(!t.rows.is_empty());
     }
 
     #[test]

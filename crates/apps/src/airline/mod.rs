@@ -142,11 +142,6 @@ impl FlyByNight {
         }
     }
 
-    /// The flight capacity (100 in the paper).
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
     /// Dollar cost per overbooked passenger (900 in the paper).
     pub fn overbook_rate(&self) -> Cost {
         self.overbook_rate
@@ -332,7 +327,7 @@ mod tests {
     #[test]
     fn paper_cost_rates() {
         let app = FlyByNight::default();
-        assert_eq!(app.capacity(), 100);
+        assert_eq!(app.capacity, 100);
         assert_eq!(app.overbook_rate(), 900);
         assert_eq!(app.underbook_rate(), 300);
         assert_eq!(app.constraint_count(), 2);

@@ -61,11 +61,6 @@ impl TsAirlineState {
         self.find(p).is_some()
     }
 
-    /// Whether `p` is assigned.
-    pub fn is_assigned(&self, p: Person) -> bool {
-        self.assigned.iter().any(|sp| sp.person == p)
-    }
-
     /// Whether `p` is waiting.
     pub fn is_waiting(&self, p: Person) -> bool {
         self.waiting.iter().any(|sp| sp.person == p)
@@ -133,11 +128,6 @@ impl TsFlyByNight {
             overbook_rate: 900,
             underbook_rate: 300,
         }
-    }
-
-    /// The seat capacity.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
     }
 }
 

@@ -89,11 +89,6 @@ impl BankState {
         self.balance(a).min(0).unsigned_abs()
     }
 
-    /// Every touched account and its balance, in account order.
-    pub fn balances(&self) -> impl ExactSizeIterator<Item = (AccountId, i64)> + '_ {
-        self.balances.iter().copied()
-    }
-
     /// Test/helper constructor from `(account, balance)` pairs in any
     /// order; of repeated accounts the last pair wins.
     pub fn with_balances(pairs: &[(AccountId, i64)]) -> Self {

@@ -32,16 +32,6 @@ impl DictState {
     pub fn get(&self, k: Key) -> Option<Value> {
         self.entries.get(&k).copied()
     }
-
-    /// Number of bindings.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Dictionary transactions.
@@ -187,7 +177,7 @@ mod tests {
         let s = e.final_state(&app);
         assert_eq!(s.get(1), None);
         assert_eq!(s.get(2), Some(20));
-        assert_eq!(s.len(), 1);
+        assert_eq!(s.entries.len(), 1);
         assert_eq!(e.record(look).external_actions[0].subject, "2=20");
     }
 
@@ -213,7 +203,7 @@ mod tests {
         let s2 = app.apply(&s1, &DictUpdate::Insert(5, 2));
         assert_eq!(s2.get(5), Some(2));
         let s3 = app.apply(&s2, &DictUpdate::Delete(5));
-        assert!(s3.is_empty());
+        assert!(s3.entries.is_empty());
     }
 
     #[test]

@@ -232,11 +232,6 @@ impl Warehouse {
         }
     }
 
-    /// The per-order quantity cap (bounds `f(k)`).
-    pub fn max_qty(&self) -> u64 {
-        self.max_qty
-    }
-
     /// Index of item `i`'s oversell constraint.
     pub fn oversell_constraint(&self, i: ItemId) -> usize {
         (i.0 as usize) * 2
@@ -245,16 +240,6 @@ impl Warehouse {
     /// Index of item `i`'s unnecessary-backlog constraint.
     pub fn backlog_constraint(&self, i: ItemId) -> usize {
         (i.0 as usize) * 2 + 1
-    }
-
-    /// Violation rate per oversold unit.
-    pub fn over_rate(&self) -> Cost {
-        self.over_rate
-    }
-
-    /// Violation rate per unnecessarily backordered unit.
-    pub fn under_rate(&self) -> Cost {
-        self.under_rate
     }
 }
 

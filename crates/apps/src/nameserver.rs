@@ -94,14 +94,6 @@ impl NsState {
             .filter(|m| !self.is_registered(*m))
             .collect()
     }
-
-    /// Test/helper constructor.
-    pub fn with(registrations: &[(Name, u64)], groups: Vec<Vec<Name>>) -> Self {
-        NsState {
-            registrations: registrations.iter().copied().collect(),
-            groups,
-        }
-    }
 }
 
 /// Name-server transactions.
@@ -157,11 +149,6 @@ impl NameServer {
             rate,
             constraint_names,
         }
-    }
-
-    /// Cost per dangling member.
-    pub fn rate(&self) -> Cost {
-        self.rate
     }
 }
 
@@ -286,6 +273,14 @@ mod tests {
     fn n(i: u32) -> Name {
         Name(i)
     }
+
+    fn with(registrations: &[(Name, u64)], groups: Vec<Vec<Name>>) -> NsState {
+        let registrations = registrations.iter().copied().collect();
+        NsState {
+            registrations,
+            groups,
+        }
+    }
     const G0: GroupId = GroupId(0);
     const G1: GroupId = GroupId(1);
 
@@ -306,7 +301,7 @@ mod tests {
         for regs in &reg_options {
             for g0 in &member_options {
                 for g1 in &member_options {
-                    out.push(NsState::with(regs, vec![g0.clone(), g1.clone()]));
+                    out.push(with(regs, vec![g0.clone(), g1.clone()]));
                 }
             }
         }
@@ -337,7 +332,7 @@ mod tests {
         assert_eq!(out.update, NsUpdate::Noop);
         assert_eq!(out.external_actions[0].kind, "reject-add");
         // A dirty group also refuses to grow (the preserving guard).
-        let dirty = NsState::with(&[(n(1), 10)], vec![vec![n(2)], vec![]]);
+        let dirty = with(&[(n(1), 10)], vec![vec![n(2)], vec![]]);
         let out = app.decide(&NsTxn::AddMember(G0, n(1)), &dirty);
         assert_eq!(out.update, NsUpdate::Noop);
     }
@@ -371,7 +366,7 @@ mod tests {
     #[test]
     fn scavenge_repairs_one_dangling_member() {
         let app = ns();
-        let s = NsState::with(&[], vec![vec![n(1), n(2)], vec![]]);
+        let s = with(&[], vec![vec![n(1), n(2)], vec![]]);
         let out = app.decide(&NsTxn::Scavenge(G0), &s);
         assert_eq!(out.update, NsUpdate::RemoveMember(G0, n(1)));
         assert_eq!(out.external_actions[0].kind, "scavenged");
@@ -423,7 +418,7 @@ mod tests {
     #[test]
     fn well_formedness_rejects_duplicate_members() {
         let app = ns();
-        let bad = NsState::with(&[], vec![vec![n(1), n(1)], vec![]]);
+        let bad = with(&[], vec![vec![n(1), n(1)], vec![]]);
         assert!(!app.is_well_formed(&bad));
         let wrong_groups = NsState::empty(5);
         assert!(!app.is_well_formed(&wrong_groups));
@@ -434,6 +429,6 @@ mod tests {
         let app = NameServer::new(3, 10);
         assert_eq!(app.constraint_count(), 3);
         assert_eq!(app.constraint_name(2), "no-dangling-members-G2");
-        assert_eq!(app.rate(), 10);
+        assert_eq!(app.rate, 10);
     }
 }

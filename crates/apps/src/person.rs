@@ -12,12 +12,7 @@ use std::fmt;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Person(pub u32);
 
-impl Person {
-    /// The numeric id.
-    pub fn id(self) -> u32 {
-        self.0
-    }
-}
+impl Person {}
 
 impl fmt::Display for Person {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -39,7 +34,7 @@ mod tests {
     fn display_and_conversions() {
         let p: Person = 7u32.into();
         assert_eq!(p.to_string(), "P7");
-        assert_eq!(p.id(), 7);
+        assert_eq!(p.0, 7);
     }
 
     #[test]

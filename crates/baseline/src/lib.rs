@@ -89,8 +89,6 @@ pub struct BaselineReport<A: Application> {
     pub execution: Execution<A>,
     /// External actions performed (at the primary), with times.
     pub external_actions: Vec<(SimTime, ExternalAction)>,
-    /// The primary's final state.
-    pub final_state: A::State,
 }
 
 impl<A: Application> BaselineReport<A> {
@@ -258,7 +256,6 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
             outcomes,
             execution,
             external_actions,
-            final_state: state,
         }
     }
 }
@@ -302,8 +299,9 @@ mod tests {
         for s in report.execution.actual_states(&app) {
             assert_eq!(app.cost(&s, OVERBOOKING), 0);
         }
-        assert_eq!(report.final_state.al(), 3);
-        assert_eq!(app.cost(&report.final_state, UNDERBOOKING), 0);
+        let final_state = report.execution.final_state(&app);
+        assert_eq!(final_state.al(), 3);
+        assert_eq!(app.cost(&final_state, UNDERBOOKING), 0);
         assert!((report.availability() - 1.0).abs() < 1e-9);
         assert!(report.mean_latency().unwrap() > 0.0);
     }
@@ -331,7 +329,7 @@ mod tests {
         assert_eq!(report.outcomes[1], TxnOutcome::TimedOut);
         assert!((report.availability() - 0.5).abs() < 1e-9);
         // The expired request was aborted: P2 never entered the database.
-        assert!(!report.final_state.is_known(Person(2)));
+        assert!(!report.execution.final_state(&app).is_known(Person(2)));
     }
 
     #[test]

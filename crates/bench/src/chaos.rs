@@ -320,43 +320,6 @@ pub struct MonitoredOutcome {
     pub seeds_skipped: u64,
 }
 
-impl MonitoredOutcome {
-    /// Canonical JSON of the outcome — no timing or thread-count data,
-    /// so pool sizes agreeing on this string agree on the sweep.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"verdicts\":[");
-        for (i, v) in self.verdicts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(
-                &shard_obs::ObjWriter::new()
-                    .u64("seed", v.seed)
-                    .u64("rows", v.rows as u64)
-                    .bool("aborted", v.aborted)
-                    .bool("transitive", v.transitive)
-                    .u64("max_missed", v.max_missed as u64)
-                    .u64("delay_bound", v.delay_bound)
-                    .finish(),
-            );
-        }
-        out.push_str("],\"hit\":");
-        match &self.hit {
-            None => out.push_str("null"),
-            Some(h) => out.push_str(
-                &shard_obs::ObjWriter::new()
-                    .u64("seed", h.seed)
-                    .raw("certificate", &h.certificate.to_json())
-                    .u64("rows_at_abort", h.rows_at_abort as u64)
-                    .bool("baseline_transitive", h.baseline_transitive)
-                    .finish(),
-            ),
-        }
-        out.push_str(&format!(",\"seeds_skipped\":{}}}", self.seeds_skipped));
-        out
-    }
-}
-
 /// One seeded run of the sweep's cluster: the airline workload of
 /// `seed` over eager broadcast without piggybacking under the fixed
 /// delay, optionally faulted, monitored and traced.

@@ -51,10 +51,10 @@ proptest! {
         let mut cfg = ChaosConfig::new(seeds);
         let window = [1usize, 7, 64][window_idx];
         cfg.pool = PoolConfig::with_threads(1);
-        let sequential = monitored_sweep(&cfg, window).to_json_string();
+        let sequential = format!("{:?}", monitored_sweep(&cfg, window));
         for threads in [2, 7] {
             cfg.pool = PoolConfig::with_threads(threads);
-            let parallel = monitored_sweep(&cfg, window).to_json_string();
+            let parallel = format!("{:?}", monitored_sweep(&cfg, window));
             prop_assert_eq!(
                 &sequential, &parallel,
                 "monitored sweep diverged at {} threads", threads

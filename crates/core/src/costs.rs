@@ -68,17 +68,6 @@ impl BoundFn {
         }
     }
 
-    /// An arbitrary bound function with a description for reports.
-    pub fn new(
-        describe: impl Into<String>,
-        f: impl Fn(usize) -> Cost + Send + Sync + 'static,
-    ) -> Self {
-        BoundFn {
-            f: Box::new(f),
-            describe: describe.into(),
-        }
-    }
-
     /// Evaluates `f(k)`.
     pub fn at(&self, k: usize) -> Cost {
         (self.f)(k)
@@ -390,7 +379,10 @@ mod tests {
         assert_eq!(f.at(0), 0);
         assert_eq!(f.at(3), 2700);
         assert_eq!(f.description(), "900·k");
-        let g = BoundFn::new("k²", |k| (k * k) as Cost);
+        let g = BoundFn {
+            f: Box::new(|k| (k * k) as Cost),
+            describe: "k²".into(),
+        };
         assert_eq!(g.at(4), 16);
         assert!(format!("{g:?}").contains("k²"));
     }

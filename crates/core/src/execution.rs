@@ -396,7 +396,7 @@ impl<A: Application> Execution<A> {
     /// # Panics
     ///
     /// Panics if `every == 0`.
-    pub fn with_checkpoint_interval(every: usize) -> Self {
+    fn with_checkpoint_interval(every: usize) -> Self {
         Execution {
             records: Vec::new(),
             cache: RefCell::new(ReplayCache::new(every)),

@@ -133,11 +133,6 @@ impl<K, V> PMap<K, V> {
         self.iter().map(|(k, _)| k)
     }
 
-    /// Iterates values in ascending key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.iter().map(|(_, v)| v)
-    }
-
     /// The `i`-th entry in ascending key order (0-based), or `None`
     /// past the end. O(log n) by subtree-size descent — random access
     /// into a snapshot without materializing it.
@@ -858,7 +853,7 @@ mod tests {
         assert_eq!(map, PMap::default());
         let one: PMap<u32, u64> = std::iter::once((7, 7)).collect();
         assert_eq!(one.keys().copied().collect::<Vec<_>>(), vec![7]);
-        assert_eq!(one.values().copied().collect::<Vec<_>>(), vec![7]);
+        assert_eq!(one.iter().map(|(_, v)| *v).collect::<Vec<_>>(), vec![7]);
         assert_eq!(format!("{one:?}"), "{7: 7}");
     }
 

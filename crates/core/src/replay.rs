@@ -201,16 +201,6 @@ impl<S> Checkpoints<S> {
         self.every
     }
 
-    /// Checkpoints currently stored.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Whether no checkpoints are stored.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
     /// The depth (applied-update count) of the deepest checkpoint, or 0.
     pub fn last_len(&self) -> usize {
         self.points.last().map_or(0, |&(l, _)| l)
@@ -551,7 +541,7 @@ mod tests {
         assert!(c.record(6, &60));
         assert_eq!(deepest(&c), Some((6, 60)));
         assert_eq!(c.last_len(), 6);
-        assert_eq!(c.len(), 2);
+        assert_eq!(c.points.len(), 2);
     }
 
     #[test]
@@ -566,7 +556,7 @@ mod tests {
         c.truncate(5);
         assert_eq!(deepest(&c), Some((4, 40)));
         c.truncate(0);
-        assert!(c.is_empty());
+        assert!(c.points.is_empty());
         assert_eq!(c.floor(100), None);
     }
 

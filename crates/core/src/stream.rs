@@ -492,11 +492,6 @@ impl StreamChecker {
         self.start + self.seen.len()
     }
 
-    /// The configured window size.
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
     /// Whether no transitivity violation has been seen yet — the
     /// running verdict, readable between windows without building a
     /// report.

@@ -121,8 +121,7 @@ fn global_counters_match_checkpoint_behavior() {
     // The LCP histogram saw one sample per prefix query with the
     // lengths computed above: 0 (cold), 20 (identical), 17 (drop late),
     // 1 (drop early) → sum 38.
-    let snap = Registry::global().snapshot();
-    let lcp = snap.histogram("replay.lcp").expect("lcp histogram exists");
+    let lcp = Registry::global().histogram("replay.lcp").snapshot();
     assert_eq!(lcp.count, 4);
     assert_eq!(lcp.sum, 38);
     assert_eq!(lcp.max, 20);
@@ -143,6 +142,8 @@ fn global_counters_match_checkpoint_behavior() {
         r.state_after_prefix(&query);
         path = query;
     }
-    let snap = Registry::global().snapshot();
-    assert_eq!(snap.histogram("replay.lcp"), Some(&expect));
+    assert_eq!(
+        Registry::global().histogram("replay.lcp").snapshot(),
+        expect
+    );
 }

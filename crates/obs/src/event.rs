@@ -144,28 +144,9 @@ impl EventBuilder<'_> {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(mut self, k: &str, v: i64) -> Self {
-        self.obj = self.obj.i64(k, v);
-        self
-    }
-
-    /// Adds a float field.
-    pub fn f64(mut self, k: &str, v: f64) -> Self {
-        self.obj = self.obj.f64(k, v);
-        self
-    }
-
     /// Adds a boolean field.
     pub fn bool(mut self, k: &str, v: bool) -> Self {
         self.obj = self.obj.bool(k, v);
-        self
-    }
-
-    /// Adds a pre-rendered JSON value verbatim (arrays, nested
-    /// objects). The caller vouches that `v` is valid JSON.
-    pub fn raw(mut self, k: &str, v: &str) -> Self {
-        self.obj = self.obj.raw(k, v);
         self
     }
 

@@ -85,12 +85,6 @@ impl Gauge {
         self.0.store(v, Ordering::Relaxed);
     }
 
-    /// Adds `delta` (may be negative).
-    #[inline]
-    pub fn add(&self, delta: i64) {
-        self.0.fetch_add(delta, Ordering::Relaxed);
-    }
-
     /// Raises the gauge to `v` if it is currently lower (high-watermark).
     #[inline]
     pub fn max(&self, v: i64) {
@@ -472,14 +466,6 @@ impl Snapshot {
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
     }
-
-    /// The contents of histogram `name`, if present.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v)
-    }
 }
 
 /// Serializes tests that read or toggle the global [`enabled`] flag —
@@ -504,7 +490,6 @@ mod tests {
         assert_eq!(r.counter("a.b").get(), 5, "same name, same metric");
         let g = r.gauge("depth");
         g.set(3);
-        g.add(-1);
         g.max(10);
         g.max(7);
         assert_eq!(g.get(), 10);
@@ -522,10 +507,8 @@ mod tests {
         let snap = Registry::global().snapshot();
         assert_eq!(snap.counter("obs.test.macro.hits"), Some(3));
         assert_eq!(snap.counter("obs.test.macro.sibling"), Some(0));
-        assert_eq!(
-            snap.histogram("obs.test.macro.sizes").map(|h| h.sum),
-            Some(15)
-        );
+        let sizes = Registry::global().histogram("obs.test.macro.sizes");
+        assert_eq!(sizes.snapshot().sum, 15);
     }
 
     #[test]
@@ -598,7 +581,8 @@ mod tests {
         assert_eq!(names, vec!["a.first", "z.last"], "sorted by name");
         assert_eq!(s1.counter("a.first"), Some(2));
         assert_eq!(s1.counter("missing"), None);
-        assert_eq!(s1.histogram("m.h").map(|h| h.count), Some(1));
+        let (name, h) = &s1.histograms[0];
+        assert_eq!((name.as_str(), h.count), ("m.h", 1));
     }
 
     #[test]

@@ -19,7 +19,6 @@
 //! distributions separate by name.
 
 use crate::metrics::{Histogram, HistogramSnapshot, Registry};
-use crate::ObjWriter;
 use std::sync::Arc;
 
 /// Histogram handles for one deployment mode's live run.
@@ -47,25 +46,6 @@ impl RuntimeMetrics {
     pub fn latency(&self) -> HistogramSnapshot {
         self.latency_us.snapshot()
     }
-
-    /// Renders the mode's live signals as one JSON object:
-    /// `{"latency_us": {count, p50, p90, p99, max}, "queue_depth": …}`.
-    pub fn to_json(&self) -> String {
-        fn hist_json(s: &HistogramSnapshot) -> String {
-            ObjWriter::new()
-                .u64("count", s.count)
-                .f64("mean", s.mean())
-                .f64("p50", s.quantile(0.50))
-                .f64("p90", s.quantile(0.90))
-                .f64("p99", s.quantile(0.99))
-                .u64("max", s.max)
-                .finish()
-        }
-        ObjWriter::new()
-            .raw("latency_us", &hist_json(&self.latency_us.snapshot()))
-            .raw("queue_depth", &hist_json(&self.queue_depth.snapshot()))
-            .finish()
-    }
 }
 
 #[cfg(test)]
@@ -90,11 +70,10 @@ mod tests {
             m.latency_us.record(v);
         }
         m.queue_depth.record(3);
-        let doc = crate::json::parse(&m.to_json()).expect("valid json");
-        let lat = doc.get("latency_us").expect("latency object");
-        assert_eq!(lat.get("count").and_then(|j| j.as_u64()), Some(5));
-        let p50 = lat.get("p50").and_then(|j| j.as_f64()).unwrap();
-        let p99 = lat.get("p99").and_then(|j| j.as_f64()).unwrap();
+        let doc = crate::json::parse(&m.latency().to_json()).expect("valid json");
+        let lat = HistogramSnapshot::from_json(&doc).expect("histogram object");
+        assert_eq!(lat.count, 5);
+        let (p50, p99) = (lat.quantile(0.50), lat.quantile(0.99));
         assert!(p50 <= p99, "quantiles are monotone: {p50} {p99}");
     }
 }

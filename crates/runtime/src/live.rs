@@ -25,13 +25,13 @@
 //! and otherwise blocks on the channel until its next deadline — or for
 //! good if it has none: whatever else can concern it arrives there.
 //!
-//! Due submissions run in bursts of up to `EXEC_BATCH` (64). On a durable
-//! node a burst is one group commit: each execution appends its own
-//! update to the mirror, one fsync covers them all, and only then is
-//! each transaction released, in execution order — its sends, its
-//! external actions, its monitor row — and the burst counted as
-//! executed. A node without a mirror has no barrier to wait for and
-//! releases each execution at once.
+//! Due submissions run in bursts of up to `EXEC_BATCH` (64), and every
+//! node releases a burst only after it ends. On a durable node a burst
+//! is one group commit: each execution appends its own update to the
+//! mirror, and one fsync covers them all; without a mirror there is no
+//! barrier. Then each transaction is released, in execution order — its
+//! sends, its external actions, its monitor row — and the burst counted
+//! as executed.
 //!
 //! # How a run ends
 //!
@@ -347,11 +347,12 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         self.burst.push(executed);
     }
 
-    /// Ends a burst: one barrier covers every own update it appended,
-    /// then each of its transactions, in execution order, is released —
-    /// its sends, its external actions, its record and its monitor row
-    /// — and last the node's clock and the burst's count as executed,
-    /// which come after its sends are in `in_flight`.
+    /// Ends a burst: one barrier covers every own update it appended
+    /// (a node without a mirror has none), then each of its
+    /// transactions, in execution order, is released — its sends, its
+    /// external actions, its record and its monitor row — and last the
+    /// node's clock and the burst's count as executed, which come after
+    /// its sends are in `in_flight`.
     fn commit(&mut self) {
         if self.burst.is_empty() {
             return;
@@ -424,10 +425,6 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 next_sub += 1;
                 did += 1;
                 self.execute(at_us, decision);
-                if self.mirror.is_none() {
-                    // No barrier to wait for: release at once.
-                    self.commit();
-                }
             }
             self.commit();
             if next_round_us.is_some_and(|at_us| at_us <= self.shared.clock.elapsed_us()) {

@@ -232,7 +232,7 @@ fn live_partial_run_refuses_a_misrouted_submission() {
 fn live_run_refuses_a_placement_smaller_than_the_cluster() {
     use shard_core::ObjectModel;
     let app = Bank::new(3, 50);
-    let placement = Placement::full(NODES, &app.objects());
+    let placement = Placement::round_robin(NODES, &app.objects(), NODES);
     let cfg = RuntimeConfig {
         nodes: NODES + 1,
         ..config(1)

@@ -50,11 +50,6 @@ impl CrashSchedule {
         s
     }
 
-    /// Whether any crashes are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// Adds a window, absorbing every window of the same node that
     /// overlaps or touches it: the outage takes the first one's place.
     pub fn push(&mut self, mut w: CrashWindow) {
@@ -100,7 +95,7 @@ mod tests {
     #[test]
     fn empty_schedule_is_always_up() {
         let s = CrashSchedule::none();
-        assert!(s.is_empty());
+        assert!(s.windows.is_empty());
         assert!(!s.is_down(100, n(0)));
         assert_eq!(s.next_up(100, n(0)), 100);
     }

@@ -91,15 +91,6 @@ impl KnownSet {
         self.floor.is_some_and(|floor| ts <= floor)
     }
 
-    /// Whether `ts` is known.
-    pub fn contains(&self, ts: Timestamp) -> bool {
-        if self.in_base(ts) {
-            self.base.contains_key(&ts)
-        } else {
-            self.tail.binary_search(&ts).is_ok()
-        }
-    }
-
     /// Adds a timestamp, returning whether it was new. A timestamp above
     /// the floor goes into the tail, copying it first (≤ 512 B) if a
     /// snapshot shares it; the tail's 33rd moves its lowest 16 into the
@@ -194,13 +185,6 @@ impl KnownSet {
     pub fn iter(&self) -> impl Iterator<Item = Timestamp> + '_ {
         self.base.keys().chain(self.tail.iter()).copied()
     }
-
-    /// Materializes the set as a sorted vector (offline consumers
-    /// only — this is the O(n) copy the snapshot representation
-    /// exists to avoid on the hot path).
-    pub fn to_vec(&self) -> Vec<Timestamp> {
-        self.iter().collect()
-    }
 }
 
 /// By content: two sets with the same members may split them between
@@ -248,7 +232,7 @@ mod tests {
         let forward: KnownSet = (0..50).map(|l| ts(l, (l % 3) as u16)).collect();
         let backward: KnownSet = (0..50).rev().map(|l| ts(l, (l % 3) as u16)).collect();
         assert_eq!(forward, backward);
-        assert_eq!(forward.to_vec(), backward.to_vec());
+        assert!(forward.iter().eq(backward.iter()));
     }
 
     #[test]
@@ -260,8 +244,8 @@ mod tests {
         assert!(!live.insert(ts(2, 1)), "duplicate insert reports false");
         assert_eq!(snap.len(), 1);
         assert_eq!(live.len(), 2);
-        assert!(live.contains(ts(2, 1)));
-        assert!(!snap.contains(ts(2, 1)));
+        assert!(live.iter().any(|t| t == ts(2, 1)));
+        assert!(!snap.iter().any(|t| t == ts(2, 1)));
     }
 
     #[test]
@@ -383,7 +367,7 @@ mod tests {
         }
         assert_eq!(set.nth(oracle.len()), None);
         for t in universe {
-            assert_eq!(set.contains(*t), oracle.contains(t));
+            assert_eq!(set.iter().any(|s| s == *t), oracle.contains(t));
         }
         // From just past the set's largest member to the universe's end.
         let floor = oracle

@@ -655,7 +655,7 @@ mod tests {
             // Entries stay sorted.
             assert!(log.entries().windows(2).all(|w| w[0].0 < w[1].0));
         }
-        assert_eq!(log.known_set().to_vec().len(), 10);
+        assert_eq!(log.known_set().iter().count(), 10);
         assert!(log.contains(ts(7)));
         assert!(!log.contains(ts(77)));
         assert_eq!(log.into_state(), (1..=10).collect::<Vec<_>>());

@@ -176,11 +176,6 @@ impl LiveMonitor {
         self.cfg.abort_on_violation && !self.checker.transitive_so_far()
     }
 
-    /// Rows sealed so far.
-    pub fn sealed(&self) -> usize {
-        self.checker.rows()
-    }
-
     /// The verdicts and certificates over everything sealed so far.
     pub fn report(&self) -> StreamReport {
         self.checker.report()
@@ -212,12 +207,12 @@ mod tests {
         m.ingest(ts(1, 0), 0, KnownSet::new());
         // Watermark 0: nothing sealed yet.
         m.advance(0, None);
-        assert_eq!(m.sealed(), 0);
+        assert_eq!(m.sealed_ts.len(), 0);
         // Watermark 1 seals only the lamport-1 row.
         m.advance(1, None);
-        assert_eq!(m.sealed(), 1);
+        assert_eq!(m.sealed_ts.len(), 1);
         m.advance(2, None);
-        assert_eq!(m.sealed(), 2);
+        assert_eq!(m.sealed_ts.len(), 2);
         let report = m.report();
         assert!(report.transitive);
         assert_eq!(report.max_missed, 0, "row 1 knew row 0");
@@ -236,12 +231,12 @@ mod tests {
         m.ingest(ts(2, 0), 3, [ts(1, 0)].into_iter().collect());
         m.ingest(ts(3, 1), 5, [ts(2, 0)].into_iter().collect());
         m.advance(2, None);
-        assert_eq!(m.sealed(), 2);
+        assert_eq!(m.sealed_ts.len(), 2);
         assert!(!m.should_abort());
         // Node 1's clock never reaches 3, so the last row waits for the
         // end-of-run flush.
         let report = m.finish(None);
-        assert_eq!(m.sealed(), 3);
+        assert_eq!(m.sealed_ts.len(), 3);
         assert_eq!(report.max_missed, 1);
         assert!(!report.transitive);
         assert!(m.should_abort());

@@ -36,19 +36,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    /// Full replication of `objects` at `nodes` nodes (the degenerate
-    /// case, for comparisons).
-    pub fn full(nodes: u16, objects: &[ObjectId]) -> Self {
-        Placement {
-            held: vec![objects.to_vec(); nodes as usize],
-        }
-    }
-
-    /// Explicit per-node object sets.
-    pub fn new(held: Vec<Vec<ObjectId>>) -> Self {
-        Placement { held }
-    }
-
     /// Round-robin placement with a replication factor: object `i` lives
     /// on nodes `i, i+1, …, i+factor−1 (mod nodes)`.
     ///
@@ -115,9 +102,9 @@ impl<A: Application> RunReport<A> {
 /// Object-aware propagation: the moment a transaction executes, its
 /// update is sent only to the nodes whose placement holds one of the
 /// objects it writes. Updates with an empty write set carry pure
-/// serial-order information and are sent to every node, so over
-/// [`Placement::full`] it reproduces [`crate::cluster::EagerBroadcast`]
-/// exactly.
+/// serial-order information and are sent to every node, so over a full
+/// placement ([`Placement::round_robin`] at a factor of every node) it
+/// reproduces [`crate::cluster::EagerBroadcast`] exactly.
 impl<A: ObjectModel> Propagation<A> for Placement {
     fn label(&self) -> &'static str {
         "partial"
@@ -237,7 +224,7 @@ mod tests {
             p.any_holder_of_all(&[ObjectId(0), ObjectId(2)]),
             Some(NodeId(0))
         );
-        let full = Placement::full(2, &objs);
+        let full = Placement::round_robin(2, &objs, 2);
         assert!(full.holds_all(NodeId(1), &objs));
     }
 
@@ -245,11 +232,13 @@ mod tests {
     fn updates_only_reach_holders() {
         // Object 0 on nodes {0,1}, object 1 on nodes {1,2}.
         let app = TwoRegs;
-        let p = Placement::new(vec![
-            vec![ObjectId(0)],
-            vec![ObjectId(0), ObjectId(1)],
-            vec![ObjectId(1)],
-        ]);
+        let p = Placement {
+            held: vec![
+                vec![ObjectId(0)],
+                vec![ObjectId(0), ObjectId(1)],
+                vec![ObjectId(1)],
+            ],
+        };
         let runner = Runner::new(&app, cfg(3), p.clone());
         let invs = vec![
             Invocation::new(0, NodeId(0), Bump(0)),
@@ -270,7 +259,7 @@ mod tests {
     #[test]
     fn full_placement_matches_global_state() {
         let app = TwoRegs;
-        let p = Placement::full(3, &app.objects());
+        let p = Placement::round_robin(3, &app.objects(), 3);
         let runner = Runner::new(&app, cfg(3), p.clone());
         let invs: Vec<_> = (0..10)
             .map(|i| Invocation::new(i * 5, NodeId((i % 3) as u16), Bump((i % 2) as u32)))
@@ -290,7 +279,7 @@ mod tests {
             .map(|i| Invocation::new(i * 5, NodeId(0), Bump(0)))
             .collect();
         // All activity on object 0.
-        let full = Runner::new(&app, cfg(4), Placement::full(4, &objs))
+        let full = Runner::new(&app, cfg(4), Placement::round_robin(4, &objs, 4))
             .run(invs.clone())
             .messages_sent;
         let part = Runner::new(&app, cfg(4), Placement::round_robin(4, &objs, 2))
@@ -303,7 +292,9 @@ mod tests {
     #[should_panic(expected = "lacks objects")]
     fn misrouted_decision_panics() {
         let app = TwoRegs;
-        let p = Placement::new(vec![vec![ObjectId(0)], vec![ObjectId(1)]]);
+        let p = Placement {
+            held: vec![vec![ObjectId(0)], vec![ObjectId(1)]],
+        };
         let runner = Runner::new(&app, cfg(2), p);
         let _ = runner.run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
     }
@@ -313,11 +304,9 @@ mod tests {
     #[should_panic(expected = "lacks objects")]
     fn misrouted_gossip_over_a_placement_panics() {
         let app = TwoRegs;
-        let p = Placement::new(vec![
-            vec![ObjectId(0)],
-            vec![ObjectId(1)],
-            vec![ObjectId(1)],
-        ]);
+        let p = Placement {
+            held: vec![vec![ObjectId(0)], vec![ObjectId(1)], vec![ObjectId(1)]],
+        };
         let strategy = crate::Gossip::new(10, 2).over(p);
         let _ =
             Runner::new(&app, cfg(3), strategy).run(vec![Invocation::new(0, NodeId(0), Bump(1))]);
@@ -330,7 +319,7 @@ mod tests {
     #[should_panic(expected = "a placement of 3 nodes on a cluster of 5")]
     fn a_placement_smaller_than_the_cluster_is_refused() {
         let app = TwoRegs;
-        let p = Placement::full(3, &app.objects());
+        let p = Placement::round_robin(3, &app.objects(), 3);
         let _ = Runner::new(&app, cfg(5), p).run(vec![Invocation::new(0, NodeId(0), Bump(0))]);
     }
 
@@ -338,7 +327,7 @@ mod tests {
     #[should_panic(expected = "a placement of 3 nodes on a cluster of 5")]
     fn gossip_over_a_placement_smaller_than_the_cluster_is_refused() {
         let app = TwoRegs;
-        let strategy = crate::Gossip::new(10, 2).over(Placement::full(3, &app.objects()));
+        let strategy = crate::Gossip::new(10, 2).over(Placement::round_robin(3, &app.objects(), 3));
         let _ =
             Runner::new(&app, cfg(5), strategy).run(vec![Invocation::new(0, NodeId(0), Bump(0))]);
     }

@@ -147,7 +147,7 @@ fn partial_rejects_clients_at_crashed_nodes() {
         150,
     )]));
     config.sink = Some(Arc::clone(&sink));
-    let cluster = Runner::new(&app, config, Placement::full(3, &app.objects()));
+    let cluster = Runner::new(&app, config, Placement::round_robin(3, &app.objects(), 3));
     let report = cluster.run(rejection_invocations());
     assert_rejects_like_broadcast(&report, &sink);
     assert!(report.mutually_consistent());

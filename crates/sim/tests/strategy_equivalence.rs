@@ -81,7 +81,7 @@ where
 {
     let eager = Runner::new(app, cfg.clone(), EagerBroadcast::default()).run(invs.to_vec());
     let gossip = Runner::new(app, cfg.clone(), Gossip::new(1, cfg.nodes)).run(invs.to_vec());
-    let full = Placement::full(cfg.nodes, &app.objects());
+    let full = Placement::round_robin(cfg.nodes, &app.objects(), cfg.nodes);
     let partial = Runner::new(app, cfg.clone(), full.clone()).run(invs.to_vec());
     let gossip_over = Gossip::new(1, cfg.nodes).over(full);
     let gossip_over = Runner::new(app, cfg.clone(), gossip_over).run(invs.to_vec());

@@ -11,9 +11,9 @@
 # `crates src tests examples benchmark/src`, comment lines left out (a
 # name that survives only in a stale comment does not count).
 #
-# The match is by name, not by resolved path, as in `./pub_traffic.sh`:
-# each `::`-separated part must appear as a word somewhere in that code.
-# So `Type::item` passes when some other type has an `item` too, and a
+# The match is by name, not by resolved path (unlike `./pub_traffic.sh`,
+# which asks the compiler): each `::`-separated part must appear as a
+# word somewhere in that code. So `Type::item` passes when some other type has an `item` too, and a
 # renamed type passes while any code still says its old name — a field,
 # a local, a string. Backticked text that is not a bare path (generics,
 # braces, arguments, spaces) is not checked.

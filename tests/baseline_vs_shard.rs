@@ -128,6 +128,6 @@ fn without_partitions_both_systems_behave_well() {
     let sreport = cluster.run(invs);
     assert!(sreport.mutually_consistent());
     // Both fill the plane exactly in the calm case.
-    assert_eq!(breport.final_state.al(), 5);
+    assert_eq!(breport.execution.final_state(&app).al(), 5);
     assert_eq!(sreport.final_states[0].al(), 5);
 }

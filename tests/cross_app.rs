@@ -3,7 +3,7 @@
 //! satisfy their transplanted correctness conditions.
 
 use shard::apps::banking::{AccountId, Bank, BankTxn};
-use shard::apps::dictionary::{DictTxn, Dictionary};
+use shard::apps::dictionary::{DictState, DictTxn, Dictionary};
 use shard::apps::inventory::{InvTxn, ItemId, Order, OrderId, Warehouse};
 use shard::core::costs::BoundFn;
 use shard::core::Application;
@@ -139,7 +139,7 @@ fn dictionary_nodes_agree_and_stale_lookups_are_visible() {
         .map(|(_, _, a)| a.subject.as_str())
         .collect();
     assert_eq!(lookups, vec!["1=∅", "1=11"]);
-    assert!(report.final_states[0].is_empty());
+    assert_eq!(report.final_states[0], DictState::default());
 }
 
 #[test]
