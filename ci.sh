@@ -102,7 +102,7 @@ run cargo build -q --release -p shard-bench --bin exp_e17_gossip \
 run timeout 120 target/release/exp_e17_gossip
 run timeout 120 target/release/exp_e20_gossip_partial
 # The live-runtime gate: E23 at smoke scale, 2 000 transactions on real
-# OS threads and mpsc channels in each propagation mode — all three go
+# OS threads and per-node inboxes in each propagation mode — all three go
 # through the one `run_live`/`replay` pair — whose recorded schedule is
 # replayed through the deterministic kernel; the run fails unless the
 # live and replayed report digests are equal in every mode (the digest

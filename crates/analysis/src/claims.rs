@@ -80,7 +80,7 @@ pub fn check_theorem5<A: Application>(
     let mut check = ClaimCheck::new(format!(
         "Theorem 5 [{} / f={}]",
         app.constraint_name(constraint),
-        f.description()
+        f
     ));
     // One streaming pass: the cost of sᵢ is remembered from the previous
     // callback, so no Vec of all reachable states is materialized.
@@ -123,7 +123,7 @@ pub fn check_invariant_bound<A: Application>(
     let mut check = ClaimCheck::new(format!(
         "Corollary 8 invariant [{} ≤ {}]",
         app.constraint_name(constraint),
-        f.description()
+        f
     ));
     exec.for_each_actual_state(app, |i, s| {
         let c = app.cost(s, constraint);
@@ -155,7 +155,7 @@ pub fn check_grouped_bound<A: Application>(
     let mut check = ClaimCheck::new(format!(
         "Corollary 10 normal-state bound [{} ≤ {}]",
         app.constraint_name(constraint),
-        f.description()
+        f
     ));
     grouping.for_each_normal_state(app, exec, |after, state| {
         let c = app.cost(state, constraint);
@@ -186,10 +186,7 @@ pub fn check_total_bound_at_normal_states<A: Application>(
         is_preserving(d) || group_ends.binary_search(&i).is_ok() || is_unsafe_any(d)
     });
     let bound = f.at(k);
-    let mut check = ClaimCheck::new(format!(
-        "Corollary 11 total cost at normal states ≤ {}",
-        f.description()
-    ));
+    let mut check = ClaimCheck::new(format!("Corollary 11 total cost at normal states ≤ {}", f));
     grouping.for_each_normal_state(app, exec, |after, state| {
         let c: Cost = app.total_cost(state);
         check.record(

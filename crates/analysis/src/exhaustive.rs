@@ -204,7 +204,7 @@ pub fn check_bound_exhaustively(constraint: usize, f: &BoundFn) -> ClaimCheck {
     let app = FlyByNight::new(1);
     let mut check = ClaimCheck::new(format!(
         "§4.1: {} bounds the {} cost increase over every (𝒜, 𝒮) pair, |𝒜| ≤ 4",
-        f.description(),
+        f,
         app.constraint_name(constraint)
     ));
     for_each_sequence_and_subsequence(&UPDATES, 4, |seq, kept| {

@@ -3,7 +3,7 @@
 //!
 //! E01–E22 verify the paper's conditions inside the deterministic
 //! simulator; the `shard-runtime` crate runs the same kernel node
-//! objects on OS threads with real mpsc channels and wall-clock pacing.
+//! objects on OS threads with per-node inboxes and wall-clock pacing.
 //! This experiment drives a Zipf-skewed banking workload of 10⁵
 //! transactions (override with `SHARD_E23_TXNS`) through all three
 //! live modes and pins down:

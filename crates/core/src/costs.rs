@@ -42,9 +42,9 @@ pub fn monus(x: u64, y: u64) -> u64 {
     x.saturating_sub(y)
 }
 
-/// A cost-increase bound function `f(k)` (§4.1). The airline bounds are
-/// linear (`900·k` for overbooking, `300·k` for underbooking), but `f`
-/// may be arbitrary.
+/// A cost-increase bound function `f(k) = slope · k` (§4.1): the
+/// airline bounds are `900·k` for overbooking and `300·k` for
+/// underbooking. It displays as that formula.
 ///
 /// # Examples
 ///
@@ -52,38 +52,34 @@ pub fn monus(x: u64, y: u64) -> u64 {
 /// use shard_core::costs::BoundFn;
 /// let f = BoundFn::linear(900);
 /// assert_eq!(f.at(3), 2700);
-/// assert_eq!(f.description(), "900·k");
+/// assert_eq!(f.to_string(), "900·k");
 /// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub struct BoundFn {
-    f: Box<dyn Fn(usize) -> Cost + Send + Sync>,
-    describe: String,
+    slope: Cost,
 }
 
 impl BoundFn {
     /// The linear bound `f(k) = slope · k`.
     pub fn linear(slope: Cost) -> Self {
-        BoundFn {
-            f: Box::new(move |k| slope * k as Cost),
-            describe: format!("{slope}·k"),
-        }
+        BoundFn { slope }
     }
 
     /// Evaluates `f(k)`.
     pub fn at(&self, k: usize) -> Cost {
-        (self.f)(k)
+        self.slope * k as Cost
     }
+}
 
-    /// The human-readable description, e.g. `"900·k"`.
-    pub fn description(&self) -> &str {
-        &self.describe
+impl fmt::Display for BoundFn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}·k", self.slope)
     }
 }
 
 impl fmt::Debug for BoundFn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BoundFn")
-            .field("f", &self.describe)
-            .finish()
+        fmt::Display::fmt(self, f)
     }
 }
 
@@ -374,17 +370,12 @@ mod tests {
     }
 
     #[test]
-    fn bound_fn_linear_and_custom() {
+    fn bound_fn_is_a_slope_and_prints_as_one() {
         let f = BoundFn::linear(900);
         assert_eq!(f.at(0), 0);
         assert_eq!(f.at(3), 2700);
-        assert_eq!(f.description(), "900·k");
-        let g = BoundFn {
-            f: Box::new(|k| (k * k) as Cost),
-            describe: "k²".into(),
-        };
-        assert_eq!(g.at(4), 16);
-        assert!(format!("{g:?}").contains("k²"));
+        assert_eq!(f.to_string(), "900·k");
+        assert_eq!(format!("{f:?}"), "900·k");
     }
 
     #[test]

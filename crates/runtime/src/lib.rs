@@ -8,8 +8,8 @@
 //! *how messages travel* ([`Transport`]). This crate supplies the live
 //! half of that split:
 //!
-//! * **[`live`]** — one OS thread per [`Node`], `std::sync::mpsc`
-//!   channels as the transport, and the shared [`WallClock`] issuing
+//! * **[`live`]** — one OS thread per [`Node`], one parking inbox per
+//!   node as the transport, and the shared [`WallClock`] issuing
 //!   globally unique microsecond ticks as event times. The *same*
 //!   replica step and `Propagation` code runs here as in the simulator;
 //!   only the event loop around them changes.
@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod inbox;
 pub mod live;
 pub mod load;
 pub mod replay;

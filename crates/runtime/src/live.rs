@@ -1,5 +1,5 @@
-//! The live threaded deployment: one OS thread per node, mpsc channels
-//! as the [`Transport`], process-wide [`WallClock`] ticks as event
+//! The live threaded deployment: one OS thread per node, one inbox per
+//! node as the [`Transport`], process-wide [`WallClock`] ticks as event
 //! times, and a delivery recorder that makes every run replayable. What
 //! a node does at each event is the kernel's own replica step
 //! ([`Node::execute_step`], [`Node::deliver_step`],
@@ -12,18 +12,21 @@
 //!   client load (Vec<Submission>)          coordinator (the caller's
 //!        │ partitioned by node             thread): every 500 µs samples
 //!        ▼                                 the queue depth, steps the §3
-//!   ┌────────┐   mpsc    ┌────────┐        LiveMonitor over the watermark
+//!   ┌────────┐   inbox   ┌────────┐        LiveMonitor over the watermark
 //!   │ node 0 │──────────▶│ node 1 │ …      of the per-node Lamport clocks
 //!   │ thread │◀──────────│ thread │        (the kernel's checkers), and
 //!   └────────┘           └────────┘        looks for the quiet point
 //!        │ txn rows (ts, time, known)           │
-//!        └──────────────▶ coordinator           └─ one `Quit` per channel
+//!        └──────────────▶ coordinator           └─ one `Quit` per inbox
 //! ```
 //!
-//! Two kinds of thread. A node thread merges what its channel holds,
+//! Two kinds of thread. A node thread merges what its inbox holds,
 //! executes its due submissions, starts a gossip round when one is due,
-//! and otherwise blocks on the channel until its next deadline — or for
-//! good if it has none: whatever else can concern it arrives there.
+//! and otherwise parks until its next deadline — or for good if it has
+//! none: whatever else can concern it arrives in its inbox, and a send
+//! to a parked node unparks it. The inbox is a FIFO behind a mutex
+//! (`inbox.rs`); a node takes all it holds under one lock, and parks
+//! without spinning.
 //!
 //! Due submissions run in bursts of up to `EXEC_BATCH` (64), and every
 //! node releases a burst only after it ends. On a durable node a burst
@@ -40,7 +43,7 @@
 //! transaction counts in `executed` only after its burst's barrier and
 //! after its sends are in `in_flight`, so the coordinator never sees a
 //! quiet point that a released send would break. The coordinator then
-//! puts one `Quit` on each node's channel and joins.
+//! puts one `Quit` in each node's inbox and joins.
 //! The point is stable, so nothing follows a `Quit`: a send originates
 //! in an `on_execute` (every strategy's, gossip's at interval 0), and no
 //! execution is left; or in `Gossip::on_tick`, which sends only past a
@@ -63,6 +66,7 @@
 //! every [`Propagation`] strategy sends to peers in increasing node id
 //! within one event.
 
+use crate::inbox::Inbox;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard_core::stream::StreamReport;
@@ -74,13 +78,14 @@ use shard_sim::{
     ExecutedTxn, Invocation, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
     RunReport, Timestamp, Transport, WallClock,
 };
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
-/// How many due submissions a node executes before draining its channel
+/// How many due submissions a node executes before draining its inbox
 /// again — keeps closed workloads from starving merges — and so the
 /// most own updates one fsync of a durable node covers.
 const EXEC_BATCH: usize = 64;
@@ -186,7 +191,7 @@ struct Shared {
     /// both: messages sent but not yet merged at their receiver (the
     /// word `% UNSENT`), and nodes whose strategy still has entries to
     /// offer a peer ([`Propagation::has_unsent`]; one [`UNSENT`] each).
-    /// A message counts from *before* the channel send until *after*
+    /// A message counts from *before* the inbox send until *after*
     /// the merge and the receiver's own unsent mark; a node's mark drops
     /// only *after* the round that emptied it has counted its sends — so
     /// zero proves the cluster is quiet.
@@ -201,7 +206,7 @@ struct Shared {
 /// One node's unsent mark in [`Shared::in_flight`].
 const UNSENT: u64 = 1 << 32;
 
-/// What a node's channel carries: update batches from its peers, then
+/// What a node's inbox carries: update batches from its peers, then
 /// — once, last — the coordinator's `Quit`.
 enum Msg<A: Application> {
     Batch {
@@ -212,17 +217,17 @@ enum Msg<A: Application> {
     Quit,
 }
 
-/// The live [`Transport`]: sends go straight onto the receiver's
-/// channel, stamped with the sender's event tick.
-struct ChannelTransport<'s, A: Application> {
-    peers: &'s [Sender<Msg<A>>],
+/// The live [`Transport`]: sends go straight into the receiver's
+/// inbox, stamped with the sender's event tick.
+struct InboxTransport<'s, A: Application> {
+    peers: &'s [Inbox<Msg<A>>],
     shared: &'s Shared,
     rng: StdRng,
     messages_sent: u64,
     entries_shipped: u64,
 }
 
-impl<A: Application> Transport<A> for ChannelTransport<'_, A> {
+impl<A: Application> Transport<A> for InboxTransport<'_, A> {
     fn nodes(&self) -> u16 {
         self.peers.len() as u16
     }
@@ -235,13 +240,11 @@ impl<A: Application> Transport<A> for ChannelTransport<'_, A> {
         self.messages_sent += 1;
         self.entries_shipped += entries.len() as u64;
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
-        self.peers[to.0 as usize]
-            .send(Msg::Batch {
-                from,
-                sent_at: now,
-                entries,
-            })
-            .expect("nothing is sent past the quiet point, and a channel closes after it");
+        self.peers[to.0 as usize].send(Msg::Batch {
+            from,
+            sent_at: now,
+            entries,
+        });
     }
 }
 
@@ -262,15 +265,15 @@ struct NodeOutcome<A: Application> {
 /// The snapshot is O(1) to take and share ([`shard_sim::KnownSet`]).
 type MonRow = (Timestamp, SimTime, shard_sim::KnownSet);
 
-/// The state one node thread owns; split out so the channel-drain path
-/// is a single method used from every point in the loop.
+/// The state one node thread owns; split out so the delivery path is a
+/// single method used from every point in the loop.
 struct NodeWorker<'s, A: Application, P> {
     app: &'s A,
     node: Node<A>,
     strategy: P,
     shared: &'s Shared,
-    transport: ChannelTransport<'s, A>,
-    rx: Receiver<Msg<A>>,
+    transport: InboxTransport<'s, A>,
+    inbox: &'s Inbox<Msg<A>>,
     mon_tx: Option<Sender<MonRow>>,
     sink: Option<&'s EventSink>,
     metrics: &'s RuntimeMetrics,
@@ -407,13 +410,15 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
     ) -> (Node<A>, NodeOutcome<A>) {
         let mut next_sub = 0usize;
         let mut next_round_us = tick_every_us;
+        let mut mail = VecDeque::new();
         // Publish the starting clock: a node recovered from a durable
         // mirror begins past zero, and the monitor's watermark must see
         // that even if the node never executes or receives anything.
         self.publish();
         'run: loop {
             let mut did = 0;
-            while let Ok(msg) = self.rx.try_recv() {
+            self.inbox.drain_into(&mut mail);
+            while let Some(msg) = mail.pop_front() {
                 if !self.deliver(msg) {
                     break 'run;
                 }
@@ -433,24 +438,15 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 did += 1;
             }
             if did == 0 {
-                // Block until the next submission or round is due, or
+                // Park until the next submission or round is due, or
                 // for good if neither is: a batch or the `Quit` wakes
                 // the node the instant it arrives.
                 let due = subs.get(next_sub).map(|s| s.0);
-                let msg = match due.into_iter().chain(next_round_us).min() {
-                    Some(at_us) => {
+                self.inbox
+                    .wait(due.into_iter().chain(next_round_us).min().map(|at_us| {
                         let wait = at_us.saturating_sub(self.shared.clock.elapsed_us());
-                        self.rx
-                            .recv_timeout(Duration::from_micros(wait.max(1)))
-                            .ok()
-                    }
-                    None => self.rx.recv().ok(),
-                };
-                if let Some(msg) = msg {
-                    if !self.deliver(msg) {
-                        break;
-                    }
-                }
+                        Duration::from_micros(wait.max(1))
+                    }));
             }
         }
         self.out.messages_sent = self.transport.messages_sent;
@@ -593,7 +589,7 @@ where
     );
     let mut mirrors = mirrors.into_iter();
 
-    let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| mpsc::channel::<Msg<A>>()).unzip();
+    let inboxes: Vec<Inbox<Msg<A>>> = (0..n).map(|_| Inbox::new()).collect();
     let mut monitor = sanitize_monitor(&cfg.monitor).map(LiveMonitor::new);
     let (mon_tx, mon_rx) = mpsc::channel::<MonRow>();
     let mon_tx = monitor.is_some().then_some(mon_tx);
@@ -608,10 +604,10 @@ where
 
     thread::scope(|scope| {
         let shared = &shared;
-        let senders = &senders;
+        let inboxes = &inboxes;
         let metrics = &metrics;
         let mut handles = Vec::with_capacity(n);
-        for (id, ((rx, subs), node)) in receivers.into_iter().zip(per_node).zip(nodes).enumerate() {
+        for (id, ((inbox, subs), node)) in inboxes.iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
             // A recovered node starts with entries to offer: marked here,
             // before the coordinator's first look could read it as quiet.
@@ -624,14 +620,14 @@ where
                 node,
                 strategy: strategy.clone(),
                 shared,
-                transport: ChannelTransport {
-                    peers: senders,
+                transport: InboxTransport {
+                    peers: inboxes,
                     shared,
                     rng: StdRng::seed_from_u64(cfg.seed ^ u64::from(id.0)),
                     messages_sent: 0,
                     entries_shipped: 0,
                 },
-                rx,
+                inbox,
                 mon_tx: mon_tx.clone(),
                 sink,
                 metrics,
@@ -678,9 +674,9 @@ where
             }
             thread::park_timeout(Duration::from_micros(500));
         }
-        for tx in senders {
-            // A dead node's channel is closed; the join reports it.
-            let _ = tx.send(Msg::Quit);
+        for inbox in inboxes {
+            // A dead node never drains its `Quit`; the join reports it.
+            inbox.send(Msg::Quit);
         }
         for (i, h) in handles.into_iter().enumerate() {
             outcomes[i] = Some(h.join().expect("node thread panicked"));

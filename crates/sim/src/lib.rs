@@ -29,8 +29,8 @@
 //!   (near-)complete prefixes ([`Runner::run_with_critical`]). How
 //!   updates travel is a pluggable [`Propagation`] strategy.
 //! * [`transport`] — the delivery seam: the [`Transport`] trait
-//!   ([`QueueTransport`] over the event queue here; real
-//!   `std::sync::mpsc` channels in `shard-runtime`), plus the
+//!   ([`QueueTransport`] over the event queue here; per-node inboxes
+//!   between OS threads in `shard-runtime`), plus the
 //!   [`WallClock`] whose globally unique microsecond ticks time live
 //!   runs. Everything on the replica's side of that seam — including
 //!   the traced, durable execute/deliver/recover step on

@@ -10,9 +10,9 @@
 //! * **Simulation** — the kernel's queue-backed transport
 //!   ([`crate::kernel::QueueTransport`]); an event's time is the time
 //!   it was scheduled for. Deterministic, seeded, single-threaded.
-//! * **Live deployment** — a channel-backed transport (the
-//!   `shard-runtime` crate): one OS thread per node exchanging messages
-//!   over real `std::sync::mpsc` channels; an event's time is a
+//! * **Live deployment** — an inbox-backed transport (the
+//!   `shard-runtime` crate): one OS thread per node, each draining and
+//!   parking on its own inbox; an event's time is a
 //!   [`WallClock`] tick.
 //!
 //! The wall clock's tick discipline is what makes live runs replayable:
@@ -87,8 +87,8 @@ impl Default for WallClock {
 /// [`Propagation`](crate::Propagation) strategy sends through this
 /// trait only, so the same strategy drives the simulator's event queue
 /// ([`crate::kernel::QueueTransport`]: partition waits, sampled delays,
-/// nemesis fate rewriting) and `shard-runtime`'s real
-/// `std::sync::mpsc` channels.
+/// nemesis fate rewriting) and `shard-runtime`'s per-node inboxes
+/// between OS threads.
 pub trait Transport<A: Application> {
     /// Number of nodes reachable through this transport.
     fn nodes(&self) -> u16;
