@@ -6,9 +6,10 @@
 //!
 //! * `runtime.<mode>.latency_us` — client-observed latency of each
 //!   transaction: the gap between its scheduled submission time and the
-//!   moment its node executed it. Under an open workload this is true
-//!   queueing latency; under a closed workload (all submissions due at
-//!   t = 0) it degenerates to completion time.
+//!   moment its node executed it, read off the tick that execution drew.
+//!   Under an open workload this is true queueing latency; under a closed
+//!   workload (all submissions due at t = 0) it degenerates to completion
+//!   time.
 //! * `runtime.<mode>.queue_depth` — in-flight update messages (sent but
 //!   not yet merged at the receiver), sampled periodically by the run
 //!   coordinator. The live analogue of the simulator's event queue

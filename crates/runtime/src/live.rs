@@ -34,7 +34,9 @@
 //! mirror, and one fsync covers them all; without a mirror there is no
 //! barrier. Then each transaction is released, in execution order — its
 //! sends, its external actions, its monitor row — and the burst counted
-//! as executed.
+//! as executed. A transaction's `runtime.<mode>.latency_us` is its
+//! execution tick less its due time: the tick its execution drew, not a
+//! second clock read.
 //!
 //! # How a run ends
 //!
@@ -337,16 +339,15 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         true
     }
 
-    /// Executes one due submission at a fresh tick. What the execution
-    /// makes visible waits in the burst for [`NodeWorker::commit`].
+    /// Executes one due submission at a fresh tick, recording its
+    /// latency as that tick less its due time. What the execution makes
+    /// visible waits in the burst for [`NodeWorker::commit`].
     fn execute(&mut self, at_us: u64, decision: A::Decision) {
         let now = self.shared.clock.tick();
         let executed =
             self.node
                 .execute_step(self.app, decision, now, self.mirror.as_mut(), self.sink);
-        self.metrics
-            .latency_us
-            .record(self.shared.clock.elapsed_us().saturating_sub(at_us));
+        self.metrics.latency_us.record(now.saturating_sub(at_us));
         self.burst.push(executed);
     }
 

@@ -47,7 +47,7 @@
 //! (§3, Cor 8) holds across the restart. In the kernel, whose bursts
 //! are of one, released and issued are the same.
 
-use crate::clock::{LamportClock, NodeId, Timestamp};
+use crate::clock::{LamportClock, NodeId, Timestamp, LAMPORT_LIMIT};
 use crate::kernel::Node;
 use crate::merge::MergeLog;
 use rand::rngs::StdRng;
@@ -133,7 +133,18 @@ fn key_of(ts: Timestamp) -> StoreKey {
     }
 }
 
+/// The timestamp a WAL key stores.
+///
+/// # Panics
+///
+/// Panics, naming it, on a counter at or above [`LAMPORT_LIMIT`], which
+/// no run reaches and no known set can hold.
 fn ts_of(key: StoreKey) -> Timestamp {
+    assert!(
+        key.primary < LAMPORT_LIMIT,
+        "recovered WAL key's Lamport counter {} is not below 2^48",
+        key.primary
+    );
     Timestamp {
         lamport: key.primary,
         node: NodeId(key.secondary),

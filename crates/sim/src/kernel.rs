@@ -231,12 +231,12 @@ pub struct ExecutedTxn<A: Application> {
     pub update: A::Update,
     /// External actions performed at the origin.
     pub external_actions: Vec<ExternalAction>,
-    /// Timestamps of every update the origin knew at decision time —
-    /// an O(1) persistent snapshot of the merge log's known set
-    /// ([`crate::KnownSet`]), structurally shared with every other
-    /// snapshot of the same log. Materializing these per transaction
-    /// would cost O(n²) across a run; snapshotting costs a
-    /// reference-count bump.
+    /// Timestamps of every update the origin knew at decision time — a
+    /// snapshot of the merge log's known set ([`crate::KnownSet`]) whose
+    /// base is shared with every other snapshot of the same log.
+    /// Materializing these per transaction would cost O(n²) across a
+    /// run; snapshotting costs a reference-count bump and a copy of the
+    /// tail, at most 32 words.
     pub known: KnownSet,
 }
 

@@ -1,14 +1,15 @@
-//! Persistent known-set snapshots — the O(1) capture that makes
-//! `ExecutedTxn::known` affordable at scale.
+//! Known-set snapshots — the capture that makes `ExecutedTxn::known`
+//! affordable at scale.
 //!
 //! §3's correctness conditions are all phrased over the set of updates
 //! a node *knew* when it executed a transaction. The kernel used to
 //! materialize that set as a fresh `Vec<Timestamp>` on every execute —
 //! O(log length) allocation per transaction, O(n²) for a run, which
 //! turned 10⁵-transaction runs into allocation storms long before any
-//! checker ran. A [`KnownSet`] is instead a persistent ordered set with
-//! structural sharing: the merge log maintains one incrementally, and
-//! snapshotting it at execute time is two reference-count bumps.
+//! checker ran. A [`KnownSet`] is instead an ordered set whose bulk is
+//! persistent: the merge log maintains one incrementally, and
+//! snapshotting it at execute time bumps one reference count and copies
+//! at most 32 words.
 //!
 //! It is shaped by its traffic, which is nearly but not quite
 //! ascending. On `sim-partition` at seed 1, 41 % of inserts extend the
@@ -17,23 +18,30 @@
 //! parts split at a *floor*:
 //!
 //! * a **base**, a [`PMap`] of every member up to the floor, which is
-//!   the base's largest;
+//!   the base's largest, shared by every snapshot;
 //! * a **tail** of the members above the floor, at most 32, one sorted
-//!   `Vec` behind an `Arc` that every snapshot since its last write
-//!   shares.
+//!   `Vec` that the set owns.
 //!
-//! An insert above the floor goes into the tail. The first after a
-//! snapshot copies it (≤ 512 B) — every execution pays one, since its
-//! origin merges the own update right after the snapshot — and the
-//! inserts after it write in place until the next snapshot. The tail's
-//! 33rd member moves its lowest 16 into the base as one new rightmost
-//! leaf ([`PMap::push_leaf`]): one path copy down the map's right spine
-//! per 16 keys, where a per-key insert pays a descent and a path copy
-//! each. Only a timestamp at or below the floor takes that per-key
-//! insert: at seed 1, 2 515 of 50 000 inserts (5.0 %), beside 2 960
-//! flushes. The leaf append is what pays: the same tail flushing its 16
-//! by per-key inserts measured 23 % slower, and a tail that a flush
-//! empties (8 slots) sent 36 % of inserts down the per-key path
+//! Every member is stored as one word, `lamport << 16 | node`, which
+//! sorts exactly as [`Timestamp`] does; the surface converts at the
+//! boundary. Packing needs Lamport counters below 2⁴⁸, which no run
+//! reaches and which the store refuses where bytes become a timestamp.
+//!
+//! An insert above the floor writes the tail in place. A snapshot
+//! (`clone`) shares the base and copies the tail to its length, at most
+//! 32 words. On `live-eager`'s shape a run's snapshots hold 272–293 B a
+//! transaction; when snapshots shared the tail behind an `Arc`, the next
+//! insert gave each its own 33-slot copy of 16-byte timestamps, and they
+//! held 675–693 B (docs/perf/known-set-bytes.md).
+//!
+//! The tail's 33rd member moves its lowest 16 into the base as one new
+//! rightmost leaf ([`PMap::push_leaf`]): one path copy down the map's
+//! right spine per 16 keys, where a per-key insert pays a descent and a
+//! path copy each. Only a timestamp at or below the floor takes that
+//! per-key insert: at seed 1, 2 515 of 50 000 inserts (5.0 %), beside
+//! 2 960 flushes. The leaf append is what pays: the same tail flushing
+//! its 16 by per-key inserts measured 23 % slower, and a tail that a
+//! flush empties (8 slots) sent 36 % of inserts down the per-key path
 //! (docs/perf/known-set-leaf.md).
 //!
 //! Beyond cost, [`KnownSet::nth`] resolves the i-th timestamp in
@@ -45,10 +53,9 @@
 //! build different trees and split them at different floors, and their
 //! sets still compare equal.
 
-use crate::clock::Timestamp;
+use crate::clock::{NodeId, Timestamp, LAMPORT_LIMIT};
 use shard_core::pmap::PMap;
 use std::fmt;
-use std::sync::Arc;
 
 /// Most timestamps the tail holds; one more flushes it.
 const TAIL: usize = 32;
@@ -56,18 +63,41 @@ const TAIL: usize = 32;
 /// `PMap` leaf, which holds at most 16.
 const FLUSH: usize = 16;
 
-/// An immutable-feeling, cheaply-snapshottable set of timestamps: the
-/// updates a node knew at one moment. `clone` is O(1) and shares
-/// structure with every other snapshot of the same log.
+/// `ts` as one word, `lamport << 16 | node`, which orders as `ts` does.
+///
+/// # Panics
+///
+/// Panics, naming it, if the counter is not below [`LAMPORT_LIMIT`].
+fn pack(ts: Timestamp) -> u64 {
+    assert!(
+        ts.lamport < LAMPORT_LIMIT,
+        "a known set packs Lamport counters below 2^48, not {}",
+        ts.lamport
+    );
+    ts.lamport << 16 | u64::from(ts.node.0)
+}
+
+/// The timestamp [`pack`] made `key` from.
+fn unpack(key: u64) -> Timestamp {
+    Timestamp {
+        lamport: key >> 16,
+        // The low 16 bits: truncation is the unpacking.
+        node: NodeId(key as u16),
+    }
+}
+
+/// A set of timestamps that snapshots cheaply: the updates a node knew
+/// at one moment. `clone` shares the base and copies the tail, at most
+/// 32 words, allocated for exactly its members.
 #[derive(Clone, Default)]
 pub struct KnownSet {
-    /// Every member up to `floor`.
-    base: PMap<Timestamp, ()>,
-    /// The base's largest member; `None` while the base is empty.
-    floor: Option<Timestamp>,
-    /// Every member above `floor`, ascending, at most `TAIL` of them.
-    /// Shared with every snapshot taken since it was last written.
-    tail: Arc<Vec<Timestamp>>,
+    /// Every member up to `floor`, packed.
+    base: PMap<u64, ()>,
+    /// The base's largest member, packed; `None` while the base is empty.
+    floor: Option<u64>,
+    /// Every member above `floor`, packed and ascending, at most `TAIL`
+    /// of them. A clone's is allocated for exactly its members.
+    tail: Vec<u64>,
 }
 
 impl KnownSet {
@@ -86,37 +116,31 @@ impl KnownSet {
         self.len() == 0
     }
 
-    /// Whether `ts` goes in the base rather than the tail.
-    fn in_base(&self, ts: Timestamp) -> bool {
-        self.floor.is_some_and(|floor| ts <= floor)
+    /// Whether the packed `key` goes in the base rather than the tail.
+    fn in_base(&self, key: u64) -> bool {
+        self.floor.is_some_and(|floor| key <= floor)
     }
 
     /// Adds a timestamp, returning whether it was new. A timestamp above
-    /// the floor goes into the tail, copying it first (≤ 512 B) if a
-    /// snapshot shares it; the tail's 33rd moves its lowest 16 into the
-    /// base as one leaf. One at or below the floor is an O(log n) insert
-    /// into the base, path-copying only nodes shared with snapshots.
+    /// the floor goes into the tail in place; the tail's 33rd moves its
+    /// lowest 16 into the base as one leaf. One at or below the floor is
+    /// an O(log n) insert into the base, path-copying only nodes shared
+    /// with snapshots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ts`'s counter is not below 2⁴⁸.
     pub fn insert(&mut self, ts: Timestamp) -> bool {
-        if self.in_base(ts) {
-            return self.base.insert(ts, ()).is_none();
+        let key = pack(ts);
+        if self.in_base(key) {
+            return self.base.insert(key, ()).is_none();
         }
-        let Err(at) = self.tail.binary_search(&ts) else {
+        let Err(at) = self.tail.binary_search(&key) else {
             return false;
         };
-        match Arc::get_mut(&mut self.tail) {
-            Some(tail) => tail.insert(at, ts),
-            None => {
-                // Shared: one copy, sized for the insert that flushes.
-                let mut tail = Vec::with_capacity(TAIL + 1);
-                tail.extend_from_slice(&self.tail[..at]);
-                tail.push(ts);
-                tail.extend_from_slice(&self.tail[at..]);
-                self.tail = Arc::new(tail);
-            }
-        }
+        self.tail.insert(at, key);
         if self.tail.len() > TAIL {
-            let tail = Arc::get_mut(&mut self.tail).expect("written just above");
-            let leaf: Vec<_> = tail.drain(..FLUSH).map(|ts| (ts, ())).collect();
+            let leaf: Vec<_> = self.tail.drain(..FLUSH).map(|key| (key, ())).collect();
             self.floor = Some(leaf[FLUSH - 1].0);
             self.base.push_leaf(leaf);
         }
@@ -125,10 +149,11 @@ impl KnownSet {
 
     /// The `i`-th smallest known timestamp, if any. O(log n).
     pub fn nth(&self, i: usize) -> Option<Timestamp> {
-        match i.checked_sub(self.base.len()) {
-            None => self.base.nth(i).map(|(ts, ())| *ts),
+        let key = match i.checked_sub(self.base.len()) {
+            None => self.base.nth(i).map(|(key, ())| *key),
             Some(i) => self.tail.get(i).copied(),
-        }
+        };
+        key.map(unpack)
     }
 
     /// The ranks in `0..index` of the serial order `order(0) < order(1)
@@ -183,6 +208,11 @@ impl KnownSet {
 
     /// Iterates timestamps in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = Timestamp> + '_ {
+        self.keys().map(unpack)
+    }
+
+    /// The packed members in ascending order.
+    fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.base.keys().chain(self.tail.iter()).copied()
     }
 }
@@ -191,7 +221,7 @@ impl KnownSet {
 /// base and tail differently.
 impl PartialEq for KnownSet {
     fn eq(&self, other: &Self) -> bool {
-        self.len() == other.len() && self.iter().eq(other.iter())
+        self.len() == other.len() && self.keys().eq(other.keys())
     }
 }
 
@@ -277,7 +307,7 @@ mod tests {
             let snapshot = set.clone();
             assert!(set.insert(last));
             assert_eq!((set.base.len(), set.tail.len()), (16, 17));
-            assert_eq!(set.floor, Some(keys[15]));
+            assert_eq!(set.floor, Some(pack(keys[15])));
             assert!(set.iter().eq(keys.iter().copied()));
             assert_eq!(snapshot.len(), 32, "the snapshot kept its tail");
             // At the floor, one either side of it, in a gap below it.
@@ -287,6 +317,40 @@ mod tests {
             assert!(set.insert(ts(33, 0)));
             assert_eq!((set.base.len(), set.tail.len()), (17, 18));
         }
+    }
+
+    /// A snapshot owns a copy of the tail allocated for exactly its
+    /// members, however much room the live set's has.
+    #[test]
+    fn a_snapshot_tail_holds_exactly_its_members() {
+        let mut live = KnownSet::new();
+        for members in 1..=40u64 {
+            live.insert(ts(members, 0));
+            let snap = live.clone();
+            assert_eq!(snap.tail.capacity(), snap.tail.len(), "after {members}");
+            assert!(snap.iter().eq(live.iter()));
+        }
+    }
+
+    /// A snapshot taken with a full tail keeps its 32 members when the
+    /// live set then flushes, and again when it takes a per-key insert
+    /// below the new floor.
+    #[test]
+    fn a_snapshot_before_a_flush_keeps_its_members() {
+        let mut live: KnownSet = (1..=32).map(|l| ts(2 * l, 1)).collect();
+        let snap = live.clone();
+        let members: Vec<Timestamp> = snap.iter().collect();
+        assert!(live.insert(ts(66, 1)));
+        assert_eq!((live.base.len(), live.tail.len()), (16, 17));
+        assert!(snap.iter().eq(members.iter().copied()));
+        assert!(live.insert(ts(3, 1)), "below the floor: a per-key insert");
+        assert_eq!((live.base.len(), live.tail.len()), (17, 17));
+        assert!(snap.iter().eq(members.iter().copied()));
+        assert_eq!(
+            (snap.base.len(), snap.tail.len(), snap.floor),
+            (0, 32, None)
+        );
+        assert_eq!(live.len(), 34);
     }
 
     /// Equal members, different splits: built ascending, the set flushes
@@ -302,7 +366,7 @@ mod tests {
         assert_eq!(up, down);
         assert_eq!(format!("{up:?}"), format!("{down:?}"));
         let mut fewer = down.clone();
-        fewer.tail = Arc::new(fewer.tail[1..].to_vec());
+        fewer.tail = fewer.tail[1..].to_vec();
         assert_ne!(up, fewer);
     }
 
@@ -382,7 +446,37 @@ mod tests {
         }
     }
 
+    /// Counters near zero, near the limit, or anywhere below it.
+    fn lamport() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..4,
+            LAMPORT_LIMIT - 4..LAMPORT_LIMIT,
+            0u64..LAMPORT_LIMIT,
+        ]
+    }
+
+    #[test]
+    #[should_panic(expected = "a known set packs Lamport counters below 2^48, not 281474976710656")]
+    fn a_counter_at_the_limit_is_refused() {
+        KnownSet::new().insert(ts(LAMPORT_LIMIT, 0));
+    }
+
     proptest! {
+        /// Packing round-trips every counter below 2⁴⁸ with any node id,
+        /// and two packed timestamps compare as the timestamps do.
+        #[test]
+        fn packing_preserves_order_and_round_trips(
+            a in (lamport(), any::<u16>()),
+            b in (lamport(), any::<u16>()),
+            same_lamport in any::<bool>(),
+        ) {
+            let a = ts(a.0, a.1);
+            let b = ts(if same_lamport { a.lamport } else { b.0 }, b.1);
+            prop_assert_eq!(unpack(pack(a)), a);
+            prop_assert_eq!(unpack(pack(b)), b);
+            prop_assert_eq!(pack(a).cmp(&pack(b)), a.cmp(&b));
+        }
+
         /// Random insert orders — ascending runs, stragglers near the
         /// top and far below it, timestamps at and either side of the
         /// floor, duplicates in base and tail — with snapshots at random
@@ -415,7 +509,7 @@ mod tests {
                     }
                     Next::TailDuplicate(k) => match set.tail.len() {
                         0 => continue,
-                        n => set.tail[k % n],
+                        n => unpack(set.tail[k % n]),
                     },
                     Next::FloorRank(d) => {
                         let rank = usize::try_from(set.base.len() as i64 - 1 + d);
@@ -425,7 +519,7 @@ mod tests {
                         }
                     }
                     Next::NearFloor(d) => match set.floor {
-                        Some(floor) => ts(floor.lamport.saturating_add_signed(d), node),
+                        Some(floor) => ts(unpack(floor).lamport.saturating_add_signed(d), node),
                         None => continue,
                     },
                     Next::Snapshot => {

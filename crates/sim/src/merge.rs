@@ -126,8 +126,9 @@ pub struct MergeLog<A: Application> {
     state: A::State,
     checkpoints: Checkpoints<A::State>,
     metrics: MergeMetrics,
-    /// The entry timestamps as a persistent set, maintained merge by
-    /// merge so [`MergeLog::known_set`] snapshots it in O(1).
+    /// The entry timestamps as a known set, maintained merge by merge so
+    /// that a snapshot of [`MergeLog::known_set`] shares its base and
+    /// copies at most 32 words.
     known: KnownSet,
     /// Every entry in **merge order** (append-only, sharing the log's
     /// `Arc`s) — cursors into this vector are how the WAL mirror
@@ -176,10 +177,10 @@ impl<A: Application> MergeLog<A> {
         &self.entries
     }
 
-    /// The known timestamps as a persistent set: cloning the returned
-    /// reference is O(1) and shares structure with the log's future —
-    /// this is the per-execute snapshot §3's conditions are checked
-    /// against.
+    /// The known timestamps as a [`KnownSet`]: cloning the returned
+    /// reference shares its base with the log's future and copies its
+    /// tail, at most 32 words — this is the per-execute snapshot §3's
+    /// conditions are checked against.
     pub fn known_set(&self) -> &KnownSet {
         &self.known
     }

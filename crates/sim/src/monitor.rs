@@ -73,9 +73,9 @@ pub struct LiveMonitor {
     cfg: MonitorConfig,
     checker: StreamChecker,
     /// Executed but not yet sealed transactions, in timestamp order.
-    /// Known sets are persistent snapshots ([`KnownSet`]) sharing
-    /// structure with the kernel's report — buffering one costs a
-    /// reference-count bump, not a copy.
+    /// Known sets are snapshots ([`KnownSet`]) whose base is shared with
+    /// the kernel's report — buffering one costs a reference-count bump
+    /// and a copy of its tail (at most 32 words), not a copy of the set.
     pending: BTreeMap<Timestamp, (SimTime, KnownSet)>,
     /// Every sealed timestamp, in seal order — which *is* ascending
     /// timestamp order, so a row's serial index is its position here

@@ -20,7 +20,7 @@ use shard_obs::EventSink;
 use shard_sim::{
     ClusterConfig, CrashInjector, CrashSchedule, CrashWindow, DelayModel, DurabilityConfig,
     DurableFleet, EagerBroadcast, FaultStats, Gossip, Invocation, LamportClock, MergeLog, NodeId,
-    PartitionSchedule, PartitionWindow, Propagation, RunReport, Runner, Timestamp,
+    NodeMirror, PartitionSchedule, PartitionWindow, Propagation, RunReport, Runner, Timestamp,
 };
 use shard_store::{Codec, StoreKey};
 use std::sync::Arc;
@@ -783,4 +783,29 @@ proptest! {
             prop_assert!(shard_core::conditions::is_transitive(&execution), "fanout {}", fanout);
         }
     }
+}
+
+/// A WAL key is the one place bytes become a timestamp, and a known set
+/// packs a timestamp's counter into 48 bits: recovery refuses a key
+/// whose counter does not fit, by name, before anything is merged.
+#[test]
+#[should_panic(expected = "recovered WAL key's Lamport counter 281474976710656 is not below 2^48")]
+fn recovery_refuses_a_counter_at_two_to_the_48() {
+    let app = Dictionary;
+    let mut mirror: NodeMirror<Dictionary> = NodeMirror::mem();
+    let mut bytes = Vec::new();
+    DictUpdate::Insert(1, 2).encode(&mut bytes);
+    let store = mirror.store_mut();
+    let fits = StoreKey {
+        primary: (1 << 48) - 1,
+        secondary: 1,
+    };
+    store.append(fits, &bytes).unwrap();
+    let too_big = StoreKey {
+        primary: 1 << 48,
+        secondary: 1,
+    };
+    store.append(too_big, &bytes).unwrap();
+    store.sync().unwrap();
+    mirror.recover(&app, NodeId(0), 8);
 }
