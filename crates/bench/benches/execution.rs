@@ -208,7 +208,7 @@ fn seed_eager_run(
                 let node = invs[i].node;
                 let n = node.0 as usize;
                 let ts = clocks[n].tick();
-                let known: Vec<_> = logs[n].known_set().iter().collect();
+                let known: Vec<_> = logs[n].entries().iter().map(|(ts, _)| *ts).collect();
                 let outcome = app.decide(&invs[i].decision, logs[n].state());
                 let update = Arc::new(outcome.update);
                 logs[n].merge(app, ts, Arc::clone(&update));

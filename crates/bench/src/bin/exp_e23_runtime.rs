@@ -16,7 +16,7 @@
 //! * **the live path is linear** — every mode sustains ≥ 5,000 txn/s
 //!   end to end on a single core (the O(n²) known-set materialization
 //!   and whole-log gossip rounds that once made 10⁵-transaction runs
-//!   infeasible are gone: persistent known-set snapshots, batched
+//!   infeasible are gone: known sets recorded as arrival counts, batched
 //!   run-splice merging, and delta gossip are each O(log n) or
 //!   amortized O(1) per transaction).
 //!

@@ -16,7 +16,7 @@
 //!   │ node 0 │──────────▶│ node 1 │ …      of the per-node Lamport clocks
 //!   │ thread │◀──────────│ thread │        (the kernel's checkers), and
 //!   └────────┘           └────────┘        looks for the quiet point
-//!        │ txn rows (ts, time, known)           │
+//!        │ txn rows (ts, time, count, arrivals) │
 //!        └──────────────▶ coordinator           └─ one `Quit` per inbox
 //! ```
 //!
@@ -77,7 +77,7 @@ use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, Invocation, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
+    ExecutedTxn, Invocation, Known, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
     RunReport, Timestamp, Transport, WallClock,
 };
 use std::collections::VecDeque;
@@ -263,9 +263,10 @@ struct NodeOutcome<A: Application> {
     rounds: u64,
 }
 
-/// A monitor row: `(timestamp, execution tick, known-set snapshot)`.
-/// The snapshot is O(1) to take and share ([`shard_sim::KnownSet`]).
-type MonRow = (Timestamp, SimTime, shard_sim::KnownSet);
+/// A monitor row: `(timestamp, execution tick, origin, how far the
+/// origin's arrival log reached, the arrivals its count passed since
+/// the node's previous row)` — what [`LiveMonitor::ingest`] takes.
+type MonRow = (Timestamp, SimTime, NodeId, Known, Vec<Timestamp>);
 
 /// The state one node thread owns; split out so the delivery path is a
 /// single method used from every point in the loop.
@@ -277,6 +278,8 @@ struct NodeWorker<'s, A: Application, P> {
     transport: InboxTransport<'s, A>,
     inbox: &'s Inbox<Msg<A>>,
     mon_tx: Option<Sender<MonRow>>,
+    /// How many of the node's arrivals went out with its monitor rows.
+    mon_fed: usize,
     sink: Option<&'s EventSink>,
     metrics: &'s RuntimeMetrics,
     /// Durable mirror of the node's log ([`run_live_durable`]), written
@@ -381,7 +384,10 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
             }
             self.out.execs.push((now, self.node.id));
             if let Some(tx) = &self.mon_tx {
-                let _ = tx.send((txn.ts, now, txn.known.clone()));
+                let passed = &self.node.log.arrivals()[self.mon_fed..txn.known.len()];
+                self.mon_fed = txn.known.len();
+                let passed = passed.iter().map(|(ts, _)| *ts).collect();
+                let _ = tx.send((txn.ts, now, txn.node, txn.known, passed));
             }
             self.out.txns.push(txn);
         }
@@ -596,9 +602,9 @@ where
     let mon_tx = monitor.is_some().then_some(mon_tx);
     let sink = cfg.sink.as_deref();
     let ingest_rows = |lm: &mut LiveMonitor| {
-        mon_rx
-            .try_iter()
-            .for_each(|(ts, time, known)| lm.ingest(ts, time, known));
+        for (ts, time, node, known, passed) in mon_rx.try_iter() {
+            lm.ingest(ts, time, node, known, passed);
+        }
     };
 
     let mut outcomes: Vec<Option<(Node<A>, NodeOutcome<A>)>> = (0..n).map(|_| None).collect();
@@ -630,6 +636,7 @@ where
                 },
                 inbox,
                 mon_tx: mon_tx.clone(),
+                mon_fed: 0,
                 sink,
                 metrics,
                 mirror: mirrors.next(),

@@ -23,20 +23,32 @@ use shard_apps::Person;
 use shard_core::Application;
 use shard_runtime::{replay, report_digest, run_live, LiveRun, RuntimeConfig, Submission};
 use shard_sim::partial::Placement;
-use shard_sim::{EagerBroadcast, Gossip, KnownSet, NodeId, Propagation, RunReport, Timestamp};
+use shard_sim::{EagerBroadcast, Gossip, NodeId, Propagation, RunReport, Timestamp};
 
 const NODES: u16 = 3;
 
 /// Everything a transaction exposes: serial position, wall tick,
 /// origin, chosen update, and the *full* known set (not a length or a
-/// hash — the point of the property).
-type Fingerprint<A> = (Timestamp, u64, NodeId, <A as Application>::Update, KnownSet);
+/// hash — the point of the property), materialised from the report's
+/// arrival record and sorted: a live run and its replay may merge a
+/// batch's entries in different orders.
+type Fingerprint<A> = (
+    Timestamp,
+    u64,
+    NodeId,
+    <A as Application>::Update,
+    Vec<Timestamp>,
+);
 
 fn fingerprints<A: Application>(report: &RunReport<A>) -> Vec<Fingerprint<A>> {
     report
         .transactions
         .iter()
-        .map(|t| (t.ts, t.time, t.node, t.update.clone(), t.known.clone()))
+        .map(|t| {
+            let mut known = report.known(t).to_vec();
+            known.sort_unstable();
+            (t.ts, t.time, t.node, t.update.clone(), known)
+        })
         .collect()
 }
 

@@ -21,13 +21,6 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Every Lamport counter a run uses lies below this bound, 2⁴⁸: a
-/// [`crate::KnownSet`] packs a timestamp into one word as
-/// `lamport << 16 | node`. A clock ticking once a microsecond would take
-/// nine years to reach it; the store refuses a recovered key at or
-/// above it.
-pub(crate) const LAMPORT_LIMIT: u64 = 1 << 48;
-
 /// A globally unique transaction timestamp: Lamport counter with node-id
 /// tiebreak. The derived lexicographic order is the global serial order
 /// of §3.1.

@@ -47,7 +47,7 @@
 //! (§3, Cor 8) holds across the restart. In the kernel, whose bursts
 //! are of one, released and issued are the same.
 
-use crate::clock::{LamportClock, NodeId, Timestamp, LAMPORT_LIMIT};
+use crate::clock::{LamportClock, NodeId, Timestamp};
 use crate::kernel::Node;
 use crate::merge::MergeLog;
 use rand::rngs::StdRng;
@@ -134,17 +134,7 @@ fn key_of(ts: Timestamp) -> StoreKey {
 }
 
 /// The timestamp a WAL key stores.
-///
-/// # Panics
-///
-/// Panics, naming it, on a counter at or above [`LAMPORT_LIMIT`], which
-/// no run reaches and no known set can hold.
 fn ts_of(key: StoreKey) -> Timestamp {
-    assert!(
-        key.primary < LAMPORT_LIMIT,
-        "recovered WAL key's Lamport counter {} is not below 2^48",
-        key.primary
-    );
     Timestamp {
         lamport: key.primary,
         node: NodeId(key.secondary),
@@ -234,7 +224,7 @@ impl<A: Application> NodeMirror<A> {
 
     /// Rebuilds node `id` from the store: streams the surviving WAL in
     /// arrival order through a fresh merge log (checkpoint chain and
-    /// known set rebuild as replay side effects), advances a fresh
+    /// arrival record rebuild as replay side effects), advances a fresh
     /// Lamport clock past every recovered timestamp, and recounts the
     /// node's own transactions for the §3.3 barrier protocol. Because
     /// own updates were fsynced before propagation, the recovered clock
@@ -281,6 +271,7 @@ impl<A: Application> NodeMirror<A> {
                 clock,
                 log,
                 own_sent,
+                retired: Vec::new(),
             },
             recovered,
         )

@@ -50,7 +50,7 @@ use crate::crash::{CrashSchedule, CrashWindow};
 use crate::delay::DelayModel;
 use crate::durable::{DurableFleet, NodeMirror};
 use crate::events::{EventQueue, SimTime};
-use crate::known::KnownSet;
+use crate::known::{Known, Sweep};
 use crate::merge::{MergeLog, MergeMetrics, MergeOutcome};
 use crate::nemesis::{fate_faults, Fate, FaultEvent, MsgCtx, Nemesis};
 use crate::partition::PartitionSchedule;
@@ -231,13 +231,10 @@ pub struct ExecutedTxn<A: Application> {
     pub update: A::Update,
     /// External actions performed at the origin.
     pub external_actions: Vec<ExternalAction>,
-    /// Timestamps of every update the origin knew at decision time — a
-    /// snapshot of the merge log's known set ([`crate::KnownSet`]) whose
-    /// base is shared with every other snapshot of the same log.
-    /// Materializing these per transaction would cost O(n²) across a
-    /// run; snapshotting costs a reference-count bump and a copy of the
-    /// tail, at most 32 words.
-    pub known: KnownSet,
+    /// What the origin knew at decision time, as how far its arrival
+    /// log reached: its incarnation and how many arrivals it had merged
+    /// ([`crate::known`]). The timestamps are [`RunReport::known`].
+    pub known: Known,
 }
 
 /// The five counts of a fault ledger ([`RunReport::faults`]) — what a
@@ -324,6 +321,10 @@ pub struct RunReport<A: Application> {
     pub aborted: bool,
     /// See [`RunReport::missing`].
     missing: Vec<(NodeId, Timestamp)>,
+    /// Each node's arrival timestamps in merge order, one list per
+    /// incarnation ([`crate::known`]): what every [`ExecutedTxn::known`]
+    /// counts into.
+    pub arrivals: Vec<Vec<Box<[Timestamp]>>>,
 }
 
 impl<A: Application> RunReport<A> {
@@ -333,7 +334,7 @@ impl<A: Application> RunReport<A> {
     pub fn collect<P: Propagation<A>>(
         app: &A,
         strategy: &P,
-        nodes: Vec<Node<A>>,
+        mut nodes: Vec<Node<A>>,
         mut transactions: Vec<ExecutedTxn<A>>,
     ) -> Self {
         // Timestamps are unique, so the unstable sort gives the serial
@@ -362,6 +363,14 @@ impl<A: Application> RunReport<A> {
             }
         }
         missing.sort_unstable();
+        let arrivals = nodes
+            .iter_mut()
+            .map(|n| {
+                let mut incarnations = std::mem::take(&mut n.retired);
+                incarnations.push(n.log.arrivals().iter().map(|(ts, _)| *ts).collect());
+                incarnations
+            })
+            .collect();
         RunReport {
             node_metrics: nodes.iter().map(|n| n.log.metrics()).collect(),
             final_states: nodes.into_iter().map(|n| n.log.into_state()).collect(),
@@ -376,6 +385,7 @@ impl<A: Application> RunReport<A> {
             monitor: None,
             aborted: false,
             missing,
+            arrivals,
         }
     }
 
@@ -398,16 +408,37 @@ impl<A: Application> RunReport<A> {
         self.final_states.windows(2).all(|w| w[0] == w[1])
     }
 
+    /// The timestamps `t`'s origin knew when it executed `t`, in the
+    /// order it merged them: the first `t.known.len()` arrivals of its
+    /// incarnation.
+    pub fn known(&self, t: &ExecutedTxn<A>) -> &[Timestamp] {
+        &self.arrivals[usize::from(t.node.0)][t.known.incarnation as usize][..t.known.len()]
+    }
+
     /// The formal timed execution: transactions in timestamp order, each
     /// seeing the prefix subsequence its origin knew.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming it, if a transaction knew a timestamp that no
+    /// earlier transaction of this report carries — a log recovered from
+    /// an earlier run's store.
     pub fn timed_execution(&self) -> TimedExecution<A> {
+        let order: Vec<Timestamp> = self.transactions.iter().map(|t| t.ts).collect();
+        let mut sweeps: Vec<Vec<Sweep>> = self
+            .arrivals
+            .iter()
+            .map(|node| node.iter().map(|_| Sweep::default()).collect())
+            .collect();
         let mut exec = Execution::new();
         let mut times = Vec::with_capacity(self.transactions.len());
         for (i, t) in self.transactions.iter().enumerate() {
             // Every timestamp a node knew at decision time belongs to
             // an earlier transaction of the serial order: the prefix is
-            // `0..i` but the ranks the known set lacks.
-            let missed = t.known.missed_ranks(i, |rank| self.transactions[rank].ts);
+            // `0..i` but the ranks its incarnation had not merged.
+            let sweep = &mut sweeps[usize::from(t.node.0)][t.known.incarnation as usize];
+            let passed = &self.known(t)[sweep.reached()..];
+            let missed = sweep.row(i, passed.iter().copied(), &order);
             let prefix = Prefix::from_missed(i, &missed);
             exec.push_record(TxnRecord {
                 decision: t.decision.clone(),
@@ -443,6 +474,10 @@ pub struct Node<A: Application> {
     pub log: MergeLog<A>,
     /// Number of transactions this node has initiated (§3.3 promises).
     pub own_sent: u64,
+    /// The arrival timestamps of each earlier incarnation, in merge
+    /// order: every restart from the store ([`Node::recover_step`])
+    /// retires one. Their count is the current incarnation.
+    pub(crate) retired: Vec<Box<[Timestamp]>>,
 }
 
 impl<A: Application> Node<A> {
@@ -453,15 +488,17 @@ impl<A: Application> Node<A> {
             clock: LamportClock::new(id),
             log: MergeLog::new(app, checkpoint_every),
             own_sent: 0,
+            retired: Vec::new(),
         }
     }
 
     /// The **execute** step — the *one* transaction-execution path, which
     /// the simulator kernel and the threaded `shard-runtime` both call
     /// (that is what makes live runs replayable against the sim): emits
-    /// `execute`, ticks the Lamport clock, snapshots the known set, runs
-    /// the decision part on the local merged state, merges the own
-    /// update, then appends it to `mirror` **without** the barrier.
+    /// `execute`, ticks the Lamport clock, records how far the arrival
+    /// log reached ([`Known`]), runs the decision part on the local
+    /// merged state, merges the own update, then appends it to `mirror`
+    /// **without** the barrier.
     ///
     /// The write-ahead rule is the caller's, per burst: after the last
     /// execute step of a burst it fsyncs the mirror once
@@ -490,7 +527,7 @@ impl<A: Application> Node<A> {
         }
         let ts = self.clock.tick();
         self.own_sent += 1;
-        let known = self.log.known_set().clone();
+        let known = Known::at(self.retired.len(), self.log.arrivals().len());
         let outcome = app.decide(&decision, self.log.state());
         // One allocation shared by the local log and every peer message;
         // fanning out costs reference counts, not update clones.
@@ -560,7 +597,9 @@ impl<A: Application> Node<A> {
     }
 
     /// The **recover** step: replaces this node by the one rebuilt from
-    /// `mirror` ([`NodeMirror::recover`]) and emits `store.recover`.
+    /// `mirror` ([`NodeMirror::recover`]), which starts a new
+    /// incarnation — the old one's arrival timestamps are kept, as the
+    /// record its transactions counted into — and emits `store.recover`.
     pub fn recover_step(
         &mut self,
         app: &A,
@@ -569,7 +608,10 @@ impl<A: Application> Node<A> {
         mirror: &mut NodeMirror<A>,
         sink: Option<&shard_obs::EventSink>,
     ) {
-        let (node, entries) = mirror.recover(app, self.id, checkpoint_every);
+        let (mut node, entries) = mirror.recover(app, self.id, checkpoint_every);
+        node.retired = std::mem::take(&mut self.retired);
+        node.retired
+            .push(self.log.arrivals().iter().map(|(ts, _)| *ts).collect());
         *self = node;
         if let Some(s) = sink {
             s.event("store.recover")
@@ -1119,6 +1161,8 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             .clone()
             .map(crate::monitor::LiveMonitor::new);
         let mut monitored = 0usize;
+        // How many of each node's current arrivals the monitor has.
+        let mut fed = vec![0usize; usize::from(self.cfg.nodes)];
         // Lamport value of each node's last own timestamp, as monitored.
         let mut issued = vec![0u64; usize::from(self.cfg.nodes)];
         let mut aborted = false;
@@ -1257,12 +1301,19 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                         self.cfg.sink.as_deref(),
                     );
                     self.strategy.on_recover(&self.nodes[node.0 as usize]);
+                    fed[usize::from(node.0)] = 0;
                 }
             }
             if let Some(m) = monitor.as_mut() {
                 while monitored < self.transactions.len() {
+                    // A row goes in with the arrivals its count passed:
+                    // its node is still in the incarnation it ran in.
                     let t = &self.transactions[monitored];
-                    m.ingest(t.ts, t.time, t.known.clone());
+                    let at = usize::from(t.node.0);
+                    let passed = &self.nodes[at].log.arrivals()[fed[at]..t.known.len()];
+                    fed[at] = t.known.len();
+                    let passed = passed.iter().map(|(ts, _)| *ts);
+                    m.ingest(t.ts, t.time, t.node, t.known, passed);
                     issued[usize::from(t.node.0)] = t.ts.lamport;
                     monitored += 1;
                 }

@@ -96,7 +96,7 @@ pub use delay::DelayModel;
 pub use durable::{DurabilityConfig, DurableFleet, NodeMirror, StoreBackend};
 pub use gossip::Gossip;
 pub use kernel::{FaultStats, Propagation, QueueTransport, RunReport, Runner};
-pub use known::KnownSet;
+pub use known::Known;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};
 pub use monitor::{LiveMonitor, MonitorConfig};
 pub use nemesis::{

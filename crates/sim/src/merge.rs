@@ -20,7 +20,6 @@
 //! updates so the undo/redo volume is measurable.
 
 use crate::clock::Timestamp;
-use crate::known::KnownSet;
 use shard_core::replay::note_state_clone;
 use shard_core::{Application, Checkpoints};
 use std::sync::Arc;
@@ -126,15 +125,12 @@ pub struct MergeLog<A: Application> {
     state: A::State,
     checkpoints: Checkpoints<A::State>,
     metrics: MergeMetrics,
-    /// The entry timestamps as a known set, maintained merge by merge so
-    /// that a snapshot of [`MergeLog::known_set`] shares its base and
-    /// copies at most 32 words.
-    known: KnownSet,
     /// Every entry in **merge order** (append-only, sharing the log's
     /// `Arc`s) — cursors into this vector are how the WAL mirror
     /// ([`crate::NodeMirror`]) and anti-entropy ([`crate::Gossip`], a
     /// cursor per peer) find "everything merged since my last visit"
-    /// without scanning or searching the log.
+    /// without scanning or searching the log, and its length is what a
+    /// transaction records of what its node knew ([`crate::known`]).
     arrivals: Vec<(Timestamp, Arc<A::Update>)>,
 }
 
@@ -153,7 +149,6 @@ impl<A: Application> MergeLog<A> {
             state: app.initial_state(),
             checkpoints: Checkpoints::new(checkpoint_every),
             metrics: MergeMetrics::default(),
-            known: KnownSet::new(),
             arrivals: Vec::new(),
         }
     }
@@ -177,18 +172,12 @@ impl<A: Application> MergeLog<A> {
         &self.entries
     }
 
-    /// The known timestamps as a [`KnownSet`]: cloning the returned
-    /// reference shares its base with the log's future and copies its
-    /// tail, at most 32 words — this is the per-execute snapshot §3's
-    /// conditions are checked against.
-    pub fn known_set(&self) -> &KnownSet {
-        &self.known
-    }
-
     /// Every entry in merge (arrival) order. Append-only: a consumer
     /// that remembers an index `i` can later read `arrivals()[i..]` to
     /// learn exactly what merged in between — the basis of the WAL
-    /// mirror and of delta propagation.
+    /// mirror and of delta propagation. Its first `m` entries are what
+    /// the node knew when it had merged `m` updates, so an executed
+    /// transaction records `m` ([`crate::known::Known`]), not the set.
     pub fn arrivals(&self) -> &[(Timestamp, Arc<A::Update>)] {
         &self.arrivals
     }
@@ -270,7 +259,7 @@ impl<A: Application> MergeLog<A> {
     /// the rest in timestamp order — O(batch · log batch + tail), not
     /// O(batch · tail).
     ///
-    /// Log contents, final state, known set, the
+    /// Log contents, final state, the
     /// [`arrivals`](MergeLog::arrivals) record, each entry's outcome
     /// *kind* and the `appends` / `out_of_order` / `duplicates` tallies
     /// are exactly what the equivalent sequence of [`MergeLog::merge`]
@@ -380,9 +369,8 @@ impl<A: Application> MergeLog<A> {
             if old_last.is_some_and(|last| first < last) {
                 let p0 = self.entries.partition_point(|(t, _)| *t < first);
                 for old in self.entries.split_off(p0) {
-                    while let Some((ts, u)) = new.next_if(|(ts, _)| *ts < old.0) {
-                        self.known.insert(ts);
-                        self.entries.push((ts, u));
+                    while let Some(entry) = new.next_if(|(ts, _)| *ts < old.0) {
+                        self.entries.push(entry);
                     }
                     self.entries.push(old);
                 }
@@ -444,7 +432,6 @@ impl<A: Application> MergeLog<A> {
     fn extend(&mut self, app: &A, ts: Timestamp, update: Arc<A::Update>) {
         app.apply_in_place(&mut self.state, &update);
         self.entries.push((ts, update));
-        self.known.insert(ts);
         self.checkpoints
             .record_for(app, self.entries.len(), &self.state);
     }
@@ -463,7 +450,6 @@ impl<A: Application> MergeLog<A> {
         }
         self.arrivals.push((ts, Arc::clone(&update)));
         self.entries.insert(pos, (ts, update));
-        self.known.insert(ts);
         let replayed = self.repair_from(app, pos);
         MergeOutcome::OutOfOrder { replayed }
     }
@@ -656,7 +642,7 @@ mod tests {
             // Entries stay sorted.
             assert!(log.entries().windows(2).all(|w| w[0].0 < w[1].0));
         }
-        assert_eq!(log.known_set().iter().count(), 10);
+        assert_eq!(log.arrivals().len(), 10);
         assert!(log.contains(ts(7)));
         assert!(!log.contains(ts(77)));
         assert_eq!(log.into_state(), (1..=10).collect::<Vec<_>>());
@@ -694,7 +680,7 @@ mod tests {
 
     /// Merges `bursts` one `merge_batch` each into one log and entry by
     /// entry into another, and holds the batch path to everything but
-    /// work: state, entries, known set, arrival record, per-entry outcome
+    /// work: state, entries, arrival record, per-entry outcome
     /// kinds and the non-`replayed` tallies are equal after every burst,
     /// and the batch path never re-applies more. Returns both logs'
     /// `replayed`.
@@ -726,7 +712,6 @@ mod tests {
             }
             assert_eq!(batched.state(), sequential.state());
             assert_eq!(batched.entries(), sequential.entries());
-            assert_eq!(batched.known_set(), sequential.known_set());
             // Timestamps and carried updates, and each carried update is
             // the log's own allocation for that timestamp.
             assert_eq!(batched.arrivals(), sequential.arrivals());
@@ -842,7 +827,6 @@ mod tests {
 
         assert_eq!(batched.state(), sequential.state());
         assert_eq!(batched.entries(), sequential.entries());
-        assert_eq!(batched.known_set(), sequential.known_set());
         assert!(got
             .iter()
             .all(|o| matches!(o, MergeOutcome::OutOfOrder { .. })));

@@ -15,10 +15,15 @@
 //! verdicts are bit-identical to running the offline checkers on the
 //! finished report.
 //!
+//! A row arrives as how far its node's arrival log reached — its
+//! incarnation and count ([`Known`]) — together with the arrivals the
+//! count passed since that incarnation's previous row, in merge order.
 //! Because a transaction's known set precedes its own timestamp (the
 //! kernel's structural Lamport guarantee), every known timestamp of a
 //! draining transaction is already sealed and indexed; the miss set is
-//! the complement of those indices. Crashed nodes stall the watermark
+//! the complement of those indices, which the incarnation's sweep
+//! ([`crate::known`]) reads off at seal time and which is the only
+//! thing a sealed arrival leaves behind. Crashed nodes stall the watermark
 //! (their clocks stand still; one yet to restart from its store
 //! counts only as far as its last own, fsynced timestamp — its clock
 //! may come back older), so rows buffer until recovery — a
@@ -32,11 +37,11 @@
 //! the same run unmonitored — the only behavioural difference is the
 //! optional early abort on a confirmed violation.
 
-use crate::clock::Timestamp;
+use crate::clock::{NodeId, Timestamp};
 use crate::events::SimTime;
-use crate::known::KnownSet;
+use crate::known::{Known, Sweep};
 use shard_core::stream::{StreamChecker, StreamReport, StreamRow};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// How a kernel run should be monitored. Attached to a run via
 /// `ClusterConfig::monitor`.
@@ -72,15 +77,16 @@ impl Default for MonitorConfig {
 pub struct LiveMonitor {
     cfg: MonitorConfig,
     checker: StreamChecker,
-    /// Executed but not yet sealed transactions, in timestamp order.
-    /// Known sets are snapshots ([`KnownSet`]) whose base is shared with
-    /// the kernel's report — buffering one costs a reference-count bump
-    /// and a copy of its tail (at most 32 words), not a copy of the set.
-    pending: BTreeMap<Timestamp, (SimTime, KnownSet)>,
+    /// Executed but not yet sealed transactions, in timestamp order:
+    /// origin and how far its arrival log reached, 8 bytes.
+    pending: BTreeMap<Timestamp, (SimTime, NodeId, Known)>,
     /// Every sealed timestamp, in seal order — which *is* ascending
     /// timestamp order, so a row's serial index is its position here
-    /// and a sorted known set resolves to indices by one merge scan.
+    /// and a known timestamp resolves to its index by binary search.
     sealed_ts: Vec<Timestamp>,
+    /// Per node, per incarnation: the arrivals fed but not yet passed by
+    /// a sealed row, in merge order, and the sweep over its sealed rows.
+    incarnations: Vec<Vec<(VecDeque<Timestamp>, Sweep)>>,
 }
 
 impl LiveMonitor {
@@ -95,13 +101,33 @@ impl LiveMonitor {
             cfg,
             pending: BTreeMap::new(),
             sealed_ts: Vec::new(),
+            incarnations: Vec::new(),
         }
     }
 
     /// Buffers one executed transaction (timestamp, initiation time,
-    /// known set) until the watermark seals it.
-    pub fn ingest(&mut self, ts: Timestamp, time: SimTime, known: KnownSet) {
-        let shadowed = self.pending.insert(ts, (time, known));
+    /// origin, how far the origin's arrival log reached) until the
+    /// watermark seals it. `passed` is what the origin merged since its
+    /// previous row of the same incarnation — the arrivals from that
+    /// row's count up to this one's, in merge order.
+    pub fn ingest(
+        &mut self,
+        ts: Timestamp,
+        time: SimTime,
+        node: NodeId,
+        known: Known,
+        passed: impl IntoIterator<Item = Timestamp>,
+    ) {
+        let (at, incarnation) = (usize::from(node.0), known.incarnation as usize);
+        if self.incarnations.len() <= at {
+            self.incarnations.resize_with(at + 1, Vec::new);
+        }
+        let lives = &mut self.incarnations[at];
+        if lives.len() <= incarnation {
+            lives.resize_with(incarnation + 1, Default::default);
+        }
+        lives[incarnation].0.extend(passed);
+        let shadowed = self.pending.insert(ts, (time, node, known));
         debug_assert!(shadowed.is_none(), "timestamps are globally unique");
     }
 
@@ -114,23 +140,31 @@ impl LiveMonitor {
             if entry.key().lamport > watermark {
                 break;
             }
-            let (ts, (time, known)) = entry.remove_entry();
-            self.seal(ts, time, known, sink);
+            let (ts, (time, node, known)) = entry.remove_entry();
+            self.seal(ts, time, node, known, sink);
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics, naming it, if the row's count passes an arrival that no
+    /// sealed row carries.
     fn seal(
         &mut self,
         ts: Timestamp,
         time: SimTime,
-        known: KnownSet,
+        node: NodeId,
+        known: Known,
         sink: Option<&shard_obs::EventSink>,
     ) {
         let index = self.sealed_ts.len();
         // Every known timestamp precedes `ts` (Lamport guarantee) and
         // is therefore already sealed, so the miss set is the sealed
-        // ranks the known set lacks.
-        let missed = known.missed_ranks(index, |t| self.sealed_ts[t]);
+        // ranks the incarnation has not merged.
+        let (arrived, sweep) =
+            &mut self.incarnations[usize::from(node.0)][known.incarnation as usize];
+        let passed = arrived.drain(..known.len() - sweep.reached());
+        let missed = sweep.row(index, passed, &self.sealed_ts);
         self.sealed_ts.push(ts);
         let row = StreamRow {
             index,
@@ -156,8 +190,8 @@ impl LiveMonitor {
     /// ended (or was aborted, where the remaining rows still deserve
     /// verdicts).
     pub fn finish(&mut self, sink: Option<&shard_obs::EventSink>) -> StreamReport {
-        while let Some((ts, (time, known))) = self.pending.pop_first() {
-            self.seal(ts, time, known, sink);
+        while let Some((ts, (time, node, known))) = self.pending.pop_first() {
+            self.seal(ts, time, node, known, sink);
         }
         let r = self.report();
         if let Some(s) = sink {
@@ -185,12 +219,19 @@ impl LiveMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::NodeId;
 
     fn ts(lamport: u64, node: u16) -> Timestamp {
         Timestamp {
             lamport,
             node: NodeId(node),
+        }
+    }
+
+    /// A first-incarnation row that had merged `count` arrivals.
+    fn known(count: u32) -> Known {
+        Known {
+            incarnation: 0,
+            count,
         }
     }
 
@@ -203,8 +244,8 @@ mod tests {
         });
         // Node 1 executes at lamport 2 before node 0's lamport-1 row
         // reaches the monitor — the buffer must reorder them.
-        m.ingest(ts(2, 1), 10, [ts(1, 0)].into_iter().collect());
-        m.ingest(ts(1, 0), 0, KnownSet::new());
+        m.ingest(ts(2, 1), 10, NodeId(1), known(1), [ts(1, 0)]);
+        m.ingest(ts(1, 0), 0, NodeId(0), known(0), []);
         // Watermark 0: nothing sealed yet.
         m.advance(0, None);
         assert_eq!(m.sealed_ts.len(), 0);
@@ -225,11 +266,11 @@ mod tests {
             emit_rows: false,
             abort_on_violation: true,
         });
-        m.ingest(ts(1, 0), 0, KnownSet::new());
+        m.ingest(ts(1, 0), 0, NodeId(0), known(0), []);
         // (2,0) saw (1,0); (3,1) saw (2,0) but not (1,0) — the §3
         // transitivity violation (low=0, mid=1, top=2).
-        m.ingest(ts(2, 0), 3, [ts(1, 0)].into_iter().collect());
-        m.ingest(ts(3, 1), 5, [ts(2, 0)].into_iter().collect());
+        m.ingest(ts(2, 0), 3, NodeId(0), known(1), [ts(1, 0)]);
+        m.ingest(ts(3, 1), 5, NodeId(1), known(1), [ts(2, 0)]);
         m.advance(2, None);
         assert_eq!(m.sealed_ts.len(), 2);
         assert!(!m.should_abort());
@@ -249,7 +290,7 @@ mod tests {
     #[should_panic(expected = "which no transaction of this run executed")]
     fn unknown_known_timestamp_is_named() {
         let mut m = LiveMonitor::new(MonitorConfig::default());
-        m.ingest(ts(5, 0), 0, [ts(1, 1)].into_iter().collect());
+        m.ingest(ts(5, 0), 0, NodeId(0), known(1), [ts(1, 1)]);
         m.finish(None);
     }
 }

@@ -785,27 +785,34 @@ proptest! {
     }
 }
 
-/// A WAL key is the one place bytes become a timestamp, and a known set
-/// packs a timestamp's counter into 48 bits: recovery refuses a key
-/// whose counter does not fit, by name, before anything is merged.
+/// A WAL key is the one place bytes become a timestamp, and every
+/// counter a key can hold recovers: a record whose counter is 2⁴⁸
+/// merges like any other, the clock moves past it, and the recovered
+/// node's next execution counts it among what it knew.
 #[test]
-#[should_panic(expected = "recovered WAL key's Lamport counter 281474976710656 is not below 2^48")]
-fn recovery_refuses_a_counter_at_two_to_the_48() {
+fn recovery_takes_a_counter_at_two_to_the_48() {
     let app = Dictionary;
     let mut mirror: NodeMirror<Dictionary> = NodeMirror::mem();
     let mut bytes = Vec::new();
     DictUpdate::Insert(1, 2).encode(&mut bytes);
     let store = mirror.store_mut();
-    let fits = StoreKey {
-        primary: (1 << 48) - 1,
-        secondary: 1,
-    };
-    store.append(fits, &bytes).unwrap();
-    let too_big = StoreKey {
-        primary: 1 << 48,
-        secondary: 1,
-    };
-    store.append(too_big, &bytes).unwrap();
+    for primary in [(1 << 48) - 1, 1 << 48] {
+        let key = StoreKey {
+            primary,
+            secondary: 1,
+        };
+        store.append(key, &bytes).unwrap();
+    }
     store.sync().unwrap();
-    mirror.recover(&app, NodeId(0), 8);
+    let (mut node, recovered) = mirror.recover(&app, NodeId(0), 8);
+    assert_eq!(recovered, 2);
+    let (txn, _) = node.execute_step(&app, DictTxn::Lookup(1), 0, None, None);
+    assert_eq!(txn.known.len(), 2);
+    assert_eq!(txn.ts.lamport, (1 << 48) + 1);
+    let report = RunReport::collect(&app, &EagerBroadcast::default(), vec![node], vec![txn]);
+    let top = Timestamp {
+        lamport: 1 << 48,
+        node: NodeId(1),
+    };
+    assert_eq!(report.known(&report.transactions[0]).last(), Some(&top));
 }

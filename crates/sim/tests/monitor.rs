@@ -138,8 +138,8 @@ fn monitor_off_is_byte_identical_and_on_only_adds_lines() {
     assert_eq!(plain.transactions.len(), watched.transactions.len());
     for (a, b) in plain.transactions.iter().zip(&watched.transactions) {
         assert_eq!(
-            (a.ts, a.time, a.node, &a.known),
-            (b.ts, b.time, b.node, &b.known)
+            (a.ts, a.time, a.node, a.known, plain.known(a)),
+            (b.ts, b.time, b.node, b.known, watched.known(b))
         );
     }
     assert_eq!(plain.messages_sent, watched.messages_sent);

@@ -32,7 +32,9 @@ fn assert_matches_forward_walk<A: Application>(report: &RunReport<A>, trace: Opt
                     .expect("every known timestamp belongs to an executed transaction");
                 at
             };
-            t.known.iter().map(index_of).collect()
+            let mut known = report.known(t).to_vec();
+            known.sort_unstable();
+            known.into_iter().map(index_of).collect()
         })
         .collect();
     let te = report.timed_execution();

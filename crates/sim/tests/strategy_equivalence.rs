@@ -38,19 +38,25 @@ use std::sync::Arc;
 /// from (serial position, real time, origin, decision-time knowledge)
 /// plus the chosen update. Two reports with equal fingerprints have
 /// equal `timed_execution()`s by construction.
+/// The known set is materialised from the report's arrival record and
+/// sorted: strategies may merge the same updates in different orders.
 type Fingerprint<A> = (
     Timestamp,
     u64,
     NodeId,
     <A as Application>::Update,
-    shard_sim::KnownSet,
+    Vec<Timestamp>,
 );
 
 fn fingerprints<A: Application>(report: &RunReport<A>) -> Vec<Fingerprint<A>> {
     report
         .transactions
         .iter()
-        .map(|t| (t.ts, t.time, t.node, t.update.clone(), t.known.clone()))
+        .map(|t| {
+            let mut known = report.known(t).to_vec();
+            known.sort_unstable();
+            (t.ts, t.time, t.node, t.update.clone(), known)
+        })
         .collect()
 }
 
