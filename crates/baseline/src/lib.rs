@@ -24,7 +24,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shard_core::{Application, Execution, ExternalAction};
+use shard_core::{Application, Execution};
 use shard_sim::broadcast::delivery_time;
 use shard_sim::events::{EventQueue, SimTime};
 use shard_sim::{DelayModel, Invocation, NodeId, PartitionSchedule};
@@ -87,8 +87,6 @@ pub struct BaselineReport<A: Application> {
     /// The serializable execution the primary produced (every prefix
     /// complete).
     pub execution: Execution<A>,
-    /// External actions performed (at the primary), with times.
-    pub external_actions: Vec<(SimTime, ExternalAction)>,
 }
 
 impl<A: Application> BaselineReport<A> {
@@ -183,7 +181,6 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
         let mut outcomes = vec![TxnOutcome::TimedOut; invocations.len()];
         let mut state = app.initial_state();
         let mut execution: Execution<A> = Execution::new();
-        let mut external_actions: Vec<(SimTime, ExternalAction)> = Vec::new();
 
         queue.schedule_all(invocations.into_iter().enumerate().map(|(id, inv)| {
             assert!(
@@ -226,9 +223,6 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
                     // Execute atomically at the primary: the decision
                     // sees the true current state (serializable).
                     let outcome = app.decide(&decision, &state);
-                    for a in &outcome.external_actions {
-                        external_actions.push((now, a.clone()));
-                    }
                     state = app.apply(&state, &outcome.update);
                     execution.push_record(shard_core::TxnRecord {
                         decision,
@@ -255,7 +249,6 @@ impl<'a, A: Application> PrimaryCopy<'a, A> {
         BaselineReport {
             outcomes,
             execution,
-            external_actions,
         }
     }
 }
@@ -361,8 +354,20 @@ mod tests {
         ];
         let report = sys.run(invs);
         // Only the first MOVE-UP assigns; the second sees a full plane.
-        assert_eq!(report.external_actions.len(), 1);
-        assert_eq!(report.external_actions[0].1.kind, "assign-seat");
+        // Each record holds the actions its decision performed at the
+        // primary, once.
+        let actions: Vec<_> = report
+            .execution
+            .records()
+            .iter()
+            .map(|r| {
+                r.external_actions
+                    .iter()
+                    .map(|a| a.kind)
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        assert_eq!(actions, [vec![], vec!["assign-seat"], vec![]]);
     }
 
     #[test]

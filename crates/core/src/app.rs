@@ -33,17 +33,18 @@ pub type Cost = u64;
 /// and an update part in the first place (§1.2).
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ExternalAction {
-    /// What kind of action this is, e.g. `"assign-seat"`.
-    pub kind: String,
+    /// What kind of action this is, e.g. `"assign-seat"`: one of the
+    /// application's fixed names, so recording an action copies no text.
+    pub kind: &'static str,
     /// Who or what the action concerns, e.g. `"P101"`.
     pub subject: String,
 }
 
 impl ExternalAction {
     /// Creates an external action of kind `kind` concerning `subject`.
-    pub fn new(kind: impl Into<String>, subject: impl Into<String>) -> Self {
+    pub fn new(kind: &'static str, subject: impl Into<String>) -> Self {
         ExternalAction {
-            kind: kind.into(),
+            kind,
             subject: subject.into(),
         }
     }

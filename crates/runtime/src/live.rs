@@ -45,7 +45,9 @@
 //! transaction counts in `executed` only after its burst's barrier and
 //! after its sends are in `in_flight`, so the coordinator never sees a
 //! quiet point that a released send would break. The coordinator then
-//! puts one `Quit` in each node's inbox and joins.
+//! puts one `Quit` in each node's inbox and joins. The `Quit`s come from
+//! a guard that any exit from the scope drops, so a coordinator that
+//! panics fails the run instead of waiting on parked nodes.
 //! The point is stable, so nothing follows a `Quit`: a send originates
 //! in an `on_execute` (every strategy's, gossip's at interval 0), and no
 //! execution is left; or in `Gossip::on_tick`, which sends only past a
@@ -217,6 +219,22 @@ enum Msg<A: Application> {
         entries: Entries<A>,
     },
     Quit,
+}
+
+/// Puts one `Quit` in every inbox when dropped: the one way a node
+/// thread is told to stop. The coordinator drops it at the quiet point;
+/// a panic on the calling thread drops it as the scope unwinds, so the
+/// scope's join finds the node threads ending instead of parked for
+/// good.
+struct QuitOnDrop<'s, A: Application>(&'s [Inbox<Msg<A>>]);
+
+impl<A: Application> Drop for QuitOnDrop<'_, A> {
+    fn drop(&mut self) {
+        for inbox in self.0 {
+            // A dead node never drains its `Quit`; the join reports it.
+            inbox.send(Msg::Quit);
+        }
+    }
 }
 
 /// The live [`Transport`]: sends go straight into the receiver's
@@ -594,6 +612,15 @@ where
         cfg.monitor.is_some(),
         cfg.sink.as_deref(),
     );
+    // Every vector a node thread fills up to a count known here is
+    // allocated here, on the calling thread, before any node runs (a
+    // node thread's allocations come from its own malloc arena, which
+    // keeps what it frees): each log for every update of the run, since
+    // a log merges each at most once, and each node's records below for
+    // its own submissions.
+    for node in &mut nodes {
+        node.log.reserve(total as usize);
+    }
     let mut mirrors = mirrors.into_iter();
 
     let inboxes: Vec<Inbox<Msg<A>>> = (0..n).map(|_| Inbox::new()).collect();
@@ -614,6 +641,9 @@ where
         let inboxes = &inboxes;
         let metrics = &metrics;
         let mut handles = Vec::with_capacity(n);
+        // From here on, however this closure ends, every node is told
+        // to quit before the scope joins it.
+        let quit = QuitOnDrop(inboxes);
         for (id, ((inbox, subs), node)) in inboxes.iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
             // A recovered node starts with entries to offer: marked here,
@@ -643,9 +673,9 @@ where
                 burst: Vec::new(),
                 unsent,
                 out: NodeOutcome {
-                    txns: Vec::new(),
+                    txns: Vec::with_capacity(subs.len()),
                     externals: Vec::new(),
-                    execs: Vec::new(),
+                    execs: Vec::with_capacity(subs.len()),
                     msgs: Vec::new(),
                     ticks: Vec::new(),
                     messages_sent: 0,
@@ -682,10 +712,7 @@ where
             }
             thread::park_timeout(Duration::from_micros(500));
         }
-        for inbox in inboxes {
-            // A dead node never drains its `Quit`; the join reports it.
-            inbox.send(Msg::Quit);
-        }
+        drop(quit);
         for (i, h) in handles.into_iter().enumerate() {
             outcomes[i] = Some(h.join().expect("node thread panicked"));
         }
@@ -710,23 +737,20 @@ fn assemble<A: Application, P: Propagation<A>>(
     monitor: Option<StreamReport>,
     wall_us: u64,
 ) -> LiveRun<A> {
-    let mut nodes = Vec::new();
-    let mut transactions = Vec::new();
-    let mut external_actions = Vec::new();
-    let mut schedule = RecordedSchedule::default();
-    let (mut messages_sent, mut entries_shipped, mut rounds) = (0u64, 0u64, 0u64);
-    for o in outcomes {
-        let (node, o) = o.expect("every node joined");
-        nodes.push(node);
-        transactions.extend(o.txns);
-        external_actions.extend(o.externals);
-        schedule.execs.extend(o.execs);
-        schedule.msgs.extend(o.msgs);
-        schedule.ticks.extend(o.ticks);
-        messages_sent += o.messages_sent;
-        entries_shipped += o.entries_shipped;
-        rounds += o.rounds;
-    }
+    let (nodes, mut parts): (Vec<Node<A>>, Vec<NodeOutcome<A>>) = outcomes
+        .into_iter()
+        .map(|o| o.expect("every node joined"))
+        .unzip();
+    let transactions = concat(&mut parts, |o| &mut o.txns);
+    let mut external_actions = concat(&mut parts, |o| &mut o.externals);
+    let mut schedule = RecordedSchedule {
+        execs: concat(&mut parts, |o| &mut o.execs),
+        msgs: concat(&mut parts, |o| &mut o.msgs),
+        ticks: concat(&mut parts, |o| &mut o.ticks),
+    };
+    let messages_sent = parts.iter().map(|o| o.messages_sent).sum();
+    let entries_shipped = parts.iter().map(|o| o.entries_shipped).sum();
+    let rounds = parts.iter().map(|o| o.rounds).sum();
     // The kernel reports external actions in real-time event order;
     // ticks are unique, so sorting is total.
     external_actions.sort_by_key(|(t, _, _)| *t);
@@ -750,5 +774,63 @@ fn assemble<A: Application, P: Propagation<A>>(
         report,
         schedule,
         wall_us,
+    }
+}
+
+/// One of the nodes' lists, gathered into one allocation of the summed
+/// length. The lists are gathered one after another and each node's part
+/// is freed as soon as it is moved, so only one list is ever held twice.
+fn concat<A: Application, T>(
+    parts: &mut [NodeOutcome<A>],
+    list: fn(&mut NodeOutcome<A>) -> &mut Vec<T>,
+) -> Vec<T> {
+    let mut all = Vec::with_capacity(parts.iter_mut().map(|o| list(o).len()).sum());
+    for o in parts {
+        all.extend(std::mem::take(list(o)));
+    }
+    all
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shard_apps::banking::Bank;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A coordinator that panics inside the scope must fail the run, not
+    /// hang it: the guard's `Quit`s reach the parked node threads, so
+    /// the scope's join returns and the panic comes out. A watchdog
+    /// fails the test if it does not.
+    #[test]
+    fn a_panicking_coordinator_still_quits_every_node() {
+        let (done, outcome) = mpsc::channel();
+        thread::spawn(move || {
+            let inboxes: Vec<Inbox<Msg<Bank>>> = (0..2).map(|_| Inbox::new()).collect();
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                thread::scope(|scope| {
+                    let _quit = QuitOnDrop(&inboxes);
+                    for inbox in &inboxes {
+                        scope.spawn(move || {
+                            let mut mail = VecDeque::new();
+                            loop {
+                                inbox.drain_into(&mut mail);
+                                if mail.drain(..).any(|m| matches!(m, Msg::Quit)) {
+                                    return;
+                                }
+                                inbox.wait(None);
+                            }
+                        });
+                    }
+                    // Give the nodes time to park before the failure.
+                    thread::sleep(Duration::from_millis(20));
+                    panic!("the coordinator fails");
+                });
+            }));
+            let _ = done.send(caught.is_err());
+        });
+        let failed = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the scope still waits on parked node threads");
+        assert!(failed, "the coordinator's panic comes out of the scope");
     }
 }

@@ -80,8 +80,11 @@ impl<E> EventQueue<E> {
     /// — pops come out exactly as if each had been
     /// [`schedule`](EventQueue::schedule)d in turn — but without sifting
     /// any of them through the heap: the batch is sorted once and merged
-    /// with the heap as the queue is popped.
+    /// with the heap as the queue is popped. Its buffer is allocated
+    /// once, for the schedule's size hint.
     pub fn schedule_all(&mut self, schedule: impl IntoIterator<Item = (SimTime, E)>) {
+        let schedule = schedule.into_iter();
+        self.sorted.reserve_exact(schedule.size_hint().0);
         for (time, event) in schedule {
             let seq = self.next_seq();
             self.sorted.push_back(Entry { time, seq, event });

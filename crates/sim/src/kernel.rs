@@ -334,7 +334,7 @@ impl<A: Application> RunReport<A> {
     pub fn collect<P: Propagation<A>>(
         app: &A,
         strategy: &P,
-        mut nodes: Vec<Node<A>>,
+        nodes: Vec<Node<A>>,
         mut transactions: Vec<ExecutedTxn<A>>,
     ) -> Self {
         // Timestamps are unique, so the unstable sort gives the serial
@@ -362,18 +362,25 @@ impl<A: Application> RunReport<A> {
                 }
             }
         }
+        drop(heads);
         missing.sort_unstable();
-        let arrivals = nodes
-            .iter_mut()
-            .map(|n| {
-                let mut incarnations = std::mem::take(&mut n.retired);
-                incarnations.push(n.log.arrivals().iter().map(|(ts, _)| *ts).collect());
-                incarnations
-            })
-            .collect();
+        // Then the nodes go one at a time, each log freed as soon as its
+        // arrival timestamps are copied out: at most one copy exists
+        // beside the logs that remain.
+        let count = nodes.len();
+        let mut arrivals = Vec::with_capacity(count);
+        let mut node_metrics = Vec::with_capacity(count);
+        let mut final_states = Vec::with_capacity(count);
+        for mut n in nodes {
+            let mut incarnations = std::mem::take(&mut n.retired);
+            incarnations.push(n.log.arrivals().iter().map(|(ts, _)| *ts).collect());
+            arrivals.push(incarnations);
+            node_metrics.push(n.log.metrics());
+            final_states.push(n.log.into_state());
+        }
         RunReport {
-            node_metrics: nodes.iter().map(|n| n.log.metrics()).collect(),
-            final_states: nodes.into_iter().map(|n| n.log.into_state()).collect(),
+            node_metrics,
+            final_states,
             transactions,
             external_actions: Vec::new(),
             barrier_latencies: Vec::new(),
@@ -1126,6 +1133,14 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 self.queue.schedule(w.start, Event::Kill { node: w.node });
                 self.queue.schedule(w.end, Event::Recover { node: w.node });
             }
+        }
+        // A log merges each executed update at most once, and each
+        // invocation executes at most once: the invocation count bounds
+        // the record and every log, so each is allocated once, at its
+        // final size on a converged run, instead of doubling into it.
+        self.transactions.reserve_exact(invocations.len());
+        for node in &mut self.nodes {
+            node.log.reserve(invocations.len());
         }
         self.queue.schedule_all(invocations.into_iter().map(|inv| {
             assert!(

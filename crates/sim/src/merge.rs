@@ -153,6 +153,15 @@ impl<A: Application> MergeLog<A> {
         }
     }
 
+    /// Makes room for `additional` more merged updates in the log and in
+    /// its arrival record, so that a caller who knows how many updates a
+    /// run can bring (a log merges each at most once) allocates both
+    /// once, at their final size, instead of doubling into them.
+    pub fn reserve(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
+        self.arrivals.reserve_exact(additional);
+    }
+
     /// The current merged state — "each node's copy of the database
     /// always reflects the effects of all the transactions known to that
     /// node, as if they were run according to the global timestamp
