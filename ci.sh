@@ -55,10 +55,11 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # the timestamp-ordered airline's thrashing comparison (E08; its update
 # runs in place through the merge log), the exhaustive §4 taxonomy (E14;
 # every checker over one state slice, ≈ 0.2 s),
-# the two that read known sets back through `nth` / `missed_ranks` — the
-# offline k distribution (E10, ≈ 1 s) and the online monitor that must
-# equal the offline checkers (E22, ≈ 0.1 s), so a known set split
-# between a `PMap` base and a shared tail is read end to end —
+# the two that read known sets back from arrival counts, through the
+# per-incarnation `Sweep` of `RunReport::timed_execution` and of
+# `LiveMonitor` — the offline k distribution (E10, ≈ 1 s) and the
+# online monitor that must equal the offline checkers (E22, ≈ 0.1 s),
+# so both readings of a known set run end to end —
 # plus one per propagation strategy (transitive flooding — gossip at
 # each execution — E06, partial E16, gossip E17, composed
 # gossip×partial E20), plus every other theorem experiment that runs in

@@ -71,6 +71,28 @@ where
         report_digest(replayed),
         "digest divergence despite field equality"
     );
+    // The transaction record is the one account of what ran: the
+    // report's external actions and the schedule's executions are its
+    // transactions', in tick order.
+    let mut by_tick: Vec<_> = live.report.transactions.iter().collect();
+    by_tick.sort_unstable_by_key(|t| t.time);
+    let actions: Vec<_> = by_tick
+        .iter()
+        .flat_map(|t| {
+            t.external_actions
+                .iter()
+                .map(|a| (t.time, t.node, a.clone()))
+        })
+        .collect();
+    assert_eq!(
+        live.report.external_actions, actions,
+        "external actions differ from the transactions' own"
+    );
+    let execs: Vec<_> = by_tick.iter().map(|t| (t.time, t.node)).collect();
+    assert_eq!(
+        live.schedule.execs, execs,
+        "recorded executions differ from the transactions'"
+    );
 }
 
 fn config(seed: u64) -> RuntimeConfig {

@@ -330,13 +330,26 @@ pub struct RunReport<A: Application> {
 impl<A: Application> RunReport<A> {
     /// The replica half of a report (serial order, node metrics, final
     /// states, [missing](RunReport::missing)) from the replicas a kernel
-    /// or live run ended with; the tallies start empty.
+    /// or live run ended with, and the external actions read off
+    /// `transactions`; the tallies start empty.
     pub fn collect<P: Propagation<A>>(
         app: &A,
         strategy: &P,
         nodes: Vec<Node<A>>,
         mut transactions: Vec<ExecutedTxn<A>>,
     ) -> Self {
+        // Every action in time order, ties in the order handed over; the
+        // kernel hands its records over in execution order, already sorted.
+        let actions = transactions.iter().map(|t| t.external_actions.len()).sum();
+        let mut external_actions = Vec::with_capacity(actions);
+        for t in &transactions {
+            for a in &t.external_actions {
+                external_actions.push((t.time, t.node, a.clone()));
+            }
+        }
+        if !external_actions.is_sorted_by_key(|(time, _, _)| *time) {
+            external_actions.sort_by_key(|(time, _, _)| *time);
+        }
         // Timestamps are unique, so the unstable sort gives the serial
         // order too, in place: a stable sort allocates a buffer as large
         // as the records, 1 MB and the peak of `sim-partition`'s RSS.
@@ -382,7 +395,7 @@ impl<A: Application> RunReport<A> {
             node_metrics,
             final_states,
             transactions,
-            external_actions: Vec::new(),
+            external_actions,
             barrier_latencies: Vec::new(),
             rejected: Vec::new(),
             messages_sent: 0,
@@ -956,7 +969,6 @@ pub struct Runner<'a, A: Application, P: Propagation<A>> {
     queue: EventQueue<Event<A>>,
     nodes: Vec<Node<A>>,
     transactions: Vec<ExecutedTxn<A>>,
-    external_actions: Vec<(SimTime, NodeId, ExternalAction)>,
     wire: WireStats,
     /// Last ordered batch's arrival per link ([`QueueTransport::send`]).
     links: Vec<SimTime>,
@@ -990,7 +1002,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             links: vec![0; usize::from(config.nodes).pow(2)],
             cfg: config,
             transactions: Vec::new(),
-            external_actions: Vec::new(),
             wire: WireStats::default(),
             pending: Vec::new(),
             barrier_latencies: Vec::new(),
@@ -1372,7 +1383,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             sink.flush();
         }
         let report = RunReport {
-            external_actions: self.external_actions,
             barrier_latencies: self.barrier_latencies,
             rejected,
             messages_sent: self.wire.messages_sent,
@@ -1424,9 +1434,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
         );
         if let Some(m) = mirror {
             m.persist(&replica.log, true);
-        }
-        for a in &txn.external_actions {
-            self.external_actions.push((now, node, a.clone()));
         }
         let ts = txn.ts;
         self.transactions.push(txn);

@@ -6,7 +6,7 @@ use shard::analysis::claims::{check_invariant_bound, check_theorem5};
 use shard::apps::airline::{AirlineTxn, FlyByNight, OVERBOOKING, UNDERBOOKING};
 use shard::apps::Person;
 use shard::core::costs::BoundFn;
-use shard::core::{conditions, Application};
+use shard::core::{conditions, Application, ExternalAction};
 use shard::sim::partition::{PartitionSchedule, PartitionWindow};
 use shard::sim::{ClusterConfig, DelayModel, Gossip, Invocation, NodeId, Runner};
 
@@ -181,6 +181,24 @@ fn deterministic_reports_per_seed() {
             },
         );
         let r = cluster.run(booking_storm(seed, 60, 4));
+        // The report's actions are its transactions' own, in time order.
+        assert!(r.external_actions.is_sorted_by_key(|(time, _, _)| *time));
+        let key =
+            |time: u64, node: NodeId, a: &ExternalAction| (time, node.0, a.kind, a.subject.clone());
+        let mut listed: Vec<_> = r
+            .external_actions
+            .iter()
+            .map(|(time, node, a)| key(*time, *node, a))
+            .collect();
+        let mut own: Vec<_> = r
+            .transactions
+            .iter()
+            .flat_map(|t| t.external_actions.iter().map(|a| key(t.time, t.node, a)))
+            .collect();
+        listed.sort_unstable();
+        own.sort_unstable();
+        assert!(!own.is_empty(), "the storm assigns seats");
+        assert_eq!(listed, own);
         (r.final_states.clone(), r.external_actions.clone())
     };
     assert_eq!(run(21).0, run(21).0);

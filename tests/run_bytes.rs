@@ -4,7 +4,7 @@
 //! event queue for the schedule — and its report takes the nodes one at
 //! a time, so no node's arrival copy sits beside every log. On
 //! `sim-partition`'s shape (5 nodes, node 0 isolated five times, 4 000
-//! banking transactions, seed 1) the peak reads 593.5 B a transaction,
+//! banking transactions, seed 1) the peak reads 588.9 B a transaction,
 //! held here within 620 (it read 684.4 with vectors doubling into their
 //! size, every arrival copy made while all logs were alive and each
 //! external action's kind an owned `String`). The kernel is
