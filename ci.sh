@@ -112,8 +112,10 @@ run timeout 120 target/release/exp_e20_gossip_partial
 # one observation — everything executed, nothing in flight, nothing
 # unsent — or on a dead node thread, and a regression of either must
 # fail the gate, not hang it. At this size it leaves
-# `BENCH_runtime.json` alone. (The monitored, traced eager leg and its
-# one `monitor.final` are pinned by crates/runtime/tests/record_replay.rs.)
+# `BENCH_runtime.json` alone. (E23 runs unmonitored; a monitored, traced
+# live run in all three modes, its one `monitor.final` and its `txn` and
+# `monitor.window` lines equal to the replay's, is pinned by
+# crates/runtime/tests/record_replay.rs.)
 run env SHARD_E23_TXNS=2000 timeout 120 target/release/exp_e23_runtime
 # The pool's determinism guarantee, end to end on every CI run: E21's
 # 120-seed nemesis sweep runs once sequentially and once on a 4-thread

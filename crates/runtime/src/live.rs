@@ -11,20 +11,20 @@
 //! ```text
 //!   client load (Vec<Submission>)          coordinator (the caller's
 //!        │ partitioned by node             thread): at each poll samples
-//!        ▼                                 the queue depth, steps the §3
-//!   ┌────────┐   inbox   ┌────────┐        LiveMonitor over the watermark
-//!   │ node 0 │──────────▶│ node 1 │ …      of the per-node Lamport clocks
-//!   │ thread │◀──────────│ thread │        (the kernel's checkers), and
-//!   └────────┘           └────────┘        looks for the quiet point
-//!        │ txn rows (ts, time, count, arrivals) │
-//!        └── inbox ──▶ coordinator              └─ one `Quit` per inbox
+//!        ▼                                 the queue depth and looks for
+//!   ┌────────┐   inbox   ┌────────┐        the quiet point
+//!   │ node 0 │──────────▶│ node 1 │ …              │
+//!   │ thread │◀──────────│ thread │                └─ one `Quit` per inbox
+//!   └────────┘           └────────┘
+//!        │ join: logs, records, schedule ──▶ RunReport ──▶ §3 LiveMonitor
 //! ```
 //!
 //! The poll asks for 500 µs, but the host sets its rate: on `live-eager`'s
 //! shape, on a shared 2-vCPU host, it woke 137–587 times in a 400 ms slice
-//! where 800 were asked, at 9.4–33 µs of CPU a wake. It takes the rows
-//! from their inbox in one swap and never parks on it, so no row's send
-//! wakes it.
+//! where 800 were asked, at 9.4–33 µs of CPU a wake. It reads `executed`,
+//! `in_flight` and the node handles, nothing else. The §3 verdicts are
+//! drawn after the join, from the finished report's record of each
+//! transaction's 𝒫ᵢ (`ExecutedTxn::known` into `RunReport::arrivals`).
 //!
 //! Two kinds of thread. A node thread merges what its inbox holds,
 //! executes its due submissions, starts a gossip round when one is due,
@@ -39,8 +39,8 @@
 //! is one group commit: each execution appends its own update to the
 //! mirror, and one fsync covers them all; without a mirror there is no
 //! barrier. Then each transaction is released, in execution order — its
-//! sends, its record (external actions included), its monitor row — and
-//! the burst counted as executed. A transaction's
+//! sends and its record (external actions included) — and the burst
+//! counted as executed. A transaction's
 //! `runtime.<mode>.latency_us` is its execution tick less its due time:
 //! the tick its execution drew, not a second clock read.
 //!
@@ -59,6 +59,8 @@
 //! execution is left; or in `Gossip::on_tick`, which sends only past a
 //! peer's cursor ([`Propagation::has_unsent`], the node's mark in
 //! `in_flight`), and only an execution or a merge raises a mark.
+//! After the join every inbox is checked empty: a batch sent past the
+//! quiet point would queue behind the `Quit` and never merge.
 //! A node thread that dies ends the wait too; the join propagates it.
 //!
 //! # Why a recorded run replays exactly
@@ -85,8 +87,8 @@ use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, Invocation, Known, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
-    RunReport, Timestamp, Transport, WallClock,
+    ExecutedTxn, Invocation, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
+    RunReport, Transport, WallClock,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -122,14 +124,15 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Merge-log checkpoint interval (must match the replay's).
     pub checkpoint_every: usize,
-    /// Run the §3 [`LiveMonitor`] on the coordinator's loop, fed by
-    /// every node and advanced by the watermark of the per-node Lamport
-    /// clocks. `abort_on_violation` is ignored: a live run always
-    /// drains.
+    /// Draw the §3 verdicts ([`RunReport::monitor`]) with a
+    /// [`LiveMonitor`] over the finished run's record, after the node
+    /// threads have joined. `abort_on_violation` is ignored: a live run
+    /// always drains.
     pub monitor: Option<MonitorConfig>,
     /// Trace sink: node threads emit the kernel's `execute` / `deliver`
-    /// / `merge.*` vocabulary and the monitor emits its `txn` rows, so
-    /// `shard-trace summarize|watch` consume live traces unchanged.
+    /// / `merge.*` vocabulary and the monitor emits its `txn` rows after
+    /// them, so `shard-trace summarize|watch` consume live traces
+    /// unchanged.
     pub sink: Option<Arc<EventSink>>,
 }
 
@@ -165,7 +168,8 @@ pub struct MsgRecord {
 pub struct RecordedSchedule {
     /// Every execution as `(tick, node)`, in tick order.
     pub execs: Vec<(SimTime, NodeId)>,
-    /// Every delivered message with its send and merge ticks.
+    /// Every delivered message with its send and merge ticks, in
+    /// `(sent_at, to)` order: the kernel's send order.
     pub msgs: Vec<MsgRecord>,
     /// Every gossip round initiation as `(tick, node)`, in tick order.
     /// Empty for reactive strategies.
@@ -184,8 +188,8 @@ pub struct LiveRun<A: Application> {
     pub wall_us: u64,
 }
 
-/// The live monitor never aborts (a live run always drains), so force
-/// the flag off; replay does the same, keeping reports comparable.
+/// A live run's monitor never aborts (the run always drains), so replay
+/// forces the flag off, keeping the two reports comparable.
 pub(crate) fn sanitize_monitor(m: &Option<MonitorConfig>) -> Option<MonitorConfig> {
     m.clone().map(|mut m| {
         m.abort_on_violation = false;
@@ -207,9 +211,6 @@ struct Shared {
     in_flight: AtomicU64,
     /// Transactions executed so far, across all nodes.
     executed: AtomicU64,
-    /// Per-node Lamport clock values, published after every execute and
-    /// absorb — their minimum is the monitor watermark.
-    clocks: Vec<AtomicU64>,
 }
 
 /// One node's unsent mark in [`Shared::in_flight`].
@@ -282,12 +283,9 @@ struct NodeOutcome<A: Application> {
     messages_sent: u64,
     entries_shipped: u64,
     rounds: u64,
+    /// Batches that came behind the `Quit` in the drain that took it.
+    past_quit: usize,
 }
-
-/// A monitor row: `(timestamp, execution tick, origin, how far the
-/// origin's arrival log reached, the arrivals its count passed since
-/// the node's previous row)` — what [`LiveMonitor::ingest`] takes.
-type MonRow = (Timestamp, SimTime, NodeId, Known, Vec<Timestamp>);
 
 /// The state one node thread owns; split out so the delivery path is a
 /// single method used from every point in the loop.
@@ -298,10 +296,6 @@ struct NodeWorker<'s, A: Application, P> {
     shared: &'s Shared,
     transport: InboxTransport<'s, A>,
     inbox: &'s Inbox<Msg<A>>,
-    /// The coordinator's inbox of monitor rows, on a monitored run.
-    mon_rows: Option<&'s Inbox<MonRow>>,
-    /// How many of the node's arrivals went out with its monitor rows.
-    mon_fed: usize,
     sink: Option<&'s EventSink>,
     metrics: &'s RuntimeMetrics,
     /// Durable mirror of the node's log ([`run_live_durable`]), written
@@ -316,12 +310,10 @@ struct NodeWorker<'s, A: Application, P> {
 }
 
 impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
-    /// Publishes the node's clock and its unsent mark — after every
-    /// event, before the event's own count (`in_flight`, `executed`)
-    /// lets the coordinator see it done.
+    /// Publishes the node's unsent mark — after every event, before the
+    /// event's own count (`in_flight`, `executed`) lets the coordinator
+    /// see it done.
     fn publish(&mut self) {
-        let id = self.node.id.0 as usize;
-        self.shared.clocks[id].store(self.node.clock.current(), Ordering::SeqCst);
         let unsent = self.strategy.has_unsent(&self.node);
         if unsent != self.unsent {
             self.unsent = unsent;
@@ -378,10 +370,10 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 
     /// Ends a burst: one barrier covers every own update it appended
     /// (a node without a mirror has none), then each of its
-    /// transactions, in execution order, is released — its sends, its
-    /// record (external actions included) and its monitor row — and last
-    /// the node's clock and the burst's count as executed, which come
-    /// after its sends are in `in_flight`.
+    /// transactions, in execution order, is released — its sends and its
+    /// record (external actions included) — and last the node's unsent
+    /// mark and the burst's count as executed, which come after its sends
+    /// are in `in_flight`.
     fn commit(&mut self) {
         if self.burst.is_empty() {
             return;
@@ -392,21 +384,14 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         let mut burst = std::mem::take(&mut self.burst);
         let released = burst.len() as u64;
         for (txn, update) in burst.drain(..) {
-            let now = txn.time;
             self.strategy.on_execute(
                 self.app,
                 &mut self.transport,
                 &self.node,
-                now,
+                txn.time,
                 txn.ts,
                 &update,
             );
-            if let Some(rows) = self.mon_rows {
-                let passed = &self.node.log.arrivals()[self.mon_fed..txn.known.len()];
-                self.mon_fed = txn.known.len();
-                let passed = passed.iter().map(|(ts, _)| *ts).collect();
-                rows.send((txn.ts, now, txn.node, txn.known, passed));
-            }
             self.out.txns.push(txn);
         }
         self.burst = burst;
@@ -436,15 +421,12 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         let mut next_sub = 0usize;
         let mut next_round_us = tick_every_us;
         let mut mail = VecDeque::new();
-        // Publish the starting clock: a node recovered from a durable
-        // mirror begins past zero, and the monitor's watermark must see
-        // that even if the node never executes or receives anything.
-        self.publish();
         'run: loop {
             let mut did = 0;
             self.inbox.drain_into(&mut mail);
             while let Some(msg) = mail.pop_front() {
                 if !self.deliver(msg) {
+                    self.out.past_quit = mail.len();
                     break 'run;
                 }
                 did += 1;
@@ -500,8 +482,10 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 /// # Panics
 ///
 /// Panics if a submission names a node outside the cluster, the
-/// strategy's [`Propagation::validate`] refuses the submissions, or a
-/// tick-driven strategy has a zero interval.
+/// strategy's [`Propagation::validate`] refuses the submissions, a
+/// tick-driven strategy has a zero interval, or a node is sent a batch
+/// past the quiet point (a strategy whose [`Propagation::has_unsent`]
+/// missed what a round still sends).
 pub fn run_live<A, P>(
     app: &A,
     cfg: &RuntimeConfig,
@@ -596,7 +580,6 @@ where
         clock: WallClock::new(),
         in_flight: AtomicU64::new(0),
         executed: AtomicU64::new(0),
-        clocks: (0..n).map(|_| AtomicU64::new(0)).collect(),
     };
 
     // A mirror that already holds entries is a previous process's
@@ -624,18 +607,9 @@ where
     let mut mirrors = mirrors.into_iter();
 
     let inboxes: Vec<Inbox<Msg<A>>> = (0..n).map(|_| Inbox::new()).collect();
-    let mut monitor = sanitize_monitor(&cfg.monitor).map(LiveMonitor::new);
-    let mon_rows = Inbox::new();
-    let mut rows = VecDeque::new();
     let sink = cfg.sink.as_deref();
-    let mut ingest_rows = |lm: &mut LiveMonitor| {
-        mon_rows.drain_into(&mut rows);
-        for (ts, time, node, known, passed) in rows.drain(..) {
-            lm.ingest(ts, time, node, known, passed);
-        }
-    };
 
-    let outcomes = thread::scope(|scope| {
+    let outcomes: Vec<(Node<A>, NodeOutcome<A>)> = thread::scope(|scope| {
         let shared = &shared;
         let inboxes = &inboxes;
         let metrics = &metrics;
@@ -664,8 +638,6 @@ where
                     entries_shipped: 0,
                 },
                 inbox,
-                mon_rows: monitor.is_some().then_some(&mon_rows),
-                mon_fed: 0,
                 sink,
                 metrics,
                 mirror: mirrors.next(),
@@ -678,32 +650,23 @@ where
                     messages_sent: 0,
                     entries_shipped: 0,
                     rounds: 0,
+                    past_quit: 0,
                 },
             };
             handles.push(scope.spawn(move || worker.run(subs, tick_every_us)));
         }
 
-        // Coordinator (this thread): samples the queue depth, steps the
-        // monitor, and waits for the quiet point — everything executed
-        // and nothing outstanding: no message unmerged, no node with
-        // unsent entries (one load of `Shared::in_flight` decides). An
-        // execution publishes its node's mark before it counts, so
-        // `executed` is read first. A node thread that finished before
-        // its `Quit` panicked: stop waiting and let the join say so.
+        // Coordinator (this thread): samples the queue depth and waits
+        // for the quiet point — everything executed and nothing
+        // outstanding: no message unmerged, no node with unsent entries
+        // (one load of `Shared::in_flight` decides). An execution
+        // publishes its node's mark before it counts, so `executed` is
+        // read first. A node thread that finished before its `Quit`
+        // panicked: stop waiting and let the join say so.
         loop {
             let all_executed = shared.executed.load(Ordering::SeqCst) == total;
             let outstanding = shared.in_flight.load(Ordering::SeqCst);
             metrics.queue_depth.record(outstanding % UNSENT);
-            if let Some(lm) = &mut monitor {
-                // The watermark is read *before* the rows are drained: a
-                // node publishes its clock only after sending its row, so
-                // every row with `ts.counter ≤ watermark` is already in
-                // its inbox — sealing is sound.
-                let clocks = shared.clocks.iter().map(|c| c.load(Ordering::SeqCst));
-                let watermark = clocks.min().unwrap_or(0);
-                ingest_rows(lm);
-                lm.advance(watermark, sink);
-            }
             if (all_executed && outstanding == 0) || handles.iter().any(|h| h.is_finished()) {
                 break;
             }
@@ -715,24 +678,28 @@ where
             .map(|h| h.join().expect("node thread panicked"))
             .collect()
     });
-    // Every row is in: ingest the tail, then seal what stalled.
-    let monitor_report = monitor.map(|mut lm| {
-        ingest_rows(&mut lm);
-        lm.finish(sink)
-    });
+    // The quiet point held: no node was sent anything past its `Quit`.
+    let mut late = VecDeque::new();
+    for (id, (inbox, (_, out))) in inboxes.iter().zip(&outcomes).enumerate() {
+        inbox.drain_into(&mut late);
+        let count = out.past_quit + late.len();
+        assert_eq!(
+            count, 0,
+            "node {id} was sent {count} batches past the quiet point, never merged"
+        );
+    }
 
     let wall_us = shared.clock.elapsed_us();
-    assemble(app, cfg, &strategy, outcomes, monitor_report, wall_us)
+    assemble(app, cfg, &strategy, outcomes, wall_us)
 }
 
 /// Folds the per-node outcomes into a kernel-shaped [`RunReport`] plus
-/// the recorded schedule.
+/// the recorded schedule, and judges it when `cfg.monitor` is set.
 fn assemble<A: Application, P: Propagation<A>>(
     app: &A,
     cfg: &RuntimeConfig,
     strategy: &P,
     outcomes: Vec<(Node<A>, NodeOutcome<A>)>,
-    monitor: Option<StreamReport>,
     wall_us: u64,
 ) -> LiveRun<A> {
     let (nodes, mut parts): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
@@ -749,23 +716,45 @@ fn assemble<A: Application, P: Propagation<A>>(
     schedule.execs.sort_unstable_by_key(|(t, _)| *t);
     schedule.ticks.sort_unstable_by_key(|(t, _)| *t);
     schedule.msgs.sort_unstable_by_key(|m| (m.sent_at, m.to.0));
-    if let Some(sink) = cfg.sink.as_deref() {
+    let mut report = RunReport::collect(app, strategy, nodes, transactions);
+    report.messages_sent = messages_sent;
+    report.entries_shipped = entries_shipped;
+    report.rounds = rounds;
+    let sink = cfg.sink.as_deref();
+    report.monitor = cfg.monitor.clone().map(|m| judge(&report, m, sink));
+    if let Some(sink) = sink {
         sink.event("span")
             .str("name", "runtime.live.run")
             .u64("ns", wall_us.saturating_mul(1_000))
             .emit();
         sink.flush();
     }
-    let mut report = RunReport::collect(app, strategy, nodes, transactions);
-    report.messages_sent = messages_sent;
-    report.entries_shipped = entries_shipped;
-    report.rounds = rounds;
-    report.monitor = monitor;
     LiveRun {
         report,
         schedule,
         wall_us,
     }
+}
+
+/// The §3 verdicts over a finished run's record. Each transaction, in
+/// serial order, enters the monitor with the arrivals its count passed
+/// since its incarnation's previous row, and is sealed at once: nothing
+/// later in the order sorts before it, so at most one row waits.
+fn judge<A: Application>(
+    report: &RunReport<A>,
+    cfg: MonitorConfig,
+    sink: Option<&EventSink>,
+) -> StreamReport {
+    let mut monitor = LiveMonitor::new(cfg);
+    let mut fed: Vec<Vec<usize>> = report.arrivals.iter().map(|n| vec![0; n.len()]).collect();
+    for t in &report.transactions {
+        let fed = &mut fed[usize::from(t.node.0)][t.known.incarnation as usize];
+        let passed = report.known(t)[*fed..].iter().copied();
+        *fed = t.known.len();
+        monitor.ingest(t.ts, t.time, t.node, t.known, passed);
+        monitor.advance(t.ts.lamport, sink);
+    }
+    monitor.finish(sink)
 }
 
 /// One of the nodes' lists, gathered into one allocation of the summed

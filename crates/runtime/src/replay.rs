@@ -14,10 +14,10 @@
 //! * **Messages** are the crux. The kernel numbers sends 1, 2, 3, … in
 //!   send order; live, sends happen inside execution/round events
 //!   (whose ticks totally order them) and go to peers in increasing
-//!   node id within one event. Sorting the recorded messages by
-//!   `(sent_at, to)` therefore reproduces the kernel's send sequence
-//!   exactly, and a [`ScheduledNemesis`] delays send number `i` by
-//!   `merged_at − sent_at` ticks: with a zero-delay [`DelayModel`] the
+//!   node id within one event. The recorded messages, which the live
+//!   run keeps in `(sent_at, to)` order, therefore follow the kernel's
+//!   send sequence exactly, and a [`ScheduledNemesis`] delays send
+//!   number `i` by `merged_at − sent_at` ticks: with a zero-delay [`DelayModel`] the
 //!   fault-free arrival is the send tick, so each message lands at
 //!   **precisely** its recorded merge tick.
 //!
@@ -61,10 +61,19 @@ fn invocations<D: Clone>(
 
 /// The recorded delivery schedule as kernel fault events: message `i`
 /// (1-based send order) delayed to its recorded merge tick.
+///
+/// # Panics
+///
+/// Panics if `schedule.msgs` is not in its documented `(sent_at, to)`
+/// order, the kernel's send order.
 fn delivery_faults(schedule: &RecordedSchedule) -> Vec<FaultEvent> {
-    let mut msgs = schedule.msgs.clone();
-    msgs.sort_unstable_by_key(|m| (m.sent_at, m.to.0));
-    msgs.iter()
+    assert!(
+        schedule.msgs.is_sorted_by_key(|m| (m.sent_at, m.to.0)),
+        "RecordedSchedule::msgs is not in (sent_at, to) order"
+    );
+    schedule
+        .msgs
+        .iter()
         .enumerate()
         .map(|(i, m)| FaultEvent::Delay {
             msg: i as u64 + 1,

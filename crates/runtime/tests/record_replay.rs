@@ -8,7 +8,7 @@
 //! (eager broadcast, delta gossip — by the clock and at each execution —
 //! partial replication).
 //!
-//! Live runs are genuinely concurrent — OS threads, mpsc channels,
+//! Live runs are genuinely concurrent — OS threads, parking inboxes,
 //! wall-clock pacing — so each case explores whatever interleaving the
 //! scheduler happens to produce; the property is that the recorded
 //! schedule pins that interleaving exactly.
@@ -160,8 +160,9 @@ fn route_to_holders(
 /// Drains a traced, monitored run's sink: checks it holds exactly one
 /// `monitor.final`, and returns the replica step's lines — `execute`,
 /// `deliver`, `merge.*` — sorted (live node threads interleave their
-/// writes to the sink).
-fn step_lines(cfg: &RuntimeConfig) -> Vec<String> {
+/// writes to the sink), then the monitor's `txn` and `monitor.window`
+/// lines, sorted too.
+fn step_lines(cfg: &RuntimeConfig) -> (Vec<String>, Vec<String>) {
     let trace = cfg.sink.as_deref().expect("traced").drain_to_string();
     let is = |l: &str, event: &str| l.contains(&format!("\"event\":\"{event}"));
     assert_eq!(
@@ -175,7 +176,13 @@ fn step_lines(cfg: &RuntimeConfig) -> Vec<String> {
         .map(str::to_owned)
         .collect();
     lines.sort_unstable();
-    lines
+    let mut verdicts: Vec<String> = trace
+        .lines()
+        .filter(|l| is(l, "txn") || is(l, "monitor.window"))
+        .map(str::to_owned)
+        .collect();
+    verdicts.sort_unstable();
+    (lines, verdicts)
 }
 
 /// A live run and its replay go through one replica step, so tracing
@@ -202,12 +209,21 @@ fn live_and_replay_traces_agree_line_for_line() {
         let live = run_live(&app, &live_cfg, strategy.clone(), subs.clone());
         let replayed = replay(&app, &replay_cfg, strategy, &subs, &live.schedule);
         assert_replay_matches(&live, &replayed);
-        let live_lines = step_lines(&live_cfg);
+        let (live_lines, live_verdicts) = step_lines(&live_cfg);
+        let (replay_lines, replay_verdicts) = step_lines(&replay_cfg);
         assert!(live_lines.len() > subs.len(), "deliveries traced too");
         assert_eq!(
-            live_lines,
-            step_lines(&replay_cfg),
+            live_lines, replay_lines,
             "live and replayed step traces diverge"
+        );
+        let rows = live_verdicts
+            .iter()
+            .filter(|l| l.contains("\"event\":\"txn\""))
+            .count();
+        assert_eq!(rows, subs.len(), "one txn row per transaction");
+        assert_eq!(
+            live_verdicts, replay_verdicts,
+            "live and replayed monitor lines diverge"
         );
     }
     check(EagerBroadcast::default());
@@ -281,7 +297,8 @@ fn live_run_refuses_a_placement_smaller_than_the_cluster() {
 
 /// Two hundred short runs per mode, back to back: each must return (a
 /// node that missed its `Quit` would block the join) and replay — and a
-/// send after `Quit` would die on the closed channel's `expect`.
+/// send after `Quit` would fail the run's check, after the join, that
+/// every inbox is empty.
 #[test]
 fn short_runs_end_cleanly_in_every_mode() {
     use shard_core::ObjectModel;

@@ -20,9 +20,9 @@
 //!   execution of a burst the node calls [`shard_store::Store::sync`]
 //!   once, and only then releases, in execution order, what each of
 //!   the burst's transactions makes visible: its propagation to peers,
-//!   its external actions, its monitor row, the node's published clock
-//!   and its count as executed. A crash can therefore lose an own
-//!   update only if no other node ever saw it and none of its external
+//!   its external actions, its monitor row (in the kernel) and its count
+//!   as executed. A crash can therefore lose an own update only if no
+//!   other node ever saw it and none of its external
 //!   actions was recorded — after recovery the system state is as if
 //!   the client request had been rejected, which §1's availability
 //!   model already allows. The kernel runs bursts of one (a barrier

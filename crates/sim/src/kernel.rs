@@ -525,12 +525,12 @@ impl<A: Application> Node<A> {
     /// ([`NodeMirror::persist`] with a barrier), and only then releases
     /// what each of the burst's transactions makes visible, in execution
     /// order — its propagation ([`Propagation::on_execute`]), its
-    /// external actions, its monitor row, its node's published clock and
-    /// its count as executed. A crash can then lose an own update only
-    /// while no peer has seen it and no external action of it was
-    /// recorded. The kernel runs bursts of one (it syncs right after
-    /// each execute step); a live node runs up to its batch of due
-    /// submissions.
+    /// external actions, its monitor row (in the kernel; a live run is
+    /// judged after its threads join) and its count as executed. A crash
+    /// can then lose an own update only while no peer has seen it and no
+    /// external action of it was recorded. The kernel runs bursts of one
+    /// (it syncs right after each execute step); a live node runs up to
+    /// its batch of due submissions.
     pub fn execute_step(
         &mut self,
         app: &A,
@@ -891,7 +891,7 @@ pub trait Propagation<A: Application> {
     /// to every other node that [`Propagation::wants`] it. The strategy
     /// sees only the *local* replica — propagation decisions must not
     /// peek at peer state, which is what lets the same strategy run
-    /// unchanged on `shard-runtime`'s one-thread-per-node channels.
+    /// unchanged on `shard-runtime`'s one-thread-per-node inboxes.
     fn on_execute(
         &mut self,
         app: &A,
