@@ -56,9 +56,9 @@ benchmark/run.sh --workload sim-partition --seed 1 --seconds 2 --trace 0 |
 # runs in place through the merge log), the exhaustive §4 taxonomy (E14;
 # every checker over one state slice, ≈ 0.2 s),
 # the two that read known sets back from arrival counts, through the
-# per-incarnation `Sweep` of `RunReport::timed_execution` and of
-# `LiveMonitor` — the offline k distribution (E10, ≈ 1 s) and the
-# online monitor that must equal the offline checkers (E22, ≈ 0.1 s),
+# per-incarnation `Sweep` that `RunReport::timed_execution` and
+# `RunReport::judge` share — the offline k distribution (E10, ≈ 1 s)
+# and the streamed judge that must equal the offline checkers (E22, ≈ 0.1 s),
 # so both readings of a known set run end to end —
 # plus one per propagation strategy (transitive flooding — gossip at
 # each execution — E06, partial E16, gossip E17, composed
@@ -147,11 +147,11 @@ for sidecar in e01 e02 e03 e04 e05 e06 e07 e08 e09 e10 e11 e12 e13 e14 \
     "${budget[@]}"
 done
 # The streaming monitor gate: E22's monitored chaos sweep (run above)
-# must find a violation, cut the run at it, and leave behind the hit's
+# must find a violation, stop at it, and leave behind the hit's
 # replayed trace plus its certificate, which the shared-nothing
 # `shard-trace certify` validator accepts — while a mutated certificate
 # (witness shifted off the end of the trace) must be rejected. This
-# exercises the live monitor, the early abort, the trace tee and the
+# exercises the post-run judge, the sweep's stop, the trace tee and the
 # certificate round-trip end to end, out of process.
 run cargo run -q --release -p shard-cli --bin shard-trace -- \
   certify target/exp_traces/e22.hit.jsonl target/exp_traces/e22.hit.cert.json

@@ -1,7 +1,7 @@
 //! The streaming checkers, measured: raw [`StreamChecker`] throughput
-//! over 10⁶ synthetic rows at several window sizes, and the live
-//! monitor's overhead on a real kernel run (monitored vs. unmonitored
-//! wall time), plus the two whole-execution shapes the repository
+//! over 10⁶ synthetic rows at several window sizes, and what judging a
+//! real kernel run costs (monitored vs. unmonitored wall time: the
+//! post-run `RunReport::judge`), plus the two whole-execution shapes the repository
 //! benchmark does not carry (n = 2 048: block-shuffled rows missing ~16
 //! recent predecessors each, and two parities that never see each
 //! other) through `is_transitive` and `check_rows`, and the sizes an
@@ -14,8 +14,9 @@
 //!
 //! * the checker sustains ≥ 10⁶ rows through a full §3 verification
 //!   (transitivity + k-completeness + delay bounds) in one bench run;
-//! * attaching the [`LiveMonitor`] to a kernel run should cost ≤ 10%
-//!   wall time — cheap enough to leave on during chaos sweeps. The
+//! * judging a kernel run ([`RunReport::judge`], once the run ends)
+//!   should cost ≤ 10% wall time — cheap enough to leave on during
+//!   chaos sweeps. The
 //!   figure is printed against the target and recorded beside it; over
 //!   target is a `WARN` line, not a failure (this host has read
 //!   +13…+17 % at every commit since the target was set, and an
@@ -23,7 +24,7 @@
 //!   getting under it).
 //!
 //! [`StreamChecker`]: shard_core::stream::StreamChecker
-//! [`LiveMonitor`]: shard_sim::LiveMonitor
+//! [`RunReport::judge`]: shard_sim::RunReport::judge
 
 use shard_apps::airline::workload::AirlineMix;
 use shard_apps::airline::FlyByNight;
@@ -242,13 +243,13 @@ fn main() {
         ));
     }
 
-    println!("\nstream/monitor (live monitor overhead on a kernel run)");
+    println!("\nstream/monitor (post-run judge overhead on a kernel run)");
     const TXNS: usize = 3_000;
     let monitored_cfg = || {
         Some(MonitorConfig {
             window: 64,
             emit_rows: false,
-            abort_on_violation: false,
+            ..MonitorConfig::default()
         })
     };
     black_box(kernel_run_ns(TXNS, None));
@@ -331,7 +332,7 @@ fn main() {
          \"overhead_target_pct\": 10.0\n  }},\n  \
          \"note\": \"window timings are medians of 3 full 10^6-row checks; monitor overhead \
          compares medians of 5 interleaved eager-broadcast kernel runs (5 nodes, fixed delay) \
-         with and without the live monitor (window 64, no row emission); shape timings are \
+         with and without the post-run judge (window 64, no row emission); shape timings are \
          medians of 5 calls on one thread: windowed16 = Fisher-Yates inside delivery blocks of 64, \
          parity = two parities that never see each other (row i misses i/2 predecessors); \
          scale = the windowed16 shape with banking no-op records, built from its miss sets \
@@ -350,6 +351,6 @@ fn main() {
     }
 
     if overhead_pct > 10.0 {
-        println!("  WARN live monitor overhead {overhead_pct:+.1}% is over its 10% target");
+        println!("  WARN post-run judge overhead {overhead_pct:+.1}% is over its 10% target");
     }
 }

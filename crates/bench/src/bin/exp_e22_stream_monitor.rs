@@ -1,22 +1,23 @@
 //! E22 — streaming certified checkers: live §3 verification with
 //! independently validated certificates (extension).
 //!
-//! The offline pipeline (E01–E21) verifies a run after it finishes; the
-//! live monitor rides the kernel event loop, sealing transactions by
-//! Lamport watermark and folding the windowed §3 checkers over them
-//! *while the run is still going*. This experiment pins down the three
-//! properties that make the online verdicts trustworthy:
+//! The offline pipeline (E01–E21) builds a run's timed execution and
+//! folds the whole-execution §3 checkers over it; a monitored run is
+//! judged instead by streaming its record, row by row in serial order,
+//! through the windowed checkers (`RunReport::judge`, once the run
+//! ends). This experiment pins down the three properties that make the
+//! streamed verdicts trustworthy:
 //!
 //! Claims:
 //! * **online ≡ offline** — on fault-free runs across seeds × window
-//!   sizes, the monitor's `StreamReport` (verdicts, certificates,
+//!   sizes, the judge's `StreamReport` (verdicts, certificates,
 //!   `max_missed`, delay bound) is bit-identical to folding the offline
 //!   checkers over the finished execution;
-//! * **early abort pays** — a monitored chaos sweep stops at its first
-//!   confirmed transitivity violation, the violating run is cut off
-//!   after a prefix, and the violation is attributable (the same seed's
+//! * **the sweep stops at the first attributable violation** — a
+//!   monitored chaos sweep stops at its first judged transitivity
+//!   violation, and the violation is attributable (the same seed's
 //!   fault-free baseline is transitive);
-//! * **certificates check independently** — the certificate the monitor
+//! * **certificates check independently** — the certificate the judge
 //!   emitted re-validates against the replayed raw trace via
 //!   `shard_obs::certify` (shared-nothing validator, O(|certificate|)
 //!   work), and a mutated certificate is rejected. The replayed trace
@@ -49,7 +50,7 @@ fn monitored_run(seed: u64, window: usize) -> shard_sim::RunReport<FlyByNight> {
         monitor: Some(MonitorConfig {
             window,
             emit_rows: false,
-            abort_on_violation: false,
+            ..MonitorConfig::default()
         }),
         ..ClusterConfig::default()
     };
@@ -59,7 +60,7 @@ fn monitored_run(seed: u64, window: usize) -> shard_sim::RunReport<FlyByNight> {
 fn main() {
     let mut exp = shard_bench::Experiment::start("e22");
     println!(
-        "E22: streaming certified checkers — live monitor vs offline §3 verdicts\n\
+        "E22: streaming certified checkers — post-run judge vs offline §3 verdicts\n\
          part 1: {TXNS} txns × {NODES} nodes, exponential delay, seeds 1..=6, windows {{1, 7, 64}}\n"
     );
 
@@ -104,11 +105,11 @@ fn main() {
     println!("{t}");
     exp.claim(equiv);
 
-    // Part 2 — monitored chaos sweep with early abort.
+    // Part 2 — monitored chaos sweep, stopped at the first violation.
     let cfg = ChaosConfig::new(60);
     let window = 8;
     println!(
-        "\npart 2: monitored sweep — {} seeds × {} txns, window {window}, abort on violation\n",
+        "\npart 2: monitored sweep — {} seeds × {} txns, window {window}, stop at the first violation\n",
         cfg.seeds,
         chaos::TXNS
     );
@@ -120,7 +121,6 @@ fn main() {
             sink.event("monitor.verdict")
                 .u64("seed", v.seed)
                 .u64("rows", v.rows as u64)
-                .bool("aborted", v.aborted)
                 .bool("transitive", v.transitive)
                 .u64("max_missed", v.max_missed as u64)
                 .u64("delay_bound", v.delay_bound)
@@ -135,13 +135,12 @@ fn main() {
             cfg.seeds,
             outcome.seeds_skipped
         ),
-        &["seed", "rows", "aborted", "transitive", "max_missed"],
+        &["seed", "rows", "transitive", "max_missed"],
     );
     for v in &outcome.verdicts {
         t.row(&[
             v.seed.to_string(),
             v.rows.to_string(),
-            v.aborted.to_string(),
             v.transitive.to_string(),
             v.max_missed.to_string(),
         ]);
@@ -161,22 +160,22 @@ fn main() {
             (!hit.baseline_transitive)
                 .then(|| format!("seed {}: baseline itself violates", hit.seed)),
         );
-        abort.record((hit.rows_at_abort > chaos::TXNS).then(|| {
+        let last = outcome.verdicts.last().expect("hit implies a verdict");
+        abort.record((last.rows > chaos::TXNS).then(|| {
             format!(
-                "abort after {} rows exceeds the {}-txn schedule",
-                hit.rows_at_abort,
+                "judged {} rows, more than the {}-txn schedule",
+                last.rows,
                 chaos::TXNS
             )
         }));
-        let last = outcome.verdicts.last().expect("hit implies a verdict");
         abort.record(
-            (!last.aborted || last.transitive)
+            last.transitive
                 .then(|| format!("seed {}: hit verdict inconsistent", hit.seed)),
         );
         println!(
-            "hit: seed {} aborted after {} of {} txns — certificate {}",
+            "hit: seed {} judged over {} of {} txns — certificate {}",
             hit.seed,
-            hit.rows_at_abort,
+            last.rows,
             chaos::TXNS,
             hit.certificate.to_json()
         );
@@ -190,7 +189,11 @@ fn main() {
     if let Some(hit) = &outcome.hit {
         let sink = EventSink::in_memory();
         let replay = replay_monitored(hit.seed, window, sink.clone());
-        certs.record((!replay.aborted).then(|| "replay did not abort".to_string()));
+        let judged = replay.monitor.as_ref().expect("monitored");
+        certs.record(
+            (judged.violation() != Some(&hit.certificate))
+                .then(|| "replay did not certify the same violation".to_string()),
+        );
         let trace = sink.drain_to_string();
         let cert = hit.certificate.to_json();
         // The same pair on disk, for `shard-trace certify` out of process.
@@ -218,14 +221,14 @@ fn main() {
             ))),
         }
         let Certificate::Transitivity { low, mid, .. } = hit.certificate else {
-            unreachable!("monitor aborts only on transitivity violations");
+            unreachable!("the sweep stops only on transitivity violations");
         };
-        // Point `top` past the aborted run's last row: the trace cannot
-        // contain the named evidence, whatever its content.
+        // Point `top` at the run's row count, past its last row: the
+        // trace cannot contain the named evidence, whatever its content.
         let mutated = Certificate::Transitivity {
             low,
             mid,
-            top: hit.rows_at_abort,
+            top: judged.rows,
         }
         .to_json();
         match shard_obs::certify(&trace, &mutated) {

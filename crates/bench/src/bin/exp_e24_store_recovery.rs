@@ -76,7 +76,7 @@ fn base_cfg(seed: u64) -> ClusterConfig {
         monitor: Some(MonitorConfig {
             window: 32,
             emit_rows: false,
-            abort_on_violation: false,
+            ..MonitorConfig::default()
         }),
         ..ClusterConfig::default()
     }

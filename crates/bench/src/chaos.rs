@@ -271,20 +271,17 @@ impl ChaosOutcome {
 
 /// Seeds per scheduling chunk in [`monitored_sweep`]. Fixed (never
 /// derived from the pool), so which seeds run before the sweep stops is
-/// a function of the outcome alone and the early abort is byte-identical
-/// at every thread count.
+/// a function of the outcome alone and the stop is byte-identical at
+/// every thread count.
 const MONITOR_CHUNK: usize = 8;
 
-/// One seed's verdict from the live in-run monitor.
+/// One seed's verdict from the judge of its finished run.
 #[derive(Clone, Debug)]
 pub struct MonitoredVerdict {
     /// The swept seed.
     pub seed: u64,
-    /// Transactions the monitor checked (all of them, or the prefix up
-    /// to the abort).
+    /// Transactions the judge checked: every one the run executed.
     pub rows: usize,
-    /// The monitor stopped this run at a confirmed violation.
-    pub aborted: bool,
     /// Transitivity verdict over the checked rows.
     pub transitive: bool,
     /// `max_missed` over the checked rows.
@@ -298,11 +295,8 @@ pub struct MonitoredVerdict {
 pub struct MonitoredHit {
     /// The violating seed.
     pub seed: u64,
-    /// The §3 witness triple the monitor certified.
+    /// The §3 witness triple the judge certified.
     pub certificate: Certificate,
-    /// Rows executed before the kernel aborted — what the early abort
-    /// saved is `TXNS - rows_at_abort` per remaining doomed run.
-    pub rows_at_abort: usize,
     /// The same seed's fault-free baseline was transitive, attributing
     /// the violation to the fault schedule (always re-checked before a
     /// hit stops the sweep).
@@ -353,41 +347,29 @@ fn run(
     runner.run(invocations)
 }
 
-/// The monitor of a monitored run: abort at the first confirmed
-/// transitivity violation.
-fn aborting_monitor(window: usize, emit_rows: bool) -> Option<MonitorConfig> {
-    Some(MonitorConfig {
-        window,
-        emit_rows,
-        abort_on_violation: true,
-    })
-}
-
 /// Replays one monitored seed with row emission on, teeing the full
 /// streaming vocabulary (`txn` rows, `monitor.window` verdicts,
 /// `monitor.final`) into `sink` — the trace E22 writes beside the hit's
 /// certificate for `shard-trace certify`. Deterministic: the same
-/// `(seed, window)` aborts at the same row the sweep did.
+/// `(seed, window)` draws the verdict and certificate the sweep did.
 pub fn replay_monitored(
     seed: u64,
     window: usize,
     sink: std::sync::Arc<shard_obs::EventSink>,
 ) -> RunReport<FlyByNight> {
     let stack = Box::new(stack_for(seed));
-    run(
-        seed,
-        Some(stack),
-        aborting_monitor(window, true),
-        Some(sink),
-    )
+    let monitor = MonitorConfig {
+        window,
+        ..MonitorConfig::default()
+    };
+    run(seed, Some(stack), Some(monitor), Some(sink))
 }
 
 /// The monitored sweep: every seed runs under the same fault stack as
-/// [`sweep`], but with the live monitor riding the kernel loop —
-/// verdicts arrive *during* each run, a violating run is cut off at its
-/// first confirmed violation, and the sweep itself stops at the first
-/// violating seed (after re-checking the seed's fault-free baseline, so
-/// the hit is attributable to the nemesis, not the topology).
+/// [`sweep`], and each finished run is judged ([`RunReport::judge`]);
+/// the sweep stops at the first seed whose judged run is intransitive
+/// (after re-checking the seed's fault-free baseline, so the hit is
+/// attributable to the nemesis, not the topology).
 ///
 /// Parallelism: seeds fan out across `cfg.pool` in fixed
 /// `MONITOR_CHUNK`-sized (8) chunks; chunk results are scanned in seed
@@ -402,13 +384,18 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
     for chunk in seeds.chunks(MONITOR_CHUNK) {
         let runs = shard_pool::par_map(&cfg.pool, chunk, |_, &seed| {
             let stack = Box::new(stack_for(seed));
-            let report = run(seed, Some(stack), aborting_monitor(window, false), None);
+            let monitor = MonitorConfig {
+                window,
+                emit_rows: false,
+                ..MonitorConfig::default()
+            };
+            let report = run(seed, Some(stack), Some(monitor), None);
             let m = report
                 .monitor
                 .expect("monitored run always carries a StreamReport");
-            (seed, report.aborted, m)
+            (seed, m)
         });
-        for (seed, aborted, m) in runs {
+        for (seed, m) in runs {
             if shard_obs::enabled() {
                 shard_obs::Registry::global()
                     .counter("chaos.monitor.runs")
@@ -417,21 +404,15 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
             outcome.verdicts.push(MonitoredVerdict {
                 seed,
                 rows: m.rows,
-                aborted,
                 transitive: m.transitive,
                 max_missed: m.max_missed,
                 delay_bound: m.min_delay_bound,
             });
-            if aborted {
-                if shard_obs::enabled() {
-                    shard_obs::Registry::global()
-                        .counter("chaos.monitor.aborts")
-                        .inc();
-                }
+            if !m.transitive {
                 // Confirm attribution before stopping: the same seed's
                 // fault-free baseline must have had transitivity for
                 // the nemesis to be the culprit. (Under the fixed-delay
-                // sweep it always does; a non-attributable abort is
+                // sweep it always does; a non-attributable violation is
                 // recorded and the sweep keeps going.)
                 let baseline = run(seed, None, None, None);
                 if !is_transitive(&baseline.timed_execution().execution) {
@@ -441,16 +422,10 @@ pub fn monitored_sweep(cfg: &ChaosConfig, window: usize) -> MonitoredOutcome {
                     seed,
                     certificate: *m
                         .violation()
-                        .expect("an aborted run certifies its violation"),
-                    rows_at_abort: m.rows,
+                        .expect("an intransitive run certifies its violation"),
                     baseline_transitive: true,
                 });
                 outcome.seeds_skipped = cfg.seeds - outcome.verdicts.len() as u64;
-                if shard_obs::enabled() {
-                    shard_obs::Registry::global()
-                        .gauge("chaos.monitor.rows_at_abort")
-                        .set(m.rows as i64);
-                }
                 return outcome;
             }
         }
@@ -795,10 +770,9 @@ mod tests {
         assert!(hit.baseline_transitive);
         let last = outcome.verdicts.last().expect("hit implies a verdict");
         assert_eq!(last.seed, hit.seed);
-        assert!(last.aborted && !last.transitive);
-        // The abort cut the run short: the prefix the monitor checked is
-        // what the hit cost, and everything after the hit was skipped.
-        assert!(hit.rows_at_abort <= TXNS);
+        assert!(!last.transitive);
+        assert!(last.rows <= TXNS);
+        // Everything after the hit was skipped.
         assert_eq!(
             outcome.seeds_skipped,
             cfg.seeds - outcome.verdicts.len() as u64
@@ -809,7 +783,15 @@ mod tests {
         // certificate to `shard_obs::certify` — no checker re-run.
         let sink = shard_obs::EventSink::in_memory();
         let report = replay_monitored(hit.seed, 1, sink.clone());
-        assert!(report.aborted, "replaying the hit seed aborts again");
+        let judged = report.monitor.as_ref().expect("monitored");
+        assert_eq!(
+            judged.violation(),
+            Some(&hit.certificate),
+            "replaying the hit seed certifies the same violation"
+        );
+        // The judge checked the whole run, in the sweep and the replay.
+        assert_eq!(judged.rows, report.transactions.len());
+        assert_eq!(last.rows, judged.rows);
         let trace = sink.drain_to_string();
         let verdict = shard_obs::certify(&trace, &hit.certificate.to_json())
             .expect("the live certificate validates against the raw trace");

@@ -421,7 +421,7 @@ struct Seen {
 /// verdict (the windows between repeat it).
 /// Windows bound *latency to a verdict*; memory is bounded by
 /// [`retire_below`](StreamChecker::retire_below) — a checker nobody
-/// retires (the live monitor, `shard-trace watch`, [`check_rows`])
+/// retires (the kernel's post-run judge, `shard-trace watch`, [`check_rows`])
 /// keeps every row.
 #[derive(Clone, Debug)]
 pub struct StreamChecker {

@@ -66,7 +66,7 @@ impl EventSink {
     /// Writes one pre-rendered JSONL line (the caller vouches `line` is
     /// one valid JSON object with no newline). [`EventBuilder::emit`]
     /// lands here; emitters that already hold a rendered line (e.g. the
-    /// kernel's live monitor re-emitting `StreamRow` JSON) skip the
+    /// kernel's §3 judge re-emitting `StreamRow` JSON) skip the
     /// builder.
     pub fn write_line(&self, line: &str) {
         let mut g = self

@@ -16,7 +16,7 @@
 //!   │ node 0 │──────────▶│ node 1 │ …              │
 //!   │ thread │◀──────────│ thread │                └─ one `Quit` per inbox
 //!   └────────┘           └────────┘
-//!        │ join: logs, records, schedule ──▶ RunReport ──▶ §3 LiveMonitor
+//!        │ join: logs, records, schedule ──▶ RunReport ──▶ §3 RunReport::judge
 //! ```
 //!
 //! The poll asks for 500 µs, but the host sets its rate: on `live-eager`'s
@@ -81,14 +81,13 @@
 use crate::inbox::Inbox;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use shard_core::stream::StreamReport;
 use shard_core::Application;
 use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, Invocation, LiveMonitor, MonitorConfig, NodeId, NodeMirror, Propagation,
-    RunReport, Transport, WallClock,
+    ExecutedTxn, Invocation, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Transport,
+    WallClock,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -124,13 +123,12 @@ pub struct RuntimeConfig {
     pub seed: u64,
     /// Merge-log checkpoint interval (must match the replay's).
     pub checkpoint_every: usize,
-    /// Draw the §3 verdicts ([`RunReport::monitor`]) with a
-    /// [`LiveMonitor`] over the finished run's record, after the node
-    /// threads have joined. `abort_on_violation` is ignored: a live run
-    /// always drains.
+    /// Draw the §3 verdicts ([`RunReport::monitor`]) over the finished
+    /// run's record, after the node threads have joined: the kernel's
+    /// own [`RunReport::judge`].
     pub monitor: Option<MonitorConfig>,
     /// Trace sink: node threads emit the kernel's `execute` / `deliver`
-    /// / `merge.*` vocabulary and the monitor emits its `txn` rows after
+    /// / `merge.*` vocabulary and the judge emits its `txn` rows after
     /// them, so `shard-trace summarize|watch` consume live traces
     /// unchanged.
     pub sink: Option<Arc<EventSink>>,
@@ -186,15 +184,6 @@ pub struct LiveRun<A: Application> {
     pub schedule: RecordedSchedule,
     /// Wall-clock duration of the threaded phase, in microseconds.
     pub wall_us: u64,
-}
-
-/// A live run's monitor never aborts (the run always drains), so replay
-/// forces the flag off, keeping the two reports comparable.
-pub(crate) fn sanitize_monitor(m: &Option<MonitorConfig>) -> Option<MonitorConfig> {
-    m.clone().map(|mut m| {
-        m.abort_on_violation = false;
-        m
-    })
 }
 
 /// Cross-thread state shared by the node threads and the coordinator.
@@ -721,7 +710,7 @@ fn assemble<A: Application, P: Propagation<A>>(
     report.entries_shipped = entries_shipped;
     report.rounds = rounds;
     let sink = cfg.sink.as_deref();
-    report.monitor = cfg.monitor.clone().map(|m| judge(&report, m, sink));
+    report.monitor = cfg.monitor.as_ref().map(|m| report.judge(m, sink));
     if let Some(sink) = sink {
         sink.event("span")
             .str("name", "runtime.live.run")
@@ -734,27 +723,6 @@ fn assemble<A: Application, P: Propagation<A>>(
         schedule,
         wall_us,
     }
-}
-
-/// The §3 verdicts over a finished run's record. Each transaction, in
-/// serial order, enters the monitor with the arrivals its count passed
-/// since its incarnation's previous row, and is sealed at once: nothing
-/// later in the order sorts before it, so at most one row waits.
-fn judge<A: Application>(
-    report: &RunReport<A>,
-    cfg: MonitorConfig,
-    sink: Option<&EventSink>,
-) -> StreamReport {
-    let mut monitor = LiveMonitor::new(cfg);
-    let mut fed: Vec<Vec<usize>> = report.arrivals.iter().map(|n| vec![0; n.len()]).collect();
-    for t in &report.transactions {
-        let fed = &mut fed[usize::from(t.node.0)][t.known.incarnation as usize];
-        let passed = report.known(t)[*fed..].iter().copied();
-        *fed = t.known.len();
-        monitor.ingest(t.ts, t.time, t.node, t.known, passed);
-        monitor.advance(t.ts.lamport, sink);
-    }
-    monitor.finish(sink)
 }
 
 /// One of the nodes' lists, gathered into one allocation of the summed

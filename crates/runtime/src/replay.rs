@@ -25,7 +25,7 @@
 //! books each rescheduled delivery as an injected delay; the live run
 //! injected none — the tally describes the *mechanism*, not the run).
 
-use crate::live::{sanitize_monitor, RecordedSchedule, RuntimeConfig};
+use crate::live::{RecordedSchedule, RuntimeConfig};
 use shard_core::Application;
 use shard_sim::partition::PartitionSchedule;
 use shard_sim::{
@@ -109,7 +109,7 @@ where
         checkpoint_every: cfg.checkpoint_every,
         crashes: CrashSchedule::none(),
         sink: cfg.sink.clone(),
-        monitor: sanitize_monitor(&cfg.monitor),
+        monitor: cfg.monitor.clone(),
         ..ClusterConfig::default()
     };
     let invs = invocations(cfg.nodes, schedule, submissions);
@@ -181,10 +181,7 @@ pub fn report_digest<A: Application>(r: &RunReport<A>) -> u64 {
     fnv(&mut h, &format!("{:?}", r.rejected));
     fnv(
         &mut h,
-        &format!(
-            "{}|{}|{}|{}",
-            r.messages_sent, r.entries_shipped, r.rounds, r.aborted
-        ),
+        &format!("{}|{}|{}", r.messages_sent, r.entries_shipped, r.rounds),
     );
     fnv(&mut h, &format!("{:?}", r.monitor));
     fnv(&mut h, &format!("{:?}", r.missing()));

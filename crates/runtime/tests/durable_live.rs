@@ -18,7 +18,7 @@ fn live_cluster_recovers_state_across_restart() {
 }
 
 /// The §3 monitor covers one process lifetime: recovered timestamps sit
-/// in every known set but never execute — hence never seal — in the
+/// in every known set but never execute — hence never take a rank — in the
 /// restarted run, so the combination is refused up front, by name
 /// (it used to die of `capacity overflow` in the monitor thread).
 #[test]

@@ -51,11 +51,6 @@ impl LamportClock {
         LamportClock { node, counter: 0 }
     }
 
-    /// Current counter value.
-    pub fn current(&self) -> u64 {
-        self.counter
-    }
-
     /// Assigns the timestamp for a new local transaction: increments the
     /// counter and stamps it with this node's id.
     pub fn tick(&mut self) -> Timestamp {
@@ -84,7 +79,7 @@ mod tests {
         let b = c.tick();
         assert!(a < b);
         assert_eq!(a.node, NodeId(1));
-        assert_eq!(c.current(), 2);
+        assert_eq!(b.lamport, 2);
     }
 
     #[test]

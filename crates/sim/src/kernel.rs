@@ -23,7 +23,8 @@
 //!   its messages are datagrams or travel ordered links
 //!   ([`Propagation::ordered_links`]);
 //! * one [`RunReport`] defining `mutually_consistent`,
-//!   `timed_execution` and `total_replayed` for every strategy.
+//!   `timed_execution`, `judge` (the §3 verdicts of a finished run) and
+//!   `total_replayed` for every strategy.
 //!
 //! Delivery is a trait ([`crate::transport`]): the loop ships messages
 //! through [`QueueTransport`], the in-memory implementation of
@@ -57,6 +58,7 @@ use crate::partition::PartitionSchedule;
 use crate::transport::Transport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use shard_core::stream::{StreamChecker, StreamReport, StreamRow};
 use shard_core::{Application, Execution, ExternalAction, Prefix, TimedExecution, TxnRecord};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -87,13 +89,12 @@ pub struct ClusterConfig {
     /// cuts/heals, crash/recovery windows and rejections as JSONL
     /// events. `None` (the default) costs nothing.
     pub sink: Option<Arc<shard_obs::EventSink>>,
-    /// Optional live §3 monitoring ([`crate::monitor::LiveMonitor`]):
-    /// executed transactions stream through the online checkers as the
-    /// watermark seals their serial positions, verdicts and rows go to
-    /// `sink`, and the run can abort at the first confirmed violation.
-    /// `None` (the default) leaves the run byte-identical to before the
-    /// monitor existed.
-    pub monitor: Option<crate::monitor::MonitorConfig>,
+    /// Optional §3 judging: once the run ends, [`RunReport::judge`]
+    /// streams its record through the online checkers, rows and
+    /// verdicts go to `sink`, and [`RunReport::monitor`] holds the
+    /// report. The run itself is the same either way; `None` (the
+    /// default) judges nothing.
+    pub monitor: Option<MonitorConfig>,
 }
 
 impl Default for ClusterConfig {
@@ -109,6 +110,35 @@ impl Default for ClusterConfig {
             crashes: CrashSchedule::none(),
             sink: None,
             monitor: None,
+        }
+    }
+}
+
+/// How a run is judged ([`RunReport::judge`]). Attached to a run via
+/// [`ClusterConfig::monitor`] (a live run's via `shard-runtime`'s
+/// `RuntimeConfig::monitor`).
+#[derive(Clone, Debug)]
+pub struct MonitorConfig {
+    /// Rows per verdict window (see [`StreamChecker::new`]).
+    pub window: usize,
+    /// Emit each row as a `txn` trace event (the streaming vocabulary
+    /// `shard-trace watch` and `certify` consume). Window verdicts are
+    /// emitted regardless whenever the run has a sink.
+    pub emit_rows: bool,
+    /// Inert: a run is judged after it ends, so every run executes its
+    /// whole schedule whatever this reads (it used to stop a kernel run
+    /// at the first confirmed transitivity violation). Kept only
+    /// because the frozen benchmark writes it.
+    pub abort_on_violation: bool,
+}
+
+impl Default for MonitorConfig {
+    /// 64-row windows, row emission on.
+    fn default() -> Self {
+        MonitorConfig {
+            window: 64,
+            emit_rows: true,
+            abort_on_violation: false,
         }
     }
 }
@@ -311,14 +341,10 @@ pub struct RunReport<A: Application> {
     /// [`crate::nemesis::shrink`] minimises it, [`FaultStats::of`]
     /// counts it. Empty under a nemesis that changes nothing.
     pub faults: Vec<FaultEvent>,
-    /// The live monitor's verdicts and certificates, when
-    /// `ClusterConfig::monitor` was set (`None` otherwise). Covers
-    /// every executed transaction even on an aborted run.
-    pub monitor: Option<shard_core::stream::StreamReport>,
-    /// Whether the monitor stopped the run early on a confirmed
-    /// violation: the remaining events were abandoned, so drain-based
-    /// guarantees (mutual consistency) need not hold.
-    pub aborted: bool,
+    /// The §3 verdicts and certificates over every executed transaction
+    /// ([`RunReport::judge`]), when `ClusterConfig::monitor` was set
+    /// (`None` otherwise).
+    pub monitor: Option<StreamReport>,
     /// See [`RunReport::missing`].
     missing: Vec<(NodeId, Timestamp)>,
     /// Each node's arrival timestamps in merge order, one list per
@@ -403,7 +429,6 @@ impl<A: Application> RunReport<A> {
             rounds: 0,
             faults: Vec::new(),
             monitor: None,
-            aborted: false,
             missing,
             arrivals,
         }
@@ -415,7 +440,7 @@ impl<A: Application> RunReport<A> {
     /// converged run**, whatever the strategy. Otherwise delivery failed
     /// for good (a nemesis drop; a crash-lost tail that eager broadcast
     /// never re-sends, or that per-execution gossip had no later
-    /// execution to re-send) or the monitor aborted the run.
+    /// execution to re-send).
     pub fn missing(&self) -> &[(NodeId, Timestamp)] {
         &self.missing
     }
@@ -435,6 +460,26 @@ impl<A: Application> RunReport<A> {
         &self.arrivals[usize::from(t.node.0)][t.known.incarnation as usize][..t.known.len()]
     }
 
+    /// Walks the transactions in serial order, one [`Sweep`] per node
+    /// incarnation, handing `row` each one with its rank and the earlier
+    /// ranks its origin had not merged, ascending — the one pass behind
+    /// [`RunReport::timed_execution`] and [`RunReport::judge`].
+    fn sweep(&self, mut row: impl FnMut(usize, &ExecutedTxn<A>, Vec<usize>)) {
+        let order: Vec<Timestamp> = self.transactions.iter().map(|t| t.ts).collect();
+        let mut sweeps: Vec<Vec<Sweep>> = self
+            .arrivals
+            .iter()
+            .map(|node| node.iter().map(|_| Sweep::default()).collect())
+            .collect();
+        for (i, t) in self.transactions.iter().enumerate() {
+            // Every timestamp a node knew at decision time belongs to
+            // an earlier transaction of the serial order.
+            let sweep = &mut sweeps[usize::from(t.node.0)][t.known.incarnation as usize];
+            let passed = &self.known(t)[sweep.reached()..];
+            row(i, t, sweep.row(i, passed.iter().copied(), &order));
+        }
+    }
+
     /// The formal timed execution: transactions in timestamp order, each
     /// seeing the prefix subsequence its origin knew.
     ///
@@ -444,31 +489,60 @@ impl<A: Application> RunReport<A> {
     /// earlier transaction of this report carries — a log recovered from
     /// an earlier run's store.
     pub fn timed_execution(&self) -> TimedExecution<A> {
-        let order: Vec<Timestamp> = self.transactions.iter().map(|t| t.ts).collect();
-        let mut sweeps: Vec<Vec<Sweep>> = self
-            .arrivals
-            .iter()
-            .map(|node| node.iter().map(|_| Sweep::default()).collect())
-            .collect();
         let mut exec = Execution::new();
         let mut times = Vec::with_capacity(self.transactions.len());
-        for (i, t) in self.transactions.iter().enumerate() {
-            // Every timestamp a node knew at decision time belongs to
-            // an earlier transaction of the serial order: the prefix is
-            // `0..i` but the ranks its incarnation had not merged.
-            let sweep = &mut sweeps[usize::from(t.node.0)][t.known.incarnation as usize];
-            let passed = &self.known(t)[sweep.reached()..];
-            let missed = sweep.row(i, passed.iter().copied(), &order);
-            let prefix = Prefix::from_missed(i, &missed);
+        self.sweep(|i, t, missed| {
+            // The prefix is `0..i` but the ranks its incarnation had
+            // not merged.
             exec.push_record(TxnRecord {
                 decision: t.decision.clone(),
-                prefix,
+                prefix: Prefix::from_missed(i, &missed),
                 update: t.update.clone(),
                 external_actions: t.external_actions.clone(),
             });
             times.push(t.time);
-        }
+        });
         TimedExecution::new(exec, times)
+    }
+
+    /// The §3 verdicts over the finished run — the one judge of every
+    /// monitored run, kernel or live. Each transaction, in serial order,
+    /// goes as a [`StreamRow`] into a [`StreamChecker`] of `cfg.window`
+    /// rows. With a `sink`, emits each row as a `txn` line (when
+    /// `cfg.emit_rows` is set), each window's verdict as a
+    /// `monitor.window` line, and one `monitor.final` summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.window` is 0, and where
+    /// [`RunReport::timed_execution`] does: on a log recovered from an
+    /// earlier run's store, which [`recover_at_start`] refuses on a
+    /// monitored run.
+    pub fn judge(&self, cfg: &MonitorConfig, sink: Option<&shard_obs::EventSink>) -> StreamReport {
+        let mut checker = StreamChecker::new(cfg.window);
+        self.sweep(|index, t, missed| {
+            let row = StreamRow {
+                index,
+                time: t.time,
+                missed,
+            };
+            if let Some(s) = sink.filter(|_| cfg.emit_rows) {
+                s.write_line(&row.to_json_line());
+            }
+            if let (Some(verdict), Some(s)) = (checker.push(&row), sink) {
+                s.write_line(&verdict.to_json_line());
+            }
+        });
+        let r = checker.report();
+        if let Some(s) = sink {
+            s.event("monitor.final")
+                .u64("rows", r.rows as u64)
+                .bool("transitive", r.transitive)
+                .u64("max_missed", r.max_missed as u64)
+                .u64("delay_bound", r.min_delay_bound)
+                .emit();
+        }
+        r
     }
 
     /// Total undo/redo replay work across all nodes.
@@ -525,8 +599,7 @@ impl<A: Application> Node<A> {
     /// ([`NodeMirror::persist`] with a barrier), and only then releases
     /// what each of the burst's transactions makes visible, in execution
     /// order — its propagation ([`Propagation::on_execute`]), its
-    /// external actions, its monitor row (in the kernel; a live run is
-    /// judged after its threads join) and its count as executed. A crash
+    /// external actions and its count as executed. A crash
     /// can then lose an own update only while no peer has seen it and no
     /// external action of it was recorded. The kernel runs bursts of one
     /// (it syncs right after each execute step); a live node runs up to
@@ -651,8 +724,9 @@ impl<A: Application> Node<A> {
 /// # Panics
 ///
 /// Panics if anything was recovered and `monitored` is set: the §3
-/// monitor covers one process lifetime, and recovered timestamps sit in
-/// known sets without ever executing — hence sealing — in this run.
+/// judge ([`RunReport::judge`]) covers one process lifetime, and
+/// recovered timestamps sit in known sets without ever executing — hence
+/// without a rank in the serial order — in this run.
 pub fn recover_at_start<A: Application>(
     app: &A,
     nodes: &mut [Node<A>],
@@ -1181,17 +1255,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
 
         let mut rejected: Vec<(SimTime, NodeId)> = Vec::new();
         let mut rounds = 0u64;
-        let mut monitor = self
-            .cfg
-            .monitor
-            .clone()
-            .map(crate::monitor::LiveMonitor::new);
-        let mut monitored = 0usize;
-        // How many of each node's current arrivals the monitor has.
-        let mut fed = vec![0usize; usize::from(self.cfg.nodes)];
-        // Lamport value of each node's last own timestamp, as monitored.
-        let mut issued = vec![0u64; usize::from(self.cfg.nodes)];
-        let mut aborted = false;
 
         // Simulated time is the popped event's scheduled time;
         // `shard-runtime` runs the same replica step at `WallClock`
@@ -1327,52 +1390,25 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                         self.cfg.sink.as_deref(),
                     );
                     self.strategy.on_recover(&self.nodes[node.0 as usize]);
-                    fed[usize::from(node.0)] = 0;
-                }
-            }
-            if let Some(m) = monitor.as_mut() {
-                while monitored < self.transactions.len() {
-                    // A row goes in with the arrivals its count passed:
-                    // its node is still in the incarnation it ran in.
-                    let t = &self.transactions[monitored];
-                    let at = usize::from(t.node.0);
-                    let passed = &self.nodes[at].log.arrivals()[fed[at]..t.known.len()];
-                    fed[at] = t.known.len();
-                    let passed = passed.iter().map(|(ts, _)| *ts);
-                    m.ingest(t.ts, t.time, t.node, t.known, passed);
-                    issued[usize::from(t.node.0)] = t.ts.lamport;
-                    monitored += 1;
-                }
-                // A node yet to restart from its store may come back
-                // with an older clock (its lost tail's worth), never
-                // below its last own, fsynced timestamp.
-                let durable = self.durability.is_some();
-                let vouched = |n: &Node<A>| {
-                    let restarts = |w: &CrashWindow| w.node == n.id && now < w.end;
-                    if durable && self.cfg.crashes.windows().iter().any(restarts) {
-                        issued[usize::from(n.id.0)]
-                    } else {
-                        n.clock.current()
-                    }
-                };
-                let watermark = self.nodes.iter().map(vouched).min().unwrap_or(0);
-                m.advance(watermark, self.cfg.sink.as_deref());
-                if m.should_abort() {
-                    aborted = true;
-                    break;
                 }
             }
         }
 
         debug_assert!(
-            aborted || self.pending.iter().all(|p| p.done),
+            self.pending.iter().all(|p| p.done),
             "all barriers clear eventually"
         );
-        // Every executed transaction was ingested above; once the loop
-        // ends (or aborts) no clock ticks again, so draining the
-        // monitor's stalled tail is sound and the report covers the run.
+        let mut report = RunReport {
+            barrier_latencies: self.barrier_latencies,
+            rejected,
+            messages_sent: self.wire.messages_sent,
+            entries_shipped: self.wire.entries_shipped,
+            rounds,
+            faults: self.wire.faults,
+            ..RunReport::collect(app, &self.strategy, self.nodes, self.transactions)
+        };
         let sink = self.cfg.sink.as_deref();
-        let monitor = monitor.map(|mut m| m.finish(sink));
+        report.monitor = self.cfg.monitor.as_ref().map(|m| report.judge(m, sink));
         if let Some(sink) = sink {
             // A trailing span line lets `shard-trace summarize` report
             // the run's wall time without access to the registry.
@@ -1382,17 +1418,6 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                 .emit();
             sink.flush();
         }
-        let report = RunReport {
-            barrier_latencies: self.barrier_latencies,
-            rejected,
-            messages_sent: self.wire.messages_sent,
-            entries_shipped: self.wire.entries_shipped,
-            rounds,
-            faults: self.wire.faults,
-            monitor,
-            aborted,
-            ..RunReport::collect(app, &self.strategy, self.nodes, self.transactions)
-        };
         // Anti-entropy promises convergence: count its runs that ended
         // short of it (adding zero registers the counter).
         if self.strategy.tick_interval().is_some() {

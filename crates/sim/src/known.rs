@@ -23,8 +23,8 @@
 //! between two runs, so reading a row's misses costs O(misses + 1) and
 //! retiring an arrival O(log runs). A whole run costs O((N + misses)
 //! log N) for N arrivals, and no set is built per transaction.
-//! [`crate::RunReport::timed_execution`] and [`crate::LiveMonitor`]
-//! both feed it.
+//! [`crate::RunReport::timed_execution`] and [`crate::RunReport::judge`]
+//! both read the run through it, in one shared pass.
 
 use crate::clock::Timestamp;
 use std::collections::BTreeMap;
@@ -186,6 +186,16 @@ mod tests {
     fn an_arrival_at_or_past_the_row_is_named() {
         let order: Vec<Timestamp> = (0..4).map(ts).collect();
         Sweep::default().row(2, [ts(2)], &order);
+    }
+
+    /// A known timestamp no transaction of this run carries (what a
+    /// restarted, recovered log would hold) is reported by name, not as
+    /// an allocator failure.
+    #[test]
+    #[should_panic(expected = "which no transaction of this run executed")]
+    fn unknown_known_timestamp_is_named() {
+        let order: Vec<Timestamp> = [0, 2].map(ts).to_vec();
+        Sweep::default().row(2, [ts(1)], &order);
     }
 
     /// One incarnation's arrival order over a serial order of `n`:

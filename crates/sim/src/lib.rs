@@ -49,11 +49,11 @@
 //!   per-object [`Placement`]s (each one a propagation strategy, run
 //!   by [`Runner::new`]), preserving all correctness conditions
 //!   while reducing message volume.
-//! * [`monitor`] — live §3 verification inside the kernel loop: a
-//!   [`LiveMonitor`] seals executed transactions behind a Lamport
-//!   watermark and streams them to a [`shard_core::StreamChecker`], so
-//!   verdicts (and an optional early abort) arrive while the run is
-//!   still going, bit-identical to the offline checkers.
+//! * §3 judging — a monitored run ([`MonitorConfig`]) is judged once,
+//!   after it ends: [`RunReport::judge`] streams the run's record in
+//!   serial order through a [`shard_core::StreamChecker`], the same
+//!   pass for kernel and live runs, bit-identical to the offline
+//!   checkers.
 //! * [`nemesis`] — seeded, composable fault injection plugged into the
 //!   kernel transport ([`Runner::with_nemesis`]): message drop,
 //!   duplication and adversarial reordering, jittered partition and
@@ -82,7 +82,6 @@ pub mod gossip;
 pub mod kernel;
 pub mod known;
 pub mod merge;
-pub mod monitor;
 pub mod nemesis;
 pub mod partial;
 pub mod partition;
@@ -95,10 +94,9 @@ pub use crash::{CrashSchedule, CrashWindow};
 pub use delay::DelayModel;
 pub use durable::{DurabilityConfig, DurableFleet, NodeMirror, StoreBackend};
 pub use gossip::Gossip;
-pub use kernel::{FaultStats, Propagation, QueueTransport, RunReport, Runner};
+pub use kernel::{FaultStats, MonitorConfig, Propagation, QueueTransport, RunReport, Runner};
 pub use known::Known;
 pub use merge::{MergeLog, MergeMetrics, MergeOutcome};
-pub use monitor::{LiveMonitor, MonitorConfig};
 pub use nemesis::{
     CrashInjector, Fate, FaultEvent, MessageDropper, MessageDuplicator, MessageReorderer, MsgCtx,
     Nemesis, NemesisStack, PartitionJitter, ScheduledNemesis,

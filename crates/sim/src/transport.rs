@@ -3,7 +3,8 @@
 //!
 //! What a replica *does* — `Node`, `MergeLog`, the traced, durable
 //! replica step ([`crate::kernel::Node::execute_step`] and friends),
-//! [`Propagation`](crate::Propagation), `LiveMonitor` — is written once
+//! [`Propagation`](crate::Propagation), the §3 judge
+//! ([`RunReport::judge`](crate::RunReport::judge)) — is written once
 //! and runs in two instantiations that differ only in how messages
 //! travel and where event times come from:
 //!

@@ -18,7 +18,7 @@ use shard_sim::{
 /// built them from misses — each known timestamp resolved to its serial
 /// index, O(Σ|known|) — kept as the reference: the formal execution's
 /// prefixes must be exactly these, and (given a monitored run's trace)
-/// so must the complements of the rows the live monitor sealed.
+/// so must the complements of the rows the judge emitted.
 fn assert_matches_forward_walk<A: Application>(report: &RunReport<A>, trace: Option<&str>) {
     let walk: Vec<Vec<usize>> = report
         .transactions
@@ -59,7 +59,7 @@ fn assert_matches_forward_walk<A: Application>(report: &RunReport<A>, trace: Opt
     assert_eq!(rows.collect::<Vec<_>>(), expect.collect::<Vec<_>>());
 }
 
-/// A monitor that emits every sealed row into `cfg`'s in-memory sink.
+/// A judge that emits every row into `cfg`'s in-memory sink.
 fn monitored(cfg: ClusterConfig) -> (ClusterConfig, std::sync::Arc<shard_obs::EventSink>) {
     let sink = shard_obs::EventSink::in_memory();
     let cfg = ClusterConfig {
@@ -199,7 +199,7 @@ proptest! {
         assert_matches_forward_walk(&report, None);
     }
 
-    /// The formal execution and the live monitor's rows are what the
+    /// The formal execution and the judge's rows are what the
     /// forward walk over the known sets says, under a partition (eager)
     /// and under anti-entropy (gossip) — the two ways knowledge gets
     /// holes that reach far back.
