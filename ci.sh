@@ -26,6 +26,14 @@ run ./pub_traffic.sh
 # Every backticked CamelCase name in the docs names something in the
 # code (matched by name; the script says what that misses).
 run ./doc_names.sh
+# The five examples that print a report's external actions
+# (`RunReport::external_actions`) run end to end, not only compile; each
+# exits non-zero if one of its own assertions fails (together well under
+# a second).
+for example in quickstart banking_audit airline_partition inventory_flash_sale \
+  dictionary_sharded; do
+  run timeout 60 target/release/examples/"$example"
+done
 
 # The benchmark gate: `benchmark/` is a package of its own (own
 # workspace and lock file, path dependencies on crates/*), so nothing
@@ -202,10 +210,11 @@ fi
 # exits non-zero unless every §3 oracle holds: the execution verifies,
 # transitivity and the Cor 8 bound survive the restarts, the recovered
 # replicas re-converge, their final state diffs clean against the
-# canonical serial replay, and the in-kernel monitor's certified
-# verdicts equal the offline `par_check` fold. The sidecar check then
-# re-asserts from the recorded counters that the *clean* phase
-# (durability attached, nothing killed) truncated no torn WAL tails.
+# canonical serial replay, and the certified verdicts of the post-run
+# judge (`RunReport::judge`) equal the offline `par_check` fold. The
+# sidecar check then re-asserts from the recorded counters that the
+# *clean* phase (durability attached, nothing killed) truncated no torn
+# WAL tails.
 # The kernel runs bursts of one — a barrier right after each own update,
 # none after a delivery — so the run's fsyncs repeat exactly: 5 315
 # (barriers plus the fsync each segment rotation takes). The budget sits

@@ -86,8 +86,8 @@ fn main() {
 
             let report = Runner::new(&app, config.clone(), Gossip::new(0, 3)).run(invs.clone());
             let actions: Vec<ExternalAction> = report
-                .external_actions
-                .iter()
+                .external_actions()
+                .into_iter()
                 .map(|(_, _, a)| a.clone())
                 .collect();
             churn_base += notification_churn(&actions);
@@ -101,8 +101,8 @@ fn main() {
             let ts_report =
                 Runner::new(&ts_app, config, Gossip::new(0, 3)).run(ts_invocations(&invs));
             let ts_actions: Vec<ExternalAction> = ts_report
-                .external_actions
-                .iter()
+                .external_actions()
+                .into_iter()
                 .map(|(_, _, a)| a.clone())
                 .collect();
             churn_ts += notification_churn(&ts_actions);

@@ -19,8 +19,9 @@
 //!   reasoning survives restarts), the Corollary 8 invariant bound
 //!   holds with `k` measured across the kills, all replicas re-converge
 //!   with nothing missing, the final state equals the canonical serial
-//!   replay, and the in-kernel streaming monitor's certified verdicts
-//!   equal the offline `par_check` fold (certificates included);
+//!   replay, and the certified verdicts of the post-run judge
+//!   (`RunReport::judge`) equal the offline `par_check` fold
+//!   (certificates included);
 //! * **replay-from-disk perf** — reopening a `DiskStore` holding a
 //!   10⁵-entry WAL (override with `SHARD_E24_REPLAY`) and replaying it
 //!   into a fresh node completes within 3× of the same replay from a

@@ -264,9 +264,10 @@ impl<A: Application> Transport<A> for InboxTransport<'_, A> {
 }
 
 /// What one node thread hands back at join time (alongside its
-/// [`Node`], whose log yields the final state and merge metrics).
-struct NodeOutcome<A: Application> {
-    txns: Vec<ExecutedTxn<A>>,
+/// [`Node`], whose log yields the final state and merge metrics). Its
+/// transactions are not here: each went into its slot of the run's
+/// record as its burst was released.
+struct NodeOutcome {
     msgs: Vec<MsgRecord>,
     ticks: Vec<(SimTime, NodeId)>,
     messages_sent: u64,
@@ -275,6 +276,18 @@ struct NodeOutcome<A: Application> {
     /// Batches that came behind the `Quit` in the drain that took it.
     past_quit: usize,
 }
+
+/// One transaction's place in the run's record: empty until the node
+/// that executes it releases it ([`NodeWorker::commit`]).
+type Slot<A> = Option<ExecutedTxn<A>>;
+
+/// An executed transaction of the current burst, with the update its
+/// propagation sends and the slot its record is released into.
+type Executed<'s, A> = (
+    ExecutedTxn<A>,
+    Arc<<A as Application>::Update>,
+    &'s mut Slot<A>,
+);
 
 /// The state one node thread owns; split out so the delivery path is a
 /// single method used from every point in the loop.
@@ -292,13 +305,13 @@ struct NodeWorker<'s, A: Application, P> {
     mirror: Option<NodeMirror<A>>,
     /// Executed transactions of the current burst, waiting for the
     /// barrier that covers them.
-    burst: Vec<(ExecutedTxn<A>, Arc<A::Update>)>,
+    burst: Vec<Executed<'s, A>>,
     /// Whether this node holds its unsent mark in `Shared::in_flight`.
     unsent: bool,
-    out: NodeOutcome<A>,
+    out: NodeOutcome,
 }
 
-impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
+impl<'s, A: Application, P: Propagation<A>> NodeWorker<'s, A, P> {
     /// Publishes the node's unsent mark — after every event, before the
     /// event's own count (`in_flight`, `executed`) lets the coordinator
     /// see it done.
@@ -347,14 +360,15 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
 
     /// Executes one due submission at a fresh tick, recording its
     /// latency as that tick less its due time. What the execution makes
-    /// visible waits in the burst for [`NodeWorker::commit`].
-    fn execute(&mut self, at_us: u64, decision: A::Decision) {
+    /// visible waits in the burst for [`NodeWorker::commit`], which
+    /// writes its record into `slot`.
+    fn execute(&mut self, at_us: u64, decision: A::Decision, slot: &'s mut Slot<A>) {
         let now = self.shared.clock.tick();
-        let executed =
+        let (txn, update) =
             self.node
                 .execute_step(self.app, decision, now, self.mirror.as_mut(), self.sink);
         self.metrics.latency_us.record(now.saturating_sub(at_us));
-        self.burst.push(executed);
+        self.burst.push((txn, update, slot));
     }
 
     /// Ends a burst: one barrier covers every own update it appended
@@ -372,7 +386,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         }
         let mut burst = std::mem::take(&mut self.burst);
         let released = burst.len() as u64;
-        for (txn, update) in burst.drain(..) {
+        for (txn, update, slot) in burst.drain(..) {
             self.strategy.on_execute(
                 self.app,
                 &mut self.transport,
@@ -381,7 +395,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 txn.ts,
                 &update,
             );
-            self.out.txns.push(txn);
+            *slot = Some(txn);
         }
         self.burst = burst;
         self.publish();
@@ -401,13 +415,15 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
         self.publish();
     }
 
-    /// The thread body: see the module diagram.
+    /// The thread body: see the module diagram. Each submission comes
+    /// with the slot of the run's record its transaction goes into.
     fn run(
         mut self,
         subs: Vec<(u64, A::Decision)>,
+        slots: &'s mut [Slot<A>],
         tick_every_us: Option<SimTime>,
-    ) -> (Node<A>, NodeOutcome<A>) {
-        let mut next_sub = 0usize;
+    ) -> (Node<A>, NodeOutcome) {
+        let mut subs = subs.into_iter().zip(slots).peekable();
         let mut next_round_us = tick_every_us;
         let mut mail = VecDeque::new();
         'run: loop {
@@ -420,12 +436,14 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 }
                 did += 1;
             }
-            let burst_end = subs.len().min(next_sub + EXEC_BATCH);
-            while next_sub < burst_end && subs[next_sub].0 <= self.shared.clock.elapsed_us() {
-                let (at_us, decision) = subs[next_sub].clone();
-                next_sub += 1;
+            for _ in 0..EXEC_BATCH {
+                let Some(((at_us, decision), slot)) =
+                    subs.next_if(|((at_us, _), _)| *at_us <= self.shared.clock.elapsed_us())
+                else {
+                    break;
+                };
                 did += 1;
-                self.execute(at_us, decision);
+                self.execute(at_us, decision, slot);
             }
             self.commit();
             if next_round_us.is_some_and(|at_us| at_us <= self.shared.clock.elapsed_us()) {
@@ -437,7 +455,7 @@ impl<A: Application, P: Propagation<A>> NodeWorker<'_, A, P> {
                 // Park until the next submission or round is due, or
                 // for good if neither is: a batch or the `Quit` wakes
                 // the node the instant it arrives.
-                let due = subs.get(next_sub).map(|s| s.0);
+                let due = subs.peek().map(|((at_us, _), _)| *at_us);
                 self.inbox
                     .wait(due.into_iter().chain(next_round_us).min().map(|at_us| {
                         let wait = at_us.saturating_sub(self.shared.clock.elapsed_us());
@@ -559,8 +577,14 @@ where
         .collect();
     strategy.validate(app, cfg.nodes, &invocations);
 
-    // Per-node FIFO workloads, preserving submission order.
-    let mut per_node: Vec<Vec<(u64, A::Decision)>> = (0..n).map(|_| Vec::new()).collect();
+    // Per-node FIFO workloads, preserving submission order, each
+    // allocated once at its length: a node holds its own until it ends.
+    let mut counts = vec![0; n];
+    for inv in &invocations {
+        counts[inv.node.0 as usize] += 1;
+    }
+    let mut per_node: Vec<Vec<(u64, A::Decision)>> =
+        counts.into_iter().map(Vec::with_capacity).collect();
     for inv in invocations {
         per_node[inv.node.0 as usize].push((inv.time, inv.decision));
     }
@@ -588,26 +612,32 @@ where
     // allocated here, on the calling thread, before any node runs (a
     // node thread's allocations come from its own malloc arena, which
     // keeps what it frees): each log for every update of the run, since
-    // a log merges each at most once, and each node's records below for
-    // its own submissions.
+    // a log merges each at most once, and the run's record, one slot a
+    // submission, each node's slots one run in the order of its own
+    // submissions.
     for node in &mut nodes {
         node.log.reserve(total as usize);
     }
+    let mut record: Vec<Slot<A>> = Vec::with_capacity(total as usize);
+    record.resize_with(total as usize, || None);
     let mut mirrors = mirrors.into_iter();
 
     let inboxes: Vec<Inbox<Msg<A>>> = (0..n).map(|_| Inbox::new()).collect();
     let sink = cfg.sink.as_deref();
 
-    let outcomes: Vec<(Node<A>, NodeOutcome<A>)> = thread::scope(|scope| {
+    let outcomes: Vec<(Node<A>, NodeOutcome)> = thread::scope(|scope| {
         let shared = &shared;
         let inboxes = &inboxes;
         let metrics = &metrics;
         let mut handles = Vec::with_capacity(n);
+        let mut slots = record.as_mut_slice();
         // From here on, however this closure ends, every node is told
         // to quit before the scope joins it.
         let quit = QuitOnDrop(inboxes);
         for (id, ((inbox, subs), node)) in inboxes.iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
+            let (own, rest) = std::mem::take(&mut slots).split_at_mut(subs.len());
+            slots = rest;
             // A recovered node starts with entries to offer: marked here,
             // before the coordinator's first look could read it as quiet.
             let unsent = strategy.has_unsent(&node);
@@ -633,7 +663,6 @@ where
                 burst: Vec::new(),
                 unsent,
                 out: NodeOutcome {
-                    txns: Vec::with_capacity(subs.len()),
                     msgs: Vec::new(),
                     ticks: Vec::new(),
                     messages_sent: 0,
@@ -642,7 +671,7 @@ where
                     past_quit: 0,
                 },
             };
-            handles.push(scope.spawn(move || worker.run(subs, tick_every_us)));
+            handles.push(scope.spawn(move || worker.run(subs, own, tick_every_us)));
         }
 
         // Coordinator (this thread): samples the queue depth and waits
@@ -678,37 +707,50 @@ where
         );
     }
 
+    // A node thread ends only on its `Quit`, sent once every
+    // submission executed (or after one died, which the join above
+    // reported), and a transaction counts as executed only after its
+    // slot is written: every slot is full. The slots are as large as the
+    // records, so the record is gathered in place, in this allocation.
+    let transactions = record
+        .into_iter()
+        .map(|slot| slot.expect("every submission executed before the quiet point"))
+        .collect();
     let wall_us = shared.clock.elapsed_us();
-    assemble(app, cfg, &strategy, outcomes, wall_us)
+    assemble(app, cfg, &strategy, transactions, outcomes, wall_us)
 }
 
-/// Folds the per-node outcomes into a kernel-shaped [`RunReport`] plus
-/// the recorded schedule, and judges it when `cfg.monitor` is set.
+/// Folds the run's record and the per-node outcomes into a
+/// kernel-shaped [`RunReport`] plus the recorded schedule, and judges it
+/// when `cfg.monitor` is set.
 fn assemble<A: Application, P: Propagation<A>>(
     app: &A,
     cfg: &RuntimeConfig,
     strategy: &P,
-    outcomes: Vec<(Node<A>, NodeOutcome<A>)>,
+    transactions: Vec<ExecutedTxn<A>>,
+    outcomes: Vec<(Node<A>, NodeOutcome)>,
     wall_us: u64,
 ) -> LiveRun<A> {
     let (nodes, mut parts): (Vec<_>, Vec<_>) = outcomes.into_iter().unzip();
-    let transactions = concat(&mut parts, |o| &mut o.txns);
+    // The report first: it frees every node's log before the schedule's
+    // lists are gathered.
+    let mut report = RunReport::collect(app, strategy, nodes, transactions);
+    report.messages_sent = parts.iter().map(|o| o.messages_sent).sum();
+    report.entries_shipped = parts.iter().map(|o| o.entries_shipped).sum();
+    report.rounds = parts.iter().map(|o| o.rounds).sum();
     let mut schedule = RecordedSchedule {
-        execs: transactions.iter().map(|t| (t.time, t.node)).collect(),
+        execs: report
+            .transactions
+            .iter()
+            .map(|t| (t.time, t.node))
+            .collect(),
         msgs: concat(&mut parts, |o| &mut o.msgs),
         ticks: concat(&mut parts, |o| &mut o.ticks),
     };
-    let messages_sent = parts.iter().map(|o| o.messages_sent).sum();
-    let entries_shipped = parts.iter().map(|o| o.entries_shipped).sum();
-    let rounds = parts.iter().map(|o| o.rounds).sum();
     // Ticks are unique, so sorting by them is total.
     schedule.execs.sort_unstable_by_key(|(t, _)| *t);
     schedule.ticks.sort_unstable_by_key(|(t, _)| *t);
     schedule.msgs.sort_unstable_by_key(|m| (m.sent_at, m.to.0));
-    let mut report = RunReport::collect(app, strategy, nodes, transactions);
-    report.messages_sent = messages_sent;
-    report.entries_shipped = entries_shipped;
-    report.rounds = rounds;
     let sink = cfg.sink.as_deref();
     report.monitor = cfg.monitor.as_ref().map(|m| report.judge(m, sink));
     if let Some(sink) = sink {
@@ -725,13 +767,13 @@ fn assemble<A: Application, P: Propagation<A>>(
     }
 }
 
-/// One of the nodes' lists, gathered into one allocation of the summed
-/// length. The lists are gathered one after another and each node's part
-/// is freed as soon as it is moved, so only one list is ever held twice.
-fn concat<A: Application, T>(
-    parts: &mut [NodeOutcome<A>],
-    list: fn(&mut NodeOutcome<A>) -> &mut Vec<T>,
-) -> Vec<T> {
+/// One of the nodes' lists (merged messages, gossip rounds), gathered
+/// into one allocation of the summed length. The lists are gathered one
+/// after another, after the report has freed every log, and each node's
+/// part is freed as soon as it is moved, so at most one list is held
+/// twice, and only beside the report. The record is not among them: the
+/// node threads wrote it in place.
+fn concat<T>(parts: &mut [NodeOutcome], list: fn(&mut NodeOutcome) -> &mut Vec<T>) -> Vec<T> {
     let mut all = Vec::with_capacity(parts.iter_mut().map(|o| list(o).len()).sum());
     for o in parts {
         all.extend(std::mem::take(list(o)));

@@ -175,7 +175,6 @@ pub fn report_digest<A: Application>(r: &RunReport<A>) -> u64 {
         );
     }
     fnv(&mut h, &format!("{:?}", r.node_metrics));
-    fnv(&mut h, &format!("{:?}", r.external_actions));
     fnv(&mut h, &format!("{:?}", r.final_states));
     fnv(&mut h, &format!("{:?}", r.barrier_latencies));
     fnv(&mut h, &format!("{:?}", r.rejected));

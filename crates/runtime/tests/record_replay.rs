@@ -78,14 +78,11 @@ where
     by_tick.sort_unstable_by_key(|t| t.time);
     let actions: Vec<_> = by_tick
         .iter()
-        .flat_map(|t| {
-            t.external_actions
-                .iter()
-                .map(|a| (t.time, t.node, a.clone()))
-        })
+        .flat_map(|t| t.external_actions.iter().map(|a| (t.time, t.node, a)))
         .collect();
     assert_eq!(
-        live.report.external_actions, actions,
+        live.report.external_actions(),
+        actions,
         "external actions differ from the transactions' own"
     );
     let execs: Vec<_> = by_tick.iter().map(|t| (t.time, t.node)).collect();

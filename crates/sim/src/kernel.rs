@@ -310,8 +310,6 @@ pub struct RunReport<A: Application> {
     pub transactions: Vec<ExecutedTxn<A>>,
     /// Per-node undo/redo metrics.
     pub node_metrics: Vec<MergeMetrics>,
-    /// All external actions in real-time order: `(time, node, action)`.
-    pub external_actions: Vec<(SimTime, NodeId, ExternalAction)>,
     /// Each node's final merged state after every message drained (under
     /// partial replication, meaningful only on the objects a node holds).
     pub final_states: Vec<A::State>,
@@ -356,26 +354,15 @@ pub struct RunReport<A: Application> {
 impl<A: Application> RunReport<A> {
     /// The replica half of a report (serial order, node metrics, final
     /// states, [missing](RunReport::missing)) from the replicas a kernel
-    /// or live run ended with, and the external actions read off
-    /// `transactions`; the tallies start empty.
+    /// or live run ended with; the tallies start empty. `transactions`
+    /// becomes the report's record as it is, sorted in place: no copy of
+    /// it, nor of an action it holds, is made.
     pub fn collect<P: Propagation<A>>(
         app: &A,
         strategy: &P,
         nodes: Vec<Node<A>>,
         mut transactions: Vec<ExecutedTxn<A>>,
     ) -> Self {
-        // Every action in time order, ties in the order handed over; the
-        // kernel hands its records over in execution order, already sorted.
-        let actions = transactions.iter().map(|t| t.external_actions.len()).sum();
-        let mut external_actions = Vec::with_capacity(actions);
-        for t in &transactions {
-            for a in &t.external_actions {
-                external_actions.push((t.time, t.node, a.clone()));
-            }
-        }
-        if !external_actions.is_sorted_by_key(|(time, _, _)| *time) {
-            external_actions.sort_by_key(|(time, _, _)| *time);
-        }
         // Timestamps are unique, so the unstable sort gives the serial
         // order too, in place: a stable sort allocates a buffer as large
         // as the records, 1 MB and the peak of `sim-partition`'s RSS.
@@ -421,7 +408,6 @@ impl<A: Application> RunReport<A> {
             node_metrics,
             final_states,
             transactions,
-            external_actions,
             barrier_latencies: Vec::new(),
             rejected: Vec::new(),
             messages_sent: 0,
@@ -443,6 +429,19 @@ impl<A: Application> RunReport<A> {
     /// execution to re-send).
     pub fn missing(&self) -> &[(NodeId, Timestamp)] {
         &self.missing
+    }
+
+    /// Every external action the run performed, as `(time, node,
+    /// action)` in real-time order, ties in serial order: read off the
+    /// transactions that performed them, at their origins.
+    pub fn external_actions(&self) -> Vec<(SimTime, NodeId, &ExternalAction)> {
+        let mut actions: Vec<_> = self
+            .transactions
+            .iter()
+            .flat_map(|t| t.external_actions.iter().map(|a| (t.time, t.node, a)))
+            .collect();
+        actions.sort_by_key(|(time, _, _)| *time);
+        actions
     }
 
     /// Whether all node copies agree (mutual consistency, §1.2). Holds

@@ -61,8 +61,8 @@ fn main() {
     assert!(report.mutually_consistent(), "offices agree after healing");
 
     println!("timeline of passenger notifications:");
-    for (time, node, action) in &report.external_actions {
-        let phase = match *time {
+    for (time, node, action) in report.external_actions() {
+        let phase = match time {
             t if t < 100 => "pre-partition ",
             t if t < 600 => "PARTITIONED   ",
             _ => "healed        ",
@@ -89,7 +89,7 @@ fn main() {
          the real-world price of availability"
     );
     let rescinds = report
-        .external_actions
+        .external_actions()
         .iter()
         .filter(|(_, _, a)| a.kind == ACTION_WAITLIST)
         .count();

@@ -51,13 +51,13 @@ fn main() {
     assert!(report.mutually_consistent());
 
     println!("external actions (cash movements & notices):");
-    for (time, node, action) in &report.external_actions {
+    for (time, node, action) in report.external_actions() {
         println!("  t={time:<4} branch {node}: {action}");
     }
 
     // Both withdrawals dispensed cash: the overdraft is real.
     let dispensed = report
-        .external_actions
+        .external_actions()
         .iter()
         .filter(|(_, _, a)| a.kind == "dispense-cash")
         .count();
@@ -86,8 +86,8 @@ fn main() {
 
     // The audit reported the total it *observed* — with a complete
     // prefix in this run, that is the true total.
-    let audit = report
-        .external_actions
+    let actions = report.external_actions();
+    let audit = actions
         .iter()
         .find(|(_, _, a)| a.kind == "audit-report")
         .expect("audit ran");

@@ -66,7 +66,7 @@ fn main() {
     assert!(report.objects_consistent(&app, &placement));
 
     println!("\nlookup results (as reported to clients):");
-    for (time, node, action) in &report.external_actions {
+    for (time, node, action) in report.external_actions() {
         println!("  t={time:<4} {node}: {action}");
     }
 

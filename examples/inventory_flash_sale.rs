@@ -61,7 +61,7 @@ fn main() {
     assert!(report.mutually_consistent());
 
     println!("customer-facing actions:");
-    for (time, node, action) in &report.external_actions {
+    for (time, node, action) in report.external_actions() {
         println!("  t={time:<4} store {node}: {action}");
     }
 
@@ -93,7 +93,7 @@ fn main() {
         "PROMOTE drained the fittable backlog"
     );
     let apologies = report
-        .external_actions
+        .external_actions()
         .iter()
         .filter(|(_, _, a)| a.kind == "apologize")
         .count();

@@ -92,7 +92,7 @@ fn main() {
     // Every passenger who was told "you have a seat" appears in the
     // external-action log exactly when their MOVE-UP's decision ran.
     println!("\nexternal actions (notifications sent to passengers):");
-    for (time, node, action) in &report.external_actions {
+    for (time, node, action) in report.external_actions() {
         println!("  t={time:<5} {node}: {action}");
     }
 }

@@ -133,8 +133,8 @@ fn dictionary_nodes_agree_and_stale_lookups_are_visible() {
     let te = report.timed_execution();
     te.execution.verify(&app).unwrap();
     let lookups: Vec<&str> = report
-        .external_actions
-        .iter()
+        .external_actions()
+        .into_iter()
         .filter(|(_, _, a)| a.kind == "lookup-result")
         .map(|(_, _, a)| a.subject.as_str())
         .collect();

@@ -44,7 +44,7 @@ fn racing_deregistration_dangles_then_scavenges() {
     assert!(fin.members(g).is_empty());
     // The scavenger's external notice went out exactly once.
     let scavenges = report
-        .external_actions
+        .external_actions()
         .iter()
         .filter(|(_, _, a)| a.kind == "scavenged")
         .count();
@@ -72,8 +72,8 @@ fn lookups_route_messages_by_observed_bindings() {
     ];
     let report = cluster.run(invs);
     let lookups: Vec<&str> = report
-        .external_actions
-        .iter()
+        .external_actions()
+        .into_iter()
         .filter(|(_, _, a)| a.kind == "lookup-result")
         .map(|(_, _, a)| a.subject.as_str())
         .collect();

@@ -1,15 +1,18 @@
-//! What one kernel run holds at its heap peak, in bytes a transaction.
+//! What one kernel run, and one live run, holds at its heap peak, in
+//! bytes a transaction.
 //! A run sizes the vectors it fills from the counts it already knows —
 //! the record and every node's merge log for the invocation count, the
 //! event queue for the schedule — and its report takes the nodes one at
 //! a time, so no node's arrival copy sits beside every log. On
 //! `sim-partition`'s shape (5 nodes, node 0 isolated five times, 4 000
-//! banking transactions, seed 1) the peak reads 588.9 B a transaction,
-//! held here within 620 (it read 684.4 with vectors doubling into their
-//! size, every arrival copy made while all logs were alive and each
-//! external action's kind an owned `String`). The kernel is
+//! banking transactions, seed 1) the peak reads 563.2 B a transaction,
+//! held here within 620 (588.9 while the report copied every external
+//! action into a list of its own; it read 684.4 with vectors doubling
+//! into their size, every arrival copy made while all logs were alive
+//! and each external action's kind an owned `String`). The kernel is
 //! deterministic, so the figure is exact: this binary counts every byte
-//! its heap holds, with its own global allocator.
+//! its heap holds, with its own global allocator. The two tests take
+//! turns ([`MEASURING`]), so neither counts the other's bytes.
 
 use shard::apps::banking::Bank;
 use shard::sim::{
@@ -19,6 +22,7 @@ use shard::sim::{
 use shard_runtime::{banking_submissions, run_live, Pacing, RuntimeConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// The system allocator, counting the bytes currently requested and the
 /// most it has held since [`reset_peak`].
@@ -62,6 +66,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOCATOR: Counting = Counting;
 
+/// Held for the whole of each test: one run at a time is measured.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 const TXNS: usize = 4_000;
 const NODES: u16 = 5;
 /// `sim-partition`'s open loop: one invocation every 5 ticks.
@@ -89,6 +96,7 @@ fn partitioned(seed: u64) -> ClusterConfig {
 
 #[test]
 fn a_partitioned_run_peaks_within_620_bytes_a_transaction() {
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
     let bank = Bank::new(64, 100);
     let pacing = Pacing::Open { gap_us: GAP };
     let invocations: Vec<_> = banking_submissions(&bank, 1, TXNS, NODES, 1.1, pacing, None)
@@ -118,4 +126,39 @@ fn a_partitioned_run_peaks_within_620_bytes_a_transaction() {
     assert!(live.missing().is_empty());
     assert_eq!(live.transactions.len(), 400);
     assert_eq!(live.transactions.capacity(), 400);
+}
+
+/// `live-eager`'s shape: 2 node threads, an open loop of one submission
+/// every 25 µs, eager broadcast, no store. The run's record is one
+/// allocation, made before the spawns and filled in place by the node
+/// threads, and the report's external actions are read off it, not
+/// copied: the peak is the in-run live set — logs, checkpoints and the
+/// record — at 333–334 B a transaction (seeds 1–5, release). With the
+/// record gathered from per-node lists into a second buffer it read 404,
+/// with every action copied into a list of the report's own 356–360, and
+/// with the slots gathered by `flatten` (which does not reuse their
+/// allocation) 505. 6 000 transactions put each node's list of merged
+/// messages (one a peer's transaction) near 3 000 entries, well inside
+/// one doubling, so the figure does not turn on which side of 2 048 a
+/// node's share falls.
+#[test]
+fn a_live_run_peaks_within_345_bytes_a_transaction() {
+    const LIVE_TXNS: usize = 6_000;
+    let _turn = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    let bank = Bank::new(64, 100);
+    let cfg = RuntimeConfig {
+        nodes: 2,
+        seed: 1,
+        ..RuntimeConfig::default()
+    };
+    let gap = Pacing::Open { gap_us: 25 };
+    let submissions = banking_submissions(&bank, 1, LIVE_TXNS, cfg.nodes, 1.1, gap, None);
+    let before = reset_peak();
+    let live = run_live(&bank, &cfg, EagerBroadcast::default(), submissions);
+    let per_txn = (PEAK.load(Ordering::Relaxed) - before) as f64 / LIVE_TXNS as f64;
+    println!("heap peak during the live run: {per_txn:.1} B a transaction");
+    assert!(live.report.missing().is_empty());
+    assert!(per_txn <= 345.0, "{per_txn:.1} B a transaction");
+    assert_eq!(live.report.transactions.len(), LIVE_TXNS);
+    assert_eq!(live.report.transactions.capacity(), LIVE_TXNS);
 }
