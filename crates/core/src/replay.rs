@@ -206,6 +206,43 @@ impl<S> Checkpoints<S> {
         self.points.last().map_or(0, |&(l, _)| l)
     }
 
+    /// How many checkpoints are held.
+    pub fn len(&self) -> usize {
+        self.points.len()
+    }
+
+    /// Whether no checkpoint is held.
+    pub fn is_empty(&self) -> bool {
+        self.points.is_empty()
+    }
+
+    /// The depth of the shallowest checkpoint deeper than `depth`
+    /// applied updates, if any.
+    pub fn first_above(&self, depth: usize) -> Option<usize> {
+        let i = self.points.partition_point(|&(l, _)| l <= depth);
+        self.points.get(i).map(|&(l, _)| l)
+    }
+
+    /// Drops every checkpoint below the deepest one at or below `limit`
+    /// applied updates, and returns that one's depth — 0 if there is
+    /// none. Once no replay will again resume below `limit`, the older
+    /// points can never be restored. Their states are freed, not kept
+    /// as spares: the spares serve the records that redo what a
+    /// [`truncate`](Checkpoints::truncate) dropped, and a spare taken by
+    /// a forgotten state would leave the next truncation's state to be
+    /// freed and its redo's record to allocate anew.
+    pub fn forget_below(&mut self, limit: usize) -> usize {
+        let Some(keep) = self
+            .points
+            .partition_point(|&(l, _)| l <= limit)
+            .checked_sub(1)
+        else {
+            return 0;
+        };
+        self.points.drain(..keep);
+        self.points[0].0
+    }
+
     /// Drops every checkpoint deeper than `keep` applied updates — the
     /// *undo* half of undo/redo: checkpoints past an insertion point are
     /// invalidated, those at or before it survive. A few dropped states
@@ -558,6 +595,27 @@ mod tests {
         c.truncate(0);
         assert!(c.points.is_empty());
         assert_eq!(c.floor(100), None);
+    }
+
+    #[test]
+    fn forgetting_keeps_the_deepest_point_at_or_below_the_limit() {
+        let mut c: Checkpoints<u32> = Checkpoints::new(2);
+        assert_eq!(c.forget_below(7), 0, "nothing held");
+        for len in 1..=10usize {
+            c.record(len, &(len as u32 * 10));
+        }
+        assert_eq!(c.forget_below(1), 0, "no point at or below 1");
+        assert_eq!((c.first_above(0), c.first_above(6)), (Some(2), Some(8)));
+        assert_eq!(c.first_above(10), None);
+        assert_eq!(c.len(), 5);
+        assert_eq!(c.forget_below(7), 6);
+        assert_eq!(c.points.iter().map(|p| p.0).collect::<Vec<_>>(), [6, 8, 10]);
+        assert_eq!(c.forget_below(7), 6, "forgetting again changes nothing");
+        assert_eq!(c.len(), 3);
+        assert!(c.spare.is_empty(), "forgotten states are freed");
+        // A repair past the limit restores what it restored before.
+        c.truncate(7);
+        assert_eq!(deepest(&c), Some((6, 60)));
     }
 
     #[test]

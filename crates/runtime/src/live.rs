@@ -86,8 +86,8 @@ use shard_obs::{EventSink, RuntimeMetrics};
 use shard_sim::events::SimTime;
 use shard_sim::kernel::{recover_at_start, Entries, Node};
 use shard_sim::{
-    ExecutedTxn, Invocation, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Transport,
-    WallClock,
+    ExecutedTxn, Invocation, MonitorConfig, NodeId, NodeMirror, Propagation, RunReport, Sender,
+    Stamp, Transport, WallClock,
 };
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -211,6 +211,7 @@ enum Msg<A: Application> {
     Batch {
         from: NodeId,
         sent_at: SimTime,
+        stamp: Stamp,
         entries: Entries<A>,
     },
     Quit,
@@ -233,11 +234,16 @@ impl<A: Application> Drop for QuitOnDrop<'_, A> {
 }
 
 /// The live [`Transport`]: sends go straight into the receiver's
-/// inbox, stamped with the sender's event tick.
+/// inbox, stamped with the sender's event tick and the message's place
+/// on its link.
 struct InboxTransport<'s, A: Application> {
     peers: &'s [Inbox<Msg<A>>],
     shared: &'s Shared,
     rng: StdRng,
+    /// The sending node's incarnation, which its stamps carry.
+    incarnation: u32,
+    /// Messages handed to each peer's link so far.
+    sent: Vec<u32>,
     messages_sent: u64,
     entries_shipped: u64,
 }
@@ -255,9 +261,11 @@ impl<A: Application> Transport<A> for InboxTransport<'_, A> {
         self.messages_sent += 1;
         self.entries_shipped += entries.len() as u64;
         self.shared.in_flight.fetch_add(1, Ordering::SeqCst);
+        let stamp = Stamp::next(self.incarnation, &mut self.sent[usize::from(to.0)]);
         self.peers[to.0 as usize].send(Msg::Batch {
             from,
             sent_at: now,
+            stamp,
             entries,
         });
     }
@@ -333,15 +341,20 @@ impl<'s, A: Application, P: Propagation<A>> NodeWorker<'s, A, P> {
         let Msg::Batch {
             from,
             sent_at,
+            stamp,
             entries,
         } = msg
         else {
             return false;
         };
         let now = self.shared.clock.tick();
+        let sender = Sender {
+            node: from,
+            stamp: self.strategy.numbered_links().then_some(stamp),
+        };
         self.node.deliver_step(
             self.app,
-            from,
+            sender,
             &entries,
             now,
             self.mirror.as_mut(),
@@ -598,7 +611,7 @@ where
     // A mirror that already holds entries is a previous process's
     // store: its node restarts from it.
     let mut nodes: Vec<Node<A>> = (0..cfg.nodes)
-        .map(|i| Node::new(app, NodeId(i), cfg.checkpoint_every))
+        .map(|i| Node::new(app, NodeId(i), cfg.nodes, cfg.checkpoint_every))
         .collect();
     recover_at_start(
         app,
@@ -614,7 +627,10 @@ where
     // keeps what it frees): each log for every update of the run, since
     // a log merges each at most once, and the run's record, one slot a
     // submission, each node's slots one run in the order of its own
-    // submissions.
+    // submissions. Under a strategy that floods each own update to its
+    // peers (numbered links), a node merges at most one message per
+    // peer submission, so its list of merged messages is sized here too;
+    // under gossip the count is not known, and the list grows.
     for node in &mut nodes {
         node.log.reserve(total as usize);
     }
@@ -636,6 +652,12 @@ where
         let quit = QuitOnDrop(inboxes);
         for (id, ((inbox, subs), node)) in inboxes.iter().zip(per_node).zip(nodes).enumerate() {
             let id = NodeId(id as u16);
+            let incarnation = node.incarnation();
+            let msgs = if strategy.numbered_links() {
+                Vec::with_capacity(total as usize - subs.len())
+            } else {
+                Vec::new()
+            };
             let (own, rest) = std::mem::take(&mut slots).split_at_mut(subs.len());
             slots = rest;
             // A recovered node starts with entries to offer: marked here,
@@ -653,6 +675,8 @@ where
                     peers: inboxes,
                     shared,
                     rng: StdRng::seed_from_u64(cfg.seed ^ u64::from(id.0)),
+                    incarnation,
+                    sent: vec![0; n],
                     messages_sent: 0,
                     entries_shipped: 0,
                 },
@@ -663,7 +687,7 @@ where
                 burst: Vec::new(),
                 unsent,
                 out: NodeOutcome {
-                    msgs: Vec::new(),
+                    msgs,
                     ticks: Vec::new(),
                     messages_sent: 0,
                     entries_shipped: 0,

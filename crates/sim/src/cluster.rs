@@ -38,7 +38,8 @@ pub use crate::kernel::{ClusterConfig, ExecutedTxn, Invocation};
 
 /// Flooding propagation: the moment a transaction executes, its update
 /// — and nothing else — is sent to every peer as a datagram, timed on
-/// its own: [`Propagation`]'s defaults.
+/// its own: [`Propagation`]'s defaults, over numbered links
+/// ([`Propagation::numbered_links`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EagerBroadcast {
     /// Must stay `false` ([`Propagation::validate`] refuses `true`).
@@ -50,6 +51,12 @@ pub struct EagerBroadcast {
 impl<A: Application> Propagation<A> for EagerBroadcast {
     fn label(&self) -> &'static str {
         "cluster"
+    }
+
+    /// The default flood: each message is one own update, in execution
+    /// order.
+    fn numbered_links(&self) -> bool {
+        true
     }
 
     fn validate(&self, _app: &A, _nodes: u16, _invocations: &[Invocation<A::Decision>]) {

@@ -48,7 +48,8 @@
 //! are of one, released and issued are the same.
 
 use crate::clock::{LamportClock, NodeId, Timestamp};
-use crate::kernel::Node;
+use crate::frontier::Frontier;
+use crate::kernel::{count_held, Node};
 use crate::merge::MergeLog;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -226,7 +227,9 @@ impl<A: Application> NodeMirror<A> {
     /// arrival order through a fresh merge log (checkpoint chain and
     /// arrival record rebuild as replay side effects), advances a fresh
     /// Lamport clock past every recovered timestamp, and recounts the
-    /// node's own transactions for the §3.3 barrier protocol. Because
+    /// node's own transactions and each origin's merged updates for the
+    /// §3.3 barrier protocol. The rebuilt node's stability frontier
+    /// tracks nothing ([`crate::frontier`]): it retires no history. Because
     /// own updates were fsynced before propagation, the recovered clock
     /// dominates every timestamp the node ever released — recovery can
     /// never reuse a timestamp that anything outside the node saw.
@@ -236,6 +239,7 @@ impl<A: Application> NodeMirror<A> {
         let mut log = MergeLog::new(app, checkpoint_every);
         let mut clock = LamportClock::new(id);
         let mut own_sent = 0u64;
+        let mut held = Vec::new();
         let decode = self.decode;
         // Stream in bounded chunks: the store scan reads a block at a
         // time and the merge log absorbs each chunk as one batch, so peak
@@ -245,7 +249,11 @@ impl<A: Application> NodeMirror<A> {
         let mut recovered = 0usize;
         {
             let mut flush = |batch: &mut Vec<(Timestamp, Arc<A::Update>)>| {
-                log.merge_batch(app, batch.drain(..), |_, _| {});
+                log.merge_batch(app, batch.drain(..), |ts, outcome| {
+                    if outcome.is_new() {
+                        count_held(&mut held, ts.node);
+                    }
+                });
             };
             self.store
                 .scan_arrival(&mut |key, value| {
@@ -272,6 +280,8 @@ impl<A: Application> NodeMirror<A> {
                 log,
                 own_sent,
                 retired: Vec::new(),
+                held,
+                frontier: Frontier::untracked(),
             },
             recovered,
         )

@@ -51,6 +51,7 @@ use crate::crash::{CrashSchedule, CrashWindow};
 use crate::delay::DelayModel;
 use crate::durable::{DurableFleet, NodeMirror};
 use crate::events::{EventQueue, SimTime};
+use crate::frontier::{Frontier, Sender, Stamp};
 use crate::known::{Known, Sweep};
 use crate::merge::{MergeLog, MergeMetrics, MergeOutcome};
 use crate::nemesis::{fate_faults, Fate, FaultEvent, MsgCtx, Nemesis};
@@ -224,6 +225,22 @@ fn emit_faults(sink: &shard_obs::EventSink, ctx: &MsgCtx, events: &[FaultEvent])
     }
 }
 
+/// Records the most entries and checkpoints `node`'s log held at once
+/// in its current incarnation ([`MergeLog::retained_peak`]), one sample
+/// a run in each of the histograms `merge.peak_retained_entries.n<id>`
+/// and `merge.peak_retained_checkpoints.n<id>`: how much history a
+/// replica keeps, which its stability frontier bounds
+/// ([`crate::frontier`]) and which otherwise grows with the run.
+fn record_retained_peak<A: Application>(node: &Node<A>) {
+    let (entries, checkpoints) = node.log.retained_peak();
+    let r = shard_obs::Registry::global();
+    let id = node.id.0;
+    r.histogram(&format!("merge.peak_retained_entries.n{id}"))
+        .record(entries as u64);
+    r.histogram(&format!("merge.peak_retained_checkpoints.n{id}"))
+        .record(checkpoints as u64);
+}
+
 /// One client transaction submission: at `time`, at `node`.
 #[derive(Clone, Debug)]
 pub struct Invocation<D> {
@@ -367,9 +384,13 @@ impl<A: Application> RunReport<A> {
         // order too, in place: a stable sort allocates a buffer as large
         // as the records, 1 MB and the peak of `sim-partition`'s RSS.
         transactions.sort_unstable_by_key(|t| t.ts);
-        // One pass over every update some replica holds — the logs are
-        // sorted runs, walked in step, nothing gathered. (What this run
-        // executed its origin holds: own updates are fsynced.)
+        // One pass over every update some replica holds — the logs and
+        // the record are sorted runs, walked in step, nothing gathered.
+        // What this run executed its origin holds (own updates are
+        // fsynced), though every log may have retired it; what a log
+        // recovered from an earlier run is in that log, which retires
+        // nothing.
+        let mut executed = transactions.iter().map(|t| (t.ts, &t.update)).peekable();
         let mut heads: Vec<_> = nodes
             .iter()
             .map(|n| n.log.entries().iter().map(|(ts, u)| (*ts, &**u)).peekable())
@@ -378,17 +399,22 @@ impl<A: Application> RunReport<A> {
         while let Some((ts, update)) = heads
             .iter_mut()
             .filter_map(|held| held.peek().copied())
+            .chain(executed.peek().copied())
             .min_by_key(|(ts, _)| *ts)
         {
+            executed.next_if(|(at, _)| *at == ts);
             for (node, held) in nodes.iter().zip(&mut heads) {
+                // A timestamp a log has retired past counts as held: the
+                // node has merged every update it wants below its frontier.
                 if held.next_if(|(at, _)| *at == ts).is_none()
+                    && !node.log.contains(ts)
                     && strategy.wants(app, node.id, update)
                 {
                     missing.push((node.id, ts));
                 }
             }
         }
-        drop(heads);
+        drop((heads, executed));
         missing.sort_unstable();
         // Then the nodes go one at a time, each log freed as soon as its
         // arrival timestamps are copied out: at most one copy exists
@@ -398,6 +424,9 @@ impl<A: Application> RunReport<A> {
         let mut node_metrics = Vec::with_capacity(count);
         let mut final_states = Vec::with_capacity(count);
         for mut n in nodes {
+            if shard_obs::enabled() {
+                record_retained_peak(&n);
+            }
             let mut incarnations = std::mem::take(&mut n.retired);
             incarnations.push(n.log.arrivals().iter().map(|(ts, _)| *ts).collect());
             arrivals.push(incarnations);
@@ -571,18 +600,41 @@ pub struct Node<A: Application> {
     /// order: every restart from the store ([`Node::recover_step`])
     /// retires one. Their count is the current incarnation.
     pub(crate) retired: Vec<Box<[Timestamp]>>,
+    /// How many updates of each origin, by node id, the log has merged
+    /// — what the §3.3 barrier compares with a peer's promise.
+    pub(crate) held: Vec<u64>,
+    /// Below what the log may forget ([`crate::frontier`]).
+    pub(crate) frontier: Frontier,
+}
+
+/// Counts one more merged update of `origin` in `held`.
+pub(crate) fn count_held(held: &mut Vec<u64>, origin: NodeId) {
+    let i = usize::from(origin.0);
+    if held.len() <= i {
+        held.resize(i + 1, 0);
+    }
+    held[i] += 1;
 }
 
 impl<A: Application> Node<A> {
-    /// A fresh replica of `app` with identity `id`.
-    pub fn new(app: &A, id: NodeId, checkpoint_every: usize) -> Self {
+    /// A fresh replica of `app` with identity `id` in a cluster of
+    /// `nodes`.
+    pub fn new(app: &A, id: NodeId, nodes: u16, checkpoint_every: usize) -> Self {
         Node {
             id,
             clock: LamportClock::new(id),
             log: MergeLog::new(app, checkpoint_every),
             own_sent: 0,
             retired: Vec::new(),
+            held: vec![0; usize::from(nodes)],
+            frontier: Frontier::new(id, nodes),
         }
+    }
+
+    /// The node's incarnation ([`Known::incarnation`]): 0 from the run's
+    /// start, one more at each restart from its store.
+    pub fn incarnation(&self) -> u32 {
+        self.retired.len().min(u32::MAX as usize) as u32
     }
 
     /// The **execute** step — the *one* transaction-execution path, which
@@ -626,6 +678,7 @@ impl<A: Application> Node<A> {
         let update = Arc::new(outcome.update);
         let fresh = self.log.merge(app, ts, Arc::clone(&update));
         debug_assert!(fresh, "own timestamp must be new");
+        count_held(&mut self.held, self.id);
         if let Some(m) = mirror {
             m.persist(&self.log, false);
         }
@@ -649,16 +702,22 @@ impl<A: Application> Node<A> {
     /// entry, then appends the arrivals to `mirror` *without* an fsync
     /// barrier — received updates survive on their origins and, under
     /// gossip, re-arrive if this node's unsynced tail is lost.
+    ///
+    /// A batch that came over a numbered link (its [`Sender::stamp`],
+    /// see [`Propagation::numbered_links`]) then moves the node's
+    /// stability frontier ([`crate::frontier`]), and the log retires what
+    /// lies below it — after the merge, so the batch itself is never
+    /// taken for history.
     pub fn deliver_step(
         &mut self,
         app: &A,
-        from: NodeId,
+        sender: Sender,
         entries: &Entries<A>,
         now: SimTime,
         mirror: Option<&mut NodeMirror<A>>,
         sink: Option<&shard_obs::EventSink>,
     ) {
-        let id = self.id;
+        let (id, from) = (self.id, sender.node);
         if let Some(s) = sink {
             s.event("deliver")
                 .u64("t", now)
@@ -674,10 +733,14 @@ impl<A: Application> Node<A> {
         // its checkpoint chain without per-entry binary searches, while
         // per-entry outcomes keep the trace bit-identical to
         // entry-at-a-time merging.
+        let held = &mut self.held;
         self.log.merge_batch(
             app,
             entries.iter().map(|(ts, u)| (*ts, Arc::clone(u))),
-            |_, outcome| {
+            |ts, outcome| {
+                if outcome.is_new() {
+                    count_held(held, ts.node);
+                }
                 if let Some(s) = sink {
                     emit_merge_outcome(s, outcome, now, id);
                 }
@@ -685,6 +748,12 @@ impl<A: Application> Node<A> {
         );
         if let Some(m) = mirror {
             m.persist(&self.log, false);
+        }
+        let top = entries.iter().map(|(ts, _)| *ts).max();
+        if let (Some(stamp), Some(top)) = (sender.stamp, top) {
+            if let Some(bound) = self.frontier.note(from, stamp, top) {
+                self.log.retire_below(bound);
+            }
         }
     }
 
@@ -764,6 +833,7 @@ enum Event<A: Application> {
     Deliver {
         to: NodeId,
         from: NodeId,
+        stamp: Stamp,
         entries: Entries<A>,
     },
     Tick {
@@ -832,6 +902,10 @@ pub struct QueueTransport<'a, A: Application> {
     /// For a strategy with ordered links: when the batch handed last to
     /// each link (`from · nodes + to`) arrives.
     links: Option<&'a mut [SimTime]>,
+    /// Messages handed to each link so far, for its [`Stamp`]s.
+    sent: &'a mut [u32],
+    /// The replicas, whose incarnations the stamps carry.
+    nodes: &'a [Node<A>],
     /// Whether crash windows end in a restart from the node's store.
     durable: bool,
 }
@@ -868,8 +942,11 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         let mut at = delivery_time(&cfg.partitions, &cfg.delay, self.rng, now, from, to);
         self.wire.messages_sent += 1;
         self.wire.entries_shipped += entries.len() as u64;
+        let index = usize::from(from.0) * usize::from(cfg.nodes) + usize::from(to.0);
+        let incarnation = self.nodes[usize::from(from.0)].incarnation();
+        let stamp = Stamp::next(incarnation, &mut self.sent[index]);
         if let Some(links) = self.links.as_deref_mut() {
-            let link = &mut links[usize::from(from.0) * usize::from(cfg.nodes) + usize::from(to.0)];
+            let link = &mut links[index];
             at = cfg.crashes.next_up(at.max(*link), to);
             *link = at;
             let restarts = |w: &CrashWindow| w.node == to && now < w.end && w.end <= at;
@@ -878,8 +955,13 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
             }
         }
         let Some(nemesis) = self.nemesis.as_deref_mut() else {
-            self.queue
-                .schedule(at, Event::Deliver { to, from, entries });
+            let event = Event::Deliver {
+                to,
+                from,
+                stamp,
+                entries,
+            };
+            self.queue.schedule(at, event);
             return;
         };
         self.wire.msg_seq += 1;
@@ -901,7 +983,13 @@ impl<A: Application> Transport<A> for QueueTransport<'_, A> {
         self.wire.faults.extend(faults);
         for &t in &fate.times {
             let entries = Arc::clone(&entries);
-            self.queue.schedule(t, Event::Deliver { to, from, entries });
+            let event = Event::Deliver {
+                to,
+                from,
+                stamp,
+                entries,
+            };
+            self.queue.schedule(t, event);
         }
     }
 }
@@ -946,6 +1034,19 @@ pub trait Propagation<A: Application> {
     /// A strategy that sends each peer only what is past a cursor needs
     /// them: that is what makes its deliveries transitive.
     fn ordered_links(&self) -> bool {
+        false
+    }
+
+    /// Whether every message this strategy sends carries only its
+    /// sender's own updates, each message's above the ones the sender
+    /// sent the same peer before — true of the default
+    /// [`Propagation::on_execute`] flood, and declared by the strategies
+    /// that keep it ([`crate::EagerBroadcast`], [`crate::Placement`]).
+    /// A receiver then reads its links' numbers ([`Stamp`]) as a
+    /// stability frontier and retires the history below it
+    /// ([`crate::frontier`]). A strategy that forwards what others sent
+    /// (gossip) keeps the default, `false`: its receivers retire nothing.
+    fn numbered_links(&self) -> bool {
         false
     }
 
@@ -1045,6 +1146,8 @@ pub struct Runner<'a, A: Application, P: Propagation<A>> {
     wire: WireStats,
     /// Last ordered batch's arrival per link ([`QueueTransport::send`]).
     links: Vec<SimTime>,
+    /// Messages handed to each link, for their [`Stamp`]s.
+    sent: Vec<u32>,
     pending: Vec<PendingCritical<A>>,
     barrier_latencies: Vec<SimTime>,
 }
@@ -1070,9 +1173,10 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             rng: StdRng::seed_from_u64(config.seed),
             queue: EventQueue::new(),
             nodes: (0..config.nodes)
-                .map(|i| Node::new(app, NodeId(i), config.checkpoint_every))
+                .map(|i| Node::new(app, NodeId(i), config.nodes, config.checkpoint_every))
                 .collect(),
             links: vec![0; usize::from(config.nodes).pow(2)],
+            sent: vec![0; usize::from(config.nodes).pow(2)],
             cfg: config,
             transactions: Vec::new(),
             wire: WireStats::default(),
@@ -1302,10 +1406,19 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
                         self.execute(now, node, decision);
                     }
                 }
-                Event::Deliver { to, from, entries } => {
+                Event::Deliver {
+                    to,
+                    from,
+                    stamp,
+                    entries,
+                } => {
+                    let sender = Sender {
+                        node: from,
+                        stamp: self.strategy.numbered_links().then_some(stamp),
+                    };
                     self.nodes[to.0 as usize].deliver_step(
                         app,
-                        from,
+                        sender,
                         &entries,
                         now,
                         self.durability.as_mut().map(|f| f.mirror_mut(to)),
@@ -1436,6 +1549,8 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             wire: &mut self.wire,
             nemesis: &mut self.nemesis,
             links: self.strategy.ordered_links().then_some(&mut self.links[..]),
+            sent: &mut self.sent,
+            nodes: &self.nodes,
             durable: self.durability.is_some(),
         };
         (&mut self.strategy, net, &self.nodes)
@@ -1474,16 +1589,16 @@ impl<'a, A: Application, P: Propagation<A>> Runner<'a, A, P> {
             if p.done || p.node != node {
                 continue;
             }
-            let log = &self.nodes[node.0 as usize].log;
+            let held = &self.nodes[node.0 as usize].held;
             let cleared = (0..self.cfg.nodes).map(NodeId).all(|peer| {
                 peer == node
                     || p.promises[peer.0 as usize].is_some_and(|promised| {
-                        let received = log
-                            .entries()
-                            .iter()
-                            .filter(|(ts, _)| ts.node == peer)
-                            .count() as u64;
-                        received >= promised
+                        // A node rebuilt from its store counts only the
+                        // origins the store held.
+                        promised == 0
+                            || held
+                                .get(usize::from(peer.0))
+                                .is_some_and(|&got| got >= promised)
                     })
             });
             if cleared {

@@ -20,6 +20,9 @@
 //!   equal to the effect of running all updates it knows in timestamp
 //!   order, rolling back to a checkpoint and replaying when an update
 //!   arrives out of order (\[BK\]/\[SKS\]); exposes undo/redo metrics.
+//! * [`frontier`] — a node's stability frontier, read off numbered
+//!   flood links: below it no delivery can still reach, and the merge
+//!   log retires its history there.
 //! * [`kernel`] — **the one event loop**: a [`Runner`] drives
 //!   Invoke/Deliver/Tick events over shared [`kernel::Node`] replicas
 //!   with partition, crash and delay gating applied uniformly, emits a
@@ -78,6 +81,7 @@ pub mod crash;
 pub mod delay;
 pub mod durable;
 pub mod events;
+pub mod frontier;
 pub mod gossip;
 pub mod kernel;
 pub mod known;
@@ -93,6 +97,7 @@ pub use cluster::{ClusterConfig, EagerBroadcast, ExecutedTxn, Invocation};
 pub use crash::{CrashSchedule, CrashWindow};
 pub use delay::DelayModel;
 pub use durable::{DurabilityConfig, DurableFleet, NodeMirror, StoreBackend};
+pub use frontier::{Sender, Stamp};
 pub use gossip::Gossip;
 pub use kernel::{FaultStats, MonitorConfig, Propagation, QueueTransport, RunReport, Runner};
 pub use known::Known;

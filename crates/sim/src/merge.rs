@@ -18,6 +18,13 @@
 //! broadcast fans an update out to peers by reference count, not by deep
 //! clone. [`MergeMetrics`] counts appends, insertions and replayed
 //! updates so the undo/redo volume is measurable.
+//!
+//! History is kept only as far back as a delayed update can still
+//! reach. Told that everything it will merge from now on sorts above a
+//! bound ([`MergeLog::retire_below`], fed by a node's stability frontier
+//! in `crate::frontier`), a log drops the checkpoints below the deepest
+//! one at or below the bound and the entries that one folds in; no
+//! later repair would have read them.
 
 use crate::clock::Timestamp;
 use shard_core::replay::note_state_clone;
@@ -121,7 +128,23 @@ impl MergeMetrics {
 /// ```
 #[derive(Debug)]
 pub struct MergeLog<A: Application> {
+    /// The retained updates in timestamp order, behind `dead` leading
+    /// ones that are retired but not yet compacted away.
     entries: Vec<(Timestamp, Arc<A::Update>)>,
+    /// Leading entries of `entries` already retired: dropped in one
+    /// move once they are at least as many as the rest, so retiring
+    /// costs amortised O(1) an entry.
+    dead: usize,
+    /// Entries retired and compacted away — the position of
+    /// `entries[0]` in the whole timestamp order.
+    forgotten: usize,
+    /// The timestamp of the last retired entry: the log has merged
+    /// every update it will ever be sent at or below it
+    /// ([`MergeLog::retire_below`]).
+    retired_to: Option<Timestamp>,
+    /// The most retained entries and checkpoints seen at a retirement
+    /// or a repair (see [`MergeLog::retained_peak`]).
+    peak: (usize, usize),
     state: A::State,
     checkpoints: Checkpoints<A::State>,
     metrics: MergeMetrics,
@@ -131,6 +154,7 @@ pub struct MergeLog<A: Application> {
     /// cursor per peer) find "everything merged since my last visit"
     /// without scanning or searching the log, and its length is what a
     /// transaction records of what its node knew ([`crate::known`]).
+    /// Retirement leaves it whole.
     arrivals: Vec<(Timestamp, Arc<A::Update>)>,
 }
 
@@ -146,6 +170,10 @@ impl<A: Application> MergeLog<A> {
     pub fn new(app: &A, checkpoint_every: usize) -> Self {
         MergeLog {
             entries: Vec::new(),
+            dead: 0,
+            forgotten: 0,
+            retired_to: None,
+            peak: (0, 0),
             state: app.initial_state(),
             checkpoints: Checkpoints::new(checkpoint_every),
             metrics: MergeMetrics::default(),
@@ -175,10 +203,12 @@ impl<A: Application> MergeLog<A> {
         self.state
     }
 
-    /// The known updates in timestamp order. Updates are `Arc`-shared:
-    /// forwarding one to a peer costs a reference-count bump.
+    /// The retained known updates in timestamp order: every one the log
+    /// has not retired ([`MergeLog::retire_below`]) — all of them, for a
+    /// log that never retires. Updates are `Arc`-shared: forwarding one
+    /// to a peer costs a reference-count bump.
     pub fn entries(&self) -> &[(Timestamp, Arc<A::Update>)] {
-        &self.entries
+        &self.entries[self.dead..]
     }
 
     /// Every entry in merge (arrival) order. Append-only: a consumer
@@ -191,14 +221,14 @@ impl<A: Application> MergeLog<A> {
         &self.arrivals
     }
 
-    /// Number of known updates.
+    /// Number of known updates, retired ones included.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.forgotten + self.entries.len()
     }
 
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Undo/redo counters.
@@ -206,9 +236,77 @@ impl<A: Application> MergeLog<A> {
         self.metrics
     }
 
-    /// Whether an update with timestamp `ts` is already known.
+    /// Whether an update with timestamp `ts` is already known. Every
+    /// timestamp at or below the retired ones counts as known: the log
+    /// was told it has merged all it will be sent there.
     pub fn contains(&self, ts: Timestamp) -> bool {
-        self.entries.binary_search_by_key(&ts, |(t, _)| *t).is_ok()
+        self.is_retired(ts)
+            || self
+                .entries()
+                .binary_search_by_key(&ts, |(t, _)| *t)
+                .is_ok()
+    }
+
+    /// Whether `ts` sorts at or below the last retired entry.
+    fn is_retired(&self, ts: Timestamp) -> bool {
+        self.retired_to.is_some_and(|to| ts <= to)
+    }
+
+    /// Forgets what no later merge can reach, given that every update
+    /// this log will be sent from now on has a timestamp above `bound`
+    /// (a node's stability frontier, `crate::frontier`): drops every
+    /// checkpoint below the deepest one at or below `bound`'s position,
+    /// and every entry that checkpoint already folds in. A later
+    /// out-of-order merge lands above `bound`, so its repair restores
+    /// the checkpoint it restored before and re-applies the same
+    /// entries: state, outcomes, [`MergeMetrics`] and
+    /// [`arrivals`](MergeLog::arrivals) are what a log that never
+    /// retires gives. From then on a delivery at or below the last
+    /// retired timestamp is a [`MergeOutcome::Duplicate`].
+    ///
+    /// A `bound` that lies — an update at or below it arrives later for
+    /// the first time — costs that update: it is taken for a duplicate.
+    pub fn retire_below(&mut self, bound: Timestamp) {
+        // Nothing goes unless the bound reaches the last entry folded
+        // into the shallowest checkpoint past what is retired already:
+        // on most deliveries a search of the few checkpoints held and
+        // one comparison.
+        let Some(next) = self.checkpoints.first_above(self.forgotten + self.dead) else {
+            return;
+        };
+        let at = next - self.forgotten;
+        if self.entries[at - 1].0 > bound {
+            return;
+        }
+        let at = at + self.entries[at..].partition_point(|(t, _)| *t <= bound);
+        self.note_peak();
+        let depth = self.checkpoints.forget_below(self.forgotten + at);
+        self.dead = depth - self.forgotten;
+        self.retired_to = Some(self.entries[self.dead - 1].0);
+        if self.dead >= self.entries.len() - self.dead {
+            self.entries.drain(..self.dead);
+            self.forgotten += self.dead;
+            self.dead = 0;
+        }
+    }
+
+    /// The most entries and checkpoints this log has held at once, each
+    /// counted on its own: retired entries and dropped checkpoints do
+    /// not count. For a log that never retires, its length and its
+    /// checkpoint count.
+    pub fn retained_peak(&self) -> (usize, usize) {
+        let (entries, checkpoints) = self.peak;
+        (
+            entries.max(self.entries().len()),
+            checkpoints.max(self.checkpoints.len()),
+        )
+    }
+
+    /// Raises the peak to what is held now; called where the held
+    /// counts are about to fall (a retirement, a repair's undo), so the
+    /// peak misses no maximum.
+    fn note_peak(&mut self) {
+        self.peak = self.retained_peak();
     }
 
     /// Merges an update into the log, maintaining the invariant that
@@ -229,6 +327,9 @@ impl<A: Application> MergeLog<A> {
         ts: Timestamp,
         update: impl Into<Arc<A::Update>>,
     ) -> MergeOutcome {
+        if self.is_retired(ts) {
+            return self.note_duplicate();
+        }
         match self.locate(ts) {
             Ok(_) => self.note_duplicate(),
             Err(pos) if pos == self.entries.len() => self.append(app, ts, update.into()),
@@ -236,16 +337,16 @@ impl<A: Application> MergeLog<A> {
         }
     }
 
-    /// Where `ts` sits in the log, or would go — `binary_search`'s
-    /// answer, found by galloping back from the end, where arrivals
-    /// land: O(log d) for a timestamp d entries from the end, one
-    /// comparison for an append.
+    /// Where `ts` sits among the retained entries, or would go, as an
+    /// index into `entries` — `binary_search`'s answer, found by
+    /// galloping back from the end, where arrivals land: O(log d) for a
+    /// timestamp d entries from the end, one comparison for an append.
     fn locate(&self, ts: Timestamp) -> Result<usize, usize> {
         let entries = &self.entries;
         // Everything before `lo` sorts below `ts` once this stops.
         let (mut lo, mut step) = (entries.len(), 1);
-        while lo > 0 && entries[lo - 1].0 >= ts {
-            lo = lo.saturating_sub(step);
+        while lo > self.dead && entries[lo - 1].0 >= ts {
+            lo = lo.saturating_sub(step).max(self.dead);
             step *= 2;
         }
         entries[lo..]
@@ -338,7 +439,10 @@ impl<A: Application> MergeLog<A> {
             while self.entries.get(cursor).is_some_and(|(t, _)| *t < ts) {
                 cursor += 1;
             }
-            if previous == Some(ts) || self.entries.get(cursor).is_some_and(|(t, _)| *t == ts) {
+            if previous == Some(ts)
+                || self.is_retired(ts)
+                || self.entries.get(cursor).is_some_and(|(t, _)| *t == ts)
+            {
                 burst[k].update = None;
                 burst[k].kind = Kind::Dup;
             }
@@ -347,7 +451,7 @@ impl<A: Application> MergeLog<A> {
 
         // Kinds, in arrival order: what sequential merging would have
         // called each new entry, against the running log maximum.
-        let old_last = self.entries.last().map(|(t, _)| *t);
+        let old_last = self.entries.last().map(|(t, _)| *t).or(self.retired_to);
         let mut running_max = old_last;
         for d in burst.iter_mut().filter(|d| d.kind != Kind::Dup) {
             if running_max.is_none_or(|m| d.ts > m) {
@@ -441,8 +545,7 @@ impl<A: Application> MergeLog<A> {
     fn extend(&mut self, app: &A, ts: Timestamp, update: Arc<A::Update>) {
         app.apply_in_place(&mut self.state, &update);
         self.entries.push((ts, update));
-        self.checkpoints
-            .record_for(app, self.entries.len(), &self.state);
+        self.checkpoints.record_for(app, self.len(), &self.state);
     }
 
     /// Out of order: undo back to a checkpoint ≤ pos, redo.
@@ -463,14 +566,18 @@ impl<A: Application> MergeLog<A> {
         MergeOutcome::OutOfOrder { replayed }
     }
 
-    /// The undo/redo pass after entries were inserted at or past `pos`:
-    /// drops the checkpoints the insertion invalidated, copies the
-    /// deepest survivor over the live state, replays from there to the
-    /// end of the log, and returns how many updates that re-applied.
-    /// The copies land in allocations the state and the dropped
-    /// checkpoints already hold.
+    /// The undo/redo pass after entries were inserted at or past
+    /// `entries[pos]`: drops the checkpoints the insertion invalidated,
+    /// copies the deepest survivor over the live state, replays from
+    /// there to the end of the log, and returns how many updates that
+    /// re-applied. The copies land in allocations the state and the
+    /// dropped checkpoints already hold. Depths count retired entries:
+    /// an insertion sorts above them all, so the survivor is never
+    /// below the checkpoint [`MergeLog::retire_below`] kept.
     fn repair_from(&mut self, app: &A, pos: usize) -> u64 {
-        self.checkpoints.truncate(pos);
+        let at = self.forgotten + pos;
+        self.note_peak();
+        self.checkpoints.truncate(at);
         let base_len = match self.checkpoints.restore_last(&mut self.state) {
             Some(len) => {
                 note_state_clone(app.state_size_hint(&self.state));
@@ -485,17 +592,18 @@ impl<A: Application> MergeLog<A> {
         // next straggler replays only its own tail: one at each depth
         // the interval reaches short of the end, which is exactly where
         // `record_for` would store one.
+        let end = self.len();
         let mut next = self.checkpoints.last_len() + self.checkpoints.interval();
-        for i in base_len..self.entries.len() {
-            app.apply_in_place(&mut self.state, &self.entries[i].1);
-            if i + 1 == next && next < self.entries.len() {
+        for depth in base_len..end {
+            app.apply_in_place(&mut self.state, &self.entries[depth - self.forgotten].1);
+            if depth + 1 == next && next < end {
                 self.checkpoints.record_for(app, next, &self.state);
                 next += self.checkpoints.interval();
             }
         }
-        let replayed = (self.entries.len() - base_len) as u64;
+        let replayed = (end - base_len) as u64;
         self.metrics.replayed += replayed;
-        self.metrics.gap_replayed += (pos - base_len) as u64;
+        self.metrics.gap_replayed += (at - base_len) as u64;
         if shard_obs::enabled() {
             shard_obs::histogram!("merge.replay_depth", family).record(replayed);
             if base_len > 0 {
@@ -809,6 +917,131 @@ mod tests {
                 assert_eq!(batched, sequential, "interval {every}");
             }
         }
+    }
+
+    /// One call into a log: a single merge, or a burst through
+    /// `merge_batch`.
+    fn deliver(log: &mut MergeLog<Trace>, burst: &[u64]) -> Vec<MergeOutcome> {
+        let app = Trace;
+        if let [one] = burst {
+            return vec![log.merge_with_outcome(&app, ts(*one), *one)];
+        }
+        let mut got = Vec::new();
+        let entries = burst.iter().map(|&l| (ts(l), Arc::new(l)));
+        log.merge_batch(&app, entries, |_, o| got.push(o));
+        got
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// A log that retires below every bound it may be given is
+        /// indistinguishable from a twin that never retires: after every
+        /// call the two hold the same state, report the same outcomes
+        /// (repair depths included), the same [`MergeMetrics`] and the
+        /// same arrival record. Arrivals come in a random order with
+        /// repeats, singly or in bursts; after a call the retiring log
+        /// may be told a bound no later first arrival reaches — the
+        /// largest such, or a lower one.
+        #[test]
+        fn retiring_history_is_invisible(
+            arrivals in proptest::collection::vec((1u64..48, 0u8..6), 1..160),
+            every in proptest::prop_oneof![
+                proptest::prelude::Just(1usize),
+                proptest::prelude::Just(2usize),
+                proptest::prelude::Just(32usize),
+            ],
+        ) {
+            let app = Trace;
+            let mut retiring = MergeLog::new(&app, every);
+            let mut twin = MergeLog::new(&app, every);
+            // Deliveries with action 0 or 1 join the next burst; 2 ends
+            // it; 3, 4 and 5 end it and then retire below the largest
+            // safe bound, half of it, or one below it.
+            let mut burst = Vec::new();
+            for (i, &(lamport, action)) in arrivals.iter().enumerate() {
+                burst.push(lamport);
+                if action < 2 && i + 1 < arrivals.len() {
+                    continue;
+                }
+                let got = deliver(&mut retiring, &burst);
+                proptest::prop_assert_eq!(got, deliver(&mut twin, &burst));
+                burst.clear();
+                // Everything merged from now on sorts above this: the
+                // least timestamp whose first arrival is still to come.
+                let seen: std::collections::BTreeSet<u64> =
+                    arrivals[..=i].iter().map(|&(l, _)| l).collect();
+                let safe = arrivals[i + 1..]
+                    .iter()
+                    .map(|&(l, _)| l)
+                    .filter(|l| !seen.contains(l))
+                    .min()
+                    .map_or(u64::MAX, |l| l - 1);
+                let bound = match action {
+                    3 => safe,
+                    4 => safe / 2,
+                    5 => safe.saturating_sub(1),
+                    _ => 0,
+                };
+                if bound > 0 {
+                    retiring.retire_below(ts(bound));
+                }
+                proptest::prop_assert_eq!(retiring.state(), twin.state());
+                proptest::prop_assert_eq!(retiring.metrics(), twin.metrics());
+                proptest::prop_assert_eq!(retiring.arrivals(), twin.arrivals());
+                proptest::prop_assert_eq!(retiring.len(), twin.len());
+                let kept = retiring.entries();
+                proptest::prop_assert!(twin.entries().ends_with(kept));
+                for &l in &seen {
+                    proptest::prop_assert!(retiring.contains(ts(l)));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn retiring_keeps_the_checkpoint_a_later_repair_restores() {
+        let app = Trace;
+        let mut log = MergeLog::new(&app, 2);
+        for l in (2..=40).step_by(2) {
+            log.merge(&app, ts(l), l);
+        }
+        assert_eq!(log.retained_peak(), (20, 10));
+        // Nothing will arrive at or below 21: the deepest checkpoint at
+        // or below its position (10 entries) is kept, the rest go.
+        log.retire_below(ts(21));
+        assert_eq!(log.entries().len(), 10);
+        assert_eq!(log.len(), 20);
+        assert!(log.contains(ts(3)), "retired timestamps count as known");
+        assert_eq!(
+            log.merge_with_outcome(&app, ts(8), 8),
+            MergeOutcome::Duplicate
+        );
+        // A straggler above the bound repairs from depth 10: the 11
+        // entries from there to the tip are re-applied, as a log that
+        // kept everything would re-apply them.
+        assert_eq!(
+            log.merge_with_outcome(&app, ts(23), 23),
+            MergeOutcome::OutOfOrder { replayed: 11 }
+        );
+        let mut expect: Vec<u64> = (2..=40).step_by(2).collect();
+        expect.push(23);
+        expect.sort_unstable();
+        assert_eq!(log.state(), &expect);
+        // What follows the deepest checkpoint stays: here one entry.
+        log.retire_below(ts(100));
+        assert_eq!(log.entries().len(), 1);
+        // With a checkpoint at the tip, retiring past it leaves nothing
+        // but the arrivals, and appends still land at the tip.
+        log.merge(&app, ts(42), 42);
+        log.retire_below(ts(100));
+        assert!(log.entries().is_empty());
+        assert_eq!(
+            log.merge_with_outcome(&app, ts(44), 44),
+            MergeOutcome::Appended
+        );
+        assert_eq!((log.len(), log.arrivals().len()), (23, 23));
+        assert_eq!(log.retained_peak(), (20, 10));
     }
 
     #[test]

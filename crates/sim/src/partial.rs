@@ -110,6 +110,12 @@ impl<A: ObjectModel> Propagation<A> for Placement {
         "partial"
     }
 
+    /// The default flood, narrowed by [`Propagation::wants`]: each
+    /// message is one own update, in execution order.
+    fn numbered_links(&self) -> bool {
+        true
+    }
+
     /// The §6 routing rule, for every strategy that runs over a
     /// placement: the placement covers the cluster's `nodes`, and each
     /// invocation targets a node holding all the objects its decision

@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shard_apps::banking::{AccountId, Bank, BankTxn};
 use shard_sim::kernel::{Entries, Node};
-use shard_sim::{EagerBroadcast, ExecutedTxn, NodeId, NodeMirror, RunReport, Timestamp};
+use shard_sim::{EagerBroadcast, ExecutedTxn, NodeId, NodeMirror, RunReport, Sender, Timestamp};
 use std::collections::BTreeMap;
 
 /// One run of `steps` random steps over `nodes` replicas, checked
@@ -24,7 +24,7 @@ fn run(seed: u64, nodes: usize, steps: usize) {
     let app = Bank::new(8, 100);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut replicas: Vec<Node<Bank>> = (0..nodes)
-        .map(|i| Node::new(&app, NodeId(i as u16), 4))
+        .map(|i| Node::new(&app, NodeId(i as u16), nodes as u16, 4))
         .collect();
     let mut mirrors: Vec<NodeMirror<Bank>> = (0..nodes).map(|_| NodeMirror::mem()).collect();
     // What each node has offered each peer: a cursor into its arrivals.
@@ -73,7 +73,10 @@ fn run(seed: u64, nodes: usize, steps: usize) {
                 }
                 replicas[at].deliver_step(
                     &app,
-                    NodeId(from as u16),
+                    Sender {
+                        node: NodeId(from as u16),
+                        stamp: None,
+                    },
                     &batch,
                     now,
                     Some(&mut mirrors[at]),
@@ -148,8 +151,8 @@ fn a_long_run_with_restarts_names_every_set() {
 #[test]
 fn a_restart_before_the_first_execution_counts_from_the_recovered_log() {
     let app = Bank::new(2, 100);
-    let mut a = Node::new(&app, NodeId(0), 4);
-    let mut b = Node::new(&app, NodeId(1), 4);
+    let mut a = Node::new(&app, NodeId(0), 2, 4);
+    let mut b = Node::new(&app, NodeId(1), 2, 4);
     let (mut ma, mut mb) = (NodeMirror::<Bank>::mem(), NodeMirror::<Bank>::mem());
     let (t0, _) = a.execute_step(
         &app,
@@ -160,7 +163,17 @@ fn a_restart_before_the_first_execution_counts_from_the_recovered_log() {
     );
     ma.persist(&a.log, true);
     let batch: Entries<Bank> = a.log.arrivals().iter().cloned().collect();
-    b.deliver_step(&app, NodeId(0), &batch, 1, Some(&mut mb), None);
+    b.deliver_step(
+        &app,
+        Sender {
+            node: NodeId(0),
+            stamp: None,
+        },
+        &batch,
+        1,
+        Some(&mut mb),
+        None,
+    );
     mb.persist(&b.log, true);
     b.recover_step(&app, 4, 2, &mut mb, None);
     let (t1, _) = b.execute_step(&app, BankTxn::Audit, 3, Some(&mut mb), None);

@@ -3,13 +3,17 @@
 //! A run sizes the vectors it fills from the counts it already knows —
 //! the record and every node's merge log for the invocation count, the
 //! event queue for the schedule — and its report takes the nodes one at
-//! a time, so no node's arrival copy sits beside every log. On
-//! `sim-partition`'s shape (5 nodes, node 0 isolated five times, 4 000
-//! banking transactions, seed 1) the peak reads 563.2 B a transaction,
-//! held here within 620 (588.9 while the report copied every external
-//! action into a list of its own; it read 684.4 with vectors doubling
-//! into their size, every arrival copy made while all logs were alive
-//! and each external action's kind an owned `String`). The kernel is
+//! a time, so no node's arrival copy sits beside every log. Each merge
+//! log retires the entries and checkpoints below its node's stability
+//! frontier, so the logs hold only the window a delayed update can
+//! still reach. On `sim-partition`'s shape (5 nodes, node 0 isolated
+//! five times, 4 000 banking transactions, seed 1) the peak reads
+//! 427.3 B a transaction, held here within 449 (5 % above), and within
+//! the older bound of 620 (563.2 while every log kept its whole
+//! history; 588.9 while the report copied every external action into a
+//! list of its own; it read 684.4 with vectors doubling into their size,
+//! every arrival copy made while all logs were alive and each external
+//! action's kind an owned `String`). The kernel is
 //! deterministic, so the figure is exact: this binary counts every byte
 //! its heap holds, with its own global allocator. The two tests take
 //! turns ([`MEASURING`]), so neither counts the other's bytes.
@@ -110,6 +114,8 @@ fn a_partitioned_run_peaks_within_620_bytes_a_transaction() {
     println!("heap peak during the run: {per_txn:.1} B a transaction");
     assert!(report.missing().is_empty());
     assert!(per_txn <= 620.0, "{per_txn:.1} B a transaction");
+    // The logs' retired history stays freed: 427.3 measured.
+    assert!(per_txn <= 449.0, "{per_txn:.1} B a transaction");
     // Every invocation executed, into a record sized for all of them.
     assert_eq!(report.transactions.len(), TXNS);
     assert_eq!(report.transactions.capacity(), TXNS);
@@ -133,14 +139,16 @@ fn a_partitioned_run_peaks_within_620_bytes_a_transaction() {
 /// allocation, made before the spawns and filled in place by the node
 /// threads, and the report's external actions are read off it, not
 /// copied: the peak is the in-run live set — logs, checkpoints and the
-/// record — at 333–334 B a transaction (seeds 1–5, release). With the
+/// record — at 263 B a transaction (seed 1, release; 333–334 at
+/// seeds 1–5 before each log retired below its stability frontier and
+/// each node's list of merged messages was sized before the spawn). With the
 /// record gathered from per-node lists into a second buffer it read 404,
 /// with every action copied into a list of the report's own 356–360, and
 /// with the slots gathered by `flatten` (which does not reuse their
-/// allocation) 505. 6 000 transactions put each node's list of merged
-/// messages (one a peer's transaction) near 3 000 entries, well inside
-/// one doubling, so the figure does not turn on which side of 2 048 a
-/// node's share falls.
+/// allocation) 505. Each node's list of merged messages (one a peer's
+/// transaction) is allocated at its final size before the spawn, so the
+/// figure does not turn on which side of a power of two a node's share
+/// falls.
 #[test]
 fn a_live_run_peaks_within_345_bytes_a_transaction() {
     const LIVE_TXNS: usize = 6_000;
